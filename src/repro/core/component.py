@@ -13,8 +13,12 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional
 
 from repro.sim.cluster import Cluster
-from repro.sim.kernel import Environment, Interrupt, PeriodicHandle, Process
+from repro.sim.kernel import Environment, PeriodicHandle, Process
 from repro.sim.node import Node
+
+
+#: spawn() never sweeps a shorter process list than this
+_SWEEP_FLOOR = 64
 
 
 class Component:
@@ -31,6 +35,8 @@ class Component:
         self.started_at: Optional[float] = None
         self.killed_at: Optional[float] = None
         self._procs: List[Process] = []
+        #: length of ``_procs`` at which spawn() next drops the dead
+        self._sweep_at = _SWEEP_FLOOR
         self._timers: List[PeriodicHandle] = []
         self._on_death: List[Callable[["Component"], None]] = []
 
@@ -50,20 +56,21 @@ class Component:
         raise NotImplementedError
 
     def spawn(self, generator) -> Process:
-        """Track a sub-process so kill() can interrupt it."""
-        if len(self._procs) > 64:
-            self._procs = [p for p in self._procs if p.is_alive]
-        process = self.env.process(self._guard(generator))
-        self._procs.append(process)
-        return process
+        """Track a sub-process so kill() can interrupt it.
 
-    def _guard(self, generator):
-        """Absorb the Interrupt a kill throws so component death never
-        crashes the simulation itself."""
-        try:
-            yield from generator
-        except Interrupt:
-            pass
+        The process absorbs the Interrupt a kill throws, so component
+        death never crashes the simulation itself.  Finished processes
+        are swept out when the list has doubled since the last sweep's
+        survivors, which keeps spawn amortised O(1) however many
+        processes are alive at once.
+        """
+        procs = self._procs
+        if len(procs) >= self._sweep_at:
+            self._procs = procs = [p for p in procs if p.is_alive]
+            self._sweep_at = max(_SWEEP_FLOOR, 2 * len(procs))
+        process = Process(self.env, generator, absorb_interrupt=True)
+        procs.append(process)
+        return process
 
     def every(self, period: float, callback: Callable[[], None], *,
               first_delay: Optional[float] = None) -> PeriodicHandle:
@@ -100,6 +107,7 @@ class Component:
             if process.is_alive and process is not self.env.active_process:
                 process.interrupt(f"{self.name} killed")
         self._procs.clear()
+        self._sweep_at = _SWEEP_FLOOR
         for handle in self._timers:
             handle.cancel()
         self._timers.clear()

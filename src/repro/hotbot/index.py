@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.hotbot.documents import Document
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    """One result: document id, url, and its relevance score."""
+class SearchHit(NamedTuple):
+    """One result: document id, url, and its relevance score.
+
+    A worker builds ``k`` of these per query leg, so it is a tuple, not
+    a dataclass: cheap to construct, and holding only atoms it is left
+    alone by the cyclic collector.
+    """
 
     doc_id: int
     url: str
@@ -113,13 +116,12 @@ class InvertedIndex:
             for doc_id, frequency in self._postings.get(term, ()):
                 tf = 1.0 + math.log(frequency)
                 scores[doc_id] = scores.get(doc_id, 0.0) + tf * idf
+        # rank plain (-score, doc_id) tuples: no key call per candidate
         best = heapq.nsmallest(
-            k, scores.items(), key=lambda item: (-item[1], item[0]))
-        return [
-            SearchHit(doc_id=doc_id, url=self._doc_urls[doc_id],
-                      score=score)
-            for doc_id, score in best
-        ]
+            k, [(-score, doc_id) for doc_id, score in scores.items()])
+        urls = self._doc_urls
+        return [SearchHit(doc_id, urls[doc_id], -negated)
+                for negated, doc_id in best]
 
 
 def merge_hits(partials: Iterable[List[SearchHit]],

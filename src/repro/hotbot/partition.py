@@ -29,20 +29,21 @@ class PartitionMap:
         self.weights = list(weights)
         self.n_partitions = len(weights)
         self.assignment: Dict[int, int] = {}
+        #: documents per partition; the assignment is static, so this
+        #: is counted here once and not per coverage_without() call
+        self._sizes = [0] * self.n_partitions
         partition_ids = list(range(self.n_partitions))
         for document in corpus:
             partition = rng.weighted_choice(partition_ids, self.weights)
             self.assignment[document.doc_id] = partition
+            self._sizes[partition] += 1
 
     def documents_in(self, partition: int) -> List[Document]:
         return [document for document in self.corpus
                 if self.assignment[document.doc_id] == partition]
 
     def partition_sizes(self) -> List[int]:
-        sizes = [0] * self.n_partitions
-        for partition in self.assignment.values():
-            sizes[partition] += 1
-        return sizes
+        return list(self._sizes)
 
     def global_df(self) -> Dict[str, int]:
         """Corpus-wide document frequencies, shared with every
@@ -66,6 +67,6 @@ class PartitionMap:
     def coverage_without(self, failed: Sequence[int]) -> float:
         """Fraction of the database still reachable when the given
         partitions are down — the 54M -> 51M arithmetic."""
-        sizes = self.partition_sizes()
+        sizes = self._sizes
         lost = sum(sizes[partition] for partition in set(failed))
         return 1.0 - lost / len(self.corpus)

@@ -11,9 +11,11 @@ The kernel is the innermost loop of every experiment — a million-request
 trace replay pushes tens of millions of events through
 :meth:`Environment.run` — so the hot paths are deliberately low-level:
 events use ``__slots__``, queues use :class:`collections.deque`, the
-scheduler inlines its heap pushes, and the run loop avoids per-event
-method dispatch.  ``benchmarks/test_bench_kernel.py`` tracks the
-resulting events/second in ``BENCH_kernel.json``.
+scheduler inlines its pushes, events due at the current instant skip
+the heap for two FIFO lanes (see :class:`Environment`), and the run
+loop avoids per-event method dispatch.
+``benchmarks/test_bench_kernel.py`` tracks the resulting events/second
+in ``BENCH_kernel.json``.
 
 Example
 -------
@@ -107,8 +109,8 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._value = value
         env = self.env
-        env._seq = seq = env._seq + 1
-        heappush(env._heap, (env._now, NORMAL, seq, self))
+        env._seq += 1
+        env._normal.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -124,8 +126,8 @@ class Event:
         self._ok = False
         self._value = exception
         env = self.env
-        env._seq = seq = env._seq + 1
-        heappush(env._heap, (env._now, NORMAL, seq, self))
+        env._seq += 1
+        env._normal.append(self)
         return self
 
     def _abandon(self) -> None:
@@ -160,7 +162,11 @@ class Timeout(Event):
         self._pending_value = value
         self.delay = delay
         env._seq = seq = env._seq + 1
-        heappush(env._heap, (env._now + delay, NORMAL, seq, self))
+        at = env._now + delay
+        if at > env._now:
+            heappush(env._heap, (at, NORMAL, seq, self))
+        else:  # zero (or sub-ulp) delay: due at the current instant
+            env._normal.append(self)
 
     def succeed(self, value: Any = None) -> "Event":
         raise SimulationError(
@@ -182,8 +188,8 @@ class Initialize(Event):
         self._value = None
         self._ok = True
         self._defused = False
-        env._seq = seq = env._seq + 1
-        heappush(env._heap, (env._now, URGENT, seq, self))
+        env._seq += 1
+        env._urgent.append(self)
 
 
 class Process(Event):
@@ -192,11 +198,18 @@ class Process(Event):
     The event's value is the generator's return value.  If the generator
     raises, the process event fails with that exception (propagating to any
     process waiting on it, or aborting the simulation if unhandled).
+
+    With ``absorb_interrupt`` an :class:`Interrupt` that escapes the
+    generator ends the process normally (value ``None``) instead of
+    failing it: the crash semantics of a killed component's loops (see
+    :meth:`repro.core.component.Component.spawn`), without a wrapper
+    generator frame on every resume.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator", "_target", "_absorb_interrupt")
 
-    def __init__(self, env: "Environment", generator: Generator):
+    def __init__(self, env: "Environment", generator: Generator,
+                 absorb_interrupt: bool = False):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         self.env = env
@@ -206,6 +219,7 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self._target: Optional[Event] = None
+        self._absorb_interrupt = absorb_interrupt
         Initialize(env, self)
 
     @property
@@ -221,30 +235,19 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process as soon as possible."""
         if self._value is not PENDING:
             raise SimulationError("cannot interrupt a dead process")
-        if self is self.env.active_process:
+        env = self.env
+        if self is env._active_process:
             raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
+        event = Event(env)
         event._ok = False
         event._value = Interrupt(cause)
         event.callbacks.append(self._resume)
-        self.env._schedule(event, URGENT, 0.0)
+        env._schedule_at(event, URGENT, env._now)
         # Detach from whatever the process was waiting on so that a later
         # trigger of that event does not resume the interrupted frame.
-        # Mark the abandoned event defused: if it fails after losing its
-        # only observer, that is not an unhandled error.
         target = self._target
         if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            if not target.callbacks:
-                target._defused = True
-                # Eagerly deregister events that live in a container
-                # (e.g. queue getters): chaos campaigns interrupt
-                # blocked consumers in tight loops, and stale entries
-                # would otherwise accumulate until the next put.
-                target._abandon()
+            _detach(target, self._resume)
         self._target = None
 
     def _resume(self, event: Event) -> None:
@@ -266,15 +269,18 @@ class Process(Event):
             except StopIteration as stop:
                 self._target = None
                 self._value = stop.value
-                env._seq = seq = env._seq + 1
-                heappush(env._heap, (env._now, NORMAL, seq, self))
+                env._seq += 1
+                env._normal.append(self)
                 break
             except BaseException as error:  # generator died
                 self._target = None
-                self._ok = False
-                self._value = error
-                env._seq = seq = env._seq + 1
-                heappush(env._heap, (env._now, NORMAL, seq, self))
+                if self._absorb_interrupt and isinstance(error, Interrupt):
+                    self._value = None  # killed: a normal end
+                else:
+                    self._ok = False
+                    self._value = error
+                env._seq += 1
+                env._normal.append(self)
                 break
 
             if type(next_event) is not Event and \
@@ -297,11 +303,39 @@ class Process(Event):
         env._active_process = None
 
 
+def _detach(event: Event, callback: Callable[[Event], None]) -> None:
+    """Remove one observer from a not-yet-processed ``event``.
+
+    The shared rule for an observer that stops caring — an interrupted
+    process, a :class:`Condition` that has fired.  An event left with no
+    observer at all is marked defused (if it fails later, that is not an
+    unhandled error: nobody is waiting) and told so via ``_abandon``,
+    which eagerly deregisters events that live in a container (queue
+    getters): chaos campaigns interrupt blocked consumers in tight
+    loops, and stale entries would otherwise accumulate until the next
+    put.  An event that still has another observer keeps it, untouched.
+    """
+    callbacks = event.callbacks
+    try:
+        callbacks.remove(callback)
+    except ValueError:
+        pass
+    if not callbacks:
+        event._defused = True
+        event._abandon()
+
+
 class Condition(Event):
     """Fires when ``count`` of the given events have triggered successfully.
 
     Used via :meth:`Environment.any_of` / :meth:`Environment.all_of`.  The
     value is a dict mapping each triggered event to its value.
+
+    Once fired, the condition lets go of the events still pending: it
+    removes its ``_check`` from them (see :func:`_detach`) and drops its
+    event list.  The loser of an ``any_of([reply, timer])`` race — a
+    timer that sits in the heap until its deadline — would otherwise pin
+    the condition, its value dict and the whole response until then.
     """
 
     __slots__ = ("_events", "_need", "_done")
@@ -309,31 +343,42 @@ class Condition(Event):
     def __init__(self, env: "Environment", events: Iterable[Event],
                  count: int) -> None:
         super().__init__(env)
-        self._events = list(events)
-        self._need = min(count, len(self._events))
+        self._events = events = list(events)
+        self._need = min(count, len(events))
         self._done = 0
         if self._need == 0:
+            self._events = ()
             self.succeed({})
             return
-        for event in self._events:
+        check = self._check
+        for event in events:
             if event.callbacks is None:  # already processed
-                self._check(event)
+                check(event)
+                if self._value is not PENDING:
+                    break  # fired, and has let go of the rest
             else:
-                event.callbacks.append(self._check)
+                event.callbacks.append(check)
 
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
             return
         if not event._ok:
             self.fail(event._value)
-            return
-        self._done += 1
-        if self._done >= self._need:
+        else:
+            self._done += 1
+            if self._done < self._need:
+                return
             self.succeed({
                 ev: ev._value
                 for ev in self._events
                 if ev.callbacks is None and ev._ok
             })
+        # fired: release the events that lost the race
+        check = self._check
+        for ev in self._events:
+            if ev.callbacks is not None:
+                _detach(ev, check)
+        self._events = ()
 
 
 class QueueFull(SimulationError):
@@ -482,7 +527,7 @@ class PeriodicHandle:
 
 
 class _PeriodicBucket:
-    """One recurring heap event driving every same-phase periodic callback.
+    """One recurring event driving every same-phase periodic callback.
 
     N maintenance loops with the same period used to cost N timeouts and
     N generator resumes per interval; a bucket costs one event, firing
@@ -502,8 +547,7 @@ class _PeriodicBucket:
         event = Event(env)
         event._value = None
         event.callbacks.append(self._fire)
-        env._seq = seq = env._seq + 1
-        heappush(env._heap, (first_fire, NORMAL, seq, event))
+        env._schedule_at(event, NORMAL, first_fire)
 
     def _fire(self, _event: Event) -> None:
         env = self.env
@@ -531,16 +575,35 @@ class _PeriodicBucket:
         event = Event(env)
         event._value = None
         event.callbacks.append(self._fire)
-        env._seq = seq = env._seq + 1
-        heappush(env._heap, (next_fire, NORMAL, seq, event))
+        env._schedule_at(event, NORMAL, next_fire)
 
 
 class Environment:
-    """The simulation world: event heap, clock, and process factory."""
+    """The simulation world: clock, pending events, and process factory.
+
+    Pending events live in three places.  An event due *later* is a
+    ``(time, priority, seq, event)`` entry in ``_heap``.  An event due
+    at the *current instant* — a ``succeed``/``fail``, a process start
+    or end, a fired condition, an interrupt, a zero-delay timeout: the
+    majority — needs no time and no tie-break, so it is appended bare
+    to one of two FIFO lanes, ``_urgent`` or ``_normal``.  ``_seq``
+    still advances once per scheduled event, lanes included.
+
+    The next event is, in this order: an URGENT heap entry due now; the
+    urgent lane; any heap entry due now; the normal lane; else the
+    clock advances to the heap's head.  That is exactly the heap's
+    ``(time, priority, seq)`` order, because a heap entry due at T was
+    pushed while the clock was still before T (anything scheduled *at*
+    T for T goes to a lane) and so has a smaller ``seq`` than every lane
+    entry of instant T.  :meth:`step` is that rule; :meth:`run` inlines
+    it; :meth:`peek` reads it.
+    """
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._heap: List[Any] = []
+        self._urgent: deque = deque()
+        self._normal: deque = deque()
         self._seq = 0
         self._active_process: Optional[Process] = None
         #: live coalesced-timer buckets, keyed (period, next_fire_time);
@@ -582,9 +645,22 @@ class Environment:
 
     # -- scheduling and execution ------------------------------------------
 
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
+    def _schedule_at(self, event: Event, priority: int, at: float) -> None:
+        """Schedule ``event`` for time ``at`` (never before now).
+
+        The one place that decides heap or lane; the hot paths
+        (``succeed``, ``Timeout``, process ends) inline their case of it.
+        The test is on the *sum*, not the delay: a delay below the
+        clock's resolution lands on the current instant and must queue
+        behind the events already scheduled for it.
+        """
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now + delay, priority, seq, event))
+        if at > self._now:
+            heappush(self._heap, (at, priority, seq, event))
+        elif priority == URGENT:
+            self._urgent.append(event)
+        else:
+            self._normal.append(event)
 
     def schedule_call(self, delay: float,
                       callback: Callable[[Event], None],
@@ -593,8 +669,8 @@ class Environment:
 
         The cheap alternative to spawning a whole process for a one-shot
         action (e.g. delivering a message after a network delay): one
-        event and one heap entry instead of a process, its initializer,
-        and a timeout.  The event fires successfully with ``value``.
+        event instead of a process, its initializer, and a timeout.  The
+        event fires successfully with ``value``.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
@@ -602,7 +678,11 @@ class Environment:
         event._value = value
         event.callbacks.append(callback)
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now + delay, NORMAL, seq, event))
+        at = self._now + delay
+        if at > self._now:
+            heappush(self._heap, (at, NORMAL, seq, event))
+        else:
+            self._normal.append(event)
         return event
 
     def periodic(self, period: float, callback: Callable[[], None], *,
@@ -610,7 +690,7 @@ class Environment:
         """Run ``callback()`` every ``period`` seconds on a shared timer.
 
         All callbacks registered with the same period and phase share
-        ONE recurring heap event (see :class:`_PeriodicBucket`) — the
+        ONE recurring event (see :class:`_PeriodicBucket`) — the
         coalesced replacement for a fleet of ``while True: yield
         timeout(period)`` maintenance loops, each of which costs a heap
         entry and two generator resumes per node per interval.
@@ -644,8 +724,7 @@ class Environment:
             event = Event(self)
             event._value = None
             event.callbacks.append(_first)
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (self._now, URGENT, seq, event))
+            self._schedule_at(event, URGENT, self._now)
         else:
             first_fire = self._now + first_delay
         key = (period, first_fire)
@@ -658,13 +737,35 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._urgent or self._normal:
+            return self._now
         return self._heap[0][0] if self._heap else float("inf")
+
+    def _pop_next(self) -> Optional[Event]:
+        """Remove and return the next event, advancing the clock to it;
+        None when nothing is pending.  The ordering rule of the class
+        docstring, spelled out once."""
+        heap = self._heap
+        head = heap[0] if heap else None
+        due_now = head is not None and head[0] <= self._now
+        if due_now and head[1] == URGENT:
+            return heappop(heap)[3]
+        if self._urgent:
+            return self._urgent.popleft()
+        if due_now:
+            return heappop(heap)[3]
+        if self._normal:
+            return self._normal.popleft()
+        if head is None:
+            return None
+        self._now = head[0]
+        return heappop(heap)[3]
 
     def step(self) -> None:
         """Process the single next event."""
-        if not self._heap:
+        event = self._pop_next()
+        if event is None:
             raise SimulationError("no more events")
-        self._now, _, _, event = heappop(self._heap)
         if event._value is PENDING:
             # a Timeout firing: its value becomes readable now
             event._value = event._pending_value
@@ -681,7 +782,9 @@ class Environment:
 
         Returns the event's value when ``until`` is an event; raises the
         event's exception if it failed (whether it fails during this run
-        or had already failed before the call).
+        or had already failed before the call).  A run that stops at an
+        event leaves whatever else was due at that instant in the lanes;
+        the next ``run``/``step`` takes it from there.
         """
         stop_at = float("inf")
         if isinstance(until, Event):
@@ -699,13 +802,36 @@ class Environment:
             if stop_at < self._now:
                 raise ValueError(f"until={stop_at} is in the past")
 
-        # The hot loop: identical semantics to step(), inlined so a
-        # million-event run pays no per-event method dispatch.
+        # The hot loop: _pop_next() and step() inlined, branches ordered
+        # by how often they are taken, so a million-event run pays no
+        # per-event method dispatch.
         heap = self._heap
+        urgent = self._urgent
+        normal = self._normal
         pop = heappop
+        now = self._now
         try:
-            while heap and heap[0][0] <= stop_at:
-                self._now, _, _, event = pop(heap)
+            while True:
+                if urgent:
+                    if heap and heap[0][0] <= now and heap[0][1] == URGENT:
+                        event = pop(heap)[3]
+                    else:
+                        event = urgent.popleft()
+                elif heap:
+                    at = heap[0][0]
+                    if at <= now:
+                        event = pop(heap)[3]
+                    elif normal:
+                        event = normal.popleft()
+                    elif at > stop_at:
+                        break
+                    else:
+                        self._now = now = at
+                        event = pop(heap)[3]
+                elif normal:
+                    event = normal.popleft()
+                else:
+                    break
                 if event._value is PENDING:
                     event._value = event._pending_value
                 callbacks = event.callbacks

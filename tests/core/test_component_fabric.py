@@ -9,6 +9,7 @@ from repro.core.fabric import FabricError
 from repro.core.frontend import Response
 from repro.core.messages import ManagerBeacon, WorkerAdvert
 from repro.sim.cluster import Cluster
+from repro.sim.kernel import Interrupt
 
 from tests.core.conftest import fast_config, make_fabric, make_record
 
@@ -90,6 +91,55 @@ def test_spawn_prunes_dead_processes():
         component.spawn(one_shot(cluster.env))
         cluster.run(until=cluster.env.now + 0.2)
     assert len(component._procs) < 100
+
+
+def test_spawn_sweep_is_amortised_and_kill_hits_exactly_the_live():
+    """With many long-lived processes alive, spawn must not rebuild the
+    list every time: it sweeps when the list has doubled since the last
+    sweep's survivors."""
+    cluster, component = make_component()
+    component.start()
+    env = cluster.env
+    interrupted = []
+
+    def sleeper(index, duration):
+        try:
+            yield env.timeout(duration)
+        except Interrupt:
+            interrupted.append(index)
+            raise
+
+    for index in range(300):           # alive for the whole test
+        component.spawn(sleeper(index, 1e6))
+    sweeps = 0
+    for index in range(300, 1300):     # gone within the second
+        before = component._procs
+        component.spawn(sleeper(index, 0.5))
+        sweeps += component._procs is not before
+        cluster.run(until=env.now + 1.0)
+    assert sweeps <= 5
+    assert len(component._procs) <= 2 * 302
+    alive = [process for process in component._procs if process.is_alive]
+    assert len(alive) == 301           # the ticker and the sleepers
+    component.kill()
+    cluster.run(until=env.now + 1.0)
+    assert interrupted == list(range(300))
+    assert not any(process.is_alive for process in alive)
+    assert all(process.ok for process in alive)   # absorbed, not failed
+    assert component._procs == []
+
+
+def test_spawned_process_failure_other_than_interrupt_still_surfaces():
+    cluster, component = make_component()
+    component.start()
+
+    def broken():
+        yield cluster.env.timeout(0.1)
+        raise ValueError("bug")
+
+    component.spawn(broken())
+    with pytest.raises(ValueError):
+        cluster.run(until=1.0)
 
 
 # -- fabric edges -----------------------------------------------------------------

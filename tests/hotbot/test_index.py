@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hotbot.documents import Corpus, Document
-from repro.hotbot.index import InvertedIndex, merge_hits
+from repro.hotbot.index import InvertedIndex, SearchHit, merge_hits
 from repro.hotbot.partition import PartitionMap
 from repro.sim.rng import RandomStreams
 
@@ -102,6 +102,52 @@ def test_remove_document():
         assert all(hit.doc_id != target.doc_id for hit in hits)
 
 
+def naive_query(index, terms, k):
+    """The ranking spelled out: score every match the way query() does,
+    sort the lot by (-score, doc_id), cut at k."""
+    import math
+    scores = {}
+    for term in set(terms):
+        idf = index._idf(term)
+        if idf == 0.0:
+            continue
+        for doc_id, frequency in index._postings.get(term, ()):
+            scores[doc_id] = scores.get(doc_id, 0.0) \
+                + (1.0 + math.log(frequency)) * idf
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    return [(doc_id, index._doc_urls[doc_id], score)
+            for doc_id, score in ranked[:k]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_query_equals_naive_full_sort(seed):
+    """Top-k by tuple ranking == full sort, scores bit for bit, for k
+    below, at and above the number of matches (ties included: a small
+    vocabulary makes equal scores common)."""
+    corpus = Corpus(n_docs=120, vocabulary_size=40, seed=seed,
+                    mean_length=12)
+    index = InvertedIndex(total_corpus_size=len(corpus)).add_all(corpus)
+    rng = RandomStreams(seed).stream("queries")
+    for _ in range(10):
+        terms = corpus.vocabulary_sample(rng, 1 + rng.randint(0, 2))
+        matches = len(naive_query(index, terms, len(corpus)))
+        for k in {1, max(1, matches - 1), max(1, matches), matches + 5}:
+            hits = index.query(terms, k)
+            assert [(hit.doc_id, hit.url, hit.score) for hit in hits] \
+                == naive_query(index, terms, k)
+            assert len(hits) == min(k, matches)
+
+
+def test_search_hit_constructs_compares_and_hashes():
+    hit = SearchHit(doc_id=3, url="http://d/3", score=1.5)
+    assert hit == SearchHit(3, "http://d/3", 1.5)
+    assert hit != SearchHit(3, "http://d/3", 1.25)
+    assert (hit.doc_id, hit.url, hit.score) == (3, "http://d/3", 1.5)
+    assert len({hit, SearchHit(3, "http://d/3", 1.5)}) == 1
+    with pytest.raises(AttributeError):
+        hit.score = 2.0
+
+
 def test_postings_scanned_counts(index):
     assert index.postings_scanned(["w0"]) > 0
     assert index.postings_scanned(["missing"]) == 0
@@ -131,6 +177,23 @@ def test_partition_sizes_follow_weights(corpus):
     big, small = partition_map.partition_sizes()
     assert big + small == len(corpus)
     assert big > 1.8 * small  # proportional to CPU power
+
+
+def test_partition_sizes_is_a_fresh_list(corpus):
+    """coverage_without() reads the counts made at construction; a
+    caller scribbling on what partition_sizes() returned must not reach
+    them."""
+    rng = RandomStreams(3).stream("pm")
+    partition_map = PartitionMap(corpus, [1.0] * 4, rng)
+    sizes = partition_map.partition_sizes()
+    assert sizes == [len(partition_map.documents_in(partition))
+                     for partition in range(4)]
+    before = partition_map.coverage_without([1, 1, 2])
+    assert before == 1.0 - (sizes[1] + sizes[2]) / len(corpus)
+    sizes[1] = 10 ** 6
+    assert partition_map.partition_sizes() is not sizes
+    assert partition_map.partition_sizes()[1] != 10 ** 6
+    assert partition_map.coverage_without([1, 1, 2]) == before
 
 
 def test_coverage_without_failed_partitions(corpus):
