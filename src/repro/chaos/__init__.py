@@ -17,44 +17,26 @@ slow-but-not-dead nodes, and overlapping fault sequences.
 * :mod:`repro.chaos.batch` — multi-seed campaign batches fanned out
   across worker processes (:mod:`repro.fanout`) with deterministic
   report folding.
+
+Each of these modules is imported when one of its names is first asked
+for (:mod:`repro._lazy`).
 """
 
-from repro.chaos.batch import (
-    CampaignBatchReport,
-    batch_seeds,
-    run_campaign_batch,
-)
-from repro.chaos.campaign import (
-    CAMPAIGNS,
-    AsymmetricLink,
-    Campaign,
-    CampaignRunner,
-    CorruptOutput,
-    CrashWorkerNode,
-    FailSlowBrick,
-    FailSlowWorker,
-    GrayBrickFault,
-    GrayWorkerFault,
-    HangBrick,
-    HangWorker,
-    HealSAN,
-    KillBrick,
-    KillFrontEnd,
-    KillManager,
-    KillWorker,
-    LeakWorker,
-    LossyWindow,
-    PartitionSAN,
-    PartitionWorker,
-    RollingKills,
-    Straggle,
-    ZombieBrick,
-    ZombieWorker,
-    get_campaign,
-    run_campaign,
-)
-from repro.chaos.invariants import InvariantChecker, InvariantViolation
-from repro.chaos.report import ChaosReport
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "batch": ("CampaignBatchReport", "batch_seeds", "run_campaign_batch"),
+    "campaign": (
+        "CAMPAIGNS", "AsymmetricLink", "Campaign", "CampaignRunner",
+        "CorruptOutput", "CrashWorkerNode", "FailSlowBrick",
+        "FailSlowWorker", "GrayBrickFault", "GrayWorkerFault", "HangBrick",
+        "HangWorker", "HealSAN", "KillBrick", "KillFrontEnd", "KillManager",
+        "KillWorker", "LeakWorker", "LossyWindow", "PartitionSAN",
+        "PartitionWorker", "RollingKills", "Straggle", "ZombieBrick",
+        "ZombieWorker", "get_campaign", "run_campaign"),
+    "invariants": ("InvariantChecker", "InvariantViolation"),
+    "report": ("ChaosReport",),
+})
 
 __all__ = [
     "CAMPAIGNS",

@@ -27,143 +27,130 @@ import argparse
 import sys
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.experiments import (
-    run_cache_size_sweep,
-    run_economics,
-    run_endtoend,
-    run_fault_timeline,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_flash_crowd,
-    run_frontend_state,
-    run_hotbot_degradation,
-    run_hotbot_throughput,
-    run_manager_capacity,
-    run_policy_sweep,
-    run_population_sweep,
-    run_san_saturation,
-    run_table1,
-    run_table2,
-)
+from repro import experiments as drivers
 
 #: name -> (description, full-scale runner, quick runner).
 #: Runners take (seed, jobs) and return printable text; experiments
 #: without independent inner units simply ignore ``jobs``.  Runners of
 #: the experiments in :data:`POLICY_AWARE` additionally accept a
-#: ``policy`` keyword (the ``--policy`` flag).
+#: ``policy`` keyword (the ``--policy`` flag).  A runner looks its
+#: driver up when it is called: :mod:`repro.experiments` imports a
+#: driver module on first use, so ``--help``, ``list`` and an unknown
+#: name load none and ``run <name>`` loads one.
 EXPERIMENTS: Dict[str, Tuple[str, Callable, Callable]] = {
     "figure5": (
         "content-size distributions (Figure 5)",
-        lambda seed, jobs=1: run_figure5(100_000, seed),
-        lambda seed, jobs=1: run_figure5(20_000, seed),
+        lambda seed, jobs=1: drivers.run_figure5(100_000, seed),
+        lambda seed, jobs=1: drivers.run_figure5(20_000, seed),
     ),
     "figure6": (
         "request-rate burstiness (Figure 6)",
-        lambda seed, jobs=1: run_figure6(86_400.0, seed),
-        lambda seed, jobs=1: run_figure6(4 * 3600.0, seed),
+        lambda seed, jobs=1: drivers.run_figure6(86_400.0, seed),
+        lambda seed, jobs=1: drivers.run_figure6(4 * 3600.0, seed),
     ),
     "figure7": (
         "distillation latency vs size (Figure 7)",
-        lambda seed, jobs=1: run_figure7(100_000, seed),
-        lambda seed, jobs=1: run_figure7(20_000, seed),
+        lambda seed, jobs=1: drivers.run_figure7(100_000, seed),
+        lambda seed, jobs=1: drivers.run_figure7(20_000, seed),
     ),
     "figure8": (
         "self-tuning and fault recovery (Figure 8)",
-        lambda seed, jobs=1: run_figure8(seed=seed, peak_rate_rps=60.0),
-        lambda seed, jobs=1: run_figure8(duration_s=200.0,
-                                         kill_at_s=120.0, seed=seed),
+        lambda seed, jobs=1: drivers.run_figure8(seed=seed,
+                                                 peak_rate_rps=60.0),
+        lambda seed, jobs=1: drivers.run_figure8(duration_s=200.0,
+                                                 kill_at_s=120.0,
+                                                 seed=seed),
     ),
     "table1": (
         "TranSend vs HotBot differences (Table 1)",
-        lambda seed, jobs=1: run_table1(),
-        lambda seed, jobs=1: run_table1(),
+        lambda seed, jobs=1: drivers.run_table1(),
+        lambda seed, jobs=1: drivers.run_table1(),
     ),
     "table2": (
         "scalability sweep (Table 2)",
-        lambda seed, jobs=1: run_table2(seed=seed),
-        lambda seed, jobs=1: run_table2(rates=(15, 35, 55, 75, 95),
-                                        step_duration_s=20.0,
-                                        seed=seed),
+        lambda seed, jobs=1: drivers.run_table2(seed=seed),
+        lambda seed, jobs=1: drivers.run_table2(
+            rates=(15, 35, 55, 75, 95), step_duration_s=20.0, seed=seed),
     ),
     "cache": (
         "cache-size hit-rate sweep (Section 4.4)",
-        lambda seed, jobs=1: run_cache_size_sweep(seed=seed, jobs=jobs),
-        lambda seed, jobs=1: run_cache_size_sweep(
+        lambda seed, jobs=1: drivers.run_cache_size_sweep(seed=seed,
+                                                          jobs=jobs),
+        lambda seed, jobs=1: drivers.run_cache_size_sweep(
             n_users=300, n_requests=25_000, seed=seed, jobs=jobs),
     ),
     "population": (
         "population hit-rate sweep (Section 4.4)",
-        lambda seed, jobs=1: run_population_sweep(seed=seed, jobs=jobs),
-        lambda seed, jobs=1: run_population_sweep(
+        lambda seed, jobs=1: drivers.run_population_sweep(seed=seed,
+                                                          jobs=jobs),
+        lambda seed, jobs=1: drivers.run_population_sweep(
             populations=(25, 100, 400, 1600),
             requests_per_user=40, seed=seed, jobs=jobs),
     ),
     "frontend-state": (
         "front-end state accounting (Section 4.4)",
-        lambda seed, jobs=1: run_frontend_state(seed=seed),
-        lambda seed, jobs=1: run_frontend_state(rate_rps=10.0,
-                                                duration_s=90.0,
-                                                seed=seed),
+        lambda seed, jobs=1: drivers.run_frontend_state(seed=seed),
+        lambda seed, jobs=1: drivers.run_frontend_state(
+            rate_rps=10.0, duration_s=90.0, seed=seed),
     ),
     "manager": (
         "manager announcement capacity (Section 4.6)",
-        lambda seed, jobs=1: run_manager_capacity(seed=seed),
-        lambda seed, jobs=1: run_manager_capacity(duration_s=10.0,
-                                                  seed=seed),
+        lambda seed, jobs=1: drivers.run_manager_capacity(seed=seed),
+        lambda seed, jobs=1: drivers.run_manager_capacity(
+            duration_s=10.0, seed=seed),
     ),
     "san": (
         "SAN saturation + utility-network remedy (Section 4.6)",
-        lambda seed, jobs=1: run_san_saturation(seed=seed, jobs=jobs),
-        lambda seed, jobs=1: run_san_saturation(duration_s=30.0,
-                                                seed=seed, jobs=jobs),
+        lambda seed, jobs=1: drivers.run_san_saturation(seed=seed,
+                                                        jobs=jobs),
+        lambda seed, jobs=1: drivers.run_san_saturation(
+            duration_s=30.0, seed=seed, jobs=jobs),
     ),
     "faults": (
         "process-peer fault timeline (Section 3.1.3)",
-        lambda seed, jobs=1: run_fault_timeline(seed=seed),
-        lambda seed, jobs=1: run_fault_timeline(rate_rps=10.0,
-                                                seed=seed),
+        lambda seed, jobs=1: drivers.run_fault_timeline(seed=seed),
+        lambda seed, jobs=1: drivers.run_fault_timeline(rate_rps=10.0,
+                                                        seed=seed),
     ),
     "hotbot": (
         "HotBot graceful degradation",
-        lambda seed, jobs=1: run_hotbot_degradation(seed=seed),
-        lambda seed, jobs=1: run_hotbot_degradation(n_nodes=8,
-                                                    n_docs=800,
-                                                    seed=seed),
+        lambda seed, jobs=1: drivers.run_hotbot_degradation(seed=seed),
+        lambda seed, jobs=1: drivers.run_hotbot_degradation(
+            n_nodes=8, n_docs=800, seed=seed),
     ),
     "hotbot-throughput": (
         "HotBot 'millions of queries per day'",
-        lambda seed, jobs=1: run_hotbot_throughput(seed=seed),
-        lambda seed, jobs=1: run_hotbot_throughput(
+        lambda seed, jobs=1: drivers.run_hotbot_throughput(seed=seed),
+        lambda seed, jobs=1: drivers.run_hotbot_throughput(
             offered_qps=30.0, duration_s=20.0, n_workers=8,
             n_docs=1500, seed=seed),
     ),
     "policies": (
         "routing-policy tail-latency sweep (repro.balance)",
-        lambda seed, jobs=1, policy=None: run_policy_sweep(
+        lambda seed, jobs=1, policy=None: drivers.run_policy_sweep(
             policies=[policy] if policy else None,
             seed=seed, jobs=jobs),
-        lambda seed, jobs=1, policy=None: run_policy_sweep(
+        lambda seed, jobs=1, policy=None: drivers.run_policy_sweep(
             policies=[policy] if policy else None,
             n_requests=20_000, seed=seed, jobs=jobs),
     ),
     "economics": (
         "economic feasibility (Section 5.2)",
-        lambda seed, jobs=1: run_economics(seed=seed),
-        lambda seed, jobs=1: run_economics(n_users=100,
-                                           n_requests=5_000, seed=seed),
+        lambda seed, jobs=1: drivers.run_economics(seed=seed),
+        lambda seed, jobs=1: drivers.run_economics(
+            n_users=100, n_requests=5_000, seed=seed),
     ),
     "endtoend": (
         "end-to-end latency reduction (the Section 1.1 headline)",
-        lambda seed, jobs=1: run_endtoend(seed=seed),
-        lambda seed, jobs=1: run_endtoend(n_requests=150, seed=seed),
+        lambda seed, jobs=1: drivers.run_endtoend(seed=seed),
+        lambda seed, jobs=1: drivers.run_endtoend(n_requests=150,
+                                                  seed=seed),
     ),
     "flash-crowd": (
         "brownout controller vs binary shed under a 10x burst "
         "(repro.degrade)",
-        lambda seed, jobs=1: run_flash_crowd(seed=seed, jobs=jobs),
-        lambda seed, jobs=1: run_flash_crowd(seed=seed, jobs=jobs),
+        lambda seed, jobs=1: drivers.run_flash_crowd(seed=seed, jobs=jobs),
+        lambda seed, jobs=1: drivers.run_flash_crowd(seed=seed, jobs=jobs),
     ),
 }
 
@@ -384,6 +371,11 @@ def _run_names(names, args) -> bool:
     if jobs > 1 and len(names) > 1:
         from repro.fanout import ShardSpec, run_sharded
 
+        # several names means all of them: load every driver before the
+        # pool forks, so the shards inherit the modules instead of each
+        # importing its own
+        for export in drivers.__all__:
+            getattr(drivers, export)
         specs = [
             ShardSpec(shard_id=f"run[{name}]", fn=run_experiment,
                       kwargs=dict(name=name, seed=args.seed,

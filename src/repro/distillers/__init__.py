@@ -18,15 +18,17 @@ carries the calibrated latency model from Section 4.3 (≈8 ms per KB of
 input for images, much cheaper for HTML) used by the cluster simulation.
 """
 
-from repro.distillers.images import (
-    ImageFormatError,
-    SyntheticImage,
-    generate_photo,
-)
+from repro._lazy import lazy_exports
 from repro.distillers.base import Distiller, DistillerLatencyModel
 from repro.distillers.jpeg import JpegDistiller
 from repro.distillers.gif import GifDistiller
 from repro.distillers.html import HtmlMunger
+
+# the codec's names bind on first use, like the re-exports of
+# repro.experiments and repro.chaos
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "images": ("ImageFormatError", "SyntheticImage", "generate_photo"),
+})
 
 __all__ = [
     "Distiller",

@@ -18,17 +18,23 @@ paper's images did.  This module provides:
 Wire format (both encodings)::
 
     magic(4) | codec(1) | width(4) | height(4) | quality(1) | zlib payload
+
+numpy is imported by the functions that build or filter a raster, not
+by this module: every service imports the distillers, but the cluster
+simulation runs on their latency and size models and never decodes a
+pixel, so it should not pay for loading numpy.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from repro.sim.rng import Stream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAGIC = b"SIMG"
 CODEC_GIF = 1
@@ -45,7 +51,7 @@ class SyntheticImage:
     """A grayscale raster with GIF-like / JPEG-like serializations."""
 
     def __init__(self, pixels: np.ndarray) -> None:
-        if pixels.ndim != 2 or pixels.dtype != np.uint8:
+        if pixels.ndim != 2 or pixels.dtype != "uint8":
             raise ValueError("pixels must be a 2-D uint8 array")
         if pixels.size == 0:
             raise ValueError("image must be non-empty")
@@ -84,7 +90,7 @@ class SyntheticImage:
         # 6.7x).
         step = max(2, int(2 + (100 - quality) * 0.05))
         quantized = (self.pixels // step) * step
-        payload = zlib.compress(quantized.astype(np.uint8).tobytes(),
+        payload = zlib.compress(quantized.astype("uint8").tobytes(),
                                 level=9)
         header = _HEADER.pack(MAGIC, CODEC_JPEG, self.width, self.height,
                               quality)
@@ -113,6 +119,8 @@ class SyntheticImage:
         if len(raw) != width * height:
             raise ImageFormatError(
                 f"payload is {len(raw)} bytes, expected {width * height}")
+        import numpy as np
+
         pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
         return cls(pixels.copy()), codec, quality
 
@@ -133,7 +141,7 @@ class SyntheticImage:
         trimmed = self.pixels[: height * factor_y, : width * factor_x]
         blocks = trimmed.reshape(height, factor_y, width, factor_x)
         averaged = blocks.mean(axis=(1, 3))
-        return SyntheticImage(averaged.astype(np.uint8))
+        return SyntheticImage(averaged.astype("uint8"))
 
     def low_pass(self, radius: int = 1) -> "SyntheticImage":
         """Box-filter smoothing (the 'low-pass filter' tuning images for
@@ -142,6 +150,8 @@ class SyntheticImage:
             raise ValueError("radius must be non-negative")
         if radius == 0:
             return SyntheticImage(self.pixels.copy())
+        import numpy as np
+
         acc = self.pixels.astype(np.float64)
         out = np.copy(acc)
         count = np.ones_like(acc)
@@ -155,6 +165,8 @@ class SyntheticImage:
         return SyntheticImage((out / count).astype(np.uint8))
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         return (isinstance(other, SyntheticImage)
                 and np.array_equal(self.pixels, other.pixels))
 
@@ -170,6 +182,8 @@ def generate_photo(rng: Stream, width: int = 160,
     resolution, plus mild pixel noise.  Deflate finds structure (like
     real image codecs do on photos) but cannot collapse it to nothing.
     """
+    import numpy as np
+
     coarse_w = max(2, width // 16)
     coarse_h = max(2, height // 16)
     coarse = np.array([

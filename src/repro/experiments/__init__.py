@@ -9,68 +9,36 @@ values from a full run.
 
 Drivers accept scale knobs so the same code serves quick unit tests and
 full benchmark runs.
+
+A driver module is imported when one of its names is first asked for
+(:mod:`repro._lazy`), so importing the shared harness or the CLI loads
+none of them.
 """
 
-from repro.experiments.figure5_sizes import Figure5Result, run_figure5
-from repro.experiments.figure6_burstiness import (
-    Figure6Result,
-    run_figure6,
-)
-from repro.experiments.figure7_distiller import (
-    Figure7Result,
-    run_figure7,
-)
-from repro.experiments.figure8_selftuning import (
-    Figure8Result,
-    run_figure8,
-)
-from repro.experiments.table1_comparison import run_table1
-from repro.experiments.table2_scalability import (
-    Table2Result,
-    run_table2,
-)
-from repro.experiments.cache_hitrate import (
-    CacheStudyResult,
-    run_cache_size_sweep,
-    run_population_sweep,
-)
-from repro.experiments.manager_capacity import (
-    ManagerCapacityResult,
-    run_manager_capacity,
-)
-from repro.experiments.san_saturation import (
-    SanSaturationResult,
-    run_san_saturation,
-)
-from repro.experiments.fault_timeline import (
-    FaultTimelineResult,
-    run_fault_timeline,
-)
-from repro.experiments.frontend_state import (
-    FrontEndStateResult,
-    run_frontend_state,
-)
-from repro.experiments.hotbot_degradation import (
-    HotBotDegradationResult,
-    run_hotbot_degradation,
-)
-from repro.experiments.hotbot_throughput import (
-    HotBotThroughputResult,
-    run_hotbot_throughput,
-)
-from repro.experiments.economics import run_economics
-from repro.experiments.policy_sweep import (
-    PolicySweepResult,
-    run_policy_sweep,
-)
-from repro.experiments.endtoend_latency import (
-    EndToEndResult,
-    run_endtoend,
-)
-from repro.experiments.flash_crowd import (
-    FlashCrowdResult,
-    run_flash_crowd,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "figure5_sizes": ("Figure5Result", "run_figure5"),
+    "figure6_burstiness": ("Figure6Result", "run_figure6"),
+    "figure7_distiller": ("Figure7Result", "run_figure7"),
+    "figure8_selftuning": ("Figure8Result", "run_figure8"),
+    "table1_comparison": ("run_table1",),
+    "table2_scalability": ("Table2Result", "run_table2"),
+    "cache_hitrate": (
+        "CacheStudyResult", "run_cache_size_sweep", "run_population_sweep"),
+    "manager_capacity": ("ManagerCapacityResult", "run_manager_capacity"),
+    "san_saturation": ("SanSaturationResult", "run_san_saturation"),
+    "fault_timeline": ("FaultTimelineResult", "run_fault_timeline"),
+    "frontend_state": ("FrontEndStateResult", "run_frontend_state"),
+    "hotbot_degradation": (
+        "HotBotDegradationResult", "run_hotbot_degradation"),
+    "hotbot_throughput": (
+        "HotBotThroughputResult", "run_hotbot_throughput"),
+    "economics": ("run_economics",),
+    "policy_sweep": ("PolicySweepResult", "run_policy_sweep"),
+    "endtoend_latency": ("EndToEndResult", "run_endtoend"),
+    "flash_crowd": ("FlashCrowdResult", "run_flash_crowd"),
+})
 
 __all__ = [
     "CacheStudyResult",

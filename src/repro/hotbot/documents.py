@@ -9,8 +9,9 @@ be rebuilt identically on every "node".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.sim.rng import RandomStreams, Stream
 
@@ -45,6 +46,9 @@ class Corpus:
         self.n_docs = n_docs
         self.vocabulary_size = vocabulary_size
         self.seed = seed
+        #: rank -> term; a corpus names ~80 terms per document, so the
+        #: strings are made once and not once per occurrence
+        self._term_names = [f"w{rank}" for rank in range(vocabulary_size)]
         rng = RandomStreams(seed).stream("corpus")
         self.documents: List[Document] = [
             self._make_document(rng, doc_id, mean_length, zipf_alpha)
@@ -54,11 +58,10 @@ class Corpus:
     def _make_document(self, rng: Stream, doc_id: int, mean_length: int,
                        zipf_alpha: float) -> Document:
         length = max(5, int(rng.lognormal_mean(mean_length, 0.6)))
-        counts: Dict[str, int] = {}
-        for _ in range(length):
-            rank = rng.zipf_rank(self.vocabulary_size, zipf_alpha)
-            term = f"w{rank}"
-            counts[term] = counts.get(term, 0) + 1
+        # the same stream positions as `length` zipf_rank() calls
+        ranks = rng.zipf_rank_batch(self.vocabulary_size, zipf_alpha,
+                                    length)
+        counts = Counter(map(self._term_names.__getitem__, ranks))
         terms = tuple(sorted(counts.items()))
         return Document(
             doc_id=doc_id,
@@ -75,5 +78,5 @@ class Corpus:
     def vocabulary_sample(self, rng: Stream, n: int,
                           alpha: float = 1.05) -> List[str]:
         """Query terms drawn with the same skew users exhibit."""
-        return [f"w{rng.zipf_rank(self.vocabulary_size, alpha)}"
-                for _ in range(n)]
+        return [self._term_names[rank] for rank in
+                rng.zipf_rank_batch(self.vocabulary_size, alpha, n)]

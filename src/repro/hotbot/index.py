@@ -52,17 +52,27 @@ class InvertedIndex:
     # -- build --------------------------------------------------------------
 
     def add(self, document: Document) -> None:
-        if document.doc_id in self._doc_urls:
-            raise ValueError(f"duplicate document {document.doc_id}")
-        self._doc_urls[document.doc_id] = document.url
-        self._doc_lengths[document.doc_id] = document.length
-        for term, frequency in document.terms:
-            self._postings.setdefault(term, []).append(
-                (document.doc_id, frequency))
+        self.add_all((document,))
 
     def add_all(self, documents: Iterable[Document]) -> "InvertedIndex":
+        """Index ``documents`` in one pass.  A partition is built, and
+        after a crash rebuilt, by a single call with all its documents,
+        so the loop runs on local names."""
+        urls = self._doc_urls
+        lengths = self._doc_lengths
+        postings = self._postings
         for document in documents:
-            self.add(document)
+            doc_id = document.doc_id
+            if doc_id in urls:
+                raise ValueError(f"duplicate document {doc_id}")
+            urls[doc_id] = document.url
+            lengths[doc_id] = document.length
+            for term, frequency in document.terms:
+                entries = postings.get(term)
+                if entries is None:
+                    postings[term] = [(doc_id, frequency)]
+                else:
+                    entries.append((doc_id, frequency))
         return self
 
     def remove(self, doc_id: int) -> bool:
@@ -109,7 +119,10 @@ class InvertedIndex:
         if k <= 0:
             raise ValueError("k must be positive")
         scores: Dict[int, float] = {}
-        for term in set(terms):
+        # distinct terms in the order given, never set order: float
+        # addition does not associate, so with three or more terms an
+        # order that varies with PYTHONHASHSEED would vary the scores
+        for term in dict.fromkeys(terms):
             idf = self._idf(term)
             if idf == 0.0:
                 continue

@@ -29,44 +29,40 @@ class PartitionMap:
         self.weights = list(weights)
         self.n_partitions = len(weights)
         self.assignment: Dict[int, int] = {}
-        #: documents per partition; the assignment is static, so this
-        #: is counted here once and not per coverage_without() call
-        self._sizes = [0] * self.n_partitions
+        #: each partition's documents, in corpus order.  The assignment
+        #: is static, so they are grouped here once: building an index
+        #: (at boot and at every fast restart) and sizing a partition
+        #: never rescan the corpus.
+        self._members: List[List[Document]] = [
+            [] for _ in range(self.n_partitions)]
+        #: corpus-wide document frequencies, shared with every
+        #: partition so per-partition scores are comparable at collation
+        self.global_df: Dict[str, int] = {}
         partition_ids = list(range(self.n_partitions))
+        df = self.global_df
         for document in corpus:
             partition = rng.weighted_choice(partition_ids, self.weights)
             self.assignment[document.doc_id] = partition
-            self._sizes[partition] += 1
+            self._members[partition].append(document)
+            for term, _ in document.terms:
+                df[term] = df.get(term, 0) + 1
 
     def documents_in(self, partition: int) -> List[Document]:
-        return [document for document in self.corpus
-                if self.assignment[document.doc_id] == partition]
+        return list(self._members[partition])
 
     def partition_sizes(self) -> List[int]:
-        return list(self._sizes)
-
-    def global_df(self) -> Dict[str, int]:
-        """Corpus-wide document frequencies, shared with every
-        partition so per-partition scores are comparable at collation."""
-        if not hasattr(self, "_global_df"):
-            df: Dict[str, int] = {}
-            for document in self.corpus:
-                for term, _ in document.terms:
-                    df[term] = df.get(term, 0) + 1
-            self._global_df = df
-        return self._global_df
+        return [len(members) for members in self._members]
 
     def build_index(self, partition: int) -> InvertedIndex:
         """The partition's local index (global statistics for mergeable
         scores)."""
         index = InvertedIndex(total_corpus_size=len(self.corpus),
-                              global_df=self.global_df())
-        index.add_all(self.documents_in(partition))
-        return index
+                              global_df=self.global_df)
+        return index.add_all(self._members[partition])
 
     def coverage_without(self, failed: Sequence[int]) -> float:
         """Fraction of the database still reachable when the given
         partitions are down — the 54M -> 51M arithmetic."""
-        sizes = self._sizes
-        lost = sum(sizes[partition] for partition in set(failed))
+        lost = sum(len(self._members[partition])
+                   for partition in set(failed))
         return 1.0 - lost / len(self.corpus)

@@ -261,6 +261,16 @@ class Process(Event):
                 if event._ok:
                     next_event = generator.send(event._value)
                 else:
+                    target = self._target
+                    if target is not None and target.callbacks is not None:
+                        # Still waiting on another event: this failure
+                        # was scheduled before that wait began (a second
+                        # interrupt in one instant, or one sent before
+                        # the process first ran, finds no target to
+                        # detach from).  Let go of it now, or its firing
+                        # would resume the frame a second time.
+                        _detach(target, self._resume)
+                        self._target = None
                     exc = event._value
                     if isinstance(exc, Interrupt):
                         # re-wrap so each delivery is a distinct instance

@@ -1,0 +1,196 @@
+"""The HotBot deployment build against its one-at-a-time references.
+
+`Corpus` draws a document's ranks in one batch, `PartitionMap` groups
+documents once, `InvertedIndex.add_all` fills postings in one loop.
+None of that may change what gets built: not a document, not a
+posting, not a position of the random stream.  The per-draw generator
+and the per-document index builder the bulk forms replaced live on
+here, as the references.
+"""
+
+import pytest
+
+from repro.hotbot.documents import Corpus, Document
+from repro.hotbot.index import InvertedIndex
+from repro.hotbot.partition import PartitionMap
+from repro.hotbot.service import HotBot, HotBotConfig
+from repro.sim.rng import RandomStreams
+
+SEEDS = (1997, 2026, 7)
+
+
+# -- corpus ----------------------------------------------------------------------
+
+def reference_document(rng, doc_id, vocabulary_size=2000, mean_length=80,
+                       zipf_alpha=1.05):
+    """One document, one `zipf_rank` call and one f-string per term
+    occurrence: the generator `Corpus` had before it drew in batches."""
+    length = max(5, int(rng.lognormal_mean(mean_length, 0.6)))
+    counts = {}
+    for _ in range(length):
+        term = f"w{rng.zipf_rank(vocabulary_size, zipf_alpha)}"
+        counts[term] = counts.get(term, 0) + 1
+    return Document(doc_id=doc_id,
+                    url=f"http://crawl.example/page{doc_id}",
+                    terms=tuple(sorted(counts.items())))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_corpus_equals_per_draw_reference(seed):
+    rng = RandomStreams(seed).stream("corpus")
+    expected = [reference_document(rng, doc_id) for doc_id in range(400)]
+    assert Corpus(n_docs=400, seed=seed).documents == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_corpus_leaves_the_stream_where_the_reference_does(seed):
+    corpus = Corpus(n_docs=1, vocabulary_size=300, seed=seed)
+    batch_rng = RandomStreams(seed).stream("corpus")
+    reference_rng = RandomStreams(seed).stream("corpus")
+    for doc_id in range(50):
+        assert corpus._make_document(batch_rng, doc_id, 40, 1.05) \
+            == reference_document(reference_rng, doc_id, 300, 40)
+    assert batch_rng.random() == reference_rng.random()
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.0, 0.5])
+def test_vocabulary_sample_equals_per_draw_reference(alpha):
+    corpus = Corpus(n_docs=1, vocabulary_size=700, seed=3)
+    batch_rng = RandomStreams(11).stream("queries")
+    reference_rng = RandomStreams(11).stream("queries")
+    assert corpus.vocabulary_sample(batch_rng, 200, alpha) \
+        == [f"w{reference_rng.zipf_rank(700, alpha)}" for _ in range(200)]
+    assert batch_rng.random() == reference_rng.random()
+
+
+# -- index -----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def corpus():
+    return Corpus(n_docs=240, vocabulary_size=400, seed=2026)
+
+
+@pytest.fixture(scope="module")
+def partition_map(corpus):
+    return PartitionMap(corpus, [1.0, 2.0, 1.0, 0.5],
+                        RandomStreams(5).stream("partition"))
+
+
+def reference_tables(documents):
+    """(postings, urls, lengths) as the per-document `add` built them."""
+    postings, urls, lengths = {}, {}, {}
+    for document in documents:
+        urls[document.doc_id] = document.url
+        lengths[document.doc_id] = document.length
+        for term, frequency in document.terms:
+            postings.setdefault(term, []).append(
+                (document.doc_id, frequency))
+    return postings, urls, lengths
+
+
+def tables(index):
+    return index._postings, index._doc_urls, index._doc_lengths
+
+
+def test_add_all_equals_repeated_add(corpus):
+    bulk = InvertedIndex(total_corpus_size=len(corpus)).add_all(corpus)
+    single = InvertedIndex(total_corpus_size=len(corpus))
+    for document in corpus:
+        single.add(document)
+    assert tables(bulk) == tables(single) \
+        == reference_tables(corpus.documents)
+    # posting lists are in document order, not merely equal as sets
+    assert all(entries == sorted(entries)
+               for entries in bulk._postings.values())
+
+
+def test_add_all_takes_any_iterable_and_returns_the_index(corpus):
+    index = InvertedIndex(total_corpus_size=len(corpus))
+    assert index.add_all(iter(corpus.documents[:10])) is index
+    assert index.n_documents == 10
+
+
+def test_duplicate_document_still_raises(corpus):
+    first, second = corpus.documents[:2]
+    index = InvertedIndex(total_corpus_size=len(corpus)).add_all([first])
+    with pytest.raises(ValueError, match="duplicate document 0"):
+        index.add(first)
+    with pytest.raises(ValueError, match="duplicate document 0"):
+        index.add_all([second, first])
+    # as before, what preceded the duplicate is indexed
+    assert tables(index) == reference_tables([first, second])
+
+
+def test_remove_and_add_after_a_bulk_build_stay_consistent(
+        corpus, partition_map):
+    # corpus-wide statistics, so removing a document moves no idf
+    index = InvertedIndex(total_corpus_size=len(corpus),
+                          global_df=partition_map.global_df).add_all(corpus)
+    query = ["w3", "w17", "w40"]
+    before = index.query(query, k=len(corpus))
+    victim = corpus.documents[before[0].doc_id]
+
+    assert index.remove(victim.doc_id)
+    assert not index.remove(victim.doc_id)
+    others = [document for document in corpus if document is not victim]
+    assert tables(index) == reference_tables(others)
+    assert index.query(query, k=len(corpus)) == before[1:]
+
+    index.add(victim)
+    assert tables(index) == reference_tables(others + [victim])
+    assert index.query(query, k=len(corpus)) == before
+    assert index.postings_scanned(query) == sum(
+        1 for document in corpus for term in query if document.tf(term))
+
+
+# -- partitions ------------------------------------------------------------------
+
+def test_documents_in_keeps_corpus_order_and_returns_a_copy(
+        corpus, partition_map):
+    seen = 0
+    for partition in range(partition_map.n_partitions):
+        members = partition_map.documents_in(partition)
+        assert members == [
+            document for document in corpus
+            if partition_map.assignment[document.doc_id] == partition]
+        seen += len(members)
+        members.clear()  # the caller's list, not the map's
+        assert partition_map.documents_in(partition) != []
+    assert seen == len(corpus)
+    assert partition_map.partition_sizes() == [
+        len(partition_map.documents_in(partition))
+        for partition in range(partition_map.n_partitions)]
+
+
+def test_global_df_counts_documents_per_term(corpus, partition_map):
+    expected = {}
+    for document in corpus:
+        for term, _ in document.terms:
+            expected[term] = expected.get(term, 0) + 1
+    assert partition_map.global_df == expected
+
+
+def test_build_index_holds_exactly_the_partition(corpus, partition_map):
+    for partition in range(partition_map.n_partitions):
+        index = partition_map.build_index(partition)
+        assert tables(index) == reference_tables(
+            partition_map.documents_in(partition))
+        assert index.global_df is partition_map.global_df
+
+
+def test_fast_restart_rebuilds_an_index_that_answers_identically():
+    hotbot = HotBot(config=HotBotConfig(n_workers=4, n_docs=400,
+                                        fast_restart_s=1.0), seed=2026)
+    queries = [hotbot.corpus.vocabulary_sample(
+        hotbot.cluster.streams.stream("test-queries"), 3)
+        for _ in range(25)]
+    original = hotbot.workers[2].index
+    hotbot.crash_worker(2)
+    hotbot.run(until=5.0)
+    rebuilt = hotbot.workers[2].index
+    assert hotbot.workers[2].alive and rebuilt is not original
+    assert tables(rebuilt) == tables(original)
+    for query in queries:
+        assert rebuilt.query(query, k=10) == original.query(query, k=10)
+        assert rebuilt.postings_scanned(query) \
+            == original.postings_scanned(query)

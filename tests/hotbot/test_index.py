@@ -1,9 +1,15 @@
 """Tests for the corpus, inverted index, and partitioning."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.hotbot.documents import Corpus, Document
 from repro.hotbot.index import InvertedIndex, SearchHit, merge_hits
 from repro.hotbot.partition import PartitionMap
@@ -102,12 +108,45 @@ def test_remove_document():
         assert all(hit.doc_id != target.doc_id for hit in hits)
 
 
+HASH_SEED_PROBE = """
+from repro.hotbot.documents import Corpus
+from repro.hotbot.index import InvertedIndex
+from repro.sim.rng import RandomStreams
+
+corpus = Corpus(n_docs=600, seed=3)
+index = InvertedIndex(total_corpus_size=len(corpus)).add_all(corpus)
+rng = RandomStreams(3).stream("queries")
+for _ in range(40):
+    terms = corpus.vocabulary_sample(rng, 4)
+    print(" ".join(f"{hit.doc_id}:{hit.score.hex()}"
+                   for hit in index.query(terms, k=10)))
+"""
+
+
+def test_scores_do_not_depend_on_the_hash_seed():
+    """Same seed, same trajectory, in *any* process: with three or more
+    terms the order the scores are summed in shows in their last bits,
+    so it must come from the query, never from set iteration order
+    (which PYTHONHASHSEED moves)."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE], check=True,
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=source,
+                     PYTHONHASHSEED=hash_seed)).stdout
+        for hash_seed in ("1", "2", "3")]
+    assert outputs[0].count("\n") == 40 and ":" in outputs[0]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
 def naive_query(index, terms, k):
     """The ranking spelled out: score every match the way query() does,
     sort the lot by (-score, doc_id), cut at k."""
     import math
     scores = {}
-    for term in set(terms):
+    for term in dict.fromkeys(terms):
         idf = index._idf(term)
         if idf == 0.0:
             continue

@@ -232,6 +232,60 @@ def test_interrupted_process_not_resumed_by_stale_event():
     assert resumes == ["interrupt", "after"]
 
 
+def test_two_interrupts_in_one_instant_leave_no_stale_resume():
+    """The second interrupt is delivered while the process already
+    waits on the event it yielded after the first; that event must not
+    resume the frame again when it fires (it used to, feeding its value
+    to whatever the process was waiting on by then)."""
+    env = Environment()
+    log = []
+
+    def sleeper(env):
+        waits = iter((("second", 10.0), ("third", 30.0)))
+        wait = ("first", 100.0)
+        while wait is not None:
+            try:
+                got = yield env.timeout(wait[1], value=wait[0])
+                log.append(("woke", got, env.now))
+                wait = None
+            except Interrupt as interrupt:
+                log.append(("interrupted", interrupt.cause, env.now))
+                wait = next(waits)
+
+    proc = env.process(sleeper(env))
+
+    def killer(env):
+        yield env.timeout(5.0)
+        proc.interrupt("one")
+        proc.interrupt("two")
+
+    env.process(killer(env))
+    env.run()
+    assert log == [("interrupted", "one", 5.0), ("interrupted", "two", 5.0),
+                   ("woke", "third", 35.0)]
+
+
+def test_interrupt_before_first_run_detaches_first_wait():
+    """A process interrupted in the instant it was created starts,
+    yields its first event, and only then gets the interrupt: that
+    first event must be let go of too."""
+    env = Environment()
+    log = []
+
+    def sleeper(env):
+        try:
+            yield env.timeout(10.0)
+            log.append("timeout")
+        except Interrupt:
+            log.append("interrupt")
+            got = yield env.timeout(50.0, value="after")
+            log.append(got)
+
+    env.process(sleeper(env)).interrupt()
+    env.run()
+    assert log == ["interrupt", "after"]
+
+
 def test_cannot_interrupt_dead_process():
     env = Environment()
 

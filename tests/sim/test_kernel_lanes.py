@@ -140,10 +140,10 @@ def play(env, seed, drive):
                     child = f"{name}.{len(procs)}"
                     procs.append(env.process(body(child, arg)))
                 elif op == "interrupt":
-                    # only a process that is waiting: one with an
-                    # interrupt already pending has no target
+                    # any live process, also one that has not run yet
+                    # or has an interrupt pending from this instant
                     victim = procs[arg % len(procs)]
-                    if victim.is_alive and victim.target is not None \
+                    if victim.is_alive \
                             and victim is not env.active_process:
                         victim.interrupt(name)
                 elif op == "put":
