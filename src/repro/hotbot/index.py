@@ -6,23 +6,31 @@ full-text index over 54M pages becomes an in-memory index over a few
 thousand synthetic documents, preserving the retrieval semantics the
 collation step depends on (scores are comparable across partitions, so
 the front end can merge top-k lists).
+
+A partition answers with *ranked pairs* — ``(-score, doc_id)`` tuples,
+ascending — which is what travels to the front end and what it
+collates; :class:`SearchHit` objects are made once per answer, from the
+pairs that survive the cut.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.hotbot.documents import Document
+
+#: one ranked candidate, ``(-score, doc_id)``: plain tuple comparison
+#: orders a list of them best first with ties broken by doc id.
+Ranked = Tuple[float, int]
 
 
 class SearchHit(NamedTuple):
     """One result: document id, url, and its relevance score.
 
-    A worker builds ``k`` of these per query leg, so it is a tuple, not
-    a dataclass: cheap to construct, and holding only atoms it is left
-    alone by the cyclic collector.
+    It is a tuple, not a dataclass: cheap to construct, and holding
+    only atoms it is left alone by the cyclic collector.
     """
 
     doc_id: int
@@ -45,9 +53,12 @@ class InvertedIndex:
         #: would compute its own idf and per-partition scores would not
         #: be comparable during collation.
         self.global_df = global_df
-        self._postings: Dict[str, List[Tuple[int, int]]] = {}
+        #: term -> (doc ids, tf weights): two parallel typed arrays in
+        #: the order the documents were added.  The weight is
+        #: ``1.0 + log(frequency)``, the only thing ranking ever wanted
+        #: from a frequency, so it is taken once, at build time.
+        self._postings: Dict[str, Tuple[array, array]] = {}
         self._doc_urls: Dict[int, str] = {}
-        self._doc_lengths: Dict[int, int] = {}
 
     # -- build --------------------------------------------------------------
 
@@ -59,20 +70,25 @@ class InvertedIndex:
         after a crash rebuilt, by a single call with all its documents,
         so the loop runs on local names."""
         urls = self._doc_urls
-        lengths = self._doc_lengths
         postings = self._postings
+        log = math.log
+        # frequency -> weight: a corpus has a few dozen distinct ones
+        weights: Dict[int, float] = {}
         for document in documents:
             doc_id = document.doc_id
             if doc_id in urls:
                 raise ValueError(f"duplicate document {doc_id}")
             urls[doc_id] = document.url
-            lengths[doc_id] = document.length
             for term, frequency in document.terms:
-                entries = postings.get(term)
-                if entries is None:
-                    postings[term] = [(doc_id, frequency)]
-                else:
-                    entries.append((doc_id, frequency))
+                try:
+                    weight = weights[frequency]
+                except KeyError:
+                    weight = weights[frequency] = 1.0 + log(frequency)
+                entry = postings.get(term)
+                if entry is None:
+                    entry = postings[term] = (array("q"), array("d"))
+                entry[0].append(doc_id)
+                entry[1].append(weight)
         return self
 
     def remove(self, doc_id: int) -> bool:
@@ -80,13 +96,12 @@ class InvertedIndex:
         if doc_id not in self._doc_urls:
             return False
         del self._doc_urls[doc_id]
-        del self._doc_lengths[doc_id]
-        for term in list(self._postings):
-            filtered = [(d, f) for d, f in self._postings[term]
-                        if d != doc_id]
-            if filtered:
-                self._postings[term] = filtered
-            else:
+        for term, (doc_ids, weights) in list(self._postings.items()):
+            while doc_id in doc_ids:
+                position = doc_ids.index(doc_id)
+                del doc_ids[position]
+                del weights[position]
+            if not doc_ids:
                 del self._postings[term]
         return True
 
@@ -100,7 +115,13 @@ class InvertedIndex:
 
     def postings_scanned(self, terms: Sequence[str]) -> int:
         """Posting entries a query touches (drives the latency model)."""
-        return sum(len(self._postings.get(term, ())) for term in terms)
+        postings = self._postings
+        scanned = 0
+        for term in terms:
+            entry = postings.get(term)
+            if entry is not None:
+                scanned += len(entry[0])
+        return scanned
 
     # -- query ----------------------------------------------------------------
 
@@ -108,46 +129,60 @@ class InvertedIndex:
         if self.global_df is not None:
             document_frequency = self.global_df.get(term, 0)
         else:
-            document_frequency = len(self._postings.get(term, ()))
+            entry = self._postings.get(term)
+            document_frequency = 0 if entry is None else len(entry[0])
         if document_frequency == 0:
             return 0.0
         return math.log(
             1.0 + self.total_corpus_size / document_frequency)
 
-    def query(self, terms: Sequence[str], k: int = 10) -> List[SearchHit]:
-        """Top-k documents by tf-idf, ties broken by doc id (stable)."""
+    def rank(self, terms: Sequence[str], k: int = 10) -> List[Ranked]:
+        """The k best ``(-score, doc_id)`` pairs by tf-idf, ascending:
+        best score first, ties broken by doc id."""
         if k <= 0:
             raise ValueError("k must be positive")
+        postings = self._postings
         scores: Dict[int, float] = {}
+        get = scores.get
         # distinct terms in the order given, never set order: float
         # addition does not associate, so with three or more terms an
         # order that varies with PYTHONHASHSEED would vary the scores
         for term in dict.fromkeys(terms):
+            entry = postings.get(term)
+            if entry is None:
+                continue
             idf = self._idf(term)
             if idf == 0.0:
                 continue
-            for doc_id, frequency in self._postings.get(term, ()):
-                tf = 1.0 + math.log(frequency)
-                scores[doc_id] = scores.get(doc_id, 0.0) + tf * idf
-        # rank plain (-score, doc_id) tuples: no key call per candidate
-        best = heapq.nsmallest(
-            k, [(-score, doc_id) for doc_id, score in scores.items()])
-        urls = self._doc_urls
-        return [SearchHit(doc_id, urls[doc_id], -negated)
-                for negated, doc_id in best]
+            for doc_id, weight in zip(*entry):
+                scores[doc_id] = get(doc_id, 0.0) + weight * idf
+        ranked = [(-score, doc_id) for doc_id, score in scores.items()]
+        ranked.sort()
+        return ranked[:k]
+
+    def query(self, terms: Sequence[str], k: int = 10) -> List[SearchHit]:
+        """Top-k documents by tf-idf, ties broken by doc id (stable)."""
+        return hits_from_ranked(self.rank(terms, k), self._doc_urls)
 
 
-def merge_hits(partials: Iterable[List[SearchHit]],
-               k: int = 10) -> List[SearchHit]:
-    """Collate per-partition top-k lists into a global top-k.
+def collate(partials: Iterable[List[Ranked]], k: int = 10) -> List[Ranked]:
+    """Collate per-partition ranked lists into the global top-k.
 
     This is the front end's aggregation step ("collects search results
     from a number of database partitions and collates the results").
     Scores are comparable because every partition uses the global N in
-    its idf.
+    its idf, and a document lives in one partition, so the pairs are
+    distinct and tuple order is the whole ranking.
     """
-    everything: List[SearchHit] = []
+    everything: List[Ranked] = []
     for partial in partials:
-        everything.extend(partial)
-    everything.sort(key=lambda hit: (-hit.score, hit.doc_id))
+        everything += partial
+    everything.sort()
     return everything[:k]
+
+
+def hits_from_ranked(ranked: Iterable[Ranked],
+                     urls: Mapping[int, str]) -> List[SearchHit]:
+    """The result objects for ranked pairs, in their order."""
+    return [SearchHit(doc_id, urls[doc_id], -negated)
+            for negated, doc_id in ranked]

@@ -51,9 +51,16 @@ class QueryCache:
         the complete answer (shorter than the cache depth means the
         query simply has no more results).
         """
+        return self.get_page_by_key(normalize_query(terms), offset, k)
+
+    def get_page_by_key(self, key: Tuple[str, ...], offset: int,
+                        k: int) -> Optional[List[SearchHit]]:
+        """:meth:`get_page` for a caller that already holds
+        ``normalize_query(terms)`` (the front end normalizes a query
+        once, for the lookup and the store after a miss)."""
         if offset < 0 or k < 1:
             raise ValueError("offset must be >= 0 and k >= 1")
-        hits = self._store.get(normalize_query(terms))
+        hits = self._store.get(key)
         if hits is None:
             return None
         exhausted = len(hits) < self.depth
@@ -65,7 +72,10 @@ class QueryCache:
 
     def store(self, terms: Sequence[str],
               hits: List[SearchHit]) -> None:
-        key = normalize_query(terms)
+        self.store_by_key(normalize_query(terms), hits)
+
+    def store_by_key(self, key: Tuple[str, ...],
+                     hits: List[SearchHit]) -> None:
         size = max(HIT_BYTES, HIT_BYTES * len(hits))
         self._store.put(key, list(hits), size)
 

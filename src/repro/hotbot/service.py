@@ -17,8 +17,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.component import Component
 from repro.hotbot.documents import Corpus
-from repro.hotbot.index import InvertedIndex, SearchHit, merge_hits
+from repro.hotbot.index import (
+    InvertedIndex,
+    SearchHit,
+    collate,
+    hits_from_ranked,
+)
 from repro.hotbot.partition import PartitionMap
+from repro.hotbot.query_cache import QueryCache, normalize_query
 from repro.sim.cluster import Cluster
 from repro.sim.network import Link
 from repro.sim.node import Node, NodeDown
@@ -156,18 +162,20 @@ class SearchWorker(Component):
                 yield from self.node.compute(work)
             except NodeDown:
                 return
-            hits = index.query(terms, k)
+            # doc ids and scores are what a partition server returns;
+            # the front end holds the urls
+            ranked = index.rank(terms, k)
             if use_replica:
                 self.replica_queries_served += 1
             else:
                 self.queries_served += 1
-            delay = self.cluster.network.transfer_delay(64 * len(hits))
-            self.spawn(self._deliver(reply, hits, delay))
+            delay = self.cluster.network.transfer_delay(64 * len(ranked))
+            self.spawn(self._deliver(reply, ranked, delay))
 
-    def _deliver(self, reply, hits, delay):
+    def _deliver(self, reply, ranked, delay):
         yield self.env.timeout(delay)
         if self.alive and not reply.triggered:
-            reply.succeed(hits)
+            reply.succeed(ranked)
 
     def _on_crash(self) -> None:
         self.queue.clear()
@@ -211,8 +219,11 @@ class HotBot:
         self.database = InformixModel(
             self.cluster, self.config.db_capacity_rps,
             self.config.db_failover_s)
-        from repro.hotbot.query_cache import QueryCache
         self.query_cache = QueryCache()
+        #: doc id -> url, for turning collated (score, doc id) pairs
+        #: into the hits a user sees
+        self._urls: Dict[int, str] = {
+            document.doc_id: document.url for document in self.corpus}
         self._threads = self.cluster.env.queue()
         for index in range(self.config.frontend_threads):
             self._threads.put_nowait(index)
@@ -297,6 +308,10 @@ class HotBot:
               offset: int = 0, trace=None):
         """Process generator: the full front-end query path."""
         env = self.cluster.env
+        # fold case here, once: the recent-searches cache and the
+        # partitions must see the same spelling, or an answer found
+        # under one is served from the cache for the other
+        terms = [term.lower() for term in terms]
         mark = env.now
         thread = yield self._threads.get()
         if trace is not None:
@@ -310,8 +325,9 @@ class HotBot:
                              component="informix")
             # recent-searches cache: repeated queries and later result
             # pages never touch the partitions
-            page = self.query_cache.get_page(terms, offset,
-                                             self.config.top_k)
+            cache_key = normalize_query(terms)
+            page = self.query_cache.get_page_by_key(
+                cache_key, offset, self.config.top_k)
             if page is not None:
                 mark = env.now
                 yield env.timeout(self.CACHE_HIT_S)
@@ -331,10 +347,12 @@ class HotBot:
             fetch_k = max(self.config.top_k + offset,
                           self.query_cache.depth)
             legs = []  # (partition, event, used_replica)
+            missing = []  # partitions that will not be in the answer
             replica_legs = 0
             for partition in range(self.config.n_workers):
                 leg = self._scatter_leg(partition, terms, fetch_k)
                 if leg is None:
+                    missing.append(partition)
                     continue
                 if leg[2]:
                     replica_legs += 1
@@ -353,27 +371,26 @@ class HotBot:
                 self.queries += 1
                 self.partial_answers += 1
                 return QueryResult([], 0.0, 0, self.config.n_workers)
-            events = [event for _, event, _ in legs]
             timer = env.timeout(self.config.gather_timeout_s)
-            yield env.any_of([env.all_of(events), timer])
-            answered_partials = [
-                event.value for event in events
-                if event.processed and event.ok
-            ]
-            answered_partitions = [
-                partition for partition, event, _ in legs
-                if event.processed and event.ok
-            ]
-            coverage = self.partition_map.coverage_without([
-                partition for partition in range(self.config.n_workers)
-                if partition not in answered_partitions
-            ])
-            deep_hits = merge_hits(answered_partials, fetch_k)
+            yield env.any_of(
+                [env.all_of([event for _, event, _ in legs]), timer])
+            # gather: one pass over the legs sorts them into answers
+            # and partitions lost to the deadline
+            answered = []
+            for partition, event, _ in legs:
+                if event.processed and event.ok:
+                    answered.append(event.value)
+                else:
+                    missing.append(partition)
+            # collate (score, doc id) pairs; hits are made once, for
+            # the deep list that is cached and paged from
+            deep_hits = hits_from_ranked(collate(answered, fetch_k),
+                                         self._urls)
             self.queries += 1
             result = QueryResult(
                 hits=deep_hits[offset: offset + self.config.top_k],
-                coverage=coverage,
-                partitions_answered=len(answered_partials),
+                coverage=self.partition_map.coverage_without(missing),
+                partitions_answered=len(answered),
                 partitions_total=self.config.n_workers,
                 served_by_replica=replica_legs,
             )
@@ -382,7 +399,7 @@ class HotBot:
             else:
                 # cache only complete answers so paging never silently
                 # serves a degraded result set
-                self.query_cache.store(terms, deep_hits)
+                self.query_cache.store_by_key(cache_key, deep_hits)
             return result
         finally:
             self._threads.put_nowait(thread)

@@ -4,8 +4,10 @@
 documents once, `InvertedIndex.add_all` fills postings in one loop.
 None of that may change what gets built: not a document, not a
 posting, not a position of the random stream.  The per-draw generator
-and the per-document index builder the bulk forms replaced live on
-here, as the references.
+lives on here and the per-document, tuple-postings index in
+`tests/hotbot/reference.py`, as the references; an index is compared
+with its reference through the public surface (`contents()`: counts,
+postings per term, and every match of every term with url and score).
 """
 
 import pytest
@@ -15,6 +17,7 @@ from repro.hotbot.index import InvertedIndex
 from repro.hotbot.partition import PartitionMap
 from repro.hotbot.service import HotBot, HotBotConfig
 from repro.sim.rng import RandomStreams
+from tests.hotbot.reference import ReferenceIndex, contents
 
 SEEDS = (1997, 2026, 7)
 
@@ -76,20 +79,17 @@ def partition_map(corpus):
                         RandomStreams(5).stream("partition"))
 
 
-def reference_tables(documents):
-    """(postings, urls, lengths) as the per-document `add` built them."""
-    postings, urls, lengths = {}, {}, {}
-    for document in documents:
-        urls[document.doc_id] = document.url
-        lengths[document.doc_id] = document.length
-        for term, frequency in document.terms:
-            postings.setdefault(term, []).append(
-                (document.doc_id, frequency))
-    return postings, urls, lengths
+VOCABULARY = [f"w{rank}" for rank in range(400)]
 
 
-def tables(index):
-    return index._postings, index._doc_urls, index._doc_lengths
+def held(index):
+    return contents(index, VOCABULARY)
+
+
+def reference_held(documents, corpus_size, global_df=None):
+    """What an index over ``documents`` must hold, as the per-document
+    reference builds it."""
+    return held(ReferenceIndex(corpus_size, global_df).add_all(documents))
 
 
 def test_add_all_equals_repeated_add(corpus):
@@ -97,11 +97,9 @@ def test_add_all_equals_repeated_add(corpus):
     single = InvertedIndex(total_corpus_size=len(corpus))
     for document in corpus:
         single.add(document)
-    assert tables(bulk) == tables(single) \
-        == reference_tables(corpus.documents)
-    # posting lists are in document order, not merely equal as sets
-    assert all(entries == sorted(entries)
-               for entries in bulk._postings.values())
+    assert held(bulk) == held(single) \
+        == reference_held(corpus.documents, len(corpus))
+    assert bulk.n_terms > 100
 
 
 def test_add_all_takes_any_iterable_and_returns_the_index(corpus):
@@ -118,7 +116,7 @@ def test_duplicate_document_still_raises(corpus):
     with pytest.raises(ValueError, match="duplicate document 0"):
         index.add_all([second, first])
     # as before, what preceded the duplicate is indexed
-    assert tables(index) == reference_tables([first, second])
+    assert held(index) == reference_held([first, second], len(corpus))
 
 
 def test_remove_and_add_after_a_bulk_build_stay_consistent(
@@ -133,11 +131,13 @@ def test_remove_and_add_after_a_bulk_build_stay_consistent(
     assert index.remove(victim.doc_id)
     assert not index.remove(victim.doc_id)
     others = [document for document in corpus if document is not victim]
-    assert tables(index) == reference_tables(others)
+    assert held(index) == reference_held(
+        others, len(corpus), partition_map.global_df)
     assert index.query(query, k=len(corpus)) == before[1:]
 
     index.add(victim)
-    assert tables(index) == reference_tables(others + [victim])
+    assert held(index) == reference_held(
+        others + [victim], len(corpus), partition_map.global_df)
     assert index.query(query, k=len(corpus)) == before
     assert index.postings_scanned(query) == sum(
         1 for document in corpus for term in query if document.tf(term))
@@ -173,8 +173,9 @@ def test_global_df_counts_documents_per_term(corpus, partition_map):
 def test_build_index_holds_exactly_the_partition(corpus, partition_map):
     for partition in range(partition_map.n_partitions):
         index = partition_map.build_index(partition)
-        assert tables(index) == reference_tables(
-            partition_map.documents_in(partition))
+        assert held(index) == reference_held(
+            partition_map.documents_in(partition), len(corpus),
+            partition_map.global_df)
         assert index.global_df is partition_map.global_df
 
 
@@ -189,7 +190,9 @@ def test_fast_restart_rebuilds_an_index_that_answers_identically():
     hotbot.run(until=5.0)
     rebuilt = hotbot.workers[2].index
     assert hotbot.workers[2].alive and rebuilt is not original
-    assert tables(rebuilt) == tables(original)
+    vocabulary = [f"w{rank}"
+                  for rank in range(hotbot.corpus.vocabulary_size)]
+    assert contents(rebuilt, vocabulary) == contents(original, vocabulary)
     for query in queries:
         assert rebuilt.query(query, k=10) == original.query(query, k=10)
         assert rebuilt.postings_scanned(query) \

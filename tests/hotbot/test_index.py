@@ -11,9 +11,21 @@ from hypothesis import strategies as st
 
 import repro
 from repro.hotbot.documents import Corpus, Document
-from repro.hotbot.index import InvertedIndex, SearchHit, merge_hits
+from repro.hotbot.index import (
+    InvertedIndex,
+    SearchHit,
+    collate,
+    hits_from_ranked,
+)
 from repro.hotbot.partition import PartitionMap
 from repro.sim.rng import RandomStreams
+from tests.hotbot.reference import (
+    ReferenceIndex,
+    as_ranked,
+    bits,
+    contents,
+    reference_merge,
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,40 +153,97 @@ def test_scores_do_not_depend_on_the_hash_seed():
     assert outputs[2] == outputs[0]
 
 
-def naive_query(index, terms, k):
-    """The ranking spelled out: score every match the way query() does,
-    sort the lot by (-score, doc_id), cut at k."""
-    import math
-    scores = {}
-    for term in dict.fromkeys(terms):
-        idf = index._idf(term)
-        if idf == 0.0:
-            continue
-        for doc_id, frequency in index._postings.get(term, ()):
-            scores[doc_id] = scores.get(doc_id, 0.0) \
-                + (1.0 + math.log(frequency)) * idf
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return [(doc_id, index._doc_urls[doc_id], score)
-            for doc_id, score in ranked[:k]]
+def tie_prone_corpus(seed):
+    """A small vocabulary and short documents make equal scores
+    common, so the doc-id tie-break is exercised."""
+    return Corpus(n_docs=120, vocabulary_size=40, seed=seed,
+                  mean_length=12)
+
+
+def df_of(corpus):
+    df = {}
+    for document in corpus:
+        for term, _ in document.terms:
+            df[term] = df.get(term, 0) + 1
+    return df
+
+
+def query_mix(corpus, rng, n):
+    """One- to four-term queries; some repeat a term, some name a term
+    no document has."""
+    for _ in range(n):
+        terms = corpus.vocabulary_sample(rng, 1 + rng.randint(0, 3))
+        if rng.random() < 0.3:
+            terms.insert(rng.randint(0, len(terms)), terms[0])
+        if rng.random() < 0.3:
+            terms.insert(rng.randint(0, len(terms)), "no-such-term")
+        yield terms
+
+
+def assert_same_answers(index, reference, terms, corpus_size):
+    """rank() and query() against the reference, to the bit and in
+    order, for k below, at and above the number of matches."""
+    assert index.postings_scanned(terms) \
+        == reference.postings_scanned(terms)
+    matches = len(reference.query(terms, corpus_size))
+    for k in {1, max(1, matches - 1), max(1, matches), matches + 5}:
+        expected = reference.query(terms, k)
+        assert len(expected) == min(k, matches)
+        assert bits(index.query(terms, k)) == bits(expected)
+        assert index.rank(terms, k) == as_ranked(expected)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_query_equals_naive_full_sort(seed):
-    """Top-k by tuple ranking == full sort, scores bit for bit, for k
-    below, at and above the number of matches (ties included: a small
-    vocabulary makes equal scores common)."""
-    corpus = Corpus(n_docs=120, vocabulary_size=40, seed=seed,
-                    mean_length=12)
-    index = InvertedIndex(total_corpus_size=len(corpus)).add_all(corpus)
+    """Typed-array ranking == the tuple-postings reference with its
+    `math.log` per posting and full key-function sort: same hits, same
+    order (ties included), scores bit for bit — with the partition's
+    own document frequencies and with corpus-wide ones handed in."""
+    corpus = tie_prone_corpus(seed)
     rng = RandomStreams(seed).stream("queries")
-    for _ in range(10):
-        terms = corpus.vocabulary_sample(rng, 1 + rng.randint(0, 2))
-        matches = len(naive_query(index, terms, len(corpus)))
-        for k in {1, max(1, matches - 1), max(1, matches), matches + 5}:
-            hits = index.query(terms, k)
-            assert [(hit.doc_id, hit.url, hit.score) for hit in hits] \
-                == naive_query(index, terms, k)
-            assert len(hits) == min(k, matches)
+    for global_df in (None, df_of(corpus)):
+        index = InvertedIndex(len(corpus), global_df).add_all(corpus)
+        reference = ReferenceIndex(len(corpus), global_df).add_all(corpus)
+        assert (index.n_documents, index.n_terms) \
+            == (reference.n_documents, reference.n_terms)
+        ties = 0
+        for terms in query_mix(corpus, rng, 12):
+            assert_same_answers(index, reference, terms, len(corpus))
+            scores = [score for score, _ in index.rank(terms, len(corpus))]
+            ties += len(scores) - len(set(scores))
+        assert ties > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_remove_then_add_equals_the_reference(seed):
+    """The arrays are the storage, not a cache beside it: removing and
+    re-adding documents after a bulk build leaves exactly what the
+    reference holds, emptied terms included."""
+    corpus = tie_prone_corpus(seed)
+    global_df = df_of(corpus)  # corpus-wide, so no idf moves
+    index = InvertedIndex(len(corpus), global_df).add_all(corpus)
+    reference = ReferenceIndex(len(corpus), global_df).add_all(corpus)
+    rng = RandomStreams(seed).stream("churn")
+    vocabulary = [f"w{rank}" for rank in range(corpus.vocabulary_size)]
+    rarest = min(global_df, key=lambda term: (global_df[term], term))
+    # every holder of the rarest term (it loses all its postings), a
+    # random handful more, and a repeat that must report False
+    victims = [document for document in corpus if document.tf(rarest)]
+    victims += [corpus.documents[rng.randint(0, len(corpus) - 1)]
+                for _ in range(30)]
+    victims.append(victims[0])
+    for victim in victims:
+        assert index.remove(victim.doc_id) \
+            == reference.remove(victim.doc_id)
+    assert index.n_terms < len(global_df)
+    assert index.postings_scanned([rarest]) == 0
+    assert contents(index, vocabulary) == contents(reference, vocabulary)
+    for victim in dict.fromkeys(victims[:-10]):
+        index.add(victim)
+        reference.add(victim)
+    assert contents(index, vocabulary) == contents(reference, vocabulary)
+    for terms in query_mix(corpus, rng, 12):
+        assert_same_answers(index, reference, terms, len(corpus))
 
 
 def test_search_hit_constructs_compares_and_hashes():
@@ -200,14 +269,46 @@ def test_partitioned_query_equals_global_query(corpus):
     rng = RandomStreams(3).stream("pm")
     partition_map = PartitionMap(corpus, [1.0] * 4, rng)
     partials = [
-        partition_map.build_index(partition).query(["w5", "w17"], k=10)
+        partition_map.build_index(partition).rank(["w5", "w17"], k=10)
         for partition in range(4)
     ]
-    merged = merge_hits(partials, k=10)
+    merged = collate(partials, k=10)
     global_index = InvertedIndex(total_corpus_size=len(corpus)).add_all(
         corpus)
     expected = global_index.query(["w5", "w17"], k=10)
-    assert [h.doc_id for h in merged] == [h.doc_id for h in expected]
+    assert [doc_id for _, doc_id in merged] \
+        == [h.doc_id for h in expected]
+    urls = {document.doc_id: document.url for document in corpus}
+    assert [hit[:2] for hit in hits_from_ranked(merged, urls)] \
+        == [hit[:2] for hit in expected]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_collated_partition_ranks_equal_the_global_rank(seed):
+    """With corpus-wide document frequencies a document scores the
+    same, to the bit, in its partition and in one big index, so the
+    key-free sort of concatenated pairs is the global ranking — and
+    the reference's key-function merge of its own partials."""
+    corpus = tie_prone_corpus(seed)
+    partition_map = PartitionMap(
+        corpus, [1.0, 2.0, 0.5], RandomStreams(seed).stream("pm"))
+    global_df = partition_map.global_df
+    indexes = [partition_map.build_index(partition)
+               for partition in range(3)]
+    references = [
+        ReferenceIndex(len(corpus), global_df).add_all(
+            partition_map.documents_in(partition))
+        for partition in range(3)]
+    global_index = InvertedIndex(len(corpus), global_df).add_all(corpus)
+    rng = RandomStreams(seed).stream("queries")
+    for terms in query_mix(corpus, rng, 12):
+        for k in (1, 7, len(corpus)):
+            merged = collate([index.rank(terms, k) for index in indexes],
+                             k)
+            assert merged == global_index.rank(terms, k)
+            assert merged == as_ranked(reference_merge(
+                [reference.query(terms, k) for reference in references],
+                k))
 
 
 def test_partition_sizes_follow_weights(corpus):
@@ -261,9 +362,10 @@ def test_merge_invariant_any_partitioning(n_partitions, seed):
     rng = RandomStreams(seed).stream("pm")
     partition_map = PartitionMap(corpus, [1.0] * n_partitions, rng)
     terms = ["w3", "w8"]
-    partials = [partition_map.build_index(p).query(terms, k=8)
+    partials = [partition_map.build_index(p).rank(terms, k=8)
                 for p in range(n_partitions)]
-    merged = merge_hits(partials, k=8)
+    merged = collate(partials, k=8)
     global_index = InvertedIndex(total_corpus_size=60).add_all(corpus)
     expected = global_index.query(terms, k=8)
-    assert [h.doc_id for h in merged] == [h.doc_id for h in expected]
+    assert [doc_id for _, doc_id in merged] \
+        == [h.doc_id for h in expected]

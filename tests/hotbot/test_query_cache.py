@@ -119,3 +119,28 @@ def test_query_term_order_irrelevant_for_cache():
     hotbot.run_until(hotbot.submit(["w3", "w7"]))
     reordered = hotbot.run_until(hotbot.submit(["w7", "w3"]))
     assert reordered.from_cache
+
+
+def test_query_case_is_folded_for_the_scatter_as_for_the_cache():
+    """The cache key folds case, so the partitions must be asked in the
+    same spelling: `W5` used to match no posting, store an empty
+    *complete* answer under ("w5",), and leave the next `w5` served
+    nothing from the cache."""
+    hotbot = HotBot(HotBotConfig(n_workers=4, n_docs=400), seed=3)
+    upper = hotbot.run_until(hotbot.submit(["W5"]))
+    lower = hotbot.run_until(hotbot.submit(["w5"]))
+    fresh = HotBot(HotBotConfig(n_workers=4, n_docs=400), seed=3)
+    expected = fresh.run_until(fresh.submit(["w5"]))
+    assert len(expected.hits) == 10 and not expected.from_cache
+    assert upper.hits == expected.hits and not upper.from_cache
+    assert lower.hits == expected.hits and lower.from_cache
+
+
+def test_by_key_forms_are_the_terms_forms_already_normalized():
+    cache = QueryCache(depth=50)
+    cache.store_by_key(normalize_query(["B", "a"]), hits(50))
+    assert cache.get_page(["A", "b"], 10, 10) == hits(50)[10:20]
+    cache.store(["C"], hits(5))
+    assert cache.get_page_by_key(("c",), 0, 10) == hits(5)
+    with pytest.raises(ValueError):
+        cache.get_page_by_key(("c",), 0, 0)
