@@ -93,12 +93,17 @@ class LotteryPolicy(RoutingPolicy):
 
     def select(self, candidates: Sequence[Any], now: float,
                key: Optional[str] = None) -> Any:
-        weights = [
-            1.0 / (1.0 + state.effective_queue(
-                now, self.config.estimate_queue_deltas))
-            ** self.config.lottery_gamma
-            for state in candidates
-        ]
+        # AdvertState.effective_queue inlined (same operands, same
+        # order): no call and no max() per candidate
+        if self.config.estimate_queue_deltas:
+            queues = [(state.queue_avg
+                       + state.slope * (now - state.received_at))
+                      + state.sent_since_report for state in candidates]
+        else:
+            queues = [state.queue_avg for state in candidates]
+        gamma = self.config.lottery_gamma
+        weights = [1.0 / (1.0 + (queue if queue > 0.0 else 0.0)) ** gamma
+                   for queue in queues]
         return self.rng.weighted_choice(candidates, weights)
 
 

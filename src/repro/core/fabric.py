@@ -16,6 +16,7 @@ bookkeeping for experiments to inspect.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 from repro.core.config import SNSConfig
@@ -27,6 +28,11 @@ from repro.sim.cluster import Cluster
 from repro.sim.network import MBPS
 from repro.sim.node import Node
 from repro.tacc.registry import WorkerRegistry
+
+
+#: sort key of `SNSFabric.submit`'s round-robin (a C-level getter: the
+#: sort runs once per request)
+_BY_NAME = attrgetter("name")
 
 
 class FabricError(Exception):
@@ -407,12 +413,14 @@ class SNSFabric:
         JavaScript support balances load across multiple front ends and
         masks transient front end failures").
         """
-        frontends = self.alive_frontends()
-        if not frontends:
+        frontends = [fe for fe in self.frontends.values() if fe.alive]
+        alive = len(frontends)
+        if not alive:
             # nobody home: the request hangs until the client times out
             return self.cluster.env.event()
-        frontends.sort(key=lambda fe: fe.name)
-        self._client_rr = (self._client_rr + 1) % len(frontends)
+        if alive > 1:
+            frontends.sort(key=_BY_NAME)
+        self._client_rr = (self._client_rr + 1) % alive
         return frontends[self._client_rr].submit(record)
 
     # -- convenience assembly ------------------------------------------------------------------

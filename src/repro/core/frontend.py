@@ -39,6 +39,7 @@ from repro.core.messages import (
     RegisterFrontEnd,
 )
 from repro.sim.cluster import Cluster
+from repro.sim.kernel import PENDING, Interrupt
 from repro.sim.network import Link
 from repro.sim.node import Node
 from repro.sim.transport import Channel, ChannelClosed
@@ -233,15 +234,17 @@ class FrontEnd(Component):
         return None
 
     def _handle(self, record: Any, reply, span=None):
+        env = self.env
+        access_link = self.access_link
+        overhead_bytes = self.config.request_overhead_bytes
         # connection setup through the kernel: the per-request serial cost
-        mark = self.env.now
-        yield self.env.timeout(self.netstack.reserve(1.0))
-        if self.access_link is not None:
-            yield self.env.timeout(self.access_link.reserve(
-                self.config.request_overhead_bytes))
+        mark = env._now
+        yield env.timeout(self.netstack.reserve(1.0))
+        if access_link is not None:
+            yield env.timeout(access_link.reserve(overhead_bytes))
         if span is not None:
             span.record("netstack", "network", mark)
-            mark = self.env.now
+            mark = env._now
         thread = yield self.threads.get()
         if span is not None:
             span.record("thread-wait", "queueing", mark)
@@ -252,7 +255,10 @@ class FrontEnd(Component):
         # handle() generator under a stale sampled context
         self.current_trace = service_span
         try:
+            # handle() is a generator function or returns a generator
             response = yield from self.service.handle(self, record)
+        except Interrupt:
+            raise  # this front end was killed: not a service error
         except Exception as error:  # service bug: error page, not a crash
             response = Response(status="error", path="exception",
                                 detail=f"{type(error).__name__}: {error}")
@@ -261,27 +267,26 @@ class FrontEnd(Component):
             self.current_trace = None
         if service_span is not None:
             service_span.finish()
-            mark = self.env.now
-        if response.status == "fallback":
+            mark = env._now
+        status = response.status
+        if status == "fallback":
             self.fallbacks += 1
-        elif response.status == "degraded":
+        elif status == "degraded":
             self.degraded += 1
-        elif response.status == "error":
+        elif status == "error":
             self.errors += 1
         # ship the response back out the access link
-        if self.access_link is not None:
-            out_bytes = response.size_bytes + \
-                self.config.request_overhead_bytes
-            yield self.env.timeout(self.access_link.reserve(out_bytes))
+        if access_link is not None:
+            yield env.timeout(access_link.reserve(
+                response.size_bytes + overhead_bytes))
         if span is not None:
-            if self.access_link is not None:
+            if access_link is not None:
                 span.record("access-link-out", "network", mark,
                             bytes=response.size_bytes)
             if response.annotations:
                 span.annotate(**response.annotations)
-            span.annotate(status=response.status,
-                          path=response.path).finish()
-        if self.alive and not reply.triggered:
+            span.annotate(status=status, path=response.path).finish()
+        if self.alive and reply._value is PENDING:
             self.responses_sent += 1
             reply.succeed(response)
 

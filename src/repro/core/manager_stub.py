@@ -43,31 +43,32 @@ class AdvertState:
         self.advert = advert
         self.queue_avg = advert.queue_avg
         self.received_at = now
-        self.prev_queue_avg: Optional[float] = None
-        self.prev_received_at: Optional[float] = None
+        #: queue-length change per second between the last two load
+        #: samples (0.0 until there are two, at distinct times).  Written
+        #: only by refresh(); read once per candidate per pick.
+        self.slope = 0.0
         self.sent_since_report = 0
 
     def refresh(self, advert: WorkerAdvert, now: float) -> None:
         if advert.last_report_at != self.advert.last_report_at:
             # a genuinely newer load sample
-            self.prev_queue_avg = self.queue_avg
-            self.prev_received_at = self.received_at
+            self.slope = ((advert.queue_avg - self.queue_avg)
+                          / (now - self.received_at)
+                          if now > self.received_at else 0.0)
             self.queue_avg = advert.queue_avg
             self.received_at = now
             self.sent_since_report = 0
         self.advert = advert
 
     def effective_queue(self, now: float, estimate_deltas: bool) -> float:
-        """The queue length the lottery should believe right now."""
+        """The queue length the lottery should believe right now.
+        (`LotteryPolicy.select` inlines this arithmetic; keep them in
+        step — tests/test_request_path_folds.py compares the bits.)"""
         value = self.queue_avg
         if estimate_deltas:
-            if (self.prev_received_at is not None
-                    and self.received_at > self.prev_received_at):
-                slope = ((self.queue_avg - self.prev_queue_avg)
-                         / (self.received_at - self.prev_received_at))
-                value += slope * (now - self.received_at)
-            value += self.sent_since_report
-        return max(0.0, value)
+            value = (value + self.slope * (now - self.received_at)) \
+                + self.sent_since_report
+        return value if value > 0.0 else 0.0
 
 
 class ManagerStub:
@@ -230,11 +231,11 @@ class ManagerStub:
              key: Optional[str] = None) -> Optional[AdvertState]:
         """Select a worker via the configured routing policy (the
         default is the paper's lottery over possibly-stale hints)."""
-        now = self.cluster.env.now
-        if not self.hints_usable(now):
-            # the lease lapsed: routing on these hints would be a
-            # minority-view decision, so stall until a live leader
-            # beacons again
+        now = self.cluster.env._now
+        if not (self.lease_until is None or now <= self.lease_until):
+            # not hints_usable(now): the lease lapsed, routing on these
+            # hints would be a minority-view decision, so stall until a
+            # live leader beacons again
             self.lease_stalls += 1
             return None
         candidates = self.candidates(worker_type)
@@ -284,17 +285,20 @@ class ManagerStub:
         """
         env = self.cluster.env
         config = self.config
+        # bound once: nothing rebinds these while a dispatch is in flight
+        policy = self.policy
+        retry_budget = self.retry_budget
+        network = self.cluster.network
+        timeout_s = config.dispatch_timeout_s
         self.dispatches += 1
-        if self.retry_budget is not None:
-            self.retry_budget.earn()
+        if retry_budget is not None:
+            retry_budget.earn()
         if deadline_s is None:
             deadline_s = config.dispatch_deadline_s
         if deadline_s is None:
-            deadline_s = config.dispatch_attempts * \
-                config.dispatch_timeout_s
-        deadline_at = env.now + deadline_s
-        key = (request_key(tacc_request)
-               if self.policy.needs_key else None)
+            deadline_s = config.dispatch_attempts * timeout_s
+        deadline_at = env._now + deadline_s
+        key = request_key(tacc_request) if policy.needs_key else None
         span = None
         if trace is not None:
             span = trace.child("dispatch", "queueing",
@@ -303,8 +307,8 @@ class ManagerStub:
         try:
             for attempt in range(config.dispatch_attempts):
                 if attempt > 0:
-                    if self.retry_budget is not None \
-                            and not self.retry_budget.try_spend():
+                    if retry_budget is not None \
+                            and not retry_budget.try_spend():
                         # budget exhausted: a retry storm is exactly
                         # what would follow — fail over to the
                         # caller's fallback instead
@@ -314,18 +318,17 @@ class ManagerStub:
                     self.retries += 1
                     backoff = self._backoff_delay(attempt)
                     if backoff > 0:
-                        if env.now + backoff >= deadline_at:
+                        if env._now + backoff >= deadline_at:
                             self.deadline_expiries += 1
                             raise DispatchError(
                                 f"deadline exhausted for {worker_type!r}")
                         self.backoff_waits += 1
-                        mark = env.now
+                        mark = env._now
                         yield env.timeout(backoff)
                         if span is not None:
                             span.record("backoff", "queueing", mark,
                                         attempt=attempt)
-                remaining = deadline_at - env.now
-                if remaining <= 0:
+                if deadline_at - env._now <= 0:
                     self.deadline_expiries += 1
                     raise DispatchError(
                         f"deadline exhausted for {worker_type!r}")
@@ -337,25 +340,19 @@ class ManagerStub:
                         raise DispatchError(
                             f"no {worker_type!r} worker available")
                 self._next_request_id += 1
+                reply = env.event()
+                submitted_at = env._now
                 envelope = WorkEnvelope(
-                    request_id=self._next_request_id,
-                    tacc_request=tacc_request,
-                    reply=env.event(),
-                    submitted_at=env.now,
-                    input_bytes=input_bytes,
-                    expected_cost_s=expected_cost_s,
-                    deadline_at=deadline_at,
-                    trace=span,
-                    priority=priority,
-                )
+                    self._next_request_id, tacc_request, reply,
+                    submitted_at, input_bytes, expected_cost_s,
+                    deadline_at, span, priority)
                 # ship the input across the SAN
-                mark = env.now
-                yield env.timeout(
-                    self.cluster.network.transfer_delay(input_bytes))
+                yield env.timeout(network.transfer_delay(input_bytes))
+                now = env._now
                 if span is not None:
-                    span.record("san-transfer", "network", mark,
+                    span.record("san-transfer", "network", submitted_at,
                                 bytes=input_bytes)
-                if deadline_at - env.now <= 0.0:
+                if deadline_at - now <= 0.0:
                     # the SAN transfer ate the last of the deadline: a
                     # zero-budget reply timer would fire instantly and
                     # masquerade as a worker timeout — popping a healthy
@@ -364,41 +361,58 @@ class ManagerStub:
                     self.deadline_expiries += 1
                     raise DispatchError(
                         f"deadline exhausted for {worker_type!r}")
-                worker_name = state.advert.worker_name
-                if not self._account_submit(state):
-                    # not partition-blocked: the submit actually arrives
-                    if not state.advert.stub.submit(envelope):
-                        # queue full: connection refused, try another
-                        # worker now
-                        self.adverts.pop(worker_name, None)
-                        self.policy.on_worker_removed(worker_name)
-                        continue
+                advert = state.advert
+                worker_name = advert.worker_name
+                if (self.lease_until is None
+                        and self.last_beacon_at is not None
+                        and now - self.last_beacon_at
+                        > config.consensus_lease_s):
+                    # routing on a view staler than the consensus
+                    # staleness bound: the decision a lease-holding
+                    # leader would never have let happen
+                    self.wrong_decisions += 1
+                partitions = network.partitions
+                if (partitions is not None and self.node is not None
+                        and not partitions.node_reachable(
+                            self.node.name, advert.node_name)):
+                    # a SAN partition blackholes the submit: nothing is
+                    # delivered, the dispatch timeout does the recovering
+                    self.partition_misroutes += 1
+                elif not advert.stub.submit(envelope):
+                    # queue full: connection refused, try another
+                    # worker now
+                    self.adverts.pop(worker_name, None)
+                    policy.on_worker_removed(worker_name)
+                    continue
                 state.sent_since_report += 1
-                self.policy.on_submit(worker_name, env.now)
-                timer = env.timeout(max(0.0, min(
-                    config.dispatch_timeout_s, deadline_at - env.now)))
+                policy.on_submit(worker_name, now)
+                # max(0.0, min(timeout_s, what is left of the deadline))
+                wait = deadline_at - now
+                if not wait < timeout_s:
+                    wait = timeout_s
+                timer = env.timeout(wait if wait > 0.0 else 0.0)
                 try:
-                    outcome = yield env.any_of([envelope.reply, timer])
-                except WorkerError as error:
+                    outcome = yield env.any_of([reply, timer])
+                except WorkerError:
                     self.worker_errors += 1
-                    self.policy.on_reply(worker_name, env.now,
-                                         env.now - envelope.submitted_at)
+                    now = env._now
+                    policy.on_reply(worker_name, now, now - submitted_at)
                     raise
-                if envelope.reply in outcome:
-                    self.policy.on_reply(worker_name, env.now,
-                                         env.now - envelope.submitted_at)
+                now = env._now
+                if reply in outcome:
+                    policy.on_reply(worker_name, now, now - submitted_at)
                     if span is not None:
                         span.annotate(
                             attempts=attempt + 1,
                             worker=worker_name)
-                    return outcome[envelope.reply]
+                    return outcome[reply]
                 # "if a request is sent to a worker that no longer exists,
                 # the request will time out and another worker will be
                 # chosen."
                 self.timeouts += 1
-                self.policy.on_timeout(worker_name, env.now)
+                policy.on_timeout(worker_name, now)
                 self.adverts.pop(worker_name, None)
-                self.policy.on_worker_removed(worker_name)
+                policy.on_worker_removed(worker_name)
                 if self.on_worker_timeout is not None:
                     self.on_worker_timeout(worker_name)
             raise DispatchError(
@@ -410,30 +424,6 @@ class ManagerStub:
         finally:
             if span is not None:
                 span.finish()
-
-    def _account_submit(self, state: AdvertState) -> bool:
-        """Classify one imminent submit; True when a SAN partition
-        blackholes it (the caller must not deliver — the dispatch
-        timeout does the recovering).
-
-        ``wrong_decisions`` counts routing on a view staler than the
-        consensus staleness bound — the decision a lease-holding leader
-        would never have let happen.  ``partition_misroutes`` counts
-        submits that cross an active SAN partition to a worker the front
-        end cannot actually reach.
-        """
-        now = self.cluster.env.now
-        if (self.lease_until is None and self.last_beacon_at is not None
-                and now - self.last_beacon_at
-                > self.config.consensus_lease_s):
-            self.wrong_decisions += 1
-        partitions = self.cluster.network.partitions
-        if (partitions is not None and self.node is not None
-                and not partitions.node_reachable(
-                    self.node.name, state.advert.node_name)):
-            self.partition_misroutes += 1
-            return True
-        return False
 
     def _manager_reachable(self, manager: Any) -> bool:
         """Can this front end talk to the manager right now?  Direct

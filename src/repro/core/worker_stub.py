@@ -36,7 +36,7 @@ from repro.core.messages import (
 )
 from repro.recovery.gray import GrayState
 from repro.sim.cluster import Cluster
-from repro.sim.kernel import QueueFull
+from repro.sim.kernel import PENDING, Interrupt, QueueFull
 from repro.sim.node import Node, NodeDown
 from repro.sim.transport import Channel, ChannelClosed
 from repro.tacc.worker import Worker, WorkerError
@@ -80,6 +80,8 @@ class WorkerStub(Component):
         #: and must not win the worker's registration.
         self._highest_incarnation: int = -1
         self.stale_beacons_ignored = 0
+        #: cut off the SAN until this time; written only by partition()
+        self._partitioned_until = 0.0
         # counters
         self.served = 0
         self.failed = 0
@@ -106,7 +108,7 @@ class WorkerStub(Component):
         process get no answer, and the sender's timeout is the only
         detector, exactly as in the paper's stale-hint scenario.
         """
-        if not self.alive or self.is_partitioned:
+        if not self.alive or self.env._now < self._partitioned_until:
             return True  # swallowed; caller's timeout will fire
         if self.gray.zombie:
             # the zombie keeps beaconing load reports (its report loop
@@ -114,11 +116,13 @@ class WorkerStub(Component):
             # empty queue makes the balancer *prefer* it
             self.gray.dropped += 1
             return True
-        if not self.queue.try_put(envelope):
+        try:
+            self.queue.put_nowait(envelope)
+        except QueueFull:
             self.refused += 1
             return False
         if envelope.trace is not None:
-            envelope.enqueued_at = self.env.now
+            envelope.enqueued_at = self.env._now
         return True
 
     # -- processes ------------------------------------------------------------------
@@ -136,6 +140,10 @@ class WorkerStub(Component):
         self.spawn(self._beacon_listener())
 
     def _service_loop(self):
+        env = self.env
+        config = self.config
+        gray = self.gray
+        worker = self.worker
         while True:
             envelope: WorkEnvelope = yield self.queue.get()
             if envelope.trace is not None \
@@ -143,16 +151,16 @@ class WorkerStub(Component):
                 envelope.trace.record(
                     "worker-queue", "queueing", envelope.enqueued_at,
                     component=self.name, depth=self.queue.length)
-            if self.gray.hung:
+            if gray.hung:
                 # hang: the request is accepted and then held forever,
                 # the queue backing up behind it; only the dispatcher's
                 # RPC timeout (or the supervisor's probe) notices
-                self.gray.dropped += 1
+                gray.dropped += 1
                 self.busy = True
-                yield self.env.event()
-            if (self.config.shed_expired_requests
+                yield env.event()
+            if (config.shed_expired_requests
                     and envelope.deadline_at is not None
-                    and self.env.now >= envelope.deadline_at):
+                    and env._now >= envelope.deadline_at):
                 # deadline propagation: the dispatching front end has
                 # already fallen back, so executing this would only add
                 # queueing delay in front of live requests
@@ -166,17 +174,27 @@ class WorkerStub(Component):
             if envelope.trace is not None:
                 service_span = envelope.trace.child(
                     "worker-service", "service", component=self.name)
-            service_started_at = self.env.now
+            service_started_at = env._now
             try:
-                work = self._work_sample(envelope)
+                work = worker.work_sample(self.rng, envelope.tacc_request)
+                inflation = gray.inflation(service_started_at)
+                if inflation != 1.0:
+                    work *= inflation  # fail-slow / leak inflation
                 yield from self.node.compute(work)
-                result = self._execute(envelope)
+                if self.execute_real:
+                    result = worker.run(envelope.tacc_request)
+                else:
+                    result = worker.simulate(envelope.tacc_request)
+                if gray.corrupt:
+                    result = worker.corrupt_result(result)
+            except Interrupt:
+                raise  # this stub was killed: not a worker failure
             except WorkerError as error:
                 # a *reported* failure: this request only
                 self.failed += 1
                 if service_span is not None:
                     service_span.annotate(error="WorkerError").finish()
-                if not envelope.reply.triggered:
+                if envelope.reply._value is PENDING:
                     envelope.reply.fail(error)
                 continue
             except NodeDown:
@@ -197,35 +215,15 @@ class WorkerStub(Component):
             if service_span is not None:
                 service_span.finish()
             self.served += 1
-            elapsed = self.env.now - service_started_at
+            elapsed = env._now - service_started_at
             if self.service_ewma_s == 0.0:
                 self.service_ewma_s = elapsed
             else:
-                alpha = self.config.load_ewma_alpha
+                alpha = config.load_ewma_alpha
                 self.service_ewma_s = (alpha * elapsed
                                        + (1.0 - alpha)
                                        * self.service_ewma_s)
             self.spawn(self._deliver(envelope, result))
-
-    def _work_sample(self, envelope: WorkEnvelope) -> float:
-        sampler = getattr(self.worker, "work_sample", None)
-        if sampler is not None:
-            work = sampler(self.rng, envelope.tacc_request)
-        else:
-            work = self.worker.work_estimate(envelope.tacc_request)
-        inflation = self.gray.inflation(self.env.now)
-        if inflation != 1.0:
-            work *= inflation  # fail-slow / leak service-time inflation
-        return work
-
-    def _execute(self, envelope: WorkEnvelope):
-        if self.execute_real:
-            result = self.worker.run(envelope.tacc_request)
-        else:
-            result = self.worker.simulate(envelope.tacc_request)
-        if self.gray.corrupt:
-            result = self.worker.corrupt_result(result)
-        return result
 
     # -- supervision surface (repro.recovery) --------------------------------
 
@@ -262,14 +260,14 @@ class WorkerStub(Component):
 
     def _deliver(self, envelope: WorkEnvelope, result) -> None:
         """Ship the result back across the SAN, then complete the reply."""
-        mark = self.env.now
+        mark = self.env._now
         delay = self.cluster.network.transfer_delay(result.size)
         yield self.env.timeout(delay)
         if envelope.trace is not None:
             envelope.trace.record("san-reply", "network", mark,
                                   component=self.name,
                                   bytes=result.size)
-        if self.alive and not envelope.reply.triggered:
+        if self.alive and envelope.reply._value is PENDING:
             envelope.reply.succeed(result)
 
     def _send_report(self) -> None:
@@ -325,9 +323,8 @@ class WorkerStub(Component):
         """
         if not self.alive:
             return
-        self._partitioned_until = max(
-            getattr(self, "_partitioned_until", 0.0),
-            self.env.now + duration_s)
+        self._partitioned_until = max(self._partitioned_until,
+                                      self.env.now + duration_s)
         if self._manager_endpoint is not None:
             self._manager_endpoint.channel.close()
             self._manager_endpoint = None
@@ -335,7 +332,7 @@ class WorkerStub(Component):
 
     @property
     def is_partitioned(self) -> bool:
-        return self.env.now < getattr(self, "_partitioned_until", 0.0)
+        return self.env._now < self._partitioned_until
 
     def _beacon_listener(self):
         subscription = self.cluster.multicast.group(BEACON_GROUP).subscribe(

@@ -19,7 +19,7 @@ import math
 from typing import Optional
 
 from repro.sim.rng import Stream
-from repro.tacc.content import Content, zero_payload
+from repro.tacc.content import Content, ZeroPayload
 from repro.tacc.worker import TACCRequest, Transformer
 
 
@@ -77,12 +77,17 @@ class Distiller(Transformer):
     simulated_mime: str = ""
 
     def work_estimate(self, request: TACCRequest) -> float:
-        total = sum(content.size for content in request.inputs)
-        return self.latency_model.mean(total)
+        # once per request, on one input: no generator for a sum of one
+        inputs = request.inputs
+        return self.latency_model.mean(
+            inputs[0].size if len(inputs) == 1
+            else sum(content.size for content in inputs))
 
     def work_sample(self, rng: Stream, request: TACCRequest) -> float:
-        total = sum(content.size for content in request.inputs)
-        return self.latency_model.sample(rng, total)
+        inputs = request.inputs
+        return self.latency_model.sample(
+            rng, inputs[0].size if len(inputs) == 1
+            else sum(content.size for content in inputs))
 
     def simulate(self, request: TACCRequest) -> Content:
         """Size-model execution: derive content of the predicted size
@@ -94,7 +99,7 @@ class Distiller(Transformer):
                                               self.codec_bonus)
         predicted = max(64, int(content.size / reduction))
         return content.derive(
-            zero_payload(predicted),
+            ZeroPayload(predicted),
             mime=self.simulated_mime or self.produces or content.mime,
             worker=self.worker_type,
             scale=scale,

@@ -22,7 +22,7 @@ from repro.distillers.base import (
     DistillerLatencyModel,
     HTML_SLOPE_S_PER_KB,
 )
-from repro.tacc.content import MIME_HTML, Content, zero_payload
+from repro.tacc.content import MIME_HTML, Content, ZeroPayload
 from repro.tacc.worker import TACCRequest, WorkerError
 
 _IMG_TAG = re.compile(r"<img\b[^>]*?\bsrc\s*=\s*[\"']([^\"']+)[\"'][^>]*>",
@@ -52,7 +52,7 @@ class HtmlMunger(Distiller):
         content = request.content
         predicted = int(content.size * 1.04) + len(TOOLBAR_TEMPLATE)
         return content.derive(
-            zero_payload(predicted),
+            ZeroPayload(predicted),
             mime=MIME_HTML,
             worker=self.worker_type,
             simulated=True,

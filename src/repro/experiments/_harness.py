@@ -20,7 +20,7 @@ from repro.core.manager_stub import DispatchError
 from repro.distillers.jpeg import JpegDistiller
 from repro.sim.cluster import Cluster
 from repro.sim.network import MBPS
-from repro.tacc.content import Content, zero_payload
+from repro.tacc.content import Content, ZeroPayload
 from repro.tacc.registry import WorkerRegistry
 from repro.tacc.worker import TACCRequest, WorkerError
 
@@ -67,16 +67,18 @@ class JpegBenchService:
         self._estimator = JpegDistiller()
 
     def handle(self, frontend, record):
-        trace = frontend.current_trace
-        return (yield from self._distill(frontend, record, trace, {}))
+        # a plain method: the front end drives the _distill generator
+        # itself, with no delegating frame around every resume
+        return self._distill(frontend, record, frontend.current_trace, {})
 
     def _distill(self, frontend, record, trace, profile):
-        mark = self.cluster.env.now
-        yield self.cluster.env.timeout(CACHE_HIT_S)
+        env = self.cluster.env
+        mark = env._now
+        yield env.timeout(CACHE_HIT_S)
         if trace is not None:
             trace.record("cache-hit", "cache", mark, hit=True)
         content = Content(record.url, record.mime,
-                          zero_payload(record.size_bytes))
+                          ZeroPayload(record.size_bytes))
         request = TACCRequest(inputs=[content], params={},
                               profile=profile, user_id=record.client_id)
         expected = self._estimator.work_estimate(request)

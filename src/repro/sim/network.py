@@ -354,38 +354,31 @@ class PartitionState:
 
 
 class UtilizationMeter:
-    """Windowed byte-rate meter over fixed-size time buckets."""
+    """Windowed byte-rate meter over fixed-size time buckets.
+
+    `Link.reserve` is the one writer of ``_buckets`` (once per message
+    on every link, so the update lives there, not behind a call).
+    """
 
     def __init__(self, env: Environment, window: float = 5.0,
                  buckets: int = 10) -> None:
         self.env = env
         self.window = window
         self.bucket_width = window / buckets
-        self._span = int(window / self.bucket_width)
+        self._span = buckets
         self._buckets: Deque[Tuple[int, float]] = deque()  # (bucket_id, bytes)
-
-    def record(self, nbytes: float) -> None:
-        # hot path: one call per message on every link
-        bucket_id = int(self.env._now / self.bucket_width)
-        buckets = self._buckets
-        if buckets and buckets[-1][0] == bucket_id:
-            buckets[-1] = (bucket_id, buckets[-1][1] + nbytes)
-        else:
-            buckets.append((bucket_id, nbytes))
-        horizon = bucket_id - self._span
-        while buckets and buckets[0][0] < horizon:
-            buckets.popleft()
 
     def _expire(self, current_bucket: int) -> None:
         horizon = current_bucket - self._span
-        while self._buckets and self._buckets[0][0] < horizon:
-            self._buckets.popleft()
+        buckets = self._buckets
+        while buckets and buckets[0][0] < horizon:
+            buckets.popleft()
 
     def rate(self) -> float:
         """Bytes per second over the window ending now."""
         current_bucket = int(self.env.now / self.bucket_width)
         self._expire(current_bucket)
-        total = sum(nbytes for _, nbytes in self._buckets)
+        total = sum([nbytes for _, nbytes in self._buckets])
         return total / self.window
 
 
@@ -427,7 +420,15 @@ class Link:
         self._busy_until = start + transmission
         self.bytes_sent += size_bytes
         self.messages_sent += 1
-        self._meter.record(size_bytes)
+        meter = self._meter
+        bucket_id = int(now / meter.bucket_width)
+        buckets = meter._buckets
+        if buckets and buckets[-1][0] == bucket_id:
+            buckets[-1] = (bucket_id, buckets[-1][1] + size_bytes)
+        else:
+            buckets.append((bucket_id, size_bytes))
+            # only a new bucket moves the horizon
+            meter._expire(bucket_id)
         return (start - now) + transmission + self.latency_s
 
     def utilization(self) -> float:

@@ -92,6 +92,12 @@ class Worker:
         total_bytes = sum(content.size for content in request.inputs)
         return 0.008 * (total_bytes / 1024.0)
 
+    def work_sample(self, rng: Any, request: TACCRequest) -> float:
+        """Reference-CPU seconds the worker stub charges for this one
+        request.  A worker whose cost varies around its estimate draws
+        the variation from ``rng`` (the stub's own stream)."""
+        return self.work_estimate(request)
+
     def run(self, request: TACCRequest) -> Content:
         raise NotImplementedError
 

@@ -26,6 +26,7 @@ from repro.cache.lru import LRUCache
 from repro.cache.partition import ModHashPartitioner, PartitionError
 from repro.core.component import Component
 from repro.sim.cluster import Cluster
+from repro.sim.kernel import PENDING
 from repro.sim.node import Node
 from repro.tacc.content import Content
 
@@ -53,21 +54,22 @@ class CacheNode(Component):
         self.spawn(self._service_loop())
 
     def _service_loop(self):
+        env = self.env
         while True:
             job = yield self.queue.get()
             kind, key, value, reply = job
             if kind == "lookup":
-                yield self.env.timeout(self.latency.hit_time())
+                yield env.timeout(self.latency.hit_time())
                 self.lookups += 1
                 result = self.store.get(key)
-                if self.alive and not reply.triggered:
+                if self.alive and reply._value is PENDING:
                     reply.succeed(result)
             else:  # store
-                yield self.env.timeout(STORE_SERVICE_S)
+                yield env.timeout(STORE_SERVICE_S)
                 self.stores += 1
                 content, size = value
                 self.store.put(key, content, size)
-                if reply is not None and not reply.triggered:
+                if reply is not None and reply._value is PENDING:
                     reply.succeed(True)
 
     def lookup(self, key: str):
@@ -155,7 +157,7 @@ class CacheSubsystem:
         if cache_node is None:
             self.misses += 1
             if trace is not None:
-                trace.record("cache-lookup", "cache", env.now,
+                trace.record("cache-lookup", "cache", env._now,
                              hit=False, no_node=True)
             return None
         span = None

@@ -28,7 +28,7 @@ from repro.tacc.content import (
     MIME_HTML,
     MIME_JPEG,
     Content,
-    zero_payload,
+    ZeroPayload,
 )
 from repro.workload.trace import TraceRecord
 
@@ -62,11 +62,12 @@ class OriginServer:
             span = trace.child("origin-fetch", "origin",
                                component="internet")
             span.annotate(url=record.url, bytes=record.size_bytes)
+        env = self.cluster.env
         penalty = self.latency.miss_penalty()
-        yield self.cluster.env.timeout(penalty)
+        yield env.timeout(penalty)
         if self.internet_link is not None:
             delay = self.internet_link.reserve(record.size_bytes)
-            yield self.cluster.env.timeout(delay)
+            yield env.timeout(delay)
         self.fetches += 1
         self.bytes_fetched += record.size_bytes
         if span is not None:
@@ -81,7 +82,7 @@ class OriginServer:
         return Content(
             url=record.url,
             mime=record.mime,
-            data=zero_payload(record.size_bytes),
+            data=ZeroPayload(record.size_bytes),
             metadata={"origin": "sim"},
         )
 

@@ -29,6 +29,7 @@ from repro.distillers.gif import GifDistiller
 from repro.distillers.html import HtmlMunger
 from repro.distillers.jpeg import JpegDistiller
 from repro.sim.cluster import Cluster
+from repro.sim.kernel import Interrupt
 from repro.sim.network import MBPS
 from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG, Content
 from repro.tacc.customization import ProfileStore, WriteThroughCache
@@ -131,8 +132,9 @@ class TranSendLogic:
         cached_profile = record.client_id in profile_cache._cache
         profile = profile_cache.get(record.client_id)
         if not cached_profile:
-            mark = self.cluster.env.now
-            yield self.cluster.env.timeout(PROFILE_READ_MISS_S)
+            env = self.cluster.env
+            mark = env._now
+            yield env.timeout(PROFILE_READ_MISS_S)
             if trace is not None:
                 trace.record("profile-read", "service", mark,
                              component="profile-db")
@@ -153,8 +155,15 @@ class TranSendLogic:
             preferences["scale"] = tier.scale
             preferences["_degrade_forced_tier"] = tier.label
 
+        # "data for which no distiller exists is passed unmodified to
+        # the user"; "data under 1KB is transferred unmodified"
         worker_type = DISTILLER_FOR_MIME.get(record.mime)
-        if not self._should_distill(record, preferences, worker_type):
+        if (worker_type is None
+                or record.size_bytes
+                < self.config.distillation_threshold_bytes
+                or not preferences.get(
+                    "munge_html" if record.mime == MIME_HTML
+                    else "distill_images", True)):
             try:
                 original = yield from self._get_original(record, trace)
             except OriginUnavailable:
@@ -223,18 +232,6 @@ class TranSendLogic:
                              "degrade_mode": "reduced-fidelity"})
         return self._respond("distilled", "ok", result)
 
-    def _should_distill(self, record: TraceRecord,
-                        preferences: Dict[str, Any],
-                        worker_type: Optional[str]) -> bool:
-        if worker_type is None:
-            return False  # "data for which no distiller exists is
-            #                passed unmodified to the user"
-        if record.size_bytes < self.config.distillation_threshold_bytes:
-            return False  # "data under 1KB is transferred unmodified"
-        if record.mime == MIME_HTML:
-            return bool(preferences.get("munge_html", True))
-        return bool(preferences.get("distill_images", True))
-
     def _get_original(self, record: TraceRecord, trace=None):
         key = original_cache_key(record.url)
         cached = yield from self.cachesys.lookup(key, trace=trace)
@@ -243,15 +240,18 @@ class TranSendLogic:
         breaker = self.origin_breaker
         if breaker is not None and not breaker.allow():
             raise OriginUnavailable(record.url)
-        mark = self.cluster.env.now
+        env = self.cluster.env
+        mark = env._now
         try:
             content = yield from self.origin.fetch(record, trace=trace)
+        except Interrupt:
+            raise  # the front end was killed: not an origin failure
         except Exception:
             if breaker is not None:
-                breaker.record(self.cluster.env.now - mark, ok=False)
+                breaker.record(env._now - mark, ok=False)
             raise
         if breaker is not None:
-            breaker.record(self.cluster.env.now - mark, ok=True)
+            breaker.record(env._now - mark, ok=True)
         self.cachesys.store(key, content)
         return content
 

@@ -190,7 +190,7 @@ class PlaybackEngine:
             if origin is None:
                 origin = record.timestamp
             due = time_offset + (record.timestamp - origin)
-            wait = due - env.now
+            wait = due - env._now
             if wait > 0:
                 yield env.timeout(wait)
             self._launch(record)
@@ -321,12 +321,14 @@ class PlaybackEngine:
                                                           _started))
 
     def _request(self, record: TraceRecord):
-        started = self.env.now
-        self.stats.submitted += 1
+        env = self.env
+        stats = self.stats
+        started = env._now
+        stats.submitted += 1
         self.in_flight += 1
         if self.in_flight > self.max_in_flight:
             self.max_in_flight = self.in_flight
-        tracer = self.env.tracer
+        tracer = env.tracer
         root = None
         if tracer is not None:
             # client-side root span: covers the whole request including
@@ -348,12 +350,12 @@ class PlaybackEngine:
                 # it cannot leak into an unrelated request
                 tracer.drop_pending()
             if self.timeout_s is not None:
-                timer = self.env.timeout(self.timeout_s)
-                condition = yield self.env.any_of([response_event, timer])
+                timer = env.timeout(self.timeout_s)
+                condition = yield env.any_of([response_event, timer])
                 if response_event not in condition:
                     if root is not None:
                         root.annotate(outcome="timeout")
-                    self.stats.observe_failure()
+                    stats.observe_failure()
                     if self.record_outcomes:
                         self.outcomes.append(RequestOutcome(
                             record=record, submitted_at=started,
@@ -366,21 +368,21 @@ class PlaybackEngine:
             if root is not None:
                 root.annotate(
                     outcome=getattr(response, "status", "ok"))
-            self.stats.observe_success(self.env.now - started,
-                                       self.env.now)
+            now = env._now
+            stats.observe_success(now - started, now)
             if self.on_success is not None:
-                self.on_success(response, self.env.now - started)
+                self.on_success(response, now - started)
             if self.record_outcomes:
                 self.outcomes.append(RequestOutcome(
                     record=record, submitted_at=started,
-                    completed_at=self.env.now, ok=True, response=response,
+                    completed_at=now, ok=True, response=response,
                     trace_id=trace_id))
         except Interrupt:
             raise
         except Exception as error:  # adapter-level failure
             if root is not None:
                 root.annotate(outcome=f"error:{type(error).__name__}")
-            self.stats.observe_failure()
+            stats.observe_failure()
             if self.record_outcomes:
                 self.outcomes.append(RequestOutcome(
                     record=record, submitted_at=started, completed_at=None,

@@ -50,7 +50,7 @@ def test_newer_report_resets_sent_counter():
     state.sent_since_report = 3
     state.refresh(make_advert(2.0, report_at=1.0), now=1.0)
     assert state.sent_since_report == 0
-    assert state.prev_queue_avg == 1.0
+    assert state.slope == 1.0   # (2.0 - 1.0) / (1.0 - 0.0)
 
 
 def test_duplicate_beacon_keeps_sent_counter_and_slope_basis():

@@ -104,7 +104,7 @@ def test_refresh_without_new_report_keeps_slope_window():
     # same report re-broadcast: not a new sample
     state.refresh(advert(queue_avg=4.0, report_at=0.0), now=0.5)
     assert state.sent_since_report == 2
-    assert state.prev_queue_avg is None
+    assert state.slope == 0.0   # still one sample: nothing to extrapolate
 
 
 # -- lottery -----------------------------------------------------------------------------

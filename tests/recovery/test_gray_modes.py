@@ -155,14 +155,19 @@ def test_corrupt_result_fails_end_to_end_validation():
     fabric = boot_fabric(workers=1)
     stub = fabric.workers["test-worker.1"]
     stub.gray.corrupt_output(fabric.cluster.env.now)
-    envelope = make_envelope(fabric)
-    result = stub._execute(envelope)
+    result = serve_one(fabric, stub)
     assert stub.worker.validate_result(result) is False
     # a healthy worker's output passes
     healthy = boot_fabric(workers=1, seed=8)
-    clean = healthy.workers["test-worker.1"]._execute(
-        make_envelope(healthy))
+    clean = serve_one(healthy, healthy.workers["test-worker.1"])
     assert clean.metadata.get("output_valid", True) is not False
+
+
+def serve_one(fabric, stub):
+    """What the stub replies with to one request it really serves."""
+    envelope = make_envelope(fabric)
+    assert stub.submit(envelope)
+    return fabric.cluster.env.run(until=envelope.reply)
 
 
 # -- drain ------------------------------------------------------------------------

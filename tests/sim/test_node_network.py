@@ -221,13 +221,29 @@ def test_saturated_elements_reports_hot_links():
 
 def test_meter_window_expires_old_traffic():
     env = Environment()
-    meter = UtilizationMeter(env, window=5.0, buckets=10)
-    meter.record(5000)
-    assert meter.rate() == pytest.approx(1000.0)
+    link = Link(env, "pipe", bandwidth_bps=1e6)  # its meter: 5 s, 10 buckets
+    link.reserve(5000)
+    assert link._meter.rate() == pytest.approx(1000.0)
 
     def advance(env):
         yield env.timeout(20.0)
 
     env.run(until=env.process(advance(env)))
-    meter.record(0)
-    assert meter.rate() == 0.0
+    link.reserve(0)
+    assert link._meter.rate() == 0.0
+
+
+def test_meter_span_is_the_bucket_count():
+    """`int(window / (window / buckets))` is not `buckets` for 498 of
+    these 11 741 pairs (e.g. (0.1, 11) -> 10), which silently shortened
+    the window; the span is the bucket count itself."""
+    env = Environment()
+    accidents = 0
+    for tenths in range(1, 200):
+        window = tenths / 10.0
+        for buckets in range(1, 60):
+            meter = UtilizationMeter(env, window=window, buckets=buckets)
+            assert meter._span == buckets
+            accidents += int(window / meter.bucket_width) != buckets
+    assert accidents == 498
+    assert int(0.1 / (0.1 / 11)) == 10
