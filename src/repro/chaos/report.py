@@ -326,7 +326,7 @@ def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
                                    target=RECOVERY_TARGET)
     # the control plane under audit: all group replicas in consensus
     # mode (counters are summed across them), else the soft manager
-    if getattr(fabric, "manager_group", None) is not None:
+    if fabric.manager_group is not None:
         managers = list(fabric.manager_group.replicas)
     else:
         managers = [fabric.manager] if fabric.manager is not None else []
@@ -349,19 +349,18 @@ def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
                                     for stub in fabric.workers.values()),
         "spawn_failures": sum(m.spawn_failures for m in managers),
     }
-    # brownout-path counters: every attribute is getattr-probed so
-    # campaigns without the degradable service render unchanged (the
-    # zero-valued keys are filtered out of the counter line anyway)
+    # brownout-path counters: the service's are probed, so campaigns
+    # without the degradable service render unchanged (the zero-valued
+    # keys are filtered out of the counter line anyway)
     frontends = list(fabric.frontends.values())
-    counters["degraded_replies"] = sum(
-        getattr(fe, "degraded", 0) for fe in frontends)
+    counters["degraded_replies"] = sum(fe.degraded for fe in frontends)
     counters["priority_sheds"] = sum(
-        getattr(fe, "shed_priority", 0) for fe in frontends)
+        fe.shed_priority for fe in frontends)
     counters["deadline_sheds"] = sum(
-        getattr(fe, "shed_deadline", 0) for fe in frontends)
+        fe.shed_deadline for fe in frontends)
     counters["retry_budget_denials"] = sum(
-        getattr(fe.stub, "retry_budget_denials", 0) for fe in frontends)
-    service = getattr(fabric, "service", None)
+        fe.stub.retry_budget_denials for fe in frontends)
+    service = fabric.service
     counters["stale_served"] = getattr(service, "stale_served", 0)
     counters["low_fidelity_served"] = getattr(
         service, "low_fidelity_served", 0)
@@ -394,15 +393,14 @@ def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
         # brick campaigns widen the availability denominator: the
         # population under fault is workers plus bricks
         n_bricks = (campaign.n_bricks
-                    if getattr(campaign, "profile_backend", None)
-                    == "dstore" else 0)
+                    if campaign.profile_backend == "dstore" else 0)
         recovery_summary = ledger.summary(
             campaign.duration_s,
             population=max(1, campaign.initial_workers + n_bricks))
     spawn_log = [failure for m in managers
                  for failure in m.spawn_failure_log]
     latency_stats = LatencyStats.from_samples(engine.latencies())
-    partitions = getattr(fabric.cluster.network, "partitions", None)
+    partitions = fabric.cluster.network.partitions
     partition: Dict[str, Any] = {}
     if partitions is not None:
         stubs = [fe.stub for fe in fabric.frontends.values()]

@@ -1,8 +1,11 @@
 """The consensus-replicated manager: three replicas, one lease.
 
-:class:`ManagerReplica` subclasses the soft-state
-:class:`~repro.core.manager.Manager`, so workers, front ends, the
-supervisor, and the chaos invariants see the exact same API — but the
+:class:`ManagerReplica` is the soft-state
+:class:`~repro.core.manager.Manager` over a different state backend, so
+workers, front ends, the supervisor, and the chaos invariants see the
+exact same API and the beacon, policy, registration, expiry and reap
+code exists once.  The replica only answers the manager's state seam —
+authority from its lease, membership facts into its log — because the
 decisions that must not split across a partition (worker membership,
 the load table, leadership itself) are entries in a multi-Paxos
 replicated log spoken over the SAN multicast
@@ -19,7 +22,7 @@ ordered, owner-disjoint, and monotonic across failovers — which lets
 the current leader ballot double as the beacon ``incarnation`` the SNS
 stubs already understand.  The leader renews a **lease** by committing
 no-op "tick" entries (which also snapshot the load table): each chosen
-entry at its own ballot extends ``lease_expires_at`` by
+entry at its own ballot extends ``lease_until`` by
 ``consensus_lease_s``.  A leader that cannot commit — it is dead, or on
 the minority side of a partition — watches its lease lapse and simply
 stops: no beacons, no registrations, no dispatch hints.  A follower
@@ -57,24 +60,26 @@ from repro.consensus.paxos import (
 from repro.core.config import SNSConfig
 from repro.core.manager import Manager
 from repro.core.messages import (
-    BEACON_BYTES,
-    BEACON_GROUP,
     CONSENSUS_BYTES,
     CONSENSUS_GROUP,
-    MONITOR_GROUP,
-    ManagerBeacon,
-    MonitorReport,
     RegisterWorker,
     WorkerAdvert,
 )
 from repro.sim.cluster import Cluster
 from repro.sim.node import Node
-from repro.sim.transport import Endpoint
 
 #: Chosen-rebroadcast window per SyncRequest (bounds catch-up traffic).
 SYNC_WINDOW = 64
-#: Seconds to re-fork a crashed replica (same cost as a worker spawn).
-REPLICA_RESTART_S = 1.0
+#: manager replicas when the fabric runs the consensus backend (odd).
+N_REPLICAS = 3
+#: period of the leader's no-op "tick" commits that renew the lease.
+TICK_S = 0.5
+#: how long a follower waits after the lease lapses before standing
+#: for election...
+ELECTION_TIMEOUT_S = 1.0
+#: ...staggered per replica index so candidates do not collide
+#: (deterministic — no randomized election timers needed).
+ELECTION_STAGGER_S = 0.3
 
 
 class ManagerReplica(Manager):
@@ -89,8 +94,7 @@ class ManagerReplica(Manager):
                          incarnation=0)
         self.index = index
         self.group = group
-        self.n_replicas = config.consensus_replicas
-        self.quorum = self.n_replicas // 2 + 1
+        self.quorum = N_REPLICAS // 2 + 1
         # -- paxos state (survives crash-restart: "stable storage") ----
         self.acceptor_log = AcceptorLog()
         self.learner_log = LearnerLog(self.quorum, self._apply)
@@ -105,7 +109,7 @@ class ManagerReplica(Manager):
         self.load_table: Dict[str, float] = {}
         # -- volatile leadership state ---------------------------------
         self.last_chosen_at = self.env.now
-        self.lease_expires_at = float("-inf")
+        self.lease_until = float("-inf")
         self._campaigning = False
         self._campaign_started_at = 0.0
         self._campaign_from = 0
@@ -129,9 +133,8 @@ class ManagerReplica(Manager):
         replica beacons, registers, or hands out dispatch hints."""
         return (self.alive and self.ballot >= 0
                 and self.leader_ballot == self.ballot
-                and ballot_owner(self.ballot, self.n_replicas)
-                == self.index
-                and self.env.now < self.lease_expires_at)
+                and ballot_owner(self.ballot, N_REPLICAS) == self.index
+                and self.env.now < self.lease_until)
 
     # -- processes ------------------------------------------------------------
 
@@ -141,9 +144,7 @@ class ManagerReplica(Manager):
             CONSENSUS_GROUP).subscribe(self.name)
         self.spawn(self._consensus_loop())
         self.spawn(self._steer_loop())
-        self.every(self.config.beacon_interval_s, self._beacon_tick,
-                   first_delay=0)
-        self.every(self.config.beacon_interval_s, self._policy_tick)
+        self._start_ticks()
         if self.index == 0 and self.leader_ballot < 0:
             # bootstrap: replica 0 campaigns immediately so the fabric
             # has a leader before the first requests arrive
@@ -262,7 +263,7 @@ class ManagerReplica(Manager):
         now = self.env.now
         ballot, value = self.learner_log.chosen[slot]
         self._max_slot_seen = max(self._max_slot_seen, slot)
-        mine = ballot_owner(ballot, self.n_replicas) == self.index
+        mine = ballot_owner(ballot, N_REPLICAS) == self.index
         if ballot > self.leader_ballot:
             # regime change: account the leaderless gap first
             stalled = max(0.0, now - (self.last_chosen_at
@@ -274,8 +275,8 @@ class ManagerReplica(Manager):
                 self.incarnation = ballot
                 self._member_unseen_since.clear()
         if mine and ballot == self.ballot:
-            self.lease_expires_at = max(
-                self.lease_expires_at,
+            self.lease_until = max(
+                self.lease_until,
                 now + self.config.consensus_lease_s)
         if self._campaigning and ballot != self.ballot:
             # another regime is demonstrably live: stand down rather
@@ -312,9 +313,8 @@ class ManagerReplica(Manager):
     def _start_campaign(self) -> None:
         floor = max(self.acceptor_log.promised, self.leader_ballot,
                     self.ballot)
-        round_number = floor // self.n_replicas + 1
-        self.ballot = make_ballot(round_number, self.index,
-                                  self.n_replicas)
+        round_number = floor // N_REPLICAS + 1
+        self.ballot = make_ballot(round_number, self.index, N_REPLICAS)
         self._campaigning = True
         self._campaign_started_at = self.env.now
         self._campaign_from = self.learner_log.applied_through + 1
@@ -343,7 +343,7 @@ class ManagerReplica(Manager):
     def _steer_loop(self):
         config = self.config
         while True:
-            yield self.env.timeout(config.consensus_tick_s)
+            yield self.env.timeout(TICK_S)
             now = self.env.now
             if self.is_active_leader():
                 # retransmit anything undecided, then renew the lease
@@ -354,7 +354,7 @@ class ManagerReplica(Manager):
                 continue
             if self._campaigning:
                 if now - self._campaign_started_at \
-                        > config.consensus_election_timeout_s:
+                        > ELECTION_TIMEOUT_S:
                     self._start_campaign()   # next round, same owner
                 else:
                     self._publish(Prepare(slot=self._campaign_from,
@@ -366,10 +366,8 @@ class ManagerReplica(Manager):
                 for slot in sorted(self._inflight):
                     self._drive(slot, self._inflight[slot])
             lapse = now - self.last_chosen_at
-            threshold = (config.consensus_lease_s
-                         + config.consensus_election_timeout_s
-                         + config.consensus_election_stagger_s
-                         * self.index)
+            threshold = (config.consensus_lease_s + ELECTION_TIMEOUT_S
+                         + ELECTION_STAGGER_S * self.index)
             if lapse > threshold:
                 self._start_campaign()
             elif self.learner_log.first_unchosen() <= self._max_slot_seen:
@@ -378,41 +376,10 @@ class ManagerReplica(Manager):
                     first_unchosen=self.learner_log.first_unchosen(),
                     sender=self.name))
 
-    # -- the manager API, gated on the lease ----------------------------------
+    # -- the state seam (repro.core.manager), from the lease and the log ------
 
-    def _beacon_tick(self) -> None:
-        if not self.is_active_leader():
-            return
-        beacon = ManagerBeacon(
-            manager_id=self.name,
-            incarnation=self.ballot,
-            manager=self,
-            sent_at=self.env.now,
-            adverts=self._build_adverts(),
-            lease_until=self.lease_expires_at,
-        )
-        self.cluster.multicast.group(BEACON_GROUP).publish(
-            beacon, size_bytes=BEACON_BYTES, sender=self.name)
-        self.cluster.multicast.group(MONITOR_GROUP).publish(MonitorReport(
-            component=self.name,
-            kind="manager",
-            sent_at=self.env.now,
-            payload={
-                "workers": len(self.workers),
-                "frontends": len(self.frontends),
-                "incarnation": self.ballot,
-                "role": "leader",
-            },
-        ), sender=self.name)
-        self.beacons_sent += 1
-
-    def _policy_tick(self) -> None:
-        if not self.is_active_leader():
-            return
-        self._expire_silent_workers()
-        self._expire_unseen_members()
-        self._spawn_check()
-        self._reap_check()
+    _may_act = is_active_leader
+    _monitor_extra = {"role": "leader"}
 
     def _build_adverts(self) -> Dict[str, WorkerAdvert]:
         """Hints from committed membership joined with live reports.
@@ -451,49 +418,23 @@ class ManagerReplica(Manager):
             )
         return adverts
 
-    def accept_worker(self, registration: RegisterWorker,
-                      endpoint: Endpoint) -> bool:
-        """Registration = a log entry.  Only the lease holder accepts;
-        the live connection serves reports immediately, while the
-        membership fact replicates underneath."""
-        if not self.is_active_leader():
-            return False
-        if not super().accept_worker(registration, endpoint):
-            return False
+    def _member_joined(self, registration: RegisterWorker) -> None:
+        """Registration = a log entry: the live connection serves
+        reports immediately, while the membership fact replicates
+        underneath."""
         if registration.worker_name not in self.member_workers:
             self._propose(("reg", registration.worker_name,
                            registration.worker_type,
                            registration.node_name, registration.stub))
-        return True
 
-    def accept_frontend(self, registration, endpoint) -> bool:
-        if not self.is_active_leader():
-            return False
-        return super().accept_frontend(registration, endpoint)
-
-    def request_worker(self, worker_type: str):
-        if not self.is_active_leader():
-            return None
-        return super().request_worker(worker_type)
-
-    # -- membership departures become log entries -----------------------------
-
-    def _propose_expiry(self, names) -> None:
+    def _members_departed(self, names: List[str]) -> None:
+        """Departures become log entries, in name order so every run
+        proposes them alike."""
         if not self.is_active_leader():
             return
         for name in sorted(names):
             if name in self.member_workers:
                 self._propose(("exp", name))
-
-    def _worker_died(self, info) -> None:
-        before = set(self.workers)
-        super()._worker_died(info)
-        self._propose_expiry(before - set(self.workers))
-
-    def _expire_silent_workers(self) -> None:
-        before = set(self.workers)
-        super()._expire_silent_workers()
-        self._propose_expiry(before - set(self.workers))
 
     def _expire_unseen_members(self) -> None:
         """Committed members with no live registration: give them one
@@ -509,14 +450,15 @@ class ManagerReplica(Manager):
             since = self._member_unseen_since.setdefault(name, now)
             if now - since > self.config.worker_timeout_s:
                 expired.append(name)
-        self._propose_expiry(expired)
+        self._members_departed(expired)
 
-    def _reap_one(self, infos) -> None:
-        before = set(self.workers)
-        super()._reap_one(infos)
-        self._propose_expiry(before - set(self.workers))
+    # -- crash and restart ------------------------------------------------------
 
-    # -- crash ----------------------------------------------------------------
+    def rejoin(self) -> None:
+        """Restart on my own node once the fork delay has passed
+        (:meth:`SNSFabric.restart_peer`), acceptor state intact."""
+        if not self.alive and self.node.up:
+            self.start()
 
     def _on_crash(self) -> None:
         super()._on_crash()
@@ -528,7 +470,7 @@ class ManagerReplica(Manager):
         self._campaigning = False
         self._promises = {}
         self._inflight.clear()
-        self.lease_expires_at = float("-inf")
+        self.lease_until = float("-inf")
 
 
 class ReplicatedManagerGroup:
@@ -537,11 +479,11 @@ class ReplicatedManagerGroup:
     Owns group-level telemetry (regimes, lease handoffs, minority-stall
     seconds), keeps ``fabric.manager`` pointing at the current leader,
     and supervises replica crash-restart (a dead replica rejoins on its
-    node after :data:`REPLICA_RESTART_S`, acceptor state intact)."""
+    node after the fabric's fork delay, acceptor state intact)."""
 
     def __init__(self, cluster: Cluster, config: SNSConfig, fabric: Any,
                  nodes: List[Node]) -> None:
-        if len(nodes) != config.consensus_replicas:
+        if len(nodes) != N_REPLICAS:
             raise ValueError("need one node per replica")
         if len(set(node.name for node in nodes)) != len(nodes):
             raise ValueError("replicas must sit on distinct nodes")
@@ -557,7 +499,6 @@ class ReplicatedManagerGroup:
         #: ``{"ballot", "leader", "at", "stalled_s"}``.
         self.regimes: List[Dict[str, Any]] = []
         self.minority_stall_s = 0.0
-        self._restarts_pending: set = set()
 
     def start(self) -> "ReplicatedManagerGroup":
         for replica in self.replicas:
@@ -572,7 +513,7 @@ class ReplicatedManagerGroup:
         """First replica to learn a new leadership ballot reports it."""
         if self.regimes and self.regimes[-1]["ballot"] >= ballot:
             return
-        owner = ballot_owner(ballot, self.config.consensus_replicas)
+        owner = ballot_owner(ballot, N_REPLICAS)
         leader = self.replicas[owner]
         stalled = stalled_s if self.regimes else 0.0   # bootstrap gap
         self.regimes.append({
@@ -643,17 +584,6 @@ class ReplicatedManagerGroup:
         while True:
             yield env.timeout(1.0)
             for replica in self.replicas:
-                if (replica.alive or not replica.node.up
-                        or replica.name in self._restarts_pending):
-                    continue
-                self._restarts_pending.add(replica.name)
-                env.process(self._restart(replica))
-
-    def _restart(self, replica: ManagerReplica):
-        env = self.cluster.env
-        try:
-            yield env.timeout(REPLICA_RESTART_S)
-            if not replica.alive and replica.node.up:
-                replica.start()
-        finally:
-            self._restarts_pending.discard(replica.name)
+                if not replica.alive and replica.node.up:
+                    self.fabric.restart_peer(replica.name,
+                                             replica.rejoin)

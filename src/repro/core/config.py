@@ -201,19 +201,9 @@ class SNSConfig:
     shed_expired_requests: bool = False
 
     # -- consensus-replicated manager (the partition-tolerant variant) -------
-    #: manager replicas when the fabric runs the consensus backend.
-    consensus_replicas: int = 3
     #: leader lease: a leader whose last committed entry is older than
     #: this stops beaconing and refusing work (it may be in a minority).
     consensus_lease_s: float = 2.0
-    #: period of the leader's no-op "tick" commits that renew the lease.
-    consensus_tick_s: float = 0.5
-    #: how long a follower waits after the lease lapses before standing
-    #: for election...
-    consensus_election_timeout_s: float = 1.0
-    #: ...staggered per replica index so candidates do not collide
-    #: (deterministic — no randomized election timers needed).
-    consensus_election_stagger_s: float = 0.3
     #: soft-state backend only: a deposed manager that hears a beacon
     #: with a higher incarnation kills itself instead of beaconing
     #: forever from the minority side of a healed partition.
@@ -325,12 +315,6 @@ class SNSConfig:
                 "need 0 < fresh TTL <= stale TTL")
         if self.frontend_threads < 1:
             raise ValueError("front end needs at least one thread")
-        if self.consensus_replicas < 1 or self.consensus_replicas % 2 == 0:
-            raise ValueError("consensus needs an odd replica count")
-        if self.consensus_lease_s <= 0 or self.consensus_tick_s <= 0:
-            raise ValueError("consensus lease and tick must be positive")
-        if self.consensus_election_timeout_s <= 0:
-            raise ValueError("election timeout must be positive")
-        if self.consensus_election_stagger_s < 0:
-            raise ValueError("election stagger must be non-negative")
+        if self.consensus_lease_s <= 0:
+            raise ValueError("consensus lease must be positive")
         return self

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.config import SNSConfig
 from repro.core.frontend import FrontEnd
@@ -83,7 +83,9 @@ class SNSFabric:
         self._incarnation = itertools.count(1)
         self._worker_seq: Dict[str, itertools.count] = {}
         self._frontend_seq = itertools.count()
-        self._manager_restart_pending = False
+        #: components with a process-peer restart in flight
+        #: (:meth:`restart_peer`), by name.
+        self._restarts_pending: Set[str] = set()
         self._client_rr = 0
         self.manager_restarts = 0
         #: process-peer front-end restarts executed (the manager's side
@@ -111,6 +113,28 @@ class SNSFabric:
         free = self.cluster.free_node()
         return free if free is not None else \
             self.cluster.least_loaded_node()
+
+    # -- process-peer restarts ------------------------------------------------
+
+    def restart_peer(self, name: str, start: Callable[[], None]) -> bool:
+        """The one process-peer restart path (manager by front end,
+        front end by manager, consensus replica by its group): wait the
+        fork delay, then run ``start``, which re-checks that ``name``
+        is still gone, places it and starts it.  Single-flight per
+        name — while one restart is pending further requests are
+        refused ("one of its peers restarts it")."""
+        if name in self._restarts_pending:
+            return False
+        self._restarts_pending.add(name)
+        self.cluster.env.process(self._restart_after_fork(name, start))
+        return True
+
+    def _restart_after_fork(self, name: str, start: Callable[[], None]):
+        try:
+            yield self.cluster.env.timeout(SPAWN_DELAY_S)
+            start()
+        finally:
+            self._restarts_pending.discard(name)
 
     # -- manager ------------------------------------------------------------------
 
@@ -157,15 +181,11 @@ class SNSFabric:
         from repro.core.process_pair import seed_manager_state
         if self.manager is not None and self.manager.alive:
             return self.manager  # raced with another recovery path
-        self._manager_restart_pending = True
-        try:
-            manager = self.start_manager(
-                node if node.up else None, process_pair=True)
-            seed_manager_state(manager, state)
-            self.manager_restarts += 1
-            return manager
-        finally:
-            self._manager_restart_pending = False
+        manager = self.start_manager(
+            node if node.up else None, process_pair=True)
+        seed_manager_state(manager, state)
+        self.manager_restarts += 1
+        return manager
 
     def restart_manager(self, requested_by: str = "?") -> bool:
         """Process-peer entry point: a front end noticed beacon silence.
@@ -173,7 +193,7 @@ class SNSFabric:
         Idempotent under races — if several front ends notice at once,
         one restart happens ("one of its peers restarts it").
         """
-        if self._manager_restart_pending:
+        if "manager" in self._restarts_pending:
             return False
         if self.manager_backend == "consensus":
             # replica elections are the failover mechanism; a front end
@@ -191,10 +211,9 @@ class SNSFabric:
             # counters measure it.
             self.deposed_managers.append(self.manager)
             self.manager = None
-        self._manager_restart_pending = True
         self.manager_restarts += 1
-        self.cluster.env.process(self._manager_restart(requested_by))
-        return True
+        return self.restart_peer(
+            "manager", lambda: self._start_successor(requested_by))
 
     def _manager_unreachable_from(self, requester_name: str) -> bool:
         partitions = self.cluster.network.partitions
@@ -206,55 +225,51 @@ class SNSFabric:
         return not partitions.node_reachable(requester_node,
                                              self.manager.node.name)
 
-    def _manager_restart(self, requested_by: str = "?"):
-        yield self.cluster.env.timeout(SPAWN_DELAY_S)
-        try:
-            if self.manager is not None and self.manager.alive:
-                return  # a process-pair promotion won the race
-            # restart on the old node if it survived, else relocate
-            # ("on a different node if necessary")
-            requester_node = self.cluster.locate_node(requested_by)
-            node = None
-            if self.manager is not None and self.manager.node.up:
-                node = self.manager.node
-                if requester_node is not None and not \
-                        self.cluster._placeable(node, requester_node):
-                    node = None  # old node is across the partition
-            self.manager = None
-            if node is None and requester_node is not None:
-                node = self.cluster.free_node(
+    def _start_successor(self, requested_by: str) -> None:
+        if self.manager is not None and self.manager.alive:
+            return  # a process-pair promotion won the race
+        # restart on the old node if it survived, else relocate
+        # ("on a different node if necessary")
+        requester_node = self.cluster.locate_node(requested_by)
+        node = None
+        if self.manager is not None and self.manager.node.up:
+            node = self.manager.node
+            if requester_node is not None and not \
+                    self.cluster._placeable(node, requester_node):
+                node = None  # old node is across the partition
+        self.manager = None
+        if node is None and requester_node is not None:
+            node = self.cluster.free_node(
+                reachable_from=requester_node)
+            if node is None:
+                node = self.cluster.least_loaded_node(
                     reachable_from=requester_node)
-                if node is None:
-                    node = self.cluster.least_loaded_node(
-                        reachable_from=requester_node)
-            self.start_manager(node)
-        finally:
-            self._manager_restart_pending = False
+        self.start_manager(node)
 
     # -- consensus backend ---------------------------------------------------
 
     def start_manager_group(self,
                             nodes: Optional[List[Node]] = None) -> Any:
         """Boot the consensus-replicated manager: one replica per node,
-        on ``config.consensus_replicas`` distinct nodes.
+        on ``N_REPLICAS`` distinct nodes.
 
         SAN partitions are first-class here, so the cluster's partition
         state is installed up front (idempotent, and free when no
         partition is ever declared).
         """
-        from repro.consensus.replica import ReplicatedManagerGroup
+        from repro.consensus.replica import (
+            N_REPLICAS, ReplicatedManagerGroup)
         if self.manager_backend != "consensus":
             raise FabricError("soft backend: use start_manager()")
         if self.manager_group is not None:
             raise FabricError("a manager group is already running")
         self.cluster.install_partitions()
-        count = self.config.consensus_replicas
         if nodes is None:
             nodes = [node for node in self.cluster.dedicated_nodes
-                     if node.up][:count]
-        if len(nodes) < count:
+                     if node.up][:N_REPLICAS]
+        if len(nodes) < N_REPLICAS:
             raise FabricError(
-                f"need {count} up nodes for consensus replicas")
+                f"need {N_REPLICAS} up nodes for consensus replicas")
         group = ReplicatedManagerGroup(self.cluster, self.config, self,
                                        nodes)
         group.start()
@@ -284,12 +299,12 @@ class SNSFabric:
             frontend.degradation = self.degradation
         return frontend
 
-    def restart_frontend(self, name: str, node_name: str) -> None:
+    def restart_frontend(self, name: str, node_name: str) -> bool:
         """Process-peer entry point for the manager."""
-        self.cluster.env.process(self._frontend_restart(name, node_name))
+        return self.restart_peer(
+            name, lambda: self._start_frontend_again(name, node_name))
 
-    def _frontend_restart(self, name: str, node_name: str):
-        yield self.cluster.env.timeout(SPAWN_DELAY_S)
+    def _start_frontend_again(self, name: str, node_name: str) -> None:
         current = self.frontends.get(name)
         if current is not None and current.alive:
             return  # already back (raced restarts)

@@ -146,9 +146,46 @@ class Manager(Component):
         self.self_depositions = 0
         self._beacon_subscription = None
 
+    # -- the state seam ---------------------------------------------------------
+    # Everything a state backend may change about the manager, besides
+    # :meth:`_build_adverts`.  The defaults are the paper's soft state:
+    # whoever is alive acts, nothing bounds a hint's staleness, and
+    # membership lives only in ``workers``.  The consensus replica
+    # answers these from its lease and Paxos log
+    # (:class:`repro.consensus.replica.ManagerReplica`); the beacon,
+    # policy, registration, expiry and reap code below is the only copy.
+
+    #: authority: absolute time through which beaconed hints may be
+    #: routed on (:attr:`ManagerBeacon.lease_until`).
+    lease_until: Optional[float] = None
+    #: authority: extra keys of the monitor report's payload (read-only).
+    _monitor_extra: Dict[str, Any] = {}
+
+    def _may_act(self) -> bool:
+        """Authority: may this manager beacon, register, hand out
+        hints, spawn and reap right now?"""
+        return self.alive
+
+    def _member_joined(self, registration: RegisterWorker) -> None:
+        """Membership fact: a worker was just registered."""
+
+    def _members_departed(self, names: List[str]) -> None:
+        """Membership fact: these workers just left ``workers`` (died,
+        fell silent or were reaped)."""
+
+    def _expire_unseen_members(self) -> None:
+        """Membership fact: drop members recorded outside ``workers``
+        that never showed up (each policy tick, after silent workers
+        expire)."""
+
     # -- processes ------------------------------------------------------------
 
     def _start_processes(self) -> None:
+        self._start_ticks()
+        if self.config.manager_self_deposition:
+            self.spawn(self._deposition_loop())
+
+    def _start_ticks(self) -> None:
         # Body-first beacon then sleep-first policy: both share the
         # beacon-interval periodic bucket, beacon first — the same
         # within-tick order the two process loops produced.
@@ -157,8 +194,6 @@ class Manager(Component):
         self.every(self.config.beacon_interval_s, self._publish_beacon,
                    first_delay=0)
         self.every(self.config.beacon_interval_s, self._policy_tick)
-        if self.config.manager_self_deposition:
-            self.spawn(self._deposition_loop())
 
     def _deposition_loop(self):
         """Split-brain damage control for the soft-state manager: if a
@@ -180,12 +215,15 @@ class Manager(Component):
                 return
 
     def _publish_beacon(self) -> None:
+        if not self._may_act():
+            return
         beacon = ManagerBeacon(
             manager_id=self.name,
             incarnation=self.incarnation,
             manager=self,
             sent_at=self.env.now,
             adverts=self._build_adverts(),
+            lease_until=self.lease_until,
         )
         self._beacon_group.publish(
             beacon, size_bytes=BEACON_BYTES, sender=self.name)
@@ -197,6 +235,7 @@ class Manager(Component):
                 "workers": len(self.workers),
                 "frontends": len(self.frontends),
                 "incarnation": self.incarnation,
+                **self._monitor_extra,
             },
         ), sender=self.name)
         self.beacons_sent += 1
@@ -216,7 +255,10 @@ class Manager(Component):
         }
 
     def _policy_tick(self) -> None:
+        if not self._may_act():
+            return
         self._expire_silent_workers()
+        self._expire_unseen_members()
         self._spawn_check()
         self._reap_check()
 
@@ -225,18 +267,20 @@ class Manager(Component):
     def accept_worker(self, registration: RegisterWorker,
                       endpoint: Endpoint) -> bool:
         """Called (over the network) by a worker stub's register path."""
-        if not self.alive or registration.worker_name in self._reaping:
+        if not self._may_act() \
+                or registration.worker_name in self._reaping:
             return False
         info = WorkerInfo(registration, endpoint, self.env.now)
         self.workers[info.name] = info
         self._spawns_in_flight[info.worker_type] = max(
             0, self._spawns_in_flight.get(info.worker_type, 0) - 1)
         self.spawn(self._worker_recv_loop(info))
+        self._member_joined(registration)
         return True
 
     def accept_frontend(self, registration: RegisterFrontEnd,
                         endpoint: Endpoint) -> bool:
-        if not self.alive:
+        if not self._may_act():
             return False
         info = FrontEndInfo(registration, endpoint, self.env.now)
         self.frontends[info.name] = info
@@ -276,10 +320,12 @@ class Manager(Component):
         self.worker_failures_detected += 1
         if self.alive:
             self._spawn_check()
+        self._members_departed([info.name])
 
     def _expire_silent_workers(self) -> None:
         """Timeouts as the backup failure detector (Section 2.2.4)."""
         deadline = self.env.now - self.config.worker_timeout_s
+        expired = []
         for info in list(self.workers.values()):
             if info.last_report_at < deadline:
                 if info.endpoint is not None:
@@ -287,6 +333,8 @@ class Manager(Component):
                 if info.name in self.workers:
                     del self.workers[info.name]
                     self.worker_failures_detected += 1
+                    expired.append(info.name)
+        self._members_departed(expired)
 
     def _frontend_died(self, info: FrontEndInfo) -> None:
         """Process-peer duty: 'The manager detects and restarts a
@@ -312,7 +360,7 @@ class Manager(Component):
         distiller, spawning a new one if necessary") — the caller waits
         for a beacon and retries.
         """
-        if not self.alive:
+        if not self._may_act():
             return None
         candidates = self.workers_of_type(worker_type)
         if candidates:
@@ -454,13 +502,13 @@ class Manager(Component):
             victim.endpoint.channel.close()
         self.workers.pop(victim.name, None)
         stub = victim.stub
-        if stub is None or not stub.alive:
-            return
-        if stub.load == 0:
-            stub.kill()
-            return
-        self._reaping.add(stub.name)
-        self.spawn(self._drain_then_kill(stub))
+        if stub is not None and stub.alive:
+            if stub.load == 0:
+                stub.kill()
+            else:
+                self._reaping.add(stub.name)
+                self.spawn(self._drain_then_kill(stub))
+        self._members_departed([victim.name])
 
     def _drain_then_kill(self, stub):
         """Move a reap victim's accepted-but-unserved requests to peers,

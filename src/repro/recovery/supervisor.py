@@ -102,7 +102,7 @@ class Supervisor(Component):
                 continue
             self.probes_sent += 1
             self.spawn(self._probe_one(stub))
-        for brick in sorted(self._bricks().values(),
+        for brick in sorted(self.fabric.brick_population().values(),
                             key=lambda brick: brick.name):
             if brick.name in self._restarting:
                 continue
@@ -116,17 +116,13 @@ class Supervisor(Component):
             self.probes_sent += 1
             self.spawn(self._probe_one(brick))
 
-    def _bricks(self) -> Dict[str, Any]:
-        population = getattr(self.fabric, "brick_population", None)
-        return population() if population is not None else {}
-
     def _san_partitioned(self, stub) -> bool:
         """True when the SAN partition model says this component's node
         is cut off from the supervisor's.  Restarting it would be a
         wrong decision — the process is healthy, only the network
         between us is gone — and the re-fork would double the worker
         the moment the partition heals."""
-        partitions = getattr(self.cluster.network, "partitions", None)
+        partitions = self.cluster.network.partitions
         if partitions is None:
             return False
         return not partitions.node_reachable(self.node.name,
@@ -245,9 +241,9 @@ class Supervisor(Component):
 
     def _begin_restart(self, stub, detector: str, detail: str) -> None:
         name = stub.name
-        is_brick = getattr(stub, "kind", None) == "brick"
         # a dead *worker* is the manager's job; a dead brick is ours
-        if name in self._restarting or (not stub.alive and not is_brick):
+        if name in self._restarting \
+                or (not stub.alive and stub.kind != "brick"):
             return
         self.suspicions += 1
         now = self.env.now
@@ -275,15 +271,25 @@ class Supervisor(Component):
                 case.trace_id = span.trace_id
                 span.record("undetected", "queueing", case.injected_at,
                             kind=case.kind)
-        if is_brick:
-            self.spawn(self._restart_brick(stub, case, span))
-        else:
-            self.spawn(self._restart(stub, case, span))
+        self.spawn(self._restart(stub, case, span))
 
     def _restart(self, stub, case: Optional[FaultCase], span,
                  proactive: bool = False):
+        """Restart-as-first-resort, one path for workers and bricks:
+        backoff, budget and flap history are shared.  Only three things
+        depend on ``stub.kind``.  *Is the target still the one I
+        meant:* a worker must still be alive (a dead one is the
+        manager's to heal); a brick, dead or not, must still own its
+        slot.  *Where the replacement goes:* a worker lands on any
+        placeable node, and its old node is quarantined when restarts
+        there keep not sticking; a brick returns to the *same slot*
+        (placement is identity — a brick has exactly one home, so its
+        node is never quarantined).  *What healed means:* see
+        :meth:`_await_heal`.
+        """
         policy = self.policy
         name, node = stub.name, stub.node
+        is_brick = stub.kind == "brick"
         now = self.env.now
         history = [t for t in self._node_restarts.get(node.name, [])
                    if now - t <= policy.flap_window_s]
@@ -301,150 +307,101 @@ class Supervisor(Component):
             if delay > 0:
                 self.backoff_waits += 1
                 yield self.env.timeout(delay)
-            if not stub.alive:
-                return  # died (and got healed) some other way meanwhile
+            still_mine = (
+                self.fabric.brick_population().get(name) is stub
+                if is_brick else stub.alive)
+            if not still_mine:
+                # healed some other way meanwhile: the worker died (the
+                # manager's job), or another incarnation took the slot
+                if span is not None:
+                    span.annotate(heal="superseded")
+                return
             now = self.env.now
             if not proactive:
                 self._restart_times.append(now)
                 history.append(now)
                 self._node_restarts[node.name] = history
             mark = now
-            worker_type = stub.worker_type
-            stub.kill()
+            if stub.alive:
+                stub.kill()
             self.restarts += 1
-            if not proactive and len(history) >= policy.flap_threshold \
-                    and not node.quarantined:
-                # the fault keeps coming back on this machine: stop
-                # placing workers here until an operator reboots it
-                node.quarantine()
-                self.quarantined_nodes.append(node.name)
-                self._alert("page", node.name,
-                            f"{len(history)} restarts in "
-                            f"{policy.flap_window_s:.0f}s: quarantined")
-            place = node if (node.up and not node.quarantined) else None
-            try:
-                replacement = self.fabric.spawn_worker(worker_type, place)
-            except Exception as error:
-                self._alert("page", name,
-                            f"respawn failed: "
-                            f"{type(error).__name__}: {error}")
-                if span is not None:
-                    span.annotate(heal="respawn-failed").finish()
-                return
+            if is_brick:
+                bricks = self.fabric.profile_bricks
+                if bricks is None:
+                    self._alert("page", name, "brick dead but no brick "
+                                              "cluster to respawn into")
+                    if span is not None:
+                        span.annotate(heal="no-cluster")
+                    return
+                replacement = yield from bricks.respawn(stub.slot)
+            else:
+                if not proactive \
+                        and len(history) >= policy.flap_threshold \
+                        and not node.quarantined:
+                    # the fault keeps coming back on this machine: stop
+                    # placing workers here until an operator reboots it
+                    node.quarantine()
+                    self.quarantined_nodes.append(node.name)
+                    self._alert("page", node.name,
+                                f"{len(history)} restarts in "
+                                f"{policy.flap_window_s:.0f}s: quarantined")
+                place = node if (node.up and not node.quarantined) \
+                    else None
+                try:
+                    replacement = self.fabric.spawn_worker(
+                        stub.worker_type, place)
+                except Exception as error:
+                    self._alert("page", name,
+                                f"respawn failed: "
+                                f"{type(error).__name__}: {error}")
+                    if span is not None:
+                        span.annotate(heal="respawn-failed")
+                    return
             if span is not None:
                 span.record("restart", "service", mark,
                             replacement=replacement.name)
             if case is not None:
                 yield from self._await_heal(case, replacement, span)
-            elif span is not None:
-                span.finish()
         finally:
             self._restarting.discard(name)
+            if span is not None:
+                # every way out — healed, timed out, superseded, failed
+                # or this supervisor killed — closes the case's span,
+                # or the trace export would drop it
+                span.finish()
 
     def _await_heal(self, case: FaultCase, replacement, span):
-        """The heal is done when the replacement is back in the
-        manager's soft state — in rotation, not merely forked."""
+        """The heal is done when the replacement is back in rotation,
+        not merely forked: a worker is in the manager's soft state
+        again; a brick — whose rejoin is instant by design — has
+        finished the anti-entropy sweep and is fully authoritative for
+        every partition it hosts, so its MTTR deliberately includes the
+        background sync (time-to-full-redundancy)."""
+        is_brick = replacement.kind == "brick"
+        action, step, never = (
+            ("brick-restart", "resync", "finished anti-entropy")
+            if is_brick else ("restart", "reregister", "registered"))
         mark = self.env.now
         for _ in range(self.policy.heal_wait_periods):
             yield self.env.timeout(self.config.beacon_interval_s)
             if not replacement.alive:
                 break
-            manager = self.fabric.manager
-            if manager is not None and manager.alive \
-                    and replacement.name in manager.workers:
-                self.ledger.note_healed(case, "restart",
-                                        replacement.name)
+            if is_brick:
+                healed = replacement.fully_authoritative
+            else:
+                manager = self.fabric.manager
+                healed = manager is not None and manager.alive \
+                    and replacement.name in manager.workers
+            if healed:
+                self.ledger.note_healed(case, action, replacement.name)
                 if span is not None:
-                    span.record("reregister", "queueing", mark,
+                    span.record(step, "queueing", mark,
                                 replacement=replacement.name)
-                    span.finish()
                 return
         self._alert("page", case.target,
-                    f"replacement {replacement.name} never registered")
+                    f"replacement {replacement.name} never {never}")
         if span is not None:
-            span.annotate(heal="timeout").finish()
-
-    # -- the brick restart path ----------------------------------------------
-
-    def _restart_brick(self, brick, case: Optional[FaultCase], span):
-        """Restart-as-first-resort for a brick: same backoff and budget
-        accounting as workers, but the replacement goes back to the
-        *same slot* (placement is identity, so no node quarantine —
-        a brick has exactly one home), and the heal bar is higher:
-        rejoining is instant by design, so "healed" means the
-        anti-entropy sweep finished and the brick answers reads for
-        every partition it hosts again.
-        """
-        policy = self.policy
-        name, node = brick.name, brick.node
-        now = self.env.now
-        history = [t for t in self._node_restarts.get(node.name, [])
-                   if now - t <= policy.flap_window_s]
-        delay = 0.0
-        if history:
-            delay = min(policy.restart_backoff_cap_s,
-                        policy.restart_backoff_base_s
-                        * policy.restart_backoff_factor
-                        ** (len(history) - 1))
-            if policy.restart_backoff_jitter > 0 and delay > 0:
-                delay *= 1.0 + policy.restart_backoff_jitter * \
-                    (self.rng.random() - 0.5)
-        try:
-            if delay > 0:
-                self.backoff_waits += 1
-                yield self.env.timeout(delay)
-            current = self._bricks().get(name)
-            if current is not brick:
-                return  # another incarnation took the slot meanwhile
-            now = self.env.now
-            self._restart_times.append(now)
-            history.append(now)
-            self._node_restarts[node.name] = history
-            mark = now
-            if brick.alive:
-                brick.kill()
-            self.restarts += 1
-            bricks = self.fabric.profile_bricks
-            if bricks is None:
-                self._alert("page", name, "brick dead but no brick "
-                                          "cluster to respawn into")
-                if span is not None:
-                    span.annotate(heal="no-cluster").finish()
-                return
-            replacement = yield from bricks.respawn(brick.slot)
-            if span is not None:
-                span.record("restart", "service", mark,
-                            replacement=replacement.name)
-            if case is not None:
-                yield from self._await_brick_heal(case, replacement,
-                                                  span)
-            elif span is not None:
-                span.finish()
-        finally:
-            self._restarting.discard(name)
-
-    def _await_brick_heal(self, case: FaultCase, replacement, span):
-        """Healed = fully authoritative again, not merely serving:
-        MTTR deliberately includes the background sync, so the number
-        reported is time-to-full-redundancy."""
-        mark = self.env.now
-        for _ in range(self.policy.heal_wait_periods):
-            yield self.env.timeout(self.config.beacon_interval_s)
-            if not replacement.alive:
-                break
-            if replacement.fully_authoritative:
-                self.ledger.note_healed(case, "brick-restart",
-                                        replacement.name)
-                if span is not None:
-                    span.record("resync", "queueing", mark,
-                                replacement=replacement.name)
-                    span.finish()
-                return
-        self._alert("page", case.target,
-                    f"replacement {replacement.name} never finished "
-                    f"anti-entropy")
-        if span is not None:
-            span.annotate(heal="timeout").finish()
+            span.annotate(heal="timeout")
 
     # -- rejuvenation ---------------------------------------------------------
 

@@ -9,6 +9,7 @@
 
 import pytest
 
+from repro.core.manager import SPAWN_DELAY_S
 from repro.sim.failures import FaultInjector
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
@@ -120,6 +121,27 @@ def test_manager_restarts_crashed_frontend(fabric):
     assert replacement.alive
     # the replacement re-registered with the manager
     assert frontend.name in fabric.manager.frontends
+
+
+def test_frontend_restart_is_single_flight(fabric):
+    """Two managers (a deposed one and its successor) can both see one
+    front end die; inside the fork delay the second request is refused
+    and the front end comes back once."""
+    fabric.boot(n_frontends=1, initial_workers={"test-worker": 1})
+    fabric.cluster.run(until=2.0)
+    env = fabric.cluster.env
+    frontend = next(iter(fabric.frontends.values()))
+    frontend.kill()
+    assert fabric.restart_frontend(frontend.name, frontend.node.name)
+    fabric.cluster.run(until=env.now + SPAWN_DELAY_S / 2)
+    assert not fabric.restart_frontend(frontend.name,
+                                       frontend.node.name)
+    fabric.cluster.run(until=env.now + 5.0)
+    assert fabric.frontend_restarts == 1
+    assert fabric.frontends[frontend.name].alive
+    # the slot is free again for the next crash
+    fabric.frontends[frontend.name].kill()
+    assert fabric.restart_frontend(frontend.name, frontend.node.name)
 
 
 def test_client_side_balancing_masks_frontend_failure():

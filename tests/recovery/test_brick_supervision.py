@@ -10,14 +10,14 @@ from repro.recovery.ledger import RecoveryLedger
 from repro.recovery.policy import RecoveryPolicy
 
 
-def boot_supervised_dstore(seed=7):
+def boot_supervised_dstore(seed=7, policy=None):
     fabric = build_bench_fabric(n_nodes=8, seed=seed,
                                 config=chaos_config(),
                                 profile_backend="dstore")
     ledger = RecoveryLedger(fabric.cluster.env)
     fabric.profile_bricks.ledger = ledger
     fabric.boot(n_frontends=1, initial_workers={"jpeg-distiller": 2})
-    supervisor = fabric.start_supervisor(RecoveryPolicy(),
+    supervisor = fabric.start_supervisor(policy or RecoveryPolicy(),
                                          ledger=ledger)
     fabric.cluster.run(until=2.0)
     return fabric, supervisor, ledger
@@ -108,3 +108,44 @@ def test_healthy_bricks_never_restarted():
     assert ledger.false_alarms == []
     names = sorted(fabric.profile_bricks.population())
     assert names == ["brick0.1", "brick1.1", "brick2.1"]
+
+
+# -- bricks go through the workers' executor: same guard rails -----------
+
+
+def test_repeated_brick_restarts_back_off_but_never_quarantine():
+    fabric, supervisor, ledger = boot_supervised_dstore()
+    seed_profiles(fabric)
+    node = fabric.profile_bricks.brick_at(0).node
+    for _ in range(RecoveryPolicy().flap_threshold):
+        fabric.profile_bricks.brick_at(0).kill()
+        run_for(fabric, 8.0)   # well inside flap_window_s
+    assert supervisor.restarts == 3
+    # the 2nd and 3rd restarts on the node waited out the backoff
+    assert supervisor.backoff_waits == 2
+    # a worker's node would be quarantined by now; a brick has exactly
+    # one home, so its node never is
+    assert not node.quarantined and supervisor.quarantined_nodes == []
+    replacement = fabric.profile_bricks.brick_at(0)
+    assert replacement.alive and replacement.node is node
+    assert replacement.fully_authoritative
+
+
+def test_brick_restart_refused_and_paged_when_budget_is_spent():
+    fabric, supervisor, ledger = boot_supervised_dstore(
+        policy=RecoveryPolicy(restart_budget=1,
+                              restart_budget_window_s=600.0))
+    seed_profiles(fabric)
+    fabric.profile_bricks.brick_at(0).kill()
+    run_for(fabric, 8.0)
+    assert supervisor.restarts == 1
+    second = fabric.profile_bricks.brick_at(1)
+    second.kill()
+    run_for(fabric, 8.0)
+    assert supervisor.restarts == 1 and supervisor.budget_denials >= 1
+    assert any("restart budget exhausted" in alert.message
+               and alert.component == second.name
+               for alert in supervisor.pages())
+    # left dead for the operator
+    assert fabric.profile_bricks.brick_at(1) is second
+    assert not second.alive

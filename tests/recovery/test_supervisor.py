@@ -4,7 +4,10 @@ guard rails (backoff, budget, flap quarantine), and rejuvenation."""
 import pytest
 
 from repro.core.fabric import FabricError
+from repro.obs import capture_traces
+from repro.obs.export import chrome_trace_events
 from repro.recovery import RecoveryPolicy
+from repro.recovery.supervisor import Supervisor
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
 
@@ -199,6 +202,34 @@ def test_restart_budget_exhaustion_pages_instead_of_healing():
     third = fabric.workers["test-worker.3"]
     assert third.alive and third.gray.corrupt
     assert len(supervisor.ledger.detected) == 2
+
+
+def test_one_executor_for_workers_and_bricks():
+    assert not hasattr(Supervisor, "_restart_brick")
+    assert not hasattr(Supervisor, "_await_brick_heal")
+
+
+def test_restart_that_loses_the_race_still_finishes_its_span():
+    """A worker that dies during the backoff wait is the manager's to
+    heal; the recovery span opened for it must still be closed, or the
+    trace export silently drops the case."""
+    with capture_traces() as tracers:
+        fabric, supervisor = boot_supervised()
+        env = fabric.cluster.env
+        stub = fabric.workers["test-worker.1"]
+        # a recent restart on the node forces a backoff wait
+        supervisor._node_restarts[stub.node.name] = [env.now]
+        supervisor._begin_restart(stub, "probe", "forced by the test")
+        fabric.cluster.run(until=env.now + 0.01)
+        stub.kill()
+        fabric.cluster.run(until=env.now + 30.0)
+    assert supervisor.backoff_waits == 1 and supervisor.restarts == 0
+    assert stub.name not in supervisor._restarting
+    (root,) = tracers[0].spans["aux-recovery-001"]
+    assert root.finished
+    assert root.annotations["heal"] == "superseded"
+    assert any(event.get("args", {}).get("trace_id") == "aux-recovery-001"
+               for event in chrome_trace_events(tracers))
 
 
 # -- rejuvenation -----------------------------------------------------------------
