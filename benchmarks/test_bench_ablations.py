@@ -6,13 +6,10 @@ consistent hashing."""
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.cache.partition import (
-    ConsistentHashRing,
-    ModHashPartitioner,
-    remap_fraction,
-)
+from repro.cache.partition import ModHashPartitioner, remap_fraction
 from repro.core.config import SNSConfig
 from repro.experiments._harness import build_bench_fabric
+from repro.sim.hashing import Ring
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
 from repro.workload.trace import TraceRecord
@@ -230,7 +227,7 @@ def test_ablation_mod_hash_vs_consistent_hash(benchmark):
     def both():
         return (
             remap_fraction(ModHashPartitioner, keys, nodes, "cache3"),
-            remap_fraction(ConsistentHashRing, keys, nodes, "cache3"),
+            remap_fraction(Ring, keys, nodes, "cache3"),
         )
 
     mod_moved, ring_moved = run_once(benchmark, both)

@@ -20,28 +20,13 @@ import os
 import time
 from pathlib import Path
 
+from benchmarks.conftest import calibrate
 from repro.chaos import run_campaign_batch
 
 RUNS = int(os.environ.get("BENCH_FANOUT_RUNS", "8"))
 JOBS = int(os.environ.get("BENCH_FANOUT_JOBS", "4"))
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_fanout.json"
 OUT_PATH = Path(os.environ.get("BENCH_FANOUT_OUT", str(DEFAULT_OUT)))
-
-CALIBRATION_OPS = 2_000_000
-
-
-def _calibrate() -> float:
-    """Ops/sec of a fixed pure-Python loop: a machine-speed yardstick
-    (same loop the kernel benchmark records)."""
-    best = float("inf")
-    for _ in range(3):
-        total = 0
-        start = time.perf_counter()
-        for i in range(CALIBRATION_OPS):
-            total += i
-        best = min(best, time.perf_counter() - start)
-    assert total  # keep the loop honest
-    return CALIBRATION_OPS / best
 
 
 def _timed_batch(jobs: int):
@@ -74,7 +59,7 @@ def test_fanout_speedup(benchmark):
     payload = {
         "benchmark": "fanout",
         "schema": 1,
-        "calibration_ops_per_sec": round(_calibrate()),
+        "calibration_ops_per_sec": round(calibrate()),
         "cpu_count": os.cpu_count() or 1,
         "sweep": {
             "campaign": "smoke",

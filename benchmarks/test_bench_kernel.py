@@ -34,34 +34,15 @@ import os
 import time
 from pathlib import Path
 
+from benchmarks.conftest import calibrate
+from repro.fanout.timeshard import SERVICE_FACTORIES, ReplaySpec
 from repro.sim.kernel import Environment
-from repro.sim.network import MBPS, Network
 from repro.workload.playback import PlaybackEngine
 from repro.workload.tracegen import iter_fixed_jpeg_trace
 
 SCALE = float(os.environ.get("BENCH_KERNEL_SCALE", "1.0"))
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_kernel.json"
 OUT_PATH = Path(os.environ.get("BENCH_KERNEL_OUT", str(DEFAULT_OUT)))
-
-CALIBRATION_OPS = 2_000_000
-
-
-def _calibrate() -> float:
-    """Ops/sec of a fixed pure-Python loop: a machine-speed yardstick.
-
-    The perf gate divides measured rates by this before comparing, so a
-    slower CI runner does not read as a kernel regression.
-    """
-    best = float("inf")
-    for _ in range(3):
-        total = 0
-        start = time.perf_counter()
-        for i in range(CALIBRATION_OPS):
-            total += i
-        best = min(best, time.perf_counter() - start)
-    assert total  # keep the loop honest
-    return CALIBRATION_OPS / best
-
 
 # -- phase 1: queue-heavy events/sec ---------------------------------------
 
@@ -161,37 +142,15 @@ def run_timer_coalescing(scale: float = 1.0) -> dict:
 # -- phase 3: streaming 1M-request replay, requests/sec --------------------
 
 
-def _reply_ok(event):
-    event._value.succeed("ok")
-
-
-def _start_servers(env, requests, network, n_servers):
-    """Minimal service, callback style: dequeue, pay the SAN reply
-    transfer, respond, re-arm — no generator resume per request."""
-    def _serve(event):
-        record, reply = event._value
-        env.schedule_call(network.transfer_delay(record.size_bytes),
-                          _reply_ok, reply)
-        requests.get().callbacks.append(_serve)
-
-    for _ in range(n_servers):
-        requests.get().callbacks.append(_serve)
-
-
 def run_trace_replay(scale: float = 1.0) -> dict:
     """Replay a synthetic 1M-request trace end-to-end, streaming."""
     n_requests = max(1_000, int(1_000_000 * scale))
     rate_rps = 4_000.0  # keeps sim duration ~n/4000 s, backlog modest
     env = Environment()
-    network = Network(env, bandwidth_bps=1_000 * MBPS)
-    requests = env.queue()
-    _start_servers(env, requests, network, 8)
-
-    def submit(record):
-        reply = env.event()
-        requests.put_nowait((record, reply))
-        return reply
-
+    # the time-shard replay's service: 8 callback-style servers on one
+    # queue, each reply paying a 1 Gb/s SAN transfer
+    submit = SERVICE_FACTORIES["queue-san"](
+        env, ReplaySpec(duration_s=n_requests / rate_rps))
     engine = PlaybackEngine(env, submit, record_outcomes=False)
     trace = iter_fixed_jpeg_trace(rate_rps, n_requests, seed=1997)
     engine.play_scheduled(trace)
@@ -238,7 +197,7 @@ def test_kernel_throughput(benchmark):
         "benchmark": "kernel",
         "schema": 1,
         "scale": SCALE,
-        "calibration_ops_per_sec": round(_calibrate()),
+        "calibration_ops_per_sec": round(calibrate()),
         **result,
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n",

@@ -28,6 +28,7 @@ import os
 import time
 from pathlib import Path
 
+from benchmarks.conftest import calibrate
 from repro.fanout.timeshard import (
     ReplaySpec,
     drift_check,
@@ -44,22 +45,6 @@ OUT_PATH = Path(os.environ.get("BENCH_REPLAY_OUT", str(DEFAULT_OUT)))
 #: realizes ~10M requests for this seed.
 MEAN_RATE_RPS = 2000.0
 FULL_DURATION_S = 5640.0
-
-CALIBRATION_OPS = 2_000_000
-
-
-def _calibrate() -> float:
-    """Ops/sec of a fixed pure-Python loop: a machine-speed yardstick
-    (same loop the kernel and fan-out benchmarks record)."""
-    best = float("inf")
-    for _ in range(3):
-        total = 0
-        start = time.perf_counter()
-        for i in range(CALIBRATION_OPS):
-            total += i
-        best = min(best, time.perf_counter() - start)
-    assert total  # keep the loop honest
-    return CALIBRATION_OPS / best
 
 
 def test_replay_10m(benchmark):
@@ -92,7 +77,7 @@ def test_replay_10m(benchmark):
         "benchmark": "replay10m",
         "schema": 1,
         "scale": SCALE,
-        "calibration_ops_per_sec": round(_calibrate()),
+        "calibration_ops_per_sec": round(calibrate()),
         "cpu_count": os.cpu_count() or 1,
         "replay": {
             "duration_s": duration_s,

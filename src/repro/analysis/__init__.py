@@ -8,7 +8,6 @@ figures in the shape the paper reports them.
 from repro.analysis.metrics import (
     LatencyStats,
     summarize_outcomes,
-    throughput_series,
 )
 from repro.analysis.economics import EconomicModel
 from repro.analysis.reporting import (
@@ -24,5 +23,4 @@ __all__ = [
     "render_series",
     "render_table",
     "summarize_outcomes",
-    "throughput_series",
 ]

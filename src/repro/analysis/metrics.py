@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 class LatencyStats:
@@ -40,36 +40,6 @@ class LatencyStats:
             self._samples.extend(other._samples)
             self._sorted = False
         return self
-
-    def histogram(self, bins: int = 10,
-                  lo: Optional[float] = None,
-                  hi: Optional[float] = None
-                  ) -> List[Tuple[float, float, int]]:
-        """Equal-width histogram: ``[(left, right, count), ...]``.
-
-        Bounds default to the sample min/max; the top edge is
-        inclusive so the maximum lands in the last bin.
-        """
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
-        if not self._samples:
-            return []
-        self._ensure_sorted()
-        low = self._samples[0] if lo is None else lo
-        high = self._samples[-1] if hi is None else hi
-        if high <= low:
-            high = low + 1e-12
-        width = (high - low) / bins
-        counts = [0] * bins
-        for value in self._samples:
-            if value < low or value > high:
-                continue
-            index = min(int((value - low) / width), bins - 1)
-            counts[index] += 1
-        return [
-            (low + index * width, low + (index + 1) * width, count)
-            for index, count in enumerate(counts)
-        ]
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
@@ -223,22 +193,3 @@ def yield_recovery_time(series: Sequence[Dict[str, float]],
         elif candidate is None:
             candidate = max(0.0, row["start"] - heal_time)
     return candidate
-
-
-def throughput_series(completion_times: Sequence[float],
-                      bucket_s: float) -> List[Tuple[float, float]]:
-    """(bucket start, completions/sec) over the span of completions."""
-    if bucket_s <= 0:
-        raise ValueError("bucket width must be positive")
-    if not completion_times:
-        return []
-    start = min(completion_times)
-    end = max(completion_times)
-    n_buckets = int((end - start) / bucket_s) + 1
-    counts = [0] * n_buckets
-    for time in completion_times:
-        counts[int((time - start) / bucket_s)] += 1
-    return [
-        (start + index * bucket_s, count / bucket_s)
-        for index, count in enumerate(counts)
-    ]

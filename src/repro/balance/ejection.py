@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.balance.policies import RoutingPolicy
+from repro.balance.policies import EWMA_ALPHA, RoutingPolicy
 
 
 class _WorkerHealth:
@@ -54,7 +54,7 @@ class OutlierEjector(RoutingPolicy):
         self.inner = inner
         self.name = f"{inner.name}+eject"
         self.needs_key = inner.needs_key
-        self.alpha = config.policy_ewma_alpha
+        self.alpha = EWMA_ALPHA
         self.latency_ratio = config.outlier_latency_ratio
         self.min_samples = config.outlier_min_samples
         self.min_peers = config.outlier_min_peers

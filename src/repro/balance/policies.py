@@ -28,9 +28,16 @@ the SAN: the stub already observes every submit, reply, and timeout.
 
 from __future__ import annotations
 
-import hashlib
-from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.sim.hashing import Ring
+
+#: EWMA weight for policy-side latency observations (the ewma policy
+#: and the outlier ejector; distinct from the manager's
+#: ``load_ewma_alpha`` so tuning one never skews the other).
+EWMA_ALPHA = 0.3
+#: "hash-bounded" policy: virtual nodes per worker on the ring.
+HASH_RING_REPLICAS = 50
 
 
 class PolicyError(ValueError):
@@ -237,7 +244,7 @@ class EwmaLatencyPolicy(_OutstandingTracker):
     def __init__(self, config: Any, rng: Any) -> None:
         super().__init__()
         self.config = config
-        self.alpha = config.policy_ewma_alpha
+        self.alpha = EWMA_ALPHA
         self.timeout_penalty_s = 2.0 * config.dispatch_timeout_s
         self.ewma: Dict[str, float] = {}
 
@@ -331,8 +338,7 @@ class BoundedLoadHashPolicy(_OutstandingTracker):
     from defeating balance: a worker already carrying more than
     ``ceil(bound_factor × mean outstanding)`` in-flight requests is
     skipped and the request walks clockwise to the next admissible
-    worker.  Hashes are md5-based — stable across processes and runs,
-    unlike Python's seeded ``hash``.  No RNG draws.
+    worker.  No RNG draws.
     """
 
     name = "hash-bounded"
@@ -341,24 +347,9 @@ class BoundedLoadHashPolicy(_OutstandingTracker):
     def __init__(self, config: Any, rng: Any) -> None:
         super().__init__()
         self.bound_factor = config.policy_hash_bound
-        self.replicas = config.policy_hash_replicas
-        self._ring: List[Tuple[int, str]] = []
+        self._ring = Ring()
         self._ring_members: frozenset = frozenset()
         self.overflow_hops = 0
-
-    @staticmethod
-    def _hash(value: str) -> int:
-        return int.from_bytes(
-            hashlib.md5(value.encode()).digest()[:8], "big")
-
-    def _rebuild(self, names: frozenset) -> None:
-        ring = []
-        for name in names:
-            for replica in range(self.replicas):
-                ring.append((self._hash(f"{name}#{replica}"), name))
-        ring.sort()
-        self._ring = ring
-        self._ring_members = names
 
     def select(self, candidates: Sequence[Any], now: float,
                key: Optional[str] = None) -> Any:
@@ -366,27 +357,21 @@ class BoundedLoadHashPolicy(_OutstandingTracker):
                    for state in candidates}
         names = frozenset(by_name)
         if names != self._ring_members:
-            self._rebuild(names)
+            self._ring = Ring(names, HASH_RING_REPLICAS)
+            self._ring_members = names
         total = sum(self.outstanding.get(name, 0) for name in names)
         # each worker may carry at most bound_factor x the fair share of
         # in-flight requests (counting the one about to be placed)
         bound = max(1.0, self.bound_factor * (total + 1) / len(names))
-        point = self._hash(key if key is not None else "")
-        start = bisect_right(self._ring, (point, ""))
-        chosen = None
-        seen = set()
-        for offset in range(len(self._ring)):
-            _, name = self._ring[(start + offset) % len(self._ring)]
-            if name in seen:
-                continue
-            seen.add(name)
-            if chosen is None:
-                chosen = name  # ring-order fallback if all are full
+        owner = None
+        for name in self._ring.walk(key if key is not None else ""):
+            if owner is None:
+                owner = name  # ring-order fallback if all are full
             if self.outstanding.get(name, 0) + 1 <= bound:
-                if offset > 0 and name != chosen:
+                if name != owner:
                     self.overflow_hops += 1
                 return by_name[name]
-        return by_name[chosen]
+        return by_name[owner]
 
     def stats(self) -> Dict[str, Any]:
         out = super().stats()

@@ -5,9 +5,10 @@ three notable engineering moves reproduced here:
 
 * the manager stub treats separate cache nodes as a **single virtual
   cache**, hashing the key space across them and re-hashing when nodes
-  come or go (:class:`~repro.cache.virtual_cache.VirtualCache`);
+  come or go (:class:`~repro.transend.cachesys.CacheSubsystem` over a
+  :class:`~repro.cache.partition.ModHashPartitioner`);
 * distillers can **inject post-transformation data** into the cache
-  (``put`` on the virtual cache — in stock Harvest this required a patch);
+  (``CacheSubsystem.store`` — in stock Harvest this required a patch);
 * each cache request pays a fresh **TCP connection** (15 ms of the 27 ms
   average hit time), a deficiency the paper kept and we model.
 
@@ -17,17 +18,13 @@ exactly that.
 """
 
 from repro.cache.lru import LRUCache
-from repro.cache.partition import ConsistentHashRing, ModHashPartitioner
-from repro.cache.virtual_cache import VirtualCache
+from repro.cache.partition import ModHashPartitioner
 from repro.cache.latency import HarvestLatencyModel
-from repro.cache.simulator import CacheSimulator, simulate_hit_rate
+from repro.cache.simulator import CacheSimulator
 
 __all__ = [
     "CacheSimulator",
-    "ConsistentHashRing",
     "HarvestLatencyModel",
     "LRUCache",
     "ModHashPartitioner",
-    "VirtualCache",
-    "simulate_hit_rate",
 ]

@@ -55,9 +55,3 @@ class HarvestLatencyModel:
         """Time to fetch the object from the Internet (seconds)."""
         penalty = self.rng.pareto(self.miss_alpha, self.miss_min_s)
         return min(penalty, self.miss_max_s)
-
-    def max_hit_service_rate(self) -> float:
-        """Requests/second one cache node can serve from its hit path —
-        the paper's "maximum average service rate from each partitioned
-        cache instance of 37 requests per second"."""
-        return 1.0 / self.mean_hit_s

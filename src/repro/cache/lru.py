@@ -41,11 +41,6 @@ class LRUCache:
         self.hits += 1
         return entry[0]
 
-    def peek(self, key: Any) -> Optional[Any]:
-        """Value without touching recency or hit/miss counters."""
-        entry = self._entries.get(key)
-        return entry[0] if entry is not None else None
-
     def put(self, key: Any, value: Any, size_bytes: int) -> None:
         """Insert or replace ``key``; evict LRU entries to fit.
 
@@ -68,12 +63,6 @@ class LRUCache:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self.used_bytes -= entry[1]
-
-    def invalidate(self, key: Any) -> bool:
-        """Drop ``key`` if present; return whether it was present."""
-        present = key in self._entries
-        self._remove(key)
-        return present
 
     def _evict_one(self) -> None:
         _, (_, size) = self._entries.popitem(last=False)

@@ -8,27 +8,16 @@ and automatically re-hashing when cache nodes are added or removed"
 * :class:`ModHashPartitioner` — hash(key) mod N, the 1997 approach.
   Simple, but changing N remaps nearly every key (cold caches after a
   membership change).
-* :class:`ConsistentHashRing` — the modern refinement; only ~1/N of keys
-  move on a membership change.  Offered as an ablation: the benchmark
-  suite compares post-rehash hit-rate dips under both.
+* :class:`repro.sim.hashing.Ring` — the modern refinement; only ~1/N of
+  keys move on a membership change.  Offered as an ablation: the
+  benchmark suite compares post-rehash hit-rate dips under both.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 from typing import List, Sequence
 
-
-def stable_hash(value: str) -> int:
-    """Deterministic 64-bit hash (Python's builtin ``hash`` is salted
-    per-process, which would break reproducibility)."""
-    digest = hashlib.md5(value.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-class PartitionError(Exception):
-    """Membership errors (no nodes, duplicate add, unknown remove)."""
+from repro.sim.hashing import PartitionError, stable_hash
 
 
 class ModHashPartitioner:
@@ -36,10 +25,6 @@ class ModHashPartitioner:
 
     def __init__(self, nodes: Sequence[str] = ()) -> None:
         self._nodes: List[str] = list(nodes)
-
-    @property
-    def nodes(self) -> List[str]:
-        return list(self._nodes)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -59,58 +44,6 @@ class ModHashPartitioner:
         if not self._nodes:
             raise PartitionError("no nodes in partition")
         return self._nodes[stable_hash(key) % len(self._nodes)]
-
-
-class ConsistentHashRing:
-    """Consistent hashing with virtual nodes."""
-
-    def __init__(self, nodes: Sequence[str] = (),
-                 replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = replicas
-        self._ring: List[int] = []
-        self._owners: dict = {}
-        self._nodes: List[str] = []
-        for node in nodes:
-            self.add_node(node)
-
-    @property
-    def nodes(self) -> List[str]:
-        return list(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def add_node(self, node: str) -> None:
-        if node in self._nodes:
-            raise PartitionError(f"node {node!r} already present")
-        self._nodes.append(node)
-        for replica in range(self.replicas):
-            point = stable_hash(f"{node}#{replica}")
-            index = bisect.bisect(self._ring, point)
-            self._ring.insert(index, point)
-            self._owners[point] = node
-
-    def remove_node(self, node: str) -> None:
-        if node not in self._nodes:
-            raise PartitionError(f"node {node!r} not present")
-        self._nodes.remove(node)
-        for replica in range(self.replicas):
-            point = stable_hash(f"{node}#{replica}")
-            index = bisect.bisect_left(self._ring, point)
-            if index < len(self._ring) and self._ring[index] == point:
-                self._ring.pop(index)
-            self._owners.pop(point, None)
-
-    def locate(self, key: str) -> str:
-        if not self._ring:
-            raise PartitionError("no nodes in partition")
-        point = stable_hash(key)
-        index = bisect.bisect(self._ring, point)
-        if index == len(self._ring):
-            index = 0
-        return self._owners[self._ring[index]]
 
 
 def remap_fraction(partitioner_factory, keys: Sequence[str],

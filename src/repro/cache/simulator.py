@@ -15,7 +15,7 @@ reproduce:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.cache.lru import LRUCache
 
@@ -53,21 +53,3 @@ class CacheSimulator:
         """Fraction of bytes served from cache — what saves the ISP's
         T1 lines in the Section 5.2 economics argument."""
         return self.hit_bytes / self.total_bytes if self.total_bytes else 0.0
-
-
-def simulate_hit_rate(references: Iterable[Tuple[str, int]],
-                      capacity_bytes: int) -> float:
-    """One-shot convenience wrapper."""
-    return CacheSimulator(capacity_bytes).run(references).hit_rate
-
-
-def sweep_cache_sizes(
-    reference_list: List[Tuple[str, int]],
-    capacities_bytes: List[int],
-) -> Dict[int, float]:
-    """Hit rate for each cache size over the same reference stream
-    (the x-axis sweep of the paper's cache-size study)."""
-    return {
-        capacity: simulate_hit_rate(reference_list, capacity)
-        for capacity in capacities_bytes
-    }

@@ -30,7 +30,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "CAMPAIGNS", "AsymmetricLink", "Campaign", "CampaignRunner",
         "CorruptOutput", "CrashWorkerNode", "FailSlowBrick",
         "FailSlowWorker", "GrayBrickFault", "GrayWorkerFault", "HangBrick",
-        "HangWorker", "HealSAN", "KillBrick", "KillFrontEnd", "KillManager",
+        "HangWorker", "KillBrick", "KillManager",
         "KillWorker", "LeakWorker", "LossyWindow", "PartitionSAN",
         "PartitionWorker", "RollingKills", "Straggle", "ZombieBrick",
         "ZombieWorker", "get_campaign", "run_campaign"),
@@ -55,11 +55,9 @@ __all__ = [
     "GrayWorkerFault",
     "HangBrick",
     "HangWorker",
-    "HealSAN",
     "InvariantChecker",
     "InvariantViolation",
     "KillBrick",
-    "KillFrontEnd",
     "KillManager",
     "KillWorker",
     "LeakWorker",

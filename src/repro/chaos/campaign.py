@@ -66,11 +66,6 @@ class KillManager(Fault):
 
 
 @dataclass
-class KillFrontEnd(Fault):
-    """Kill one front end; the manager must restart it."""
-
-
-@dataclass
 class CrashWorkerNode(Fault):
     """Crash the node hosting a worker (taking the worker with it),
     optionally restarting the node after ``restart_after`` seconds."""
@@ -103,7 +98,7 @@ class PartitionWorker(Fault):
 class PartitionSAN(Fault):
     """Split the SAN: the nodes named by ``isolate`` end up in their own
     multicast/channel domain, cut off from everyone else until the
-    window ends (or a :class:`HealSAN` fires earlier).
+    window ends.
 
     ``isolate`` entries are *symbolic node specs* resolved at fire time,
     because populations churn: ``"manager"`` is whatever node hosts the
@@ -123,11 +118,6 @@ class PartitionSAN(Fault):
     @property
     def needs_reregistration_check(self) -> bool:
         return True
-
-
-@dataclass
-class HealSAN(Fault):
-    """End every active SAN partition window immediately."""
 
 
 @dataclass
@@ -388,8 +378,6 @@ class Campaign:
     #: the CLI's ``--policy`` switch).  None keeps the config default
     #: (the paper's lottery), under either manager backend.
     routing_policy: Optional[str] = None
-    n_bricks: int = 3
-    brick_replicas: int = 2
     #: period of the deterministic profile-writer client (only runs
     #: when a backend is configured).
     profile_write_interval_s: float = 1.0
@@ -490,8 +478,6 @@ class CampaignRunner:
             n_nodes=campaign.n_nodes, seed=seed,
             config=chaos_config(**campaign.config_overrides),
             profile_backend=campaign.profile_backend,
-            n_bricks=campaign.n_bricks,
-            brick_replicas=campaign.brick_replicas,
             manager_backend=campaign.manager_backend,
             routing_policy=campaign.routing_policy,
             service_backend=campaign.service_backend)
@@ -567,13 +553,6 @@ class CampaignRunner:
                 if manager is not None and manager.alive:
                     self.injector.kill_now(manager)
             self._at(action.at, kill_manager)
-        elif isinstance(action, KillFrontEnd):
-            def kill_frontend():
-                frontends = self.fabric.alive_frontends()
-                if len(frontends) > 1:  # keep one to restart the manager
-                    self.injector.kill_now(
-                        sorted(frontends, key=lambda fe: fe.name)[-1])
-            self._at(action.at, kill_frontend)
         elif isinstance(action, CrashWorkerNode):
             def crash_node(action=action):
                 workers = self._alive_workers()
@@ -612,14 +591,6 @@ class CampaignRunner:
                     self.env.now, "san-partition",
                     "+".join(sorted(groups))))
             self._at(action.at, partition_san)
-        elif isinstance(action, HealSAN):
-            def heal_san():
-                partitions = self.cluster.network.partitions
-                if partitions is not None and partitions.active():
-                    partitions.heal()
-                    self.injector.log.append(
-                        FaultRecord(self.env.now, "san-heal", "all"))
-            self._at(action.at, heal_san)
         elif isinstance(action, AsymmetricLink):
             def asymmetric(action=action):
                 partitions = self.cluster.install_partitions()
@@ -1044,8 +1015,6 @@ def _brick_failures() -> Campaign:
         settle_s=25.0,
         recovery=RecoveryPolicy(),
         profile_backend="dstore",
-        n_bricks=3,
-        brick_replicas=2,
         profile_write_interval_s=0.8,
         profile_read_slo=0.99,
     )
@@ -1071,8 +1040,6 @@ def _brick_smoke() -> Campaign:
         settle_s=20.0,
         recovery=RecoveryPolicy(),
         profile_backend="dstore",
-        n_bricks=3,
-        brick_replicas=2,
         profile_write_interval_s=0.8,
         profile_read_slo=0.99,
     )

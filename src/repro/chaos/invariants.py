@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.config import BEACON_LOSS_TOLERANCE
+
 
 @dataclass
 class InvariantViolation:
@@ -54,7 +56,7 @@ class InvariantChecker:
         self.env = fabric.cluster.env
         self.reregister_periods = (
             reregister_periods if reregister_periods is not None
-            else 2 * self.config.beacon_loss_tolerance)
+            else 2 * BEACON_LOSS_TOLERANCE)
         #: the environment's span tracer (None when tracing is off);
         #: lets violations carry the offending request's span tree.
         self.tracer = self.env.tracer
@@ -122,7 +124,7 @@ class InvariantChecker:
                               periods: Optional[int] = None) -> None:
         """Assert that every worker live at ``heal_time`` re-registers
         within ``periods`` beacon periods of it (default
-        ``2 * beacon_loss_tolerance``).  Periods with no live manager
+        ``2 * BEACON_LOSS_TOLERANCE``).  Periods with no live manager
         (it may itself be mid-restart) do not count against the budget;
         workers killed after the heal drop out of the requirement."""
         self.env.process(self._reregistration_check(

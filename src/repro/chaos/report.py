@@ -392,8 +392,8 @@ def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
         recovery_cases = list(ledger.cases)
         # brick campaigns widen the availability denominator: the
         # population under fault is workers plus bricks
-        n_bricks = (campaign.n_bricks
-                    if campaign.profile_backend == "dstore" else 0)
+        bricks = fabric.profile_bricks
+        n_bricks = bricks.n_bricks if bricks is not None else 0
         recovery_summary = ledger.summary(
             campaign.duration_s,
             population=max(1, campaign.initial_workers + n_bricks))

@@ -38,7 +38,6 @@ from repro.consensus.paxos import (
     Proposer,
     SyncRequest,
     ballot_owner,
-    ballot_round,
     make_ballot,
 )
 from repro.consensus.replica import ManagerReplica, ReplicatedManagerGroup
@@ -58,6 +57,5 @@ __all__ = [
     "ReplicatedManagerGroup",
     "SyncRequest",
     "ballot_owner",
-    "ballot_round",
     "make_ballot",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "Proposer",
     "SyncRequest",
     "ballot_owner",
-    "ballot_round",
     "make_ballot",
 ]
 
@@ -59,10 +58,6 @@ def make_ballot(round_number: int, owner_index: int,
 def ballot_owner(ballot: int, n_replicas: int) -> int:
     """The replica index that owns ``ballot``."""
     return ballot % n_replicas
-
-
-def ballot_round(ballot: int, n_replicas: int) -> int:
-    return ballot // n_replicas
 
 
 # -- wire messages -----------------------------------------------------------

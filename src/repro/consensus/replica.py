@@ -23,7 +23,7 @@ the current leader ballot double as the beacon ``incarnation`` the SNS
 stubs already understand.  The leader renews a **lease** by committing
 no-op "tick" entries (which also snapshot the load table): each chosen
 entry at its own ballot extends ``lease_until`` by
-``consensus_lease_s``.  A leader that cannot commit — it is dead, or on
+``CONSENSUS_LEASE_S``.  A leader that cannot commit — it is dead, or on
 the minority side of a partition — watches its lease lapse and simply
 stops: no beacons, no registrations, no dispatch hints.  A follower
 stands for election only after observing ``lease + election_timeout +
@@ -57,7 +57,7 @@ from repro.consensus.paxos import (
     ballot_owner,
     make_ballot,
 )
-from repro.core.config import SNSConfig
+from repro.core.config import CONSENSUS_LEASE_S, SNSConfig
 from repro.core.manager import Manager
 from repro.core.messages import (
     CONSENSUS_BYTES,
@@ -179,7 +179,7 @@ class ManagerReplica(Manager):
         if (message.sender != self.name and self.leader_ballot >= 0
                 and message.ballot > self.leader_ballot
                 and self.env.now - self.last_chosen_at
-                < self.config.consensus_lease_s):
+                < CONSENSUS_LEASE_S):
             # Leader stickiness (the PreVote/CheckQuorum idea): this
             # acceptor is still hearing a live leader's commits, so it
             # refuses to help depose it.  A candidate healing back from
@@ -267,7 +267,7 @@ class ManagerReplica(Manager):
         if ballot > self.leader_ballot:
             # regime change: account the leaderless gap first
             stalled = max(0.0, now - (self.last_chosen_at
-                                      + self.config.consensus_lease_s))
+                                      + CONSENSUS_LEASE_S))
             self.leader_ballot = ballot
             self.group.note_regime(ballot, now, stalled)
             if mine:
@@ -277,7 +277,7 @@ class ManagerReplica(Manager):
         if mine and ballot == self.ballot:
             self.lease_until = max(
                 self.lease_until,
-                now + self.config.consensus_lease_s)
+                now + CONSENSUS_LEASE_S)
         if self._campaigning and ballot != self.ballot:
             # another regime is demonstrably live: stand down rather
             # than duel (my silence evidence just expired)
@@ -366,7 +366,7 @@ class ManagerReplica(Manager):
                 for slot in sorted(self._inflight):
                     self._drive(slot, self._inflight[slot])
             lapse = now - self.last_chosen_at
-            threshold = (config.consensus_lease_s + ELECTION_TIMEOUT_S
+            threshold = (CONSENSUS_LEASE_S + ELECTION_TIMEOUT_S
                          + ELECTION_STAGGER_S * self.index)
             if lapse > threshold:
                 self._start_campaign()
@@ -532,9 +532,6 @@ class ReplicatedManagerGroup:
             if replica.is_active_leader():
                 return replica
         return None
-
-    def alive_replicas(self) -> List[ManagerReplica]:
-        return [replica for replica in self.replicas if replica.alive]
 
     def stats(self) -> Dict[str, Any]:
         """The chaos report's ``consensus`` section (plain data only)."""

@@ -38,7 +38,6 @@ class Component:
         #: length of ``_procs`` at which spawn() next drops the dead
         self._sweep_at = _SWEEP_FLOOR
         self._timers: List[PeriodicHandle] = []
-        self._on_death: List[Callable[["Component"], None]] = []
 
     # -- life cycle ----------------------------------------------------------
 
@@ -112,18 +111,9 @@ class Component:
             handle.cancel()
         self._timers.clear()
         self._on_crash()
-        for callback in self._on_death:
-            callback(self)
 
     def _on_crash(self) -> None:
         """Subclasses break channels / drop queues here."""
-
-    def on_death(self, callback: Callable[["Component"], None]) -> None:
-        """Register a supervisor-side hook (used by the fabric to track
-        populations; *not* a failure detector — components in the system
-        detect failures only through broken connections, lost beacons,
-        and timeouts)."""
-        self._on_death.append(callback)
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"

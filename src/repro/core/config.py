@@ -9,12 +9,54 @@ for the manager every half a second"), the front-end thread pool ("the
 production TranSend runs with a single front-end of about 400 threads"),
 and the per-connection front-end overhead that makes a 100 Mb/s segment
 top out near 70 requests/second (Section 4.6, footnote 5).
+
+A value is an :class:`SNSConfig` field only while some experiment,
+campaign, benchmark or test sets it.  The ones nothing ever set are the
+module constants above the class, each still carrying its paper quote:
+``BEACON_LOSS_TOLERANCE`` (3.1.3), ``MIN_WORKERS_PER_TYPE`` (3.1.2),
+``REQUEST_OVERHEAD_BYTES`` (4.6), ``DISTILLATION_THRESHOLD_BYTES``
+(4.1), ``CONSENSUS_LEASE_S``, ``ORIGIN_BREAKER_COOLDOWN_S`` /
+``ORIGIN_BREAKER_SLOW_S``, ``DEGRADE_QUEUE_TARGET_S`` /
+``DEGRADE_SHED_TARGET`` and ``DEGRADE_FRESH_TTL_S`` /
+``DEGRADE_STALE_TTL_S``.  Two more sit beside their only readers in
+:mod:`repro.balance.policies` (``EWMA_ALPHA``, ``HASH_RING_REPLICAS``),
+because ``repro.core`` imports ``repro.balance`` and not the other way
+round.  Distilled results are always cached (Section 3.1.5's injection
+path).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
+
+#: beacons a manager stub may miss before declaring the manager dead
+#: and exercising its process-peer duty to restart it (Section 3.1.3).
+BEACON_LOSS_TOLERANCE = 6
+#: a reap never takes a worker type below this many workers.
+MIN_WORKERS_PER_TYPE = 1
+#: request/response header bytes charged to the FE access link on top
+#: of content bytes.
+REQUEST_OVERHEAD_BYTES = 400
+#: distillation threshold: content under 1 KB is passed unmodified
+#: (Section 4.1).
+DISTILLATION_THRESHOLD_BYTES = 1024
+#: consensus backend's leader lease: a leader whose last committed
+#: entry is older than this stops beaconing and refusing work (it may
+#: be in a minority).
+CONSENSUS_LEASE_S = 2.0
+#: origin circuit breaker: how long it stays open before one half-open
+#: probe, and the fetch time past which a success counts as a failure.
+ORIGIN_BREAKER_COOLDOWN_S = 10.0
+ORIGIN_BREAKER_SLOW_S = 2.0
+#: brownout signal targets: the worst per-worker queue delay (seconds)
+#: and the per-tick shed ratio at which pressure reads 1.
+DEGRADE_QUEUE_TARGET_S = 1.0
+DEGRADE_SHED_TARGET = 0.05
+#: serve-stale level: result freshness horizon (always servable) and
+#: the extended stale horizon (servable only while degraded).
+DEGRADE_FRESH_TTL_S = 2.0
+DEGRADE_STALE_TTL_S = 90.0
 
 
 @dataclass
@@ -26,9 +68,6 @@ class SNSConfig:
     beacon_interval_s: float = 0.5
     #: worker stub load-report period ("every half a second").
     report_interval_s: float = 0.5
-    #: beacons a manager stub may miss before declaring the manager dead
-    #: and exercising its process-peer duty to restart it.
-    beacon_loss_tolerance: int = 6
     #: seconds without a load report before the manager presumes a
     #: worker dead (timeouts as the backup failure detector).
     worker_timeout_s: float = 5.0
@@ -40,9 +79,8 @@ class SNSConfig:
     spawn_damping_s: float = 15.0
     #: reap a worker when the type's average queue stays below this...
     reap_threshold: float = 0.5
-    #: ...for this long, and more than min_workers_per_type remain.
+    #: ...for this long, and more than MIN_WORKERS_PER_TYPE remain.
     reap_after_s: float = 60.0
-    min_workers_per_type: int = 1
     #: seconds a busy reap victim gets to drain (queued work is moved to
     #: peers, the in-service request runs out) before it is killed anyway.
     reap_drain_timeout_s: float = 10.0
@@ -74,18 +112,12 @@ class SNSConfig:
     #: least-outstanding, p2c, ewma, weighted, hash-bounded; append
     #: "+eject" for passive outlier ejection (e.g. "ewma+eject").
     routing_policy: str = "lottery"
-    #: EWMA weight for policy-side latency observations (the ewma
-    #: policy and the outlier ejector; distinct from the manager's
-    #: load_ewma_alpha so tuning one never skews the other).
-    policy_ewma_alpha: float = 0.3
     #: "weighted" policy: traffic fraction routed to the canary (the
     #: most recently spawned worker).
     policy_canary_fraction: float = 0.1
     #: "hash-bounded" policy: a worker may carry at most this multiple
     #: of the mean in-flight load before the request walks the ring.
     policy_hash_bound: float = 1.25
-    #: "hash-bounded" policy: virtual nodes per worker on the ring.
-    policy_hash_replicas: int = 50
     #: "+eject" wrapper: eject when a worker's observed-latency EWMA
     #: exceeds this multiple of the peer median...
     outlier_latency_ratio: float = 3.0
@@ -128,9 +160,6 @@ class SNSConfig:
     #: per-request TCP/kernel overhead at the front end; 14 ms gives the
     #: ~70 req/s per-FE ceiling measured in Section 4.6.
     frontend_connection_overhead_s: float = 0.014
-    #: request/response header bytes charged to the FE access link on
-    #: top of content bytes.
-    request_overhead_bytes: int = 400
 
     #: load-shedding admission control: when set, a front end whose
     #: thread pool is exhausted *and* whose netstack backlog exceeds
@@ -153,13 +182,11 @@ class SNSConfig:
     retry_budget_ratio: Optional[float] = None
     retry_budget_cap: float = 20.0
     #: origin circuit breaker: consecutive failures (errors or fetches
-    #: slower than ``origin_breaker_slow_s``) before the breaker opens;
+    #: slower than ``ORIGIN_BREAKER_SLOW_S``) before the breaker opens;
     #: ``None`` disables the breaker.  While open, origin fetches fail
-    #: fast; after ``origin_breaker_cooldown_s`` one half-open probe
+    #: fast; after ``ORIGIN_BREAKER_COOLDOWN_S`` one half-open probe
     #: tests the origin again.
     origin_breaker_failures: Optional[int] = None
-    origin_breaker_cooldown_s: float = 10.0
-    origin_breaker_slow_s: float = 2.0
 
     # -- brownout controller (repro.degrade.controller) ----------------------
     #: control-loop sampling period.
@@ -173,22 +200,16 @@ class SNSConfig:
     #: minimum ticks between successive escalations (spawn-damping
     #: analogue: one congested sample cannot slam the ladder to the top).
     degrade_hold_ticks: int = 2
-    #: signal targets: worst per-worker queue delay (seconds), busiest
-    #: front end's thread occupancy, and per-tick shed ratio.  Each
-    #: signal normalized by its target; pressure is the max.
-    degrade_queue_target_s: float = 1.0
+    #: busiest front end's thread occupancy at which pressure reads 1
+    #: (the other two signals' targets are DEGRADE_QUEUE_TARGET_S and
+    #: DEGRADE_SHED_TARGET; pressure is the max of the three).
     degrade_util_target: float = 0.9
-    degrade_shed_target: float = 0.05
     #: highest ladder level the controller may reach (operators can pin
     #: the ladder below priority-admission/deadline-shed).
     degrade_max_level: int = 5
     #: deadline-shed level: assumed client deadline for the
     #: probabilistic can-this-still-make-it admission estimate.
     degrade_deadline_s: float = 8.0
-    #: serve-stale level: result freshness horizon (always servable)
-    #: and the extended stale horizon (servable only while degraded).
-    degrade_fresh_ttl_s: float = 2.0
-    degrade_stale_ttl_s: float = 90.0
 
     # -- workers ----------------------------------------------------------------------
     #: worker stub queue capacity; beyond this, submissions are refused
@@ -200,20 +221,11 @@ class SNSConfig:
     #: work would only add queueing delay for live requests).
     shed_expired_requests: bool = False
 
-    # -- consensus-replicated manager (the partition-tolerant variant) -------
-    #: leader lease: a leader whose last committed entry is older than
-    #: this stops beaconing and refusing work (it may be in a minority).
-    consensus_lease_s: float = 2.0
+    # -- partitions ----------------------------------------------------------
     #: soft-state backend only: a deposed manager that hears a beacon
     #: with a higher incarnation kills itself instead of beaconing
     #: forever from the minority side of a healed partition.
     manager_self_deposition: bool = False
-
-    # -- caching ------------------------------------------------------------------------
-    #: distillation threshold: content under 1 KB is passed unmodified.
-    distillation_threshold_bytes: int = 1024
-    #: store distilled results in the virtual cache.
-    cache_distilled: bool = True
 
     def validate(self) -> "SNSConfig":
         if self.beacon_interval_s <= 0 or self.report_interval_s <= 0:
@@ -238,14 +250,10 @@ class SNSConfig:
         # importing it at module top would be a cycle risk for callers
         from repro.balance import parse_policy_spec
         parse_policy_spec(self.routing_policy)  # raises PolicyError
-        if not 0 < self.policy_ewma_alpha <= 1:
-            raise ValueError("policy EWMA alpha must be in (0, 1]")
         if not 0.0 < self.policy_canary_fraction < 1.0:
             raise ValueError("canary fraction must be in (0, 1)")
         if self.policy_hash_bound < 1.0:
             raise ValueError("hash load bound must be >= 1")
-        if self.policy_hash_replicas < 1:
-            raise ValueError("hash ring needs >= 1 replica per worker")
         if self.outlier_latency_ratio <= 1.0:
             raise ValueError("outlier latency ratio must be > 1")
         if self.outlier_min_samples < 1 or self.outlier_min_peers < 2:
@@ -288,10 +296,6 @@ class SNSConfig:
         if self.origin_breaker_failures is not None \
                 and self.origin_breaker_failures < 1:
             raise ValueError("breaker failure threshold must be >= 1")
-        if self.origin_breaker_cooldown_s <= 0 \
-                or self.origin_breaker_slow_s <= 0:
-            raise ValueError(
-                "breaker cooldown and slow budget must be positive")
         if self.degrade_tick_s <= 0:
             raise ValueError("degrade tick must be positive")
         if not 0 <= self.degrade_exit_pressure \
@@ -301,20 +305,12 @@ class SNSConfig:
         if self.degrade_dwell_ticks < 1 or self.degrade_hold_ticks < 0:
             raise ValueError(
                 "degrade dwell must be >= 1 and hold >= 0 ticks")
-        if self.degrade_queue_target_s <= 0 \
-                or self.degrade_util_target <= 0 \
-                or self.degrade_shed_target <= 0:
+        if self.degrade_util_target <= 0:
             raise ValueError("degrade signal targets must be positive")
         if not 0 <= self.degrade_max_level <= 5:
             raise ValueError("degrade max level must be in [0, 5]")
         if self.degrade_deadline_s <= 0:
             raise ValueError("degrade deadline must be positive")
-        if self.degrade_fresh_ttl_s <= 0 \
-                or self.degrade_stale_ttl_s < self.degrade_fresh_ttl_s:
-            raise ValueError(
-                "need 0 < fresh TTL <= stale TTL")
         if self.frontend_threads < 1:
             raise ValueError("front end needs at least one thread")
-        if self.consensus_lease_s <= 0:
-            raise ValueError("consensus lease must be positive")
         return self

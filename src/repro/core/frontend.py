@@ -30,7 +30,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core.component import Component
-from repro.core.config import SNSConfig
+from repro.core.config import (
+    BEACON_LOSS_TOLERANCE,
+    REQUEST_OVERHEAD_BYTES,
+    SNSConfig,
+)
 from repro.core.manager_stub import ManagerStub
 from repro.core.messages import (
     BEACON_GROUP,
@@ -55,10 +59,6 @@ class Response:
     size_bytes: int = 0
     detail: str = ""
     annotations: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "error"
 
 
 class FrontEnd(Component):
@@ -236,7 +236,7 @@ class FrontEnd(Component):
     def _handle(self, record: Any, reply, span=None):
         env = self.env
         access_link = self.access_link
-        overhead_bytes = self.config.request_overhead_bytes
+        overhead_bytes = REQUEST_OVERHEAD_BYTES
         # connection setup through the kernel: the per-request serial cost
         mark = env._now
         yield env.timeout(self.netstack.reserve(1.0))
@@ -373,7 +373,7 @@ class FrontEnd(Component):
 
         "The front end detects and restarts a crashed manager."
         """
-        tolerance_s = (self.config.beacon_loss_tolerance
+        tolerance_s = (BEACON_LOSS_TOLERANCE
                        * self.config.beacon_interval_s)
         if self.stub.last_beacon_at is None:
             return  # never heard one; the fabric boots the first

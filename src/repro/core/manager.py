@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.component import Component
-from repro.core.config import SNSConfig
+from repro.core.config import MIN_WORKERS_PER_TYPE, SNSConfig
 from repro.core.messages import (
     BEACON_BYTES,
     BEACON_GROUP,
@@ -463,7 +463,7 @@ class Manager(Component):
     def _reap_check(self) -> None:
         for worker_type in self._known_types():
             infos = self.workers_of_type(worker_type)
-            if len(infos) <= self.config.min_workers_per_type:
+            if len(infos) <= MIN_WORKERS_PER_TYPE:
                 self._low_load_since[worker_type] = None
                 continue
             average = self._average_queue(worker_type)

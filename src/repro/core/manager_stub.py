@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.balance import build_policy, request_key
-from repro.core.config import SNSConfig
+from repro.core.config import CONSENSUS_LEASE_S, SNSConfig
 from repro.core.messages import ManagerBeacon, WorkEnvelope, WorkerAdvert
 from repro.sim.cluster import Cluster
 from repro.sim.rng import Stream
@@ -131,7 +131,7 @@ class ManagerStub:
         #: already seen (a partitioned-then-healed old manager).
         self.stale_beacons_rejected = 0
         #: dispatches routed on a view staler than the consensus
-        #: staleness bound (``consensus_lease_s``).  The soft backend
+        #: staleness bound (``CONSENSUS_LEASE_S``).  The soft backend
         #: racks these up during partitions — it has no bound; the
         #: consensus stub stalls instead, so it stays at zero.
         self.wrong_decisions = 0
@@ -366,7 +366,7 @@ class ManagerStub:
                 if (self.lease_until is None
                         and self.last_beacon_at is not None
                         and now - self.last_beacon_at
-                        > config.consensus_lease_s):
+                        > CONSENSUS_LEASE_S):
                     # routing on a view staler than the consensus
                     # staleness bound: the decision a lease-holding
                     # leader would never have let happen

@@ -91,12 +91,6 @@ class ManagerBeacon:
     #: the soft-state manager, which promises no staleness bound.
     lease_until: Optional[float] = None
 
-    def adverts_of_type(self, worker_type: str) -> Dict[str, WorkerAdvert]:
-        return {
-            name: advert for name, advert in self.adverts.items()
-            if advert.worker_type == worker_type
-        }
-
 
 @dataclass
 class RegisterWorker:

@@ -144,14 +144,6 @@ class Monitor(Component):
     def pages(self) -> List[Alert]:
         return [alert for alert in self.alerts if alert.severity == "page"]
 
-    def queue_series_for(self, worker_name: str) -> List[Tuple[float, float]]:
-        return [(sample.time, sample.queue_avg)
-                for sample in self.queue_series
-                if sample.worker_name == worker_name]
-
-    def worker_names(self) -> List[str]:
-        return sorted({sample.worker_name for sample in self.queue_series})
-
     def render(self) -> str:
         """ASCII status panel (the Tk display's information content)."""
         lines = [f"=== SNS monitor @ t={self.env.now:.1f}s ==="]

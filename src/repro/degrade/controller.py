@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.config import DEGRADE_QUEUE_TARGET_S, DEGRADE_SHED_TARGET
 from repro.degrade.ladder import LEVELS, level_name
 from repro.transend.adaptation import DEFAULT_TIERS
 
@@ -130,9 +131,9 @@ class DegradationController:
                     shed_ratio: float) -> float:
         """Normalize each signal by its target; pressure is the max."""
         return max(
-            queue_delay_s / self.config.degrade_queue_target_s,
+            queue_delay_s / DEGRADE_QUEUE_TARGET_S,
             utilization / self.config.degrade_util_target,
-            shed_ratio / self.config.degrade_shed_target,
+            shed_ratio / DEGRADE_SHED_TARGET,
         )
 
     def _tick(self) -> None:

@@ -151,11 +151,3 @@ class CircuitBreaker:
         self.opened_at = self.clock()
         self.opens += 1
         self.consecutive_failures = 0
-
-    def summary(self) -> dict:
-        return {
-            "state": self.state,
-            "opens": self.opens,
-            "short_circuits": self.short_circuits,
-            "probes": self.probes,
-        }

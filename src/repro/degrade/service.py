@@ -28,6 +28,12 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.core.config import (
+    DEGRADE_FRESH_TTL_S,
+    DEGRADE_STALE_TTL_S,
+    ORIGIN_BREAKER_COOLDOWN_S,
+    ORIGIN_BREAKER_SLOW_S,
+)
 from repro.core.frontend import Response
 from repro.core.manager_stub import DispatchError
 from repro.degrade.guards import CircuitBreaker
@@ -89,8 +95,8 @@ class DegradableBenchService(ProfileBenchService):
         self.config = config
         self._estimator = BrownoutJpegDistiller()
         self.degradation: Optional[Any] = None
-        self.results = FreshnessCache(config.degrade_fresh_ttl_s,
-                                      config.degrade_stale_ttl_s)
+        self.results = FreshnessCache(DEGRADE_FRESH_TTL_S,
+                                      DEGRADE_STALE_TTL_S)
         self.originals: dict = {}
         self.origin_link = Link(cluster.env, "origin",
                                 bandwidth_bps=ORIGIN_CAPACITY_RPS,
@@ -100,8 +106,7 @@ class DegradableBenchService(ProfileBenchService):
                 CircuitBreaker(
                     lambda: cluster.env.now,
                     config.origin_breaker_failures,
-                    config.origin_breaker_cooldown_s,
-                    config.origin_breaker_slow_s)
+                    ORIGIN_BREAKER_COOLDOWN_S, ORIGIN_BREAKER_SLOW_S)
         else:
             self.origin_breaker = None
         # counters

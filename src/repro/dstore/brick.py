@@ -154,12 +154,6 @@ class Brick(Component):
         self.gets += 1
         return dict(self.cells[partition].get(user_id, {}))
 
-    def known_users(self, partition: int) -> List[str]:
-        if partition not in self.cells \
-                or partition not in self.authoritative:
-            return []
-        return sorted(self.cells[partition])
-
     # -- repair intake -------------------------------------------------------
 
     def apply_repair(self, partition: int, user_id: str,

@@ -50,15 +50,15 @@ class BrickCluster:
     """Slot placement, version clock, and repair for the brick store."""
 
     def __init__(self, cluster: Cluster, n_bricks: int = 3,
-                 replicas: int = 2, n_partitions: int = 16,
-                 ledger: Any = None) -> None:
+                 replicas: int = 2, n_partitions: int = 16) -> None:
         self.cluster = cluster
         self.env = cluster.env
         self.partitioner = Partitioner(n_bricks, replicas, n_partitions)
         self.n_bricks = n_bricks
         self.replicas = replicas
-        #: optional RecoveryLedger; rejoin records are mirrored into it.
-        self.ledger = ledger
+        #: a RecoveryLedger once a campaign attaches one; rejoin records
+        #: are mirrored into it.
+        self.ledger: Any = None
         self.nodes: List[Any] = []
         #: slot -> current brick incarnation (may be dead, awaiting
         #: supervision; never None after boot()).

@@ -8,16 +8,15 @@ restarts occupies the same slot, so placement never moves data around —
 exactly the property that makes recovery cheap (the rejoining brick
 knows which partitions it owns before it holds a single byte of them).
 
-The hash is :func:`hashlib.md5` over the key bytes, **not** Python's
-builtin ``hash``: the builtin is salted per process, and partition
-placement must be identical across the fan-out runner's worker
-processes for ``--jobs N`` output to stay byte-identical to serial.
+The hash is :func:`repro.sim.hashing.stable_hash`, the one every
+placement in the repo uses.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import List
+
+from repro.sim.hashing import stable_hash
 
 
 class Partitioner:
@@ -36,8 +35,7 @@ class Partitioner:
         self.n_partitions = n_partitions
 
     def partition_of(self, key: str) -> int:
-        digest = hashlib.md5(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.n_partitions
+        return stable_hash(key) % self.n_partitions
 
     def slots_of(self, partition: int) -> List[int]:
         """The replica slots hosting ``partition``, preference order."""
@@ -46,9 +44,6 @@ class Partitioner:
         first = partition % self.n_bricks
         return [(first + offset) % self.n_bricks
                 for offset in range(self.replicas)]
-
-    def replica_slots(self, key: str) -> List[int]:
-        return self.slots_of(self.partition_of(key))
 
     def partitions_of_slot(self, slot: int) -> List[int]:
         """Every partition replicated on brick slot ``slot``."""

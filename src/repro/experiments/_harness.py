@@ -181,9 +181,6 @@ def build_bench_fabric(
     san_bandwidth_bps: float = 100 * MBPS,
     frontend_link_bandwidth_bps: float = 100 * MBPS,
     profile_backend: Optional[str] = None,
-    n_bricks: int = 3,
-    brick_replicas: int = 2,
-    brick_ledger: Any = None,
     manager_backend: Optional[str] = None,
     routing_policy: Optional[str] = None,
     service_backend: Optional[str] = None,
@@ -201,9 +198,9 @@ def build_bench_fabric(
       benchmarks' shape, byte-identical to before this option existed);
     * ``"single"`` — the paper's §2.3 layout: one in-memory ACID
       :class:`~repro.tacc.customization.ProfileStore`;
-    * ``"dstore"`` — the replicated brick store (``n_bricks`` /
-      ``brick_replicas``), hung off the fabric as
-      ``fabric.profile_bricks`` for chaos and supervision to reach.
+    * ``"dstore"`` — the replicated brick store (three bricks, two
+      replicas), hung off the fabric as ``fabric.profile_bricks`` for
+      chaos and supervision to reach.
 
     ``service_backend`` selects the service layer: ``None`` keeps the
     classic bench services above; ``"degradable"`` installs
@@ -236,9 +233,7 @@ def build_bench_fabric(
         bricks = None
     elif profile_backend == "dstore":
         from repro.dstore import BrickCluster, ReplicatedProfileStore
-        bricks = BrickCluster(cluster, n_bricks=n_bricks,
-                              replicas=brick_replicas,
-                              ledger=brick_ledger).boot()
+        bricks = BrickCluster(cluster).boot()
         store = ReplicatedProfileStore(bricks)
     else:
         raise ValueError(f"unknown profile backend {profile_backend!r}")

@@ -9,7 +9,7 @@ back-to-back on one core.  ``run_sharded`` shards them across worker
 processes while keeping three guarantees:
 
 * **Determinism.**  Per-shard seeds derive from the master seed and the
-  shard id alone (:func:`shard_seed`), and results merge in spec order
+  shard id alone, and results merge in spec order
   regardless of completion order, so ``--jobs N`` output is
   byte-identical to ``--jobs 1`` — including merged span-trace files.
 * **Graceful degradation.**  A crashing, raising, or timed-out shard is
@@ -20,15 +20,13 @@ processes while keeping three guarantees:
   unchanged behaviour.
 """
 
-from repro.fanout.merge import assemble_rows, merge_latency, sum_counters
+from repro.fanout.merge import merge_latency, sum_counters
 from repro.fanout.pool import run_sharded
 from repro.fanout.shard import (
     FanoutError,
     ShardResult,
     ShardSpec,
     SweepResult,
-    shard_seed,
-    specs_for_seeds,
 )
 from repro.fanout.timeshard import (
     DriftReport,
@@ -50,14 +48,11 @@ __all__ = [
     "ShardedReplayResult",
     "SweepResult",
     "WindowResult",
-    "assemble_rows",
     "drift_check",
     "merge_latency",
     "replay_serial",
     "replay_sharded",
     "run_sharded",
-    "shard_seed",
-    "specs_for_seeds",
     "sum_counters",
     "window_edges",
 ]

@@ -2,20 +2,19 @@
 
 Shards come back in spec order (:class:`~repro.fanout.shard.SweepResult`
 guarantees it), so merging is a deterministic fold over that order.
-These helpers cover the three aggregate shapes the repo's sweeps
+These helpers cover the two aggregate shapes the repo's sweeps
 produce: latency sample pools (via the existing
-:meth:`~repro.analysis.metrics.LatencyStats.merge`), summed counter
-dicts (chaos report folding), and experiment tables assembled row by
-row from per-point values.
+:meth:`~repro.analysis.metrics.LatencyStats.merge`) and summed counter
+dicts (chaos report folding).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.analysis.metrics import LatencyStats
 
-__all__ = ["merge_latency", "sum_counters", "assemble_rows"]
+__all__ = ["merge_latency", "sum_counters"]
 
 
 def merge_latency(parts: Iterable[Optional[LatencyStats]]
@@ -41,13 +40,3 @@ def sum_counters(parts: Iterable[Dict[str, int]]) -> Dict[str, int]:
         for key, value in part.items():
             totals[key] = totals.get(key, 0) + value
     return {key: totals[key] for key in sorted(totals)}
-
-
-def assemble_rows(values: Iterable[Any],
-                  row_fn: Optional[Callable[[Any], Any]] = None
-                  ) -> List[Any]:
-    """Experiment-table assembly: one row per shard value, in shard
-    order (``row_fn`` maps a shard value to its table row)."""
-    if row_fn is None:
-        return list(values)
-    return [row_fn(value) for value in values]

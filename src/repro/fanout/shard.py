@@ -10,26 +10,19 @@ methods), and carries its arguments.  Results come back as
 in spec order — merge is order-independent by construction, which is
 what makes ``--jobs N`` output byte-identical to ``--jobs 1``.
 
-Per-shard seeding uses :func:`repro.sim.rng.derive_seed`, the same
-SHA-256 derivation behind every named RNG stream: a shard's seed is a
-function of the master seed and the shard's name only, never of which
-worker process ran it or in what order.
+Per-shard seeds come from :func:`repro.sim.rng.derive_seed`, the same
+SHA-256 derivation behind every named RNG stream (see
+:mod:`repro.chaos.batch`): a shard's seed is a function of the master
+seed and the shard's name only, never of which worker process ran it or
+in what order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.rng import derive_seed
-
-__all__ = ["ShardSpec", "ShardResult", "SweepResult", "shard_seed",
-           "FanoutError"]
-
-
-def shard_seed(master_seed: int, shard_id: str) -> int:
-    """The deterministic seed for one shard of a sharded sweep."""
-    return derive_seed(master_seed, f"fanout:{shard_id}")
+__all__ = ["ShardSpec", "ShardResult", "SweepResult", "FanoutError"]
 
 
 class FanoutError(RuntimeError):
@@ -128,25 +121,3 @@ class SweepResult:
                     f"{result.shard_id}: {result.error}"
                     for result in self.failed))
         return [result.value for result in self.results]
-
-    def ok_values(self) -> List[Any]:
-        """Values of the shards that completed, in spec order."""
-        return [result.value for result in self.results if result.ok]
-
-
-def specs_for_seeds(fn: Callable[..., Any], name: str, master_seed: int,
-                    seeds: Sequence[int], *, seed_kwarg: str = "seed",
-                    args: Tuple[Any, ...] = (),
-                    kwargs: Optional[Dict[str, Any]] = None
-                    ) -> List[ShardSpec]:
-    """Specs for a multi-seed run of the same unit (benchmark seeds,
-    campaign repetitions): one shard per seed, id ``name#k:seed``."""
-    base = dict(kwargs or {})
-    specs = []
-    for index, seed in enumerate(seeds):
-        shard_kwargs = dict(base)
-        shard_kwargs[seed_kwarg] = seed
-        specs.append(ShardSpec(
-            shard_id=f"{name}#{index}:seed={seed}",
-            fn=fn, args=args, kwargs=shard_kwargs))
-    return specs

@@ -24,10 +24,6 @@ class Document:
     url: str
     terms: Tuple[Tuple[str, int], ...]   # (term, frequency), sorted
 
-    @property
-    def length(self) -> int:
-        return sum(freq for _, freq in self.terms)
-
     def tf(self, term: str) -> int:
         for candidate, freq in self.terms:
             if candidate == term:

@@ -43,21 +43,16 @@ class QueryCache:
         self.depth = depth
         self.incremental_hits = 0
 
-    def get_page(self, terms: Sequence[str], offset: int,
-                 k: int) -> Optional[List[SearchHit]]:
-        """Results [offset, offset+k) if the cached list covers them.
+    def get_page_by_key(self, key: Tuple[str, ...], offset: int,
+                        k: int) -> Optional[List[SearchHit]]:
+        """Results [offset, offset+k) if the list cached under ``key``
+        (``normalize_query(terms)``: the front end normalizes a query
+        once, for the lookup and the store after a miss) covers them.
 
         A cached list covers the page when it is deep enough *or* it is
         the complete answer (shorter than the cache depth means the
         query simply has no more results).
         """
-        return self.get_page_by_key(normalize_query(terms), offset, k)
-
-    def get_page_by_key(self, key: Tuple[str, ...], offset: int,
-                        k: int) -> Optional[List[SearchHit]]:
-        """:meth:`get_page` for a caller that already holds
-        ``normalize_query(terms)`` (the front end normalizes a query
-        once, for the lookup and the store after a miss)."""
         if offset < 0 or k < 1:
             raise ValueError("offset must be >= 0 and k >= 1")
         hits = self._store.get(key)
@@ -70,26 +65,7 @@ class QueryCache:
             return hits[offset: offset + k]
         return None  # cached list too shallow for this page
 
-    def store(self, terms: Sequence[str],
-              hits: List[SearchHit]) -> None:
-        self.store_by_key(normalize_query(terms), hits)
-
     def store_by_key(self, key: Tuple[str, ...],
                      hits: List[SearchHit]) -> None:
         size = max(HIT_BYTES, HIT_BYTES * len(hits))
         self._store.put(key, list(hits), size)
-
-    def invalidate(self, terms: Sequence[str]) -> bool:
-        return self._store.invalidate(normalize_query(terms))
-
-    def flush(self) -> int:
-        """BASE: recent-search results are disposable."""
-        return self._store.flush()
-
-    @property
-    def hit_rate(self) -> float:
-        return self._store.hit_rate
-
-    @property
-    def entries(self) -> int:
-        return len(self._store)

@@ -40,7 +40,6 @@ from repro.obs.export import (
 )
 from repro.obs.runtime import (
     absorb_tracer_states,
-    capture_active,
     capture_traces,
     reset_capture,
     tracing_settings,
@@ -55,7 +54,6 @@ __all__ = [
     "absorb_tracer_states",
     "attribute_trace",
     "build_attribution_report",
-    "capture_active",
     "capture_traces",
     "critical_path",
     "export_chrome_trace",

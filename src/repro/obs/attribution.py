@@ -227,20 +227,6 @@ class AttributionReport:
         del self._slowest[8:]
         return True
 
-    def merge(self, other: "AttributionReport") -> "AttributionReport":
-        """Fold another report in (e.g. the second experiment arm)."""
-        self.n_traces += other.n_traces
-        self.end_to_end.merge(other.end_to_end)
-        for category, stats in other.by_category.items():
-            self.by_category.setdefault(
-                category, LatencyStats()).merge(stats)
-        self.worst_residual = max(self.worst_residual,
-                                  other.worst_residual)
-        self._slowest.extend(other._slowest)
-        self._slowest.sort(key=lambda row: -row[0])
-        del self._slowest[8:]
-        return self
-
     def mean_components(self) -> Dict[str, float]:
         """Mean seconds per category, scaled by how often it appears
         (absent categories count as zero for the mean)."""

@@ -92,11 +92,6 @@ def absorb_tracer_states(states: List[Dict[str, Any]]) -> List[Tracer]:
     return rebuilt
 
 
-def capture_active() -> bool:
-    """True while a :func:`capture_traces` context is armed."""
-    return _ACTIVE is not None
-
-
 @contextmanager
 def capture_traces(sample_every: int = 1,
                    max_traces: Optional[int] = None

@@ -238,9 +238,6 @@ class Tracer:
 
     # -- queries ------------------------------------------------------------
 
-    def trace_ids(self) -> List[str]:
-        return list(self.spans)
-
     def trace(self, trace_id: str) -> List[Span]:
         return self.spans.get(trace_id, [])
 

@@ -136,14 +136,6 @@ class RecoveryLedger:
     def healed(self) -> List[FaultCase]:
         return [case for case in self.cases if case.healed]
 
-    @property
-    def unhealed(self) -> List[FaultCase]:
-        return [case for case in self.cases if not case.healed]
-
-    @property
-    def undetected(self) -> List[FaultCase]:
-        return [case for case in self.cases if not case.detected]
-
     def mttd_values(self) -> List[float]:
         return [case.mttd for case in self.cases if case.mttd is not None]
 
@@ -178,32 +170,3 @@ class RecoveryLedger:
             else None,
             "rejoin_max_s": max(rejoin) if rejoin else None,
         }
-
-    def render(self) -> List[str]:
-        """Per-case table lines for the chaos report."""
-        lines = []
-        for case in self.cases:
-            if case.mttd is not None:
-                detect = (f"detected +{case.mttd:.1f}s "
-                          f"({case.detector})")
-            else:
-                detect = "NOT DETECTED"
-            if case.mttr is not None:
-                heal = f"healed +{case.mttr:.1f}s"
-                if case.replacement:
-                    heal += f" -> {case.replacement}"
-            else:
-                heal = "NOT HEALED"
-            lines.append(
-                f"{case.kind:<15} {case.target:<20} "
-                f"@{case.injected_at:5.1f}s  {detect:<28} {heal}")
-        for record in self.rejoins:
-            sync = (f"synced +{record['sync_s']:.1f}s"
-                    if record.get("sync_s") is not None
-                    else "sync pending")
-            lines.append(
-                f"{'rejoin':<15} {record['brick']:<20} "
-                f"@{record['rejoined_at']:5.1f}s  "
-                f"{'serving +' + format(record['rejoin_s'], '.1f') + 's':<28} "
-                f"{sync} ({record['cells_at_kill']} cells at kill)")
-        return lines

@@ -146,8 +146,5 @@ class Cluster:
             raise ClusterError("no nodes available")
         return min(candidates, key=lambda n: len(n.components))
 
-    def node(self, name: str) -> Node:
-        return self.nodes[name]
-
     def run(self, until: Optional[float] = None):
         return self.env.run(until)

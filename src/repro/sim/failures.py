@@ -3,8 +3,8 @@
 Section 4.5's headline fault-tolerance result ("we manually killed the
 first two distillers, causing the load on the remaining distiller to
 rapidly increase...") is driven here: the :class:`FaultInjector` schedules
-kills of components or whole nodes at chosen simulated times, or randomly
-with a configurable mean time between failures.
+kills of components at chosen simulated times, or randomly with a
+configurable mean time between failures.
 
 A *killable* is anything with a ``name`` attribute and a ``kill()``
 method; all SNS components satisfy this protocol.
@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.kernel import Environment
-from repro.sim.node import Node
 from repro.sim.rng import Stream
 
 
@@ -61,29 +60,6 @@ class FaultInjector:
         yield self.env.timeout(max(0.0, time - self.env.now))
         self._kill(target)
 
-    def crash_node_at(self, time: float, node: Node,
-                      components: Optional[List[Any]] = None,
-                      restart_after: Optional[float] = None) -> None:
-        """Crash a whole node (and everything on it) at ``time``."""
-        self._validate_time(time, "crash")
-        self.env.process(
-            self._crash_node_later(time, node, components or [],
-                                   restart_after))
-
-    def _crash_node_later(self, time: float, node: Node,
-                          components: List[Any],
-                          restart_after: Optional[float]):
-        yield self.env.timeout(max(0.0, time - self.env.now))
-        node.crash()
-        self.log.append(FaultRecord(self.env.now, "node-crash", node.name))
-        for component in components:
-            self._kill(component)
-        if restart_after is not None:
-            yield self.env.timeout(restart_after)
-            node.restart()
-            self.log.append(
-                FaultRecord(self.env.now, "node-restart", node.name))
-
     def partition_at(self, time: float, target: Any,
                      duration_s: float) -> None:
         """Cut ``target`` (anything with ``partition(duration_s)``) off
@@ -98,29 +74,6 @@ class FaultInjector:
         self.log.append(FaultRecord(
             self.env.now, "partition",
             getattr(target, "name", repr(target))))
-
-    def degrade_node_at(self, time: float, node: Node, factor: float,
-                        duration_s: Optional[float] = None) -> None:
-        """Turn ``node`` into a straggler at ``time``: CPU slows to
-        ``factor`` of nominal without the node dying (fail-slow).  Heals
-        after ``duration_s`` when given, else persists."""
-        self._validate_time(time, "degrade")
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("degrade factor must be in (0, 1]")
-        self.env.process(
-            self._degrade_later(time, node, factor, duration_s))
-
-    def _degrade_later(self, time: float, node: Node, factor: float,
-                       duration_s: Optional[float]):
-        yield self.env.timeout(max(0.0, time - self.env.now))
-        node.degrade(factor)
-        self.log.append(FaultRecord(
-            self.env.now, "straggle", node.name))
-        if duration_s is not None:
-            yield self.env.timeout(duration_s)
-            node.recover_speed()
-            self.log.append(FaultRecord(
-                self.env.now, "straggle-heal", node.name))
 
     def rolling_kills(self, targets_provider: Callable[[], List[Any]],
                       start: float, period_s: float,
@@ -185,6 +138,3 @@ class FaultInjector:
         name = getattr(target, "name", repr(target))
         target.kill()
         self.log.append(FaultRecord(self.env.now, "kill", name))
-
-    def faults_before(self, time: float) -> List[FaultRecord]:
-        return [record for record in self.log if record.time <= time]

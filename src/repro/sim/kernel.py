@@ -226,11 +226,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._value is PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process as soon as possible."""
         if self._value is not PENDING:
@@ -445,10 +440,6 @@ class Queue:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
     def put_nowait(self, item: Any) -> None:
         """Enqueue ``item``; raise :class:`QueueFull` if at capacity."""
         items = self._items
@@ -515,10 +506,6 @@ class PeriodicHandle:
         self.callback = callback
         self._cancelled = False
         self._skip_until = float("-inf")
-
-    @property
-    def active(self) -> bool:
-        return not self._cancelled
 
     def cancel(self) -> None:
         """Stop the callback permanently (idempotent)."""

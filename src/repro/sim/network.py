@@ -113,26 +113,6 @@ class NetworkFaults:
         self._windows.append(window)
         return window
 
-    def clear(self, window: Optional[FaultWindow] = None) -> None:
-        """End one window (or all of them) as of now."""
-        targets = [window] if window is not None else list(self._windows)
-        for target in targets:
-            if target.end is None or target.end > self.env.now:
-                target.end = self.env.now
-
-    def windows(self, scope: Optional[str] = None) -> List[FaultWindow]:
-        return [w for w in self._windows
-                if scope is None or w.scope == scope]
-
-    def final_heal_time(self) -> float:
-        """Latest declared window end (open windows never heal)."""
-        latest = 0.0
-        for window in self._windows:
-            if window.end is None:
-                return float("inf")
-            latest = max(latest, window.end)
-        return latest
-
     def _active(self, scope: str) -> List[FaultWindow]:
         now = self.env.now
         return [
@@ -302,27 +282,6 @@ class PartitionState:
         self._cuts.append(window)
         return window
 
-    def heal(self) -> None:
-        """End every split and cut as of now."""
-        now = self.env.now
-        for window in self._splits + self._cuts:
-            if window.end is None or window.end > now:
-                window.end = now
-
-    def active(self) -> bool:
-        now = self.env.now
-        return any(w.active_at(now) for w in self._splits) or \
-            any(w.active_at(now) for w in self._cuts)
-
-    def final_heal_time(self) -> float:
-        """Latest declared window end (open windows never heal)."""
-        latest = 0.0
-        for window in self._splits + self._cuts:
-            if window.end is None:
-                return float("inf")
-            latest = max(latest, window.end)
-        return latest
-
     # -- consulted by the message layers -------------------------------------
 
     def node_reachable(self, src_node: str, dst_node: str) -> bool:
@@ -439,9 +398,6 @@ class Link:
     def backlog_s(self) -> float:
         """Seconds of traffic currently queued on the pipe."""
         return max(0.0, self._busy_until - self.env.now)
-
-    def is_saturated(self, threshold: float = 0.9) -> bool:
-        return self.utilization() >= threshold
 
     def __repr__(self) -> str:
         return (f"<Link {self.name} {self.bandwidth_bps / MBPS:.0f}Mb/s "
@@ -561,13 +517,3 @@ class Network:
         span = self.DROP_FULL - self.DROP_START
         fraction = (utilization - self.DROP_START) / span
         return min(self.MAX_DROP, fraction * self.MAX_DROP)
-
-    def saturated_elements(self, threshold: float = 0.9) -> Dict[str, float]:
-        """Names and utilizations of all links at or above ``threshold``."""
-        result = {}
-        if self.san.utilization() >= threshold:
-            result["SAN"] = self.san.utilization()
-        for name, link in self.access_links.items():
-            if link.utilization() >= threshold:
-                result[name] = link.utilization()
-        return result

@@ -111,10 +111,6 @@ class Node:
         """End a straggle: restore the nominal CPU speed."""
         self.speed = self.base_speed
 
-    @property
-    def is_straggling(self) -> bool:
-        return self.up and self.speed < self.base_speed
-
     # -- CPU model -----------------------------------------------------------
 
     def compute(self, work: float) -> Generator:
@@ -139,12 +135,6 @@ class Node:
             self.busy_time += duration
         finally:
             self._slots.put_nowait(slot)
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of capacity used over ``elapsed`` simulated seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / (elapsed * self.cpus))
 
     def __repr__(self) -> str:
         pool = "overflow" if self.overflow else "dedicated"

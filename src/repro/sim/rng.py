@@ -54,12 +54,6 @@ class Stream:
     def choice(self, seq: Sequence[T]) -> T:
         return self._random.choice(seq)
 
-    def shuffle(self, seq: List[T]) -> None:
-        self._random.shuffle(seq)
-
-    def sample(self, seq: Sequence[T], k: int) -> List[T]:
-        return self._random.sample(seq, k)
-
     def gauss(self, mu: float, sigma: float) -> float:
         return self._random.gauss(mu, sigma)
 
@@ -198,7 +192,3 @@ class RandomStreams:
 
     def __getitem__(self, name: str) -> Stream:
         return self.stream(name)
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Derive an independent sub-factory (e.g. one per experiment run)."""
-        return RandomStreams(_derive_seed(self.master_seed, f"fork:{name}"))

@@ -14,7 +14,7 @@ Section 3.1.3); the other is timeouts, which callers implement with
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Deque, Optional
 
 from repro.sim.kernel import PENDING, Environment, Event, Queue
 from repro.sim.network import Network
@@ -150,10 +150,3 @@ class Channel:
         """
         yield env.timeout(setup_s)
         return Channel(env, network, a_name, b_name)
-
-
-def endpoints(env: Environment, network: Network, a_name: str,
-              b_name: str) -> Tuple[Endpoint, Endpoint]:
-    """Convenience: create a channel and return its two endpoints."""
-    channel = Channel(env, network, a_name, b_name)
-    return channel.a, channel.b

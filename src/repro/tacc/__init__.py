@@ -15,7 +15,6 @@ layer schedules across the simulated cluster.
 from repro.tacc.content import (
     Content,
     ZeroPayload,
-    guess_mime,
     zero_payload,
 )
 from repro.tacc.worker import (
@@ -27,7 +26,6 @@ from repro.tacc.worker import (
 )
 from repro.tacc.pipeline import Pipeline, PipelineError
 from repro.tacc.registry import WorkerRegistry
-from repro.tacc.dispatch import DispatchRule, DispatchTable
 from repro.tacc.sdk import BenchReport, WorkerBench, check_worker
 from repro.tacc.customization import (
     ProfileStore,
@@ -41,8 +39,6 @@ __all__ = [
     "Aggregator",
     "BenchReport",
     "Content",
-    "DispatchRule",
-    "DispatchTable",
     "Pipeline",
     "PipelineError",
     "ProfileStore",
@@ -58,6 +54,5 @@ __all__ = [
     "WriteThroughCache",
     "ZeroPayload",
     "check_worker",
-    "guess_mime",
     "zero_payload",
 ]

@@ -21,15 +21,6 @@ MIME_HTML = "text/html"
 MIME_PLAIN = "text/plain"
 MIME_OCTET = "application/octet-stream"
 
-_EXTENSION_MIME = {
-    ".gif": MIME_GIF,
-    ".jpg": MIME_JPEG,
-    ".jpeg": MIME_JPEG,
-    ".html": MIME_HTML,
-    ".htm": MIME_HTML,
-    ".txt": MIME_PLAIN,
-}
-
 
 class ZeroPayload:
     """Lazy all-zero byte payload for synthetic simulated content.
@@ -121,20 +112,6 @@ class ZeroPayload:
 def zero_payload(size: int) -> ZeroPayload:
     """A lazy ``size``-byte all-zero payload (see :class:`ZeroPayload`)."""
     return ZeroPayload(size)
-
-
-def guess_mime(url: str) -> str:
-    """MIME type from URL extension, as the trace collector did.
-
-    (The paper notes error pages mistaken for images "based on file name
-    extension" — the spikes at the left of Figure 5 — so extension-based
-    typing is faithful to the original methodology.)
-    """
-    lowered = url.lower().split("?", 1)[0]
-    for extension, mime in _EXTENSION_MIME.items():
-        if lowered.endswith(extension):
-            return mime
-    return MIME_OCTET
 
 
 @dataclass(frozen=True)

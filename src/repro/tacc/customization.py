@@ -359,8 +359,3 @@ class WriteThroughCache:
             self._cache.clear()
         else:
             self._cache.pop(user_id, None)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

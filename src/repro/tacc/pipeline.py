@@ -6,16 +6,10 @@ arbitrary number of stateless transformations and aggregations"
 names; it can be type-checked against a registry (each stage must accept
 the MIME type the previous stage produces) and executed locally, or
 handed stage-by-stage to the SNS layer for remote execution.
-
-"Given a collection of workers that convert images between pairs of
-encodings, a correctly chosen sequence of transformations can be used for
-general image conversion" — :func:`plan_conversion` implements exactly
-that search over the registry's accepts/produces graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Sequence
 
 from repro.tacc.content import Content
@@ -43,10 +37,6 @@ class Pipeline:
 
     def __repr__(self) -> str:
         return "<Pipeline " + " | ".join(self.stages) + ">"
-
-    def then(self, worker_type: str) -> "Pipeline":
-        """A new pipeline with one more stage (pipelines are immutable)."""
-        return Pipeline(self.stages + [worker_type])
 
     def validate(self, registry: WorkerRegistry,
                  input_mime: Optional[str] = None) -> None:
@@ -94,47 +84,3 @@ class Pipeline:
             inputs = [result]
         assert result is not None
         return result
-
-    def work_estimate(self, registry: WorkerRegistry,
-                      request: TACCRequest) -> float:
-        """Total reference-CPU seconds across all stages (approximate:
-        assumes stage output size equals input size)."""
-        total = 0.0
-        for worker_type in self.stages:
-            total += registry.create(worker_type).work_estimate(request)
-        return total
-
-
-def plan_conversion(registry: WorkerRegistry, source_mime: str,
-                    target_mime: str) -> Pipeline:
-    """Shortest chain of registered transformers converting source->target.
-
-    Breadth-first search over the accepts/produces graph.  Raises
-    :class:`PipelineError` if no chain exists.
-    """
-    if source_mime == target_mime:
-        raise PipelineError("source and target MIME types are equal")
-    # Build the edge list once: worker_type -> (accepts, produces)
-    edges = []
-    for worker_type in registry:
-        worker = registry.create(worker_type)
-        if worker.produces is None:
-            continue  # same-as-input workers do not convert
-        edges.append((worker_type, tuple(worker.accepts), worker.produces))
-
-    frontier = deque([(source_mime, [])])
-    seen = {source_mime}
-    while frontier:
-        mime, path = frontier.popleft()
-        for worker_type, accepts, produces in edges:
-            if accepts and mime not in accepts:
-                continue
-            if produces in seen:
-                continue
-            next_path = path + [worker_type]
-            if produces == target_mime:
-                return Pipeline(next_path)
-            seen.add(produces)
-            frontier.append((produces, next_path))
-    raise PipelineError(
-        f"no conversion chain from {source_mime!r} to {target_mime!r}")

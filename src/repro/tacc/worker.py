@@ -156,16 +156,3 @@ class Aggregator(Worker):
     def aggregate(self, inputs: List[Content],
                   request: TACCRequest) -> Content:
         raise NotImplementedError
-
-
-class IdentityWorker(Transformer):
-    """Pass-through worker ("data for which no distiller exists is passed
-    unmodified to the user", Section 4.1).  Also handy in tests."""
-
-    worker_type = "identity"
-
-    def work_estimate(self, request: TACCRequest) -> float:
-        return 0.0
-
-    def transform(self, content: Content, request: TACCRequest) -> Content:
-        return content

@@ -14,7 +14,7 @@ Quick use (see ``examples/transend_proxy.py``)::
     transend = TranSend(n_nodes=8, seed=1997)
     transend.start()
     reply = transend.submit(record)      # a workload TraceRecord
-    response = transend.run_until(reply)
+    response = transend.run(reply)
 """
 
 from repro.transend.origin import OriginServer

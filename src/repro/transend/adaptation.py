@@ -20,7 +20,7 @@ Two pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: modem-bank reality at Berkeley: 14.4 and 28.8 kbit/s modems.
 MODEM_14_4_BPS = 14_400 / 8
@@ -57,9 +57,6 @@ class BandwidthEstimator:
 
     def bandwidth_bps(self, client_id: str) -> float:
         return self._estimates.get(client_id, self.default_bps)
-
-    def known_clients(self) -> List[str]:
-        return sorted(self._estimates)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ from typing import Any, Dict, List, Optional, Set
 
 from repro.cache.latency import HarvestLatencyModel
 from repro.cache.lru import LRUCache
-from repro.cache.partition import ModHashPartitioner, PartitionError
+from repro.cache.partition import ModHashPartitioner
 from repro.core.component import Component
 from repro.sim.cluster import Cluster
+from repro.sim.hashing import PartitionError
 from repro.sim.kernel import PENDING
 from repro.sim.node import Node
 from repro.tacc.content import Content
@@ -121,12 +122,6 @@ class CacheSubsystem:
         self.partitioner.add_node(name)
         return cache_node
 
-    def remove_node(self, name: str) -> None:
-        """Decommission (rehash; stranded entries become unreachable)."""
-        self.partitioner.remove_node(name)
-        cache_node = self.nodes.pop(name)
-        cache_node.kill()
-
     def node_for(self, key: str) -> Optional[CacheNode]:
         try:
             name = self.partitioner.locate(key)
@@ -213,6 +208,3 @@ class CacheSubsystem:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def used_bytes(self) -> int:
-        return sum(node.store.used_bytes for node in self.nodes.values())

@@ -20,7 +20,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.core.config import SNSConfig
+from repro.core.config import (
+    DISTILLATION_THRESHOLD_BYTES,
+    ORIGIN_BREAKER_COOLDOWN_S,
+    ORIGIN_BREAKER_SLOW_S,
+    SNSConfig,
+)
 from repro.core.fabric import SNSFabric
 from repro.core.frontend import FrontEnd, Response
 from repro.core.manager_stub import DispatchError
@@ -91,8 +96,7 @@ class TranSendLogic:
             self.origin_breaker = CircuitBreaker(
                 lambda: cluster.env.now,
                 config.origin_breaker_failures,
-                config.origin_breaker_cooldown_s,
-                config.origin_breaker_slow_s)
+                ORIGIN_BREAKER_COOLDOWN_S, ORIGIN_BREAKER_SLOW_S)
         registry = registry or transend_registry()
         self._estimators = {
             worker_type: registry.create(worker_type)
@@ -159,8 +163,7 @@ class TranSendLogic:
         # the user"; "data under 1KB is transferred unmodified"
         worker_type = DISTILLER_FOR_MIME.get(record.mime)
         if (worker_type is None
-                or record.size_bytes
-                < self.config.distillation_threshold_bytes
+                or record.size_bytes < DISTILLATION_THRESHOLD_BYTES
                 or not preferences.get(
                     "munge_html" if record.mime == MIME_HTML
                     else "distill_images", True)):
@@ -172,10 +175,9 @@ class TranSendLogic:
 
         # 1. is the exact distilled representation already cached?
         key = distilled_cache_key(record.url, preferences)
-        if self.config.cache_distilled:
-            cached = yield from self.cachesys.lookup(key, trace=trace)
-            if cached is not None:
-                return self._respond("cache-hit-distilled", "ok", cached)
+        cached = yield from self.cachesys.lookup(key, trace=trace)
+        if cached is not None:
+            return self._respond("cache-hit-distilled", "ok", cached)
 
         # 1b. serve-stale brownout: any cached variant of this URL —
         # whatever its parameters or age — beats spending a distiller
@@ -223,8 +225,7 @@ class TranSendLogic:
             return self._respond("fallback-original", "fallback",
                                  original, detail="no distiller")
 
-        if self.config.cache_distilled:
-            self.cachesys.store(key, result, variant_of=record.url)
+        self.cachesys.store(key, result, variant_of=record.url)
         if degraded_fidelity:
             return self._respond(
                 "distilled-low-fidelity", "degraded", result,
@@ -294,8 +295,6 @@ class TranSend:
         internet_bandwidth_bps: float = 10 * MBPS,
         profile_log_path: Optional[str] = None,
         profile_backend: str = "single",
-        n_bricks: int = 3,
-        brick_replicas: int = 2,
         adaptive: bool = False,
     ) -> None:
         self.config = (config or SNSConfig()).validate()
@@ -324,9 +323,7 @@ class TranSend:
                                  "profile_log_path only applies to "
                                  "profile_backend='single'")
             from repro.dstore import BrickCluster, ReplicatedProfileStore
-            self.profile_bricks = BrickCluster(
-                self.cluster, n_bricks=n_bricks,
-                replicas=brick_replicas).boot()
+            self.profile_bricks = BrickCluster(self.cluster).boot()
             self.profile_store = ReplicatedProfileStore(
                 self.profile_bricks, validator=preference_validator)
         else:
@@ -362,11 +359,9 @@ class TranSend:
     def submit(self, record: TraceRecord):
         return self.fabric.submit(record)
 
-    def run(self, until: Optional[float] = None):
+    def run(self, until: Any = None):
+        """Run to a time, until an event fires, or to exhaustion."""
         return self.cluster.run(until)
-
-    def run_until(self, event):
-        return self.cluster.env.run(until=event)
 
     # -- the preference UI --------------------------------------------------------------
 

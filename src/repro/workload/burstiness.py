@@ -111,16 +111,6 @@ def index_of_dispersion(counts: Sequence[int]) -> float:
     return variance / mean
 
 
-def aggregate(counts: Sequence[int], group: int) -> List[int]:
-    """Sum adjacent buckets in groups of ``group`` (coarser timescale)."""
-    if group <= 0:
-        raise ValueError("group must be positive")
-    return [
-        sum(counts[index:index + group])
-        for index in range(0, len(counts) - group + 1, group)
-    ]
-
-
 def burstiness_report(records: Sequence[TraceRecord],
                       scales_s: Sequence[float] = (120.0, 30.0, 1.0)
                       ) -> Dict[float, Dict[str, float]]:

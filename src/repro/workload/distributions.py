@@ -64,9 +64,6 @@ class SizeModel:
         size = rng.lognormal_mean(mode.mean, mode.sigma)
         return int(max(mode.min_bytes, min(mode.max_bytes, size)))
 
-    def mean_estimate(self, rng: Stream, n: int = 20000) -> float:
-        return sum(self.sample(rng) for _ in range(n)) / n
-
 
 def default_size_models() -> Dict[str, SizeModel]:
     """Per-MIME size models matching the Figure 5 calibration targets.
@@ -112,10 +109,6 @@ class MimeMix:
 
     def sample(self, rng: Stream) -> str:
         return rng.weighted_choice(self._types, self._weights)
-
-    @property
-    def shares(self) -> Dict[str, float]:
-        return dict(zip(self._types, self._weights))
 
 
 def default_mime_mix() -> MimeMix:

@@ -8,18 +8,16 @@ trace according to the timestamps in the trace file."
 The engine is a simulation component: it submits each request to a
 *service adapter* — any callable ``submit(record) -> Event`` whose event
 fires with a response object — and records per-request outcomes for the
-analysis layer.  Three modes:
+analysis layer.  Four modes:
 
 * :meth:`PlaybackEngine.play` — faithful timestamps; accepts any
   iterable of records, so a streaming trace source (a generator, or
   :func:`~repro.workload.trace.iter_trace` over a file) replays without
   ever materializing the full trace;
-* :meth:`PlaybackEngine.play_aligned` — faithful timestamps against an
-  absolute clock (no first-record anchoring), the time-shard form;
-* :meth:`PlaybackEngine.play_scheduled` — the callback-driven twin of
-  ``play_aligned``: the arrival pump schedules itself on the kernel
-  heap instead of sleeping in a player process, the million-request
-  replay path;
+* :meth:`PlaybackEngine.play_scheduled` — faithful timestamps against
+  an absolute clock (no first-record anchoring), callback-driven: the
+  arrival pump schedules itself on the kernel heap instead of sleeping
+  in a player process, the time-shard and million-request replay path;
 * :meth:`PlaybackEngine.constant_rate` — Poisson arrivals at a fixed rate;
 * :meth:`PlaybackEngine.ramp` — a piecewise-constant rate schedule, used
   by the Figure 8 self-tuning and Table 2 scalability experiments to
@@ -33,8 +31,7 @@ so memory stays bounded regardless of trace length.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import Environment, Event, Interrupt
@@ -43,10 +40,6 @@ from repro.workload.trace import TraceRecord
 
 SubmitFn = Callable[[TraceRecord], Event]
 
-#: default capacity of the completion-timestamp ring buffer kept by
-#: :class:`PlaybackStats` for windowed-throughput queries.
-THROUGHPUT_RING = 1024
-
 
 @dataclass
 class PlaybackStats:
@@ -54,10 +47,7 @@ class PlaybackStats:
 
     Always maintained, whether or not per-request outcomes are recorded
     — it is the only record-keeping that survives a bounded-memory
-    million-request replay.  ``recent_completions`` is a small ring of
-    the latest completion timestamps, kept so
-    :meth:`PlaybackEngine.throughput` answers in *both* modes instead
-    of silently reading an empty outcome list.
+    million-request replay.
     """
 
     submitted: int = 0
@@ -66,19 +56,14 @@ class PlaybackStats:
     latency_sum: float = 0.0
     latency_min: float = float("inf")
     latency_max: float = 0.0
-    recent_completions: deque = field(
-        default_factory=lambda: deque(maxlen=THROUGHPUT_RING))
 
-    def observe_success(self, latency: float,
-                        completed_at: Optional[float] = None) -> None:
+    def observe_success(self, latency: float) -> None:
         self.completed += 1
         self.latency_sum += latency
         if latency < self.latency_min:
             self.latency_min = latency
         if latency > self.latency_max:
             self.latency_max = latency
-        if completed_at is not None:
-            self.recent_completions.append(completed_at)
 
     def observe_failure(self) -> None:
         self.failed += 1
@@ -88,21 +73,6 @@ class PlaybackStats:
         if not self.completed:
             return None
         return self.latency_sum / self.completed
-
-    def merge(self, other: "PlaybackStats") -> None:
-        """Fold another aggregate into this one (time-sharded replay
-        merge).  Counters and latency aggregates combine exactly; the
-        completion-timestamp ring is a live-engine trailing view in the
-        source engine's own clock and is deliberately not merged —
-        shards run on separate clocks."""
-        self.submitted += other.submitted
-        self.completed += other.completed
-        self.failed += other.failed
-        self.latency_sum += other.latency_sum
-        if other.latency_min < self.latency_min:
-            self.latency_min = other.latency_min
-        if other.latency_max > self.latency_max:
-            self.latency_max = other.latency_max
 
 
 @dataclass
@@ -133,8 +103,7 @@ class PlaybackEngine:
                  timeout_s: Optional[float] = None,
                  record_outcomes: bool = True,
                  on_success: Optional[Callable[[Any, float], None]]
-                 = None,
-                 throughput_ring: int = THROUGHPUT_RING) -> None:
+                 = None) -> None:
         self.env = env
         self.submit = submit
         self.rng = rng
@@ -148,8 +117,7 @@ class PlaybackEngine:
         #: per-request outcome objects.
         self.on_success = on_success
         self.outcomes: List[RequestOutcome] = []
-        self.stats = PlaybackStats(
-            recent_completions=deque(maxlen=max(0, throughput_ring)))
+        self.stats = PlaybackStats()
         self.in_flight = 0
         self.max_in_flight = 0
         # Bounded-memory playback with no tracer and no per-request
@@ -165,7 +133,7 @@ class PlaybackEngine:
         def fast_done(event: Event, started: float) -> None:
             if event._ok:
                 latency = env._now - started
-                stats.observe_success(latency, env._now)
+                stats.observe_success(latency)
                 on_success = self.on_success
                 if on_success is not None:
                     on_success(event._value, latency)
@@ -195,9 +163,9 @@ class PlaybackEngine:
                 yield env.timeout(wait)
             self._launch(record)
 
-    def play_aligned(self, records: Iterable[TraceRecord],
-                     clock_origin: float = 0.0):
-        """Process generator: playback against an absolute clock.
+    def play_scheduled(self, records: Iterable[TraceRecord],
+                       clock_origin: float = 0.0) -> None:
+        """Callback-driven playback against an absolute clock.
 
         A record with timestamp ``ts`` is submitted at simulated time
         ``ts - clock_origin`` — no anchoring to the first record.  This
@@ -206,24 +174,12 @@ class PlaybackEngine:
         warm-up lead-in and its counted window pace each other exactly
         as the unsharded run would (see :mod:`repro.fanout.timeshard`).
         Records whose due time is already past submit immediately.
-        """
-        env = self.env
-        for record in records:
-            wait = (record.timestamp - clock_origin) - env.now
-            if wait > 0:
-                yield env.timeout(wait)
-            self._launch(record)
-
-    def play_scheduled(self, records: Iterable[TraceRecord],
-                       clock_origin: float = 0.0) -> None:
-        """Callback-driven twin of :meth:`play_aligned` — no process.
 
         The arrival pump schedules itself straight on the kernel heap
         (`Environment.schedule_call`): one event and one plain callback
         per record, where a player process pays a Timeout event plus a
-        generator resume.  Same absolute-clock semantics as
-        :meth:`play_aligned`; call it once and the replay is live —
-        there is nothing to pass to ``env.process``.  This is the
+        generator resume.  Call it once and the replay is live — there
+        is nothing to pass to ``env.process``.  This is the
         million-request replay path (the kernel benchmark and
         :mod:`repro.fanout.timeshard` both drive it).
         """
@@ -251,6 +207,9 @@ class PlaybackEngine:
             raise ValueError("constant_rate mode requires an RNG stream")
         if rate_rps <= 0:
             raise ValueError("rate must be positive")
+        if not records:
+            raise ValueError(
+                "constant_rate mode needs records to cycle over")
         end = self.env.now + duration_s
         index = 0
         while True:
@@ -269,6 +228,8 @@ class PlaybackEngine:
         """
         if self.rng is None:
             raise ValueError("ramp mode requires an RNG stream")
+        if not records:
+            raise ValueError("ramp mode needs records to cycle over")
         index = 0
         for duration_s, rate_rps in schedule:
             if rate_rps <= 0:
@@ -369,7 +330,7 @@ class PlaybackEngine:
                 root.annotate(
                     outcome=getattr(response, "status", "ok"))
             now = env._now
-            stats.observe_success(now - started, now)
+            stats.observe_success(now - started)
             if self.on_success is not None:
                 self.on_success(response, now - started)
             if self.record_outcomes:
@@ -404,42 +365,3 @@ class PlaybackEngine:
     def latencies(self) -> List[float]:
         return [outcome.latency for outcome in self.completed()
                 if outcome.latency is not None]
-
-    def throughput(self, window_s: float) -> float:
-        """Completed requests/second over the trailing window.
-
-        Works in both modes: with ``record_outcomes=True`` it scans the
-        outcome list; in bounded-memory mode it reads the completion
-        ring in :attr:`PlaybackStats.recent_completions`.  If the ring
-        has wrapped past the window's horizon the count would silently
-        undercount, so that case raises instead — resize with the
-        ``throughput_ring`` constructor argument.
-        """
-        if window_s <= 0:
-            raise ValueError("window must be positive")
-        horizon = self.env.now - window_s
-        if self.record_outcomes:
-            recent = [
-                outcome for outcome in self.outcomes
-                if outcome.ok and outcome.completed_at is not None
-                and outcome.completed_at >= horizon
-            ]
-            return len(recent) / window_s
-        ring = self.stats.recent_completions
-        if self.stats.completed and ring.maxlen == 0:
-            raise ValueError(
-                "throughput() needs the completion ring in bounded-"
-                "memory mode, but this engine was built with "
-                "throughput_ring=0")
-        if len(ring) == ring.maxlen and ring and ring[0] >= horizon:
-            raise ValueError(
-                f"throughput window {window_s:g}s reaches past the "
-                f"completion ring's {ring.maxlen} retained "
-                f"completions; construct PlaybackEngine with a larger "
-                f"throughput_ring to widen coverage")
-        count = 0
-        for completed_at in reversed(ring):
-            if completed_at < horizon:
-                break
-            count += 1
-        return count / window_s

@@ -88,13 +88,3 @@ def load_trace(path: str) -> List[TraceRecord]:
     """Read a whole trace file into memory (see :func:`iter_trace` for
     the streaming variant)."""
     return list(iter_trace(path))
-
-
-def iter_window(records: List[TraceRecord], start: float,
-                end: float) -> Iterator[TraceRecord]:
-    """Records with start <= timestamp < end (records must be sorted)."""
-    for record in records:
-        if record.timestamp >= end:
-            break
-        if record.timestamp >= start:
-            yield record

@@ -8,7 +8,7 @@ Two generators:
   with a 24-hour cycle modulated by a multiplicative multi-timescale
   cascade (bursts remain visible at 2-minute, 30-second, and 1-second
   buckets, as in Figure 6 a-c).
-* :func:`fixed_jpeg_trace` — the Section 4.6 scalability workload:
+* :func:`iter_fixed_jpeg_trace` — the Section 4.6 scalability workload:
   "a trace file that repeatedly requested a fixed number of JPEG
   images, all approximately 10 KB in size", which keeps the cache hot
   and isolates distiller and front-end capacity.
@@ -142,26 +142,14 @@ class DocumentUniverse:
             self._private_cache[key] = document
         return document
 
-    def sample_document(self, client_id: str,
-                        rng: Optional[Stream] = None) -> Document:
-        """One document reference for ``client_id``, drawn from ``rng``
-        (default: the universe's own stream)."""
-        if rng is None:
-            rng = self.rng
-        if rng.random() < self.shared_fraction:
-            rank = rng.zipf_rank(len(self.shared_docs), self.zipf_alpha)
-            return self.shared_docs[rank]
-        index = rng.zipf_rank(self.n_private_per_user, 1.0)
-        return self._private_doc(client_id, index)
-
     def sample_batch(self, client_ids: Sequence[str],
                      rng: Stream) -> List[Document]:
         """One document per client id, batch-drawn from ``rng``.
 
         Semantically one shared/private coin plus one Zipf rank per
-        document, like :meth:`sample_document`, but with the uniforms
-        drawn in batches and the inverse-CDF constants hoisted out of
-        the loop — the trace generator's per-bucket hot path.
+        document, with the uniforms drawn in batches and the
+        inverse-CDF constants hoisted out of the loop — the trace
+        generator's per-bucket hot path.
         """
         count = len(client_ids)
         choices = rng.random_batch(count)
@@ -318,17 +306,6 @@ class TraceGenerator:
             rate *= self.cascade.factor(t)
         return rate
 
-    def _pick_client(self) -> str:
-        rank = self.rng.zipf_rank(self.n_users, self._client_zipf_alpha)
-        return f"client{rank}"
-
-    def _client_name(self, rank: int) -> str:
-        names = self._client_names
-        if not names:
-            names = self._client_names = [
-                f"client{index}" for index in range(self.n_users)]
-        return names[rank]
-
     def _bucket_records(self, bucket: int) -> List[TraceRecord]:
         """All records of absolute bucket ``[bucket, bucket + 1)``,
         sorted by timestamp — a pure function of (seed, bucket)."""
@@ -408,12 +385,14 @@ def iter_fixed_jpeg_trace(
     """Stream exactly ``n_requests`` of the Section 4.6 fixed-JPEG
     workload (Poisson arrivals at ``rate_rps``), one record at a time.
 
-    The count-bounded streaming twin of :func:`fixed_jpeg_trace`: a
-    20-million-request replay in the paper's style needs no more memory
-    than a single :class:`TraceRecord`.  Deterministic in ``seed``, and
-    draw-for-draw identical to the pre-vectorized implementation: the
-    URL/client strings are precomputed and the inter-arrival gaps are
-    batch-sampled, but the underlying RNG sequence is unchanged.
+    Constant-rate requests cycling over a fixed set of ~10 KB JPEGs
+    (all cache-resident, so the cache miss penalty never clouds the
+    scaling measurement); a 20-million-request replay in the paper's
+    style needs no more memory than a single :class:`TraceRecord`.
+    Deterministic in ``seed``, and draw-for-draw identical to the
+    pre-vectorized implementation: the URL/client strings are
+    precomputed and the inter-arrival gaps are batch-sampled, but the
+    underlying RNG sequence is unchanged.
     """
     if rate_rps <= 0:
         raise ValueError("rate must be positive")
@@ -441,36 +420,3 @@ def iter_fixed_jpeg_trace(
                 image_size_bytes,
             )
             index += 1
-
-
-def fixed_jpeg_trace(
-    rate_rps: float,
-    duration_s: float,
-    n_images: int = 50,
-    image_size_bytes: int = 10240,
-    seed: int = 1997,
-    n_clients: int = 100,
-) -> List[TraceRecord]:
-    """The Table 2 scalability workload: constant-rate requests cycling
-    over a fixed set of ~10 KB JPEGs (all cache-resident, so the cache
-    miss penalty never clouds the scaling measurement)."""
-    rng = RandomStreams(seed).stream("fixed-jpeg")
-    urls = [f"http://bench.example/img{index}.jpg"
-            for index in range(n_images)]
-    clients = [f"client{index}" for index in range(n_clients)]
-    records = []
-    t = 0.0
-    index = 0
-    while t < duration_s:
-        t += rng.exponential(1.0 / rate_rps)
-        if t >= duration_s:
-            break
-        records.append(TraceRecord(
-            timestamp=t,
-            client_id=clients[index % n_clients],
-            url=urls[index % n_images],
-            mime=MIME_JPEG,
-            size_bytes=image_size_bytes,
-        ))
-        index += 1
-    return records

@@ -6,7 +6,6 @@ from repro.analysis.economics import EconomicModel
 from repro.analysis.metrics import (
     LatencyStats,
     summarize_outcomes,
-    throughput_series,
 )
 from repro.analysis.reporting import (
     render_histogram,
@@ -56,35 +55,6 @@ def test_latency_stats_merge_empty_is_noop():
     assert stats.maximum == 0.5
 
 
-def test_latency_histogram_buckets_and_edges():
-    stats = LatencyStats.from_samples([0.0, 0.1, 0.5, 0.9, 1.0])
-    rows = stats.histogram(bins=2)
-    assert len(rows) == 2
-    (l0, r0, c0), (l1, r1, c1) = rows
-    assert l0 == pytest.approx(0.0)
-    assert r1 == pytest.approx(1.0)
-    # the top edge is inclusive: the 1.0 maximum lands in the last bin
-    assert c0 == 2 and c1 == 3
-    assert c0 + c1 == stats.count
-
-
-def test_latency_histogram_explicit_bounds_clip():
-    stats = LatencyStats.from_samples([0.1, 0.5, 2.0])
-    rows = stats.histogram(bins=4, lo=0.0, hi=1.0)
-    assert sum(count for _, _, count in rows) == 2  # 2.0 clipped out
-    assert rows[0][0] == pytest.approx(0.0)
-    assert rows[-1][1] == pytest.approx(1.0)
-
-
-def test_latency_histogram_degenerate_inputs():
-    assert LatencyStats().histogram() == []
-    with pytest.raises(ValueError):
-        LatencyStats.from_samples([0.1]).histogram(bins=0)
-    # all-identical samples still produce one populated bin
-    rows = LatencyStats.from_samples([0.2, 0.2]).histogram(bins=3)
-    assert sum(count for _, _, count in rows) == 2
-
-
 def test_latency_percentile_interpolates():
     stats = LatencyStats().extend([0.0, 1.0])
     assert stats.percentile(0.25) == pytest.approx(0.25)
@@ -113,15 +83,6 @@ def test_summarize_outcomes():
     assert summary["failed"] == 1
     assert summary["success_rate"] == pytest.approx(2 / 3)
     assert summary["mean"] == pytest.approx(0.2)
-
-
-def test_throughput_series_buckets():
-    series = throughput_series([0.1, 0.2, 1.5, 2.7], bucket_s=1.0)
-    assert len(series) == 3
-    assert series[0][1] == pytest.approx(2.0)
-    assert throughput_series([], 1.0) == []
-    with pytest.raises(ValueError):
-        throughput_series([1.0], 0.0)
 
 
 # -- economics --------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.balance import (
     parse_policy_spec,
     request_key,
 )
+from repro.balance.policies import EWMA_ALPHA
 from repro.core.config import SNSConfig
 from repro.core.manager_stub import AdvertState
 from repro.core.messages import WorkerAdvert
@@ -222,8 +223,8 @@ def test_ewma_timeout_counts_as_worst_case_sample():
     assert policy.select(candidates, 1.0).advert.worker_name == "w0"
     assert policy.ewma["w1"] > policy.ewma["w0"]
     assert policy.ewma["w1"] == pytest.approx(
-        config.policy_ewma_alpha * 2.0 * config.dispatch_timeout_s
-        + (1 - config.policy_ewma_alpha) * 0.050)
+        EWMA_ALPHA * 2.0 * config.dispatch_timeout_s
+        + (1 - EWMA_ALPHA) * 0.050)
 
 
 def test_ewma_outstanding_penalizes_pileups():

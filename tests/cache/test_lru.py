@@ -64,24 +64,6 @@ def test_oversize_replacement_removes_old_entry():
     assert cache.used_bytes == 0
 
 
-def test_peek_does_not_touch_recency_or_stats():
-    cache = LRUCache(20)
-    cache.put("a", 1, 10)
-    cache.put("b", 2, 10)
-    assert cache.peek("a") == 1
-    assert cache.hits == 0
-    cache.put("c", 3, 10)  # should evict a (peek didn't refresh it)
-    assert "a" not in cache
-
-
-def test_invalidate():
-    cache = LRUCache(100)
-    cache.put("a", 1, 10)
-    assert cache.invalidate("a") is True
-    assert cache.invalidate("a") is False
-    assert cache.used_bytes == 0
-
-
 def test_flush_clears_everything():
     cache = LRUCache(100)
     for index in range(5):

@@ -1,18 +1,12 @@
-"""Tests for partitioners, the virtual cache, and the latency model."""
+"""Tests for the cache partitioners and the latency model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.latency import HarvestLatencyModel
-from repro.cache.partition import (
-    ConsistentHashRing,
-    ModHashPartitioner,
-    PartitionError,
-    remap_fraction,
-    stable_hash,
-)
-from repro.cache.virtual_cache import VirtualCache
+from repro.cache.partition import ModHashPartitioner, remap_fraction
+from repro.sim.hashing import PartitionError, Ring, stable_hash
 from repro.sim.rng import RandomStreams
 
 
@@ -22,12 +16,16 @@ NODES = [f"cache{i}" for i in range(8)]
 
 # -- partitioners -------------------------------------------------------------
 
+PARTITIONERS = pytest.mark.parametrize("factory", [
+    ModHashPartitioner, pytest.param(Ring, id="ConsistentHashRing")])
+
+
 def test_stable_hash_is_deterministic():
     assert stable_hash("abc") == stable_hash("abc")
     assert stable_hash("abc") != stable_hash("abd")
 
 
-@pytest.mark.parametrize("factory", [ModHashPartitioner, ConsistentHashRing])
+@PARTITIONERS
 def test_locate_is_deterministic_and_in_membership(factory):
     partitioner = factory(NODES)
     for key in KEYS[:100]:
@@ -36,7 +34,7 @@ def test_locate_is_deterministic_and_in_membership(factory):
         assert partitioner.locate(key) == owner
 
 
-@pytest.mark.parametrize("factory", [ModHashPartitioner, ConsistentHashRing])
+@pytest.mark.parametrize("factory", [ModHashPartitioner])
 def test_membership_errors(factory):
     partitioner = factory(["a"])
     with pytest.raises(PartitionError):
@@ -48,7 +46,7 @@ def test_membership_errors(factory):
         partitioner.locate("key")
 
 
-@pytest.mark.parametrize("factory", [ModHashPartitioner, ConsistentHashRing])
+@PARTITIONERS
 def test_load_is_roughly_balanced(factory):
     partitioner = factory(NODES)
     counts = {node: 0 for node in NODES}
@@ -65,62 +63,10 @@ def test_consistent_hashing_moves_far_fewer_keys_than_mod_hash():
     surviving keys under mod-hash but only a few percent under
     consistent hashing."""
     mod_moved = remap_fraction(ModHashPartitioner, KEYS, NODES, "cache3")
-    ring_moved = remap_fraction(ConsistentHashRing, KEYS, NODES, "cache3")
+    ring_moved = remap_fraction(Ring, KEYS, NODES, "cache3")
     assert mod_moved > 0.7
     assert ring_moved < 0.15
     assert ring_moved < mod_moved / 4
-
-
-# -- virtual cache ----------------------------------------------------------------
-
-def test_virtual_cache_put_get_routes_consistently():
-    vcache = VirtualCache(node_capacity_bytes=10_000, nodes=NODES[:4])
-    node = vcache.put("key1", "value1", 100)
-    assert node in NODES[:4]
-    assert vcache.get("key1") == "value1"
-    assert vcache.hit_rate == 1.0
-
-
-def test_virtual_cache_membership_change_loses_stranded_entries():
-    vcache = VirtualCache(node_capacity_bytes=100_000, nodes=["c0", "c1"])
-    for key in KEYS[:200]:
-        vcache.put(key, key, 100)
-    hits_before = sum(
-        1 for key in KEYS[:200] if vcache.get(key) is not None)
-    assert hits_before == 200
-    vcache.add_node("c2")  # mod-hash: most keys remap
-    hits_after = sum(
-        1 for key in KEYS[:200] if vcache.get(key) is not None)
-    assert hits_after < hits_before * 0.7
-
-
-def test_virtual_cache_remove_node_drops_its_contents():
-    vcache = VirtualCache(node_capacity_bytes=100_000, nodes=["c0", "c1"])
-    for key in KEYS[:100]:
-        vcache.put(key, key, 10)
-    dropped = vcache.remove_node("c1")
-    assert dropped > 0
-    assert vcache.nodes == ["c0"]
-    # every key now routes to c0
-    assert vcache.store_for("anything")[0] == "c0"
-
-
-def test_virtual_cache_aggregate_stats():
-    vcache = VirtualCache(node_capacity_bytes=1000, nodes=["c0", "c1"])
-    vcache.put("a", 1, 100)
-    stats = vcache.node_stats()
-    assert set(stats) == {"c0", "c1"}
-    assert vcache.used_bytes == 100
-    assert vcache.capacity_bytes == 2000
-    vcache.flush()
-    assert vcache.used_bytes == 0
-
-
-def test_virtual_cache_invalidate():
-    vcache = VirtualCache(node_capacity_bytes=1000, nodes=["c0"])
-    vcache.put("a", 1, 10)
-    assert vcache.invalidate("a") is True
-    assert vcache.invalidate("a") is False
 
 
 # -- latency model ---------------------------------------------------------------
@@ -149,7 +95,7 @@ def test_miss_penalty_spans_paper_range():
 
 def test_max_hit_service_rate_is_37_per_second():
     model = HarvestLatencyModel(RandomStreams(7).stream("cache"))
-    assert model.max_hit_service_rate() == pytest.approx(37.0, abs=0.1)
+    assert 1.0 / model.mean_hit_s == pytest.approx(37.0, abs=0.1)
 
 
 def test_latency_model_validates_parameters():

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.cache.simulator import (
-    CacheSimulator,
-    simulate_hit_rate,
-    sweep_cache_sizes,
-)
+from repro.cache.simulator import CacheSimulator
 from repro.sim.rng import RandomStreams
 
 
@@ -15,6 +11,10 @@ def zipf_trace(n_requests=5000, n_docs=500, seed=3):
     return [
         (f"doc{rng.zipf_rank(n_docs)}", 1000) for _ in range(n_requests)
     ]
+
+
+def hit_rate(trace, capacity_bytes):
+    return CacheSimulator(capacity_bytes).run(trace).hit_rate
 
 
 def test_repeated_key_hits_after_first_reference():
@@ -35,8 +35,7 @@ def test_byte_hit_rate_weighs_by_size():
 def test_hit_rate_monotone_in_cache_size():
     trace = zipf_trace()
     sizes = [2_000, 10_000, 50_000, 200_000, 1_000_000]
-    rates = sweep_cache_sizes(trace, sizes)
-    values = [rates[s] for s in sizes]
+    values = [hit_rate(trace, size) for size in sizes]
     for smaller, bigger in zip(values, values[1:]):
         assert bigger >= smaller - 1e-9
 
@@ -45,8 +44,8 @@ def test_hit_rate_plateaus_once_working_set_fits():
     """Past the working-set size, more cache buys nothing — the paper's
     plateau observation."""
     trace = zipf_trace(n_requests=5000, n_docs=200)  # working set 200 KB
-    rate_at_fit = simulate_hit_rate(trace, 200 * 1000)
-    rate_at_10x = simulate_hit_rate(trace, 2000 * 1000)
+    rate_at_fit = hit_rate(trace, 200 * 1000)
+    rate_at_10x = hit_rate(trace, 2000 * 1000)
     assert rate_at_10x == pytest.approx(rate_at_fit, abs=0.01)
 
 

@@ -49,24 +49,6 @@ def test_impose_rejects_past_start():
         faults.impose(loss=0.5, start=5.0)
 
 
-def test_clear_ends_windows_now():
-    env, faults = make_faults()
-    window = faults.impose(scope="g", loss=1.0)
-    env.run(until=3.0)
-    assert faults.datagram_fate("g") == (0, 0.0)
-    faults.clear(window)
-    assert faults.datagram_fate("g") == (1, 0.0)
-
-
-def test_final_heal_time():
-    env, faults = make_faults()
-    faults.impose(scope="a", loss=0.1, duration_s=10.0)
-    faults.impose(scope="b", loss=0.1, start=5.0, duration_s=20.0)
-    assert faults.final_heal_time() == 25.0
-    faults.impose(scope="c", loss=0.1)  # open-ended
-    assert faults.final_heal_time() == float("inf")
-
-
 # -- datagram fate -----------------------------------------------------------
 
 def test_no_windows_draws_no_randomness():

@@ -57,8 +57,8 @@ def test_followers_refuse_the_leader_surface():
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 1})
     fabric.cluster.run(until=4.0)
     group = fabric.manager_group
-    followers = [replica for replica in group.alive_replicas()
-                 if not replica.is_active_leader()]
+    followers = [replica for replica in group.replicas
+                 if replica.alive and not replica.is_active_leader()]
     assert followers
     for follower in followers:
         assert follower.request_worker("test-worker") is None
@@ -79,7 +79,7 @@ def test_leader_crash_fails_over_and_replica_restarts():
     # beacons re-attract the workers without losing the pool
     assert len(second.workers) == 2
     # the group supervisor restarted the dead replica as a follower
-    assert len(group.alive_replicas()) == 3
+    assert [replica.alive for replica in group.replicas] == [True] * 3
     assert group.stats()["elections"] >= 2
     assert group.safety_violations() == []
 
@@ -97,7 +97,7 @@ def test_partitioned_leader_loses_lease_not_split_brain():
     partitions.split({first.node.name: "isolated"}, duration_s=15.0)
     for step in range(40):  # sample every 0.5s through fault and heal
         fabric.cluster.run(until=3.5 + 0.5 * step)
-        active = [replica for replica in group.alive_replicas()
+        active = [replica for replica in group.replicas
                   if replica.is_active_leader()]
         assert len(active) <= 1, f"two leaders at {fabric.cluster.env.now}"
     assert group.leader is not first  # the majority moved on
@@ -136,8 +136,8 @@ def test_tick_entries_replicate_the_load_table():
     fabric.cluster.run(until=6.0)
     group = fabric.manager_group
     leader = group.leader
-    followers = [replica for replica in group.alive_replicas()
-                 if replica is not leader]
+    followers = [replica for replica in group.replicas
+                 if replica.alive and replica is not leader]
     assert leader.load_table  # ticked snapshots of worker queue state
     for follower in followers:
         assert set(follower.member_workers) == set(leader.member_workers)

@@ -6,8 +6,6 @@ import pytest
 from repro.core.config import SNSConfig
 from repro.core.component import Component
 from repro.core.fabric import FabricError
-from repro.core.frontend import Response
-from repro.core.messages import ManagerBeacon, WorkerAdvert
 from repro.sim.cluster import Cluster
 from repro.sim.kernel import Interrupt
 
@@ -69,15 +67,6 @@ def test_kill_detaches_stops_and_is_idempotent():
     assert component.ticks == ticks_at_death
     component.kill()  # second kill is a no-op
     assert component.killed_at == 3.5
-
-
-def test_on_death_callbacks_fire():
-    cluster, component = make_component()
-    deaths = []
-    component.on_death(deaths.append)
-    component.start()
-    component.kill()
-    assert deaths == [component]
 
 
 def test_spawn_prunes_dead_processes():
@@ -156,7 +145,7 @@ def test_fabric_unknown_worker_type_rejected(fabric):
 
 
 def test_fabric_placement_on_down_node_rejected(fabric):
-    node = fabric.cluster.node("node0")
+    node = fabric.cluster.nodes["node0"]
     node.crash()
     with pytest.raises(FabricError):
         fabric.start_frontend(node=node)
@@ -206,12 +195,6 @@ def test_thread_pool_bounds_concurrency():
     assert frontend.active_requests <= 2
 
 
-def test_response_ok_property():
-    assert Response(status="ok", path="x").ok
-    assert Response(status="fallback", path="x").ok
-    assert not Response(status="error", path="x").ok
-
-
 # -- config validation ------------------------------------------------------------------
 
 @pytest.mark.parametrize("overrides", [
@@ -231,16 +214,3 @@ def test_config_validation_rejects_bad_values(overrides):
 def test_config_validate_returns_self():
     config = SNSConfig()
     assert config.validate() is config
-
-
-# -- messages ---------------------------------------------------------------------------
-
-def test_beacon_adverts_of_type():
-    adverts = {
-        "a": WorkerAdvert("a", "type-1", "n0", None, 0.0, 0.0),
-        "b": WorkerAdvert("b", "type-2", "n0", None, 0.0, 0.0),
-        "c": WorkerAdvert("c", "type-1", "n1", None, 0.0, 0.0),
-    }
-    beacon = ManagerBeacon("m", 1, None, 0.0, adverts)
-    selected = beacon.adverts_of_type("type-1")
-    assert set(selected) == {"a", "c"}

@@ -51,8 +51,8 @@ def test_faster_node_serves_more():
     cluster.add_node("slow", speed=1.0)
     cluster.add_nodes(3)
     fabric.boot(n_frontends=1, initial_workers={})
-    fabric.spawn_worker("test-worker", cluster.node("fast"))
-    fabric.spawn_worker("test-worker", cluster.node("slow"))
+    fabric.spawn_worker("test-worker", cluster.nodes["fast"])
+    fabric.spawn_worker("test-worker", cluster.nodes["slow"])
     fabric.cluster.run(until=2.0)
     engine = PlaybackEngine(cluster.env, fabric.submit,
                             rng=RandomStreams(3).stream("pb"),

@@ -19,7 +19,7 @@ from tests.core.conftest import fast_config
 def make_monitor(silence_threshold_s=5.0, on_alert=None):
     cluster = Cluster(seed=11)
     cluster.add_nodes(1)
-    monitor = Monitor(cluster, cluster.node("node0"), "monitor",
+    monitor = Monitor(cluster, cluster.nodes["node0"], "monitor",
                       fast_config(),
                       on_alert=on_alert,
                       silence_threshold_s=silence_threshold_s)

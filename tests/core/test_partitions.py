@@ -7,6 +7,7 @@ still-visible nodes), the manager performs the necessary actions."
 
 import pytest
 
+from repro.core.config import BEACON_LOSS_TOLERANCE
 from repro.sim.failures import FaultInjector
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
@@ -86,7 +87,7 @@ def _reregistration_delay(fabric, victim, heal_at, budget_s):
 def test_heal_reregisters_within_beacon_loss_tolerance(fabric):
     """Soft state's promise, quantified: after a partition heals the
     worker must be back in the manager's view within
-    ``beacon_loss_tolerance`` beacon periods."""
+    ``BEACON_LOSS_TOLERANCE`` beacon periods."""
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=2.0)
     victim = fabric.alive_workers()[0]
@@ -94,7 +95,7 @@ def test_heal_reregisters_within_beacon_loss_tolerance(fabric):
     heal_at = fabric.cluster.env.now + 6.0
     fabric.cluster.run(until=4.0)
     assert victim.name not in fabric.manager.workers
-    budget = (fabric.config.beacon_loss_tolerance
+    budget = (BEACON_LOSS_TOLERANCE
               * fabric.config.beacon_interval_s)
     delay = _reregistration_delay(fabric, victim, heal_at, budget)
     assert delay <= budget
@@ -116,7 +117,7 @@ def test_heal_reregisters_under_lossy_multicast(fabric):
                   start=heal_at - 2.0, duration_s=10.0)
     fabric.cluster.run(until=4.0)
     assert victim.name not in fabric.manager.workers
-    budget = (fabric.config.beacon_loss_tolerance
+    budget = (BEACON_LOSS_TOLERANCE
               * fabric.config.beacon_interval_s)
     delay = _reregistration_delay(fabric, victim, heal_at, budget)
     assert delay <= budget

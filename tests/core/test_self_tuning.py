@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.core.config import MIN_WORKERS_PER_TYPE
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
 
@@ -78,7 +79,7 @@ def test_reaping_after_load_subsides():
     fabric.cluster.run(until=60.0)
     assert fabric.manager.reaps >= 1
     survivors = len(fabric.alive_workers("test-worker"))
-    assert survivors >= fabric.config.min_workers_per_type
+    assert survivors >= MIN_WORKERS_PER_TYPE
     assert survivors < 3
 
 

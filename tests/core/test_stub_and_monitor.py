@@ -193,11 +193,10 @@ def test_monitor_records_queue_series(fabric):
     fabric.cluster.run(until=5.0)
     monitor = fabric.monitor
     assert monitor.beacons_heard >= 8
-    names = monitor.worker_names()
-    assert len(names) == 1
-    series = monitor.queue_series_for(names[0])
+    series = monitor.queue_series
+    assert len({sample.worker_name for sample in series}) == 1
     assert len(series) >= 5
-    times = [t for t, _ in series]
+    times = [sample.time for sample in series]
     assert times == sorted(times)
 
 

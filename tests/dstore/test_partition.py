@@ -35,14 +35,6 @@ def test_slots_of_consecutive_distinct_replicas():
         assert slots == [first, (first + 1) % 4, (first + 2) % 4]
 
 
-def test_replica_slots_composes_hash_and_placement():
-    partitioner = Partitioner(n_bricks=3, replicas=2)
-    for key in ("client0", "client1", "alice"):
-        partition = partitioner.partition_of(key)
-        assert partitioner.replica_slots(key) == \
-            partitioner.slots_of(partition)
-
-
 def test_partitions_of_slot_inverts_slots_of():
     partitioner = Partitioner(n_bricks=3, replicas=2, n_partitions=16)
     for slot in range(3):

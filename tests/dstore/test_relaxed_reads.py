@@ -64,7 +64,8 @@ def test_relaxed_reads_skip_read_repair():
     bricks.brick_at(0).kill()
     replacement = respawn(cluster, bricks, 0)
     user = next(f"user{index}" for index in range(8)
-                if 0 in store.partitioner.replica_slots(f"user{index}"))
+                if 0 in store.partitioner.slots_of(
+                    store.partitioner.partition_of(f"user{index}")))
     partition = store.partitioner.partition_of(user)
     relax(store)
     repairs_before = store.read_repairs

@@ -26,7 +26,8 @@ def user_on_slots(partitioner, slots):
     """A user id whose replica group is exactly ``slots``."""
     for index in range(10_000):
         user = f"user{index}"
-        if partitioner.replica_slots(user) == list(slots):
+        if partitioner.slots_of(partitioner.partition_of(user)) \
+                == list(slots):
             return user
     raise AssertionError(f"no user found for slots {slots}")
 

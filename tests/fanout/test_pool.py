@@ -14,8 +14,6 @@ from repro.fanout import (
     FanoutError,
     ShardSpec,
     run_sharded,
-    shard_seed,
-    specs_for_seeds,
 )
 
 
@@ -47,10 +45,6 @@ def _flaky(marker_path, value):
             handle.write("attempted")
         os._exit(7)
     return value
-
-
-def _seeded(seed):
-    return seed
 
 
 def _specs(values, fn=_double):
@@ -95,7 +89,8 @@ def test_crashed_shard_is_isolated():
     failed = sweep.results[1]
     assert failed.shard_id == "boom" and not failed.ok
     assert "crashed" in failed.error and "13" in failed.error
-    assert sweep.ok_values() == [0, 2, 4]
+    assert [result.value for result in sweep.results if result.ok] \
+        == [0, 2, 4]
     with pytest.raises(FanoutError) as excinfo:
         sweep.values()
     assert "boom" in str(excinfo.value)
@@ -132,20 +127,6 @@ def test_retry_recovers_a_flaky_shard(tmp_path):
     assert sweep.complete
     assert sweep.values() == [42]
     assert sweep.results[0].attempts == 2
-
-
-def test_shard_seed_is_deterministic_and_distinct():
-    assert shard_seed(1997, "a") == shard_seed(1997, "a")
-    assert shard_seed(1997, "a") != shard_seed(1997, "b")
-    assert shard_seed(1997, "a") != shard_seed(1998, "a")
-
-
-def test_specs_for_seeds_builds_labeled_specs():
-    specs = specs_for_seeds(_seeded, "bench", 1997, [3, 5])
-    assert [spec.shard_id for spec in specs] == \
-        ["bench#0:seed=3", "bench#1:seed=5"]
-    sweep = run_sharded(specs, jobs=2)
-    assert sweep.values() == [3, 5]
 
 
 def test_progress_callback_sees_every_shard():

@@ -21,53 +21,51 @@ def test_normalize_query_canonicalizes():
 
 def test_miss_then_hit():
     cache = QueryCache()
-    assert cache.get_page(["a"], 0, 10) is None
-    cache.store(["a"], hits(50))
-    page = cache.get_page(["a"], 0, 10)
+    assert cache.get_page_by_key(("a",), 0, 10) is None
+    cache.store_by_key(("a",), hits(50))
+    page = cache.get_page_by_key(("a",), 0, 10)
     assert [hit.doc_id for hit in page] == list(range(10))
 
 
 def test_incremental_delivery_pages_from_one_fetch():
     cache = QueryCache(depth=50)
-    cache.store(["a"], hits(50))
-    page2 = cache.get_page(["a"], 10, 10)
+    cache.store_by_key(("a",), hits(50))
+    page2 = cache.get_page_by_key(("a",), 10, 10)
     assert [hit.doc_id for hit in page2] == list(range(10, 20))
     assert cache.incremental_hits == 1
 
 
 def test_shallow_cached_list_misses_deep_pages():
     cache = QueryCache(depth=100)
-    cache.store(["a"], hits(100))
+    cache.store_by_key(("a",), hits(100))
     # asking past the cached depth cannot be served
-    assert cache.get_page(["a"], 95, 10) is None
+    assert cache.get_page_by_key(("a",), 95, 10) is None
 
 
 def test_exhausted_result_list_serves_any_page():
     """A query with only 7 total results: page 2 is validly empty."""
     cache = QueryCache(depth=100)
-    cache.store(["rare"], hits(7))
-    assert cache.get_page(["rare"], 0, 10) == hits(7)[:10]
-    assert cache.get_page(["rare"], 10, 10) == []
+    cache.store_by_key(("rare",), hits(7))
+    assert cache.get_page_by_key(("rare",), 0, 10) == hits(7)[:10]
+    assert cache.get_page_by_key(("rare",), 10, 10) == []
 
 
-def test_validation_and_flush():
+def test_validation():
     cache = QueryCache()
     with pytest.raises(ValueError):
         QueryCache(depth=0)
     with pytest.raises(ValueError):
-        cache.get_page(["a"], -1, 10)
-    cache.store(["a"], hits(5))
-    assert cache.entries == 1
-    assert cache.flush() == 1
-    assert cache.get_page(["a"], 0, 5) is None
+        cache.get_page_by_key(("a",), -1, 10)
+    with pytest.raises(ValueError):
+        cache.get_page_by_key(("a",), 0, 0)
 
 
 def test_lru_eviction_by_bytes():
     cache = QueryCache(capacity_bytes=96 * 60)  # room for ~60 hits
-    cache.store(["a"], hits(50))
-    cache.store(["b"], hits(50))  # evicts a
-    assert cache.get_page(["a"], 0, 10) is None
-    assert cache.get_page(["b"], 0, 10) is not None
+    cache.store_by_key(("a",), hits(50))
+    cache.store_by_key(("b",), hits(50))  # evicts a
+    assert cache.get_page_by_key(("a",), 0, 10) is None
+    assert cache.get_page_by_key(("b",), 0, 10) is not None
 
 
 # -- integrated: through the HotBot front end --------------------------------------
@@ -134,13 +132,3 @@ def test_query_case_is_folded_for_the_scatter_as_for_the_cache():
     assert len(expected.hits) == 10 and not expected.from_cache
     assert upper.hits == expected.hits and not upper.from_cache
     assert lower.hits == expected.hits and lower.from_cache
-
-
-def test_by_key_forms_are_the_terms_forms_already_normalized():
-    cache = QueryCache(depth=50)
-    cache.store_by_key(normalize_query(["B", "a"]), hits(50))
-    assert cache.get_page(["A", "b"], 10, 10) == hits(50)[10:20]
-    cache.store(["C"], hits(5))
-    assert cache.get_page_by_key(("c",), 0, 10) == hits(5)
-    with pytest.raises(ValueError):
-        cache.get_page_by_key(("c",), 0, 0)

@@ -202,17 +202,6 @@ def test_report_rejects_traces_without_roots():
     assert report.render() == "latency attribution: no sampled traces"
 
 
-def test_report_merge_pools_both_arms():
-    one = AttributionReport()
-    one.add_trace("t1", trace_of("t1", 2.0, 0.5))
-    two = AttributionReport()
-    two.add_trace("t2", trace_of("t2", 6.0, 3.0))
-    one.merge(two)
-    assert one.n_traces == 2
-    assert one.end_to_end.maximum == pytest.approx(6.0)
-    assert one._slowest[0][1] == "t2"
-
-
 def test_build_attribution_report_accepts_tracer_or_list():
     env = Environment()
     tracer = Tracer(env)

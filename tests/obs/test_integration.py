@@ -126,6 +126,6 @@ def test_sampling_reduces_stored_traces_not_results():
         sampled = run_endtoend(n_requests=N_REQUESTS,
                                seed=SEED).render()
     assert everything == sampled  # sampling never changes the sim
-    stored_full = sum(len(t.trace_ids()) for t in full)
-    stored_sparse = sum(len(t.trace_ids()) for t in sparse)
+    stored_full = sum(len(t.spans) for t in full)
+    stored_sparse = sum(len(t.spans) for t in sparse)
     assert 0 < stored_sparse < stored_full

@@ -115,7 +115,7 @@ def test_max_traces_bounds_memory():
     env, tracer = make_tracer(max_traces=2)
     roots = [tracer.open_trace("request") for _ in range(5)]
     assert sum(1 for root in roots if root is not None) == 2
-    assert len(tracer.trace_ids()) == 2
+    assert len(tracer.spans) == 2
 
 
 def test_sample_every_must_be_positive():

@@ -34,7 +34,7 @@ def test_case_lifecycle_and_latencies():
     ledger.note_healed(case, "restart", replacement="w.2")
     assert case.mttr == pytest.approx(1.5)
     assert case.heal_action == "restart"
-    assert ledger.healed == [case] and ledger.unhealed == []
+    assert ledger.healed == [case] == ledger.cases
 
 
 def test_detection_matches_oldest_undetected_case():
@@ -90,9 +90,5 @@ def test_render_marks_undetected_cases():
     case = ledger.inject("hang", "w.2")
     ledger.note_detected("w.2", "rpc-timeout")
     ledger.note_healed(case, "restart", replacement="w.3")
-    lines = ledger.render()
-    assert len(lines) == 2
-    assert "NOT DETECTED" in lines[0]
-    assert "rpc-timeout" in lines[1] and "w.3" in lines[1]
-    assert "NOT healed" in repr(ledger.cases[0]) or \
-        "NOT detected" in repr(ledger.cases[0])
+    assert "NOT detected" in repr(ledger.cases[0])
+    assert "rpc-timeout" in repr(case) and "w.3" in repr(case)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.failures import FaultInjector
 from repro.sim.kernel import Environment, Interrupt
-from repro.sim.node import Node
 from repro.sim.rng import RandomStreams
 
 
@@ -67,36 +66,10 @@ def test_past_time_rejected_at_schedule_time():
     with pytest.raises(ValueError):
         injector.kill_at(7.0, KillableStub(env, "k"))
     with pytest.raises(ValueError):
-        injector.crash_node_at(3.0, Node(env, "n"))
-    with pytest.raises(ValueError):
         injector.partition_at(9.9, KillableStub(env, "p"), 5.0)
     # nothing was scheduled: the clock can keep running cleanly
     env.run(until=20.0)
     assert injector.log == []
-
-
-def test_degrade_node_slows_then_heals():
-    env = Environment()
-    injector = FaultInjector(env)
-    node = Node(env, "n0")
-    injector.degrade_node_at(5.0, node, factor=0.25, duration_s=10.0)
-    env.run(until=6.0)
-    assert node.is_straggling
-    assert node.speed == pytest.approx(0.25 * node.base_speed)
-    env.run(until=20.0)
-    assert not node.is_straggling
-    assert node.speed == node.base_speed
-    assert [r.kind for r in injector.log] == ["straggle",
-                                              "straggle-heal"]
-
-
-def test_degrade_factor_validated():
-    env = Environment()
-    injector = FaultInjector(env)
-    node = Node(env, "n0")
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            injector.degrade_node_at(1.0, node, factor=bad)
 
 
 def test_rolling_kills_round_robin():
@@ -124,22 +97,6 @@ def test_rolling_kills_validates_period():
                                stop_at=10.0)
 
 
-def test_crash_node_kills_components_and_restarts():
-    env = Environment()
-    injector = FaultInjector(env)
-    node = Node(env, "n0")
-    hosted = KillableStub(env, "worker-on-n0")
-    injector.crash_node_at(10.0, node, components=[hosted],
-                           restart_after=5.0)
-    env.run(until=12.0)
-    assert not node.up
-    assert hosted.killed_at == 10.0
-    env.run(until=20.0)
-    assert node.up
-    kinds = [record.kind for record in injector.log]
-    assert kinds == ["node-crash", "kill", "node-restart"]
-
-
 def test_random_kills_hit_live_targets_only():
     env = Environment()
     rng = RandomStreams(3).stream("faults")
@@ -162,15 +119,3 @@ def test_random_kills_require_rng():
     injector = FaultInjector(env)
     with pytest.raises(ValueError):
         injector.random_kills(lambda: [], mtbf_s=1.0, stop_at=10.0)
-
-
-def test_faults_before_filters_by_time():
-    env = Environment()
-    injector = FaultInjector(env)
-    first = KillableStub(env, "a")
-    second = KillableStub(env, "b")
-    injector.kill_at(5.0, first)
-    injector.kill_at(15.0, second)
-    env.run(until=20.0)
-    assert [r.target for r in injector.faults_before(10.0)] == ["a"]
-    assert [r.target for r in injector.faults_before(20.0)] == ["a", "b"]

@@ -368,7 +368,6 @@ def test_queue_capacity_enforced():
     queue = env.queue(capacity=2)
     queue.put_nowait(1)
     queue.put_nowait(2)
-    assert queue.is_full
     with pytest.raises(QueueFull):
         queue.put_nowait(3)
     assert queue.try_put(3) is False

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.sim.kernel import Environment, SimulationError
 from repro.sim.network import Link
-from repro.workload.trace import TraceRecord, iter_window
 
 
 # -- kernel ordering invariants --------------------------------------------------
@@ -112,14 +111,3 @@ def test_link_same_instant_delays_monotone(sizes):
     delays = [link.reserve(size) for size in sizes]
     for earlier, later in zip(delays, delays[1:]):
         assert later > earlier
-
-
-# -- trace windowing ------------------------------------------------------------------------
-
-def test_iter_window_selects_half_open_interval():
-    records = [TraceRecord(float(t), "c", "u", "m", 1)
-               for t in range(10)]
-    window = list(iter_window(records, 3.0, 7.0))
-    assert [record.timestamp for record in window] == [3.0, 4.0, 5.0,
-                                                       6.0]
-    assert list(iter_window(records, 20.0, 30.0)) == []

@@ -7,7 +7,7 @@ from repro.sim.kernel import Environment
 from repro.sim.multicast import MulticastBus, MulticastGroup
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
-from repro.sim.transport import Channel, ChannelClosed, endpoints
+from repro.sim.transport import Channel, ChannelClosed
 
 
 def make_group(bandwidth=1e9):
@@ -111,7 +111,8 @@ def test_bus_caches_groups():
 def test_channel_round_trip():
     env = Environment()
     network = Network(env, bandwidth_bps=1e9)
-    fe, mgr = endpoints(env, network, "fe0", "manager")
+    channel = Channel(env, network, "fe0", "manager")
+    fe, mgr = channel.a, channel.b
     log = []
 
     def manager(env):
@@ -133,7 +134,8 @@ def test_channel_round_trip():
 def test_channel_messages_fifo():
     env = Environment()
     network = Network(env, bandwidth_bps=1e9)
-    a, b = endpoints(env, network, "a", "b")
+    channel = Channel(env, network, "a", "b")
+    a, b = channel.a, channel.b
     got = []
 
     def receiver(env):
@@ -154,7 +156,8 @@ def test_channel_messages_fifo():
 def test_close_fails_pending_recv():
     env = Environment()
     network = Network(env, bandwidth_bps=1e9)
-    a, b = endpoints(env, network, "a", "b")
+    channel = Channel(env, network, "a", "b")
+    a, b = channel.a, channel.b
     outcome = []
 
     def receiver(env):
@@ -176,7 +179,8 @@ def test_close_fails_pending_recv():
 def test_send_on_closed_channel_raises():
     env = Environment()
     network = Network(env, bandwidth_bps=1e9)
-    a, b = endpoints(env, network, "a", "b")
+    channel = Channel(env, network, "a", "b")
+    a, b = channel.a, channel.b
     a.channel.close()
     with pytest.raises(ChannelClosed):
         a.send("too late")
@@ -185,7 +189,8 @@ def test_send_on_closed_channel_raises():
 def test_delivered_messages_drain_before_close_error():
     env = Environment()
     network = Network(env, bandwidth_bps=1e9)
-    a, b = endpoints(env, network, "a", "b")
+    channel = Channel(env, network, "a", "b")
+    a, b = channel.a, channel.b
     got = []
 
     def scenario(env):
@@ -206,7 +211,8 @@ def test_delivered_messages_drain_before_close_error():
 def test_in_flight_message_lost_on_close():
     env = Environment()
     network = Network(env, bandwidth_bps=100.0, latency_s=1.0)
-    a, b = endpoints(env, network, "a", "b")
+    channel = Channel(env, network, "a", "b")
+    a, b = channel.a, channel.b
     got = []
 
     def scenario(env):
@@ -241,10 +247,10 @@ def test_cluster_free_node_prefers_dedicated():
     cluster = Cluster()
     cluster.add_nodes(2, prefix="ded")
     cluster.add_nodes(2, prefix="ovf", overflow=True)
-    cluster.node("ded0").attach("fe")
+    cluster.nodes["ded0"].attach("fe")
     free = cluster.free_node()
-    assert free is cluster.node("ded1")
-    cluster.node("ded1").attach("w")
+    assert free is cluster.nodes["ded1"]
+    cluster.nodes["ded1"].attach("w")
     assert cluster.free_node() is None
     assert cluster.free_node(include_overflow=True).overflow
 

@@ -37,17 +37,6 @@ def test_adding_stream_does_not_perturb_existing():
     assert seq_alone == seq_with_noise
 
 
-def test_fork_derives_independent_factory():
-    streams = RandomStreams(42)
-    fork_a = streams.fork("run-a")
-    fork_b = streams.fork("run-b")
-    assert fork_a.stream("s").random() != fork_b.stream("s").random()
-    # forks are themselves deterministic
-    again = RandomStreams(42).fork("run-a")
-    assert again.stream("s").random() == \
-        RandomStreams(42).fork("run-a").stream("s").random()
-
-
 def test_exponential_mean_roughly_correct():
     stream = RandomStreams(1).stream("exp")
     n = 20000

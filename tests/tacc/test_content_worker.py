@@ -6,13 +6,10 @@ from repro.tacc.content import (
     MIME_GIF,
     MIME_HTML,
     MIME_JPEG,
-    MIME_OCTET,
     Content,
-    guess_mime,
 )
 from repro.tacc.worker import (
     Aggregator,
-    IdentityWorker,
     TACCRequest,
     Transformer,
     Worker,
@@ -25,14 +22,6 @@ def make_content(size=1000, mime=MIME_GIF, url="http://x/a.gif"):
 
 
 # -- Content -------------------------------------------------------------------
-
-def test_guess_mime_by_extension():
-    assert guess_mime("http://a/b.gif") == MIME_GIF
-    assert guess_mime("http://a/b.JPG") == MIME_JPEG
-    assert guess_mime("http://a/b.jpeg?x=1") == MIME_JPEG
-    assert guess_mime("http://a/index.html") == MIME_HTML
-    assert guess_mime("http://a/binary") == MIME_OCTET
-
 
 def test_content_size_and_repr():
     content = make_content(123)
@@ -105,14 +94,6 @@ def test_accepts_mime_empty_means_everything():
 
     assert GifOnly().accepts_mime(MIME_GIF)
     assert not GifOnly().accepts_mime(MIME_HTML)
-
-
-def test_identity_worker_passes_through():
-    worker = IdentityWorker()
-    content = make_content()
-    request = TACCRequest(inputs=[content])
-    assert worker.run(request) is content
-    assert worker.work_estimate(request) == 0.0
 
 
 def test_transformer_dispatches_to_transform():

@@ -253,7 +253,6 @@ def test_cache_reads_hit_after_first_miss():
     assert cache.get("u1") == {"k": 1}
     assert cache.misses == 1
     assert cache.hits == 1
-    assert cache.hit_rate == 0.5
 
 
 def test_cache_write_through_updates_both():

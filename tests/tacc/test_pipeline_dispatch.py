@@ -1,10 +1,9 @@
-"""Tests for pipelines, registry, conversion planning, and dispatch."""
+"""Tests for pipelines and the worker registry."""
 
 import pytest
 
 from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG, Content
-from repro.tacc.dispatch import DispatchRule, DispatchTable
-from repro.tacc.pipeline import Pipeline, PipelineError, plan_conversion
+from repro.tacc.pipeline import Pipeline, PipelineError
 from repro.tacc.registry import RegistryError, WorkerRegistry
 from repro.tacc.worker import TACCRequest, Transformer
 
@@ -93,96 +92,9 @@ def test_pipeline_executes_in_order(registry):
     assert result.metadata["original_size"] == 1000
 
 
-def test_pipeline_then_is_immutable(registry):
-    base = Pipeline(["gif2jpeg"])
-    extended = base.then("jpeg-shrink")
-    assert base.stages == ["gif2jpeg"]
-    assert extended.stages == ["gif2jpeg", "jpeg-shrink"]
-
-
 def test_pipeline_validate_checks_mime_chain(registry):
     Pipeline(["gif2jpeg", "jpeg-shrink"]).validate(registry, MIME_GIF)
     with pytest.raises(PipelineError):
         Pipeline(["jpeg-shrink"]).validate(registry, MIME_GIF)
     with pytest.raises(PipelineError):
         Pipeline(["missing-stage"]).validate(registry)
-
-
-def test_pipeline_work_estimate_sums_stages(registry):
-    pipeline = Pipeline(["gif2jpeg", "jpeg-shrink"])
-    request = TACCRequest(inputs=[gif(1024)])
-    single = Pipeline(["gif2jpeg"]).work_estimate(registry, request)
-    assert pipeline.work_estimate(registry, request) == \
-        pytest.approx(2 * single)
-
-
-def test_plan_conversion_finds_chain(registry):
-    pipeline = plan_conversion(registry, MIME_GIF, MIME_JPEG)
-    assert pipeline.stages == ["gif2jpeg"]
-
-
-def test_plan_conversion_no_chain_raises(registry):
-    with pytest.raises(PipelineError):
-        plan_conversion(registry, MIME_HTML, MIME_JPEG)
-    with pytest.raises(PipelineError):
-        plan_conversion(registry, MIME_GIF, MIME_GIF)
-
-
-def test_plan_conversion_multi_hop():
-    reg = WorkerRegistry()
-
-    class AtoB(Transformer):
-        worker_type = "a2b"
-        accepts = ("type/a",)
-        produces = "type/b"
-
-    class BtoC(Transformer):
-        worker_type = "b2c"
-        accepts = ("type/b",)
-        produces = "type/c"
-
-    reg.register_class(AtoB)
-    reg.register_class(BtoC)
-    assert plan_conversion(reg, "type/a", "type/c").stages == ["a2b", "b2c"]
-
-
-# -- dispatch ------------------------------------------------------------------------
-
-def test_dispatch_first_match_wins(registry):
-    table = DispatchTable()
-    table.add_rule(Pipeline(["gif2jpeg", "jpeg-shrink"]), mime=MIME_GIF,
-                   min_size=1024)
-    table.add_rule(Pipeline(["html-mung"]), mime=MIME_HTML)
-
-    big_gif = gif(5000)
-    selected = table.select(big_gif)
-    assert selected.stages == ["gif2jpeg", "jpeg-shrink"]
-
-    html = Content("http://x/i.html", MIME_HTML, b"<p>" * 100)
-    assert table.select(html).stages == ["html-mung"]
-
-
-def test_dispatch_min_size_threshold(registry):
-    """TranSend's 1 KB threshold: data under 1 KB is passed unmodified."""
-    table = DispatchTable()
-    table.add_rule(Pipeline(["gif2jpeg"]), mime=MIME_GIF, min_size=1024)
-    assert table.select(gif(500)) is None
-    assert table.select(gif(2048)) is not None
-
-
-def test_dispatch_default_pipeline(registry):
-    table = DispatchTable(default=Pipeline(["html-mung"]))
-    unknown = Content("http://x/u.bin", "application/octet-stream", b"??")
-    assert table.select(unknown).stages == ["html-mung"]
-
-
-def test_dispatch_url_and_predicate_matching(registry):
-    table = DispatchTable()
-    table.add_rule(Pipeline(["gif2jpeg"]), url_contains="/images/",
-                   predicate=lambda c: c.size % 2 == 0)
-    match = Content("http://x/images/a.gif", MIME_GIF, b"xx")
-    miss_url = Content("http://x/docs/a.gif", MIME_GIF, b"xx")
-    miss_pred = Content("http://x/images/a.gif", MIME_GIF, b"xxx")
-    assert table.select(match) is not None
-    assert table.select(miss_url) is None
-    assert table.select(miss_pred) is None

@@ -46,13 +46,13 @@ def ladder_stub(level):
 
 def test_forced_tier_overrides_even_user_preferences():
     vanilla = make_transend()
-    full = vanilla.run_until(vanilla.submit(record()))
+    full = vanilla.run(vanilla.submit(record()))
     assert full.status == "ok" and full.path == "distilled"
 
     transend = make_transend()
     transend.set_preference("client1", "quality", 90)
     transend.logic.degradation = ladder_stub(1)
-    response = transend.run_until(transend.submit(record()))
+    response = transend.run(transend.submit(record()))
     assert response.status == "degraded"
     assert response.path == "distilled-low-fidelity"
     assert response.annotations["degrade_mode"] == "reduced-fidelity"
@@ -63,13 +63,13 @@ def test_forced_tier_overrides_even_user_preferences():
 
 def test_serve_stale_answers_from_any_cached_variant():
     transend = make_transend()
-    first = transend.run_until(transend.submit(record(client="client1")))
+    first = transend.run(transend.submit(record(client="client1")))
     assert first.path == "distilled"
     # a second client with different preferences would normally cost
     # another distillation; under serve-stale it takes the variant
     transend.set_preference("client2", "quality", 75)
     transend.logic.degradation = ladder_stub(2)
-    response = transend.run_until(
+    response = transend.run(
         transend.submit(record(client="client2")))
     assert response.status == "degraded"
     assert response.path == "serve-stale"
@@ -81,7 +81,7 @@ def test_open_breaker_fails_fast_on_a_cold_url():
     transend = make_transend(config=fast_config(
         origin_breaker_failures=2))
     transend.logic.origin_breaker._trip()
-    response = transend.run_until(
+    response = transend.run(
         transend.submit(record(url="http://pics/cold.jpg")))
     assert response.status == "error"
     assert response.path == "origin-breaker"
@@ -98,7 +98,7 @@ def test_open_breaker_prefers_a_cached_variant():
         distilled_cache_key(url, {"quality": 99}), variant,
         variant_of=url)
     transend.logic.origin_breaker._trip()
-    response = transend.run_until(transend.submit(record(url=url)))
+    response = transend.run(transend.submit(record(url=url)))
     assert response.status == "fallback"
     assert response.path == "fallback-variant"
     assert response.detail == "origin breaker open"

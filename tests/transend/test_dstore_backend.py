@@ -46,8 +46,8 @@ def test_preferences_shape_distillation_through_bricks():
     transend = make_transend().start(
         initial_workers={"jpeg-distiller": 1})
     transend.set_preference("client2", "quality", 75)
-    first = transend.run_until(transend.submit(record(client="client1")))
-    second = transend.run_until(transend.submit(record(client="client2")))
+    first = transend.run(transend.submit(record(client="client1")))
+    second = transend.run(transend.submit(record(client="client2")))
     assert first.path == "distilled"
     assert second.path == "distilled"
     assert second.size_bytes > first.size_bytes

@@ -39,7 +39,7 @@ def test_jpeg_request_is_distilled():
     transend = make_transend().start(
         initial_workers={"jpeg-distiller": 1})
     reply = transend.submit(record())
-    response = transend.run_until(reply)
+    response = transend.run(reply)
     assert response.status == "ok"
     assert response.path == "distilled"
     assert response.size_bytes < 10240 / 3
@@ -52,7 +52,7 @@ def test_small_content_passes_through_unmodified():
         initial_workers={"gif-distiller": 1})
     reply = transend.submit(record(url="http://icons/dot.gif",
                                    mime=MIME_GIF, size=200))
-    response = transend.run_until(reply)
+    response = transend.run(reply)
     assert response.path == "passthrough"
     assert response.size_bytes == 200
 
@@ -62,16 +62,16 @@ def test_unknown_mime_passes_through():
     reply = transend.submit(record(url="http://x/blob.bin",
                                    mime="application/octet-stream",
                                    size=50000))
-    response = transend.run_until(reply)
+    response = transend.run(reply)
     assert response.path == "passthrough"
 
 
 def test_repeat_request_hits_distilled_cache():
     transend = make_transend().start(
         initial_workers={"jpeg-distiller": 1})
-    first = transend.run_until(transend.submit(record()))
+    first = transend.run(transend.submit(record()))
     assert first.path == "distilled"
-    second = transend.run_until(transend.submit(record()))
+    second = transend.run(transend.submit(record()))
     assert second.path == "cache-hit-distilled"
     assert second.size_bytes == first.size_bytes
     # the origin was fetched exactly once
@@ -83,8 +83,8 @@ def test_different_preferences_different_cache_entries():
     transend = make_transend().start(
         initial_workers={"jpeg-distiller": 1})
     transend.set_preference("client2", "quality", 75)
-    first = transend.run_until(transend.submit(record(client="client1")))
-    second = transend.run_until(transend.submit(record(client="client2")))
+    first = transend.run(transend.submit(record(client="client1")))
+    second = transend.run(transend.submit(record(client="client2")))
     assert first.path == "distilled"
     assert second.path == "distilled"  # not a cache hit: different prefs
     assert second.size_bytes > first.size_bytes  # higher quality = bigger
@@ -95,7 +95,7 @@ def test_user_can_disable_distillation():
         initial_workers={"jpeg-distiller": 1})
     transend.set_preference("client9", "distill_images", False)
     reply = transend.submit(record(client="client9"))
-    response = transend.run_until(reply)
+    response = transend.run(reply)
     assert response.path == "passthrough"
 
 
@@ -110,7 +110,7 @@ def test_html_gets_munged():
         initial_workers={"html-munger": 1})
     reply = transend.submit(record(url="http://site/page.html",
                                    mime=MIME_HTML, size=5000))
-    response = transend.run_until(reply)
+    response = transend.run(reply)
     assert response.path == "distilled"
     assert b"transend-toolbar" in response.content.data
 
@@ -120,7 +120,7 @@ def test_real_content_mode_runs_actual_distillers():
         initial_workers={"gif-distiller": 1})
     reply = transend.submit(record(url="http://pics/photo.gif",
                                    mime=MIME_GIF, size=10240))
-    response = transend.run_until(reply)
+    response = transend.run(reply)
     assert response.status == "ok"
     assert response.path == "distilled"
     # real bytes, really smaller (the Figure 3 effect, end to end)
@@ -147,7 +147,7 @@ def test_total_distiller_loss_falls_back_to_original():
     transend.cluster.env.process(sabotage(transend.cluster.env))
     transend.run(until=transend.cluster.env.now + 3.0)
     reply = transend.submit(record())
-    response = transend.run_until(reply)
+    response = transend.run(reply)
     assert response.status == "fallback"
     assert response.path == "fallback-original"
     assert response.size_bytes == 10240
@@ -160,7 +160,7 @@ def test_overload_returns_cached_variant_if_available():
         config=fast_config(spawn_threshold=1e9)).start(
         initial_workers={"jpeg-distiller": 1})
     # client1 distills at default prefs -> variant cached
-    transend.run_until(transend.submit(record(client="client1")))
+    transend.run(transend.submit(record(client="client1")))
     # now the distiller dies and cannot come back
     transend.registry._factories.pop("jpeg-distiller")
     for stub in transend.fabric.alive_workers("jpeg-distiller"):
@@ -169,7 +169,7 @@ def test_overload_returns_cached_variant_if_available():
     # client2 wants different prefs -> exact key misses, variant serves
     transend.set_preference("client2", "quality", 75)
     reply = transend.submit(record(client="client2"))
-    response = transend.run_until(reply)
+    response = transend.run(reply)
     assert response.status == "fallback"
     assert response.path == "fallback-variant"
     assert response.size_bytes < 10240
@@ -203,7 +203,7 @@ def test_profile_reads_absorbed_by_write_through_cache():
     transend = make_transend().start(
         initial_workers={"jpeg-distiller": 1})
     for index in range(5):
-        transend.run_until(transend.submit(
+        transend.run(transend.submit(
             record(url=f"http://pics/{index}.jpg", client="client1")))
     cache = transend.logic.profile_cache_for(
         transend.fabric.alive_frontends()[0].name)

@@ -79,15 +79,15 @@ def test_killing_every_cache_node_degrades_but_never_breaks():
         return TraceRecord(t, "client1", "http://pics/a.jpg",
                            "image/jpeg", 10240)
 
-    first = transend.run_until(transend.submit(record()))
+    first = transend.run(transend.submit(record()))
     assert first.path == "distilled"
-    warm = transend.run_until(transend.submit(record()))
+    warm = transend.run(transend.submit(record()))
     assert warm.path == "cache-hit-distilled"
     origin_fetches_before = transend.origin.fetches
     # throw away every cache node: all BASE data gone
     for name in list(transend.cachesys.nodes):
         transend.cachesys.nodes[name].kill()
-    after = transend.run_until(transend.submit(record()))
+    after = transend.run(transend.submit(record()))
     # correctness: a real answer, re-derived from the origin
     assert after.status == "ok"
     assert after.path == "distilled"

@@ -77,6 +77,20 @@ def test_constant_rate_requires_rng():
         next(engine.constant_rate(10.0, 1.0, records_at([0.0])))
 
 
+@pytest.mark.parametrize("mode", ["constant_rate", "ramp"])
+def test_rate_modes_reject_an_empty_record_pool(mode):
+    """Nothing to cycle over used to surface as a ZeroDivisionError from
+    ``index % len(records)`` at the first arrival, mid-run."""
+    env = Environment()
+    engine = PlaybackEngine(env, MockService(env).submit,
+                            rng=RandomStreams(5).stream("playback"))
+    player = (engine.constant_rate(10.0, 5.0, [])
+              if mode == "constant_rate"
+              else engine.ramp([(5.0, 10.0)], []))
+    with pytest.raises(ValueError, match="records"):
+        next(player)
+
+
 def test_ramp_mode_changes_rate_per_step():
     env = Environment()
     service = MockService(env, service_time=0.01)
@@ -131,21 +145,10 @@ def test_in_flight_tracking():
     assert engine.in_flight == 0
 
 
-def test_throughput_window():
-    env = Environment()
-    service = MockService(env, service_time=0.0)
-    engine = PlaybackEngine(env, service.submit)
-    env.process(engine.play(records_at([0.0, 1.0, 2.0, 3.0])))
-    env.run(until=100.0)
-    # all 4 completed by t=3; window of last 50 s covers them
-    assert engine.throughput(100.0) == pytest.approx(4 / 100.0)
-    with pytest.raises(ValueError):
-        engine.throughput(0.0)
-
-
 def test_play_scheduled_matches_play_aligned():
     """The callback-driven pump submits the same records at the same
-    simulated times as the process-based absolute-clock player."""
+    simulated times as the process-based player does when the clock
+    origin is the first record's timestamp."""
     trace = records_at([10.0, 10.4, 12.0, 15.5])
     received = {}
     for mode in ("aligned", "scheduled"):
@@ -153,7 +156,7 @@ def test_play_scheduled_matches_play_aligned():
         service = MockService(env, service_time=0.1)
         engine = PlaybackEngine(env, service.submit)
         if mode == "aligned":
-            env.process(engine.play_aligned(trace, clock_origin=10.0))
+            env.process(engine.play(trace, time_offset=0.0))
         else:
             engine.play_scheduled(trace, clock_origin=10.0)
         env.run()
@@ -174,53 +177,6 @@ def test_play_scheduled_past_due_records_submit_immediately():
     env.run()
     assert [t for t, _ in service.received] == [0.0, 0.0]
     assert engine.stats.submitted == 2
-
-
-def test_throughput_modes_agree():
-    """Bounded-memory mode must answer the same windowed-throughput
-    query as the outcome-scanning mode, for every window that the
-    completion ring covers."""
-    times = [0.0, 1.0, 2.0, 3.0, 10.0, 11.0]
-    results = {}
-    for record_outcomes in (True, False):
-        env = Environment()
-        service = MockService(env, service_time=0.0)
-        engine = PlaybackEngine(env, service.submit,
-                                record_outcomes=record_outcomes)
-        env.process(engine.play(records_at(times)))
-        env.run(until=12.0)
-        results[record_outcomes] = [engine.throughput(w)
-                                    for w in (1.5, 5.0, 12.0)]
-    assert results[True] == pytest.approx(results[False])
-    # the trailing 1.5 s window sees only the completion at t=11
-    assert results[False][0] == pytest.approx(1 / 1.5)
-
-
-def test_throughput_ring_wrap_raises_instead_of_undercounting():
-    env = Environment()
-    service = MockService(env, service_time=0.0)
-    engine = PlaybackEngine(env, service.submit,
-                            record_outcomes=False, throughput_ring=2)
-    env.process(engine.play(records_at([0.0, 1.0, 2.0, 3.0])))
-    env.run(until=4.0)
-    # ring holds completions at t=2 and t=3 only; a 1.5 s window
-    # (horizon 2.5) is fully covered...
-    assert engine.throughput(1.5) == pytest.approx(1 / 1.5)
-    # ...but a 3 s window (horizon 1.0) reaches past the evicted
-    # completions at t=0 and t=1 and must refuse rather than lie
-    with pytest.raises(ValueError, match="larger"):
-        engine.throughput(3.0)
-
-
-def test_throughput_zero_ring_raises_in_bounded_mode():
-    env = Environment()
-    service = MockService(env, service_time=0.0)
-    engine = PlaybackEngine(env, service.submit,
-                            record_outcomes=False, throughput_ring=0)
-    env.process(engine.play(records_at([0.0])))
-    env.run(until=1.0)
-    with pytest.raises(ValueError, match="throughput_ring=0"):
-        engine.throughput(1.0)
 
 
 def test_bounded_mode_stats_match_recorded_mode():

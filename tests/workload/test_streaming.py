@@ -6,17 +6,17 @@ while never materializing the trace or the per-request outcome list.
 """
 
 import tracemalloc
-from itertools import islice
 
 from repro.sim.kernel import Environment
 from repro.workload.playback import PlaybackEngine
 from repro.workload.trace import TraceRecord, iter_trace, load_trace, \
     save_trace
-from repro.workload.tracegen import (
-    TraceGenerator,
-    fixed_jpeg_trace,
-    iter_fixed_jpeg_trace,
-)
+from repro.workload.tracegen import TraceGenerator, iter_fixed_jpeg_trace
+
+
+def fixed_jpeg_records(rate_rps, n_requests, seed):
+    return list(iter_fixed_jpeg_trace(rate_rps=rate_rps,
+                                      n_requests=n_requests, seed=seed))
 
 
 # -- generator equivalence -------------------------------------------------
@@ -30,16 +30,6 @@ def test_iter_generate_matches_generate():
     assert timestamps == sorted(timestamps)
 
 
-def test_iter_fixed_jpeg_trace_matches_fixed_jpeg_trace():
-    records = fixed_jpeg_trace(rate_rps=50.0, duration_s=20.0, seed=7)
-    assert records  # sanity: the comparison below is not vacuous
-    streamed = list(islice(
-        iter_fixed_jpeg_trace(rate_rps=50.0, n_requests=len(records),
-                              seed=7),
-        len(records)))
-    assert streamed == records
-
-
 def test_iter_fixed_jpeg_trace_is_lazy_and_count_bounded():
     iterator = iter_fixed_jpeg_trace(rate_rps=100.0, n_requests=5)
     records = list(iterator)
@@ -51,7 +41,7 @@ def test_iter_fixed_jpeg_trace_is_lazy_and_count_bounded():
 
 def test_iter_trace_streams_file(tmp_path):
     path = str(tmp_path / "trace.tsv")
-    records = fixed_jpeg_trace(rate_rps=20.0, duration_s=5.0, seed=3)
+    records = fixed_jpeg_records(20.0, 100, seed=3)
     save_trace(records, path)
     # timestamps roundtrip at the file format's 6-decimal precision, so
     # compare the two readers to each other and the shape to the source
@@ -80,7 +70,7 @@ def _replay(records_factory, record_outcomes=True):
 
 
 def test_play_accepts_generator_and_matches_list_playback():
-    records = fixed_jpeg_trace(rate_rps=40.0, duration_s=10.0, seed=11)
+    records = fixed_jpeg_records(40.0, 400, seed=11)
     env_list, from_list = _replay(lambda: list(records))
     env_gen, from_gen = _replay(lambda: iter(records))
     assert env_list.now == env_gen.now
@@ -94,7 +84,7 @@ def test_play_accepts_generator_and_matches_list_playback():
 
 
 def test_streaming_stats_match_recorded_outcomes():
-    records = fixed_jpeg_trace(rate_rps=40.0, duration_s=10.0, seed=11)
+    records = fixed_jpeg_records(40.0, 400, seed=11)
     _, recorded = _replay(lambda: iter(records), record_outcomes=True)
     _, streaming = _replay(lambda: iter(records), record_outcomes=False)
 
@@ -142,7 +132,7 @@ def test_playback_stats_failure_accounting():
             raise RuntimeError("boom")
         return env.timeout(0.01, value="ok")
 
-    records = fixed_jpeg_trace(rate_rps=30.0, duration_s=5.0, seed=9)
+    records = fixed_jpeg_records(30.0, 150, seed=9)
     engine = PlaybackEngine(env, flaky, record_outcomes=False)
     env.process(engine.play(iter(records)))
     env.run()

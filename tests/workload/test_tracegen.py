@@ -4,7 +4,6 @@ import pytest
 
 from repro.tacc.content import MIME_JPEG
 from repro.workload.burstiness import (
-    aggregate,
     bucket_counts,
     burstiness_report,
     index_of_dispersion,
@@ -17,7 +16,7 @@ from repro.workload.tracegen import (
     DocumentUniverse,
     TraceGenerator,
     daily_cycle_factor,
-    fixed_jpeg_trace,
+    iter_fixed_jpeg_trace,
 )
 from repro.sim.rng import RandomStreams
 
@@ -150,7 +149,7 @@ def test_burst_dispersion_grows_with_aggregation():
                             with_daily_cycle=False,
                             with_bursts=True).generate(3600.0)
     fine = bucket_counts(bursty, 1.0)
-    coarse = aggregate(fine, 30)
+    coarse = bucket_counts(bursty, 30.0)
     assert index_of_dispersion(coarse) > index_of_dispersion(fine)
 
 
@@ -160,7 +159,7 @@ def test_universe_shared_and_private_documents():
                                 n_private_per_user=10,
                                 shared_fraction=0.5)
     shared_urls = {doc.url for doc in universe.shared_docs}
-    docs = [universe.sample_document("client1") for _ in range(500)]
+    docs = universe.sample_batch(["client1"] * 500, rng)
     shared_count = sum(1 for doc in docs if doc.url in shared_urls)
     assert 150 < shared_count < 350  # ~50% shared
     private = [doc for doc in docs if doc.url not in shared_urls]
@@ -182,9 +181,11 @@ def test_universe_validates_shared_fraction():
 
 
 def test_fixed_jpeg_trace_shape():
-    records = fixed_jpeg_trace(rate_rps=20.0, duration_s=30.0,
-                               n_images=5, image_size_bytes=10240)
-    assert len(records) / 30.0 == pytest.approx(20.0, rel=0.25)
+    records = list(iter_fixed_jpeg_trace(rate_rps=20.0, n_requests=600,
+                                         n_images=5,
+                                         image_size_bytes=10240))
+    assert len(records) / records[-1].timestamp \
+        == pytest.approx(20.0, rel=0.25)
     assert all(record.mime == MIME_JPEG for record in records)
     assert all(record.size_bytes == 10240 for record in records)
     assert len({record.url for record in records}) == 5
@@ -241,8 +242,6 @@ def test_analysis_input_validation():
         utilization_line([1], 1.0, 0.0)
     with pytest.raises(ValueError):
         overflow_line_for_fraction([1], 1.0, 1.5)
-    with pytest.raises(ValueError):
-        aggregate([1, 2], 0)
 
 
 def test_burstiness_report_scales():
