@@ -8,6 +8,7 @@ end-to-end experiment.
 """
 
 import time
+from typing import Tuple
 
 from repro.experiments.endtoend_latency import run_endtoend
 from repro.obs import capture_traces
@@ -21,10 +22,12 @@ def _run_untraced() -> None:
     run_endtoend(n_requests=N_REQUESTS, seed=SEED)
 
 
-def _run_traced(sample_every: int) -> int:
+def _run_traced(sample_every: int) -> Tuple[int, int]:
+    """(requests sampled, requests submitted), over both arms."""
     with capture_traces(sample_every=sample_every) as tracers:
         run_endtoend(n_requests=N_REQUESTS, seed=SEED)
-    return sum(tracer.requests_sampled for tracer in tracers)
+    return (sum(tracer.requests_sampled for tracer in tracers),
+            sum(tracer.requests_seen for tracer in tracers))
 
 
 def _best_of(fn, rounds: int = ROUNDS) -> float:
@@ -67,7 +70,10 @@ def test_full_tracing_still_samples_every_request(benchmark):
     def measured():
         return _run_traced(1)
 
-    sampled = benchmark.pedantic(measured, rounds=1, iterations=1)
-    # both arms of the experiment trace every request they saw
-    assert sampled >= 2 * N_REQUESTS
+    sampled, submitted = benchmark.pedantic(measured, rounds=1,
+                                            iterations=1)
+    # both arms of the experiment trace every request they submitted
+    # (`N_REQUESTS` is nominal: an arm replays the ~197 records the
+    # generator makes for N_REQUESTS / 4 seconds at 4 requests/s)
+    assert sampled == submitted > N_REQUESTS
     benchmark.extra_info["requests_sampled"] = sampled

@@ -13,7 +13,12 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional
 
 from repro.sim.cluster import Cluster
-from repro.sim.kernel import Environment, PeriodicHandle, Process
+from repro.sim.kernel import (
+    PENDING,
+    Environment,
+    PeriodicHandle,
+    Process,
+)
 from repro.sim.node import Node
 
 
@@ -65,7 +70,8 @@ class Component:
         """
         procs = self._procs
         if len(procs) >= self._sweep_at:
-            self._procs = procs = [p for p in procs if p.is_alive]
+            self._procs = procs = [
+                p for p in procs if p._value is PENDING]
             self._sweep_at = max(_SWEEP_FLOOR, 2 * len(procs))
         process = Process(self.env, generator, absorb_interrupt=True)
         procs.append(process)

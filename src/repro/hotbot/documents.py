@@ -9,26 +9,55 @@ be rebuilt identically on every "node".
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.sim.rng import RandomStreams, Stream
 
 
-@dataclass(frozen=True)
 class Document:
-    """One indexed page: id, url, and its term-frequency vector."""
+    """One indexed page: id, url, and its term-frequency vector.
 
-    doc_id: int
-    url: str
-    terms: Tuple[Tuple[str, int], ...]   # (term, frequency), sorted
+    The vector is two columns, which is what an index build reads:
+    term names (the corpus's shared strings) and ``array('H')`` counts.
+    """
+
+    __slots__ = ("doc_id", "url", "term_names", "frequencies")
+
+    def __init__(self, doc_id: int, url: str,
+                 terms: Iterable[Tuple[str, int]]) -> None:
+        pairs = list(terms)  # (term, frequency), sorted
+        self.doc_id = doc_id
+        self.url = url
+        self.term_names = tuple([term for term, _ in pairs])
+        self.frequencies = array("H", [freq for _, freq in pairs])
+
+    @classmethod
+    def from_columns(cls, doc_id: int, url: str,
+                     term_names: Tuple[str, ...],
+                     frequencies: array) -> "Document":
+        """The document whose vector is already in columns."""
+        document = cls.__new__(cls)
+        document.doc_id, document.url = doc_id, url
+        document.term_names, document.frequencies = term_names, frequencies
+        return document
+
+    @property
+    def terms(self) -> Tuple[Tuple[str, int], ...]:
+        return tuple(zip(self.term_names, self.frequencies))
 
     def tf(self, term: str) -> int:
-        for candidate, freq in self.terms:
-            if candidate == term:
-                return freq
-        return 0
+        return dict(zip(self.term_names, self.frequencies)).get(term, 0)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Document) and (
+            (self.doc_id, self.url, self.term_names, self.frequencies)
+            == (other.doc_id, other.url, other.term_names,
+                other.frequencies))
+
+    def __hash__(self) -> int:
+        return hash((self.doc_id, self.url, self.term_names))
 
 
 class Corpus:
@@ -58,12 +87,10 @@ class Corpus:
         ranks = rng.zipf_rank_batch(self.vocabulary_size, zipf_alpha,
                                     length)
         counts = Counter(map(self._term_names.__getitem__, ranks))
-        terms = tuple(sorted(counts.items()))
-        return Document(
-            doc_id=doc_id,
-            url=f"http://crawl.example/page{doc_id}",
-            terms=terms,
-        )
+        names = tuple(sorted(counts))
+        return Document.from_columns(
+            doc_id, f"http://crawl.example/page{doc_id}", names,
+            array("H", map(counts.__getitem__, names)))
 
     def __len__(self) -> int:
         return self.n_docs

@@ -7,10 +7,10 @@ thousand synthetic documents, preserving the retrieval semantics the
 collation step depends on (scores are comparable across partitions, so
 the front end can merge top-k lists).
 
-A partition answers with *ranked pairs* — ``(-score, doc_id)`` tuples,
-ascending — which is what travels to the front end and what it
-collates; :class:`SearchHit` objects are made once per answer, from the
-pairs that survive the cut.
+A partition fetches *columns* — ``(idf, doc ids, weights)`` per query
+term — and ranks them into *pairs* — ``(-score, doc_id)``, ascending —
+which the front end collates, caches and pages from; :class:`SearchHit`
+objects are made at the edge, for the one page a user is served.
 """
 
 from __future__ import annotations
@@ -24,6 +24,16 @@ from repro.hotbot.documents import Document
 #: one ranked candidate, ``(-score, doc_id)``: plain tuple comparison
 #: orders a list of them best first with ties broken by doc id.
 Ranked = Tuple[float, int]
+#: one query term's postings with its idf: ``(idf, doc ids, weights)``
+Column = Tuple[float, array, array]
+
+
+def idf_table(total_corpus_size: int,
+              global_df: Mapping[str, int]) -> Dict[str, float]:
+    """term -> idf under corpus-wide document frequencies: fixed when
+    a deployment is built, so a query reads its idf as a lookup."""
+    return {term: math.log(1.0 + total_corpus_size / frequency)
+            for term, frequency in global_df.items() if frequency}
 
 
 class SearchHit(NamedTuple):
@@ -48,11 +58,11 @@ class InvertedIndex:
         #: N used in idf — the *whole* corpus, not this partition, so
         #: scores merge correctly across partitions.
         self.total_corpus_size = total_corpus_size
-        #: corpus-wide document frequencies, distributed to every
-        #: partition at index-build time.  Without them each partition
-        #: would compute its own idf and per-partition scores would not
-        #: be comparable during collation.
-        self.global_df = global_df
+        #: term -> idf under the corpus-wide document frequencies every
+        #: partition is given at build time.  Without them (None) each
+        #: computes its own and scores are not comparable at collation.
+        self.global_idf = (None if global_df is None else
+                           idf_table(total_corpus_size, global_df))
         #: term -> (doc ids, tf weights): two parallel typed arrays in
         #: the order the documents were added.  The weight is
         #: ``1.0 + log(frequency)``, the only thing ranking ever wanted
@@ -79,7 +89,8 @@ class InvertedIndex:
             if doc_id in urls:
                 raise ValueError(f"duplicate document {doc_id}")
             urls[doc_id] = document.url
-            for term, frequency in document.terms:
+            for term, frequency in zip(document.term_names,
+                                       document.frequencies):
                 try:
                     weight = weights[frequency]
                 except KeyError:
@@ -113,56 +124,59 @@ class InvertedIndex:
     def n_terms(self) -> int:
         return len(self._postings)
 
-    def postings_scanned(self, terms: Sequence[str]) -> int:
-        """Posting entries a query touches (drives the latency model)."""
-        postings = self._postings
-        scanned = 0
-        for term in terms:
-            entry = postings.get(term)
-            if entry is not None:
-                scanned += len(entry[0])
-        return scanned
-
     # -- query ----------------------------------------------------------------
 
-    def _idf(self, term: str) -> float:
-        if self.global_df is not None:
-            document_frequency = self.global_df.get(term, 0)
-        else:
-            entry = self._postings.get(term)
-            document_frequency = 0 if entry is None else len(entry[0])
-        if document_frequency == 0:
-            return 0.0
-        return math.log(
-            1.0 + self.total_corpus_size / document_frequency)
+    def lookup(self, terms: Sequence[str]) -> Tuple[int, List[Column]]:
+        """One fetch of a query's postings: ``(scanned, columns)``.
+        ``scanned`` counts a repeated term each time it is named (it
+        drives the latency model); ``columns`` holds each distinct term
+        with a non-zero idf once."""
+        postings = self._postings
+        global_idf = self.global_idf
+        scanned = 0
+        # distinct terms in the order given, never set order: float
+        # addition does not associate, so with three or more terms an
+        # order that varies with PYTHONHASHSEED would vary the scores
+        columns: Dict[str, Column] = {}
+        for term in terms:
+            entry = postings.get(term)
+            if entry is None:
+                continue
+            scanned += len(entry[0])
+            if term in columns:
+                continue
+            if global_idf is None:
+                idf = math.log(
+                    1.0 + self.total_corpus_size / len(entry[0]))
+            else:
+                idf = global_idf.get(term, 0.0)
+            if idf != 0.0:
+                columns[term] = (idf, *entry)
+        return scanned, list(columns.values())
 
     def rank(self, terms: Sequence[str], k: int = 10) -> List[Ranked]:
         """The k best ``(-score, doc_id)`` pairs by tf-idf, ascending:
         best score first, ties broken by doc id."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        postings = self._postings
-        scores: Dict[int, float] = {}
-        get = scores.get
-        # distinct terms in the order given, never set order: float
-        # addition does not associate, so with three or more terms an
-        # order that varies with PYTHONHASHSEED would vary the scores
-        for term in dict.fromkeys(terms):
-            entry = postings.get(term)
-            if entry is None:
-                continue
-            idf = self._idf(term)
-            if idf == 0.0:
-                continue
-            for doc_id, weight in zip(*entry):
-                scores[doc_id] = get(doc_id, 0.0) + weight * idf
-        ranked = [(-score, doc_id) for doc_id, score in scores.items()]
-        ranked.sort()
-        return ranked[:k]
+        return rank_columns(self.lookup(terms)[1], k)
 
     def query(self, terms: Sequence[str], k: int = 10) -> List[SearchHit]:
         """Top-k documents by tf-idf, ties broken by doc id (stable)."""
         return hits_from_ranked(self.rank(terms, k), self._doc_urls)
+
+
+def rank_columns(columns: Iterable[Column], k: int = 10) -> List[Ranked]:
+    """The k best pairs of fetched columns: the one ranking loop, which
+    a partition server runs after the compute wait its fetch priced."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    scores: Dict[int, float] = {}
+    get = scores.get
+    for idf, doc_ids, weights in columns:
+        for doc_id, weight in zip(doc_ids, weights):
+            scores[doc_id] = get(doc_id, 0.0) + weight * idf
+    ranked = [(-score, doc_id) for doc_id, score in scores.items()]
+    ranked.sort()
+    return ranked[:k]
 
 
 def collate(partials: Iterable[List[Ranked]], k: int = 10) -> List[Ranked]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.hotbot.documents import Corpus, Document
-from repro.hotbot.index import InvertedIndex
+from repro.hotbot.index import InvertedIndex, idf_table
 from repro.sim.rng import Stream
 
 
@@ -44,8 +44,10 @@ class PartitionMap:
             partition = rng.weighted_choice(partition_ids, self.weights)
             self.assignment[document.doc_id] = partition
             self._members[partition].append(document)
-            for term, _ in document.terms:
+            for term in document.term_names:
                 df[term] = df.get(term, 0) + 1
+        #: term -> idf under ``global_df``, written here and nowhere else
+        self.global_idf = idf_table(len(corpus), df)
 
     def documents_in(self, partition: int) -> List[Document]:
         return list(self._members[partition])
@@ -56,8 +58,9 @@ class PartitionMap:
     def build_index(self, partition: int) -> InvertedIndex:
         """The partition's local index (global statistics for mergeable
         scores)."""
-        index = InvertedIndex(total_corpus_size=len(self.corpus),
-                              global_df=self.global_df)
+        index = InvertedIndex(total_corpus_size=len(self.corpus))
+        # shared: the constructor would derive the table again
+        index.global_idf = self.global_idf
         return index.add_all(self._members[partition])
 
     def coverage_without(self, failed: Sequence[int]) -> float:

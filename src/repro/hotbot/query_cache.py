@@ -5,7 +5,8 @@ delivery."  Search engines answer the same hot queries over and over,
 and a user paging to results 11-20 re-issues the query they just ran;
 HotBot therefore cached *deep* result lists keyed by the normalized
 query and served successive pages — incremental delivery — from that
-cache without touching the partitions again.
+cache without touching the partitions again.  A cached list is the
+collated ``(-score, doc_id)`` pairs; hits are made from the page read.
 
 The cached result lists are BASE soft state: a lost cache only costs
 recomputation, and entries may be slightly stale with respect to index
@@ -18,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.lru import LRUCache
-from repro.hotbot.index import SearchHit
+from repro.hotbot.index import Ranked
 
 #: how deep a result list the cache stores per query: one scatter-gather
 #: can serve this many pages of incremental delivery.
@@ -44,8 +45,8 @@ class QueryCache:
         self.incremental_hits = 0
 
     def get_page_by_key(self, key: Tuple[str, ...], offset: int,
-                        k: int) -> Optional[List[SearchHit]]:
-        """Results [offset, offset+k) if the list cached under ``key``
+                        k: int) -> Optional[List[Ranked]]:
+        """Ranked pairs [offset, offset+k) if the list cached under ``key``
         (``normalize_query(terms)``: the front end normalizes a query
         once, for the lookup and the store after a miss) covers them.
 
@@ -55,17 +56,18 @@ class QueryCache:
         """
         if offset < 0 or k < 1:
             raise ValueError("offset must be >= 0 and k >= 1")
-        hits = self._store.get(key)
-        if hits is None:
+        ranked = self._store.get(key)
+        if ranked is None:
             return None
-        exhausted = len(hits) < self.depth
-        if len(hits) >= offset + k or exhausted:
+        exhausted = len(ranked) < self.depth
+        if len(ranked) >= offset + k or exhausted:
             if offset > 0:
                 self.incremental_hits += 1
-            return hits[offset: offset + k]
+            return ranked[offset: offset + k]
         return None  # cached list too shallow for this page
 
     def store_by_key(self, key: Tuple[str, ...],
-                     hits: List[SearchHit]) -> None:
-        size = max(HIT_BYTES, HIT_BYTES * len(hits))
-        self._store.put(key, list(hits), size)
+                     ranked: List[Ranked]) -> None:
+        """Cache ``ranked``: the list itself, which the caller gives up."""
+        size = max(HIT_BYTES, HIT_BYTES * len(ranked))
+        self._store.put(key, ranked, size)

@@ -22,10 +22,12 @@ from repro.hotbot.index import (
     SearchHit,
     collate,
     hits_from_ranked,
+    rank_columns,
 )
 from repro.hotbot.partition import PartitionMap
 from repro.hotbot.query_cache import QueryCache, normalize_query
 from repro.sim.cluster import Cluster
+from repro.sim.kernel import PENDING, Event, Timeout
 from repro.sim.network import Link
 from repro.sim.node import Node, NodeDown
 
@@ -54,6 +56,15 @@ class HotBotConfig:
     #: Informix capacity and failover time.
     db_capacity_rps: float = 400.0
     db_failover_s: float = 5.0
+
+    def __post_init__(self) -> None:
+        if self.failure_mode not in ("fast-restart", "cross-mount"):
+            raise ValueError(f"unknown failure_mode {self.failure_mode!r}")
+        counts = ("n_workers", "n_docs", "top_k", "frontend_threads")
+        for name, value in vars(self).items():
+            floor = 1 if name in counts else 0
+            if name != "failure_mode" and value < floor:
+                raise ValueError(f"{name} must be >= {floor}")
 
 
 @dataclass
@@ -139,42 +150,41 @@ class SearchWorker(Component):
     def _start_processes(self) -> None:
         self.spawn(self._service_loop())
 
-    def submit(self, terms: Sequence[str], k: int, reply,
-               use_replica: bool = False) -> None:
-        """Accept one scatter leg; dead workers swallow it (the front
-        end's gather timeout is the failure detector)."""
-        if not self.alive:
-            return
-        self.queue.put_nowait((terms, k, reply, use_replica))
-
     def _service_loop(self):
+        # runs per query and partition: bind what is fixed (DESIGN 5l)
+        fixed_s = self.config.query_fixed_s
+        per_posting_s = self.config.query_per_posting_s
+        penalty = self.config.cross_mount_penalty
+        get = self.queue.get
+        compute = self.node.compute
+        transfer_delay = self.cluster.network.transfer_delay
         while True:
-            terms, k, reply, use_replica = yield self.queue.get()
+            terms, k, reply, use_replica = yield get()
             index = self.replica_index if use_replica else self.index
             if index is None:
                 continue
-            scanned = index.postings_scanned(terms)
-            work = (self.config.query_fixed_s
-                    + self.config.query_per_posting_s * scanned)
+            # one fetch: `scanned` prices the wait, the columns are ranked
+            scanned, columns = index.lookup(terms)
+            work = fixed_s + per_posting_s * scanned
             if use_replica:
-                work *= self.config.cross_mount_penalty
+                work *= penalty
             try:
-                yield from self.node.compute(work)
+                yield from compute(work)
             except NodeDown:
                 return
             # doc ids and scores are what a partition server returns;
             # the front end holds the urls
-            ranked = index.rank(terms, k)
+            ranked = rank_columns(columns, k)
             if use_replica:
                 self.replica_queries_served += 1
             else:
                 self.queries_served += 1
-            delay = self.cluster.network.transfer_delay(64 * len(ranked))
-            self.spawn(self._deliver(reply, ranked, delay))
+            self.spawn(self._deliver(
+                reply, ranked, transfer_delay(64 * len(ranked))))
 
     def _deliver(self, reply, ranked, delay):
-        yield self.env.timeout(delay)
-        if self.alive and not reply.triggered:
+        yield Timeout(self.env, delay)
+        if self.alive and reply._value is PENDING:
             reply.succeed(ranked)
 
     def _on_crash(self) -> None:
@@ -264,20 +274,23 @@ class HotBot:
         """Client entry: returns an event completing with QueryResult.
 
         ``offset`` pages through results ("incremental delivery"):
-        page 2 is ``offset=10`` with the default top_k.
+        page 2 is ``offset=10`` with the default top_k.  A bad query is
+        refused here: inside the process it would abort the whole run.
         """
-        reply = self.cluster.env.event()
-        span = self._ingress_span()
-        self.cluster.env.process(
-            self._handle(terms, user_id, offset, reply, span))
+        if isinstance(terms, str):
+            raise TypeError("terms must be a sequence, not a bare string")
+        if offset < 0:
+            raise ValueError("offset must be >= 0")
+        env = self.cluster.env
+        reply = Event(env)
+        span = None if env.tracer is None else self._ingress_span()
+        env.process(self._handle(terms, user_id, offset, reply, span))
         return reply
 
     def _ingress_span(self):
         """Front-end span for one query (HotBot has no FrontEnd
         component; the query path itself is the ingress)."""
         tracer = self.cluster.env.tracer
-        if tracer is None:
-            return None
         pending = tracer.take_pending()
         if tracer.was_handed_off(pending):
             if pending is None:
@@ -298,7 +311,7 @@ class HotBot:
             span.annotate(coverage=round(result.coverage, 4),
                           partial=result.partial,
                           from_cache=result.from_cache)
-        if not reply.triggered:
+        if reply._value is PENDING:
             reply.succeed(result)
 
     #: service time for a recent-searches cache hit.
@@ -308,6 +321,8 @@ class HotBot:
               offset: int = 0, trace=None):
         """Process generator: the full front-end query path."""
         env = self.cluster.env
+        top_k = self.config.top_k
+        n_workers = self.config.n_workers
         # fold case here, once: the recent-searches cache and the
         # partitions must see the same spelling, or an answer found
         # under one is served from the cache for the other
@@ -327,29 +342,28 @@ class HotBot:
             # pages never touch the partitions
             cache_key = normalize_query(terms)
             page = self.query_cache.get_page_by_key(
-                cache_key, offset, self.config.top_k)
+                cache_key, offset, top_k)
             if page is not None:
                 mark = env.now
-                yield env.timeout(self.CACHE_HIT_S)
+                yield Timeout(env, self.CACHE_HIT_S)
                 if trace is not None:
                     trace.record("query-cache-hit", "cache", mark)
                 self.queries += 1
                 self.cache_served += 1
                 return QueryResult(
-                    hits=page,
+                    hits=hits_from_ranked(page, self._urls),
                     coverage=1.0,
-                    partitions_answered=self.config.n_workers,
-                    partitions_total=self.config.n_workers,
+                    partitions_answered=n_workers,
+                    partitions_total=n_workers,
                     from_cache=True,
                 )
             # scatter to every reachable partition; fetch deep so the
             # cache can serve later pages incrementally
-            fetch_k = max(self.config.top_k + offset,
-                          self.query_cache.depth)
+            fetch_k = max(top_k + offset, self.query_cache.depth)
             legs = []  # (partition, event, used_replica)
             missing = []  # partitions that will not be in the answer
             replica_legs = 0
-            for partition in range(self.config.n_workers):
+            for partition in range(n_workers):
                 leg = self._scatter_leg(partition, terms, fetch_k)
                 if leg is None:
                     missing.append(partition)
@@ -370,36 +384,36 @@ class HotBot:
             if not legs:
                 self.queries += 1
                 self.partial_answers += 1
-                return QueryResult([], 0.0, 0, self.config.n_workers)
-            timer = env.timeout(self.config.gather_timeout_s)
+                return QueryResult([], 0.0, 0, n_workers)
+            timer = Timeout(env, self.config.gather_timeout_s)
             yield env.any_of(
                 [env.all_of([event for _, event, _ in legs]), timer])
             # gather: one pass over the legs sorts them into answers
             # and partitions lost to the deadline
             answered = []
             for partition, event, _ in legs:
-                if event.processed and event.ok:
-                    answered.append(event.value)
+                if event.callbacks is None and event._ok:
+                    answered.append(event._value)
                 else:
                     missing.append(partition)
-            # collate (score, doc id) pairs; hits are made once, for
-            # the deep list that is cached and paged from
-            deep_hits = hits_from_ranked(collate(answered, fetch_k),
-                                         self._urls)
+            # collate (score, doc id) pairs, deep: they are what is
+            # cached and paged from; hits are made for the page served
+            ranked = collate(answered, fetch_k)
             self.queries += 1
             result = QueryResult(
-                hits=deep_hits[offset: offset + self.config.top_k],
+                hits=hits_from_ranked(ranked[offset: offset + top_k],
+                                      self._urls),
                 coverage=self.partition_map.coverage_without(missing),
                 partitions_answered=len(answered),
-                partitions_total=self.config.n_workers,
+                partitions_total=n_workers,
                 served_by_replica=replica_legs,
             )
-            if result.partial:
+            if len(answered) < n_workers:
                 self.partial_answers += 1
             else:
                 # cache only complete answers so paging never silently
                 # serves a degraded result set
-                self.query_cache.store_by_key(cache_key, deep_hits)
+                self.query_cache.store_by_key(cache_key, ranked)
             return result
         finally:
             self._threads.put_nowait(thread)
@@ -411,17 +425,17 @@ class HotBot:
         env = self.cluster.env
         worker = self.workers[partition]
         if worker.alive:
-            reply = env.event()
+            reply = Event(env)
             self.cluster.network.transfer_delay(128)  # scatter bytes
-            worker.submit(terms, k, reply)
+            worker.queue.put_nowait((terms, k, reply, False))
             return partition, reply, False
         if self.config.failure_mode == "cross-mount":
             # "there were always multiple nodes that could reach any
             # database partition"
             for peer in self.workers:
                 if peer.alive and peer.replica_partition == partition:
-                    reply = env.event()
-                    peer.submit(terms, k, reply, use_replica=True)
+                    reply = Event(env)
+                    peer.queue.put_nowait((terms, k, reply, True))
                     return partition, reply, True
         return None
 

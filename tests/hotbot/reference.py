@@ -98,12 +98,20 @@ def bits(hits):
     return [(doc_id, url, score.hex()) for doc_id, url, score in hits]
 
 
+def scanned(index, terms):
+    """Posting entries a query touches, a repeated term counted each
+    time, as either kind of index reports it."""
+    if isinstance(index, ReferenceIndex):
+        return index.postings_scanned(terms)
+    return index.lookup(terms)[0]
+
+
 def contents(index, vocabulary):
     """All an index (either kind) says it holds, through the public
     surface: the counts, and per term how many postings it has and
     every document that matches it, with url and score."""
     everything = max(1, index.n_documents)
     return (index.n_documents, index.n_terms,
-            {term: (index.postings_scanned([term]),
+            {term: (scanned(index, [term]),
                     bits(index.query([term], everything)))
              for term in vocabulary})

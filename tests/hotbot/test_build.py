@@ -10,6 +10,9 @@ with its reference through the public surface (`contents()`: counts,
 postings per term, and every match of every term with url and score).
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.hotbot.documents import Corpus, Document
@@ -64,6 +67,57 @@ def test_vocabulary_sample_equals_per_draw_reference(alpha):
     assert corpus.vocabulary_sample(batch_rng, 200, alpha) \
         == [f"w{reference_rng.zipf_rank(700, alpha)}" for _ in range(200)]
     assert batch_rng.random() == reference_rng.random()
+
+
+def test_document_terms_round_trip_through_the_columns():
+    terms = (("w1", 3), ("w10", 1), ("w2", 65535))
+    document = Document(7, "http://d/7", terms)
+    assert document.terms == terms
+    assert document.term_names == ("w1", "w10", "w2")
+    assert list(document.frequencies) == [3, 1, 65535]
+    assert Document(7, "http://d/7", iter(terms)).terms == terms
+    assert Document(8, "http://d/8", ()).terms == ()
+    built = Corpus(n_docs=3, seed=7).documents[2]
+    assert built.terms == tuple(sorted(built.terms))
+    assert Document(built.doc_id, built.url, built.terms) == built
+
+
+def test_document_equality_hash_and_tf_hold():
+    terms = (("w1", 3), ("w2", 1))
+    document = Document(7, "http://d/7", terms)
+    same = Document(doc_id=7, url="http://d/7", terms=terms)
+    assert document == same and hash(document) == hash(same)
+    assert len({document, same}) == 1
+    assert document != Document(8, "http://d/7", terms)
+    assert document != Document(7, "http://d/8", terms)
+    assert document != Document(7, "http://d/7", (("w1", 3), ("w2", 2)))
+    assert document != Document(7, "http://d/7", (("w1", 3), ("w3", 1)))
+    assert document != terms
+    assert (document.tf("w1"), document.tf("w2"), document.tf("w9")) \
+        == (3, 1, 0)
+
+
+#: bytes a built corpus may hold per document, vocabulary included.
+#: The columns take about 620; as a tuple of `(term, frequency)`
+#: tuples per document the same corpus took 3719.
+CORPUS_BYTES_PER_DOCUMENT = 1300
+
+
+def test_corpus_footprint_stays_in_budget():
+    """The corpus is alive for a deployment's whole life (an index
+    rebuild reads it), so its size is defended the way the call budget
+    defends calls: a count, not a clock."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        corpus = Corpus(n_docs=4000, seed=1997)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_document = (after - before) / len(corpus)
+    assert per_document <= CORPUS_BYTES_PER_DOCUMENT, per_document
 
 
 # -- index -----------------------------------------------------------------------
@@ -139,7 +193,7 @@ def test_remove_and_add_after_a_bulk_build_stay_consistent(
     assert held(index) == reference_held(
         others + [victim], len(corpus), partition_map.global_df)
     assert index.query(query, k=len(corpus)) == before
-    assert index.postings_scanned(query) == sum(
+    assert index.lookup(query)[0] == sum(
         1 for document in corpus for term in query if document.tf(term))
 
 
@@ -170,13 +224,28 @@ def test_global_df_counts_documents_per_term(corpus, partition_map):
     assert partition_map.global_df == expected
 
 
+def test_idf_table_is_written_once_and_equals_a_stand_alone_derivation(
+        corpus, partition_map):
+    """One table beside `global_df`, shared by every index the map
+    builds; an index handed the frequencies derives the same floats."""
+    alone = InvertedIndex(len(corpus), global_df=partition_map.global_df)
+    assert alone.global_idf is not partition_map.global_idf
+    assert {term: idf.hex() for term, idf in alone.global_idf.items()} \
+        == {term: idf.hex()
+            for term, idf in partition_map.global_idf.items()}
+    assert set(alone.global_idf) == set(partition_map.global_df)
+    assert InvertedIndex(len(corpus)).global_idf is None
+    assert InvertedIndex(9, {"w1": 0, "w2": 3}).global_idf \
+        == {"w2": ReferenceIndex(9, {"w2": 3}).idf("w2")}
+
+
 def test_build_index_holds_exactly_the_partition(corpus, partition_map):
     for partition in range(partition_map.n_partitions):
         index = partition_map.build_index(partition)
         assert held(index) == reference_held(
             partition_map.documents_in(partition), len(corpus),
             partition_map.global_df)
-        assert index.global_df is partition_map.global_df
+        assert index.global_idf is partition_map.global_idf
 
 
 def test_fast_restart_rebuilds_an_index_that_answers_identically():
@@ -195,5 +264,4 @@ def test_fast_restart_rebuilds_an_index_that_answers_identically():
     assert contents(rebuilt, vocabulary) == contents(original, vocabulary)
     for query in queries:
         assert rebuilt.query(query, k=10) == original.query(query, k=10)
-        assert rebuilt.postings_scanned(query) \
-            == original.postings_scanned(query)
+        assert rebuilt.lookup(query)[0] == original.lookup(query)[0]

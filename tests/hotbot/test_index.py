@@ -16,6 +16,7 @@ from repro.hotbot.index import (
     SearchHit,
     collate,
     hits_from_ranked,
+    rank_columns,
 )
 from repro.hotbot.partition import PartitionMap
 from repro.sim.rng import RandomStreams
@@ -183,8 +184,7 @@ def query_mix(corpus, rng, n):
 def assert_same_answers(index, reference, terms, corpus_size):
     """rank() and query() against the reference, to the bit and in
     order, for k below, at and above the number of matches."""
-    assert index.postings_scanned(terms) \
-        == reference.postings_scanned(terms)
+    assert index.lookup(terms)[0] == reference.postings_scanned(terms)
     matches = len(reference.query(terms, corpus_size))
     for k in {1, max(1, matches - 1), max(1, matches), matches + 5}:
         expected = reference.query(terms, k)
@@ -236,7 +236,7 @@ def test_remove_then_add_equals_the_reference(seed):
         assert index.remove(victim.doc_id) \
             == reference.remove(victim.doc_id)
     assert index.n_terms < len(global_df)
-    assert index.postings_scanned([rarest]) == 0
+    assert index.lookup([rarest]) == (0, [])
     assert contents(index, vocabulary) == contents(reference, vocabulary)
     for victim in dict.fromkeys(victims[:-10]):
         index.add(victim)
@@ -244,6 +244,74 @@ def test_remove_then_add_equals_the_reference(seed):
     assert contents(index, vocabulary) == contents(reference, vocabulary)
     for terms in query_mix(corpus, rng, 12):
         assert_same_answers(index, reference, terms, len(corpus))
+
+
+SMALL_VOCABULARY = [f"w{rank}" for rank in range(8)]
+
+small_documents = st.lists(
+    st.dictionaries(st.sampled_from(SMALL_VOCABULARY),
+                    st.integers(1, 9), min_size=1, max_size=6),
+    min_size=1, max_size=12)
+small_queries = st.lists(
+    st.sampled_from(SMALL_VOCABULARY + ["no-such-term"]),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors=small_documents, terms=small_queries,
+       repeat=st.booleans(), forgotten=st.sampled_from(SMALL_VOCABULARY),
+       global_mode=st.booleans())
+def test_lookup_then_rank_columns_equals_the_reference(
+        vectors, terms, repeat, forgotten, global_mode):
+    """The partition leg's two halves against the slow index, scores by
+    `float.hex()`: `scanned` counts a repeated term each time it is
+    named while its column is fetched (and scored) once, an unknown
+    term and a term the corpus-wide frequencies leave out (idf 0)
+    contribute postings scanned but no column, and `k` cuts below, at
+    and above the number of candidates — in both df modes."""
+    corpus = [Document(doc_id, f"http://d/{doc_id}",
+                       tuple(sorted(vector.items())))
+              for doc_id, vector in enumerate(vectors)]
+    if repeat:
+        terms = terms + [terms[0]]
+    global_df = None
+    if global_mode:
+        global_df = df_of(corpus)
+        global_df.pop(forgotten, None)
+    index = InvertedIndex(len(corpus), global_df).add_all(corpus)
+    reference = ReferenceIndex(len(corpus), global_df).add_all(corpus)
+
+    scanned, columns = index.lookup(terms)
+    assert scanned == reference.postings_scanned(terms)
+    scored = [term for term in dict.fromkeys(terms)
+              if reference.idf(term) != 0.0]
+    assert [(idf.hex(), list(doc_ids)) for idf, doc_ids, _ in columns] \
+        == [(reference.idf(term).hex(),
+             [doc_id for doc_id, _ in reference.postings[term]])
+            for term in scored]
+    if repeat and terms[0] in scored:
+        assert scanned >= 2 * len(columns[0][1])
+
+    candidates = len(reference.query(terms, len(corpus)))
+    for k in {1, max(1, candidates - 1), candidates + 3}:
+        expected = reference.query(terms, k)
+        ranked = rank_columns(columns, k)
+        assert [(doc_id, (-negated).hex()) for negated, doc_id in ranked] \
+            == [(doc_id, score.hex()) for doc_id, _, score in expected]
+        assert index.rank(terms, k) == ranked
+
+
+def test_a_repeated_term_is_scanned_twice_and_scored_once(index):
+    once, columns_once = index.lookup(["w5"])
+    twice, columns_twice = index.lookup(["w5", "w5"])
+    assert twice == 2 * once > 0
+    assert len(columns_twice) == len(columns_once) == 1
+    assert index.rank(["w5", "w5"], 10) == index.rank(["w5"], 10)
+
+
+def test_rank_columns_validates_k(index):
+    with pytest.raises(ValueError):
+        rank_columns(index.lookup(["w1"])[1], 0)
 
 
 def test_search_hit_constructs_compares_and_hashes():
@@ -257,8 +325,9 @@ def test_search_hit_constructs_compares_and_hashes():
 
 
 def test_postings_scanned_counts(index):
-    assert index.postings_scanned(["w0"]) > 0
-    assert index.postings_scanned(["missing"]) == 0
+    scanned, columns = index.lookup(["w0"])
+    assert scanned == len(columns[0][1]) > 0
+    assert index.lookup(["missing"]) == (0, [])
 
 
 # -- partition + merge: the key distributed-correctness property ------------------

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.hotbot.index import SearchHit
+from repro.hotbot import index as index_module
 from repro.hotbot.query_cache import QueryCache, normalize_query
 from repro.hotbot.service import HotBot, HotBotConfig
 
 
 def hits(n):
-    return [SearchHit(i, f"http://d/{i}", float(100 - i))
-            for i in range(n)]
+    """What the cache holds: collated ``(-score, doc_id)`` pairs."""
+    return [(-float(100 - i), i) for i in range(n)]
 
 
 # -- unit: the cache itself --------------------------------------------------
@@ -24,14 +24,14 @@ def test_miss_then_hit():
     assert cache.get_page_by_key(("a",), 0, 10) is None
     cache.store_by_key(("a",), hits(50))
     page = cache.get_page_by_key(("a",), 0, 10)
-    assert [hit.doc_id for hit in page] == list(range(10))
+    assert [doc_id for _, doc_id in page] == list(range(10))
 
 
 def test_incremental_delivery_pages_from_one_fetch():
     cache = QueryCache(depth=50)
     cache.store_by_key(("a",), hits(50))
     page2 = cache.get_page_by_key(("a",), 10, 10)
-    assert [hit.doc_id for hit in page2] == list(range(10, 20))
+    assert [doc_id for _, doc_id in page2] == list(range(10, 20))
     assert cache.incremental_hits == 1
 
 
@@ -66,6 +66,16 @@ def test_lru_eviction_by_bytes():
     cache.store_by_key(("b",), hits(50))  # evicts a
     assert cache.get_page_by_key(("a",), 0, 10) is None
     assert cache.get_page_by_key(("b",), 0, 10) is not None
+
+
+def test_store_keeps_the_list_it_is_given():
+    """No copy per scattered query: `collate` hands over a fresh list
+    and the cache pages from that very list."""
+    cache = QueryCache()
+    ranked = hits(30)
+    cache.store_by_key(("a",), ranked)
+    assert cache._store.get(("a",)) is ranked
+    assert cache.get_page_by_key(("a",), 0, 10) is not ranked
 
 
 # -- integrated: through the HotBot front end --------------------------------------
@@ -132,3 +142,46 @@ def test_query_case_is_folded_for_the_scatter_as_for_the_cache():
     assert len(expected.hits) == 10 and not expected.from_cache
     assert upper.hits == expected.hits and not upper.from_cache
     assert lower.hits == expected.hits and lower.from_cache
+
+
+def test_cached_pages_are_the_slices_of_one_deep_scatter():
+    """Pages 1, 2 and 10 served from the cache are the slices of the
+    hundred-deep answer a fresh deployment scatters for, hit for hit
+    (urls and scores included) — and cost the partitions nothing."""
+    hotbot = make_hotbot(n_docs=1200)
+    terms = ["w0", "w1"]
+    first = hotbot.run_until(hotbot.submit(terms))
+    legs = sum(worker.queries_served for worker in hotbot.workers)
+    deep = make_hotbot(n_docs=1200, top_k=100)
+    everything = deep.run_until(deep.submit(terms)).hits
+    assert len(everything) == 100
+    assert first.hits == everything[:10] and not first.from_cache
+    for offset in (0, 10, 90):
+        page = hotbot.run_until(hotbot.submit(terms, offset=offset))
+        assert page.from_cache
+        assert page.hits == everything[offset: offset + 10]
+    assert hotbot.query_cache.incremental_hits == 2
+    assert sum(worker.queries_served for worker in hotbot.workers) == legs
+
+
+def test_a_query_constructs_only_the_hits_of_its_page(monkeypatch):
+    """The deep list stays pairs: a scattered query that collates a
+    hundred candidates makes `top_k` result objects, and so does a
+    page read back from the cache."""
+    made = []
+    real = index_module.SearchHit
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(index_module, "SearchHit", counting)
+    hotbot = make_hotbot(n_docs=1200)
+    scattered = hotbot.run_until(hotbot.submit(["w0", "w1"]))
+    assert not scattered.from_cache
+    assert len(hotbot.query_cache._store.get(("w0", "w1"))) == 100
+    assert len(made) == len(scattered.hits) == hotbot.config.top_k
+    made.clear()
+    cached = hotbot.run_until(hotbot.submit(["w0", "w1"], offset=10))
+    assert cached.from_cache
+    assert len(made) == len(cached.hits) == hotbot.config.top_k

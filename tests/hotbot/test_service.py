@@ -154,3 +154,47 @@ def test_weighted_partitions_match_node_speeds():
 def test_node_speed_mismatch_validated():
     with pytest.raises(ValueError):
         HotBot(config=HotBotConfig(n_workers=3), node_speeds=[1.0])
+
+
+# -- bad input fails at the call, not inside the simulation -------------------
+
+def test_negative_offset_raises_at_the_call_and_spares_other_queries():
+    """A bad offset used to surface out of `run()`, from inside the
+    query process — after the Informix request was charged — and abort
+    the simulation with every other query still in flight."""
+    hotbot = make_hotbot()
+    good = hotbot.submit(["w3", "w7"])
+    with pytest.raises(ValueError, match="offset"):
+        hotbot.submit(["w3"], offset=-5)
+    result = hotbot.run_until(good)
+    assert result.partitions_answered == 4 and result.hits
+    assert hotbot.database.requests == 1  # the refused query cost none
+    hotbot.run(until=hotbot.cluster.env.now + 5.0)  # nothing left to blow
+
+
+def test_bare_string_query_is_refused():
+    """`submit("w3")` used to iterate the string and answer `[]` for
+    the terms "w" and "3"."""
+    hotbot = make_hotbot()
+    with pytest.raises(TypeError, match="bare string"):
+        hotbot.submit("w3")
+    assert hotbot.run_until(hotbot.submit(["w3"])).hits
+
+
+@pytest.mark.parametrize("field, value", [
+    ("top_k", 0), ("n_workers", 0), ("n_docs", 0),
+    ("frontend_threads", 0), ("query_fixed_s", -0.001),
+    ("query_per_posting_s", -1e-6), ("gather_timeout_s", -1.0),
+    ("fast_restart_s", -1.0), ("cross_mount_penalty", -2.0),
+    ("db_failover_s", -5.0), ("db_capacity_rps", -400.0),
+    ("failure_mode", "fast_restart"),
+])
+def test_config_rejects_bad_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        HotBotConfig(**{field: value})
+
+
+def test_config_accepts_both_failure_modes_and_zero_costs():
+    for mode in ("fast-restart", "cross-mount"):
+        assert HotBotConfig(failure_mode=mode).failure_mode == mode
+    assert HotBotConfig(query_fixed_s=0.0, gather_timeout_s=0.0)
