@@ -8,11 +8,10 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.cache.partition import ModHashPartitioner, remap_fraction
 from repro.core.config import SNSConfig
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import build_bench_fabric, jpeg_pool
 from repro.sim.hashing import Ring
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
-from repro.workload.trace import TraceRecord
 from repro.workload.tracegen import TraceGenerator
 
 
@@ -21,11 +20,7 @@ def _drive(fabric, rate, duration, seed=1997, timeout_s=45.0):
         fabric.cluster.env, fabric.submit,
         rng=RandomStreams(seed).stream("ablation-playback"),
         timeout_s=timeout_s)
-    pool = [
-        TraceRecord(0.0, f"client{index}",
-                    f"http://bench/img{index}.jpg", "image/jpeg", 10240)
-        for index in range(40)
-    ]
+    pool = jpeg_pool(40)
     fabric.cluster.env.process(
         engine.constant_rate(rate, duration, pool))
     return engine

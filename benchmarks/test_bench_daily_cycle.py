@@ -9,10 +9,9 @@ timers scaled to match) so it runs in simulated 'hours' of seconds.
 
 from benchmarks.conftest import run_once
 from repro.core.config import SNSConfig
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import build_bench_fabric, jpeg_pool
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
-from repro.workload.trace import TraceRecord
 from repro.workload.tracegen import daily_cycle_factor
 
 
@@ -32,9 +31,7 @@ def run_day(seed=1997, compressed_day_s=900.0, peak_rate_rps=90.0):
     engine = PlaybackEngine(env, fabric.submit,
                             rng=RandomStreams(seed).stream("day"),
                             timeout_s=60.0)
-    pool = [TraceRecord(0.0, f"client{index}",
-                        f"http://site/img{index}.jpg", "image/jpeg",
-                        10240) for index in range(50)]
+    pool = jpeg_pool(50, host="site")
     # the 24 h cycle compressed into compressed_day_s, 40 steps
     steps = []
     n_steps = 40

@@ -9,10 +9,9 @@ centralized manager costs O(workers + front ends)."""
 from benchmarks.conftest import run_once
 from repro.core.config import SNSConfig
 from repro.core.messages import BEACON_GROUP, WORKER_ANNOUNCE_GROUP
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import build_bench_fabric, jpeg_pool
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
-from repro.workload.trace import TraceRecord
 
 
 def control_rate(n_frontends, balancing, workers=8, duration=30.0,
@@ -28,9 +27,7 @@ def control_rate(n_frontends, balancing, workers=8, duration=30.0,
         fabric.cluster.env, fabric.submit,
         rng=RandomStreams(seed).stream("dist-playback"),
         timeout_s=30.0)
-    pool = [TraceRecord(0.0, f"client{index}",
-                        f"http://bench/img{index}.jpg", "image/jpeg",
-                        10240) for index in range(30)]
+    pool = jpeg_pool(30)
     announce = fabric.cluster.multicast.group(WORKER_ANNOUNCE_GROUP)
     beacons = fabric.cluster.multicast.group(BEACON_GROUP)
     start = (announce.delivered, beacons.delivered,

@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import calibrate
-from repro.fanout.timeshard import SERVICE_FACTORIES, ReplaySpec
+from repro.fanout.timeshard import ReplaySpec, _queue_san_service
 from repro.sim.kernel import Environment
 from repro.workload.playback import PlaybackEngine
 from repro.workload.tracegen import iter_fixed_jpeg_trace
@@ -149,7 +149,7 @@ def run_trace_replay(scale: float = 1.0) -> dict:
     env = Environment()
     # the time-shard replay's service: 8 callback-style servers on one
     # queue, each reply paying a 1 Gb/s SAN transfer
-    submit = SERVICE_FACTORIES["queue-san"](
+    submit = _queue_san_service(
         env, ReplaySpec(duration_s=n_requests / rate_rps))
     engine = PlaybackEngine(env, submit, record_outcomes=False)
     trace = iter_fixed_jpeg_trace(rate_rps, n_requests, seed=1997)

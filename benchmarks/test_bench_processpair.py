@@ -3,10 +3,9 @@
 
 from benchmarks.conftest import run_once
 from repro.core.config import SNSConfig
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import build_bench_fabric, jpeg_pool
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
-from repro.workload.trace import TraceRecord
 
 
 def run_mode(process_pair, seed=1997, kill_at=30.0, duration=90.0):
@@ -22,9 +21,7 @@ def run_mode(process_pair, seed=1997, kill_at=30.0, duration=90.0):
     engine = PlaybackEngine(
         fabric.cluster.env, fabric.submit,
         rng=RandomStreams(seed).stream("pp-playback"), timeout_s=20.0)
-    pool = [TraceRecord(0.0, f"client{index}",
-                        f"http://bench/img{index}.jpg", "image/jpeg",
-                        10240) for index in range(30)]
+    pool = jpeg_pool(30)
     fabric.cluster.env.process(
         engine.constant_rate(20.0, duration, pool))
 

@@ -4,10 +4,9 @@ under load, service continuously available (Section 1.2)."""
 from benchmarks.conftest import run_once
 from repro.core.config import SNSConfig
 from repro.core.upgrades import HotUpgrade
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import build_bench_fabric, jpeg_pool
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
-from repro.workload.trace import TraceRecord
 
 
 def test_rolling_upgrade_availability(benchmark):
@@ -23,9 +22,7 @@ def test_rolling_upgrade_availability(benchmark):
             fabric.cluster.env, fabric.submit,
             rng=RandomStreams(1997).stream("upgrade-playback"),
             timeout_s=20.0)
-        pool = [TraceRecord(0.0, f"client{index}",
-                            f"http://bench/img{index}.jpg",
-                            "image/jpeg", 10240) for index in range(30)]
+        pool = jpeg_pool(30)
         fabric.cluster.env.process(
             engine.constant_rate(15.0, 200.0, pool))
         upgrade = HotUpgrade(fabric, hold_s=4.0, settle_s=8.0)

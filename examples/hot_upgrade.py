@@ -15,10 +15,9 @@ Run:  python examples/hot_upgrade.py
 
 from repro.core.config import SNSConfig
 from repro.core.upgrades import HotUpgrade
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import build_bench_fabric, jpeg_pool
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
-from repro.workload.trace import TraceRecord
 
 
 def main() -> None:
@@ -31,9 +30,7 @@ def main() -> None:
     engine = PlaybackEngine(
         fabric.cluster.env, fabric.submit,
         rng=RandomStreams(7).stream("upgrade"), timeout_s=20.0)
-    pool = [TraceRecord(0.0, f"client{index}",
-                        f"http://site/img{index}.jpg", "image/jpeg",
-                        10240) for index in range(30)]
+    pool = jpeg_pool(30, host="site")
     fabric.cluster.env.process(engine.constant_rate(15.0, 160.0, pool))
 
     upgrade = HotUpgrade(fabric, hold_s=4.0, settle_s=8.0)

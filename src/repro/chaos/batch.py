@@ -18,7 +18,7 @@ fraction — a crashed run degrades the batch, it does not sink it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.chaos.campaign import CampaignRunner, get_campaign
 from repro.chaos.report import ChaosReport
@@ -36,26 +36,15 @@ __all__ = ["CampaignBatchReport", "batch_seeds", "run_campaign_batch",
 
 
 def run_campaign_shard(name: str, seed: int,
-                       profile_backend: Optional[str] = None,
-                       manager_backend: Optional[str] = None,
-                       routing_policy: Optional[str] = None
+                       overrides: Optional[Mapping[str, Any]] = None
                        ) -> ChaosReport:
-    """One batch unit: build and run ``name`` under ``seed``.
+    """One batch unit: build and run ``name`` under ``seed``, with
+    ``overrides`` laid over its config (:func:`get_campaign`).
 
     Module-level so :class:`ShardSpec` can pickle it into worker
-    processes.  ``profile_backend``, ``manager_backend``, and
-    ``routing_policy`` override the campaign's configured backends and
-    worker-selection policy (the CLI's ``--profile-backend`` /
-    ``--manager-backend`` / ``--policy`` switches).
+    processes.
     """
-    campaign = get_campaign(name)
-    if profile_backend is not None:
-        campaign.profile_backend = profile_backend
-    if manager_backend is not None:
-        campaign.manager_backend = manager_backend
-    if routing_policy is not None:
-        campaign.routing_policy = routing_policy
-    return CampaignRunner(campaign, seed=seed).run()
+    return CampaignRunner(get_campaign(name, overrides), seed=seed).run()
 
 
 def batch_seeds(name: str, master_seed: int, runs: int) -> List[int]:
@@ -188,14 +177,13 @@ class CampaignBatchReport:
 
 def run_campaign_batch(name: str, master_seed: int = 1997,
                        runs: int = 1, jobs: int = 1, *,
-                       profile_backend: Optional[str] = None,
-                       manager_backend: Optional[str] = None,
-                       routing_policy: Optional[str] = None,
+                       overrides: Optional[Mapping[str, Any]] = None,
                        timeout_s: Optional[float] = None,
                        retries: int = 0,
                        progress=None) -> CampaignBatchReport:
     """Run ``runs`` seeded repetitions of campaign ``name`` across
-    ``jobs`` worker processes and fold the reports.
+    ``jobs`` worker processes and fold the reports.  Every run lays
+    ``overrides`` over the campaign's config (:func:`get_campaign`).
 
     ``progress`` (see :func:`repro.fanout.run_sharded`) receives each
     finished run as it lands — the long-sweep observability hook the
@@ -206,8 +194,7 @@ def run_campaign_batch(name: str, master_seed: int = 1997,
     specs = [
         ShardSpec(shard_id=f"{name}#run{index}:seed={seed}",
                   fn=run_campaign_shard,
-                  args=(name, seed, profile_backend, manager_backend,
-                        routing_policy))
+                  args=(name, seed, overrides))
         for index, seed in enumerate(seeds)
     ]
     sweep = run_sharded(specs, jobs=jobs, timeout_s=timeout_s,

@@ -17,7 +17,7 @@ Preset campaigns live in :data:`CAMPAIGNS`; ``python -m repro chaos
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.report import ChaosReport, build_report
@@ -51,6 +51,25 @@ class Fault:
     @property
     def needs_reregistration_check(self) -> bool:
         return False
+
+    @property
+    def node_specs(self) -> List[str]:
+        """The symbolic node specs this action resolves at fire time
+        (:func:`parse_node_spec`); checked by ``Campaign.validate``."""
+        return []
+
+
+def parse_node_spec(spec: str) -> Tuple[str, int]:
+    """Split a symbolic node spec — ``manager | worker:<int> |
+    frontend:<int> | <literal node name>`` — into ``(kind, index)``,
+    ``kind`` one of ``manager``/``worker``/``frontend``/``node``."""
+    kind, colon, index = spec.partition(":")
+    if colon and kind in ("worker", "frontend"):
+        if not index.isdigit():
+            raise ValueError(f"node spec {spec!r}: expected "
+                             f"{kind}:<int>, got index {index!r}")
+        return kind, int(index)
+    return ("manager" if spec == "manager" else "node"), 0
 
 
 @dataclass
@@ -116,6 +135,10 @@ class PartitionSAN(Fault):
         return self.at + self.duration_s
 
     @property
+    def node_specs(self) -> List[str]:
+        return self.isolate
+
+    @property
     def needs_reregistration_check(self) -> bool:
         return True
 
@@ -135,6 +158,10 @@ class AsymmetricLink(Fault):
     @property
     def heals_at(self) -> float:
         return self.at + self.duration_s
+
+    @property
+    def node_specs(self) -> List[str]:
+        return [self.src, self.dst]
 
     @property
     def needs_reregistration_check(self) -> bool:
@@ -359,27 +386,18 @@ class Campaign:
     #: by the tests that force a deadline violation deterministically.
     slo_latency_s: Optional[float] = None
     settle_s: float = 8.0
+    #: :class:`SNSConfig` fields laid over :func:`chaos_config`.  The
+    #: deployment is chosen here too (``manager_backend``,
+    #: ``profile_backend``, ``service_backend``, ``routing_policy``);
+    #: the CLI's ``--manager-backend`` / ``--profile-backend`` /
+    #: ``--policy`` write into this mapping (:func:`get_campaign`).
     config_overrides: Dict[str, Any] = field(default_factory=dict)
     #: enable the self-healing supervision layer (repro.recovery) with
     #: this policy.  None (the default) runs without a supervisor, as
     #: all the clean-fault campaigns do.
     recovery: Optional[RecoveryPolicy] = None
-    #: profile storage behind the service: None keeps the classic
-    #: profile-less bench service (every existing campaign unchanged),
-    #: "single" is the WAL-backed ProfileStore, "dstore" the replicated
-    #: brick cluster.
-    profile_backend: Optional[str] = None
-    #: control plane behind the workers: None/"soft" is the paper's
-    #: single soft-state manager, "consensus" the Paxos-replicated
-    #: manager group (the CLI's ``--manager-backend`` switch).
-    manager_backend: Optional[str] = None
-    #: worker-selection policy at the manager stubs (a
-    #: :mod:`repro.balance` spec, e.g. ``"p2c"`` or ``"ewma+eject"``;
-    #: the CLI's ``--policy`` switch).  None keeps the config default
-    #: (the paper's lottery), under either manager backend.
-    routing_policy: Optional[str] = None
     #: period of the deterministic profile-writer client (only runs
-    #: when a backend is configured).
+    #: when the config carries a profile backend).
     profile_write_interval_s: float = 1.0
     #: minimum profile read availability; checked as an invariant when
     #: set (reads during brick faults must be masked by the quorum).
@@ -398,9 +416,6 @@ class Campaign:
     #: fraction of pool records marked ``priority="batch"`` — the class
     #: priority-admission (ladder level 4) sheds first.
     batch_fraction: float = 0.0
-    #: service layer: None keeps the classic bench services,
-    #: "degradable" installs the brownout service (repro.degrade).
-    service_backend: Optional[str] = None
     #: "controller" starts the closed-loop DegradationController after
     #: boot; None runs whatever the config armed statically.
     degradation: Optional[str] = None
@@ -420,6 +435,11 @@ class Campaign:
                 raise ValueError(f"{action} scheduled before t=0")
             if action.heals_at == float("inf"):
                 raise ValueError(f"{action} never heals")
+            for spec in action.node_specs:
+                try:
+                    parse_node_spec(spec)
+                except ValueError as error:
+                    raise ValueError(f"{action}: {error}") from None
         if self.final_heal_s >= self.duration_s:
             raise ValueError(
                 f"campaign {self.name!r} ends at {self.duration_s}s "
@@ -476,11 +496,7 @@ class CampaignRunner:
         self.seed = seed
         self.fabric = build_bench_fabric(
             n_nodes=campaign.n_nodes, seed=seed,
-            config=chaos_config(**campaign.config_overrides),
-            profile_backend=campaign.profile_backend,
-            manager_backend=campaign.manager_backend,
-            routing_policy=campaign.routing_policy,
-            service_backend=campaign.service_backend)
+            config=chaos_config(**campaign.config_overrides))
         self.cluster = self.fabric.cluster
         self.env = self.cluster.env
         self.faults = self.cluster.network.install_faults(
@@ -518,24 +534,23 @@ class CampaignRunner:
 
     def _resolve_node_spec(self, spec: str) -> Optional[str]:
         """Turn a symbolic node spec into a node name at fire time."""
-        if spec == "manager":
+        kind, index = parse_node_spec(spec)
+        if kind == "manager":
             manager = self.fabric.manager
             if manager is None and self.fabric.manager_group is not None:
                 group = self.fabric.manager_group
                 manager = group.leader or group.replicas[0]
             return manager.node.name if manager is not None else None
-        if spec.startswith("worker:"):
+        if kind == "worker":
             workers = self._alive_workers()
             if not workers:
                 return None
-            index = int(spec.split(":", 1)[1])
             return workers[index % len(workers)].node.name
-        if spec.startswith("frontend:"):
+        if kind == "frontend":
             frontends = sorted(self.fabric.alive_frontends(),
                                key=lambda fe: fe.name)
             if not frontends:
                 return None
-            index = int(spec.split(":", 1)[1])
             return frontends[index % len(frontends)].node.name
         return spec
 
@@ -738,7 +753,7 @@ class CampaignRunner:
         lost = self.checker.final_profile_checks(
             store, service, read_slo=self.campaign.profile_read_slo)
         results = {
-            "backend": self.campaign.profile_backend,
+            "backend": self.fabric.config.profile_backend,
             "reads": service.profile_reads,
             "read_failures": service.profile_read_failures,
             "read_availability": service.profile_read_availability,
@@ -786,7 +801,7 @@ class CampaignRunner:
         else:
             self.env.process(self.engine.constant_rate(
                 campaign.rate_rps, campaign.duration_s, pool))
-        if campaign.profile_backend is not None:
+        if self.fabric.profile_store is not None:
             self.env.process(self._profile_writer())
 
         for action in campaign.actions:
@@ -809,7 +824,7 @@ class CampaignRunner:
             self.checker.final_yield_check(self.engine,
                                            campaign.yield_slo)
         profile = (self._profile_results()
-                   if campaign.profile_backend is not None else None)
+                   if self.fabric.profile_store is not None else None)
         consensus = None
         if self.fabric.manager_group is not None:
             self.checker.final_consensus_checks(self.fabric.manager_group)
@@ -1014,7 +1029,7 @@ def _brick_failures() -> Campaign:
         initial_workers=3,
         settle_s=25.0,
         recovery=RecoveryPolicy(),
-        profile_backend="dstore",
+        config_overrides={"profile_backend": "dstore"},
         profile_write_interval_s=0.8,
         profile_read_slo=0.99,
     )
@@ -1039,7 +1054,7 @@ def _brick_smoke() -> Campaign:
         initial_workers=3,
         settle_s=20.0,
         recovery=RecoveryPolicy(),
-        profile_backend="dstore",
+        config_overrides={"profile_backend": "dstore"},
         profile_write_interval_s=0.8,
         profile_read_slo=0.99,
     )
@@ -1067,7 +1082,7 @@ def _brick_failures_single() -> Campaign:
         n_frontends=2,
         initial_workers=3,
         settle_s=25.0,
-        profile_backend="single",
+        config_overrides={"profile_backend": "single"},
         profile_write_interval_s=0.8,
     )
 
@@ -1139,11 +1154,11 @@ def _flash_crowd_campaign(**kwargs) -> Campaign:
         pool_size=400,
         batch_fraction=0.15,
         record_bytes=24576,
-        profile_backend="dstore",
-        service_backend="degradable",
     )
     base.update(kwargs)
     overrides: Dict[str, Any] = dict(
+        profile_backend="dstore",
+        service_backend="degradable",
         frontend_threads=60,
         # pin capacity: the burst must not be rescued by the autoscaler
         # mid-flight, or the arms would measure spawn latency instead
@@ -1212,9 +1227,16 @@ CAMPAIGNS: Dict[str, Callable[[], Campaign]] = {
 }
 
 
-def get_campaign(name: str) -> Campaign:
+def get_campaign(name: str,
+                 overrides: Optional[Mapping[str, Any]] = None
+                 ) -> Campaign:
+    """A fresh preset campaign, with ``overrides`` (:class:`SNSConfig`
+    fields — how a run picks another deployment) laid over the
+    preset's own ``config_overrides``."""
     if name not in CAMPAIGNS:
         raise KeyError(
             f"unknown campaign {name!r}; "
             f"available: {', '.join(sorted(CAMPAIGNS))}")
-    return CAMPAIGNS[name]()
+    campaign = CAMPAIGNS[name]()
+    campaign.config_overrides.update(overrides or {})
+    return campaign

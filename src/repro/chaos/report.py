@@ -405,7 +405,7 @@ def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
     if partitions is not None:
         stubs = [fe.stub for fe in fabric.frontends.values()]
         partition = {
-            "backend": fabric.manager_backend,
+            "backend": fabric.config.manager_backend,
             "wrong_decisions": sum(s.wrong_decisions for s in stubs),
             "lease_stalls": sum(s.lease_stalls for s in stubs),
             "partition_misroutes": sum(s.partition_misroutes

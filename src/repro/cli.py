@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import experiments as drivers
 
@@ -157,6 +158,12 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable, Callable]] = {
 #: experiments whose runners accept the ``--policy`` override.
 POLICY_AWARE = frozenset({"policies"})
 
+#: ``chaos`` flags that are aliases for :class:`SNSConfig` fields
+#: (argparse dest -> field); they fill ``get_campaign``'s overrides.
+CONFIG_FLAGS = {"profile_backend": "profile_backend",
+                "manager_backend": "manager_backend",
+                "policy": "routing_policy"}
+
 
 def _render(result) -> str:
     """Best-effort rendering: experiment results know how to render
@@ -167,6 +174,27 @@ def _render(result) -> str:
     if callable(render):
         return render()
     return repr(result)
+
+
+def _number(cast: Callable, accepts: Callable[[Any], bool],
+            requirement: str) -> Callable[[str], Any]:
+    """An argparse ``type`` that rejects an out-of-range count or size
+    at the parser: exit 2 and one line naming the flag."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not accepts(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {cast.__name__} {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_COUNT = _number(int, lambda value: value >= 1, ">= 1")
+_POSITIVE = _number(float, lambda value: value > 0, "> 0")
+_NON_NEGATIVE = _number(float, lambda value: value >= 0, ">= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="master RNG seed (default 1997)")
     run_parser.add_argument("--quick", action="store_true",
                             help="reduced scale for a fast look")
-    run_parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    run_parser.add_argument("--jobs", type=_COUNT, default=1, metavar="N",
                             help="fan independent simulation units "
                                  "across N worker processes (output is "
                                  "byte-identical to --jobs 1; "
@@ -204,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "trace_event JSON (open in Perfetto); "
                                  "also prints a latency-attribution "
                                  "report")
-    run_parser.add_argument("--sample", type=int, default=1,
+    run_parser.add_argument("--sample", type=_COUNT, default=1,
                             metavar="N",
                             help="with --trace-out, sample every Nth "
                                  "request (default 1: every request)")
@@ -218,34 +246,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign name as a flag (equivalent to the positional)")
     chaos_parser.add_argument("--seed", type=int, default=1997,
                               help="master RNG seed (default 1997)")
-    chaos_parser.add_argument("--runs", type=int, default=1,
+    chaos_parser.add_argument("--runs", type=_COUNT, default=1,
                               metavar="N",
                               help="run the campaign N times with "
                                    "derived seeds and report the "
                                    "batch (default 1)")
-    chaos_parser.add_argument("--jobs", type=int, default=1,
+    chaos_parser.add_argument("--jobs", type=_COUNT, default=1,
                               metavar="N",
                               help="fan batch runs across N worker "
                                    "processes (byte-identical to "
                                    "--jobs 1; default 1: serial)")
     chaos_parser.add_argument("--profile-backend", default=None,
                               choices=["single", "dstore"],
-                              help="override the campaign's profile "
-                                   "store: 'single' (WAL store) or "
-                                   "'dstore' (replicated bricks); "
-                                   "default: the campaign's own "
-                                   "setting")
+                              help="set the config's profile_backend: "
+                                   "'single' (WAL store) or 'dstore' "
+                                   "(replicated bricks); default: the "
+                                   "campaign's own setting")
     chaos_parser.add_argument("--manager-backend", default=None,
                               choices=["soft", "consensus"],
-                              help="override the campaign's control "
-                                   "plane: 'soft' (the paper's single "
+                              help="set the config's manager_backend: "
+                                   "'soft' (the paper's single "
                                    "soft-state manager) or 'consensus' "
                                    "(the Paxos-replicated manager "
                                    "group); default: the campaign's "
                                    "own setting")
     chaos_parser.add_argument("--policy", default=None, metavar="SPEC",
-                              help="override the campaign's "
-                                   "worker-selection policy (a "
+                              help="set the config's routing_policy, "
+                                   "the worker-selection policy (a "
                                    "repro.balance spec, e.g. 'p2c' or "
                                    "'ewma+eject'); works under either "
                                    "--manager-backend; default: the "
@@ -260,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "trace_event JSON to FILE; "
                                    "violations then carry the "
                                    "offending request's span tree")
-    chaos_parser.add_argument("--sample", type=int, default=1,
+    chaos_parser.add_argument("--sample", type=_COUNT, default=1,
                               metavar="N",
                               help="with --trace-out, sample every Nth "
                                    "request (default 1)")
@@ -279,24 +306,26 @@ def build_parser() -> argparse.ArgumentParser:
                        "optionally time-sharded across worker "
                        "processes (--jobs N splits ONE run into "
                        "contiguous windows)")
-    replay_parser.add_argument("--duration", type=float, default=60.0,
+    replay_parser.add_argument("--duration", type=_POSITIVE,
+                               default=60.0,
                                help="trace span in seconds "
                                     "(default 60)")
-    replay_parser.add_argument("--rate", type=float, default=2000.0,
+    replay_parser.add_argument("--rate", type=_POSITIVE, default=2000.0,
                                help="mean request rate in req/s "
                                     "(default 2000)")
     replay_parser.add_argument("--seed", type=int, default=1997,
                                help="master RNG seed (default 1997)")
-    replay_parser.add_argument("--jobs", type=int, default=1,
+    replay_parser.add_argument("--jobs", type=_COUNT, default=1,
                                metavar="N",
                                help="time-shard the single replay "
                                     "across N worker processes "
                                     "(default 1: serial)")
-    replay_parser.add_argument("--windows", type=int, default=None,
+    replay_parser.add_argument("--windows", type=_COUNT, default=None,
                                metavar="K",
                                help="number of time windows "
                                     "(default: one per job)")
-    replay_parser.add_argument("--warmup", type=float, default=2.0,
+    replay_parser.add_argument("--warmup", type=_NON_NEGATIVE,
+                               default=2.0,
                                metavar="S",
                                help="uncounted lead-in seconds "
                                     "replayed before each non-initial "
@@ -306,17 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
                                     "and verify the drift contract "
                                     "(exact counts, toleranced mean "
                                     "latency)")
-    replay_parser.add_argument("--tolerance", type=float, default=0.05,
+    replay_parser.add_argument("--tolerance", type=_NON_NEGATIVE,
+                               default=0.05,
                                help="relative mean-latency tolerance "
                                     "for --check (default 0.05)")
     trace_parser = subparsers.add_parser(
         "trace", help="generate or analyze a synthetic workload trace "
                       "(HTTP request list; for per-request span "
                       "traces see 'run --trace-out' and 'spans')")
-    trace_parser.add_argument("--duration", type=float, default=3600.0,
+    trace_parser.add_argument("--duration", type=_POSITIVE,
+                              default=3600.0,
                               help="trace span in seconds "
                                    "(default 3600)")
-    trace_parser.add_argument("--rate", type=float, default=5.8,
+    trace_parser.add_argument("--rate", type=_POSITIVE, default=5.8,
                               help="mean request rate (default 5.8, "
                                    "the Berkeley dialup average)")
     trace_parser.add_argument("--seed", type=int, default=1997)
@@ -405,13 +436,21 @@ def _run_names(names, args) -> bool:
     return False
 
 
-def _finish_tracing(tracers, out_path: str) -> None:
-    """Write the Chrome trace file and print the attribution report."""
-    from repro.obs import build_attribution_report, export_chrome_trace
+@contextmanager
+def _span_tracing(args):
+    """With ``--trace-out``, record span traces around the block, then
+    write the Chrome trace file and print the attribution report."""
+    if args.trace_out is None:
+        yield
+        return
+    from repro.obs import (build_attribution_report, capture_traces,
+                           export_chrome_trace)
 
-    count = export_chrome_trace(tracers, out_path)
+    with capture_traces(sample_every=args.sample) as tracers:
+        yield
+    count = export_chrome_trace(tracers, args.trace_out)
     print(build_attribution_report(tracers).render())
-    print(f"[wrote {count} span event(s) to {out_path}]")
+    print(f"[wrote {count} span event(s) to {args.trace_out}]")
 
 
 def _check_policy_spec(spec: str) -> Optional[str]:
@@ -447,35 +486,24 @@ def chaos_command(args) -> int:
             print(f"  {name.ljust(width)}  "
                   f"{CAMPAIGNS[name]().description}")
         return 0
+    overrides = {field: getattr(args, flag)
+                 for flag, field in CONFIG_FLAGS.items()
+                 if getattr(args, flag, None) is not None}
     try:
-        campaign = get_campaign(name)
+        campaign = get_campaign(name, overrides)
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2
-    backend = getattr(args, "profile_backend", None)
-    if backend is not None:
-        campaign.profile_backend = backend
-    manager_backend = getattr(args, "manager_backend", None)
-    if manager_backend is not None:
-        campaign.manager_backend = manager_backend
-    policy = getattr(args, "policy", None)
-    if policy is not None:
-        error = _check_policy_spec(policy)
+    if "routing_policy" in overrides:
+        error = _check_policy_spec(overrides["routing_policy"])
         if error is not None:
             print(error, file=sys.stderr)
             return 2
-        campaign.routing_policy = policy
     runs = getattr(args, "runs", 1)
     jobs = getattr(args, "jobs", 1)
     if runs > 1 or jobs > 1:
-        return _chaos_batch(name, args, runs, jobs)
-    if args.trace_out is not None:
-        from repro.obs import capture_traces
-        with capture_traces(sample_every=args.sample) as tracers:
-            report = CampaignRunner(campaign, seed=args.seed).run()
-        print(report.render())
-        _finish_tracing(tracers, args.trace_out)
-    else:
+        return _chaos_batch(name, args, runs, jobs, overrides)
+    with _span_tracing(args):
         report = CampaignRunner(campaign, seed=args.seed).run()
         print(report.render())
     return 0 if report.ok else 1
@@ -493,32 +521,17 @@ def _chaos_progress(result, n_done: int, n_total: int) -> None:
           file=sys.stderr)
 
 
-def _chaos_batch(name: str, args, runs: int, jobs: int) -> int:
+def _chaos_batch(name: str, args, runs: int, jobs: int,
+                 overrides: Dict[str, Any]) -> int:
     """Run a campaign batch; nonzero exit if any run failed or any
     invariant broke."""
     from repro.chaos import run_campaign_batch
 
     progress = None if getattr(args, "quiet", False) else _chaos_progress
-    backend = getattr(args, "profile_backend", None)
-    manager_backend = getattr(args, "manager_backend", None)
-    policy = getattr(args, "policy", None)
-    if args.trace_out is not None:
-        from repro.obs import capture_traces
-        with capture_traces(sample_every=args.sample) as tracers:
-            batch = run_campaign_batch(name, master_seed=args.seed,
-                                       runs=runs, jobs=jobs,
-                                       profile_backend=backend,
-                                       manager_backend=manager_backend,
-                                       routing_policy=policy,
-                                       progress=progress)
-        print(batch.render())
-        _finish_tracing(tracers, args.trace_out)
-    else:
+    with _span_tracing(args):
         batch = run_campaign_batch(name, master_seed=args.seed,
                                    runs=runs, jobs=jobs,
-                                   profile_backend=backend,
-                                   manager_backend=manager_backend,
-                                   routing_policy=policy,
+                                   overrides=overrides,
                                    progress=progress)
         print(batch.render())
     return 0 if batch.ok else 1
@@ -694,12 +707,7 @@ def main(argv: Optional[list] = None) -> int:
             if error is not None:
                 print(error, file=sys.stderr)
                 return 2
-        if args.trace_out is not None:
-            from repro.obs import capture_traces
-            with capture_traces(sample_every=args.sample) as tracers:
-                any_failed = _run_names(names, args)
-            _finish_tracing(tracers, args.trace_out)
-        else:
+        with _span_tracing(args):
             any_failed = _run_names(names, args)
         if any_failed:
             return 1

@@ -59,9 +59,39 @@ DEGRADE_FRESH_TTL_S = 2.0
 DEGRADE_STALE_TTL_S = 90.0
 
 
+class ConfigError(ValueError):
+    """A value :meth:`SNSConfig.validate` rejects; the text names the
+    field (or the fields of a joint condition) and the offending value."""
+
+    def __init__(self, config: "SNSConfig", fields: str,
+                 requirement: str) -> None:
+        self.fields = fields.split()
+        shown = ", ".join(f"{name}={getattr(config, name)!r}"
+                          for name in self.fields)
+        super().__init__(f"{shown}: {requirement}")
+
+
 @dataclass
 class SNSConfig:
     """Knobs for the manager, stubs, and front ends."""
+
+    # -- deployment ----------------------------------------------------------
+    # Chosen once, here; ``balancing`` and ``routing_policy`` below are
+    # the other two deployment axes.  DESIGN.md "Deployment" names the
+    # one reader of each.
+    #: control plane: "soft" is the paper's single soft-state manager,
+    #: "consensus" three Paxos-replicated manager replicas with a
+    #: leader lease (repro.consensus).
+    manager_backend: str = "soft"
+    #: profile storage behind the bench service: None keeps the
+    #: profile-less bench service, "single" is the paper's one ACID
+    #: ProfileStore (Section 2.3), "dstore" the replicated brick store
+    #: (three bricks, two replicas; repro.dstore).
+    profile_backend: Optional[str] = None
+    #: service layer of the bench fabric: None keeps the plain bench
+    #: service, "degradable" installs the brownout service and
+    #: distiller (repro.degrade).
+    service_backend: Optional[str] = None
 
     # -- soft-state refresh --------------------------------------------------
     #: manager beacon period on the well-known multicast channel.
@@ -227,90 +257,79 @@ class SNSConfig:
     #: forever from the minority side of a healed partition.
     manager_self_deposition: bool = False
 
+    def _require(self, ok: bool, fields: str, requirement: str) -> None:
+        if not ok:
+            raise ConfigError(self, fields, requirement)
+
     def validate(self) -> "SNSConfig":
-        if self.beacon_interval_s <= 0 or self.report_interval_s <= 0:
-            raise ValueError("intervals must be positive")
-        if self.spawn_threshold <= 0:
-            raise ValueError("spawn threshold must be positive")
-        if self.spawn_damping_s < 0:
-            raise ValueError("spawn damping must be non-negative")
-        if self.reap_drain_timeout_s < 0:
-            raise ValueError("reap drain timeout must be non-negative")
-        if not 0 < self.load_ewma_alpha <= 1:
-            raise ValueError("EWMA alpha must be in (0, 1]")
-        if self.load_metric not in ("queue", "weighted-cost"):
-            raise ValueError(
-                f"unknown load metric {self.load_metric!r}")
-        if self.balancing not in ("centralized", "distributed"):
-            raise ValueError(
-                f"unknown balancing mode {self.balancing!r}")
-        if self.dispatch_attempts < 1:
-            raise ValueError("need at least one dispatch attempt")
+        require = self._require
+        for name, allowed in (
+                ("manager_backend", ("soft", "consensus")),
+                ("profile_backend", (None, "single", "dstore")),
+                ("service_backend", (None, "degradable")),
+                ("load_metric", ("queue", "weighted-cost")),
+                ("balancing", ("centralized", "distributed"))):
+            require(getattr(self, name) in allowed, name,
+                    f"must be one of {allowed}")
+        for name in ("beacon_interval_s", "report_interval_s",
+                     "spawn_threshold", "outlier_window_s",
+                     "outlier_ejection_s", "degrade_tick_s",
+                     "degrade_util_target", "degrade_deadline_s"):
+            require(getattr(self, name) > 0, name, "must be positive")
+        for name in ("spawn_damping_s", "reap_drain_timeout_s",
+                     "dispatch_backoff_base_s", "dispatch_backoff_cap_s",
+                     "degrade_hold_ticks"):
+            require(getattr(self, name) >= 0, name,
+                    "must be non-negative")
+        for name in ("dispatch_attempts", "frontend_threads",
+                     "policy_hash_bound", "outlier_min_samples",
+                     "outlier_timeout_threshold",
+                     "dispatch_backoff_factor", "retry_budget_cap",
+                     "degrade_dwell_ticks"):
+            require(getattr(self, name) >= 1, name, "must be >= 1")
+        require(0 < self.load_ewma_alpha <= 1, "load_ewma_alpha",
+                "must be in (0, 1]")
         # late import: repro.balance typing never depends on config, but
         # importing it at module top would be a cycle risk for callers
-        from repro.balance import parse_policy_spec
-        parse_policy_spec(self.routing_policy)  # raises PolicyError
-        if not 0.0 < self.policy_canary_fraction < 1.0:
-            raise ValueError("canary fraction must be in (0, 1)")
-        if self.policy_hash_bound < 1.0:
-            raise ValueError("hash load bound must be >= 1")
-        if self.outlier_latency_ratio <= 1.0:
-            raise ValueError("outlier latency ratio must be > 1")
-        if self.outlier_min_samples < 1 or self.outlier_min_peers < 2:
-            raise ValueError(
-                "outlier ejection needs >= 1 sample and >= 2 peers")
-        if self.outlier_timeout_threshold < 1:
-            raise ValueError("outlier timeout threshold must be >= 1")
-        if self.outlier_window_s <= 0 or self.outlier_ejection_s <= 0:
-            raise ValueError("outlier windows must be positive")
-        if self.outlier_max_ejection_s < self.outlier_ejection_s:
-            raise ValueError(
+        from repro.balance import PolicyError, parse_policy_spec
+        try:
+            parse_policy_spec(self.routing_policy)
+        except PolicyError as error:
+            raise ConfigError(self, "routing_policy", str(error)) from None
+        require(0.0 < self.policy_canary_fraction < 1.0,
+                "policy_canary_fraction", "must be in (0, 1)")
+        require(self.outlier_latency_ratio > 1.0,
+                "outlier_latency_ratio", "must be > 1")
+        require(self.outlier_min_peers >= 2, "outlier_min_peers",
+                "must be >= 2")
+        require(self.outlier_max_ejection_s >= self.outlier_ejection_s,
+                "outlier_max_ejection_s outlier_ejection_s",
                 "max ejection must be >= the base ejection duration")
-        if self.dispatch_deadline_s is not None \
-                and self.dispatch_deadline_s <= 0:
-            raise ValueError("dispatch deadline must be positive")
-        if self.dispatch_backoff_base_s < 0 \
-                or self.dispatch_backoff_cap_s < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.dispatch_backoff_factor < 1.0:
-            raise ValueError("backoff factor must be >= 1")
-        if not 0.0 <= self.dispatch_backoff_jitter <= 1.0:
-            raise ValueError("backoff jitter must be in [0, 1]")
-        if self.admission_max_backlog_s is not None \
-                and self.admission_max_backlog_s < 0:
-            raise ValueError("admission backlog must be non-negative")
-        if self.admission_exit_backlog_s is not None:
-            if self.admission_max_backlog_s is None:
-                raise ValueError(
-                    "admission exit threshold needs admission_max_"
-                    "backlog_s set")
-            if not 0 <= self.admission_exit_backlog_s \
-                    <= self.admission_max_backlog_s:
-                raise ValueError(
-                    "admission exit threshold must be in [0, enter]")
-        if self.retry_budget_ratio is not None \
-                and self.retry_budget_ratio < 0:
-            raise ValueError("retry budget ratio must be non-negative")
-        if self.retry_budget_cap < 1:
-            raise ValueError("retry budget cap must be >= 1")
-        if self.origin_breaker_failures is not None \
-                and self.origin_breaker_failures < 1:
-            raise ValueError("breaker failure threshold must be >= 1")
-        if self.degrade_tick_s <= 0:
-            raise ValueError("degrade tick must be positive")
-        if not 0 <= self.degrade_exit_pressure \
-                < self.degrade_enter_pressure:
-            raise ValueError(
+        require(self.dispatch_deadline_s is None
+                or self.dispatch_deadline_s > 0, "dispatch_deadline_s",
+                "must be positive or None")
+        require(0.0 <= self.dispatch_backoff_jitter <= 1.0,
+                "dispatch_backoff_jitter", "must be in [0, 1]")
+        require(self.admission_max_backlog_s is None
+                or self.admission_max_backlog_s >= 0,
+                "admission_max_backlog_s", "must be non-negative or None")
+        require(self.admission_exit_backlog_s is None
+                or self.admission_max_backlog_s is not None
+                and 0 <= self.admission_exit_backlog_s
+                <= self.admission_max_backlog_s,
+                "admission_exit_backlog_s admission_max_backlog_s",
+                "exit threshold must be in [0, enter] and needs the "
+                "enter threshold set")
+        require(self.retry_budget_ratio is None
+                or self.retry_budget_ratio >= 0, "retry_budget_ratio",
+                "must be non-negative or None")
+        require(self.origin_breaker_failures is None
+                or self.origin_breaker_failures >= 1,
+                "origin_breaker_failures", "must be >= 1 or None")
+        require(0 <= self.degrade_exit_pressure
+                < self.degrade_enter_pressure,
+                "degrade_exit_pressure degrade_enter_pressure",
                 "need 0 <= exit pressure < enter pressure")
-        if self.degrade_dwell_ticks < 1 or self.degrade_hold_ticks < 0:
-            raise ValueError(
-                "degrade dwell must be >= 1 and hold >= 0 ticks")
-        if self.degrade_util_target <= 0:
-            raise ValueError("degrade signal targets must be positive")
-        if not 0 <= self.degrade_max_level <= 5:
-            raise ValueError("degrade max level must be in [0, 5]")
-        if self.degrade_deadline_s <= 0:
-            raise ValueError("degrade deadline must be positive")
-        if self.frontend_threads < 1:
-            raise ValueError("front end needs at least one thread")
+        require(0 <= self.degrade_max_level <= 5, "degrade_max_level",
+                "must be in [0, 5]")
         return self

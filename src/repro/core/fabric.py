@@ -50,20 +50,13 @@ class SNSFabric:
         service: Any,
         execute_real: bool = False,
         frontend_link_bandwidth_bps: float = 100 * MBPS,
-        manager_backend: str = "soft",
     ) -> None:
-        if manager_backend not in ("soft", "consensus"):
-            raise FabricError(
-                f"unknown manager backend {manager_backend!r}")
         self.cluster = cluster
         self.registry = registry
         self.config = config.validate()
         self.service = service
         self.execute_real = execute_real
         self.frontend_link_bandwidth_bps = frontend_link_bandwidth_bps
-        #: "soft" = the paper's single soft-state manager; "consensus" =
-        #: three Paxos-replicated manager replicas with a leader lease.
-        self.manager_backend = manager_backend
 
         self.manager: Optional[Manager] = None
         #: consensus backend: the replica group (``manager`` then tracks
@@ -143,7 +136,7 @@ class SNSFabric:
         """Start the manager — soft-state-only (the paper's final
         design) or with a process-pair hot standby (the prototype design
         of Section 3.1.3, kept for the ablation)."""
-        if self.manager_backend == "consensus":
+        if self.config.manager_backend == "consensus":
             raise FabricError(
                 "consensus backend: use start_manager_group()")
         if self.manager is not None and self.manager.alive:
@@ -195,7 +188,7 @@ class SNSFabric:
         """
         if "manager" in self._restarts_pending:
             return False
-        if self.manager_backend == "consensus":
+        if self.config.manager_backend == "consensus":
             # replica elections are the failover mechanism; a front end
             # cannot (and must not) fork a fourth manager
             return False
@@ -259,7 +252,7 @@ class SNSFabric:
         """
         from repro.consensus.replica import (
             N_REPLICAS, ReplicatedManagerGroup)
-        if self.manager_backend != "consensus":
+        if self.config.manager_backend != "consensus":
             raise FabricError("soft backend: use start_manager()")
         if self.manager_group is not None:
             raise FabricError("a manager group is already running")
@@ -449,7 +442,7 @@ class SNSFabric:
         instance of the system: one front end, one distiller, the
         manager, and some fixed number of cache partitions."
         """
-        if self.manager_backend == "consensus":
+        if self.config.manager_backend == "consensus":
             if self.manager_group is None:
                 self.start_manager_group()
         elif self.manager is None:

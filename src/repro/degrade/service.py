@@ -39,7 +39,7 @@ from repro.core.manager_stub import DispatchError
 from repro.degrade.guards import CircuitBreaker
 from repro.degrade.staleness import FRESH, FreshnessCache
 from repro.distillers.jpeg import DEFAULT_QUALITY, JpegDistiller
-from repro.experiments._harness import CACHE_HIT_S, ProfileBenchService
+from repro.experiments._harness import CACHE_HIT_S, BenchService
 from repro.sim.cluster import Cluster
 from repro.sim.network import Link
 from repro.tacc.content import Content, zero_payload
@@ -78,7 +78,7 @@ class BrownoutJpegDistiller(JpegDistiller):
             self._cost_factor(request)
 
 
-class DegradableBenchService(ProfileBenchService):
+class DegradableBenchService(BenchService):
     """Bench service with the degradation ladder on its request path.
 
     Works with or without a profile store (``store=None`` skips the
@@ -114,12 +114,6 @@ class DegradableBenchService(ProfileBenchService):
         self.low_fidelity_served = 0
         self.breaker_fallbacks = 0
         self.origin_fetches = 0
-
-    def handle(self, frontend, record):
-        if self.store is None:
-            trace = frontend.current_trace
-            return (yield from self._distill(frontend, record, trace, {}))
-        return (yield from super().handle(frontend, record))
 
     def _distill(self, frontend, record, trace, profile):
         env = self.cluster.env

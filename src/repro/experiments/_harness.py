@@ -11,7 +11,7 @@ keeping the measured bottlenecks exactly the ones the paper varied
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import SNSConfig
 from repro.core.fabric import SNSFabric
@@ -21,8 +21,13 @@ from repro.distillers.jpeg import JpegDistiller
 from repro.sim.cluster import Cluster
 from repro.sim.network import MBPS
 from repro.tacc.content import Content, ZeroPayload
+from repro.tacc.customization import (
+    WriteThroughCache,
+    open_profile_store,
+)
 from repro.tacc.registry import WorkerRegistry
 from repro.tacc.worker import TACCRequest, WorkerError
+from repro.workload.trace import TraceRecord
 
 #: flat per-request cache-hit cost (the resident-original lookup).
 CACHE_HIT_S = 0.027
@@ -56,41 +61,14 @@ def run_grid(point_fn: Callable[..., Any],
                        retries=retries, progress=progress)
 
 
-class JpegBenchService:
-    """Distill every request through the JPEG distiller; fall back to
-    the original on dispatch failure."""
-
-    worker_type = JpegDistiller.worker_type
-
-    def __init__(self, cluster: Cluster) -> None:
-        self.cluster = cluster
-        self._estimator = JpegDistiller()
-
-    def handle(self, frontend, record):
-        # a plain method: the front end drives the _distill generator
-        # itself, with no delegating frame around every resume
-        return self._distill(frontend, record, frontend.current_trace, {})
-
-    def _distill(self, frontend, record, trace, profile):
-        env = self.cluster.env
-        mark = env._now
-        yield env.timeout(CACHE_HIT_S)
-        if trace is not None:
-            trace.record("cache-hit", "cache", mark, hit=True)
-        content = Content(record.url, record.mime,
-                          ZeroPayload(record.size_bytes))
-        request = TACCRequest(inputs=[content], params={},
-                              profile=profile, user_id=record.client_id)
-        expected = self._estimator.work_estimate(request)
-        try:
-            result = yield from frontend.stub.dispatch(
-                request, self.worker_type, content.size,
-                expected_cost_s=expected, trace=trace)
-        except (DispatchError, WorkerError):
-            return Response(status="fallback", path="original",
-                            content=content, size_bytes=content.size)
-        return Response(status="ok", path="distilled", content=result,
-                        size_bytes=result.size)
+def jpeg_pool(n: int, size_bytes: int = 10240,
+              host: str = "bench") -> List[TraceRecord]:
+    """The request pool the bench drivers cycle through: ``n`` distinct
+    clients, each asking for its own JPEG of ``size_bytes``."""
+    return [TraceRecord(0.0, f"client{index}",
+                        f"http://{host}/img{index}.jpg", "image/jpeg",
+                        size_bytes)
+            for index in range(n)]
 
 
 #: single-backend profile-read cost on a front-end cache miss (the gdbm
@@ -104,19 +82,24 @@ SINGLE_RESTART_S = 0.4
 SINGLE_REPLAY_PER_TXN_S = 0.002
 
 
-class ProfileBenchService(JpegBenchService):
-    """The bench service with a real profile read in front of every
-    distillation — the path brick chaos campaigns measure.
+class BenchService:
+    """Distill every request through the JPEG distiller; fall back to
+    the original on dispatch failure.
 
-    Reads go through a per-front-end
+    With a ``store``, a real profile read sits in front of every
+    distillation — the path brick chaos campaigns measure.  Reads go
+    through a per-front-end
     :class:`~repro.tacc.customization.WriteThroughCache` over either
     backend.  A failed read (no quorum, or the single-node store down
     for replay) degrades BASE-style to an empty profile — the request
     still completes, but the read counts against profile availability.
     """
 
-    def __init__(self, cluster: Cluster, store: Any) -> None:
-        super().__init__(cluster)
+    worker_type = JpegDistiller.worker_type
+
+    def __init__(self, cluster: Cluster, store: Any = None) -> None:
+        self.cluster = cluster
+        self._estimator = JpegDistiller()
         self.store = store
         self._profile_caches: Dict[str, Any] = {}
         #: single-backend outage window (chaos adapter); the dstore
@@ -125,8 +108,15 @@ class ProfileBenchService(JpegBenchService):
         self.profile_reads = 0
         self.profile_read_failures = 0
 
+    def handle(self, frontend, record):
+        # a plain method: the front end drives the generator it returns
+        # itself, with no delegating frame around every resume
+        if self.store is None:
+            return self._distill(frontend, record,
+                                 frontend.current_trace, {})
+        return self._read_profile_and_distill(frontend, record)
+
     def profile_cache_for(self, frontend_name: str):
-        from repro.tacc.customization import WriteThroughCache
         if frontend_name not in self._profile_caches:
             self._profile_caches[frontend_name] = WriteThroughCache(
                 self.store)
@@ -136,7 +126,7 @@ class ProfileBenchService(JpegBenchService):
     def store_available(self) -> bool:
         return self.cluster.env.now >= self.store_down_until
 
-    def handle(self, frontend, record):
+    def _read_profile_and_distill(self, frontend, record):
         from repro.dstore.store import QuorumError, ReadUnavailable
         trace = frontend.current_trace
         env = self.cluster.env
@@ -166,6 +156,27 @@ class ProfileBenchService(JpegBenchService):
         return (yield from self._distill(frontend, record, trace,
                                          profile or {}))
 
+    def _distill(self, frontend, record, trace, profile):
+        env = self.cluster.env
+        mark = env._now
+        yield env.timeout(CACHE_HIT_S)
+        if trace is not None:
+            trace.record("cache-hit", "cache", mark, hit=True)
+        content = Content(record.url, record.mime,
+                          ZeroPayload(record.size_bytes))
+        request = TACCRequest(inputs=[content], params={},
+                              profile=profile, user_id=record.client_id)
+        expected = self._estimator.work_estimate(request)
+        try:
+            result = yield from frontend.stub.dispatch(
+                request, self.worker_type, content.size,
+                expected_cost_s=expected, trace=trace)
+        except (DispatchError, WorkerError):
+            return Response(status="fallback", path="original",
+                            content=content, size_bytes=content.size)
+        return Response(status="ok", path="distilled", content=result,
+                        size_bytes=result.size)
+
     @property
     def profile_read_availability(self) -> float:
         if self.profile_reads == 0:
@@ -180,75 +191,36 @@ def build_bench_fabric(
     config: Optional[SNSConfig] = None,
     san_bandwidth_bps: float = 100 * MBPS,
     frontend_link_bandwidth_bps: float = 100 * MBPS,
-    profile_backend: Optional[str] = None,
-    manager_backend: Optional[str] = None,
-    routing_policy: Optional[str] = None,
-    service_backend: Optional[str] = None,
 ) -> SNSFabric:
-    """Assemble the bench fabric; ``manager_backend`` selects the
-    control plane (``None``/``"soft"`` = the paper's single soft-state
-    manager, ``"consensus"`` = the Paxos-replicated manager group),
-    ``routing_policy`` overrides the worker-selection policy at the
-    manager stubs (a :mod:`repro.balance` spec, e.g. ``"p2c"`` or
-    ``"ewma+eject"``; ``None`` keeps the config's own setting), and
-    ``profile_backend`` opts into a real profile store on the request
-    path:
-
-    * ``None`` — the classic harness: no profile reads (the scalability
-      benchmarks' shape, byte-identical to before this option existed);
-    * ``"single"`` — the paper's §2.3 layout: one in-memory ACID
-      :class:`~repro.tacc.customization.ProfileStore`;
-    * ``"dstore"`` — the replicated brick store (three bricks, two
-      replicas), hung off the fabric as ``fabric.profile_bricks`` for
-      chaos and supervision to reach.
-
-    ``service_backend`` selects the service layer: ``None`` keeps the
-    classic bench services above; ``"degradable"`` installs
+    """Assemble the bench fabric ``config`` describes.  Its
+    ``profile_backend`` puts a real profile store on the request path
+    (``None``: no profile reads, the scalability benchmarks' shape) and
+    hangs it off the fabric as ``profile_store`` / ``profile_bricks``
+    for chaos and supervision to reach; its ``service_backend``
+    ``"degradable"`` installs
     :class:`~repro.degrade.service.DegradableBenchService` (freshness
     cache, capacity-limited origin with circuit breaker, brownout
-    distiller) over whatever profile backend was chosen — the shape the
+    distiller) over whatever store was chosen — the shape the
     flash-crowd campaigns run, with or without a controller driving it.
     """
-    if routing_policy is not None:
-        from dataclasses import replace
-        config = replace(config or SNSConfig(),
-                         routing_policy=routing_policy)
     config = (config or SNSConfig()).validate()
     cluster = Cluster(seed=seed, san_bandwidth_bps=san_bandwidth_bps)
     cluster.add_nodes(n_nodes)
     if n_overflow:
         cluster.add_nodes(n_overflow, prefix="ovf", overflow=True)
     registry = WorkerRegistry()
-    if service_backend == "degradable":
-        from repro.degrade.service import BrownoutJpegDistiller
+    store, bricks = open_profile_store(cluster, config.profile_backend)
+    if config.service_backend == "degradable":
+        from repro.degrade.service import (BrownoutJpegDistiller,
+                                           DegradableBenchService)
         registry.register_class(BrownoutJpegDistiller)
-    else:
-        registry.register_class(JpegDistiller)
-    if profile_backend is None:
-        store = None
-        bricks = None
-    elif profile_backend == "single":
-        from repro.tacc.customization import ProfileStore
-        store = ProfileStore()
-        bricks = None
-    elif profile_backend == "dstore":
-        from repro.dstore import BrickCluster, ReplicatedProfileStore
-        bricks = BrickCluster(cluster).boot()
-        store = ReplicatedProfileStore(bricks)
-    else:
-        raise ValueError(f"unknown profile backend {profile_backend!r}")
-    if service_backend is None:
-        service = (JpegBenchService(cluster) if store is None
-                   else ProfileBenchService(cluster, store))
-    elif service_backend == "degradable":
-        from repro.degrade.service import DegradableBenchService
         service = DegradableBenchService(cluster, store, config)
     else:
-        raise ValueError(f"unknown service backend {service_backend!r}")
+        registry.register_class(JpegDistiller)
+        service = BenchService(cluster, store)
     fabric = SNSFabric(
         cluster, registry, config, service,
-        frontend_link_bandwidth_bps=frontend_link_bandwidth_bps,
-        manager_backend=manager_backend or "soft")
+        frontend_link_bandwidth_bps=frontend_link_bandwidth_bps)
     fabric.profile_store = store
     fabric.profile_bricks = bricks
     return fabric

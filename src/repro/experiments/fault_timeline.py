@@ -17,9 +17,8 @@ from repro.analysis.metrics import summarize_outcomes
 from repro.core.config import SNSConfig
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
-from repro.workload.trace import TraceRecord
 
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import build_bench_fabric, jpeg_pool
 
 
 @dataclass
@@ -60,11 +59,7 @@ def run_fault_timeline(rate_rps: float = 20.0, seed: int = 1997
         env, fabric.submit,
         rng=RandomStreams(seed).stream("fault-playback"),
         timeout_s=20.0)
-    pool = [
-        TraceRecord(0.0, f"client{index}",
-                    f"http://bench/img{index}.jpg", "image/jpeg", 10240)
-        for index in range(40)
-    ]
+    pool = jpeg_pool(40)
     env.process(engine.constant_rate(rate_rps, 120.0, pool))
 
     def script(env):

@@ -18,9 +18,8 @@ from repro.analysis.reporting import render_series
 from repro.core.config import SNSConfig
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
-from repro.workload.trace import TraceRecord
 
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import build_bench_fabric, jpeg_pool
 
 
 @dataclass
@@ -70,11 +69,7 @@ def run_figure8(
         env, fabric.submit,
         rng=RandomStreams(seed).stream("fig8-playback"),
         timeout_s=60.0)
-    pool = [
-        TraceRecord(0.0, f"client{index}",
-                    f"http://bench/img{index}.jpg", "image/jpeg", 10240)
-        for index in range(50)
-    ]
+    pool = jpeg_pool(50)
     env.process(engine.ramp(steps, pool))
 
     # the manual kills of Figure 8(b)

@@ -22,9 +22,8 @@ from repro.core.messages import BEACON_GROUP
 from repro.sim.network import MBPS
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
-from repro.workload.trace import TraceRecord
 
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import build_bench_fabric, jpeg_pool
 
 
 @dataclass
@@ -82,12 +81,7 @@ def _run_once(bandwidth_bps: float, rate_rps: float, duration_s: float,
         env, fabric.submit,
         rng=RandomStreams(seed).stream("san-playback"),
         timeout_s=30.0)
-    pool = [
-        TraceRecord(0.0, f"client{index}",
-                    f"http://bench/img{index}.jpg", "image/jpeg",
-                    image_bytes)
-        for index in range(50)
-    ]
+    pool = jpeg_pool(50, image_bytes)
     env.process(engine.constant_rate(rate_rps, duration_s, pool))
     fabric.cluster.run(until=env.now + duration_s + 30.0)
     beacon_group = fabric.cluster.multicast.group(BEACON_GROUP)

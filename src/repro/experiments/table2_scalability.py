@@ -24,9 +24,8 @@ from repro.analysis.reporting import render_table
 from repro.core.config import SNSConfig
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
-from repro.workload.trace import TraceRecord
 
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import build_bench_fabric, jpeg_pool
 
 PAPER_PER_DISTILLER_RPS = 23.0
 PAPER_PER_FRONTEND_RPS = 70.0
@@ -82,11 +81,7 @@ def run_table2(
     env = fabric.cluster.env
     fabric.cluster.run(until=2.0)
 
-    pool = [
-        TraceRecord(0.0, f"client{index}",
-                    f"http://bench/img{index}.jpg", "image/jpeg", 10240)
-        for index in range(50)
-    ]
+    pool = jpeg_pool(50)
     rows: List[Table2Row] = []
     san_peak = 0.0
     rng = RandomStreams(seed).stream("table2-playback")

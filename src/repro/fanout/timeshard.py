@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.fanout.pool import run_sharded
 from repro.fanout.shard import ShardSpec
@@ -58,24 +58,25 @@ __all__ = [
     "replay_sharded",
     "run_window",
     "window_edges",
-    "SERVICE_FACTORIES",
+    "_queue_san_service",
 ]
 
 
-# -- service factories -------------------------------------------------------
-#
-# A shard runs in a worker process, so the spec cannot carry a live
-# service object (or a closure).  It carries a *name* into this
-# registry instead; the factory builds a fresh service inside the
-# shard's own Environment and returns the submit adapter.
+# -- the replayed service ----------------------------------------------------
+
+#: servers draining the replay service's one queue.
+N_SERVERS = 8
+
 
 def _queue_san_service(env: Environment,
                        spec: "ReplaySpec") -> Callable:
-    """The benchmark service: a shared queue drained by ``n_servers``
+    """The service every window replays against, built fresh inside the
+    shard's own Environment: a shared queue drained by ``N_SERVERS``
     workers, each reply paying the SAN transfer delay for the content —
-    the same shape ``benchmarks/test_bench_kernel.py`` replays against.
+    the one ``benchmarks/test_bench_kernel.py`` replays against too.
     Servers are callback-driven (dequeue, schedule the reply, re-arm)
     so a request costs no generator resumes on the service side.
+    Returns the submit adapter.
     """
     network = Network(env, bandwidth_bps=spec.bandwidth_mbps * MBPS)
     requests = env.queue()
@@ -89,7 +90,7 @@ def _queue_san_service(env: Environment,
         env.schedule_call(delay, _reply_ok, reply)
         requests.get().callbacks.append(_serve)
 
-    for _ in range(spec.n_servers):
+    for _ in range(N_SERVERS):
         requests.get().callbacks.append(_serve)
 
     def submit(record):
@@ -98,11 +99,6 @@ def _queue_san_service(env: Environment,
         return reply
 
     return submit
-
-
-SERVICE_FACTORIES: Dict[str, Callable] = {
-    "queue-san": _queue_san_service,
-}
 
 
 # -- specs and results -------------------------------------------------------
@@ -124,8 +120,6 @@ class ReplaySpec:
     n_users: int = 2000
     with_daily_cycle: bool = False
     with_bursts: bool = True
-    service: str = "queue-san"
-    n_servers: int = 8
     bandwidth_mbps: float = 1000.0
     #: uncounted lead-in replayed before each window (except the first)
     #: to approximate the serial run's warm queue state at the edge.
@@ -201,13 +195,8 @@ def run_window(spec: ReplaySpec, start_s: float,
         raise ValueError(
             f"window [{start_s}, {end_s}) outside trace "
             f"[0, {spec.duration_s})")
-    factory = SERVICE_FACTORIES.get(spec.service)
-    if factory is None:
-        raise ValueError(
-            f"unknown replay service {spec.service!r}; registered: "
-            f"{sorted(SERVICE_FACTORIES)}")
     env = Environment()
-    submit = factory(env, spec)
+    submit = _queue_san_service(env, spec)
     generator = spec.generator()
 
     warm_start = max(0.0, start_s - spec.warmup_s)

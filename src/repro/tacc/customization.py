@@ -303,6 +303,33 @@ class ProfileStore:
             self._log = None
 
 
+def open_profile_store(cluster: Any, backend: Optional[str],
+                       log_path: Optional[str] = None,
+                       validator: Optional[Callable[[str, str, Any],
+                                                    None]] = None
+                       ) -> Tuple[Any, Any]:
+    """Build the profile storage a deployment asked for; returns
+    ``(store, bricks)``.  ``None`` is no store at all, ``"single"`` one
+    :class:`ProfileStore`, ``"dstore"`` a
+    :class:`~repro.dstore.ReplicatedProfileStore` over a freshly booted
+    :class:`~repro.dstore.BrickCluster` on ``cluster`` — the only case
+    with ``bricks``, which chaos and supervision reach through the
+    fabric."""
+    if backend is None:
+        return None, None
+    if backend == "single":
+        return ProfileStore(log_path=log_path, validator=validator), None
+    if backend != "dstore":
+        raise ValueError(f"unknown profile backend {backend!r}")
+    if log_path is not None:
+        raise ValueError("the dstore backend has no WAL; a profile log "
+                         "path only applies to the 'single' backend")
+    # imported here: repro.dstore builds on this module
+    from repro.dstore import BrickCluster, ReplicatedProfileStore
+    bricks = BrickCluster(cluster).boot()
+    return ReplicatedProfileStore(bricks, validator=validator), bricks
+
+
 class WriteThroughCache:
     """Front-end read cache over a :class:`ProfileStore`.
 

@@ -37,7 +37,11 @@ from repro.sim.cluster import Cluster
 from repro.sim.kernel import Interrupt
 from repro.sim.network import MBPS
 from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG, Content
-from repro.tacc.customization import ProfileStore, WriteThroughCache
+from repro.tacc.customization import (
+    ProfileStore,
+    WriteThroughCache,
+    open_profile_store,
+)
 from repro.tacc.registry import WorkerRegistry
 from repro.tacc.worker import TACCRequest, WorkerError
 from repro.transend.cachesys import CacheSubsystem
@@ -312,23 +316,9 @@ class TranSend:
         for index in range(n_cache_nodes):
             node = self.cluster.add_node(f"cachenode{index}")
             self.cachesys.add_node(node, cache_capacity_bytes)
-        self.profile_bricks = None
-        if profile_backend == "single":
-            self.profile_store = ProfileStore(
-                log_path=profile_log_path,
-                validator=preference_validator)
-        elif profile_backend == "dstore":
-            if profile_log_path is not None:
-                raise ValueError("the dstore backend has no WAL; "
-                                 "profile_log_path only applies to "
-                                 "profile_backend='single'")
-            from repro.dstore import BrickCluster, ReplicatedProfileStore
-            self.profile_bricks = BrickCluster(self.cluster).boot()
-            self.profile_store = ReplicatedProfileStore(
-                self.profile_bricks, validator=preference_validator)
-        else:
-            raise ValueError(
-                f"unknown profile backend {profile_backend!r}")
+        self.profile_store, self.profile_bricks = open_profile_store(
+            self.cluster, profile_backend, log_path=profile_log_path,
+            validator=preference_validator)
         self.registry = transend_registry()
         self.adaptation = None
         if adaptive:

@@ -5,10 +5,12 @@ import pytest
 
 from repro.chaos import (
     CAMPAIGNS,
+    AsymmetricLink,
     Campaign,
     CampaignRunner,
     KillWorker,
     LossyWindow,
+    PartitionSAN,
     get_campaign,
     run_campaign,
 )
@@ -35,6 +37,30 @@ def test_campaign_validation_rejects_negative_times():
         actions=[KillWorker(at=-1.0)])
     with pytest.raises(ValueError):
         campaign.validate()
+
+
+@pytest.mark.parametrize("action, spec", [
+    (PartitionSAN(at=5.0, isolate=["manager", "worker:x"]), "worker:x"),
+    (PartitionSAN(at=5.0, isolate=["frontend:"]), "frontend:"),
+    (AsymmetricLink(at=5.0, src="worker:1.5"), "worker:1.5"),
+    (AsymmetricLink(at=5.0, dst="frontend:-1"), "frontend:-1"),
+])
+def test_campaign_validation_rejects_malformed_node_specs(action, spec):
+    """A typo in a symbolic node spec fails at validate(), naming the
+    action and the spec, not inside a kernel process mid-run."""
+    campaign = Campaign(name="bad", description="node spec typo",
+                        duration_s=60.0, actions=[action])
+    with pytest.raises(ValueError) as raised:
+        campaign.validate()
+    assert type(action).__name__ in str(raised.value)
+    assert repr(spec) in str(raised.value)
+
+
+def test_campaign_validation_accepts_every_node_spec_form():
+    Campaign(name="ok", description="the grammar", duration_s=60.0,
+             actions=[PartitionSAN(at=5.0, isolate=[
+                 "manager", "worker:0", "frontend:12", "node3",
+                 "worker"])]).validate()
 
 
 def test_smoke_campaign_holds_invariants():

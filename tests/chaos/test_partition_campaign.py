@@ -16,8 +16,7 @@ from repro.cli import main
 
 
 def _run(name, backend, seed=1997):
-    campaign = get_campaign(name)
-    campaign.manager_backend = backend
+    campaign = get_campaign(name, {"manager_backend": backend})
     return run_campaign(campaign, seed=seed)
 
 
@@ -89,17 +88,17 @@ def test_both_backends_render_their_sections(soft_report,
 def test_partition_smoke_batch_byte_identical_across_jobs():
     serial = run_campaign_batch("partition-smoke", master_seed=1997,
                                 runs=2, jobs=1,
-                                manager_backend="consensus")
+                                overrides={"manager_backend": "consensus"})
     fanned = run_campaign_batch("partition-smoke", master_seed=1997,
                                 runs=2, jobs=2,
-                                manager_backend="consensus")
+                                overrides={"manager_backend": "consensus"})
     assert serial.render(verbose=True) == fanned.render(verbose=True)
     assert serial.ok
 
 
 def test_shard_override_reaches_the_fabric():
     report = run_campaign_shard("partition-smoke", 1997,
-                                manager_backend="consensus")
+                                {"manager_backend": "consensus"})
     assert report.partition["backend"] == "consensus"
     assert report.consensus["replicas"] == 3
     assert report.partition["wrong_decisions"] == 0

@@ -32,8 +32,7 @@ CASES = [(name, backend, seed) for name in CAMPAIGNS
 
 
 def measure(name: str, backend: str, seed: int) -> Dict[str, Any]:
-    campaign = get_campaign(name)
-    campaign.manager_backend = backend
+    campaign = get_campaign(name, {"manager_backend": backend})
     runner = CampaignRunner(campaign, seed=seed)
     report = runner.run()
     return {

@@ -28,8 +28,8 @@ def boot(workers=2, **overrides):
     # reaping off unless a test asks for it
     overrides.setdefault("reap_after_s", 100_000.0)
     fabric = make_fabric(n_nodes=10, seed=7,
-                         config=fast_config(**overrides),
-                         manager_backend="consensus")
+                         config=fast_config(manager_backend="consensus",
+                                            **overrides))
     fabric.boot(n_frontends=1, initial_workers={"test-worker": workers})
     fabric.cluster.run(until=4.0)
     leader = fabric.manager_group.leader

@@ -242,8 +242,8 @@ def test_liveness_after_partition_heals():
     violation and exactly one active leader."""
     from tests.core.conftest import fast_config, make_fabric
 
-    fabric = make_fabric(n_nodes=10, config=fast_config(),
-                         manager_backend="consensus")
+    fabric = make_fabric(
+        n_nodes=10, config=fast_config(manager_backend="consensus"))
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=3.0)
     group = fabric.manager_group

@@ -16,8 +16,8 @@ from tests.core.conftest import fast_config, make_fabric
 
 def consensus_fabric(n_nodes=10, seed=7, **overrides):
     return make_fabric(n_nodes=n_nodes, seed=seed,
-                       config=fast_config(**overrides),
-                       manager_backend="consensus")
+                       config=fast_config(manager_backend="consensus",
+                                          **overrides))
 
 
 def test_boot_elects_a_leader_and_registers_workers():

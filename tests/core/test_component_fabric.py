@@ -3,7 +3,7 @@ mechanics, and SNSConfig validation."""
 
 import pytest
 
-from repro.core.config import SNSConfig
+from repro.core.config import ConfigError, SNSConfig
 from repro.core.component import Component
 from repro.core.fabric import FabricError
 from repro.sim.cluster import Cluster
@@ -209,6 +209,58 @@ def test_thread_pool_bounds_concurrency():
 def test_config_validation_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
         SNSConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"manager_backend": "raft"}, "manager_backend"),
+    ({"manager_backend": None}, "manager_backend"),
+    ({"profile_backend": "bogus"}, "profile_backend"),
+    ({"service_backend": "bogus"}, "service_backend"),
+    ({"beacon_interval_s": 0.0}, "beacon_interval_s"),
+    ({"report_interval_s": -1.0}, "report_interval_s"),
+    ({"spawn_threshold": 0.0}, "spawn_threshold"),
+    ({"spawn_damping_s": -1.0}, "spawn_damping_s"),
+    ({"reap_drain_timeout_s": -1.0}, "reap_drain_timeout_s"),
+    ({"load_ewma_alpha": 1.5}, "load_ewma_alpha"),
+    ({"load_metric": "vibes"}, "load_metric"),
+    ({"balancing": "anarchic"}, "balancing"),
+    ({"dispatch_attempts": 0}, "dispatch_attempts"),
+    ({"routing_policy": "nonsense"}, "routing_policy"),
+    ({"policy_canary_fraction": 1.0}, "policy_canary_fraction"),
+    ({"policy_hash_bound": 0.5}, "policy_hash_bound"),
+    ({"outlier_latency_ratio": 1.0}, "outlier_latency_ratio"),
+    ({"outlier_min_samples": 0}, "outlier_min_samples"),
+    ({"outlier_min_peers": 1}, "outlier_min_peers"),
+    ({"outlier_timeout_threshold": 0}, "outlier_timeout_threshold"),
+    ({"outlier_window_s": 0.0}, "outlier_window_s"),
+    ({"outlier_ejection_s": 0.0}, "outlier_ejection_s"),
+    ({"outlier_max_ejection_s": 1.0}, "outlier_max_ejection_s"),
+    ({"dispatch_deadline_s": 0.0}, "dispatch_deadline_s"),
+    ({"dispatch_backoff_base_s": -1.0}, "dispatch_backoff_base_s"),
+    ({"dispatch_backoff_cap_s": -1.0}, "dispatch_backoff_cap_s"),
+    ({"dispatch_backoff_factor": 0.5}, "dispatch_backoff_factor"),
+    ({"dispatch_backoff_jitter": 1.5}, "dispatch_backoff_jitter"),
+    ({"admission_max_backlog_s": -1.0}, "admission_max_backlog_s"),
+    ({"admission_exit_backlog_s": 1.0}, "admission_exit_backlog_s"),
+    ({"admission_max_backlog_s": 1.0, "admission_exit_backlog_s": 2.0},
+     "admission_exit_backlog_s"),
+    ({"retry_budget_ratio": -0.1}, "retry_budget_ratio"),
+    ({"retry_budget_cap": 0.5}, "retry_budget_cap"),
+    ({"origin_breaker_failures": 0}, "origin_breaker_failures"),
+    ({"degrade_tick_s": 0.0}, "degrade_tick_s"),
+    ({"degrade_exit_pressure": 2.0}, "degrade_exit_pressure"),
+    ({"degrade_dwell_ticks": 0}, "degrade_dwell_ticks"),
+    ({"degrade_hold_ticks": -1}, "degrade_hold_ticks"),
+    ({"degrade_util_target": 0.0}, "degrade_util_target"),
+    ({"degrade_max_level": 6}, "degrade_max_level"),
+    ({"degrade_deadline_s": 0.0}, "degrade_deadline_s"),
+    ({"frontend_threads": 0}, "frontend_threads"),
+])
+def test_config_errors_name_the_field_and_the_value(overrides, field):
+    with pytest.raises(ConfigError) as raised:
+        SNSConfig(**overrides).validate()
+    assert field in raised.value.fields
+    assert f"{field}={overrides[field]!r}" in str(raised.value)
 
 
 def test_config_validate_returns_self():

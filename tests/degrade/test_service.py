@@ -32,11 +32,11 @@ def ladder_stub(level):
 
 
 def make_fabric(**config_overrides):
-    defaults = dict(frontend_connection_overhead_s=0.001)
+    defaults = dict(frontend_connection_overhead_s=0.001,
+                    service_backend="degradable")
     defaults.update(config_overrides)
     fabric = build_bench_fabric(
-        n_nodes=6, seed=5, config=SNSConfig(**defaults),
-        service_backend="degradable")
+        n_nodes=6, seed=5, config=SNSConfig(**defaults))
     fabric.boot(n_frontends=1,
                 initial_workers={JpegDistiller.worker_type: 2})
     fabric.cluster.run(until=2.0)

@@ -12,8 +12,8 @@ from repro.recovery.policy import RecoveryPolicy
 
 def boot_supervised_dstore(seed=7, policy=None):
     fabric = build_bench_fabric(n_nodes=8, seed=seed,
-                                config=chaos_config(),
-                                profile_backend="dstore")
+                                config=chaos_config(
+                                    profile_backend="dstore"))
     ledger = RecoveryLedger(fabric.cluster.env)
     fabric.profile_bricks.ledger = ledger
     fabric.boot(n_frontends=1, initial_workers={"jpeg-distiller": 2})

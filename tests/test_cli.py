@@ -116,6 +116,31 @@ def test_unknown_campaign_lists_every_name(capsys):
         assert name in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["chaos", "smoke", "--runs", "0"], "--runs"),
+    (["chaos", "smoke", "--jobs", "0"], "--jobs"),
+    (["chaos", "smoke", "--trace-out", "f", "--sample", "0"], "--sample"),
+    (["run", "table1", "--jobs", "0"], "--jobs"),
+    (["run", "table1", "--trace-out", "f", "--sample", "-3"], "--sample"),
+    (["replay", "--duration", "-1"], "--duration"),
+    (["replay", "--rate", "0"], "--rate"),
+    (["replay", "--windows", "0"], "--windows"),
+    (["replay", "--jobs", "x"], "--jobs"),
+    (["replay", "--warmup", "-1"], "--warmup"),
+    (["replay", "--tolerance", "-0.1"], "--tolerance"),
+    (["trace", "--duration", "0"], "--duration"),
+    (["trace", "--rate", "-5"], "--rate"),
+])
+def test_bad_counts_and_sizes_fail_at_the_parser(argv, flag, capsys):
+    """Exit 2 and one line naming the flag — nothing runs, nothing
+    raises out of a simulator module."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    error_line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert f"argument {flag}: must be" in error_line
+
+
 # -- the --policy switch ------------------------------------------------------
 
 
@@ -155,7 +180,7 @@ def test_chaos_policy_flag_threads_into_the_campaign(monkeypatch):
 
     class FakeRunner:
         def __init__(self, campaign, seed=1997):
-            seen["routing_policy"] = campaign.routing_policy
+            seen.update(campaign.config_overrides)
 
         def run(self):
             class Report:

@@ -241,8 +241,8 @@ def test_content_size_is_no_part_of_identity():
 # -- (d) what a front end accepts from a service's handle() --------------------
 
 def bench_service(profile_backend):
-    fabric = build_bench_fabric(n_nodes=8, seed=5,
-                                profile_backend=profile_backend)
+    fabric = build_bench_fabric(
+        n_nodes=8, seed=5, config=SNSConfig(profile_backend=profile_backend))
     fabric.boot(n_frontends=1, initial_workers={JPEG: 2})
     fabric.cluster.run(until=2.0)
     return fabric.cluster, fabric.submit, fabric.service
@@ -255,8 +255,8 @@ def transend_service(_):
 
 
 @pytest.mark.parametrize("build, backend, handle_is_a_generator", [
-    (bench_service, None, False),      # JpegBenchService: a plain method
-    (bench_service, "single", True),   # ProfileBenchService
+    (bench_service, None, False),      # BenchService: a plain method,
+    (bench_service, "single", False),  # with and without a store
     (transend_service, None, True),    # TranSendLogic
 ])
 def test_front_end_drives_either_shape_of_handle(build, backend,

@@ -378,9 +378,10 @@ def render(functions: List[Function], keys: Set[Key],
               f"# {len(functions)} functions in src/repro, "
               f"{len(unreached)} unreached ({n_lines} lines).",
               "#",
-              "# deleted: removed for being unreached with no such reason (or "
+              "# deleted: removed for being unreached with no such reason, or "
               "folded into",
-              "# repro.sim.hashing); must not come back",
+              "# a survivor (repro.sim.hashing, BenchService); must not come "
+              "back",
               *(f"#   - {name}" for name in deleted),
               ""]
     width = max((len(function.name) for function in unreached), default=0)
