@@ -24,6 +24,7 @@ from repro.balance import build_policy, request_key
 from repro.core.config import CONSENSUS_LEASE_S, SNSConfig
 from repro.core.messages import ManagerBeacon, WorkEnvelope, WorkerAdvert
 from repro.sim.cluster import Cluster
+from repro.sim.kernel import TIMED_OUT, TimedWait
 from repro.sim.rng import Stream
 from repro.tacc.worker import WorkerError
 
@@ -390,22 +391,22 @@ class ManagerStub:
                 wait = deadline_at - now
                 if not wait < timeout_s:
                     wait = timeout_s
-                timer = env.timeout(wait if wait > 0.0 else 0.0)
                 try:
-                    outcome = yield env.any_of([reply, timer])
+                    outcome = yield TimedWait(
+                        env, reply, wait if wait > 0.0 else 0.0)
                 except WorkerError:
                     self.worker_errors += 1
                     now = env._now
                     policy.on_reply(worker_name, now, now - submitted_at)
                     raise
                 now = env._now
-                if reply in outcome:
+                if outcome is not TIMED_OUT:
                     policy.on_reply(worker_name, now, now - submitted_at)
                     if span is not None:
                         span.annotate(
                             attempts=attempt + 1,
                             worker=worker_name)
-                    return outcome[reply]
+                    return outcome
                 # "if a request is sent to a worker that no longer exists,
                 # the request will time out and another worker will be
                 # chosen."

@@ -27,7 +27,7 @@ from repro.hotbot.index import (
 from repro.hotbot.partition import PartitionMap
 from repro.hotbot.query_cache import QueryCache, normalize_query
 from repro.sim.cluster import Cluster
-from repro.sim.kernel import PENDING, Event, Timeout
+from repro.sim.kernel import PENDING, Event, Timeout, TimedWait
 from repro.sim.network import Link
 from repro.sim.node import Node, NodeDown
 
@@ -385,9 +385,9 @@ class HotBot:
                 self.queries += 1
                 self.partial_answers += 1
                 return QueryResult([], 0.0, 0, n_workers)
-            timer = Timeout(env, self.config.gather_timeout_s)
-            yield env.any_of(
-                [env.all_of([event for _, event, _ in legs]), timer])
+            yield TimedWait(
+                env, env.all_of([event for _, event, _ in legs]),
+                self.config.gather_timeout_s)
             # gather: one pass over the legs sorts them into answers
             # and partitions lost to the deadline
             answered = []

@@ -34,7 +34,7 @@ Example
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 #: Scheduling priorities.  Urgent events (interrupts, process resumes) are
@@ -43,6 +43,15 @@ URGENT = 0
 NORMAL = 1
 
 PENDING = object()
+
+
+#: The value of a :class:`TimedWait` whose delay elapsed first.
+TIMED_OUT = object()
+#: ``callbacks`` of a cancelled private timer: empty, and no list to join.
+_CANCELLED = type("_Cancelled", (tuple,), {})()
+#: :meth:`Environment._compact` runs past a floor *and* a share of the heap.
+COMPACT_FLOOR = 64
+COMPACT_RATIO = 2
 
 
 class SimulationError(Exception):
@@ -152,8 +161,8 @@ class Timeout(Event):
     __slots__ = ("delay", "_pending_value")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # negative, or NaN
+            raise ValueError(f"delay must be >= 0, got {delay}")
         self.env = env
         self.callbacks = []
         self._value = PENDING
@@ -312,9 +321,9 @@ def _detach(event: Event, callback: Callable[[Event], None]) -> None:
     """Remove one observer from a not-yet-processed ``event``.
 
     The shared rule for an observer that stops caring — an interrupted
-    process, a :class:`Condition` that has fired.  An event left with no
-    observer at all is marked defused (if it fails later, that is not an
-    unhandled error: nobody is waiting) and told so via ``_abandon``,
+    process, a fired :class:`Condition`, a :class:`TimedWait` whose timer
+    won.  An event left with no observer at all is marked defused (a later
+    failure is not unhandled: nobody is waiting) and told via ``_abandon``,
     which eagerly deregisters events that live in a container (queue
     getters): chaos campaigns interrupt blocked consumers in tight
     loops, and stale entries would otherwise accumulate until the next
@@ -333,14 +342,14 @@ def _detach(event: Event, callback: Callable[[Event], None]) -> None:
 class Condition(Event):
     """Fires when ``count`` of the given events have triggered successfully.
 
-    Used via :meth:`Environment.any_of` / :meth:`Environment.all_of`.  The
-    value is a dict mapping each triggered event to its value.
+    Used via :meth:`Environment.all_of`.  The value is a dict mapping
+    each triggered event to its value.
 
     Once fired, the condition lets go of the events still pending: it
     removes its ``_check`` from them (see :func:`_detach`) and drops its
-    event list.  The loser of an ``any_of([reply, timer])`` race — a
-    timer that sits in the heap until its deadline — would otherwise pin
-    the condition, its value dict and the whole response until then.
+    event list, so a straggler pins neither the condition nor its value
+    dict.  A deadline on one event is not a condition: see
+    :class:`TimedWait`.
     """
 
     __slots__ = ("_events", "_need", "_done")
@@ -384,6 +393,58 @@ class Condition(Event):
             if ev.callbacks is not None:
                 _detach(ev, check)
         self._events = ()
+
+
+class TimedWait(Event):
+    """``event``'s outcome, or :data:`TIMED_OUT` if ``delay`` elapses first.
+
+    The request path's deadline, scheduled as ``Condition(env, [event,
+    env.timeout(delay)], 1)`` would be (DESIGN.md 5d "Deadlines"): a
+    private :class:`Timeout` is armed at construction, and the wait
+    joins the normal lane, one ``_seq`` tick, when the first of ``event``
+    and the timer is processed — at once if ``event`` already is.  If
+    the timer wins, the wait lets go of ``event`` (:func:`_detach`).  If
+    ``event`` wins, the wait takes its value or exception and *cancels*
+    the timer, which nobody else can hold: it never becomes an instant
+    and is compacted out of the heap (:meth:`Environment._compact`).
+    An interrupted waiter tears nothing down.
+    """
+
+    __slots__ = ("_event", "_timer")
+
+    def __init__(self, env: "Environment", event: Event, delay: float):
+        self._timer = timer = Timeout(env, delay)
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self._event = event
+        if event.callbacks is None:  # already processed
+            self._on_event(event)
+        else:
+            event.callbacks.append(self._on_event)
+            timer.callbacks.append(self._on_timer)
+
+    def _on_event(self, event: Event) -> None:
+        self._ok = event._ok
+        self._value = event._value
+        env = self.env
+        env._seq += 1
+        env._normal.append(self)
+        # cancel the private timer (see Environment._compact)
+        self._timer.callbacks = _CANCELLED
+        env._cancelled = cancelled = env._cancelled + 1
+        if cancelled > COMPACT_FLOOR \
+                and cancelled * COMPACT_RATIO > len(env._heap):
+            env._compact()
+
+    def _on_timer(self, _timer: Event) -> None:
+        _detach(self._event, self._on_event)
+        self._value = TIMED_OUT
+        env = self.env
+        env._seq += 1
+        env._normal.append(self)
 
 
 class QueueFull(SimulationError):
@@ -518,8 +579,8 @@ class PeriodicHandle:
         firing for its other members — so after the window passes the
         callback resumes on its original phase.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
         self._skip_until = self.env._now + delay
 
 
@@ -602,6 +663,7 @@ class Environment:
         self._urgent: deque = deque()
         self._normal: deque = deque()
         self._seq = 0
+        self._cancelled = 0  # private timers, since the last compaction
         self._active_process: Optional[Process] = None
         #: live coalesced-timer buckets, keyed (period, next_fire_time);
         #: a registration joins the bucket already firing at its phase.
@@ -632,9 +694,6 @@ class Environment:
 
     def queue(self, capacity: Optional[int] = None) -> Queue:
         return Queue(self, capacity)
-
-    def any_of(self, events: Iterable[Event]) -> Condition:
-        return Condition(self, events, count=1)
 
     def all_of(self, events: Iterable[Event]) -> Condition:
         events = list(events)
@@ -669,8 +728,8 @@ class Environment:
         event instead of a process, its initializer, and a timeout.  The
         event fires successfully with ``value``.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
         event = Event(self)
         event._value = value
         event.callbacks.append(callback)
@@ -703,12 +762,12 @@ class Environment:
         produced).  Callbacks must not yield — spawn a process from
         inside the callback for anything that needs to block.
         """
-        if period <= 0:
+        if not period > 0:
             raise ValueError(f"period must be positive, got {period}")
         if first_delay is None:
             first_delay = period
-        if first_delay < 0:
-            raise ValueError(f"negative first_delay {first_delay}")
+        if not first_delay >= 0:
+            raise ValueError(f"first_delay must be >= 0, got {first_delay}")
         handle = PeriodicHandle(self, callback)
         if first_delay == 0:
             first_fire = self._now + period
@@ -732,17 +791,35 @@ class Environment:
         bucket.handles.append(handle)
         return handle
 
+    def _compact(self) -> None:
+        """Drop the cancelled timers from the heap, in place (``run()``
+        holds the list); ``(time, priority, seq)`` is a total order, so
+        the survivors pop as they would have.  Amortised constant per
+        wait; ``_cancelled`` over-counts those that left through a lane."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap
+                   if entry[3].callbacks is not _CANCELLED]
+        heapify(heap)
+        self._cancelled = 0
+
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled event, or ``inf`` if none (never a
+        cancelled timer's: in a lane, its wait is always behind it)."""
         if self._urgent or self._normal:
             return self._now
-        return self._heap[0][0] if self._heap else float("inf")
+        heap = self._heap
+        while heap and heap[0][3].callbacks is _CANCELLED:
+            heappop(heap)
+        return heap[0][0] if heap else float("inf")
 
     def _pop_next(self) -> Optional[Event]:
         """Remove and return the next event, advancing the clock to it;
         None when nothing is pending.  The ordering rule of the class
-        docstring, spelled out once."""
+        docstring, spelled out once (a cancelled timer at the head is
+        dropped first, so the clock never moves for one)."""
         heap = self._heap
+        while heap and heap[0][3].callbacks is _CANCELLED:
+            heappop(heap)
         head = heap[0] if heap else None
         due_now = head is not None and head[0] <= self._now
         if due_now and head[1] == URGENT:
@@ -761,6 +838,8 @@ class Environment:
     def step(self) -> None:
         """Process the single next event."""
         event = self._pop_next()
+        while event is not None and event.callbacks is _CANCELLED:
+            event = self._pop_next()  # one cancelled in a lane
         if event is None:
             raise SimulationError("no more events")
         if event._value is PENDING:
@@ -823,8 +902,10 @@ class Environment:
                     elif at > stop_at:
                         break
                     else:
-                        self._now = now = at
                         event = pop(heap)[3]
+                        if event.callbacks is _CANCELLED:
+                            continue  # not an instant: the clock stays
+                        self._now = now = at
                 elif normal:
                     event = normal.popleft()
                 else:

@@ -8,7 +8,7 @@ channel can *break*, and both ends find out.  Broken connections are one
 of the paper's failure-detection mechanisms ("if the distiller crashes
 before de-registering itself, the manager detects the broken connection",
 Section 3.1.3); the other is timeouts, which callers implement with
-``env.any_of([endpoint.recv(), env.timeout(t)])``.
+``TimedWait(env, endpoint.recv(), t)``.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from repro.cache.partition import ModHashPartitioner
 from repro.core.component import Component
 from repro.sim.cluster import Cluster
 from repro.sim.hashing import PartitionError
-from repro.sim.kernel import PENDING
+from repro.sim.kernel import PENDING, TIMED_OUT, TimedWait
 from repro.sim.node import Node
 from repro.tacc.content import Content
 
@@ -160,16 +160,14 @@ class CacheSubsystem:
             span = trace.child("cache-lookup", "cache",
                                component=cache_node.name)
         reply = cache_node.lookup(key)
-        timer = env.timeout(self.lookup_timeout_s)
-        outcome = yield env.any_of([reply, timer])
-        if reply not in outcome:
+        value = yield TimedWait(env, reply, self.lookup_timeout_s)
+        if value is TIMED_OUT:
             self.timeouts += 1
             self.misses += 1
             self._note_crashes()
             if span is not None:
                 span.annotate(hit=False, timeout=True).finish()
             return None
-        value = outcome[reply]
         if value is None:
             self.misses += 1
         else:

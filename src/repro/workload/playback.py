@@ -34,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim.kernel import Environment, Event, Interrupt
+from repro.sim.kernel import (TIMED_OUT, Environment, Event, Interrupt,
+                              TimedWait)
 from repro.sim.rng import Stream
 from repro.workload.trace import TraceRecord
 
@@ -311,9 +312,9 @@ class PlaybackEngine:
                 # it cannot leak into an unrelated request
                 tracer.drop_pending()
             if self.timeout_s is not None:
-                timer = env.timeout(self.timeout_s)
-                condition = yield env.any_of([response_event, timer])
-                if response_event not in condition:
+                response = yield TimedWait(
+                    env, response_event, self.timeout_s)
+                if response is TIMED_OUT:
                     if root is not None:
                         root.annotate(outcome="timeout")
                     stats.observe_failure()
@@ -323,7 +324,6 @@ class PlaybackEngine:
                             completed_at=None, ok=False, error="timeout",
                             trace_id=trace_id))
                     return
-                response = condition[response_event]
             else:
                 response = yield response_event
             if root is not None:

@@ -1,16 +1,18 @@
-"""A fired Condition lets go of the events that lost the race.
+"""A fired wait lets go of whatever lost the race.
 
-The pattern is ``yield env.any_of([reply, timer])``: playback, the
-manager stub's dispatch and every HotBot gather do it once per request.
-The loser — usually a timer sitting in the heap until its deadline —
-must neither keep the condition (and through its value dict the whole
-response) alive, nor hear from it again.
+The pattern is ``yield TimedWait(env, reply, deadline_s)``: playback, the
+manager stub's dispatch, the cache lookup and every HotBot gather do it
+once per request.  The loser — usually the wait's private timer, which
+is cancelled and never becomes an instant of its own; sometimes the
+reply — must neither keep the wait (and through its value the whole
+response) alive, nor hear from it again.  A fired ``Condition``
+(``all_of``) owes its stragglers the same.
 """
 
 import gc
 import weakref
 
-from repro.sim.kernel import Environment
+from repro.sim.kernel import TIMED_OUT, Condition, Environment, TimedWait
 from repro.tacc.worker import WorkerError
 
 
@@ -19,9 +21,8 @@ class Response:
 
 
 def race(env, reply, deadline_s, outcomes):
-    timer = env.timeout(deadline_s)
-    won = yield env.any_of([reply, timer])
-    outcomes.append("reply" if reply in won else "timeout")
+    won = yield TimedWait(env, reply, deadline_s)
+    outcomes.append("timeout" if won is TIMED_OUT else "reply")
 
 
 def test_reply_failing_after_the_timer_won_is_not_an_unhandled_error():
@@ -31,7 +32,7 @@ def test_reply_failing_after_the_timer_won_is_not_an_unhandled_error():
     env.process(race(env, reply, 1.0, outcomes))
     env.run(until=2.0)
     assert outcomes == ["timeout"]
-    # the condition was the reply's only observer: nobody is waiting
+    # the wait was the reply's only observer: nobody is waiting
     assert reply.callbacks == []
     reply.fail(WorkerError("distiller crashed"))
     env.run()  # would raise WorkerError if the failure counted as unhandled
@@ -58,7 +59,7 @@ def test_failed_reply_beats_the_timer_and_reaches_the_waiter():
 
     def waiter():
         try:
-            yield env.any_of([reply, env.timeout(5.0)])
+            yield TimedWait(env, reply, 5.0)
         except WorkerError as error:
             seen.append(str(error))
 
@@ -66,7 +67,7 @@ def test_failed_reply_beats_the_timer_and_reaches_the_waiter():
     env.schedule_call(1.0, lambda _e: reply.fail(WorkerError("boom")))
     env.run()
     assert seen == ["boom"]
-    assert env.now == 5.0  # the losing timer still fires, observed by nobody
+    assert env.now == 1.0  # the cancelled timer is not an instant
 
 
 def test_event_with_another_observer_keeps_it_and_is_not_defused():
@@ -75,7 +76,7 @@ def test_event_with_another_observer_keeps_it_and_is_not_defused():
     outcomes = []
     heard = []
     env.process(race(env, reply, 1.0, outcomes))
-    env.run(until=0.5)  # the condition has subscribed
+    env.run(until=0.5)  # the wait has subscribed
     reply.callbacks.append(heard.append)
     env.run(until=2.0)
     assert outcomes == ["timeout"]
@@ -104,16 +105,28 @@ def test_condition_over_processed_events_does_not_subscribe_to_the_rest():
     done = env.event().succeed("done")
     env.run()
     pending = env.event()
-    condition = env.any_of([done, pending])
+    condition = Condition(env, [done, pending], 1)
     assert condition.triggered
     assert pending.callbacks == []
     env.run()
     assert list(condition.value.values()) == ["done"]
 
 
+def test_wait_on_a_processed_event_fires_at_once_and_arms_no_instant():
+    env = Environment()
+    done = env.event().succeed("done")
+    env.run()
+    wait = TimedWait(env, done, 30.0)
+    assert wait.triggered
+    assert env.peek() == 0.0  # the wait itself, in the lane
+    env.run()
+    assert wait.value == "done"
+    assert env.now == 0.0
+
+
 def test_finished_race_is_freed_by_refcount_before_the_timer_is_due():
     """No cycle keeps the response: with the collector off it dies with
-    its consumer, long before the losing timer fires."""
+    its consumer, long before the timer it raced was due."""
     env = Environment()
     refs = []
 
@@ -121,15 +134,17 @@ def test_finished_race_is_freed_by_refcount_before_the_timer_is_due():
         reply = env.event()
         env.schedule_call(1.0, lambda _e, reply=reply:
                           reply.succeed(Response()))
-        won = yield env.any_of([reply, env.timeout(30.0)])
-        refs.append(weakref.ref(won[reply]))
+        won = yield TimedWait(env, reply, 30.0)
+        refs.append(weakref.ref(won))
 
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         env.process(client())
         env.run(until=2.0)
-        assert env.peek() == 30.0  # the losing timer is still pending
+        # 30.0 while the losing timer sat out its delay in the heap;
+        # cancelled, it is not pending
+        assert env.peek() == float("inf")
         (response,) = refs
         assert response() is None
     finally:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.kernel import (
+    Condition,
     Environment,
     Event,
     Interrupt,
@@ -304,7 +305,7 @@ def test_any_of_fires_on_first():
     def proc(env):
         fast = env.timeout(1.0, value="fast")
         slow = env.timeout(9.0, value="slow")
-        result = yield env.any_of([fast, slow])
+        result = yield Condition(env, [fast, slow], 1)
         return list(result.values())
 
     assert env.run(until=env.process(proc(env))) == ["fast"]

@@ -2,11 +2,15 @@
 reference scheduler, and the step/peek/run API under lanes.
 
 The kernel keeps events due at the current instant in two FIFO lanes
-instead of the heap.  The claim is that this changes no trajectory:
-events still fire in ``(time, priority, seq)`` order.  The reference
-below *is* that order — every event goes through one heap keyed
-``(time, priority, seq)`` — and seeded random programs must produce the
-same log on both.
+instead of the heap, and a timed wait whose event won cancels its
+private timer, which is then discarded at the head of the heap or
+compacted out of it.  The claim is that neither changes a trajectory:
+live events still fire in ``(time, priority, seq)`` order and a
+cancelled timer is never an instant.  The reference below *is* that
+order — every event goes through one heap keyed ``(time, priority,
+seq)``, a cancelled entry is dropped when it surfaces and the heap is
+never compacted — and seeded random programs must produce the same log
+on both.
 """
 
 import random
@@ -14,8 +18,10 @@ from heapq import heappop, heappush
 
 import pytest
 
-from repro.sim.kernel import (NORMAL, PENDING, URGENT, Environment,
-                              Interrupt, SimulationError)
+from repro.sim import kernel
+from repro.sim.kernel import (_CANCELLED, NORMAL, PENDING, TIMED_OUT, URGENT,
+                              Environment, Interrupt, SimulationError,
+                              TimedWait)
 
 
 # -- the reference: one heap, nothing else ---------------------------------------
@@ -36,15 +42,22 @@ class _HeapLane:
 
 
 class ReferenceEnvironment(Environment):
-    """The pre-lane scheduler: pop the least (time, priority, seq)."""
+    """The pre-lane scheduler: pop the least (time, priority, seq);
+    drop a cancelled timer there, and nowhere else."""
 
     def __init__(self, initial_time=0.0):
         super().__init__(initial_time)
         self._urgent = _HeapLane(self, URGENT)
         self._normal = _HeapLane(self, NORMAL)
 
+    def _compact(self):
+        pass
+
     def step(self):
-        self._now, _, _, event = heappop(self._heap)
+        at, _, _, event = heappop(self._heap)
+        if event.callbacks is _CANCELLED:
+            return  # not an instant: the clock stays
+        self._now = at
         if event._value is PENDING:
             event._value = event._pending_value
         callbacks, event.callbacks = event.callbacks, None
@@ -130,9 +143,8 @@ def play(env, seed, drive):
                 elif op == "fail" and not shared[arg].triggered:
                     shared[arg].fail(RuntimeError(name))
                 elif op == "race":
-                    won = yield env.any_of([shared[arg[0]],
-                                            env.timeout(arg[1])])
-                    note(name, "won", len(won))
+                    won = yield TimedWait(env, shared[arg[0]], arg[1])
+                    note(name, "won", won is not TIMED_OUT)
                 elif op == "gather":
                     yield env.all_of([env.timeout(arg[0]),
                                       env.timeout(arg[1])])
@@ -149,8 +161,8 @@ def play(env, seed, drive):
                 elif op == "put":
                     queue.put_nowait(name)
                 elif op == "get":
-                    got = yield env.any_of([queue.get(), env.timeout(arg)])
-                    note(name, "got", sorted(map(str, got.values())))
+                    got = yield TimedWait(env, queue.get(), arg)
+                    note(name, "got", got is not TIMED_OUT and got)
                 elif op == "call":
                     env.schedule_call(arg, lambda _e: note(name, "called"))
                 elif op == "periodic":
@@ -223,6 +235,50 @@ def test_lanes_fire_in_heap_order(seed):
     assert play(Environment(), seed, run_stepwise) == expected
     assert play(Environment(), seed, run_sliced) \
         == play(ReferenceEnvironment(), seed, reference_sliced)
+
+
+class CompactingEnvironment(Environment):
+    """The kernel, counting what its compactions take out of the heap
+    and whether ``run()`` was on the stack."""
+
+    removed = inside_run = 0
+    running = False
+
+    def run(self, until=None):
+        self.running = True
+        try:
+            return super().run(until)
+        finally:
+            self.running = False
+
+    def _compact(self):
+        before = len(self._heap)
+        super()._compact()
+        self.removed += before - len(self._heap)
+        self.inside_run += self.running
+
+
+@pytest.fixture
+def compact_at_every_cancel(monkeypatch):
+    """The thresholds out of the way: every wait whose event wins
+    filters and re-heapifies the heap, from inside ``run()`` — that is
+    where a wait's callbacks run."""
+    monkeypatch.setattr(kernel, "COMPACT_FLOOR", 0)
+    monkeypatch.setattr(kernel, "COMPACT_RATIO", float("inf"))
+
+
+def test_compaction_changes_no_order(compact_at_every_cancel):
+    removed = inside_run = 0
+    for seed in range(60):
+        expected = play(ReferenceEnvironment(), seed, run_whole)
+        for drive in (run_whole, run_stepwise):
+            env = CompactingEnvironment()
+            assert play(env, seed, drive) == expected
+            removed += env.removed
+            inside_run += env.inside_run
+        assert play(CompactingEnvironment(), seed, run_sliced) \
+            == play(ReferenceEnvironment(), seed, reference_sliced)
+    assert removed > 60 and inside_run > 60
 
 
 def test_reference_is_not_vacuous():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import Environment, SimulationError
+from repro.sim.kernel import Condition, Environment, SimulationError
 from repro.sim.network import Link
 
 
@@ -72,7 +72,7 @@ def test_any_of_empty_fires_immediately():
     env = Environment()
 
     def proc(env):
-        result = yield env.any_of([])
+        result = yield Condition(env, [], 1)
         return result
 
     assert env.run(until=env.process(proc(env))) == {}
