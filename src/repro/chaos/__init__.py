@@ -28,12 +28,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "batch": ("CampaignBatchReport", "batch_seeds", "run_campaign_batch"),
     "campaign": (
         "CAMPAIGNS", "AsymmetricLink", "Campaign", "CampaignRunner",
-        "CorruptOutput", "CrashWorkerNode", "FailSlowBrick",
-        "FailSlowWorker", "GrayBrickFault", "GrayWorkerFault", "HangBrick",
-        "HangWorker", "KillBrick", "KillManager",
-        "KillWorker", "LeakWorker", "LossyWindow", "PartitionSAN",
-        "PartitionWorker", "RollingKills", "Straggle", "ZombieBrick",
-        "ZombieWorker", "get_campaign", "run_campaign"),
+        "CrashWorkerNode", "GrayBrick", "GrayWorker", "KillBrick",
+        "KillManager", "KillWorker", "LossyWindow", "PartitionSAN",
+        "PartitionWorker", "RollingKills", "Straggle", "get_campaign",
+        "run_campaign"),
     "invariants": ("InvariantChecker", "InvariantViolation"),
     "report": ("ChaosReport",),
 })
@@ -47,27 +45,19 @@ __all__ = [
     "batch_seeds",
     "run_campaign_batch",
     "AsymmetricLink",
-    "CorruptOutput",
     "CrashWorkerNode",
-    "FailSlowBrick",
-    "FailSlowWorker",
-    "GrayBrickFault",
-    "GrayWorkerFault",
-    "HangBrick",
-    "HangWorker",
+    "GrayBrick",
+    "GrayWorker",
     "InvariantChecker",
     "InvariantViolation",
     "KillBrick",
     "KillManager",
     "KillWorker",
-    "LeakWorker",
     "LossyWindow",
     "PartitionSAN",
     "PartitionWorker",
     "RollingKills",
     "Straggle",
-    "ZombieBrick",
-    "ZombieWorker",
     "get_campaign",
     "run_campaign",
 ]

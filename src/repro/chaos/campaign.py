@@ -1,6 +1,6 @@
 """Composable fault campaigns: scheduled sequences and mixes of faults.
 
-A :class:`Campaign` is a declarative script — a workload plus a list of
+A :class:`Campaign` is a declarative script — a workload plus a tuple of
 fault *actions*, each pinned to a simulated time — that the
 :class:`CampaignRunner` executes against a freshly built SNS fabric
 while the :class:`~repro.chaos.invariants.InvariantChecker` watches.
@@ -8,56 +8,69 @@ Actions compose freely: clean kills and node crash-restart loops (the
 paper's Section 4.5 faults) mix with the lossy-SAN fault model's
 message loss, duplication, and delay jitter, straggler nodes, and
 rolling kill loops, so overlapping fault sequences — the regime the
-paper never measured — are one list literal away.
+paper never measured — are one tuple literal away.
 
-Preset campaigns live in :data:`CAMPAIGNS`; ``python -m repro chaos
-<name>`` runs one from the command line.
+A fault kind is one frozen dataclass: :meth:`Fault.check` refuses a bad
+field before any fabric is built, and ``fire`` injects it at ``at`` on
+a target resolved then.  The presets are data (:data:`CAMPAIGNS`);
+``python -m repro chaos <name>`` runs one.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, ClassVar, Dict, List, Mapping, Optional,
+                    Tuple)
 
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.report import ChaosReport, build_report
 from repro.core.config import SNSConfig
 from repro.core.messages import BEACON_GROUP
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import (SINGLE_REPLAY_PER_TXN_S,
+                                        SINGLE_RESTART_S, build_bench_fabric)
+from repro.recovery.gray import GrayState
 from repro.recovery.ledger import RecoveryLedger
 from repro.recovery.policy import RecoveryPolicy
 from repro.sim.failures import FaultInjector, FaultRecord
-from repro.sim.network import ANY_SCOPE, CHANNEL_SCOPE
+from repro.sim.network import ANY_SCOPE, CHANNEL_SCOPE, FaultWindow
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
 from repro.workload.trace import TraceRecord
 
 WORKER_TYPE = "jpeg-distiller"
+#: front ends every campaign boots.
+N_FRONTENDS = 2
+#: every campaign client's deadline; also the end-of-run bounded-reply
+#: bound unless a campaign sets a tighter ``slo_latency_s``.
+CLIENT_TIMEOUT_S = 20.0
+#: service-time multiplier of a fail-slow worker and of a fail-slow brick.
+WORKER_SLOW_FACTOR = 6.0
+BRICK_SLOW_FACTOR = 8.0
+#: a leaking worker's service time grows by this fraction per second.
+LEAK_RATE_PER_S = 0.5
+#: seconds between the kills of a :class:`RollingKills` loop.
+ROLLING_KILL_PERIOD_S = 4.5
+
+#: gray mode (also its timeline and ledger kind) -> how it switches a
+#: worker's :class:`GrayState` on at ``now``.
+WORKER_GRAY_MODES: Dict[str, Callable[[GrayState, float], None]] = {
+    "fail-slow": lambda gray, now: gray.fail_slow(WORKER_SLOW_FACTOR, now),
+    "hang": GrayState.hang,
+    "zombie": GrayState.zombify,
+    "leak": lambda gray, now: gray.leak(LEAK_RATE_PER_S, now),
+    "corrupt-output": GrayState.corrupt_output,
+}
+#: the three modes a profile brick honours (repro.dstore.brick).
+BRICK_GRAY_MODES: Dict[str, Callable[[GrayState, float], None]] = {
+    "fail-slow": lambda gray, now: gray.fail_slow(BRICK_SLOW_FACTOR, now),
+    "hang": GrayState.hang,
+    "zombie": GrayState.zombify,
+}
 
 
 # -- the campaign DSL ---------------------------------------------------------
-
-@dataclass
-class Fault:
-    """Base action: something bad happens at ``at`` seconds."""
-
-    at: float
-
-    @property
-    def heals_at(self) -> float:
-        """When this fault stops being injected (instant for kills)."""
-        return self.at
-
-    @property
-    def needs_reregistration_check(self) -> bool:
-        return False
-
-    @property
-    def node_specs(self) -> List[str]:
-        """The symbolic node specs this action resolves at fire time
-        (:func:`parse_node_spec`); checked by ``Campaign.validate``."""
-        return []
-
 
 def parse_node_spec(spec: str) -> Tuple[str, int]:
     """Split a symbolic node spec — ``manager | worker:<int> |
@@ -72,48 +85,111 @@ def parse_node_spec(spec: str) -> Tuple[str, int]:
     return ("manager" if spec == "manager" else "node"), 0
 
 
-@dataclass
-class KillWorker(Fault):
-    """Kill ``count`` live workers (SIGKILL, Section 4.5's fault)."""
+@dataclass(frozen=True)
+class Fault:
+    """Base action: something bad happens at ``at`` seconds.
 
-    count: int = 1
+    A kind defines ``fire(runner)``, called at ``at``, or overrides
+    :meth:`arm` to declare its whole window up front.  A windowed kind
+    declares a ``duration_s`` field *with a default* (else the ``None``
+    below becomes it) and heals at ``at + duration_s``; an instant kind
+    (kills, gray failures) has none and heals at ``at``.
+    """
 
-
-@dataclass
-class KillManager(Fault):
-    """Kill the manager; front-end watchdogs must restart it."""
-
-
-@dataclass
-class CrashWorkerNode(Fault):
-    """Crash the node hosting a worker (taking the worker with it),
-    optionally restarting the node after ``restart_after`` seconds."""
-
-    restart_after: Optional[float] = None
+    at: float
+    duration_s: ClassVar[Optional[float]] = None
+    #: what firing records on the fault timeline or the recovery ledger
+    #: (None: nothing; the effect shows in the report's numbers).
+    kind: ClassVar[Optional[str]] = None
+    #: every worker live at the heal must re-register in time.
+    reregisters: ClassVar[bool] = False
 
     @property
     def heals_at(self) -> float:
-        if self.restart_after is None:
-            return self.at
-        return self.at + self.restart_after
+        """When this fault stops being injected."""
+        return self.at + (self.duration_s or 0.0)
+
+    def check(self) -> None:
+        """Refuse a bad field before a fabric is built
+        (:meth:`Campaign.validate` names the action)."""
+        self._require(0.0 <= self.at < float("inf"), "at", self.at,
+                      "must be a finite time >= 0")
+        if self.duration_s is not None:
+            self._require(0.0 < self.duration_s < float("inf"), "duration_s",
+                          self.duration_s, "must be finite and > 0")
+
+    def _require(self, ok: bool, name: str, value: Any, rule: str) -> None:
+        if not ok:
+            raise ValueError(f"{name}={value!r} {rule}")
+
+    def arm(self, runner: "CampaignRunner") -> None:
+        runner._at(self.at, lambda: self.fire(runner))
 
 
-@dataclass
+@dataclass(frozen=True)
+class KillWorker(Fault):
+    """Kill the first live worker (SIGKILL, Section 4.5's fault)."""
+
+    kind = "kill"
+
+    def fire(self, runner: "CampaignRunner") -> None:
+        workers = runner._alive_workers()
+        if workers:
+            runner.injector.kill_now(workers[0])
+
+
+@dataclass(frozen=True)
+class KillManager(Fault):
+    """Kill the manager: front-end watchdogs must restart a soft one;
+    under the consensus backend it is the leader replica, and the group
+    must elect another."""
+
+    kind = "kill"
+
+    def fire(self, runner: "CampaignRunner") -> None:
+        manager = runner.fabric.manager
+        if manager is not None and manager.alive:
+            runner.injector.kill_now(manager)
+
+
+@dataclass(frozen=True)
+class CrashWorkerNode(Fault):
+    """Crash the node hosting the first live worker (taking its workers
+    with it) and restart the node ``duration_s`` later."""
+
+    duration_s: float = 15.0
+    kind = "node-crash"
+
+    def fire(self, runner: "CampaignRunner") -> None:
+        workers = runner._alive_workers()
+        if not workers:
+            return
+        node = workers[0].node
+        node.crash()
+        runner._log(self.kind, node.name)
+        for stub in list(runner.fabric.workers.values()):
+            if stub.alive and stub.node is node:
+                runner.injector.kill_now(stub)
+        runner._at(runner.env.now + self.duration_s, node.restart)
+
+
+@dataclass(frozen=True)
 class PartitionWorker(Fault):
-    """Cut one worker off the SAN for ``duration_s`` (Section 2.2.4)."""
+    """Cut the first live worker off the SAN for ``duration_s``
+    (Section 2.2.4)."""
 
     duration_s: float = 10.0
+    kind = "partition"
+    reregisters = True
 
-    @property
-    def heals_at(self) -> float:
-        return self.at + self.duration_s
-
-    @property
-    def needs_reregistration_check(self) -> bool:
-        return True
+    def fire(self, runner: "CampaignRunner") -> None:
+        workers = runner._alive_workers()
+        if workers:
+            runner.injector.partition_at(runner.env.now, workers[0],
+                                         self.duration_s)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionSAN(Fault):
     """Split the SAN: the nodes named by ``isolate`` end up in their own
     multicast/channel domain, cut off from everyone else until the
@@ -127,23 +203,29 @@ class PartitionSAN(Fault):
     literal node name.
     """
 
-    isolate: List[str] = field(default_factory=lambda: ["manager"])
+    isolate: Tuple[str, ...] = ("manager",)
     duration_s: float = 15.0
+    kind = "san-partition"
+    reregisters = True
 
-    @property
-    def heals_at(self) -> float:
-        return self.at + self.duration_s
+    def check(self) -> None:
+        super().check()
+        self._require(len(self.isolate) > 0, "isolate", self.isolate,
+                      "must name a node")
+        for spec in self.isolate:
+            parse_node_spec(spec)
 
-    @property
-    def node_specs(self) -> List[str]:
-        return self.isolate
+    def fire(self, runner: "CampaignRunner") -> None:
+        partitions = runner.cluster.install_partitions()
+        groups = {name: "isolated" for name in
+                  map(runner._resolve_node_spec, self.isolate)
+                  if name is not None}
+        if groups:
+            partitions.split(groups, duration_s=self.duration_s)
+            runner._log(self.kind, "+".join(sorted(groups)))
 
-    @property
-    def needs_reregistration_check(self) -> bool:
-        return True
 
-
-@dataclass
+@dataclass(frozen=True)
 class AsymmetricLink(Fault):
     """One-way SAN reachability failure: traffic from ``src`` to ``dst``
     is blackholed while the reverse direction still works — the gray
@@ -154,154 +236,132 @@ class AsymmetricLink(Fault):
     src: str = "worker:0"
     dst: str = "manager"
     duration_s: float = 10.0
+    kind = "san-oneway"
+    reregisters = True
 
-    @property
-    def heals_at(self) -> float:
-        return self.at + self.duration_s
+    def check(self) -> None:
+        super().check()
+        self._require(self.src != self.dst, "dst", self.dst,
+                      "must differ from src")
+        parse_node_spec(self.src)
+        parse_node_spec(self.dst)
 
-    @property
-    def node_specs(self) -> List[str]:
-        return [self.src, self.dst]
+    def fire(self, runner: "CampaignRunner") -> None:
+        partitions = runner.cluster.install_partitions()
+        src = runner._resolve_node_spec(self.src)
+        dst = runner._resolve_node_spec(self.dst)
+        if src is None or dst is None or src == dst:
+            return
+        partitions.one_way(src, dst, duration_s=self.duration_s)
+        runner._log(self.kind, f"{src}->{dst}")
 
-    @property
-    def needs_reregistration_check(self) -> bool:
-        return True
 
-
-@dataclass
+@dataclass(frozen=True)
 class LossyWindow(Fault):
-    """Impose the lossy-SAN fault model on a traffic scope for a while.
-
-    ``scope`` is a multicast group name (default: the manager beacon
-    group), :data:`~repro.sim.network.CHANNEL_SCOPE` for reliable
-    connections, or :data:`~repro.sim.network.ANY_SCOPE` for everything.
-    """
+    """Impose the lossy-SAN fault model on ``scope`` — a multicast group
+    (default: the manager beacons), :data:`~repro.sim.network.CHANNEL_SCOPE`
+    or :data:`~repro.sim.network.ANY_SCOPE` — for a while.  Lost beacons
+    can silently expire workers; after the window soft state must put
+    them back."""
 
     duration_s: float = 20.0
     scope: str = BEACON_GROUP
     loss: float = 0.2
     duplicate: float = 0.0
     jitter_s: float = 0.0
+    reregisters = True
 
-    @property
-    def heals_at(self) -> float:
-        return self.at + self.duration_s
+    def check(self) -> None:
+        super().check()
+        FaultWindow(self.scope, self.at, self.heals_at, loss=self.loss,
+                    duplicate=self.duplicate, jitter_s=self.jitter_s)
+        self._require(self.loss > 0 or self.duplicate > 0
+                      or self.jitter_s > 0, "loss", self.loss,
+                      "with no duplicate or jitter_s imposes nothing")
 
-    @property
-    def needs_reregistration_check(self) -> bool:
-        # dropped beacons can silently expire workers from the manager's
-        # view; after the window heals the soft-state machinery must put
-        # them back
-        return self.loss > 0
+    def arm(self, runner: "CampaignRunner") -> None:
+        # a declared window: no process, nothing resolved at fire time
+        runner.faults.impose(
+            scope=self.scope, loss=self.loss, duplicate=self.duplicate,
+            jitter_s=self.jitter_s, start=self.at,
+            duration_s=self.duration_s)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Straggle(Fault):
-    """Degrade the CPU of a worker's node to ``factor`` of nominal
-    without killing it — the fail-slow fault connection-based failure
-    detection cannot see."""
+    """Degrade the CPU of the last live worker's node to ``factor`` of
+    nominal for ``duration_s`` without killing it — the fail-slow fault
+    connection-based failure detection cannot see."""
 
     factor: float = 0.25
-    duration_s: Optional[float] = None
+    duration_s: float = 20.0
 
-    @property
-    def heals_at(self) -> float:
-        if self.duration_s is None:
-            return self.at
-        return self.at + self.duration_s
+    def check(self) -> None:
+        super().check()
+        self._require(0.0 < self.factor < 1.0, "factor", self.factor,
+                      "must be in (0, 1)")
+
+    def fire(self, runner: "CampaignRunner") -> None:
+        workers = runner._alive_workers()
+        if workers:
+            node = workers[-1].node
+            node.degrade(self.factor)
+            runner._at(runner.env.now + self.duration_s,
+                       node.recover_speed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RollingKills(Fault):
-    """Kill one worker every ``period_s`` seconds for ``duration_s`` —
-    the crash-restart churn loop ("recovery paths must be exercised
-    constantly to stay cheap")."""
+    """Kill one worker every :data:`ROLLING_KILL_PERIOD_S` seconds for
+    ``duration_s`` — the crash-restart churn loop ("recovery paths must
+    be exercised constantly to stay cheap")."""
 
     duration_s: float = 20.0
-    period_s: float = 5.0
+    kind = "kill"
+
+    def check(self) -> None:
+        super().check()
+        self._require(self.duration_s >= ROLLING_KILL_PERIOD_S, "duration_s",
+                      self.duration_s, "must cover one kill period")
+
+    def arm(self, runner: "CampaignRunner") -> None:
+        runner.injector.rolling_kills(
+            runner._alive_workers, start=self.at,
+            period_s=ROLLING_KILL_PERIOD_S, stop_at=self.heals_at)
+
+
+@dataclass(frozen=True)
+class GrayWorker(Fault):
+    """A gray failure (Section 4.5's operational incidents): the victim
+    worker stays alive and keeps beaconing load reports while failing
+    at its job in ``mode`` (:data:`WORKER_GRAY_MODES`).  Healing is the
+    supervision layer's job, measured by the ledger, never assumed.
+    ``victim`` indexes the gray-healthy live workers (sorted by name)
+    at fire time, so one campaign can hit distinct workers."""
+
+    mode: str
+    victim: int = 0
+    modes = WORKER_GRAY_MODES
 
     @property
-    def heals_at(self) -> float:
-        return self.at + self.duration_s
+    def kind(self) -> str:
+        return self.mode
+
+    def check(self) -> None:
+        super().check()
+        self._require(self.mode in self.modes, "mode", self.mode,
+                      f"must be one of {sorted(self.modes)}")
+        self._require(self.victim >= 0, "victim", self.victim, "must be >= 0")
+
+    def fire(self, runner: "CampaignRunner") -> None:
+        candidates = [stub for stub in runner._alive_workers()
+                      if not stub.gray.is_gray]
+        if candidates:
+            runner._inject_gray(self,
+                                candidates[self.victim % len(candidates)])
 
 
-@dataclass
-class GrayWorkerFault(Fault):
-    """Base for gray failures: the victim worker stays alive and keeps
-    beaconing load reports while failing at its actual job (Section 4.5's
-    operational incidents).  ``heals_at == at`` deliberately — nothing
-    in the fault heals itself; healing is the supervision layer's job
-    and is measured by the recovery ledger, not assumed by the schedule.
-
-    ``victim`` indexes into the gray-healthy live workers (sorted by
-    name) at fire time, so one campaign can hit distinct workers.
-    """
-
-    victim: int = 0
-    kind = "gray"
-
-    def apply(self, stub: Any, now: float) -> None:
-        raise NotImplementedError
-
-
-@dataclass
-class FailSlowWorker(GrayWorkerFault):
-    """Inflate one worker's service time by ``factor`` (a sick disk,
-    a misbehaving process) without killing it."""
-
-    factor: float = 6.0
-    kind = "fail-slow"
-
-    def apply(self, stub: Any, now: float) -> None:
-        stub.gray.fail_slow(self.factor, now)
-
-
-@dataclass
-class HangWorker(GrayWorkerFault):
-    """The worker accepts its next request and never replies; the queue
-    backs up behind it ("the RPC call to the distiller times out")."""
-
-    kind = "hang"
-
-    def apply(self, stub: Any, now: float) -> None:
-        stub.gray.hang(now)
-
-
-@dataclass
-class ZombieWorker(GrayWorkerFault):
-    """The worker keeps beaconing load reports but silently drops every
-    submitted request — the balancer *prefers* its empty queue."""
-
-    kind = "zombie"
-
-    def apply(self, stub: Any, now: float) -> None:
-        stub.gray.zombify(now)
-
-
-@dataclass
-class LeakWorker(GrayWorkerFault):
-    """Monotonically degrading service rate — the Section 4.5
-    memory-leak distiller 'cured' by periodic restarts."""
-
-    rate_per_s: float = 0.5
-    kind = "leak"
-
-    def apply(self, stub: Any, now: float) -> None:
-        stub.gray.leak(self.rate_per_s, now)
-
-
-@dataclass
-class CorruptOutput(GrayWorkerFault):
-    """Requests complete on time but the output bytes fail end-to-end
-    validation."""
-
-    kind = "corrupt-output"
-
-    def apply(self, stub: Any, now: float) -> None:
-        stub.gray.corrupt_output(now)
-
-
-@dataclass
+@dataclass(frozen=True)
 class KillBrick(Fault):
     """kill -9 the profile brick on ``slot`` (dstore backend); the
     supervisor must notice the corpse and respawn it empty — cheap
@@ -316,82 +376,93 @@ class KillBrick(Fault):
     """
 
     slot: int = 0
+    kind = "brick-kill"
+
+    def check(self) -> None:
+        super().check()
+        self._require(self.slot >= 0, "slot", self.slot, "must be >= 0")
+
+    def fire(self, runner: "CampaignRunner") -> None:
+        bricks = runner.fabric.profile_bricks
+        if bricks is not None:
+            brick = bricks.brick_at(self.slot % bricks.n_bricks)
+            if brick is not None and brick.alive:
+                runner.ledger.inject(self.kind, brick.name)
+                runner.injector.kill_now(brick)
+        elif runner.fabric.profile_store is not None:
+            self._kill_single_store(runner)
+
+    def _kill_single_store(self, runner: "CampaignRunner") -> None:
+        store, service = runner.fabric.profile_store, runner.fabric.service
+        now = runner.env.now
+        outage = SINGLE_RESTART_S + SINGLE_REPLAY_PER_TXN_S * store.commits
+        service.store_down_until = max(service.store_down_until,
+                                       now + outage)
+        runner._log("store-kill", "profile-store")
+        case = runner.ledger.inject(self.kind, "profile-store")
+        case.detected_at = now
+        case.detector = "restart-watchdog"
+        case.detail = f"WAL replay of {store.commits} txns"
+        runner._at(now + outage,
+                   lambda: runner.ledger.note_healed(
+                       case, "restart+replay", "profile-store"))
 
 
-@dataclass
-class GrayBrickFault(Fault):
-    """Base for brick gray failures (dstore backend only): the brick
-    stays alive while failing at its job.  Healing is the supervision
-    layer's job, measured by the ledger, never assumed."""
+@dataclass(frozen=True)
+class GrayBrick(Fault):
+    """A gray failure of the profile brick on ``slot`` in ``mode``
+    (:data:`BRICK_GRAY_MODES`): a hung brick leaves quorum reads to its
+    replica peers, a zombie acks writes and drops them (caught by the
+    probe's write-read canary, never by liveness).  A no-op on the
+    ``single`` backend, which has no gray surface."""
 
+    mode: str
     slot: int = 0
-    kind = "gray"
+    modes = BRICK_GRAY_MODES
 
-    def apply(self, brick: Any, now: float) -> None:
-        raise NotImplementedError
+    @property
+    def kind(self) -> str:
+        return self.mode
 
+    def check(self) -> None:
+        super().check()
+        self._require(self.mode in self.modes, "mode", self.mode,
+                      f"must be one of {sorted(self.modes)}")
+        self._require(self.slot >= 0, "slot", self.slot, "must be >= 0")
 
-@dataclass
-class FailSlowBrick(GrayBrickFault):
-    """Inflate one brick's per-op service time without killing it; the
-    supervisor's probe must flag the slow-ratio."""
-
-    factor: float = 8.0
-    kind = "fail-slow"
-
-    def apply(self, brick: Any, now: float) -> None:
-        brick.gray.fail_slow(self.factor, now)
-
-
-@dataclass
-class HangBrick(GrayBrickFault):
-    """The brick stops answering the data plane and probes; quorum
-    reads fall through to its replica peers meanwhile."""
-
-    kind = "hang"
-
-    def apply(self, brick: Any, now: float) -> None:
-        brick.gray.hang(now)
+    def fire(self, runner: "CampaignRunner") -> None:
+        bricks = runner.fabric.profile_bricks
+        if bricks is None:
+            return
+        brick = bricks.brick_at(self.slot % bricks.n_bricks)
+        if brick is not None and brick.alive and not brick.gray.is_gray:
+            runner._inject_gray(self, brick)
 
 
-@dataclass
-class ZombieBrick(GrayBrickFault):
-    """The brick acks every write and silently drops it while serving
-    stale reads — the failure mode replication is specifically for.
-    Detected by the probe's write-read canary, never by liveness."""
-
-    kind = "zombie"
-
-    def apply(self, brick: Any, now: float) -> None:
-        brick.gray.zombify(now)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Campaign:
     """A named, reproducible chaos scenario."""
 
     name: str
     description: str
     duration_s: float
-    actions: List[Fault] = field(default_factory=list)
+    actions: Tuple[Fault, ...] = ()
     # workload + topology
     rate_rps: float = 15.0
     n_nodes: int = 12
-    n_frontends: int = 2
     initial_workers: int = 2
-    client_timeout_s: float = 20.0
-    #: bound for the end-of-run bounded-reply latency check; defaults
-    #: to ``client_timeout_s``.  Setting it *below* the client timeout
-    #: turns "slow but answered" into a violation — an SLO check, used
-    #: by the tests that force a deadline violation deterministically.
-    slo_latency_s: Optional[float] = None
+    #: bound for the end-of-run bounded-reply latency check.  Setting it
+    #: *below* the client timeout turns "slow but answered" into a
+    #: violation — an SLO check, used by the tests that force a deadline
+    #: violation deterministically.
+    slo_latency_s: float = CLIENT_TIMEOUT_S
     settle_s: float = 8.0
     #: :class:`SNSConfig` fields laid over :func:`chaos_config`.  The
     #: deployment is chosen here too (``manager_backend``,
     #: ``profile_backend``, ``service_backend``, ``routing_policy``);
     #: the CLI's ``--manager-backend`` / ``--profile-backend`` /
     #: ``--policy`` write into this mapping (:func:`get_campaign`).
-    config_overrides: Dict[str, Any] = field(default_factory=dict)
+    config_overrides: Mapping[str, Any] = field(default_factory=dict)
     #: enable the self-healing supervision layer (repro.recovery) with
     #: this policy.  None (the default) runs without a supervisor, as
     #: all the clean-fault campaigns do.
@@ -402,11 +473,11 @@ class Campaign:
     #: minimum profile read availability; checked as an invariant when
     #: set (reads during brick faults must be masked by the quorum).
     profile_read_slo: Optional[float] = None
-    #: piecewise-constant offered load ``[(duration_s, rate_rps), ...]``
+    #: piecewise-constant offered load ``((duration_s, rate_rps), ...)``
     #: replacing the constant-rate process when set — how the
     #: flash-crowd campaigns script their 10x burst.  Overload *is* the
     #: fault here, so these campaigns need no ``actions``.
-    arrival_schedule: Optional[List[Tuple[float, float]]] = None
+    arrival_schedule: Optional[Tuple[Tuple[float, float], ...]] = None
     #: distinct URLs/clients the engine cycles through; large pools
     #: defeat the result cache and drive cold misses to the origin.
     pool_size: int = 40
@@ -431,28 +502,22 @@ class Campaign:
 
     def validate(self) -> "Campaign":
         for action in self.actions:
-            if action.at < 0:
-                raise ValueError(f"{action} scheduled before t=0")
-            if action.heals_at == float("inf"):
-                raise ValueError(f"{action} never heals")
-            for spec in action.node_specs:
-                try:
-                    parse_node_spec(spec)
-                except ValueError as error:
-                    raise ValueError(f"{action}: {error}") from None
+            try:
+                action.check()
+            except ValueError as error:
+                raise ValueError(f"{action!r}: {error}") from None
         if self.final_heal_s >= self.duration_s:
             raise ValueError(
                 f"campaign {self.name!r} ends at {self.duration_s}s "
                 f"but its last fault heals at {self.final_heal_s}s; "
                 "leave room to observe recovery")
-        if self.arrival_schedule is not None:
-            if not self.arrival_schedule:
-                raise ValueError("arrival_schedule must not be empty")
-            for duration, rate in self.arrival_schedule:
-                if duration <= 0 or rate < 0:
-                    raise ValueError(
-                        f"bad arrival step ({duration}, {rate}): "
-                        "duration must be positive, rate non-negative")
+        if self.arrival_schedule is not None and not self.arrival_schedule:
+            raise ValueError("arrival_schedule must not be empty")
+        for duration, rate in self.arrival_schedule or ():
+            if duration <= 0 or rate < 0:
+                raise ValueError(
+                    f"bad arrival step ({duration}, {rate}): "
+                    "duration must be positive, rate non-negative")
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         if not 0.0 <= self.batch_fraction < 1.0:
@@ -470,17 +535,11 @@ def chaos_config(**overrides) -> SNSConfig:
     """Campaign default config: fast soft-state refresh plus the
     hardened request path (deadline shedding + admission control)."""
     defaults: Dict[str, Any] = dict(
-        beacon_interval_s=0.5,
-        report_interval_s=0.5,
-        spawn_threshold=6.0,
-        spawn_damping_s=4.0,
-        dispatch_timeout_s=3.0,
-        worker_timeout_s=3.0,
-        reap_after_s=60.0,
-        frontend_connection_overhead_s=0.001,
-        shed_expired_requests=True,
-        admission_max_backlog_s=2.0,
-    )
+        beacon_interval_s=0.5, report_interval_s=0.5,
+        spawn_threshold=6.0, spawn_damping_s=4.0,
+        dispatch_timeout_s=3.0, worker_timeout_s=3.0, reap_after_s=60.0,
+        frontend_connection_overhead_s=0.001, shed_expired_requests=True,
+        admission_max_backlog_s=2.0)
     defaults.update(overrides)
     return SNSConfig(**defaults)
 
@@ -507,24 +566,21 @@ class CampaignRunner:
         self.engine = PlaybackEngine(
             self.env, self.checker.checked_submit(self.fabric.submit),
             rng=RandomStreams(seed).stream("chaos:playback"),
-            timeout_s=campaign.client_timeout_s)
+            timeout_s=CLIENT_TIMEOUT_S)
         self.ledger = RecoveryLedger(self.env)
         if self.fabric.profile_bricks is not None:
             # rejoin records flow into the same ledger the report reads
             self.fabric.profile_bricks.ledger = self.ledger
         self.supervisor: Optional[Any] = None
         self.controller: Optional[Any] = None
-        self._straggled: List[Any] = []
         #: deterministic profile-writer counters (attempted includes
         #: writes refused while the single store is down).
-        self.profile_writes = {"attempted": 0, "committed": 0,
-                               "failed": 0}
+        self.profile_writes = {"attempted": 0, "committed": 0, "failed": 0}
 
-    # -- target selection (resolved at fire time: populations churn) -----
+    # -- what faults fire through (targets resolve at fire time) ----------
 
     def _alive_workers(self) -> List[Any]:
-        return sorted(self.fabric.alive_workers(),
-                      key=lambda stub: stub.name)
+        return sorted(self.fabric.alive_workers(), key=lambda stub: stub.name)
 
     def _at(self, time: float, fire: Callable[[], None]) -> None:
         def later():
@@ -535,177 +591,26 @@ class CampaignRunner:
     def _resolve_node_spec(self, spec: str) -> Optional[str]:
         """Turn a symbolic node spec into a node name at fire time."""
         kind, index = parse_node_spec(spec)
+        if kind == "node":
+            return spec
         if kind == "manager":
             manager = self.fabric.manager
             if manager is None and self.fabric.manager_group is not None:
                 group = self.fabric.manager_group
                 manager = group.leader or group.replicas[0]
             return manager.node.name if manager is not None else None
-        if kind == "worker":
-            workers = self._alive_workers()
-            if not workers:
-                return None
-            return workers[index % len(workers)].node.name
-        if kind == "frontend":
-            frontends = sorted(self.fabric.alive_frontends(),
-                               key=lambda fe: fe.name)
-            if not frontends:
-                return None
-            return frontends[index % len(frontends)].node.name
-        return spec
+        peers = (self._alive_workers() if kind == "worker" else
+                 sorted(self.fabric.alive_frontends(),
+                        key=lambda fe: fe.name))
+        return peers[index % len(peers)].node.name if peers else None
 
-    # -- arming actions ---------------------------------------------------------
+    def _log(self, kind: str, target: str) -> None:
+        self.injector.log.append(FaultRecord(self.env.now, kind, target))
 
-    def _arm(self, action: Fault) -> None:
-        if isinstance(action, KillWorker):
-            def kill_workers(action=action):
-                for stub in self._alive_workers()[:action.count]:
-                    self.injector.kill_now(stub)
-            self._at(action.at, kill_workers)
-        elif isinstance(action, KillManager):
-            def kill_manager():
-                manager = self.fabric.manager
-                if manager is not None and manager.alive:
-                    self.injector.kill_now(manager)
-            self._at(action.at, kill_manager)
-        elif isinstance(action, CrashWorkerNode):
-            def crash_node(action=action):
-                workers = self._alive_workers()
-                if not workers:
-                    return
-                node = workers[0].node
-                node.crash()
-                self.injector.log.append(
-                    FaultRecord(self.env.now, "node-crash", node.name))
-                for stub in list(self.fabric.workers.values()):
-                    if stub.alive and stub.node is node:
-                        self.injector.kill_now(stub)
-                if action.restart_after is not None:
-                    self._at(self.env.now + action.restart_after,
-                             node.restart)
-            self._at(action.at, crash_node)
-        elif isinstance(action, PartitionWorker):
-            def partition(action=action):
-                workers = self._alive_workers()
-                if workers:
-                    self.injector.partition_at(
-                        self.env.now, workers[0], action.duration_s)
-            self._at(action.at, partition)
-        elif isinstance(action, PartitionSAN):
-            def partition_san(action=action):
-                partitions = self.cluster.install_partitions()
-                groups = {}
-                for spec in action.isolate:
-                    node_name = self._resolve_node_spec(spec)
-                    if node_name is not None:
-                        groups[node_name] = "isolated"
-                if not groups:
-                    return
-                partitions.split(groups, duration_s=action.duration_s)
-                self.injector.log.append(FaultRecord(
-                    self.env.now, "san-partition",
-                    "+".join(sorted(groups))))
-            self._at(action.at, partition_san)
-        elif isinstance(action, AsymmetricLink):
-            def asymmetric(action=action):
-                partitions = self.cluster.install_partitions()
-                src = self._resolve_node_spec(action.src)
-                dst = self._resolve_node_spec(action.dst)
-                if src is None or dst is None or src == dst:
-                    return
-                partitions.one_way(src, dst,
-                                   duration_s=action.duration_s)
-                self.injector.log.append(FaultRecord(
-                    self.env.now, "san-oneway", f"{src}->{dst}"))
-            self._at(action.at, asymmetric)
-        elif isinstance(action, LossyWindow):
-            self.faults.impose(
-                scope=action.scope, loss=action.loss,
-                duplicate=action.duplicate, jitter_s=action.jitter_s,
-                start=action.at, duration_s=action.duration_s)
-        elif isinstance(action, Straggle):
-            def straggle(action=action):
-                workers = self._alive_workers()
-                if not workers:
-                    return
-                node = workers[-1].node
-                node.degrade(action.factor)
-                self._straggled.append(node)
-                if action.duration_s is not None:
-                    self._at(self.env.now + action.duration_s,
-                             node.recover_speed)
-            self._at(action.at, straggle)
-        elif isinstance(action, GrayWorkerFault):
-            def inject_gray(action=action):
-                candidates = [stub for stub in self._alive_workers()
-                              if not stub.gray.is_gray]
-                if not candidates:
-                    return
-                stub = candidates[action.victim % len(candidates)]
-                now = self.env.now
-                action.apply(stub, now)
-                self.injector.log.append(
-                    FaultRecord(now, action.kind, stub.name))
-                self.ledger.inject(action.kind, stub.name)
-            self._at(action.at, inject_gray)
-        elif isinstance(action, RollingKills):
-            self.injector.rolling_kills(
-                self._alive_workers, start=action.at,
-                period_s=action.period_s,
-                stop_at=action.at + action.duration_s)
-        elif isinstance(action, KillBrick):
-            def kill_brick(action=action):
-                bricks = self.fabric.profile_bricks
-                if bricks is not None:
-                    brick = bricks.brick_at(action.slot)
-                    if brick is not None and brick.alive:
-                        self.ledger.inject("brick-kill", brick.name)
-                        self.injector.kill_now(brick)
-                elif self.fabric.profile_store is not None:
-                    self._kill_single_store()
-            self._at(action.at, kill_brick)
-        elif isinstance(action, GrayBrickFault):
-            def inject_brick_gray(action=action):
-                bricks = self.fabric.profile_bricks
-                if bricks is None:
-                    return  # single backend has no gray surface
-                brick = bricks.brick_at(action.slot)
-                if brick is None or not brick.alive \
-                        or brick.gray.is_gray:
-                    return
-                now = self.env.now
-                action.apply(brick, now)
-                self.injector.log.append(
-                    FaultRecord(now, action.kind, brick.name))
-                self.ledger.inject(action.kind, brick.name)
-            self._at(action.at, inject_brick_gray)
-        else:
-            raise TypeError(f"unknown campaign action {action!r}")
-
-    def _kill_single_store(self) -> None:
-        """Single-backend equivalent of a brick kill: the one store is
-        down for restart **plus WAL replay proportional to committed
-        transactions**.  The outage enters the ledger as an instantly
-        detected case healed at replay end, so both backends' MTTR land
-        in the same report column."""
-        from repro.experiments._harness import (SINGLE_REPLAY_PER_TXN_S,
-                                                SINGLE_RESTART_S)
-        store = self.fabric.profile_store
-        service = self.fabric.service
-        now = self.env.now
-        outage = SINGLE_RESTART_S + \
-            SINGLE_REPLAY_PER_TXN_S * store.commits
-        service.store_down_until = max(service.store_down_until,
-                                       now + outage)
-        self.injector.log.append(
-            FaultRecord(now, "store-kill", "profile-store"))
-        case = self.ledger.inject("brick-kill", "profile-store")
-        case.detected_at = now
-        case.detector = "restart-watchdog"
-        case.detail = f"WAL replay of {store.commits} txns"
-        self._at(now + outage,
-                 lambda: self.ledger.note_healed(
-                     case, "restart+replay", "profile-store"))
+    def _inject_gray(self, fault: Any, target: Any) -> None:
+        fault.modes[fault.mode](target.gray, self.env.now)
+        self._log(fault.kind, target.name)
+        self.ledger.inject(fault.kind, target.name)
 
     # -- profile write load ------------------------------------------------
 
@@ -759,9 +664,7 @@ class CampaignRunner:
             "read_availability": service.profile_read_availability,
             "writes": dict(self.profile_writes),
             "lost_writes": lost,
-            "store": (store.stats() if hasattr(store, "stats")
-                      else {"commits": store.commits,
-                            "aborts": store.aborts}),
+            "store": store.stats(),
         }
         if self.fabric.profile_bricks is not None:
             results["bricks"] = self.fabric.profile_bricks.stats()
@@ -772,7 +675,7 @@ class CampaignRunner:
     def run(self) -> ChaosReport:
         campaign = self.campaign
         self.fabric.boot(
-            n_frontends=campaign.n_frontends,
+            n_frontends=N_FRONTENDS,
             initial_workers={WORKER_TYPE: campaign.initial_workers})
         if campaign.recovery is not None:
             self.supervisor = self.fabric.start_supervisor(
@@ -785,16 +688,13 @@ class CampaignRunner:
         # so priority admission has a class to shed deterministically
         batch_every = (round(1.0 / campaign.batch_fraction)
                        if campaign.batch_fraction > 0 else 0)
-        pool = [
-            TraceRecord(0.0, f"client{index}",
-                        f"http://chaos/img{index}.jpg", "image/jpeg",
-                        campaign.record_bytes,
-                        priority=("batch" if batch_every
-                                  and index % batch_every
-                                  == batch_every - 1
-                                  else "interactive"))
-            for index in range(campaign.pool_size)
-        ]
+        pool = [TraceRecord(0.0, f"client{index}",
+                            f"http://chaos/img{index}.jpg", "image/jpeg",
+                            campaign.record_bytes,
+                            priority=("batch" if batch_every and index
+                                      % batch_every == batch_every - 1
+                                      else "interactive"))
+                for index in range(campaign.pool_size)]
         if campaign.arrival_schedule is not None:
             self.env.process(self.engine.ramp(
                 campaign.arrival_schedule, pool))
@@ -805,24 +705,19 @@ class CampaignRunner:
             self.env.process(self._profile_writer())
 
         for action in campaign.actions:
-            self._arm(action)
-            if action.needs_reregistration_check:
+            action.arm(self)
+            if action.reregisters:
                 self.checker.expect_reregistration(action.heals_at)
         self.checker.expect_convergence(
             campaign.final_heal_s + campaign.settle_s)
 
-        run_until = campaign.duration_s + campaign.client_timeout_s + \
-            campaign.settle_s
-        self.cluster.run(until=run_until)
+        self.cluster.run(until=campaign.duration_s + CLIENT_TIMEOUT_S
+                         + campaign.settle_s)
 
-        self.checker.final_checks(
-            self.engine,
-            max_latency_s=(campaign.slo_latency_s
-                           if campaign.slo_latency_s is not None
-                           else campaign.client_timeout_s))
+        self.checker.final_checks(self.engine,
+                                  max_latency_s=campaign.slo_latency_s)
         if campaign.yield_slo is not None:
-            self.checker.final_yield_check(self.engine,
-                                           campaign.yield_slo)
+            self.checker.final_yield_check(self.engine, campaign.yield_slo)
         profile = (self._profile_results()
                    if self.fabric.profile_store is not None else None)
         consensus = None
@@ -846,397 +741,209 @@ def run_campaign(campaign: Campaign, seed: int = 1997) -> ChaosReport:
 
 # -- preset campaigns ----------------------------------------------------------
 
-def _smoke() -> Campaign:
-    return Campaign(
-        name="smoke",
+#: the gray and brick campaigns' fabric: three workers under the
+#: self-healing supervisor (get_campaign copies the shared policy).
+_SUPERVISED: Dict[str, Any] = dict(initial_workers=3,
+                                   recovery=RecoveryPolicy())
+#: the brick campaigns' live profile load and read-availability SLO.
+_BRICK_LOAD: Dict[str, Any] = dict(profile_write_interval_s=0.8,
+                                   profile_read_slo=0.99)
+#: the two flash-crowd arms share topology, load, pool, and degradable
+#: service — they differ *only* in whether the brownout defenses are
+#: armed, so the yield gap between the reports is attributable to the
+#: controller.  The load: 20s warm-up at the nominal rate, a 15s 10x
+#: burst, then 45s of recovery at the nominal rate again.
+_FLASH_CROWD: Dict[str, Any] = dict(
+    duration_s=80.0, n_nodes=8, initial_workers=3, pool_size=400,
+    batch_fraction=0.15, record_bytes=24576,
+    arrival_schedule=((20.0, 12.0), (15.0, 120.0), (45.0, 12.0)))
+_FLASH_CONFIG: Dict[str, Any] = dict(
+    profile_backend="dstore", service_backend="degradable",
+    frontend_threads=60,
+    # pin capacity: the burst must not be rescued by the autoscaler
+    # mid-flight, or the arms would measure spawn latency instead of
+    # the degradation ladder
+    spawn_threshold=1000.0, spawn_damping_s=60.0)
+
+#: name -> preset; a template, so run what :func:`get_campaign` returns.
+CAMPAIGNS: Dict[str, Campaign] = {campaign.name: campaign for campaign in (
+    Campaign(
+        name="smoke", duration_s=45.0, rate_rps=10.0, n_nodes=8,
         description="one worker kill + a short lossy-beacon window "
                     "(fast, deterministic; the CI gate)",
-        duration_s=45.0,
-        actions=[
-            KillWorker(at=8.0),
-            LossyWindow(at=12.0, duration_s=10.0, loss=0.3),
-        ],
-        rate_rps=10.0,
-        n_nodes=8,
-    )
-
-
-def _mixed() -> Campaign:
-    """The acceptance scenario: manager crash + 20% beacon loss + one
-    straggler + a rolling worker-kill loop, all overlapping."""
-    return Campaign(
-        name="mixed",
+        actions=(KillWorker(at=8.0),
+                 LossyWindow(at=12.0, duration_s=10.0, loss=0.3))),
+    # the acceptance scenario: all four overlap
+    Campaign(
+        name="mixed", duration_s=75.0,
         description="manager crash + lossy multicast (20% beacon loss) "
                     "+ straggler node + rolling worker-kill loop",
-        duration_s=75.0,
-        actions=[
-            LossyWindow(at=10.0, duration_s=35.0, loss=0.20),
-            Straggle(at=12.0, factor=0.25, duration_s=28.0),
-            KillManager(at=16.0),
-            RollingKills(at=18.0, duration_s=18.0, period_s=4.5),
-        ],
-    )
-
-
-def _lossy_san() -> Campaign:
-    return Campaign(
-        name="lossy-san",
+        actions=(LossyWindow(at=10.0, duration_s=35.0, loss=0.20),
+                 Straggle(at=12.0, factor=0.25, duration_s=28.0),
+                 KillManager(at=16.0),
+                 RollingKills(at=18.0, duration_s=18.0))),
+    Campaign(
+        name="lossy-san", duration_s=70.0,
         description="escalating loss, duplication, and jitter on "
                     "beacons, then on everything including channels",
-        duration_s=70.0,
-        actions=[
-            LossyWindow(at=8.0, duration_s=12.0, loss=0.3),
-            LossyWindow(at=22.0, duration_s=12.0, loss=0.5,
-                        duplicate=0.2, jitter_s=0.05),
-            LossyWindow(at=36.0, duration_s=12.0, scope=ANY_SCOPE,
-                        loss=0.2, jitter_s=0.02),
-            LossyWindow(at=36.0, duration_s=12.0, scope=CHANNEL_SCOPE,
-                        loss=0.15, jitter_s=0.05),
-        ],
-    )
-
-
-def _partition_heal() -> Campaign:
-    return Campaign(
-        name="partition-heal",
+        actions=(LossyWindow(at=8.0, duration_s=12.0, loss=0.3),
+                 LossyWindow(at=22.0, duration_s=12.0, loss=0.5,
+                             duplicate=0.2, jitter_s=0.05),
+                 LossyWindow(at=36.0, duration_s=12.0, scope=ANY_SCOPE,
+                             loss=0.2, jitter_s=0.02),
+                 LossyWindow(at=36.0, duration_s=12.0,
+                             scope=CHANNEL_SCOPE, loss=0.15,
+                             jitter_s=0.05))),
+    Campaign(
+        name="partition-heal", duration_s=60.0,
         description="SAN partition + beacon loss overlapping, the "
                     "Section 2.2.4 scenario made dirty",
-        duration_s=60.0,
-        actions=[
-            PartitionWorker(at=10.0, duration_s=15.0),
-            LossyWindow(at=18.0, duration_s=14.0, loss=0.25),
-            KillWorker(at=20.0),
-        ],
-    )
-
-
-def _stragglers() -> Campaign:
-    return Campaign(
-        name="stragglers",
+        actions=(PartitionWorker(at=10.0, duration_s=15.0),
+                 LossyWindow(at=18.0, duration_s=14.0, loss=0.25),
+                 KillWorker(at=20.0))),
+    Campaign(
+        name="stragglers", duration_s=60.0,
+        config_overrides={"load_metric": "weighted-cost"},
         description="fail-slow nodes under churn: two straggle windows "
                     "plus kills",
-        duration_s=60.0,
-        actions=[
-            Straggle(at=8.0, factor=0.2, duration_s=20.0),
-            KillWorker(at=14.0),
-            Straggle(at=20.0, factor=0.5, duration_s=15.0),
-            KillWorker(at=30.0),
-        ],
-        config_overrides=dict(load_metric="weighted-cost"),
-    )
-
-
-def _duplication() -> Campaign:
-    return Campaign(
-        name="duplication",
+        actions=(Straggle(at=8.0, factor=0.2, duration_s=20.0),
+                 KillWorker(at=14.0),
+                 Straggle(at=20.0, factor=0.5, duration_s=15.0),
+                 KillWorker(at=30.0))),
+    Campaign(
+        name="duplication", duration_s=50.0,
         description="heavy datagram duplication + jitter: registration "
                     "storms and double-delivery stress",
-        duration_s=50.0,
-        actions=[
-            LossyWindow(at=8.0, duration_s=20.0, duplicate=0.5,
-                        jitter_s=0.1),
-            KillManager(at=14.0),
-        ],
-    )
-
-
-def _crash_restart() -> Campaign:
-    return Campaign(
-        name="crash-restart",
+        actions=(LossyWindow(at=8.0, duration_s=20.0, duplicate=0.5,
+                             jitter_s=0.1),
+                 KillManager(at=14.0))),
+    Campaign(
+        name="crash-restart", duration_s=65.0,
         description="node crash-restart loops with beacon loss",
-        duration_s=65.0,
-        actions=[
-            CrashWorkerNode(at=10.0, restart_after=15.0),
-            LossyWindow(at=12.0, duration_s=20.0, loss=0.2),
-            CrashWorkerNode(at=30.0, restart_after=10.0),
-        ],
-    )
-
-
-def _gray_failures() -> Campaign:
-    """The robustness acceptance scenario: every gray-failure mode
-    injected into a supervised fabric, all of them detected and healed
-    without human intervention."""
-    return Campaign(
-        name="gray-failures",
+        actions=(CrashWorkerNode(at=10.0, duration_s=15.0),
+                 LossyWindow(at=12.0, duration_s=20.0, loss=0.2),
+                 CrashWorkerNode(at=30.0, duration_s=10.0))),
+    # the robustness acceptance scenario: every gray-failure mode
+    # injected into a supervised fabric, all of them detected and
+    # healed without human intervention
+    Campaign(
+        name="gray-failures", duration_s=110.0, settle_s=25.0, **_SUPERVISED,
         description="fail-slow + hang + zombie + leak + corrupt-output "
                     "under self-healing supervision (probes, "
                     "RPC-timeout kills, load-outlier detection)",
-        duration_s=110.0,
-        actions=[
-            HangWorker(at=10.0, victim=0),
-            ZombieWorker(at=25.0, victim=1),
-            FailSlowWorker(at=40.0, victim=0, factor=6.0),
-            LeakWorker(at=55.0, victim=1, rate_per_s=0.5),
-            CorruptOutput(at=70.0, victim=0),
-        ],
-        rate_rps=15.0,
-        n_nodes=12,
-        n_frontends=2,
-        initial_workers=3,
-        settle_s=25.0,
-        recovery=RecoveryPolicy(),
-    )
-
-
-def _gray_smoke() -> Campaign:
-    """Reduced-duration gray-failure campaign for the CI gate."""
-    return Campaign(
-        name="gray-smoke",
+        actions=(GrayWorker(at=10.0, mode="hang", victim=0),
+                 GrayWorker(at=25.0, mode="zombie", victim=1),
+                 GrayWorker(at=40.0, mode="fail-slow", victim=0),
+                 GrayWorker(at=55.0, mode="leak", victim=1),
+                 GrayWorker(at=70.0, mode="corrupt-output", victim=0))),
+    Campaign(
+        name="gray-smoke", duration_s=60.0, rate_rps=12.0, n_nodes=10,
+        settle_s=20.0, **_SUPERVISED,
         description="hang + zombie + fail-slow under supervision "
                     "(reduced duration; the CI gate)",
-        duration_s=60.0,
-        actions=[
-            HangWorker(at=8.0),
-            ZombieWorker(at=20.0),
-            FailSlowWorker(at=32.0, factor=6.0),
-        ],
-        rate_rps=12.0,
-        n_nodes=10,
-        n_frontends=2,
-        initial_workers=3,
-        settle_s=20.0,
-        recovery=RecoveryPolicy(),
-    )
-
-
-def _brick_failures() -> Campaign:
-    """The cheap-recovery acceptance scenario: kill and gray-fail
-    profile bricks under live read+write load.  The invariants: zero
-    committed profile writes lost (quorum overlap + authority protocol)
-    and read availability ≥ 0.99 (faults masked by replica peers).
-    Faults are spaced so anti-entropy finishes between them — two
-    *overlapping* replica losses in an N=3/R=2 placement may lose the
-    single surviving copy by design (that is the R=2 contract, not a
-    bug)."""
-    return Campaign(
-        name="brick-failures",
+        actions=(GrayWorker(at=8.0, mode="hang"),
+                 GrayWorker(at=20.0, mode="zombie"),
+                 GrayWorker(at=32.0, mode="fail-slow"))),
+    # the cheap-recovery acceptance scenario.  Faults are spaced so
+    # anti-entropy finishes between them: two *overlapping* replica
+    # losses in an N=3/R=2 placement may lose the single surviving copy
+    # by design (that is the R=2 contract, not a bug).
+    Campaign(
+        name="brick-failures", duration_s=120.0, rate_rps=12.0,
+        n_nodes=10, settle_s=25.0, **_SUPERVISED, **_BRICK_LOAD,
+        config_overrides={"profile_backend": "dstore"},
         description="brick kill -9 x2 + fail-slow + zombie + hang "
                     "against the replicated profile store (N=3, R=2) "
                     "under supervision; zero committed-write loss and "
                     "0.99 read availability are invariants",
-        duration_s=120.0,
-        actions=[
-            KillBrick(at=10.0, slot=0),
-            FailSlowBrick(at=35.0, slot=1, factor=8.0),
-            KillBrick(at=55.0, slot=2),
-            ZombieBrick(at=75.0, slot=1),
-            HangBrick(at=90.0, slot=0),
-        ],
-        rate_rps=12.0,
-        n_nodes=10,
-        n_frontends=2,
-        initial_workers=3,
-        settle_s=25.0,
-        recovery=RecoveryPolicy(),
+        actions=(KillBrick(at=10.0, slot=0),
+                 GrayBrick(at=35.0, mode="fail-slow", slot=1),
+                 KillBrick(at=55.0, slot=2),
+                 GrayBrick(at=75.0, mode="zombie", slot=1),
+                 GrayBrick(at=90.0, mode="hang", slot=0))),
+    Campaign(
+        name="brick-smoke", duration_s=70.0, rate_rps=10.0, n_nodes=8,
+        settle_s=20.0, **_SUPERVISED, **_BRICK_LOAD,
         config_overrides={"profile_backend": "dstore"},
-        profile_write_interval_s=0.8,
-        profile_read_slo=0.99,
-    )
-
-
-def _brick_smoke() -> Campaign:
-    """Reduced brick-failure campaign for the CI gate."""
-    return Campaign(
-        name="brick-smoke",
         description="brick kill + fail-slow + zombie under supervision "
                     "(reduced duration; the CI gate for committed-write "
                     "loss)",
-        duration_s=70.0,
-        actions=[
-            KillBrick(at=8.0, slot=0),
-            FailSlowBrick(at=25.0, slot=1, factor=8.0),
-            ZombieBrick(at=40.0, slot=2),
-        ],
-        rate_rps=10.0,
-        n_nodes=8,
-        n_frontends=2,
-        initial_workers=3,
-        settle_s=20.0,
-        recovery=RecoveryPolicy(),
-        config_overrides={"profile_backend": "dstore"},
+        actions=(KillBrick(at=8.0, slot=0),
+                 GrayBrick(at=25.0, mode="fail-slow", slot=1),
+                 GrayBrick(at=40.0, mode="zombie", slot=2))),
+    # the comparison baseline: each kill takes the whole profile path
+    # down for restart + replay proportional to the commit count, so
+    # MTTR grows with log length and read availability dips — the
+    # numbers EXPERIMENTS.md tables against the dstore run
+    Campaign(
+        name="brick-failures-single", duration_s=120.0, rate_rps=12.0,
+        n_nodes=10, initial_workers=3, settle_s=25.0,
         profile_write_interval_s=0.8,
-        profile_read_slo=0.99,
-    )
-
-
-def _brick_failures_single() -> Campaign:
-    """The comparison baseline: the same kill schedule against the
-    single WAL-backed store.  Each kill takes the whole profile path
-    down for restart + replay proportional to the commit count, so
-    MTTR grows with log length and read availability dips — the exact
-    numbers EXPERIMENTS.md tables against the dstore run."""
-    return Campaign(
-        name="brick-failures-single",
+        config_overrides={"profile_backend": "single"},
         description="the brick-failures kill schedule against the "
                     "single-node WAL store: outage = restart + replay "
                     "of the whole log (the cost cheap recovery "
                     "flattens)",
-        duration_s=120.0,
-        actions=[
-            KillBrick(at=10.0),
-            KillBrick(at=55.0),
-        ],
-        rate_rps=12.0,
-        n_nodes=10,
-        n_frontends=2,
-        initial_workers=3,
-        settle_s=25.0,
-        config_overrides={"profile_backend": "single"},
-        profile_write_interval_s=0.8,
-    )
-
-
-#: name -> zero-argument factory returning a fresh Campaign.
-def _partition_failures() -> Campaign:
-    """The consensus acceptance scenario: isolate the manager's node
-    from the SAN twice (the second cut lands on whoever took over) with
-    a one-way worker->manager gray link in between.  Run it under both
-    ``--manager-backend`` values: the soft single manager gets deposed
-    and replaced on stale views, the Paxos group fails over by
-    election and must show zero wrong-decision dispatches.
-    """
-    return Campaign(
-        name="partition-failures",
+        actions=(KillBrick(at=10.0), KillBrick(at=55.0))),
+    # the consensus acceptance scenario, under both manager backends:
+    # the second cut lands on whoever took over.  The soft manager is
+    # deposed on stale views; the Paxos group fails over by election
+    # with zero wrong-decision dispatches.
+    Campaign(
+        name="partition-failures", duration_s=95.0,
+        config_overrides={"manager_self_deposition": True},
         description="two SAN partitions isolating the current manager "
                     "+ an asymmetric worker->manager link; soft vs "
                     "consensus control planes",
-        duration_s=95.0,
-        actions=[
-            PartitionSAN(at=15.0, isolate=["manager"], duration_s=20.0),
-            AsymmetricLink(at=45.0, src="worker:0", dst="manager",
-                           duration_s=10.0),
-            PartitionSAN(at=60.0, isolate=["manager"], duration_s=15.0),
-        ],
-        n_nodes=12,
-        config_overrides={"manager_self_deposition": True},
-    )
-
-
-def _partition_smoke() -> Campaign:
-    """Reduced partition campaign for the CI gate (both backends)."""
-    return Campaign(
-        name="partition-smoke",
+        actions=(PartitionSAN(at=15.0, duration_s=20.0),
+                 AsymmetricLink(at=45.0, duration_s=10.0),
+                 PartitionSAN(at=60.0, duration_s=15.0))),
+    Campaign(
+        name="partition-smoke", duration_s=60.0, rate_rps=10.0,
+        n_nodes=10, config_overrides={"manager_self_deposition": True},
         description="one SAN partition isolating the manager + a short "
                     "asymmetric link (fast; the CI partition gate)",
-        duration_s=60.0,
-        actions=[
-            PartitionSAN(at=10.0, isolate=["manager"], duration_s=12.0),
-            AsymmetricLink(at=30.0, src="worker:0", dst="manager",
-                           duration_s=8.0),
-        ],
-        rate_rps=10.0,
-        n_nodes=10,
-        config_overrides={"manager_self_deposition": True},
-    )
-
-
-#: the flash-crowd load shape: 20s warm-up at the nominal rate, a 15s
-#: 10x burst, then 45s of recovery at the nominal rate again.
-_FLASH_SCHEDULE: List[Tuple[float, float]] = [
-    (20.0, 12.0), (15.0, 120.0), (45.0, 12.0)]
-
-
-def _flash_crowd_campaign(**kwargs) -> Campaign:
-    """Shared shape of the two flash-crowd arms: identical topology,
-    load, pool, and degradable service — the arms differ *only* in
-    whether the brownout defenses are armed, so the yield gap between
-    the reports is attributable to the controller."""
-    base: Dict[str, Any] = dict(
-        duration_s=80.0,
-        actions=[],
-        arrival_schedule=list(_FLASH_SCHEDULE),
-        n_nodes=8,
-        n_frontends=2,
-        initial_workers=3,
-        client_timeout_s=20.0,
-        settle_s=8.0,
-        pool_size=400,
-        batch_fraction=0.15,
-        record_bytes=24576,
-    )
-    base.update(kwargs)
-    overrides: Dict[str, Any] = dict(
-        profile_backend="dstore",
-        service_backend="degradable",
-        frontend_threads=60,
-        # pin capacity: the burst must not be rescued by the autoscaler
-        # mid-flight, or the arms would measure spawn latency instead
-        # of the degradation ladder
-        spawn_threshold=1000.0,
-        spawn_damping_s=60.0,
-    )
-    overrides.update(base.pop("config_overrides", {}))
-    base["config_overrides"] = overrides
-    return Campaign(**base)
-
-
-def _flash_crowd() -> Campaign:
-    """The brownout acceptance scenario: a 10x offered-load burst that
-    the controller must ride out by spending harvest — forced
-    low-fidelity distillation, stale serves, relaxed profile reads —
-    while the retry budget and origin breaker keep the overload from
-    amplifying itself.  Yield >= 0.99 is an invariant."""
-    return _flash_crowd_campaign(
-        name="flash-crowd",
+        actions=(PartitionSAN(at=10.0, duration_s=12.0),
+                 AsymmetricLink(at=30.0, duration_s=8.0))),
+    # the brownout acceptance scenario: the controller rides out the
+    # burst by spending harvest — forced low-fidelity distillation,
+    # stale serves, relaxed profile reads — while the retry budget and
+    # origin breaker keep the overload from amplifying itself
+    Campaign(
+        name="flash-crowd", **_FLASH_CROWD,
+        degradation="controller", yield_slo=0.99,
+        config_overrides={**_FLASH_CONFIG,
+                          "admission_exit_backlog_s": 1.0,
+                          "retry_budget_ratio": 0.1,
+                          "retry_budget_cap": 10.0,
+                          "origin_breaker_failures": 3,
+                          "degrade_util_target": 0.85},
         description="10x offered-load burst against the brownout "
                     "controller (ladder + retry budget + origin "
-                    "breaker); yield >= 0.99 is an invariant",
-        degradation="controller",
-        yield_slo=0.99,
-        config_overrides=dict(
-            admission_exit_backlog_s=1.0,
-            retry_budget_ratio=0.1,
-            retry_budget_cap=10.0,
-            origin_breaker_failures=3,
-            degrade_util_target=0.85,
-        ),
-    )
-
-
-def _flash_crowd_baseline() -> Campaign:
-    """The comparison arm: same burst, same service and cost model,
-    every brownout defense off — binary admission control only,
-    unlimited retries, no breaker.  EXPERIMENTS.md tables its yield
-    against the controller arm's."""
-    return _flash_crowd_campaign(
-        name="flash-crowd-baseline",
+                    "breaker); yield >= 0.99 is an invariant"),
+    # the comparison arm: binary admission control only, unlimited
+    # retries, no breaker; EXPERIMENTS.md tables its yield against the
+    # controller arm's
+    Campaign(
+        name="flash-crowd-baseline", **_FLASH_CROWD,
+        config_overrides=dict(_FLASH_CONFIG),
         description="the same 10x burst with every brownout defense "
                     "off: binary shed only, unlimited retries, no "
-                    "origin breaker",
-    )
-
-
-CAMPAIGNS: Dict[str, Callable[[], Campaign]] = {
-    "smoke": _smoke,
-    "mixed": _mixed,
-    "lossy-san": _lossy_san,
-    "partition-heal": _partition_heal,
-    "stragglers": _stragglers,
-    "duplication": _duplication,
-    "crash-restart": _crash_restart,
-    "gray-failures": _gray_failures,
-    "gray-smoke": _gray_smoke,
-    "brick-failures": _brick_failures,
-    "brick-smoke": _brick_smoke,
-    "brick-failures-single": _brick_failures_single,
-    "partition-failures": _partition_failures,
-    "partition-smoke": _partition_smoke,
-    "flash-crowd": _flash_crowd,
-    "flash-crowd-baseline": _flash_crowd_baseline,
-}
+                    "origin breaker"),
+)}
 
 
 def get_campaign(name: str,
                  overrides: Optional[Mapping[str, Any]] = None
                  ) -> Campaign:
-    """A fresh preset campaign, with ``overrides`` (:class:`SNSConfig`
+    """A copy of a preset campaign, with ``overrides`` (:class:`SNSConfig`
     fields — how a run picks another deployment) laid over the
     preset's own ``config_overrides``."""
     if name not in CAMPAIGNS:
         raise KeyError(
             f"unknown campaign {name!r}; "
             f"available: {', '.join(sorted(CAMPAIGNS))}")
-    campaign = CAMPAIGNS[name]()
-    campaign.config_overrides.update(overrides or {})
-    return campaign
+    preset = CAMPAIGNS[name]
+    return dataclasses.replace(
+        preset, recovery=copy.copy(preset.recovery),
+        config_overrides={**preset.config_overrides, **(overrides or {})})

@@ -484,7 +484,7 @@ def chaos_command(args) -> int:
         print("available campaigns:")
         for name in sorted(CAMPAIGNS):
             print(f"  {name.ljust(width)}  "
-                  f"{CAMPAIGNS[name]().description}")
+                  f"{CAMPAIGNS[name].description}")
         return 0
     overrides = {field: getattr(args, flag)
                  for flag, field in CONFIG_FLAGS.items()

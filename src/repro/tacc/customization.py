@@ -302,6 +302,9 @@ class ProfileStore:
             self._log.close()
             self._log = None
 
+    def stats(self) -> Dict[str, int]:
+        return {"commits": self.commits, "aborts": self.aborts}
+
 
 def open_profile_store(cluster: Any, backend: Optional[str],
                        log_path: Optional[str] = None,

@@ -8,9 +8,15 @@ from repro.chaos import (
     AsymmetricLink,
     Campaign,
     CampaignRunner,
+    CrashWorkerNode,
+    GrayBrick,
+    GrayWorker,
+    KillBrick,
     KillWorker,
     LossyWindow,
     PartitionSAN,
+    RollingKills,
+    Straggle,
     get_campaign,
     run_campaign,
 )
@@ -54,6 +60,60 @@ def test_campaign_validation_rejects_malformed_node_specs(action, spec):
         campaign.validate()
     assert type(action).__name__ in str(raised.value)
     assert repr(spec) in str(raised.value)
+
+
+@pytest.mark.parametrize("action, name", [
+    (Straggle(at=5.0, factor=2.0), "factor"),
+    (Straggle(at=5.0, factor=0.0), "factor"),
+    (PartitionSAN(at=5.0, duration_s=-3.0), "duration_s"),
+    (PartitionSAN(at=5.0, isolate=()), "isolate"),
+    (AsymmetricLink(at=5.0, src="manager", dst="manager"), "dst"),
+    (CrashWorkerNode(at=5.0, duration_s=0.0), "duration_s"),
+    (RollingKills(at=5.0, duration_s=0.0), "duration_s"),
+    (RollingKills(at=5.0, duration_s=3.0), "duration_s"),
+    (LossyWindow(at=5.0, loss=1.5), "loss"),
+    (LossyWindow(at=5.0, duplicate=-0.1), "duplicate"),
+    (LossyWindow(at=5.0, jitter_s=-0.1), "jitter"),
+    (LossyWindow(at=5.0, loss=0.0), "loss"),
+    (KillWorker(at=float("nan")), "at"),
+    (GrayWorker(at=5.0, mode="slow"), "mode"),
+    (GrayWorker(at=5.0, mode="hang", victim=-1), "victim"),
+    (GrayBrick(at=5.0, mode="leak"), "mode"),
+    (KillBrick(at=5.0, slot=-1), "slot"),
+])
+def test_campaign_validation_rejects_bad_fault_fields(action, name,
+                                                      monkeypatch):
+    """A bad fault value fails at validate(), naming the action and the
+    field, before a fabric is built — not inside ``cluster.run()``."""
+    def no_fabric(**kwargs):
+        raise AssertionError("a fabric was built for an invalid campaign")
+
+    monkeypatch.setattr("repro.chaos.campaign.build_bench_fabric",
+                        no_fabric)
+    campaign = Campaign(name="bad", description="bad field",
+                        duration_s=60.0, actions=[action])
+    with pytest.raises(ValueError) as raised:
+        CampaignRunner(campaign)
+    assert type(action).__name__ in str(raised.value)
+    assert name in str(raised.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: KillWorker(at=5.0, count=0),
+    lambda: GrayWorker(at=5.0, mode="fail-slow", factor=0.5),
+    lambda: GrayWorker(at=5.0, mode="leak", rate_per_s=-1.0),
+    lambda: RollingKills(at=5.0, period_s=0.0),
+    lambda: Campaign(name="x", description="x", duration_s=9.0,
+                     n_frontends=1),
+    lambda: Campaign(name="x", description="x", duration_s=9.0,
+                     client_timeout_s=10.0),
+])
+def test_one_value_options_are_constants(build):
+    """Options that only ever took one value are module constants; the
+    values that misbehaved (a zero count, a sub-1 slow factor, a
+    negative leak, a zero period) cannot be written down any more."""
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_campaign_validation_accepts_every_node_spec_form():
@@ -111,8 +171,8 @@ def test_checker_has_teeth(monkeypatch):
 
 
 def test_every_preset_campaign_is_well_formed():
-    for name, factory in CAMPAIGNS.items():
-        campaign = factory().validate()
+    for name, campaign in CAMPAIGNS.items():
+        campaign.validate()
         assert campaign.name == name
         assert campaign.description
         assert campaign.final_heal_s < campaign.duration_s

@@ -3,7 +3,7 @@ offending request's span tree when tracing sampled it."""
 
 import dataclasses
 
-from repro.chaos.campaign import get_campaign, run_campaign
+from repro.chaos.campaign import CLIENT_TIMEOUT_S, get_campaign, run_campaign
 from repro.obs import capture_traces
 
 
@@ -55,6 +55,6 @@ def test_report_latency_summary_populated():
 
 def test_slo_bound_defaults_to_client_timeout():
     campaign = get_campaign("smoke")
-    assert campaign.slo_latency_s is None
+    assert campaign.slo_latency_s == CLIENT_TIMEOUT_S
     report = run_campaign(campaign, seed=7)
     assert report.ok

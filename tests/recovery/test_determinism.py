@@ -15,9 +15,7 @@ def run_no_fault_campaign(recovery, seed=11):
         actions=[],
         rate_rps=12.0,
         n_nodes=8,
-        n_frontends=2,
         initial_workers=2,
-        client_timeout_s=10.0,
         settle_s=5.0,
         recovery=recovery,
     )

@@ -99,6 +99,8 @@ def test_no_deleted_name_is_back_or_still_exported():
         path = module_path(module)
         top = qualname.split(".")[0]
         if path.exists() and top in top_level_names(path):
+            if top == qualname and name not in FUNCTIONS:
+                bad.append(f"class {name} was deleted and is back")
             continue  # a method went; its class is rightly still exported
         parts = module.split(".")
         for depth in range(1, len(parts) + 1):

@@ -380,8 +380,9 @@ def render(functions: List[Function], keys: Set[Key],
               "#",
               "# deleted: removed for being unreached with no such reason, or "
               "folded into",
-              "# a survivor (repro.sim.hashing, BenchService); must not come "
-              "back",
+              "# a survivor (repro.sim.hashing, BenchService, the fault "
+              "table); must not",
+              "# come back, as a function or as a class",
               *(f"#   - {name}" for name in deleted),
               ""]
     width = max((len(function.name) for function in unreached), default=0)
