@@ -28,7 +28,13 @@ MISS_MAX_S = 100.0
 
 
 class HarvestLatencyModel:
-    """Draws hit service times and miss penalties."""
+    """Draws hit service times and miss penalties.
+
+    The parameters are checked and the rates fixed here, once: a draw is
+    one bound call into the stream (callers on the request path bind
+    :meth:`hit_time` / :meth:`miss_penalty` themselves), and the
+    parameters are not to be reassigned afterwards.
+    """
 
     def __init__(self, rng: Stream,
                  mean_hit_s: float = MEAN_HIT_S,
@@ -36,22 +42,38 @@ class HarvestLatencyModel:
                  miss_min_s: float = MISS_MIN_S,
                  miss_max_s: float = MISS_MAX_S,
                  miss_alpha: float = 1.1) -> None:
-        if mean_hit_s <= tcp_overhead_s:
-            raise ValueError("mean hit time must exceed TCP overhead")
-        self.rng = rng
+        # `not x > y` rather than `x <= y`, so a NaN is refused too
+        if not tcp_overhead_s >= 0:
+            raise ValueError(f"tcp_overhead_s must be >= 0, "
+                             f"got {tcp_overhead_s!r}")
+        if not mean_hit_s > tcp_overhead_s:
+            raise ValueError(f"mean_hit_s must exceed tcp_overhead_s "
+                             f"({tcp_overhead_s!r}), got {mean_hit_s!r}")
+        if not miss_min_s > 0:
+            raise ValueError(f"miss_min_s must be > 0, got {miss_min_s!r}")
+        if not miss_max_s >= miss_min_s:
+            raise ValueError(f"miss_max_s must be >= miss_min_s "
+                             f"({miss_min_s!r}), got {miss_max_s!r}")
+        if not miss_alpha > 0:
+            raise ValueError(f"miss_alpha must be > 0, got {miss_alpha!r}")
         self.mean_hit_s = mean_hit_s
         self.tcp_overhead_s = tcp_overhead_s
         self.miss_min_s = miss_min_s
         self.miss_max_s = miss_max_s
         self.miss_alpha = miss_alpha
+        #: the exponential remainder's rate: the `1.0 / mean` that
+        #: `Stream.exponential(mean)` would divide out on every draw
+        self._hit_rate = 1.0 / (mean_hit_s - tcp_overhead_s)
+        self._expovariate = rng.expovariate_draw()
+        self._paretovariate = rng.paretovariate_draw()
 
     def hit_time(self) -> float:
         """Service time for a cache hit (seconds)."""
-        remainder = self.rng.exponential(self.mean_hit_s -
-                                         self.tcp_overhead_s)
-        return self.tcp_overhead_s + remainder
+        return self.tcp_overhead_s + self._expovariate(self._hit_rate)
 
     def miss_penalty(self) -> float:
         """Time to fetch the object from the Internet (seconds)."""
-        penalty = self.rng.pareto(self.miss_alpha, self.miss_min_s)
-        return min(penalty, self.miss_max_s)
+        penalty = self.miss_min_s * self._paretovariate(self.miss_alpha)
+        miss_max_s = self.miss_max_s
+        # min(penalty, miss_max_s), as a comparison
+        return miss_max_s if miss_max_s < penalty else penalty

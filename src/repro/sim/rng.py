@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, List, Sequence, TypeVar
+from typing import Callable, Dict, List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -132,6 +132,23 @@ class Stream:
         if alpha <= 0 or minimum <= 0:
             raise ValueError("alpha and minimum must be positive")
         return minimum * (self._random.paretovariate(alpha))
+
+    # Bound draws for a model that validated its parameters once ----------
+
+    def expovariate_draw(self) -> Callable[[float], float]:
+        """This stream's ``expovariate(rate)``, bound: one call per draw.
+
+        ``draw(1.0 / mean)`` is draw-for-draw :meth:`exponential`
+        ``(mean)``, without its check — the caller checks ``mean`` once,
+        where it fixes the rate.
+        """
+        return self._random.expovariate
+
+    def paretovariate_draw(self) -> Callable[[float], float]:
+        """This stream's ``paretovariate(alpha)``, bound: one call per
+        draw.  ``minimum * draw(alpha)`` is draw-for-draw :meth:`pareto`
+        ``(alpha, minimum)``, without its check (see above)."""
+        return self._random.paretovariate
 
     def zipf_rank(self, n: int, alpha: float = 1.0) -> int:
         """Draw a 0-based rank from a Zipf(alpha) distribution over n items.

@@ -348,26 +348,35 @@ class WriteThroughCache:
     def __init__(self, store: ProfileStore) -> None:
         self.store = store
         self._cache: Dict[str, Dict[str, Any]] = {}
-        self._generation = getattr(store, "generation", 0)
+        self._generation = store.generation
         self.hits = 0
         self.misses = 0
         self.generation_flushes = 0
 
     def _check_generation(self) -> None:
-        generation = getattr(self.store, "generation", 0)
+        generation = self.store.generation
         if generation != self._generation:
             self._cache.clear()
             self._generation = generation
             self.generation_flushes += 1
 
     def get(self, user_id: str) -> Dict[str, Any]:
+        """A copy of the user's profile."""
+        return self.overlay(user_id, {})
+
+    def overlay(self, user_id: str, base: Dict[str, Any]) -> Dict[str, Any]:
+        """A new dict: ``base`` overlaid with the user's profile — a
+        service's defaults merged with what the user set, in one copy."""
         self._check_generation()
-        if user_id in self._cache:
+        cache = self._cache
+        if user_id in cache:
             self.hits += 1
         else:
             self.misses += 1
-            self._cache[user_id] = self.store.get(user_id)
-        return dict(self._cache[user_id])
+            cache[user_id] = self.store.get(user_id)
+        merged = dict(base)
+        merged.update(cache[user_id])
+        return merged
 
     def set(self, user_id: str, key: str, value: Any) -> None:
         self._check_generation()

@@ -15,19 +15,26 @@ near 37 requests/second, per Section 4.4), can be crashed, and losing
 one loses its partition — which is fine, because "caching in TranSend is
 only an optimization.  All cached data can be thrown away at the cost of
 performance."
+
+Membership changes by event: :meth:`CacheSubsystem.add_node` and a
+node's crash hook are the only writers of the ring, so an operation
+places its key without first polling every node for liveness.  A key is
+placed by its :func:`~repro.sim.hashing.stable_hash`, which the caller
+computes once, next to the key, and hands to both the lookup and the
+store of one request.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.cache.latency import HarvestLatencyModel
 from repro.cache.lru import LRUCache
 from repro.cache.partition import ModHashPartitioner
 from repro.core.component import Component
 from repro.sim.cluster import Cluster
-from repro.sim.hashing import PartitionError
-from repro.sim.kernel import PENDING, TIMED_OUT, TimedWait
+from repro.sim.hashing import PartitionError, stable_hash
+from repro.sim.kernel import PENDING, TIMED_OUT, Event, TimedWait, Timeout
 from repro.sim.node import Node
 from repro.tacc.content import Content
 
@@ -37,16 +44,20 @@ STORE_SERVICE_S = 0.005
 
 
 class CacheNode(Component):
-    """One Harvest worker: an LRU store behind a serial request queue."""
+    """One Harvest worker: an LRU store behind a serial request queue.
+
+    :class:`CacheSubsystem` enqueues ``("lookup", key, reply)`` and
+    ``("store", key, content)`` jobs; a crash drops the queue and the
+    store and takes the node out of the subsystem's ring at once.
+    """
 
     kind = "cache"
 
     def __init__(self, cluster: Cluster, node: Node, name: str,
-                 capacity_bytes: int,
-                 latency: HarvestLatencyModel) -> None:
+                 capacity_bytes: int, cachesys: "CacheSubsystem") -> None:
         super().__init__(cluster, node, name)
+        self.cachesys = cachesys
         self.store = LRUCache(capacity_bytes)
-        self.latency = latency
         self.queue = cluster.env.queue()
         self.lookups = 0
         self.stores = 0
@@ -56,40 +67,30 @@ class CacheNode(Component):
 
     def _service_loop(self):
         env = self.env
+        get = self.queue.get
+        hit_time = self.cachesys.latency.hit_time
         while True:
-            job = yield self.queue.get()
-            kind, key, value, reply = job
+            kind, key, value = yield get()
             if kind == "lookup":
-                yield env.timeout(self.latency.hit_time())
+                yield Timeout(env, hit_time())
                 self.lookups += 1
                 result = self.store.get(key)
-                if self.alive and reply._value is PENDING:
-                    reply.succeed(result)
+                if self.alive and value._value is PENDING:
+                    value.succeed(result)
             else:  # store
-                yield env.timeout(STORE_SERVICE_S)
+                yield Timeout(env, STORE_SERVICE_S)
                 self.stores += 1
-                content, size = value
-                self.store.put(key, content, size)
-                if reply is not None and reply._value is PENDING:
-                    reply.succeed(True)
-
-    def lookup(self, key: str):
-        """Event completing with the cached value or None."""
-        reply = self.env.event()
-        if not self.alive:
-            return reply  # never fires; caller's timeout handles it
-        self.queue.put_nowait(("lookup", key, None, reply))
-        return reply
-
-    def inject(self, key: str, content: Any, size_bytes: int) -> None:
-        """Fire-and-forget store (the distiller-injection path)."""
-        if not self.alive:
-            return
-        self.queue.put_nowait(("store", key, (content, size_bytes), None))
+                self.store.put(key, value, value.size)
 
     def _on_crash(self) -> None:
         self.queue.clear()
         self.store.flush()
+        # the re-hash on membership change (the manager stub's, in the
+        # paper), at the moment the membership changes
+        cachesys = self.cachesys
+        del cachesys.nodes[self.name]
+        cachesys.partitioner.remove_node(self.name)
+        cachesys.live = list(cachesys.nodes.values())
 
 
 class CacheSubsystem:
@@ -103,9 +104,18 @@ class CacheSubsystem:
             cluster.streams.stream("cache-latency"))
         self.partitioner = ModHashPartitioner()
         self.nodes: Dict[str, CacheNode] = {}
-        #: url -> set of cache keys holding distilled variants of it
-        #: (supports the "somewhat different version" approximate answer).
-        self.variants: Dict[str, Set[str]] = {}
+        #: the live nodes in the partitioner's order, so
+        #: ``live[placement % len(live)]`` is the node
+        #: ``partitioner.locate(key)`` names; written only by
+        #: :meth:`add_node` and a node's crash hook, with ``nodes`` and
+        #: the partitioner
+        self.live: List[CacheNode] = []
+        #: url -> {cache key: its placement} for the distilled variants
+        #: of it (supports the "somewhat different version" approximate
+        #: answer).
+        self.variants: Dict[str, Dict[str, int]] = {}
+        #: nodes ever added: default names count up and are never reused
+        self._added = 0
         self.hits = 0
         self.misses = 0
         self.timeouts = 0
@@ -114,57 +124,53 @@ class CacheSubsystem:
 
     def add_node(self, node: Node, capacity_bytes: int,
                  name: Optional[str] = None) -> CacheNode:
-        name = name or f"cache.{len(self.nodes) + 1}"
+        serial = self._added + 1
+        name = name or f"cache.{serial}"
+        if name in self.nodes:
+            raise PartitionError(f"cache node {name!r} already present")
+        self._added = serial
         cache_node = CacheNode(self.cluster, node, name, capacity_bytes,
-                               self.latency)
+                               self)
         cache_node.start()
         self.nodes[name] = cache_node
         self.partitioner.add_node(name)
+        self.live = list(self.nodes.values())
         return cache_node
 
     def node_for(self, key: str) -> Optional[CacheNode]:
-        try:
-            name = self.partitioner.locate(key)
-        except PartitionError:
-            return None
-        return self.nodes.get(name)
-
-    def _note_crashes(self) -> None:
-        """Drop crashed nodes from the hash ring (the manager-stub
-        re-hash on membership change)."""
-        for name, cache_node in list(self.nodes.items()):
-            if not cache_node.alive:
-                self.partitioner.remove_node(name)
-                del self.nodes[name]
+        """The live node ``key`` is placed on (None if none is up)."""
+        live = self.live
+        return live[stable_hash(key) % len(live)] if live else None
 
     # -- operations -----------------------------------------------------------------
 
-    def lookup(self, key: str, trace=None):
+    def lookup(self, key: str, placement: int, trace=None):
         """Process generator: fetch ``key`` through its cache node.
 
-        Pays per-request TCP setup plus the node's (queued) hit service
-        time.  Returns the cached Content or None.  A crashed node is a
-        miss (after a timeout) and gets dropped from the ring.
+        ``placement`` is ``stable_hash(key)``.  Pays per-request TCP
+        setup plus the node's (queued) hit service time.  Returns the
+        cached Content or None.  A node that crashes with the lookup
+        queued is a miss, after a timeout.
         """
         env = self.cluster.env
-        self._note_crashes()
-        cache_node = self.node_for(key)
-        if cache_node is None:
+        live = self.live
+        if not live:
             self.misses += 1
             if trace is not None:
                 trace.record("cache-lookup", "cache", env._now,
                              hit=False, no_node=True)
             return None
+        cache_node = live[placement % len(live)]
         span = None
         if trace is not None:
             span = trace.child("cache-lookup", "cache",
                                component=cache_node.name)
-        reply = cache_node.lookup(key)
+        reply = Event(env)
+        cache_node.queue.put_nowait(("lookup", key, reply))
         value = yield TimedWait(env, reply, self.lookup_timeout_s)
         if value is TIMED_OUT:
             self.timeouts += 1
             self.misses += 1
-            self._note_crashes()
             if span is not None:
                 span.annotate(hit=False, timeout=True).finish()
             return None
@@ -176,16 +182,17 @@ class CacheSubsystem:
             span.annotate(hit=value is not None).finish()
         return value
 
-    def store(self, key: str, content: Content,
+    def store(self, key: str, placement: int, content: Content,
               variant_of: Optional[str] = None) -> None:
-        """Inject content (original or post-transformation)."""
-        self._note_crashes()
-        cache_node = self.node_for(key)
-        if cache_node is None:
+        """Inject content (original or post-transformation), a
+        fire-and-forget store; ``placement`` is ``stable_hash(key)``."""
+        live = self.live
+        if not live:
             return
-        cache_node.inject(key, content, content.size)
+        live[placement % len(live)].queue.put_nowait(
+            ("store", key, content))
         if variant_of is not None:
-            self.variants.setdefault(variant_of, set()).add(key)
+            self.variants.setdefault(variant_of, {})[key] = placement
 
     def any_variant(self, url: str, trace=None):
         """Process generator: any cached distilled variant of ``url``.
@@ -194,8 +201,8 @@ class CacheSubsystem:
         loaded to perform distillation, it can return a somewhat
         different version from the cache."
         """
-        for key in sorted(self.variants.get(url, ())):
-            value = yield from self.lookup(key, trace=trace)
+        for key, placement in sorted(self.variants.get(url, {}).items()):
+            value = yield from self.lookup(key, placement, trace)
             if value is not None:
                 return value
         return None

@@ -22,6 +22,7 @@ from typing import Dict, Optional
 from repro.cache.latency import HarvestLatencyModel
 from repro.distillers.images import photo_sized_for
 from repro.sim.cluster import Cluster
+from repro.sim.kernel import Timeout
 from repro.sim.network import AccessLink
 from repro.tacc.content import (
     MIME_GIF,
@@ -50,6 +51,7 @@ class OriginServer:
         self.rng = cluster.streams.stream("origin")
         self.latency = HarvestLatencyModel(
             cluster.streams.stream("miss-penalty"))
+        self._miss_penalty = self.latency.miss_penalty
         self.fetches = 0
         self.bytes_fetched = 0
         self._real_cache: Dict[str, Content] = {}
@@ -63,11 +65,11 @@ class OriginServer:
                                component="internet")
             span.annotate(url=record.url, bytes=record.size_bytes)
         env = self.cluster.env
-        penalty = self.latency.miss_penalty()
-        yield env.timeout(penalty)
+        penalty = self._miss_penalty()
+        yield Timeout(env, penalty)
         if self.internet_link is not None:
             delay = self.internet_link.reserve(record.size_bytes)
-            yield env.timeout(delay)
+            yield Timeout(env, delay)
         self.fetches += 1
         self.bytes_fetched += record.size_bytes
         if span is not None:

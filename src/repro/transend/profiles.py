@@ -41,13 +41,6 @@ def preference_validator(user_id: str, key: str, value: Any) -> None:
             f"invalid preference {key}={value!r} for user {user_id}")
 
 
-def effective_preferences(profile: Dict[str, Any]) -> Dict[str, Any]:
-    """Defaults overlaid with the user's stored settings."""
-    merged = dict(DEFAULT_PREFERENCES)
-    merged.update(profile)
-    return merged
-
-
 def distilled_cache_key(url: str, preferences: Dict[str, Any]) -> str:
     """Objects are 'named by the object URL and the user preferences,
     which are used to derive distillation parameters' (Section 3.1.8)."""

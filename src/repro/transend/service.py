@@ -34,7 +34,8 @@ from repro.distillers.gif import GifDistiller
 from repro.distillers.html import HtmlMunger
 from repro.distillers.jpeg import JpegDistiller
 from repro.sim.cluster import Cluster
-from repro.sim.kernel import Interrupt
+from repro.sim.hashing import stable_hash
+from repro.sim.kernel import Interrupt, Timeout
 from repro.sim.network import MBPS
 from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG, Content
 from repro.tacc.customization import (
@@ -47,8 +48,8 @@ from repro.tacc.worker import TACCRequest, WorkerError
 from repro.transend.cachesys import CacheSubsystem
 from repro.transend.origin import OriginServer
 from repro.transend.profiles import (
+    DEFAULT_PREFERENCES,
     distilled_cache_key,
-    effective_preferences,
     original_cache_key,
     preference_validator,
 )
@@ -138,15 +139,15 @@ class TranSendLogic:
         trace = frontend.current_trace
         profile_cache = self.profile_cache_for(frontend.name)
         cached_profile = record.client_id in profile_cache._cache
-        profile = profile_cache.get(record.client_id)
+        preferences = profile_cache.overlay(record.client_id,
+                                            DEFAULT_PREFERENCES)
         if not cached_profile:
             env = self.cluster.env
             mark = env._now
-            yield env.timeout(PROFILE_READ_MISS_S)
+            yield Timeout(env, PROFILE_READ_MISS_S)
             if trace is not None:
                 trace.record("profile-read", "service", mark,
                              component="profile-db")
-        preferences = effective_preferences(profile)
         if self.adaptation is not None:
             preferences = self.adaptation.adapt(record.client_id,
                                                 preferences)
@@ -179,7 +180,8 @@ class TranSendLogic:
 
         # 1. is the exact distilled representation already cached?
         key = distilled_cache_key(record.url, preferences)
-        cached = yield from self.cachesys.lookup(key, trace=trace)
+        placement = stable_hash(key)
+        cached = yield from self.cachesys.lookup(key, placement, trace)
         if cached is not None:
             return self._respond("cache-hit-distilled", "ok", cached)
 
@@ -229,7 +231,7 @@ class TranSendLogic:
             return self._respond("fallback-original", "fallback",
                                  original, detail="no distiller")
 
-        self.cachesys.store(key, result, variant_of=record.url)
+        self.cachesys.store(key, placement, result, variant_of=record.url)
         if degraded_fidelity:
             return self._respond(
                 "distilled-low-fidelity", "degraded", result,
@@ -239,7 +241,8 @@ class TranSendLogic:
 
     def _get_original(self, record: TraceRecord, trace=None):
         key = original_cache_key(record.url)
-        cached = yield from self.cachesys.lookup(key, trace=trace)
+        placement = stable_hash(key)
+        cached = yield from self.cachesys.lookup(key, placement, trace)
         if cached is not None:
             return cached
         breaker = self.origin_breaker
@@ -257,7 +260,7 @@ class TranSendLogic:
             raise
         if breaker is not None:
             breaker.record(env._now - mark, ok=True)
-        self.cachesys.store(key, content)
+        self.cachesys.store(key, placement, content)
         return content
 
     def _breaker_fallback(self, record: TraceRecord, trace=None):

@@ -102,3 +102,31 @@ def test_latency_model_validates_parameters():
     rng = RandomStreams(7).stream("cache")
     with pytest.raises(ValueError):
         HarvestLatencyModel(rng, mean_hit_s=0.010, tcp_overhead_s=0.015)
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("tcp_overhead_s", dict(tcp_overhead_s=-0.001)),
+    ("tcp_overhead_s", dict(tcp_overhead_s=float("nan"))),
+    ("mean_hit_s", dict(mean_hit_s=0.015)),
+    ("mean_hit_s", dict(mean_hit_s=float("nan"))),
+    ("miss_min_s", dict(miss_min_s=0.0)),
+    ("miss_min_s", dict(miss_min_s=-1.0)),
+    ("miss_max_s", dict(miss_max_s=0.05)),
+    ("miss_max_s", dict(miss_max_s=float("nan"))),
+    ("miss_alpha", dict(miss_alpha=0.0)),
+    ("miss_alpha", dict(miss_alpha=-1.1)),
+])
+def test_latency_model_rejects_bad_values_at_construction(field, overrides):
+    """Each bad value fails where the model is built, naming its field —
+    not at the first draw inside a run, and never silently."""
+    rng = RandomStreams(7).stream("cache")
+    with pytest.raises(ValueError, match=f"^{field} "):
+        HarvestLatencyModel(rng, **overrides)
+
+
+def test_latency_model_accepts_the_edges():
+    rng = RandomStreams(7).stream("cache")
+    model = HarvestLatencyModel(rng, tcp_overhead_s=0.0, miss_min_s=2.0,
+                                miss_max_s=2.0)
+    assert model.hit_time() > 0.0
+    assert model.miss_penalty() == 2.0

@@ -16,14 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.balance.policies import LotteryPolicy
+from repro.cache.latency import HarvestLatencyModel
+from repro.cache.partition import ModHashPartitioner
 from repro.core.config import SNSConfig
 from repro.core.manager_stub import AdvertState
 from repro.core.messages import WorkerAdvert
 from repro.experiments._harness import build_bench_fabric
 from repro.obs import install_tracer
+from repro.sim.cluster import Cluster
+from repro.sim.hashing import PartitionError, stable_hash
 from repro.sim.kernel import Environment
 from repro.sim.network import Link
+from repro.sim.rng import RandomStreams
 from repro.tacc.content import Content, ZeroPayload
+from repro.tacc.customization import ProfileStore, WriteThroughCache
+from repro.transend.cachesys import CacheSubsystem
+from repro.transend.profiles import DEFAULT_PREFERENCES
 from repro.transend.service import TranSend
 
 from tests.core.conftest import make_record
@@ -281,3 +289,180 @@ def test_front_end_drives_either_shape_of_handle(build, backend,
             assert names.count("cache-hit") == 6 \
                 or names.count("cache-lookup") >= 6
     assert outcomes[False] == outcomes[True]
+
+
+# -- (e) the Harvest latency model's bound draws -------------------------------
+
+class ParentLatency:
+    """`HarvestLatencyModel`'s draws as they were: through
+    `Stream.exponential` / `Stream.pareto`, the rate divided per draw."""
+
+    def __init__(self, rng, mean_hit_s, tcp_overhead_s, miss_min_s,
+                 miss_max_s, miss_alpha):
+        self.rng = rng
+        self.mean_hit_s = mean_hit_s
+        self.tcp_overhead_s = tcp_overhead_s
+        self.miss_min_s = miss_min_s
+        self.miss_max_s = miss_max_s
+        self.miss_alpha = miss_alpha
+
+    def hit_time(self):
+        remainder = self.rng.exponential(self.mean_hit_s -
+                                         self.tcp_overhead_s)
+        return self.tcp_overhead_s + remainder
+
+    def miss_penalty(self):
+        penalty = self.rng.pareto(self.miss_alpha, self.miss_min_s)
+        return min(penalty, self.miss_max_s)
+
+
+LATENCY_PARAMETERS = [
+    dict(mean_hit_s=0.027, tcp_overhead_s=0.015, miss_min_s=0.1,
+         miss_max_s=100.0, miss_alpha=1.1),          # the paper's
+    dict(mean_hit_s=0.03, tcp_overhead_s=0.0, miss_min_s=0.05,
+         miss_max_s=0.2, miss_alpha=0.7),            # the clamp bites
+    dict(mean_hit_s=1e-3, tcp_overhead_s=9e-4, miss_min_s=3.0,
+         miss_max_s=3.0, miss_alpha=4.0),            # max == min
+]
+
+
+@pytest.mark.parametrize("parameters", LATENCY_PARAMETERS)
+@pytest.mark.parametrize("seed", [1997, 2026])
+def test_latency_draws_are_the_parents_to_the_bit(parameters, seed):
+    model = HarvestLatencyModel(RandomStreams(seed).stream("cache"),
+                                **parameters)
+    parent = ParentLatency(RandomStreams(seed).stream("cache"),
+                           **parameters)
+    # hits alone, misses alone, then interleaved: both consume one
+    # stream, so a draw out of step would show in every later one
+    hits = [model.hit_time() for _ in range(10_000)]
+    assert [draw.hex() for draw in hits] \
+        == [parent.hit_time().hex() for _ in range(10_000)]
+    misses = [model.miss_penalty() for _ in range(10_000)]
+    assert [draw.hex() for draw in misses] \
+        == [parent.miss_penalty().hex() for _ in range(10_000)]
+    for index in range(5_000):
+        if index % 3:
+            assert model.hit_time().hex() == parent.hit_time().hex()
+        else:
+            assert model.miss_penalty().hex() \
+                == parent.miss_penalty().hex()
+
+
+def test_bound_origin_and_node_draws_follow_their_model():
+    """The origin server and a cache node bind the model's draw once;
+    the bound draw is the model's own stream, not a copy of it."""
+    service = TranSend(n_nodes=4, n_cache_nodes=1, seed=5)
+    origin = service.origin
+    parent = ParentLatency(RandomStreams(5).stream("miss-penalty"),
+                           **LATENCY_PARAMETERS[0])
+    assert [origin._miss_penalty().hex() for _ in range(100)] \
+        == [parent.miss_penalty().hex() for _ in range(100)]
+    assert origin.latency.miss_penalty().hex() \
+        == parent.miss_penalty().hex()
+
+
+# -- (f) ring membership by event, placement by one hash -----------------------
+
+class ParentPlacement:
+    """`CacheSubsystem`'s placement as it was: every lookup and store
+    first polled every node for liveness (`_note_crashes`), then
+    located the key's md5 by name."""
+
+    def __init__(self):
+        self.nodes = {}
+        self.partitioner = ModHashPartitioner()
+
+    def add(self, cache_node):
+        self.nodes[cache_node.name] = cache_node
+        self.partitioner.add_node(cache_node.name)
+
+    def _note_crashes(self):
+        for name, cache_node in list(self.nodes.items()):
+            if not cache_node.alive:
+                self.partitioner.remove_node(name)
+                del self.nodes[name]
+
+    def node_for(self, key):
+        try:
+            name = self.partitioner.locate(key)
+        except PartitionError:
+            return None
+        return self.nodes.get(name)
+
+
+RING_OPS = st.lists(st.one_of(
+    st.tuples(st.just("kill"), st.integers(0, 7)),
+    st.tuples(st.just("add"), st.just(0)),
+    st.tuples(st.sampled_from(["lookup", "store"]), st.integers(0, 40))),
+    min_size=1, max_size=40)
+PROBES = [f"probe{index}" for index in range(24)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), RING_OPS)
+def test_event_driven_ring_is_the_polled_ring(n_nodes, ops):
+    # the simulator never runs: each operation's job stays on the queue
+    # of the node it was placed on, where the test collects it
+    cluster = Cluster(seed=3)
+    cachesys = CacheSubsystem(cluster)
+    parent = ParentPlacement()
+
+    def add():
+        node = cluster.add_node(f"host{len(cluster.nodes)}")
+        cache_node = cachesys.add_node(node, 1_000_000)
+        parent.add(cache_node)
+        return cache_node
+
+    made = [add() for _ in range(n_nodes)]
+    item = Content("http://x/a.gif", "image/gif", b"abc")
+    for verb, argument in ops:
+        if verb == "kill":
+            made[argument % len(made)].kill()
+            continue
+        if verb == "add":
+            made.append(add())
+            continue
+        key = f"key{argument}"
+        parent._note_crashes()   # what the parent's operation did first
+        assert list(cachesys.nodes) == list(parent.nodes)
+        assert len(cachesys.partitioner) == len(parent.partitioner)
+        assert cachesys.live == list(parent.nodes.values())
+        for probe in PROBES + [key]:
+            assert cachesys.node_for(probe) is parent.node_for(probe)
+        target = parent.node_for(key)
+        if verb == "store":
+            cachesys.store(key, stable_hash(key), item)
+        else:
+            pending = cachesys.lookup(key, stable_hash(key))
+            try:
+                next(pending)    # enqueues, then waits
+            except StopIteration:
+                pass             # no node: a miss without a wait
+        for cache_node in made:
+            if cache_node is target:
+                job = cache_node.queue.get_nowait()
+                assert job[:2] == (verb, key)
+            assert len(cache_node.queue) == 0
+    names = [cache_node.name for cache_node in made]
+    assert len(set(names)) == len(names)   # no default name reused
+
+
+# -- (g) the profile read: one merged dict -------------------------------------
+
+@pytest.mark.parametrize("profile", [
+    {}, {"quality": 60}, {"scale": 4, "extra": "kept", "quality": 10},
+    {"_user_set_quality": True, "quality": 90}])
+def test_profile_overlay_is_the_parents_merge(profile):
+    store = ProfileStore()
+    for key, value in profile.items():
+        store.set("u1", key, value)
+    cache = WriteThroughCache(store)
+    for _ in range(2):   # a miss, then a hit
+        merged = dict(DEFAULT_PREFERENCES)
+        merged.update(cache.get("u1"))     # the parent's two copies
+        overlaid = cache.overlay("u1", DEFAULT_PREFERENCES)
+        assert list(overlaid.items()) == list(merged.items())
+        assert overlaid is not cache._cache["u1"]
+    assert (cache.misses, cache.hits) == (1, 3)
+    assert DEFAULT_PREFERENCES["quality"] == 25   # the base is untouched

@@ -4,6 +4,7 @@ serve-stale variants, and the origin circuit breaker's fallbacks."""
 from types import SimpleNamespace
 
 from repro.core.config import SNSConfig
+from repro.sim.hashing import stable_hash
 from repro.tacc.content import MIME_JPEG, Content
 from repro.transend.adaptation import DEFAULT_TIERS
 from repro.transend.profiles import distilled_cache_key
@@ -94,9 +95,8 @@ def test_open_breaker_prefers_a_cached_variant():
         origin_breaker_failures=2))
     url = "http://pics/warm.jpg"
     variant = Content(url, MIME_JPEG, b"v" * 2048)
-    transend.cachesys.store(
-        distilled_cache_key(url, {"quality": 99}), variant,
-        variant_of=url)
+    key = distilled_cache_key(url, {"quality": 99})
+    transend.cachesys.store(key, stable_hash(key), variant, variant_of=url)
     transend.logic.origin_breaker._trip()
     response = transend.run(transend.submit(record(url=url)))
     assert response.status == "fallback"
