@@ -1,48 +1,11 @@
-"""Section 4.4 benchmarks: cache hit-rate studies plus LRU and cache
-latency microbenchmarks."""
+"""Microbenchmark: LRU operations/second, the per-reference cost of
+every Section 4.4 cache simulation."""
 
-from benchmarks.conftest import run_once
 from repro.cache.lru import LRUCache
-from repro.experiments.cache_hitrate import (
-    run_cache_size_sweep,
-    run_population_sweep,
-)
 from repro.sim.rng import RandomStreams
 
 
-def test_cache_size_sweep(benchmark):
-    result = run_once(
-        benchmark, run_cache_size_sweep,
-        capacities_bytes=(2_000_000, 8_000_000, 32_000_000,
-                          128_000_000, 512_000_000, 2_048_000_000),
-        n_users=800, n_requests=120_000, seed=1997)
-    print("\n" + result.render("Cache study, Section 4.4"))
-    benchmark.extra_info["plateau_hit_rate"] = round(result.plateau(), 3)
-    benchmark.extra_info["paper_plateau"] = 0.56
-    rates = [rate for _, rate in result.sweep]
-    for smaller, bigger in zip(rates, rates[1:]):
-        assert bigger >= smaller - 0.01
-    assert rates[-1] - rates[-2] < 0.03  # the plateau
-    assert 0.40 < result.plateau() < 0.75  # paper: ~56%
-
-
-def test_population_sweep(benchmark):
-    result = run_once(
-        benchmark, run_population_sweep,
-        populations=(25, 100, 400, 1600, 6400),
-        capacity_bytes=24_000_000, requests_per_user=60, seed=1997)
-    print("\n" + result.render("Population study, Section 4.4"))
-    rates = [rate for _, rate in result.sweep]
-    peak_index = rates.index(max(rates))
-    benchmark.extra_info["peak_population"] = \
-        result.sweep[peak_index][0]
-    assert 0 < peak_index < len(rates) - 1  # rises, then falls
-    assert rates[-1] < rates[peak_index]
-
-
 def test_lru_reference_throughput(benchmark):
-    """Microbenchmark: LRU operations/second (the per-reference cost of
-    every cache simulation above)."""
     rng = RandomStreams(1997).stream("bench-lru")
     keys = [f"doc{rng.zipf_rank(5000)}" for _ in range(20_000)]
     cache = LRUCache(2_000_000)

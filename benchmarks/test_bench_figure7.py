@@ -1,29 +1,14 @@
-"""Figure 7 benchmark: distillation latency vs size over 100k items,
-plus a real-computation microbenchmark of the JPEG distiller."""
+"""Wall-clock cost of the *actual* JPEG codec path (Figure 3's
+transformation), as a conventional microbenchmark."""
 
-from benchmarks.conftest import run_once
 from repro.distillers.images import photo_sized_for
 from repro.distillers.jpeg import JpegDistiller
-from repro.experiments.figure7_distiller import run_figure7
 from repro.sim.rng import RandomStreams
 from repro.tacc.content import MIME_JPEG, Content
 from repro.tacc.worker import TACCRequest
 
 
-def test_figure7_distillation_latency_vs_size(benchmark):
-    result = run_once(benchmark, run_figure7, n_items=100_000,
-                      seed=1997)
-    print("\n" + result.render())
-    benchmark.extra_info["slope_ms_per_kb"] = round(
-        result.slope_ms_per_kb, 2)
-    benchmark.extra_info["paper_slope_ms_per_kb"] = 8.0
-    assert abs(result.slope_ms_per_kb - 8.0) < 1.0
-    assert result.variation_ratio > 2.0
-
-
 def test_real_jpeg_distillation_throughput(benchmark):
-    """Wall-clock cost of the *actual* codec path (Figure 3's
-    transformation), as a conventional microbenchmark."""
     rng = RandomStreams(1997).stream("bench-images")
     image = photo_sized_for(rng, target_gif_bytes=10_240)
     content = Content("http://bench/p.jpg", MIME_JPEG,

@@ -1,28 +1,12 @@
-"""HotBot benchmarks: graceful degradation at 26 nodes and query
-throughput microbenchmarks."""
+"""Microbenchmark: HotBot queries/second against one partition-sized
+index."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.hotbot_degradation import run_hotbot_degradation
 from repro.hotbot.documents import Corpus
 from repro.hotbot.index import InvertedIndex
 from repro.sim.rng import RandomStreams
 
 
-def test_hotbot_degradation_26_nodes(benchmark):
-    result = run_once(benchmark, run_hotbot_degradation, n_nodes=26,
-                      n_docs=2600, seed=1997)
-    print("\n" + result.render())
-    benchmark.extra_info["coverage_during"] = round(
-        result.coverage_during, 4)
-    benchmark.extra_info["paper_coverage_during"] = round(51 / 54, 4)
-    assert abs(result.coverage_during - 25 / 26) < 0.02
-    assert result.coverage_after_restart == 1.0
-    assert result.cross_mount_coverage_during == 1.0
-
-
 def test_inverted_index_query_throughput(benchmark):
-    """Microbenchmark: queries/second against one partition-sized
-    index."""
     corpus = Corpus(n_docs=1000, vocabulary_size=2000, seed=1997)
     index = InvertedIndex(total_corpus_size=1000).add_all(corpus)
     rng = RandomStreams(1997).stream("bench-queries")

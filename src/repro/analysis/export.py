@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Any, Dict
+from typing import Any
 
 __all__ = ["export_result"]
 
@@ -43,18 +43,11 @@ def _jsonable(value: Any) -> Any:
 
 
 def export_result(name: str, result: Any, directory: str) -> str:
-    """Write ``result`` as ``<directory>/<name>.json``; returns the path.
-
-    Plain-string results (e.g. Table 1) are wrapped as
-    ``{"text": ...}`` so every export is valid JSON.
-    """
+    """Write ``result`` as ``<directory>/<name>.json``; returns the
+    path."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{name}.json")
-    if isinstance(result, str):
-        payload: Dict[str, Any] = {"text": result}
-    else:
-        payload = {"result": _jsonable(result)}
-    payload["experiment"] = name
+    payload = {"experiment": name, "result": _jsonable(result)}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

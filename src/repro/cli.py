@@ -26,154 +26,15 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
-from repro import experiments as drivers
-
-#: name -> (description, full-scale runner, quick runner).
-#: Runners take (seed, jobs) and return printable text; experiments
-#: without independent inner units simply ignore ``jobs``.  Runners of
-#: the experiments in :data:`POLICY_AWARE` additionally accept a
-#: ``policy`` keyword (the ``--policy`` flag).  A runner looks its
-#: driver up when it is called: :mod:`repro.experiments` imports a
-#: driver module on first use, so ``--help``, ``list`` and an unknown
-#: name load none and ``run <name>`` loads one.
-EXPERIMENTS: Dict[str, Tuple[str, Callable, Callable]] = {
-    "figure5": (
-        "content-size distributions (Figure 5)",
-        lambda seed, jobs=1: drivers.run_figure5(100_000, seed),
-        lambda seed, jobs=1: drivers.run_figure5(20_000, seed),
-    ),
-    "figure6": (
-        "request-rate burstiness (Figure 6)",
-        lambda seed, jobs=1: drivers.run_figure6(86_400.0, seed),
-        lambda seed, jobs=1: drivers.run_figure6(4 * 3600.0, seed),
-    ),
-    "figure7": (
-        "distillation latency vs size (Figure 7)",
-        lambda seed, jobs=1: drivers.run_figure7(100_000, seed),
-        lambda seed, jobs=1: drivers.run_figure7(20_000, seed),
-    ),
-    "figure8": (
-        "self-tuning and fault recovery (Figure 8)",
-        lambda seed, jobs=1: drivers.run_figure8(seed=seed,
-                                                 peak_rate_rps=60.0),
-        lambda seed, jobs=1: drivers.run_figure8(duration_s=200.0,
-                                                 kill_at_s=120.0,
-                                                 seed=seed),
-    ),
-    "table1": (
-        "TranSend vs HotBot differences (Table 1)",
-        lambda seed, jobs=1: drivers.run_table1(),
-        lambda seed, jobs=1: drivers.run_table1(),
-    ),
-    "table2": (
-        "scalability sweep (Table 2)",
-        lambda seed, jobs=1: drivers.run_table2(seed=seed),
-        lambda seed, jobs=1: drivers.run_table2(
-            rates=(15, 35, 55, 75, 95), step_duration_s=20.0, seed=seed),
-    ),
-    "cache": (
-        "cache-size hit-rate sweep (Section 4.4)",
-        lambda seed, jobs=1: drivers.run_cache_size_sweep(seed=seed,
-                                                          jobs=jobs),
-        lambda seed, jobs=1: drivers.run_cache_size_sweep(
-            n_users=300, n_requests=25_000, seed=seed, jobs=jobs),
-    ),
-    "population": (
-        "population hit-rate sweep (Section 4.4)",
-        lambda seed, jobs=1: drivers.run_population_sweep(seed=seed,
-                                                          jobs=jobs),
-        lambda seed, jobs=1: drivers.run_population_sweep(
-            populations=(25, 100, 400, 1600),
-            requests_per_user=40, seed=seed, jobs=jobs),
-    ),
-    "frontend-state": (
-        "front-end state accounting (Section 4.4)",
-        lambda seed, jobs=1: drivers.run_frontend_state(seed=seed),
-        lambda seed, jobs=1: drivers.run_frontend_state(
-            rate_rps=10.0, duration_s=90.0, seed=seed),
-    ),
-    "manager": (
-        "manager announcement capacity (Section 4.6)",
-        lambda seed, jobs=1: drivers.run_manager_capacity(seed=seed),
-        lambda seed, jobs=1: drivers.run_manager_capacity(
-            duration_s=10.0, seed=seed),
-    ),
-    "san": (
-        "SAN saturation + utility-network remedy (Section 4.6)",
-        lambda seed, jobs=1: drivers.run_san_saturation(seed=seed,
-                                                        jobs=jobs),
-        lambda seed, jobs=1: drivers.run_san_saturation(
-            duration_s=30.0, seed=seed, jobs=jobs),
-    ),
-    "faults": (
-        "process-peer fault timeline (Section 3.1.3)",
-        lambda seed, jobs=1: drivers.run_fault_timeline(seed=seed),
-        lambda seed, jobs=1: drivers.run_fault_timeline(rate_rps=10.0,
-                                                        seed=seed),
-    ),
-    "hotbot": (
-        "HotBot graceful degradation",
-        lambda seed, jobs=1: drivers.run_hotbot_degradation(seed=seed),
-        lambda seed, jobs=1: drivers.run_hotbot_degradation(
-            n_nodes=8, n_docs=800, seed=seed),
-    ),
-    "hotbot-throughput": (
-        "HotBot 'millions of queries per day'",
-        lambda seed, jobs=1: drivers.run_hotbot_throughput(seed=seed),
-        lambda seed, jobs=1: drivers.run_hotbot_throughput(
-            offered_qps=30.0, duration_s=20.0, n_workers=8,
-            n_docs=1500, seed=seed),
-    ),
-    "policies": (
-        "routing-policy tail-latency sweep (repro.balance)",
-        lambda seed, jobs=1, policy=None: drivers.run_policy_sweep(
-            policies=[policy] if policy else None,
-            seed=seed, jobs=jobs),
-        lambda seed, jobs=1, policy=None: drivers.run_policy_sweep(
-            policies=[policy] if policy else None,
-            n_requests=20_000, seed=seed, jobs=jobs),
-    ),
-    "economics": (
-        "economic feasibility (Section 5.2)",
-        lambda seed, jobs=1: drivers.run_economics(seed=seed),
-        lambda seed, jobs=1: drivers.run_economics(
-            n_users=100, n_requests=5_000, seed=seed),
-    ),
-    "endtoend": (
-        "end-to-end latency reduction (the Section 1.1 headline)",
-        lambda seed, jobs=1: drivers.run_endtoend(seed=seed),
-        lambda seed, jobs=1: drivers.run_endtoend(n_requests=150,
-                                                  seed=seed),
-    ),
-    "flash-crowd": (
-        "brownout controller vs binary shed under a 10x burst "
-        "(repro.degrade)",
-        lambda seed, jobs=1: drivers.run_flash_crowd(seed=seed, jobs=jobs),
-        lambda seed, jobs=1: drivers.run_flash_crowd(seed=seed, jobs=jobs),
-    ),
-}
-
-#: experiments whose runners accept the ``--policy`` override.
-POLICY_AWARE = frozenset({"policies"})
+from repro.experiments import EXPERIMENTS
 
 #: ``chaos`` flags that are aliases for :class:`SNSConfig` fields
 #: (argparse dest -> field); they fill ``get_campaign``'s overrides.
 CONFIG_FLAGS = {"profile_backend": "profile_backend",
                 "manager_backend": "manager_backend",
                 "policy": "routing_policy"}
-
-
-def _render(result) -> str:
-    """Best-effort rendering: experiment results know how to render
-    themselves; plain strings (Table 1, economics) already are text."""
-    if isinstance(result, str):
-        return result
-    render = getattr(result, "render", None)
-    if callable(render):
-        return render()
-    return repr(result)
 
 
 def _number(cast: Callable, accepts: Callable[[Any], bool],
@@ -195,6 +56,7 @@ def _number(cast: Callable, accepts: Callable[[Any], bool],
 _COUNT = _number(int, lambda value: value >= 1, ">= 1")
 _POSITIVE = _number(float, lambda value: value > 0, "> 0")
 _NON_NEGATIVE = _number(float, lambda value: value >= 0, ">= 0")
+_NATURAL = _number(int, lambda value: value >= 0, ">= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "timelines, not workload traces)")
     spans_parser.add_argument("file", help="Chrome trace_event JSON "
                                            "file from --trace-out")
-    spans_parser.add_argument("--tree", type=int, default=0,
+    spans_parser.add_argument("--tree", type=_NATURAL, default=0,
                               metavar="N",
                               help="also render the N slowest span "
                                    "trees with their critical paths")
@@ -364,8 +226,8 @@ def list_experiments() -> str:
     width = max(len(name) for name in EXPERIMENTS)
     lines = ["available experiments:"]
     for name in sorted(EXPERIMENTS):
-        description = EXPERIMENTS[name][0]
-        lines.append(f"  {name.ljust(width)}  {description}")
+        lines.append(f"  {name.ljust(width)}  "
+                     f"{EXPERIMENTS[name].description}")
     lines.append(f"  {'all'.ljust(width)}  run every experiment")
     return "\n".join(lines)
 
@@ -374,14 +236,10 @@ def run_experiment(name: str, seed: int, quick: bool,
                    export_dir: Optional[str] = None,
                    jobs: int = 1,
                    policy: Optional[str] = None) -> str:
-    description, full, fast = EXPERIMENTS[name]
-    runner = fast if quick else full
-    if policy is not None:
-        result = runner(seed, jobs, policy=policy)
-    else:
-        result = runner(seed, jobs)
-    header = f"=== {name}: {description} (seed {seed}) ==="
-    text = header + "\n" + _render(result)
+    experiment = EXPERIMENTS[name]
+    result = experiment.run(seed, quick, jobs=jobs, policy=policy)
+    text = (f"=== {name}: {experiment.description} (seed {seed}) ===\n"
+            + result.render())
     if export_dir is not None:
         from repro.analysis.export import export_result
         path = export_result(name, result, export_dir)
@@ -397,22 +255,21 @@ def _run_names(names, args) -> bool:
     nested); a single experiment instead passes ``jobs`` down to its
     own sweep.  Results print in name order either way.
     """
-    jobs = getattr(args, "jobs", 1)
-    policy = getattr(args, "policy", None)
+    jobs = args.jobs
     if jobs > 1 and len(names) > 1:
         from repro.fanout import ShardSpec, run_sharded
 
         # several names means all of them: load every driver before the
         # pool forks, so the shards inherit the modules instead of each
         # importing its own
-        for export in drivers.__all__:
-            getattr(drivers, export)
+        for experiment in EXPERIMENTS.values():
+            experiment.function
         specs = [
             ShardSpec(shard_id=f"run[{name}]", fn=run_experiment,
                       kwargs=dict(name=name, seed=args.seed,
                                   quick=args.quick,
                                   export_dir=args.export,
-                                  policy=policy))
+                                  policy=args.policy))
             for name in names
         ]
         sweep = run_sharded(specs, jobs=jobs)
@@ -431,7 +288,7 @@ def _run_names(names, args) -> bool:
         return False
     for name in names:
         print(run_experiment(name, args.seed, args.quick, args.export,
-                             jobs=jobs, policy=policy))
+                             jobs=jobs, policy=args.policy))
         print()
     return False
 
@@ -472,7 +329,7 @@ def chaos_command(args) -> int:
     from repro.chaos import CAMPAIGNS, CampaignRunner, get_campaign
 
     name = args.campaign
-    option = getattr(args, "campaign_opt", None)
+    option = args.campaign_opt
     if name is not None and option is not None and name != option:
         print(f"conflicting campaign names {name!r} and {option!r}",
               file=sys.stderr)
@@ -486,9 +343,9 @@ def chaos_command(args) -> int:
             print(f"  {name.ljust(width)}  "
                   f"{CAMPAIGNS[name].description}")
         return 0
-    overrides = {field: getattr(args, flag)
-                 for flag, field in CONFIG_FLAGS.items()
-                 if getattr(args, flag, None) is not None}
+    flags = vars(args)
+    overrides = {field: flags[flag] for flag, field in CONFIG_FLAGS.items()
+                 if flags[flag] is not None}
     try:
         campaign = get_campaign(name, overrides)
     except KeyError as error:
@@ -499,10 +356,8 @@ def chaos_command(args) -> int:
         if error is not None:
             print(error, file=sys.stderr)
             return 2
-    runs = getattr(args, "runs", 1)
-    jobs = getattr(args, "jobs", 1)
-    if runs > 1 or jobs > 1:
-        return _chaos_batch(name, args, runs, jobs, overrides)
+    if args.runs > 1 or args.jobs > 1:
+        return _chaos_batch(name, args, overrides)
     with _span_tracing(args):
         report = CampaignRunner(campaign, seed=args.seed).run()
         print(report.render())
@@ -521,16 +376,15 @@ def _chaos_progress(result, n_done: int, n_total: int) -> None:
           file=sys.stderr)
 
 
-def _chaos_batch(name: str, args, runs: int, jobs: int,
-                 overrides: Dict[str, Any]) -> int:
+def _chaos_batch(name: str, args, overrides: Dict[str, Any]) -> int:
     """Run a campaign batch; nonzero exit if any run failed or any
     invariant broke."""
     from repro.chaos import run_campaign_batch
 
-    progress = None if getattr(args, "quiet", False) else _chaos_progress
+    progress = None if args.quiet else _chaos_progress
     with _span_tracing(args):
         batch = run_campaign_batch(name, master_seed=args.seed,
-                                   runs=runs, jobs=jobs,
+                                   runs=args.runs, jobs=args.jobs,
                                    overrides=overrides,
                                    progress=progress)
         print(batch.render())
@@ -564,7 +418,7 @@ def spans_command(args) -> int:
           f"{total_spans} span(s)")
     print(report.render())
     rows.sort(key=lambda row: (-row[0], row[1]))
-    for duration, trace_id, spans in rows[:max(args.tree, 0)]:
+    for duration, trace_id, spans in rows[:args.tree]:
         print()
         print(f"--- {trace_id} ({duration * 1000:.1f}ms) ---")
         print(render_span_tree(spans))
@@ -696,10 +550,11 @@ def main(argv: Optional[list] = None) -> int:
             return 2
         if args.policy is not None:
             unsupported = [name for name in names
-                           if name not in POLICY_AWARE]
+                           if not EXPERIMENTS[name].accepts("policies")]
             if unsupported:
-                print(f"--policy only applies to: "
-                      f"{', '.join(sorted(POLICY_AWARE))} "
+                aware = [name for name in sorted(EXPERIMENTS)
+                         if EXPERIMENTS[name].accepts("policies")]
+                print(f"--policy only applies to: {', '.join(aware)} "
                       f"(got {', '.join(unsupported)})",
                       file=sys.stderr)
                 return 2

@@ -35,11 +35,11 @@ class CacheStudyResult:
     x_label: str
     byte_hit_rates: Dict[float, float]
 
-    def render(self, title: str = "Cache study, Section 4.4") -> str:
+    def render(self) -> str:
         return render_histogram(
             [(f"{x:g}", hit_rate) for x, hit_rate in self.sweep],
             width=40,
-            title=f"{title} ({self.x_label} vs hit rate)",
+            title=f"Cache study, Section 4.4 ({self.x_label} vs hit rate)",
         )
 
     def plateau(self) -> float:

@@ -8,18 +8,29 @@ mode changes, the table changes).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.analysis.reporting import render_table
 from repro.hotbot.service import HotBot, HotBotConfig
 from repro.transend.service import TranSend
 
 
-def run_table1(transend: Optional[TranSend] = None,
-               hotbot: Optional[HotBot] = None) -> str:
-    transend = transend or TranSend(n_nodes=4, n_cache_nodes=2)
-    hotbot = hotbot or HotBot(config=HotBotConfig(n_workers=2,
-                                                  n_docs=100))
+@dataclass
+class Table1Result:
+    rows: List[List[str]]     # (component, TranSend, HotBot)
+
+    def render(self) -> str:
+        return render_table(
+            ["Component", "TranSend", "HotBot"],
+            self.rows,
+            title="Table 1 — main differences between TranSend and HotBot",
+        )
+
+
+def run_table1() -> Table1Result:
+    transend = TranSend(n_nodes=4, n_cache_nodes=2)
+    hotbot = HotBot(config=HotBotConfig(n_workers=2, n_docs=100))
     rows: List[List[str]] = []
 
     rows.append([
@@ -68,8 +79,4 @@ def run_table1(transend: Optional[TranSend] = None,
         "pre- and post-transformation data",
         "integrated cache of recent searches (incremental delivery)",
     ])
-    return render_table(
-        ["Component", "TranSend", "HotBot"],
-        rows,
-        title="Table 1 — main differences between TranSend and HotBot",
-    )
+    return Table1Result(rows)

@@ -21,10 +21,19 @@ def test_export_dataclass_result(tmp_path):
         payload["result"]["histograms"]["image/gif"], list)
 
 
-def test_export_plain_string(tmp_path):
-    path = export_result("table1", "the rendered table", str(tmp_path))
-    payload = json.loads(open(path).read())
-    assert payload["text"] == "the rendered table"
+def test_cli_export_writes_structured_rows(tmp_path, capsys):
+    """Table 1 and economics export their data, not their text."""
+    for name in ("table1", "economics"):
+        assert main(["run", name, "--quick",
+                     "--export", str(tmp_path)]) == 0
+    capsys.readouterr()
+    table1 = json.loads((tmp_path / "table1.json").read_text())
+    assert table1["experiment"] == "table1"
+    assert [row[0] for row in table1["result"]["rows"]][:2] == [
+        "Load balancing", "Application layer"]
+    economics = json.loads((tmp_path / "economics.json").read_text())
+    assert 0 < economics["result"]["measured_byte_hit_rate"] < 1
+    assert economics["result"]["report"]["payback_months"] > 0
 
 
 def test_export_handles_exotic_values(tmp_path):

@@ -116,7 +116,7 @@ def test_hotbot_degradation_matches_paper_fraction():
 
 
 def test_table1_renders_all_components():
-    table = run_table1()
+    table = run_table1().render()
     for component in ("Load balancing", "Application layer",
                       "Failure management", "Caching"):
         assert component in table

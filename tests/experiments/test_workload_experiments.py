@@ -62,7 +62,7 @@ def test_cache_size_sweep_monotone_with_plateau():
     assert rates[-1] - rates[-2] < 0.05
     # plateau level in the paper's neighbourhood (56%)
     assert 0.35 < result.plateau() < 0.75
-    assert "hit rate" in result.render("Cache study")
+    assert "hit rate" in result.render()
 
 
 def test_population_sweep_rises_then_falls():
@@ -80,6 +80,6 @@ def test_population_sweep_rises_then_falls():
 
 
 def test_economics_report_renders():
-    report = run_economics(n_users=100, n_requests=5_000, seed=7)
+    report = run_economics(n_users=100, n_requests=5_000, seed=7).render()
     assert "payback period" in report
     assert "byte hit rate" in report

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.chaos import run_campaign_batch
-from repro.experiments import run_population_sweep
+from repro.experiments import Experiment, run_population_sweep
 from repro.obs import capture_traces, export_chrome_trace
 
 JOBS = 4
@@ -55,12 +55,21 @@ def test_span_trace_merge_byte_identical_across_jobs(tmp_path):
 # -- crash isolation surfaces as harvest + exit code -----------------------
 
 
-def _crashing_runner(seed, jobs=1):
+class _Fine:
+    def render(self):
+        return "fine"
+
+
+def _crashing_driver(seed):
     os._exit(23)
 
 
-def _ok_runner(seed, jobs=1):
-    return "fine"
+def _ok_driver(seed):
+    return _Fine()
+
+
+OK = Experiment("a fine experiment", f"{__name__}:_ok_driver")
+BOOM = Experiment("a crashing experiment", f"{__name__}:_crashing_driver")
 
 
 def test_run_all_with_crashed_shard_exits_nonzero(monkeypatch, capsys):
@@ -68,11 +77,7 @@ def test_run_all_with_crashed_shard_exits_nonzero(monkeypatch, capsys):
 
     # two tiny stand-in experiments; fork shares the patched table
     # with the shard children, so only the parent needs the patch
-    monkeypatch.setattr(cli, "EXPERIMENTS", {
-        "ok": ("a fine experiment", _ok_runner, _ok_runner),
-        "boom": ("a crashing experiment", _crashing_runner,
-                 _crashing_runner),
-    })
+    monkeypatch.setattr(cli, "EXPERIMENTS", {"ok": OK, "boom": BOOM})
     exit_code = cli.main(["run", "all", "--jobs", "2"])
     captured = capsys.readouterr()
     assert exit_code == 1
@@ -85,9 +90,7 @@ def test_run_all_with_crashed_shard_exits_nonzero(monkeypatch, capsys):
 def test_run_all_serial_unaffected(monkeypatch, capsys):
     import repro.cli as cli
 
-    monkeypatch.setattr(cli, "EXPERIMENTS", {
-        "ok": ("a fine experiment", _ok_runner, _ok_runner),
-    })
+    monkeypatch.setattr(cli, "EXPERIMENTS", {"ok": OK})
     assert cli.main(["run", "all"]) == 0
     assert "fine" in capsys.readouterr().out
 

@@ -45,11 +45,17 @@ def test_run_with_seed(capsys):
     assert "Figure 5" in out
 
 
-def test_every_experiment_has_quick_and_full_runner():
-    for name, (description, full, fast) in EXPERIMENTS.items():
-        assert description
-        assert callable(full)
-        assert callable(fast)
+def test_every_row_names_its_driver_and_parameters():
+    """A row resolves to its driver, and every key of its two scales is
+    one of the driver's parameters: a typo fails here, not only when
+    that experiment runs."""
+    import inspect
+
+    for name, experiment in EXPERIMENTS.items():
+        assert experiment.description, name
+        parameters = inspect.signature(experiment.function).parameters
+        for scale in (experiment.full, experiment.quick):
+            assert set(scale) <= set(parameters), (name, sorted(scale))
 
 
 @pytest.mark.parametrize("name", ["figure7", "manager", "hotbot",
@@ -130,6 +136,7 @@ def test_unknown_campaign_lists_every_name(capsys):
     (["replay", "--tolerance", "-0.1"], "--tolerance"),
     (["trace", "--duration", "0"], "--duration"),
     (["trace", "--rate", "-5"], "--rate"),
+    (["spans", "f.json", "--tree", "-3"], "--tree"),
 ])
 def test_bad_counts_and_sizes_fail_at_the_parser(argv, flag, capsys):
     """Exit 2 and one line naming the flag — nothing runs, nothing

@@ -202,7 +202,7 @@ def _script(path: Path, *argv: str) -> None:
 
 
 def _group_experiments(scratch: Path) -> None:
-    from repro.cli import EXPERIMENTS
+    from repro.experiments import EXPERIMENTS
 
     _cli("list")
     for name in sorted(EXPERIMENTS):
