@@ -36,6 +36,25 @@ def idf_table(total_corpus_size: int,
             for term, frequency in global_df.items() if frequency}
 
 
+class Vocabulary(NamedTuple):
+    """Term ids and the idf of each id.
+
+    ``PartitionMap`` makes one from its corpus-wide idf table and every
+    index it builds shares it; a stand-alone index derives its own from
+    its documents.
+    """
+
+    ids: Dict[str, int]
+    #: term id -> idf (``array('d')``); 0.0 means "scanned, not scored"
+    idf: array
+
+    @classmethod
+    def of(cls, global_idf: Mapping[str, float]) -> "Vocabulary":
+        """The terms of an idf table, numbered in its order."""
+        return cls({term: term_id for term_id, term in enumerate(global_idf)},
+                   array("d", global_idf.values()))
+
+
 class SearchHit(NamedTuple):
     """One result: document id, url, and its relevance score.
 
@@ -49,7 +68,13 @@ class SearchHit(NamedTuple):
 
 
 class InvertedIndex:
-    """term -> postings, with tf-idf scoring over a document set."""
+    """term -> postings, with tf-idf scoring over a document set.
+
+    Built once, by :meth:`add_all`, and never changed after: a
+    partition's postings are two flat typed arrays grouped by term id
+    (compressed sparse rows), term ``t``'s being
+    ``[offsets[t], offsets[t + 1])`` of each.
+    """
 
     def __init__(self, total_corpus_size: int,
                  global_df: "Dict[str, int] | None" = None) -> None:
@@ -63,24 +88,35 @@ class InvertedIndex:
         #: computes its own and scores are not comparable at collation.
         self.global_idf = (None if global_df is None else
                            idf_table(total_corpus_size, global_df))
-        #: term -> (doc ids, tf weights): two parallel typed arrays in
-        #: the order the documents were added.  The weight is
-        #: ``1.0 + log(frequency)``, the only thing ranking ever wanted
-        #: from a frequency, so it is taken once, at build time.
-        self._postings: Dict[str, Tuple[array, array]] = {}
+        #: the shared term ids and idfs ``PartitionMap`` hands in before
+        #: the build; without one (None) the build derives its own from
+        #: the documents
+        self.vocabulary: "Vocabulary | None" = None
+        #: terms with at least one posting
+        self.n_terms = 0
+        # the vocabulary the build used, and the postings: doc ids and
+        # tf weights ``1.0 + log(frequency)`` (the only thing ranking
+        # ever wanted from a frequency, taken once, at build time), each
+        # in one array, grouped by term id
+        self._ids: Dict[str, int] = {}
+        self._idf = array("d")
+        self._offsets = array("i", [0])
+        self._doc_ids = array("i")
+        self._weights = array("d")
         self._doc_urls: Dict[int, str] = {}
 
     # -- build --------------------------------------------------------------
 
-    def add(self, document: Document) -> None:
-        self.add_all((document,))
-
     def add_all(self, documents: Iterable[Document]) -> "InvertedIndex":
-        """Index ``documents`` in one pass.  A partition is built, and
-        after a crash rebuilt, by a single call with all its documents,
-        so the loop runs on local names."""
-        urls = self._doc_urls
-        postings = self._postings
+        """Index ``documents`` in one pass: collect each term's
+        postings in document order, then pack them by term id.  A
+        partition is built, and after a crash rebuilt, by a single call
+        with all its documents; a duplicate document raises before
+        anything is indexed."""
+        if self._doc_urls:
+            raise ValueError("an index holding documents is built once")
+        urls: Dict[int, str] = {}
+        postings: Dict[str, Tuple[List[int], List[float]]] = {}
         log = math.log
         # frequency -> weight: a corpus has a few dozen distinct ones
         weights: Dict[int, float] = {}
@@ -97,32 +133,54 @@ class InvertedIndex:
                     weight = weights[frequency] = 1.0 + log(frequency)
                 entry = postings.get(term)
                 if entry is None:
-                    entry = postings[term] = (array("q"), array("d"))
+                    entry = postings[term] = ([], [])
                 entry[0].append(doc_id)
                 entry[1].append(weight)
+        vocabulary = self.vocabulary
+        if vocabulary is None:
+            vocabulary = self._derive_vocabulary(postings)
+        # pack: one list each, then one exactly sized array each
+        all_doc_ids: List[int] = []
+        all_weights: List[float] = []
+        offsets = array("i", [0])
+        packed = 0
+        for term in vocabulary.ids:
+            entry = postings.get(term)
+            if entry is not None:
+                all_doc_ids += entry[0]
+                all_weights += entry[1]
+                packed += 1
+            offsets.append(len(all_doc_ids))
+        if packed != len(postings):
+            raise ValueError("a document names a term outside the "
+                             "vocabulary")
+        self._ids, self._idf = vocabulary
+        self.n_terms = packed
+        self._offsets = offsets
+        # doc ids are 32-bit: a larger one raises OverflowError here
+        self._doc_ids = array("i", all_doc_ids)
+        self._weights = array("d", all_weights)
+        self._doc_urls = urls
         return self
 
-    def remove(self, doc_id: int) -> bool:
-        """Drop one document (used when repartitioning)."""
-        if doc_id not in self._doc_urls:
-            return False
-        del self._doc_urls[doc_id]
-        for term, (doc_ids, weights) in list(self._postings.items()):
-            while doc_id in doc_ids:
-                position = doc_ids.index(doc_id)
-                del doc_ids[position]
-                del weights[position]
-            if not doc_ids:
-                del self._postings[term]
-        return True
+    def _derive_vocabulary(self, postings: Mapping[str, Tuple[list, list]]
+                           ) -> Vocabulary:
+        """This index's own terms, numbered in first-occurrence order,
+        with the corpus-wide idf or, without one, the local one."""
+        global_idf = self.global_idf
+        if global_idf is None:
+            n = self.total_corpus_size
+            idf = [math.log(1.0 + n / len(doc_ids))
+                   for doc_ids, _ in postings.values()]
+        else:
+            idf = [global_idf.get(term, 0.0) for term in postings]
+        return Vocabulary(
+            {term: term_id for term_id, term in enumerate(postings)},
+            array("d", idf))
 
     @property
     def n_documents(self) -> int:
         return len(self._doc_urls)
-
-    @property
-    def n_terms(self) -> int:
-        return len(self._postings)
 
     # -- query ----------------------------------------------------------------
 
@@ -130,28 +188,33 @@ class InvertedIndex:
         """One fetch of a query's postings: ``(scanned, columns)``.
         ``scanned`` counts a repeated term each time it is named (it
         drives the latency model); ``columns`` holds each distinct term
-        with a non-zero idf once."""
-        postings = self._postings
-        global_idf = self.global_idf
+        with a non-zero idf once, its postings sliced from the flat
+        arrays."""
+        ids = self._ids
+        idf = self._idf
+        offsets = self._offsets
+        doc_ids = self._doc_ids
+        weights = self._weights
         scanned = 0
         # distinct terms in the order given, never set order: float
         # addition does not associate, so with three or more terms an
         # order that varies with PYTHONHASHSEED would vary the scores
-        columns: Dict[str, Column] = {}
+        columns: Dict[int, Column] = {}
         for term in terms:
-            entry = postings.get(term)
-            if entry is None:
+            term_id = ids.get(term)
+            if term_id is None:
                 continue
-            scanned += len(entry[0])
-            if term in columns:
+            start = offsets[term_id]
+            end = offsets[term_id + 1]
+            if start == end:
                 continue
-            if global_idf is None:
-                idf = math.log(
-                    1.0 + self.total_corpus_size / len(entry[0]))
-            else:
-                idf = global_idf.get(term, 0.0)
-            if idf != 0.0:
-                columns[term] = (idf, *entry)
+            scanned += end - start
+            if term_id in columns:
+                continue
+            term_idf = idf[term_id]
+            if term_idf != 0.0:
+                columns[term_id] = (term_idf, doc_ids[start:end],
+                                    weights[start:end])
         return scanned, list(columns.values())
 
     def rank(self, terms: Sequence[str], k: int = 10) -> List[Ranked]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.hotbot.documents import Corpus, Document
-from repro.hotbot.index import InvertedIndex, idf_table
+from repro.hotbot.index import InvertedIndex, Vocabulary, idf_table
 from repro.sim.rng import Stream
 
 
@@ -48,6 +48,9 @@ class PartitionMap:
                 df[term] = df.get(term, 0) + 1
         #: term -> idf under ``global_df``, written here and nowhere else
         self.global_idf = idf_table(len(corpus), df)
+        #: the same terms numbered, with their idfs by number: what every
+        #: index this map builds groups its postings by and reads idf from
+        self.vocabulary = Vocabulary.of(self.global_idf)
 
     def documents_in(self, partition: int) -> List[Document]:
         return list(self._members[partition])
@@ -59,8 +62,9 @@ class PartitionMap:
         """The partition's local index (global statistics for mergeable
         scores)."""
         index = InvertedIndex(total_corpus_size=len(self.corpus))
-        # shared: the constructor would derive the table again
+        # shared: the constructor and the build would derive them again
         index.global_idf = self.global_idf
+        index.vocabulary = self.vocabulary
         return index.add_all(self._members[partition])
 
     def coverage_without(self, failed: Sequence[int]) -> float:

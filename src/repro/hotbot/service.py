@@ -63,7 +63,8 @@ class HotBotConfig:
         counts = ("n_workers", "n_docs", "top_k", "frontend_threads")
         for name, value in vars(self).items():
             floor = 1 if name in counts else 0
-            if name != "failure_mode" and value < floor:
+            # `not >=`, so NaN is refused here and not mid-run
+            if name != "failure_mode" and not value >= floor:
                 raise ValueError(f"{name} must be >= {floor}")
 
 

@@ -1,7 +1,8 @@
 """The HotBot deployment build against its one-at-a-time references.
 
 `Corpus` draws a document's ranks in one batch, `PartitionMap` groups
-documents once, `InvertedIndex.add_all` fills postings in one loop.
+documents once, `InvertedIndex.add_all` collects postings in one loop
+and packs them into one flat column pair.
 None of that may change what gets built: not a document, not a
 posting, not a position of the random stream.  The per-draw generator
 lives on here and the per-document, tuple-postings index in
@@ -16,7 +17,7 @@ import tracemalloc
 import pytest
 
 from repro.hotbot.documents import Corpus, Document
-from repro.hotbot.index import InvertedIndex
+from repro.hotbot.index import InvertedIndex, Vocabulary
 from repro.hotbot.partition import PartitionMap
 from repro.hotbot.service import HotBot, HotBotConfig
 from repro.sim.rng import RandomStreams
@@ -120,6 +121,37 @@ def test_corpus_footprint_stays_in_budget():
     assert per_document <= CORPUS_BYTES_PER_DOCUMENT, per_document
 
 
+#: bytes a 16-partition deployment's indexes may hold per posting, the
+#: partition map's own tables — the shared vocabulary among them, once —
+#: included.  Flat columns over one vocabulary take about 15.5; a pair
+#: of arrays per (partition, term) took 55.
+INDEX_BYTES_PER_POSTING = 20
+
+
+def test_index_footprint_stays_in_budget():
+    """Each node holds its partition's index for the deployment's whole
+    life, so the bytes per posting decide how much corpus a node can
+    carry: defended as a count, like the corpus."""
+    corpus = Corpus(n_docs=4000, seed=1997)
+    postings = sum(len(document.term_names) for document in corpus)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        partition_map = PartitionMap(corpus, [1.0] * 16,
+                                     RandomStreams(1997).stream("partition"))
+        indexes = [partition_map.build_index(partition)
+                   for partition in range(16)]
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(index.lookup(list(partition_map.global_df))[0]
+               for index in indexes) == postings
+    per_posting = (after - before) / postings
+    assert per_posting <= INDEX_BYTES_PER_POSTING, per_posting
+
+
 # -- index -----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -147,12 +179,10 @@ def reference_held(documents, corpus_size, global_df=None):
 
 
 def test_add_all_equals_repeated_add(corpus):
+    """One bulk build holds what the reference's add per document
+    does."""
     bulk = InvertedIndex(total_corpus_size=len(corpus)).add_all(corpus)
-    single = InvertedIndex(total_corpus_size=len(corpus))
-    for document in corpus:
-        single.add(document)
-    assert held(bulk) == held(single) \
-        == reference_held(corpus.documents, len(corpus))
+    assert held(bulk) == reference_held(corpus.documents, len(corpus))
     assert bulk.n_terms > 100
 
 
@@ -164,34 +194,39 @@ def test_add_all_takes_any_iterable_and_returns_the_index(corpus):
 
 def test_duplicate_document_still_raises(corpus):
     first, second = corpus.documents[:2]
-    index = InvertedIndex(total_corpus_size=len(corpus)).add_all([first])
+    index = InvertedIndex(total_corpus_size=len(corpus))
     with pytest.raises(ValueError, match="duplicate document 0"):
-        index.add(first)
-    with pytest.raises(ValueError, match="duplicate document 0"):
-        index.add_all([second, first])
-    # as before, what preceded the duplicate is indexed
+        index.add_all([first, second, first])
+    # nothing is indexed before the whole batch is known to be sound,
+    # so the same index can still be built, once
+    assert (index.n_documents, index.lookup(["w1"])) == (0, (0, []))
+    index.add_all([first, second])
     assert held(index) == reference_held([first, second], len(corpus))
+    with pytest.raises(ValueError, match="built once"):
+        index.add_all([corpus.documents[2]])
 
 
 def test_remove_and_add_after_a_bulk_build_stay_consistent(
         corpus, partition_map):
+    """Without an update path, dropping a document and taking it back
+    are rebuilds; each equals the reference after `remove` / `add`."""
     # corpus-wide statistics, so removing a document moves no idf
-    index = InvertedIndex(total_corpus_size=len(corpus),
-                          global_df=partition_map.global_df).add_all(corpus)
+    global_df = partition_map.global_df
+    index = InvertedIndex(len(corpus), global_df).add_all(corpus)
     query = ["w3", "w17", "w40"]
     before = index.query(query, k=len(corpus))
     victim = corpus.documents[before[0].doc_id]
+    reference = ReferenceIndex(len(corpus), global_df).add_all(corpus)
 
-    assert index.remove(victim.doc_id)
-    assert not index.remove(victim.doc_id)
+    assert reference.remove(victim.doc_id)
     others = [document for document in corpus if document is not victim]
-    assert held(index) == reference_held(
-        others, len(corpus), partition_map.global_df)
+    index = InvertedIndex(len(corpus), global_df).add_all(others)
+    assert held(index) == held(reference)
     assert index.query(query, k=len(corpus)) == before[1:]
 
-    index.add(victim)
-    assert held(index) == reference_held(
-        others + [victim], len(corpus), partition_map.global_df)
+    reference.add(victim)
+    index = InvertedIndex(len(corpus), global_df).add_all(others + [victim])
+    assert held(index) == held(reference)
     assert index.query(query, k=len(corpus)) == before
     assert index.lookup(query)[0] == sum(
         1 for document in corpus for term in query if document.tf(term))
@@ -234,6 +269,10 @@ def test_idf_table_is_written_once_and_equals_a_stand_alone_derivation(
         == {term: idf.hex()
             for term, idf in partition_map.global_idf.items()}
     assert set(alone.global_idf) == set(partition_map.global_df)
+    ids, idf = partition_map.vocabulary
+    assert {term: idf[term_id].hex() for term, term_id in ids.items()} \
+        == {term: value.hex()
+            for term, value in partition_map.global_idf.items()}
     assert InvertedIndex(len(corpus)).global_idf is None
     assert InvertedIndex(9, {"w1": 0, "w2": 3}).global_idf \
         == {"w2": ReferenceIndex(9, {"w2": 3}).idf("w2")}
@@ -246,6 +285,17 @@ def test_build_index_holds_exactly_the_partition(corpus, partition_map):
             partition_map.documents_in(partition), len(corpus),
             partition_map.global_df)
         assert index.global_idf is partition_map.global_idf
+        assert index.vocabulary is partition_map.vocabulary
+
+
+def test_a_term_outside_a_shared_vocabulary_raises(corpus):
+    """A shared vocabulary names every term its corpus has; a document
+    with another is refused, not indexed without the postings."""
+    index = InvertedIndex(total_corpus_size=len(corpus))
+    index.vocabulary = Vocabulary.of({"w1": 1.5})
+    with pytest.raises(ValueError, match="outside the vocabulary"):
+        index.add_all([Document(0, "http://d/0", (("w1", 1), ("w2", 1)))])
+    assert index.n_documents == 0
 
 
 def test_fast_restart_rebuilds_an_index_that_answers_identically():

@@ -1,5 +1,6 @@
 """Tests for the corpus, inverted index, and partitioning."""
 
+import math
 import os
 import subprocess
 import sys
@@ -106,19 +107,25 @@ def test_rare_terms_outweigh_common(index, corpus):
 
 
 def test_duplicate_add_rejected(index, corpus):
-    with pytest.raises(ValueError):
-        index.add(corpus.documents[0])
+    with pytest.raises(ValueError, match="duplicate document 0"):
+        InvertedIndex(len(corpus)).add_all([corpus.documents[0]] * 2)
+    with pytest.raises(ValueError, match="built once"):
+        index.add_all([corpus.documents[0]])
 
 
 def test_remove_document():
+    """An index is immutable: a document is removed by building without
+    it, which leaves what the reference holds after `remove`."""
     corpus = Corpus(n_docs=10, seed=2)
-    index = InvertedIndex(total_corpus_size=10).add_all(corpus)
     target = corpus.documents[0]
-    assert index.remove(target.doc_id)
-    assert not index.remove(target.doc_id)
+    index = InvertedIndex(total_corpus_size=10).add_all(corpus.documents[1:])
+    reference = ReferenceIndex(10).add_all(corpus)
+    assert reference.remove(target.doc_id)
     assert index.n_documents == 9
     for hits in [index.query([t], k=10) for t, _ in target.terms[:3]]:
         assert all(hit.doc_id != target.doc_id for hit in hits)
+    vocabulary = [f"w{rank}" for rank in range(corpus.vocabulary_size)]
+    assert contents(index, vocabulary) == contents(reference, vocabulary)
 
 
 HASH_SEED_PROBE = """
@@ -216,12 +223,12 @@ def test_query_equals_naive_full_sort(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_remove_then_add_equals_the_reference(seed):
-    """The arrays are the storage, not a cache beside it: removing and
-    re-adding documents after a bulk build leaves exactly what the
-    reference holds, emptied terms included."""
+    """Repartitioning rebuilds: the reference removes documents and
+    re-adds some in place, and an index built from what it then holds,
+    in the same order, holds exactly the same — emptied terms
+    included."""
     corpus = tie_prone_corpus(seed)
     global_df = df_of(corpus)  # corpus-wide, so no idf moves
-    index = InvertedIndex(len(corpus), global_df).add_all(corpus)
     reference = ReferenceIndex(len(corpus), global_df).add_all(corpus)
     rng = RandomStreams(seed).stream("churn")
     vocabulary = [f"w{rank}" for rank in range(corpus.vocabulary_size)]
@@ -232,15 +239,20 @@ def test_remove_then_add_equals_the_reference(seed):
     victims += [corpus.documents[rng.randint(0, len(corpus) - 1)]
                 for _ in range(30)]
     victims.append(victims[0])
-    for victim in victims:
-        assert index.remove(victim.doc_id) \
-            == reference.remove(victim.doc_id)
+    removed = [reference.remove(victim.doc_id) for victim in victims]
+    assert removed[0] and not removed[-1]
+    gone = {victim.doc_id for victim in victims}
+    survivors = [document for document in corpus
+                 if document.doc_id not in gone]
+    index = InvertedIndex(len(corpus), global_df).add_all(survivors)
     assert index.n_terms < len(global_df)
     assert index.lookup([rarest]) == (0, [])
     assert contents(index, vocabulary) == contents(reference, vocabulary)
-    for victim in dict.fromkeys(victims[:-10]):
-        index.add(victim)
+    returned = list(dict.fromkeys(victims[:-10]))
+    for victim in returned:
         reference.add(victim)
+    index = InvertedIndex(len(corpus), global_df).add_all(
+        survivors + returned)
     assert contents(index, vocabulary) == contents(reference, vocabulary)
     for terms in query_mix(corpus, rng, 12):
         assert_same_answers(index, reference, terms, len(corpus))
@@ -299,6 +311,87 @@ def test_lookup_then_rank_columns_equals_the_reference(
         assert [(doc_id, (-negated).hex()) for negated, doc_id in ranked] \
             == [(doc_id, score.hex()) for doc_id, _, score in expected]
         assert index.rank(terms, k) == ranked
+
+
+SOLO = "w-solo"
+mixed_queries = st.lists(
+    st.sampled_from(SMALL_VOCABULARY + [SOLO, "no-such-term"]),
+    min_size=1, max_size=5)
+
+
+def column_bits(columns):
+    """Fetched columns, floats spelled to the bit."""
+    return [(idf.hex(), list(doc_ids), [weight.hex() for weight in weights])
+            for idf, doc_ids, weights in columns]
+
+
+def reference_columns(reference, terms):
+    """What the reference says a fetch of ``terms`` returns: each
+    distinct term it holds postings for and scores, once."""
+    return [(reference.idf(term).hex(),
+             [doc_id for doc_id, _ in reference.postings[term]],
+             [(1.0 + math.log(frequency)).hex()
+              for _, frequency in reference.postings[term]])
+            for term in dict.fromkeys(terms)
+            if term in reference.postings and reference.idf(term) != 0.0]
+
+
+def assert_flat_equals_reference(index, reference, queries):
+    """`contents()`, every fetch and every ranking, to the bit."""
+    vocabulary = SMALL_VOCABULARY + [SOLO, "no-such-term"]
+    assert contents(index, vocabulary) == contents(reference, vocabulary)
+    for terms in queries:
+        scanned, columns = index.lookup(terms)
+        assert scanned == reference.postings_scanned(terms)
+        assert column_bits(columns) == reference_columns(reference, terms)
+        for k in (1, 3, max(1, reference.n_documents)):
+            assert [(doc_id, (-negated).hex())
+                    for negated, doc_id in index.rank(terms, k)] \
+                == [(doc_id, score.hex())
+                    for doc_id, _, score in reference.query(terms, k)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors=small_documents,
+       weights=st.lists(st.floats(0.25, 4.0), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16), queries=st.lists(
+           mixed_queries, min_size=1, max_size=4),
+       forgotten=st.sampled_from(SMALL_VOCABULARY))
+def test_flat_indexes_equal_the_reference(vectors, weights, seed, queries,
+                                          forgotten):
+    """Every index over a shared vocabulary — one per partition, an
+    empty one and the only holder of a term among them — and a
+    stand-alone index that derives its own, under local idf and under
+    corpus-wide idf with a term forgotten, hold and answer what the
+    tuple-postings reference does."""
+    corpus = [Document(doc_id, f"http://d/{doc_id}",
+                       tuple(sorted(vector.items())))
+              for doc_id, vector in enumerate(vectors)]
+    corpus.append(Document(len(corpus), "http://d/solo", ((SOLO, 2),)))
+    # first and of weight ~0, so no lottery draw short of exactly 0.0
+    # lands there: a partition with no documents
+    partition_map = PartitionMap(corpus, [1e-300] + weights,
+                                 RandomStreams(seed).stream("pm"))
+    assert partition_map.partition_sizes()[0] == 0
+    indexes, references = [], []
+    for partition in range(partition_map.n_partitions):
+        indexes.append(partition_map.build_index(partition))
+        references.append(
+            ReferenceIndex(len(corpus), partition_map.global_df).add_all(
+                partition_map.documents_in(partition)))
+        assert_flat_equals_reference(indexes[-1], references[-1], queries)
+    assert sum(index.lookup([SOLO])[0] > 0 for index in indexes) == 1
+    for terms in queries:
+        assert collate([index.rank(terms, 4) for index in indexes], 4) \
+            == as_ranked(reference_merge(
+                [reference.query(terms, 4) for reference in references], 4))
+
+    global_df = df_of(corpus)
+    global_df.pop(forgotten, None)
+    for df in (None, global_df):
+        assert_flat_equals_reference(
+            InvertedIndex(len(corpus), df).add_all(corpus),
+            ReferenceIndex(len(corpus), df).add_all(corpus), queries)
 
 
 def test_a_repeated_term_is_scanned_twice_and_scored_once(index):

@@ -1,6 +1,9 @@
 """Tests for the HotBot cluster service: scatter-gather, degradation,
 fast restart, cross-mounting, and the ACID database."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.hotbot.service import HotBot, HotBotConfig
@@ -190,6 +193,20 @@ def test_bare_string_query_is_refused():
     ("failure_mode", "fast_restart"),
 ])
 def test_config_rejects_bad_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        HotBotConfig(**{field: value})
+
+
+FLOAT_FIELDS = [field.name for field in dataclasses.fields(HotBotConfig)
+                if isinstance(field.default, float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_config_rejects_nan_and_minus_infinity_naming_the_field(field,
+                                                                value):
+    """NaN compares false with any floor, so a `value < floor` check let
+    it through and the run died mid-simulation on a NaN delay."""
     with pytest.raises(ValueError, match=field):
         HotBotConfig(**{field: value})
 

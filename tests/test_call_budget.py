@@ -48,12 +48,16 @@ SCALE = 0.05
 #: its `_detach`): 307.2 / 294.7 / 544.4 / 1627.2 before it.
 #: `transend_mix` was brought down again by the cache layer's pass
 #: (membership by event, one placement hash per key, bound latency
-#: draws; DESIGN.md 5l), from 512.8.
+#: draws; DESIGN.md 5l), from 512.8.  `hotbot_scatter` was brought
+#: down again by the flat index (DESIGN.md §5): a leg's fetch reads a
+#: term's id and two offsets, not a `dict.get` for its postings, a
+#: `len` of them and a `global_idf.get`, from 1608.8 (1959.8 before
+#: the columns and pairs).
 RECORDED = {
     "jpeg_dispatch": (396.1, 286.5),
     "overload_ramp": (376.4, 276.8),
     "transend_mix": (512.8, 478.6),
-    "hotbot_scatter": (1959.8, 1608.8),
+    "hotbot_scatter": (1608.8, 1556.0),
 }
 #: what a Python version may add to the recorded figure
 HEAD_ROOM = 1.03
@@ -331,18 +335,18 @@ TRANSEND_MIX_CALLEES = {
 #: (a query the recent-searches cache answers scatters none of its 16)
 #: and 10 result objects, one page's worth.
 HOTBOT_SCATTER_CALLEES = {
-    "~:<method 'get' of 'dict' objects>": 239.60,
+    "~:<method 'get' of 'dict' objects>": 213.22,
     "~:<method 'append' of 'list' objects>": 132.71,
     "repro/sim/kernel.py:__init__": 127.24,
     "~:<method 'append' of 'collections.deque' objects>": 115.65,
     "~:<method 'popleft' of 'collections.deque' objects>": 115.63,
     "repro/sim/kernel.py:_resume": 82.55,
     "~:<method 'send' of 'generator' objects>": 82.55,
-    "~:<built-in method builtins.len>": 63.08,
     "repro/sim/kernel.py:succeed": 48.22,
     "repro/hotbot/service.py:_service_loop": 45.36,
     "repro/sim/node.py:compute": 45.28,
     "~:<built-in method builtins.isinstance>": 42.92,
+    "~:<built-in method builtins.len>": 36.69,
     "~:<built-in method _heapq.heappush>": 34.18,
     "~:<built-in method _heapq.heappop>": 32.24,
     "repro/sim/kernel.py:get": 31.27,
@@ -401,8 +405,8 @@ HOTBOT_SCATTER_CALLEES = {
     "repro/sim/kernel.py:all_of": 0.94,
     "~:<built-in method builtins.sum>": 0.94,
     "~:<method 'pop' of 'collections.OrderedDict' objects>": 0.94,
-    "~:<built-in method time.perf_counter>": 0.32,
-    "benchmarks/stack/harness.py:__call__": 0.32,
+    "~:<built-in method time.perf_counter>": 0.34,
+    "benchmarks/stack/harness.py:__call__": 0.33,
 }
 
 #: the tables a failure is explained against
