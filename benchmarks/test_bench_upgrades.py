@@ -2,8 +2,8 @@
 under load, service continuously available (Section 1.2)."""
 
 from benchmarks.conftest import run_once
+from repro.chaos.campaign import Faults, RollingUpgrade
 from repro.core.config import SNSConfig
-from repro.core.upgrades import HotUpgrade
 from repro.experiments._harness import build_bench_fabric, jpeg_pool
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
@@ -25,12 +25,13 @@ def test_rolling_upgrade_availability(benchmark):
         pool = jpeg_pool(30)
         fabric.cluster.env.process(
             engine.constant_rate(15.0, 200.0, pool))
-        upgrade = HotUpgrade(fabric, hold_s=4.0, settle_s=8.0)
-        fabric.cluster.env.process(upgrade.rolling())
+        faults = Faults(fabric)
+        faults.arm((RollingUpgrade(at=2.0, nodes=tuple(
+            node.name for node in fabric.cluster.dedicated_nodes)),))
         fabric.cluster.run(until=280.0)
-        return fabric, engine, upgrade
+        return fabric, engine, faults
 
-    fabric, engine, upgrade = run_once(benchmark, scenario)
+    fabric, engine, faults = run_once(benchmark, scenario)
     total = len(engine.outcomes)
     ok = len(engine.completed())
     fallbacks = sum(1 for outcome in engine.completed()
@@ -38,8 +39,8 @@ def test_rolling_upgrade_availability(benchmark):
                     "fallback")
     print(f"\nrolling upgrade of {len(fabric.cluster.dedicated_nodes)} "
           f"nodes under 15 req/s:")
-    for time, message in upgrade.log:
-        print(f"  t={time:6.1f}s  {message}")
+    for record in faults.timeline:
+        print(f"  t={record.time:6.1f}s  {record.kind} {record.target}")
     print(f"availability: {ok}/{total} answered "
           f"({fallbacks} approximate)")
     benchmark.extra_info["availability"] = round(ok / total, 4)

@@ -13,8 +13,8 @@ operator.
 Run:  python examples/hot_upgrade.py
 """
 
+from repro.chaos.campaign import Faults, RollingUpgrade
 from repro.core.config import SNSConfig
-from repro.core.upgrades import HotUpgrade
 from repro.experiments._harness import build_bench_fabric, jpeg_pool
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
@@ -33,13 +33,16 @@ def main() -> None:
     pool = jpeg_pool(30, host="site")
     fabric.cluster.env.process(engine.constant_rate(15.0, 160.0, pool))
 
-    upgrade = HotUpgrade(fabric, hold_s=4.0, settle_s=8.0)
-    fabric.cluster.env.process(upgrade.rolling())
+    # every dedicated node in turn: down 4 s for the new software, then
+    # 8 s for its peers to settle before the next one goes
+    faults = Faults(fabric)
+    faults.arm((RollingUpgrade(at=2.0, nodes=tuple(
+        node.name for node in fabric.cluster.dedicated_nodes)),))
     fabric.cluster.run(until=220.0)
 
     print("rolling upgrade timeline:")
-    for time, message in upgrade.log:
-        print(f"  t={time:6.1f}s  {message}")
+    for record in faults.timeline:
+        print(f"  t={record.time:6.1f}s  {record.kind} {record.target}")
     ok = len(engine.completed())
     total = len(engine.outcomes)
     print(f"\navailability through the whole upgrade: {ok}/{total} "

@@ -8,8 +8,10 @@ the claim under the regimes that actually break cluster systems: lost
 beacons, dropped load reports, duplicated datagrams, delay jitter,
 slow-but-not-dead nodes, and overlapping fault sequences.
 
-* :mod:`repro.chaos.campaign` — a composable fault-campaign layer that
-  schedules sequences and mixes of faults against a running fabric;
+* :mod:`repro.chaos.campaign` — the fault table (one frozen row per
+  fault kind, fired through :class:`~repro.chaos.campaign.Faults` on
+  any fabric) and the campaigns that schedule sequences and mixes of
+  rows against a running one;
 * :mod:`repro.chaos.invariants` — an online checker asserting the
   paper's soft-state guarantees during and after each campaign;
 * :mod:`repro.chaos.report` — harvest/yield availability accounting
@@ -28,10 +30,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "batch": ("CampaignBatchReport", "batch_seeds", "run_campaign_batch"),
     "campaign": (
         "CAMPAIGNS", "AsymmetricLink", "Campaign", "CampaignRunner",
-        "CrashWorkerNode", "GrayBrick", "GrayWorker", "KillBrick",
-        "KillManager", "KillWorker", "LossyWindow", "PartitionSAN",
-        "PartitionWorker", "RollingKills", "Straggle", "get_campaign",
-        "run_campaign"),
+        "CrashWorkerNode", "Faults", "GrayBrick", "GrayWorker", "KillBrick",
+        "KillFrontEnd", "KillManager", "KillWorker", "LossyWindow",
+        "PartitionSAN", "PartitionWorker", "RandomKills", "RollingKills",
+        "RollingUpgrade", "Straggle", "get_campaign", "run_campaign"),
     "invariants": ("InvariantChecker", "InvariantViolation"),
     "report": ("ChaosReport",),
 })
@@ -46,17 +48,21 @@ __all__ = [
     "run_campaign_batch",
     "AsymmetricLink",
     "CrashWorkerNode",
+    "Faults",
     "GrayBrick",
     "GrayWorker",
     "InvariantChecker",
     "InvariantViolation",
     "KillBrick",
+    "KillFrontEnd",
     "KillManager",
     "KillWorker",
     "LossyWindow",
     "PartitionSAN",
     "PartitionWorker",
+    "RandomKills",
     "RollingKills",
+    "RollingUpgrade",
     "Straggle",
     "get_campaign",
     "run_campaign",

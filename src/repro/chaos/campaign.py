@@ -6,14 +6,17 @@ fault *actions*, each pinned to a simulated time — that the
 while the :class:`~repro.chaos.invariants.InvariantChecker` watches.
 Actions compose freely: clean kills and node crash-restart loops (the
 paper's Section 4.5 faults) mix with the lossy-SAN fault model's
-message loss, duplication, and delay jitter, straggler nodes, and
-rolling kill loops, so overlapping fault sequences — the regime the
-paper never measured — are one tuple literal away.
+message loss, duplication, and delay jitter, straggler nodes, rolling
+and random kill loops and rolling upgrades, so overlapping fault
+sequences — the regime the paper never measured — are one tuple
+literal away.
 
 A fault kind is one frozen dataclass: :meth:`Fault.check` refuses a bad
 field before any fabric is built, and ``fire`` injects it at ``at`` on
-a target resolved then.  The presets are data (:data:`CAMPAIGNS`);
-``python -m repro chaos <name>`` runs one.
+a target resolved then.  Rows fire through :class:`Faults`, which any
+SNS fabric can carry: this is the one way the repository breaks things,
+whether a campaign, an experiment or a hot upgrade asks.  The presets
+are data (:data:`CAMPAIGNS`); ``python -m repro chaos <name>`` runs one.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field
-from typing import (Any, Callable, ClassVar, Dict, List, Mapping, Optional,
-                    Tuple)
+from typing import (Any, Callable, ClassVar, Dict, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.report import ChaosReport, build_report
@@ -33,8 +36,8 @@ from repro.experiments._harness import (SINGLE_REPLAY_PER_TXN_S,
 from repro.recovery.gray import GrayState
 from repro.recovery.ledger import RecoveryLedger
 from repro.recovery.policy import RecoveryPolicy
-from repro.sim.failures import FaultInjector, FaultRecord
-from repro.sim.network import ANY_SCOPE, CHANNEL_SCOPE, FaultWindow
+from repro.sim.network import (ANY_SCOPE, CHANNEL_SCOPE, FaultWindow,
+                               NetworkFaults)
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
 from repro.workload.trace import TraceRecord
@@ -52,6 +55,11 @@ BRICK_SLOW_FACTOR = 8.0
 LEAK_RATE_PER_S = 0.5
 #: seconds between the kills of a :class:`RollingKills` loop.
 ROLLING_KILL_PERIOD_S = 4.5
+#: a :class:`RollingUpgrade` keeps each node down this long (the new
+#: software goes on), then gives its peers this long to re-converge
+#: before the next node goes.
+UPGRADE_HOLD_S = 4.0
+UPGRADE_SETTLE_S = 8.0
 
 #: gray mode (also its timeline and ledger kind) -> how it switches a
 #: worker's :class:`GrayState` on at ``now``.
@@ -85,15 +93,107 @@ def parse_node_spec(spec: str) -> Tuple[str, int]:
     return ("manager" if spec == "manager" else "node"), 0
 
 
+class FaultRecord(NamedTuple):
+    """One entry of a fault timeline."""
+
+    time: float
+    kind: str
+    target: str
+
+
+class Faults:
+    """Where fault rows fire: one SNS fabric, its clock, the fault
+    timeline and the recovery ledger.
+
+    Any :class:`~repro.core.fabric.SNSFabric` can carry one.  The
+    campaign runner holds one; an experiment that breaks things arms its
+    rows through its own and reads the same timeline and ledger.
+    Targets resolve when a row fires, because populations churn.
+    """
+
+    def __init__(self, fabric: Any) -> None:
+        self.fabric = fabric
+        self.cluster = fabric.cluster
+        self.env = fabric.cluster.env
+        self.timeline: List[FaultRecord] = []
+        self.ledger = RecoveryLedger(self.env)
+        if fabric.profile_bricks is not None:
+            # rejoin records flow into the same ledger the report reads
+            fabric.profile_bricks.ledger = self.ledger
+
+    def arm(self, rows: Sequence["Fault"]) -> None:
+        """Arm ``rows`` in order.  A row that fails its check, or whose
+        ``at`` is already past, is refused with a ValueError naming it
+        before any row is armed."""
+        now = self.env.now
+        for row in rows:
+            try:
+                row.check()
+            except ValueError as error:
+                raise ValueError(f"{row!r}: {error}") from None
+            if row.at < now:
+                raise ValueError(f"{row!r}: at={row.at!r} is before now "
+                                 f"({now}s)")
+        for row in rows:
+            row.arm(self)
+
+    def at(self, time: float, fire: Callable[[], None]) -> None:
+        """Call ``fire`` at ``time`` (not before now)."""
+        def later():
+            yield self.env.timeout(time - self.env.now)
+            fire()
+        self.env.process(later())
+
+    def network_faults(self) -> NetworkFaults:
+        """The lossy-SAN fault model, installed on first use."""
+        return self.cluster.network.install_faults(
+            self.cluster.streams.stream("chaos:netfaults"))
+
+    def alive_workers(self) -> List[Any]:
+        return sorted(self.fabric.alive_workers(), key=lambda stub: stub.name)
+
+    def alive_frontends(self) -> List[Any]:
+        return sorted(self.fabric.alive_frontends(), key=lambda fe: fe.name)
+
+    def resolve(self, spec: str) -> Optional[str]:
+        """Turn a symbolic node spec into a node name at fire time."""
+        kind, index = parse_node_spec(spec)
+        if kind == "node":
+            return spec
+        if kind == "manager":
+            manager = self.fabric.manager
+            if manager is None and self.fabric.manager_group is not None:
+                group = self.fabric.manager_group
+                manager = group.leader or group.replicas[0]
+            return manager.node.name if manager is not None else None
+        peers = (self.alive_workers() if kind == "worker"
+                 else self.alive_frontends())
+        return peers[index % len(peers)].node.name if peers else None
+
+    def log(self, kind: str, target: str) -> None:
+        self.timeline.append(FaultRecord(self.env.now, kind, target))
+
+    def kill(self, target: Any) -> None:
+        """SIGKILL ``target`` (a component or a brick) and log it."""
+        target.kill()
+        self.log("kill", target.name)
+
+    def inject_gray(self, fault: Any, target: Any) -> None:
+        fault.modes[fault.mode](target.gray, self.env.now)
+        self.log(fault.kind, target.name)
+        self.ledger.inject(fault.kind, target.name)
+
+
 @dataclass(frozen=True)
 class Fault:
     """Base action: something bad happens at ``at`` seconds.
 
-    A kind defines ``fire(runner)``, called at ``at``, or overrides
-    :meth:`arm` to declare its whole window up front.  A windowed kind
-    declares a ``duration_s`` field *with a default* (else the ``None``
-    below becomes it) and heals at ``at + duration_s``; an instant kind
-    (kills, gray failures) has none and heals at ``at``.
+    A kind defines ``fire(faults)``, called at ``at``, or overrides
+    :meth:`arm` to declare its whole window up front or to run a loop.
+    A windowed kind declares a ``duration_s`` field *with a default*
+    (else the ``None`` below becomes it), or derives one, and heals at
+    ``at + duration_s``; an instant kind (kills, gray failures) has none
+    and heals at ``at``.
     """
 
     at: float
@@ -122,8 +222,8 @@ class Fault:
         if not ok:
             raise ValueError(f"{name}={value!r} {rule}")
 
-    def arm(self, runner: "CampaignRunner") -> None:
-        runner._at(self.at, lambda: self.fire(runner))
+    def arm(self, faults: Faults) -> None:
+        faults.at(self.at, lambda: self.fire(faults))
 
 
 @dataclass(frozen=True)
@@ -132,10 +232,10 @@ class KillWorker(Fault):
 
     kind = "kill"
 
-    def fire(self, runner: "CampaignRunner") -> None:
-        workers = runner._alive_workers()
+    def fire(self, faults: Faults) -> None:
+        workers = faults.alive_workers()
         if workers:
-            runner.injector.kill_now(workers[0])
+            faults.kill(workers[0])
 
 
 @dataclass(frozen=True)
@@ -146,10 +246,23 @@ class KillManager(Fault):
 
     kind = "kill"
 
-    def fire(self, runner: "CampaignRunner") -> None:
-        manager = runner.fabric.manager
+    def fire(self, faults: Faults) -> None:
+        manager = faults.fabric.manager
         if manager is not None and manager.alive:
-            runner.injector.kill_now(manager)
+            faults.kill(manager)
+
+
+@dataclass(frozen=True)
+class KillFrontEnd(Fault):
+    """Kill the first live front end; the manager must restart it.  The
+    last one is spared: a front end is what restarts a dead manager."""
+
+    kind = "kill"
+
+    def fire(self, faults: Faults) -> None:
+        frontends = faults.alive_frontends()
+        if len(frontends) > 1:
+            faults.kill(frontends[0])
 
 
 @dataclass(frozen=True)
@@ -160,17 +273,17 @@ class CrashWorkerNode(Fault):
     duration_s: float = 15.0
     kind = "node-crash"
 
-    def fire(self, runner: "CampaignRunner") -> None:
-        workers = runner._alive_workers()
+    def fire(self, faults: Faults) -> None:
+        workers = faults.alive_workers()
         if not workers:
             return
         node = workers[0].node
         node.crash()
-        runner._log(self.kind, node.name)
-        for stub in list(runner.fabric.workers.values()):
+        faults.log(self.kind, node.name)
+        for stub in list(faults.fabric.workers.values()):
             if stub.alive and stub.node is node:
-                runner.injector.kill_now(stub)
-        runner._at(runner.env.now + self.duration_s, node.restart)
+                faults.kill(stub)
+        faults.at(faults.env.now + self.duration_s, node.restart)
 
 
 @dataclass(frozen=True)
@@ -182,11 +295,16 @@ class PartitionWorker(Fault):
     kind = "partition"
     reregisters = True
 
-    def fire(self, runner: "CampaignRunner") -> None:
-        workers = runner._alive_workers()
+    def fire(self, faults: Faults) -> None:
+        workers = faults.alive_workers()
         if workers:
-            runner.injector.partition_at(runner.env.now, workers[0],
-                                         self.duration_s)
+            # the cut lands behind whatever else is due this instant
+            faults.at(faults.env.now,
+                      lambda: self._cut(faults, workers[0]))
+
+    def _cut(self, faults: Faults, victim: Any) -> None:
+        victim.partition(self.duration_s)
+        faults.log(self.kind, victim.name)
 
 
 @dataclass(frozen=True)
@@ -215,14 +333,13 @@ class PartitionSAN(Fault):
         for spec in self.isolate:
             parse_node_spec(spec)
 
-    def fire(self, runner: "CampaignRunner") -> None:
-        partitions = runner.cluster.install_partitions()
+    def fire(self, faults: Faults) -> None:
+        partitions = faults.cluster.install_partitions()
         groups = {name: "isolated" for name in
-                  map(runner._resolve_node_spec, self.isolate)
-                  if name is not None}
+                  map(faults.resolve, self.isolate) if name is not None}
         if groups:
             partitions.split(groups, duration_s=self.duration_s)
-            runner._log(self.kind, "+".join(sorted(groups)))
+            faults.log(self.kind, "+".join(sorted(groups)))
 
 
 @dataclass(frozen=True)
@@ -246,14 +363,14 @@ class AsymmetricLink(Fault):
         parse_node_spec(self.src)
         parse_node_spec(self.dst)
 
-    def fire(self, runner: "CampaignRunner") -> None:
-        partitions = runner.cluster.install_partitions()
-        src = runner._resolve_node_spec(self.src)
-        dst = runner._resolve_node_spec(self.dst)
+    def fire(self, faults: Faults) -> None:
+        partitions = faults.cluster.install_partitions()
+        src = faults.resolve(self.src)
+        dst = faults.resolve(self.dst)
         if src is None or dst is None or src == dst:
             return
         partitions.one_way(src, dst, duration_s=self.duration_s)
-        runner._log(self.kind, f"{src}->{dst}")
+        faults.log(self.kind, f"{src}->{dst}")
 
 
 @dataclass(frozen=True)
@@ -279,9 +396,9 @@ class LossyWindow(Fault):
                       or self.jitter_s > 0, "loss", self.loss,
                       "with no duplicate or jitter_s imposes nothing")
 
-    def arm(self, runner: "CampaignRunner") -> None:
+    def arm(self, faults: Faults) -> None:
         # a declared window: no process, nothing resolved at fire time
-        runner.faults.impose(
+        faults.network_faults().impose(
             scope=self.scope, loss=self.loss, duplicate=self.duplicate,
             jitter_s=self.jitter_s, start=self.at,
             duration_s=self.duration_s)
@@ -301,13 +418,12 @@ class Straggle(Fault):
         self._require(0.0 < self.factor < 1.0, "factor", self.factor,
                       "must be in (0, 1)")
 
-    def fire(self, runner: "CampaignRunner") -> None:
-        workers = runner._alive_workers()
+    def fire(self, faults: Faults) -> None:
+        workers = faults.alive_workers()
         if workers:
             node = workers[-1].node
             node.degrade(self.factor)
-            runner._at(runner.env.now + self.duration_s,
-                       node.recover_speed)
+            faults.at(faults.env.now + self.duration_s, node.recover_speed)
 
 
 @dataclass(frozen=True)
@@ -324,10 +440,129 @@ class RollingKills(Fault):
         self._require(self.duration_s >= ROLLING_KILL_PERIOD_S, "duration_s",
                       self.duration_s, "must cover one kill period")
 
-    def arm(self, runner: "CampaignRunner") -> None:
-        runner.injector.rolling_kills(
-            runner._alive_workers, start=self.at,
-            period_s=ROLLING_KILL_PERIOD_S, stop_at=self.heals_at)
+    def arm(self, faults: Faults) -> None:
+        faults.env.process(self._loop(faults))
+
+    def _loop(self, faults: Faults):
+        env = faults.env
+        yield env.timeout(self.at - env.now)
+        index = 0
+        while env.now + ROLLING_KILL_PERIOD_S <= self.heals_at:
+            yield env.timeout(ROLLING_KILL_PERIOD_S)
+            workers = faults.alive_workers()
+            if workers:
+                # round-robin, not random: reproducible without an RNG
+                faults.kill(workers[index % len(workers)])
+                index += 1
+
+
+@dataclass(frozen=True)
+class RandomKills(Fault):
+    """Kill a random live worker, front end or manager every ~``mtbf_s``
+    seconds (exponential gaps) for ``duration_s`` — the soak test's
+    fault process.  Victims are drawn from whoever is alive at each
+    kill, respawned components included; the last front end is spared,
+    because a front end is what restarts a dead manager."""
+
+    duration_s: float = 60.0
+    mtbf_s: float = 15.0
+    kind = "kill"
+
+    def check(self) -> None:
+        super().check()
+        self._require(0.0 < self.mtbf_s < float("inf"), "mtbf_s",
+                      self.mtbf_s, "must be finite and > 0")
+
+    def arm(self, faults: Faults) -> None:
+        faults.env.process(self._loop(faults))
+
+    def _loop(self, faults: Faults):
+        env = faults.env
+        rng = faults.cluster.streams.stream("chaos:faults")
+        yield env.timeout(self.at - env.now)
+        while True:
+            gap = rng.exponential(self.mtbf_s)
+            if env.now + gap > self.heals_at:
+                return
+            yield env.timeout(gap)
+            victims = faults.alive_workers()
+            frontends = faults.alive_frontends()
+            if len(frontends) > 1:
+                victims += frontends
+            manager = faults.fabric.manager
+            if manager is not None and manager.alive:
+                victims.append(manager)
+            if victims:
+                faults.kill(rng.choice(victims))
+
+
+@dataclass(frozen=True)
+class RollingUpgrade(Fault):
+    """Hot upgrade (Sections 1.2, 2.1): take the nodes named by
+    ``nodes`` out one at a time.  The monitor is told the node's
+    components are in maintenance, everything on the node is killed,
+    the node stays down :data:`UPGRADE_HOLD_S` while the new software
+    goes on, comes back, and its peers get :data:`UPGRADE_SETTLE_S` to
+    re-converge before the next node goes.  Nothing restarts what was
+    killed but the ordinary process peers: hot upgrade is free once
+    crash recovery is.  ``nodes`` entries are node specs resolved when
+    their turn comes, like :class:`PartitionSAN`'s ``isolate``."""
+
+    nodes: Tuple[str, ...]
+    kind = "upgrade"
+
+    @property
+    def duration_s(self) -> float:
+        return len(self.nodes) * (UPGRADE_HOLD_S + UPGRADE_SETTLE_S)
+
+    def check(self) -> None:
+        self._require(len(self.nodes) > 0, "nodes", self.nodes,
+                      "must name a node")
+        for spec in self.nodes:
+            parse_node_spec(spec)
+        super().check()
+
+    def arm(self, faults: Faults) -> None:
+        faults.env.process(self._roll(faults))
+
+    def _roll(self, faults: Faults):
+        env, fabric = faults.env, faults.fabric
+        yield env.timeout(self.at - env.now)
+        for spec in self.nodes:
+            node = faults.cluster.nodes.get(faults.resolve(spec))
+            names: Optional[List[str]] = None
+            if node is not None and node.up:
+                victims = self._components_on(fabric, node)
+                names = [component.name for component in victims]
+                faults.log(self.kind, node.name)
+                self._maintenance(fabric.monitor, names, True)
+                for component in victims:
+                    faults.kill(component)
+                node.crash()
+            yield env.timeout(UPGRADE_HOLD_S)
+            if names is not None:
+                node.restart()
+                self._maintenance(fabric.monitor, names, False)
+            yield env.timeout(UPGRADE_SETTLE_S)
+
+    @staticmethod
+    def _components_on(fabric: Any, node: Any) -> List[Any]:
+        group = fabric.manager_group
+        everyone = [*fabric.workers.values(), *fabric.frontends.values(),
+                    fabric.manager,
+                    *(group.replicas if group is not None else ()),
+                    fabric.monitor]
+        # under consensus the manager is also one of the replicas
+        return list(dict.fromkeys(
+            component for component in everyone if component is not None
+            and component.alive and component.node is node))
+
+    @staticmethod
+    def _maintenance(monitor: Any, names: List[str], on: bool) -> None:
+        """Planned silences page nobody (Section 2.1's monitor)."""
+        if monitor is not None and monitor.alive:
+            for name in names:
+                monitor.set_maintenance(name, on)
 
 
 @dataclass(frozen=True)
@@ -353,12 +588,12 @@ class GrayWorker(Fault):
                       f"must be one of {sorted(self.modes)}")
         self._require(self.victim >= 0, "victim", self.victim, "must be >= 0")
 
-    def fire(self, runner: "CampaignRunner") -> None:
-        candidates = [stub for stub in runner._alive_workers()
+    def fire(self, faults: Faults) -> None:
+        candidates = [stub for stub in faults.alive_workers()
                       if not stub.gray.is_gray]
         if candidates:
-            runner._inject_gray(self,
-                                candidates[self.victim % len(candidates)])
+            faults.inject_gray(self,
+                               candidates[self.victim % len(candidates)])
 
 
 @dataclass(frozen=True)
@@ -382,30 +617,30 @@ class KillBrick(Fault):
         super().check()
         self._require(self.slot >= 0, "slot", self.slot, "must be >= 0")
 
-    def fire(self, runner: "CampaignRunner") -> None:
-        bricks = runner.fabric.profile_bricks
+    def fire(self, faults: Faults) -> None:
+        bricks = faults.fabric.profile_bricks
         if bricks is not None:
             brick = bricks.brick_at(self.slot % bricks.n_bricks)
             if brick is not None and brick.alive:
-                runner.ledger.inject(self.kind, brick.name)
-                runner.injector.kill_now(brick)
-        elif runner.fabric.profile_store is not None:
-            self._kill_single_store(runner)
+                faults.ledger.inject(self.kind, brick.name)
+                faults.kill(brick)
+        elif faults.fabric.profile_store is not None:
+            self._kill_single_store(faults)
 
-    def _kill_single_store(self, runner: "CampaignRunner") -> None:
-        store, service = runner.fabric.profile_store, runner.fabric.service
-        now = runner.env.now
+    def _kill_single_store(self, faults: Faults) -> None:
+        store, service = faults.fabric.profile_store, faults.fabric.service
+        now = faults.env.now
         outage = SINGLE_RESTART_S + SINGLE_REPLAY_PER_TXN_S * store.commits
         service.store_down_until = max(service.store_down_until,
                                        now + outage)
-        runner._log("store-kill", "profile-store")
-        case = runner.ledger.inject(self.kind, "profile-store")
+        faults.log("store-kill", "profile-store")
+        case = faults.ledger.inject(self.kind, "profile-store")
         case.detected_at = now
         case.detector = "restart-watchdog"
         case.detail = f"WAL replay of {store.commits} txns"
-        runner._at(now + outage,
-                   lambda: runner.ledger.note_healed(
-                       case, "restart+replay", "profile-store"))
+        faults.at(now + outage,
+                  lambda: faults.ledger.note_healed(
+                      case, "restart+replay", "profile-store"))
 
 
 @dataclass(frozen=True)
@@ -430,13 +665,13 @@ class GrayBrick(Fault):
                       f"must be one of {sorted(self.modes)}")
         self._require(self.slot >= 0, "slot", self.slot, "must be >= 0")
 
-    def fire(self, runner: "CampaignRunner") -> None:
-        bricks = runner.fabric.profile_bricks
+    def fire(self, faults: Faults) -> None:
+        bricks = faults.fabric.profile_bricks
         if bricks is None:
             return
         brick = bricks.brick_at(self.slot % bricks.n_bricks)
         if brick is not None and brick.alive and not brick.gray.is_gray:
-            runner._inject_gray(self, brick)
+            faults.inject_gray(self, brick)
 
 
 @dataclass(frozen=True)
@@ -558,59 +793,19 @@ class CampaignRunner:
             config=chaos_config(**campaign.config_overrides))
         self.cluster = self.fabric.cluster
         self.env = self.cluster.env
-        self.faults = self.cluster.network.install_faults(
-            self.cluster.streams.stream("chaos:netfaults"))
-        self.injector = FaultInjector(
-            self.env, self.cluster.streams.stream("chaos:faults"))
+        self.faults = Faults(self.fabric)
+        # every campaign runs on the lossy-SAN fault model, windows or not
+        self.faults.network_faults()
         self.checker = InvariantChecker(self.fabric)
         self.engine = PlaybackEngine(
             self.env, self.checker.checked_submit(self.fabric.submit),
             rng=RandomStreams(seed).stream("chaos:playback"),
             timeout_s=CLIENT_TIMEOUT_S)
-        self.ledger = RecoveryLedger(self.env)
-        if self.fabric.profile_bricks is not None:
-            # rejoin records flow into the same ledger the report reads
-            self.fabric.profile_bricks.ledger = self.ledger
         self.supervisor: Optional[Any] = None
         self.controller: Optional[Any] = None
         #: deterministic profile-writer counters (attempted includes
         #: writes refused while the single store is down).
         self.profile_writes = {"attempted": 0, "committed": 0, "failed": 0}
-
-    # -- what faults fire through (targets resolve at fire time) ----------
-
-    def _alive_workers(self) -> List[Any]:
-        return sorted(self.fabric.alive_workers(), key=lambda stub: stub.name)
-
-    def _at(self, time: float, fire: Callable[[], None]) -> None:
-        def later():
-            yield self.env.timeout(max(0.0, time - self.env.now))
-            fire()
-        self.env.process(later())
-
-    def _resolve_node_spec(self, spec: str) -> Optional[str]:
-        """Turn a symbolic node spec into a node name at fire time."""
-        kind, index = parse_node_spec(spec)
-        if kind == "node":
-            return spec
-        if kind == "manager":
-            manager = self.fabric.manager
-            if manager is None and self.fabric.manager_group is not None:
-                group = self.fabric.manager_group
-                manager = group.leader or group.replicas[0]
-            return manager.node.name if manager is not None else None
-        peers = (self._alive_workers() if kind == "worker" else
-                 sorted(self.fabric.alive_frontends(),
-                        key=lambda fe: fe.name))
-        return peers[index % len(peers)].node.name if peers else None
-
-    def _log(self, kind: str, target: str) -> None:
-        self.injector.log.append(FaultRecord(self.env.now, kind, target))
-
-    def _inject_gray(self, fault: Any, target: Any) -> None:
-        fault.modes[fault.mode](target.gray, self.env.now)
-        self._log(fault.kind, target.name)
-        self.ledger.inject(fault.kind, target.name)
 
     # -- profile write load ------------------------------------------------
 
@@ -679,7 +874,7 @@ class CampaignRunner:
             initial_workers={WORKER_TYPE: campaign.initial_workers})
         if campaign.recovery is not None:
             self.supervisor = self.fabric.start_supervisor(
-                campaign.recovery, ledger=self.ledger)
+                campaign.recovery, ledger=self.faults.ledger)
         if campaign.degradation == "controller":
             self.controller = self.fabric.start_degradation()
         self.cluster.run(until=2.0)
@@ -704,8 +899,10 @@ class CampaignRunner:
         if self.fabric.profile_store is not None:
             self.env.process(self._profile_writer())
 
+        # one row at a time, each followed by its re-registration watch:
+        # the order processes are created in is part of the trajectory
         for action in campaign.actions:
-            action.arm(self)
+            self.faults.arm((action,))
             if action.reregisters:
                 self.checker.expect_reregistration(action.heals_at)
         self.checker.expect_convergence(
@@ -725,11 +922,9 @@ class CampaignRunner:
             self.checker.final_consensus_checks(self.fabric.manager_group)
             consensus = self.fabric.manager_group.stats()
         return build_report(
-            campaign=campaign, seed=self.seed, fabric=self.fabric,
+            campaign=campaign, seed=self.seed, faults=self.faults,
             engine=self.engine, checker=self.checker,
-            injector=self.injector, faults=self.faults,
-            ledger=self.ledger, supervisor=self.supervisor,
-            profile=profile, consensus=consensus,
+            supervisor=self.supervisor, profile=profile, consensus=consensus,
             degradation=(self.controller.summary()
                          if self.controller is not None else None))
 

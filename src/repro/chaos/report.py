@@ -312,14 +312,17 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
-                 checker: Any, injector: Any, faults: Any,
-                 ledger: Any = None, supervisor: Any = None,
+def build_report(campaign: Any, seed: int, faults: Any, engine: Any,
+                 checker: Any, supervisor: Any = None,
                  profile: Optional[Dict[str, Any]] = None,
                  consensus: Optional[Dict[str, Any]] = None,
                  degradation: Optional[Dict[str, Any]] = None
                  ) -> ChaosReport:
-    """Assemble the report from a finished campaign's pieces."""
+    """Assemble the report from a finished campaign's pieces;
+    ``faults`` is the :class:`~repro.chaos.campaign.Faults` its rows
+    fired through."""
+    fabric, ledger = faults.fabric, faults.ledger
+    network = faults.network_faults()
     beacon_s = fabric.config.beacon_interval_s
     series = harvest_yield_series(engine.outcomes, bucket_s=beacon_s)
     recovery = yield_recovery_time(series, campaign.final_heal_s,
@@ -331,10 +334,10 @@ def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
     else:
         managers = [fabric.manager] if fabric.manager is not None else []
     counters: Dict[str, int] = {
-        "datagrams_lost": faults.datagrams_lost,
-        "datagrams_duplicated": faults.datagrams_duplicated,
-        "messages_jittered": faults.messages_jittered,
-        "channel_retransmits": faults.channel_retransmits,
+        "datagrams_lost": network.datagrams_lost,
+        "datagrams_duplicated": network.datagrams_duplicated,
+        "messages_jittered": network.messages_jittered,
+        "channel_retransmits": network.channel_retransmits,
         "manager_restarts": fabric.manager_restarts,
         "frontend_restarts": fabric.frontend_restarts,
         "requests_shed": sum(fe.shed
@@ -349,9 +352,9 @@ def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
                                     for stub in fabric.workers.values()),
         "spawn_failures": sum(m.spawn_failures for m in managers),
     }
-    # brownout-path counters: the service's are probed, so campaigns
-    # without the degradable service render unchanged (the zero-valued
-    # keys are filtered out of the counter line anyway)
+    # brownout-path counters; the zero-valued ones are filtered out of
+    # the counter line, so campaigns without the degradable service
+    # render unchanged
     frontends = list(fabric.frontends.values())
     counters["degraded_replies"] = sum(fe.degraded for fe in frontends)
     counters["priority_sheds"] = sum(
@@ -360,19 +363,10 @@ def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
         fe.shed_deadline for fe in frontends)
     counters["retry_budget_denials"] = sum(
         fe.stub.retry_budget_denials for fe in frontends)
-    service = fabric.service
-    counters["stale_served"] = getattr(service, "stale_served", 0)
-    counters["low_fidelity_served"] = getattr(
-        service, "low_fidelity_served", 0)
-    counters["breaker_fallbacks"] = getattr(
-        service, "breaker_fallbacks", 0)
-    counters["origin_fetches"] = getattr(service, "origin_fetches", 0)
-    breaker = getattr(service, "origin_breaker", None)
-    if breaker is not None:
-        counters["breaker_opens"] = breaker.opens
-        counters["breaker_short_circuits"] = breaker.short_circuits
-    counters["relaxed_profile_reads"] = getattr(
-        fabric.profile_store, "relaxed_reads", 0)
+    counters.update(fabric.service.brownout_counters())
+    store = fabric.profile_store
+    counters["relaxed_profile_reads"] = (
+        store.relaxed_reads if store is not None else 0)
     if managers:
         counters["reaps"] = sum(m.reaps for m in managers)
         counters["reap_redispatches"] = sum(m.reap_redispatches
@@ -386,9 +380,8 @@ def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
         counters["quarantined_nodes"] = len(supervisor.quarantined_nodes)
     recovery_cases: List[Any] = []
     recovery_summary: Dict[str, Any] = {}
-    if ledger is not None and (ledger.cases or ledger.false_alarms
-                               or ledger.rejuvenations
-                               or ledger.rejoins):
+    if (ledger.cases or ledger.false_alarms or ledger.rejuvenations
+            or ledger.rejoins):
         recovery_cases = list(ledger.cases)
         # brick campaigns widen the availability denominator: the
         # population under fault is workers plus bricks
@@ -428,7 +421,7 @@ def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
         duration_s=campaign.duration_s,
         beacon_interval_s=beacon_s,
         final_heal_s=campaign.final_heal_s,
-        fault_timeline=list(injector.log),
+        fault_timeline=list(faults.timeline),
         series=series,
         violations=list(checker.violations),
         recovery_s=recovery,

@@ -28,7 +28,6 @@ from repro.core.frontend import FrontEnd, Response
 from repro.core.manager import Manager
 from repro.core.manager_stub import DispatchError, ManagerStub
 from repro.core.monitor import Alert, Monitor
-from repro.core.upgrades import HotUpgrade
 from repro.core.worker_stub import WorkerStub
 from repro.core.messages import (
     BEACON_GROUP,
@@ -47,7 +46,6 @@ __all__ = [
     "DispatchError",
     "FabricError",
     "FrontEnd",
-    "HotUpgrade",
     "LoadReport",
     "MONITOR_GROUP",
     "Manager",

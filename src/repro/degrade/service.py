@@ -26,7 +26,7 @@ get a flat cost factor.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.config import (
     DEGRADE_FRESH_TTL_S,
@@ -114,6 +114,17 @@ class DegradableBenchService(BenchService):
         self.low_fidelity_served = 0
         self.breaker_fallbacks = 0
         self.origin_fetches = 0
+
+    def brownout_counters(self) -> Dict[str, int]:
+        counters = {"stale_served": self.stale_served,
+                    "low_fidelity_served": self.low_fidelity_served,
+                    "breaker_fallbacks": self.breaker_fallbacks,
+                    "origin_fetches": self.origin_fetches}
+        if self.origin_breaker is not None:
+            counters["breaker_opens"] = self.origin_breaker.opens
+            counters["breaker_short_circuits"] = \
+                self.origin_breaker.short_circuits
+        return counters
 
     def _distill(self, frontend, record, trace, profile):
         env = self.cluster.env

@@ -183,6 +183,11 @@ class BenchService:
             return 1.0
         return 1.0 - self.profile_read_failures / self.profile_reads
 
+    def brownout_counters(self) -> Dict[str, int]:
+        """The degradation ladder's counters (chaos reports list them);
+        this service has no ladder."""
+        return {}
+
 
 def build_bench_fabric(
     n_nodes: int = 20,

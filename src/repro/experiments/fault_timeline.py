@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.analysis.metrics import summarize_outcomes
+from repro.chaos.campaign import Faults, KillFrontEnd, KillManager, KillWorker
 from repro.core.config import SNSConfig
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
@@ -62,30 +63,29 @@ def run_fault_timeline(rate_rps: float = 20.0, seed: int = 1997
     pool = jpeg_pool(40)
     env.process(engine.constant_rate(rate_rps, 120.0, pool))
 
-    def script(env):
-        yield env.timeout(20.0)
-        victim = fabric.alive_workers()[0]
-        victim.kill()
-        note(f"killed distiller {victim.name}")
-        yield env.timeout(20.0)
+    def observer(env):
+        yield env.timeout(40.0)
         note(f"manager state: {len(fabric.manager.workers)} workers, "
              f"{fabric.manager.worker_failures_detected} failures seen")
-        manager = fabric.manager
-        manager.kill()
-        note(f"killed manager {manager.name}")
         yield env.timeout(15.0)
         note(f"manager now: {fabric.manager.name} "
              f"(incarnation {fabric.manager.incarnation}, "
              f"{len(fabric.manager.workers)} workers re-registered)")
-        victim_fe = fabric.alive_frontends()[0]
-        victim_fe.kill()
-        note(f"killed front end {victim_fe.name}")
         yield env.timeout(15.0)
         note(f"front ends alive: "
              f"{sorted(fe.name for fe in fabric.alive_frontends())}")
 
-    env.process(script(env))
+    # started first, so its t=40 look at the manager precedes the kill
+    env.process(observer(env))
+    faults = Faults(fabric)
+    faults.arm((KillWorker(at=20.0), KillManager(at=40.0),
+                KillFrontEnd(at=55.0)))
     fabric.cluster.run(until=150.0)
+    for record in faults.timeline:
+        role = ("distiller" if record.target in fabric.workers else
+                "front end" if record.target in fabric.frontends else
+                "manager")
+        timeline.append((record.time, f"killed {role} {record.target}"))
     summary = summarize_outcomes(engine.outcomes)
     fallbacks = sum(1 for outcome in engine.completed()
                     if getattr(outcome.response, "status", "") ==

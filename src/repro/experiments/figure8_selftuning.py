@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.reporting import render_series
+from repro.chaos.campaign import Faults, KillWorker
 from repro.core.config import SNSConfig
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
@@ -49,7 +50,6 @@ class Figure8Result:
 def run_figure8(
     duration_s: float = 400.0,
     kill_at_s: float = 270.0,
-    kill_count: int = 2,
     seed: int = 1997,
     config: Optional[SNSConfig] = None,
     peak_rate_rps: float = 40.0,
@@ -73,14 +73,8 @@ def run_figure8(
     env.process(engine.ramp(steps, pool))
 
     # the manual kills of Figure 8(b)
-    def killer(env):
-        yield env.timeout(kill_at_s)
-        victims = fabric.alive_workers()[:kill_count]
-        for victim in victims:
-            victim.kill()
-            events.append((env.now, f"killed {victim.name}"))
-
-    env.process(killer(env))
+    faults = Faults(fabric)
+    faults.arm((KillWorker(at=kill_at_s), KillWorker(at=kill_at_s)))
 
     # sample instantaneous queue lengths (what the paper plots)
     series: Dict[str, List[Tuple[float, float]]] = {}
@@ -112,6 +106,8 @@ def run_figure8(
             recovery = time - kill_at_s
             break
 
+    events.extend((record.time, f"killed {record.target}")
+                  for record in faults.timeline)
     events.sort()
     return Figure8Result(
         series=series,

@@ -1,10 +1,10 @@
 """Injectable gray-failure state for one worker process.
 
-Unlike the clean faults in :mod:`repro.sim.failures` (kill, node crash,
-partition), a gray-failed worker stays alive and keeps up appearances —
-its stub keeps sending load reports, its registration connection stays
-open — while failing at its actual job.  These are the incidents
-Section 4.5 reports from production:
+Unlike the clean faults of :mod:`repro.chaos.campaign` (kill, node
+crash, partition), a gray-failed worker stays alive and keeps up
+appearances — its stub keeps sending load reports, its registration
+connection stays open — while failing at its actual job.  These are
+the incidents Section 4.5 reports from production:
 
 * **fail-slow** — service time inflated by a constant factor (a
   misbehaving process, cold caches, a sick disk);

@@ -4,7 +4,8 @@ The paper measured a real 15-node SPARC cluster; this package provides the
 deterministic stand-in: a generator-based discrete-event kernel
 (:mod:`repro.sim.kernel`), seeded random streams, simulated workstation
 nodes, a system-area network with bandwidth and saturation behaviour,
-unreliable IP multicast, reliable TCP-like channels, and fault injection.
+unreliable IP multicast, and reliable TCP-like channels.  Faults are
+injected from above, by :mod:`repro.chaos.campaign`.
 
 All higher layers (SNS, TACC, TranSend, HotBot) are written against this
 substrate, so every experiment in the paper's Section 4 replays exactly
@@ -26,7 +27,6 @@ from repro.sim.network import AccessLink, Network
 from repro.sim.multicast import MulticastGroup
 from repro.sim.transport import Channel, ChannelClosed
 from repro.sim.cluster import Cluster
-from repro.sim.failures import FaultInjector
 
 __all__ = [
     "AccessLink",
@@ -35,7 +35,6 @@ __all__ = [
     "Cluster",
     "Environment",
     "Event",
-    "FaultInjector",
     "Interrupt",
     "MulticastGroup",
     "Network",

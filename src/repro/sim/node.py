@@ -79,7 +79,7 @@ class Node:
 
     def crash(self) -> None:
         """Mark the node down.  Processes must be killed by the caller
-        (the :class:`~repro.sim.failures.FaultInjector` handles both)."""
+        (the fault rows of :mod:`repro.chaos.campaign` do both)."""
         self.up = False
 
     def restart(self) -> None:

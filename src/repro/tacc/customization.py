@@ -102,6 +102,10 @@ class Transaction:
 class ProfileStore:
     """WAL-backed key-value store of per-user profiles."""
 
+    #: every read is answered from the one copy: there is no quorum for
+    #: the degradation ladder to relax (the replicated store counts its)
+    relaxed_reads = 0
+
     def __init__(
         self,
         log_path: Optional[str] = None,

@@ -15,7 +15,9 @@ from repro.chaos import (
     KillWorker,
     LossyWindow,
     PartitionSAN,
+    RandomKills,
     RollingKills,
+    RollingUpgrade,
     Straggle,
     get_campaign,
     run_campaign,
@@ -80,6 +82,14 @@ def test_campaign_validation_rejects_malformed_node_specs(action, spec):
     (GrayWorker(at=5.0, mode="hang", victim=-1), "victim"),
     (GrayBrick(at=5.0, mode="leak"), "mode"),
     (KillBrick(at=5.0, slot=-1), "slot"),
+    (RandomKills(at=5.0, mtbf_s=float("nan")), "mtbf_s"),
+    (RandomKills(at=5.0, mtbf_s=0.0), "mtbf_s"),
+    (RandomKills(at=5.0, mtbf_s=-15.0), "mtbf_s"),
+    (RandomKills(at=5.0, mtbf_s=float("inf")), "mtbf_s"),
+    (RandomKills(at=5.0, duration_s=float("nan")), "duration_s"),
+    (RollingUpgrade(at=5.0, nodes=()), "nodes"),
+    (RollingUpgrade(at=5.0, nodes=("node1", "worker:x")), "worker:x"),
+    (RollingUpgrade(at=float("inf"), nodes=("node1",)), "at"),
 ])
 def test_campaign_validation_rejects_bad_fault_fields(action, name,
                                                       monkeypatch):
@@ -103,6 +113,8 @@ def test_campaign_validation_rejects_bad_fault_fields(action, name,
     lambda: GrayWorker(at=5.0, mode="fail-slow", factor=0.5),
     lambda: GrayWorker(at=5.0, mode="leak", rate_per_s=-1.0),
     lambda: RollingKills(at=5.0, period_s=0.0),
+    lambda: RollingUpgrade(at=5.0, nodes=("node1",), hold_s=float("nan")),
+    lambda: RollingUpgrade(at=5.0, nodes=("node1",), settle_s=-1.0),
     lambda: Campaign(name="x", description="x", duration_s=9.0,
                      n_frontends=1),
     lambda: Campaign(name="x", description="x", duration_s=9.0,
@@ -111,9 +123,26 @@ def test_campaign_validation_rejects_bad_fault_fields(action, name,
 def test_one_value_options_are_constants(build):
     """Options that only ever took one value are module constants; the
     values that misbehaved (a zero count, a sub-1 slow factor, a
-    negative leak, a zero period) cannot be written down any more."""
+    negative leak, a zero period, a NaN hold, a negative settle) cannot
+    be written down any more."""
     with pytest.raises(TypeError):
         build()
+
+
+def test_a_fault_due_inside_the_boot_window_is_refused_when_armed():
+    """The runner arms after a 2 s boot; a row due before that used to
+    fire late, at 2 s, and be recorded there.  Arming refuses it,
+    naming the row, before the run goes on."""
+    campaign = Campaign(name="early", description="a kill at 0.5 s",
+                        duration_s=30.0, actions=(KillWorker(at=0.5),))
+    campaign.validate()  # a valid time, just not one the runner reaches
+    runner = CampaignRunner(campaign)
+    with pytest.raises(ValueError) as raised:
+        runner.run()
+    assert "KillWorker(at=0.5)" in str(raised.value)
+    assert "before now" in str(raised.value)
+    assert runner.env.now == 2.0
+    assert runner.faults.timeline == []
 
 
 def test_campaign_validation_accepts_every_node_spec_form():

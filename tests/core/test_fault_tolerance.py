@@ -9,8 +9,9 @@
 
 import pytest
 
+from repro.chaos.campaign import (Faults, KillFrontEnd, KillManager,
+                                  KillWorker)
 from repro.core.manager import SPAWN_DELAY_S
-from repro.sim.failures import FaultInjector
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
 
@@ -31,8 +32,7 @@ def test_worker_crash_detected_and_routed_around(fabric):
     fabric.cluster.run(until=2.0)
     engine = drive(fabric, rate=20.0, duration=40.0)
     victim = fabric.alive_workers()[0]
-    injector = FaultInjector(fabric.cluster.env)
-    injector.kill_at(10.0, victim)
+    Faults(fabric).arm((KillWorker(at=10.0),))
     fabric.cluster.run(until=60.0)
     # broken connection detected, worker dropped from manager state
     assert fabric.manager.worker_failures_detected >= 1
@@ -50,10 +50,11 @@ def test_all_workers_crash_service_recovers(fabric):
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=2.0)
     engine = drive(fabric, rate=15.0, duration=40.0)
-    injector = FaultInjector(fabric.cluster.env)
-    for index, victim in enumerate(fabric.alive_workers()):
-        injector.kill_at(10.0 + 0.1 * index, victim)
+    originals = fabric.alive_workers()
+    Faults(fabric).arm(tuple(KillWorker(at=10.0 + 0.1 * index)
+                             for index in range(len(originals))))
     fabric.cluster.run(until=60.0)
+    assert not any(stub.alive for stub in originals)
     assert len(fabric.alive_workers("test-worker")) >= 1
     late_ok = [outcome for outcome in engine.completed()
                if outcome.submitted_at > 20.0]
@@ -67,8 +68,7 @@ def test_manager_crash_service_continues_on_stale_hints(fabric):
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=2.0)
     engine = drive(fabric, rate=20.0, duration=30.0)
-    injector = FaultInjector(fabric.cluster.env)
-    injector.kill_at(10.0, fabric.manager)
+    Faults(fabric).arm((KillManager(at=10.0),))
     fabric.cluster.run(until=14.0)
     # manager is dead but requests in this window still complete
     during_outage = [o for o in engine.completed()
@@ -83,8 +83,7 @@ def test_frontend_restarts_crashed_manager(fabric):
     fabric.cluster.run(until=2.0)
     old_manager = fabric.manager
     old_incarnation = old_manager.incarnation
-    injector = FaultInjector(fabric.cluster.env)
-    injector.kill_at(5.0, old_manager)
+    Faults(fabric).arm((KillManager(at=5.0),))
     fabric.cluster.run(until=30.0)
     assert fabric.manager is not old_manager
     assert fabric.manager.alive
@@ -100,8 +99,7 @@ def test_manager_restart_is_idempotent_across_frontends():
     fabric = make_fabric(n_nodes=10)
     fabric.boot(n_frontends=3, initial_workers={"test-worker": 1})
     fabric.cluster.run(until=2.0)
-    injector = FaultInjector(fabric.cluster.env)
-    injector.kill_at(5.0, fabric.manager)
+    Faults(fabric).arm((KillManager(at=5.0),))
     fabric.cluster.run(until=30.0)
     # three watchdogs noticed, but exactly one restart happened
     assert fabric.manager_restarts == 1
@@ -109,12 +107,13 @@ def test_manager_restart_is_idempotent_across_frontends():
 
 
 def test_manager_restarts_crashed_frontend(fabric):
-    fabric.boot(n_frontends=1, initial_workers={"test-worker": 1})
+    # two front ends: KillFrontEnd spares the last one
+    fabric.boot(n_frontends=2, initial_workers={"test-worker": 1})
     fabric.cluster.run(until=2.0)
-    frontend = next(iter(fabric.frontends.values()))
-    injector = FaultInjector(fabric.cluster.env)
-    injector.kill_at(5.0, frontend)
+    frontend = fabric.frontends["fe0"]
+    Faults(fabric).arm((KillFrontEnd(at=5.0),))
     fabric.cluster.run(until=20.0)
+    assert not frontend.alive
     assert fabric.manager.frontend_restarts == 1
     replacement = fabric.frontends[frontend.name]
     assert replacement is not frontend
@@ -151,9 +150,7 @@ def test_client_side_balancing_masks_frontend_failure():
     fabric.boot(n_frontends=2, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=2.0)
     engine = drive(fabric, rate=20.0, duration=30.0, timeout_s=10.0)
-    victim = sorted(fabric.frontends.values(), key=lambda f: f.name)[0]
-    injector = FaultInjector(fabric.cluster.env)
-    injector.kill_at(10.0, victim)
+    Faults(fabric).arm((KillFrontEnd(at=10.0),))
     fabric.cluster.run(until=50.0)
     during = [o for o in engine.outcomes if 10.5 < o.submitted_at < 14.0]
     ok_during = [o for o in during if o.ok]
@@ -188,13 +185,8 @@ def test_hung_worker_expired_by_timeout(fabric):
 def test_repeated_manager_crashes_always_recover(fabric):
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 1})
     fabric.cluster.run(until=2.0)
-    def killer(env):
-        for crash_time in (5.0, 25.0, 45.0):
-            yield env.timeout(crash_time - env.now)
-            if fabric.manager.alive:
-                fabric.manager.kill()
-
-    fabric.cluster.env.process(killer(fabric.cluster.env))
+    Faults(fabric).arm(tuple(KillManager(at=crash_time)
+                             for crash_time in (5.0, 25.0, 45.0)))
     fabric.cluster.run(until=70.0)
     assert fabric.manager.alive
     assert fabric.manager_restarts == 3

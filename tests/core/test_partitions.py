@@ -7,8 +7,8 @@ still-visible nodes), the manager performs the necessary actions."
 
 import pytest
 
+from repro.chaos.campaign import Faults, PartitionWorker
 from repro.core.config import BEACON_LOSS_TOLERANCE
-from repro.sim.failures import FaultInjector
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
 
@@ -44,10 +44,11 @@ def test_manager_replaces_partitioned_worker_under_load():
     pool = [make_record(i) for i in range(20)]
     fabric.cluster.env.process(engine.constant_rate(15.0, 40.0, pool))
     victim = fabric.alive_workers()[0]
-    injector = FaultInjector(fabric.cluster.env)
-    injector.partition_at(10.0, victim, duration_s=20.0)
+    faults = Faults(fabric)
+    faults.arm((PartitionWorker(at=10.0, duration_s=20.0),))
     fabric.cluster.run(until=60.0)
-    assert any(record.kind == "partition" for record in injector.log)
+    assert [(record.kind, record.target) for record in faults.timeline] \
+        == [("partition", victim.name)]
     # a replacement was spawned on a reachable node during the partition
     assert fabric.manager.spawns >= 1
     # service availability held

@@ -14,7 +14,7 @@ random kill process (workers, front ends, the manager) the system must
 
 import pytest
 
-from repro.sim.failures import FaultInjector
+from repro.chaos.campaign import Faults, RandomKills
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
 
@@ -35,31 +35,20 @@ def run_chaos(seed, mtbf_s=15.0, duration_s=180.0, rate_rps=12.0):
     fabric.cluster.env.process(
         engine.constant_rate(rate_rps, duration_s, pool))
 
-    injector = FaultInjector(fabric.cluster.env,
-                             RandomStreams(seed).stream("chaos-faults"))
-
-    def victims():
-        population = list(fabric.alive_workers())
-        population.extend(fabric.alive_frontends())
-        if fabric.manager is not None and fabric.manager.alive:
-            population.append(fabric.manager)
-        # keep at least one FE alive so someone can restart the manager
-        if len(fabric.alive_frontends()) <= 1:
-            population = [component for component in population
-                          if component.kind != "frontend"]
-        return population
-
-    injector.random_kills(victims, mtbf_s=mtbf_s,
-                          stop_at=duration_s - 30.0)
+    # kills stop 30 s before the load does; the last front end is
+    # spared, so someone can always restart the manager
+    faults = Faults(fabric)
+    faults.arm((RandomKills(at=2.0, duration_s=duration_s - 32.0,
+                            mtbf_s=mtbf_s),))
     fabric.cluster.run(until=duration_s + 60.0)
-    return fabric, engine, injector
+    return fabric, engine, faults.timeline
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303])
 def test_chaos_system_survives_and_converges(seed):
-    fabric, engine, injector = run_chaos(seed)
+    fabric, engine, timeline = run_chaos(seed)
     # faults actually happened
-    assert len(injector.log) >= 3, injector.log
+    assert len(timeline) >= 3, timeline
     # convergence: full stack alive at the end
     assert fabric.manager is not None and fabric.manager.alive
     assert fabric.alive_frontends()
@@ -68,7 +57,7 @@ def test_chaos_system_survives_and_converges(seed):
     total = len(engine.outcomes)
     assert total > 0
     ok = len(engine.completed())
-    assert ok > 0.85 * total, (ok, total, injector.log)
+    assert ok > 0.85 * total, (ok, total, timeline)
     # no node attachment leaks: every attached component is alive
     live_names = {c.name for c in fabric.alive_workers()}
     live_names |= {fe.name for fe in fabric.alive_frontends()}
@@ -86,5 +75,4 @@ def test_chaos_deterministic_given_seed():
     first = run_chaos(404, duration_s=90.0)
     second = run_chaos(404, duration_s=90.0)
     assert len(first[1].outcomes) == len(second[1].outcomes)
-    assert [(r.time, r.target) for r in first[2].log] == \
-        [(r.time, r.target) for r in second[2].log]
+    assert first[2] == second[2]

@@ -7,7 +7,6 @@ from repro.core.manager_stub import AdvertState, ManagerStub
 from repro.core.messages import ManagerBeacon, WorkerAdvert
 from repro.core.monitor import Monitor
 from repro.sim.cluster import Cluster
-from repro.sim.failures import FaultInjector
 from repro.sim.rng import RandomStreams
 
 from tests.core.conftest import fast_config, make_fabric, make_record

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.chaos.campaign import (UPGRADE_HOLD_S, UPGRADE_SETTLE_S, Faults,
+                                  RollingUpgrade)
 from repro.core.config import SNSConfig
-from repro.core.upgrades import HotUpgrade
 from repro.sim.kernel import Environment
 from repro.sim.network import MBPS, Network
 from repro.sim.rng import RandomStreams
@@ -71,19 +72,22 @@ def test_upgrade_single_worker_node_respawns_elsewhere():
     fabric = make_fabric(n_nodes=10)
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=2.0)
-    upgrade = HotUpgrade(fabric, hold_s=4.0, settle_s=4.0)
-    victim_node = fabric.alive_workers()[0].node
+    victim = fabric.alive_workers()[0]
     engine = PlaybackEngine(fabric.cluster.env, fabric.submit,
                             rng=RandomStreams(1).stream("pb"),
                             timeout_s=15.0)
     pool = [make_record(i) for i in range(20)]
     fabric.cluster.env.process(engine.constant_rate(15.0, 30.0, pool))
-    fabric.cluster.env.process(upgrade.upgrade_node(victim_node))
+    faults = Faults(fabric)
+    faults.arm((RollingUpgrade(at=2.0, nodes=("worker:0",)),))
+    fabric.cluster.run(until=2.0 + UPGRADE_HOLD_S / 2)
+    assert not victim.alive and not victim.node.up
     fabric.cluster.run(until=50.0)
-    assert victim_node.up
+    assert victim.node.up
     # service never stopped
     assert len(engine.completed()) > 0.9 * len(engine.outcomes)
-    assert any("back in service" in message for _, message in upgrade.log)
+    assert [(record.kind, record.target) for record in faults.timeline] \
+        == [("upgrade", victim.node.name), ("kill", victim.name)]
 
 
 def test_rolling_upgrade_whole_cluster_keeps_service_up():
@@ -97,11 +101,16 @@ def test_rolling_upgrade_whole_cluster_keeps_service_up():
                             timeout_s=20.0)
     pool = [make_record(i) for i in range(20)]
     fabric.cluster.env.process(engine.constant_rate(10.0, 150.0, pool))
-    upgrade = HotUpgrade(fabric, hold_s=3.0, settle_s=8.0)
-    fabric.cluster.env.process(upgrade.rolling())
+    nodes = tuple(node.name for node in fabric.cluster.dedicated_nodes)
+    upgrade = RollingUpgrade(at=2.0, nodes=nodes)
+    assert upgrade.heals_at == 2.0 + len(nodes) * (UPGRADE_HOLD_S
+                                                   + UPGRADE_SETTLE_S)
+    faults = Faults(fabric)
+    faults.arm((upgrade,))
     fabric.cluster.run(until=220.0)
     assert all(node.up for node in fabric.cluster.dedicated_nodes)
-    assert any("complete" in message for _, message in upgrade.log)
+    assert [record.target for record in faults.timeline
+            if record.kind == "upgrade"] == list(nodes)
     total = len(engine.outcomes)
     assert total > 0
     assert len(engine.completed()) > 0.85 * total
@@ -111,10 +120,13 @@ def test_rolling_upgrade_whole_cluster_keeps_service_up():
     assert fabric.alive_workers("test-worker")
 
 
-def test_upgrade_requires_positive_hold():
-    fabric = make_fabric()
-    with pytest.raises(ValueError):
-        HotUpgrade(fabric, hold_s=0.0)
+@pytest.mark.parametrize("nodes", [(), ("node1", "worker:x")],
+                         ids=["no-node", "bad-spec"])
+def test_upgrade_requires_a_node(nodes):
+    faults = Faults(make_fabric())
+    with pytest.raises(ValueError) as raised:
+        faults.arm((RollingUpgrade(at=5.0, nodes=nodes),))
+    assert "RollingUpgrade" in str(raised.value)
 
 
 def test_monitor_maintenance_suppresses_pages():

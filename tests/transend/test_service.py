@@ -4,7 +4,6 @@ Section 3.1.8 BASE behaviours."""
 import pytest
 
 from repro.core.config import SNSConfig
-from repro.sim.failures import FaultInjector
 from repro.sim.rng import RandomStreams
 from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG
 from repro.tacc.customization import TransactionError
