@@ -28,12 +28,12 @@ class Shouter(Transformer):
 class ShoutService:
     """The Service layer: dispatch logic for the front end."""
 
-    def handle(self, frontend, record):
+    def handle(self, frontend, request):
+        record = request.record
         content = Content(record.url, record.mime,
                           record.client_id.encode() + b" says hello")
-        request = TACCRequest(inputs=[content])
-        result = yield from frontend.stub.dispatch(
-            request, "shouter", content.size)
+        work = TACCRequest(inputs=[content])
+        result = yield from frontend.stub.dispatch(request, work, "shouter")
         return Response(status="ok", path="shouted", content=result,
                         size_bytes=result.size)
 

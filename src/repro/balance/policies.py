@@ -430,16 +430,13 @@ def build_policy(spec: str, config: Any, rng: Any) -> RoutingPolicy:
     return policy
 
 
-def request_key(tacc_request: Any) -> Optional[str]:
+def request_key(work: Any) -> Optional[str]:
     """Content-affinity key for hash routing: the input URL when there
     is one, else the user id, else None (policy falls back to a fixed
     ring point plus the load bound)."""
-    inputs = getattr(tacc_request, "inputs", None)
-    if inputs:
-        url = getattr(inputs[0], "url", None)
-        if url:
-            return str(url)
-    user_id = getattr(tacc_request, "user_id", None)
-    if user_id:
-        return str(user_id)
+    inputs = work.inputs
+    if inputs and inputs[0].url:
+        return str(inputs[0].url)
+    if work.user_id:
+        return str(work.user_id)
     return None

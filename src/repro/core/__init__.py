@@ -11,7 +11,7 @@ Assembly order for a new service (see ``examples/``):
 2. register worker types in a
    :class:`~repro.tacc.registry.WorkerRegistry`;
 3. write the service logic (an object with a
-   ``handle(frontend, record)`` process generator returning a
+   ``handle(frontend, request)`` process generator returning a
    :class:`~repro.core.frontend.Response`);
 4. wire them with an :class:`~repro.core.fabric.SNSFabric` and
    ``boot()``.
@@ -35,6 +35,7 @@ from repro.core.messages import (
     LoadReport,
     ManagerBeacon,
     MonitorReport,
+    Request,
     WorkEnvelope,
     WorkerAdvert,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "ManagerStub",
     "Monitor",
     "MonitorReport",
+    "Request",
     "Response",
     "SNSConfig",
     "SNSFabric",

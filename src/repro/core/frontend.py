@@ -7,7 +7,7 @@ them for service by one or more workers" (Section 2.1).  The front end
 owns all control flow — workers stay simple — so "the behavior of the
 service as a whole [is] defined almost entirely in the front end"; the
 service-specific part is delegated to a *service logic* object with a
-``handle(frontend, record)`` process generator (the Service layer).
+``handle(frontend, request)`` process generator (the Service layer).
 
 Infrastructure modelled here, per the paper's measurements:
 
@@ -41,6 +41,7 @@ from repro.core.messages import (
     REPORT_BYTES,
     ManagerBeacon,
     RegisterFrontEnd,
+    Request,
 )
 from repro.sim.cluster import Cluster
 from repro.sim.kernel import PENDING, Interrupt
@@ -93,11 +94,6 @@ class FrontEnd(Component):
         for index in range(config.frontend_threads):
             self.threads.put_nowait(index)
         self._manager_endpoint = None
-        #: the service span of the request currently *starting* its
-        #: handle() generator; service logics read it before their first
-        #: yield (safe: generator start-up is atomic in the cooperative
-        #: kernel).  None whenever tracing is off or unsampled.
-        self.current_trace = None
         #: brownout controller (repro.degrade), wired by the fabric;
         #: None = no degradation ladder on this front end.
         self.degradation = None
@@ -121,16 +117,17 @@ class FrontEnd(Component):
 
     # -- client entry ------------------------------------------------------------
 
-    def submit(self, record: Any):
-        """Accept one client request; returns the reply event.
+    def submit(self, record: Any) -> Request:
+        """Accept one client request; returns its :class:`Request`, the
+        event that fires with the :class:`Response`.
 
-        A dead front end returns an event that never fires — clients
+        A dead front end returns a request that never fires — clients
         (or their client-side balancing script) time out and try another
         front end.
         """
-        reply = self.env.event()
+        request = Request(self.env, record)
         if not self.alive:
-            return reply
+            return request
         self.requests_received += 1
         # skip the ingress-span machinery entirely when tracing is off:
         # submit() runs once per request, so the guard lives here
@@ -144,22 +141,22 @@ class FrontEnd(Component):
             self.errors += 1
             if span is not None:
                 span.annotate(shed=True).finish()
-            reply.succeed(Response(
+            request.succeed(Response(
                 status="error", path="shed",
                 detail="admission control: front end saturated"))
-            return reply
+            return request
         shed_path = self._ladder_shed(record)
         if shed_path is not None:
             self.shed += 1
             self.errors += 1
             if span is not None:
                 span.annotate(shed=True, shed_path=shed_path).finish()
-            reply.succeed(Response(
+            request.succeed(Response(
                 status="error", path=shed_path,
                 detail="admission control: degraded service"))
-            return reply
-        self.spawn(self._handle(record, reply, span))
-        return reply
+            return request
+        self.spawn(self._handle(request, span))
+        return request
 
     def _ingress_span(self):
         """The front end's span for a newly accepted request.
@@ -211,8 +208,7 @@ class FrontEnd(Component):
         if controller is None:
             return None
         if controller.priority_admission_active \
-                and getattr(record, "priority",
-                            "interactive") != "interactive":
+                and record.priority != "interactive":
             self.shed_priority += 1
             return "shed-priority"
         if controller.deadline_shed_active:
@@ -233,7 +229,7 @@ class FrontEnd(Component):
                     return "shed-deadline"
         return None
 
-    def _handle(self, record: Any, reply, span=None):
+    def _handle(self, request: Request, span=None):
         env = self.env
         access_link = self.access_link
         overhead_bytes = REQUEST_OVERHEAD_BYTES
@@ -248,15 +244,10 @@ class FrontEnd(Component):
         thread = yield self.threads.get()
         if span is not None:
             span.record("thread-wait", "queueing", mark)
-            service_span = span.child("service", "service")
-        else:
-            service_span = None
-        # always (re)set — an unsampled request must not start its
-        # handle() generator under a stale sampled context
-        self.current_trace = service_span
+            request.trace = service_span = span.child("service", "service")
         try:
             # handle() is a generator function or returns a generator
-            response = yield from self.service.handle(self, record)
+            response = yield from self.service.handle(self, request)
         except Interrupt:
             raise  # this front end was killed: not a service error
         except Exception as error:  # service bug: error page, not a crash
@@ -264,8 +255,7 @@ class FrontEnd(Component):
                                 detail=f"{type(error).__name__}: {error}")
         finally:
             self.threads.put_nowait(thread)
-            self.current_trace = None
-        if service_span is not None:
+        if span is not None:
             service_span.finish()
             mark = env._now
         status = response.status
@@ -286,9 +276,9 @@ class FrontEnd(Component):
             if response.annotations:
                 span.annotate(**response.annotations)
             span.annotate(status=status, path=response.path).finish()
-        if self.alive and reply._value is PENDING:
+        if self.alive and request._value is PENDING:
             self.responses_sent += 1
-            reply.succeed(response)
+            request.succeed(response)
 
     @property
     def active_requests(self) -> int:

@@ -22,7 +22,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.balance import build_policy, request_key
 from repro.core.config import CONSENSUS_LEASE_S, SNSConfig
-from repro.core.messages import ManagerBeacon, WorkEnvelope, WorkerAdvert
+from repro.core.messages import (ManagerBeacon, Request, WorkEnvelope,
+                                 WorkerAdvert)
 from repro.sim.cluster import Cluster
 from repro.sim.kernel import TIMED_OUT, TimedWait
 from repro.sim.rng import Stream
@@ -120,7 +121,6 @@ class ManagerStub:
         #: a leader lease (consensus beacons only); ``None`` = no bound.
         self.lease_until: Optional[float] = None
         self.adverts: Dict[str, AdvertState] = {}
-        self._next_request_id = 0
         # counters
         self.dispatches = 0
         self.retries = 0
@@ -265,24 +265,22 @@ class ManagerStub:
             delay *= 1.0 + jitter * (self.backoff_rng.random() - 0.5)
         return min(config.dispatch_backoff_cap_s, delay)
 
-    def dispatch(self, tacc_request: Any, worker_type: str,
-                 input_bytes: int, expected_cost_s: float = 0.0,
-                 deadline_s: Optional[float] = None,
-                 trace: Optional[Any] = None,
-                 priority: str = "interactive"):
-        """Process generator: route one request to a worker of the type.
+    def dispatch(self, request: Request, work: Any, worker_type: str):
+        """Process generator: route ``work`` (a TACC request) for the
+        front end's ``request`` to a worker of the type.
 
         Retries with fresh lottery draws on refusal or timeout, pausing
         for exponentially backed-off, jittered delays between retries;
         asks the manager (spawning on demand) when no hint exists.  The
-        whole dispatch respects a per-request deadline (``deadline_s``,
-        defaulting to ``config.dispatch_deadline_s`` or the full
-        attempts × timeout budget) which is propagated into each
-        :class:`WorkEnvelope` so downstream stages can shed expired
-        work.  Raises :class:`DispatchError` when the attempt budget or
-        the deadline is exhausted, or the worker's own
-        :class:`WorkerError` for pathological input (which would fail
-        anywhere — no point retrying).
+        whole dispatch respects a per-request deadline
+        (``config.dispatch_deadline_s``, or the full attempts × timeout
+        budget), written to ``request.deadline_at`` so worker stubs can
+        shed expired work.  Each attempt ships ``work.inputs[0]`` across
+        the SAN in a :class:`WorkEnvelope`, which is its own reply.
+        Raises :class:`DispatchError` when the attempt budget or the
+        deadline is exhausted, or the worker's own :class:`WorkerError`
+        for pathological input (which would fail anywhere — no point
+        retrying).
         """
         env = self.cluster.env
         config = self.config
@@ -294,12 +292,13 @@ class ManagerStub:
         self.dispatches += 1
         if retry_budget is not None:
             retry_budget.earn()
-        if deadline_s is None:
-            deadline_s = config.dispatch_deadline_s
+        deadline_s = config.dispatch_deadline_s
         if deadline_s is None:
             deadline_s = config.dispatch_attempts * timeout_s
-        deadline_at = env._now + deadline_s
-        key = request_key(tacc_request) if policy.needs_key else None
+        request.deadline_at = deadline_at = env._now + deadline_s
+        input_bytes = work.inputs[0].size
+        key = request_key(work) if policy.needs_key else None
+        trace = request.trace
         span = None
         if trace is not None:
             span = trace.child("dispatch", "queueing",
@@ -340,13 +339,8 @@ class ManagerStub:
                     if state is None:
                         raise DispatchError(
                             f"no {worker_type!r} worker available")
-                self._next_request_id += 1
-                reply = env.event()
                 submitted_at = env._now
-                envelope = WorkEnvelope(
-                    self._next_request_id, tacc_request, reply,
-                    submitted_at, input_bytes, expected_cost_s,
-                    deadline_at, span, priority)
+                envelope = WorkEnvelope(env, request, work, span)
                 # ship the input across the SAN
                 yield env.timeout(network.transfer_delay(input_bytes))
                 now = env._now
@@ -393,7 +387,7 @@ class ManagerStub:
                     wait = timeout_s
                 try:
                     outcome = yield TimedWait(
-                        env, reply, wait if wait > 0.0 else 0.0)
+                        env, envelope, wait if wait > 0.0 else 0.0)
                 except WorkerError:
                     self.worker_errors += 1
                     now = env._now
@@ -432,11 +426,8 @@ class ManagerStub:
         partitions = self.cluster.network.partitions
         if partitions is None or self.node is None:
             return True
-        manager_node = getattr(manager, "node", None)
-        if manager_node is None:
-            return True
         return partitions.node_reachable(self.node.name,
-                                         manager_node.name)
+                                         manager.node.name)
 
     def _wait_for_worker(self, worker_type: str,
                          deadline_at: Optional[float] = None,

@@ -15,7 +15,10 @@ simulated SAN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Dict, Optional
+
+from repro.sim.kernel import PENDING, Event
 
 #: Well-known multicast group names (the "level of indirection" that
 #: relieves components of having to locate each other, Section 3.1.2).
@@ -122,32 +125,46 @@ class MonitorReport:
     payload: Dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class WorkEnvelope:
-    """One request handed to a worker stub.
+class Request(Event):
+    """One client request: the event ``FrontEnd.submit`` hands the client,
+    fired with the ``Response``.  Each field has one writer (DESIGN.md
+    5l): ``record`` is set by ``FrontEnd.submit``, ``trace`` (the
+    service span) by ``FrontEnd._handle``, and ``deadline_at`` (past
+    which worker stubs shed its work) by ``ManagerStub.dispatch``."""
 
-    ``reply`` is succeeded with the worker's result Content or failed
-    with the worker's error; the sender guards it with a timeout (stale
-    hints may route to a dead worker — "the request will time out and
-    another worker will be chosen").
-    """
+    __slots__ = ("record", "trace", "deadline_at")
 
-    request_id: int
-    tacc_request: Any
-    reply: Any
-    submitted_at: float
-    input_bytes: int
-    expected_cost_s: float = 0.0
-    #: absolute deadline propagated from the dispatching front end;
-    #: ``None`` means unbounded.  Stages past the deadline may shed the
-    #: request — the client has already fallen back.
-    deadline_at: Optional[float] = None
-    #: causal trace context (a repro.obs Span) threaded across the SAN
-    #: hop; ``None`` when tracing is off or the request is unsampled.
-    trace: Optional[Any] = None
-    #: request priority class ("interactive" or "batch"): carried so
-    #: downstream stages can favour interactive work under overload.
-    priority: str = "interactive"
-    #: set by the receiving stub when the envelope joins its queue, so
-    #: the service loop can close the queueing span.
-    enqueued_at: Optional[float] = None
+    def __init__(self, env: Any, record: Any) -> None:
+        self.env = env  # Event's fields inline: one call, not two
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self.record = record
+        self.trace: Optional[Any] = None
+        self.deadline_at = inf
+
+
+class WorkEnvelope(Event):
+    """One dispatch attempt of a :class:`Request`, and its own reply: the
+    worker stub succeeds it with the result or fails it with the
+    worker's error, and the sender guards it with a timeout ("the
+    request will time out and another worker will be chosen").
+    ``trace`` is the dispatch span; the accepting stub writes
+    ``cost_s`` (the worker's estimate, the load metric's weight) and
+    ``enqueued_at``."""
+
+    __slots__ = ("request", "work", "trace", "cost_s", "enqueued_at")
+
+    def __init__(self, env: Any, request: Request, work: Any,
+                 trace: Optional[Any] = None) -> None:
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self.request = request
+        self.work = work
+        self.trace = trace
+        self.cost_s = 0.0
+        self.enqueued_at = 0.0

@@ -121,8 +121,8 @@ class WorkerStub(Component):
         except QueueFull:
             self.refused += 1
             return False
-        if envelope.trace is not None:
-            envelope.enqueued_at = self.env._now
+        envelope.cost_s = self.worker.work_estimate(envelope.work)
+        envelope.enqueued_at = self.env._now
         return True
 
     # -- processes ------------------------------------------------------------------
@@ -146,8 +146,7 @@ class WorkerStub(Component):
         worker = self.worker
         while True:
             envelope: WorkEnvelope = yield self.queue.get()
-            if envelope.trace is not None \
-                    and envelope.enqueued_at is not None:
+            if envelope.trace is not None:
                 envelope.trace.record(
                     "worker-queue", "queueing", envelope.enqueued_at,
                     component=self.name, depth=self.queue.length)
@@ -159,8 +158,7 @@ class WorkerStub(Component):
                 self.busy = True
                 yield env.event()
             if (config.shed_expired_requests
-                    and envelope.deadline_at is not None
-                    and env._now >= envelope.deadline_at):
+                    and env._now >= envelope.request.deadline_at):
                 # deadline propagation: the dispatching front end has
                 # already fallen back, so executing this would only add
                 # queueing delay in front of live requests
@@ -169,22 +167,22 @@ class WorkerStub(Component):
                     envelope.trace.annotate(shed_expired=True)
                 continue
             self.busy = True
-            self._in_service_cost_s = envelope.expected_cost_s or 0.0
+            self._in_service_cost_s = envelope.cost_s
             service_span = None
             if envelope.trace is not None:
                 service_span = envelope.trace.child(
                     "worker-service", "service", component=self.name)
             service_started_at = env._now
             try:
-                work = worker.work_sample(self.rng, envelope.tacc_request)
+                cpu_s = worker.work_sample(self.rng, envelope.work)
                 inflation = gray.inflation(service_started_at)
                 if inflation != 1.0:
-                    work *= inflation  # fail-slow / leak inflation
-                yield from self.node.compute(work)
+                    cpu_s *= inflation  # fail-slow / leak inflation
+                yield from self.node.compute(cpu_s)
                 if self.execute_real:
-                    result = worker.run(envelope.tacc_request)
+                    result = worker.run(envelope.work)
                 else:
-                    result = worker.simulate(envelope.tacc_request)
+                    result = worker.simulate(envelope.work)
                 if gray.corrupt:
                     result = worker.corrupt_result(result)
             except Interrupt:
@@ -194,8 +192,8 @@ class WorkerStub(Component):
                 self.failed += 1
                 if service_span is not None:
                     service_span.annotate(error="WorkerError").finish()
-                if envelope.reply._value is PENDING:
-                    envelope.reply.fail(error)
+                if envelope._value is PENDING:
+                    envelope.fail(error)
                 continue
             except NodeDown:
                 return  # host died under us
@@ -267,8 +265,8 @@ class WorkerStub(Component):
             envelope.trace.record("san-reply", "network", mark,
                                   component=self.name,
                                   bytes=result.size)
-        if self.alive and envelope.reply._value is PENDING:
-            envelope.reply.succeed(result)
+        if self.alive and envelope._value is PENDING:
+            envelope.succeed(result)
 
     def _send_report(self) -> None:
         report = LoadReport(
@@ -308,8 +306,7 @@ class WorkerStub(Component):
         # the queue can be tens of thousands deep under overload and this
         # runs every report interval: keep the walk a single C-level sum
         return total + sum(
-            envelope.expected_cost_s or 0.0
-            for envelope in self.queue._items)
+            envelope.cost_s for envelope in self.queue._items)
 
     def partition(self, duration_s: float) -> None:
         """Cut this worker off the SAN for ``duration_s`` (a network

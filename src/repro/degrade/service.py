@@ -93,7 +93,6 @@ class DegradableBenchService(BenchService):
                  config: Any) -> None:
         super().__init__(cluster, store)
         self.config = config
-        self._estimator = BrownoutJpegDistiller()
         self.degradation: Optional[Any] = None
         self.results = FreshnessCache(DEGRADE_FRESH_TTL_S,
                                       DEGRADE_STALE_TTL_S)
@@ -126,8 +125,10 @@ class DegradableBenchService(BenchService):
                 self.origin_breaker.short_circuits
         return counters
 
-    def _distill(self, frontend, record, trace, profile):
+    def _distill(self, frontend, request, profile):
         env = self.cluster.env
+        record = request.record
+        trace = request.trace
         controller = self.degradation
         mark = env.now
         hit = self.results.get(record.url, env.now)
@@ -181,15 +182,11 @@ class DegradableBenchService(BenchService):
         if reduced:
             tier = controller.forced_tier
             params = {"quality": tier.quality, "scale": tier.scale}
-        request = TACCRequest(inputs=[original], params=params,
-                              profile=profile,
-                              user_id=record.client_id)
-        expected = self._estimator.work_estimate(request)
+        work = TACCRequest(inputs=[original], params=params,
+                           profile=profile, user_id=record.client_id)
         try:
             result = yield from frontend.stub.dispatch(
-                request, self.worker_type, original.size,
-                expected_cost_s=expected, trace=trace,
-                priority=getattr(record, "priority", "interactive"))
+                request, work, self.worker_type)
         except (DispatchError, WorkerError):
             return Response(status="fallback", path="original",
                             content=original,

@@ -99,7 +99,6 @@ class BenchService:
 
     def __init__(self, cluster: Cluster, store: Any = None) -> None:
         self.cluster = cluster
-        self._estimator = JpegDistiller()
         self.store = store
         self._profile_caches: Dict[str, Any] = {}
         #: single-backend outage window (chaos adapter); the dstore
@@ -108,13 +107,12 @@ class BenchService:
         self.profile_reads = 0
         self.profile_read_failures = 0
 
-    def handle(self, frontend, record):
+    def handle(self, frontend, request):
         # a plain method: the front end drives the generator it returns
         # itself, with no delegating frame around every resume
         if self.store is None:
-            return self._distill(frontend, record,
-                                 frontend.current_trace, {})
-        return self._read_profile_and_distill(frontend, record)
+            return self._distill(frontend, request, {})
+        return self._read_profile_and_distill(frontend, request)
 
     def profile_cache_for(self, frontend_name: str):
         if frontend_name not in self._profile_caches:
@@ -126,9 +124,10 @@ class BenchService:
     def store_available(self) -> bool:
         return self.cluster.env.now >= self.store_down_until
 
-    def _read_profile_and_distill(self, frontend, record):
+    def _read_profile_and_distill(self, frontend, request):
         from repro.dstore.store import QuorumError, ReadUnavailable
-        trace = frontend.current_trace
+        record = request.record
+        trace = request.trace
         env = self.cluster.env
         cache = self.profile_cache_for(frontend.name)
         cached = record.client_id in cache._cache
@@ -153,24 +152,22 @@ class BenchService:
                     component=type(self.store).__name__,
                     hops=getattr(self.store, "last_op_hops", 1),
                     ok=profile is not None)
-        return (yield from self._distill(frontend, record, trace,
-                                         profile or {}))
+        return (yield from self._distill(frontend, request, profile or {}))
 
-    def _distill(self, frontend, record, trace, profile):
+    def _distill(self, frontend, request, profile):
         env = self.cluster.env
+        record = request.record
         mark = env._now
         yield env.timeout(CACHE_HIT_S)
-        if trace is not None:
-            trace.record("cache-hit", "cache", mark, hit=True)
+        if request.trace is not None:
+            request.trace.record("cache-hit", "cache", mark, hit=True)
         content = Content(record.url, record.mime,
                           ZeroPayload(record.size_bytes))
-        request = TACCRequest(inputs=[content], params={},
-                              profile=profile, user_id=record.client_id)
-        expected = self._estimator.work_estimate(request)
+        work = TACCRequest(inputs=[content], params={},
+                           profile=profile, user_id=record.client_id)
         try:
             result = yield from frontend.stub.dispatch(
-                request, self.worker_type, content.size,
-                expected_cost_s=expected, trace=trace)
+                request, work, self.worker_type)
         except (DispatchError, WorkerError):
             return Response(status="fallback", path="original",
                             content=content, size_bytes=content.size)

@@ -18,8 +18,8 @@ Design constraints, in order:
    Nth root), not a random draw, so traced runs reproduce untraced
    measurements bit-for-bit.
 3. **Causality is explicit.**  Contexts cross component boundaries
-   inside the messages that already cross them (``WorkEnvelope.trace``)
-   or via the synchronous hand-off protocol (:meth:`Tracer.hand_off` /
+   inside the records that already cross them (``Request.trace``,
+   ``WorkEnvelope.trace``) or via the synchronous hand-off protocol (:meth:`Tracer.hand_off` /
    :meth:`Tracer.take_pending`), which is safe because the simulator is
    cooperative: between a hand-off and the pick-up there is no yield
    point, hence no interleaving.

@@ -29,6 +29,7 @@ from repro.core.config import (
 from repro.core.fabric import SNSFabric
 from repro.core.frontend import FrontEnd, Response
 from repro.core.manager_stub import DispatchError
+from repro.core.messages import Request
 from repro.degrade.guards import OriginUnavailable
 from repro.distillers.gif import GifDistiller
 from repro.distillers.html import HtmlMunger
@@ -81,7 +82,6 @@ class TranSendLogic:
     def __init__(self, cluster: Cluster, config: SNSConfig,
                  cachesys: CacheSubsystem, origin: OriginServer,
                  profile_store: ProfileStore,
-                 registry: Optional[WorkerRegistry] = None,
                  adaptation: Optional[Any] = None) -> None:
         self.cluster = cluster
         self.config = config
@@ -102,11 +102,6 @@ class TranSendLogic:
                 lambda: cluster.env.now,
                 config.origin_breaker_failures,
                 ORIGIN_BREAKER_COOLDOWN_S, ORIGIN_BREAKER_SLOW_S)
-        registry = registry or transend_registry()
-        self._estimators = {
-            worker_type: registry.create(worker_type)
-            for worker_type in DISTILLER_FOR_MIME.values()
-        }
         self._profile_caches: Dict[str, WriteThroughCache] = {}
         #: response-path counters (the Section 3.1.8 BASE taxonomy).
         self.paths: Dict[str, int] = {}
@@ -133,10 +128,10 @@ class TranSendLogic:
 
     # -- the request path ---------------------------------------------------------
 
-    def handle(self, frontend: FrontEnd, record: TraceRecord):
+    def handle(self, frontend: FrontEnd, request: Request):
+        record = request.record
         # span context for this request, if the front end sampled it
-        # (must be read before the first yield — see FrontEnd.current_trace)
-        trace = frontend.current_trace
+        trace = request.trace
         profile_cache = self.profile_cache_for(frontend.name)
         cached_profile = record.client_id in profile_cache._cache
         preferences = profile_cache.overlay(record.client_id,
@@ -206,17 +201,15 @@ class TranSendLogic:
             return (yield from self._breaker_fallback(record, trace))
 
         # 3. distill
-        request = TACCRequest(
+        work = TACCRequest(
             inputs=[original],
             params={},
             profile=preferences,
             user_id=record.client_id,
         )
-        expected = self._estimators[worker_type].work_estimate(request)
         try:
             result = yield from frontend.stub.dispatch(
-                request, worker_type, original.size,
-                expected_cost_s=expected, trace=trace)
+                request, work, worker_type)
         except WorkerError:
             # pathological input: bypass the distiller, note the fault
             return self._respond("fallback-original", "fallback",
@@ -329,7 +322,7 @@ class TranSend:
             self.adaptation = AdaptationPolicy()
         self.logic = TranSendLogic(self.cluster, self.config,
                                    self.cachesys, self.origin,
-                                   self.profile_store, self.registry,
+                                   self.profile_store,
                                    adaptation=self.adaptation)
         self.fabric = SNSFabric(self.cluster, self.registry, self.config,
                                 self.logic, execute_real=real_content)

@@ -305,12 +305,15 @@ class PlaybackEngine:
         try:
             if tracer is not None:
                 tracer.hand_off(root)
-            response_event = self.submit(record)
-            if tracer is not None:
-                # the chain either consumed the hand-off synchronously
-                # or never will (no instrumented ingress): clear it so
-                # it cannot leak into an unrelated request
-                tracer.drop_pending()
+            try:
+                response_event = self.submit(record)
+            finally:
+                if tracer is not None:
+                    # the chain either consumed the hand-off
+                    # synchronously or never will (no instrumented
+                    # ingress, or submit raised): clear it so it cannot
+                    # leak into an unrelated request
+                    tracer.drop_pending()
             if self.timeout_s is not None:
                 response = yield TimedWait(
                     env, response_event, self.timeout_s)

@@ -39,14 +39,14 @@ class DispatchService:
 
     worker_type = "test-worker"
 
-    def handle(self, frontend, record):
+    def handle(self, frontend, request):
+        record = request.record
         content = Content(record.url, record.mime, b"x" * record.size_bytes)
-        request = TACCRequest(inputs=[content], params={},
-                              user_id=record.client_id)
+        work = TACCRequest(inputs=[content], params={},
+                           user_id=record.client_id)
         try:
             result = yield from frontend.stub.dispatch(
-                request, self.worker_type, content.size,
-                expected_cost_s=TestWorker.cost_s)
+                request, work, self.worker_type)
         except (DispatchError, WorkerError):
             return Response(status="fallback", path="original",
                             content=content, size_bytes=content.size)

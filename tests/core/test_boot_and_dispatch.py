@@ -81,15 +81,16 @@ def test_worker_error_falls_back_to_original(fabric):
     from tests.core.conftest import TestWorker
 
     frontend = next(iter(fabric.frontends.values()))
+    from repro.core.messages import Request
     bad = Content("http://x/bad.jpg", "image/jpeg", b"PATHOLOGICAL" * 10)
-    request = TACCRequest(inputs=[bad])
+    work = TACCRequest(inputs=[bad])
 
     def scenario(env):
         from repro.core.manager_stub import DispatchError
         from repro.tacc.worker import WorkerError
         try:
-            yield from frontend.stub.dispatch(request, "test-worker",
-                                              bad.size)
+            yield from frontend.stub.dispatch(Request(env, record), work,
+                                              "test-worker")
         except WorkerError:
             return "worker-error"
         except DispatchError:

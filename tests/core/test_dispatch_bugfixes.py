@@ -10,9 +10,12 @@
    steps, overshooting its deadline by up to one interval.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.manager_stub import DispatchError
+from repro.core.messages import Request
 from repro.sim.cluster import Cluster
 from repro.tacc.content import Content
 from repro.tacc.worker import TACCRequest
@@ -40,13 +43,14 @@ def test_deadline_eaten_by_san_transfer_is_not_a_worker_timeout():
     # the whole deadline is exactly the SAN transfer: after shipping the
     # input, zero budget remains for the reply timer
     transfer = fabric.cluster.network.transfer_delay(content.size)
+    stub.config = dataclasses.replace(stub.config,
+                                      dispatch_deadline_s=transfer)
     errors = []
 
     def run_dispatch():
         try:
-            yield from stub.dispatch(request, "test-worker",
-                                     content.size,
-                                     deadline_s=transfer)
+            yield from stub.dispatch(Request(env, None), request,
+                                     "test-worker")
         except DispatchError as error:
             errors.append(str(error))
 

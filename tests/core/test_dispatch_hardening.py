@@ -6,7 +6,7 @@ spawn-failure log."""
 import pytest
 
 from repro.core.manager_stub import DispatchError, ManagerStub
-from repro.core.messages import WorkEnvelope
+from repro.core.messages import Request, WorkEnvelope
 from repro.core.worker_stub import WorkerStub
 from repro.sim.cluster import Cluster
 
@@ -70,9 +70,10 @@ def test_envelope_carries_deadline(monkeypatch):
     reply = fabric.submit(make_record())
     fabric.cluster.env.run(until=reply)
     assert captured
-    deadline_at = captured[0].deadline_at
-    assert deadline_at is not None
-    assert deadline_at <= start + 4.0 + 0.5  # submit overheads only
+    # the envelope carries the front end's request record by reference
+    assert captured[0].request is reply
+    deadline_at = reply.deadline_at
+    assert start + 4.0 <= deadline_at <= start + 4.0 + 0.5  # overheads
 
 
 def test_default_deadline_is_full_attempt_budget(monkeypatch):
@@ -91,11 +92,12 @@ def test_default_deadline_is_full_attempt_budget(monkeypatch):
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 1})
     fabric.cluster.run(until=2.0)
     config = fabric.config
+    start = fabric.cluster.env.now
     reply = fabric.submit(make_record())
     fabric.cluster.env.run(until=reply)
     budget = config.dispatch_attempts * config.dispatch_timeout_s
-    assert captured[0].deadline_at == pytest.approx(
-        captured[0].submitted_at + budget, abs=budget)
+    assert captured[0].request.deadline_at == pytest.approx(
+        start + budget, abs=budget)
 
 
 def test_deadline_exhaustion_fails_fast():
@@ -139,12 +141,10 @@ def envelope_with_deadline(fabric, deadline_at):
     from repro.tacc.content import Content
     from repro.tacc.worker import TACCRequest
     content = Content(record.url, record.mime, b"x" * record.size_bytes)
-    return WorkEnvelope(
-        request_id=1,
-        tacc_request=TACCRequest(inputs=[content], params={},
-                                 user_id="c"),
-        reply=env.event(), submitted_at=env.now, input_bytes=100,
-        expected_cost_s=0.04, deadline_at=deadline_at)
+    request = Request(env, record)
+    request.deadline_at = deadline_at
+    return WorkEnvelope(env, request, TACCRequest(
+        inputs=[content], params={}, user_id="c"))
 
 
 def test_worker_sheds_expired_requests_when_enabled():
@@ -157,11 +157,11 @@ def test_worker_sheds_expired_requests_when_enabled():
     assert worker.submit(expired)
     fabric.cluster.run(until=env.now + 2.0)
     assert worker.expired == 1
-    assert not expired.reply.triggered
+    assert not expired.triggered
     live = envelope_with_deadline(fabric, env.now + 30.0)
     assert worker.submit(live)
     fabric.cluster.run(until=env.now + 2.0)
-    assert live.reply.triggered
+    assert live.triggered
 
 
 def test_worker_serves_expired_requests_by_default():
@@ -176,7 +176,7 @@ def test_worker_serves_expired_requests_by_default():
     assert worker.submit(stale)
     fabric.cluster.run(until=env.now + 2.0)
     assert worker.expired == 0
-    assert stale.reply.triggered
+    assert stale.triggered
 
 
 # -- admission control --------------------------------------------------------

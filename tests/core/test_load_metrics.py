@@ -47,21 +47,19 @@ def test_weighted_load_report_includes_in_service_item():
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 1})
     fabric.cluster.run(until=2.0)
     stub = fabric.alive_workers()[0]
-    # inject a long request directly with a known expected cost
-    from repro.core.messages import WorkEnvelope
+    # inject a request directly: the stub prices it by the worker's own
+    # estimate (TestWorker's flat 40 ms) as it accepts it
+    from repro.core.messages import Request, WorkEnvelope
     from repro.tacc.content import Content
     from repro.tacc.worker import TACCRequest
+    from tests.core.conftest import TestWorker
 
+    env = fabric.cluster.env
     content = Content("u", "image/jpeg", b"x" * 1000)
-    envelope = WorkEnvelope(
-        request_id=1,
-        tacc_request=TACCRequest(inputs=[content]),
-        reply=fabric.cluster.env.event(),
-        submitted_at=0.0,
-        input_bytes=1000,
-        expected_cost_s=2.5,
-    )
+    envelope = WorkEnvelope(env, Request(env, None),
+                            TACCRequest(inputs=[content]))
     stub.submit(envelope)
+    assert envelope.cost_s == TestWorker.cost_s
 
     def probe(env):
         yield env.timeout(0.01)  # let the stub pick it up
@@ -69,7 +67,7 @@ def test_weighted_load_report_includes_in_service_item():
 
     load = fabric.cluster.env.run(
         until=fabric.cluster.env.process(probe(fabric.cluster.env)))
-    assert load == pytest.approx(2.5)
+    assert load == pytest.approx(TestWorker.cost_s)
 
 
 def test_weighted_metric_spawns_on_expensive_backlog():

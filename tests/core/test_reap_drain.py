@@ -6,11 +6,11 @@ request.  Now it prefers empty-queue victims, and a busy victim is
 taken out of rotation, drained to same-type peers, and only then
 killed."""
 
-from repro.core.messages import RegisterWorker, WorkEnvelope
+from repro.core.messages import RegisterWorker, Request, WorkEnvelope
 from repro.tacc.content import Content
 from repro.tacc.worker import TACCRequest
 
-from tests.core.conftest import TestWorker, fast_config, make_fabric
+from tests.core.conftest import fast_config, make_fabric
 
 
 def boot(workers=2, config=None, seed=7):
@@ -24,17 +24,11 @@ def boot(workers=2, config=None, seed=7):
 
 
 def make_envelope(fabric, request_id=1):
+    env = fabric.cluster.env
     content = Content(f"http://t/img{request_id}.jpg", "image/jpeg",
                       b"x" * 2048)
-    request = TACCRequest(inputs=[content], params={}, user_id="client0")
-    return WorkEnvelope(
-        request_id=request_id,
-        tacc_request=request,
-        reply=fabric.cluster.env.event(),
-        submitted_at=fabric.cluster.env.now,
-        input_bytes=content.size,
-        expected_cost_s=TestWorker.cost_s,
-    )
+    work = TACCRequest(inputs=[content], params={}, user_id="client0")
+    return WorkEnvelope(env, Request(env, None), work)
 
 
 def test_reap_prefers_the_idle_victim():
@@ -72,7 +66,7 @@ def test_busy_victim_is_drained_to_peers_not_dropped():
     assert manager.reap_drops == 0
     assert manager.reap_redispatches >= 2
     # every accepted request was answered, none lost to the reap
-    assert all(envelope.reply.triggered for envelope in envelopes)
+    assert all(envelope.triggered for envelope in envelopes)
     assert peer.served >= 2
 
 

@@ -1,10 +1,10 @@
 """Shared assembly helpers for the recovery-layer tests."""
 
-from repro.core.messages import WorkEnvelope
+from repro.core.messages import Request, WorkEnvelope
 from repro.tacc.content import Content
 from repro.tacc.worker import TACCRequest
 
-from tests.core.conftest import TestWorker, fast_config, make_fabric
+from tests.core.conftest import fast_config, make_fabric
 
 
 def boot_fabric(workers=3, n_nodes=8, seed=7, config=None):
@@ -21,14 +21,8 @@ def boot_fabric(workers=3, n_nodes=8, seed=7, config=None):
 
 def make_envelope(fabric, request_id=1, size=2048):
     """One hand-crafted request for driving a worker stub directly."""
+    env = fabric.cluster.env
     content = Content(f"http://t/img{request_id}.jpg", "image/jpeg",
                       b"x" * size)
-    request = TACCRequest(inputs=[content], params={}, user_id="client0")
-    return WorkEnvelope(
-        request_id=request_id,
-        tacc_request=request,
-        reply=fabric.cluster.env.event(),
-        submitted_at=fabric.cluster.env.now,
-        input_bytes=content.size,
-        expected_cost_s=TestWorker.cost_s,
-    )
+    work = TACCRequest(inputs=[content], params={}, user_id="client0")
+    return WorkEnvelope(env, Request(env, None), work)

@@ -91,7 +91,7 @@ def test_hung_worker_holds_the_head_request_forever():
     assert stub.alive
     assert stub.busy            # wedged on the held request
     assert stub.gray.dropped == 1
-    assert not envelope.reply.triggered
+    assert not envelope.triggered
     assert stub.served == 0
 
 
@@ -167,7 +167,7 @@ def serve_one(fabric, stub):
     """What the stub replies with to one request it really serves."""
     envelope = make_envelope(fabric)
     assert stub.submit(envelope)
-    return fabric.cluster.env.run(until=envelope.reply)
+    return fabric.cluster.env.run(until=envelope)
 
 
 # -- drain ------------------------------------------------------------------------
@@ -182,5 +182,5 @@ def test_drain_queue_empties_and_returns_in_order():
     drained = stub.drain_queue()
     # the head envelope was already handed to the service loop's pending
     # get(); the drain returns the still-queued tail, in order
-    assert [e.request_id for e in drained] == [1, 2]
+    assert drained == envelopes[1:]
     assert stub.queue.length == 0

@@ -281,8 +281,8 @@ def test_front_end_drives_either_shape_of_handle(build, backend,
                              reply.value.size_bytes) for reply in replies]
         assert [status for status, _, _ in outcomes[traced]] == ["ok"] * 6
         if traced:
-            # the service read `frontend.current_trace` in time: its
-            # spans hang under each request's service span
+            # the service read the span off its `Request`: its spans
+            # hang under each request's service span
             names = [span.name for span in tracer.all_spans()]
             assert names.count("service") == 6
             assert names.count("dispatch") == 6

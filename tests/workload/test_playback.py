@@ -125,6 +125,34 @@ def test_adapter_exception_recorded_as_failure():
     assert len(engine.completed()) == 1
 
 
+def test_a_raising_adapter_leaks_no_trace_hand_off():
+    """The root span handed to a ``submit`` that raises is cleared with
+    the failure: the next uninstrumented client's front-end span opens
+    its own trace instead of hanging under the failed request's
+    finished root."""
+    from repro.obs.trace import install_tracer
+    from tests.core.conftest import make_fabric, make_record
+
+    fabric = make_fabric()
+    fabric.boot(n_frontends=1, initial_workers={"test-worker": 1})
+    cluster = fabric.cluster
+    cluster.run(until=2.0)
+    tracer = install_tracer(cluster, sample_every=1)
+
+    def raising_submit(record):
+        raise RuntimeError("adapter down")
+
+    engine = PlaybackEngine(cluster.env, raising_submit)
+    cluster.env.process(engine.play([make_record(0)]))
+    cluster.run(until=3.0)
+    assert len(engine.failed()) == 1
+    cluster.env.run(until=fabric.submit(make_record(1)))
+    [frontend] = [span for span in tracer.all_spans()
+                  if span.name == "frontend"]
+    assert frontend.parent_id is None
+    assert len(tracer.spans) == 2
+
+
 def test_timeout_marks_request_failed():
     env = Environment()
     service = MockService(env, service_time=10.0)
