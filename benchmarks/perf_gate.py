@@ -18,15 +18,8 @@ JSON: a measurement file recorded on a smaller machine must not waive
 the floor on a machine that can demonstrate the speedup — it fails the
 gate instead, telling you to regenerate the measurement here.
 
-Replay mode (``--replay``) gates a fresh ``BENCH_replay.json`` the
-same way on three axes: the drift contract must hold unconditionally
-(the sharded merge reproduces the serial totals), the serial
-requests/sec must clear the normalized floor against the committed
-baseline, and — on runners with enough cores — the sharded speedup at
-4 jobs must clear its own floor.
-
-Both parallel gates print a loud warning when the *committed* file is
-a 1-core artifact: such a file carries honest correctness data but no
+The fan-out gate prints a loud warning when the measurement file is a
+1-core artifact: such a file carries honest correctness data but no
 meaningful speedup, so it anchors nothing until regenerated on a
 multi-core machine.
 
@@ -36,8 +29,6 @@ Usage::
                                             [--max-regression 0.25]
     python benchmarks/perf_gate.py --fanout BENCH_fanout.json
                                             [--min-speedup 1.8]
-    python benchmarks/perf_gate.py --replay NEW_replay.json
-                                            [--replay-baseline BENCH_replay.json]
 """
 
 from __future__ import annotations
@@ -53,7 +44,6 @@ GATED = [
     ("queue-heavy events/sec", ("queue_heavy", "events_per_sec")),
     ("coalesced-timer ticks/sec",
      ("timer_coalescing", "coalesced_ticks_per_sec")),
-    ("trace-replay requests/sec", ("trace_replay", "requests_per_sec")),
 ]
 
 
@@ -68,33 +58,22 @@ def _normalized(payload: dict, path) -> float:
     return _rate(payload, path) / float(payload["calibration_ops_per_sec"])
 
 
-def _warn_single_core_artifact(name: str, recorded_cores: int,
-                               regenerate_cmd: str) -> None:
-    """Shout when a committed measurement came from a 1-core box.
-
-    The file's correctness fields (byte-identical / drift) are still
-    trustworthy, but its speedup number is meaningless — parallel work
-    on one core only adds fork overhead — so nothing downstream should
-    treat it as a performance anchor.
-    """
-    if recorded_cores > 1:
-        return
-    print("=" * 64)
-    print(f"WARNING: {name} was recorded on a single-core machine.")
-    print("Its speedup figure reflects fork overhead, not parallel")
-    print("scaling, and must not be read as a performance baseline.")
-    print(f"Regenerate on a multi-core box: {regenerate_cmd}")
-    print("=" * 64)
-
-
 def gate_fanout(path: Path, min_speedup: float, min_cores: int,
                 runner_cores: int | None = None) -> int:
     payload = json.loads(path.read_text(encoding="utf-8"))
     sweep = payload["sweep"]
     recorded_cores = int(payload.get("cpu_count", 1))
-    _warn_single_core_artifact(
-        path.name, recorded_cores,
-        "python -m pytest benchmarks/test_bench_fanout.py")
+    if recorded_cores <= 1:
+        # its byte-identity field is still trustworthy, but a speedup
+        # measured on one core is fork overhead, not parallel scaling
+        print("=" * 64)
+        print(f"WARNING: {path.name} was recorded on a single-core "
+              "machine.")
+        print("Its speedup figure reflects fork overhead, not parallel")
+        print("scaling, and must not be read as a performance baseline.")
+        print("Regenerate on a multi-core box: "
+              "python -m pytest benchmarks/test_bench_fanout.py")
+        print("=" * 64)
     runner = (runner_cores if runner_cores is not None
               else os.cpu_count() or 1)
     speedup = float(sweep["speedup"])
@@ -130,70 +109,6 @@ def gate_fanout(path: Path, min_speedup: float, min_cores: int,
     return 0
 
 
-def gate_replay(path: Path, baseline_path: Path, max_regression: float,
-                min_speedup: float, min_cores: int,
-                runner_cores: int | None = None) -> int:
-    new = json.loads(path.read_text(encoding="utf-8"))
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    replay = new["replay"]
-    recorded_cores = int(new.get("cpu_count", 1))
-    baseline_cores = int(baseline.get("cpu_count", 1))
-    runner = (runner_cores if runner_cores is not None
-              else os.cpu_count() or 1)
-    _warn_single_core_artifact(
-        baseline_path.name, baseline_cores,
-        "python -m pytest benchmarks/test_bench_replay10m.py")
-
-    print(f"replay: {replay['requests']} requests over "
-          f"{replay['duration_s']:g}s trace; serial "
-          f"{replay['requests_per_sec']:,.0f} req/s, "
-          f"{replay['jobs']} jobs -> {replay['speedup']:.2f}x "
-          f"across {replay['n_windows']} windows; recorded on "
-          f"{recorded_cores} core(s), gate runner has {runner}")
-
-    # axis 1: the drift contract is unconditional — a sharded replay
-    # that does not reproduce the serial totals is wrong, not slow
-    if not replay["drift_ok"]:
-        print("FAIL: sharded merge drifted from the serial replay")
-        return 1
-    print("drift contract: ok")
-
-    # axis 2: normalized serial throughput vs the committed baseline
-    path_into = ("replay", "requests_per_sec")
-    new_norm = _normalized(new, path_into)
-    base_norm = _normalized(baseline, path_into)
-    ratio = new_norm / base_norm if base_norm else float("inf")
-    floor = 1.0 - max_regression
-    verdict = "ok" if ratio >= floor else "REGRESSION"
-    print(f"serial requests/sec: raw {_rate(new, path_into):.0f} vs "
-          f"baseline {_rate(baseline, path_into):.0f} | normalized "
-          f"ratio {ratio:.2f} (floor {floor:.2f}) -> {verdict}")
-    if ratio < floor:
-        print(f"FAIL: serial replay regressed more than "
-              f"{max_regression:.0%} vs {baseline_path}")
-        return 1
-
-    # axis 3: sharded speedup floor, same skip/fail logic as --fanout
-    if runner < min_cores:
-        print(f"speedup floor skipped: runner has {runner} core(s) < "
-              f"{min_cores} (cannot demonstrate parallel speedup)")
-        print("perf gate passed")
-        return 0
-    if recorded_cores < min_cores:
-        print(f"FAIL: measurement recorded on {recorded_cores} "
-              f"core(s) but this runner has {runner}; regenerate "
-              f"{path.name} on this machine "
-              f"(python -m pytest benchmarks/test_bench_replay10m.py)")
-        return 1
-    if replay["speedup"] < min_speedup:
-        print(f"FAIL: sharded speedup {replay['speedup']:.2f}x below "
-              f"the {min_speedup:.2f}x floor")
-        return 1
-    print(f"speedup floor: ok (>= {min_speedup:.2f}x)")
-    print("perf gate passed")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("new", type=Path, nargs="?",
@@ -208,21 +123,9 @@ def main(argv=None) -> int:
                         metavar="BENCH_fanout.json",
                         help="gate a fan-out speedup measurement "
                              "instead of the kernel throughput")
-    parser.add_argument("--replay", type=Path, default=None,
-                        metavar="BENCH_replay.json",
-                        help="gate a time-sharded replay measurement "
-                             "(drift + serial floor + speedup floor)")
-    parser.add_argument("--replay-baseline", type=Path,
-                        default=Path(__file__).resolve().parents[1]
-                        / "BENCH_replay.json",
-                        help="committed replay baseline "
-                             "(default: repo root)")
     parser.add_argument("--min-speedup", type=float, default=1.8,
                         help="fan-out speedup floor at 4 jobs "
                              "(default 1.8)")
-    parser.add_argument("--min-replay-speedup", type=float, default=2.0,
-                        help="sharded replay speedup floor at 4 jobs "
-                             "(default 2.0)")
     parser.add_argument("--min-cores", type=int, default=4,
                         help="skip the speedup floor when the runner "
                              "has fewer cores than this (default 4)")
@@ -236,14 +139,8 @@ def main(argv=None) -> int:
         return gate_fanout(args.fanout, args.min_speedup,
                            args.min_cores,
                            runner_cores=args.runner_cores)
-    if args.replay is not None:
-        return gate_replay(args.replay, args.replay_baseline,
-                           args.max_regression,
-                           args.min_replay_speedup, args.min_cores,
-                           runner_cores=args.runner_cores)
     if args.new is None:
-        parser.error("NEW.json is required unless --fanout or "
-                     "--replay is given")
+        parser.error("NEW.json is required unless --fanout is given")
 
     new = json.loads(args.new.read_text(encoding="utf-8"))
     baseline = json.loads(args.baseline.read_text(encoding="utf-8"))

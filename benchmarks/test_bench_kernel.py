@@ -1,6 +1,6 @@
 """Kernel throughput benchmark: the committed perf trajectory.
 
-Three phases, one JSON:
+Two phases, one JSON:
 
 1. **Queue-heavy microbench** (events/sec): bursty producers drive
    consumer processes through deep :class:`~repro.sim.kernel.Queue`
@@ -10,11 +10,6 @@ Three phases, one JSON:
 2. **Timer-coalescing microbench** (ticks/sec): N same-period
    maintenance loops as processes vs as one coalesced periodic bucket
    (:meth:`~repro.sim.kernel.Environment.periodic`).
-3. **Streaming trace replay** (requests/sec): a 1M-request synthetic
-   fixed-JPEG trace (Section 4.6's scalability workload) streams through
-   the playback engine in bounded memory — the trace is generated
-   lazily, outcomes are aggregated instead of recorded — against a
-   queue + network-delay service adapter.
 
 Results are written to ``BENCH_kernel.json`` at the repo root.  That
 file is committed: it is the regression baseline every future PR is
@@ -35,10 +30,7 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import calibrate
-from repro.fanout.timeshard import ReplaySpec, _queue_san_service
 from repro.sim.kernel import Environment
-from repro.workload.playback import PlaybackEngine
-from repro.workload.tracegen import iter_fixed_jpeg_trace
 
 SCALE = float(os.environ.get("BENCH_KERNEL_SCALE", "1.0"))
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_kernel.json"
@@ -139,39 +131,6 @@ def run_timer_coalescing(scale: float = 1.0) -> dict:
     }
 
 
-# -- phase 3: streaming 1M-request replay, requests/sec --------------------
-
-
-def run_trace_replay(scale: float = 1.0) -> dict:
-    """Replay a synthetic 1M-request trace end-to-end, streaming."""
-    n_requests = max(1_000, int(1_000_000 * scale))
-    rate_rps = 4_000.0  # keeps sim duration ~n/4000 s, backlog modest
-    env = Environment()
-    # the time-shard replay's service: 8 callback-style servers on one
-    # queue, each reply paying a 1 Gb/s SAN transfer
-    submit = _queue_san_service(
-        env, ReplaySpec(duration_s=n_requests / rate_rps))
-    engine = PlaybackEngine(env, submit, record_outcomes=False)
-    trace = iter_fixed_jpeg_trace(rate_rps, n_requests, seed=1997)
-    engine.play_scheduled(trace)
-    start = time.perf_counter()
-    env.run()
-    elapsed = time.perf_counter() - start
-    stats = engine.stats
-    assert stats.submitted == n_requests
-    assert stats.completed == n_requests
-    assert engine.outcomes == []  # bounded memory: nothing recorded
-    return {
-        "n_requests": n_requests,
-        "n_events": env._seq,
-        "sim_seconds": round(env.now, 1),
-        "elapsed_s": round(elapsed, 3),
-        "requests_per_sec": round(n_requests / elapsed),
-        "events_per_sec": round(env._seq / elapsed),
-        "mean_latency_ms": round(stats.mean_latency * 1000, 3),
-    }
-
-
 # -- the benchmark ---------------------------------------------------------
 
 
@@ -182,7 +141,6 @@ def test_kernel_throughput(benchmark):
         return {
             "queue_heavy": run_queue_heavy(SCALE),
             "timer_coalescing": run_timer_coalescing(SCALE),
-            "trace_replay": run_trace_replay(SCALE),
         }
 
     result_holder = {}
@@ -207,10 +165,7 @@ def test_kernel_throughput(benchmark):
 
     benchmark.extra_info["events_per_sec"] = \
         result["queue_heavy"]["events_per_sec"]
-    benchmark.extra_info["requests_per_sec"] = \
-        result["trace_replay"]["requests_per_sec"]
     # sanity floors (far below any real machine, catches pathologies)
     assert result["queue_heavy"]["events_per_sec"] > 10_000
-    assert result["trace_replay"]["requests_per_sec"] > 1_000
     # the whole point of coalescing: far fewer kernel events per tick
     assert result["timer_coalescing"]["event_reduction"] > 2

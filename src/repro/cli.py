@@ -55,7 +55,6 @@ def _number(cast: Callable, accepts: Callable[[Any], bool],
 
 _COUNT = _number(int, lambda value: value >= 1, ">= 1")
 _POSITIVE = _number(float, lambda value: value > 0, "> 0")
-_NON_NEGATIVE = _number(float, lambda value: value >= 0, ">= 0")
 _NATURAL = _number(int, lambda value: value >= 0, ">= 0")
 
 
@@ -163,44 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="N",
                               help="also render the N slowest span "
                                    "trees with their critical paths")
-    replay_parser = subparsers.add_parser(
-        "replay", help="replay a generated trace end-to-end, "
-                       "optionally time-sharded across worker "
-                       "processes (--jobs N splits ONE run into "
-                       "contiguous windows)")
-    replay_parser.add_argument("--duration", type=_POSITIVE,
-                               default=60.0,
-                               help="trace span in seconds "
-                                    "(default 60)")
-    replay_parser.add_argument("--rate", type=_POSITIVE, default=2000.0,
-                               help="mean request rate in req/s "
-                                    "(default 2000)")
-    replay_parser.add_argument("--seed", type=int, default=1997,
-                               help="master RNG seed (default 1997)")
-    replay_parser.add_argument("--jobs", type=_COUNT, default=1,
-                               metavar="N",
-                               help="time-shard the single replay "
-                                    "across N worker processes "
-                                    "(default 1: serial)")
-    replay_parser.add_argument("--windows", type=_COUNT, default=None,
-                               metavar="K",
-                               help="number of time windows "
-                                    "(default: one per job)")
-    replay_parser.add_argument("--warmup", type=_NON_NEGATIVE,
-                               default=2.0,
-                               metavar="S",
-                               help="uncounted lead-in seconds "
-                                    "replayed before each non-initial "
-                                    "window (default 2)")
-    replay_parser.add_argument("--check", action="store_true",
-                               help="also run the serial reference "
-                                    "and verify the drift contract "
-                                    "(exact counts, toleranced mean "
-                                    "latency)")
-    replay_parser.add_argument("--tolerance", type=_NON_NEGATIVE,
-                               default=0.05,
-                               help="relative mean-latency tolerance "
-                                    "for --check (default 0.05)")
     trace_parser = subparsers.add_parser(
         "trace", help="generate or analyze a synthetic workload trace "
                       "(HTTP request list; for per-request span "
@@ -473,57 +434,6 @@ def trace_command(args) -> int:
     return 0
 
 
-def replay_command(args) -> int:
-    """Run one (optionally time-sharded) end-to-end trace replay."""
-    import time as _time
-
-    from repro.fanout.timeshard import (
-        ReplaySpec,
-        drift_check,
-        replay_serial,
-        replay_sharded,
-    )
-
-    spec = ReplaySpec(duration_s=args.duration,
-                      seed=args.seed,
-                      mean_rate_rps=args.rate,
-                      warmup_s=args.warmup)
-    start = _time.perf_counter()
-    if args.jobs <= 1 and args.windows is None:
-        merged = replay_serial(spec)
-        windows = [merged]
-    else:
-        result = replay_sharded(spec, jobs=args.jobs,
-                                n_windows=args.windows)
-        merged = result.merged
-        windows = result.windows
-    elapsed = _time.perf_counter() - start
-
-    mean_ms = (merged.mean_latency or 0.0) * 1e3
-    print(f"replay: {merged.submitted} requests over "
-          f"{spec.duration_s:g}s trace, {len(windows)} window(s), "
-          f"jobs={args.jobs}")
-    print(f"  completed {merged.completed}, failed {merged.failed}, "
-          f"mean latency {mean_ms:.3f} ms")
-    print(f"  wall {elapsed:.2f}s "
-          f"({merged.submitted / elapsed:,.0f} req/s)")
-    for window in windows if len(windows) > 1 else []:
-        print(f"  [{window.start_s:g}, {window.end_s:g}): "
-              f"{window.submitted} submitted, "
-              f"max in-flight {window.max_in_flight}")
-    if args.check and len(windows) > 1:
-        serial = replay_serial(spec)
-        report = drift_check(serial, merged,
-                             latency_tolerance=args.tolerance)
-        for line in report.checks:
-            print(f"  drift: {line}")
-        if not report.ok:
-            print("drift contract VIOLATED")
-            return 1
-        print("drift contract ok")
-    return 0
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -537,8 +447,6 @@ def main(argv: Optional[list] = None) -> int:
             return trace_command(args)
         if args.command == "spans":
             return spans_command(args)
-        if args.command == "replay":
-            return replay_command(args)
         if args.experiment == "all":
             names = sorted(EXPERIMENTS)
         elif args.experiment in EXPERIMENTS:

@@ -28,31 +28,13 @@ from repro.fanout.shard import (
     ShardSpec,
     SweepResult,
 )
-from repro.fanout.timeshard import (
-    DriftReport,
-    ReplaySpec,
-    ShardedReplayResult,
-    WindowResult,
-    drift_check,
-    replay_serial,
-    replay_sharded,
-    window_edges,
-)
 
 __all__ = [
-    "DriftReport",
     "FanoutError",
-    "ReplaySpec",
     "ShardResult",
     "ShardSpec",
-    "ShardedReplayResult",
     "SweepResult",
-    "WindowResult",
-    "drift_check",
     "merge_latency",
-    "replay_serial",
-    "replay_sharded",
     "run_sharded",
     "sum_counters",
-    "window_edges",
 ]

@@ -8,16 +8,12 @@ trace according to the timestamps in the trace file."
 The engine is a simulation component: it submits each request to a
 *service adapter* — any callable ``submit(record) -> Event`` whose event
 fires with a response object — and records per-request outcomes for the
-analysis layer.  Four modes:
+analysis layer.  Three modes:
 
 * :meth:`PlaybackEngine.play` — faithful timestamps; accepts any
   iterable of records, so a streaming trace source (a generator, or
   :func:`~repro.workload.trace.iter_trace` over a file) replays without
   ever materializing the full trace;
-* :meth:`PlaybackEngine.play_scheduled` — faithful timestamps against
-  an absolute clock (no first-record anchoring), callback-driven: the
-  arrival pump schedules itself on the kernel heap instead of sleeping
-  in a player process, the time-shard and million-request replay path;
 * :meth:`PlaybackEngine.constant_rate` — Poisson arrivals at a fixed rate;
 * :meth:`PlaybackEngine.ramp` — a piecewise-constant rate schedule, used
   by the Figure 8 self-tuning and Table 2 scalability experiments to
@@ -31,6 +27,7 @@ so memory stays bounded regardless of trace length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -40,6 +37,16 @@ from repro.sim.rng import Stream
 from repro.workload.trace import TraceRecord
 
 SubmitFn = Callable[[TraceRecord], Event]
+
+
+def _check(name: str, value: float, positive: bool = False) -> None:
+    """Refuse a rate, duration or timeout that is not finite or is below
+    its floor (0, excluded when ``positive``).  Every ordered comparison
+    with NaN is false, so the players' own bound checks let it through:
+    it would hang a run or count an answered request as timed out."""
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        raise ValueError(f"{name} must be finite and "
+                         f"{'> 0' if positive else '>= 0'}, got {value!r}")
 
 
 @dataclass
@@ -55,25 +62,13 @@ class PlaybackStats:
     completed: int = 0
     failed: int = 0
     latency_sum: float = 0.0
-    latency_min: float = float("inf")
-    latency_max: float = 0.0
 
     def observe_success(self, latency: float) -> None:
         self.completed += 1
         self.latency_sum += latency
-        if latency < self.latency_min:
-            self.latency_min = latency
-        if latency > self.latency_max:
-            self.latency_max = latency
 
     def observe_failure(self) -> None:
         self.failed += 1
-
-    @property
-    def mean_latency(self) -> Optional[float]:
-        if not self.completed:
-            return None
-        return self.latency_sum / self.completed
 
 
 @dataclass
@@ -105,6 +100,8 @@ class PlaybackEngine:
                  record_outcomes: bool = True,
                  on_success: Optional[Callable[[Any, float], None]]
                  = None) -> None:
+        if timeout_s is not None:
+            _check("timeout_s", timeout_s, positive=True)
         self.env = env
         self.submit = submit
         self.rng = rng
@@ -120,28 +117,6 @@ class PlaybackEngine:
         self.outcomes: List[RequestOutcome] = []
         self.stats = PlaybackStats()
         self.in_flight = 0
-        self.max_in_flight = 0
-        # Bounded-memory playback with no tracer and no per-request
-        # timeout needs none of the process machinery per request: the
-        # response event gets a completion callback instead of a whole
-        # waiting generator.  A 10M-request replay saves two kernel
-        # events and two generator resumes per request this way.
-        self._fast_done = self._make_fast_done()
-
-    def _make_fast_done(self) -> Callable[[Event, float], None]:
-        env = self.env
-        stats = self.stats
-        def fast_done(event: Event, started: float) -> None:
-            if event._ok:
-                latency = env._now - started
-                stats.observe_success(latency)
-                on_success = self.on_success
-                if on_success is not None:
-                    on_success(event._value, latency)
-            else:
-                stats.observe_failure()
-            self.in_flight -= 1
-        return fast_done
 
     # -- modes ----------------------------------------------------------------
 
@@ -164,50 +139,13 @@ class PlaybackEngine:
                 yield env.timeout(wait)
             self._launch(record)
 
-    def play_scheduled(self, records: Iterable[TraceRecord],
-                       clock_origin: float = 0.0) -> None:
-        """Callback-driven playback against an absolute clock.
-
-        A record with timestamp ``ts`` is submitted at simulated time
-        ``ts - clock_origin`` — no anchoring to the first record.  This
-        is what a time shard of a longer trace needs: every window of
-        the same trace replays on the same global timeline, so a
-        warm-up lead-in and its counted window pace each other exactly
-        as the unsharded run would (see :mod:`repro.fanout.timeshard`).
-        Records whose due time is already past submit immediately.
-
-        The arrival pump schedules itself straight on the kernel heap
-        (`Environment.schedule_call`): one event and one plain callback
-        per record, where a player process pays a Timeout event plus a
-        generator resume.  Call it once and the replay is live — there
-        is nothing to pass to ``env.process``.  This is the
-        million-request replay path (the kernel benchmark and
-        :mod:`repro.fanout.timeshard` both drive it).
-        """
-        env = self.env
-        iterator = iter(records)
-        launch = self._launch
-        schedule_call = env.schedule_call
-
-        def pump(event: Optional[Event] = None) -> None:
-            if event is not None:
-                launch(event._value)
-            for record in iterator:
-                wait = (record.timestamp - clock_origin) - env._now
-                if wait > 0.0:
-                    schedule_call(wait, pump, record)
-                    return
-                launch(record)
-
-        pump()
-
     def constant_rate(self, rate_rps: float, duration_s: float,
                       records: Sequence[TraceRecord]):
         """Process generator: Poisson arrivals cycling over ``records``."""
         if self.rng is None:
             raise ValueError("constant_rate mode requires an RNG stream")
-        if rate_rps <= 0:
-            raise ValueError("rate must be positive")
+        _check("rate_rps", rate_rps, positive=True)
+        _check("duration_s", duration_s)
         if not records:
             raise ValueError(
                 "constant_rate mode needs records to cycle over")
@@ -231,9 +169,12 @@ class PlaybackEngine:
             raise ValueError("ramp mode requires an RNG stream")
         if not records:
             raise ValueError("ramp mode needs records to cycle over")
+        for duration_s, rate_rps in schedule:
+            _check("duration_s", duration_s)
+            _check("rate_rps", rate_rps)
         index = 0
         for duration_s, rate_rps in schedule:
-            if rate_rps <= 0:
+            if rate_rps == 0:
                 yield self.env.timeout(duration_s)
                 continue
             end = self.env.now + duration_s
@@ -251,36 +192,7 @@ class PlaybackEngine:
     # -- request lifecycle ---------------------------------------------------------
 
     def _launch(self, record: TraceRecord) -> None:
-        if self.record_outcomes or self.timeout_s is not None \
-                or self.env.tracer is not None:
-            self.env.process(self._request(record))
-            return
-        # fast path: callback completion, no per-request process
-        env = self.env
-        stats = self.stats
-        stats.submitted += 1
-        in_flight = self.in_flight + 1
-        self.in_flight = in_flight
-        if in_flight > self.max_in_flight:
-            self.max_in_flight = in_flight
-        started = env._now
-        try:
-            response_event = self.submit(record)
-        except Interrupt:
-            raise
-        except Exception:
-            stats.observe_failure()
-            self.in_flight -= 1
-            return
-        fast_done = self._fast_done
-        callbacks = response_event.callbacks
-        if callbacks is None:
-            # already processed: complete synchronously
-            fast_done(response_event, started)
-        else:
-            callbacks.append(
-                lambda event, _started=started: fast_done(event,
-                                                          _started))
+        self.env.process(self._request(record))
 
     def _request(self, record: TraceRecord):
         env = self.env
@@ -288,8 +200,6 @@ class PlaybackEngine:
         started = env._now
         stats.submitted += 1
         self.in_flight += 1
-        if self.in_flight > self.max_in_flight:
-            self.max_in_flight = self.in_flight
         tracer = env.tracer
         root = None
         if tracer is not None:

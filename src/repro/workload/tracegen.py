@@ -19,13 +19,11 @@ from the seed and the absolute bucket index alone.  Two consequences:
 
 * the per-request hot path is vectorized — each bucket batch-samples
   its arrival count, offsets, clients, and documents instead of paying
-  per-request method dispatch (this is what lets a 10M-request replay
-  generate its trace at millions of records per minute);
-* any time window ``[a, b)`` of the trace can be regenerated exactly,
-  with no RNG hand-off state: generating ``[0, T)`` in one call equals
-  concatenating ``[0, t)`` and ``[t, T)`` for *any* split point, which
-  is the property the time-sharded replay mode of
-  :mod:`repro.fanout.timeshard` is built on.
+  per-request method dispatch (this is what lets a multi-million-request
+  trace generate at millions of records per minute);
+* a bucket's records never depend on how many buckets came before or
+  on which generator instance drew them, so a shorter trace is exactly
+  a prefix of a longer one with the same seed.
 """
 
 from __future__ import annotations
@@ -86,8 +84,8 @@ class DocumentUniverse:
     Private documents model each user's personal browsing tail; they are
     derived deterministically from the (user id, index) pair alone —
     never from the order in which users happen to appear in the trace —
-    so any time shard of a trace sees the same private documents the
-    full trace would.
+    so a one-second bucket's documents never depend on the buckets
+    drawn before it.
     """
 
     def __init__(
@@ -216,7 +214,8 @@ class BurstCascade:
     Each (level, epoch) multiplier is a pure function of the cascade's
     seed — derived by hash, not drawn sequentially — so ``factor(t)``
     may be evaluated at arbitrary times in arbitrary order and always
-    answers the same, which makes rate evaluation time-shardable.
+    answers the same, which keeps each bucket's arrival rate a function
+    of its time alone.
     """
 
     def __init__(self, rng: Stream,
@@ -336,42 +335,33 @@ class TraceGenerator:
         records.sort()
         return records
 
-    def iter_generate(self, duration_s: float,
-                      start_s: float = 0.0) -> Iterator[TraceRecord]:
-        """Stream the trace for [start_s, start_s + duration_s).
+    def iter_generate(self, duration_s: float) -> Iterator[TraceRecord]:
+        """Stream the trace for [0, duration_s).
 
         Records are produced one one-second bucket at a time — the
-        non-homogeneous process's natural chunk.  Buckets are aligned
-        to the absolute integer-second grid and each draws from its own
-        derived stream, so the records emitted for any window are
-        exactly the single-call trace restricted to that window:
-        concatenating ``[0, t)`` and ``[t, T)`` — across calls, or even
-        across freshly constructed generators with the same seed —
-        reproduces ``[0, T)`` record-for-record.  Only one bucket is
-        ever materialized, which is what lets a multi-hour,
-        multi-million-request workload feed the playback engine with
-        bounded memory.
+        non-homogeneous process's natural chunk.  Each bucket draws
+        from its own derived stream, so the trace for ``[0, a)`` is
+        record-for-record a prefix of the trace for ``[0, b)`` when
+        ``a < b``, even across freshly constructed generators with the
+        same seed.  Only one bucket is ever materialized, which is what
+        lets a multi-hour, multi-million-request workload feed the
+        playback engine with bounded memory.
         """
-        if duration_s <= 0:
-            return
-        end = start_s + duration_s
-        bucket = math.floor(start_s)
+        bucket = 0
         bucket_records = self._bucket_records
-        while bucket < end:
+        while bucket < duration_s:
             records = bucket_records(bucket)
-            if records:
-                if start_s <= bucket and end >= bucket + 1:
-                    yield from records
-                else:
-                    for record in records:
-                        if start_s <= record.timestamp < end:
-                            yield record
+            if duration_s >= bucket + 1:
+                yield from records
+            else:
+                for record in records:
+                    if record.timestamp < duration_s:
+                        yield record
             bucket += 1
 
-    def generate(self, duration_s: float,
-                 start_s: float = 0.0) -> List[TraceRecord]:
-        """Trace covering [start_s, start_s + duration_s), in memory."""
-        return list(self.iter_generate(duration_s, start_s=start_s))
+    def generate(self, duration_s: float) -> List[TraceRecord]:
+        """Trace covering [0, duration_s), in memory."""
+        return list(self.iter_generate(duration_s))
 
 
 def iter_fixed_jpeg_trace(

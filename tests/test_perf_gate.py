@@ -131,141 +131,6 @@ def test_no_warning_for_multicore_measurement(tmp_path, capsys):
     assert "WARNING" not in capsys.readouterr().out
 
 
-def replay_payload(requests_per_sec=68000.0, speedup=2.4, cpu_count=8,
-                   drift_ok=True, calibration=26206153):
-    return {
-        "benchmark": "replay10m",
-        "schema": 1,
-        "scale": 1.0,
-        "calibration_ops_per_sec": calibration,
-        "cpu_count": cpu_count,
-        "replay": {
-            "duration_s": 5000.0,
-            "mean_rate_rps": 2000.0,
-            "requests": 10_000_000,
-            "serial_s": round(10_000_000 / requests_per_sec, 3),
-            "requests_per_sec": requests_per_sec,
-            "jobs": 4,
-            "n_windows": 4,
-            "sharded_s": round(10_000_000 / requests_per_sec / speedup,
-                               3),
-            "speedup": speedup,
-            "drift_ok": drift_ok,
-            "latency_rel_diff": 0.0,
-        },
-    }
-
-
-def write_replay(tmp_path, data, name="new_replay.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(data), encoding="utf-8")
-    return path
-
-
-def gate_replay(new_path, baseline_path, runner_cores,
-                max_regression=0.25, min_speedup=2.0, min_cores=4):
-    return perf_gate.gate_replay(new_path, baseline_path,
-                                 max_regression, min_speedup,
-                                 min_cores, runner_cores=runner_cores)
-
-
-def test_replay_passes_on_capable_runner(tmp_path, capsys):
-    base = write_replay(tmp_path, replay_payload(),
-                        name="BENCH_replay.json")
-    new = write_replay(tmp_path, replay_payload())
-    assert gate_replay(new, base, runner_cores=8) == 0
-    out = capsys.readouterr().out
-    assert "drift contract: ok" in out
-    assert "perf gate passed" in out
-
-
-def test_replay_drift_failure_is_unconditional(tmp_path, capsys):
-    base = write_replay(tmp_path, replay_payload(),
-                        name="BENCH_replay.json")
-    new = write_replay(tmp_path,
-                       replay_payload(drift_ok=False, cpu_count=1))
-    # even a 1-core runner (which skips the speedup floor) must fail
-    assert gate_replay(new, base, runner_cores=1) == 1
-    assert "drifted" in capsys.readouterr().out
-
-
-def test_replay_serial_regression_fails(tmp_path, capsys):
-    base = write_replay(tmp_path, replay_payload(requests_per_sec=68000),
-                        name="BENCH_replay.json")
-    new = write_replay(tmp_path, replay_payload(requests_per_sec=40000))
-    assert gate_replay(new, base, runner_cores=1) == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-
-def test_replay_normalization_forgives_slow_runner(tmp_path, capsys):
-    """Half the raw rate on a machine whose calibration loop is also
-    half as fast is not a regression."""
-    base = write_replay(tmp_path, replay_payload(requests_per_sec=68000,
-                                                 calibration=26000000),
-                        name="BENCH_replay.json")
-    new = write_replay(tmp_path, replay_payload(requests_per_sec=34000,
-                                                calibration=13000000,
-                                                cpu_count=1))
-    assert gate_replay(new, base, runner_cores=1) == 0
-    assert "ratio 1.00" in capsys.readouterr().out
-
-
-def test_replay_small_runner_skips_speedup_floor(tmp_path, capsys):
-    base = write_replay(tmp_path, replay_payload(),
-                        name="BENCH_replay.json")
-    new = write_replay(tmp_path,
-                       replay_payload(speedup=0.6, cpu_count=1))
-    assert gate_replay(new, base, runner_cores=1) == 0
-    out = capsys.readouterr().out
-    assert "speedup floor skipped" in out
-    assert "perf gate passed" in out
-
-
-def test_replay_stale_small_machine_file_fails_on_capable_runner(
-        tmp_path, capsys):
-    base = write_replay(tmp_path, replay_payload(),
-                        name="BENCH_replay.json")
-    new = write_replay(tmp_path,
-                       replay_payload(speedup=0.6, cpu_count=1))
-    assert gate_replay(new, base, runner_cores=8) == 1
-    assert "regenerate" in capsys.readouterr().out
-
-
-def test_replay_speedup_below_floor_fails(tmp_path, capsys):
-    base = write_replay(tmp_path, replay_payload(),
-                        name="BENCH_replay.json")
-    new = write_replay(tmp_path,
-                       replay_payload(speedup=1.3, cpu_count=8))
-    assert gate_replay(new, base, runner_cores=8) == 1
-    assert "below the 2.00x floor" in capsys.readouterr().out
-
-
-def test_replay_single_core_baseline_warns(tmp_path, capsys):
-    base = write_replay(tmp_path, replay_payload(cpu_count=1),
-                        name="BENCH_replay.json")
-    new = write_replay(tmp_path,
-                       replay_payload(speedup=0.6, cpu_count=1))
-    assert gate_replay(new, base, runner_cores=1) == 0
-    out = capsys.readouterr().out
-    assert "WARNING" in out
-    assert "single-core machine" in out
-
-
-def test_replay_cli_mode(tmp_path, capsys):
-    base = write_replay(tmp_path, replay_payload(),
-                        name="BENCH_replay.json")
-    new = write_replay(tmp_path, replay_payload())
-    assert perf_gate.main(["--replay", str(new),
-                           "--replay-baseline", str(base),
-                           "--runner-cores", "8"]) == 0
-    capsys.readouterr()
-    bad = write_replay(tmp_path, replay_payload(drift_ok=False),
-                       name="bad_replay.json")
-    assert perf_gate.main(["--replay", str(bad),
-                           "--replay-baseline", str(base),
-                           "--runner-cores", "1"]) == 1
-
-
 def test_committed_measurement_gate_decision_matches_runner(capsys):
     """The repo's own committed BENCH_fanout.json, gated exactly as CI
     runs it: a small runner always passes (floor skipped); a capable

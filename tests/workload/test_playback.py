@@ -1,5 +1,7 @@
 """Tests for the playback engine against a mock service."""
 
+import math
+
 import pytest
 
 from repro.sim.kernel import Environment
@@ -168,62 +170,33 @@ def test_in_flight_tracking():
     service = MockService(env, service_time=5.0)
     engine = PlaybackEngine(env, service.submit)
     env.process(engine.play(records_at([0.0, 0.1, 0.2])))
+    env.run(until=1.0)
+    assert engine.in_flight == 3
     env.run()
-    assert engine.max_in_flight == 3
     assert engine.in_flight == 0
 
 
-def test_play_scheduled_matches_play_aligned():
-    """The callback-driven pump submits the same records at the same
-    simulated times as the process-based player does when the clock
-    origin is the first record's timestamp."""
-    trace = records_at([10.0, 10.4, 12.0, 15.5])
-    received = {}
-    for mode in ("aligned", "scheduled"):
-        env = Environment()
-        service = MockService(env, service_time=0.1)
-        engine = PlaybackEngine(env, service.submit)
-        if mode == "aligned":
-            env.process(engine.play(trace, time_offset=0.0))
-        else:
-            engine.play_scheduled(trace, clock_origin=10.0)
-        env.run()
-        received[mode] = [(t, record.url)
-                          for t, record in service.received]
-        assert engine.stats.completed == 4
-    assert received["scheduled"] == received["aligned"]
-    assert [t for t, _ in received["scheduled"]] \
-        == pytest.approx([0.0, 0.4, 2.0, 5.5])
-
-
-def test_play_scheduled_past_due_records_submit_immediately():
-    env = Environment()
-    service = MockService(env, service_time=0.0)
-    engine = PlaybackEngine(env, service.submit)
-    # both records are already due at t=0 on this clock
-    engine.play_scheduled(records_at([3.0, 4.0]), clock_origin=5.0)
-    env.run()
-    assert [t for t, _ in service.received] == [0.0, 0.0]
-    assert engine.stats.submitted == 2
-
-
-def test_bounded_mode_stats_match_recorded_mode():
+@pytest.mark.parametrize("timeout_s", [None, 5.0])
+def test_bounded_mode_stats_match_recorded_mode(timeout_s):
+    """One request lifecycle whatever the flags: ``record_outcomes`` and
+    ``timeout_s`` change what is recorded, never the aggregate."""
     times = [0.0, 0.5, 1.0]
     stats = {}
     for record_outcomes in (True, False):
         env = Environment()
         service = MockService(env, service_time=0.1,
                               fail_urls={"http://x/1.gif"})
-        engine = PlaybackEngine(env, service.submit,
+        engine = PlaybackEngine(env, service.submit, timeout_s=timeout_s,
                                 record_outcomes=record_outcomes)
         env.process(engine.play(records_at(times)))
         env.run()
         stats[record_outcomes] = engine.stats
+    assert stats[True] == stats[False]
     for mode in (True, False):
         assert stats[mode].submitted == 3
         assert stats[mode].completed == 2
         assert stats[mode].failed == 1
-        assert stats[mode].mean_latency == pytest.approx(0.1)
+        assert stats[mode].latency_sum == pytest.approx(0.2)
     # only the recorded mode keeps per-request outcomes
     env = Environment()
     engine = PlaybackEngine(env, MockService(env).submit,
@@ -231,3 +204,34 @@ def test_bounded_mode_stats_match_recorded_mode():
     env.process(engine.play(records_at([0.0])))
     env.run()
     assert engine.outcomes == []
+
+
+@pytest.mark.parametrize("mode, args, name", [
+    ("constant_rate", (10.0, math.nan), "duration_s"),
+    ("constant_rate", (10.0, -1.0), "duration_s"),
+    ("constant_rate", (math.nan, 10.0), "rate_rps"),
+    ("constant_rate", (0.0, 10.0), "rate_rps"),
+    ("constant_rate", (math.inf, 10.0), "rate_rps"),
+    ("ramp", ([(math.nan, 10.0)],), "duration_s"),
+    ("ramp", ([(-5.0, 10.0)],), "duration_s"),
+    ("ramp", ([(math.inf, 10.0)],), "duration_s"),
+    ("ramp", ([(5.0, 10.0), (5.0, math.nan)],), "rate_rps"),
+    ("ramp", ([(5.0, -1.0)],), "rate_rps"),
+    ("timeout_s", (math.nan,), "timeout_s"),
+    ("timeout_s", (0.0,), "timeout_s"),
+    ("timeout_s", (math.inf,), "timeout_s"),
+])
+def test_non_finite_or_out_of_range_values_are_refused(mode, args, name):
+    """Every ordered comparison with NaN is false: a NaN duration never
+    ended a run, a negative ramp step silently submitted nothing, and a NaN
+    timeout counted an answered request as timed out.  Each is refused
+    before the first arrival, with a message naming the argument."""
+    env = Environment()
+    submit = MockService(env).submit
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        if mode == "timeout_s":
+            PlaybackEngine(env, submit, timeout_s=args[0])
+        else:
+            engine = PlaybackEngine(
+                env, submit, rng=RandomStreams(5).stream("playback"))
+            next(getattr(engine, mode)(*args, records_at([0.0])))

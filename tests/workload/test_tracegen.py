@@ -59,51 +59,47 @@ def _gen(seed=5, rate=8.0):
     return TraceGenerator(seed=seed, mean_rate_rps=rate)
 
 
-def test_slice_concatenation_reproduces_single_call():
-    """The time-shard handoff contract: [0, T) equals [0, t) + [t, T)
-    record-for-record, at every split point — including mid-bucket."""
+def test_shorter_trace_is_a_prefix_of_a_longer_one():
+    """Bucket determinism: [0, a) is record-for-record the head of
+    [0, T) at every length — including mid-bucket — and stops exactly
+    where the longer trace crosses a."""
     whole = _gen().generate(30.0)
-    for split in (10.0, 15.5, 0.25, 29.75, 7.0):
-        left = _gen().generate(split)
-        right = _gen().generate(30.0 - split, start_s=split)
-        assert left + right == whole, f"split at {split}"
+    for length in (10.0, 15.5, 0.25, 29.75, 7.0):
+        prefix = _gen().generate(length)
+        assert prefix == whole[:len(prefix)], f"length {length}"
+        assert all(record.timestamp >= length
+                   for record in whole[len(prefix):])
 
 
-def test_slice_many_odd_widths_tile_the_trace():
-    whole = _gen(seed=11).generate(20.0)
-    edges = [0.0, 1.7, 3.1, 3.2, 8.999, 13.0, 17.42, 20.0]
-    tiled = []
-    for start, end in zip(edges, edges[1:]):
-        tiled.extend(_gen(seed=11).generate(end - start, start_s=start))
-    assert tiled == whole
+def test_prefixes_at_odd_lengths_nest():
+    lengths = [1.7, 3.1, 3.2, 8.999, 13.0, 17.42, 20.0]
+    traces = [_gen(seed=11).generate(length) for length in lengths]
+    for shorter, longer in zip(traces, traces[1:]):
+        assert longer[:len(shorter)] == shorter
 
 
-def test_slice_from_fresh_generator_instances():
-    """Windows must be regenerable with zero carried state: a brand-new
-    generator asked for [t, T) yields what the original produced there.
-    This is what lets each replay shard rebuild its window from the
-    spec alone, with no RNG-position handoff."""
+def test_prefix_from_fresh_generator_instances():
+    """No state carries between calls: a reused instance and brand-new
+    ones with the same seed produce the same prefixes."""
     original = _gen(seed=7).generate(25.0)
-    generator = _gen(seed=7)  # one instance, reused across windows
-    reused = (generator.generate(10.0)
-              + generator.generate(15.0, start_s=10.0))
-    fresh = (_gen(seed=7).generate(10.0)
-             + _gen(seed=7).generate(15.0, start_s=10.0))
-    assert reused == original
-    assert fresh == original
+    generator = _gen(seed=7)  # one instance, reused across calls
+    reused = generator.generate(10.0)
+    assert generator.generate(25.0) == original
+    assert reused == _gen(seed=7).generate(10.0)
+    assert reused == original[:len(reused)]
 
 
-def test_slice_with_nonzero_origin_offsets():
-    whole = _gen(seed=3).generate(12.0, start_s=100.0)
-    parts = (_gen(seed=3).generate(5.5, start_s=100.0)
-             + _gen(seed=3).generate(6.5, start_s=105.5))
-    assert parts == whole
+def test_prefix_holds_far_from_the_origin():
+    whole = _gen(seed=3).generate(112.0)
+    prefix = _gen(seed=3).generate(105.5)
+    assert whole[:len(prefix)] == prefix
+    assert any(record.timestamp >= 100.0 for record in prefix)
 
 
 def test_iter_generate_streams_same_records_as_generate():
     generator = _gen(seed=13)
-    assert list(generator.iter_generate(15.0, start_s=4.0)) \
-        == generator.generate(15.0, start_s=4.0)
+    assert list(generator.iter_generate(15.0)) \
+        == generator.generate(15.0)
 
 
 def test_generator_mean_rate_roughly_requested():
@@ -114,11 +110,10 @@ def test_generator_mean_rate_roughly_requested():
 
 
 def test_generator_timestamps_sorted_and_in_range():
-    records = TraceGenerator(seed=2, mean_rate_rps=4.0).generate(
-        120.0, start_s=100.0)
+    records = TraceGenerator(seed=2, mean_rate_rps=4.0).generate(120.0)
     times = [record.timestamp for record in records]
     assert times == sorted(times)
-    assert all(100.0 <= t < 220.0 for t in times)
+    assert all(0.0 <= t < 120.0 for t in times)
 
 
 def test_daily_cycle_unit_mean_and_trough():

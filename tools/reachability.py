@@ -234,8 +234,6 @@ def _group_cli(scratch: Path) -> None:
     _cli("run", "cache", "--quick", "--jobs", "2",
          "--export", str(scratch / "export"))
     _cli("run", "all", "--quick", "--jobs", "2")
-    _cli("replay", "--duration", "20", "--jobs", "2", "--check")
-    _cli("replay", "--duration", "5")
     _cli("trace", "--duration", "600", "--out", trace)
     _cli("trace", "--analyze", trace)
     # what a mistyped command line gets back
@@ -271,9 +269,7 @@ def _group_benches(scratch: Path) -> None:
     os.environ.update(
         BENCH_KERNEL_OUT=str(scratch / "BENCH_kernel.json"),
         BENCH_FANOUT_OUT=str(scratch / "BENCH_fanout.json"),
-        BENCH_REPLAY_OUT=str(scratch / "BENCH_replay.json"),
-        BENCH_KERNEL_SCALE="0.05", BENCH_REPLAY_SCALE="0.005",
-        BENCH_REPLAY_JOBS="2", BENCH_FANOUT_RUNS="2",
+        BENCH_KERNEL_SCALE="0.05", BENCH_FANOUT_RUNS="2",
         BENCH_FANOUT_JOBS="2")
     sys.path.insert(0, str(ROOT))
     with contextlib.redirect_stdout(io.StringIO()) as out:
