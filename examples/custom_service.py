@@ -9,6 +9,7 @@ respawn it.
 Run:  python examples/custom_service.py
 """
 
+from repro.chaos.campaign import Faults, KillWorker
 from repro.core import Response, SNSConfig, SNSFabric
 from repro.sim import Cluster
 from repro.tacc import Content, TACCRequest, Transformer, WorkerRegistry
@@ -64,11 +65,12 @@ def main() -> None:
           f"(worker spawned on demand at "
           f"t={cluster.env.now:.1f}s)")
 
-    # 3. kill the worker; the SNS layer routes around and respawns
-    victim = fabric.alive_workers()[0]
-    victim.kill()
-    print(f"killed {victim.name}; resubmitting...")
+    # 3. kill the worker (a fault row, fired as the next request
+    #    arrives); the SNS layer routes around and respawns
+    faults = Faults(fabric)
+    faults.arm((KillWorker(at=cluster.env.now),))
     response = cluster.env.run(until=fabric.submit(record(1)))
+    print(f"killed {faults.timeline[0].target} and resubmitted")
     print(f"second response: {response.content.data.decode()!r} "
           f"(served by {fabric.alive_workers()[0].name})")
     print(f"\nmanager saw {fabric.manager.worker_failures_detected} "

@@ -8,6 +8,7 @@ cross-mounted failure mode that kept 100% data availability.
 Run:  python examples/hotbot_search.py
 """
 
+from repro.chaos.campaign import CrashSearchNode, Faults
 from repro.hotbot.service import HotBot, HotBotConfig
 
 
@@ -22,8 +23,8 @@ def show(result, label):
 
 def main() -> None:
     hotbot = HotBot(config=HotBotConfig(
-        n_workers=8, n_docs=2000, failure_mode="fast-restart",
-        fast_restart_s=10.0), seed=1997)
+        n_workers=8, n_docs=2000, failure_mode="fast-restart"),
+        seed=1997)
     terms = ["w12", "w40"]
     print(f"corpus: {len(hotbot.corpus)} documents over "
           f"{hotbot.config.n_workers} partitions "
@@ -32,7 +33,10 @@ def main() -> None:
     show(hotbot.run_until(hotbot.submit(terms)), "healthy cluster:")
 
     print("\ncrashing partition 0's node...")
-    hotbot.crash_worker(0)
+    # the fault row: the node comes back 10 s later and reloads its
+    # partition from the RAID disk
+    Faults(hotbot).arm((CrashSearchNode(
+        at=hotbot.cluster.env.now, partition=0, duration_s=10.0),))
     show(hotbot.run_until(hotbot.submit(terms)),
          "during the outage (the 54M -> 51M effect):")
 
@@ -44,7 +48,7 @@ def main() -> None:
     crossmount = HotBot(config=HotBotConfig(
         n_workers=8, n_docs=2000, failure_mode="cross-mount"),
         seed=1997)
-    crossmount.crash_worker(2, auto_restart=False)
+    Faults(crossmount).arm((CrashSearchNode(at=0.0, partition=2),))
     result = crossmount.run_until(crossmount.submit(terms))
     show(result, "node down, peer serving its partition from the "
                  "cross-mounted disk:")

@@ -9,6 +9,7 @@ panel at the end.
 Run:  python examples/transend_proxy.py
 """
 
+from repro.chaos.campaign import Faults, KillWorker
 from repro.core.config import SNSConfig
 from repro.sim.rng import RandomStreams
 from repro.transend.service import TranSend
@@ -40,19 +41,15 @@ def main() -> None:
         timeout_s=120.0)
     transend.cluster.env.process(engine.play(trace))
 
-    # fault injection: kill whatever distiller exists at t=45s
-    def saboteur(env):
-        yield env.timeout(45.0)
-        victims = transend.fabric.alive_workers()
-        if victims:
-            print(f"  t=45s: killing {victims[0].name} "
-                  "(the SNS layer will route around it)")
-            victims[0].kill()
-
-    transend.cluster.env.process(saboteur(transend.cluster.env))
+    # fault injection: a row that kills the first live distiller at
+    # t=45s (the SNS layer will route around it)
+    faults = Faults(transend.fabric)
+    faults.arm((KillWorker(at=45.0),))
     transend.run(until=240.0)
 
     # what happened
+    for record in faults.timeline:
+        print(f"  t={record.time:.0f}s: {record.kind} {record.target}")
     stats = transend.stats()
     completed = engine.completed()
     latencies = sorted(engine.latencies())

@@ -30,7 +30,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "batch": ("CampaignBatchReport", "batch_seeds", "run_campaign_batch"),
     "campaign": (
         "CAMPAIGNS", "AsymmetricLink", "Campaign", "CampaignRunner",
-        "CrashWorkerNode", "Faults", "GrayBrick", "GrayWorker", "KillBrick",
+        "CrashSearchNode", "CrashWorkerNode", "Faults", "GrayBrick", "GrayWorker", "KillBrick",
         "KillFrontEnd", "KillManager", "KillWorker", "LossyWindow",
         "PartitionSAN", "PartitionWorker", "RandomKills", "RollingKills",
         "RollingUpgrade", "Straggle", "get_campaign", "run_campaign"),
@@ -47,6 +47,7 @@ __all__ = [
     "batch_seeds",
     "run_campaign_batch",
     "AsymmetricLink",
+    "CrashSearchNode",
     "CrashWorkerNode",
     "Faults",
     "GrayBrick",

@@ -14,8 +14,8 @@ literal away.
 A fault kind is one frozen dataclass: :meth:`Fault.check` refuses a bad
 field before any fabric is built, and ``fire`` injects it at ``at`` on
 a target resolved then.  Rows fire through :class:`Faults`, which any
-SNS fabric can carry: this is the one way the repository breaks things,
-whether a campaign, an experiment or a hot upgrade asks.  The presets
+deployment with a ``cluster`` can carry: this is the one way the
+repository breaks things, whoever asks.  The presets
 are data (:data:`CAMPAIGNS`); ``python -m repro chaos <name>`` runs one.
 """
 
@@ -62,20 +62,17 @@ UPGRADE_HOLD_S = 4.0
 UPGRADE_SETTLE_S = 8.0
 
 #: gray mode (also its timeline and ledger kind) -> how it switches a
-#: worker's :class:`GrayState` on at ``now``.
-WORKER_GRAY_MODES: Dict[str, Callable[[GrayState, float], None]] = {
-    "fail-slow": lambda gray, now: gray.fail_slow(WORKER_SLOW_FACTOR, now),
-    "hang": GrayState.hang,
-    "zombie": GrayState.zombify,
-    "leak": lambda gray, now: gray.leak(LEAK_RATE_PER_S, now),
-    "corrupt-output": GrayState.corrupt_output,
+#: :class:`GrayState` on at ``now``, given the row's fail-slow factor.
+WORKER_GRAY_MODES: Dict[str, Callable[[GrayState, float, float], None]] = {
+    "fail-slow": lambda gray, now, factor: gray.fail_slow(factor, now),
+    "hang": lambda gray, now, _: gray.hang(now),
+    "zombie": lambda gray, now, _: gray.zombify(now),
+    "leak": lambda gray, now, _: gray.leak(LEAK_RATE_PER_S, now),
+    "corrupt-output": lambda gray, now, _: gray.corrupt_output(now),
 }
 #: the three modes a profile brick honours (repro.dstore.brick).
-BRICK_GRAY_MODES: Dict[str, Callable[[GrayState, float], None]] = {
-    "fail-slow": lambda gray, now: gray.fail_slow(BRICK_SLOW_FACTOR, now),
-    "hang": GrayState.hang,
-    "zombie": GrayState.zombify,
-}
+BRICK_GRAY_MODES = {mode: WORKER_GRAY_MODES[mode]
+                    for mode in ("fail-slow", "hang", "zombie")}
 
 
 # -- the campaign DSL ---------------------------------------------------------
@@ -102,13 +99,12 @@ class FaultRecord(NamedTuple):
 
 
 class Faults:
-    """Where fault rows fire: one SNS fabric, its clock, the fault
-    timeline and the recovery ledger.
-
-    Any :class:`~repro.core.fabric.SNSFabric` can carry one.  The
-    campaign runner holds one; an experiment that breaks things arms its
-    rows through its own and reads the same timeline and ledger.
-    Targets resolve when a row fires, because populations churn.
+    """Where fault rows fire: any deployment with a ``cluster`` (an SNS
+    fabric; a HotBot for :class:`CrashSearchNode`), its clock, the fault
+    timeline and the recovery ledger.  The campaign runner holds one;
+    an experiment or example that breaks things arms its rows through
+    its own.  Targets resolve when a row fires, because populations
+    churn.
     """
 
     def __init__(self, fabric: Any) -> None:
@@ -117,9 +113,6 @@ class Faults:
         self.env = fabric.cluster.env
         self.timeline: List[FaultRecord] = []
         self.ledger = RecoveryLedger(self.env)
-        if fabric.profile_bricks is not None:
-            # rejoin records flow into the same ledger the report reads
-            fabric.profile_bricks.ledger = self.ledger
 
     def arm(self, rows: Sequence["Fault"]) -> None:
         """Arm ``rows`` in order.  A row that fails its check, or whose
@@ -179,7 +172,7 @@ class Faults:
         self.log("kill", target.name)
 
     def inject_gray(self, fault: Any, target: Any) -> None:
-        fault.modes[fault.mode](target.gray, self.env.now)
+        fault.modes[fault.mode](target.gray, self.env.now, fault.factor)
         self.log(fault.kind, target.name)
         self.ledger.inject(fault.kind, target.name)
 
@@ -284,6 +277,40 @@ class CrashWorkerNode(Fault):
             if stub.alive and stub.node is node:
                 faults.kill(stub)
         faults.at(faults.env.now + self.duration_s, node.restart)
+
+
+@dataclass(frozen=True)
+class CrashSearchNode(Fault):
+    """A HotBot row (Table 1, Section 3.2): crash the node and search
+    worker of ``partition``, unless already down; ``duration_s`` later
+    it fast-restarts from its RAID disk (None: it stays down).  Queries
+    miss the partition or reach it over a peer's cross-mount
+    (``HotBotConfig.failure_mode``)."""
+
+    partition: int = 0
+    duration_s: Optional[float] = None
+    kind = "node-crash"
+
+    def check(self) -> None:
+        super().check()
+        self._require(self.partition >= 0, "partition", self.partition,
+                      "must be >= 0")
+
+    def fire(self, faults: Faults) -> None:
+        hotbot = faults.fabric
+        if self.partition >= len(hotbot.workers):
+            raise ValueError(f"{self!r}: out of range for "
+                             f"n_workers={len(hotbot.workers)}")
+        worker = hotbot.workers[self.partition]
+        if not worker.alive:
+            return
+        worker.node.crash()
+        faults.log(self.kind, worker.node.name)
+        faults.kill(worker)
+        if self.duration_s is not None:
+            # the delay itself: (now + d) - now can differ from d
+            faults.env.schedule_call(
+                self.duration_s, lambda _: hotbot.restart(self.partition))
 
 
 @dataclass(frozen=True)
@@ -572,10 +599,12 @@ class GrayWorker(Fault):
     at its job in ``mode`` (:data:`WORKER_GRAY_MODES`).  Healing is the
     supervision layer's job, measured by the ledger, never assumed.
     ``victim`` indexes the gray-healthy live workers (sorted by name)
-    at fire time, so one campaign can hit distinct workers."""
+    at fire time, so one campaign can hit distinct workers.  Only
+    fail-slow reads ``factor``, its service-time multiplier."""
 
     mode: str
     victim: int = 0
+    factor: float = WORKER_SLOW_FACTOR
     modes = WORKER_GRAY_MODES
 
     @property
@@ -587,6 +616,8 @@ class GrayWorker(Fault):
         self._require(self.mode in self.modes, "mode", self.mode,
                       f"must be one of {sorted(self.modes)}")
         self._require(self.victim >= 0, "victim", self.victim, "must be >= 0")
+        self._require(1.0 < self.factor < float("inf"), "factor",
+                      self.factor, "must be finite and > 1")
 
     def fire(self, faults: Faults) -> None:
         candidates = [stub for stub in faults.alive_workers()
@@ -653,6 +684,7 @@ class GrayBrick(Fault):
 
     mode: str
     slot: int = 0
+    factor: ClassVar[float] = BRICK_SLOW_FACTOR
     modes = BRICK_GRAY_MODES
 
     @property

@@ -56,7 +56,7 @@ class Brick(Component):
                  partitions: List[int], owner: Any) -> None:
         super().__init__(cluster, node, name)
         self.slot = slot
-        #: the BrickCluster that placed us (anti-entropy peers, ledger).
+        #: the BrickCluster that placed us (anti-entropy peers).
         self.owner = owner
         #: partition -> user -> key -> (version, value).
         self.cells: Dict[int, Dict[str, Dict[str, Cell]]] = {

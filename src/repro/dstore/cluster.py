@@ -11,8 +11,8 @@ fork (:data:`BRICK_SPAWN_S`) and starts an *empty* brick that serves
 writes immediately — there is no WAL to replay, so the wait is the same
 whether the dead incarnation held ten cells or ten million.  Each rejoin
 is recorded (``rejoin_s``, plus ``cells_at_kill`` to demonstrate the
-independence) and pushed into the
-:class:`~repro.recovery.ledger.RecoveryLedger` when one is attached.
+independence); the supervisor that asked for the respawn notes the
+record in its :class:`~repro.recovery.ledger.RecoveryLedger`.
 
 **Repair is lazy.**  Reads repair individual users on access (the
 coordinator's job, :mod:`repro.dstore.store`); the sweep spawned by each
@@ -56,9 +56,6 @@ class BrickCluster:
         self.partitioner = Partitioner(n_bricks, replicas, n_partitions)
         self.n_bricks = n_bricks
         self.replicas = replicas
-        #: a RecoveryLedger once a campaign attaches one; rejoin records
-        #: are mirrored into it.
-        self.ledger: Any = None
         self.nodes: List[Any] = []
         #: slot -> current brick incarnation (may be dead, awaiting
         #: supervision; never None after boot()).
@@ -149,9 +146,6 @@ class BrickCluster:
         }
         self.rejoins.append(record)
         self._pending_sync[brick.name] = record
-        if self.ledger is not None \
-                and hasattr(self.ledger, "note_rejoin"):
-            self.ledger.note_rejoin(record)
         return brick
 
     # -- anti-entropy --------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.chaos.campaign import CrashSearchNode, Faults
 from repro.hotbot.service import HotBot, HotBotConfig
 
 PAPER_NODES = 26
@@ -57,10 +58,11 @@ def run_hotbot_degradation(n_nodes: int = PAPER_NODES,
     # approximate answers) serve the pre-crash snapshot during the
     # outage, hiding the coverage drop this experiment measures.
     hotbot = HotBot(config=HotBotConfig(
-        n_workers=n_nodes, n_docs=n_docs, failure_mode="fast-restart",
-        fast_restart_s=8.0), seed=seed)
+        n_workers=n_nodes, n_docs=n_docs, failure_mode="fast-restart"),
+        seed=seed)
     before = hotbot.run_until(hotbot.submit(["w2", "w5"]))
-    hotbot.crash_worker(0)
+    Faults(hotbot).arm((CrashSearchNode(
+        at=hotbot.cluster.env.now, partition=0, duration_s=8.0),))
     during = hotbot.run_until(hotbot.submit(["w3", "w6"]))
     hotbot.run(until=hotbot.cluster.env.now + 15.0)
     after = hotbot.run_until(hotbot.submit(["w4", "w7"]))
@@ -69,7 +71,7 @@ def run_hotbot_degradation(n_nodes: int = PAPER_NODES,
     crossmount = HotBot(config=HotBotConfig(
         n_workers=n_nodes, n_docs=n_docs, failure_mode="cross-mount"),
         seed=seed)
-    crossmount.crash_worker(0, auto_restart=False)
+    Faults(crossmount).arm((CrashSearchNode(at=0.0, partition=0),))
     covered = crossmount.run_until(crossmount.submit(["w2", "w5"]))
 
     scale = PAPER_DOCS_BEFORE_M / 1.0

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import LatencyStats
+from repro.chaos.campaign import Faults, GrayWorker
 from repro.core.config import SNSConfig
-from repro.recovery.ledger import RecoveryLedger
 from repro.recovery.policy import RecoveryPolicy
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
@@ -44,6 +44,15 @@ DEFAULT_POLICIES = (
     "hash-bounded",
     "ewma+eject",
 )
+#: service-time multiplier of the one fail-slow worker every arm gets.
+SLOW_FACTOR = 8.0
+#: supervision detuned to a slow backstop, identically in every arm:
+#: probes sweep rarely and need many confirmations, and the
+#: stub-report/load-outlier detectors are effectively off, so the
+#: routing policy gets first crack at the gray worker (read-only).
+BACKSTOP_POLICY = RecoveryPolicy(
+    probe_interval_s=30.0, probe_confirmations=4,
+    rpc_timeout_confirmations=1000, outlier_ratio=1e9, outlier_floor=1e9)
 
 
 @dataclass
@@ -91,7 +100,6 @@ class PolicySweepResult:
     n_requests: int
     rate_rps: float
     n_workers: int
-    slow_factor: float
     seed: int
 
     def arm(self, policy: str) -> Optional[PolicyArmStats]:
@@ -104,7 +112,7 @@ class PolicySweepResult:
         header = (
             f"Routing-policy sweep: {self.n_requests} requests @ "
             f"{self.rate_rps:.0f} rps, {self.n_workers} workers, "
-            f"one worker fail-slow x{self.slow_factor:.0f} at 25% "
+            f"one worker fail-slow x{SLOW_FACTOR:.0f} at 25% "
             f"(seed {self.seed})")
         lines = [header, ""]
         columns = (f"  {'policy':<18} {'harvest':>7} {'p50':>7} "
@@ -149,23 +157,8 @@ class PolicySweepResult:
         return "\n".join(lines)
 
 
-def _backstop_recovery_policy() -> RecoveryPolicy:
-    """Supervision detuned to a slow backstop, identically in every
-    arm: probes sweep rarely and need many confirmations, and the
-    stub-report/load-outlier detectors are effectively off, so the
-    routing policy gets first crack at the gray worker."""
-    return RecoveryPolicy(
-        probe_interval_s=30.0,
-        probe_confirmations=4,
-        rpc_timeout_confirmations=1000,
-        outlier_ratio=1e9,
-        outlier_floor=1e9,
-    )
-
-
 def run_policy_arm(policy: str, n_requests: int, rate_rps: float,
-                   n_workers: int, seed: int, slow_factor: float,
-                   image_bytes: int = 10240,
+                   n_workers: int, seed: int, image_bytes: int = 10240,
                    inject_fraction: float = 0.25) -> PolicyArmStats:
     """One arm: replay the seed-derived trace under ``policy``.
 
@@ -185,29 +178,20 @@ def run_policy_arm(policy: str, n_requests: int, rate_rps: float,
     )
     fabric = build_bench_fabric(n_nodes=n_workers + 4, seed=seed,
                                 config=config)
-    ledger = RecoveryLedger(fabric.cluster.env)
+    faults = Faults(fabric)
     fabric.boot(n_frontends=2,
                 initial_workers={"jpeg-distiller": n_workers})
-    fabric.start_supervisor(policy=_backstop_recovery_policy(),
-                            ledger=ledger)
+    fabric.start_supervisor(policy=BACKSTOP_POLICY, ledger=faults.ledger)
     env = fabric.cluster.env
     fabric.cluster.run(until=2.0)
 
     expected_duration = n_requests / rate_rps
     inject_at = env.now + inject_fraction * expected_duration
-    victim_name = sorted(fabric.workers)[0]
-
+    faults.arm((GrayWorker(at=inject_at, mode="fail-slow",
+                           factor=SLOW_FACTOR),))
     served_at_inject: Dict[str, int] = {}
-
-    def fail_slow():
-        yield env.timeout(inject_at - env.now)
-        stub = fabric.workers.get(victim_name)
-        if stub is not None and stub.alive:
-            served_at_inject[victim_name] = stub.served
-            ledger.inject("fail-slow", victim_name)
-            stub.gray.fail_slow(slow_factor, env.now)
-
-    env.process(fail_slow())
+    faults.at(inject_at, lambda: served_at_inject.update(
+        (stub.name, stub.served) for stub in faults.alive_workers()))
 
     latency = LatencyStats()
     status_counts: Dict[str, int] = {}
@@ -228,6 +212,7 @@ def run_policy_arm(policy: str, n_requests: int, rate_rps: float,
     fabric.cluster.run(until=playback)
     fabric.cluster.run(until=env.now + 35.0)  # drain in-flight work
 
+    victim_name = faults.timeline[0].target
     victim_stub = fabric.workers.get(victim_name)
     victim_served_after = 0
     if victim_stub is not None:
@@ -254,7 +239,7 @@ def run_policy_arm(policy: str, n_requests: int, rate_rps: float,
                                    or t < victim_ejected_at):
                 victim_ejected_at = t
     fault_detected_at: Optional[float] = None
-    for case in ledger.cases:
+    for case in faults.ledger.cases:
         if case.detected_at is not None:
             fault_detected_at = case.detected_at
             break
@@ -294,7 +279,6 @@ def run_policy_sweep(policies: Optional[Sequence[str]] = None,
                      n_requests: int = 1_000_000,
                      rate_rps: float = 160.0,
                      n_workers: int = 8,
-                     slow_factor: float = 8.0,
                      seed: int = 1997,
                      jobs: int = 1) -> PolicySweepResult:
     """Replay the shared trace once per policy; ``jobs > 1`` fans the
@@ -302,7 +286,7 @@ def run_policy_sweep(policies: Optional[Sequence[str]] = None,
     policies = list(policies or DEFAULT_POLICIES)
     arms = [
         dict(policy=policy, n_requests=n_requests, rate_rps=rate_rps,
-             n_workers=n_workers, seed=seed, slow_factor=slow_factor)
+             n_workers=n_workers, seed=seed)
         for policy in policies
     ]
     if jobs > 1:
@@ -312,4 +296,4 @@ def run_policy_sweep(policies: Optional[Sequence[str]] = None,
         stats = [run_policy_arm(**arm) for arm in arms]
     return PolicySweepResult(
         arms=list(stats), n_requests=n_requests, rate_rps=rate_rps,
-        n_workers=n_workers, slow_factor=slow_factor, seed=seed)
+        n_workers=n_workers, seed=seed)

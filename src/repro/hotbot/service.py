@@ -49,8 +49,6 @@ class HotBotConfig:
     #: "fast-restart" (RAID, partition offline until restart) or
     #: "cross-mount" (original Inktomi: a peer serves the partition).
     failure_mode: str = "fast-restart"
-    #: node restart time under fast-restart.
-    fast_restart_s: float = 10.0
     #: cross-mounted access is slower (remote disk).
     cross_mount_penalty: float = 2.0
     #: Informix capacity and failover time.
@@ -242,23 +240,15 @@ class HotBot:
         self.partial_answers = 0
         self.cache_served = 0
 
-    # -- failure injection hooks ----------------------------------------------------
+    # -- recovery --------------------------------------------------------------------
 
-    def crash_worker(self, partition: int,
-                     auto_restart: Optional[bool] = None) -> None:
-        worker = self.workers[partition]
-        worker.node.crash()
-        worker.kill()
-        restart = (self.config.failure_mode == "fast-restart"
-                   if auto_restart is None else auto_restart)
-        if restart:
-            self.cluster.env.process(self._fast_restart(partition))
-
-    def _fast_restart(self, partition: int):
-        """RAID keeps the disk; the node restarts and reloads its
-        partition ("fast restart minimizes the impact of node failures")."""
-        yield self.cluster.env.timeout(self.config.fast_restart_s)
+    def restart(self, partition: int) -> None:
+        """RAID keeps the disk: a crashed partition's node restarts and
+        reloads its partition ("fast restart minimizes the impact of
+        node failures"); a live worker is left alone."""
         old = self.workers[partition]
+        if old.alive:
+            return
         old.node.restart()
         replacement = SearchWorker(
             self.cluster, old.node, f"{old.name}.r", partition,

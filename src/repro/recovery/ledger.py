@@ -84,7 +84,7 @@ class RecoveryLedger:
         self.false_alarms: List[Tuple[float, str, str]] = []
         #: proactive rejuvenation restarts: (time, target).
         self.rejuvenations: List[Tuple[float, str]] = []
-        #: brick cheap-rejoin measurements pushed by the BrickCluster:
+        #: brick cheap-rejoin measurements noted by the supervisor:
         #: dicts with brick/slot/rejoin_s/cells_at_kill/sync_s.  The
         #: point of recording cells_at_kill next to rejoin_s is the
         #: claim itself: rejoin time must not grow with state size.
@@ -122,7 +122,7 @@ class RecoveryLedger:
         self.rejuvenations.append((self.env.now, target))
 
     def note_rejoin(self, record: Dict[str, Any]) -> None:
-        """A restarted brick is serving again (the BrickCluster keeps
+        """A respawned brick is serving again (the BrickCluster keeps
         the live dict and updates ``sync_s`` when repair completes)."""
         self.rejoins.append(record)
 

@@ -1,4 +1,5 @@
-"""The supervision policy: every knob of the self-healing layer.
+"""The supervision policy: the knobs of the self-healing layer, and as
+module constants the ones no deployment sets (core/config.py's rule).
 
 The defaults encode restart-as-first-resort ("Cheap Recovery", PAPERS.md)
 tempered by the two classic failure modes of automated recovery:
@@ -21,6 +22,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+#: a probe unanswered (or still in service) past this is a failure.
+PROBE_TIMEOUT_S = 1.0
+#: fixed network round trip charged to a probe.  Probes deliberately
+#: bypass the shared SAN links: :class:`~repro.sim.network.Link`
+#: reservations are stateful, so metering probe bytes there would
+#: perturb request traffic and break the determinism contract.
+PROBE_RTT_S = 0.002
+#: sliding window for counting suspicion events per detector.
+SUSPICION_WINDOW_S = 10.0
+#: seconds between scans of the manager's load table.
+OUTLIER_INTERVAL_S = 1.0
+#: the outlier condition must hold continuously this long.
+OUTLIER_SUSTAIN_S = 3.0
+#: exponential backoff between consecutive restarts on one node: first
+#: restart is immediate, the n-th waits
+#: ``RESTART_BACKOFF_BASE_S * restart_backoff_factor**(n-2)`` capped at
+#: ``RESTART_BACKOFF_CAP_S``.
+RESTART_BACKOFF_BASE_S = 0.5
+RESTART_BACKOFF_CAP_S = 10.0
+
+#: the floor of each count and ratio; a period (``_s``) must be above 0,
+#: and any other knob at least 0.
+FLOORS = {
+    "probe_confirmations": 1, "probe_slow_ratio": 1.0,
+    "rpc_timeout_confirmations": 1, "outlier_ratio": 1.0,
+    "outlier_min_peers": 2, "restart_backoff_factor": 1.0,
+    "restart_budget": 1, "flap_threshold": 2, "heal_wait_periods": 1,
+}
+
 
 @dataclass
 class RecoveryPolicy:
@@ -29,13 +59,6 @@ class RecoveryPolicy:
     # -- end-to-end health probes ------------------------------------------
     #: seconds between probe sweeps over the live worker population.
     probe_interval_s: float = 2.0
-    #: a probe unanswered (or still in service) past this is a failure.
-    probe_timeout_s: float = 1.0
-    #: fixed network round trip charged to a probe.  Probes deliberately
-    #: bypass the shared SAN links: :class:`~repro.sim.network.Link`
-    #: reservations are stateful, so metering probe bytes there would
-    #: perturb request traffic and break the determinism contract.
-    probe_rtt_s: float = 0.002
     #: consecutive probe failures before the worker is restarted.
     probe_confirmations: int = 2
     #: a probe whose service time exceeds this multiple of the worker's
@@ -45,34 +68,26 @@ class RecoveryPolicy:
     probe_slow_ratio: float = 3.0
 
     # -- RPC-timeout reports from manager stubs ----------------------------
-    #: dispatch timeouts against one worker within ``suspicion_window_s``
-    #: before the stub's report alone triggers a restart ("the RPC call
-    #: to the distiller times out and the distiller is restarted").
+    #: dispatch timeouts against one worker within
+    #: :data:`SUSPICION_WINDOW_S` before the stub's report alone
+    #: triggers a restart ("the RPC call to the distiller times out and
+    #: the distiller is restarted").
     rpc_timeout_confirmations: int = 2
-    #: sliding window for counting suspicion events per detector.
-    suspicion_window_s: float = 10.0
 
     # -- peer-relative load-outlier detection ------------------------------
-    #: seconds between scans of the manager's load table.
-    outlier_interval_s: float = 1.0
     #: a worker is an outlier when its queue average exceeds
     #: ``max(outlier_floor, outlier_ratio * peer_median)``.
     outlier_ratio: float = 3.0
     #: absolute queue floor below which nobody is an outlier (protects
     #: against ratio-vs-zero-median false positives at idle).
     outlier_floor: float = 4.0
-    #: the outlier condition must hold continuously this long.
-    outlier_sustain_s: float = 3.0
     #: minimum same-type peers before relative comparison means anything.
     outlier_min_peers: int = 3
 
     # -- restart execution --------------------------------------------------
-    #: exponential backoff between consecutive restarts on one node:
-    #: first restart is immediate, the n-th waits
-    #: ``base * factor**(n-2)`` capped at ``cap``.
-    restart_backoff_base_s: float = 0.5
+    #: growth factor of the backoff between consecutive restarts on one
+    #: node (:data:`RESTART_BACKOFF_BASE_S`).
     restart_backoff_factor: float = 2.0
-    restart_backoff_cap_s: float = 10.0
     #: jitter fraction applied to backoff delays, drawn from the seeded
     #: ``recovery:backoff`` stream (0 disables: no draws at all).
     restart_backoff_jitter: float = 0.0
@@ -99,39 +114,18 @@ class RecoveryPolicy:
     heal_wait_periods: int = 40
 
     def validate(self) -> "RecoveryPolicy":
-        if self.probe_interval_s <= 0 or self.probe_timeout_s <= 0:
-            raise ValueError("probe periods must be positive")
-        if self.probe_rtt_s < 0:
-            raise ValueError("probe RTT must be non-negative")
-        if self.probe_confirmations < 1 \
-                or self.rpc_timeout_confirmations < 1:
-            raise ValueError("confirmation counts must be >= 1")
-        if self.probe_slow_ratio < 1.0:
-            raise ValueError("probe slow ratio must be >= 1")
-        if self.suspicion_window_s <= 0:
-            raise ValueError("suspicion window must be positive")
-        if self.outlier_interval_s <= 0 or self.outlier_sustain_s < 0:
-            raise ValueError("outlier intervals must be positive")
-        if self.outlier_ratio < 1.0:
-            raise ValueError("outlier ratio must be >= 1")
-        if self.outlier_floor < 0:
-            raise ValueError("outlier floor must be non-negative")
-        if self.outlier_min_peers < 2:
-            raise ValueError("outlier detection needs >= 2 peers")
-        if self.restart_backoff_base_s < 0 \
-                or self.restart_backoff_cap_s < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.restart_backoff_factor < 1.0:
-            raise ValueError("backoff factor must be >= 1")
-        if not 0.0 <= self.restart_backoff_jitter <= 1.0:
-            raise ValueError("backoff jitter must be in [0, 1]")
-        if self.restart_budget < 1 or self.restart_budget_window_s <= 0:
-            raise ValueError("restart budget must be positive")
-        if self.flap_threshold < 2 or self.flap_window_s <= 0:
-            raise ValueError("flap threshold must be >= 2")
-        if self.rejuvenation_interval_s is not None \
-                and self.rejuvenation_interval_s <= 0:
-            raise ValueError("rejuvenation interval must be positive")
-        if self.heal_wait_periods < 1:
-            raise ValueError("heal wait must be >= 1 period")
+        """Refuse a knob that is not finite or is below its floor (a
+        period must be above 0), naming it."""
+        for name, value in vars(self).items():
+            if value is None and name == "rejuvenation_interval_s":
+                continue
+            floor = FLOORS.get(name, 0.0)
+            period = name.endswith("_s")
+            # `not >=`, so NaN is refused here and not mid-run
+            if not ((value > floor if period else value >= floor)
+                    and value < float("inf")):
+                raise ValueError(f"{name}={value!r} must be finite and "
+                                 f"{'>' if period else '>='} {floor}")
+        if self.restart_backoff_jitter > 1.0:
+            raise ValueError("restart_backoff_jitter must be <= 1")
         return self

@@ -40,7 +40,10 @@ from repro.core.component import Component
 from repro.core.config import SNSConfig
 from repro.core.monitor import Alert
 from repro.recovery.ledger import FaultCase, RecoveryLedger
-from repro.recovery.policy import RecoveryPolicy
+from repro.recovery.policy import (
+    OUTLIER_INTERVAL_S, OUTLIER_SUSTAIN_S, PROBE_RTT_S, PROBE_TIMEOUT_S,
+    RESTART_BACKOFF_BASE_S, RESTART_BACKOFF_CAP_S, SUSPICION_WINDOW_S,
+    RecoveryPolicy)
 from repro.sim.cluster import Cluster
 from repro.sim.node import Node
 
@@ -88,7 +91,7 @@ class Supervisor(Component):
 
     def _start_processes(self) -> None:
         self.every(self.policy.probe_interval_s, self._probe_tick)
-        self.every(self.policy.outlier_interval_s, self._outlier_tick)
+        self.every(OUTLIER_INTERVAL_S, self._outlier_tick)
         if self.policy.rejuvenation_interval_s is not None:
             self.every(self.policy.rejuvenation_interval_s,
                        self._rejuvenation_tick)
@@ -129,13 +132,12 @@ class Supervisor(Component):
                                              stub.node.name)
 
     def _probe_one(self, stub):
-        policy = self.policy
         reply = stub.probe_reply()
         if reply is None:
             # no answer will ever come: wait out the timeout, then —
             # unless the stub visibly died (the manager's job, not
             # ours) — count a probe failure
-            yield self.env.timeout(policy.probe_timeout_s)
+            yield self.env.timeout(PROBE_TIMEOUT_S)
             if stub.alive and not stub.is_partitioned and stub.node.up \
                     and not self._san_partitioned(stub):
                 self._probe_failed(stub, "probe never answered")
@@ -143,13 +145,13 @@ class Supervisor(Component):
                 self._probe_failures.pop(stub.name, None)
             return
         service_s, nominal_s, output_ok = reply
-        delay = policy.probe_rtt_s + service_s
-        if delay > policy.probe_timeout_s:
-            yield self.env.timeout(policy.probe_timeout_s)
+        delay = PROBE_RTT_S + service_s
+        if delay > PROBE_TIMEOUT_S:
+            yield self.env.timeout(PROBE_TIMEOUT_S)
             if stub.alive:
                 self._probe_failed(
                     stub, f"probe service {service_s:.2f}s past "
-                          f"{policy.probe_timeout_s:.1f}s timeout")
+                          f"{PROBE_TIMEOUT_S:.1f}s timeout")
             return
         yield self.env.timeout(delay)
         if not stub.alive:
@@ -160,7 +162,7 @@ class Supervisor(Component):
             self._begin_restart(stub, "probe-validate",
                                 "probe output failed validation")
             return
-        if nominal_s > 0 and service_s > policy.probe_slow_ratio \
+        if nominal_s > 0 and service_s > self.policy.probe_slow_ratio \
                 * nominal_s:
             # answered, but far slower than this worker's own nominal:
             # fail-slow or leak inflation below the RPC-timeout radar
@@ -191,14 +193,14 @@ class Supervisor(Component):
             return
         now = self.env.now
         events = [t for t in self._rpc_timeouts.get(worker_name, [])
-                  if now - t <= self.policy.suspicion_window_s]
+                  if now - t <= SUSPICION_WINDOW_S]
         events.append(now)
         self._rpc_timeouts[worker_name] = events
         if len(events) >= self.policy.rpc_timeout_confirmations:
             self._rpc_timeouts.pop(worker_name, None)
             self._begin_restart(stub, "rpc-timeout",
                                 f"{len(events)} dispatch timeouts in "
-                                f"{self.policy.suspicion_window_s:.0f}s")
+                                f"{SUSPICION_WINDOW_S:.0f}s")
 
     # -- detector 3: peer-relative load outliers -----------------------------
 
@@ -226,7 +228,7 @@ class Supervisor(Component):
                     self._outlier_since.pop(info.name, None)
                     continue
                 since = self._outlier_since.setdefault(info.name, now)
-                if now - since < policy.outlier_sustain_s:
+                if now - since < OUTLIER_SUSTAIN_S:
                     continue
                 self._outlier_since.pop(info.name, None)
                 stub = self.fabric.workers.get(info.name)
@@ -235,7 +237,7 @@ class Supervisor(Component):
                         stub, "load-outlier",
                         f"queue {info.queue_avg:.1f} vs peer "
                         f"median {median:.1f} for "
-                        f"{policy.outlier_sustain_s:.0f}s")
+                        f"{OUTLIER_SUSTAIN_S:.0f}s")
 
     # -- the restart executor -------------------------------------------------
 
@@ -296,8 +298,8 @@ class Supervisor(Component):
         delay = 0.0
         if history and not proactive:
             # exponential backoff between consecutive restarts here
-            delay = min(policy.restart_backoff_cap_s,
-                        policy.restart_backoff_base_s
+            delay = min(RESTART_BACKOFF_CAP_S,
+                        RESTART_BACKOFF_BASE_S
                         * policy.restart_backoff_factor
                         ** (len(history) - 1))
             if policy.restart_backoff_jitter > 0 and delay > 0:
@@ -327,13 +329,9 @@ class Supervisor(Component):
             self.restarts += 1
             if is_brick:
                 bricks = self.fabric.profile_bricks
-                if bricks is None:
-                    self._alert("page", name, "brick dead but no brick "
-                                              "cluster to respawn into")
-                    if span is not None:
-                        span.annotate(heal="no-cluster")
-                    return
                 replacement = yield from bricks.respawn(stub.slot)
+                # the live record: sync_s arrives when repair finishes
+                self.ledger.note_rejoin(bricks.rejoins[-1])
             else:
                 if not proactive \
                         and len(history) >= policy.flap_threshold \

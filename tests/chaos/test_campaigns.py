@@ -8,6 +8,7 @@ from repro.chaos import (
     AsymmetricLink,
     Campaign,
     CampaignRunner,
+    CrashSearchNode,
     CrashWorkerNode,
     GrayBrick,
     GrayWorker,
@@ -90,6 +91,10 @@ def test_campaign_validation_rejects_malformed_node_specs(action, spec):
     (RollingUpgrade(at=5.0, nodes=()), "nodes"),
     (RollingUpgrade(at=5.0, nodes=("node1", "worker:x")), "worker:x"),
     (RollingUpgrade(at=float("inf"), nodes=("node1",)), "at"),
+    (GrayWorker(at=5.0, mode="fail-slow", factor=0.5), "factor"),
+    (GrayWorker(at=5.0, mode="fail-slow", factor=float("nan")), "factor"),
+    (CrashSearchNode(at=5.0, partition=-1), "partition"),
+    (CrashSearchNode(at=5.0, partition=0, duration_s=0.0), "duration_s"),
 ])
 def test_campaign_validation_rejects_bad_fault_fields(action, name,
                                                       monkeypatch):
@@ -110,7 +115,7 @@ def test_campaign_validation_rejects_bad_fault_fields(action, name,
 
 @pytest.mark.parametrize("build", [
     lambda: KillWorker(at=5.0, count=0),
-    lambda: GrayWorker(at=5.0, mode="fail-slow", factor=0.5),
+    lambda: GrayBrick(at=5.0, mode="fail-slow", factor=0.5),
     lambda: GrayWorker(at=5.0, mode="leak", rate_per_s=-1.0),
     lambda: RollingKills(at=5.0, period_s=0.0),
     lambda: RollingUpgrade(at=5.0, nodes=("node1",), hold_s=float("nan")),
@@ -122,7 +127,7 @@ def test_campaign_validation_rejects_bad_fault_fields(action, name,
 ])
 def test_one_value_options_are_constants(build):
     """Options that only ever took one value are module constants; the
-    values that misbehaved (a zero count, a sub-1 slow factor, a
+    values that misbehaved (a zero count, a sub-1 brick slow factor, a
     negative leak, a zero period, a NaN hold, a negative settle) cannot
     be written down any more."""
     with pytest.raises(TypeError):

@@ -10,6 +10,8 @@ record the kind it declares exactly once (on the fault timeline, in the
 recovery ledger, or both) and every invariant must hold; a kind whose
 firings are drawn (:data:`DRAWN`) records it at least once.  A fault
 whose ``kind`` is None records nothing; its effect is in the counters.
+A HotBot kind (:data:`HOTBOT`) runs on a small HotBot deployment in
+both failure modes instead, under a stream of distinct queries.
 """
 
 import dataclasses
@@ -23,9 +25,11 @@ from repro.chaos.campaign import (
     Campaign,
     CampaignRunner,
     Fault,
+    Faults,
     KillBrick,
     get_campaign,
 )
+from repro.hotbot.service import HotBot, HotBotConfig
 from repro.recovery.policy import RecoveryPolicy
 
 FAULT_KINDS = sorted(
@@ -40,6 +44,9 @@ INSTANT = {"KillWorker", "KillManager", "KillFrontEnd", "KillBrick",
 #: the kind whose number of firings is drawn, not scheduled: it must
 #: fire, but may fire more than once in its window.
 DRAWN = {"RandomKills"}
+
+#: the kinds that break a HotBot, not an SNS fabric.
+HOTBOT = {"CrashSearchNode"}
 
 #: the documented no-op (GrayBrick's docstring): the single store has
 #: no gray surface.
@@ -72,8 +79,14 @@ def stores(cls):
 
 CASES = [pytest.param(fault, backend, store,
                       id=f"{fault!r}-{backend}-{store}")
-         for cls in FAULT_KINDS for fault in samples(cls)
+         for cls in FAULT_KINDS if cls.__name__ not in HOTBOT
+         for fault in samples(cls)
          for backend in ("soft", "consensus") for store in stores(cls)]
+
+HOTBOT_CASES = [pytest.param(fault, mode, id=f"{fault!r}-{mode}")
+                for cls in FAULT_KINDS if cls.__name__ in HOTBOT
+                for fault in samples(cls)
+                for mode in ("fast-restart", "cross-mount")]
 
 
 def test_the_table_is_the_module():
@@ -120,6 +133,46 @@ def test_one_fault_alone_records_its_kind_and_holds_every_invariant(
     assert ledger.count(fault.kind) <= 1
     if isinstance(fault, KillBrick) and store == "single":
         assert timeline == ["store-kill"]
+
+
+@pytest.mark.parametrize("fault,mode", HOTBOT_CASES)
+def test_one_hotbot_fault_records_its_kind_and_heals_in_time(fault, mode):
+    """Fast restart: coverage drops while the node is down and is whole
+    again one gather deadline after the heal.  Cross-mount: a peer
+    serves the partition, so coverage never drops."""
+    hotbot = HotBot(HotBotConfig(n_workers=4, n_docs=400,
+                                 gather_timeout_s=0.5, failure_mode=mode),
+                    seed=1997)
+    faults = Faults(hotbot)
+    faults.arm((fault,))
+    env = hotbot.cluster.env
+    answers = []  # (sent at, QueryResult)
+    back_by = fault.heals_at + hotbot.config.gather_timeout_s
+
+    def ask(terms):
+        sent_at = env.now
+        answers.append((sent_at, (yield hotbot.submit(terms))))
+
+    def client():
+        # distinct terms: a cached answer would hide the outage
+        for number in range(int((back_by + 2.0) / 0.25)):
+            yield env.timeout(0.25)
+            env.process(ask([f"w{2 + number}"]))
+
+    env.process(client())
+    hotbot.run(until=back_by + 5.0)
+    assert [record.kind for record in faults.timeline].count(
+        fault.kind) == 1
+    during = [result for sent_at, result in answers
+              if fault.at <= sent_at < fault.heals_at]
+    after = [result for sent_at, result in answers if sent_at >= back_by]
+    assert during and after
+    if mode == "fast-restart":
+        assert all(result.coverage < 1.0 for result in during)
+        assert all(result.coverage == 1.0 for result in after)
+    else:
+        assert all(result.coverage == 1.0 for _, result in answers)
+        assert all(result.served_by_replica == 1 for result in during)
 
 
 def test_get_campaign_hands_out_copies():

@@ -136,20 +136,3 @@ def test_total_amnesia_promotes_and_oracle_reports_loss():
     lost = store.verify_committed()
     assert len(lost) == committed
     assert all(report["reason"] == "missing" for report in lost)
-
-
-def test_rejoin_record_reaches_attached_ledger():
-    from repro.recovery.ledger import RecoveryLedger
-    cluster, bricks, store = make_store()
-    ledger = RecoveryLedger(cluster.env)
-    bricks.ledger = ledger
-    load_users(store, 5)
-    bricks.brick_at(0).kill()
-    respawn(cluster, bricks, 0)
-    cluster.run(until=cluster.env.now + 10.0)
-    assert len(ledger.rejoins) == 1
-    summary = ledger.summary(duration_s=20.0, population=3)
-    assert summary["rejoins"] == 1
-    assert summary["rejoin_mean_s"] == pytest.approx(BRICK_SPAWN_S)
-    # the ledger shares the live record dict: sync_s arrives in place
-    assert ledger.rejoins[0]["sync_s"] is not None

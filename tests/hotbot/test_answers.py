@@ -14,6 +14,7 @@ import hashlib
 
 import pytest
 
+from repro.chaos.campaign import CrashSearchNode, Faults
 from repro.hotbot.service import HotBot, HotBotConfig
 
 N_QUERIES = 400
@@ -42,14 +43,21 @@ def query_stream(hotbot):
         yield terms, offset, gap
 
 
+def crash_now(hotbot, partition, duration_s=None):
+    """A callable that arms a crash of ``partition`` at the instant it
+    is called."""
+    faults = Faults(hotbot)
+    return lambda: faults.arm((CrashSearchNode(
+        at=faults.env.now, partition=partition, duration_s=duration_s),))
+
+
 def fast_restart(seed):
     """A partition crashes a third of the way in and restarts: queries
     in flight time out at the gather deadline, later ones are partial,
     the last ones are answered by the rebuilt index."""
     hotbot = HotBot(HotBotConfig(n_workers=6, n_docs=600,
-                                 gather_timeout_s=0.5,
-                                 fast_restart_s=1.0), seed=seed)
-    return hotbot, lambda: hotbot.crash_worker(2)
+                                 gather_timeout_s=0.5), seed=seed)
+    return hotbot, crash_now(hotbot, 2, duration_s=1.0)
 
 
 def cross_mount(seed):
@@ -57,14 +65,14 @@ def cross_mount(seed):
     serves the partition at a penalty (replica legs)."""
     hotbot = HotBot(HotBotConfig(n_workers=6, n_docs=600,
                                  failure_mode="cross-mount"), seed=seed)
-    return hotbot, lambda: hotbot.crash_worker(4, auto_restart=False)
+    return hotbot, crash_now(hotbot, 4)
 
 
 def no_restart(seed):
     """A crashed partition that never returns: partial answers, which
     are not cached."""
     hotbot = HotBot(HotBotConfig(n_workers=6, n_docs=600), seed=seed)
-    return hotbot, lambda: hotbot.crash_worker(1, auto_restart=False)
+    return hotbot, crash_now(hotbot, 1)
 
 
 MODES = {"fast-restart": fast_restart, "cross-mount": cross_mount,

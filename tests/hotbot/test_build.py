@@ -16,6 +16,7 @@ import tracemalloc
 
 import pytest
 
+from repro.chaos.campaign import CrashSearchNode, Faults
 from repro.hotbot.documents import Corpus, Document
 from repro.hotbot.index import InvertedIndex, Vocabulary
 from repro.hotbot.partition import PartitionMap
@@ -299,13 +300,14 @@ def test_a_term_outside_a_shared_vocabulary_raises(corpus):
 
 
 def test_fast_restart_rebuilds_an_index_that_answers_identically():
-    hotbot = HotBot(config=HotBotConfig(n_workers=4, n_docs=400,
-                                        fast_restart_s=1.0), seed=2026)
+    hotbot = HotBot(config=HotBotConfig(n_workers=4, n_docs=400),
+                    seed=2026)
     queries = [hotbot.corpus.vocabulary_sample(
         hotbot.cluster.streams.stream("test-queries"), 3)
         for _ in range(25)]
     original = hotbot.workers[2].index
-    hotbot.crash_worker(2)
+    Faults(hotbot).arm((CrashSearchNode(at=0.0, partition=2,
+                                        duration_s=1.0),))
     hotbot.run(until=5.0)
     rebuilt = hotbot.workers[2].index
     assert hotbot.workers[2].alive and rebuilt is not original

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos.campaign import CrashSearchNode, Faults
 from repro.hotbot import index as index_module
 from repro.hotbot.query_cache import QueryCache, normalize_query
 from repro.hotbot.service import HotBot, HotBotConfig
@@ -114,8 +115,8 @@ def test_page_two_is_incremental_delivery():
 
 
 def test_partial_answers_are_not_cached():
-    hotbot = make_hotbot(fast_restart_s=1e9)
-    hotbot.crash_worker(0, auto_restart=False)
+    hotbot = make_hotbot()
+    Faults(hotbot).arm((CrashSearchNode(at=0.0, partition=0),))
     degraded = hotbot.run_until(hotbot.submit(["w3"]))
     assert degraded.partial
     again = hotbot.run_until(hotbot.submit(["w3"]))

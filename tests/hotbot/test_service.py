@@ -6,14 +6,22 @@ import math
 
 import pytest
 
+from repro.chaos.campaign import CrashSearchNode, Faults
 from repro.hotbot.service import HotBot, HotBotConfig
 
 
 def make_hotbot(**config_overrides):
-    defaults = dict(n_workers=4, n_docs=400, gather_timeout_s=1.0,
-                    fast_restart_s=5.0)
+    defaults = dict(n_workers=4, n_docs=400, gather_timeout_s=1.0)
     defaults.update(config_overrides)
     return HotBot(config=HotBotConfig(**defaults), seed=21)
+
+
+def crash(hotbot, partition, duration_s=None):
+    """Crash ``partition``'s node now; it restarts ``duration_s`` later
+    (never, when None)."""
+    Faults(hotbot).arm((CrashSearchNode(
+        at=hotbot.cluster.env.now, partition=partition,
+        duration_s=duration_s),))
 
 
 def ask(hotbot, terms=("w3", "w7"), user="u1"):
@@ -46,8 +54,8 @@ def test_node_loss_gives_partial_answers_fast_restart():
     """Fast-restart mode: a down node's partition is simply missing —
     '(the database) dropping from 54M to about 51M documents' — and the
     service stays up with partial coverage."""
-    hotbot = make_hotbot(failure_mode="fast-restart", fast_restart_s=30.0)
-    hotbot.crash_worker(0)
+    hotbot = make_hotbot(failure_mode="fast-restart")
+    crash(hotbot, 0, duration_s=30.0)
     result = ask(hotbot)
     assert result.partial
     assert result.partitions_answered == 3
@@ -56,8 +64,8 @@ def test_node_loss_gives_partial_answers_fast_restart():
 
 
 def test_fast_restart_restores_full_coverage():
-    hotbot = make_hotbot(failure_mode="fast-restart", fast_restart_s=5.0)
-    hotbot.crash_worker(1)
+    hotbot = make_hotbot(failure_mode="fast-restart")
+    crash(hotbot, 1, duration_s=5.0)
     degraded = ask(hotbot)
     assert degraded.partial
     hotbot.run(until=hotbot.cluster.env.now + 10.0)
@@ -71,7 +79,7 @@ def test_cross_mount_keeps_full_data_availability():
     automatically take over responsibility for that data, maintaining
     100% data availability with graceful degradation in performance.'"""
     hotbot = make_hotbot(failure_mode="cross-mount")
-    hotbot.crash_worker(0, auto_restart=False)
+    crash(hotbot, 0)
     result = ask(hotbot)
     assert not result.partial
     assert result.coverage == 1.0
@@ -84,32 +92,46 @@ def test_cross_mount_keeps_full_data_availability():
 def test_cluster_move_half_at_a_time_stays_up():
     """The February 1997 move: 'HotBot was physically moved ... without
     ever being down, by moving half of the cluster at a time.'"""
-    hotbot = make_hotbot(n_workers=6, failure_mode="fast-restart",
-                         fast_restart_s=1e9)  # trucks are slow
-    # first half leaves
-    for partition in (0, 1, 2):
-        hotbot.crash_worker(partition, auto_restart=False)
+    hotbot = make_hotbot(n_workers=6, failure_mode="fast-restart")
+    # the move as one fault table: the first half leaves at once and is
+    # back up 2 s later; the second half leaves at t=5
+    Faults(hotbot).arm(tuple(
+        CrashSearchNode(at=at, partition=partition, duration_s=2.0)
+        for at, half in ((0.0, (0, 1, 2)), (5.0, (3, 4, 5)))
+        for partition in half))
     mid_move = ask(hotbot)
     assert mid_move.partial and mid_move.hits
     assert mid_move.coverage > 0.3
-    # first half arrives and restarts; second half leaves
-    for partition in (0, 1, 2):
-        hotbot.cluster.env.process(hotbot._fast_restart(partition))
-    hotbot.config.fast_restart_s = 1.0
-    hotbot.run(until=hotbot.cluster.env.now + 5.0)
-    # note: the _fast_restart scheduled above used the old huge delay;
-    # redo with quick restarts for test brevity
-    hotbot2 = make_hotbot(n_workers=6, fast_restart_s=2.0)
-    for partition in (0, 1, 2):
-        hotbot2.crash_worker(partition)
-    hotbot2.run(until=hotbot2.cluster.env.now + 5.0)
-    for partition in (3, 4, 5):
-        hotbot2.crash_worker(partition)
-    moved = ask(hotbot2)
+    # first half arrived and restarted; second half leaves
+    hotbot.run(until=5.0)
+    moved = ask(hotbot)
+    assert moved.partial  # the second half is on the truck
     assert moved.hits  # never fully down
-    hotbot2.run(until=hotbot2.cluster.env.now + 10.0)
-    final = ask(hotbot2)
+    hotbot.run(until=hotbot.cluster.env.now + 10.0)
+    final = ask(hotbot)
     assert not final.partial
+
+
+def test_crashing_a_down_partition_leaks_no_worker():
+    """A second crash of a partition already down is a no-op.  Two
+    crashes used to schedule two restarts: the first replacement was
+    never killed and kept its service loop and a rebuilt index beside
+    the second."""
+    hotbot = make_hotbot()
+    Faults(hotbot).arm((
+        CrashSearchNode(at=0.0, partition=0, duration_s=5.0),
+        CrashSearchNode(at=2.0, partition=0, duration_s=5.0)))
+    hotbot.run(until=20.0)
+    worker = hotbot.workers[0]
+    assert worker.alive
+    assert worker.node.components == {worker.name}
+
+
+def test_a_crash_of_a_partition_out_of_range_is_refused_when_it_fires():
+    hotbot = make_hotbot()
+    Faults(hotbot).arm((CrashSearchNode(at=1.0, partition=4),))
+    with pytest.raises(ValueError, match="n_workers=4"):
+        hotbot.run(until=2.0)
 
 
 def test_informix_serializes_at_capacity():
@@ -188,7 +210,7 @@ def test_bare_string_query_is_refused():
     ("top_k", 0), ("n_workers", 0), ("n_docs", 0),
     ("frontend_threads", 0), ("query_fixed_s", -0.001),
     ("query_per_posting_s", -1e-6), ("gather_timeout_s", -1.0),
-    ("fast_restart_s", -1.0), ("cross_mount_penalty", -2.0),
+    ("cross_mount_penalty", -2.0),
     ("db_failover_s", -5.0), ("db_capacity_rps", -400.0),
     ("failure_mode", "fast_restart"),
 ])

@@ -5,6 +5,7 @@ slot, and heal = fully-authoritative-again."""
 import pytest
 
 from repro.chaos.campaign import chaos_config
+from repro.dstore.cluster import BRICK_SPAWN_S
 from repro.experiments._harness import build_bench_fabric
 from repro.recovery.ledger import RecoveryLedger
 from repro.recovery.policy import RecoveryPolicy
@@ -15,7 +16,6 @@ def boot_supervised_dstore(seed=7, policy=None):
                                 config=chaos_config(
                                     profile_backend="dstore"))
     ledger = RecoveryLedger(fabric.cluster.env)
-    fabric.profile_bricks.ledger = ledger
     fabric.boot(n_frontends=1, initial_workers={"jpeg-distiller": 2})
     supervisor = fabric.start_supervisor(policy or RecoveryPolicy(),
                                          ledger=ledger)
@@ -52,6 +52,22 @@ def test_dead_brick_noticed_and_respawned_to_same_slot():
     assert case.replacement == replacement.name
     assert supervisor.restarts >= 1
     assert store.verify_committed() == []
+
+
+def test_rejoin_record_reaches_attached_ledger():
+    """The supervisor notes each brick rejoin in its own ledger, and
+    the note is the brick cluster's live record: ``sync_s`` arrives in
+    place when the anti-entropy sweep finishes."""
+    fabric, supervisor, ledger = boot_supervised_dstore()
+    seed_profiles(fabric, 5)
+    fabric.profile_bricks.brick_at(0).kill()
+    run_for(fabric, 15.0)
+    assert len(ledger.rejoins) == 1
+    assert ledger.rejoins[0] is fabric.profile_bricks.rejoins[0]
+    summary = ledger.summary(duration_s=20.0, population=3)
+    assert summary["rejoins"] == 1
+    assert summary["rejoin_mean_s"] == pytest.approx(BRICK_SPAWN_S)
+    assert ledger.rejoins[0]["sync_s"] is not None
 
 
 def test_zombie_brick_caught_by_probe_canary():

@@ -1,6 +1,9 @@
 """Supervisor behavior: the three detectors, the restart executor's
 guard rails (backoff, budget, flap quarantine), and rejuvenation."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.core.fabric import FabricError
@@ -280,7 +283,22 @@ def test_new_frontends_get_the_rpc_timeout_hook():
     dict(flap_threshold=1),
     dict(rejuvenation_interval_s=-1.0),
     dict(heal_wait_periods=0),
+] + [
+    # NaN compares false with any floor: `probe_interval_s=nan` used to
+    # pass, and `outlier_ratio=nan` silently turned outlier detection off
+    {field.name: value} for field in dataclasses.fields(RecoveryPolicy)
+    for value in (math.nan, math.inf)
 ])
 def test_policy_validation_rejects_bad_knobs(overrides):
-    with pytest.raises(ValueError):
+    (name,) = overrides
+    with pytest.raises(ValueError, match=name):
         RecoveryPolicy(**overrides).validate()
+
+
+def test_policy_validation_accepts_the_sweep_backstop():
+    """The policy sweep detunes supervision with huge finite values;
+    no rejuvenation is None, not a number."""
+    policy = RecoveryPolicy(rpc_timeout_confirmations=1000,
+                            outlier_ratio=1e9, outlier_floor=1e9,
+                            rejuvenation_interval_s=None)
+    assert policy.validate() is policy
