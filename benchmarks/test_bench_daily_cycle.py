@@ -17,7 +17,7 @@ from repro.workload.tracegen import daily_cycle_factor
 
 def run_day(seed=1997, compressed_day_s=900.0, peak_rate_rps=90.0):
     config = SNSConfig(spawn_threshold=8.0, spawn_damping_s=8.0,
-                       reap_threshold=0.5, reap_after_s=30.0,
+                       reap_after_s=30.0,
                        dispatch_timeout_s=8.0,
                        frontend_connection_overhead_s=0.002)
     # a dedicated pool sized for the average, so the evening peak must

@@ -9,7 +9,7 @@ Run:  python examples/hotbot_search.py
 """
 
 from repro.chaos.campaign import CrashSearchNode, Faults
-from repro.hotbot.service import HotBot, HotBotConfig
+from repro.hotbot.service import CROSS_MOUNT_PENALTY, HotBot, HotBotConfig
 
 
 def show(result, label):
@@ -53,7 +53,7 @@ def main() -> None:
     show(result, "node down, peer serving its partition from the "
                  "cross-mounted disk:")
     print(f"  served by replica: {result.served_by_replica} partition "
-          f"(at {crossmount.config.cross_mount_penalty:.0f}x cost — "
+          f"(at {CROSS_MOUNT_PENALTY:.0f}x cost — "
           "'100% data availability with graceful degradation in "
           "performance')")
 

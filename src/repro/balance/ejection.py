@@ -26,6 +26,18 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.balance.policies import EWMA_ALPHA, RoutingPolicy
 
+#: eject when a worker's observed-latency EWMA exceeds this multiple of
+#: the peer median, and only while at least OUTLIER_MIN_PEERS peers are
+#: in play (peer-relative by construction: global slowness ejects nobody).
+OUTLIER_LATENCY_RATIO = 3.0
+OUTLIER_MIN_PEERS = 3
+#: the window timeouts are counted in (and a repeat offence forgiven).
+OUTLIER_WINDOW_S = 10.0
+#: first ejection duration; doubles per repeat offence up to the max.
+#: Re-admission is probationary (history cleared).
+OUTLIER_EJECTION_S = 5.0
+OUTLIER_MAX_EJECTION_S = 60.0
+
 
 class _WorkerHealth:
     """Ejector-side passive health record for one worker."""
@@ -54,14 +66,8 @@ class OutlierEjector(RoutingPolicy):
         self.inner = inner
         self.name = f"{inner.name}+eject"
         self.needs_key = inner.needs_key
-        self.alpha = EWMA_ALPHA
-        self.latency_ratio = config.outlier_latency_ratio
         self.min_samples = config.outlier_min_samples
-        self.min_peers = config.outlier_min_peers
         self.timeout_threshold = config.outlier_timeout_threshold
-        self.window_s = config.outlier_window_s
-        self.ejection_s = config.outlier_ejection_s
-        self.max_ejection_s = config.outlier_max_ejection_s
         self.health: Dict[str, _WorkerHealth] = {}
         # counters
         self.ejections = 0
@@ -85,8 +91,8 @@ class OutlierEjector(RoutingPolicy):
         if record.ewma_s is None:
             record.ewma_s = latency_s
         else:
-            record.ewma_s = (self.alpha * latency_s
-                             + (1.0 - self.alpha) * record.ewma_s)
+            record.ewma_s = (EWMA_ALPHA * latency_s
+                             + (1.0 - EWMA_ALPHA) * record.ewma_s)
         record.samples += 1
         self.inner.on_reply(worker_name, now, latency_s)
 
@@ -103,7 +109,7 @@ class OutlierEjector(RoutingPolicy):
     # -- ejection decisions ------------------------------------------------
 
     def _recent_timeouts(self, record: _WorkerHealth, now: float) -> int:
-        cutoff = now - self.window_s
+        cutoff = now - OUTLIER_WINDOW_S
         if record.timeout_at and record.timeout_at[0] < cutoff:
             record.timeout_at = [t for t in record.timeout_at
                                  if t >= cutoff]
@@ -111,11 +117,11 @@ class OutlierEjector(RoutingPolicy):
 
     def _eject(self, record: _WorkerHealth, now: float) -> None:
         if (record.last_ejection_end is not None
-                and now - record.last_ejection_end > self.window_s):
+                and now - record.last_ejection_end > OUTLIER_WINDOW_S):
             # clean through its probation window: forgive old offences
             record.ejection_count = 0
-        duration = min(self.max_ejection_s,
-                       self.ejection_s * (2.0 ** record.ejection_count))
+        duration = min(OUTLIER_MAX_EJECTION_S,
+                       OUTLIER_EJECTION_S * (2.0 ** record.ejection_count))
         record.ejected_until = now + duration
         record.last_ejection_end = record.ejected_until
         record.ejection_count += 1
@@ -133,12 +139,12 @@ class OutlierEjector(RoutingPolicy):
         names = [state.advert.worker_name for state in candidates]
         active = [name for name in names
                   if self._record(name).ejected_until <= now]
-        if len(active) < self.min_peers:
+        if len(active) < OUTLIER_MIN_PEERS:
             return
         # latency outliers, relative to the peer median
         sampled = [(name, self.health[name].ewma_s) for name in active
                    if self.health[name].samples >= self.min_samples]
-        if len(sampled) >= self.min_peers:
+        if len(sampled) >= OUTLIER_MIN_PEERS:
             latencies = sorted(ewma for _, ewma in sampled)
             mid = len(latencies) // 2
             if len(latencies) % 2:
@@ -147,7 +153,7 @@ class OutlierEjector(RoutingPolicy):
                 median = 0.5 * (latencies[mid - 1] + latencies[mid])
             if median > 0:
                 for name, ewma in sampled:
-                    if ewma > self.latency_ratio * median:
+                    if ewma > OUTLIER_LATENCY_RATIO * median:
                         self._eject(self.health[name], now)
         # timeout outliers: eject heavy timers unless timeouts are the
         # cluster-wide condition (then ejection would only shrink an

@@ -34,10 +34,13 @@ from repro.sim.hashing import Ring
 
 #: EWMA weight for policy-side latency observations (the ewma policy
 #: and the outlier ejector; distinct from the manager's
-#: ``load_ewma_alpha`` so tuning one never skews the other).
+#: ``LOAD_EWMA_ALPHA`` so tuning one never skews the other).
 EWMA_ALPHA = 0.3
 #: "hash-bounded" policy: virtual nodes per worker on the ring.
 HASH_RING_REPLICAS = 50
+#: "weighted" policy: traffic fraction routed to the canary (the most
+#: recently spawned worker).
+CANARY_FRACTION = 0.1
 
 
 class PolicyError(ValueError):
@@ -244,7 +247,6 @@ class EwmaLatencyPolicy(_OutstandingTracker):
     def __init__(self, config: Any, rng: Any) -> None:
         super().__init__()
         self.config = config
-        self.alpha = EWMA_ALPHA
         self.timeout_penalty_s = 2.0 * config.dispatch_timeout_s
         self.ewma: Dict[str, float] = {}
 
@@ -253,8 +255,8 @@ class EwmaLatencyPolicy(_OutstandingTracker):
         if prior is None:
             self.ewma[worker_name] = latency_s
         else:
-            self.ewma[worker_name] = (self.alpha * latency_s
-                                      + (1.0 - self.alpha) * prior)
+            self.ewma[worker_name] = (EWMA_ALPHA * latency_s
+                                      + (1.0 - EWMA_ALPHA) * prior)
 
     def on_reply(self, worker_name: str, now: float,
                  latency_s: float) -> None:
@@ -302,7 +304,6 @@ class WeightedCanaryPolicy(RoutingPolicy):
 
     def __init__(self, config: Any, rng: Any) -> None:
         self.rng = rng
-        self.canary_fraction = config.policy_canary_fraction
 
     def select(self, candidates: Sequence[Any], now: float,
                key: Optional[str] = None) -> Any:
@@ -311,10 +312,9 @@ class WeightedCanaryPolicy(RoutingPolicy):
         canary = max(candidates,
                      key=lambda state: _spawn_order(
                          state.advert.worker_name))
-        baseline = ((1.0 - self.canary_fraction)
-                    / (len(candidates) - 1))
+        baseline = (1.0 - CANARY_FRACTION) / (len(candidates) - 1)
         weights = [
-            self.canary_fraction if state is canary else baseline
+            CANARY_FRACTION if state is canary else baseline
             for state in candidates
         ]
         return self.rng.weighted_choice(candidates, weights)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import (Any, Callable, ClassVar, Dict, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -768,6 +769,25 @@ class Campaign:
                    default=0.0)
 
     def validate(self) -> "Campaign":
+        # each rule is the comparison that must hold, so NaN fails it
+        for name, value in (
+                ("duration_s", self.duration_s), ("rate_rps", self.rate_rps),
+                ("slo_latency_s", self.slo_latency_s),
+                ("settle_s", self.settle_s),
+                ("profile_write_interval_s", self.profile_write_interval_s)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name}={value!r} must be finite and > 0")
+        for name, value in (
+                ("n_nodes", self.n_nodes),
+                ("initial_workers", self.initial_workers),
+                ("pool_size", self.pool_size),
+                ("record_bytes", self.record_bytes)):
+            if not (type(value) is int and value >= 1):
+                raise ValueError(f"{name}={value!r} must be an int >= 1")
+        if self.profile_read_slo is not None \
+                and not 0.0 < self.profile_read_slo <= 1.0:
+            raise ValueError(f"profile_read_slo={self.profile_read_slo!r} "
+                             "must be in (0, 1]")
         for action in self.actions:
             try:
                 action.check()
@@ -781,12 +801,11 @@ class Campaign:
         if self.arrival_schedule is not None and not self.arrival_schedule:
             raise ValueError("arrival_schedule must not be empty")
         for duration, rate in self.arrival_schedule or ():
-            if duration <= 0 or rate < 0:
+            # a zero rate is a pause (PlaybackEngine.ramp)
+            if not (0.0 < duration < math.inf and 0.0 <= rate < math.inf):
                 raise ValueError(
-                    f"bad arrival step ({duration}, {rate}): "
-                    "duration must be positive, rate non-negative")
-        if self.pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
+                    f"bad arrival step ({duration!r}, {rate!r}): duration "
+                    "must be finite and > 0, rate finite and >= 0")
         if not 0.0 <= self.batch_fraction < 1.0:
             raise ValueError("batch_fraction must be in [0, 1)")
         if self.degradation not in (None, "controller"):

@@ -11,22 +11,23 @@ and the per-connection front-end overhead that makes a 100 Mb/s segment
 top out near 70 requests/second (Section 4.6, footnote 5).
 
 A value is an :class:`SNSConfig` field only while some experiment,
-campaign, benchmark or test sets it.  The ones nothing ever set are the
-module constants above the class, each still carrying its paper quote:
-``BEACON_LOSS_TOLERANCE`` (3.1.3), ``MIN_WORKERS_PER_TYPE`` (3.1.2),
-``REQUEST_OVERHEAD_BYTES`` (4.6), ``DISTILLATION_THRESHOLD_BYTES``
-(4.1), ``CONSENSUS_LEASE_S``, ``ORIGIN_BREAKER_COOLDOWN_S`` /
-``ORIGIN_BREAKER_SLOW_S``, ``DEGRADE_QUEUE_TARGET_S`` /
-``DEGRADE_SHED_TARGET`` and ``DEGRADE_FRESH_TTL_S`` /
-``DEGRADE_STALE_TTL_S``.  Two more sit beside their only readers in
-:mod:`repro.balance.policies` (``EWMA_ALPHA``, ``HASH_RING_REPLICAS``),
-because ``repro.core`` imports ``repro.balance`` and not the other way
-round.  Distilled results are always cached (Section 3.1.5's injection
-path).
+campaign, benchmark or test sets it to a second value.  The rest are
+module constants beside their one reader, each still carrying its
+paper quote or comment: here ``BEACON_LOSS_TOLERANCE`` (3.1.3),
+``MIN_WORKERS_PER_TYPE`` (3.1.2), ``REQUEST_OVERHEAD_BYTES`` (4.6),
+``DISTILLATION_THRESHOLD_BYTES`` (4.1), ``CONSENSUS_LEASE_S``,
+``ORIGIN_BREAKER_*``, ``LOAD_EWMA_ALPHA``, ``REAP_THRESHOLD``,
+``DISPATCH_BACKOFF_FACTOR`` and the brownout loop's ``DEGRADE_*``; in
+:mod:`repro.balance.policies` (``repro.core`` imports ``repro.balance``,
+not the other way round) ``EWMA_ALPHA``, ``HASH_RING_REPLICAS`` and
+``CANARY_FRACTION``; in :mod:`repro.balance.ejection` the ejector's
+``OUTLIER_*`` ratio, peer count, window and durations.  Distilled
+results are always cached (Section 3.1.5's injection path).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,6 +58,52 @@ DEGRADE_SHED_TARGET = 0.05
 #: the extended stale horizon (servable only while degraded).
 DEGRADE_FRESH_TTL_S = 2.0
 DEGRADE_STALE_TTL_S = 90.0
+#: exponential moving average weight for queue-length reports (the
+#: manager's per-worker queue average and the worker stub's
+#: service-time EWMA).
+LOAD_EWMA_ALPHA = 0.3
+#: reap a worker when its type's average queue stays below this for
+#: ``reap_after_s``.
+REAP_THRESHOLD = 0.5
+#: retry backoff growth: the first-retry delay doubles per retry up to
+#: ``dispatch_backoff_cap_s``.
+DISPATCH_BACKOFF_FACTOR = 2.0
+#: brownout control-loop sampling period.
+DEGRADE_TICK_S = 0.5
+#: pressure at/above which the ladder escalates one level per tick.
+DEGRADE_ENTER_PRESSURE = 1.0
+#: pressure at/below which ticks count as calm (de-escalation).
+DEGRADE_EXIT_PRESSURE = 0.5
+#: consecutive calm ticks required before stepping down one level.
+DEGRADE_DWELL_TICKS = 2
+#: deadline-shed level: assumed client deadline for the probabilistic
+#: can-this-still-make-it admission estimate.
+DEGRADE_DEADLINE_S = 8.0
+
+
+#: what :meth:`SNSConfig.validate` asks of each numeric field, as
+#: (rule, floor): a finite number ``>`` or ``>=`` the floor, or an
+#: ``int`` at least the floor.  Each rule is the comparison that must
+#: hold, so NaN fails it; ``None`` passes where it is the default.
+_FLOORS = {
+    "beacon_interval_s": (">", 0), "report_interval_s": (">", 0),
+    "worker_timeout_s": (">", 0), "spawn_threshold": (">", 0),
+    "spawn_damping_s": (">=", 0), "reap_after_s": (">=", 0),
+    "reap_drain_timeout_s": (">=", 0), "lottery_gamma": (">=", 0),
+    "policy_hash_bound": (">=", 1), "outlier_min_samples": ("int", 1),
+    "outlier_timeout_threshold": ("int", 1),
+    "dispatch_timeout_s": (">", 0), "dispatch_attempts": ("int", 1),
+    "dispatch_deadline_s": (">", 0), "dispatch_backoff_base_s": (">=", 0),
+    "dispatch_backoff_cap_s": (">=", 0),
+    "dispatch_backoff_jitter": (">=", 0), "frontend_threads": ("int", 1),
+    "frontend_connection_overhead_s": (">=", 0),
+    "admission_max_backlog_s": (">=", 0),
+    "admission_exit_backlog_s": (">=", 0),
+    "retry_budget_ratio": (">=", 0), "retry_budget_cap": (">=", 1),
+    "origin_breaker_failures": ("int", 1),
+    "degrade_hold_ticks": ("int", 0), "degrade_util_target": (">", 0),
+    "degrade_max_level": ("int", 0), "worker_queue_capacity": ("int", 1),
+}
 
 
 class ConfigError(ValueError):
@@ -107,9 +154,9 @@ class SNSConfig:
     spawn_threshold: float = 10.0
     #: damping D: seconds the spawner is disabled after each spawn.
     spawn_damping_s: float = 15.0
-    #: reap a worker when the type's average queue stays below this...
-    reap_threshold: float = 0.5
-    #: ...for this long, and more than MIN_WORKERS_PER_TYPE remain.
+    #: reap a worker when the type's average queue stays below
+    #: REAP_THRESHOLD for this long, and more than MIN_WORKERS_PER_TYPE
+    #: remain.
     reap_after_s: float = 60.0
     #: seconds a busy reap victim gets to drain (queued work is moved to
     #: peers, the in-service request runs out) before it is killed anyway.
@@ -130,8 +177,6 @@ class SNSConfig:
     #: expected cost in seconds — with it, spawn_threshold is literally
     #: "the greatest delay the user is willing to tolerate", in seconds.
     load_metric: str = "queue"
-    #: exponential moving average weight for queue-length reports.
-    load_ewma_alpha: float = 0.3
     #: manager stubs extrapolate queue deltas between reports (the
     #: Section 4.5 oscillation fix); disable for the ablation.
     estimate_queue_deltas: bool = True
@@ -142,28 +187,16 @@ class SNSConfig:
     #: least-outstanding, p2c, ewma, weighted, hash-bounded; append
     #: "+eject" for passive outlier ejection (e.g. "ewma+eject").
     routing_policy: str = "lottery"
-    #: "weighted" policy: traffic fraction routed to the canary (the
-    #: most recently spawned worker).
-    policy_canary_fraction: float = 0.1
     #: "hash-bounded" policy: a worker may carry at most this multiple
     #: of the mean in-flight load before the request walks the ring.
     policy_hash_bound: float = 1.25
-    #: "+eject" wrapper: eject when a worker's observed-latency EWMA
-    #: exceeds this multiple of the peer median...
-    outlier_latency_ratio: float = 3.0
-    #: ...judged only after this many local latency samples...
+    #: "+eject" wrapper: a latency outlier is judged only after this
+    #: many local latency samples (the ratio, peer count, window and
+    #: ejection durations are constants in repro.balance.ejection).
     outlier_min_samples: int = 8
-    #: ...and only while at least this many peers are in play
-    #: (peer-relative by construction: global slowness ejects nobody).
-    outlier_min_peers: int = 3
-    #: "+eject" wrapper: timeouts within outlier_window_s that eject a
+    #: "+eject" wrapper: timeouts within OUTLIER_WINDOW_S that eject a
     #: worker (unless timeouts are cluster-wide).
     outlier_timeout_threshold: int = 3
-    outlier_window_s: float = 10.0
-    #: first ejection duration; doubles per repeat offence up to the
-    #: max.  Re-admission is probationary (history cleared).
-    outlier_ejection_s: float = 5.0
-    outlier_max_ejection_s: float = 60.0
     #: per-dispatch timeout before the front end retries elsewhere.
     dispatch_timeout_s: float = 8.0
     #: dispatch attempts before falling back to the original content.
@@ -173,12 +206,12 @@ class SNSConfig:
     #: propagated into each WorkEnvelope so downstream stages can shed
     #: work the client has already given up on.
     dispatch_deadline_s: Optional[float] = None
-    #: retry backoff: first-retry delay, growth factor, and cap.  The
-    #: delay is jittered ±50% by ``dispatch_backoff_jitter`` from a
-    #: dedicated seeded stream, so lossy-regime retries neither
-    #: synchronize into retry storms nor perturb other streams.
+    #: retry backoff: first-retry delay and cap (the growth factor is
+    #: DISPATCH_BACKOFF_FACTOR).  The delay is jittered ±50% by
+    #: ``dispatch_backoff_jitter`` from a dedicated seeded stream, so
+    #: lossy-regime retries neither synchronize into retry storms nor
+    #: perturb other streams.
     dispatch_backoff_base_s: float = 0.05
-    dispatch_backoff_factor: float = 2.0
     dispatch_backoff_cap_s: float = 2.0
     #: jitter fraction: each backoff delay is scaled by a deterministic
     #: uniform draw in [1 - j/2, 1 + j/2].
@@ -219,14 +252,6 @@ class SNSConfig:
     origin_breaker_failures: Optional[int] = None
 
     # -- brownout controller (repro.degrade.controller) ----------------------
-    #: control-loop sampling period.
-    degrade_tick_s: float = 0.5
-    #: pressure at/above which the ladder escalates one level per tick.
-    degrade_enter_pressure: float = 1.0
-    #: pressure at/below which ticks count as calm (de-escalation).
-    degrade_exit_pressure: float = 0.5
-    #: consecutive calm ticks required before stepping down one level.
-    degrade_dwell_ticks: int = 2
     #: minimum ticks between successive escalations (spawn-damping
     #: analogue: one congested sample cannot slam the ladder to the top).
     degrade_hold_ticks: int = 2
@@ -237,9 +262,6 @@ class SNSConfig:
     #: highest ladder level the controller may reach (operators can pin
     #: the ladder below priority-admission/deadline-shed).
     degrade_max_level: int = 5
-    #: deadline-shed level: assumed client deadline for the
-    #: probabilistic can-this-still-make-it admission estimate.
-    degrade_deadline_s: float = 8.0
 
     # -- workers ----------------------------------------------------------------------
     #: worker stub queue capacity; beyond this, submissions are refused
@@ -263,32 +285,30 @@ class SNSConfig:
 
     def validate(self) -> "SNSConfig":
         require = self._require
+        values = vars(self)
         for name, allowed in (
                 ("manager_backend", ("soft", "consensus")),
                 ("profile_backend", (None, "single", "dstore")),
                 ("service_backend", (None, "degradable")),
                 ("load_metric", ("queue", "weighted-cost")),
                 ("balancing", ("centralized", "distributed"))):
-            require(getattr(self, name) in allowed, name,
+            require(values[name] in allowed, name,
                     f"must be one of {allowed}")
-        for name in ("beacon_interval_s", "report_interval_s",
-                     "spawn_threshold", "outlier_window_s",
-                     "outlier_ejection_s", "degrade_tick_s",
-                     "degrade_util_target", "degrade_deadline_s"):
-            require(getattr(self, name) > 0, name, "must be positive")
-        for name in ("spawn_damping_s", "reap_drain_timeout_s",
-                     "dispatch_backoff_base_s", "dispatch_backoff_cap_s",
-                     "degrade_hold_ticks"):
-            require(getattr(self, name) >= 0, name,
-                    "must be non-negative")
-        for name in ("dispatch_attempts", "frontend_threads",
-                     "policy_hash_bound", "outlier_min_samples",
-                     "outlier_timeout_threshold",
-                     "dispatch_backoff_factor", "retry_budget_cap",
-                     "degrade_dwell_ticks"):
-            require(getattr(self, name) >= 1, name, "must be >= 1")
-        require(0 < self.load_ewma_alpha <= 1, "load_ewma_alpha",
-                "must be in (0, 1]")
+        defaults = vars(SNSConfig)
+        for name, (rule, floor) in _FLOORS.items():
+            value = values[name]
+            optional = defaults[name] is None
+            if value is None and optional:
+                continue
+            if rule == "int":
+                ok = type(value) is int and floor <= value
+                text = f"must be an int >= {floor}"
+            else:
+                ok = isinstance(value, (int, float)) and (
+                    floor < value if rule == ">" else floor <= value
+                ) and value < math.inf
+                text = f"must be finite and {rule} {floor}"
+            require(ok, name, text + (" or None" if optional else ""))
         # late import: repro.balance typing never depends on config, but
         # importing it at module top would be a cycle risk for callers
         from repro.balance import PolicyError, parse_policy_spec
@@ -296,40 +316,15 @@ class SNSConfig:
             parse_policy_spec(self.routing_policy)
         except PolicyError as error:
             raise ConfigError(self, "routing_policy", str(error)) from None
-        require(0.0 < self.policy_canary_fraction < 1.0,
-                "policy_canary_fraction", "must be in (0, 1)")
-        require(self.outlier_latency_ratio > 1.0,
-                "outlier_latency_ratio", "must be > 1")
-        require(self.outlier_min_peers >= 2, "outlier_min_peers",
-                "must be >= 2")
-        require(self.outlier_max_ejection_s >= self.outlier_ejection_s,
-                "outlier_max_ejection_s outlier_ejection_s",
-                "max ejection must be >= the base ejection duration")
-        require(self.dispatch_deadline_s is None
-                or self.dispatch_deadline_s > 0, "dispatch_deadline_s",
-                "must be positive or None")
-        require(0.0 <= self.dispatch_backoff_jitter <= 1.0,
+        require(self.dispatch_backoff_jitter <= 1.0,
                 "dispatch_backoff_jitter", "must be in [0, 1]")
-        require(self.admission_max_backlog_s is None
-                or self.admission_max_backlog_s >= 0,
-                "admission_max_backlog_s", "must be non-negative or None")
         require(self.admission_exit_backlog_s is None
                 or self.admission_max_backlog_s is not None
-                and 0 <= self.admission_exit_backlog_s
+                and self.admission_exit_backlog_s
                 <= self.admission_max_backlog_s,
                 "admission_exit_backlog_s admission_max_backlog_s",
                 "exit threshold must be in [0, enter] and needs the "
                 "enter threshold set")
-        require(self.retry_budget_ratio is None
-                or self.retry_budget_ratio >= 0, "retry_budget_ratio",
-                "must be non-negative or None")
-        require(self.origin_breaker_failures is None
-                or self.origin_breaker_failures >= 1,
-                "origin_breaker_failures", "must be >= 1 or None")
-        require(0 <= self.degrade_exit_pressure
-                < self.degrade_enter_pressure,
-                "degrade_exit_pressure degrade_enter_pressure",
-                "need 0 <= exit pressure < enter pressure")
-        require(0 <= self.degrade_max_level <= 5, "degrade_max_level",
+        require(self.degrade_max_level <= 5, "degrade_max_level",
                 "must be in [0, 5]")
         return self

@@ -30,6 +30,8 @@ from repro.sim.node import Node
 from repro.tacc.registry import WorkerRegistry
 
 
+#: each front end's access link (its Ethernet segment, Section 4.6).
+FRONTEND_LINK_BANDWIDTH_BPS = 100 * MBPS
 #: sort key of `SNSFabric.submit`'s round-robin (a C-level getter: the
 #: sort runs once per request)
 _BY_NAME = attrgetter("name")
@@ -49,14 +51,12 @@ class SNSFabric:
         config: SNSConfig,
         service: Any,
         execute_real: bool = False,
-        frontend_link_bandwidth_bps: float = 100 * MBPS,
     ) -> None:
         self.cluster = cluster
         self.registry = registry
         self.config = config.validate()
         self.service = service
         self.execute_real = execute_real
-        self.frontend_link_bandwidth_bps = frontend_link_bandwidth_bps
 
         self.manager: Optional[Manager] = None
         #: consensus backend: the replica group (``manager`` then tracks
@@ -280,7 +280,7 @@ class SNSFabric:
         link = self.cluster.network.access_links.get(link_name)
         if link is None:
             link = self.cluster.add_access_link(
-                link_name, self.frontend_link_bandwidth_bps)
+                link_name, FRONTEND_LINK_BANDWIDTH_BPS)
         frontend = FrontEnd(self.cluster, node, name, self.config,
                             self.service, self, access_link=link)
         frontend.start()
@@ -310,8 +310,7 @@ class SNSFabric:
     # -- workers -------------------------------------------------------------------------
 
     def spawn_worker(self, worker_type: str,
-                     node: Optional[Node] = None,
-                     execute_real: Optional[bool] = None) -> WorkerStub:
+                     node: Optional[Node] = None) -> WorkerStub:
         """Create and start one worker process (manager spawn path)."""
         if worker_type not in self.registry:
             raise FabricError(f"unknown worker type {worker_type!r}")
@@ -322,8 +321,7 @@ class SNSFabric:
         stub = WorkerStub(
             self.cluster, node, name,
             self.registry.create(worker_type), self.config,
-            execute_real=self.execute_real if execute_real is None
-            else execute_real,
+            execute_real=self.execute_real,
             on_overflow_node=node.overflow,
         )
         stub.start()

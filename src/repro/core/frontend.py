@@ -32,6 +32,7 @@ from typing import Any, Dict, Optional
 from repro.core.component import Component
 from repro.core.config import (
     BEACON_LOSS_TOLERANCE,
+    DEGRADE_DEADLINE_S,
     REQUEST_OVERHEAD_BYTES,
     SNSConfig,
 )
@@ -217,7 +218,7 @@ class FrontEnd(Component):
             # no thread is free (thread wait is unobservable up front);
             # shed probabilistically as the estimate crosses half the
             # deadline, so the cutoff has no hard edge to oscillate on.
-            deadline = self.config.degrade_deadline_s
+            deadline = DEGRADE_DEADLINE_S
             estimate = self.netstack.backlog_s
             if self.threads.length == 0:
                 estimate += deadline / 2.0

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.component import Component
-from repro.core.config import MIN_WORKERS_PER_TYPE, SNSConfig
+from repro.core.config import (LOAD_EWMA_ALPHA, MIN_WORKERS_PER_TYPE,
+                               REAP_THRESHOLD, SNSConfig)
 from repro.core.messages import (
     BEACON_BYTES,
     BEACON_GROUP,
@@ -296,7 +297,7 @@ class Manager(Component):
                 return
             if isinstance(report, LoadReport):
                 self.reports_received += 1
-                info.update(report, self.config.load_ewma_alpha,
+                info.update(report, LOAD_EWMA_ALPHA,
                             self.config.load_metric)
 
     def _frontend_recv_loop(self, info: FrontEndInfo):
@@ -467,7 +468,7 @@ class Manager(Component):
                 self._low_load_since[worker_type] = None
                 continue
             average = self._average_queue(worker_type)
-            if average is None or average > self.config.reap_threshold:
+            if average is None or average > REAP_THRESHOLD:
                 self._low_load_since[worker_type] = None
                 continue
             since = self._low_load_since.get(worker_type)

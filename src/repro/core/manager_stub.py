@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.balance import build_policy, request_key
-from repro.core.config import CONSENSUS_LEASE_S, SNSConfig
+from repro.core.config import (CONSENSUS_LEASE_S, DISPATCH_BACKOFF_FACTOR,
+                               SNSConfig)
 from repro.core.messages import (ManagerBeacon, Request, WorkEnvelope,
                                  WorkerAdvert)
 from repro.sim.cluster import Cluster
@@ -249,7 +250,7 @@ class ManagerStub:
     def _backoff_delay(self, retry_number: int) -> float:
         """Exponential backoff with deterministic jitter for retry n>=1.
 
-        Base doubles (``dispatch_backoff_factor``) per retry up to the
+        Base doubles (``DISPATCH_BACKOFF_FACTOR``) per retry up to the
         cap; the jitter draw comes from :attr:`backoff_rng`, so delays
         are reproducible per seed yet desynchronized across front ends
         (no retry storms when a whole lossy window times out at once).
@@ -259,7 +260,7 @@ class ManagerStub:
         """
         config = self.config
         delay = (config.dispatch_backoff_base_s
-                 * config.dispatch_backoff_factor ** (retry_number - 1))
+                 * DISPATCH_BACKOFF_FACTOR ** (retry_number - 1))
         jitter = config.dispatch_backoff_jitter
         if jitter > 0 and delay > 0:
             delay *= 1.0 + jitter * (self.backoff_rng.random() - 0.5)

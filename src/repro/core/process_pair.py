@@ -37,6 +37,9 @@ from repro.sim.node import Node
 #: bytes per mirrored snapshot: header + per-worker entry.
 MIRROR_HEADER_BYTES = 96
 MIRROR_ENTRY_BYTES = 64
+#: beacon intervals of mirror silence after which the secondary
+#: presumes the primary dead and takes over.
+SILENCE_INTERVALS = 3
 
 
 class MirroredManager(Manager):
@@ -84,12 +87,10 @@ class SecondaryManager(Component):
     kind = "manager-secondary"
 
     def __init__(self, cluster: Cluster, node: Node, name: str,
-                 config: SNSConfig, fabric: Any,
-                 silence_intervals: int = 3) -> None:
+                 config: SNSConfig, fabric: Any) -> None:
         super().__init__(cluster, node, name)
         self.config = config
         self.fabric = fabric
-        self.silence_intervals = silence_intervals
         self.mirror: Dict[str, WorkerAdvert] = {}
         self.last_snapshot_at: Optional[float] = None
         self.snapshots_received = 0
@@ -111,7 +112,7 @@ class SecondaryManager(Component):
         if self.last_snapshot_at is None:
             return  # primary not up yet
         silence = self.env.now - self.last_snapshot_at
-        if silence > self.silence_intervals * interval:
+        if silence > SILENCE_INTERVALS * interval:
             self._promote()  # kill()s this component: the timer dies too
 
     def _promote(self) -> None:

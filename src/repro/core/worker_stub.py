@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.component import Component
-from repro.core.config import SNSConfig
+from repro.core.config import LOAD_EWMA_ALPHA, SNSConfig
 from repro.core.messages import (
     BEACON_GROUP,
     REGISTER_BYTES,
@@ -217,9 +217,8 @@ class WorkerStub(Component):
             if self.service_ewma_s == 0.0:
                 self.service_ewma_s = elapsed
             else:
-                alpha = config.load_ewma_alpha
-                self.service_ewma_s = (alpha * elapsed
-                                       + (1.0 - alpha)
+                self.service_ewma_s = (LOAD_EWMA_ALPHA * elapsed
+                                       + (1.0 - LOAD_EWMA_ALPHA)
                                        * self.service_ewma_s)
             self.spawn(self._deliver(envelope, result))
 

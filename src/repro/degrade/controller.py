@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.config import DEGRADE_QUEUE_TARGET_S, DEGRADE_SHED_TARGET
+from repro.core.config import (DEGRADE_DWELL_TICKS, DEGRADE_ENTER_PRESSURE,
+                               DEGRADE_EXIT_PRESSURE, DEGRADE_QUEUE_TARGET_S,
+                               DEGRADE_SHED_TARGET, DEGRADE_TICK_S)
 from repro.degrade.ladder import LEVELS, level_name
 from repro.transend.adaptation import DEFAULT_TIERS
 
@@ -99,7 +101,7 @@ class DegradationController:
 
     def _run(self):
         while True:
-            yield self.env.timeout(self.config.degrade_tick_s)
+            yield self.env.timeout(DEGRADE_TICK_S)
             self._tick()
 
     def signals(self) -> Tuple[float, float, float]:
@@ -140,16 +142,16 @@ class DegradationController:
         self.ticks += 1
         pressure = self.pressure_of(*self.signals())
         self.peak_pressure = max(self.peak_pressure, pressure)
-        if pressure >= self.config.degrade_enter_pressure:
+        if pressure >= DEGRADE_ENTER_PRESSURE:
             self._calm_ticks = 0
             if self.level < self.config.degrade_max_level \
                     and self._escalation_hold_clear():
                 self._move(self.level + 1, pressure)
                 self._last_escalation_at = self.env.now
-        elif pressure <= self.config.degrade_exit_pressure:
+        elif pressure <= DEGRADE_EXIT_PRESSURE:
             self._calm_ticks += 1
             if self.level > 0 \
-                    and self._calm_ticks >= self.config.degrade_dwell_ticks:
+                    and self._calm_ticks >= DEGRADE_DWELL_TICKS:
                 self._move(self.level - 1, pressure)
                 self._calm_ticks = 0
         else:
@@ -162,8 +164,7 @@ class DegradationController:
         slam the ladder to its top rung."""
         if self._last_escalation_at is None:
             return True
-        hold_s = (self.config.degrade_hold_ticks
-                  * self.config.degrade_tick_s)
+        hold_s = self.config.degrade_hold_ticks * DEGRADE_TICK_S
         return self.env.now - self._last_escalation_at >= hold_s
 
     def _move(self, new_level: int, pressure: float) -> None:

@@ -192,7 +192,6 @@ def build_bench_fabric(
     seed: int = 1997,
     config: Optional[SNSConfig] = None,
     san_bandwidth_bps: float = 100 * MBPS,
-    frontend_link_bandwidth_bps: float = 100 * MBPS,
 ) -> SNSFabric:
     """Assemble the bench fabric ``config`` describes.  Its
     ``profile_backend`` puts a real profile store on the request path
@@ -220,9 +219,7 @@ def build_bench_fabric(
     else:
         registry.register_class(JpegDistiller)
         service = BenchService(cluster, store)
-    fabric = SNSFabric(
-        cluster, registry, config, service,
-        frontend_link_bandwidth_bps=frontend_link_bandwidth_bps)
+    fabric = SNSFabric(cluster, registry, config, service)
     fabric.profile_store = store
     fabric.profile_bricks = bricks
     return fabric

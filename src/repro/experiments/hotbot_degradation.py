@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.chaos.campaign import CrashSearchNode, Faults
-from repro.hotbot.service import HotBot, HotBotConfig
+from repro.hotbot.service import CROSS_MOUNT_PENALTY, HotBot, HotBotConfig
 
 PAPER_NODES = 26
 PAPER_DOCS_BEFORE_M = 54.0
@@ -83,6 +83,5 @@ def run_hotbot_degradation(n_nodes: int = PAPER_NODES,
         scaled_docs_before_m=scale * before.coverage,
         scaled_docs_during_m=scale * during.coverage,
         cross_mount_coverage_during=covered.coverage,
-        cross_mount_latency_penalty=(
-            crossmount.config.cross_mount_penalty),
+        cross_mount_latency_penalty=CROSS_MOUNT_PENALTY,
     )

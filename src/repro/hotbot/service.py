@@ -12,6 +12,7 @@ can serve about 400 requests per second").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -31,6 +32,12 @@ from repro.sim.kernel import PENDING, Event, Timeout, TimedWait
 from repro.sim.network import Link
 from repro.sim.node import Node, NodeDown
 
+#: per-query worker cost per posting scanned, on top of query_fixed_s.
+QUERY_PER_POSTING_S = 3e-6
+#: cross-mounted access is slower (remote disk): a peer serving a
+#: crashed partition pays this multiple of the local cost.
+CROSS_MOUNT_PENALTY = 2.0
+
 
 @dataclass
 class HotBotConfig:
@@ -39,9 +46,8 @@ class HotBotConfig:
     n_workers: int = 8
     n_docs: int = 2600
     top_k: int = 10
-    #: per-query worker cost: fixed + per-posting-scanned.
+    #: per-query worker cost: fixed + QUERY_PER_POSTING_S * scanned.
     query_fixed_s: float = 0.008
-    query_per_posting_s: float = 3e-6
     #: front end threads per node ("50-80 threads per node").
     frontend_threads: int = 64
     #: scatter-gather deadline; missing partitions => partial results.
@@ -49,8 +55,6 @@ class HotBotConfig:
     #: "fast-restart" (RAID, partition offline until restart) or
     #: "cross-mount" (original Inktomi: a peer serves the partition).
     failure_mode: str = "fast-restart"
-    #: cross-mounted access is slower (remote disk).
-    cross_mount_penalty: float = 2.0
     #: Informix capacity and failover time.
     db_capacity_rps: float = 400.0
     db_failover_s: float = 5.0
@@ -60,10 +64,15 @@ class HotBotConfig:
             raise ValueError(f"unknown failure_mode {self.failure_mode!r}")
         counts = ("n_workers", "n_docs", "top_k", "frontend_threads")
         for name, value in vars(self).items():
-            floor = 1 if name in counts else 0
-            # `not >=`, so NaN is refused here and not mid-run
-            if name != "failure_mode" and not value >= floor:
-                raise ValueError(f"{name} must be >= {floor}")
+            if name == "failure_mode":
+                continue
+            if name in counts:
+                if not (type(value) is int and value >= 1):
+                    raise ValueError(f"{name} must be an int >= 1")
+            # the comparison that must hold, so NaN is refused here and
+            # not mid-run
+            elif not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass
@@ -152,8 +161,6 @@ class SearchWorker(Component):
     def _service_loop(self):
         # runs per query and partition: bind what is fixed (DESIGN 5l)
         fixed_s = self.config.query_fixed_s
-        per_posting_s = self.config.query_per_posting_s
-        penalty = self.config.cross_mount_penalty
         get = self.queue.get
         compute = self.node.compute
         transfer_delay = self.cluster.network.transfer_delay
@@ -164,9 +171,9 @@ class SearchWorker(Component):
                 continue
             # one fetch: `scanned` prices the wait, the columns are ranked
             scanned, columns = index.lookup(terms)
-            work = fixed_s + per_posting_s * scanned
+            work = fixed_s + QUERY_PER_POSTING_S * scanned
             if use_replica:
-                work *= penalty
+                work *= CROSS_MOUNT_PENALTY
             try:
                 yield from compute(work)
             except NodeDown:

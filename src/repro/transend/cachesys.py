@@ -41,6 +41,9 @@ from repro.tacc.content import Content
 #: Injecting (storing) into a cache node is cheaper than a full hit
 #: lookup: no response payload to ship back.
 STORE_SERVICE_S = 0.005
+#: how long a front end waits on a cache node before treating the
+#: lookup as a miss.
+LOOKUP_TIMEOUT_S = 2.0
 
 
 class CacheNode(Component):
@@ -96,10 +99,8 @@ class CacheNode(Component):
 class CacheSubsystem:
     """The virtual cache: hashing, membership, and the variant index."""
 
-    def __init__(self, cluster: Cluster, lookup_timeout_s: float = 2.0
-                 ) -> None:
+    def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self.lookup_timeout_s = lookup_timeout_s
         self.latency = HarvestLatencyModel(
             cluster.streams.stream("cache-latency"))
         self.partitioner = ModHashPartitioner()
@@ -167,7 +168,7 @@ class CacheSubsystem:
                                component=cache_node.name)
         reply = Event(env)
         cache_node.queue.put_nowait(("lookup", key, reply))
-        value = yield TimedWait(env, reply, self.lookup_timeout_s)
+        value = yield TimedWait(env, reply, LOOKUP_TIMEOUT_S)
         if value is TIMED_OUT:
             self.timeouts += 1
             self.misses += 1

@@ -59,6 +59,8 @@ from repro.workload.trace import TraceRecord
 #: latency of a profile-store read that misses the front end's
 #: write-through cache (gdbm lookup).
 PROFILE_READ_MISS_S = 0.005
+#: bandwidth of the cluster's link to the origin servers.
+INTERNET_BANDWIDTH_BPS = 10 * MBPS
 
 #: which distiller serves which MIME type.
 DISTILLER_FOR_MIME = {
@@ -285,35 +287,29 @@ class TranSend:
     def __init__(
         self,
         n_nodes: int = 10,
-        n_overflow: int = 0,
         n_cache_nodes: int = 4,
         cache_capacity_bytes: int = 256 * 1024 * 1024,
         seed: int = 1997,
         config: Optional[SNSConfig] = None,
         real_content: bool = False,
-        san_bandwidth_bps: float = 100 * MBPS,
-        internet_bandwidth_bps: float = 10 * MBPS,
         profile_log_path: Optional[str] = None,
-        profile_backend: str = "single",
         adaptive: bool = False,
     ) -> None:
         self.config = (config or SNSConfig()).validate()
-        self.cluster = Cluster(seed=seed,
-                               san_bandwidth_bps=san_bandwidth_bps)
+        self.cluster = Cluster(seed=seed)
         self.cluster.add_nodes(n_nodes)
-        if n_overflow:
-            self.cluster.add_nodes(n_overflow, prefix="ovf",
-                                   overflow=True)
         internet = self.cluster.add_access_link(
-            "internet", internet_bandwidth_bps)
+            "internet", INTERNET_BANDWIDTH_BPS)
         self.origin = OriginServer(self.cluster, internet,
                                    real_content=real_content)
         self.cachesys = CacheSubsystem(self.cluster)
         for index in range(n_cache_nodes):
             node = self.cluster.add_node(f"cachenode{index}")
             self.cachesys.add_node(node, cache_capacity_bytes)
+        # TranSend always has a profile database (Section 2.3)
         self.profile_store, self.profile_bricks = open_profile_store(
-            self.cluster, profile_backend, log_path=profile_log_path,
+            self.cluster, self.config.profile_backend or "single",
+            log_path=profile_log_path,
             validator=preference_validator)
         self.registry = transend_registry()
         self.adaptation = None

@@ -17,13 +17,8 @@ def make_state(name, queue=0.0, now=0.0):
 
 def make_ejector(**overrides):
     defaults = dict(
-        outlier_latency_ratio=3.0,
         outlier_min_samples=4,
-        outlier_min_peers=3,
         outlier_timeout_threshold=3,
-        outlier_window_s=10.0,
-        outlier_ejection_s=5.0,
-        outlier_max_ejection_s=60.0,
     )
     defaults.update(overrides)
     config = SNSConfig(**defaults)
@@ -62,7 +57,7 @@ def test_latency_outlier_is_ejected():
 
 
 def test_ejection_expires_and_readmits_on_probation():
-    policy = make_ejector(outlier_ejection_s=5.0)
+    policy = make_ejector()
     candidates = [make_state(f"w{i}") for i in range(4)]
     feed_latencies(policy, {"w0": 0.05, "w1": 0.05, "w2": 0.06,
                             "w3": 0.80})
@@ -78,7 +73,7 @@ def test_ejection_expires_and_readmits_on_probation():
 
 
 def test_repeat_offender_ejection_doubles():
-    policy = make_ejector(outlier_ejection_s=5.0, outlier_window_s=10.0)
+    policy = make_ejector()
     candidates = [make_state(f"w{i}") for i in range(4)]
     feed_latencies(policy, {"w0": 0.05, "w1": 0.05, "w2": 0.06,
                             "w3": 0.80})
@@ -93,7 +88,7 @@ def test_repeat_offender_ejection_doubles():
 
 
 def test_long_clean_stretch_forgives_offence_count():
-    policy = make_ejector(outlier_ejection_s=5.0, outlier_window_s=10.0)
+    policy = make_ejector()
     candidates = [make_state(f"w{i}") for i in range(4)]
     feed_latencies(policy, {"w0": 0.05, "w1": 0.05, "w2": 0.06,
                             "w3": 0.80})
@@ -106,7 +101,7 @@ def test_long_clean_stretch_forgives_offence_count():
 
 
 def test_no_ejection_below_min_peers():
-    policy = make_ejector(outlier_min_peers=3)
+    policy = make_ejector()
     candidates = [make_state("w0"), make_state("w1")]
     feed_latencies(policy, {"w0": 0.05, "w1": 5.0})
     picks = {policy.select(candidates, 1.0).advert.worker_name
@@ -138,8 +133,7 @@ def test_timeout_offender_is_ejected():
 
 
 def test_timeout_window_expires_old_evidence():
-    policy = make_ejector(outlier_timeout_threshold=3,
-                          outlier_window_s=10.0)
+    policy = make_ejector(outlier_timeout_threshold=3)
     candidates = [make_state(f"w{i}") for i in range(4)]
     policy.on_timeout("w3", 0.0)
     policy.on_timeout("w3", 1.0)

@@ -240,7 +240,7 @@ def test_ewma_outstanding_penalizes_pileups():
 # -- weighted canary ----------------------------------------------------------
 
 def test_weighted_canary_is_newest_spawn_and_gets_its_fraction():
-    config = SNSConfig(policy_canary_fraction=0.1)
+    config = SNSConfig()
     policy = WeightedCanaryPolicy(config, lottery_stream(seed=13))
     candidates = [make_state("jpeg-distiller.3"),
                   make_state("jpeg-distiller.12"),

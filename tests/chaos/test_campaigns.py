@@ -113,6 +113,57 @@ def test_campaign_validation_rejects_bad_fault_fields(action, name,
     assert name in str(raised.value)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("overrides, name", [
+    (dict(duration_s=NAN), "duration_s"),
+    (dict(duration_s=INF), "duration_s"),
+    (dict(duration_s=0.0), "duration_s"),
+    (dict(rate_rps=NAN), "rate_rps"),
+    (dict(rate_rps=INF), "rate_rps"),
+    (dict(rate_rps=-1.0), "rate_rps"),
+    (dict(rate_rps=0.0), "rate_rps"),
+    (dict(n_nodes=0), "n_nodes"),
+    (dict(n_nodes=8.0), "n_nodes"),
+    (dict(initial_workers=-1), "initial_workers"),
+    (dict(initial_workers=0), "initial_workers"),
+    (dict(slo_latency_s=NAN), "slo_latency_s"),
+    (dict(slo_latency_s=0.0), "slo_latency_s"),
+    (dict(settle_s=INF), "settle_s"),
+    (dict(settle_s=-1.0), "settle_s"),
+    (dict(profile_write_interval_s=0.0), "profile_write_interval_s"),
+    (dict(profile_write_interval_s=NAN), "profile_write_interval_s"),
+    (dict(profile_read_slo=NAN), "profile_read_slo"),
+    (dict(profile_read_slo=0.0), "profile_read_slo"),
+    (dict(profile_read_slo=1.5), "profile_read_slo"),
+    (dict(pool_size=0), "pool_size"),
+    (dict(pool_size=INF), "pool_size"),
+    (dict(record_bytes=-1), "record_bytes"),
+    (dict(record_bytes=NAN), "record_bytes"),
+    (dict(arrival_schedule=((NAN, 12.0),)), "arrival step"),
+    (dict(arrival_schedule=((10.0, INF),)), "arrival step"),
+    (dict(arrival_schedule=((10.0, -1.0),)), "arrival step"),
+    (dict(arrival_schedule=((0.0, 12.0),)), "arrival step"),
+])
+def test_campaign_validation_rejects_bad_campaign_fields(overrides, name,
+                                                         monkeypatch):
+    """A NaN SLO used to report no violation where 0.001 s reports one,
+    and a zero profile-write interval hung the run: each bad campaign
+    value now fails at validate(), naming the field, before a fabric is
+    built."""
+    def no_fabric(**kwargs):
+        raise AssertionError("a fabric was built for an invalid campaign")
+
+    monkeypatch.setattr("repro.chaos.campaign.build_bench_fabric",
+                        no_fabric)
+    fields = dict(name="bad", description="bad field", duration_s=60.0)
+    fields.update(overrides)
+    with pytest.raises(ValueError) as raised:
+        CampaignRunner(Campaign(**fields))
+    assert name in str(raised.value)
+
+
 @pytest.mark.parametrize("build", [
     lambda: KillWorker(at=5.0, count=0),
     lambda: GrayBrick(at=5.0, mode="fail-slow", factor=0.5),

@@ -61,7 +61,6 @@ def fast_config(**overrides) -> SNSConfig:
         report_interval_s=0.5,
         spawn_threshold=6.0,
         spawn_damping_s=4.0,
-        reap_threshold=0.5,
         reap_after_s=10.0,
         dispatch_timeout_s=3.0,
         worker_timeout_s=3.0,

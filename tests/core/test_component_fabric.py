@@ -1,6 +1,8 @@
 """Unit tests for Component life cycle, SNSFabric edges, FrontEnd
 mechanics, and SNSConfig validation."""
 
+import math
+
 import pytest
 
 from repro.core.config import ConfigError, SNSConfig
@@ -201,8 +203,8 @@ def test_thread_pool_bounds_concurrency():
     {"beacon_interval_s": 0.0},
     {"spawn_threshold": 0.0},
     {"spawn_damping_s": -1.0},
-    {"load_ewma_alpha": 0.0},
-    {"load_ewma_alpha": 1.5},
+    {"dispatch_timeout_s": math.nan},
+    {"worker_queue_capacity": -1},
     {"dispatch_attempts": 0},
     {"frontend_threads": 0},
 ])
@@ -221,24 +223,24 @@ def test_config_validation_rejects_bad_values(overrides):
     ({"spawn_threshold": 0.0}, "spawn_threshold"),
     ({"spawn_damping_s": -1.0}, "spawn_damping_s"),
     ({"reap_drain_timeout_s": -1.0}, "reap_drain_timeout_s"),
-    ({"load_ewma_alpha": 1.5}, "load_ewma_alpha"),
+    ({"lottery_gamma": math.nan}, "lottery_gamma"),
     ({"load_metric": "vibes"}, "load_metric"),
     ({"balancing": "anarchic"}, "balancing"),
     ({"dispatch_attempts": 0}, "dispatch_attempts"),
     ({"routing_policy": "nonsense"}, "routing_policy"),
-    ({"policy_canary_fraction": 1.0}, "policy_canary_fraction"),
+    ({"policy_hash_bound": math.nan}, "policy_hash_bound"),
     ({"policy_hash_bound": 0.5}, "policy_hash_bound"),
-    ({"outlier_latency_ratio": 1.0}, "outlier_latency_ratio"),
+    ({"outlier_min_samples": 2.5}, "outlier_min_samples"),
     ({"outlier_min_samples": 0}, "outlier_min_samples"),
-    ({"outlier_min_peers": 1}, "outlier_min_peers"),
+    ({"outlier_min_samples": math.nan}, "outlier_min_samples"),
     ({"outlier_timeout_threshold": 0}, "outlier_timeout_threshold"),
-    ({"outlier_window_s": 0.0}, "outlier_window_s"),
-    ({"outlier_ejection_s": 0.0}, "outlier_ejection_s"),
-    ({"outlier_max_ejection_s": 1.0}, "outlier_max_ejection_s"),
+    ({"outlier_timeout_threshold": math.inf}, "outlier_timeout_threshold"),
+    ({"outlier_timeout_threshold": -1}, "outlier_timeout_threshold"),
+    ({"outlier_timeout_threshold": 3.0}, "outlier_timeout_threshold"),
     ({"dispatch_deadline_s": 0.0}, "dispatch_deadline_s"),
     ({"dispatch_backoff_base_s": -1.0}, "dispatch_backoff_base_s"),
     ({"dispatch_backoff_cap_s": -1.0}, "dispatch_backoff_cap_s"),
-    ({"dispatch_backoff_factor": 0.5}, "dispatch_backoff_factor"),
+    ({"dispatch_timeout_s": math.nan}, "dispatch_timeout_s"),
     ({"dispatch_backoff_jitter": 1.5}, "dispatch_backoff_jitter"),
     ({"admission_max_backlog_s": -1.0}, "admission_max_backlog_s"),
     ({"admission_exit_backlog_s": 1.0}, "admission_exit_backlog_s"),
@@ -247,14 +249,55 @@ def test_config_validation_rejects_bad_values(overrides):
     ({"retry_budget_ratio": -0.1}, "retry_budget_ratio"),
     ({"retry_budget_cap": 0.5}, "retry_budget_cap"),
     ({"origin_breaker_failures": 0}, "origin_breaker_failures"),
-    ({"degrade_tick_s": 0.0}, "degrade_tick_s"),
-    ({"degrade_exit_pressure": 2.0}, "degrade_exit_pressure"),
-    ({"degrade_dwell_ticks": 0}, "degrade_dwell_ticks"),
+    ({"degrade_util_target": math.inf}, "degrade_util_target"),
+    ({"degrade_util_target": math.nan}, "degrade_util_target"),
+    ({"degrade_hold_ticks": 1.5}, "degrade_hold_ticks"),
     ({"degrade_hold_ticks": -1}, "degrade_hold_ticks"),
     ({"degrade_util_target": 0.0}, "degrade_util_target"),
     ({"degrade_max_level": 6}, "degrade_max_level"),
-    ({"degrade_deadline_s": 0.0}, "degrade_deadline_s"),
+    ({"degrade_max_level": math.nan}, "degrade_max_level"),
     ({"frontend_threads": 0}, "frontend_threads"),
+    # NaN, infinity and negative values: each used to pass validate()
+    ({"dispatch_timeout_s": -1.0}, "dispatch_timeout_s"),
+    ({"dispatch_timeout_s": math.inf}, "dispatch_timeout_s"),
+    ({"worker_timeout_s": math.nan}, "worker_timeout_s"),
+    ({"worker_timeout_s": -1.0}, "worker_timeout_s"),
+    ({"worker_timeout_s": math.inf}, "worker_timeout_s"),
+    ({"reap_after_s": math.nan}, "reap_after_s"),
+    ({"reap_after_s": -1.0}, "reap_after_s"),
+    ({"reap_after_s": math.inf}, "reap_after_s"),
+    ({"lottery_gamma": -1.0}, "lottery_gamma"),
+    ({"lottery_gamma": math.inf}, "lottery_gamma"),
+    ({"frontend_connection_overhead_s": -0.001},
+     "frontend_connection_overhead_s"),
+    ({"frontend_connection_overhead_s": math.nan},
+     "frontend_connection_overhead_s"),
+    ({"worker_queue_capacity": -1}, "worker_queue_capacity"),
+    ({"worker_queue_capacity": 2.5}, "worker_queue_capacity"),
+    ({"worker_queue_capacity": math.inf}, "worker_queue_capacity"),
+    ({"beacon_interval_s": math.nan}, "beacon_interval_s"),
+    ({"beacon_interval_s": math.inf}, "beacon_interval_s"),
+    ({"report_interval_s": math.inf}, "report_interval_s"),
+    ({"spawn_threshold": math.inf}, "spawn_threshold"),
+    ({"spawn_damping_s": math.nan}, "spawn_damping_s"),
+    ({"reap_drain_timeout_s": math.inf}, "reap_drain_timeout_s"),
+    ({"policy_hash_bound": math.inf}, "policy_hash_bound"),
+    ({"dispatch_attempts": 2.5}, "dispatch_attempts"),
+    ({"dispatch_deadline_s": math.nan}, "dispatch_deadline_s"),
+    ({"dispatch_deadline_s": math.inf}, "dispatch_deadline_s"),
+    ({"dispatch_backoff_base_s": math.nan}, "dispatch_backoff_base_s"),
+    ({"dispatch_backoff_cap_s": math.inf}, "dispatch_backoff_cap_s"),
+    ({"dispatch_backoff_jitter": math.nan}, "dispatch_backoff_jitter"),
+    ({"frontend_threads": math.inf}, "frontend_threads"),
+    ({"admission_max_backlog_s": math.nan}, "admission_max_backlog_s"),
+    ({"admission_max_backlog_s": math.inf}, "admission_max_backlog_s"),
+    ({"admission_max_backlog_s": 1.0, "admission_exit_backlog_s": math.nan},
+     "admission_exit_backlog_s"),
+    ({"retry_budget_ratio": math.nan}, "retry_budget_ratio"),
+    ({"retry_budget_ratio": math.inf}, "retry_budget_ratio"),
+    ({"retry_budget_cap": math.inf}, "retry_budget_cap"),
+    ({"origin_breaker_failures": 1.5}, "origin_breaker_failures"),
+    ({"degrade_hold_ticks": -1.0}, "degrade_hold_ticks"),
 ])
 def test_config_errors_name_the_field_and_the_value(overrides, field):
     with pytest.raises(ConfigError) as raised:

@@ -88,7 +88,6 @@ def test_backoff_cap_applies_after_jitter():
     """base=0.4, jitter=0.5 => raw jittered delays span 0.3..0.5; a cap
     of 0.45 must bound every draw (pre-fix, up-jittered draws escaped)."""
     config = fast_config(dispatch_backoff_base_s=0.4,
-                         dispatch_backoff_factor=2.0,
                          dispatch_backoff_cap_s=0.45,
                          dispatch_backoff_jitter=0.5)
     stub = make_stub(config)
@@ -102,7 +101,6 @@ def test_backoff_cap_applies_after_jitter():
 
 def test_backoff_deep_retries_pin_to_cap_exactly():
     config = fast_config(dispatch_backoff_base_s=0.1,
-                         dispatch_backoff_factor=2.0,
                          dispatch_backoff_cap_s=0.5,
                          dispatch_backoff_jitter=0.5)
     stub = make_stub(config)

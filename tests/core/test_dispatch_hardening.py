@@ -23,7 +23,6 @@ def make_stub(config=None, owner="fe0", seed=7):
 
 def test_backoff_grows_exponentially_and_caps():
     config = fast_config(dispatch_backoff_base_s=0.1,
-                         dispatch_backoff_factor=2.0,
                          dispatch_backoff_cap_s=0.5,
                          dispatch_backoff_jitter=0.0)
     stub = make_stub(config)

@@ -41,9 +41,9 @@ def test_spawn_damping_limits_spawn_rate():
 
     original = fabric.spawn_worker
 
-    def recording_spawn(worker_type, node=None, execute_real=None):
+    def recording_spawn(worker_type, node=None):
         spawn_times.append(fabric.cluster.env.now)
-        return original(worker_type, node, execute_real)
+        return original(worker_type, node)
 
     fabric.spawn_worker = recording_spawn
     fabric.cluster.run(until=60.0)
@@ -71,7 +71,7 @@ def test_queue_rebalances_after_spawn(fabric):
 def test_reaping_after_load_subsides():
     fabric = make_fabric(
         n_nodes=10,
-        config=fast_config(reap_after_s=6.0, reap_threshold=0.5))
+        config=fast_config(reap_after_s=6.0))
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 3})
     fabric.cluster.run(until=2.0)
     # brief load so queues register, then silence

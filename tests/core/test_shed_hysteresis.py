@@ -97,7 +97,7 @@ def test_priority_admission_sheds_batch_only():
 
 
 def test_deadline_shed_refuses_doomed_requests():
-    frontend = make_frontend(degrade_deadline_s=8.0)
+    frontend = make_frontend()
     frontend.degradation = ladder_stub(deadline=True)
     # idle: wait estimate is zero, everything is admitted
     assert frontend._ladder_shed(make_record()) is None

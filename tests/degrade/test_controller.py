@@ -13,13 +13,7 @@ from repro.sim.cluster import Cluster
 
 def make_controller(state=None, **overrides):
     """Controller ticking at 0.5 s with injectable signals."""
-    defaults = dict(
-        degrade_tick_s=0.5,
-        degrade_enter_pressure=1.0,
-        degrade_exit_pressure=0.5,
-        degrade_dwell_ticks=2,
-        degrade_hold_ticks=0,
-    )
+    defaults = dict(degrade_hold_ticks=0)
     defaults.update(overrides)
     config = SNSConfig(**defaults).validate()
     cluster = Cluster(seed=1)

@@ -209,10 +209,14 @@ def test_bare_string_query_is_refused():
 @pytest.mark.parametrize("field, value", [
     ("top_k", 0), ("n_workers", 0), ("n_docs", 0),
     ("frontend_threads", 0), ("query_fixed_s", -0.001),
-    ("query_per_posting_s", -1e-6), ("gather_timeout_s", -1.0),
-    ("cross_mount_penalty", -2.0),
+    ("gather_timeout_s", -1.0),
     ("db_failover_s", -5.0), ("db_capacity_rps", -400.0),
     ("failure_mode", "fast_restart"),
+    # a count must be an int and every value finite
+    ("n_workers", 2.5), ("top_k", math.inf), ("n_docs", math.nan),
+    ("frontend_threads", 64.0), ("query_fixed_s", math.inf),
+    ("gather_timeout_s", math.inf), ("db_capacity_rps", math.inf),
+    ("db_failover_s", math.inf),
 ])
 def test_config_rejects_bad_values_naming_the_field(field, value):
     with pytest.raises(ValueError, match=field):

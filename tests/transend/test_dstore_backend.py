@@ -22,9 +22,8 @@ def fast_config(**overrides):
 
 
 def make_transend(**kwargs):
-    kwargs.setdefault("config", fast_config())
+    kwargs.setdefault("config", fast_config(profile_backend="dstore"))
     kwargs.setdefault("seed", 13)
-    kwargs.setdefault("profile_backend", "dstore")
     return TranSend(**kwargs)
 
 
@@ -40,6 +39,18 @@ def test_dstore_backend_wires_bricks_into_fabric():
     assert transend.profile_bricks is not None
     assert transend.fabric.profile_bricks is transend.profile_bricks
     assert len(transend.fabric.brick_population()) == 3
+
+
+def test_transend_takes_its_profile_backend_from_the_config():
+    """TranSend had its own ``profile_backend`` argument, so a config
+    asking for the brick store silently got the single WAL store."""
+    dstore = TranSend(config=SNSConfig(profile_backend="dstore"))
+    assert isinstance(dstore.profile_store, ReplicatedProfileStore)
+    assert len(dstore.fabric.brick_population()) == 3
+    # TranSend always has a profile database (Section 2.3)
+    single = TranSend(config=SNSConfig())
+    assert single.profile_store is not None
+    assert single.profile_bricks is None
 
 
 def test_preferences_shape_distillation_through_bricks():
@@ -76,4 +87,4 @@ def test_dstore_rejects_wal_path():
     with pytest.raises(ValueError):
         make_transend(profile_log_path="/tmp/profiles.wal")
     with pytest.raises(ValueError):
-        make_transend(profile_backend="bogus")
+        make_transend(config=fast_config(profile_backend="bogus"))
