@@ -18,6 +18,7 @@ are.
 
 from __future__ import annotations
 
+from repro.domains import at_least, check_args, positive
 from repro.sim.rng import Stream
 
 #: Measured constants from Section 4.4.
@@ -36,26 +37,27 @@ class HarvestLatencyModel:
     parameters are not to be reassigned afterwards.
     """
 
+    #: the domain of each parameter; the hit time must also exceed the
+    #: TCP overhead, and the miss range must not be empty.
+    DOMAINS = {"mean_hit_s": positive(), "tcp_overhead_s": at_least(0),
+               "miss_min_s": positive(), "miss_max_s": positive(),
+               "miss_alpha": positive()}
+
     def __init__(self, rng: Stream,
                  mean_hit_s: float = MEAN_HIT_S,
                  tcp_overhead_s: float = TCP_OVERHEAD_S,
                  miss_min_s: float = MISS_MIN_S,
                  miss_max_s: float = MISS_MAX_S,
                  miss_alpha: float = 1.1) -> None:
-        # `not x > y` rather than `x <= y`, so a NaN is refused too
-        if not tcp_overhead_s >= 0:
-            raise ValueError(f"tcp_overhead_s must be >= 0, "
-                             f"got {tcp_overhead_s!r}")
-        if not mean_hit_s > tcp_overhead_s:
-            raise ValueError(f"mean_hit_s must exceed tcp_overhead_s "
-                             f"({tcp_overhead_s!r}), got {mean_hit_s!r}")
-        if not miss_min_s > 0:
-            raise ValueError(f"miss_min_s must be > 0, got {miss_min_s!r}")
-        if not miss_max_s >= miss_min_s:
-            raise ValueError(f"miss_max_s must be >= miss_min_s "
-                             f"({miss_min_s!r}), got {miss_max_s!r}")
-        if not miss_alpha > 0:
-            raise ValueError(f"miss_alpha must be > 0, got {miss_alpha!r}")
+        check_args(self.DOMAINS, mean_hit_s=mean_hit_s,
+                   tcp_overhead_s=tcp_overhead_s, miss_min_s=miss_min_s,
+                   miss_max_s=miss_max_s, miss_alpha=miss_alpha)
+        if mean_hit_s <= tcp_overhead_s:
+            raise ValueError(f"mean_hit_s={mean_hit_s!r} must exceed "
+                             f"tcp_overhead_s={tcp_overhead_s!r}")
+        if miss_max_s < miss_min_s:
+            raise ValueError(f"miss_max_s={miss_max_s!r} must be >= "
+                             f"miss_min_s={miss_min_s!r}")
         self.mean_hit_s = mean_hit_s
         self.tcp_overhead_s = tcp_overhead_s
         self.miss_min_s = miss_min_s

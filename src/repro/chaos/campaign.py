@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import (Any, Callable, ClassVar, Dict, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -32,6 +31,8 @@ from repro.chaos.invariants import InvariantChecker
 from repro.chaos.report import ChaosReport, build_report
 from repro.core.config import SNSConfig
 from repro.core.messages import BEACON_GROUP
+from repro.domains import (above, at_least, between, check_args,
+                           check_fields, checked, choice, count, positive)
 from repro.experiments._harness import (SINGLE_REPLAY_PER_TXN_S,
                                         SINGLE_RESTART_S, build_bench_fabric)
 from repro.recovery.gray import GrayState
@@ -61,6 +62,9 @@ ROLLING_KILL_PERIOD_S = 4.5
 #: before the next node goes.
 UPGRADE_HOLD_S = 4.0
 UPGRADE_SETTLE_S = 8.0
+#: the domain of each ``Campaign.arrival_schedule`` step's pair: a step
+#: lasts, and a zero rate is a pause (``PlaybackEngine.ramp``).
+ARRIVAL_STEP = {"duration_s": positive(), "rate_rps": at_least(0)}
 
 #: gray mode (also its timeline and ledger kind) -> how it switches a
 #: :class:`GrayState` on at ``now``, given the row's fail-slow factor.
@@ -190,7 +194,7 @@ class Fault:
     and heals at ``at``.
     """
 
-    at: float
+    at: float = checked(domain=at_least(0))
     duration_s: ClassVar[Optional[float]] = None
     #: what firing records on the fault timeline or the recovery ledger
     #: (None: nothing; the effect shows in the report's numbers).
@@ -204,17 +208,10 @@ class Fault:
         return self.at + (self.duration_s or 0.0)
 
     def check(self) -> None:
-        """Refuse a bad field before a fabric is built
-        (:meth:`Campaign.validate` names the action)."""
-        self._require(0.0 <= self.at < float("inf"), "at", self.at,
-                      "must be a finite time >= 0")
-        if self.duration_s is not None:
-            self._require(0.0 < self.duration_s < float("inf"), "duration_s",
-                          self.duration_s, "must be finite and > 0")
-
-    def _require(self, ok: bool, name: str, value: Any, rule: str) -> None:
-        if not ok:
-            raise ValueError(f"{name}={value!r} {rule}")
+        """Refuse a field outside its declared domain before a fabric
+        is built (:meth:`Campaign.validate` names the action); a kind
+        with a rule that joins fields adds it here."""
+        check_fields(self)
 
     def arm(self, faults: Faults) -> None:
         faults.at(self.at, lambda: self.fire(faults))
@@ -264,7 +261,7 @@ class CrashWorkerNode(Fault):
     """Crash the node hosting the first live worker (taking its workers
     with it) and restart the node ``duration_s`` later."""
 
-    duration_s: float = 15.0
+    duration_s: float = checked(15.0, positive())
     kind = "node-crash"
 
     def fire(self, faults: Faults) -> None:
@@ -288,14 +285,9 @@ class CrashSearchNode(Fault):
     miss the partition or reach it over a peer's cross-mount
     (``HotBotConfig.failure_mode``)."""
 
-    partition: int = 0
-    duration_s: Optional[float] = None
+    partition: int = checked(0, count(0))
+    duration_s: Optional[float] = checked(None, positive(optional=True))
     kind = "node-crash"
-
-    def check(self) -> None:
-        super().check()
-        self._require(self.partition >= 0, "partition", self.partition,
-                      "must be >= 0")
 
     def fire(self, faults: Faults) -> None:
         hotbot = faults.fabric
@@ -319,7 +311,7 @@ class PartitionWorker(Fault):
     """Cut the first live worker off the SAN for ``duration_s``
     (Section 2.2.4)."""
 
-    duration_s: float = 10.0
+    duration_s: float = checked(10.0, positive())
     kind = "partition"
     reregisters = True
 
@@ -350,14 +342,14 @@ class PartitionSAN(Fault):
     """
 
     isolate: Tuple[str, ...] = ("manager",)
-    duration_s: float = 15.0
+    duration_s: float = checked(15.0, positive())
     kind = "san-partition"
     reregisters = True
 
     def check(self) -> None:
         super().check()
-        self._require(len(self.isolate) > 0, "isolate", self.isolate,
-                      "must name a node")
+        if not self.isolate:
+            raise ValueError(f"isolate={self.isolate!r} must name a node")
         for spec in self.isolate:
             parse_node_spec(spec)
 
@@ -380,14 +372,14 @@ class AsymmetricLink(Fault):
 
     src: str = "worker:0"
     dst: str = "manager"
-    duration_s: float = 10.0
+    duration_s: float = checked(10.0, positive())
     kind = "san-oneway"
     reregisters = True
 
     def check(self) -> None:
         super().check()
-        self._require(self.src != self.dst, "dst", self.dst,
-                      "must differ from src")
+        if self.src == self.dst:
+            raise ValueError(f"dst={self.dst!r} must differ from src")
         parse_node_spec(self.src)
         parse_node_spec(self.dst)
 
@@ -409,20 +401,18 @@ class LossyWindow(Fault):
     can silently expire workers; after the window soft state must put
     them back."""
 
-    duration_s: float = 20.0
+    duration_s: float = checked(20.0, positive())
     scope: str = BEACON_GROUP
-    loss: float = 0.2
-    duplicate: float = 0.0
-    jitter_s: float = 0.0
+    loss: float = checked(0.2, FaultWindow.DOMAINS["loss"])
+    duplicate: float = checked(0.0, FaultWindow.DOMAINS["duplicate"])
+    jitter_s: float = checked(0.0, FaultWindow.DOMAINS["jitter_s"])
     reregisters = True
 
     def check(self) -> None:
         super().check()
-        FaultWindow(self.scope, self.at, self.heals_at, loss=self.loss,
-                    duplicate=self.duplicate, jitter_s=self.jitter_s)
-        self._require(self.loss > 0 or self.duplicate > 0
-                      or self.jitter_s > 0, "loss", self.loss,
-                      "with no duplicate or jitter_s imposes nothing")
+        if not (self.loss > 0 or self.duplicate > 0 or self.jitter_s > 0):
+            raise ValueError(f"loss={self.loss!r} with no duplicate or "
+                             "jitter_s imposes nothing")
 
     def arm(self, faults: Faults) -> None:
         # a declared window: no process, nothing resolved at fire time
@@ -438,13 +428,9 @@ class Straggle(Fault):
     nominal for ``duration_s`` without killing it — the fail-slow fault
     connection-based failure detection cannot see."""
 
-    factor: float = 0.25
-    duration_s: float = 20.0
-
-    def check(self) -> None:
-        super().check()
-        self._require(0.0 < self.factor < 1.0, "factor", self.factor,
-                      "must be in (0, 1)")
+    factor: float = checked(
+        0.25, between(0, 1, lo_open=True, hi_open=True))
+    duration_s: float = checked(20.0, positive())
 
     def fire(self, faults: Faults) -> None:
         workers = faults.alive_workers()
@@ -460,13 +446,8 @@ class RollingKills(Fault):
     ``duration_s`` — the crash-restart churn loop ("recovery paths must
     be exercised constantly to stay cheap")."""
 
-    duration_s: float = 20.0
+    duration_s: float = checked(20.0, at_least(ROLLING_KILL_PERIOD_S))
     kind = "kill"
-
-    def check(self) -> None:
-        super().check()
-        self._require(self.duration_s >= ROLLING_KILL_PERIOD_S, "duration_s",
-                      self.duration_s, "must cover one kill period")
 
     def arm(self, faults: Faults) -> None:
         faults.env.process(self._loop(faults))
@@ -492,14 +473,9 @@ class RandomKills(Fault):
     kill, respawned components included; the last front end is spared,
     because a front end is what restarts a dead manager."""
 
-    duration_s: float = 60.0
-    mtbf_s: float = 15.0
+    duration_s: float = checked(60.0, positive())
+    mtbf_s: float = checked(15.0, positive())
     kind = "kill"
-
-    def check(self) -> None:
-        super().check()
-        self._require(0.0 < self.mtbf_s < float("inf"), "mtbf_s",
-                      self.mtbf_s, "must be finite and > 0")
 
     def arm(self, faults: Faults) -> None:
         faults.env.process(self._loop(faults))
@@ -544,8 +520,8 @@ class RollingUpgrade(Fault):
         return len(self.nodes) * (UPGRADE_HOLD_S + UPGRADE_SETTLE_S)
 
     def check(self) -> None:
-        self._require(len(self.nodes) > 0, "nodes", self.nodes,
-                      "must name a node")
+        if not self.nodes:
+            raise ValueError(f"nodes={self.nodes!r} must name a node")
         for spec in self.nodes:
             parse_node_spec(spec)
         super().check()
@@ -603,22 +579,14 @@ class GrayWorker(Fault):
     at fire time, so one campaign can hit distinct workers.  Only
     fail-slow reads ``factor``, its service-time multiplier."""
 
-    mode: str
-    victim: int = 0
-    factor: float = WORKER_SLOW_FACTOR
+    mode: str = checked(domain=choice(*WORKER_GRAY_MODES))
+    victim: int = checked(0, count(0))
+    factor: float = checked(WORKER_SLOW_FACTOR, above(1))
     modes = WORKER_GRAY_MODES
 
     @property
     def kind(self) -> str:
         return self.mode
-
-    def check(self) -> None:
-        super().check()
-        self._require(self.mode in self.modes, "mode", self.mode,
-                      f"must be one of {sorted(self.modes)}")
-        self._require(self.victim >= 0, "victim", self.victim, "must be >= 0")
-        self._require(1.0 < self.factor < float("inf"), "factor",
-                      self.factor, "must be finite and > 1")
 
     def fire(self, faults: Faults) -> None:
         candidates = [stub for stub in faults.alive_workers()
@@ -642,12 +610,8 @@ class KillBrick(Fault):
     backends' MTTR land in the same report column.
     """
 
-    slot: int = 0
+    slot: int = checked(0, count(0))
     kind = "brick-kill"
-
-    def check(self) -> None:
-        super().check()
-        self._require(self.slot >= 0, "slot", self.slot, "must be >= 0")
 
     def fire(self, faults: Faults) -> None:
         bricks = faults.fabric.profile_bricks
@@ -683,20 +647,14 @@ class GrayBrick(Fault):
     probe's write-read canary, never by liveness).  A no-op on the
     ``single`` backend, which has no gray surface."""
 
-    mode: str
-    slot: int = 0
+    mode: str = checked(domain=choice(*BRICK_GRAY_MODES))
+    slot: int = checked(0, count(0))
     factor: ClassVar[float] = BRICK_SLOW_FACTOR
     modes = BRICK_GRAY_MODES
 
     @property
     def kind(self) -> str:
         return self.mode
-
-    def check(self) -> None:
-        super().check()
-        self._require(self.mode in self.modes, "mode", self.mode,
-                      f"must be one of {sorted(self.modes)}")
-        self._require(self.slot >= 0, "slot", self.slot, "must be >= 0")
 
     def fire(self, faults: Faults) -> None:
         bricks = faults.fabric.profile_bricks
@@ -713,18 +671,18 @@ class Campaign:
 
     name: str
     description: str
-    duration_s: float
+    duration_s: float = checked(domain=positive())
     actions: Tuple[Fault, ...] = ()
     # workload + topology
-    rate_rps: float = 15.0
-    n_nodes: int = 12
-    initial_workers: int = 2
+    rate_rps: float = checked(15.0, positive())
+    n_nodes: int = checked(12, count(1))
+    initial_workers: int = checked(2, count(1))
     #: bound for the end-of-run bounded-reply latency check.  Setting it
     #: *below* the client timeout turns "slow but answered" into a
     #: violation — an SLO check, used by the tests that force a deadline
     #: violation deterministically.
-    slo_latency_s: float = CLIENT_TIMEOUT_S
-    settle_s: float = 8.0
+    slo_latency_s: float = checked(CLIENT_TIMEOUT_S, positive())
+    settle_s: float = checked(8.0, positive())
     #: :class:`SNSConfig` fields laid over :func:`chaos_config`.  The
     #: deployment is chosen here too (``manager_backend``,
     #: ``profile_backend``, ``service_backend``, ``routing_policy``);
@@ -737,10 +695,11 @@ class Campaign:
     recovery: Optional[RecoveryPolicy] = None
     #: period of the deterministic profile-writer client (only runs
     #: when the config carries a profile backend).
-    profile_write_interval_s: float = 1.0
+    profile_write_interval_s: float = checked(1.0, positive())
     #: minimum profile read availability; checked as an invariant when
     #: set (reads during brick faults must be masked by the quorum).
-    profile_read_slo: Optional[float] = None
+    profile_read_slo: Optional[float] = checked(
+        None, between(0, 1, lo_open=True, optional=True))
     #: piecewise-constant offered load ``((duration_s, rate_rps), ...)``
     #: replacing the constant-rate process when set — how the
     #: flash-crowd campaigns script their 10x burst.  Overload *is* the
@@ -748,19 +707,20 @@ class Campaign:
     arrival_schedule: Optional[Tuple[Tuple[float, float], ...]] = None
     #: distinct URLs/clients the engine cycles through; large pools
     #: defeat the result cache and drive cold misses to the origin.
-    pool_size: int = 40
+    pool_size: int = checked(40, count(1))
     #: input size of every pool record; distillation cost is linear in
     #: it, so this knob sets worker capacity relative to offered load.
-    record_bytes: int = 10240
+    record_bytes: int = checked(10240, count(1))
     #: fraction of pool records marked ``priority="batch"`` — the class
     #: priority-admission (ladder level 4) sheds first.
-    batch_fraction: float = 0.0
+    batch_fraction: float = checked(0.0, between(0, 1, hi_open=True))
     #: "controller" starts the closed-loop DegradationController after
     #: boot; None runs whatever the config armed statically.
-    degradation: Optional[str] = None
+    degradation: Optional[str] = checked(None, choice(None, "controller"))
     #: minimum end-of-run yield; checked as an invariant when set (the
     #: brownout controller's harvest-for-yield claim).
-    yield_slo: Optional[float] = None
+    yield_slo: Optional[float] = checked(
+        None, between(0, 1, lo_open=True, optional=True))
 
     @property
     def final_heal_s(self) -> float:
@@ -769,25 +729,10 @@ class Campaign:
                    default=0.0)
 
     def validate(self) -> "Campaign":
-        # each rule is the comparison that must hold, so NaN fails it
-        for name, value in (
-                ("duration_s", self.duration_s), ("rate_rps", self.rate_rps),
-                ("slo_latency_s", self.slo_latency_s),
-                ("settle_s", self.settle_s),
-                ("profile_write_interval_s", self.profile_write_interval_s)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name}={value!r} must be finite and > 0")
-        for name, value in (
-                ("n_nodes", self.n_nodes),
-                ("initial_workers", self.initial_workers),
-                ("pool_size", self.pool_size),
-                ("record_bytes", self.record_bytes)):
-            if not (type(value) is int and value >= 1):
-                raise ValueError(f"{name}={value!r} must be an int >= 1")
-        if self.profile_read_slo is not None \
-                and not 0.0 < self.profile_read_slo <= 1.0:
-            raise ValueError(f"profile_read_slo={self.profile_read_slo!r} "
-                             "must be in (0, 1]")
+        """Refuse a field outside its declared domain, a bad action
+        (named), a fault still healing at the end, or a bad arrival
+        step, before any fabric is built."""
+        check_fields(self)
         for action in self.actions:
             try:
                 action.check()
@@ -800,20 +745,13 @@ class Campaign:
                 "leave room to observe recovery")
         if self.arrival_schedule is not None and not self.arrival_schedule:
             raise ValueError("arrival_schedule must not be empty")
-        for duration, rate in self.arrival_schedule or ():
-            # a zero rate is a pause (PlaybackEngine.ramp)
-            if not (0.0 < duration < math.inf and 0.0 <= rate < math.inf):
-                raise ValueError(
-                    f"bad arrival step ({duration!r}, {rate!r}): duration "
-                    "must be finite and > 0, rate finite and >= 0")
-        if not 0.0 <= self.batch_fraction < 1.0:
-            raise ValueError("batch_fraction must be in [0, 1)")
-        if self.degradation not in (None, "controller"):
-            raise ValueError(
-                f"unknown degradation mode {self.degradation!r}")
-        if self.yield_slo is not None \
-                and not 0.0 < self.yield_slo <= 1.0:
-            raise ValueError("yield_slo must be in (0, 1]")
+        for step in self.arrival_schedule or ():
+            duration_s, rate_rps = step
+            try:
+                check_args(ARRIVAL_STEP, duration_s=duration_s,
+                           rate_rps=rate_rps)
+            except ValueError as error:
+                raise ValueError(f"arrival step {step!r}: {error}") from None
         return self
 
 

@@ -27,9 +27,11 @@ results are always cached (Section 3.1.5's injection path).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.domains import (OutOfDomain, at_least, between, check_fields,
+                           checked, choice, count, positive)
 
 #: beacons a manager stub may miss before declaring the manager dead
 #: and exercising its process-peer duty to restart it (Section 3.1.3).
@@ -81,29 +83,8 @@ DEGRADE_DWELL_TICKS = 2
 DEGRADE_DEADLINE_S = 8.0
 
 
-#: what :meth:`SNSConfig.validate` asks of each numeric field, as
-#: (rule, floor): a finite number ``>`` or ``>=`` the floor, or an
-#: ``int`` at least the floor.  Each rule is the comparison that must
-#: hold, so NaN fails it; ``None`` passes where it is the default.
-_FLOORS = {
-    "beacon_interval_s": (">", 0), "report_interval_s": (">", 0),
-    "worker_timeout_s": (">", 0), "spawn_threshold": (">", 0),
-    "spawn_damping_s": (">=", 0), "reap_after_s": (">=", 0),
-    "reap_drain_timeout_s": (">=", 0), "lottery_gamma": (">=", 0),
-    "policy_hash_bound": (">=", 1), "outlier_min_samples": ("int", 1),
-    "outlier_timeout_threshold": ("int", 1),
-    "dispatch_timeout_s": (">", 0), "dispatch_attempts": ("int", 1),
-    "dispatch_deadline_s": (">", 0), "dispatch_backoff_base_s": (">=", 0),
-    "dispatch_backoff_cap_s": (">=", 0),
-    "dispatch_backoff_jitter": (">=", 0), "frontend_threads": ("int", 1),
-    "frontend_connection_overhead_s": (">=", 0),
-    "admission_max_backlog_s": (">=", 0),
-    "admission_exit_backlog_s": (">=", 0),
-    "retry_budget_ratio": (">=", 0), "retry_budget_cap": (">=", 1),
-    "origin_breaker_failures": ("int", 1),
-    "degrade_hold_ticks": ("int", 0), "degrade_util_target": (">", 0),
-    "degrade_max_level": ("int", 0), "worker_queue_capacity": ("int", 1),
-}
+#: a switch: True or False (``1`` and ``0`` are refused).
+FLAG = choice(False, True)
 
 
 class ConfigError(ValueError):
@@ -115,7 +96,7 @@ class ConfigError(ValueError):
         self.fields = fields.split()
         shown = ", ".join(f"{name}={getattr(config, name)!r}"
                           for name in self.fields)
-        super().__init__(f"{shown}: {requirement}")
+        super().__init__(f"{shown} {requirement}")
 
 
 @dataclass
@@ -129,40 +110,41 @@ class SNSConfig:
     #: control plane: "soft" is the paper's single soft-state manager,
     #: "consensus" three Paxos-replicated manager replicas with a
     #: leader lease (repro.consensus).
-    manager_backend: str = "soft"
+    manager_backend: str = checked("soft", choice("soft", "consensus"))
     #: profile storage behind the bench service: None keeps the
     #: profile-less bench service, "single" is the paper's one ACID
     #: ProfileStore (Section 2.3), "dstore" the replicated brick store
     #: (three bricks, two replicas; repro.dstore).
-    profile_backend: Optional[str] = None
+    profile_backend: Optional[str] = checked(
+        None, choice(None, "single", "dstore"))
     #: service layer of the bench fabric: None keeps the plain bench
     #: service, "degradable" installs the brownout service and
     #: distiller (repro.degrade).
-    service_backend: Optional[str] = None
+    service_backend: Optional[str] = checked(None, choice(None, "degradable"))
 
     # -- soft-state refresh --------------------------------------------------
     #: manager beacon period on the well-known multicast channel.
-    beacon_interval_s: float = 0.5
+    beacon_interval_s: float = checked(0.5, positive())
     #: worker stub load-report period ("every half a second").
-    report_interval_s: float = 0.5
+    report_interval_s: float = checked(0.5, positive())
     #: seconds without a load report before the manager presumes a
     #: worker dead (timeouts as the backup failure detector).
-    worker_timeout_s: float = 5.0
+    worker_timeout_s: float = checked(5.0, positive())
 
     # -- spawn / reap policy --------------------------------------------------
     #: threshold H: spawn when a type's average queue length crosses it.
-    spawn_threshold: float = 10.0
+    spawn_threshold: float = checked(10.0, positive())
     #: damping D: seconds the spawner is disabled after each spawn.
-    spawn_damping_s: float = 15.0
+    spawn_damping_s: float = checked(15.0, at_least(0))
     #: reap a worker when the type's average queue stays below
     #: REAP_THRESHOLD for this long, and more than MIN_WORKERS_PER_TYPE
     #: remain.
-    reap_after_s: float = 60.0
+    reap_after_s: float = checked(60.0, at_least(0))
     #: seconds a busy reap victim gets to drain (queued work is moved to
     #: peers, the in-service request runs out) before it is killed anyway.
-    reap_drain_timeout_s: float = 10.0
+    reap_drain_timeout_s: float = checked(10.0, at_least(0))
     #: recruit overflow-pool nodes when the dedicated pool is exhausted.
-    use_overflow_pool: bool = True
+    use_overflow_pool: bool = checked(True, FLAG)
 
     # -- load balancing ----------------------------------------------------------
     #: "centralized" (the paper's design: the manager aggregates load
@@ -171,17 +153,18 @@ class SNSConfig:
     #: own load to every front end).  The manager still exists in
     #: distributed mode for spawning and process-peer duties; it just
     #: plays no part in balancing.
-    balancing: str = "centralized"
+    balancing: str = checked(
+        "centralized", choice("centralized", "distributed"))
     #: load metric (Section 3.1.2, footnote 2): "queue" counts waiting
     #: requests; "weighted-cost" weights each queued item by its
     #: expected cost in seconds — with it, spawn_threshold is literally
     #: "the greatest delay the user is willing to tolerate", in seconds.
-    load_metric: str = "queue"
+    load_metric: str = checked("queue", choice("queue", "weighted-cost"))
     #: manager stubs extrapolate queue deltas between reports (the
     #: Section 4.5 oscillation fix); disable for the ablation.
-    estimate_queue_deltas: bool = True
+    estimate_queue_deltas: bool = checked(True, FLAG)
     #: lottery-scheduling weight exponent: weight = 1/(1+queue)^gamma.
-    lottery_gamma: float = 2.0
+    lottery_gamma: float = checked(2.0, at_least(0))
     #: worker-selection policy at the manager stubs (repro.balance).
     #: Base names: lottery (the paper's default), round-robin,
     #: least-outstanding, p2c, ewma, weighted, hash-bounded; append
@@ -189,52 +172,55 @@ class SNSConfig:
     routing_policy: str = "lottery"
     #: "hash-bounded" policy: a worker may carry at most this multiple
     #: of the mean in-flight load before the request walks the ring.
-    policy_hash_bound: float = 1.25
+    policy_hash_bound: float = checked(1.25, at_least(1))
     #: "+eject" wrapper: a latency outlier is judged only after this
     #: many local latency samples (the ratio, peer count, window and
     #: ejection durations are constants in repro.balance.ejection).
-    outlier_min_samples: int = 8
+    outlier_min_samples: int = checked(8, count(1))
     #: "+eject" wrapper: timeouts within OUTLIER_WINDOW_S that eject a
     #: worker (unless timeouts are cluster-wide).
-    outlier_timeout_threshold: int = 3
+    outlier_timeout_threshold: int = checked(3, count(1))
     #: per-dispatch timeout before the front end retries elsewhere.
-    dispatch_timeout_s: float = 8.0
+    dispatch_timeout_s: float = checked(8.0, positive())
     #: dispatch attempts before falling back to the original content.
-    dispatch_attempts: int = 2
+    dispatch_attempts: int = checked(2, count(1))
     #: per-request dispatch deadline; ``None`` means the full budget
     #: (``dispatch_attempts * dispatch_timeout_s``).  The deadline is
     #: propagated into each WorkEnvelope so downstream stages can shed
     #: work the client has already given up on.
-    dispatch_deadline_s: Optional[float] = None
+    dispatch_deadline_s: Optional[float] = checked(
+        None, positive(optional=True))
     #: retry backoff: first-retry delay and cap (the growth factor is
     #: DISPATCH_BACKOFF_FACTOR).  The delay is jittered ±50% by
     #: ``dispatch_backoff_jitter`` from a dedicated seeded stream, so
     #: lossy-regime retries neither synchronize into retry storms nor
     #: perturb other streams.
-    dispatch_backoff_base_s: float = 0.05
-    dispatch_backoff_cap_s: float = 2.0
+    dispatch_backoff_base_s: float = checked(0.05, at_least(0))
+    dispatch_backoff_cap_s: float = checked(2.0, at_least(0))
     #: jitter fraction: each backoff delay is scaled by a deterministic
     #: uniform draw in [1 - j/2, 1 + j/2].
-    dispatch_backoff_jitter: float = 0.5
+    dispatch_backoff_jitter: float = checked(0.5, between(0, 1))
 
     # -- front ends -----------------------------------------------------------------
     #: thread-pool size ("about 400 threads").
-    frontend_threads: int = 400
+    frontend_threads: int = checked(400, count(1))
     #: per-request TCP/kernel overhead at the front end; 14 ms gives the
     #: ~70 req/s per-FE ceiling measured in Section 4.6.
-    frontend_connection_overhead_s: float = 0.014
+    frontend_connection_overhead_s: float = checked(0.014, at_least(0))
 
     #: load-shedding admission control: when set, a front end whose
     #: thread pool is exhausted *and* whose netstack backlog exceeds
     #: this many seconds refuses new requests immediately ("shed")
     #: instead of queueing them toward certain timeout.  ``None``
     #: disables shedding (the paper's original behaviour).
-    admission_max_backlog_s: Optional[float] = None
+    admission_max_backlog_s: Optional[float] = checked(
+        None, at_least(0, optional=True))
     #: shedding hysteresis: once shedding starts it continues until the
     #: netstack backlog falls back *below this* (< admission_max_
     #: backlog_s), instead of flapping on/off around the single
     #: threshold.  ``None`` keeps the legacy single-threshold switch.
-    admission_exit_backlog_s: Optional[float] = None
+    admission_exit_backlog_s: Optional[float] = checked(
+        None, at_least(0, optional=True))
 
     # -- overload-amplification guards (repro.degrade.guards) ----------------
     #: retry budget: each first dispatch attempt earns this many retry
@@ -242,89 +228,65 @@ class SNSConfig:
     #: Caps retry traffic to a fraction of fresh requests so timeouts
     #: cannot snowball into retry storms.  ``None`` = unlimited retries
     #: (the legacy behaviour).
-    retry_budget_ratio: Optional[float] = None
-    retry_budget_cap: float = 20.0
+    retry_budget_ratio: Optional[float] = checked(
+        None, at_least(0, optional=True))
+    retry_budget_cap: float = checked(20.0, at_least(1))
     #: origin circuit breaker: consecutive failures (errors or fetches
     #: slower than ``ORIGIN_BREAKER_SLOW_S``) before the breaker opens;
     #: ``None`` disables the breaker.  While open, origin fetches fail
     #: fast; after ``ORIGIN_BREAKER_COOLDOWN_S`` one half-open probe
     #: tests the origin again.
-    origin_breaker_failures: Optional[int] = None
+    origin_breaker_failures: Optional[int] = checked(
+        None, count(1, optional=True))
 
     # -- brownout controller (repro.degrade.controller) ----------------------
     #: minimum ticks between successive escalations (spawn-damping
     #: analogue: one congested sample cannot slam the ladder to the top).
-    degrade_hold_ticks: int = 2
+    degrade_hold_ticks: int = checked(2, count(0))
     #: busiest front end's thread occupancy at which pressure reads 1
     #: (the other two signals' targets are DEGRADE_QUEUE_TARGET_S and
     #: DEGRADE_SHED_TARGET; pressure is the max of the three).
-    degrade_util_target: float = 0.9
+    degrade_util_target: float = checked(0.9, positive())
     #: highest ladder level the controller may reach (operators can pin
     #: the ladder below priority-admission/deadline-shed).
-    degrade_max_level: int = 5
+    degrade_max_level: int = checked(5, count(0, 5))
 
     # -- workers ----------------------------------------------------------------------
     #: worker stub queue capacity; beyond this, submissions are refused
     #: (the stub "accepts and queues requests on behalf of the
     #: distiller").
-    worker_queue_capacity: int = 200
+    worker_queue_capacity: int = checked(200, count(1))
     #: when True, worker stubs drop queued requests whose propagated
     #: deadline has already passed (the client gave up; executing the
     #: work would only add queueing delay for live requests).
-    shed_expired_requests: bool = False
+    shed_expired_requests: bool = checked(False, FLAG)
 
     # -- partitions ----------------------------------------------------------
     #: soft-state backend only: a deposed manager that hears a beacon
     #: with a higher incarnation kills itself instead of beaconing
     #: forever from the minority side of a healed partition.
-    manager_self_deposition: bool = False
-
-    def _require(self, ok: bool, fields: str, requirement: str) -> None:
-        if not ok:
-            raise ConfigError(self, fields, requirement)
+    manager_self_deposition: bool = checked(False, FLAG)
 
     def validate(self) -> "SNSConfig":
-        require = self._require
-        values = vars(self)
-        for name, allowed in (
-                ("manager_backend", ("soft", "consensus")),
-                ("profile_backend", (None, "single", "dstore")),
-                ("service_backend", (None, "degradable")),
-                ("load_metric", ("queue", "weighted-cost")),
-                ("balancing", ("centralized", "distributed"))):
-            require(values[name] in allowed, name,
-                    f"must be one of {allowed}")
-        defaults = vars(SNSConfig)
-        for name, (rule, floor) in _FLOORS.items():
-            value = values[name]
-            optional = defaults[name] is None
-            if value is None and optional:
-                continue
-            if rule == "int":
-                ok = type(value) is int and floor <= value
-                text = f"must be an int >= {floor}"
-            else:
-                ok = isinstance(value, (int, float)) and (
-                    floor < value if rule == ">" else floor <= value
-                ) and value < math.inf
-                text = f"must be finite and {rule} {floor}"
-            require(ok, name, text + (" or None" if optional else ""))
+        """Refuse a field outside its declared domain, then the rules
+        that join fields; each refusal names the field(s) and value(s)."""
+        try:
+            check_fields(self)
+        except OutOfDomain as error:
+            raise ConfigError(self, error.name, error.requirement) from None
         # late import: repro.balance typing never depends on config, but
         # importing it at module top would be a cycle risk for callers
         from repro.balance import PolicyError, parse_policy_spec
         try:
             parse_policy_spec(self.routing_policy)
         except PolicyError as error:
-            raise ConfigError(self, "routing_policy", str(error)) from None
-        require(self.dispatch_backoff_jitter <= 1.0,
-                "dispatch_backoff_jitter", "must be in [0, 1]")
-        require(self.admission_exit_backlog_s is None
-                or self.admission_max_backlog_s is not None
-                and self.admission_exit_backlog_s
-                <= self.admission_max_backlog_s,
-                "admission_exit_backlog_s admission_max_backlog_s",
-                "exit threshold must be in [0, enter] and needs the "
-                "enter threshold set")
-        require(self.degrade_max_level <= 5, "degrade_max_level",
-                "must be in [0, 5]")
+            raise ConfigError(self, "routing_policy",
+                              f"must parse: {error}") from None
+        if self.admission_exit_backlog_s is not None and (
+                self.admission_max_backlog_s is None
+                or self.admission_exit_backlog_s
+                > self.admission_max_backlog_s):
+            raise ConfigError(
+                self, "admission_exit_backlog_s admission_max_backlog_s",
+                "must have exit <= enter, with enter set")
         return self

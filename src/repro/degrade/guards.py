@@ -22,6 +22,8 @@ byte-identical under ``repro.fanout``.
 
 from __future__ import annotations
 
+from repro.domains import at_least, check_args, count, positive
+
 
 class RetryBudget:
     """Token bucket capping retries to a fraction of fresh requests.
@@ -33,11 +35,11 @@ class RetryBudget:
     isolated failure.
     """
 
+    #: the domain of each constructor argument.
+    DOMAINS = {"ratio": at_least(0), "cap": at_least(1)}
+
     def __init__(self, ratio: float, cap: float) -> None:
-        if ratio < 0:
-            raise ValueError("retry budget ratio must be non-negative")
-        if cap < 1:
-            raise ValueError("retry budget cap must be >= 1")
+        check_args(self.DOMAINS, ratio=ratio, cap=cap)
         self.ratio = ratio
         self.cap = cap
         self.tokens = cap
@@ -83,13 +85,14 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half-open"
 
+    #: the domain of each constructor argument but the clock.
+    DOMAINS = {"failure_threshold": count(1), "cooldown_s": positive(),
+               "slow_s": positive()}
+
     def __init__(self, clock, failure_threshold: int, cooldown_s: float,
                  slow_s: float) -> None:
-        if failure_threshold < 1:
-            raise ValueError("breaker failure threshold must be >= 1")
-        if cooldown_s <= 0 or slow_s <= 0:
-            raise ValueError("breaker cooldown and slow budget "
-                             "must be positive")
+        check_args(self.DOMAINS, failure_threshold=failure_threshold,
+                   cooldown_s=cooldown_s, slow_s=slow_s)
         #: zero-argument callable returning the current sim time.
         self.clock = clock
         self.failure_threshold = failure_threshold

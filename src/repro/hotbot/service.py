@@ -12,11 +12,12 @@ can serve about 400 requests per second").
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.component import Component
+from repro.domains import (at_least, check_fields, checked, choice, count,
+                           positive)
 from repro.hotbot.documents import Corpus
 from repro.hotbot.index import (
     InvertedIndex,
@@ -43,36 +44,26 @@ CROSS_MOUNT_PENALTY = 2.0
 class HotBotConfig:
     """Deployment knobs for a HotBot installation."""
 
-    n_workers: int = 8
-    n_docs: int = 2600
-    top_k: int = 10
+    n_workers: int = checked(8, count(1))
+    n_docs: int = checked(2600, count(1))
+    top_k: int = checked(10, count(1))
     #: per-query worker cost: fixed + QUERY_PER_POSTING_S * scanned.
-    query_fixed_s: float = 0.008
+    query_fixed_s: float = checked(0.008, at_least(0))
     #: front end threads per node ("50-80 threads per node").
-    frontend_threads: int = 64
+    frontend_threads: int = checked(64, count(1))
     #: scatter-gather deadline; missing partitions => partial results.
-    gather_timeout_s: float = 2.0
+    gather_timeout_s: float = checked(2.0, at_least(0))
     #: "fast-restart" (RAID, partition offline until restart) or
     #: "cross-mount" (original Inktomi: a peer serves the partition).
-    failure_mode: str = "fast-restart"
-    #: Informix capacity and failover time.
-    db_capacity_rps: float = 400.0
-    db_failover_s: float = 5.0
+    failure_mode: str = checked(
+        "fast-restart", choice("fast-restart", "cross-mount"))
+    #: Informix capacity (the bandwidth of its request pipe) and
+    #: failover time.
+    db_capacity_rps: float = checked(400.0, positive())
+    db_failover_s: float = checked(5.0, at_least(0))
 
     def __post_init__(self) -> None:
-        if self.failure_mode not in ("fast-restart", "cross-mount"):
-            raise ValueError(f"unknown failure_mode {self.failure_mode!r}")
-        counts = ("n_workers", "n_docs", "top_k", "frontend_threads")
-        for name, value in vars(self).items():
-            if name == "failure_mode":
-                continue
-            if name in counts:
-                if not (type(value) is int and value >= 1):
-                    raise ValueError(f"{name} must be an int >= 1")
-            # the comparison that must hold, so NaN is refused here and
-            # not mid-run
-            elif not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+        check_fields(self)
 
 
 @dataclass

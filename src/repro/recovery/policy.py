@@ -22,6 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.domains import (at_least, between, check_fields, checked, count,
+                           positive)
+
 #: a probe unanswered (or still in service) past this is a failure.
 PROBE_TIMEOUT_S = 1.0
 #: fixed network round trip charged to a probe.  Probes deliberately
@@ -42,15 +45,6 @@ OUTLIER_SUSTAIN_S = 3.0
 RESTART_BACKOFF_BASE_S = 0.5
 RESTART_BACKOFF_CAP_S = 10.0
 
-#: the floor of each count and ratio; a period (``_s``) must be above 0,
-#: and any other knob at least 0.
-FLOORS = {
-    "probe_confirmations": 1, "probe_slow_ratio": 1.0,
-    "rpc_timeout_confirmations": 1, "outlier_ratio": 1.0,
-    "outlier_min_peers": 2, "restart_backoff_factor": 1.0,
-    "restart_budget": 1, "flap_threshold": 2, "heal_wait_periods": 1,
-}
-
 
 @dataclass
 class RecoveryPolicy:
@@ -58,74 +52,63 @@ class RecoveryPolicy:
 
     # -- end-to-end health probes ------------------------------------------
     #: seconds between probe sweeps over the live worker population.
-    probe_interval_s: float = 2.0
+    probe_interval_s: float = checked(2.0, positive())
     #: consecutive probe failures before the worker is restarted.
-    probe_confirmations: int = 2
+    probe_confirmations: int = checked(2, count(1))
     #: a probe whose service time exceeds this multiple of the worker's
     #: own nominal cost counts as a probe failure even when it answers
     #: inside the timeout — the detector for moderate fail-slow/leak
     #: inflation that never trips an RPC timeout.
-    probe_slow_ratio: float = 3.0
+    probe_slow_ratio: float = checked(3.0, at_least(1))
 
     # -- RPC-timeout reports from manager stubs ----------------------------
     #: dispatch timeouts against one worker within
     #: :data:`SUSPICION_WINDOW_S` before the stub's report alone
     #: triggers a restart ("the RPC call to the distiller times out and
     #: the distiller is restarted").
-    rpc_timeout_confirmations: int = 2
+    rpc_timeout_confirmations: int = checked(2, count(1))
 
     # -- peer-relative load-outlier detection ------------------------------
     #: a worker is an outlier when its queue average exceeds
     #: ``max(outlier_floor, outlier_ratio * peer_median)``.
-    outlier_ratio: float = 3.0
+    outlier_ratio: float = checked(3.0, at_least(1))
     #: absolute queue floor below which nobody is an outlier (protects
     #: against ratio-vs-zero-median false positives at idle).
-    outlier_floor: float = 4.0
+    outlier_floor: float = checked(4.0, at_least(0))
     #: minimum same-type peers before relative comparison means anything.
-    outlier_min_peers: int = 3
+    outlier_min_peers: int = checked(3, count(2))
 
     # -- restart execution --------------------------------------------------
     #: growth factor of the backoff between consecutive restarts on one
     #: node (:data:`RESTART_BACKOFF_BASE_S`).
-    restart_backoff_factor: float = 2.0
+    restart_backoff_factor: float = checked(2.0, at_least(1))
     #: jitter fraction applied to backoff delays, drawn from the seeded
     #: ``recovery:backoff`` stream (0 disables: no draws at all).
-    restart_backoff_jitter: float = 0.0
+    restart_backoff_jitter: float = checked(0.0, between(0, 1))
     #: restarts allowed per ``restart_budget_window_s`` before the
     #: supervisor stops healing and pages instead.
-    restart_budget: int = 8
-    restart_budget_window_s: float = 60.0
+    restart_budget: int = checked(8, count(1))
+    restart_budget_window_s: float = checked(60.0, positive())
 
     # -- flap detection -----------------------------------------------------
     #: restarts on one node within ``flap_window_s`` before the node is
     #: quarantined from future worker placement.
-    flap_threshold: int = 3
-    flap_window_s: float = 30.0
+    flap_threshold: int = checked(3, count(2))
+    flap_window_s: float = checked(30.0, positive())
 
     # -- rejuvenation -------------------------------------------------------
     #: proactively restart the oldest idle worker every this many
     #: seconds (the Section 4.5 memory-leak cure).  ``None`` disables —
     #: the default, to preserve fault-free determinism.
-    rejuvenation_interval_s: Optional[float] = None
+    rejuvenation_interval_s: Optional[float] = checked(
+        None, positive(optional=True))
 
     # -- heal watching ------------------------------------------------------
     #: beacon intervals to wait for a replacement to register before
     #: declaring the heal failed.
-    heal_wait_periods: int = 40
+    heal_wait_periods: int = checked(40, count(1))
 
     def validate(self) -> "RecoveryPolicy":
-        """Refuse a knob that is not finite or is below its floor (a
-        period must be above 0), naming it."""
-        for name, value in vars(self).items():
-            if value is None and name == "rejuvenation_interval_s":
-                continue
-            floor = FLOORS.get(name, 0.0)
-            period = name.endswith("_s")
-            # `not >=`, so NaN is refused here and not mid-run
-            if not ((value > floor if period else value >= floor)
-                    and value < float("inf")):
-                raise ValueError(f"{name}={value!r} must be finite and "
-                                 f"{'>' if period else '>='} {floor}")
-        if self.restart_backoff_jitter > 1.0:
-            raise ValueError("restart_backoff_jitter must be <= 1")
+        """Refuse a knob outside its declared domain, naming it."""
+        check_fields(self)
         return self

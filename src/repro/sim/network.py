@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.domains import at_least, between, check_args, positive
 from repro.sim.kernel import Environment
 from repro.sim.rng import Stream
 
@@ -44,15 +45,15 @@ class FaultWindow:
     ``end=None`` stay active until cleared.
     """
 
+    #: the domain of each fault parameter.
+    DOMAINS = {"loss": between(0, 1), "duplicate": between(0, 1),
+               "jitter_s": at_least(0)}
+
     def __init__(self, scope: str, start: float, end: Optional[float],
                  loss: float = 0.0, duplicate: float = 0.0,
                  jitter_s: float = 0.0) -> None:
-        if not 0.0 <= loss <= 1.0:
-            raise ValueError("loss probability must be in [0, 1]")
-        if not 0.0 <= duplicate <= 1.0:
-            raise ValueError("duplicate probability must be in [0, 1]")
-        if jitter_s < 0:
-            raise ValueError("jitter must be non-negative")
+        check_args(self.DOMAINS, loss=loss, duplicate=duplicate,
+                   jitter_s=jitter_s)
         if end is not None and end < start:
             raise ValueError("window ends before it starts")
         self.scope = scope
@@ -344,6 +345,11 @@ class UtilizationMeter:
 class Link:
     """A shared pipe with bandwidth, latency, and a utilization meter."""
 
+    #: the domain of each constructor argument but the environment and
+    #: the name: a NaN or infinite bandwidth or latency would make every
+    #: :meth:`reserve` return a delay no timeout can wait out.
+    DOMAINS = {"bandwidth_bps": positive(), "latency_s": at_least(0)}
+
     def __init__(
         self,
         env: Environment,
@@ -351,10 +357,8 @@ class Link:
         bandwidth_bps: float,
         latency_s: float = 0.0005,
     ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if latency_s < 0:
-            raise ValueError("latency must be non-negative")
+        check_args(self.DOMAINS, bandwidth_bps=bandwidth_bps,
+                   latency_s=latency_s)
         self.env = env
         self.name = name
         self.bandwidth_bps = bandwidth_bps

@@ -27,9 +27,11 @@ so memory stays bounded regardless of trace length.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
+
+from repro.domains import Domain, at_least, check_args, positive
 
 from repro.sim.kernel import (TIMED_OUT, Environment, Event, Interrupt,
                               TimedWait)
@@ -37,16 +39,6 @@ from repro.sim.rng import Stream
 from repro.workload.trace import TraceRecord
 
 SubmitFn = Callable[[TraceRecord], Event]
-
-
-def _check(name: str, value: float, positive: bool = False) -> None:
-    """Refuse a rate, duration or timeout that is not finite or is below
-    its floor (0, excluded when ``positive``).  Every ordered comparison
-    with NaN is false, so the players' own bound checks let it through:
-    it would hang a run or count an answered request as timed out."""
-    if not math.isfinite(value) or value < 0 or (positive and value == 0):
-        raise ValueError(f"{name} must be finite and "
-                         f"{'> 0' if positive else '>= 0'}, got {value!r}")
 
 
 @dataclass
@@ -94,14 +86,26 @@ class RequestOutcome:
 class PlaybackEngine:
     """Drives a service adapter from a trace or a rate process."""
 
+    #: the domain of each argument, by method; a player checks its own
+    #: before the first arrival (:meth:`ramp` checks each step's pair).
+    #: Every ordered comparison with NaN is false, so without these a NaN
+    #: duration would never end a run and a NaN timeout would count an
+    #: answered request as timed out.
+    DOMAINS: Dict[str, Dict[str, Domain]] = {
+        "__init__": {"timeout_s": positive(optional=True)},
+        "play": {"time_offset": at_least(0)},
+        "constant_rate": {"rate_rps": positive(), "duration_s": at_least(0)},
+        # a zero rate pauses offered load for that step
+        "ramp": {"duration_s": at_least(0), "rate_rps": at_least(0)},
+    }
+
     def __init__(self, env: Environment, submit: SubmitFn,
                  rng: Optional[Stream] = None,
                  timeout_s: Optional[float] = None,
                  record_outcomes: bool = True,
                  on_success: Optional[Callable[[Any, float], None]]
                  = None) -> None:
-        if timeout_s is not None:
-            _check("timeout_s", timeout_s, positive=True)
+        check_args(self.DOMAINS["__init__"], timeout_s=timeout_s)
         self.env = env
         self.submit = submit
         self.rng = rng
@@ -128,6 +132,7 @@ class PlaybackEngine:
         streaming file reader — and is consumed one record at a time;
         the first record's timestamp anchors the trace's time origin.
         """
+        check_args(self.DOMAINS["play"], time_offset=time_offset)
         env = self.env
         origin = None
         for record in records:
@@ -144,8 +149,8 @@ class PlaybackEngine:
         """Process generator: Poisson arrivals cycling over ``records``."""
         if self.rng is None:
             raise ValueError("constant_rate mode requires an RNG stream")
-        _check("rate_rps", rate_rps, positive=True)
-        _check("duration_s", duration_s)
+        check_args(self.DOMAINS["constant_rate"], rate_rps=rate_rps,
+                   duration_s=duration_s)
         if not records:
             raise ValueError(
                 "constant_rate mode needs records to cycle over")
@@ -170,8 +175,8 @@ class PlaybackEngine:
         if not records:
             raise ValueError("ramp mode needs records to cycle over")
         for duration_s, rate_rps in schedule:
-            _check("duration_s", duration_s)
-            _check("rate_rps", rate_rps)
+            check_args(self.DOMAINS["ramp"], duration_s=duration_s,
+                       rate_rps=rate_rps)
         index = 0
         for duration_s, rate_rps in schedule:
             if rate_rps == 0:

@@ -120,7 +120,7 @@ def test_latency_model_rejects_bad_values_at_construction(field, overrides):
     """Each bad value fails where the model is built, naming its field —
     not at the first draw inside a run, and never silently."""
     rng = RandomStreams(7).stream("cache")
-    with pytest.raises(ValueError, match=f"^{field} "):
+    with pytest.raises(ValueError, match=f"^{field}="):
         HarvestLatencyModel(rng, **overrides)
 
 

@@ -1,8 +1,12 @@
 """Unit tests for the online invariant checker."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.chaos.invariants import InvariantChecker, InvariantViolation
+from repro.core.config import SNSConfig
+from repro.sim.kernel import Environment
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
 
@@ -134,3 +138,80 @@ def test_violation_repr_readable():
     violation = InvariantViolation(3.5, "convergence", "view != truth")
     text = repr(violation)
     assert "convergence" in text and "3.50" in text
+
+
+# -- end-of-run invariants, against small fakes ------------------------------------
+
+def bare_checker():
+    """A checker over a fabric that is only a clock and a config: the
+    end-of-run checks read what they are handed, not the fabric."""
+    env = Environment()
+    return InvariantChecker(SimpleNamespace(
+        config=SNSConfig(), cluster=SimpleNamespace(env=env)))
+
+
+def names(checker):
+    return [violation.invariant for violation in checker.violations]
+
+
+@pytest.mark.parametrize("problems, expected", [
+    (["slot 4 chose two values: 'a' and 'b'"], ["paxos-safety"]),
+    ([], []),
+])
+def test_paxos_safety(problems, expected):
+    checker = bare_checker()
+    checker.final_consensus_checks(
+        SimpleNamespace(safety_violations=lambda: problems))
+    assert names(checker) == expected
+
+
+@pytest.mark.parametrize("lost, expected", [
+    ([{"user": "client3", "key": "quality", "version": 7,
+       "reason": "absent"}], ["committed-write-loss"]),
+    ([], []),
+])
+def test_committed_write_loss(lost, expected):
+    checker = bare_checker()
+    store = SimpleNamespace(verify_committed=lambda: lost)
+    assert checker.final_profile_checks(store, service=None) == lost
+    assert names(checker) == expected
+    if lost:
+        assert "client3/quality v7 absent" in checker.violations[0].detail
+
+
+def test_a_store_without_an_oracle_loses_nothing():
+    checker = bare_checker()
+    assert checker.final_profile_checks(object(), service=None) == []
+    assert checker.ok
+
+
+@pytest.mark.parametrize("availability, expected", [
+    (0.95, ["profile-read-availability"]),
+    (0.99, []),
+])
+def test_profile_read_availability(availability, expected):
+    checker = bare_checker()
+    service = SimpleNamespace(profile_read_availability=availability,
+                              profile_read_failures=5, profile_reads=100)
+    checker.final_profile_checks(SimpleNamespace(verify_committed=list),
+                                 service, read_slo=0.99)
+    assert names(checker) == expected
+
+
+def outcome(ok, status="ok"):
+    return SimpleNamespace(ok=ok, response=SimpleNamespace(status=status))
+
+
+@pytest.mark.parametrize("outcomes, in_flight, expected", [
+    # 97 of 100 answered: an error page and a timeout are not answers,
+    # and a request still in flight at the end counts against yield
+    ([outcome(True)] * 97 + [outcome(True, "error"), outcome(False)], 1,
+     ["yield-slo"]),
+    # a degraded answer still counts
+    ([outcome(True)] * 98 + [outcome(True, "stale")] * 2, 0, []),
+])
+def test_yield_slo(outcomes, in_flight, expected):
+    checker = bare_checker()
+    checker.final_yield_check(
+        SimpleNamespace(outcomes=outcomes, in_flight=in_flight), 0.99)
+    assert names(checker) == expected

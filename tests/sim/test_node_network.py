@@ -1,9 +1,12 @@
 """Tests for node CPU model, SAN links, and utilization metering."""
 
+import math
+
 import pytest
 
 from repro.sim.kernel import Environment
-from repro.sim.network import MBPS, Link, Network, UtilizationMeter
+from repro.sim.network import (MBPS, AccessLink, Link, Network,
+                               UtilizationMeter)
 from repro.sim.node import Node, NodeDown
 
 
@@ -155,6 +158,21 @@ def test_link_validates_parameters():
     link = Link(env, "l", bandwidth_bps=1.0)
     with pytest.raises(ValueError):
         link.reserve(-5)
+
+
+@pytest.mark.parametrize("cls", [Link, AccessLink])
+@pytest.mark.parametrize("name, kwargs", [
+    ("bandwidth_bps", dict(bandwidth_bps=math.nan)),
+    ("bandwidth_bps", dict(bandwidth_bps=math.inf)),
+    ("latency_s", dict(bandwidth_bps=1.0, latency_s=math.nan)),
+    ("latency_s", dict(bandwidth_bps=1.0, latency_s=math.inf)),
+])
+def test_link_refuses_a_non_finite_bandwidth_or_latency(cls, name, kwargs):
+    """A NaN or infinite parameter used to be accepted, and every
+    reserve() then returned a NaN or infinite delay: the run aborted at
+    the first Timeout or never delivered."""
+    with pytest.raises(ValueError, match=f"^{name}="):
+        cls(Environment(), "l", **kwargs)
 
 
 # -- Network ------------------------------------------------------------------

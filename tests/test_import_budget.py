@@ -64,6 +64,7 @@ def test_there_are_drivers_to_keep_out():
 
 
 @pytest.mark.parametrize("module", [
+    "repro.core.config",
     "repro.core.fabric",
     "repro.experiments._harness",
     "repro.transend.service",
@@ -76,6 +77,15 @@ def test_import_loads_no_higher_layer(module):
     assert status == 0
     assert module in modules
     assert over_budget(modules) == []
+
+
+def test_the_domain_module_imports_no_repro_module():
+    """Every layer checks its values through `repro.domains`, so it sits
+    below all of them: importing it loads nothing else of `repro`."""
+    status, _, modules = fresh_interpreter("import repro.domains")
+    assert status == 0
+    assert [name for name in modules
+            if name.startswith("repro.")] == ["repro.domains"]
 
 
 @pytest.mark.parametrize("argv, expected_status", [

@@ -228,7 +228,7 @@ def test_non_finite_or_out_of_range_values_are_refused(mode, args, name):
     before the first arrival, with a message naming the argument."""
     env = Environment()
     submit = MockService(env).submit
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{name}="):
         if mode == "timeout_s":
             PlaybackEngine(env, submit, timeout_s=args[0])
         else:
