@@ -19,8 +19,9 @@ from repro.sim.rng import RandomStreams, Stream
 class Document:
     """One indexed page: id, url, and its term-frequency vector.
 
-    The vector is two columns, which is what an index build reads:
-    term names (the corpus's shared strings) and ``array('H')`` counts.
+    The vector is two columns: term names (the corpus's shared strings)
+    and ``array('H')`` counts.  A :class:`Corpus` keeps no documents;
+    it makes one from its own columns when asked.
     """
 
     __slots__ = ("doc_id", "url", "term_names", "frequencies")
@@ -61,45 +62,84 @@ class Document:
 
 
 class Corpus:
-    """A deterministic collection of synthetic documents."""
+    """A deterministic collection of synthetic documents, held as one
+    compressed sparse row.
+
+    Document ``d``'s term vector is ``[offsets[d], offsets[d + 1])`` of
+    two ``array('H')`` columns: ``ranks`` (each term's vocabulary rank,
+    in the order of the term names, as a :class:`Document` lists them)
+    and ``frequencies``.  An index build and the document frequencies
+    read the columns; a :class:`Document` is made on demand
+    (:meth:`document`, iteration) for the callers that want one.
+    """
 
     def __init__(self, n_docs: int = 2000, vocabulary_size: int = 2000,
                  seed: int = 1997, mean_length: int = 80,
                  zipf_alpha: float = 1.05) -> None:
         if n_docs <= 0 or vocabulary_size <= 0:
             raise ValueError("corpus dimensions must be positive")
+        if vocabulary_size > 1 << 16:
+            raise ValueError("a rank column holds at most 65536 terms")
         self.n_docs = n_docs
         self.vocabulary_size = vocabulary_size
         self.seed = seed
         #: rank -> term; a corpus names ~80 terms per document, so the
         #: strings are made once and not once per occurrence
-        self._term_names = [f"w{rank}" for rank in range(vocabulary_size)]
+        self.term_names = [f"w{rank}" for rank in range(vocabulary_size)]
+        #: doc id -> url, made once and shared with every index and the
+        #: front end's result pages
+        self.urls = [f"http://crawl.example/page{doc_id}"
+                     for doc_id in range(n_docs)]
+        self.ranks = array("H")
+        self.frequencies = array("H")
+        self.offsets = array("i", [0])
+        # a document's terms go in name order; sorting each document's
+        # ranks by their place in that order sorts ints, not strings
+        by_name = sorted(range(vocabulary_size),
+                         key=self.term_names.__getitem__)
+        place = [0] * vocabulary_size
+        for position, rank in enumerate(by_name):
+            place[rank] = position
         rng = RandomStreams(seed).stream("corpus")
-        self.documents: List[Document] = [
-            self._make_document(rng, doc_id, mean_length, zipf_alpha)
-            for doc_id in range(n_docs)
-        ]
+        for _ in range(n_docs):
+            length = max(5, int(rng.lognormal_mean(mean_length, 0.6)))
+            # the same stream positions as `length` zipf_rank() calls
+            counts = Counter(map(place.__getitem__, rng.zipf_rank_batch(
+                vocabulary_size, zipf_alpha, length)))
+            places = sorted(counts)
+            self.ranks.extend(map(by_name.__getitem__, places))
+            self.frequencies.extend(map(counts.__getitem__, places))
+            self.offsets.append(len(self.ranks))
 
-    def _make_document(self, rng: Stream, doc_id: int, mean_length: int,
-                       zipf_alpha: float) -> Document:
-        length = max(5, int(rng.lognormal_mean(mean_length, 0.6)))
-        # the same stream positions as `length` zipf_rank() calls
-        ranks = rng.zipf_rank_batch(self.vocabulary_size, zipf_alpha,
-                                    length)
-        counts = Counter(map(self._term_names.__getitem__, ranks))
-        names = tuple(sorted(counts))
+    def document(self, doc_id: int) -> Document:
+        """Document ``doc_id``, made from its rows of the columns."""
+        if not 0 <= doc_id < self.n_docs:
+            raise IndexError(f"no document {doc_id}")
+        start, end = self.offsets[doc_id], self.offsets[doc_id + 1]
         return Document.from_columns(
-            doc_id, f"http://crawl.example/page{doc_id}", names,
-            array("H", map(counts.__getitem__, names)))
+            doc_id, self.urls[doc_id],
+            tuple(map(self.term_names.__getitem__, self.ranks[start:end])),
+            self.frequencies[start:end])
+
+    def rows(self, doc_ids: Iterable[int]
+             ) -> Iterator[Tuple[int, str, array, array]]:
+        """``(doc_id, url, ranks, frequencies)`` of each of ``doc_ids``:
+        what an index build reads, sliced from the columns."""
+        urls, offsets = self.urls, self.offsets
+        ranks, frequencies = self.ranks, self.frequencies
+        for doc_id in doc_ids:
+            start, end = offsets[doc_id], offsets[doc_id + 1]
+            yield (doc_id, urls[doc_id], ranks[start:end],
+                   frequencies[start:end])
 
     def __len__(self) -> int:
         return self.n_docs
 
     def __iter__(self) -> Iterator[Document]:
-        return iter(self.documents)
+        return map(self.document, range(self.n_docs))
 
     def vocabulary_sample(self, rng: Stream, n: int,
                           alpha: float = 1.05) -> List[str]:
         """Query terms drawn with the same skew users exhibit."""
-        return [self._term_names[rank] for rank in
+        return [self.term_names[rank] for rank in
                 rng.zipf_rank_batch(self.vocabulary_size, alpha, n)]

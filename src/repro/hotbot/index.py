@@ -110,23 +110,31 @@ class InvertedIndex:
     def add_all(self, documents: Iterable[Document]) -> "InvertedIndex":
         """Index ``documents`` in one pass: collect each term's
         postings in document order, then pack them by term id.  A
-        partition is built, and after a crash rebuilt, by a single call
-        with all its documents; a duplicate document raises before
-        anything is indexed."""
+        duplicate document raises before anything is indexed, and an
+        index is built once."""
+        return self.add_rows((document.doc_id, document.url,
+                              document.term_names, document.frequencies)
+                             for document in documents)
+
+    def add_rows(self, rows: Iterable[Tuple[int, str, Sequence, array]],
+                 names: "Sequence[str] | None" = None) -> "InvertedIndex":
+        """:meth:`add_all` over ``(doc_id, url, terms, frequencies)``
+        rows, where a term is its name or, given ``names``, its index
+        in them: a partition is built, and after a crash rebuilt, from
+        its documents' rows of the corpus columns
+        (:meth:`Corpus.rows`), by a single call."""
         if self._doc_urls:
             raise ValueError("an index holding documents is built once")
         urls: Dict[int, str] = {}
-        postings: Dict[str, Tuple[List[int], List[float]]] = {}
+        postings: Dict[object, Tuple[List[int], List[float]]] = {}
         log = math.log
         # frequency -> weight: a corpus has a few dozen distinct ones
         weights: Dict[int, float] = {}
-        for document in documents:
-            doc_id = document.doc_id
+        for doc_id, url, terms, frequencies in rows:
             if doc_id in urls:
                 raise ValueError(f"duplicate document {doc_id}")
-            urls[doc_id] = document.url
-            for term, frequency in zip(document.term_names,
-                                       document.frequencies):
+            urls[doc_id] = url
+            for term, frequency in zip(terms, frequencies):
                 try:
                     weight = weights[frequency]
                 except KeyError:
@@ -136,6 +144,9 @@ class InvertedIndex:
                     entry = postings[term] = ([], [])
                 entry[0].append(doc_id)
                 entry[1].append(weight)
+        if names is not None:
+            postings = {names[term]: entry
+                        for term, entry in postings.items()}
         vocabulary = self.vocabulary
         if vocabulary is None:
             vocabulary = self._derive_vocabulary(postings)

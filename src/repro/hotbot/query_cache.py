@@ -6,7 +6,9 @@ and a user paging to results 11-20 re-issues the query they just ran;
 HotBot therefore cached *deep* result lists keyed by the normalized
 query and served successive pages — incremental delivery — from that
 cache without touching the partitions again.  A cached list is the
-collated ``(-score, doc_id)`` pairs; hits are made from the page read.
+collated ``(-score, doc_id)`` pairs held as two typed columns, an
+``array('d')`` of negated scores and an ``array('i')`` of doc ids;
+pairs, and from them hits, are made for the page read.
 
 The cached result lists are BASE soft state: a lost cache only costs
 recomputation, and entries may be slightly stale with respect to index
@@ -16,6 +18,7 @@ results).
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.lru import LRUCache
@@ -56,18 +59,23 @@ class QueryCache:
         """
         if offset < 0 or k < 1:
             raise ValueError("offset must be >= 0 and k >= 1")
-        ranked = self._store.get(key)
-        if ranked is None:
+        cached = self._store.get(key)
+        if cached is None:
             return None
-        exhausted = len(ranked) < self.depth
-        if len(ranked) >= offset + k or exhausted:
+        negated, doc_ids = cached
+        depth = len(doc_ids)
+        end = offset + k
+        if depth >= end or depth < self.depth:
             if offset > 0:
                 self.incremental_hits += 1
-            return ranked[offset: offset + k]
+            return list(zip(negated[offset:end], doc_ids[offset:end]))
         return None  # cached list too shallow for this page
 
     def store_by_key(self, key: Tuple[str, ...],
                      ranked: List[Ranked]) -> None:
-        """Cache ``ranked``: the list itself, which the caller gives up."""
+        """Cache ``ranked`` as its two columns; the LRU is charged
+        ``HIT_BYTES`` a pair, as it was for a list of tuples."""
         size = max(HIT_BYTES, HIT_BYTES * len(ranked))
-        self._store.put(key, ranked, size)
+        negated, doc_ids = zip(*ranked) if ranked else ((), ())
+        self._store.put(key, (array("d", negated), array("i", doc_ids)),
+                        size)

@@ -13,11 +13,11 @@ can serve about 400 requests per second").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.component import Component
-from repro.domains import (at_least, check_fields, checked, choice, count,
-                           positive)
+from repro.domains import (at_least, check_args, check_fields, checked,
+                           choice, count, positive)
 from repro.hotbot.documents import Corpus
 from repro.hotbot.index import (
     InvertedIndex,
@@ -191,15 +191,22 @@ class SearchWorker(Component):
 class HotBot:
     """A HotBot installation: corpus, partitions, workers, front end."""
 
+    #: argument domains by method: each node speed is checked before
+    #: anything is built, an offset when a query is submitted
+    DOMAINS = {"__init__": {"node_speeds": positive()},
+               "submit": {"offset": count(0)}}
+
     def __init__(self, config: Optional[HotBotConfig] = None,
                  seed: int = 1997,
                  node_speeds: Optional[List[float]] = None) -> None:
         self.config = config or HotBotConfig()
-        self.cluster = Cluster(seed=seed)
-        self.corpus = Corpus(n_docs=self.config.n_docs, seed=seed)
         speeds = node_speeds or [1.0] * self.config.n_workers
         if len(speeds) != self.config.n_workers:
             raise ValueError("node_speeds length must match n_workers")
+        for speed in speeds:
+            check_args(self.DOMAINS["__init__"], node_speeds=speed)
+        self.cluster = Cluster(seed=seed)
+        self.corpus = Corpus(n_docs=self.config.n_docs, seed=seed)
         rng = self.cluster.streams.stream("partition")
         # "each worker handles a subset of the database proportional to
         # its CPU power"
@@ -227,10 +234,9 @@ class HotBot:
             self.cluster, self.config.db_capacity_rps,
             self.config.db_failover_s)
         self.query_cache = QueryCache()
-        #: doc id -> url, for turning collated (score, doc id) pairs
-        #: into the hits a user sees
-        self._urls: Dict[int, str] = {
-            document.doc_id: document.url for document in self.corpus}
+        #: doc id -> url (the corpus's list), for turning collated
+        #: (score, doc id) pairs into the hits a user sees
+        self._urls = self.corpus.urls
         self._threads = self.cluster.env.queue()
         for index in range(self.config.frontend_threads):
             self._threads.put_nowait(index)
@@ -265,11 +271,17 @@ class HotBot:
         ``offset`` pages through results ("incremental delivery"):
         page 2 is ``offset=10`` with the default top_k.  A bad query is
         refused here: inside the process it would abort the whole run.
+        The checks are inline (every query would pay for a call here);
+        the offset's domain is consulted only to word a refusal.
         """
         if isinstance(terms, str):
             raise TypeError("terms must be a sequence, not a bare string")
-        if offset < 0:
-            raise ValueError("offset must be >= 0")
+        terms = list(terms)  # checked here, read by the process: one pass
+        for term in terms:
+            if type(term) is not str:
+                raise TypeError(f"terms must be strings, not {term!r}")
+        if type(offset) is not int or offset < 0:
+            self.DOMAINS["submit"]["offset"].check("offset", offset)
         env = self.cluster.env
         reply = Event(env)
         span = None if env.tracer is None else self._ingress_span()

@@ -1,8 +1,8 @@
 """The HotBot deployment build against its one-at-a-time references.
 
-`Corpus` draws a document's ranks in one batch, `PartitionMap` groups
-documents once, `InvertedIndex.add_all` collects postings in one loop
-and packs them into one flat column pair.
+`Corpus` draws a document's ranks in one batch into one set of columns,
+`PartitionMap` groups doc ids once, `InvertedIndex.add_rows` collects
+postings in one loop and packs them into one flat column pair.
 None of that may change what gets built: not a document, not a
 posting, not a position of the random stream.  The per-draw generator
 lives on here and the per-document, tuple-postings index in
@@ -47,18 +47,41 @@ def reference_document(rng, doc_id, vocabulary_size=2000, mean_length=80,
 def test_batch_corpus_equals_per_draw_reference(seed):
     rng = RandomStreams(seed).stream("corpus")
     expected = [reference_document(rng, doc_id) for doc_id in range(400)]
-    assert Corpus(n_docs=400, seed=seed).documents == expected
+    assert list(Corpus(n_docs=400, seed=seed)) == expected
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batch_corpus_leaves_the_stream_where_the_reference_does(seed):
-    corpus = Corpus(n_docs=1, vocabulary_size=300, seed=seed)
-    batch_rng = RandomStreams(seed).stream("corpus")
+    """Each document starts where the reference's does, at another
+    vocabulary and length too: a corpus one document longer holds the
+    same first fifty and then the reference's fifty-first."""
     reference_rng = RandomStreams(seed).stream("corpus")
-    for doc_id in range(50):
-        assert corpus._make_document(batch_rng, doc_id, 40, 1.05) \
-            == reference_document(reference_rng, doc_id, 300, 40)
-    assert batch_rng.random() == reference_rng.random()
+    expected = [reference_document(reference_rng, doc_id, 300, 40)
+                for doc_id in range(51)]
+    for n_docs in (50, 51):
+        assert list(Corpus(n_docs=n_docs, vocabulary_size=300, seed=seed,
+                           mean_length=40)) == expected[:n_docs]
+
+
+def test_the_columns_are_one_sparse_row_per_document():
+    corpus = Corpus(n_docs=300, vocabulary_size=700, seed=5)
+    offsets = list(corpus.offsets)
+    assert offsets[0] == 0 and offsets == sorted(offsets)
+    assert len(offsets) == len(corpus) + 1
+    assert offsets[-1] == len(corpus.ranks) == len(corpus.frequencies)
+    for doc_id, document in enumerate(corpus):
+        start, end = offsets[doc_id], offsets[doc_id + 1]
+        assert document.term_names == tuple(
+            corpus.term_names[rank] for rank in corpus.ranks[start:end])
+        assert document.frequencies == corpus.frequencies[start:end]
+        assert document.url == corpus.urls[doc_id]
+    assert [row[:2] for row in corpus.rows([4, 0])] \
+        == [(4, corpus.urls[4]), (0, corpus.urls[0])]
+    for doc_id in (-1, len(corpus)):
+        with pytest.raises(IndexError):
+            corpus.document(doc_id)
+    with pytest.raises(ValueError, match="65536"):
+        Corpus(n_docs=1, vocabulary_size=65537)
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.0, 0.5])
@@ -79,7 +102,7 @@ def test_document_terms_round_trip_through_the_columns():
     assert list(document.frequencies) == [3, 1, 65535]
     assert Document(7, "http://d/7", iter(terms)).terms == terms
     assert Document(8, "http://d/8", ()).terms == ()
-    built = Corpus(n_docs=3, seed=7).documents[2]
+    built = Corpus(n_docs=3, seed=7).document(2)
     assert built.terms == tuple(sorted(built.terms))
     assert Document(built.doc_id, built.url, built.terms) == built
 
@@ -99,16 +122,17 @@ def test_document_equality_hash_and_tf_hold():
         == (3, 1, 0)
 
 
-#: bytes a built corpus may hold per document, vocabulary included.
-#: The columns take about 620; as a tuple of `(term, frequency)`
-#: tuples per document the same corpus took 3719.
-CORPUS_BYTES_PER_DOCUMENT = 1300
+#: bytes a built corpus may hold per document, vocabulary and urls
+#: included.  One sparse row over the corpus takes about 347; a
+#: `Document` per document with its two columns took 878, and a tuple
+#: of `(term, frequency)` tuples per document 3719.
+CORPUS_BYTES_PER_DOCUMENT = 380
 
 
 def test_corpus_footprint_stays_in_budget():
     """The corpus is alive for a deployment's whole life (an index
-    rebuild reads it), so its size is defended the way the call budget
-    defends calls: a count, not a clock."""
+    rebuild reads its columns), so its size is defended the way the
+    call budget defends calls: a count, not a clock."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -134,7 +158,7 @@ def test_index_footprint_stays_in_budget():
     life, so the bytes per posting decide how much corpus a node can
     carry: defended as a count, like the corpus."""
     corpus = Corpus(n_docs=4000, seed=1997)
-    postings = sum(len(document.term_names) for document in corpus)
+    postings = len(corpus.ranks)
     gc.collect()
     tracemalloc.start()
     try:
@@ -183,18 +207,18 @@ def test_add_all_equals_repeated_add(corpus):
     """One bulk build holds what the reference's add per document
     does."""
     bulk = InvertedIndex(total_corpus_size=len(corpus)).add_all(corpus)
-    assert held(bulk) == reference_held(corpus.documents, len(corpus))
+    assert held(bulk) == reference_held(corpus, len(corpus))
     assert bulk.n_terms > 100
 
 
 def test_add_all_takes_any_iterable_and_returns_the_index(corpus):
     index = InvertedIndex(total_corpus_size=len(corpus))
-    assert index.add_all(iter(corpus.documents[:10])) is index
+    assert index.add_all(iter(list(corpus)[:10])) is index
     assert index.n_documents == 10
 
 
 def test_duplicate_document_still_raises(corpus):
-    first, second = corpus.documents[:2]
+    first, second = corpus.document(0), corpus.document(1)
     index = InvertedIndex(total_corpus_size=len(corpus))
     with pytest.raises(ValueError, match="duplicate document 0"):
         index.add_all([first, second, first])
@@ -204,7 +228,7 @@ def test_duplicate_document_still_raises(corpus):
     index.add_all([first, second])
     assert held(index) == reference_held([first, second], len(corpus))
     with pytest.raises(ValueError, match="built once"):
-        index.add_all([corpus.documents[2]])
+        index.add_all([corpus.document(2)])
 
 
 def test_remove_and_add_after_a_bulk_build_stay_consistent(
@@ -216,11 +240,11 @@ def test_remove_and_add_after_a_bulk_build_stay_consistent(
     index = InvertedIndex(len(corpus), global_df).add_all(corpus)
     query = ["w3", "w17", "w40"]
     before = index.query(query, k=len(corpus))
-    victim = corpus.documents[before[0].doc_id]
+    victim = corpus.document(before[0].doc_id)
     reference = ReferenceIndex(len(corpus), global_df).add_all(corpus)
 
     assert reference.remove(victim.doc_id)
-    others = [document for document in corpus if document is not victim]
+    others = [document for document in corpus if document != victim]
     index = InvertedIndex(len(corpus), global_df).add_all(others)
     assert held(index) == held(reference)
     assert index.query(query, k=len(corpus)) == before[1:]
@@ -237,16 +261,18 @@ def test_remove_and_add_after_a_bulk_build_stay_consistent(
 
 def test_documents_in_keeps_corpus_order_and_returns_a_copy(
         corpus, partition_map):
-    seen = 0
+    """A partition holds the documents the per-document lottery gave
+    it, drawn in corpus order from the map's stream."""
+    rng = RandomStreams(5).stream("partition")
+    drawn = [rng.weighted_choice(range(4), [1.0, 2.0, 1.0, 0.5])
+             for _ in range(len(corpus))]
     for partition in range(partition_map.n_partitions):
         members = partition_map.documents_in(partition)
         assert members == [
             document for document in corpus
-            if partition_map.assignment[document.doc_id] == partition]
-        seen += len(members)
+            if drawn[document.doc_id] == partition]
         members.clear()  # the caller's list, not the map's
         assert partition_map.documents_in(partition) != []
-    assert seen == len(corpus)
     assert partition_map.partition_sizes() == [
         len(partition_map.documents_in(partition))
         for partition in range(partition_map.n_partitions)]
@@ -258,6 +284,8 @@ def test_global_df_counts_documents_per_term(corpus, partition_map):
         for term, _ in document.terms:
             expected[term] = expected.get(term, 0) + 1
     assert partition_map.global_df == expected
+    # in first-occurrence order, which numbers the shared vocabulary
+    assert list(partition_map.global_df) == list(expected)
 
 
 def test_idf_table_is_written_once_and_equals_a_stand_alone_derivation(

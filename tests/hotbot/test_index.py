@@ -2,6 +2,7 @@
 
 import math
 import os
+from array import array
 import subprocess
 import sys
 from pathlib import Path
@@ -108,17 +109,17 @@ def test_rare_terms_outweigh_common(index, corpus):
 
 def test_duplicate_add_rejected(index, corpus):
     with pytest.raises(ValueError, match="duplicate document 0"):
-        InvertedIndex(len(corpus)).add_all([corpus.documents[0]] * 2)
+        InvertedIndex(len(corpus)).add_all([corpus.document(0)] * 2)
     with pytest.raises(ValueError, match="built once"):
-        index.add_all([corpus.documents[0]])
+        index.add_all([corpus.document(0)])
 
 
 def test_remove_document():
     """An index is immutable: a document is removed by building without
     it, which leaves what the reference holds after `remove`."""
     corpus = Corpus(n_docs=10, seed=2)
-    target = corpus.documents[0]
-    index = InvertedIndex(total_corpus_size=10).add_all(corpus.documents[1:])
+    target = corpus.document(0)
+    index = InvertedIndex(total_corpus_size=10).add_all(list(corpus)[1:])
     reference = ReferenceIndex(10).add_all(corpus)
     assert reference.remove(target.doc_id)
     assert index.n_documents == 9
@@ -159,6 +160,31 @@ def test_scores_do_not_depend_on_the_hash_seed():
     assert outputs[0].count("\n") == 40 and ":" in outputs[0]
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+def corpus_of(documents):
+    """A `Corpus` whose columns hold ``documents`` (doc ids 0, 1, ...
+    in order), numbering their terms in first-occurrence order: for
+    tests that write their documents by hand."""
+    assert [document.doc_id for document in documents] \
+        == list(range(len(documents)))
+    corpus = Corpus.__new__(Corpus)
+    corpus.term_names = list(dict.fromkeys(
+        term for document in documents for term in document.term_names))
+    rank = {term: number for number, term in enumerate(corpus.term_names)}
+    corpus.n_docs, corpus.vocabulary_size = (len(documents),
+                                             len(corpus.term_names))
+    corpus.urls = [document.url for document in documents]
+    corpus.ranks = array("H", [rank[term] for document in documents
+                               for term in document.term_names])
+    corpus.frequencies = array("H", [
+        frequency for document in documents
+        for frequency in document.frequencies])
+    corpus.offsets = array("i", [0])
+    for document in documents:
+        corpus.offsets.append(corpus.offsets[-1]
+                              + len(document.term_names))
+    return corpus
 
 
 def tie_prone_corpus(seed):
@@ -236,7 +262,7 @@ def test_remove_then_add_equals_the_reference(seed):
     # every holder of the rarest term (it loses all its postings), a
     # random handful more, and a repeat that must report False
     victims = [document for document in corpus if document.tf(rarest)]
-    victims += [corpus.documents[rng.randint(0, len(corpus) - 1)]
+    victims += [corpus.document(rng.randint(0, len(corpus) - 1))
                 for _ in range(30)]
     victims.append(victims[0])
     removed = [reference.remove(victim.doc_id) for victim in victims]
@@ -364,10 +390,13 @@ def test_flat_indexes_equal_the_reference(vectors, weights, seed, queries,
     stand-alone index that derives its own, under local idf and under
     corpus-wide idf with a term forgotten, hold and answer what the
     tuple-postings reference does."""
-    corpus = [Document(doc_id, f"http://d/{doc_id}",
-                       tuple(sorted(vector.items())))
-              for doc_id, vector in enumerate(vectors)]
-    corpus.append(Document(len(corpus), "http://d/solo", ((SOLO, 2),)))
+    documents = [Document(doc_id, f"http://d/{doc_id}",
+                          tuple(sorted(vector.items())))
+                 for doc_id, vector in enumerate(vectors)]
+    documents.append(Document(len(documents), "http://d/solo",
+                              ((SOLO, 2),)))
+    corpus = corpus_of(documents)
+    assert list(corpus) == documents
     # first and of weight ~0, so no lottery draw short of exactly 0.0
     # lands there: a partition with no documents
     partition_map = PartitionMap(corpus, [1e-300] + weights,

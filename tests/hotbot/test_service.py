@@ -7,7 +7,10 @@ import math
 import pytest
 
 from repro.chaos.campaign import CrashSearchNode, Faults
+from repro.hotbot.documents import Corpus
+from repro.hotbot.partition import PartitionMap
 from repro.hotbot.service import HotBot, HotBotConfig
+from repro.sim.rng import RandomStreams
 
 
 def make_hotbot(**config_overrides):
@@ -195,6 +198,53 @@ def test_negative_offset_raises_at_the_call_and_spares_other_queries():
     assert result.partitions_answered == 4 and result.hits
     assert hotbot.database.requests == 1  # the refused query cost none
     hotbot.run(until=hotbot.cluster.env.now + 5.0)  # nothing left to blow
+
+
+@pytest.mark.parametrize("offset", [10.0, True, 2.5, "10", None])
+def test_an_offset_that_is_not_an_int_is_refused_at_the_call(offset):
+    """`offset=10.0` used to raise a `TypeError` out of `run()` (a
+    float slice index) and `offset=True` was served as page 2."""
+    hotbot = make_hotbot()
+    good = hotbot.submit(["w3", "w7"])
+    with pytest.raises(ValueError, match="^offset="):
+        hotbot.submit(["w1", "w2"], offset=offset)
+    assert hotbot.run_until(good).hits
+    assert hotbot.database.requests == 1  # the refused query cost none
+    hotbot.run(until=hotbot.cluster.env.now + 5.0)
+
+
+@pytest.mark.parametrize("terms", [[1, 2], ["w1", None], [b"w1"]])
+def test_a_term_that_is_not_a_string_is_refused_at_the_call(terms):
+    """`submit([1, 2])` used to raise an `AttributeError` (`int` has
+    no `lower`) out of `run()`, from inside the query process."""
+    hotbot = make_hotbot()
+    good = hotbot.submit(["w3", "w7"])
+    with pytest.raises(TypeError, match="terms must be strings"):
+        hotbot.submit(terms)
+    assert hotbot.run_until(good).hits
+    assert hotbot.database.requests == 1
+    hotbot.run(until=hotbot.cluster.env.now + 5.0)
+
+
+def test_terms_may_be_any_iterable_of_strings():
+    hotbot = make_hotbot()
+    from_list = hotbot.run_until(hotbot.submit(["w3", "w7"]))
+    fresh = make_hotbot()
+    assert fresh.run_until(fresh.submit(iter(("w3", "w7")))).hits \
+        == from_list.hits
+
+
+@pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf, 0.0,
+                                   -1.0, True])
+def test_a_node_speed_outside_its_domain_is_refused(speed):
+    """A NaN or infinite speed used to pass `weight <= 0` and build
+    partitions of sizes [0, 200]: one node held the whole corpus."""
+    with pytest.raises(ValueError, match="^node_speeds="):
+        HotBot(HotBotConfig(n_workers=2, n_docs=200),
+               node_speeds=[1.0, speed])
+    with pytest.raises(ValueError, match="^weights="):
+        PartitionMap(Corpus(n_docs=200), [1.0, speed],
+                     RandomStreams(1).stream("partition"))
 
 
 def test_bare_string_query_is_refused():

@@ -27,7 +27,9 @@ from repro.chaos.campaign import Campaign, Fault
 from repro.core.config import SNSConfig
 from repro.degrade.guards import CircuitBreaker, RetryBudget
 from repro.domains import DOMAIN, Choice
-from repro.hotbot.service import HotBotConfig
+from repro.hotbot.documents import Corpus
+from repro.hotbot.partition import PartitionMap
+from repro.hotbot.service import HotBot, HotBotConfig
 from repro.recovery.policy import RecoveryPolicy
 from repro.sim.kernel import Environment
 from repro.sim.network import AccessLink, FaultWindow, Link
@@ -65,6 +67,9 @@ UNCHECKED = {
     "PlaybackEngine.play": {"records"},
     "PlaybackEngine.constant_rate": {"records"},
     "PlaybackEngine.ramp": {"records"},
+    "HotBot.__init__": {"config", "seed"},
+    "HotBot.submit": {"terms", "user_id"},
+    "PartitionMap.__init__": {"corpus", "rng"},
 }
 
 
@@ -114,6 +119,13 @@ MAKERS = {
     **{f"PlaybackEngine.{mode}":
        (lambda mode: lambda **values: run_player(mode, **values))(mode)
        for mode in PlaybackEngine.DOMAINS},
+    # each element of a list argument is checked under its name
+    "HotBot.__init__": lambda node_speeds: HotBot(
+        HotBotConfig(n_workers=2, n_docs=20), node_speeds=[1.0, node_speeds]),
+    "HotBot.submit": lambda offset: HotBot(
+        HotBotConfig(n_workers=1, n_docs=20)).submit(["w1"], offset=offset),
+    "PartitionMap": lambda weights: PartitionMap(
+        Corpus(n_docs=20), [1.0, weights], RandomStreams(3).stream("pm")),
 }
 #: the fields a fault row cannot be built without.
 REQUIRED = {"at": 1.0, "mode": "hang", "nodes": ("node1",)}
@@ -168,6 +180,9 @@ TABLES = {
     "FaultWindow": FaultWindow.DOMAINS,
     **{f"PlaybackEngine.{mode}": table
        for mode, table in PlaybackEngine.DOMAINS.items()},
+    **{f"HotBot.{method}": table
+       for method, table in HotBot.DOMAINS.items()},
+    "PartitionMap": PartitionMap.DOMAINS,
 }
 CASES = [Case(cls.__name__, name, domain)
          for cls in DATACLASSES for name, domain in domains(cls).items()]
@@ -262,9 +277,10 @@ def test_every_argument_declares_a_domain_or_is_listed(owner):
     cls_name, method = owner.split(".")
     cls = {"RetryBudget": RetryBudget, "CircuitBreaker": CircuitBreaker,
            "HarvestLatencyModel": HarvestLatencyModel, "Link": Link,
-           "FaultWindow": FaultWindow,
+           "FaultWindow": FaultWindow, "HotBot": HotBot,
+           "PartitionMap": PartitionMap,
            "PlaybackEngine": PlaybackEngine}[cls_name]
-    table = (PlaybackEngine.DOMAINS[method] if cls is PlaybackEngine
+    table = (cls.DOMAINS[method] if cls in (PlaybackEngine, HotBot)
              else cls.DOMAINS)
     parameters = set(inspect.signature(getattr(cls, method)).parameters)
     if owner == "PlaybackEngine.ramp":
