@@ -398,7 +398,11 @@ def trace_command(args) -> int:
     from repro.workload.tracegen import TraceGenerator
 
     if args.analyze is not None:
-        records = load_trace(args.analyze)
+        try:
+            records = load_trace(args.analyze)
+        except (OSError, ValueError) as error:
+            print(f"cannot read {args.analyze!r}: {error}", file=sys.stderr)
+            return 2
         source = args.analyze
     else:
         generator = TraceGenerator(seed=args.seed,

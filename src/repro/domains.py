@@ -70,8 +70,13 @@ class Number(Domain):
         else:
             span = (f"in {'(' if lo_open else '['}{lo}, "
                     f"{hi}{')' if hi_open else ']'}")
-        super().__init__(("an int " if integer else "finite and ") + span,
-                         optional)
+        if integer:
+            rule = "an int " + span
+        elif lo == -math.inf and hi is None:
+            rule = "finite"
+        else:
+            rule = "finite and " + span
+        super().__init__(rule, optional)
 
     def _holds(self, value: Any) -> bool:
         if self.integer:
@@ -98,6 +103,11 @@ class Choice(Domain):
     def _holds(self, value: Any) -> bool:
         return any(type(value) is type(allowed) and value == allowed
                    for allowed in self.values)
+
+
+def finite(optional: bool = False) -> Number:
+    """Any finite number: a timestamp."""
+    return Number(-math.inf, optional=optional)
 
 
 def above(lo: float, optional: bool = False) -> Number:

@@ -114,9 +114,32 @@ def zero_payload(size: int) -> ZeroPayload:
     return ZeroPayload(size)
 
 
-@dataclass(frozen=True)
+class FrozenMetadata(dict):
+    """Metadata that refuses every change in place: a mapping many
+    contents share (every simulated original carries the same one), so
+    a change through one content would show through all of them.
+    :meth:`Content.derive` and :meth:`Content.with_metadata` make a
+    changed copy instead."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("shared content metadata is read-only; use "
+                        "Content.with_metadata for a changed copy")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return (FrozenMetadata, (dict(self),))
+
+
+@dataclass(frozen=True, slots=True)
 class Content:
-    """One Web object (original or derived)."""
+    """One Web object (original or derived).
+
+    Slotted: a cache holds one per cached object for a deployment's
+    whole life, and a slotted instance carries no attribute dict."""
 
     url: str
     mime: str

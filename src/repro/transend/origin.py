@@ -29,9 +29,14 @@ from repro.tacc.content import (
     MIME_HTML,
     MIME_JPEG,
     Content,
+    FrozenMetadata,
     ZeroPayload,
 )
 from repro.workload.trace import TraceRecord
+
+#: the metadata of every simulated original: one read-only mapping,
+#: not a new dict per fetch
+SIM_METADATA = FrozenMetadata(origin="sim")
 
 _HTML_BODY_CHUNK = (
     '<p>Lorem ipsum dolor sit amet.</p>\n'
@@ -85,7 +90,7 @@ class OriginServer:
             url=record.url,
             mime=record.mime,
             data=ZeroPayload(record.size_bytes),
-            metadata={"origin": "sim"},
+            metadata=SIM_METADATA,
         )
 
     def _real(self, record: TraceRecord) -> Content:

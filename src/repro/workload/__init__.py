@@ -25,7 +25,7 @@ from repro.workload.distributions import (
     default_mime_mix,
     default_size_models,
 )
-from repro.workload.trace import TraceRecord, load_trace, save_trace
+from repro.workload.trace import Trace, TraceRecord, load_trace, save_trace
 from repro.workload.tracegen import DocumentUniverse, TraceGenerator
 from repro.workload.playback import PlaybackEngine, RequestOutcome
 from repro.workload.burstiness import (
@@ -42,6 +42,7 @@ __all__ = [
     "PlaybackEngine",
     "RequestOutcome",
     "SizeModel",
+    "Trace",
     "TraceGenerator",
     "TraceRecord",
     "bucket_counts",

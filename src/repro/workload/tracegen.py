@@ -40,7 +40,7 @@ from repro.workload.distributions import (
     default_mime_mix,
     default_size_models,
 )
-from repro.workload.trace import TraceRecord
+from repro.workload.trace import Trace, TraceRecord
 
 DAY_S = 86400.0
 
@@ -359,9 +359,9 @@ class TraceGenerator:
                         yield record
             bucket += 1
 
-    def generate(self, duration_s: float) -> List[TraceRecord]:
-        """Trace covering [0, duration_s), in memory."""
-        return list(self.iter_generate(duration_s))
+    def generate(self, duration_s: float) -> Trace:
+        """Trace covering [0, duration_s), in memory (as columns)."""
+        return Trace(self.iter_generate(duration_s))
 
 
 def iter_fixed_jpeg_trace(

@@ -1,5 +1,8 @@
 """Tests for Content, TACCRequest, and worker base classes."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.tacc.content import (
@@ -7,6 +10,8 @@ from repro.tacc.content import (
     MIME_HTML,
     MIME_JPEG,
     Content,
+    FrozenMetadata,
+    ZeroPayload,
 )
 from repro.tacc.worker import (
     Aggregator,
@@ -54,6 +59,46 @@ def test_with_metadata_does_not_mutate_original():
     tagged = content.with_metadata(cached=True)
     assert tagged.metadata["cached"] is True
     assert "cached" not in content.metadata
+
+
+def test_slotted_content_survives_pickle_replace_and_derive():
+    shared = FrozenMetadata(origin="sim")
+    for content in (make_content(300),
+                    Content("http://x/z.gif", MIME_GIF, ZeroPayload(5000),
+                            shared)):
+        assert not hasattr(content, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            content.url = "http://elsewhere/"
+        copy = pickle.loads(pickle.dumps(content))
+        assert copy == content and copy.size == content.size
+        assert type(copy.metadata) is type(content.metadata)
+        moved = dataclasses.replace(content, url="http://y/a.gif")
+        assert (moved.url, moved.size, moved.metadata) \
+            == ("http://y/a.gif", content.size, content.metadata)
+        resized = dataclasses.replace(content, data=b"q" * 7)
+        assert resized.size == 7
+        derived = content.derive(b"d" * 10, worker="w", quality=5)
+        assert derived.size == 10 and derived.is_derived
+        assert derived.metadata["original_size"] == content.size
+        assert derived.metadata["quality"] == 5
+        assert "derived_by" not in content.metadata
+    assert shared == {"origin": "sim"}
+
+
+def test_frozen_metadata_refuses_every_change_in_place():
+    shared = FrozenMetadata(origin="sim")
+    changes = (lambda: shared.__setitem__("k", 1),
+               lambda: shared.__delitem__("origin"),
+               lambda: shared.update(k=1), lambda: shared.pop("origin"),
+               lambda: shared.popitem(), lambda: shared.clear(),
+               lambda: shared.setdefault("k", 1))
+    for change in changes:
+        with pytest.raises(TypeError):
+            change()
+    with pytest.raises(TypeError):
+        shared |= {"k": 1}
+    assert shared == {"origin": "sim"} and shared.get("origin") == "sim"
+    assert shared | {"k": 1} == {"origin": "sim", "k": 1}
 
 
 # -- TACCRequest ------------------------------------------------------------------

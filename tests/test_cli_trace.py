@@ -37,3 +37,14 @@ def test_trace_roundtrip_preserves_statistics(tmp_path, capsys):
                 if line.strip().startswith(("image/", "text/",
                                             "application/"))]
     assert mime_lines(generated) == mime_lines(analyzed)
+
+
+def test_trace_analyze_refuses_a_hostile_file_naming_its_line(tmp_path,
+                                                               capsys):
+    path = tmp_path / "t.tsv"
+    path.write_text("1.0\tc\thttp://x/a.gif\timage/gif\t10\n"
+                    "nan\tc\thttp://x/b.gif\timage/gif\t10\n",
+                    encoding="utf-8")
+    assert main(["trace", "--analyze", str(path)]) == 2
+    assert f"{path}:2: timestamp=nan must be finite" \
+        in capsys.readouterr().err
