@@ -12,6 +12,7 @@ postings per term, and every match of every term with url and score).
 """
 
 import gc
+import hashlib
 import tracemalloc
 
 import pytest
@@ -276,6 +277,28 @@ def test_documents_in_keeps_corpus_order_and_returns_a_copy(
     assert partition_map.partition_sizes() == [
         len(partition_map.documents_in(partition))
         for partition in range(partition_map.n_partitions)]
+
+
+#: sha256 of each partition's doc ids over ``Corpus(4000, seed=1997)``,
+#: recorded before the per-document lottery was restructured
+MEMBERSHIP_DIGESTS = {
+    (1.0,) * 16:
+        "7298daa08c0d2e477246f8d6749172b3429b59cff7cc6427288771c2d7427441",
+    (1.0, 2.0, 0.0001, 0.5, 3.0, 1.25):
+        "c5b37b58357be86e275c239ae2ca8bd67dce8f5074761cfe4e2008cc721b1987",
+}
+
+
+@pytest.mark.parametrize("weights", sorted(MEMBERSHIP_DIGESTS))
+def test_partition_membership_is_pinned(weights):
+    corpus = Corpus(n_docs=4000, seed=1997)
+    partition_map = PartitionMap(
+        corpus, list(weights), RandomStreams(1997).stream("partition"))
+    members = [[document.doc_id
+                for document in partition_map.documents_in(partition)]
+               for partition in range(len(weights))]
+    assert hashlib.sha256(repr(members).encode()).hexdigest() \
+        == MEMBERSHIP_DIGESTS[weights]
 
 
 def test_global_df_counts_documents_per_term(corpus, partition_map):

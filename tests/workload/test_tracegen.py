@@ -1,5 +1,7 @@
 """Tests for trace generation, trace files, and burstiness analysis."""
 
+import hashlib
+
 import pytest
 
 from repro.tacc.content import MIME_JPEG
@@ -191,6 +193,71 @@ def test_burst_cascade_unit_mean():
     samples = [cascade.factor(t * 1.0) for t in range(0, 36000, 7)]
     mean = sum(samples) / len(samples)
     assert mean == pytest.approx(1.0, rel=0.25)
+
+
+# -- pinned draws ---------------------------------------------------------------
+#
+# sha256 of whole generated traces and of a shared document universe,
+# recorded before the generator's draws were restructured: a change to
+# how a record is drawn must leave every record byte-identical.
+
+def trace_digest(records):
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(
+            f"{float.hex(record.timestamp)}\t{record.client_id}\t"
+            f"{record.url}\t{record.mime}\t{record.size_bytes}\t"
+            f"{record.priority}\n".encode())
+    return digest.hexdigest()
+
+
+def browsing_universe():
+    """The `stack` benchmark's fixed universe: 6000 shared documents
+    from the universe stream of seed 1997."""
+    return DocumentUniverse(RandomStreams(1997).stream("universe"),
+                            n_shared_docs=6000, shared_fraction=0.7)
+
+
+def browsing_trace(seed):
+    """A whole `transend_mix` unit: 800 s at 40 rps, 2000 users, bursts
+    at sigma 0.08, no daily cycle."""
+    return TraceGenerator(
+        seed=seed, n_users=2000, mean_rate_rps=40.0,
+        universe=browsing_universe(), with_daily_cycle=False,
+        with_bursts=True, burst_sigma=0.08).generate(800.0)
+
+
+BROWSING_DIGESTS = {
+    1997: "0b71013017f000f193aafaaa8d1805a942e7a99e3f312d0ec1bd63e8b4179813",
+    2026: "258e2465fffc440ef353c3029433cc9a96c90e30cfc4e82ab1f3c734820689a6",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BROWSING_DIGESTS))
+def test_browsing_trace_draws_are_pinned(seed):
+    assert trace_digest(browsing_trace(seed)) == BROWSING_DIGESTS[seed]
+
+
+def test_shared_universe_draws_are_pinned():
+    digest = hashlib.sha256()
+    for document in browsing_universe().shared_docs:
+        digest.update(f"{document.url}\t{document.mime}\t"
+                      f"{document.size_bytes}\n".encode())
+    assert digest.hexdigest() == \
+        "a06cdd64ba2608850adf25005bc626484de86770956915b4fbfcbc7266ce731d"
+
+
+def test_default_and_harmonic_generators_are_pinned():
+    """The default universe (20000 documents, daily cycle on) and the
+    alpha = 1 branch of the shared-rank inversion."""
+    default = TraceGenerator(seed=5, mean_rate_rps=8.0).generate(120.0)
+    harmonic = TraceGenerator(
+        seed=6, mean_rate_rps=20.0, universe=DocumentUniverse(
+            RandomStreams(6).stream("universe"), n_shared_docs=500,
+            n_private_per_user=30, zipf_alpha=1.0)).generate(60.0)
+    assert (trace_digest(default), trace_digest(harmonic)) == (
+        "9a0229a9cf42b16eb0507ec437d65d25dac224eb734635d9d59bc554cf2333be",
+        "7e87ae6766ec6fa7324f7a54ad3f205ea0426d19f05b42a8df8c5dbd38286931")
 
 
 # -- burstiness analysis ----------------------------------------------------------
