@@ -5,16 +5,13 @@ economic-feasibility model, and ASCII renderers that print tables and
 figures in the shape the paper reports them.
 """
 
-from repro.analysis.metrics import (
-    LatencyStats,
-    summarize_outcomes,
-)
-from repro.analysis.economics import EconomicModel
-from repro.analysis.reporting import (
-    render_histogram,
-    render_series,
-    render_table,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "metrics": ("LatencyStats", "summarize_outcomes"),
+    "economics": ("EconomicModel",),
+    "reporting": ("render_histogram", "render_series", "render_table"),
+})
 
 __all__ = [
     "EconomicModel",

@@ -5,23 +5,17 @@ entry point the manager stub uses; everything else is the registry and
 the implementations.
 """
 
-from repro.balance.ejection import OutlierEjector
-from repro.balance.policies import (
-    POLICIES,
-    BoundedLoadHashPolicy,
-    EwmaLatencyPolicy,
-    LeastOutstandingPolicy,
-    LotteryPolicy,
-    PolicyError,
-    PowerOfTwoPolicy,
-    RoundRobinPolicy,
-    RoutingPolicy,
-    WeightedCanaryPolicy,
-    available_policies,
-    build_policy,
-    parse_policy_spec,
-    request_key,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "ejection": ("OutlierEjector",),
+    "policies": (
+        "POLICIES", "BoundedLoadHashPolicy", "EwmaLatencyPolicy",
+        "LeastOutstandingPolicy", "LotteryPolicy", "PolicyError",
+        "PowerOfTwoPolicy", "RoundRobinPolicy", "RoutingPolicy",
+        "WeightedCanaryPolicy", "available_policies", "build_policy",
+        "parse_policy_spec", "request_key"),
+})
 
 __all__ = [
     "POLICIES",

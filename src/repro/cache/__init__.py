@@ -17,10 +17,14 @@ can be discarded at a performance cost — the cache node's ``flush`` models
 exactly that.
 """
 
-from repro.cache.lru import LRUCache
-from repro.cache.partition import ModHashPartitioner
-from repro.cache.latency import HarvestLatencyModel
-from repro.cache.simulator import CacheSimulator
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "lru": ("LRUCache",),
+    "partition": ("ModHashPartitioner",),
+    "latency": ("HarvestLatencyModel",),
+    "simulator": ("CacheSimulator",),
+})
 
 __all__ = [
     "CacheSimulator",

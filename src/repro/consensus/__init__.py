@@ -26,21 +26,16 @@ Layers, bottom up:
   three-replica facade the fabric boots.
 """
 
-from repro.consensus.log import AcceptorLog, LearnerLog
-from repro.consensus.paxos import (
-    Accepted,
-    AcceptRequest,
-    Acceptor,
-    Chosen,
-    Learner,
-    Prepare,
-    Promise,
-    Proposer,
-    SyncRequest,
-    ballot_owner,
-    make_ballot,
-)
-from repro.consensus.replica import ManagerReplica, ReplicatedManagerGroup
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "log": ("AcceptorLog", "LearnerLog"),
+    "paxos": (
+        "Accepted", "AcceptRequest", "Acceptor", "Chosen", "Learner",
+        "Prepare", "Promise", "Proposer", "SyncRequest", "ballot_owner",
+        "make_ballot"),
+    "replica": ("ManagerReplica", "ReplicatedManagerGroup"),
+})
 
 __all__ = [
     "Accepted",

@@ -21,24 +21,21 @@ come from this layer; the service author writes only workers and
 dispatch logic.
 """
 
-from repro.core.config import SNSConfig
-from repro.core.component import Component
-from repro.core.fabric import FabricError, SNSFabric
-from repro.core.frontend import FrontEnd, Response
-from repro.core.manager import Manager
-from repro.core.manager_stub import DispatchError, ManagerStub
-from repro.core.monitor import Alert, Monitor
-from repro.core.worker_stub import WorkerStub
-from repro.core.messages import (
-    BEACON_GROUP,
-    MONITOR_GROUP,
-    LoadReport,
-    ManagerBeacon,
-    MonitorReport,
-    Request,
-    WorkEnvelope,
-    WorkerAdvert,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("SNSConfig",),
+    "component": ("Component",),
+    "fabric": ("FabricError", "SNSFabric"),
+    "frontend": ("FrontEnd", "Response"),
+    "manager": ("Manager",),
+    "manager_stub": ("DispatchError", "ManagerStub"),
+    "monitor": ("Alert", "Monitor"),
+    "worker_stub": ("WorkerStub",),
+    "messages": (
+        "BEACON_GROUP", "MONITOR_GROUP", "LoadReport", "ManagerBeacon",
+        "MonitorReport", "Request", "WorkEnvelope", "WorkerAdvert"),
+})
 
 __all__ = [
     "Alert",

@@ -21,14 +21,14 @@ DESIGN.md §5j documents the ladder, the controller's pressure signal,
 and the guard state machines.
 """
 
-from repro.degrade.controller import DegradationController
-from repro.degrade.guards import (
-    CircuitBreaker,
-    OriginUnavailable,
-    RetryBudget,
-)
-from repro.degrade.ladder import LEVELS, level_name
-from repro.degrade.staleness import FreshnessCache
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "controller": ("DegradationController",),
+    "guards": ("CircuitBreaker", "OriginUnavailable", "RetryBudget"),
+    "ladder": ("LEVELS", "level_name"),
+    "staleness": ("FreshnessCache",),
+})
 
 __all__ = [
     "CircuitBreaker",

@@ -19,14 +19,12 @@ input for images, much cheaper for HTML) used by the cluster simulation.
 """
 
 from repro._lazy import lazy_exports
-from repro.distillers.base import Distiller, DistillerLatencyModel
-from repro.distillers.jpeg import JpegDistiller
-from repro.distillers.gif import GifDistiller
-from repro.distillers.html import HtmlMunger
 
-# the codec's names bind on first use, like the re-exports of
-# repro.experiments and repro.chaos
 __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("Distiller", "DistillerLatencyModel"),
+    "jpeg": ("JpegDistiller",),
+    "gif": ("GifDistiller",),
+    "html": ("HtmlMunger",),
     "images": ("ImageFormatError", "SyntheticImage", "generate_photo"),
 })
 

@@ -14,14 +14,14 @@ bricks with quorum reads/writes and constant-time amnesiac rejoin.
   :class:`~repro.tacc.customization.ProfileStore` replacement.
 """
 
-from repro.dstore.brick import BRICK_OP_S, Brick, TOMBSTONE
-from repro.dstore.cluster import BRICK_SPAWN_S, BrickCluster
-from repro.dstore.partition import Partitioner
-from repro.dstore.store import (
-    QuorumError,
-    ReadUnavailable,
-    ReplicatedProfileStore,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "brick": ("BRICK_OP_S", "Brick", "TOMBSTONE"),
+    "cluster": ("BRICK_SPAWN_S", "BrickCluster"),
+    "partition": ("Partitioner",),
+    "store": ("QuorumError", "ReadUnavailable", "ReplicatedProfileStore"),
+})
 
 __all__ = [
     "BRICK_OP_S",

@@ -20,14 +20,13 @@ processes while keeping three guarantees:
   unchanged behaviour.
 """
 
-from repro.fanout.merge import merge_latency, sum_counters
-from repro.fanout.pool import run_sharded
-from repro.fanout.shard import (
-    FanoutError,
-    ShardResult,
-    ShardSpec,
-    SweepResult,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "merge": ("merge_latency", "sum_counters"),
+    "pool": ("run_sharded",),
+    "shard": ("FanoutError", "ShardResult", "ShardSpec", "SweepResult"),
+})
 
 __all__ = [
     "FanoutError",

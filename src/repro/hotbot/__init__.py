@@ -21,15 +21,14 @@ partitioned cluster search service, and the failure models for both the
 original cross-mounted design and the RAID/fast-restart design.
 """
 
-from repro.hotbot.documents import Corpus, Document
-from repro.hotbot.index import InvertedIndex, SearchHit
-from repro.hotbot.partition import PartitionMap
-from repro.hotbot.service import (
-    HotBot,
-    HotBotConfig,
-    InformixModel,
-    QueryResult,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "documents": ("Corpus", "Document"),
+    "index": ("InvertedIndex", "SearchHit"),
+    "partition": ("PartitionMap",),
+    "service": ("HotBot", "HotBotConfig", "InformixModel", "QueryResult"),
+})
 
 __all__ = [
     "Corpus",

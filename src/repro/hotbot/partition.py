@@ -18,7 +18,7 @@ from typing import List, Sequence
 from repro.domains import check_args, positive
 from repro.hotbot.documents import Corpus, Document
 from repro.hotbot.index import InvertedIndex, Vocabulary, idf_table
-from repro.sim.rng import Stream
+from repro.sim.rng import Lottery, Stream
 
 
 class PartitionMap:
@@ -43,9 +43,9 @@ class PartitionMap:
         #: rescan the corpus.
         self._members: List[array] = [
             array("i") for _ in range(self.n_partitions)]
-        partition_ids = list(range(self.n_partitions))
-        for doc_id in range(len(corpus)):
-            partition = rng.weighted_choice(partition_ids, self.weights)
+        # one lottery draw per document, in corpus order
+        lottery = Lottery(range(self.n_partitions), self.weights)
+        for doc_id, partition in enumerate(lottery.draws(rng, len(corpus))):
             self._members[partition].append(doc_id)
         #: corpus-wide document frequencies, shared with every
         #: partition so per-partition scores are comparable at

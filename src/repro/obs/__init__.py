@@ -26,25 +26,18 @@ this package is about *request tracing* (causal spans within one
 request).
 """
 
-from repro.obs.attribution import (
-    CATEGORIES,
-    AttributionReport,
-    attribute_trace,
-    build_attribution_report,
-    critical_path,
-    render_span_tree,
-)
-from repro.obs.export import (
-    export_chrome_trace,
-    load_chrome_trace,
-)
-from repro.obs.runtime import (
-    absorb_tracer_states,
-    capture_traces,
-    reset_capture,
-    tracing_settings,
-)
-from repro.obs.trace import Span, Tracer, install_tracer
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "attribution": (
+        "CATEGORIES", "AttributionReport", "attribute_trace",
+        "build_attribution_report", "critical_path", "render_span_tree"),
+    "export": ("export_chrome_trace", "load_chrome_trace"),
+    "runtime": (
+        "absorb_tracer_states", "capture_traces", "reset_capture",
+        "tracing_settings"),
+    "trace": ("Span", "Tracer", "install_tracer"),
+})
 
 __all__ = [
     "AttributionReport",

@@ -26,9 +26,13 @@ This package supplies both halves of the answer:
   fault case, surfaced in chaos reports.
 """
 
-from repro.recovery.gray import GrayState
-from repro.recovery.ledger import FaultCase, RecoveryLedger
-from repro.recovery.policy import RecoveryPolicy
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "gray": ("GrayState",),
+    "ledger": ("FaultCase", "RecoveryLedger"),
+    "policy": ("RecoveryPolicy",),
+})
 
 __all__ = [
     "FaultCase",

@@ -20,18 +20,15 @@ layer":
   "spoon-fed" to a PalmPilot-class browser.
 """
 
-from repro.services.keyword_filter import KeywordFilter
-from repro.services.metasearch import (
-    MetasearchAggregator,
-    render_engine_results,
-)
-from repro.services.culture_page import CulturePageAggregator
-from repro.services.rewebber import (
-    DecryptWorker,
-    EncryptWorker,
-    rewebber_keypair,
-)
-from repro.services.thinclient import ThinClientSimplifier
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "keyword_filter": ("KeywordFilter",),
+    "metasearch": ("MetasearchAggregator", "render_engine_results"),
+    "culture_page": ("CulturePageAggregator",),
+    "rewebber": ("DecryptWorker", "EncryptWorker", "rewebber_keypair"),
+    "thinclient": ("ThinClientSimplifier",),
+})
 
 __all__ = [
     "CulturePageAggregator",

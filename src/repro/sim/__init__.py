@@ -12,21 +12,19 @@ substrate, so every experiment in the paper's Section 4 replays exactly
 given a seed.
 """
 
-from repro.sim.kernel import (
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    Queue,
-    QueueFull,
-    Timeout,
-)
-from repro.sim.rng import RandomStreams
-from repro.sim.node import Node
-from repro.sim.network import AccessLink, Network
-from repro.sim.multicast import MulticastGroup
-from repro.sim.transport import Channel, ChannelClosed
-from repro.sim.cluster import Cluster
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "kernel": (
+        "Environment", "Event", "Interrupt", "Process", "Queue", "QueueFull",
+        "Timeout"),
+    "rng": ("RandomStreams",),
+    "node": ("Node",),
+    "network": ("AccessLink", "Network"),
+    "multicast": ("MulticastGroup",),
+    "transport": ("Channel", "ChannelClosed"),
+    "cluster": ("Cluster",),
+})
 
 __all__ = [
     "AccessLink",

@@ -13,7 +13,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Callable, Dict, List, Sequence, TypeVar
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Callable, Dict, Generic, List, Sequence, TypeVar
+
+from repro.domains import OutOfDomain, at_least, check_args
 
 T = TypeVar("T")
 
@@ -127,6 +131,13 @@ class Stream:
         return [0 if rank < 0 else (top if rank > top else rank)
                 for rank in ranks]
 
+    def generator(self) -> random.Random:
+        """The underlying ``random.Random``.  A batch loop that calls its
+        methods directly (no frame of this class per draw) draws exactly
+        what the same calls through this stream would, and advances it
+        alike."""
+        return self._random
+
     def pareto(self, alpha: float, minimum: float) -> float:
         """Bounded-below Pareto variate (heavy tail for miss penalties)."""
         if alpha <= 0 or minimum <= 0:
@@ -178,7 +189,9 @@ class Stream:
 
         This is exactly the paper's lottery-scheduling primitive
         (Waldspurger & Weihl [63]) used by the manager stub to pick a
-        distiller for each request.
+        distiller for each request, whose weights change with every
+        load report; weights fixed for many draws make a
+        :class:`Lottery` once instead.
         """
         if len(items) != len(weights):
             raise ValueError("items and weights length mismatch")
@@ -192,6 +205,58 @@ class Stream:
             if ticket < cumulative:
                 return item
         return items[-1]
+
+
+class Lottery(Generic[T]):
+    """A lottery over weights fixed when it is made: the running sums
+    and the total are computed once, then each draw is one uniform and
+    one ``bisect_right``.
+
+    :meth:`draw` returns, draw for draw, what
+    ``rng.weighted_choice(items, weights)`` returns.  The running sums
+    are the same float additions its scan makes, and the first item
+    whose sum exceeds the ticket is the one the scan stops at.  Only
+    the sums below the last item are kept, so a ticket at or past them
+    falls to the last item: past the last sum too, as in the scan's
+    fallback (the total, ``float(sum(weights))``, may round above it).
+    A weight below 0 would break the ascending sums the bisection
+    relies on, so it is refused; a weight of 0 never wins.
+    """
+
+    #: each weight's domain; their total must also be positive
+    DOMAINS = {"weights": at_least(0)}
+
+    __slots__ = ("items", "bounds", "total")
+
+    def __init__(self, items: Sequence[T],
+                 weights: Sequence[float]) -> None:
+        if len(items) != len(weights):
+            raise ValueError("items and weights length mismatch")
+        self.total = self.checked_total(weights)
+        self.items = tuple(items)
+        self.bounds = list(accumulate(weights, initial=0.0))[1:-1]
+
+    @classmethod
+    def checked_total(cls, weights: Sequence[float]) -> float:
+        """``float(sum(weights))``, refusing a weight outside
+        :attr:`DOMAINS` and a total that is not positive."""
+        for weight in weights:
+            check_args(cls.DOMAINS, weights=weight)
+        total = float(sum(weights))
+        if not total > 0:
+            raise OutOfDomain("weights", list(weights),
+                              "must have a positive total")
+        return total
+
+    def draw(self, rng: Stream) -> T:
+        return self.items[bisect_right(self.bounds,
+                                       rng.random() * self.total)]
+
+    def draws(self, rng: Stream, n: int) -> List[T]:
+        """``n`` draws: the same as ``n`` calls to :meth:`draw`."""
+        items, bounds, total = self.items, self.bounds, self.total
+        return [items[bisect_right(bounds, u * total)]
+                for u in rng.random_batch(n)]
 
 
 class RandomStreams:

@@ -12,28 +12,19 @@ see ``examples/quickstart.py``) and is also the worker code that the SNS
 layer schedules across the simulated cluster.
 """
 
-from repro.tacc.content import (
-    Content,
-    ZeroPayload,
-    zero_payload,
-)
-from repro.tacc.worker import (
-    Aggregator,
-    TACCRequest,
-    Transformer,
-    Worker,
-    WorkerError,
-)
-from repro.tacc.pipeline import Pipeline, PipelineError
-from repro.tacc.registry import WorkerRegistry
-from repro.tacc.sdk import BenchReport, WorkerBench, check_worker
-from repro.tacc.customization import (
-    ProfileStore,
-    StoreCorrupt,
-    Transaction,
-    TransactionError,
-    WriteThroughCache,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "content": ("Content", "ZeroPayload", "zero_payload"),
+    "worker": (
+        "Aggregator", "TACCRequest", "Transformer", "Worker", "WorkerError"),
+    "pipeline": ("Pipeline", "PipelineError"),
+    "registry": ("WorkerRegistry",),
+    "sdk": ("BenchReport", "WorkerBench", "check_worker"),
+    "customization": (
+        "ProfileStore", "StoreCorrupt", "Transaction", "TransactionError",
+        "WriteThroughCache"),
+})
 
 __all__ = [
     "Aggregator",

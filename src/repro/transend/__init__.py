@@ -17,17 +17,15 @@ Quick use (see ``examples/transend_proxy.py``)::
     response = transend.run(reply)
 """
 
-from repro.transend.origin import OriginServer
-from repro.transend.adaptation import (
-    AdaptationPolicy,
-    BandwidthEstimator,
-)
-from repro.transend.cachesys import CacheNode, CacheSubsystem
-from repro.transend.profiles import (
-    DEFAULT_PREFERENCES,
-    preference_validator,
-)
-from repro.transend.service import TranSend, TranSendLogic
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "origin": ("OriginServer",),
+    "adaptation": ("AdaptationPolicy", "BandwidthEstimator"),
+    "cachesys": ("CacheNode", "CacheSubsystem"),
+    "profiles": ("DEFAULT_PREFERENCES", "preference_validator"),
+    "service": ("TranSend", "TranSendLogic"),
+})
 
 __all__ = [
     "AdaptationPolicy",

@@ -19,22 +19,18 @@ can faithfully play back a trace according to the timestamps in the
 trace file."
 """
 
-from repro.workload.distributions import (
-    MimeMix,
-    SizeModel,
-    default_mime_mix,
-    default_size_models,
-)
-from repro.workload.trace import Trace, TraceRecord, load_trace, save_trace
-from repro.workload.tracegen import DocumentUniverse, TraceGenerator
-from repro.workload.playback import PlaybackEngine, RequestOutcome
-from repro.workload.burstiness import (
-    bucket_counts,
-    burstiness_report,
-    index_of_dispersion,
-    overflow_line_for_fraction,
-    utilization_line,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "distributions": (
+        "MimeMix", "SizeModel", "default_mime_mix", "default_size_models"),
+    "trace": ("Trace", "TraceRecord", "load_trace", "save_trace"),
+    "tracegen": ("DocumentUniverse", "TraceGenerator"),
+    "playback": ("PlaybackEngine", "RequestOutcome"),
+    "burstiness": (
+        "bucket_counts", "burstiness_report", "index_of_dispersion",
+        "overflow_line_for_fraction", "utilization_line"),
+})
 
 __all__ = [
     "DocumentUniverse",

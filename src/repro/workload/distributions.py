@@ -18,10 +18,12 @@ below 1 KB.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.sim.rng import Stream
+from repro.domains import between, check_args, positive
+from repro.sim.rng import Lottery, Stream
 from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG, MIME_OCTET
 
 #: Published mean sizes (bytes), Figure 5 caption.
@@ -50,19 +52,29 @@ class Mode:
 class SizeModel:
     """Mixture-of-log-normals size distribution for one MIME type."""
 
+    #: each mode's domain (its weight is the lottery's); the log of the
+    #: mean is taken once, and a wider spread would overflow ``exp``
+    DOMAINS = {"mean": positive(), "sigma": between(0.0, 10.0)}
+
     def __init__(self, modes: List[Mode]) -> None:
         if not modes:
             raise ValueError("at least one mode required")
-        total = sum(mode.weight for mode in modes)
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        self.modes = modes
-        self._weights = [mode.weight / total for mode in modes]
+        for mode in modes:
+            check_args(self.DOMAINS, mean=mode.mean, sigma=mode.sigma)
+        weights = [mode.weight for mode in modes]
+        total = Lottery.checked_total(weights)
+        #: the modes by weight, each as the log-normal's ``(mu, sigma)``
+        #: for its mean (see ``Stream.lognormal_mean``) and its bounds
+        self.lottery: Lottery[Tuple[float, float, int, int]] = Lottery(
+            [(math.log(mode.mean) - mode.sigma * mode.sigma / 2.0,
+              mode.sigma, mode.min_bytes, mode.max_bytes)
+             for mode in modes],
+            [weight / total for weight in weights])
 
     def sample(self, rng: Stream) -> int:
-        mode = rng.weighted_choice(self.modes, self._weights)
-        size = rng.lognormal_mean(mode.mean, mode.sigma)
-        return int(max(mode.min_bytes, min(mode.max_bytes, size)))
+        mu, sigma, min_bytes, max_bytes = self.lottery.draw(rng)
+        size = rng.lognormal(mu, sigma)
+        return int(max(min_bytes, min(max_bytes, size)))
 
 
 def default_size_models() -> Dict[str, SizeModel]:
@@ -101,14 +113,12 @@ class MimeMix:
     def __init__(self, shares: Dict[str, float]) -> None:
         if not shares:
             raise ValueError("shares must be non-empty")
-        total = sum(shares.values())
-        if total <= 0:
-            raise ValueError("shares must sum to a positive value")
-        self._types = list(shares)
-        self._weights = [shares[t] / total for t in self._types]
+        total = Lottery.checked_total(list(shares.values()))
+        self.lottery: Lottery[str] = Lottery(
+            list(shares), [share / total for share in shares.values()])
 
     def sample(self, rng: Stream) -> str:
-        return rng.weighted_choice(self._types, self._weights)
+        return self.lottery.draw(rng)
 
 
 def default_mime_mix() -> MimeMix:
@@ -126,8 +136,6 @@ def size_histogram(sizes: List[int], bins_per_decade: int = 8,
 
     Returns (bucket center in bytes, probability mass) pairs.
     """
-    import math
-
     if not sizes:
         return []
     edges = [

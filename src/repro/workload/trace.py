@@ -114,17 +114,27 @@ class Trace(Sequence):
                  "_mimes", "_sizes", "_priority_codes", "_priorities")
 
     def __init__(self, records: Iterable[TraceRecord]) -> None:
+        records = iter(records)
+        self._fill(iter(lambda: list(islice(records, _CHUNK)), []))
+
+    @classmethod
+    def of_chunks(cls, chunks: Iterable[Sequence[TraceRecord]]) -> "Trace":
+        """The trace of the records of ``chunks`` in turn, each chunk
+        transposed whole (a trace generator's one-second buckets)."""
+        trace = cls.__new__(cls)
+        trace._fill(chunks)
+        return trace
+
+    def _fill(self, chunks: Iterable[Sequence[TraceRecord]]) -> None:
         timestamps, client_ids, urls = array("d"), [], []
         mime_codes, sizes, priority_codes = bytearray(), array("q"), \
             bytearray()
         mime_table: Dict[str, int] = {}
         priority_table = {priority: code
                           for code, priority in enumerate(PRIORITIES)}
-        records = iter(records)
-        while True:
-            chunk = list(islice(records, _CHUNK))
+        for chunk in chunks:
             if not chunk:
-                break
+                continue
             chunk_times, chunk_clients, chunk_urls, chunk_mimes, \
                 chunk_sizes, chunk_priorities = zip(*chunk)
             # a typed array built from a tuple, then appended whole, is

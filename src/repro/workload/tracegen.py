@@ -29,11 +29,16 @@ from the seed and the absolute bucket index alone.  Two consequences:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from itertools import chain, repeat
+from random import Random
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
+from repro.domains import at_least, between, check_args, choice, count, \
+    positive
 from repro.sim.rng import RandomStreams, Stream, derive_seed
-from repro.tacc.content import MIME_JPEG
+from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG
 from repro.workload.distributions import (
     MimeMix,
     SizeModel,
@@ -59,22 +64,26 @@ def poisson_variate(rng: Stream, lam: float) -> int:
     if lam <= 0:
         return 0
     if lam > POISSON_NORMAL_THRESHOLD:
-        count = int(rng.gauss(lam, math.sqrt(lam)) + 0.5)
-        return count if count > 0 else 0
+        arrivals = int(rng.gauss(lam, math.sqrt(lam)) + 0.5)
+        return arrivals if arrivals > 0 else 0
+    draw = rng.generator().random
     threshold = math.exp(-lam)
-    count = 0
-    product = rng.random()
+    arrivals = 0
+    product = draw()
     while product > threshold:
-        count += 1
-        product *= rng.random()
-    return count
+        arrivals += 1
+        product *= draw()
+    return arrivals
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     url: str
     mime: str
     size_bytes: int
+
+
+#: a document URL's suffix by MIME type (any other type: ``.bin``)
+EXTENSIONS = {MIME_GIF: ".gif", MIME_JPEG: ".jpg", MIME_HTML: ".html"}
 
 
 class DocumentUniverse:
@@ -88,6 +97,12 @@ class DocumentUniverse:
     drawn before it.
     """
 
+    #: the domain of each argument (an empty shared set or private
+    #: working set has no rank to draw)
+    DOMAINS = {"n_shared_docs": count(1), "n_private_per_user": count(1),
+               "shared_fraction": between(0.0, 1.0),
+               "zipf_alpha": at_least(0)}
+
     def __init__(
         self,
         rng: Stream,
@@ -98,47 +113,62 @@ class DocumentUniverse:
         size_models: Optional[Dict[str, SizeModel]] = None,
         zipf_alpha: float = 0.9,
     ) -> None:
-        if not 0.0 <= shared_fraction <= 1.0:
-            raise ValueError("shared_fraction must be in [0, 1]")
+        check_args(self.DOMAINS, n_shared_docs=n_shared_docs,
+                   n_private_per_user=n_private_per_user,
+                   shared_fraction=shared_fraction, zipf_alpha=zipf_alpha)
         self.rng = rng
         self.n_private_per_user = n_private_per_user
         self.shared_fraction = shared_fraction
         self.zipf_alpha = zipf_alpha
-        mime_mix = mime_mix or default_mime_mix()
-        size_models = size_models or default_size_models()
-        self._size_models = size_models
-        self._mime_mix = mime_mix
-        self.shared_docs: List[Document] = []
-        for index in range(n_shared_docs):
-            mime = mime_mix.sample(rng)
-            size = size_models[mime].sample(rng)
-            extension = _extension_for(mime)
-            self.shared_docs.append(Document(
-                url=f"http://shared.example/doc{index}{extension}",
-                mime=mime,
-                size_bytes=size,
-            ))
+        #: what one document's draws read: the MIME lottery, then the
+        #: type's URL extension and its lottery over size modes
+        self._mimes = (mime_mix or default_mime_mix()).lottery
+        self._sizes = {
+            mime: (EXTENSIONS.get(mime, ".bin"), model.lottery)
+            for mime, model in (size_models or default_size_models()).items()}
+        self.shared_docs: List[Document] = self._draw(
+            rng.generator(),
+            [f"http://shared.example/doc{index}"
+             for index in range(n_shared_docs)])
         # one draw fixes the private-universe seed; each (client, index)
         # document then derives from it positionally, not sequentially
         self._private_seed = rng.randint(0, 2 ** 62)
         self._private_cache: Dict[Tuple[str, int], Document] = {}
+        #: reseeded for each private document (reseeding a generator
+        #: starts the same sequence a new one would)
+        self._private_random = Random()
 
-    def _private_doc(self, client_id: str, index: int) -> Document:
-        key = (client_id, index)
-        document = self._private_cache.get(key)
-        if document is None:
-            rng = Stream(derive_seed(self._private_seed,
-                                     f"{client_id}:{index}"))
-            mime = self._mime_mix.sample(rng)
-            size = self._size_models[mime].sample(rng)
-            extension = _extension_for(mime)
-            document = Document(
-                url=f"http://{client_id}.example/p{index}{extension}",
-                mime=mime,
-                size_bytes=size,
-            )
-            self._private_cache[key] = document
-        return document
+    def _draw(self, random: Random, stems: Iterable[str],
+              seeds: Optional[Iterable[int]] = None) -> List[Document]:
+        """One document per URL stem (its URL before the extension): a
+        MIME type, then a size from that type's model, drawn from
+        ``random`` — reseeded with each of ``seeds`` first when given.
+
+        Draw for draw what ``MimeMix.sample`` then ``SizeModel.sample``
+        take from a stream, with no frame of theirs per document.
+        """
+        uniform, normal, reseed = random.random, random.normalvariate, \
+            random.seed
+        mimes, mime_bounds, mime_total = \
+            self._mimes.items, self._mimes.bounds, self._mimes.total
+        sizes = self._sizes
+        exp = math.exp
+        make = tuple.__new__  # a Document from its fields, in C
+        documents = []
+        append = documents.append
+        for stem, seed in zip(stems, repeat(None) if seeds is None
+                              else seeds):
+            if seed is not None:
+                reseed(seed)
+            mime = mimes[bisect_right(mime_bounds, uniform() * mime_total)]
+            extension, modes = sizes[mime]
+            mu, sigma, min_bytes, max_bytes = modes.items[
+                bisect_right(modes.bounds, uniform() * modes.total)]
+            size = exp(normal(mu, sigma))
+            append(make(Document, (
+                stem + extension, mime,
+                int(max(min_bytes, min(max_bytes, size))))))
+        return documents
 
     def sample_batch(self, client_ids: Sequence[str],
                      rng: Stream) -> List[Document]:
@@ -147,11 +177,13 @@ class DocumentUniverse:
         Semantically one shared/private coin plus one Zipf rank per
         document, with the uniforms drawn in batches and the
         inverse-CDF constants hoisted out of the loop — the trace
-        generator's per-bucket hot path.
+        generator's per-bucket hot path.  The private documents first
+        asked for here are then drawn in one :meth:`_draw`, each from
+        its own seed.
         """
-        count = len(client_ids)
-        choices = rng.random_batch(count)
-        uniforms = rng.random_batch(count)
+        n = len(client_ids)
+        coins = rng.random_batch(n)
+        uniforms = rng.random_batch(n)
         shared_fraction = self.shared_fraction
         shared_docs = self.shared_docs
         n_shared = len(shared_docs)
@@ -168,12 +200,13 @@ class DocumentUniverse:
         private_h = math.log(self.n_private_per_user) + 0.5772156649
         private_top = self.n_private_per_user - 1
         shared_top = n_shared - 1
-        private_doc = self._private_doc
+        cached = self._private_cache.get
+        new: Dict[Tuple[str, int], None] = {}
         exp = math.exp
-        documents = []
+        documents: list = []
         append = documents.append
-        for client_id, choice, u in zip(client_ids, choices, uniforms):
-            if choice < shared_fraction:
+        for client_id, coin, u in zip(client_ids, coins, uniforms):
+            if coin < shared_fraction:
                 if alpha == 1.0:
                     rank = int(exp(u * shared_h)) - 1
                 else:
@@ -190,16 +223,26 @@ class DocumentUniverse:
                     index = 0
                 elif index > private_top:
                     index = private_top
-                append(private_doc(client_id, index))
+                key = (client_id, index)
+                document = cached(key)
+                if document is None:
+                    # a key in the list: filled in below
+                    new[key] = None
+                    append(key)
+                else:
+                    append(document)
+        if new:
+            private_seed = self._private_seed
+            self._private_cache.update(zip(new, self._draw(
+                self._private_random,
+                [f"http://{client_id}.example/p{index}"
+                 for client_id, index in new],
+                [derive_seed(private_seed, f"{client_id}:{index}")
+                 for client_id, index in new])))
+            cache = self._private_cache
+            documents = [cache[pick] if type(pick) is tuple else pick
+                         for pick in documents]
         return documents
-
-
-def _extension_for(mime: str) -> str:
-    return {
-        "image/gif": ".gif",
-        "image/jpeg": ".jpg",
-        "text/html": ".html",
-    }.get(mime, ".bin")
 
 
 class BurstCascade:
@@ -272,6 +315,16 @@ class TraceGenerator:
     subwindows concatenates to exactly the single-call trace.
     """
 
+    #: the domain of each argument, by method (a NaN or negative rate or
+    #: duration used to give an empty trace)
+    DOMAINS = {
+        "__init__": {"n_users": count(1), "mean_rate_rps": positive(),
+                     "with_daily_cycle": choice(True, False),
+                     "with_bursts": choice(True, False),
+                     "burst_sigma": at_least(0)},
+        "generate": {"duration_s": at_least(0)},
+    }
+
     def __init__(
         self,
         seed: int = 1997,
@@ -282,6 +335,10 @@ class TraceGenerator:
         with_bursts: bool = True,
         burst_sigma: float = 0.15,
     ) -> None:
+        check_args(self.DOMAINS["__init__"], n_users=n_users,
+                   mean_rate_rps=mean_rate_rps,
+                   with_daily_cycle=with_daily_cycle,
+                   with_bursts=with_bursts, burst_sigma=burst_sigma)
         streams = RandomStreams(seed)
         self.seed = seed
         self.rng = streams.stream("tracegen")
@@ -310,30 +367,40 @@ class TraceGenerator:
         sorted by timestamp — a pure function of (seed, bucket)."""
         rng = Stream(derive_seed(self._bucket_seed, str(bucket)))
         t = float(bucket)
-        count = poisson_variate(rng, self.rate_at(t))
-        if not count:
+        arrivals = poisson_variate(rng, self.rate_at(t))
+        if not arrivals:
             return []
-        offsets = rng.random_batch(count)
+        offsets = rng.random_batch(arrivals)
         client_ranks = rng.zipf_rank_batch(
-            self.n_users, self._client_zipf_alpha, count)
+            self.n_users, self._client_zipf_alpha, arrivals)
         names = self._client_names
         if not names:
             names = self._client_names = [
                 f"client{index}" for index in range(self.n_users)]
         clients = [names[rank] for rank in client_ranks]
         documents = self.universe.sample_batch(clients, rng)
-        make = TraceRecord
-        records = [
-            make(t + offset, client_id, document.url, document.mime,
-                 document.size_bytes)
-            for offset, client_id, document in zip(
-                offsets, clients, documents)
-        ]
+        urls, mimes, sizes = zip(*documents)
+        # each record made from its fields' tuple in C (no
+        # Python-level constructor call per record)
+        records = list(map(tuple.__new__, repeat(TraceRecord), zip(
+            map(t.__add__, offsets), clients, urls, mimes, sizes,
+            repeat("interactive"))))
         # TraceRecord is a tuple with the timestamp first, so a plain
         # sort orders by time (ties, vanishingly rare with float
         # offsets, break deterministically by the remaining fields)
         records.sort()
         return records
+
+    def _buckets(self, duration_s: float) -> Iterator[List[TraceRecord]]:
+        """The records of each bucket in [0, duration_s), whole, then
+        those of the bucket ``duration_s`` falls inside that come
+        before it."""
+        check_args(self.DOMAINS["generate"], duration_s=duration_s)
+        whole = int(duration_s)
+        yield from map(self._bucket_records, range(whole))
+        if whole < duration_s:
+            yield [record for record in self._bucket_records(whole)
+                   if record.timestamp < duration_s]
 
     def iter_generate(self, duration_s: float) -> Iterator[TraceRecord]:
         """Stream the trace for [0, duration_s).
@@ -347,21 +414,19 @@ class TraceGenerator:
         lets a multi-hour, multi-million-request workload feed the
         playback engine with bounded memory.
         """
-        bucket = 0
-        bucket_records = self._bucket_records
-        while bucket < duration_s:
-            records = bucket_records(bucket)
-            if duration_s >= bucket + 1:
-                yield from records
-            else:
-                for record in records:
-                    if record.timestamp < duration_s:
-                        yield record
-            bucket += 1
+        return chain.from_iterable(self._buckets(duration_s))
 
     def generate(self, duration_s: float) -> Trace:
-        """Trace covering [0, duration_s), in memory (as columns)."""
-        return Trace(self.iter_generate(duration_s))
+        """Trace covering [0, duration_s), in memory (as columns), filled
+        a whole bucket at a time."""
+        return Trace.of_chunks(self._buckets(duration_s))
+
+
+#: the domain of each argument of :func:`iter_fixed_jpeg_trace` (a NaN
+#: rate used to give NaN timestamps)
+FIXED_JPEG_DOMAINS = {"rate_rps": positive(), "n_requests": count(0),
+                      "n_images": count(1), "image_size_bytes": count(0),
+                      "n_clients": count(1)}
 
 
 def iter_fixed_jpeg_trace(
@@ -384,10 +449,9 @@ def iter_fixed_jpeg_trace(
     precomputed and the inter-arrival gaps are batch-sampled, but the
     underlying RNG sequence is unchanged.
     """
-    if rate_rps <= 0:
-        raise ValueError("rate must be positive")
-    if n_requests < 0:
-        raise ValueError("n_requests must be non-negative")
+    check_args(FIXED_JPEG_DOMAINS, rate_rps=rate_rps, n_requests=n_requests,
+               n_images=n_images, image_size_bytes=image_size_bytes,
+               n_clients=n_clients)
     rng = RandomStreams(seed).stream("fixed-jpeg")
     mean_gap = 1.0 / rate_rps
     urls = [f"http://bench.example/img{index}.jpg"

@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.rng import RandomStreams, Stream
+from repro.domains import OutOfDomain
+from repro.sim.rng import Lottery, RandomStreams, Stream
 
 
 def test_same_seed_same_sequence():
@@ -90,3 +93,66 @@ def test_weighted_choice_validates_inputs():
         stream.weighted_choice(["a"], [1.0, 2.0])
     with pytest.raises(ValueError):
         stream.weighted_choice(["a", "b"], [0.0, 0.0])
+
+
+# -- the fixed-weight lottery ---------------------------------------------------
+
+#: weights a lottery accepts: 0 (never wins), small and large floats and
+#: small ints, 1 to 20 of them, with a positive total
+WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-9, 1e6), st.integers(0, 50)),
+    min_size=1, max_size=20).filter(lambda weights: sum(weights) > 0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(weights=WEIGHTS, seed=st.integers(0, 2 ** 32))
+def test_lottery_draws_what_weighted_choice_draws(weights, seed):
+    """For the same stream state, draw for draw, and in a batch."""
+    items = [f"item{index}" for index in range(len(weights))]
+    lottery = Lottery(items, weights)
+    scan, bisected = Stream(seed), Stream(seed)
+    expected = [scan.weighted_choice(items, weights) for _ in range(64)]
+    assert [lottery.draw(bisected) for _ in range(64)] == expected
+    assert lottery.draws(Stream(seed), 64) == expected
+    # both left the stream at the same place
+    assert scan.random() == bisected.random()
+
+
+class FixedTicket:
+    """A generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("weights, u", [
+    # a ticket at the total: past every running sum
+    ([1.0, 2.0, 0.0], 1.0),
+    ([0.0, 3.0], 1.0),
+    # the largest uniform against sums that round below the total
+    # where sum() compensates (Python 3.12)
+    ([0.1] * 10, 1.0 - 2.0 ** -53),
+    ([0.0, 0.0, 5.0], 0.0),
+])
+def test_a_ticket_at_the_rounding_edge_falls_where_the_scan_falls(weights,
+                                                                  u):
+    items = list(range(len(weights)))
+    scan, bisected = Stream(0), Stream(0)
+    scan._random = bisected._random = FixedTicket(u)
+    assert Lottery(items, weights).draw(bisected) \
+        == scan.weighted_choice(items, weights)
+
+
+def test_lottery_refuses_what_it_cannot_draw_from():
+    with pytest.raises(ValueError, match="mismatch"):
+        Lottery(["a"], [1.0, 2.0])
+    with pytest.raises(OutOfDomain, match="positive total"):
+        Lottery(["a", "b"], [0.0, 0.0])
+    # a negative weight would unsort the running sums
+    with pytest.raises(OutOfDomain, match="weights=-1.0"):
+        Lottery(["a", "b", "c"], [2.0, -1.0, 2.0])
+    with pytest.raises(OutOfDomain, match="weights=nan"):
+        Lottery(["a"], [math.nan])

@@ -33,8 +33,15 @@ from repro.hotbot.service import HotBot, HotBotConfig
 from repro.recovery.policy import RecoveryPolicy
 from repro.sim.kernel import Environment
 from repro.sim.network import AccessLink, FaultWindow, Link
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import Lottery, RandomStreams
+from repro.workload.distributions import Mode, SizeModel
 from repro.workload.playback import PlaybackEngine
+from repro.workload.tracegen import (
+    FIXED_JPEG_DOMAINS,
+    DocumentUniverse,
+    TraceGenerator,
+    iter_fixed_jpeg_trace,
+)
 
 FAULT_KINDS = sorted(
     (cls for _, cls in inspect.getmembers(campaign_module, inspect.isclass)
@@ -70,10 +77,18 @@ UNCHECKED = {
     "HotBot.__init__": {"config", "seed"},
     "HotBot.submit": {"terms", "user_id"},
     "PartitionMap.__init__": {"corpus", "rng"},
+    "TraceGenerator.__init__": {"seed", "universe"},
+    "TraceGenerator.generate": set(),
+    "DocumentUniverse.__init__": {"rng", "mime_mix", "size_models"},
+    "iter_fixed_jpeg_trace": {"seed"},
 }
 
 
 # -- building each owner with one value changed --------------------------------
+
+def small_universe():
+    return DocumentUniverse(RandomStreams(3).stream("u"), n_shared_docs=50)
+
 
 def run_player(mode, **values):
     """Start one player with ``values`` and take its first step."""
@@ -126,6 +141,21 @@ MAKERS = {
         HotBotConfig(n_workers=1, n_docs=20)).submit(["w1"], offset=offset),
     "PartitionMap": lambda weights: PartitionMap(
         Corpus(n_docs=20), [1.0, weights], RandomStreams(3).stream("pm")),
+    "Lottery": lambda weights: Lottery(["a", "b"], [1.0, weights]),
+    "SizeModel": lambda **values: SizeModel(
+        [Mode(**{"mean": 500.0, "sigma": 1.0, **values})]),
+    "TraceGenerator.__init__": lambda **values: TraceGenerator(
+        universe=small_universe(), **values),
+    # generate and iter_generate share the check; the iterator draws
+    # only the first bucket, whatever the duration
+    "TraceGenerator.generate": lambda duration_s: next(TraceGenerator(
+        universe=small_universe()).iter_generate(duration_s), None),
+    # drawn from, so a universe that cannot draw a document fails here
+    "DocumentUniverse": lambda **values: DocumentUniverse(
+        RandomStreams(3).stream("u"), **{"n_shared_docs": 50, **values}
+    ).sample_batch(["client1"] * 20, RandomStreams(4).stream("d")),
+    "iter_fixed_jpeg_trace": lambda **values: next(iter_fixed_jpeg_trace(
+        **{"rate_rps": 10.0, "n_requests": 3, **values}), None),
 }
 #: the fields a fault row cannot be built without.
 REQUIRED = {"at": 1.0, "mode": "hang", "nodes": ("node1",)}
@@ -183,6 +213,12 @@ TABLES = {
     **{f"HotBot.{method}": table
        for method, table in HotBot.DOMAINS.items()},
     "PartitionMap": PartitionMap.DOMAINS,
+    "Lottery": Lottery.DOMAINS,
+    "SizeModel": SizeModel.DOMAINS,
+    **{f"TraceGenerator.{method}": table
+       for method, table in TraceGenerator.DOMAINS.items()},
+    "DocumentUniverse": DocumentUniverse.DOMAINS,
+    "iter_fixed_jpeg_trace": FIXED_JPEG_DOMAINS,
 }
 CASES = [Case(cls.__name__, name, domain)
          for cls in DATACLASSES for name, domain in domains(cls).items()]
@@ -274,15 +310,22 @@ def test_every_field_declares_a_domain_or_is_listed(cls):
 
 @pytest.mark.parametrize("owner", UNCHECKED)
 def test_every_argument_declares_a_domain_or_is_listed(owner):
-    cls_name, method = owner.split(".")
-    cls = {"RetryBudget": RetryBudget, "CircuitBreaker": CircuitBreaker,
-           "HarvestLatencyModel": HarvestLatencyModel, "Link": Link,
-           "FaultWindow": FaultWindow, "HotBot": HotBot,
-           "PartitionMap": PartitionMap,
-           "PlaybackEngine": PlaybackEngine}[cls_name]
-    table = (cls.DOMAINS[method] if cls in (PlaybackEngine, HotBot)
-             else cls.DOMAINS)
-    parameters = set(inspect.signature(getattr(cls, method)).parameters)
+    if owner == "iter_fixed_jpeg_trace":
+        checked, table = iter_fixed_jpeg_trace, FIXED_JPEG_DOMAINS
+    else:
+        cls_name, method = owner.split(".")
+        cls = {"RetryBudget": RetryBudget, "CircuitBreaker": CircuitBreaker,
+               "HarvestLatencyModel": HarvestLatencyModel, "Link": Link,
+               "FaultWindow": FaultWindow, "HotBot": HotBot,
+               "PartitionMap": PartitionMap,
+               "PlaybackEngine": PlaybackEngine,
+               "TraceGenerator": TraceGenerator,
+               "DocumentUniverse": DocumentUniverse}[cls_name]
+        checked = getattr(cls, method)
+        table = (cls.DOMAINS[method]
+                 if cls in (PlaybackEngine, HotBot, TraceGenerator)
+                 else cls.DOMAINS)
+    parameters = set(inspect.signature(checked).parameters)
     if owner == "PlaybackEngine.ramp":
         # the table names the pair of each schedule step
         parameters = parameters - {"schedule"} | {"duration_s", "rate_rps"}
@@ -327,6 +370,18 @@ def refusals():
 @example(refusal=("CrashSearchNode.partition", 1.5))
 @example(refusal=("Link.bandwidth_bps", math.nan))
 @example(refusal=("Link.latency_s", math.inf))
+# each of these gave an empty trace, NaN timestamps, or an IndexError or
+# math domain error part-way through generation
+@example(refusal=("TraceGenerator.__init__.mean_rate_rps", math.nan))
+@example(refusal=("TraceGenerator.__init__.mean_rate_rps", -5))
+@example(refusal=("TraceGenerator.__init__.burst_sigma", math.nan))
+@example(refusal=("TraceGenerator.generate.duration_s", math.nan))
+@example(refusal=("TraceGenerator.generate.duration_s", -3))
+@example(refusal=("iter_fixed_jpeg_trace.rate_rps", math.nan))
+@example(refusal=("DocumentUniverse.n_shared_docs", 0))
+@example(refusal=("DocumentUniverse.n_private_per_user", 0))
+# a negative weight unsorts the running sums the lottery bisects
+@example(refusal=("Lottery.weights", -1.0))
 def test_the_known_holes_stay_shut(refusal):
     key, value = refusal
     refuse(BY_KEY[key], value)

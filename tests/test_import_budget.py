@@ -30,7 +30,18 @@ DRIVERS = frozenset(
 HEAVY = ("numpy", "repro.chaos", "repro.fanout", "repro.consensus",
          "repro.dstore")
 
-LAZY_PACKAGES = ("repro.experiments", "repro.chaos", "repro.distillers")
+#: every package of `repro`: each re-exports its submodules' names
+#: lazily (`repro._lazy`)
+LAZY_PACKAGES = tuple(
+    f"repro.{path.parent.name}"
+    for path in sorted((SRC / "repro").glob("*/__init__.py")))
+#: modules a deployment of the `stack` benchmark, built and given its
+#: inputs, never calls: the tracing reports and exporters, the analysis
+#: renderers, the worker SDK and pipelines, TranSend's adaptation
+#: policy and the burstiness analysis
+NOT_FOR_SETUP = ("repro.obs.attribution", "repro.obs.export",
+                 "repro.analysis", "repro.tacc.sdk", "repro.tacc.pipeline",
+                 "repro.transend.adaptation", "repro.workload.burstiness")
 
 _REPORT = ("\nimport json, sys\n"
            "print(json.dumps(sorted(sys.modules)))\n")
@@ -133,6 +144,42 @@ def test_lazy_package_keeps_its_public_names(package):
     assert status == 0
     assert printed == ["listed True", "resolved True", "bound True",
                        "unknown False", "star True"]
+
+
+def test_every_package_is_listed_as_lazy():
+    assert len(LAZY_PACKAGES) == 19
+    assert {"repro.core", "repro.sim", "repro.obs", "repro.workload",
+            "repro.experiments"} <= set(LAZY_PACKAGES)
+
+
+def test_a_package_import_loads_none_of_its_submodules():
+    """A lazy package's ``__init__`` imports only ``repro._lazy``: no
+    package registers anything when it is imported."""
+    packages = "\n".join(f"import {package}" for package in LAZY_PACKAGES)
+    status, _, modules = fresh_interpreter(packages)
+    assert status == 0
+    assert sorted(name for name in modules if name.startswith("repro")) \
+        == sorted(("repro", "repro._lazy") + LAZY_PACKAGES)
+
+
+def test_setup_loads_only_what_the_deployments_use():
+    """Building each of the four `stack` deployments and generating its
+    inputs (what the benchmark's setup_s probe times) loads none of the
+    modules only reports, SDKs and analyses use."""
+    status, printed, modules = fresh_interpreter(
+        "from benchmarks.stack.loadgen import scaled\n"
+        "from benchmarks.stack.workloads import WORKLOADS\n"
+        "for workload in WORKLOADS.values():\n"
+        "    workload.build(1997, 0.02)\n"
+        "    workload.inputs(1997, scaled(workload.steps, 0.02))\n"
+        "print('built', len(WORKLOADS))\n")
+    assert status == 0
+    assert printed[-1] == "built 4"
+    assert sorted(
+        name for name in modules
+        if any(name == unused or name.startswith(unused + ".")
+               for unused in NOT_FOR_SETUP)) == []
+    assert over_budget(modules) == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -164,11 +164,21 @@ def test_universe_shared_and_private_documents():
 
 
 def test_universe_private_docs_stable():
-    rng = RandomStreams(1).stream("u")
-    universe = DocumentUniverse(rng, n_shared_docs=10)
-    first = universe._private_doc("clientX", 3)
-    second = universe._private_doc("clientX", 3)
-    assert first is second
+    """A private document is made once, and is the same whichever
+    clients were asked for before it."""
+    def universe():
+        return DocumentUniverse(RandomStreams(1).stream("u"),
+                                n_shared_docs=10, n_private_per_user=1,
+                                shared_fraction=0.0)
+
+    rng = RandomStreams(2).stream("draws")
+    first = universe()
+    alone, = first.sample_batch(["clientX"], rng)
+    assert first.sample_batch(["clientX", "clientX"], rng) == [alone] * 2
+    assert first.sample_batch(["clientX"], rng)[0] is alone
+    second = universe()
+    assert second.sample_batch(["clientY", "clientX"], rng)[1] == alone
+    assert alone.url.startswith("http://clientX.example/p0.")
 
 
 def test_universe_validates_shared_fraction():
