@@ -11,13 +11,18 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Iterator, Optional, Tuple
 
+from repro.domains import check_args, positive
+
 
 class LRUCache:
     """Least-recently-used cache with a byte budget."""
 
+    #: argument domains (a NaN capacity compares false with every size,
+    #: so nothing would ever be evicted)
+    DOMAINS = {"capacity_bytes": positive()}
+
     def __init__(self, capacity_bytes: int) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
+        check_args(self.DOMAINS, capacity_bytes=capacity_bytes)
         self.capacity_bytes = capacity_bytes
         self._entries: "OrderedDict[Any, Tuple[Any, int]]" = OrderedDict()
         self.used_bytes = 0

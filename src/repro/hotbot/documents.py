@@ -13,6 +13,7 @@ from array import array
 from collections import Counter
 from typing import Iterable, Iterator, List, Tuple
 
+from repro.domains import at_least, between, check_args, count
 from repro.sim.rng import RandomStreams, Stream
 
 
@@ -73,13 +74,19 @@ class Corpus:
     (:meth:`document`, iteration) for the callers that want one.
     """
 
+    #: argument domains: a rank column holds at most 65536 terms and a
+    #: frequency column counts to 65535, so a document's mean length
+    #: stays within 16 bits too
+    DOMAINS = {"n_docs": count(1), "vocabulary_size": count(1, 1 << 16),
+               "mean_length": between(0, 1 << 16, lo_open=True),
+               "zipf_alpha": at_least(0)}
+
     def __init__(self, n_docs: int = 2000, vocabulary_size: int = 2000,
                  seed: int = 1997, mean_length: int = 80,
                  zipf_alpha: float = 1.05) -> None:
-        if n_docs <= 0 or vocabulary_size <= 0:
-            raise ValueError("corpus dimensions must be positive")
-        if vocabulary_size > 1 << 16:
-            raise ValueError("a rank column holds at most 65536 terms")
+        check_args(self.DOMAINS, n_docs=n_docs,
+                   vocabulary_size=vocabulary_size,
+                   mean_length=mean_length, zipf_alpha=zipf_alpha)
         self.n_docs = n_docs
         self.vocabulary_size = vocabulary_size
         self.seed = seed

@@ -7,25 +7,37 @@ thousand synthetic documents, preserving the retrieval semantics the
 collation step depends on (scores are comparable across partitions, so
 the front end can merge top-k lists).
 
-A partition fetches *columns* — ``(idf, doc ids, weights)`` per query
-term — and ranks them into *pairs* — ``(-score, doc_id)``, ascending —
-which the front end collates, caches and pages from; :class:`SearchHit`
-objects are made at the edge, for the one page a user is served.
+A partition answers a query with one :meth:`InvertedIndex.search`:
+the postings it scanned and its best *pairs* — ``(-score, doc_id)``,
+ascending — which the front end collates, caches and pages from;
+:class:`SearchHit` objects are made at the edge, for the one page a
+user is served.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from operator import neg
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
+from repro.domains import check_args, count
 from repro.hotbot.documents import Document
 
 #: one ranked candidate, ``(-score, doc_id)``: plain tuple comparison
 #: orders a list of them best first with ties broken by doc id.
 Ranked = Tuple[float, int]
-#: one query term's postings with its idf: ``(idf, doc ids, weights)``
-Column = Tuple[float, array, array]
+
+
+def narrowest(values: List[int], typecodes: str) -> array:
+    """``values`` as an array of the first of ``typecodes`` that holds
+    every one of them; past the last, OverflowError."""
+    for typecode in typecodes[:-1]:
+        try:
+            return array(typecode, values)
+        except OverflowError:
+            pass
+    return array(typecodes[-1], values)
 
 
 def idf_table(total_corpus_size: int,
@@ -76,10 +88,12 @@ class InvertedIndex:
     ``[offsets[t], offsets[t + 1])`` of each.
     """
 
+    #: argument domains (a NaN corpus size would make every idf NaN)
+    DOMAINS = {"total_corpus_size": count(1)}
+
     def __init__(self, total_corpus_size: int,
                  global_df: "Dict[str, int] | None" = None) -> None:
-        if total_corpus_size <= 0:
-            raise ValueError("corpus size must be positive")
+        check_args(self.DOMAINS, total_corpus_size=total_corpus_size)
         #: N used in idf — the *whole* corpus, not this partition, so
         #: scores merge correctly across partitions.
         self.total_corpus_size = total_corpus_size
@@ -95,14 +109,17 @@ class InvertedIndex:
         #: terms with at least one posting
         self.n_terms = 0
         # the vocabulary the build used, and the postings: doc ids and
-        # tf weights ``1.0 + log(frequency)`` (the only thing ranking
-        # ever wanted from a frequency, taken once, at build time), each
-        # in one array, grouped by term id
+        # term frequencies, each in one array grouped by term id, of
+        # the narrowest typecode the data fits
         self._ids: Dict[str, int] = {}
         self._idf = array("d")
         self._offsets = array("i", [0])
-        self._doc_ids = array("i")
-        self._weights = array("d")
+        self._doc_ids = array("H")
+        self._frequencies = array("B")
+        #: frequency -> tf weight ``1.0 + log(frequency)``, taken once
+        #: per distinct frequency at build time (None for one no
+        #: posting has): the only thing ranking wants from a frequency
+        self._weight_of: List["float | None"] = []
         self._doc_urls: Dict[int, str] = {}
 
     # -- build --------------------------------------------------------------
@@ -126,24 +143,17 @@ class InvertedIndex:
         if self._doc_urls:
             raise ValueError("an index holding documents is built once")
         urls: Dict[int, str] = {}
-        postings: Dict[object, Tuple[List[int], List[float]]] = {}
-        log = math.log
-        # frequency -> weight: a corpus has a few dozen distinct ones
-        weights: Dict[int, float] = {}
+        postings: Dict[object, Tuple[List[int], List[int]]] = {}
         for doc_id, url, terms, frequencies in rows:
             if doc_id in urls:
                 raise ValueError(f"duplicate document {doc_id}")
             urls[doc_id] = url
             for term, frequency in zip(terms, frequencies):
-                try:
-                    weight = weights[frequency]
-                except KeyError:
-                    weight = weights[frequency] = 1.0 + log(frequency)
                 entry = postings.get(term)
                 if entry is None:
                     entry = postings[term] = ([], [])
                 entry[0].append(doc_id)
-                entry[1].append(weight)
+                entry[1].append(frequency)
         if names is not None:
             postings = {names[term]: entry
                         for term, entry in postings.items()}
@@ -152,25 +162,34 @@ class InvertedIndex:
             vocabulary = self._derive_vocabulary(postings)
         # pack: one list each, then one exactly sized array each
         all_doc_ids: List[int] = []
-        all_weights: List[float] = []
+        all_frequencies: List[int] = []
         offsets = array("i", [0])
         packed = 0
         for term in vocabulary.ids:
             entry = postings.get(term)
             if entry is not None:
                 all_doc_ids += entry[0]
-                all_weights += entry[1]
+                all_frequencies += entry[1]
                 packed += 1
             offsets.append(len(all_doc_ids))
         if packed != len(postings):
             raise ValueError("a document names a term outside the "
                              "vocabulary")
+        # the data picks the typecodes: 16-bit doc ids while they fit
+        # (a doc id past 32 bits raises OverflowError), one-byte
+        # frequencies while they fit
+        doc_ids = narrowest(all_doc_ids, "Hi")
+        frequencies = narrowest(all_frequencies, "BH")
+        weight_of: List["float | None"] = [None] * (
+            max(frequencies, default=0) + 1)
+        for frequency in set(frequencies):
+            weight_of[frequency] = 1.0 + math.log(frequency)
         self._ids, self._idf = vocabulary
         self.n_terms = packed
         self._offsets = offsets
-        # doc ids are 32-bit: a larger one raises OverflowError here
-        self._doc_ids = array("i", all_doc_ids)
-        self._weights = array("d", all_weights)
+        self._doc_ids = doc_ids
+        self._frequencies = frequencies
+        self._weight_of = weight_of
         self._doc_urls = urls
         return self
 
@@ -195,62 +214,58 @@ class InvertedIndex:
 
     # -- query ----------------------------------------------------------------
 
-    def lookup(self, terms: Sequence[str]) -> Tuple[int, List[Column]]:
-        """One fetch of a query's postings: ``(scanned, columns)``.
+    def search(self, terms: Sequence[str], k: int = 10
+               ) -> Tuple[int, List[Ranked]]:
+        """A partition's whole answer to a query: ``(scanned, ranked)``.
+
         ``scanned`` counts a repeated term each time it is named (it
-        drives the latency model); ``columns`` holds each distinct term
-        with a non-zero idf once, its postings sliced from the flat
-        arrays."""
+        drives the latency model); ``ranked`` is the k best
+        ``(-score, doc_id)`` pairs by tf-idf, ascending — best score
+        first, ties broken by doc id — each distinct term with a
+        non-zero idf scored once."""
+        if k <= 0:
+            raise ValueError("k must be positive")
         ids = self._ids
         idf = self._idf
         offsets = self._offsets
         doc_ids = self._doc_ids
-        weights = self._weights
+        frequencies = self._frequencies
+        weight_of = self._weight_of
         scanned = 0
         # distinct terms in the order given, never set order: float
         # addition does not associate, so with three or more terms an
         # order that varies with PYTHONHASHSEED would vary the scores
-        columns: Dict[int, Column] = {}
+        seen: Dict[int, None] = {}
+        scores: Dict[int, float] = {}
+        get = scores.get
         for term in terms:
             term_id = ids.get(term)
             if term_id is None:
                 continue
             start = offsets[term_id]
             end = offsets[term_id + 1]
-            if start == end:
-                continue
             scanned += end - start
-            if term_id in columns:
+            if term_id in seen:
                 continue
+            seen[term_id] = None
             term_idf = idf[term_id]
             if term_idf != 0.0:
-                columns[term_id] = (term_idf, doc_ids[start:end],
-                                    weights[start:end])
-        return scanned, list(columns.values())
+                for doc_id, frequency in zip(doc_ids[start:end],
+                                             frequencies[start:end]):
+                    scores[doc_id] = (get(doc_id, 0.0)
+                                      + weight_of[frequency] * term_idf)
+        # (-score, doc_id) pairs, zipped in C: a leg makes no frame here
+        ranked = sorted(zip(map(neg, scores.values()), scores))
+        return scanned, ranked[:k]
 
     def rank(self, terms: Sequence[str], k: int = 10) -> List[Ranked]:
         """The k best ``(-score, doc_id)`` pairs by tf-idf, ascending:
         best score first, ties broken by doc id."""
-        return rank_columns(self.lookup(terms)[1], k)
+        return self.search(terms, k)[1]
 
     def query(self, terms: Sequence[str], k: int = 10) -> List[SearchHit]:
         """Top-k documents by tf-idf, ties broken by doc id (stable)."""
         return hits_from_ranked(self.rank(terms, k), self._doc_urls)
-
-
-def rank_columns(columns: Iterable[Column], k: int = 10) -> List[Ranked]:
-    """The k best pairs of fetched columns: the one ranking loop, which
-    a partition server runs after the compute wait its fetch priced."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    scores: Dict[int, float] = {}
-    get = scores.get
-    for idf, doc_ids, weights in columns:
-        for doc_id, weight in zip(doc_ids, weights):
-            scores[doc_id] = get(doc_id, 0.0) + weight * idf
-    ranked = [(-score, doc_id) for doc_id, score in scores.items()]
-    ranked.sort()
-    return ranked[:k]
 
 
 def collate(partials: Iterable[List[Ranked]], k: int = 10) -> List[Ranked]:

@@ -22,6 +22,7 @@ from array import array
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.lru import LRUCache
+from repro.domains import check_args, count
 from repro.hotbot.index import Ranked
 
 #: how deep a result list the cache stores per query: one scatter-gather
@@ -39,10 +40,14 @@ def normalize_query(terms: Sequence[str]) -> Tuple[str, ...]:
 class QueryCache:
     """LRU of deep result lists keyed by normalized query."""
 
+    #: argument domains (a fractional or NaN depth never serves a
+    #: page); the capacity is the LRU's, which checks it
+    DOMAINS = {"capacity_bytes": LRUCache.DOMAINS["capacity_bytes"],
+               "depth": count(1)}
+
     def __init__(self, capacity_bytes: int = 4_000_000,
                  depth: int = DEFAULT_CACHE_DEPTH) -> None:
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
+        check_args(self.DOMAINS, depth=depth)
         self._store = LRUCache(capacity_bytes)
         self.depth = depth
         self.incremental_hits = 0

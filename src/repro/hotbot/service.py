@@ -24,7 +24,6 @@ from repro.hotbot.index import (
     SearchHit,
     collate,
     hits_from_ranked,
-    rank_columns,
 )
 from repro.hotbot.partition import PartitionMap
 from repro.hotbot.query_cache import QueryCache, normalize_query
@@ -160,8 +159,11 @@ class SearchWorker(Component):
             index = self.replica_index if use_replica else self.index
             if index is None:
                 continue
-            # one fetch: `scanned` prices the wait, the columns are ranked
-            scanned, columns = index.lookup(terms)
+            # one search: `scanned` prices the wait, and the answer is
+            # ready before it (an index never changes once built).  Doc
+            # ids and scores are what a partition server returns; the
+            # front end holds the urls
+            scanned, ranked = index.search(terms, k)
             work = fixed_s + QUERY_PER_POSTING_S * scanned
             if use_replica:
                 work *= CROSS_MOUNT_PENALTY
@@ -169,9 +171,6 @@ class SearchWorker(Component):
                 yield from compute(work)
             except NodeDown:
                 return
-            # doc ids and scores are what a partition server returns;
-            # the front end holds the urls
-            ranked = rank_columns(columns, k)
             if use_replica:
                 self.replica_queries_served += 1
             else:

@@ -103,7 +103,7 @@ def scanned(index, terms):
     time, as either kind of index reports it."""
     if isinstance(index, ReferenceIndex):
         return index.postings_scanned(terms)
-    return index.lookup(terms)[0]
+    return index.search(terms)[0]
 
 
 def contents(index, vocabulary):

@@ -149,15 +149,21 @@ def test_corpus_footprint_stays_in_budget():
 
 #: bytes a 16-partition deployment's indexes may hold per posting, the
 #: partition map's own tables — the shared vocabulary among them, once —
-#: included.  Flat columns over one vocabulary take about 15.5; a pair
-#: of arrays per (partition, term) took 55.
-INDEX_BYTES_PER_POSTING = 20
+#: included.  A 16-bit doc id and a one-byte frequency per posting take
+#: about 6.4; 32-bit doc ids with an 8-byte weight took 15.3, and a
+#: pair of arrays per (partition, term) 55.
+INDEX_BYTES_PER_POSTING = 8
+#: the traced peak while the map and its 16 indexes are built, per
+#: posting: what is held after plus the last build's working lists.
+#: About 10.5; 19.4 while each build packed a weight array.
+INDEX_BUILD_PEAK_BYTES_PER_POSTING = 12
 
 
 def test_index_footprint_stays_in_budget():
     """Each node holds its partition's index for the deployment's whole
     life, so the bytes per posting decide how much corpus a node can
-    carry: defended as a count, like the corpus."""
+    carry: defended as a count, like the corpus, and so is the peak a
+    build (at boot, and at every fast restart) reaches."""
     corpus = Corpus(n_docs=4000, seed=1997)
     postings = len(corpus.ranks)
     gc.collect()
@@ -169,13 +175,20 @@ def test_index_footprint_stays_in_budget():
         indexes = [partition_map.build_index(partition)
                    for partition in range(16)]
         gc.collect()
-        after, _ = tracemalloc.get_traced_memory()
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(index.lookup(list(partition_map.global_df))[0]
+    assert sum(index.search(list(partition_map.global_df))[0]
                for index in indexes) == postings
+    # the data picks the narrow typecodes: 4000 doc ids fit 16 bits,
+    # and no document names a term 256 times
+    assert {(index._doc_ids.typecode, index._frequencies.typecode)
+            for index in indexes} == {("H", "B")}
     per_posting = (after - before) / postings
     assert per_posting <= INDEX_BYTES_PER_POSTING, per_posting
+    peak_per_posting = (peak - before) / postings
+    assert peak_per_posting <= INDEX_BUILD_PEAK_BYTES_PER_POSTING, \
+        peak_per_posting
 
 
 # -- index -----------------------------------------------------------------------
@@ -225,7 +238,7 @@ def test_duplicate_document_still_raises(corpus):
         index.add_all([first, second, first])
     # nothing is indexed before the whole batch is known to be sound,
     # so the same index can still be built, once
-    assert (index.n_documents, index.lookup(["w1"])) == (0, (0, []))
+    assert (index.n_documents, index.search(["w1"])) == (0, (0, []))
     index.add_all([first, second])
     assert held(index) == reference_held([first, second], len(corpus))
     with pytest.raises(ValueError, match="built once"):
@@ -254,7 +267,7 @@ def test_remove_and_add_after_a_bulk_build_stay_consistent(
     index = InvertedIndex(len(corpus), global_df).add_all(others + [victim])
     assert held(index) == held(reference)
     assert index.query(query, k=len(corpus)) == before
-    assert index.lookup(query)[0] == sum(
+    assert index.search(query)[0] == sum(
         1 for document in corpus for term in query if document.tf(term))
 
 
@@ -367,4 +380,4 @@ def test_fast_restart_rebuilds_an_index_that_answers_identically():
     assert contents(rebuilt, vocabulary) == contents(original, vocabulary)
     for query in queries:
         assert rebuilt.query(query, k=10) == original.query(query, k=10)
-        assert rebuilt.lookup(query)[0] == original.lookup(query)[0]
+        assert rebuilt.search(query) == original.search(query)

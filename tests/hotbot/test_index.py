@@ -1,6 +1,5 @@
 """Tests for the corpus, inverted index, and partitioning."""
 
-import math
 import os
 from array import array
 import subprocess
@@ -18,7 +17,6 @@ from repro.hotbot.index import (
     SearchHit,
     collate,
     hits_from_ranked,
-    rank_columns,
 )
 from repro.hotbot.partition import PartitionMap
 from repro.sim.rng import RandomStreams
@@ -217,7 +215,7 @@ def query_mix(corpus, rng, n):
 def assert_same_answers(index, reference, terms, corpus_size):
     """rank() and query() against the reference, to the bit and in
     order, for k below, at and above the number of matches."""
-    assert index.lookup(terms)[0] == reference.postings_scanned(terms)
+    assert index.search(terms)[0] == reference.postings_scanned(terms)
     matches = len(reference.query(terms, corpus_size))
     for k in {1, max(1, matches - 1), max(1, matches), matches + 5}:
         expected = reference.query(terms, k)
@@ -272,7 +270,7 @@ def test_remove_then_add_equals_the_reference(seed):
                  if document.doc_id not in gone]
     index = InvertedIndex(len(corpus), global_df).add_all(survivors)
     assert index.n_terms < len(global_df)
-    assert index.lookup([rarest]) == (0, [])
+    assert index.search([rarest]) == (0, [])
     assert contents(index, vocabulary) == contents(reference, vocabulary)
     returned = list(dict.fromkeys(victims[:-10]))
     for victim in returned:
@@ -290,52 +288,72 @@ small_documents = st.lists(
     st.dictionaries(st.sampled_from(SMALL_VOCABULARY),
                     st.integers(1, 9), min_size=1, max_size=6),
     min_size=1, max_size=12)
-small_queries = st.lists(
-    st.sampled_from(SMALL_VOCABULARY + ["no-such-term"]),
-    min_size=1, max_size=4)
+
+#: doc ids past 16 bits and frequencies past 8 make a build fall back
+#: from ``'H'`` doc ids to ``'i'`` and from ``'B'`` frequencies to
+#: ``'H'``
+WIDE_DOC_ID = 100_000
+WIDE_FREQUENCY = 400
 
 
-@settings(max_examples=150, deadline=None)
-@given(vectors=small_documents, terms=small_queries,
-       repeat=st.booleans(), forgotten=st.sampled_from(SMALL_VOCABULARY),
+@st.composite
+def typed_documents(draw):
+    """``(documents, wide_ids, wide_frequencies)``: documents over the
+    small vocabulary whose doc ids and frequencies each fit the narrow
+    typecode, up to its edge, or overflow it."""
+    wide_ids, wide_frequencies = draw(st.booleans()), draw(st.booleans())
+    vectors = draw(st.lists(
+        st.dictionaries(st.sampled_from(SMALL_VOCABULARY), st.integers(
+            1, WIDE_FREQUENCY if wide_frequencies else 255),
+            min_size=1, max_size=6),
+        min_size=1, max_size=12))
+    doc_ids = draw(st.lists(st.integers(0, 65535), unique=True,
+                            min_size=len(vectors), max_size=len(vectors)))
+    if wide_ids:
+        doc_ids[0] = draw(st.integers(65536, WIDE_DOC_ID))
+    if wide_frequencies:
+        term = next(iter(vectors[-1]))
+        vectors[-1][term] = draw(st.integers(256, WIDE_FREQUENCY))
+    documents = [Document(doc_id, f"http://d/{doc_id}",
+                          tuple(sorted(vector.items())))
+                 for doc_id, vector in zip(doc_ids, vectors)]
+    return documents, wide_ids, wide_frequencies
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(typed=typed_documents(), terms=st.lists(
+           st.sampled_from(SMALL_VOCABULARY + ["no-such-term"]),
+           min_size=1, max_size=4),
+       forgotten=st.sampled_from(SMALL_VOCABULARY),
        global_mode=st.booleans())
-def test_lookup_then_rank_columns_equals_the_reference(
-        vectors, terms, repeat, forgotten, global_mode):
-    """The partition leg's two halves against the slow index, scores by
-    `float.hex()`: `scanned` counts a repeated term each time it is
-    named while its column is fetched (and scored) once, an unknown
-    term and a term the corpus-wide frequencies leave out (idf 0)
-    contribute postings scanned but no column, and `k` cuts below, at
-    and above the number of candidates — in both df modes."""
-    corpus = [Document(doc_id, f"http://d/{doc_id}",
-                       tuple(sorted(vector.items())))
-              for doc_id, vector in enumerate(vectors)]
-    if repeat:
-        terms = terms + [terms[0]]
+def test_search_equals_the_reference(typed, terms, forgotten, global_mode):
+    """A partition's one call against the slow index, scores by
+    `float.hex()`, with doc ids and frequencies in the narrow typecodes
+    and in the wide ones: an empty query finds nothing, `scanned` counts a repeated term each time it
+    is named while its postings are scored once, an unknown term and a
+    term the corpus-wide frequencies leave out (idf 0) are scanned but
+    not scored, and `k` cuts below, at and above the number of
+    candidates — in both df modes."""
+    documents, wide_ids, wide_frequencies = typed
     global_df = None
     if global_mode:
-        global_df = df_of(corpus)
+        global_df = df_of(documents)
         global_df.pop(forgotten, None)
-    index = InvertedIndex(len(corpus), global_df).add_all(corpus)
-    reference = ReferenceIndex(len(corpus), global_df).add_all(corpus)
+    index = InvertedIndex(len(documents), global_df).add_all(documents)
+    reference = ReferenceIndex(len(documents), global_df).add_all(
+        documents)
+    # storage, read only to show which typecodes this example built
+    assert (index._doc_ids.typecode, index._frequencies.typecode) == (
+        "i" if wide_ids else "H", "H" if wide_frequencies else "B")
 
-    scanned, columns = index.lookup(terms)
-    assert scanned == reference.postings_scanned(terms)
-    scored = [term for term in dict.fromkeys(terms)
-              if reference.idf(term) != 0.0]
-    assert [(idf.hex(), list(doc_ids)) for idf, doc_ids, _ in columns] \
-        == [(reference.idf(term).hex(),
-             [doc_id for doc_id, _ in reference.postings[term]])
-            for term in scored]
-    if repeat and terms[0] in scored:
-        assert scanned >= 2 * len(columns[0][1])
-
-    candidates = len(reference.query(terms, len(corpus)))
+    assert index.search([]) == (0, [])
+    candidates = len(reference.query(terms, len(documents)))
     for k in {1, max(1, candidates - 1), candidates + 3}:
-        expected = reference.query(terms, k)
-        ranked = rank_columns(columns, k)
+        scanned, ranked = index.search(terms, k)
+        assert scanned == reference.postings_scanned(terms)
         assert [(doc_id, (-negated).hex()) for negated, doc_id in ranked] \
-            == [(doc_id, score.hex()) for doc_id, _, score in expected]
+            == [(doc_id, score.hex())
+                for doc_id, _, score in reference.query(terms, k)]
         assert index.rank(terms, k) == ranked
 
 
@@ -345,34 +363,17 @@ mixed_queries = st.lists(
     min_size=1, max_size=5)
 
 
-def column_bits(columns):
-    """Fetched columns, floats spelled to the bit."""
-    return [(idf.hex(), list(doc_ids), [weight.hex() for weight in weights])
-            for idf, doc_ids, weights in columns]
-
-
-def reference_columns(reference, terms):
-    """What the reference says a fetch of ``terms`` returns: each
-    distinct term it holds postings for and scores, once."""
-    return [(reference.idf(term).hex(),
-             [doc_id for doc_id, _ in reference.postings[term]],
-             [(1.0 + math.log(frequency)).hex()
-              for _, frequency in reference.postings[term]])
-            for term in dict.fromkeys(terms)
-            if term in reference.postings and reference.idf(term) != 0.0]
-
-
 def assert_flat_equals_reference(index, reference, queries):
-    """`contents()`, every fetch and every ranking, to the bit."""
+    """`contents()`, and every search's scan count and ranking, to the
+    bit."""
     vocabulary = SMALL_VOCABULARY + [SOLO, "no-such-term"]
     assert contents(index, vocabulary) == contents(reference, vocabulary)
     for terms in queries:
-        scanned, columns = index.lookup(terms)
-        assert scanned == reference.postings_scanned(terms)
-        assert column_bits(columns) == reference_columns(reference, terms)
         for k in (1, 3, max(1, reference.n_documents)):
+            scanned, ranked = index.search(terms, k)
+            assert scanned == reference.postings_scanned(terms)
             assert [(doc_id, (-negated).hex())
-                    for negated, doc_id in index.rank(terms, k)] \
+                    for negated, doc_id in ranked] \
                 == [(doc_id, score.hex())
                     for doc_id, _, score in reference.query(terms, k)]
 
@@ -409,7 +410,7 @@ def test_flat_indexes_equal_the_reference(vectors, weights, seed, queries,
             ReferenceIndex(len(corpus), partition_map.global_df).add_all(
                 partition_map.documents_in(partition)))
         assert_flat_equals_reference(indexes[-1], references[-1], queries)
-    assert sum(index.lookup([SOLO])[0] > 0 for index in indexes) == 1
+    assert sum(index.search([SOLO])[0] > 0 for index in indexes) == 1
     for terms in queries:
         assert collate([index.rank(terms, 4) for index in indexes], 4) \
             == as_ranked(reference_merge(
@@ -424,16 +425,15 @@ def test_flat_indexes_equal_the_reference(vectors, weights, seed, queries,
 
 
 def test_a_repeated_term_is_scanned_twice_and_scored_once(index):
-    once, columns_once = index.lookup(["w5"])
-    twice, columns_twice = index.lookup(["w5", "w5"])
+    once, ranked_once = index.search(["w5"])
+    twice, ranked_twice = index.search(["w5", "w5"])
     assert twice == 2 * once > 0
-    assert len(columns_twice) == len(columns_once) == 1
-    assert index.rank(["w5", "w5"], 10) == index.rank(["w5"], 10)
+    assert ranked_twice == ranked_once != []
 
 
-def test_rank_columns_validates_k(index):
+def test_search_validates_k(index):
     with pytest.raises(ValueError):
-        rank_columns(index.lookup(["w1"])[1], 0)
+        index.search(["w1"], 0)
 
 
 def test_search_hit_constructs_compares_and_hashes():
@@ -446,10 +446,12 @@ def test_search_hit_constructs_compares_and_hashes():
         hit.score = 2.0
 
 
-def test_postings_scanned_counts(index):
-    scanned, columns = index.lookup(["w0"])
-    assert scanned == len(columns[0][1]) > 0
-    assert index.lookup(["missing"]) == (0, [])
+def test_postings_scanned_counts(index, corpus):
+    """A document names a term once, so each posting scanned is one
+    ranked document."""
+    scanned, ranked = index.search(["w0"], len(corpus))
+    assert scanned == len(ranked) > 0
+    assert index.search(["missing"]) == (0, [])
 
 
 # -- partition + merge: the key distributed-correctness property ------------------

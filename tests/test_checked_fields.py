@@ -22,13 +22,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.latency import HarvestLatencyModel
+from repro.cache.lru import LRUCache
 from repro.chaos import campaign as campaign_module
 from repro.chaos.campaign import Campaign, Fault
 from repro.core.config import SNSConfig
 from repro.degrade.guards import CircuitBreaker, RetryBudget
 from repro.domains import DOMAIN, Choice
 from repro.hotbot.documents import Corpus
+from repro.hotbot.index import InvertedIndex
 from repro.hotbot.partition import PartitionMap
+from repro.hotbot.query_cache import QueryCache
 from repro.hotbot.service import HotBot, HotBotConfig
 from repro.recovery.policy import RecoveryPolicy
 from repro.sim.kernel import Environment
@@ -81,6 +84,10 @@ UNCHECKED = {
     "TraceGenerator.generate": set(),
     "DocumentUniverse.__init__": {"rng", "mime_mix", "size_models"},
     "iter_fixed_jpeg_trace": {"seed"},
+    "Corpus.__init__": {"seed"},
+    "InvertedIndex.__init__": {"global_df"},
+    "QueryCache.__init__": set(),
+    "LRUCache.__init__": set(),
 }
 
 
@@ -156,6 +163,10 @@ MAKERS = {
     ).sample_batch(["client1"] * 20, RandomStreams(4).stream("d")),
     "iter_fixed_jpeg_trace": lambda **values: next(iter_fixed_jpeg_trace(
         **{"rate_rps": 10.0, "n_requests": 3, **values}), None),
+    "Corpus": lambda **values: Corpus(**{"n_docs": 3, **values}),
+    "InvertedIndex": lambda **values: InvertedIndex(**values),
+    "QueryCache": lambda **values: QueryCache(**values),
+    "LRUCache": lambda **values: LRUCache(**values),
 }
 #: the fields a fault row cannot be built without.
 REQUIRED = {"at": 1.0, "mode": "hang", "nodes": ("node1",)}
@@ -219,6 +230,10 @@ TABLES = {
        for method, table in TraceGenerator.DOMAINS.items()},
     "DocumentUniverse": DocumentUniverse.DOMAINS,
     "iter_fixed_jpeg_trace": FIXED_JPEG_DOMAINS,
+    "Corpus": Corpus.DOMAINS,
+    "InvertedIndex": InvertedIndex.DOMAINS,
+    "QueryCache": QueryCache.DOMAINS,
+    "LRUCache": LRUCache.DOMAINS,
 }
 CASES = [Case(cls.__name__, name, domain)
          for cls in DATACLASSES for name, domain in domains(cls).items()]
@@ -320,7 +335,9 @@ def test_every_argument_declares_a_domain_or_is_listed(owner):
                "PartitionMap": PartitionMap,
                "PlaybackEngine": PlaybackEngine,
                "TraceGenerator": TraceGenerator,
-               "DocumentUniverse": DocumentUniverse}[cls_name]
+               "DocumentUniverse": DocumentUniverse, "Corpus": Corpus,
+               "InvertedIndex": InvertedIndex, "QueryCache": QueryCache,
+               "LRUCache": LRUCache}[cls_name]
         checked = getattr(cls, method)
         table = (cls.DOMAINS[method]
                  if cls in (PlaybackEngine, HotBot, TraceGenerator)
@@ -382,6 +399,18 @@ def refusals():
 @example(refusal=("DocumentUniverse.n_private_per_user", 0))
 # a negative weight unsorts the running sums the lottery bisects
 @example(refusal=("Lottery.weights", -1.0))
+# each of these made every score NaN, a cache that never evicts or
+# never serves a page, a one-document corpus, or a corpus that died
+# part-way through generation with an unnamed conversion error
+@example(refusal=("InvertedIndex.total_corpus_size", math.nan))
+@example(refusal=("LRUCache.capacity_bytes", math.nan))
+@example(refusal=("QueryCache.capacity_bytes", math.nan))
+@example(refusal=("QueryCache.depth", 2.5))
+@example(refusal=("QueryCache.depth", math.nan))
+@example(refusal=("Corpus.zipf_alpha", math.nan))
+@example(refusal=("Corpus.mean_length", math.nan))
+@example(refusal=("Corpus.mean_length", math.inf))
+@example(refusal=("Corpus.n_docs", True))
 def test_the_known_holes_stay_shut(refusal):
     key, value = refusal
     refuse(BY_KEY[key], value)
