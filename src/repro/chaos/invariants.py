@@ -260,10 +260,9 @@ class InvariantChecker:
         committed must still be readable at its committed (or newer)
         version once the campaign settles; anything unavailable, absent,
         or stale is a durability violation, the one result a replicated
-        store exists to prevent.  Checked through the store's own
-        ``verify_committed`` oracle when it has one (the single WAL
-        store can't lose acknowledged commits in this model, so it
-        vacuously passes).
+        store exists to prevent.  Checked through the backend's
+        ``verify_committed`` oracle (the single WAL store can't lose
+        acknowledged commits in this model, so it vacuously passes).
 
         **profile-read-availability** — when the campaign set an SLO,
         the fraction of profile reads answered must meet it: replica
@@ -271,8 +270,7 @@ class InvariantChecker:
 
         Returns the list of lost-write reports for the chaos report.
         """
-        verify = getattr(store, "verify_committed", None)
-        lost: List[Dict[str, Any]] = verify() if verify else []
+        lost: List[Dict[str, Any]] = store.backend.verify_committed()
         for report in lost:
             self.violation(
                 "committed-write-loss",

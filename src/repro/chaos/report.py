@@ -366,7 +366,7 @@ def build_report(campaign: Any, seed: int, faults: Any, engine: Any,
     counters.update(fabric.service.brownout_counters())
     store = fabric.profile_store
     counters["relaxed_profile_reads"] = (
-        store.relaxed_reads if store is not None else 0)
+        store.stats().get("relaxed_reads", 0) if store is not None else 0)
     if managers:
         counters["reaps"] = sum(m.reaps for m in managers)
         counters["reap_redispatches"] = sum(m.reap_redispatches

@@ -112,9 +112,10 @@ class SNSConfig:
     #: leader lease (repro.consensus).
     manager_backend: str = checked("soft", choice("soft", "consensus"))
     #: profile storage behind the bench service: None keeps the
-    #: profile-less bench service, "single" is the paper's one ACID
-    #: ProfileStore (Section 2.3), "dstore" the replicated brick store
-    #: (three bricks, two replicas; repro.dstore).
+    #: profile-less bench service; "single" is the paper's one ACID
+    #: database (a WAL, Section 2.3) and "dstore" the replicated brick
+    #: store (three bricks, two replicas; repro.dstore), each behind
+    #: the one ProfileStore front.
     profile_backend: Optional[str] = checked(
         None, choice(None, "single", "dstore"))
     #: service layer of the bench fabric: None keeps the plain bench

@@ -402,8 +402,8 @@ class SNSFabric:
         if hasattr(self.service, "degradation"):
             self.service.degradation = controller
         if self.profile_store is not None \
-                and hasattr(self.profile_store, "degradation"):
-            self.profile_store.degradation = controller
+                and hasattr(self.profile_store.backend, "degradation"):
+            self.profile_store.backend.degradation = controller
         controller.start()
         return controller
 

@@ -10,17 +10,18 @@ bricks with quorum reads/writes and constant-time amnesiac rejoin.
 * :mod:`repro.dstore.brick` — one brick: versioned cells, authority
   protocol, gray-failure surface;
 * :mod:`repro.dstore.cluster` — membership, cheap rejoin, anti-entropy;
-* :mod:`repro.dstore.store` — the quorum coordinator, a drop-in
-  :class:`~repro.tacc.customization.ProfileStore` replacement.
+* :mod:`repro.dstore.store` — the quorum coordinator, the ``dstore``
+  backend of :class:`~repro.tacc.customization.ProfileStore`.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "brick": ("BRICK_OP_S", "Brick", "TOMBSTONE"),
+    "brick": ("BRICK_OP_S", "Brick"),
     "cluster": ("BRICK_SPAWN_S", "BrickCluster"),
     "partition": ("Partitioner",),
-    "store": ("QuorumError", "ReadUnavailable", "ReplicatedProfileStore"),
+    "store": ("QuorumCoordinator", "QuorumError", "ReadUnavailable",
+              "TOMBSTONE"),
 })
 
 __all__ = [
@@ -29,8 +30,8 @@ __all__ = [
     "Brick",
     "BrickCluster",
     "Partitioner",
+    "QuorumCoordinator",
     "QuorumError",
     "ReadUnavailable",
-    "ReplicatedProfileStore",
     "TOMBSTONE",
 ]

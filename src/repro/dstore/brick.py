@@ -33,14 +33,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.core.component import Component
 from repro.recovery.gray import GrayState
 
-#: deletion marker stored in a cell; versioned like any value so a
-#: delete is never resurrected by read-repair from a stale replica.
-TOMBSTONE = "__tombstone__"
-
 #: nominal service time of one brick operation (hash lookup + copy).
 BRICK_OP_S = 0.0005
 
-#: Cell = (version, value) — value may be TOMBSTONE.
+#: Cell = (version, value) — value may be the profile store's TOMBSTONE,
+#: versioned like any value so a delete is never resurrected by
+#: read-repair from a stale replica.
 Cell = Tuple[int, Any]
 
 

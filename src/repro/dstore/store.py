@@ -1,22 +1,22 @@
-"""The quorum coordinator: a drop-in ProfileStore over brick replicas.
+"""The quorum coordinator: the ``dstore`` backend of the profile store.
 
-:class:`ReplicatedProfileStore` speaks the exact surface of
-:class:`repro.tacc.customization.ProfileStore` — ``get`` / ``set`` /
-``delete`` / ``begin()`` transactions / ``recover`` / ``checkpoint`` —
-so the front end's :class:`~repro.tacc.customization.WriteThroughCache`,
-TranSend's profile plumbing, and every service sit on either backend
-unchanged.  Underneath, each user's profile lives as versioned cells on
-``R`` replica bricks (:mod:`repro.dstore.partition`), and the ACID
+:class:`QuorumCoordinator` answers the backend verbs of
+:class:`repro.tacc.customization.ProfileStore` (``commit(writes)``,
+``read(user)``, ``users()``, ``recover()``), so the front's transactions,
+:class:`~repro.tacc.customization.WriteThroughCache`, TranSend's
+profile plumbing, and every service sit on either backend unchanged.
+Underneath, each user's profile lives as versioned cells on ``R``
+replica bricks (:mod:`repro.dstore.partition`), and the ACID
 guarantees narrow to DStore's: atomic *per key*, not per transaction —
 the store is a cluster hash table, not a database (Huang & Fox; the
 paper's §2.3 database remains available as the ``single`` backend).
 
 **Writes** stamp every cell from the cluster-wide version clock and push
-to all replicas of the user's partition; commit requires acks from
-``write_quorum`` replicas (default: all ``R``), relaxed to
-"every responsive replica, at least one" while peers are down — such
-commits are counted ``degraded_writes``.  Zero acks raises
-:class:`QuorumError` and nothing is recorded as committed.
+to all replicas of the user's partition; commit requires acks from all
+``R`` replicas, relaxed to "every responsive replica, at least one"
+while peers are down — such commits are counted ``degraded_writes``.
+Zero acks raises :class:`QuorumError` and nothing is recorded as
+committed.
 
 **Reads** consult every replica and merge cells by highest version, so
 one surviving up-to-date copy is enough (W + RQ > R with RQ = 1;
@@ -45,16 +45,11 @@ latency and span annotations.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.dstore.brick import TOMBSTONE, Cell
+from repro.dstore.brick import Cell
 from repro.dstore.cluster import BrickCluster
-from repro.tacc.customization import (
-    Transaction,
-    TransactionError,
-    _TOMBSTONE,
-)
+from repro.tacc.customization import TOMBSTONE, Write
 
 #: one coordinator->brick hop (SAN round trip, analytic).
 QUORUM_HOP_S = 0.001
@@ -71,36 +66,19 @@ class ReadUnavailable(Exception):
     """No authoritative replica reachable for this user right now."""
 
 
-class ReplicatedProfileStore:
-    """ProfileStore facade over a :class:`BrickCluster` (quorum R/W)."""
+class QuorumCoordinator:
+    """The ``dstore`` backend: quorum R/W over a :class:`BrickCluster`."""
 
-    def __init__(self, bricks: BrickCluster,
-                 write_quorum: Optional[int] = None,
-                 validator: Optional[Callable[[str, str, Any],
-                                              None]] = None) -> None:
+    #: the component a profile read's span names
+    component = "ReplicatedProfileStore"
+
+    def __init__(self, bricks: BrickCluster) -> None:
         self.bricks = bricks
         self.partitioner = bricks.partitioner
-        self.write_quorum = (bricks.replicas if write_quorum is None
-                             else write_quorum)
-        if not 1 <= self.write_quorum <= bricks.replicas:
-            raise ValueError("write_quorum must be in [1, replicas]")
-        self._validator = validator
         #: the invariant oracle: every quorum-acked cell ever committed.
         self.committed: Dict[Tuple[str, str], Cell] = {}
-        self._open_tx: Optional[Transaction] = None
-        self._next_tx = 1
-        # ProfileStore-surface compatibility
-        self.log_path: Optional[str] = None
-        self.generation = 0
-        self.commits = 0
-        self.aborts = 0
-        # quorum counters
-        self.quorum_reads = 0
-        self.quorum_writes = 0
-        self.degraded_writes = 0
-        self.failed_writes = 0
-        self.unavailable_reads = 0
-        self.read_repairs = 0
+        self.quorum_reads = self.quorum_writes = self.read_repairs = 0
+        self.degraded_writes = self.failed_writes = self.unavailable_reads = 0
         #: brownout controller (repro.degrade), wired by the fabric;
         #: at the relaxed-reads ladder level reads stop at the first
         #: authoritative replica (R=1) and skip read repair.  Writes
@@ -108,56 +86,47 @@ class ReplicatedProfileStore:
         #: never degraded durability.
         self.degradation: Optional[Any] = None
         self.relaxed_reads = 0
-        #: analytic price of the most recent read/write, for the
-        #: service layer to charge as simulated time.
+        #: analytic price of the most recent read/write (so far, if it
+        #: raised), for the service layer to charge as simulated time.
         self.last_op_cost_s = 0.0
         self.last_op_hops = 0
 
     # -- reads ---------------------------------------------------------------
 
-    def get(self, user_id: str) -> Dict[str, Any]:
-        """A copy of the user's merged profile (quorum read)."""
-        merged = self._quorum_read(user_id)
-        return {key: value for key, (_, value) in merged.items()
+    def read(self, user_id: str) -> Dict[str, Any]:
+        """The user's merged live cells (quorum read)."""
+        return {key: value
+                for key, (_, value) in self._quorum_read(user_id).items()
                 if value != TOMBSTONE}
-
-    def get_value(self, user_id: str, key: str, default: Any = None) -> Any:
-        merged = self._quorum_read(user_id)
-        cell = merged.get(key)
-        if cell is None or cell[1] == TOMBSTONE:
-            return default
-        return cell[1]
 
     def users(self) -> List[str]:
         """Users with at least one committed live cell (oracle view —
         membership is coordinator state, not a cluster scan)."""
-        live = set()
-        for (user_id, _key), (_version, value) in self.committed.items():
-            if value != TOMBSTONE:
-                live.add(user_id)
-        return sorted(live)
+        return sorted({user_id for (user_id, _key), (_version, value)
+                       in self.committed.items() if value != TOMBSTONE})
 
-    def __contains__(self, user_id: str) -> bool:
-        return any(user == user_id and value != TOMBSTONE
-                   for (user, _), (_, value) in self.committed.items())
-
-    def _quorum_read(self, user_id: str) -> Dict[str, Cell]:
-        partition = self.partitioner.partition_of(user_id)
-        cost = 0.0
-        hops = 0
-        relaxed = (self.degradation is not None
-                   and self.degradation.relaxed_reads_active)
-        #: (brick, cells-or-None-for-recovering) from responsive replicas
-        answers = []
+    def _contact(self, partition: int) -> Iterator[Any]:
+        """Reach ``partition``'s live replicas in slot order, pricing each
+        into ``last_op_*``; yields the responsive ones."""
         for slot in self.partitioner.slots_of(partition):
             brick = self.bricks.brick_at(slot)
             if brick is None or not brick.alive:
                 continue
-            hops += 1
+            self.last_op_hops += 1
             if not brick.responsive:
-                cost += BRICK_TIMEOUT_S
+                self.last_op_cost_s += BRICK_TIMEOUT_S
                 continue
-            cost += QUORUM_HOP_S + brick.service_s()
+            self.last_op_cost_s += QUORUM_HOP_S + brick.service_s()
+            yield brick
+
+    def _quorum_read(self, user_id: str) -> Dict[str, Cell]:
+        partition = self.partitioner.partition_of(user_id)
+        relaxed = (self.degradation is not None
+                   and self.degradation.relaxed_reads_active)
+        self.last_op_cost_s, self.last_op_hops = 0.0, 0
+        #: (brick, cells-or-None-for-recovering) from responsive replicas
+        answers = []
+        for brick in self._contact(partition):
             answers.append((brick, brick.read_user(partition, user_id)))
             if relaxed and answers[-1][1] is not None:
                 # R=1: the first authoritative answer wins — possibly
@@ -166,8 +135,6 @@ class ReplicatedProfileStore:
                 self.relaxed_reads += 1
                 break
         self.quorum_reads += 1
-        self.last_op_cost_s = cost
-        self.last_op_hops = hops
         authoritative = [cells for _, cells in answers
                          if cells is not None]
         if not authoritative:
@@ -190,34 +157,7 @@ class ReplicatedProfileStore:
 
     # -- writes --------------------------------------------------------------
 
-    def begin(self) -> Transaction:
-        if self._open_tx is not None:
-            raise TransactionError("a transaction is already open "
-                                   "(single-writer store)")
-        tx = Transaction(self, self._next_tx)
-        self._next_tx += 1
-        self._open_tx = tx
-        return tx
-
-    def set(self, user_id: str, key: str, value: Any) -> None:
-        with self.begin() as tx:
-            tx.set(user_id, key, value)
-
-    def delete(self, user_id: str, key: str) -> None:
-        with self.begin() as tx:
-            tx.delete(user_id, key)
-
-    def _validate(self, user_id: str, key: str, value: Any) -> None:
-        try:
-            json.dumps(value)
-        except (TypeError, ValueError) as error:
-            raise TransactionError(
-                f"value for {user_id}/{key} is not JSON-serializable"
-            ) from error
-        if self._validator is not None:
-            self._validator(user_id, key, value)
-
-    def _commit(self, tx: Transaction) -> None:
+    def commit(self, writes: List[Write]) -> None:
         """Push the batch to replicas, user by user.
 
         Each user's cells commit (enter the oracle) the moment their
@@ -227,73 +167,37 @@ class ReplicatedProfileStore:
         store's transactions; services that need cross-key atomicity
         keep the ``single`` backend.
         """
-        if tx is not self._open_tx:
-            raise TransactionError("commit of a non-current transaction")
-        try:
-            by_user: Dict[str, List[Tuple[str, Any]]] = {}
-            for user_id, key, value in tx._writes:
-                by_user.setdefault(user_id, []).append((key, value))
-            cost = 0.0
-            hops = 0
-            for user_id, writes in by_user.items():
-                partition = self.partitioner.partition_of(user_id)
-                cells = [
-                    (key, self.bricks.next_version(),
-                     TOMBSTONE if (value is _TOMBSTONE
-                                   or value == _TOMBSTONE) else value)
-                    for key, value in writes
-                ]
-                acks = 0
-                responsive = 0
-                for slot in self.partitioner.slots_of(partition):
-                    brick = self.bricks.brick_at(slot)
-                    if brick is None or not brick.alive:
-                        continue
-                    hops += 1
-                    if not brick.responsive:
-                        cost += BRICK_TIMEOUT_S
-                        continue
-                    responsive += 1
-                    cost += QUORUM_HOP_S + brick.service_s()
-                    if brick.put_cells(partition, user_id, cells):
-                        acks += 1
-                required = max(1, min(self.write_quorum, responsive))
-                if acks < required:
-                    self.failed_writes += 1
-                    raise QuorumError(
-                        f"user {user_id}: {acks} acks, "
-                        f"needed {required} "
-                        f"({responsive} responsive replicas)")
-                if acks < self.write_quorum:
-                    self.degraded_writes += 1
-                for key, version, value in cells:
-                    self.committed[(user_id, key)] = (version, value)
-            self.quorum_writes += 1
-            self.commits += 1
-            self.last_op_cost_s = cost
-            self.last_op_hops = hops
-        finally:
-            self._open_tx = None
-
-    def _abort(self, tx: Transaction) -> None:
-        # lenient on purpose: a QuorumError mid-commit already released
-        # the slot, and the context manager still calls abort()
-        if tx is self._open_tx:
-            self._open_tx = None
-        self.aborts += 1
-
-    # -- ProfileStore surface compatibility ----------------------------------
+        replicas = self.bricks.replicas
+        by_user: Dict[str, List[Tuple[str, Any]]] = {}
+        for user_id, key, value in writes:
+            by_user.setdefault(user_id, []).append((key, value))
+        self.last_op_cost_s, self.last_op_hops = 0.0, 0
+        for user_id, user_writes in by_user.items():
+            partition = self.partitioner.partition_of(user_id)
+            cells = [(key, self.bricks.next_version(), value)
+                     for key, value in user_writes]
+            acks = 0
+            responsive = 0
+            for brick in self._contact(partition):
+                responsive += 1
+                if brick.put_cells(partition, user_id, cells):
+                    acks += 1
+            required = max(1, min(replicas, responsive))
+            if acks < required:
+                self.failed_writes += 1
+                raise QuorumError(
+                    f"user {user_id}: {acks} acks, needed {required} "
+                    f"({responsive} responsive replicas)")
+            if acks < replicas:
+                self.degraded_writes += 1
+            for key, version, value in cells:
+                self.committed[(user_id, key)] = (version, value)
+        self.quorum_writes += 1
 
     def recover(self) -> int:
         """Cheap recovery has no replay: the coordinator holds no
         durable log to rebuild from.  Constant time, nothing applied."""
         return 0
-
-    def checkpoint(self) -> None:
-        """No log to compact."""
-
-    def close(self) -> None:
-        """No file handles to release."""
 
     # -- invariant + reporting -----------------------------------------------
 
@@ -302,30 +206,25 @@ class ReplicatedProfileStore:
         the oracle; report each one lost or stale.  Bypasses every
         front-end cache by construction (reads hit the bricks)."""
         lost = []
-        for (user_id, key), (version, value) in sorted(
-                self.committed.items()):
+        for (user_id, key), (version, _) in sorted(self.committed.items()):
+            report = {"user": user_id, "key": key, "version": version}
             try:
-                merged = self._quorum_read(user_id)
+                cell = self._quorum_read(user_id).get(key)
             except ReadUnavailable:
-                lost.append({"user": user_id, "key": key,
-                             "version": version, "reason": "unavailable"})
+                lost.append({**report, "reason": "unavailable"})
                 continue
-            cell = merged.get(key)
             if cell is None:
-                lost.append({"user": user_id, "key": key,
-                             "version": version, "reason": "missing"})
+                lost.append({**report, "reason": "missing"})
             elif cell[0] < version:
-                lost.append({"user": user_id, "key": key,
-                             "version": version, "reason": "stale",
+                lost.append({**report, "reason": "stale",
                              "found_version": cell[0]})
         return lost
 
-    def stats(self) -> Dict[str, Any]:
+    def stats(self, counters: Dict[str, int]) -> Dict[str, Any]:
         return {
-            "write_quorum": self.write_quorum,
+            "write_quorum": self.bricks.replicas,
             "committed_cells": len(self.committed),
-            "commits": self.commits,
-            "aborts": self.aborts,
+            **counters,
             "quorum_reads": self.quorum_reads,
             "quorum_writes": self.quorum_writes,
             "degraded_writes": self.degraded_writes,

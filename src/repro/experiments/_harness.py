@@ -143,15 +143,13 @@ class BenchService:
                 profile = cache.get(record.client_id)
             except (QuorumError, ReadUnavailable):
                 self.profile_read_failures += 1
-            cost = getattr(self.store, "last_op_cost_s",
-                           PROFILE_READ_MISS_S) or PROFILE_READ_MISS_S
-            yield env.timeout(cost)
+            backend = self.store.backend
+            yield env.timeout(backend.last_op_cost_s or PROFILE_READ_MISS_S)
             if trace is not None:
                 trace.record(
                     "profile-read", "service", mark,
-                    component=type(self.store).__name__,
-                    hops=getattr(self.store, "last_op_hops", 1),
-                    ok=profile is not None)
+                    component=backend.component,
+                    hops=backend.last_op_hops, ok=profile is not None)
         return (yield from self._distill(frontend, request, profile or {}))
 
     def _distill(self, frontend, request, profile):

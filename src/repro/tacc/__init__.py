@@ -23,7 +23,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "sdk": ("BenchReport", "WorkerBench", "check_worker"),
     "customization": (
         "ProfileStore", "StoreCorrupt", "Transaction", "TransactionError",
-        "WriteThroughCache"),
+        "WriteAheadLog", "WriteThroughCache"),
 })
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "WorkerBench",
     "WorkerError",
     "WorkerRegistry",
+    "WriteAheadLog",
     "WriteThroughCache",
     "ZeroPayload",
     "check_worker",

@@ -7,20 +7,24 @@ else in the architecture is BASE; profiles and billing are the explicit
 exception ("if the service bills the user per session, the billing should
 certainly be delegated to an ACID database").
 
-TranSend used gdbm, HotBot a parallel Informix server; we implement a
-small write-ahead-log key-value store with real transactional semantics:
+TranSend used gdbm, HotBot a parallel Informix server.  Here one front,
+:class:`ProfileStore`, sits over a backend answering ``commit(writes)``,
+``read(user)``, ``users()`` and ``recover()``: the ``single``
+:class:`WriteAheadLog`, a small write-ahead-log key-value store with
+real transactional semantics, or the ``dstore`` :mod:`repro.dstore.store`.
 
 * **Atomicity** — a transaction's operations reach the log between a
   ``begin`` and a ``commit`` record; recovery replays only committed
   transactions, so a crash mid-commit loses the whole transaction, never
   half of it.
-* **Consistency** — values must be JSON-serializable; an optional
-  validator hook can enforce per-service schemas.
+* **Consistency** — values must be JSON-serializable (and not the
+  deletion marker); an optional validator hook can enforce per-service
+  schemas.
 * **Isolation** — single-writer: one open transaction at a time
   (serializable by construction, matching gdbm's whole-file lock).
 * **Durability** — file-backed logs are flushed (and optionally fsynced)
   at commit; :meth:`ProfileStore.recover` rebuilds state from the log,
-  ignoring any torn tail.
+  ignoring any torn tail; a closed store refuses new transactions.
 
 The paper notes "user preference reads are much more frequent than
 writes, and the reads are absorbed by a write-through cache in the front
@@ -33,7 +37,12 @@ import json
 import os
 from typing import Any, Callable, Dict, IO, List, Optional, Tuple
 
-_TOMBSTONE = "__tombstone__"
+#: the deletion marker (a reserved value: a transaction refuses it)
+TOMBSTONE = "__tombstone__"
+
+#: ``(user_id, key, value)``; value TOMBSTONE is a delete
+Write = Tuple[str, str, Any]
+Validator = Callable[[str, str, Any], None]
 
 
 class TransactionError(Exception):
@@ -47,10 +56,9 @@ class StoreCorrupt(Exception):
 class Transaction:
     """A buffered, atomic batch of profile updates."""
 
-    def __init__(self, store: "ProfileStore", tx_id: int) -> None:
+    def __init__(self, store: "ProfileStore") -> None:
         self._store = store
-        self.tx_id = tx_id
-        self._writes: List[Tuple[str, str, Any]] = []
+        self._writes: List[Write] = []
         self._overlay: Dict[Tuple[str, str], Any] = {}
         self.state = "open"
 
@@ -66,15 +74,15 @@ class Transaction:
 
     def delete(self, user_id: str, key: str) -> None:
         self._require_open()
-        self._writes.append((user_id, key, _TOMBSTONE))
-        self._overlay[(user_id, key)] = _TOMBSTONE
+        self._writes.append((user_id, key, TOMBSTONE))
+        self._overlay[(user_id, key)] = TOMBSTONE
 
     def get(self, user_id: str, key: str, default: Any = None) -> Any:
         """Read-your-writes within the transaction."""
         self._require_open()
         if (user_id, key) in self._overlay:
             value = self._overlay[(user_id, key)]
-            return default if value is _TOMBSTONE else value
+            return default if value == TOMBSTONE else value
         return self._store.get_value(user_id, key, default)
 
     def commit(self) -> None:
@@ -100,60 +108,49 @@ class Transaction:
 
 
 class ProfileStore:
-    """WAL-backed key-value store of per-user profiles."""
+    """Per-user profiles: the front over a ``single`` or ``dstore``
+    backend (a :class:`WriteAheadLog` on ``log_path`` unless one is
+    given).  Opening a store recovers it."""
 
-    #: every read is answered from the one copy: there is no quorum for
-    #: the degradation ladder to relax (the replicated store counts its)
-    relaxed_reads = 0
-
-    def __init__(
-        self,
-        log_path: Optional[str] = None,
-        sync: bool = False,
-        validator: Optional[Callable[[str, str, Any], None]] = None,
-    ) -> None:
-        self.log_path = log_path
-        self.sync = sync
+    def __init__(self, log_path: Optional[str] = None, sync: bool = False,
+                 validator: Optional[Validator] = None,
+                 backend: Optional[Any] = None) -> None:
+        self.backend = backend or WriteAheadLog(log_path, sync)
         self._validator = validator
-        self._data: Dict[str, Dict[str, Any]] = {}
-        self._next_tx = 1
         self._open_tx: Optional[Transaction] = None
-        self._log: Optional[IO[str]] = None
-        self.commits = 0
-        self.aborts = 0
+        self.closed = False
+        self.commits = self.aborts = 0
         #: bumped by every :meth:`recover`; caches compare it to drop
         #: state that predates a recovery (the recovered store may have
         #: lost a torn tail the cache already absorbed).
         self.generation = 0
-        if log_path is not None:
-            self.recover()
-            self._log = open(log_path, "a", encoding="utf-8")
+        self.recover()
 
     # -- reads ---------------------------------------------------------------
 
     def get(self, user_id: str) -> Dict[str, Any]:
         """A *copy* of the user's whole profile (possibly empty)."""
-        return dict(self._data.get(user_id, {}))
+        return dict(self.backend.read(user_id))
 
     def get_value(self, user_id: str, key: str, default: Any = None) -> Any:
-        return self._data.get(user_id, {}).get(key, default)
+        return self.backend.read(user_id).get(key, default)
 
     def users(self) -> List[str]:
-        return sorted(self._data)
+        return self.backend.users()
 
     def __contains__(self, user_id: str) -> bool:
-        return user_id in self._data
+        return user_id in self.backend.users()
 
     # -- writes ----------------------------------------------------------------
 
     def begin(self) -> Transaction:
+        if self.closed:
+            raise TransactionError("the store is closed")
         if self._open_tx is not None:
             raise TransactionError("a transaction is already open "
                                    "(single-writer store)")
-        tx = Transaction(self, self._next_tx)
-        self._next_tx += 1
-        self._open_tx = tx
-        return tx
+        self._open_tx = Transaction(self)
+        return self._open_tx
 
     def set(self, user_id: str, key: str, value: Any) -> None:
         """Auto-commit single write."""
@@ -172,54 +169,111 @@ class ProfileStore:
             raise TransactionError(
                 f"value for {user_id}/{key} is not JSON-serializable"
             ) from error
+        if value == TOMBSTONE:
+            raise TransactionError(f"value for {user_id}/{key} is the "
+                                   "reserved deletion marker")
         if self._validator is not None:
             self._validator(user_id, key, value)
 
     def _commit(self, tx: Transaction) -> None:
         if tx is not self._open_tx:
             raise TransactionError("commit of a non-current transaction")
-        self._append({"op": "begin", "tx": tx.tx_id})
-        for user_id, key, value in tx._writes:
-            if value is _TOMBSTONE:
-                self._append({"op": "del", "tx": tx.tx_id,
-                              "user": user_id, "key": key})
-            else:
-                self._append({"op": "set", "tx": tx.tx_id, "user": user_id,
-                              "key": key, "value": value})
-        self._append({"op": "commit", "tx": tx.tx_id}, flush=True)
-        self._apply(tx._writes)
-        self._open_tx = None
+        try:
+            self.backend.commit(tx._writes)
+        finally:
+            self._open_tx = None
         self.commits += 1
 
     def _abort(self, tx: Transaction) -> None:
-        if tx is not self._open_tx:
-            raise TransactionError("abort of a non-current transaction")
-        self._open_tx = None
+        # lenient on purpose: a commit that raised already released the
+        # slot, and the context manager still calls abort()
+        if tx is self._open_tx:
+            self._open_tx = None
         self.aborts += 1
 
-    def _apply(self, writes: List[Tuple[str, str, Any]]) -> None:
+    def recover(self) -> int:
+        """Rebuild the backend's state and reopen; return #txns replayed."""
+        self.generation += 1
+        self.closed = False
+        return self.backend.recover()
+
+    def checkpoint(self) -> None:
+        """Compact the ``single`` backend's log."""
+        if self._open_tx is not None or self.closed:
+            raise TransactionError("cannot checkpoint a closed store or "
+                                   "with an open transaction")
+        self.backend.checkpoint()
+
+    def close(self) -> None:
+        """Release the ``single`` backend's log; until the next
+        :meth:`recover` every transaction, even an open one, is refused."""
+        self.backend.close()
+        self.closed = True
+        self._open_tx = None
+
+    def stats(self) -> Dict[str, Any]:
+        return self.backend.stats({"commits": self.commits,
+                                   "aborts": self.aborts})
+
+
+class WriteAheadLog:
+    """The ``single`` backend: every profile in memory, made durable by
+    an append-only log of committed transactions when ``log_path`` is set."""
+
+    #: a profile read's span label; a read consults the one copy and
+    #: prices nothing itself (the service charges its own cost)
+    component = "ProfileStore"
+    last_op_cost_s = 0.0
+    last_op_hops = 1
+
+    def __init__(self, log_path: Optional[str] = None,
+                 sync: bool = False) -> None:
+        self.log_path = log_path
+        self.sync = sync
+        self._data: Dict[str, Dict[str, Any]] = {}
+        self._next_tx = 1
+        self._log: Optional[IO[str]] = None
+
+    def read(self, user_id: str) -> Dict[str, Any]:
+        """The user's profile itself: the front copies it."""
+        return self._data[user_id] if user_id in self._data else {}
+
+    def users(self) -> List[str]:
+        return sorted(self._data)
+
+    def commit(self, writes: List[Write]) -> None:
+        if self._log is not None:
+            self._write(self._log, writes)
+        self._apply(writes)
+
+    def _write(self, log: IO[str], writes: List[Write]) -> None:
+        """Log one transaction, ``begin`` to a flushed ``commit``."""
+        tx_id = self._next_tx
+        self._next_tx += 1
+        records = [{"op": "begin", "tx": tx_id}]
+        records += ({"op": "del", "tx": tx_id, "user": user, "key": key}
+                    if value == TOMBSTONE else
+                    {"op": "set", "tx": tx_id, "user": user, "key": key,
+                     "value": value}
+                    for user, key, value in writes)
+        records.append({"op": "commit", "tx": tx_id})
+        log.write("".join(json.dumps(record) + "\n" for record in records))
+        log.flush()
+        if self.sync:
+            os.fsync(log.fileno())
+
+    def _apply(self, writes: List[Write]) -> None:
         for user_id, key, value in writes:
             profile = self._data.setdefault(user_id, {})
-            if value is _TOMBSTONE or value == _TOMBSTONE:
+            if value == TOMBSTONE:
                 profile.pop(key, None)
                 if not profile:
                     self._data.pop(user_id, None)
             else:
                 profile[key] = value
 
-    # -- the log -------------------------------------------------------------------
-
-    def _append(self, record: Dict[str, Any], flush: bool = False) -> None:
-        if self._log is None:
-            return
-        self._log.write(json.dumps(record) + "\n")
-        if flush:
-            self._log.flush()
-            if self.sync:
-                os.fsync(self._log.fileno())
-
     def recover(self) -> int:
-        """Rebuild in-memory state from the log; return #committed txns.
+        """Rebuild state from the log, open it to append; return #txns.
 
         Only operations bracketed by matching ``begin``/``commit`` records
         are applied; a torn final line (crash mid-write) is tolerated, but
@@ -231,13 +285,14 @@ class ProfileStore:
         onto torn bytes and corrupt the *next* recovery.
         """
         self._data = {}
-        self.generation += 1
-        if self.log_path is None or not os.path.exists(self.log_path):
+        if self.log_path is None:
             return 0
-        with open(self.log_path, "r", encoding="utf-8") as log:
-            lines = log.readlines()
+        lines: List[str] = []
+        if os.path.exists(self.log_path):
+            with open(self.log_path, "r", encoding="utf-8") as log:
+                lines = log.readlines()
         committed = 0
-        pending: Dict[int, List[Tuple[str, str, Any]]] = {}
+        pending: Dict[int, List[Write]] = {}
         highest_tx = 0
         for index, line in enumerate(lines):
             try:
@@ -262,7 +317,7 @@ class ProfileStore:
                     (record["user"], record["key"], record["value"]))
             elif op == "del" and tx_id in pending:
                 pending[tx_id].append(
-                    (record["user"], record["key"], _TOMBSTONE))
+                    (record["user"], record["key"], TOMBSTONE))
             elif op == "commit" and tx_id in pending:
                 self._apply(pending.pop(tx_id))
                 committed += 1
@@ -273,31 +328,21 @@ class ProfileStore:
                 with open(self.log_path, "a", encoding="utf-8") as raw:
                     raw.write("\n")
         self._next_tx = highest_tx + 1
+        if self._log is None:
+            self._log = open(self.log_path, "a", encoding="utf-8")
         return committed
 
     def checkpoint(self) -> None:
         """Compact the log to a snapshot of current state."""
         if self.log_path is None:
             return
-        if self._open_tx is not None:
-            raise TransactionError("cannot checkpoint with an open "
-                                   "transaction")
-        if self._log is not None:
-            self._log.close()
+        self.close()
         temp_path = self.log_path + ".compact"
         with open(temp_path, "w", encoding="utf-8") as log:
-            tx_id = self._next_tx
-            self._next_tx += 1
-            log.write(json.dumps({"op": "begin", "tx": tx_id}) + "\n")
-            for user_id in sorted(self._data):
-                for key, value in sorted(self._data[user_id].items()):
-                    log.write(json.dumps(
-                        {"op": "set", "tx": tx_id, "user": user_id,
-                         "key": key, "value": value}) + "\n")
-            log.write(json.dumps({"op": "commit", "tx": tx_id}) + "\n")
-            log.flush()
-            if self.sync:
-                os.fsync(log.fileno())
+            self._write(log, [(user_id, key, value)
+                              for user_id in sorted(self._data)
+                              for key, value in sorted(
+                                  self._data[user_id].items())])
         os.replace(temp_path, self.log_path)
         self._log = open(self.log_path, "a", encoding="utf-8")
 
@@ -306,22 +351,25 @@ class ProfileStore:
             self._log.close()
             self._log = None
 
-    def stats(self) -> Dict[str, int]:
-        return {"commits": self.commits, "aborts": self.aborts}
+    def verify_committed(self) -> List[Dict[str, Any]]:
+        """Lost committed writes: none, the one copy holds every one."""
+        return []
+
+    def stats(self, counters: Dict[str, int]) -> Dict[str, int]:
+        return counters
 
 
 def open_profile_store(cluster: Any, backend: Optional[str],
                        log_path: Optional[str] = None,
-                       validator: Optional[Callable[[str, str, Any],
-                                                    None]] = None
+                       validator: Optional[Validator] = None
                        ) -> Tuple[Any, Any]:
     """Build the profile storage a deployment asked for; returns
-    ``(store, bricks)``.  ``None`` is no store at all, ``"single"`` one
-    :class:`ProfileStore`, ``"dstore"`` a
-    :class:`~repro.dstore.ReplicatedProfileStore` over a freshly booted
-    :class:`~repro.dstore.BrickCluster` on ``cluster`` — the only case
-    with ``bricks``, which chaos and supervision reach through the
-    fabric."""
+    ``(store, bricks)``.  ``None`` is no store at all, ``"single"`` a
+    :class:`ProfileStore` over a :class:`WriteAheadLog`, ``"dstore"``
+    one over a :class:`~repro.dstore.store.QuorumCoordinator` of a
+    freshly booted :class:`~repro.dstore.BrickCluster` on ``cluster`` —
+    the only case with ``bricks``, which chaos and supervision reach
+    through the fabric."""
     if backend is None:
         return None, None
     if backend == "single":
@@ -332,9 +380,10 @@ def open_profile_store(cluster: Any, backend: Optional[str],
         raise ValueError("the dstore backend has no WAL; a profile log "
                          "path only applies to the 'single' backend")
     # imported here: repro.dstore builds on this module
-    from repro.dstore import BrickCluster, ReplicatedProfileStore
+    from repro.dstore import BrickCluster, QuorumCoordinator
     bricks = BrickCluster(cluster).boot()
-    return ReplicatedProfileStore(bricks, validator=validator), bricks
+    return ProfileStore(backend=QuorumCoordinator(bricks),
+                        validator=validator), bricks
 
 
 class WriteThroughCache:

@@ -7,16 +7,17 @@ import pytest
 from repro.dstore import (
     BRICK_SPAWN_S,
     BrickCluster,
-    ReplicatedProfileStore,
+    QuorumCoordinator,
 )
 from repro.sim.cluster import Cluster
+from repro.tacc.customization import ProfileStore
 
 
 def make_store(n_bricks=3, replicas=2, seed=11):
     cluster = Cluster(seed=seed)
     bricks = BrickCluster(cluster, n_bricks=n_bricks,
                           replicas=replicas).boot()
-    store = ReplicatedProfileStore(bricks)
+    store = ProfileStore(backend=QuorumCoordinator(bricks))
     return cluster, bricks, store
 
 
@@ -61,7 +62,7 @@ def test_reads_masked_by_peer_during_recovery():
     respawn(cluster, bricks, 0)
     for index in range(20):
         assert store.get_value(f"user{index}", "quality") == index
-    assert store.verify_committed() == []
+    assert store.backend.verify_committed() == []
 
 
 def test_read_repair_heals_hot_users_before_sweep():
@@ -71,13 +72,13 @@ def test_read_repair_heals_hot_users_before_sweep():
     replacement = respawn(cluster, bricks, 0)
     # pick a user hosted on the replacement, read it through the store
     user = next(f"user{index}" for index in range(8)
-                if 0 in store.partitioner.slots_of(
-                    store.partitioner.partition_of(f"user{index}")))
-    partition = store.partitioner.partition_of(user)
+                if 0 in store.backend.partitioner.slots_of(
+                    store.backend.partitioner.partition_of(f"user{index}")))
+    partition = store.backend.partitioner.partition_of(user)
     assert replacement.read_user(partition, user) is None
     store.get(user)  # read-repair pushes the merged cells back
     assert replacement.read_user(partition, user) is not None
-    assert store.read_repairs > 0
+    assert store.backend.read_repairs > 0
 
 
 def test_anti_entropy_completes_and_records_sync():
@@ -91,7 +92,7 @@ def test_anti_entropy_completes_and_records_sync():
     record = bricks.rejoins[-1]
     assert record["brick"] == replacement.name
     assert record["sync_s"] is not None and record["sync_s"] > 0
-    assert store.verify_committed() == []
+    assert store.backend.verify_committed() == []
 
 
 def test_rejoin_time_independent_of_state_size():
@@ -123,7 +124,7 @@ def test_total_amnesia_promotes_and_oracle_reports_loss():
     committed-write oracle reports exactly what that cost."""
     cluster, bricks, store = make_store(n_bricks=2, replicas=2)
     load_users(store, 10)
-    committed = len(store.committed)
+    committed = len(store.backend.committed)
     assert committed == 20
     bricks.brick_at(0).kill()
     bricks.brick_at(1).kill()
@@ -133,6 +134,6 @@ def test_total_amnesia_promotes_and_oracle_reports_loss():
     assert bricks.data_loss_promotions > 0
     for slot in (0, 1):
         assert bricks.brick_at(slot).fully_authoritative
-    lost = store.verify_committed()
+    lost = store.backend.verify_committed()
     assert len(lost) == committed
     assert all(report["reason"] == "missing" for report in lost)

@@ -9,22 +9,23 @@ import pytest
 from repro.dstore import (
     BRICK_SPAWN_S,
     BrickCluster,
+    QuorumCoordinator,
     ReadUnavailable,
-    ReplicatedProfileStore,
 )
 from repro.sim.cluster import Cluster
+from repro.tacc.customization import ProfileStore
 
 
 def make_store(n_bricks=3, replicas=2, seed=11):
     cluster = Cluster(seed=seed)
     bricks = BrickCluster(cluster, n_bricks=n_bricks,
                           replicas=replicas).boot()
-    store = ReplicatedProfileStore(bricks)
+    store = ProfileStore(backend=QuorumCoordinator(bricks))
     return cluster, bricks, store
 
 
 def relax(store, active=True):
-    store.degradation = SimpleNamespace(relaxed_reads_active=active)
+    store.backend.degradation = SimpleNamespace(relaxed_reads_active=active)
 
 
 def respawn(cluster, bricks, slot):
@@ -42,8 +43,8 @@ def test_relaxed_read_stops_at_the_first_authoritative_replica():
     store.set("client0", "quality", 60)
     relax(store)
     assert store.get("client0") == {"quality": 60}
-    assert store.relaxed_reads == 1
-    assert store.last_op_hops == 1  # one replica consulted, not two
+    assert store.backend.relaxed_reads == 1
+    assert store.backend.last_op_hops == 1  # one replica consulted, not two
 
 
 def test_quorum_read_consults_every_replica_when_not_relaxed():
@@ -51,8 +52,8 @@ def test_quorum_read_consults_every_replica_when_not_relaxed():
     store.set("client0", "quality", 60)
     relax(store, active=False)
     assert store.get("client0") == {"quality": 60}
-    assert store.relaxed_reads == 0
-    assert store.last_op_hops == 2
+    assert store.backend.relaxed_reads == 0
+    assert store.backend.last_op_hops == 2
 
 
 def test_relaxed_reads_skip_read_repair():
@@ -64,13 +65,13 @@ def test_relaxed_reads_skip_read_repair():
     bricks.brick_at(0).kill()
     replacement = respawn(cluster, bricks, 0)
     user = next(f"user{index}" for index in range(8)
-                if 0 in store.partitioner.slots_of(
-                    store.partitioner.partition_of(f"user{index}")))
-    partition = store.partitioner.partition_of(user)
+                if 0 in store.backend.partitioner.slots_of(
+                    store.backend.partitioner.partition_of(f"user{index}")))
+    partition = store.backend.partitioner.partition_of(user)
     relax(store)
-    repairs_before = store.read_repairs
+    repairs_before = store.backend.read_repairs
     assert store.get_value(user, "quality") is not None
-    assert store.read_repairs == repairs_before
+    assert store.backend.read_repairs == repairs_before
     assert replacement.read_user(partition, user) is None  # still amnesiac
     # back at full quorum, the same read heals it
     relax(store, active=False)
@@ -84,10 +85,10 @@ def test_writes_keep_their_quorum_under_relaxed_reads():
     _, bricks, store = make_store()
     relax(store)
     store.set("client0", "scale", 0.5)
-    assert store.degraded_writes == 0
-    partition = store.partitioner.partition_of("client0")
+    assert store.backend.degraded_writes == 0
+    partition = store.backend.partitioner.partition_of("client0")
     replicas = [bricks.brick_at(slot)
-                for slot in store.partitioner.slots_of(partition)]
+                for slot in store.backend.partitioner.slots_of(partition)]
     assert len(replicas) == 2
     for brick in replicas:
         cells = brick.read_user(partition, "client0")
@@ -99,10 +100,10 @@ def test_relaxed_read_still_raises_when_no_replica_answers():
     answers is still an unavailable read."""
     _, bricks, store = make_store()
     store.set("client0", "quality", 60)
-    partition = store.partitioner.partition_of("client0")
-    for slot in store.partitioner.slots_of(partition):
+    partition = store.backend.partitioner.partition_of("client0")
+    for slot in store.backend.partitioner.slots_of(partition):
         bricks.brick_at(slot).kill()
     relax(store)
     with pytest.raises(ReadUnavailable):
         store.get("client0")
-    assert store.unavailable_reads == 1
+    assert store.backend.unavailable_reads == 1

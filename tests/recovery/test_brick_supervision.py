@@ -51,7 +51,7 @@ def test_dead_brick_noticed_and_respawned_to_same_slot():
     assert case.healed and case.heal_action == "brick-restart"
     assert case.replacement == replacement.name
     assert supervisor.restarts >= 1
-    assert store.verify_committed() == []
+    assert store.backend.verify_committed() == []
 
 
 def test_rejoin_record_reaches_attached_ledger():

@@ -2,6 +2,8 @@
 tombstones must never serve stale reads — including after a store
 recovery rolled back state the cache had already absorbed."""
 
+import pytest
+
 from repro.tacc.customization import ProfileStore, WriteThroughCache
 
 
@@ -109,3 +111,15 @@ def test_hit_rate_accounting_unaffected_by_flushes(tmp_path):
     cache.get("alice")  # first read after flush is a miss
     assert cache.hits == hits_before
     assert cache.misses >= 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect, ROADMAP item 6 (iv): a write-through set on an "
+    "uncached user caches only the written key; fixing it moves which "
+    "profile reads hit the cache in campaigns that write profiles"))
+def test_set_on_an_uncached_user_caches_the_whole_profile():
+    store, cache = make_pair()
+    store.set("alice", "quality", 60)  # written before the cache saw her
+    cache.set("alice", "scale", 0.5)
+    assert cache.get("alice") == store.get("alice") == {"quality": 60,
+                                                        "scale": 0.5}

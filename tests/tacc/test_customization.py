@@ -1,5 +1,12 @@
-"""Tests for the ACID profile store and its write-through cache."""
+"""Tests for the ACID profile store and its write-through cache.
 
+The front's semantics (reads, transactions, validation) are checked on
+both backends: each such test runs once per backend, on a fresh store
+from :func:`stores`, and names the backend in its assertion messages.
+(A loop, not ``parametrize``, so that every test keeps its one id.)
+"""
+
+import ast
 import json
 import os
 
@@ -7,113 +14,142 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dstore import BrickCluster, QuorumCoordinator, QuorumError
+from repro.dstore import store as store_module
+from repro.sim.cluster import Cluster
+from repro.tacc import customization
 from repro.tacc.customization import (
+    TOMBSTONE,
     ProfileStore,
     StoreCorrupt,
     TransactionError,
+    WriteAheadLog,
     WriteThroughCache,
 )
+
+
+def brick_store(**kwargs):
+    """A front over the ``dstore`` backend: three bricks, two replicas."""
+    bricks = BrickCluster(Cluster(seed=11), n_bricks=3, replicas=2).boot()
+    return ProfileStore(backend=QuorumCoordinator(bricks), **kwargs)
+
+
+BACKENDS = {"single": ProfileStore, "dstore": brick_store}
+
+
+def stores(**kwargs):
+    """``(backend, store)``: a fresh store on each backend."""
+    return [(name, build(**kwargs)) for name, build in BACKENDS.items()]
 
 
 # -- basic operations ---------------------------------------------------------
 
 def test_set_get_roundtrip():
-    store = ProfileStore()
-    store.set("u1", "quality", 25)
-    assert store.get_value("u1", "quality") == 25
-    assert store.get("u1") == {"quality": 25}
-    assert "u1" in store
-    assert store.users() == ["u1"]
+    for backend, store in stores():
+        store.set("u1", "quality", 25)
+        assert store.get_value("u1", "quality") == 25, backend
+        assert store.get("u1") == {"quality": 25}, backend
+        assert "u1" in store, backend
+        assert store.users() == ["u1"], backend
 
 
 def test_get_returns_copy():
-    store = ProfileStore()
-    store.set("u1", "k", 1)
-    profile = store.get("u1")
-    profile["k"] = 999
-    assert store.get_value("u1", "k") == 1
+    for backend, store in stores():
+        store.set("u1", "k", 1)
+        profile = store.get("u1")
+        profile["k"] = 999
+        assert store.get_value("u1", "k") == 1, backend
 
 
 def test_delete_removes_key_and_empty_user():
-    store = ProfileStore()
-    store.set("u1", "k", 1)
-    store.delete("u1", "k")
-    assert "u1" not in store
-    assert store.get("u1") == {}
+    for backend, store in stores():
+        store.set("u1", "k", 1)
+        store.delete("u1", "k")
+        assert "u1" not in store, backend
+        assert store.get("u1") == {}, backend
 
 
 def test_missing_values_use_default():
-    store = ProfileStore()
-    assert store.get_value("ghost", "k", "dflt") == "dflt"
+    for backend, store in stores():
+        assert store.get_value("ghost", "k", "dflt") == "dflt", backend
+        assert store.get("ghost") == {}, backend
 
 
 # -- transactions -----------------------------------------------------------------
 
 def test_transaction_commit_applies_all_writes():
-    store = ProfileStore()
-    with store.begin() as tx:
-        tx.set("u1", "a", 1)
-        tx.set("u1", "b", 2)
-        tx.set("u2", "c", 3)
-    assert store.get("u1") == {"a": 1, "b": 2}
-    assert store.get("u2") == {"c": 3}
-    assert store.commits == 1
+    for backend, store in stores():
+        with store.begin() as tx:
+            tx.set("u1", "a", 1)
+            tx.set("u1", "b", 2)
+            tx.set("u2", "c", 3)
+        assert store.get("u1") == {"a": 1, "b": 2}, backend
+        assert store.get("u2") == {"c": 3}, backend
+        assert store.commits == 1, backend
 
 
 def test_transaction_abort_applies_nothing():
-    store = ProfileStore()
-    tx = store.begin()
-    tx.set("u1", "a", 1)
-    tx.abort()
-    assert "u1" not in store
-    assert store.aborts == 1
+    for backend, store in stores():
+        tx = store.begin()
+        tx.set("u1", "a", 1)
+        tx.abort()
+        assert "u1" not in store, backend
+        assert store.aborts == 1, backend
 
 
 def test_exception_in_with_block_aborts():
-    store = ProfileStore()
-    with pytest.raises(RuntimeError):
-        with store.begin() as tx:
-            tx.set("u1", "a", 1)
-            raise RuntimeError("service error")
-    assert "u1" not in store
+    for backend, store in stores():
+        with pytest.raises(RuntimeError):
+            with store.begin() as tx:
+                tx.set("u1", "a", 1)
+                raise RuntimeError("service error")
+        assert "u1" not in store, backend
+        assert store.get("u1") == {}, backend
+        assert store.aborts == 1, backend
+        if backend == "dstore":
+            assert store.backend.committed == {}
 
 
 def test_read_your_writes_inside_transaction():
-    store = ProfileStore()
-    store.set("u1", "a", "old")
-    tx = store.begin()
-    tx.set("u1", "a", "new")
-    assert tx.get("u1", "a") == "new"
-    assert store.get_value("u1", "a") == "old"  # not visible until commit
-    tx.delete("u1", "a")
-    assert tx.get("u1", "a", "gone") == "gone"
-    tx.commit()
-    assert store.get_value("u1", "a") is None
+    for backend, store in stores():
+        store.set("u1", "a", "old")
+        tx = store.begin()
+        tx.set("u1", "a", "new")
+        assert tx.get("u1", "a") == "new", backend
+        # not visible until commit
+        assert store.get_value("u1", "a") == "old", backend
+        tx.delete("u1", "a")
+        assert tx.get("u1", "a", "gone") == "gone", backend
+        tx.commit()
+        assert store.get_value("u1", "a") is None, backend
 
 
 def test_single_writer_isolation():
-    store = ProfileStore()
-    tx = store.begin()
-    with pytest.raises(TransactionError):
-        store.begin()
-    tx.abort()
-    store.begin().commit()  # usable again after abort
+    for backend, store in stores():
+        tx = store.begin()
+        with pytest.raises(TransactionError):
+            store.begin()
+        tx.abort()
+        store.begin().commit()  # usable again after abort
 
 
 def test_transaction_unusable_after_commit():
-    store = ProfileStore()
-    tx = store.begin()
-    tx.commit()
-    with pytest.raises(TransactionError):
-        tx.set("u", "k", 1)
-    with pytest.raises(TransactionError):
+    for backend, store in stores():
+        tx = store.begin()
         tx.commit()
+        with pytest.raises(TransactionError):
+            tx.set("u", "k", 1)
+        with pytest.raises(TransactionError):
+            tx.commit()
 
 
 def test_non_json_values_rejected():
-    store = ProfileStore()
-    with pytest.raises(TransactionError):
-        store.set("u", "k", object())
+    for backend, store in stores():
+        with pytest.raises(TransactionError):
+            store.set("u", "k", object())
+        assert store.users() == [], backend
+        if backend == "dstore":
+            assert store.backend.committed == {}
 
 
 def test_custom_validator_enforced():
@@ -121,10 +157,72 @@ def test_custom_validator_enforced():
         if key == "quality" and not 0 <= value <= 100:
             raise TransactionError("quality out of range")
 
-    store = ProfileStore(validator=validator)
-    store.set("u", "quality", 50)
+    for backend, store in stores(validator=validator):
+        store.set("u", "quality", 50)
+        with pytest.raises(TransactionError):
+            store.set("u", "quality", 500)
+        assert store.get_value("u", "quality") == 50, backend
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_the_deletion_marker_is_not_a_value(backend):
+    """Writing the marker used to count a commit and delete the key."""
+    store = BACKENDS[backend]()
+    store.set("u", "k", 1)
     with pytest.raises(TransactionError):
-        store.set("u", "quality", 500)
+        store.set("u", "k", TOMBSTONE)
+    with pytest.raises(TransactionError):
+        store.set("fresh", "k", TOMBSTONE)
+    assert store.commits == 1
+    assert store.get_value("u", "k", "DEFAULT") == 1
+    assert store.users() == ["u"]
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_a_commit_that_raises_inside_with_releases_the_slot(
+        backend, tmp_path):
+    """An explicit commit inside ``with`` that raises still frees the
+    single-writer slot, and the abort ``with`` then calls is accepted."""
+    if backend == "single":
+        store = ProfileStore(log_path=str(tmp_path / "p.wal"))
+        store.backend._log.close()  # the log's disk is gone
+        failure = ValueError
+    else:
+        store = brick_store()
+        for slot in range(3):
+            store.backend.bricks.brick_at(slot).kill()
+        failure = QuorumError
+    with pytest.raises(failure):
+        with store.begin() as tx:
+            tx.set("u", "k", 1)
+            tx.commit()
+    assert (store.commits, store.aborts) == (0, 1)
+    assert tx.state == "aborted"
+    store.begin().abort()
+    assert store.aborts == 2
+
+
+def test_the_front_alone_defines_the_shared_verbs():
+    """Transactions, validation and reads are written once, on the
+    front; a backend only commits, reads, lists users and recovers."""
+    front_only = {"begin", "_validate", "_abort", "get_value",
+                  "__contains__"}
+    front_and_helpers = {"set", "delete", "get"}
+    helpers = {"Transaction", "WriteThroughCache"}
+    for module in (customization, store_module):
+        with open(module.__file__, encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            verbs = {item.name for item in node.body
+                     if isinstance(item, ast.FunctionDef)}
+            if node.name != "ProfileStore":
+                assert not verbs & front_only, node.name
+            if node.name not in helpers | {"ProfileStore"}:
+                assert not verbs & front_and_helpers, node.name
+    for backend in (WriteAheadLog, QuorumCoordinator):
+        assert {"commit", "read", "users", "recover"} <= set(vars(backend))
 
 
 # -- durability and recovery ----------------------------------------------------------
@@ -178,15 +276,21 @@ def test_corruption_before_tail_raises(tmp_path):
 
 
 def test_tx_ids_continue_after_recovery(tmp_path):
+    """The log numbers its transactions; a reopened log keeps counting
+    where the recovered one stopped, so no two share an id."""
     path = str(tmp_path / "profiles.wal")
     store = ProfileStore(log_path=path)
     store.set("u", "a", 1)
     store.set("u", "b", 2)
     store.close()
     recovered = ProfileStore(log_path=path)
-    tx = recovered.begin()
-    assert tx.tx_id > 2
-    tx.abort()
+    recovered.begin().abort()
+    recovered.set("u", "c", 3)
+    recovered.close()
+    with open(path, encoding="utf-8") as log:
+        begins = [record["tx"] for record in map(json.loads, log)
+                  if record["op"] == "begin"]
+    assert begins == [1, 2, 3]
 
 
 def test_checkpoint_compacts_log_and_preserves_state(tmp_path):
@@ -211,6 +315,33 @@ def test_checkpoint_with_open_transaction_rejected(tmp_path):
     with pytest.raises(TransactionError):
         store.checkpoint()
     tx.abort()
+
+
+def test_a_closed_log_refuses_every_later_write(tmp_path):
+    """A closed file-backed store used to acknowledge writes it never
+    logged, which a reopened store then lost."""
+    path = str(tmp_path / "p.wal")
+    store = ProfileStore(log_path=path)
+    store.set("u", "a", 1)
+    store.close()
+    with pytest.raises(TransactionError):
+        store.begin()
+    with pytest.raises(TransactionError):
+        store.set("u", "b", 2)
+    assert store.commits == 1
+    assert ProfileStore(log_path=path).get("u") == {"a": 1}
+
+
+def test_closing_refuses_an_open_transactions_commit(tmp_path):
+    path = str(tmp_path / "p.wal")
+    store = ProfileStore(log_path=path)
+    tx = store.begin()
+    tx.set("u", "a", 1)
+    store.close()
+    with pytest.raises(TransactionError):
+        tx.commit()
+    assert store.commits == 0
+    assert ProfileStore(log_path=path).get("u") == {}
 
 
 # -- property-based: recovery is lossless for committed data ------------------------

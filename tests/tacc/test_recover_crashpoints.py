@@ -88,7 +88,7 @@ def test_recover_reports_committed_count(tmp_path):
     for n_committed, end in enumerate(commit_ends, start=1):
         torn.write_bytes(raw[:end])
         store = ProfileStore()  # no log; call recover() explicitly
-        store.log_path = str(torn)
+        store.backend.log_path = str(torn)
         assert store.recover() == n_committed
         torn.write_bytes(raw[:end - 1])
         assert store.recover() == n_committed - 1

@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import SNSConfig
 from repro.core.fabric import SNSFabric
 from repro.core.process_pair import SecondaryManager
+from repro.dstore.store import QuorumCoordinator
 from repro.experiments._harness import build_bench_fabric
 from repro.hotbot.service import HotBotConfig
 from repro.transend.cachesys import CacheSubsystem
@@ -48,6 +49,7 @@ HOTBOT_CONFIG_CONSTANTS = ("query_per_posting_s", "cross_mount_penalty")
     ("silence_intervals",
      lambda: SecondaryManager(None, None, "manager.secondary", SNSConfig(),
                               None, silence_intervals=3)),
+    ("write_quorum", lambda: QuorumCoordinator(None, write_quorum=1)),
 ])
 def test_single_value_knobs_are_constants(name, build):
     with pytest.raises(TypeError, match=name):

@@ -4,7 +4,7 @@ same request-path behaviour, but preferences survive a brick kill."""
 import pytest
 
 from repro.core.config import SNSConfig
-from repro.dstore import ReplicatedProfileStore
+from repro.dstore import QuorumCoordinator
 from repro.tacc.content import MIME_JPEG
 from repro.tacc.customization import TransactionError
 from repro.transend.service import TranSend
@@ -35,7 +35,7 @@ def record(client="client1"):
 
 def test_dstore_backend_wires_bricks_into_fabric():
     transend = make_transend()
-    assert isinstance(transend.profile_store, ReplicatedProfileStore)
+    assert isinstance(transend.profile_store.backend, QuorumCoordinator)
     assert transend.profile_bricks is not None
     assert transend.fabric.profile_bricks is transend.profile_bricks
     assert len(transend.fabric.brick_population()) == 3
@@ -45,7 +45,7 @@ def test_transend_takes_its_profile_backend_from_the_config():
     """TranSend had its own ``profile_backend`` argument, so a config
     asking for the brick store silently got the single WAL store."""
     dstore = TranSend(config=SNSConfig(profile_backend="dstore"))
-    assert isinstance(dstore.profile_store, ReplicatedProfileStore)
+    assert isinstance(dstore.profile_store.backend, QuorumCoordinator)
     assert len(dstore.fabric.brick_population()) == 3
     # TranSend always has a profile database (Section 2.3)
     single = TranSend(config=SNSConfig())
@@ -80,7 +80,7 @@ def test_preferences_survive_a_brick_kill():
     store = transend.profile_store
     for index in range(12):
         assert store.get_value(f"client{index}", "quality") == 20 + index
-    assert store.verify_committed() == []
+    assert store.backend.verify_committed() == []
 
 
 def test_dstore_rejects_wal_path():
