@@ -1,7 +1,7 @@
 """Quorum coordinator semantics: replication, degraded commits,
-tombstones, zombie freshness, and the committed-cells oracle.  The
-front's transaction semantics, which hold on both backends, are
-tested once over both in tests/tacc/test_customization.py."""
+tombstones, zombie freshness, and the committed-cells oracle, with the
+front's transaction semantics checked again over this backend (they are
+tested over both backends in tests/tacc/test_customization.py)."""
 
 import pytest
 
@@ -13,14 +13,15 @@ from repro.dstore import (
     TOMBSTONE,
 )
 from repro.sim.cluster import Cluster
-from repro.tacc.customization import ProfileStore
+from repro.tacc.customization import ProfileStore, TransactionError
 
 
-def make_store(n_bricks=3, replicas=2, seed=11):
+def make_store(n_bricks=3, replicas=2, seed=11, validator=None):
     cluster = Cluster(seed=seed)
     bricks = BrickCluster(cluster, n_bricks=n_bricks,
                           replicas=replicas).boot()
-    store = ProfileStore(backend=QuorumCoordinator(bricks))
+    store = ProfileStore(validator=validator,
+                         backend=QuorumCoordinator(bricks))
     return cluster, bricks, store
 
 
@@ -34,6 +35,17 @@ def user_on_slots(partitioner, slots):
     raise AssertionError(f"no user found for slots {slots}")
 
 
+def test_set_get_roundtrip_and_copy():
+    _, _, store = make_store()
+    store.set("client0", "quality", 60)
+    assert store.get("client0") == {"quality": 60}
+    profile = store.get("client0")
+    profile["quality"] = 1  # mutating the copy must not leak back
+    assert store.get_value("client0", "quality") == 60
+    assert store.get_value("client0", "missing", "fallback") == "fallback"
+    assert store.get("nobody") == {}
+
+
 def test_write_lands_on_every_replica():
     _, bricks, store = make_store()
     store.set("client0", "scale", 0.5)
@@ -44,6 +56,50 @@ def test_write_lands_on_every_replica():
     for brick in replicas:
         cells = brick.read_user(partition, "client0")
         assert cells is not None and cells["scale"][1] == 0.5
+
+
+def test_transaction_batches_and_single_writer():
+    _, _, store = make_store()
+    with store.begin() as tx:
+        tx.set("client0", "quality", 10)
+        tx.set("client1", "quality", 20)
+    assert store.get_value("client0", "quality") == 10
+    assert store.get_value("client1", "quality") == 20
+    assert store.commits == 1
+    open_tx = store.begin()
+    with pytest.raises(TransactionError):
+        store.begin()
+    open_tx.abort()
+
+
+def test_abort_commits_nothing():
+    _, _, store = make_store()
+    try:
+        with store.begin() as tx:
+            tx.set("client0", "quality", 99)
+            raise RuntimeError("client bailed")
+    except RuntimeError:
+        pass
+    assert store.get("client0") == {}
+    assert store.backend.committed == {}
+    assert store.aborts == 1
+
+
+def test_non_json_value_rejected():
+    _, _, store = make_store()
+    with pytest.raises(TransactionError):
+        store.set("client0", "bad", object())
+    assert store.backend.committed == {}
+
+
+def test_validator_hook_runs():
+    def validator(user_id, key, value):
+        if key == "forbidden":
+            raise TransactionError("nope")
+    _, _, store = make_store(validator=validator)
+    store.set("client0", "fine", 1)
+    with pytest.raises(TransactionError):
+        store.set("client0", "forbidden", 1)
 
 
 def test_delete_is_versioned_tombstone():
