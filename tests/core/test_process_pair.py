@@ -1,6 +1,8 @@
 """Tests for the process-pair manager (the Section 3.1.3 prototype
 design) and its comparison against soft-state recovery."""
 
+import hashlib
+
 import pytest
 
 from repro.core.process_pair import MirroredManager, SecondaryManager
@@ -75,16 +77,31 @@ def test_seeded_entries_for_dead_workers_expire(fabric):
         {stub.name for stub in survivors}
 
 
-def beacon_outage(process_pair, seed=31):
-    """Measure the beacon gap around a manager crash."""
+def outage_run(process_pair, seed=31, rate_rps=0.0):
+    """A manager crash at t=4 s, run to t=30 s; with ``rate_rps`` a
+    request stream rides through the takeover.  Returns the fabric and
+    the playback engine."""
     fabric = make_fabric(n_nodes=10, seed=seed)
     fabric.start_manager(process_pair=process_pair)
     fabric.start_monitor()
     fabric.start_frontend()
     fabric.spawn_worker("test-worker")
+    env = fabric.cluster.env
+    engine = PlaybackEngine(
+        env, fabric.submit, rng=RandomStreams(seed).stream("pp-pin"),
+        timeout_s=10.0)
+    if rate_rps:
+        env.process(engine.constant_rate(
+            rate_rps, 20.0, [make_record(i) for i in range(20)]))
     fabric.cluster.run(until=4.0)
     fabric.manager.kill()
     fabric.cluster.run(until=30.0)
+    return fabric, engine
+
+
+def beacon_outage(process_pair, seed=31):
+    """Measure the beacon gap around a manager crash."""
+    fabric, _ = outage_run(process_pair, seed)
     # monitor heard beacons; find the largest gap after the kill
     times = [time for time, _ in fabric.monitor.worker_counts
              if time > 3.0]
@@ -111,3 +128,44 @@ def test_mirroring_costs_continuous_messages(fabric):
     manager = fabric.manager
     expected = 20.0 / fabric.config.beacon_interval_s
     assert manager.mirror_messages == pytest.approx(expected, rel=0.2)
+
+
+def outage_digest(process_pair, seed):
+    """sha256 over what a manager crash and its recovery leave behind:
+    the final event sequence number, every beacon the monitor heard
+    (times as ``float.hex``), the mirror's traffic, the restarts and
+    the completed requests of a 5 req/s stream."""
+    fabric, engine = outage_run(process_pair, seed, rate_rps=5.0)
+    manager, secondary = fabric.manager, fabric.secondary
+    mirror = (manager.mirror_messages, manager.mirror_bytes,
+              secondary.snapshots_received) if process_pair else None
+    fields = (
+        fabric.cluster.env._seq,
+        [(time.hex(), count) for time, count
+         in fabric.monitor.worker_counts],
+        mirror,
+        fabric.manager_restarts,
+        len(engine.completed()),
+    )
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+#: recorded before the three manager designs became one class with
+#: three replication strategies; a change that moves one of these moved
+#: the process pair's or soft state's recovery trajectory.
+OUTAGE_DIGESTS = {
+    (False, 31):
+        "b069d37e3670c643f210c9e93c3a4420083487aafe985c0fd13a345cf2575dea",
+    (False, 1997):
+        "de7df486569ecb9a49996452e32bd7e3ba406f3d79b08587fef477ad29b4d80f",
+    (True, 31):
+        "013cf9f4dd0fcd1733a24c442aaa253f69b298ab720aae74cc47f49e4ff71556",
+    (True, 1997):
+        "77ba5a1e9f9e93e0e6995839bc6b92ab066ec212631e700046621619244d3645",
+}
+
+
+@pytest.mark.parametrize("process_pair, seed", sorted(OUTAGE_DIGESTS))
+def test_outage_trajectory_is_pinned(process_pair, seed):
+    assert outage_digest(process_pair, seed) == \
+        OUTAGE_DIGESTS[process_pair, seed]
