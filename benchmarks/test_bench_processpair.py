@@ -38,12 +38,12 @@ def run_mode(process_pair, seed=1997, kill_at=30.0, duration=90.0):
                  default=0.0)
     ok = len(engine.completed())
     total = len(engine.outcomes)
-    mirror_messages = getattr(fabric.manager, "mirror_messages", 0)
+    mirror = fabric.manager.replication
     return {
         "outage_s": outage,
         "availability": ok / total if total else 0.0,
-        "mirror_messages": mirror_messages,
-        "mirror_bytes": getattr(fabric.manager, "mirror_bytes", 0),
+        "mirror_messages": mirror.mirror_messages if process_pair else 0,
+        "mirror_bytes": mirror.mirror_bytes if process_pair else 0,
         "restarts": fabric.manager_restarts,
     }
 

@@ -159,10 +159,10 @@ class Faults:
         if kind == "node":
             return spec
         if kind == "manager":
+            # before the first election, consensus replica 0
             manager = self.fabric.manager
-            if manager is None and self.fabric.manager_group is not None:
-                group = self.fabric.manager_group
-                manager = group.leader or group.replicas[0]
+            if manager is None and self.fabric.managers:
+                manager = self.fabric.managers[0]
             return manager.node.name if manager is not None else None
         peers = (self.alive_workers() if kind == "worker"
                  else self.alive_frontends())
@@ -551,12 +551,9 @@ class RollingUpgrade(Fault):
 
     @staticmethod
     def _components_on(fabric: Any, node: Any) -> List[Any]:
-        group = fabric.manager_group
         everyone = [*fabric.workers.values(), *fabric.frontends.values(),
-                    fabric.manager,
-                    *(group.replicas if group is not None else ()),
-                    fabric.monitor]
-        # under consensus the manager is also one of the replicas
+                    fabric.manager, *fabric.managers, fabric.monitor]
+        # the acting manager is also one of ``managers``
         return list(dict.fromkeys(
             component for component in everyone if component is not None
             and component.alive and component.node is node))
@@ -907,9 +904,9 @@ class CampaignRunner:
         profile = (self._profile_results()
                    if self.fabric.profile_store is not None else None)
         consensus = None
-        if self.fabric.manager_group is not None:
-            self.checker.final_consensus_checks(self.fabric.manager_group)
-            consensus = self.fabric.manager_group.stats()
+        if self.fabric.consensus is not None:
+            self.checker.final_consensus_checks(self.fabric.consensus)
+            consensus = self.fabric.consensus.stats()
         return build_report(
             campaign=campaign, seed=self.seed, faults=self.faults,
             engine=self.engine, checker=self.checker,

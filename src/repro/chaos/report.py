@@ -327,12 +327,9 @@ def build_report(campaign: Any, seed: int, faults: Any, engine: Any,
     series = harvest_yield_series(engine.outcomes, bucket_s=beacon_s)
     recovery = yield_recovery_time(series, campaign.final_heal_s,
                                    target=RECOVERY_TARGET)
-    # the control plane under audit: all group replicas in consensus
-    # mode (counters are summed across them), else the soft manager
-    if fabric.manager_group is not None:
-        managers = list(fabric.manager_group.replicas)
-    else:
-        managers = [fabric.manager] if fabric.manager is not None else []
+    # the control plane under audit (counters are summed across the
+    # consensus replicas)
+    managers = fabric.managers
     counters: Dict[str, int] = {
         "datagrams_lost": network.datagrams_lost,
         "datagrams_duplicated": network.datagrams_duplicated,

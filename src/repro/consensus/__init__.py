@@ -20,10 +20,10 @@ Layers, bottom up:
 * :mod:`repro.consensus.log` — the multi-Paxos composition: one
   acceptor/learner per log slot behind a shared promised ballot, with
   in-order application.
-* :mod:`repro.consensus.replica` — :class:`ManagerReplica`, a
-  :class:`~repro.core.manager.Manager` subclass that speaks Paxos over
-  the SAN multicast, plus :class:`ReplicatedManagerGroup`, the
-  three-replica facade the fabric boots.
+* :mod:`repro.consensus.replica` — :class:`Paxos`, the replication
+  strategy a :class:`~repro.core.manager.Manager` is built with to speak
+  Paxos over the SAN multicast, plus :class:`ReplicatedManagerGroup`,
+  the three replicas' telemetry and supervisor.
 """
 
 from repro._lazy import lazy_exports
@@ -34,7 +34,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "Accepted", "AcceptRequest", "Acceptor", "Chosen", "Learner",
         "Prepare", "Promise", "Proposer", "SyncRequest", "ballot_owner",
         "make_ballot"),
-    "replica": ("ManagerReplica", "ReplicatedManagerGroup"),
+    "replica": ("Paxos", "ReplicatedManagerGroup"),
 })
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
     "Chosen",
     "Learner",
     "LearnerLog",
-    "ManagerReplica",
+    "Paxos",
     "Prepare",
     "Promise",
     "Proposer",

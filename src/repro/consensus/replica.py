@@ -1,14 +1,14 @@
 """The consensus-replicated manager: three replicas, one lease.
 
-:class:`ManagerReplica` is the soft-state
-:class:`~repro.core.manager.Manager` over a different state backend, so
-workers, front ends, the supervisor, and the chaos invariants see the
-exact same API and the beacon, policy, registration, expiry and reap
-code exists once.  The replica only answers the manager's state seam —
-authority from its lease, membership facts into its log — because the
-decisions that must not split across a partition (worker membership,
-the load table, leadership itself) are entries in a multi-Paxos
-replicated log spoken over the SAN multicast
+:class:`Paxos` is a replication strategy of the one
+:class:`~repro.core.manager.Manager` class, so workers, front ends, the
+supervisor, and the chaos invariants see the exact same API and the
+beacon, policy, registration, expiry and reap code exists once.  The
+strategy answers the manager's two questions — ``may_act()`` from its
+lease, ``submit(op)`` by proposing membership facts to its log —
+because the decisions that must not split across a partition (worker
+membership, the load table, leadership itself) are entries in a
+multi-Paxos replicated log spoken over the SAN multicast
 (:data:`~repro.core.messages.CONSENSUS_GROUP`).  The transport is the
 same unreliable datagram fabric the beacons ride; the *protocol*
 supplies the reliability, which is why the Paxos safety test can reuse
@@ -57,16 +57,9 @@ from repro.consensus.paxos import (
     ballot_owner,
     make_ballot,
 )
-from repro.core.config import CONSENSUS_LEASE_S, SNSConfig
+from repro.core.config import CONSENSUS_LEASE_S
 from repro.core.manager import Manager
-from repro.core.messages import (
-    CONSENSUS_BYTES,
-    CONSENSUS_GROUP,
-    RegisterWorker,
-    WorkerAdvert,
-)
-from repro.sim.cluster import Cluster
-from repro.sim.node import Node
+from repro.core.messages import CONSENSUS_BYTES, CONSENSUS_GROUP, WorkerAdvert
 
 #: Chosen-rebroadcast window per SyncRequest (bounds catch-up traffic).
 SYNC_WINDOW = 64
@@ -82,16 +75,19 @@ ELECTION_TIMEOUT_S = 1.0
 ELECTION_STAGGER_S = 0.3
 
 
-class ManagerReplica(Manager):
-    """One of the three manager replicas.  All replicas run acceptor
-    and learner roles for every log slot; the lease holder additionally
-    plays proposer, beacons, and serves the manager API."""
+class Paxos:
+    """Replication by consensus, for one of the three manager replicas.
+    All replicas run acceptor and learner roles for every log slot; the
+    lease holder additionally plays proposer, beacons, and serves the
+    manager API."""
 
-    def __init__(self, cluster: Cluster, node: Node, name: str,
-                 config: SNSConfig, fabric: Any, index: int,
+    monitor_extra = {"role": "leader"}
+
+    def __init__(self, manager: Manager, index: int,
                  group: "ReplicatedManagerGroup") -> None:
-        super().__init__(cluster, node, name, config, fabric,
-                         incarnation=0)
+        self.manager = manager
+        self.env = manager.env
+        self.name = manager.name
         self.index = index
         self.group = group
         self.quorum = N_REPLICAS // 2 + 1
@@ -103,8 +99,9 @@ class ManagerReplica(Manager):
         #: ballot of the highest-ballot chosen entry seen (the regime).
         self.leader_ballot = -1
         # -- replicated state machine (identical on every replica) -----
-        #: committed worker membership: name -> registration facts.
-        self.member_workers: Dict[str, Dict[str, Any]] = {}
+        #: committed worker membership: name -> (worker type, node
+        #: name, stub), as registered.
+        self.member_workers: Dict[str, Tuple[str, str, Any]] = {}
         #: committed load table: name -> queue_avg snapshot.
         self.load_table: Dict[str, float] = {}
         # -- volatile leadership state ---------------------------------
@@ -128,52 +125,49 @@ class ManagerReplica(Manager):
 
     # -- role predicates -----------------------------------------------------
 
-    def is_active_leader(self) -> bool:
+    def may_act(self) -> bool:
         """Leader *with a live lease*: the only state in which this
         replica beacons, registers, or hands out dispatch hints."""
-        return (self.alive and self.ballot >= 0
+        return (self.manager.alive and self.ballot >= 0
                 and self.leader_ballot == self.ballot
                 and ballot_owner(self.ballot, N_REPLICAS) == self.index
                 and self.env.now < self.lease_until)
 
     # -- processes ------------------------------------------------------------
 
-    def _start_processes(self) -> None:
+    def start(self) -> None:
+        manager = self.manager
         self.last_chosen_at = self.env.now
-        self._subscription = self.cluster.multicast.group(
+        self._subscription = manager.cluster.multicast.group(
             CONSENSUS_GROUP).subscribe(self.name)
-        self.spawn(self._consensus_loop())
-        self.spawn(self._steer_loop())
-        self._start_ticks()
+        manager.spawn(self._consensus_loop())
+        manager.spawn(self._steer_loop())
+        manager.start_ticks()
         if self.index == 0 and self.leader_ballot < 0:
             # bootstrap: replica 0 campaigns immediately so the fabric
             # has a leader before the first requests arrive
             self._start_campaign()
 
     def _publish(self, message: Any) -> None:
-        self.cluster.multicast.group(CONSENSUS_GROUP).publish(
+        self.manager.cluster.multicast.group(CONSENSUS_GROUP).publish(
             message, size_bytes=CONSENSUS_BYTES, sender=self.name)
 
     # -- the consensus message pump ------------------------------------------
 
     def _consensus_loop(self):
         subscription = self._subscription
+        handlers = {
+            Prepare: self._on_prepare, Promise: self._on_promise,
+            AcceptRequest: self._on_accept_request,
+            Accepted: self._on_accepted, Chosen: self._on_chosen_msg,
+            SyncRequest: self._on_sync_request}
         while True:
             message = yield subscription.get()
-            if not self.alive:
+            if not self.manager.alive:
                 return
-            if isinstance(message, Prepare):
-                self._on_prepare(message)
-            elif isinstance(message, Promise):
-                self._on_promise(message)
-            elif isinstance(message, AcceptRequest):
-                self._on_accept_request(message)
-            elif isinstance(message, Accepted):
-                self._on_accepted(message)
-            elif isinstance(message, Chosen):
-                self._on_chosen_msg(message)
-            elif isinstance(message, SyncRequest):
-                self._on_sync_request(message)
+            handler = handlers.get(type(message))
+            if handler is not None:
+                handler(message)
 
     def _on_prepare(self, message: Prepare) -> None:
         if (message.sender != self.name and self.leader_ballot >= 0
@@ -247,7 +241,7 @@ class ManagerReplica(Manager):
         self._note_chosen_slot(message.slot)
 
     def _on_sync_request(self, message: SyncRequest) -> None:
-        if not self.is_active_leader() or message.sender == self.name:
+        if not self.may_act() or message.sender == self.name:
             return
         first = message.first_unchosen
         for slot in range(first, first + SYNC_WINDOW):
@@ -272,18 +266,17 @@ class ManagerReplica(Manager):
             self.group.note_regime(ballot, now, stalled)
             if mine:
                 self._took_over_at = now
-                self.incarnation = ballot
+                self.manager.incarnation = ballot
                 self._member_unseen_since.clear()
         if mine and ballot == self.ballot:
-            self.lease_until = max(
-                self.lease_until,
-                now + CONSENSUS_LEASE_S)
+            self.lease_until = max(self.lease_until,
+                                   now + CONSENSUS_LEASE_S)
         if self._campaigning and ballot != self.ballot:
             # another regime is demonstrably live: stand down rather
             # than duel (my silence evidence just expired)
             self._campaigning = False
         self._inflight.pop(slot, None)
-        if self.is_active_leader():
+        if self.may_act():
             self._publish(Chosen(slot=slot, ballot=ballot, value=value,
                                  sender=self.name))
         self.last_chosen_at = now
@@ -293,13 +286,8 @@ class ManagerReplica(Manager):
     def _apply(self, slot: int, value: Tuple) -> None:
         kind = value[0]
         if kind == "reg":
-            _, name, worker_type, node_name, stub = value
-            self.member_workers[name] = {
-                "worker_type": worker_type,
-                "node_name": node_name,
-                "stub": stub,
-            }
-            self._member_unseen_since.pop(name, None)
+            self.member_workers[value[1]] = value[2:]
+            self._member_unseen_since.pop(value[1], None)
         elif kind == "exp":
             self.member_workers.pop(value[1], None)
             self.load_table.pop(value[1], None)
@@ -338,14 +326,13 @@ class ManagerReplica(Manager):
     def _loads_snapshot(self) -> Tuple:
         return tuple(sorted(
             (name, round(info.queue_avg, 3))
-            for name, info in self.workers.items()))
+            for name, info in self.manager.workers.items()))
 
     def _steer_loop(self):
-        config = self.config
         while True:
             yield self.env.timeout(TICK_S)
             now = self.env.now
-            if self.is_active_leader():
+            if self.may_act():
                 # retransmit anything undecided, then renew the lease
                 # with a tick entry snapshotting the load table
                 for slot in sorted(self._inflight):
@@ -376,12 +363,52 @@ class ManagerReplica(Manager):
                     first_unchosen=self.learner_log.first_unchosen(),
                     sender=self.name))
 
-    # -- the state seam (repro.core.manager), from the lease and the log ------
+    # -- the manager's side: its facts into the log, its hints from it --------
 
-    _may_act = is_active_leader
-    _monitor_extra = {"role": "leader"}
+    def submit(self, op: tuple) -> None:
+        """A registration is a log entry (the live connection serves
+        reports immediately, while the membership fact replicates
+        underneath); departures are expiry entries; the silence sweep
+        also expires committed members that never showed up.  The load
+        table replicates on the lease tick, not the beacon."""
+        kind = op[0]
+        if kind == "join":
+            registration = op[1]
+            if registration.worker_name not in self.member_workers:
+                self._propose(("reg", registration.worker_name,
+                               registration.worker_type,
+                               registration.node_name, registration.stub))
+        elif kind != "load":
+            self._expire(op[1])
+            if kind == "expire":
+                self._expire(self._unseen_members())
 
-    def _build_adverts(self) -> Dict[str, WorkerAdvert]:
+    def _expire(self, names: List[str]) -> None:
+        """Departures become log entries, in name order so every run
+        proposes them alike."""
+        if not self.may_act():
+            return
+        for name in sorted(names):
+            if name in self.member_workers:
+                self._propose(("exp", name))
+
+    def _unseen_members(self) -> List[str]:
+        """Committed members with no live registration get one
+        worker-timeout to re-register with this leader (they will, on
+        its first beacon, if they survived); these have used it up."""
+        now = self.env.now
+        workers = self.manager.workers
+        expired = []
+        for name in self.member_workers:
+            if name in workers:
+                self._member_unseen_since.pop(name, None)
+                continue
+            since = self._member_unseen_since.setdefault(name, now)
+            if now - since > self.manager.config.worker_timeout_s:
+                expired.append(name)
+        return expired
+
+    def adverts(self) -> Dict[str, WorkerAdvert]:
         """Hints from committed membership joined with live reports.
 
         A freshly elected leader has the log's membership and load
@@ -390,78 +417,34 @@ class ManagerReplica(Manager):
         leader cannot currently reach are withheld: routing to them
         would be a minority-view decision.
         """
-        partitions = self.cluster.network.partitions
-        adverts: Dict[str, WorkerAdvert] = {}
-        for name in sorted(set(self.workers) | set(self.member_workers)):
-            info = self.workers.get(name)
-            member = self.member_workers.get(name, {})
-            node_name = (info.node_name if info is not None
-                         else member["node_name"])
-            if partitions is not None and not partitions.node_reachable(
-                    self.node.name, node_name):
-                continue
-            stub = info.stub if info is not None else member["stub"]
-            if stub is None or not stub.alive:
-                continue
-            adverts[name] = WorkerAdvert(
-                worker_name=name,
-                worker_type=(info.worker_type if info is not None
-                             else member["worker_type"]),
-                node_name=node_name,
-                stub=stub,
-                queue_avg=(info.queue_avg if info is not None
-                           else self.load_table.get(name, 0.0)),
-                last_report_at=(info.last_report_at if info is not None
-                                else self._took_over_at),
-                service_ewma_s=(info.service_ewma_s
-                                if info is not None else 0.0),
-            )
-        return adverts
-
-    def _member_joined(self, registration: RegisterWorker) -> None:
-        """Registration = a log entry: the live connection serves
-        reports immediately, while the membership fact replicates
-        underneath."""
-        if registration.worker_name not in self.member_workers:
-            self._propose(("reg", registration.worker_name,
-                           registration.worker_type,
-                           registration.node_name, registration.stub))
-
-    def _members_departed(self, names: List[str]) -> None:
-        """Departures become log entries, in name order so every run
-        proposes them alike."""
-        if not self.is_active_leader():
-            return
-        for name in sorted(names):
-            if name in self.member_workers:
-                self._propose(("exp", name))
-
-    def _expire_unseen_members(self) -> None:
-        """Committed members with no live registration: give them one
-        worker-timeout to re-register with this leader (they will, on
-        its first beacon, if they survived), then expire them from the
-        log too."""
-        now = self.env.now
-        expired = []
-        for name in self.member_workers:
-            if name in self.workers:
-                self._member_unseen_since.pop(name, None)
-                continue
-            since = self._member_unseen_since.setdefault(name, now)
-            if now - since > self.config.worker_timeout_s:
-                expired.append(name)
-        self._members_departed(expired)
+        manager = self.manager
+        adverts = manager.live_adverts()
+        for name, (worker_type, node_name, stub) in \
+                self.member_workers.items():
+            if name not in adverts:
+                adverts[name] = WorkerAdvert(
+                    worker_name=name, worker_type=worker_type,
+                    node_name=node_name, stub=stub,
+                    queue_avg=self.load_table.get(name, 0.0),
+                    last_report_at=self._took_over_at)
+        partitions = manager.cluster.network.partitions
+        here = manager.node.name
+        return {name: adverts[name] for name in sorted(adverts)
+                if (partitions is None or partitions.node_reachable(
+                    here, adverts[name].node_name))
+                and adverts[name].stub is not None
+                and adverts[name].stub.alive}
 
     # -- crash and restart ------------------------------------------------------
 
     def rejoin(self) -> None:
         """Restart on my own node once the fork delay has passed
         (:meth:`SNSFabric.restart_peer`), acceptor state intact."""
-        if not self.alive and self.node.up:
-            self.start()
+        manager = self.manager
+        if not manager.alive and manager.node.up:
+            manager.start()
 
-    def _on_crash(self) -> None:
-        super()._on_crash()
+    def stop(self) -> None:
         if self._subscription is not None:
             self._subscription.cancel()
             self._subscription = None
@@ -474,37 +457,27 @@ class ManagerReplica(Manager):
 
 
 class ReplicatedManagerGroup:
-    """The three-replica facade the fabric boots in consensus mode.
+    """The three replicas' group, which the fabric keeps as
+    ``fabric.consensus``.
 
     Owns group-level telemetry (regimes, lease handoffs, minority-stall
     seconds), keeps ``fabric.manager`` pointing at the current leader,
     and supervises replica crash-restart (a dead replica rejoins on its
     node after the fabric's fork delay, acceptor state intact)."""
 
-    def __init__(self, cluster: Cluster, config: SNSConfig, fabric: Any,
-                 nodes: List[Node]) -> None:
-        if len(nodes) != N_REPLICAS:
-            raise ValueError("need one node per replica")
-        if len(set(node.name for node in nodes)) != len(nodes):
-            raise ValueError("replicas must sit on distinct nodes")
-        self.cluster = cluster
-        self.config = config
+    def __init__(self, fabric: Any) -> None:
         self.fabric = fabric
-        self.replicas: List[ManagerReplica] = [
-            ManagerReplica(cluster, node, f"manager:r{index}", config,
-                           fabric, index, self)
-            for index, node in enumerate(nodes)
-        ]
+        #: the replica managers, in index order (set by :meth:`start`).
+        self.replicas: List[Manager] = []
         #: leadership regimes in ballot order:
         #: ``{"ballot", "leader", "at", "stalled_s"}``.
         self.regimes: List[Dict[str, Any]] = []
         self.minority_stall_s = 0.0
 
-    def start(self) -> "ReplicatedManagerGroup":
-        for replica in self.replicas:
-            replica.start()
-        self.cluster.env.process(self._supervise())
-        return self
+    def start(self, replicas: List[Manager]) -> None:
+        """Supervise ``replicas``, which the fabric has just started."""
+        self.replicas = replicas
+        self.fabric.cluster.env.process(self._supervise())
 
     # -- telemetry ------------------------------------------------------------
 
@@ -526,16 +499,16 @@ class ReplicatedManagerGroup:
         self.fabric.manager = leader
 
     @property
-    def leader(self) -> Optional[ManagerReplica]:
+    def leader(self) -> Optional[Manager]:
         """The replica currently holding the lease, if any."""
         for replica in self.replicas:
-            if replica.is_active_leader():
+            if replica.replication.may_act():
                 return replica
         return None
 
     def stats(self) -> Dict[str, Any]:
         """The chaos report's ``consensus`` section (plain data only)."""
-        log_length = max((len(replica.learner_log.chosen)
+        log_length = max((len(replica.replication.learner_log.chosen)
                           for replica in self.replicas), default=0)
         return {
             "replicas": len(self.replicas),
@@ -544,7 +517,7 @@ class ReplicatedManagerGroup:
             "max_ballot": max((r["ballot"] for r in self.regimes),
                               default=-1),
             "log_length": log_length,
-            "campaigns": sum(replica.campaigns_started
+            "campaigns": sum(replica.replication.campaigns_started
                              for replica in self.replicas),
             "minority_stall_s": round(self.minority_stall_s, 3),
             "regimes": [dict(regime) for regime in self.regimes],
@@ -559,7 +532,8 @@ class ReplicatedManagerGroup:
         problems: List[str] = []
         by_slot: Dict[int, Dict[str, Tuple[int, Any]]] = {}
         for replica in self.replicas:
-            for slot, entry in replica.learner_log.chosen.items():
+            chosen = replica.replication.learner_log.chosen
+            for slot, entry in chosen.items():
                 by_slot.setdefault(slot, {})[replica.name] = entry
         for slot in sorted(by_slot):
             values = {repr(entry[1]) for entry
@@ -577,10 +551,10 @@ class ReplicatedManagerGroup:
     def _supervise(self):
         """Restart dead replicas on their own (up) node: the group is
         its own process peer, like the paper's mutual restarts."""
-        env = self.cluster.env
+        env = self.fabric.cluster.env
         while True:
             yield env.timeout(1.0)
             for replica in self.replicas:
                 if not replica.alive and replica.node.up:
                     self.fabric.restart_peer(replica.name,
-                                             replica.rejoin)
+                                             replica.replication.rejoin)

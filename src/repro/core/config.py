@@ -18,6 +18,7 @@ paper quote or comment: here ``BEACON_LOSS_TOLERANCE`` (3.1.3),
 ``DISTILLATION_THRESHOLD_BYTES`` (4.1), ``CONSENSUS_LEASE_S``,
 ``ORIGIN_BREAKER_*``, ``LOAD_EWMA_ALPHA``, ``REAP_THRESHOLD``,
 ``DISPATCH_BACKOFF_FACTOR`` and the brownout loop's ``DEGRADE_*``; in
+:mod:`repro.core.manager` ``REAP_DRAIN_TIMEOUT_S``; in
 :mod:`repro.balance.policies` (``repro.core`` imports ``repro.balance``,
 not the other way round) ``EWMA_ALPHA``, ``HASH_RING_REPLICAS`` and
 ``CANARY_FRACTION``; in :mod:`repro.balance.ejection` the ejector's
@@ -141,9 +142,6 @@ class SNSConfig:
     #: REAP_THRESHOLD for this long, and more than MIN_WORKERS_PER_TYPE
     #: remain.
     reap_after_s: float = checked(60.0, at_least(0))
-    #: seconds a busy reap victim gets to drain (queued work is moved to
-    #: peers, the in-service request runs out) before it is killed anyway.
-    reap_drain_timeout_s: float = checked(10.0, at_least(0))
     #: recruit overflow-pool nodes when the dedicated pool is exhausted.
     use_overflow_pool: bool = checked(True, FLAG)
 

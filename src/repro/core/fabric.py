@@ -16,12 +16,13 @@ bookkeeping for experiments to inspect.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.config import SNSConfig
 from repro.core.frontend import FrontEnd
-from repro.core.manager import Manager, SPAWN_DELAY_S
+from repro.core.manager import Local, Manager, SPAWN_DELAY_S
 from repro.core.monitor import Monitor
 from repro.core.worker_stub import WorkerStub
 from repro.sim.cluster import Cluster
@@ -59,9 +60,9 @@ class SNSFabric:
         self.execute_real = execute_real
 
         self.manager: Optional[Manager] = None
-        #: consensus backend: the replica group (``manager`` then tracks
-        #: whichever replica currently leads).
-        self.manager_group: Optional[Any] = None
+        #: consensus backend: the Paxos replicas' group (``manager`` then
+        #: tracks whichever replica currently leads).
+        self.consensus: Optional[Any] = None
         #: soft backend: managers deposed for being alive but
         #: SAN-partitioned away from their peers — they keep running
         #: (and beaconing a stale view) until they heal and hear their
@@ -132,51 +133,75 @@ class SNSFabric:
     # -- manager ------------------------------------------------------------------
 
     def start_manager(self, node: Optional[Node] = None,
-                      process_pair: bool = False) -> Manager:
-        """Start the manager — soft-state-only (the paper's final
-        design) or with a process-pair hot standby (the prototype design
-        of Section 3.1.3, kept for the ablation)."""
-        if self.config.manager_backend == "consensus":
-            raise FabricError(
-                "consensus backend: use start_manager_group()")
-        if self.manager is not None and self.manager.alive:
-            raise FabricError("a manager is already running")
-        node = self._place(node)
-        incarnation = next(self._incarnation)
-        if process_pair:
-            from repro.core.process_pair import MirroredManager
-            manager = MirroredManager(
-                self.cluster, node, f"manager.{incarnation}",
-                self.config, self, incarnation)
-        else:
-            manager = Manager(self.cluster, node,
-                              f"manager.{incarnation}",
-                              self.config, self, incarnation)
-        manager.start()
-        self.manager = manager
-        if process_pair:
-            self._start_secondary(manager)
-        return manager
+                      process_pair: bool = False,
+                      mirror: Optional[Dict[str, Any]] = None) -> Manager:
+        """Start the manager — the one construction path for the three
+        recovery designs, which differ only in the replication strategy
+        each :class:`Manager` is built with:
 
-    def _start_secondary(self, primary) -> None:
-        from repro.core.process_pair import SecondaryManager
-        node = self._place(None)
-        secondary = SecondaryManager(
-            self.cluster, node,
-            f"{primary.name}.secondary", self.config, self)
-        secondary.start()
-        primary.attach_secondary(secondary)
-        self.secondary = secondary
+        * soft state (:class:`~repro.core.manager.Local`, the paper's
+          final design): ``manager.<incarnation>`` on ``node``;
+        * ``process_pair=True``: the same mirrored to a hot standby
+          (:class:`~repro.core.process_pair.Mirror`, the prototype of
+          Section 3.1.3, kept for the ablation); ``mirror`` is a
+          promoted primary's inheritance, the standby's last snapshot;
+        * the consensus backend: ``manager:r<i>`` on ``N_REPLICAS``
+          distinct up dedicated nodes
+          (:class:`~repro.consensus.replica.Paxos`), returning replica
+          0, the bootstrap candidate.  SAN partitions are first-class
+          there, so the cluster's partition state is installed up front
+          (idempotent, and free when no partition is ever declared).
+        """
+        if self.consensus is not None or (
+                self.manager is not None and self.manager.alive):
+            raise FabricError("a manager is already running")
+        if self.config.manager_backend == "consensus":
+            from repro.consensus.replica import (
+                N_REPLICAS, Paxos, ReplicatedManagerGroup)
+            self.cluster.install_partitions()
+            nodes = [node for node in self.cluster.dedicated_nodes
+                     if node.up][:N_REPLICAS]
+            if len(nodes) < N_REPLICAS:
+                raise FabricError(
+                    f"need {N_REPLICAS} up nodes for consensus replicas")
+            group = self.consensus = ReplicatedManagerGroup(self)
+            plan = [(node, f"manager:r{index}", 0,
+                     partial(Paxos, index=index, group=group))
+                    for index, node in enumerate(nodes)]
+        else:
+            node = self._place(node)
+            incarnation = next(self._incarnation)
+            replication = Local
+            if process_pair:
+                from repro.core.process_pair import Mirror
+                replication = partial(Mirror, seed=mirror)
+            plan = [(node, f"manager.{incarnation}", incarnation,
+                     replication)]
+        managers = [Manager(self.cluster, at, name, self.config, self,
+                            incarnation, replication)
+                    for at, name, incarnation, replication in plan]
+        for manager in managers:
+            manager.start()
+        if self.consensus is not None:
+            self.consensus.start(managers)
+            return managers[0]
+        (self.manager,) = managers
+        if process_pair:
+            from repro.core.process_pair import SecondaryManager
+            secondary = SecondaryManager(
+                self.cluster, self._place(None),
+                f"{manager.name}.secondary", self.config, self)
+            secondary.start()
+            manager.replication.secondary = self.secondary = secondary
+        return manager
 
     def promote_secondary(self, node: Node, state) -> Manager:
         """Process-pair takeover: a new primary with the mirrored state,
         beaconing immediately; a fresh secondary re-pairs with it."""
-        from repro.core.process_pair import seed_manager_state
         if self.manager is not None and self.manager.alive:
             return self.manager  # raced with another recovery path
-        manager = self.start_manager(
-            node if node.up else None, process_pair=True)
-        seed_manager_state(manager, state)
+        manager = self.start_manager(node if node.up else None,
+                                     process_pair=True, mirror=state)
         self.manager_restarts += 1
         return manager
 
@@ -188,12 +213,16 @@ class SNSFabric:
         """
         if "manager" in self._restarts_pending:
             return False
-        if self.config.manager_backend == "consensus":
+        if self.consensus is not None:
             # replica elections are the failover mechanism; a front end
             # cannot (and must not) fork a fourth manager
             return False
         if self.manager is not None and self.manager.alive:
-            if not self._manager_unreachable_from(requested_by):
+            partitions = self.cluster.network.partitions
+            requester = self.cluster.locate_node(requested_by)
+            if partitions is None or requester is None or \
+                    partitions.node_reachable(requester,
+                                              self.manager.node.name):
                 return False
             # the manager is alive but on the far side of a SAN
             # partition: to this front end it is indistinguishable from
@@ -207,16 +236,6 @@ class SNSFabric:
         self.manager_restarts += 1
         return self.restart_peer(
             "manager", lambda: self._start_successor(requested_by))
-
-    def _manager_unreachable_from(self, requester_name: str) -> bool:
-        partitions = self.cluster.network.partitions
-        if partitions is None or self.manager is None:
-            return False
-        requester_node = self.cluster.locate_node(requester_name)
-        if requester_node is None:
-            return False
-        return not partitions.node_reachable(requester_node,
-                                             self.manager.node.name)
 
     def _start_successor(self, requested_by: str) -> None:
         if self.manager is not None and self.manager.alive:
@@ -239,35 +258,13 @@ class SNSFabric:
                     reachable_from=requester_node)
         self.start_manager(node)
 
-    # -- consensus backend ---------------------------------------------------
-
-    def start_manager_group(self,
-                            nodes: Optional[List[Node]] = None) -> Any:
-        """Boot the consensus-replicated manager: one replica per node,
-        on ``N_REPLICAS`` distinct nodes.
-
-        SAN partitions are first-class here, so the cluster's partition
-        state is installed up front (idempotent, and free when no
-        partition is ever declared).
-        """
-        from repro.consensus.replica import (
-            N_REPLICAS, ReplicatedManagerGroup)
-        if self.config.manager_backend != "consensus":
-            raise FabricError("soft backend: use start_manager()")
-        if self.manager_group is not None:
-            raise FabricError("a manager group is already running")
-        self.cluster.install_partitions()
-        if nodes is None:
-            nodes = [node for node in self.cluster.dedicated_nodes
-                     if node.up][:N_REPLICAS]
-        if len(nodes) < N_REPLICAS:
-            raise FabricError(
-                f"need {N_REPLICAS} up nodes for consensus replicas")
-        group = ReplicatedManagerGroup(self.cluster, self.config, self,
-                                       nodes)
-        group.start()
-        self.manager_group = group
-        return group
+    @property
+    def managers(self) -> List[Manager]:
+        """The managers under audit: the consensus replicas, else the
+        acting manager."""
+        if self.consensus is not None:
+            return self.consensus.replicas
+        return [self.manager] if self.manager is not None else []
 
     # -- front ends ------------------------------------------------------------------
 
@@ -440,20 +437,15 @@ class SNSFabric:
         instance of the system: one front end, one distiller, the
         manager, and some fixed number of cache partitions."
         """
-        if self.config.manager_backend == "consensus":
-            if self.manager_group is None:
-                self.start_manager_group()
-        elif self.manager is None:
+        if not self.managers:
             self.start_manager()
         if with_monitor and self.monitor is None:
-            if self.manager is not None:
-                monitor_node = self.manager.node
-            else:
-                # consensus boot: no election has run yet (time has not
-                # advanced); co-locate with replica 0, the bootstrap
-                # candidate
-                monitor_node = self.manager_group.replicas[0].node
-            self.start_monitor(node=monitor_node)
+            # consensus boot: no election has run yet (time has not
+            # advanced); co-locate with replica 0, the bootstrap
+            # candidate
+            manager = (self.manager if self.manager is not None
+                       else self.managers[0])
+            self.start_monitor(node=manager.node)
         for _ in range(n_frontends):
             self.start_frontend()
         for worker_type, count in (initial_workers or {}).items():

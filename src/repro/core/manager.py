@@ -26,12 +26,32 @@ on an unused node (recruiting the overflow pool when the dedicated pool
 is exhausted), then disable spawning for *D* seconds to let the system
 stabilize.  Reaping releases workers — overflow nodes first — when load
 subsides.
+
+How the manager survives its own crash is a *replication strategy*
+handed to the one :class:`Manager` class: :class:`Local` is the soft
+state above; :class:`repro.core.process_pair.Mirror` ships a snapshot
+to a hot standby every beacon (the prototype Section 3.1.3 discarded);
+:class:`repro.consensus.replica.Paxos` replicates membership and load
+through a Paxos log under a leader lease.  A strategy answers
+``may_act()`` (may this manager beacon, register, hand out hints,
+spawn and reap now?) and ``submit(op)``, where ``op`` is one of the
+facts the manager applies to its table:
+
+* ``("join", registration)``: a worker was registered;
+* ``("depart", names)``: these workers died or were reaped;
+* ``("expire", names)``: the policy tick's silence sweep dropped them;
+* ``("load",)``: a beacon is due (the load snapshot's moment).
+
+It also carries the beacon's ``lease_until``, the monitor payload's
+``monitor_extra`` and the ``adverts()`` the beacon carries, and runs
+the manager's loops from ``start()`` and tears its own state down in
+``stop()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core.component import Component
 from repro.core.config import (LOAD_EWMA_ALPHA, MIN_WORKERS_PER_TYPE,
@@ -53,6 +73,12 @@ from repro.sim.transport import ChannelClosed, Endpoint
 
 #: Seconds to fork+exec+initialize a worker process on a node.
 SPAWN_DELAY_S = 1.0
+#: seconds a busy reap victim gets to drain (queued work is moved to
+#: peers, the in-service request runs out) before it is killed anyway.
+REAP_DRAIN_TIMEOUT_S = 10.0
+#: the replication op a due beacon submits (one shared tuple: the
+#: snapshot is the strategy's to take, if it keeps one).
+LOAD = ("load",)
 
 
 @dataclass
@@ -83,9 +109,7 @@ class WorkerInfo:
         self.stub = registration.stub
         self.endpoint = endpoint
         self.queue_avg = 0.0
-        self.last_queue = 0
         self.last_report_at = now
-        self.registered_at = now
         self.service_ewma_s = 0.0
 
     def update(self, report: LoadReport, alpha: float,
@@ -93,7 +117,6 @@ class WorkerInfo:
         value = (report.weighted_load if load_metric == "weighted-cost"
                  else report.queue_length)
         self.queue_avg = alpha * value + (1.0 - alpha) * self.queue_avg
-        self.last_queue = report.queue_length
         self.last_report_at = report.sent_at
         # already smoothed at the worker: relay, don't re-smooth
         self.service_ewma_s = report.service_ewma_s
@@ -103,12 +126,10 @@ class FrontEndInfo:
     """Manager-side soft state about one registered front end."""
 
     def __init__(self, registration: RegisterFrontEnd,
-                 endpoint: Endpoint, now: float) -> None:
+                 endpoint: Endpoint) -> None:
         self.name = registration.frontend_name
         self.node_name = registration.node_name
-        self.frontend = registration.frontend
         self.endpoint = endpoint
-        self.last_heartbeat_at = now
 
 
 class Manager(Component):
@@ -117,7 +138,8 @@ class Manager(Component):
     kind = "manager"
 
     def __init__(self, cluster: Cluster, node: Node, name: str,
-                 config: SNSConfig, fabric: Any, incarnation: int) -> None:
+                 config: SNSConfig, fabric: Any, incarnation: int,
+                 replication: Callable[["Manager"], Any]) -> None:
         super().__init__(cluster, node, name)
         self.config = config
         self.fabric = fabric
@@ -144,49 +166,15 @@ class Manager(Component):
         self._reaping: set = set()
         self.worker_failures_detected = 0
         self.frontend_restarts = 0
-        self.self_depositions = 0
-        self._beacon_subscription = None
-
-    # -- the state seam ---------------------------------------------------------
-    # Everything a state backend may change about the manager, besides
-    # :meth:`_build_adverts`.  The defaults are the paper's soft state:
-    # whoever is alive acts, nothing bounds a hint's staleness, and
-    # membership lives only in ``workers``.  The consensus replica
-    # answers these from its lease and Paxos log
-    # (:class:`repro.consensus.replica.ManagerReplica`); the beacon,
-    # policy, registration, expiry and reap code below is the only copy.
-
-    #: authority: absolute time through which beaconed hints may be
-    #: routed on (:attr:`ManagerBeacon.lease_until`).
-    lease_until: Optional[float] = None
-    #: authority: extra keys of the monitor report's payload (read-only).
-    _monitor_extra: Dict[str, Any] = {}
-
-    def _may_act(self) -> bool:
-        """Authority: may this manager beacon, register, hand out
-        hints, spawn and reap right now?"""
-        return self.alive
-
-    def _member_joined(self, registration: RegisterWorker) -> None:
-        """Membership fact: a worker was just registered."""
-
-    def _members_departed(self, names: List[str]) -> None:
-        """Membership fact: these workers just left ``workers`` (died,
-        fell silent or were reaped)."""
-
-    def _expire_unseen_members(self) -> None:
-        """Membership fact: drop members recorded outside ``workers``
-        that never showed up (each policy tick, after silent workers
-        expire)."""
-
-    # -- processes ------------------------------------------------------------
+        #: how this manager survives a crash: :class:`Local`, ``Mirror``
+        #: or ``Paxos``, built last so it sees a complete manager.
+        self.replication = replication(self)
 
     def _start_processes(self) -> None:
-        self._start_ticks()
-        if self.config.manager_self_deposition:
-            self.spawn(self._deposition_loop())
+        self.replication.start()
 
-    def _start_ticks(self) -> None:
+    def start_ticks(self) -> None:
+        """The beacon and policy loops every strategy runs."""
         # Body-first beacon then sleep-first policy: both share the
         # beacon-interval periodic bucket, beacon first — the same
         # within-tick order the two process loops produced.
@@ -196,35 +184,18 @@ class Manager(Component):
                    first_delay=0)
         self.every(self.config.beacon_interval_s, self._policy_tick)
 
-    def _deposition_loop(self):
-        """Split-brain damage control for the soft-state manager: if a
-        beacon with a *higher* incarnation arrives, a successor was
-        started while we were unreachable — step down (kill self) rather
-        than keep multicasting a stale view.  This is best-effort (the
-        beacon has to get through), which is exactly the soft-state
-        story; the consensus backend replaces it with leases.
-        """
-        self._beacon_subscription = self.cluster.multicast.group(
-            BEACON_GROUP).subscribe(self.name)
-        while True:
-            beacon = yield self._beacon_subscription.get()
-            if (isinstance(beacon, ManagerBeacon)
-                    and beacon.manager is not self
-                    and beacon.incarnation > self.incarnation):
-                self.self_depositions += 1
-                self.kill()
-                return
-
     def _publish_beacon(self) -> None:
-        if not self._may_act():
+        replication = self.replication
+        replication.submit(LOAD)
+        if not replication.may_act():
             return
         beacon = ManagerBeacon(
             manager_id=self.name,
             incarnation=self.incarnation,
             manager=self,
             sent_at=self.env.now,
-            adverts=self._build_adverts(),
-            lease_until=self.lease_until,
+            adverts=replication.adverts(),
+            lease_until=replication.lease_until,
         )
         self._beacon_group.publish(
             beacon, size_bytes=BEACON_BYTES, sender=self.name)
@@ -236,12 +207,14 @@ class Manager(Component):
                 "workers": len(self.workers),
                 "frontends": len(self.frontends),
                 "incarnation": self.incarnation,
-                **self._monitor_extra,
+                **replication.monitor_extra,
             },
         ), sender=self.name)
         self.beacons_sent += 1
 
-    def _build_adverts(self) -> Dict[str, WorkerAdvert]:
+    def live_adverts(self, infos: Optional[Iterable[WorkerInfo]] = None
+                     ) -> Dict[str, WorkerAdvert]:
+        """Hints for ``infos``, by default the whole live table."""
         return {
             info.name: WorkerAdvert(
                 worker_name=info.name,
@@ -252,14 +225,13 @@ class Manager(Component):
                 last_report_at=info.last_report_at,
                 service_ewma_s=info.service_ewma_s,
             )
-            for info in self.workers.values()
+            for info in (self.workers.values() if infos is None else infos)
         }
 
     def _policy_tick(self) -> None:
-        if not self._may_act():
+        if not self.replication.may_act():
             return
         self._expire_silent_workers()
-        self._expire_unseen_members()
         self._spawn_check()
         self._reap_check()
 
@@ -268,7 +240,7 @@ class Manager(Component):
     def accept_worker(self, registration: RegisterWorker,
                       endpoint: Endpoint) -> bool:
         """Called (over the network) by a worker stub's register path."""
-        if not self._may_act() \
+        if not self.replication.may_act() \
                 or registration.worker_name in self._reaping:
             return False
         info = WorkerInfo(registration, endpoint, self.env.now)
@@ -276,14 +248,14 @@ class Manager(Component):
         self._spawns_in_flight[info.worker_type] = max(
             0, self._spawns_in_flight.get(info.worker_type, 0) - 1)
         self.spawn(self._worker_recv_loop(info))
-        self._member_joined(registration)
+        self.replication.submit(("join", registration))
         return True
 
     def accept_frontend(self, registration: RegisterFrontEnd,
                         endpoint: Endpoint) -> bool:
-        if not self._may_act():
+        if not self.replication.may_act():
             return False
-        info = FrontEndInfo(registration, endpoint, self.env.now)
+        info = FrontEndInfo(registration, endpoint)
         self.frontends[info.name] = info
         self.spawn(self._frontend_recv_loop(info))
         return True
@@ -301,13 +273,12 @@ class Manager(Component):
                             self.config.load_metric)
 
     def _frontend_recv_loop(self, info: FrontEndInfo):
-        while True:
-            try:
-                heartbeat = yield info.endpoint.recv()
-            except ChannelClosed:
-                self._frontend_died(info)
-                return
-            info.last_heartbeat_at = self.env.now
+        """Heartbeats carry nothing: a broken connection is the news."""
+        try:
+            while True:
+                yield info.endpoint.recv()
+        except ChannelClosed:
+            self._frontend_died(info)
 
     # -- failure handling -----------------------------------------------------------
 
@@ -321,7 +292,7 @@ class Manager(Component):
         self.worker_failures_detected += 1
         if self.alive:
             self._spawn_check()
-        self._members_departed([info.name])
+        self.replication.submit(("depart", [info.name]))
 
     def _expire_silent_workers(self) -> None:
         """Timeouts as the backup failure detector (Section 2.2.4)."""
@@ -335,7 +306,7 @@ class Manager(Component):
                     del self.workers[info.name]
                     self.worker_failures_detected += 1
                     expired.append(info.name)
-        self._members_departed(expired)
+        self.replication.submit(("expire", expired))
 
     def _frontend_died(self, info: FrontEndInfo) -> None:
         """Process-peer duty: 'The manager detects and restarts a
@@ -361,20 +332,12 @@ class Manager(Component):
         distiller, spawning a new one if necessary") — the caller waits
         for a beacon and retries.
         """
-        if not self._may_act():
+        if not self.replication.may_act():
             return None
         candidates = self.workers_of_type(worker_type)
         if candidates:
             best = min(candidates, key=lambda info: info.queue_avg)
-            return WorkerAdvert(
-                worker_name=best.name,
-                worker_type=best.worker_type,
-                node_name=best.node_name,
-                stub=best.stub,
-                queue_avg=best.queue_avg,
-                last_report_at=best.last_report_at,
-                service_ewma_s=best.service_ewma_s,
-            )
+            return self.live_adverts([best])[best.name]
         if self._spawns_in_flight.get(worker_type, 0) == 0:
             self._spawn_worker(worker_type)
         return None
@@ -438,8 +401,6 @@ class Manager(Component):
     def _spawn_after_delay(self, worker_type: str, node: Node):
         yield self.env.timeout(SPAWN_DELAY_S)
         if not self.alive or not node.up:
-            self._spawns_in_flight[worker_type] = max(
-                0, self._spawns_in_flight.get(worker_type, 0) - 1)
             self._record_spawn_failure(
                 worker_type, node,
                 "node-down" if self.alive else "manager-dead")
@@ -449,13 +410,13 @@ class Manager(Component):
         except Exception as error:
             # exec failure (missing binary, bad node): give up on this
             # attempt; the policy loop will retry if load persists.
-            self._spawns_in_flight[worker_type] = max(
-                0, self._spawns_in_flight.get(worker_type, 0) - 1)
             self._record_spawn_failure(worker_type, node,
                                        type(error).__name__, str(error))
 
     def _record_spawn_failure(self, worker_type: str, node: Node,
                               reason: str, detail: str = "") -> None:
+        self._spawns_in_flight[worker_type] = max(
+            0, self._spawns_in_flight.get(worker_type, 0) - 1)
         self.spawn_failures += 1
         self.spawn_failure_log.append(SpawnFailure(
             time=self.env.now, worker_type=worker_type,
@@ -509,14 +470,14 @@ class Manager(Component):
             else:
                 self._reaping.add(stub.name)
                 self.spawn(self._drain_then_kill(stub))
-        self._members_departed([victim.name])
+        self.replication.submit(("depart", [victim.name]))
 
     def _drain_then_kill(self, stub):
         """Move a reap victim's accepted-but-unserved requests to peers,
         wait out its in-service request, then kill it.  Bounded by
-        ``config.reap_drain_timeout_s``: anything still stuck after that
-        is counted as dropped (the senders' timeouts cover it)."""
-        deadline = self.env.now + self.config.reap_drain_timeout_s
+        :data:`REAP_DRAIN_TIMEOUT_S`: anything still stuck after that is
+        counted as dropped (the senders' timeouts cover it)."""
+        deadline = self.env.now + REAP_DRAIN_TIMEOUT_S
         try:
             while self.alive and stub.alive:
                 for envelope in stub.drain_queue():
@@ -556,9 +517,6 @@ class Manager(Component):
     # -- crash ------------------------------------------------------------------------------
 
     def _on_crash(self) -> None:
-        if self._beacon_subscription is not None:
-            self._beacon_subscription.cancel()
-            self._beacon_subscription = None
         for info in self.workers.values():
             if info.endpoint is not None:
                 info.endpoint.channel.close()
@@ -566,3 +524,57 @@ class Manager(Component):
             info.endpoint.channel.close()
         self.workers.clear()
         self.frontends.clear()
+        self.replication.stop()
+
+
+
+class Local:
+    """Soft state, the paper's final design (Section 3.1.3): whoever is
+    alive acts, no fact is replicated, and a successor rebuilds the
+    table from re-registrations.  Nothing bounds a hint's staleness."""
+
+    lease_until: Optional[float] = None
+    monitor_extra: Dict[str, Any] = {}
+
+    def __init__(self, manager: Manager) -> None:
+        self.manager = manager
+        self._beacon_subscription = None
+
+    def may_act(self) -> bool:
+        return self.manager.alive
+
+    def submit(self, op: tuple) -> None:
+        """Soft state keeps nothing but the live table."""
+
+    def adverts(self) -> Dict[str, WorkerAdvert]:
+        return self.manager.live_adverts()
+
+    def start(self) -> None:
+        manager = self.manager
+        manager.start_ticks()
+        if manager.config.manager_self_deposition:
+            manager.spawn(self._deposition_loop())
+
+    def stop(self) -> None:
+        if self._beacon_subscription is not None:
+            self._beacon_subscription.cancel()
+            self._beacon_subscription = None
+
+    def _deposition_loop(self):
+        """Split-brain damage control: if a beacon with a *higher*
+        incarnation arrives, a successor was started while this manager
+        was unreachable — step down (kill it) rather than keep
+        multicasting a stale view.  This is best-effort (the beacon has
+        to get through), which is exactly the soft-state story; the
+        consensus strategy replaces it with leases.
+        """
+        manager = self.manager
+        self._beacon_subscription = manager.cluster.multicast.group(
+            BEACON_GROUP).subscribe(manager.name)
+        while True:
+            beacon = yield self._beacon_subscription.get()
+            if (isinstance(beacon, ManagerBeacon)
+                    and beacon.manager is not manager
+                    and beacon.incarnation > manager.incarnation):
+                manager.kill()
+                return

@@ -12,24 +12,26 @@ is seamless, since all state in the secondary process is up-to-date.
 the manager greatly and increase our confidence in its correctness."
 (Section 3.1.3)
 
-This module implements the discarded design so the trade can be
-*measured* (see ``benchmarks/test_bench_processpair.py``): a
-:class:`SecondaryManager` mirrors the primary's worker table from
-per-beacon state snapshots, treats those snapshots as heartbeats, and on
-primary silence promotes itself — a new manager that starts beaconing
-immediately *with the mirrored adverts*, so front ends never lose their
-hints.  The costs are exactly the ones the paper cites: a continuous
-mirroring message stream, a second dedicated process, and more moving
-parts in the recovery path.
+This module implements the discarded design as a replication strategy
+of the one :class:`~repro.core.manager.Manager`, so the trade can be
+*measured* (see ``benchmarks/test_bench_processpair.py``):
+:class:`Mirror` is soft state plus a snapshot of the worker table to a
+:class:`SecondaryManager` every beacon period.  The secondary treats
+the snapshots as heartbeats and on primary silence promotes itself —
+the fabric starts a new primary that beacons immediately *with the
+mirrored adverts*, so front ends never lose their hints.  The costs
+are exactly the ones the paper cites: a continuous mirroring message
+stream, a second dedicated process, and more moving parts in the
+recovery path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.component import Component
 from repro.core.config import SNSConfig
-from repro.core.manager import Manager, WorkerInfo
+from repro.core.manager import Local, Manager, WorkerInfo
 from repro.core.messages import RegisterWorker, WorkerAdvert
 from repro.sim.cluster import Cluster
 from repro.sim.node import Node
@@ -42,43 +44,51 @@ MIRROR_ENTRY_BYTES = 64
 SILENCE_INTERVALS = 3
 
 
-class MirroredManager(Manager):
-    """A manager that ships a state snapshot to its secondary every
-    beacon period (hard-state mirroring over the SAN)."""
+class Mirror(Local):
+    """Soft state plus hard-state mirroring over the SAN: every beacon
+    tick after the first ships the live table to ``secondary`` just
+    before the beacon goes out.  ``seed`` is a promoted primary's
+    inheritance, the standby's last snapshot: its entries have no live
+    connection (``endpoint=None``), the takeover manager balances on
+    them at once, and each worker's re-registration (triggered by the
+    new incarnation's first beacon) swaps in a connected entry.  Until
+    then the timeout detector guards against mirrored entries for
+    workers that died with the primary."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, manager: Manager,
+                 seed: Optional[Dict[str, WorkerAdvert]] = None) -> None:
+        super().__init__(manager)
         self.secondary: Optional["SecondaryManager"] = None
         self.mirror_messages = 0
         self.mirror_bytes = 0
+        for advert in (seed or {}).values():
+            info = WorkerInfo(RegisterWorker(
+                worker_name=advert.worker_name,
+                worker_type=advert.worker_type,
+                node_name=advert.node_name,
+                stub=advert.stub,
+            ), endpoint=None, now=manager.env.now)
+            info.queue_avg = advert.queue_avg
+            manager.workers[info.name] = info
 
-    def attach_secondary(self, secondary: "SecondaryManager") -> None:
-        self.secondary = secondary
-
-    def _publish_beacon(self) -> None:
-        # interleave mirroring with the normal beacon cadence: every
-        # tick after the first, ship the snapshot just before the new
-        # beacon goes out (the order the old wrapped generator produced)
-        if self.beacons_sent > 0:
-            self._mirror_to_secondary()
-        super()._publish_beacon()
-
-    def _mirror_to_secondary(self) -> None:
-        secondary = self.secondary
-        if secondary is None or not secondary.alive or not self.alive:
+    def submit(self, op: tuple) -> None:
+        manager, secondary = self.manager, self.secondary
+        if (op[0] != "load" or not manager.beacons_sent
+                or secondary is None or not secondary.alive
+                or not manager.alive):
             return
-        snapshot = self._build_adverts()
+        snapshot = manager.live_adverts()
         size = (MIRROR_HEADER_BYTES
                 + MIRROR_ENTRY_BYTES * len(snapshot))
-        delay = self.cluster.network.transfer_delay(size)
+        delay = manager.cluster.network.transfer_delay(size)
         self.mirror_messages += 1
         self.mirror_bytes += size
-        self.spawn(self._deliver_mirror(secondary, snapshot, delay))
+        manager.spawn(self._deliver(secondary, snapshot, delay))
 
-    def _deliver_mirror(self, secondary, snapshot, delay):
-        yield self.env.timeout(delay)
+    def _deliver(self, secondary, snapshot, delay):
+        yield self.manager.env.timeout(delay)
         if secondary.alive:
-            secondary.receive_snapshot(snapshot, self.env.now)
+            secondary.receive_snapshot(snapshot, self.manager.env.now)
 
 
 class SecondaryManager(Component):
@@ -94,7 +104,6 @@ class SecondaryManager(Component):
         self.mirror: Dict[str, WorkerAdvert] = {}
         self.last_snapshot_at: Optional[float] = None
         self.snapshots_received = 0
-        self.promoted = False
 
     def receive_snapshot(self, snapshot: Dict[str, WorkerAdvert],
                          now: float) -> None:
@@ -117,33 +126,6 @@ class SecondaryManager(Component):
 
     def _promote(self) -> None:
         """Take over the primary's duties with the mirrored state."""
-        self.promoted = True
         state = dict(self.mirror)
         self.kill()  # this component's life ends; a primary is born
         self.fabric.promote_secondary(self.node, state)
-
-
-def seed_manager_state(manager: Manager,
-                       snapshot: Dict[str, WorkerAdvert]) -> int:
-    """Pre-populate a fresh manager with mirrored worker state.
-
-    Seeded entries have no live connection (``endpoint=None``): the
-    takeover manager balances on them immediately, and each worker's
-    re-registration (triggered by the new incarnation's first beacon)
-    swaps in a connected entry.  Until then the timeout detector guards
-    against mirrored entries for workers that died with the primary.
-    """
-    now = manager.env.now
-    seeded = 0
-    for advert in snapshot.values():
-        registration = RegisterWorker(
-            worker_name=advert.worker_name,
-            worker_type=advert.worker_type,
-            node_name=advert.node_name,
-            stub=advert.stub,
-        )
-        info = WorkerInfo(registration, endpoint=None, now=now)
-        info.queue_avg = advert.queue_avg
-        manager.workers[info.name] = info
-        seeded += 1
-    return seeded

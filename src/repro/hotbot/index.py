@@ -106,21 +106,21 @@ class InvertedIndex:
         #: the build; without one (None) the build derives its own from
         #: the documents
         self.vocabulary: "Vocabulary | None" = None
-        #: terms with at least one posting
+        #: documents and terms with at least one posting
+        self.n_documents = 0
         self.n_terms = 0
         # the vocabulary the build used, and the postings: doc ids and
         # term frequencies, each in one array grouped by term id, of
         # the narrowest typecode the data fits
         self._ids: Dict[str, int] = {}
         self._idf = array("d")
-        self._offsets = array("i", [0])
+        self._offsets = array("H", [0])
         self._doc_ids = array("H")
         self._frequencies = array("B")
         #: frequency -> tf weight ``1.0 + log(frequency)``, taken once
         #: per distinct frequency at build time (None for one no
         #: posting has): the only thing ranking wants from a frequency
         self._weight_of: List["float | None"] = []
-        self._doc_urls: Dict[int, str] = {}
 
     # -- build --------------------------------------------------------------
 
@@ -139,15 +139,17 @@ class InvertedIndex:
         rows, where a term is its name or, given ``names``, its index
         in them: a partition is built, and after a crash rebuilt, from
         its documents' rows of the corpus columns
-        (:meth:`Corpus.rows`), by a single call."""
-        if self._doc_urls:
+        (:meth:`Corpus.rows`), by a single call.  The index keeps no url:
+        a hit's url is the caller's (``Corpus.urls``), read at the edge
+        by :func:`hits_from_ranked`."""
+        if self.n_documents:
             raise ValueError("an index holding documents is built once")
-        urls: Dict[int, str] = {}
+        seen = set()
         postings: Dict[object, Tuple[List[int], List[int]]] = {}
-        for doc_id, url, terms, frequencies in rows:
-            if doc_id in urls:
+        for doc_id, _url, terms, frequencies in rows:
+            if doc_id in seen:
                 raise ValueError(f"duplicate document {doc_id}")
-            urls[doc_id] = url
+            seen.add(doc_id)
             for term, frequency in zip(terms, frequencies):
                 entry = postings.get(term)
                 if entry is None:
@@ -175,9 +177,9 @@ class InvertedIndex:
         if packed != len(postings):
             raise ValueError("a document names a term outside the "
                              "vocabulary")
-        # the data picks the typecodes: 16-bit doc ids while they fit
-        # (a doc id past 32 bits raises OverflowError), one-byte
-        # frequencies while they fit
+        # the data picks the typecodes: 16-bit doc ids and offsets while
+        # they fit (past 32 bits, OverflowError), one-byte frequencies
+        # while they fit
         doc_ids = narrowest(all_doc_ids, "Hi")
         frequencies = narrowest(all_frequencies, "BH")
         weight_of: List["float | None"] = [None] * (
@@ -185,12 +187,12 @@ class InvertedIndex:
         for frequency in set(frequencies):
             weight_of[frequency] = 1.0 + math.log(frequency)
         self._ids, self._idf = vocabulary
+        self.n_documents = len(seen)
         self.n_terms = packed
-        self._offsets = offsets
+        self._offsets = narrowest(offsets, "Hi")
         self._doc_ids = doc_ids
         self._frequencies = frequencies
         self._weight_of = weight_of
-        self._doc_urls = urls
         return self
 
     def _derive_vocabulary(self, postings: Mapping[str, Tuple[list, list]]
@@ -207,10 +209,6 @@ class InvertedIndex:
         return Vocabulary(
             {term: term_id for term_id, term in enumerate(postings)},
             array("d", idf))
-
-    @property
-    def n_documents(self) -> int:
-        return len(self._doc_urls)
 
     # -- query ----------------------------------------------------------------
 
@@ -262,10 +260,6 @@ class InvertedIndex:
         """The k best ``(-score, doc_id)`` pairs by tf-idf, ascending:
         best score first, ties broken by doc id."""
         return self.search(terms, k)[1]
-
-    def query(self, terms: Sequence[str], k: int = 10) -> List[SearchHit]:
-        """Top-k documents by tf-idf, ties broken by doc id (stable)."""
-        return hits_from_ranked(self.rank(terms, k), self._doc_urls)
 
 
 def collate(partials: Iterable[List[Ranked]], k: int = 10) -> List[Ranked]:

@@ -34,7 +34,7 @@ def test_smoke_holds_its_invariants_in_every_cell(cell):
     # the config reports the cell it was asked for...
     assert {field: getattr(fabric.config, field) for field in cell} == cell
     # ...and the cell is what ran
-    assert (fabric.manager_group is not None) \
+    assert (fabric.consensus is not None) \
         == (cell["manager_backend"] == "consensus")
     assert {fe.stub.policy.name for fe in fabric.frontends.values()} \
         == {cell["routing_policy"]}

@@ -1,27 +1,41 @@
-"""The state seam between the one manager core and its two backends.
+"""One manager class, three replication strategies.
 
 `Manager` owns the only beacon builder, policy tick and register /
-locate / expire / reap code; `ManagerReplica` may answer only the seam
-(authority from its lease, membership facts into its Paxos log).  The
-shape is pinned by introspection, the replica's side of the seam by
-behaviour: every way a worker leaves the live table becomes exactly one
-committed expiry, and a leader without a lease does nothing.
+locate / expire / reap code; a strategy answers `may_act()` (authority:
+aliveness, or a Paxos lease) and `submit(op)` (membership facts: dropped,
+mirrored, or proposed to a Paxos log).  The shape is pinned by
+structure, the Paxos strategy by behaviour: every way a worker leaves
+the live table becomes exactly one committed expiry, and a leader
+without a lease does nothing.
 """
 
-from repro.consensus.replica import ManagerReplica
-from repro.core.manager import Manager
+import repro.consensus
+import repro.core.process_pair
+from repro.consensus.replica import Paxos
+from repro.core.manager import Local, Manager
+from repro.core.process_pair import Mirror
 from tests.core.conftest import fast_config, make_fabric
 
-SEAM = {"lease_until", "_monitor_extra", "_may_act", "_member_joined",
-        "_members_departed", "_expire_unseen_members", "_build_adverts"}
+#: the hooks `Manager` carried for its subclasses before the strategies
+OLD_SEAM = ("_may_act", "_member_joined", "_members_departed",
+            "_expire_unseen_members")
 
 
-def test_replica_redefines_only_the_seam_and_its_life_cycle():
-    shared = {name for name in vars(ManagerReplica)
-              if name in vars(Manager) and not name.startswith("__")}
-    assert shared <= SEAM | {"_start_processes", "_on_crash"}, \
-        sorted(shared - SEAM)
-    assert SEAM <= set(vars(Manager))
+def test_nothing_subclasses_the_manager():
+    # the imports above load every module that used to subclass it
+    assert repro.consensus.Paxos is Paxos
+    assert repro.core.process_pair.Mirror is Mirror
+    assert Manager.__subclasses__() == []
+
+
+def test_the_manager_defines_none_of_the_old_seam():
+    assert [name for name in OLD_SEAM if hasattr(Manager, name)] == []
+
+
+def test_each_strategy_answers_may_act_and_submit():
+    for strategy in (Local, Mirror, Paxos):
+        assert callable(strategy.may_act) and callable(strategy.submit), \
+            strategy.__name__
 
 
 def boot(workers=2, **overrides):
@@ -32,8 +46,8 @@ def boot(workers=2, **overrides):
                                             **overrides))
     fabric.boot(n_frontends=1, initial_workers={"test-worker": workers})
     fabric.cluster.run(until=4.0)
-    leader = fabric.manager_group.leader
-    assert set(leader.member_workers) == set(fabric.workers)
+    leader = fabric.consensus.leader
+    assert set(leader.replication.member_workers) == set(fabric.workers)
     return fabric, leader
 
 
@@ -43,17 +57,17 @@ def run_for(fabric, seconds):
 
 def membership_entries(replica, name):
     """Kinds of the committed entries about one worker, in log order."""
-    chosen = replica.learner_log.chosen
+    chosen = replica.replication.learner_log.chosen
     return [chosen[slot][1][0] for slot in sorted(chosen)
             if chosen[slot][1][0] in ("reg", "exp")
             and chosen[slot][1][1] == name]
 
 
 def assert_expired_exactly_once(fabric, name):
-    for replica in fabric.manager_group.replicas:
+    for replica in fabric.consensus.replicas:
         assert membership_entries(replica, name) == ["reg", "exp"], \
             replica.name
-        assert name not in replica.member_workers
+        assert name not in replica.replication.member_workers
 
 
 def test_killed_worker_is_one_committed_expiry():
@@ -80,10 +94,10 @@ def test_silent_worker_is_one_committed_expiry():
     # heals before its silence is old enough again: one expiry between
     # two registrations, on every replica
     assert victim.alive and victim.name in leader.workers
-    for replica in fabric.manager_group.replicas:
+    for replica in fabric.consensus.replicas:
         assert membership_entries(replica, victim.name) \
             == ["reg", "exp", "reg"], replica.name
-        assert victim.name in replica.member_workers
+        assert victim.name in replica.replication.member_workers
 
 
 def test_reaped_worker_is_one_committed_expiry():
@@ -99,7 +113,7 @@ def test_leader_without_a_lease_neither_beacons_nor_acts():
     fabric.cluster.network.partitions.split(
         {leader.node.name: "isolated"}, duration_s=20.0)
     run_for(fabric, 4.0)   # past consensus_lease_s: the lease lapsed
-    assert leader.alive and not leader.is_active_leader()
+    assert leader.alive and not leader.replication.may_act()
     # the live table would make an acting manager both spawn (one
     # worker far over the threshold) and expire (one long silent)
     busy, silent = leader.workers.values()

@@ -246,9 +246,9 @@ def test_liveness_after_partition_heals():
         n_nodes=10, config=fast_config(manager_backend="consensus"))
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=3.0)
-    group = fabric.manager_group
+    group = fabric.consensus
     first_leader = group.leader
-    assert first_leader is not None and first_leader.is_active_leader()
+    assert first_leader is not None and first_leader.replication.may_act()
 
     partitions = fabric.cluster.install_partitions()
     partitions.split({first_leader.node.name: "isolated"},
@@ -257,15 +257,15 @@ def test_liveness_after_partition_heals():
     second_leader = group.leader
     assert second_leader is not None
     assert second_leader is not first_leader
-    assert second_leader.is_active_leader()
-    assert not first_leader.is_active_leader()
+    assert second_leader.replication.may_act()
+    assert not first_leader.replication.may_act()
 
     fabric.cluster.run(until=25.0)  # healed at t=15
     assert group.safety_violations() == []
     active = [replica for replica in group.replicas
-              if replica.is_active_leader()]
+              if replica.replication.may_act()]
     assert len(active) == 1
     # every live replica caught up to the same applied prefix
-    lengths = {replica.learner_log.applied_through
+    lengths = {replica.replication.learner_log.applied_through
                for replica in group.replicas if replica.alive}
     assert len(lengths) == 1

@@ -24,15 +24,15 @@ def test_boot_elects_a_leader_and_registers_workers():
     fabric = consensus_fabric()
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=4.0)
-    group = fabric.manager_group
+    group = fabric.consensus
     assert group is not None and len(group.replicas) == 3
     leader = group.leader
-    assert leader is not None and leader.is_active_leader()
+    assert leader is not None and leader.replication.may_act()
     # the fabric's manager handle tracks the leader for monitors/tools
     assert fabric.manager is leader
     # workers registered with the leader and entered the replicated log
     assert len(leader.workers) == 2
-    assert set(leader.member_workers) == set(leader.workers)
+    assert set(leader.replication.member_workers) == set(leader.workers)
     stats = group.stats()
     assert stats["replicas"] == 3
     assert stats["elections"] >= 1
@@ -43,22 +43,23 @@ def test_replicas_on_distinct_nodes_and_backend_guards():
     fabric = consensus_fabric()
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 1})
     nodes = {replica.node.name
-             for replica in fabric.manager_group.replicas}
+             for replica in fabric.consensus.replicas}
     assert len(nodes) == 3  # no two replicas share a failure domain
     with pytest.raises(FabricError):
-        fabric.start_manager()  # the soft path is closed in this mode
-    soft = make_fabric(n_nodes=8, config=fast_config())
+        fabric.start_manager()  # one replica group per fabric
+    # three replicas need three up dedicated nodes
+    small = consensus_fabric(n_nodes=2)
     with pytest.raises(FabricError):
-        soft.start_manager_group()
+        small.start_manager()
 
 
 def test_followers_refuse_the_leader_surface():
     fabric = consensus_fabric()
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 1})
     fabric.cluster.run(until=4.0)
-    group = fabric.manager_group
+    group = fabric.consensus
     followers = [replica for replica in group.replicas
-                 if replica.alive and not replica.is_active_leader()]
+                 if replica.alive and not replica.replication.may_act()]
     assert followers
     for follower in followers:
         assert follower.request_worker("test-worker") is None
@@ -68,13 +69,13 @@ def test_leader_crash_fails_over_and_replica_restarts():
     fabric = consensus_fabric()
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=4.0)
-    group = fabric.manager_group
+    group = fabric.consensus
     first = group.leader
     first.kill()
     fabric.cluster.run(until=12.0)
     second = group.leader
     assert second is not None and second is not first
-    assert second.is_active_leader()
+    assert second.replication.may_act()
     # the new regime carries the committed membership forward: its
     # beacons re-attract the workers without losing the pool
     assert len(second.workers) == 2
@@ -91,14 +92,14 @@ def test_partitioned_leader_loses_lease_not_split_brain():
     fabric = consensus_fabric(n_nodes=12)
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=3.0)
-    group = fabric.manager_group
+    group = fabric.consensus
     first = group.leader
     partitions = fabric.cluster.install_partitions()
     partitions.split({first.node.name: "isolated"}, duration_s=15.0)
     for step in range(40):  # sample every 0.5s through fault and heal
         fabric.cluster.run(until=3.5 + 0.5 * step)
         active = [replica for replica in group.replicas
-                  if replica.is_active_leader()]
+                  if replica.replication.may_act()]
         assert len(active) <= 1, f"two leaders at {fabric.cluster.env.now}"
     assert group.leader is not first  # the majority moved on
     assert first.alive  # the old leader was never killed, only fenced
@@ -117,7 +118,7 @@ def test_beacons_carry_the_lease_and_stubs_honor_it():
     # past the lease bound the stub must stall rather than guess
     assert not stub.hints_usable(stub.lease_until + 0.001)
     before = stub.lease_stalls
-    leader = fabric.manager_group.leader
+    leader = fabric.consensus.leader
     leader.kill()
     fabric.cluster.run(until=now + 2.0)  # inside the old lease window
     record_pick = stub.pick("test-worker")
@@ -126,7 +127,7 @@ def test_beacons_carry_the_lease_and_stubs_honor_it():
     if record_pick is None:
         assert stub.lease_stalls >= before
     fabric.cluster.run(until=now + 12.0)
-    assert fabric.manager_group.leader is not None
+    assert fabric.consensus.leader is not None
     assert stub.lease_until is not None
 
 
@@ -134,10 +135,11 @@ def test_tick_entries_replicate_the_load_table():
     fabric = consensus_fabric()
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=6.0)
-    group = fabric.manager_group
+    group = fabric.consensus
     leader = group.leader
     followers = [replica for replica in group.replicas
                  if replica.alive and replica is not leader]
-    assert leader.load_table  # ticked snapshots of worker queue state
+    assert leader.replication.load_table  # ticked queue-state snapshots
     for follower in followers:
-        assert set(follower.member_workers) == set(leader.member_workers)
+        assert set(follower.replication.member_workers) \
+            == set(leader.replication.member_workers)

@@ -222,7 +222,7 @@ def test_config_validation_rejects_bad_values(overrides):
     ({"report_interval_s": -1.0}, "report_interval_s"),
     ({"spawn_threshold": 0.0}, "spawn_threshold"),
     ({"spawn_damping_s": -1.0}, "spawn_damping_s"),
-    ({"reap_drain_timeout_s": -1.0}, "reap_drain_timeout_s"),
+    ({"use_overflow_pool": 1}, "use_overflow_pool"),
     ({"lottery_gamma": math.nan}, "lottery_gamma"),
     ({"load_metric": "vibes"}, "load_metric"),
     ({"balancing": "anarchic"}, "balancing"),
@@ -280,7 +280,7 @@ def test_config_validation_rejects_bad_values(overrides):
     ({"report_interval_s": math.inf}, "report_interval_s"),
     ({"spawn_threshold": math.inf}, "spawn_threshold"),
     ({"spawn_damping_s": math.nan}, "spawn_damping_s"),
-    ({"reap_drain_timeout_s": math.inf}, "reap_drain_timeout_s"),
+    ({"manager_self_deposition": "yes"}, "manager_self_deposition"),
     ({"policy_hash_bound": math.inf}, "policy_hash_bound"),
     ({"dispatch_attempts": 2.5}, "dispatch_attempts"),
     ({"dispatch_deadline_s": math.nan}, "dispatch_deadline_s"),

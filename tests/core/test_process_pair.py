@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from repro.core.process_pair import MirroredManager, SecondaryManager
+from repro.core.process_pair import Mirror, SecondaryManager
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
 
@@ -26,12 +26,13 @@ def test_secondary_mirrors_primary_state(fabric):
     boot_pair(fabric)
     fabric.cluster.run(until=5.0)
     secondary = fabric.secondary
-    assert isinstance(fabric.manager, MirroredManager)
+    mirror = fabric.manager.replication
+    assert isinstance(mirror, Mirror)
     assert isinstance(secondary, SecondaryManager)
     assert secondary.snapshots_received >= 5
     assert set(secondary.mirror) == set(fabric.manager.workers)
-    assert fabric.manager.mirror_messages >= 5
-    assert fabric.manager.mirror_bytes > 0
+    assert mirror.mirror_messages >= 5
+    assert mirror.mirror_bytes > 0
 
 
 def test_secondary_takes_over_on_primary_crash(fabric):
@@ -125,9 +126,9 @@ def test_mirroring_costs_continuous_messages(fabric):
     forever, crash or no crash."""
     boot_pair(fabric)
     fabric.cluster.run(until=20.0)
-    manager = fabric.manager
+    mirror = fabric.manager.replication
     expected = 20.0 / fabric.config.beacon_interval_s
-    assert manager.mirror_messages == pytest.approx(expected, rel=0.2)
+    assert mirror.mirror_messages == pytest.approx(expected, rel=0.2)
 
 
 def outage_digest(process_pair, seed):
@@ -136,8 +137,8 @@ def outage_digest(process_pair, seed):
     (times as ``float.hex``), the mirror's traffic, the restarts and
     the completed requests of a 5 req/s stream."""
     fabric, engine = outage_run(process_pair, seed, rate_rps=5.0)
-    manager, secondary = fabric.manager, fabric.secondary
-    mirror = (manager.mirror_messages, manager.mirror_bytes,
+    replication, secondary = fabric.manager.replication, fabric.secondary
+    mirror = (replication.mirror_messages, replication.mirror_bytes,
               secondary.snapshots_received) if process_pair else None
     fields = (
         fabric.cluster.env._seq,

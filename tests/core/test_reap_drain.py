@@ -6,6 +6,7 @@ request.  Now it prefers empty-queue victims, and a busy victim is
 taken out of rotation, drained to same-type peers, and only then
 killed."""
 
+from repro.core.manager import REAP_DRAIN_TIMEOUT_S
 from repro.core.messages import RegisterWorker, Request, WorkEnvelope
 from repro.tacc.content import Content
 from repro.tacc.worker import TACCRequest
@@ -93,8 +94,7 @@ def test_drain_blocks_victim_reregistration():
 
 
 def test_drain_deadline_bounds_a_wedged_victim():
-    config = fast_config(reap_drain_timeout_s=1.0)
-    fabric = boot(workers=1, config=config)
+    fabric = boot(workers=1)
     manager = fabric.manager
     victim = fabric.workers["test-worker.1"]
     victim.gray.hang(fabric.cluster.env.now)
@@ -105,7 +105,9 @@ def test_drain_deadline_bounds_a_wedged_victim():
     # no peers to drain to and the head is held forever: the deadline
     # fires, leftover work is counted dropped, and the victim still dies
     manager._reap_one([manager.workers[victim.name]])
-    fabric.cluster.run(until=fabric.cluster.env.now + 5.0)
+    fabric.cluster.run(until=fabric.cluster.env.now + 1.0)
+    assert victim.alive and victim.name in manager._reaping
+    fabric.cluster.run(until=fabric.cluster.env.now + REAP_DRAIN_TIMEOUT_S)
 
     assert not victim.alive
     assert manager.reap_drops >= 1

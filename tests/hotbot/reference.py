@@ -1,11 +1,12 @@
 """The inverted index as it was before it moved to typed arrays (PR 18).
 
 Tuple postings, a `math.log` per posting scanned, a full sort through a
-key function: slow and obviously right.  `InvertedIndex.rank`/`query`
-and `collate` must agree with it to the last bit of every score and in
+key function: slow and obviously right.  `InvertedIndex.rank` and
+`collate` must agree with it to the last bit of every score and in
 order, and `contents()` compares two indexes through their public
 surface alone, so the tests never look at how either one stores its
-postings.
+postings.  The real index keeps no urls (the front end reads them from
+`Corpus.urls`), so `contents()` compares doc ids and scores.
 """
 
 import math
@@ -106,12 +107,21 @@ def scanned(index, terms):
     return index.search(terms)[0]
 
 
+def ranked(index, terms, k):
+    """The k best ``(-score, doc_id)`` pairs, as either kind of index
+    reports them."""
+    if isinstance(index, ReferenceIndex):
+        return as_ranked(index.query(terms, k))
+    return index.rank(terms, k)
+
+
 def contents(index, vocabulary):
     """All an index (either kind) says it holds, through the public
     surface: the counts, and per term how many postings it has and
-    every document that matches it, with url and score."""
+    every document that matches it, with its score to the bit."""
     everything = max(1, index.n_documents)
     return (index.n_documents, index.n_terms,
             {term: (scanned(index, [term]),
-                    bits(index.query([term], everything)))
+                    [(doc_id, negated.hex()) for negated, doc_id
+                     in ranked(index, [term], everything)])
              for term in vocabulary})

@@ -253,20 +253,20 @@ def test_remove_and_add_after_a_bulk_build_stay_consistent(
     global_df = partition_map.global_df
     index = InvertedIndex(len(corpus), global_df).add_all(corpus)
     query = ["w3", "w17", "w40"]
-    before = index.query(query, k=len(corpus))
-    victim = corpus.document(before[0].doc_id)
+    before = index.rank(query, k=len(corpus))
+    victim = corpus.document(before[0][1])
     reference = ReferenceIndex(len(corpus), global_df).add_all(corpus)
 
     assert reference.remove(victim.doc_id)
     others = [document for document in corpus if document != victim]
     index = InvertedIndex(len(corpus), global_df).add_all(others)
     assert held(index) == held(reference)
-    assert index.query(query, k=len(corpus)) == before[1:]
+    assert index.rank(query, k=len(corpus)) == before[1:]
 
     reference.add(victim)
     index = InvertedIndex(len(corpus), global_df).add_all(others + [victim])
     assert held(index) == held(reference)
-    assert index.query(query, k=len(corpus)) == before
+    assert index.rank(query, k=len(corpus)) == before
     assert index.search(query)[0] == sum(
         1 for document in corpus for term in query if document.tf(term))
 
@@ -379,5 +379,5 @@ def test_fast_restart_rebuilds_an_index_that_answers_identically():
                   for rank in range(hotbot.corpus.vocabulary_size)]
     assert contents(rebuilt, vocabulary) == contents(original, vocabulary)
     for query in queries:
-        assert rebuilt.query(query, k=10) == original.query(query, k=10)
+        assert rebuilt.rank(query, k=10) == original.rank(query, k=10)
         assert rebuilt.search(query) == original.search(query)

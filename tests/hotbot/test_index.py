@@ -64,28 +64,32 @@ def test_corpus_validates():
 
 # -- index ---------------------------------------------------------------------
 
+def hits(index, corpus, terms, k):
+    """The front end's answer: the ranked pairs, urls from the corpus."""
+    return hits_from_ranked(index.rank(terms, k), corpus.urls)
+
+
 def test_query_returns_relevant_docs(index, corpus):
     # pick a mid-frequency term; all returned docs must contain it
-    hits = index.query(["w50"], k=5)
+    hits = index.rank(["w50"], k=5)
     assert hits
     docs_by_id = {doc.doc_id: doc for doc in corpus}
-    for hit in hits:
-        assert docs_by_id[hit.doc_id].tf("w50") > 0
+    for _, doc_id in hits:
+        assert docs_by_id[doc_id].tf("w50") > 0
 
 
-def test_query_scores_sorted_descending(index):
-    hits = index.query(["w10", "w20"], k=20)
-    scores = [hit.score for hit in hits]
+def test_query_scores_sorted_descending(index, corpus):
+    scores = [hit.score for hit in hits(index, corpus, ["w10", "w20"], 20)]
     assert scores == sorted(scores, reverse=True)
 
 
 def test_query_unknown_term_empty(index):
-    assert index.query(["nonexistent-term"], k=5) == []
+    assert index.rank(["nonexistent-term"], k=5) == []
 
 
 def test_query_k_validated(index):
     with pytest.raises(ValueError):
-        index.query(["w1"], k=0)
+        index.rank(["w1"], k=0)
 
 
 def test_rare_terms_outweigh_common(index, corpus):
@@ -99,10 +103,10 @@ def test_rare_terms_outweigh_common(index, corpus):
             df[term] += 1
     common = df.most_common(1)[0][0]
     rare = min((t for t in df if df[t] >= 2), key=lambda t: df[t])
-    both = index.query([common, rare], k=len(corpus))
-    rare_docs = {hit.doc_id for hit in index.query([rare], k=50)}
+    both = index.rank([common, rare], k=len(corpus))
+    rare_docs = {doc_id for _, doc_id in index.rank([rare], k=50)}
     # top hit for the combined query should involve the rare term
-    assert both[0].doc_id in rare_docs
+    assert both[0][1] in rare_docs
 
 
 def test_duplicate_add_rejected(index, corpus):
@@ -121,8 +125,8 @@ def test_remove_document():
     reference = ReferenceIndex(10).add_all(corpus)
     assert reference.remove(target.doc_id)
     assert index.n_documents == 9
-    for hits in [index.query([t], k=10) for t, _ in target.terms[:3]]:
-        assert all(hit.doc_id != target.doc_id for hit in hits)
+    for ranked in [index.rank([t], k=10) for t, _ in target.terms[:3]]:
+        assert all(doc_id != target.doc_id for _, doc_id in ranked)
     vocabulary = [f"w{rank}" for rank in range(corpus.vocabulary_size)]
     assert contents(index, vocabulary) == contents(reference, vocabulary)
 
@@ -137,8 +141,8 @@ index = InvertedIndex(total_corpus_size=len(corpus)).add_all(corpus)
 rng = RandomStreams(3).stream("queries")
 for _ in range(40):
     terms = corpus.vocabulary_sample(rng, 4)
-    print(" ".join(f"{hit.doc_id}:{hit.score.hex()}"
-                   for hit in index.query(terms, k=10)))
+    print(" ".join(f"{doc_id}:{(-negated).hex()}"
+                   for negated, doc_id in index.rank(terms, k=10)))
 """
 
 
@@ -212,15 +216,16 @@ def query_mix(corpus, rng, n):
         yield terms
 
 
-def assert_same_answers(index, reference, terms, corpus_size):
-    """rank() and query() against the reference, to the bit and in
-    order, for k below, at and above the number of matches."""
+def assert_same_answers(index, reference, terms, corpus):
+    """rank() and the hits made from it against the reference, to the
+    bit and in order, for k below, at and above the number of
+    matches."""
     assert index.search(terms)[0] == reference.postings_scanned(terms)
-    matches = len(reference.query(terms, corpus_size))
+    matches = len(reference.query(terms, len(corpus)))
     for k in {1, max(1, matches - 1), max(1, matches), matches + 5}:
         expected = reference.query(terms, k)
         assert len(expected) == min(k, matches)
-        assert bits(index.query(terms, k)) == bits(expected)
+        assert bits(hits(index, corpus, terms, k)) == bits(expected)
         assert index.rank(terms, k) == as_ranked(expected)
 
 
@@ -239,7 +244,7 @@ def test_query_equals_naive_full_sort(seed):
             == (reference.n_documents, reference.n_terms)
         ties = 0
         for terms in query_mix(corpus, rng, 12):
-            assert_same_answers(index, reference, terms, len(corpus))
+            assert_same_answers(index, reference, terms, corpus)
             scores = [score for score, _ in index.rank(terms, len(corpus))]
             ties += len(scores) - len(set(scores))
         assert ties > 0
@@ -279,7 +284,7 @@ def test_remove_then_add_equals_the_reference(seed):
         survivors + returned)
     assert contents(index, vocabulary) == contents(reference, vocabulary)
     for terms in query_mix(corpus, rng, 12):
-        assert_same_answers(index, reference, terms, len(corpus))
+        assert_same_answers(index, reference, terms, corpus)
 
 
 SMALL_VOCABULARY = [f"w{rank}" for rank in range(8)]
@@ -468,7 +473,7 @@ def test_partitioned_query_equals_global_query(corpus):
     merged = collate(partials, k=10)
     global_index = InvertedIndex(total_corpus_size=len(corpus)).add_all(
         corpus)
-    expected = global_index.query(["w5", "w17"], k=10)
+    expected = hits(global_index, corpus, ["w5", "w17"], 10)
     assert [doc_id for _, doc_id in merged] \
         == [h.doc_id for h in expected]
     urls = {document.doc_id: document.url for document in corpus}
@@ -559,6 +564,6 @@ def test_merge_invariant_any_partitioning(n_partitions, seed):
                 for p in range(n_partitions)]
     merged = collate(partials, k=8)
     global_index = InvertedIndex(total_corpus_size=60).add_all(corpus)
-    expected = global_index.query(terms, k=8)
+    expected = hits(global_index, corpus, terms, 8)
     assert [doc_id for _, doc_id in merged] \
         == [h.doc_id for h in expected]

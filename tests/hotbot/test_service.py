@@ -48,9 +48,9 @@ def test_query_matches_single_index_answer():
     result = ask(hotbot, terms=("w2", "w9"))
     global_index = InvertedIndex(
         total_corpus_size=len(hotbot.corpus)).add_all(hotbot.corpus)
-    expected = global_index.query(["w2", "w9"], k=hotbot.config.top_k)
+    expected = global_index.rank(["w2", "w9"], k=hotbot.config.top_k)
     assert [h.doc_id for h in result.hits] == \
-        [h.doc_id for h in expected]
+        [doc_id for _, doc_id in expected]
 
 
 def test_node_loss_gives_partial_answers_fast_restart():

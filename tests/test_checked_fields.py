@@ -310,7 +310,7 @@ DRAWS = settings(derandomize=True, max_examples=8, deadline=None)
 
 def test_the_registry_covers_every_owner():
     assert {cls.__name__: len(fields(cls)) for cls in DATACLASSES[:4]} == {
-        "SNSConfig": 38, "RecoveryPolicy": 15, "HotBotConfig": 9,
+        "SNSConfig": 37, "RecoveryPolicy": 15, "HotBotConfig": 9,
         "Campaign": 19}
     assert len(FAULT_KINDS) == 16
     assert set(TABLES) | {kind.__name__ for kind in DATACLASSES} \

@@ -23,7 +23,7 @@ SNS_CONFIG_CONSTANTS = (
     "degrade_tick_s", "degrade_enter_pressure", "degrade_exit_pressure",
     "degrade_dwell_ticks", "degrade_deadline_s", "policy_canary_fraction",
     "outlier_latency_ratio", "outlier_min_peers", "outlier_window_s",
-    "outlier_ejection_s", "outlier_max_ejection_s",
+    "outlier_ejection_s", "outlier_max_ejection_s", "reap_drain_timeout_s",
 )
 HOTBOT_CONFIG_CONSTANTS = ("query_per_posting_s", "cross_mount_penalty")
 
@@ -57,5 +57,5 @@ def test_single_value_knobs_are_constants(name, build):
 
 
 def test_config_field_counts():
-    assert len(dataclasses.fields(SNSConfig)) == 38
+    assert len(dataclasses.fields(SNSConfig)) == 37
     assert len(dataclasses.fields(HotBotConfig)) == 9
