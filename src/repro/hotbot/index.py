@@ -8,8 +8,9 @@ collation step depends on (scores are comparable across partitions, so
 the front end can merge top-k lists).
 
 A partition answers a query with one :meth:`InvertedIndex.search`:
-the postings it scanned and its best *pairs* — ``(-score, doc_id)``,
-ascending — which the front end collates, caches and pages from;
+the postings it scanned and its candidates' *scores*, doc id -> score,
+unsorted.  The front end ranks once, in :func:`collate`, into
+``(-score, doc_id)`` pairs it caches and pages from;
 :class:`SearchHit` objects are made at the edge, for the one page a
 user is served.
 """
@@ -213,14 +214,15 @@ class InvertedIndex:
     # -- query ----------------------------------------------------------------
 
     def search(self, terms: Sequence[str], k: int = 10
-               ) -> Tuple[int, List[Ranked]]:
-        """A partition's whole answer to a query: ``(scanned, ranked)``.
+               ) -> Tuple[int, Dict[int, float]]:
+        """A partition's whole answer to a query: ``(scanned, scores)``.
 
         ``scanned`` counts a repeated term each time it is named (it
-        drives the latency model); ``ranked`` is the k best
-        ``(-score, doc_id)`` pairs by tf-idf, ascending — best score
-        first, ties broken by doc id — each distinct term with a
-        non-zero idf scored once."""
+        drives the latency model); ``scores`` maps doc id -> tf-idf
+        score, each distinct term with a non-zero idf scored once, and
+        is not ordered: :func:`collate` ranks.  A partition with more
+        than ``k`` candidates keeps its k best by ``(-score, doc_id)``,
+        the cut the collated top k never reaches past."""
         if k <= 0:
             raise ValueError("k must be positive")
         ids = self._ids
@@ -252,30 +254,51 @@ class InvertedIndex:
                                              frequencies[start:end]):
                     scores[doc_id] = (get(doc_id, 0.0)
                                       + weight_of[frequency] * term_idf)
-        # (-score, doc_id) pairs, zipped in C: a leg makes no frame here
-        ranked = sorted(zip(map(neg, scores.values()), scores))
-        return scanned, ranked[:k]
+        if len(scores) > k:
+            best = best_first(scores, k)
+            scores = dict(zip(best, map(scores.__getitem__, best)))
+        return scanned, scores
 
     def rank(self, terms: Sequence[str], k: int = 10) -> List[Ranked]:
         """The k best ``(-score, doc_id)`` pairs by tf-idf, ascending:
         best score first, ties broken by doc id."""
-        return self.search(terms, k)[1]
+        return collate([self.search(terms, k)[1]], k)
 
 
-def collate(partials: Iterable[List[Ranked]], k: int = 10) -> List[Ranked]:
-    """Collate per-partition ranked lists into the global top-k.
+def collate(answers: Iterable[Mapping[int, float]],
+            k: int = 10) -> List[Ranked]:
+    """Collate the partitions' score maps into the global top k, as
+    ``(-score, doc_id)`` pairs, ascending.
 
     This is the front end's aggregation step ("collects search results
-    from a number of database partitions and collates the results").
-    Scores are comparable because every partition uses the global N in
-    its idf, and a document lives in one partition, so the pairs are
-    distinct and tuple order is the whole ranking.
+    from a number of database partitions and collates the results"),
+    and the one place a query's answer is ordered.  Scores are
+    comparable because every partition uses the global N in its idf,
+    and a document lives in one partition, so the merged map loses
+    nothing and tuple order is the whole ranking.
     """
-    everything: List[Ranked] = []
-    for partial in partials:
-        everything += partial
-    everything.sort()
-    return everything[:k]
+    merged: Dict[int, float] = {}
+    for answer in answers:
+        merged.update(answer)
+    best = best_first(merged, k)
+    # (-score, doc_id) pairs for the k kept, zipped in C
+    return list(zip(map(neg, map(merged.__getitem__, best)), best))
+
+
+def best_first(scores: Dict[int, float], k: int) -> List[int]:
+    """The doc ids of the ``k`` best ``scores``, in the order of their
+    ``(-score, doc_id)`` pairs: best score first, ties to the lower
+    doc id.
+
+    Sorted as ``sorted(zip(map(neg, scores.values()), scores))[:k]``
+    would, but on float keys instead of tuples: the ids ascending, then
+    a stable sort by score, descending, keeps equal scores in id order
+    (a score is never NaN).  Neither sort makes a pair or a frame.
+    """
+    ids = sorted(scores)
+    ids.sort(key=scores.__getitem__, reverse=True)
+    del ids[k:]
+    return ids
 
 
 def hits_from_ranked(ranked: Iterable[Ranked],

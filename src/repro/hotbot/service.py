@@ -161,9 +161,9 @@ class SearchWorker(Component):
                 continue
             # one search: `scanned` prices the wait, and the answer is
             # ready before it (an index never changes once built).  Doc
-            # ids and scores are what a partition server returns; the
-            # front end holds the urls
-            scanned, ranked = index.search(terms, k)
+            # ids and scores, unsorted, are what a partition server
+            # returns; the front end ranks and holds the urls
+            scanned, scores = index.search(terms, k)
             work = fixed_s + QUERY_PER_POSTING_S * scanned
             if use_replica:
                 work *= CROSS_MOUNT_PENALTY
@@ -176,12 +176,12 @@ class SearchWorker(Component):
             else:
                 self.queries_served += 1
             self.spawn(self._deliver(
-                reply, ranked, transfer_delay(64 * len(ranked))))
+                reply, scores, transfer_delay(64 * len(scores))))
 
-    def _deliver(self, reply, ranked, delay):
+    def _deliver(self, reply, scores, delay):
         yield Timeout(self.env, delay)
         if self.alive and reply._value is PENDING:
-            reply.succeed(ranked)
+            reply.succeed(scores)
 
     def _on_crash(self) -> None:
         self.queue.clear()
@@ -396,8 +396,9 @@ class HotBot:
                     answered.append(event._value)
                 else:
                     missing.append(partition)
-            # collate (score, doc id) pairs, deep: they are what is
-            # cached and paged from; hits are made for the page served
+            # rank once: the legs' score maps collate into (-score,
+            # doc id) pairs, deep: they are what is cached and paged
+            # from; hits are made for the page served
             ranked = collate(answered, fetch_k)
             self.queries += 1
             result = QueryResult(

@@ -297,16 +297,19 @@ class Process(Event):
                 env._normal.append(self)
                 break
 
-            if type(next_event) is not Event and \
-                    not isinstance(next_event, Event):
+            # an event is what has `callbacks` and `env`: two reads, no
+            # isinstance per resume; anything else is thrown back in
+            try:
+                callbacks = next_event.callbacks
+                foreign = next_event.env is not env
+            except AttributeError:
                 event = Event(env)
                 event._ok = False
                 event._value = TypeError(
                     f"process yielded non-event {next_event!r}")
                 continue
-            if next_event.env is not env:
+            if foreign:
                 raise SimulationError("event from a different environment")
-            callbacks = next_event.callbacks
             if callbacks is not None:
                 # not yet processed: wait for it
                 callbacks.append(self._resume)

@@ -316,8 +316,13 @@ class PartitionState:
 class UtilizationMeter:
     """Windowed byte-rate meter over fixed-size time buckets.
 
-    `Link.reserve` is the one writer of ``_buckets`` (once per message
-    on every link, so the update lives there, not behind a call).
+    The bucket now filling is two scalars, ``_open_id`` and
+    ``_open_bytes``; the closed ones, oldest first, are
+    ``(bucket_id, bytes)`` pairs in ``_closed``.  `Link.reserve` is the
+    one writer (once per message on every link, so the update lives
+    there, not behind a call): a message in the open bucket is one
+    float addition, and only a message in a new bucket calls
+    :meth:`_roll`.
     """
 
     def __init__(self, env: Environment, window: float = 5.0,
@@ -326,20 +331,38 @@ class UtilizationMeter:
         self.window = window
         self.bucket_width = window / buckets
         self._span = buckets
-        self._buckets: Deque[Tuple[int, float]] = deque()  # (bucket_id, bytes)
+        self._closed: Deque[Tuple[int, float]] = deque()
+        #: the open bucket's id (None before the first message and once
+        #: the window has passed it) and the bytes it holds
+        self._open_id: Optional[int] = None
+        self._open_bytes: float = 0
 
-    def _expire(self, current_bucket: int) -> None:
-        horizon = current_bucket - self._span
-        buckets = self._buckets
-        while buckets and buckets[0][0] < horizon:
-            buckets.popleft()
+    def _roll(self, bucket_id: int, nbytes: float) -> None:
+        """Close the open bucket and open ``bucket_id`` holding
+        ``nbytes``; only a new bucket moves the horizon."""
+        if self._open_id is not None:
+            self._closed.append((self._open_id, self._open_bytes))
+        self._open_id = bucket_id
+        self._open_bytes = nbytes
+        horizon = bucket_id - self._span
+        closed = self._closed
+        while closed and closed[0][0] < horizon:
+            closed.popleft()
 
     def rate(self) -> float:
         """Bytes per second over the window ending now."""
-        current_bucket = int(self.env.now / self.bucket_width)
-        self._expire(current_bucket)
-        total = sum([nbytes for _, nbytes in self._buckets])
-        return total / self.window
+        horizon = int(self.env.now / self.bucket_width) - self._span
+        closed = self._closed
+        while closed and closed[0][0] < horizon:
+            closed.popleft()
+        if self._open_id is not None and self._open_id < horizon:
+            self._open_id = None
+            self._open_bytes = 0
+        # closed buckets oldest first, then the open one: one sum in
+        # bucket order, so the same bits as a list of every bucket
+        totals = [nbytes for _, nbytes in closed]
+        totals.append(self._open_bytes)
+        return sum(totals) / self.window
 
 
 class Link:
@@ -385,13 +408,10 @@ class Link:
         self.messages_sent += 1
         meter = self._meter
         bucket_id = int(now / meter.bucket_width)
-        buckets = meter._buckets
-        if buckets and buckets[-1][0] == bucket_id:
-            buckets[-1] = (bucket_id, buckets[-1][1] + size_bytes)
+        if bucket_id == meter._open_id:
+            meter._open_bytes += size_bytes
         else:
-            buckets.append((bucket_id, size_bytes))
-            # only a new bucket moves the horizon
-            meter._expire(bucket_id)
+            meter._roll(bucket_id, size_bytes)
         return (start - now) + transmission + self.latency_s
 
     def utilization(self) -> float:

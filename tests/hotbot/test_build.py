@@ -238,7 +238,7 @@ def test_duplicate_document_still_raises(corpus):
         index.add_all([first, second, first])
     # nothing is indexed before the whole batch is known to be sound,
     # so the same index can still be built, once
-    assert (index.n_documents, index.search(["w1"])) == (0, (0, []))
+    assert (index.n_documents, index.search(["w1"])) == (0, (0, {}))
     index.add_all([first, second])
     assert held(index) == reference_held([first, second], len(corpus))
     with pytest.raises(ValueError, match="built once"):

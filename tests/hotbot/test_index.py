@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -275,7 +275,7 @@ def test_remove_then_add_equals_the_reference(seed):
                  if document.doc_id not in gone]
     index = InvertedIndex(len(corpus), global_df).add_all(survivors)
     assert index.n_terms < len(global_df)
-    assert index.search([rarest]) == (0, [])
+    assert index.search([rarest]) == (0, {})
     assert contents(index, vocabulary) == contents(reference, vocabulary)
     returned = list(dict.fromkeys(victims[:-10]))
     for victim in returned:
@@ -325,7 +325,17 @@ def typed_documents(draw):
     return documents, wide_ids, wide_frequencies
 
 
+#: more candidates than ``k = 4`` (the reference's candidates - 1),
+#: four tied below the best across the 4th place, listed (so posted)
+#: with the highest doc id first: the cut keeps 2, 5 and 7, never 9
+TIE_AT_THE_CUT = [
+    Document(doc_id, f"http://d/{doc_id}", (("w1", frequency),))
+    for doc_id, frequency in ((9, 2), (8, 3), (7, 2), (5, 2), (2, 2))]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
+@example(typed=(TIE_AT_THE_CUT, False, False), terms=["w1"],
+         forgotten="w0", global_mode=False)
 @given(typed=typed_documents(), terms=st.lists(
            st.sampled_from(SMALL_VOCABULARY + ["no-such-term"]),
            min_size=1, max_size=4),
@@ -338,7 +348,9 @@ def test_search_equals_the_reference(typed, terms, forgotten, global_mode):
     is named while its postings are scored once, an unknown term and a
     term the corpus-wide frequencies leave out (idf 0) are scanned but
     not scored, and `k` cuts below, at and above the number of
-    candidates — in both df modes."""
+    candidates — in both df modes.  A partition's map holds exactly
+    the reference's k best, a tie across the k-th place going to the
+    lower doc id, and `rank` orders them as the reference does."""
     documents, wide_ids, wide_frequencies = typed
     global_df = None
     if global_mode:
@@ -351,15 +363,18 @@ def test_search_equals_the_reference(typed, terms, forgotten, global_mode):
     assert (index._doc_ids.typecode, index._frequencies.typecode) == (
         "i" if wide_ids else "H", "H" if wide_frequencies else "B")
 
-    assert index.search([]) == (0, [])
+    assert index.search([]) == (0, {})
     candidates = len(reference.query(terms, len(documents)))
     for k in {1, max(1, candidates - 1), candidates + 3}:
-        scanned, ranked = index.search(terms, k)
+        scanned, scores = index.search(terms, k)
         assert scanned == reference.postings_scanned(terms)
-        assert [(doc_id, (-negated).hex()) for negated, doc_id in ranked] \
-            == [(doc_id, score.hex())
-                for doc_id, _, score in reference.query(terms, k)]
-        assert index.rank(terms, k) == ranked
+        expected = [(doc_id, score.hex())
+                    for doc_id, _, score in reference.query(terms, k)]
+        assert sorted((doc_id, score.hex())
+                      for doc_id, score in scores.items()) \
+            == sorted(expected)
+        assert [(doc_id, (-negated).hex())
+                for negated, doc_id in index.rank(terms, k)] == expected
 
 
 SOLO = "w-solo"
@@ -369,16 +384,16 @@ mixed_queries = st.lists(
 
 
 def assert_flat_equals_reference(index, reference, queries):
-    """`contents()`, and every search's scan count and ranking, to the
-    bit."""
+    """`contents()`, and every search's scan count and scores, and the
+    ranking collated from them, to the bit."""
     vocabulary = SMALL_VOCABULARY + [SOLO, "no-such-term"]
     assert contents(index, vocabulary) == contents(reference, vocabulary)
     for terms in queries:
         for k in (1, 3, max(1, reference.n_documents)):
-            scanned, ranked = index.search(terms, k)
+            scanned, scores = index.search(terms, k)
             assert scanned == reference.postings_scanned(terms)
             assert [(doc_id, (-negated).hex())
-                    for negated, doc_id in ranked] \
+                    for negated, doc_id in collate([scores], k)] \
                 == [(doc_id, score.hex())
                     for doc_id, _, score in reference.query(terms, k)]
 
@@ -417,7 +432,8 @@ def test_flat_indexes_equal_the_reference(vectors, weights, seed, queries,
         assert_flat_equals_reference(indexes[-1], references[-1], queries)
     assert sum(index.search([SOLO])[0] > 0 for index in indexes) == 1
     for terms in queries:
-        assert collate([index.rank(terms, 4) for index in indexes], 4) \
+        assert collate([index.search(terms, 4)[1] for index in indexes],
+                       4) \
             == as_ranked(reference_merge(
                 [reference.query(terms, 4) for reference in references], 4))
 
@@ -433,7 +449,7 @@ def test_a_repeated_term_is_scanned_twice_and_scored_once(index):
     once, ranked_once = index.search(["w5"])
     twice, ranked_twice = index.search(["w5", "w5"])
     assert twice == 2 * once > 0
-    assert ranked_twice == ranked_once != []
+    assert ranked_twice == ranked_once != {}
 
 
 def test_search_validates_k(index):
@@ -454,9 +470,9 @@ def test_search_hit_constructs_compares_and_hashes():
 def test_postings_scanned_counts(index, corpus):
     """A document names a term once, so each posting scanned is one
     ranked document."""
-    scanned, ranked = index.search(["w0"], len(corpus))
-    assert scanned == len(ranked) > 0
-    assert index.search(["missing"]) == (0, [])
+    scanned, scores = index.search(["w0"], len(corpus))
+    assert scanned == len(scores) > 0
+    assert index.search(["missing"]) == (0, {})
 
 
 # -- partition + merge: the key distributed-correctness property ------------------
@@ -467,7 +483,7 @@ def test_partitioned_query_equals_global_query(corpus):
     rng = RandomStreams(3).stream("pm")
     partition_map = PartitionMap(corpus, [1.0] * 4, rng)
     partials = [
-        partition_map.build_index(partition).rank(["w5", "w17"], k=10)
+        partition_map.build_index(partition).search(["w5", "w17"], k=10)[1]
         for partition in range(4)
     ]
     merged = collate(partials, k=10)
@@ -485,8 +501,9 @@ def test_partitioned_query_equals_global_query(corpus):
 def test_collated_partition_ranks_equal_the_global_rank(seed):
     """With corpus-wide document frequencies a document scores the
     same, to the bit, in its partition and in one big index, so the
-    key-free sort of concatenated pairs is the global ranking — and
-    the reference's key-function merge of its own partials."""
+    key-free sort of the merged score maps is the global ranking — and
+    the reference's key-function merge of its own partials, also when
+    a partition is missing from the gather."""
     corpus = tie_prone_corpus(seed)
     partition_map = PartitionMap(
         corpus, [1.0, 2.0, 0.5], RandomStreams(seed).stream("pm"))
@@ -501,12 +518,23 @@ def test_collated_partition_ranks_equal_the_global_rank(seed):
     rng = RandomStreams(seed).stream("queries")
     for terms in query_mix(corpus, rng, 12):
         for k in (1, 7, len(corpus)):
-            merged = collate([index.rank(terms, k) for index in indexes],
-                             k)
+            answers = [index.search(terms, k)[1] for index in indexes]
+            merged = collate(answers, k)
             assert merged == global_index.rank(terms, k)
             assert merged == as_ranked(reference_merge(
                 [reference.query(terms, k) for reference in references],
                 k))
+            # a partial gather: every partition but one answered
+            for missing in range(3):
+                partial = collate(answers[:missing] + answers[missing + 1:],
+                                  k)
+                assert [(doc_id, negated.hex())
+                        for negated, doc_id in partial] \
+                    == [(doc_id, negated.hex())
+                        for negated, doc_id in as_ranked(reference_merge(
+                            [reference.query(terms, k) for reference
+                             in references[:missing]
+                             + references[missing + 1:]], k))]
 
 
 def test_partition_sizes_follow_weights(corpus):
@@ -560,7 +588,7 @@ def test_merge_invariant_any_partitioning(n_partitions, seed):
     rng = RandomStreams(seed).stream("pm")
     partition_map = PartitionMap(corpus, [1.0] * n_partitions, rng)
     terms = ["w3", "w8"]
-    partials = [partition_map.build_index(p).rank(terms, k=8)
+    partials = [partition_map.build_index(p).search(terms, k=8)[1]
                 for p in range(n_partitions)]
     merged = collate(partials, k=8)
     global_index = InvertedIndex(total_corpus_size=60).add_all(corpus)

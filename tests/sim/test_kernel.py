@@ -431,6 +431,17 @@ def test_yielding_non_event_raises_typeerror_in_process():
     assert env.run(until=env.process(bad(env))) == "typed"
 
 
+def test_yielding_another_environments_event_raises():
+    env, other = Environment(), Environment()
+
+    def stray(env):
+        yield other.timeout(1.0)
+
+    env.process(stray(env))
+    with pytest.raises(SimulationError, match="different environment"):
+        env.run()
+
+
 def test_peek_reports_next_event_time():
     env = Environment()
     env.timeout(12.0)

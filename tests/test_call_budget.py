@@ -60,11 +60,16 @@ SCALE = 0.05
 #: and ranking became one `InvertedIndex.search`: per leg, `lookup`,
 #: `rank_columns`, a list comprehension and a `dict.items` gave way to
 #: one `search` and one `sorted`.
+#: All four came down again when a leg stopped sorting its own answer
+#: (it sends its scores and the gather ranks once: one `best_first`
+#: per query, not a `sorted` per leg), `Process._resume` stopped
+#: calling `isinstance` per resume and a link's meter kept its open
+#: bucket as two scalars: 285.5 / 275.0 / 477.1 / 1510.3 before.
 RECORDED = {
-    "jpeg_dispatch": (287.5, 285.5),
-    "overload_ramp": (277.6, 275.0),
-    "transend_mix": (478.6, 477.1),
-    "hotbot_scatter": (1556.0, 1510.3),
+    "jpeg_dispatch": (285.5, 274.2),
+    "overload_ramp": (275.0, 264.7),
+    "transend_mix": (477.1, 459.4),
+    "hotbot_scatter": (1510.3, 1470.9),
 }
 #: what a Python version may add to the recorded figure
 HEAD_ROOM = 1.03
@@ -87,14 +92,13 @@ HEAP_HEAD_ROOM = 1.1
 #: callee called at least once per five requests.  Not asserted on —
 #: it is what a failure is explained against.
 JPEG_DISPATCH_CALLEES = {
-    "~:<method 'append' of 'list' objects>": 22.71,
+    "~:<method 'append' of 'list' objects>": 22.86,
     "repro/sim/kernel.py:__init__": 21.92,
     "~:<method 'append' of 'collections.deque' objects>": 16.65,
     "~:<method 'popleft' of 'collections.deque' objects>": 16.62,
     "repro/sim/kernel.py:_resume": 16.29,
     "~:<method 'send' of 'generator' objects>": 16.29,
     "~:<built-in method builtins.len>": 12.14,
-    "~:<built-in method builtins.isinstance>": 10.50,
     "~:<built-in method _heapq.heappush>": 10.30,
     "~:<built-in method _heapq.heappop>": 8.31,
     "repro/core/frontend.py:_handle": 8.00,
@@ -114,7 +118,6 @@ JPEG_DISPATCH_CALLEES = {
     "repro/sim/network.py:transfer_delay": 2.28,
     "~:<method 'values' of 'dict' objects>": 2.10,
     "~:<built-in method builtins.min>": 2.06,
-    "<string>:__init__": 2.00,
     "repro/balance/policies.py:<listcomp>": 2.00,
     "repro/core/component.py:spawn": 2.00,
     "repro/core/messages.py:__init__": 2.00,
@@ -129,6 +132,7 @@ JPEG_DISPATCH_CALLEES = {
     "~:<built-in method math.log>": 1.36,
     "~:<built-in method builtins.sum>": 1.28,
     "repro/sim/kernel.py:process": 1.00,
+    "<string>:__init__": 1.00,
     "benchmarks/stack/harness.py:on_answer": 1.00,
     "benchmarks/stack/workloads.py:_grade_response": 1.00,
     "random.py:lognormvariate": 1.00,
@@ -164,12 +168,11 @@ JPEG_DISPATCH_CALLEES = {
     "~:<built-in method math.exp>": 1.00,
     "~:<method 'sort' of 'list' objects>": 1.00,
     "~:<method 'update' of 'dict' objects>": 1.00,
-    "repro/sim/kernel.py:now": 0.67,
+    "repro/sim/kernel.py:now": 0.65,
     "repro/core/worker_stub.py:<genexpr>": 0.30,
     "repro/sim/kernel.py:schedule_call": 0.28,
     "repro/sim/kernel.py:length": 0.26,
     "repro/core/manager.py:<genexpr>": 0.23,
-    "repro/sim/network.py:_expire": 0.22,
     "repro/core/manager_stub.py:refresh": 0.21,
 }
 
@@ -177,20 +180,19 @@ JPEG_DISPATCH_CALLEES = {
 #: 1.28 stores per request, one placement hash per key.
 TRANSEND_MIX_CALLEES = {
     "repro/sim/kernel.py:__init__": 37.73,
-    "~:<method 'append' of 'list' objects>": 35.98,
-    "~:<method 'append' of 'collections.deque' objects>": 26.96,
+    "~:<method 'append' of 'list' objects>": 37.68,
+    "~:<method 'append' of 'collections.deque' objects>": 26.95,
     "~:<method 'popleft' of 'collections.deque' objects>": 26.93,
     "repro/sim/kernel.py:_resume": 23.62,
     "~:<method 'send' of 'generator' objects>": 23.62,
-    "~:<built-in method builtins.isinstance>": 18.40,
     "~:<built-in method builtins.len>": 17.48,
     "~:<built-in method _heapq.heappush>": 16.68,
     "~:<built-in method _heapq.heappop>": 13.74,
     "repro/sim/kernel.py:succeed": 10.72,
     "repro/core/frontend.py:_handle": 9.65,
-    "~:<method 'get' of 'dict' objects>": 8.22,
-    "repro/sim/kernel.py:now": 7.82,
     "repro/sim/network.py:reserve": 7.76,
+    "~:<method 'get' of 'dict' objects>": 7.61,
+    "repro/sim/kernel.py:now": 7.42,
     "repro/sim/kernel.py:get": 6.44,
     "repro/sim/kernel.py:put_nowait": 6.44,
     "repro/transend/service.py:handle": 5.65,
@@ -208,7 +210,6 @@ TRANSEND_MIX_CALLEES = {
     "~:<built-in method builtins.hasattr>": 2.49,
     "repro/core/manager.py:<genexpr>": 2.41,
     "repro/transend/origin.py:fetch": 2.37,
-    "repro/sim/network.py:_expire": 2.22,
     "repro/core/component.py:_tick": 2.20,
     "~:<built-in method math.log>": 2.16,
     "repro/workload/playback.py:_request": 2.00,
@@ -243,7 +244,6 @@ TRANSEND_MIX_CALLEES = {
     "repro/sim/transport.py:_deliver": 1.31,
     "repro/sim/transport.py:recv": 1.31,
     "repro/sim/transport.py:send": 1.30,
-    "<string>:__init__": 1.28,
     "repro/cache/lru.py:_remove": 1.28,
     "repro/cache/lru.py:put": 1.28,
     "repro/tacc/content.py:__init__": 1.28,
@@ -251,8 +251,10 @@ TRANSEND_MIX_CALLEES = {
     "repro/tacc/content.py:__post_init__": 1.28,
     "repro/transend/cachesys.py:store": 1.28,
     "~:<method 'pop' of 'collections.OrderedDict' objects>": 1.28,
+    "~:<built-in method builtins.isinstance>": 1.17,
     "~:<built-in method builtins.min>": 1.08,
     "repro/sim/kernel.py:process": 1.00,
+    "<string>:__init__": 1.00,
     "benchmarks/stack/harness.py:on_answer": 1.00,
     "benchmarks/stack/workloads.py:_grade_response": 1.00,
     "repro/core/fabric.py:<listcomp>": 1.00,
@@ -291,7 +293,9 @@ TRANSEND_MIX_CALLEES = {
     "repro/transend/origin.py:materialize": 0.79,
     "repro/tacc/worker.py:param": 0.70,
     "repro/tacc/customization.py:get": 0.61,
+    "repro/tacc/customization.py:read": 0.61,
     "repro/transend/profiles.py:distilled_cache_key": 0.55,
+    "repro/sim/network.py:_roll": 0.52,
     "~:<method 'items' of 'dict' objects>": 0.50,
     "random.py:lognormvariate": 0.49,
     "random.py:normalvariate": 0.49,
@@ -312,6 +316,7 @@ TRANSEND_MIX_CALLEES = {
     "repro/tacc/worker.py:content": 0.49,
     "~:<built-in method math.exp>": 0.49,
     "~:<method 'setdefault' of 'dict' objects>": 0.49,
+    "repro/core/manager.py:submit": 0.40,
     "repro/core/frontend.py:_beacon_listener": 0.40,
     "repro/core/manager.py:_frontend_recv_loop": 0.40,
     "repro/core/manager_stub.py:observe_beacon": 0.40,
@@ -320,7 +325,7 @@ TRANSEND_MIX_CALLEES = {
     "repro/core/frontend.py:active_requests": 0.40,
     "repro/core/manager.py:<setcomp>": 0.40,
     "repro/core/manager.py:_known_types": 0.40,
-    "repro/core/manager.py:_may_act": 0.40,
+    "repro/core/manager.py:may_act": 0.40,
     "repro/core/manager_stub.py:beacon_age": 0.40,
     "repro/sim/multicast.py:publish": 0.40,
     "~:<built-in method builtins.sorted>": 0.40,
@@ -333,7 +338,6 @@ TRANSEND_MIX_CALLEES = {
     "repro/sim/kernel.py:processed": 0.25,
     "repro/sim/kernel.py:run": 0.25,
     "~:<method 'move_to_end' of 'collections.OrderedDict' objects>": 0.21,
-    "repro/core/manager.py:_members_departed": 0.20,
     "repro/core/monitor.py:_beacon_listener": 0.20,
     "repro/core/monitor.py:_report_listener": 0.20,
 }
@@ -345,15 +349,14 @@ HOTBOT_SCATTER_CALLEES = {
     "~:<method 'get' of 'dict' objects>": 213.22,
     "~:<method 'append' of 'list' objects>": 132.71,
     "repro/sim/kernel.py:__init__": 127.24,
-    "~:<method 'append' of 'collections.deque' objects>": 115.65,
+    "~:<method 'append' of 'collections.deque' objects>": 115.64,
     "~:<method 'popleft' of 'collections.deque' objects>": 115.63,
     "repro/sim/kernel.py:_resume": 82.55,
     "~:<method 'send' of 'generator' objects>": 82.55,
+    "~:<built-in method builtins.len>": 51.73,
     "repro/sim/kernel.py:succeed": 48.22,
     "repro/hotbot/service.py:_service_loop": 45.36,
     "repro/sim/node.py:compute": 45.28,
-    "~:<built-in method builtins.isinstance>": 42.93,
-    "~:<built-in method builtins.len>": 36.63,
     "~:<built-in method _heapq.heappush>": 34.18,
     "~:<built-in method _heapq.heappop>": 32.24,
     "repro/sim/kernel.py:get": 31.27,
@@ -363,17 +366,17 @@ HOTBOT_SCATTER_CALLEES = {
     "repro/sim/network.py:transfer_delay": 30.19,
     "~:<built-in method builtins.hasattr>": 17.10,
     "repro/sim/kernel.py:timeout": 17.09,
-    "~:<built-in method builtins.sorted>": 16.09,
     "repro/core/component.py:spawn": 15.09,
     "repro/hotbot/index.py:search": 15.09,
     "repro/hotbot/service.py:_scatter_leg": 15.09,
     "repro/sim/kernel.py:_check": 15.09,
-    "~:<method 'values' of 'dict' objects>": 15.09,
+    "~:<method 'update' of 'dict' objects>": 15.09,
     "<string>:<lambda>": 10.00,
     "~:<built-in method __new__ of type object>": 10.00,
     "repro/hotbot/service.py:_handle": 4.00,
     "repro/hotbot/service.py:query": 4.00,
     "~:<method 'lower' of 'str' objects>": 4.00,
+    "~:<built-in method builtins.sorted>": 2.15,
     "repro/sim/kernel.py:now": 2.06,
     "~:<built-in method builtins.max>": 2.05,
     "~:<built-in method builtins.min>": 2.01,
@@ -382,6 +385,9 @@ HOTBOT_SCATTER_CALLEES = {
     "repro/workload/playback.py:_request": 2.00,
     "repro/hotbot/service.py:<listcomp>": 1.94,
     "repro/sim/kernel.py:_on_event": 1.94,
+    "repro/hotbot/index.py:best_first": 1.15,
+    "~:<method 'sort' of 'list' objects>": 1.15,
+    "~:<built-in method builtins.isinstance>": 1.08,
     "<string>:__init__": 1.00,
     "benchmarks/stack/harness.py:on_answer": 1.00,
     "benchmarks/stack/workloads.py:<lambda>": 1.00,
@@ -409,7 +415,6 @@ HOTBOT_SCATTER_CALLEES = {
     "repro/sim/kernel.py:all_of": 0.94,
     "~:<built-in method builtins.sum>": 0.94,
     "~:<method 'pop' of 'collections.OrderedDict' objects>": 0.94,
-    "~:<method 'sort' of 'list' objects>": 0.94,
 }
 
 #: the tables a failure is explained against

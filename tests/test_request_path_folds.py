@@ -8,6 +8,7 @@ folded forwarding layers into their callers; it may not change a
 
 import copy
 import dataclasses
+from collections import deque
 import inspect
 import pickle
 
@@ -26,7 +27,7 @@ from repro.obs import install_tracer
 from repro.sim.cluster import Cluster
 from repro.sim.hashing import PartitionError, stable_hash
 from repro.sim.kernel import Environment
-from repro.sim.network import Link
+from repro.sim.network import Link, UtilizationMeter
 from repro.sim.rng import RandomStreams
 from repro.tacc.content import Content, ZeroPayload
 from repro.tacc.customization import ProfileStore, WriteThroughCache
@@ -153,9 +154,38 @@ def test_lottery_weights_are_the_effective_queues(histories, later,
 
 # -- (b) Link.reserve and the meter it writes ----------------------------------
 
+class ParentMeter(UtilizationMeter):
+    """The meter as it was: every bucket, the open one last, a
+    ``(bucket_id, bytes)`` pair in one deque."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self._buckets = deque()
+
+    def rate(self):
+        horizon = int(self.env.now / self.bucket_width) - self._span
+        buckets = self._buckets
+        while buckets and buckets[0][0] < horizon:
+            buckets.popleft()
+        return sum([nbytes for _, nbytes in buckets]) / self.window
+
+
+def meter_view(meter):
+    """The meter's closed buckets and then its open one, as the pairs
+    `ParentMeter` keeps."""
+    view = list(meter._closed)
+    if meter._open_id is not None:
+        view.append((meter._open_id, meter._open_bytes))
+    return view
+
+
 class ParentLink(Link):
     """`Link.reserve` as it was: the bucket update behind a call that
-    expired on every message."""
+    expired on every message, into a `ParentMeter`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._meter = ParentMeter(self.env)
 
     def _record(self, nbytes):
         meter = self._meter
@@ -200,7 +230,7 @@ def test_link_reserve_is_the_parents_to_the_bit(steps):
         assert link.reserve(size).hex() == parent.reserve(size).hex()
         if read_rate:   # rate() expires too: both see the same reads
             assert link.utilization().hex() == parent.utilization().hex()
-        assert link._meter._buckets == parent._meter._buckets
+        assert meter_view(link._meter) == list(parent._meter._buckets)
         assert link.backlog_s.hex() == parent.backlog_s.hex()
         assert (link.bytes_sent, link.messages_sent) \
             == (parent.bytes_sent, parent.messages_sent)
