@@ -500,8 +500,8 @@ def test_partitioned_query_equals_global_query(corpus):
 @pytest.mark.parametrize("seed", range(4))
 def test_collated_partition_ranks_equal_the_global_rank(seed):
     """With corpus-wide document frequencies a document scores the
-    same, to the bit, in its partition and in one big index, so the
-    key-free sort of the merged score maps is the global ranking — and
+    same, to the bit, in its partition and in one big index, so
+    collating the partitions' score maps gives the global ranking — and
     the reference's key-function merge of its own partials, also when
     a partition is missing from the gather."""
     corpus = tie_prone_corpus(seed)
