@@ -31,6 +31,11 @@ from repro.balance.policies import EWMA_ALPHA, RoutingPolicy
 #: in play (peer-relative by construction: global slowness ejects nobody).
 OUTLIER_LATENCY_RATIO = 3.0
 OUTLIER_MIN_PEERS = 3
+#: a latency outlier is judged only after this many local samples.
+OUTLIER_MIN_SAMPLES = 8
+#: timeouts within OUTLIER_WINDOW_S that eject a worker (unless
+#: timeouts are cluster-wide).
+OUTLIER_TIMEOUT_THRESHOLD = 3
 #: the window timeouts are counted in (and a repeat offence forgiven).
 OUTLIER_WINDOW_S = 10.0
 #: first ejection duration; doubles per repeat offence up to the max.
@@ -62,12 +67,10 @@ class OutlierEjector(RoutingPolicy):
 
     needs_key = False  # property below consults the inner policy
 
-    def __init__(self, inner: RoutingPolicy, config: Any) -> None:
+    def __init__(self, inner: RoutingPolicy) -> None:
         self.inner = inner
         self.name = f"{inner.name}+eject"
         self.needs_key = inner.needs_key
-        self.min_samples = config.outlier_min_samples
-        self.timeout_threshold = config.outlier_timeout_threshold
         self.health: Dict[str, _WorkerHealth] = {}
         # counters
         self.ejections = 0
@@ -143,7 +146,7 @@ class OutlierEjector(RoutingPolicy):
             return
         # latency outliers, relative to the peer median
         sampled = [(name, self.health[name].ewma_s) for name in active
-                   if self.health[name].samples >= self.min_samples]
+                   if self.health[name].samples >= OUTLIER_MIN_SAMPLES]
         if len(sampled) >= OUTLIER_MIN_PEERS:
             latencies = sorted(ewma for _, ewma in sampled)
             mid = len(latencies) // 2
@@ -161,7 +164,7 @@ class OutlierEjector(RoutingPolicy):
         counts = {name: self._recent_timeouts(self.health[name], now)
                   for name in active}
         offenders = [name for name, count in counts.items()
-                     if count >= self.timeout_threshold]
+                     if count >= OUTLIER_TIMEOUT_THRESHOLD]
         if offenders and len(offenders) * 2 < len(active):
             for name in offenders:
                 record = self.health[name]

@@ -38,6 +38,9 @@ from repro.sim.hashing import Ring
 EWMA_ALPHA = 0.3
 #: "hash-bounded" policy: virtual nodes per worker on the ring.
 HASH_RING_REPLICAS = 50
+#: "hash-bounded" policy: a worker may carry at most this multiple of
+#: the mean in-flight load before the request walks the ring.
+HASH_BOUND = 1.25
 #: "weighted" policy: traffic fraction routed to the canary (the most
 #: recently spawned worker).
 CANARY_FRACTION = 0.1
@@ -336,7 +339,7 @@ class BoundedLoadHashPolicy(_OutstandingTracker):
     cache affinity: the same URL keeps landing on the same worker, so
     its working set stays hot.  The "bounded loads" part keeps affinity
     from defeating balance: a worker already carrying more than
-    ``ceil(bound_factor × mean outstanding)`` in-flight requests is
+    ``ceil(HASH_BOUND × mean outstanding)`` in-flight requests is
     skipped and the request walks clockwise to the next admissible
     worker.  No RNG draws.
     """
@@ -346,7 +349,6 @@ class BoundedLoadHashPolicy(_OutstandingTracker):
 
     def __init__(self, config: Any, rng: Any) -> None:
         super().__init__()
-        self.bound_factor = config.policy_hash_bound
         self._ring = Ring()
         self._ring_members: frozenset = frozenset()
         self.overflow_hops = 0
@@ -360,9 +362,9 @@ class BoundedLoadHashPolicy(_OutstandingTracker):
             self._ring = Ring(names, HASH_RING_REPLICAS)
             self._ring_members = names
         total = sum(self.outstanding.get(name, 0) for name in names)
-        # each worker may carry at most bound_factor x the fair share of
+        # each worker may carry at most HASH_BOUND x the fair share of
         # in-flight requests (counting the one about to be placed)
-        bound = max(1.0, self.bound_factor * (total + 1) / len(names))
+        bound = max(1.0, HASH_BOUND * (total + 1) / len(names))
         owner = None
         for name in self._ring.walk(key if key is not None else ""):
             if owner is None:
@@ -403,18 +405,23 @@ def available_policies() -> List[str]:
 
 
 def parse_policy_spec(spec: str) -> Tuple[str, List[str]]:
-    """Split ``"ewma+eject"`` into (base, wrappers); raise on unknowns."""
+    """Split ``"ewma+eject"`` into (base, wrappers); raise on a spec
+    that is not a string, an unknown name or a repeated wrapper."""
+    if not isinstance(spec, str):
+        raise PolicyError(f"a policy spec is a string, not {spec!r}")
     parts = [part.strip() for part in spec.split("+")]
     base, wrappers = parts[0], parts[1:]
     if base not in POLICIES:
         raise PolicyError(
             f"unknown routing policy {base!r}; "
             f"known: {', '.join(available_policies())}")
-    for wrapper in wrappers:
+    for at, wrapper in enumerate(wrappers):
         if wrapper not in WRAPPERS:
             raise PolicyError(
                 f"unknown policy wrapper {wrapper!r}; "
                 f"known: {', '.join(WRAPPERS)}")
+        if wrapper in wrappers[:at]:
+            raise PolicyError(f"policy wrapper {wrapper!r} repeated")
     return base, wrappers
 
 
@@ -426,7 +433,7 @@ def build_policy(spec: str, config: Any, rng: Any) -> RoutingPolicy:
     for wrapper in wrappers:
         if wrapper == "eject":
             from repro.balance.ejection import OutlierEjector
-            policy = OutlierEjector(policy, config)
+            policy = OutlierEjector(policy)
     return policy
 
 

@@ -10,20 +10,24 @@ production TranSend runs with a single front-end of about 400 threads"),
 and the per-connection front-end overhead that makes a 100 Mb/s segment
 top out near 70 requests/second (Section 4.6, footnote 5).
 
-A value is an :class:`SNSConfig` field only while some experiment,
-campaign, benchmark or test sets it to a second value.  The rest are
-module constants beside their one reader, each still carrying its
-paper quote or comment: here ``BEACON_LOSS_TOLERANCE`` (3.1.3),
+A value is an :class:`SNSConfig` field only while some shipped caller
+(an experiment, campaign, benchmark or CLI flag) sets it to a second
+value; tests and examples do not count.  The rest are module constants
+beside their one reader, each still carrying its paper quote or
+comment: here ``BEACON_LOSS_TOLERANCE`` (3.1.3),
 ``MIN_WORKERS_PER_TYPE`` (3.1.2), ``REQUEST_OVERHEAD_BYTES`` (4.6),
 ``DISTILLATION_THRESHOLD_BYTES`` (4.1), ``CONSENSUS_LEASE_S``,
-``ORIGIN_BREAKER_*``, ``LOAD_EWMA_ALPHA``, ``REAP_THRESHOLD``,
-``DISPATCH_BACKOFF_FACTOR`` and the brownout loop's ``DEGRADE_*``; in
-:mod:`repro.core.manager` ``REAP_DRAIN_TIMEOUT_S``; in
-:mod:`repro.balance.policies` (``repro.core`` imports ``repro.balance``,
-not the other way round) ``EWMA_ALPHA``, ``HASH_RING_REPLICAS`` and
+``ORIGIN_BREAKER_*``, ``LOAD_EWMA_ALPHA``, ``REAP_THRESHOLD``, the
+retry backoff's ``DISPATCH_BACKOFF_*`` and the brownout loop's
+``DEGRADE_*`` (``DEGRADE_HOLD_TICKS`` among them; the loop climbs to
+:data:`repro.degrade.ladder.MAX_LEVEL`); in :mod:`repro.core.manager`
+``REAP_DRAIN_TIMEOUT_S``; in :mod:`repro.balance.policies`
+(``repro.core`` imports ``repro.balance``, not the other way round)
+``EWMA_ALPHA``, ``HASH_RING_REPLICAS``, ``HASH_BOUND`` and
 ``CANARY_FRACTION``; in :mod:`repro.balance.ejection` the ejector's
-``OUTLIER_*`` ratio, peer count, window and durations.  Distilled
-results are always cached (Section 3.1.5's injection path).
+``OUTLIER_*`` ratio, peer count, sample count, timeout threshold,
+window and durations.  Distilled results are always cached (Section
+3.1.5's injection path).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.domains import (OutOfDomain, at_least, between, check_fields,
+from repro.domains import (OutOfDomain, at_least, check_fields,
                            checked, choice, count, positive)
 
 #: beacons a manager stub may miss before declaring the manager dead
@@ -68,9 +72,16 @@ LOAD_EWMA_ALPHA = 0.3
 #: reap a worker when its type's average queue stays below this for
 #: ``reap_after_s``.
 REAP_THRESHOLD = 0.5
-#: retry backoff growth: the first-retry delay doubles per retry up to
-#: ``dispatch_backoff_cap_s``.
+#: retry backoff: the first-retry delay, growing by
+#: DISPATCH_BACKOFF_FACTOR per retry up to DISPATCH_BACKOFF_CAP_S.  Each
+#: delay is scaled by a uniform draw in [1 - j/2, 1 + j/2] (j =
+#: DISPATCH_BACKOFF_JITTER) from a dedicated seeded stream, so
+#: lossy-regime retries neither synchronize into retry storms nor
+#: perturb other streams.
+DISPATCH_BACKOFF_BASE_S = 0.05
 DISPATCH_BACKOFF_FACTOR = 2.0
+DISPATCH_BACKOFF_CAP_S = 2.0
+DISPATCH_BACKOFF_JITTER = 0.5
 #: brownout control-loop sampling period.
 DEGRADE_TICK_S = 0.5
 #: pressure at/above which the ladder escalates one level per tick.
@@ -79,6 +90,9 @@ DEGRADE_ENTER_PRESSURE = 1.0
 DEGRADE_EXIT_PRESSURE = 0.5
 #: consecutive calm ticks required before stepping down one level.
 DEGRADE_DWELL_TICKS = 2
+#: minimum ticks between successive escalations (spawn-damping
+#: analogue: one congested sample cannot slam the ladder to the top).
+DEGRADE_HOLD_TICKS = 2
 #: deadline-shed level: assumed client deadline for the probabilistic
 #: can-this-still-make-it admission estimate.
 DEGRADE_DEADLINE_S = 8.0
@@ -169,16 +183,6 @@ class SNSConfig:
     #: least-outstanding, p2c, ewma, weighted, hash-bounded; append
     #: "+eject" for passive outlier ejection (e.g. "ewma+eject").
     routing_policy: str = "lottery"
-    #: "hash-bounded" policy: a worker may carry at most this multiple
-    #: of the mean in-flight load before the request walks the ring.
-    policy_hash_bound: float = checked(1.25, at_least(1))
-    #: "+eject" wrapper: a latency outlier is judged only after this
-    #: many local latency samples (the ratio, peer count, window and
-    #: ejection durations are constants in repro.balance.ejection).
-    outlier_min_samples: int = checked(8, count(1))
-    #: "+eject" wrapper: timeouts within OUTLIER_WINDOW_S that eject a
-    #: worker (unless timeouts are cluster-wide).
-    outlier_timeout_threshold: int = checked(3, count(1))
     #: per-dispatch timeout before the front end retries elsewhere.
     dispatch_timeout_s: float = checked(8.0, positive())
     #: dispatch attempts before falling back to the original content.
@@ -189,16 +193,6 @@ class SNSConfig:
     #: work the client has already given up on.
     dispatch_deadline_s: Optional[float] = checked(
         None, positive(optional=True))
-    #: retry backoff: first-retry delay and cap (the growth factor is
-    #: DISPATCH_BACKOFF_FACTOR).  The delay is jittered ±50% by
-    #: ``dispatch_backoff_jitter`` from a dedicated seeded stream, so
-    #: lossy-regime retries neither synchronize into retry storms nor
-    #: perturb other streams.
-    dispatch_backoff_base_s: float = checked(0.05, at_least(0))
-    dispatch_backoff_cap_s: float = checked(2.0, at_least(0))
-    #: jitter fraction: each backoff delay is scaled by a deterministic
-    #: uniform draw in [1 - j/2, 1 + j/2].
-    dispatch_backoff_jitter: float = checked(0.5, between(0, 1))
 
     # -- front ends -----------------------------------------------------------------
     #: thread-pool size ("about 400 threads").
@@ -239,16 +233,10 @@ class SNSConfig:
         None, count(1, optional=True))
 
     # -- brownout controller (repro.degrade.controller) ----------------------
-    #: minimum ticks between successive escalations (spawn-damping
-    #: analogue: one congested sample cannot slam the ladder to the top).
-    degrade_hold_ticks: int = checked(2, count(0))
     #: busiest front end's thread occupancy at which pressure reads 1
     #: (the other two signals' targets are DEGRADE_QUEUE_TARGET_S and
     #: DEGRADE_SHED_TARGET; pressure is the max of the three).
     degrade_util_target: float = checked(0.9, positive())
-    #: highest ladder level the controller may reach (operators can pin
-    #: the ladder below priority-admission/deadline-shed).
-    degrade_max_level: int = checked(5, count(0, 5))
 
     # -- workers ----------------------------------------------------------------------
     #: worker stub queue capacity; beyond this, submissions are refused

@@ -342,11 +342,9 @@ class SNSFabric:
 
     # -- monitor ---------------------------------------------------------------------------
 
-    def start_monitor(self, node: Optional[Node] = None,
-                      **kwargs) -> Monitor:
+    def start_monitor(self, node: Optional[Node] = None) -> Monitor:
         node = self._place(node)
-        monitor = Monitor(self.cluster, node, "monitor", self.config,
-                          **kwargs)
+        monitor = Monitor(self.cluster, node, "monitor", self.config)
         monitor.start()
         self.monitor = monitor
         return monitor

@@ -21,8 +21,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.balance import build_policy, request_key
-from repro.core.config import (CONSENSUS_LEASE_S, DISPATCH_BACKOFF_FACTOR,
-                               SNSConfig)
+from repro.core.config import (CONSENSUS_LEASE_S, DISPATCH_BACKOFF_BASE_S,
+                               DISPATCH_BACKOFF_CAP_S, DISPATCH_BACKOFF_FACTOR,
+                               DISPATCH_BACKOFF_JITTER, SNSConfig)
 from repro.core.messages import (ManagerBeacon, Request, WorkEnvelope,
                                  WorkerAdvert)
 from repro.sim.cluster import Cluster
@@ -256,15 +257,13 @@ class ManagerStub:
         (no retry storms when a whole lossy window times out at once).
         The cap is applied *after* the jitter multiply: it is a hard
         ceiling on the wait, not on the pre-jitter base (an up-jittered
-        delay must never exceed ``dispatch_backoff_cap_s``).
+        delay must never exceed ``DISPATCH_BACKOFF_CAP_S``).
         """
-        config = self.config
-        delay = (config.dispatch_backoff_base_s
-                 * DISPATCH_BACKOFF_FACTOR ** (retry_number - 1))
-        jitter = config.dispatch_backoff_jitter
-        if jitter > 0 and delay > 0:
-            delay *= 1.0 + jitter * (self.backoff_rng.random() - 0.5)
-        return min(config.dispatch_backoff_cap_s, delay)
+        jitter = DISPATCH_BACKOFF_JITTER * (self.backoff_rng.random() - 0.5)
+        return min(DISPATCH_BACKOFF_CAP_S,
+                   DISPATCH_BACKOFF_BASE_S
+                   * DISPATCH_BACKOFF_FACTOR ** (retry_number - 1)
+                   * (1.0 + jitter))
 
     def dispatch(self, request: Request, work: Any, worker_type: str):
         """Process generator: route ``work`` (a TACC request) for the

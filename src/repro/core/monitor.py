@@ -14,14 +14,17 @@ content is the same; see DESIGN.md "Out of scope").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.core.component import Component
 from repro.core.config import SNSConfig
 from repro.core.messages import BEACON_GROUP, MONITOR_GROUP, ManagerBeacon
 from repro.sim.cluster import Cluster
 from repro.sim.node import Node
+
+#: seconds a component may stay silent before the monitor pages.
+SILENCE_THRESHOLD_S = 5.0
 
 
 @dataclass
@@ -50,13 +53,9 @@ class Monitor(Component):
     kind = "monitor"
 
     def __init__(self, cluster: Cluster, node: Node, name: str,
-                 config: SNSConfig,
-                 on_alert: Optional[Callable[[Alert], None]] = None,
-                 silence_threshold_s: float = 5.0) -> None:
+                 config: SNSConfig) -> None:
         super().__init__(cluster, node, name)
         self.config = config
-        self.on_alert = on_alert
-        self.silence_threshold_s = silence_threshold_s
         self.last_seen: Dict[str, float] = {}
         self._silenced: Dict[str, bool] = {}
         #: components under planned maintenance (hot upgrade): their
@@ -125,7 +124,7 @@ class Monitor(Component):
             if component in self._maintenance:
                 continue
             silent_for = self.env.now - seen_at
-            if silent_for > self.silence_threshold_s and \
+            if silent_for > SILENCE_THRESHOLD_S and \
                     not self._silenced.get(component):
                 self._silenced[component] = True
                 self._raise_alert(
@@ -134,10 +133,7 @@ class Monitor(Component):
 
     def _raise_alert(self, severity: str, component: str,
                      message: str) -> None:
-        alert = Alert(self.env.now, severity, component, message)
-        self.alerts.append(alert)
-        if self.on_alert is not None:
-            self.on_alert(alert)
+        self.alerts.append(Alert(self.env.now, severity, component, message))
 
     # -- queries -----------------------------------------------------------------
 

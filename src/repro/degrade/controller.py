@@ -33,9 +33,10 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import (DEGRADE_DWELL_TICKS, DEGRADE_ENTER_PRESSURE,
-                               DEGRADE_EXIT_PRESSURE, DEGRADE_QUEUE_TARGET_S,
-                               DEGRADE_SHED_TARGET, DEGRADE_TICK_S)
-from repro.degrade.ladder import LEVELS, level_name
+                               DEGRADE_EXIT_PRESSURE, DEGRADE_HOLD_TICKS,
+                               DEGRADE_QUEUE_TARGET_S, DEGRADE_SHED_TARGET,
+                               DEGRADE_TICK_S)
+from repro.degrade.ladder import LEVELS, MAX_LEVEL, level_name
 from repro.transend.adaptation import DEFAULT_TIERS
 
 
@@ -144,8 +145,7 @@ class DegradationController:
         self.peak_pressure = max(self.peak_pressure, pressure)
         if pressure >= DEGRADE_ENTER_PRESSURE:
             self._calm_ticks = 0
-            if self.level < self.config.degrade_max_level \
-                    and self._escalation_hold_clear():
+            if self.level < MAX_LEVEL and self._escalation_hold_clear():
                 self._move(self.level + 1, pressure)
                 self._last_escalation_at = self.env.now
         elif pressure <= DEGRADE_EXIT_PRESSURE:
@@ -160,11 +160,11 @@ class DegradationController:
 
     def _escalation_hold_clear(self) -> bool:
         """Spawn-damping analogue: space successive escalations out by
-        ``degrade_hold_ticks`` ticks, so one congested sample cannot
+        ``DEGRADE_HOLD_TICKS`` ticks, so one congested sample cannot
         slam the ladder to its top rung."""
         if self._last_escalation_at is None:
             return True
-        hold_s = self.config.degrade_hold_ticks * DEGRADE_TICK_S
+        hold_s = DEGRADE_HOLD_TICKS * DEGRADE_TICK_S
         return self.env.now - self._last_escalation_at >= hold_s
 
     def _move(self, new_level: int, pressure: float) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.reporting import render_table
-from repro.hotbot.service import HotBot, HotBotConfig
+from repro.hotbot.service import DB_CAPACITY_RPS, HotBot, HotBotConfig
 from repro.transend.service import TranSend
 
 
@@ -70,7 +70,7 @@ def run_table1() -> Table1Result:
         f"WAL key-value store with FE read caches "
         f"({type(transend.profile_store).__name__})",
         f"parallel primary/backup server at "
-        f"{hotbot.config.db_capacity_rps:.0f} req/s "
+        f"{DB_CAPACITY_RPS:.0f} req/s "
         f"({type(hotbot.database).__name__})",
     ])
     rows.append([

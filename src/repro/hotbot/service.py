@@ -37,6 +37,12 @@ QUERY_PER_POSTING_S = 3e-6
 #: cross-mounted access is slower (remote disk): a peer serving a
 #: crashed partition pays this multiple of the local cost.
 CROSS_MOUNT_PENALTY = 2.0
+#: hits on one result page.
+TOP_K = 10
+#: Informix capacity (the bandwidth of its request pipe) and failover
+#: time.
+DB_CAPACITY_RPS = 400.0
+DB_FAILOVER_S = 5.0
 
 
 @dataclass
@@ -45,21 +51,19 @@ class HotBotConfig:
 
     n_workers: int = checked(8, count(1))
     n_docs: int = checked(2600, count(1))
-    top_k: int = checked(10, count(1))
     #: per-query worker cost: fixed + QUERY_PER_POSTING_S * scanned.
     query_fixed_s: float = checked(0.008, at_least(0))
     #: front end threads per node ("50-80 threads per node").
     frontend_threads: int = checked(64, count(1))
     #: scatter-gather deadline; missing partitions => partial results.
+    #: Only tests set a second value, yet it stays a field: the
+    #: fast-restart answer digests in tests/hotbot/test_answers.py are
+    #: recorded at 0.5 s.
     gather_timeout_s: float = checked(2.0, at_least(0))
     #: "fast-restart" (RAID, partition offline until restart) or
     #: "cross-mount" (original Inktomi: a peer serves the partition).
     failure_mode: str = checked(
         "fast-restart", choice("fast-restart", "cross-mount"))
-    #: Informix capacity (the bandwidth of its request pipe) and
-    #: failover time.
-    db_capacity_rps: float = checked(400.0, positive())
-    db_failover_s: float = checked(5.0, at_least(0))
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -90,21 +94,19 @@ class InformixModel:
     approximate answers: during failover, requests *wait*.
     """
 
-    def __init__(self, cluster: Cluster, capacity_rps: float,
-                 failover_s: float) -> None:
+    def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self.failover_s = failover_s
         self._pipe = Link(cluster.env, "informix",
-                          bandwidth_bps=capacity_rps, latency_s=0.0)
+                          bandwidth_bps=DB_CAPACITY_RPS, latency_s=0.0)
         self.available = True
         self.unavailable_until = 0.0
         self.requests = 0
         self.failovers = 0
 
     def fail_primary(self) -> None:
-        """Crash the primary; the backup takes over after failover_s."""
+        """Crash the primary; the backup takes over after DB_FAILOVER_S."""
         self.available = False
-        self.unavailable_until = self.cluster.env.now + self.failover_s
+        self.unavailable_until = self.cluster.env.now + DB_FAILOVER_S
         self.failovers += 1
 
     def request(self):
@@ -229,9 +231,7 @@ class HotBot:
             worker.start()
             self.workers.append(worker)
         db_node = self.cluster.add_node("informix")
-        self.database = InformixModel(
-            self.cluster, self.config.db_capacity_rps,
-            self.config.db_failover_s)
+        self.database = InformixModel(self.cluster)
         self.query_cache = QueryCache()
         #: doc id -> url (the corpus's list), for turning collated
         #: (score, doc id) pairs into the hits a user sees
@@ -268,7 +268,7 @@ class HotBot:
         """Client entry: returns an event completing with QueryResult.
 
         ``offset`` pages through results ("incremental delivery"):
-        page 2 is ``offset=10`` with the default top_k.  A bad query is
+        page 2 is ``offset=10`` (``TOP_K`` hits a page).  A bad query is
         refused here: inside the process it would abort the whole run.
         The checks are inline (every query would pay for a call here);
         the offset's domain is consulted only to word a refusal.
@@ -321,7 +321,6 @@ class HotBot:
               offset: int = 0, trace=None):
         """Process generator: the full front-end query path."""
         env = self.cluster.env
-        top_k = self.config.top_k
         n_workers = self.config.n_workers
         # fold case here, once: the recent-searches cache and the
         # partitions must see the same spelling, or an answer found
@@ -342,7 +341,7 @@ class HotBot:
             # pages never touch the partitions
             cache_key = normalize_query(terms)
             page = self.query_cache.get_page_by_key(
-                cache_key, offset, top_k)
+                cache_key, offset, TOP_K)
             if page is not None:
                 mark = env.now
                 yield Timeout(env, self.CACHE_HIT_S)
@@ -359,7 +358,7 @@ class HotBot:
                 )
             # scatter to every reachable partition; fetch deep so the
             # cache can serve later pages incrementally
-            fetch_k = max(top_k + offset, self.query_cache.depth)
+            fetch_k = max(TOP_K + offset, self.query_cache.depth)
             legs = []  # (partition, event, used_replica)
             missing = []  # partitions that will not be in the answer
             replica_legs = 0
@@ -402,7 +401,7 @@ class HotBot:
             ranked = collate(answered, fetch_k)
             self.queries += 1
             result = QueryResult(
-                hits=hits_from_ranked(ranked[offset: offset + top_k],
+                hits=hits_from_ranked(ranked[offset: offset + TOP_K],
                                       self._urls),
                 coverage=self.partition_map.coverage_without(missing),
                 partitions_answered=len(answered),

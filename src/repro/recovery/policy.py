@@ -1,5 +1,7 @@
 """The supervision policy: the knobs of the self-healing layer, and as
-module constants the ones no deployment sets (core/config.py's rule).
+module constants the ones no shipped caller sets to a second value
+(core/config.py's rule).  The policy sweep's backstop sets five of the
+six knobs; rejuvenation is the sixth.
 
 The defaults encode restart-as-first-resort ("Cheap Recovery", PAPERS.md)
 tempered by the two classic failure modes of automated recovery:
@@ -22,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.domains import (at_least, between, check_fields, checked, count,
-                           positive)
+from repro.domains import at_least, check_fields, checked, count, positive
 
 #: a probe unanswered (or still in service) past this is a failure.
 PROBE_TIMEOUT_S = 1.0
@@ -38,12 +39,33 @@ SUSPICION_WINDOW_S = 10.0
 OUTLIER_INTERVAL_S = 1.0
 #: the outlier condition must hold continuously this long.
 OUTLIER_SUSTAIN_S = 3.0
+#: a probe whose service time exceeds this multiple of the worker's own
+#: nominal cost counts as a probe failure even when it answers inside
+#: the timeout — the detector for moderate fail-slow/leak inflation
+#: that never trips an RPC timeout.
+PROBE_SLOW_RATIO = 3.0
+#: minimum same-type peers before the load-outlier detector's relative
+#: comparison means anything (not the ejector's
+#: ``repro.balance.ejection.OUTLIER_MIN_PEERS``).
+LOAD_OUTLIER_MIN_PEERS = 3
 #: exponential backoff between consecutive restarts on one node: first
 #: restart is immediate, the n-th waits
-#: ``RESTART_BACKOFF_BASE_S * restart_backoff_factor**(n-2)`` capped at
+#: ``RESTART_BACKOFF_BASE_S * RESTART_BACKOFF_FACTOR**(n-2)`` capped at
 #: ``RESTART_BACKOFF_CAP_S``.
 RESTART_BACKOFF_BASE_S = 0.5
+RESTART_BACKOFF_FACTOR = 2.0
 RESTART_BACKOFF_CAP_S = 10.0
+#: restarts allowed per RESTART_BUDGET_WINDOW_S before the supervisor
+#: stops healing and pages instead.
+RESTART_BUDGET = 8
+RESTART_BUDGET_WINDOW_S = 60.0
+#: restarts on one node within FLAP_WINDOW_S before the node is
+#: quarantined from future worker placement.
+FLAP_THRESHOLD = 3
+FLAP_WINDOW_S = 30.0
+#: beacon intervals to wait for a replacement to register before
+#: declaring the heal failed.
+HEAL_WAIT_PERIODS = 40
 
 
 @dataclass
@@ -55,11 +77,6 @@ class RecoveryPolicy:
     probe_interval_s: float = checked(2.0, positive())
     #: consecutive probe failures before the worker is restarted.
     probe_confirmations: int = checked(2, count(1))
-    #: a probe whose service time exceeds this multiple of the worker's
-    #: own nominal cost counts as a probe failure even when it answers
-    #: inside the timeout — the detector for moderate fail-slow/leak
-    #: inflation that never trips an RPC timeout.
-    probe_slow_ratio: float = checked(3.0, at_least(1))
 
     # -- RPC-timeout reports from manager stubs ----------------------------
     #: dispatch timeouts against one worker within
@@ -75,26 +92,6 @@ class RecoveryPolicy:
     #: absolute queue floor below which nobody is an outlier (protects
     #: against ratio-vs-zero-median false positives at idle).
     outlier_floor: float = checked(4.0, at_least(0))
-    #: minimum same-type peers before relative comparison means anything.
-    outlier_min_peers: int = checked(3, count(2))
-
-    # -- restart execution --------------------------------------------------
-    #: growth factor of the backoff between consecutive restarts on one
-    #: node (:data:`RESTART_BACKOFF_BASE_S`).
-    restart_backoff_factor: float = checked(2.0, at_least(1))
-    #: jitter fraction applied to backoff delays, drawn from the seeded
-    #: ``recovery:backoff`` stream (0 disables: no draws at all).
-    restart_backoff_jitter: float = checked(0.0, between(0, 1))
-    #: restarts allowed per ``restart_budget_window_s`` before the
-    #: supervisor stops healing and pages instead.
-    restart_budget: int = checked(8, count(1))
-    restart_budget_window_s: float = checked(60.0, positive())
-
-    # -- flap detection -----------------------------------------------------
-    #: restarts on one node within ``flap_window_s`` before the node is
-    #: quarantined from future worker placement.
-    flap_threshold: int = checked(3, count(2))
-    flap_window_s: float = checked(30.0, positive())
 
     # -- rejuvenation -------------------------------------------------------
     #: proactively restart the oldest idle worker every this many
@@ -102,11 +99,6 @@ class RecoveryPolicy:
     #: the default, to preserve fault-free determinism.
     rejuvenation_interval_s: Optional[float] = checked(
         None, positive(optional=True))
-
-    # -- heal watching ------------------------------------------------------
-    #: beacon intervals to wait for a replacement to register before
-    #: declaring the heal failed.
-    heal_wait_periods: int = checked(40, count(1))
 
     def validate(self) -> "RecoveryPolicy":
         """Refuse a knob outside its declared domain, naming it."""

@@ -22,8 +22,8 @@ reached.  Three detectors feed one restart executor:
   is failing slow (or leaking); connection-based detection is blind to
   it because the worker keeps reporting.
 
-The executor applies restart-as-first-resort tempered by the policy's
-guard rails: a per-window restart budget, exponential backoff between
+The executor applies restart-as-first-resort tempered by fixed guard
+rails (constants in :mod:`repro.recovery.policy`): a per-window restart budget, exponential backoff between
 consecutive restarts on one node, and flap-detection quarantine that
 removes a machine from future placement when restarts on it keep not
 sticking.  Every case is accounted in the
@@ -41,9 +41,11 @@ from repro.core.config import SNSConfig
 from repro.core.monitor import Alert
 from repro.recovery.ledger import FaultCase, RecoveryLedger
 from repro.recovery.policy import (
-    OUTLIER_INTERVAL_S, OUTLIER_SUSTAIN_S, PROBE_RTT_S, PROBE_TIMEOUT_S,
-    RESTART_BACKOFF_BASE_S, RESTART_BACKOFF_CAP_S, SUSPICION_WINDOW_S,
-    RecoveryPolicy)
+    FLAP_THRESHOLD, FLAP_WINDOW_S, HEAL_WAIT_PERIODS, LOAD_OUTLIER_MIN_PEERS,
+    OUTLIER_INTERVAL_S, OUTLIER_SUSTAIN_S, PROBE_RTT_S, PROBE_SLOW_RATIO,
+    PROBE_TIMEOUT_S, RESTART_BACKOFF_BASE_S, RESTART_BACKOFF_CAP_S,
+    RESTART_BACKOFF_FACTOR, RESTART_BUDGET, RESTART_BUDGET_WINDOW_S,
+    SUSPICION_WINDOW_S, RecoveryPolicy)
 from repro.sim.cluster import Cluster
 from repro.sim.node import Node
 
@@ -64,9 +66,6 @@ class Supervisor(Component):
                        else RecoveryPolicy()).validate()
         self.ledger = (ledger if ledger is not None
                        else RecoveryLedger(cluster.env))
-        #: backoff jitter stream; deterministic per seed, never drawn
-        #: unless the policy enables jitter.
-        self.rng = cluster.streams.stream("recovery:backoff")
         # detector state
         self._probe_failures: Dict[str, int] = {}
         self._rpc_timeouts: Dict[str, List[float]] = {}
@@ -162,8 +161,7 @@ class Supervisor(Component):
             self._begin_restart(stub, "probe-validate",
                                 "probe output failed validation")
             return
-        if nominal_s > 0 and service_s > self.policy.probe_slow_ratio \
-                * nominal_s:
+        if nominal_s > 0 and service_s > PROBE_SLOW_RATIO * nominal_s:
             # answered, but far slower than this worker's own nominal:
             # fail-slow or leak inflation below the RPC-timeout radar
             self._probe_failed(
@@ -215,7 +213,7 @@ class Supervisor(Component):
             by_type.setdefault(info.worker_type, []).append(info)
         now = self.env.now
         for infos in by_type.values():
-            if len(infos) < policy.outlier_min_peers:
+            if len(infos) < LOAD_OUTLIER_MIN_PEERS:
                 for info in infos:
                     self._outlier_since.pop(info.name, None)
                 continue
@@ -251,8 +249,8 @@ class Supervisor(Component):
         now = self.env.now
         self._restart_times = [
             t for t in self._restart_times
-            if now - t <= self.policy.restart_budget_window_s]
-        if len(self._restart_times) >= self.policy.restart_budget:
+            if now - t <= RESTART_BUDGET_WINDOW_S]
+        if len(self._restart_times) >= RESTART_BUDGET:
             # out of budget: stop healing, page a human (automated
             # recovery that keeps thrashing is worse than none)
             self.budget_denials += 1
@@ -289,22 +287,17 @@ class Supervisor(Component):
         node is never quarantined).  *What healed means:* see
         :meth:`_await_heal`.
         """
-        policy = self.policy
         name, node = stub.name, stub.node
         is_brick = stub.kind == "brick"
         now = self.env.now
         history = [t for t in self._node_restarts.get(node.name, [])
-                   if now - t <= policy.flap_window_s]
+                   if now - t <= FLAP_WINDOW_S]
         delay = 0.0
         if history and not proactive:
             # exponential backoff between consecutive restarts here
             delay = min(RESTART_BACKOFF_CAP_S,
                         RESTART_BACKOFF_BASE_S
-                        * policy.restart_backoff_factor
-                        ** (len(history) - 1))
-            if policy.restart_backoff_jitter > 0 and delay > 0:
-                delay *= 1.0 + policy.restart_backoff_jitter * \
-                    (self.rng.random() - 0.5)
+                        * RESTART_BACKOFF_FACTOR ** (len(history) - 1))
         try:
             if delay > 0:
                 self.backoff_waits += 1
@@ -334,7 +327,7 @@ class Supervisor(Component):
                 self.ledger.note_rejoin(bricks.rejoins[-1])
             else:
                 if not proactive \
-                        and len(history) >= policy.flap_threshold \
+                        and len(history) >= FLAP_THRESHOLD \
                         and not node.quarantined:
                     # the fault keeps coming back on this machine: stop
                     # placing workers here until an operator reboots it
@@ -342,7 +335,7 @@ class Supervisor(Component):
                     self.quarantined_nodes.append(node.name)
                     self._alert("page", node.name,
                                 f"{len(history)} restarts in "
-                                f"{policy.flap_window_s:.0f}s: quarantined")
+                                f"{FLAP_WINDOW_S:.0f}s: quarantined")
                 place = node if (node.up and not node.quarantined) \
                     else None
                 try:
@@ -380,7 +373,7 @@ class Supervisor(Component):
             ("brick-restart", "resync", "finished anti-entropy")
             if is_brick else ("restart", "reregister", "registered"))
         mark = self.env.now
-        for _ in range(self.policy.heal_wait_periods):
+        for _ in range(HEAL_WAIT_PERIODS):
             yield self.env.timeout(self.config.beacon_interval_s)
             if not replacement.alive:
                 break

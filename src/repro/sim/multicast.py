@@ -15,11 +15,15 @@ with the network's current drop probability.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.sim.kernel import Environment, Queue
 from repro.sim.network import Network
 from repro.sim.rng import Stream
+
+#: messages a subscriber's mailbox holds; a copy arriving at a full
+#: mailbox is dropped.
+MAILBOX_CAPACITY = 1024
 
 
 class Subscription:
@@ -51,13 +55,11 @@ class MulticastGroup:
         network: Network,
         name: str,
         rng: Stream,
-        mailbox_capacity: Optional[int] = 1024,
     ) -> None:
         self.env = env
         self.network = network
         self.name = name
         self.rng = rng
-        self.mailbox_capacity = mailbox_capacity
         self._subscriptions: List[Subscription] = []
         self.published = 0
         self.delivered = 0
@@ -71,7 +73,7 @@ class MulticastGroup:
         self.partition_dropped = 0
 
     def subscribe(self, subscriber_name: str) -> Subscription:
-        queue = self.env.queue(self.mailbox_capacity)
+        queue = self.env.queue(MAILBOX_CAPACITY)
         subscription = Subscription(self, subscriber_name, queue)
         self._subscriptions.append(subscription)
         return subscription

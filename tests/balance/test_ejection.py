@@ -3,6 +3,7 @@
 import pytest
 
 from repro.balance import OutlierEjector, build_policy
+from repro.balance.ejection import OUTLIER_MIN_SAMPLES
 from repro.core.config import SNSConfig
 from repro.core.manager_stub import AdvertState
 from repro.core.messages import WorkerAdvert
@@ -15,21 +16,15 @@ def make_state(name, queue=0.0, now=0.0):
     return AdvertState(advert, now)
 
 
-def make_ejector(**overrides):
-    defaults = dict(
-        outlier_min_samples=4,
-        outlier_timeout_threshold=3,
-    )
-    defaults.update(overrides)
-    config = SNSConfig(**defaults)
-    policy = build_policy("round-robin+eject", config, None)
+def make_ejector():
+    policy = build_policy("round-robin+eject", SNSConfig(), None)
     assert isinstance(policy, OutlierEjector)
     return policy
 
 
 def feed_latencies(policy, samples, now=0.0):
-    """samples: {worker: latency} fed min_samples times each."""
-    for _ in range(policy.min_samples):
+    """samples: {worker: latency} fed OUTLIER_MIN_SAMPLES times each."""
+    for _ in range(OUTLIER_MIN_SAMPLES):
         for name, latency in samples.items():
             policy.on_reply(name, now, latency)
 
@@ -122,7 +117,7 @@ def test_cluster_wide_slowness_ejects_nobody():
 # -- timeout outliers ---------------------------------------------------------
 
 def test_timeout_offender_is_ejected():
-    policy = make_ejector(outlier_timeout_threshold=3)
+    policy = make_ejector()
     candidates = [make_state(f"w{i}") for i in range(4)]
     for _ in range(3):
         policy.on_timeout("w3", 0.5)
@@ -133,7 +128,7 @@ def test_timeout_offender_is_ejected():
 
 
 def test_timeout_window_expires_old_evidence():
-    policy = make_ejector(outlier_timeout_threshold=3)
+    policy = make_ejector()
     candidates = [make_state(f"w{i}") for i in range(4)]
     policy.on_timeout("w3", 0.0)
     policy.on_timeout("w3", 1.0)
@@ -145,11 +140,12 @@ def test_timeout_window_expires_old_evidence():
 def test_majority_timeouts_guard_blocks_mass_ejection():
     """When half or more of the pool is timing out, ejection would only
     shrink an already-failing pool: nobody is ejected."""
-    policy = make_ejector(outlier_timeout_threshold=2)
+    policy = make_ejector()
     candidates = [make_state(f"w{i}") for i in range(4)]
     for name in ("w0", "w1", "w2"):
         policy.on_timeout(name, 0.5)
         policy.on_timeout(name, 0.6)
+        policy.on_timeout(name, 0.7)
     policy.select(candidates, 1.0)
     assert policy.ejections == 0
 
@@ -157,11 +153,12 @@ def test_majority_timeouts_guard_blocks_mass_ejection():
 # -- fail-open ----------------------------------------------------------------
 
 def test_fail_open_when_every_candidate_is_ejected():
-    policy = make_ejector(outlier_timeout_threshold=2)
+    policy = make_ejector()
     candidates = [make_state(f"w{i}") for i in range(4)]
     # eject w3 legitimately ...
     policy.on_timeout("w3", 0.5)
     policy.on_timeout("w3", 0.6)
+    policy.on_timeout("w3", 0.7)
     policy.select(candidates, 1.0)
     assert policy.ejections == 1
     # ... then ask for a pick among ejected workers only

@@ -58,6 +58,11 @@ def test_parse_policy_spec_rejects_unknowns():
         parse_policy_spec("nonsense")
     with pytest.raises(PolicyError, match="unknown policy wrapper"):
         parse_policy_spec("lottery+nonsense")
+    # one ejector wrapped inside another used to be built
+    with pytest.raises(PolicyError, match="'eject' repeated"):
+        parse_policy_spec("ewma+eject+eject")
+    with pytest.raises(PolicyError, match="not None"):
+        parse_policy_spec(None)
 
 
 def test_build_policy_instantiates_and_wraps():
@@ -280,8 +285,7 @@ def test_hash_bounded_gives_stable_affinity():
 
 
 def test_hash_bounded_overflow_walks_the_ring():
-    policy = BoundedLoadHashPolicy(SNSConfig(policy_hash_bound=1.0),
-                                   None)
+    policy = BoundedLoadHashPolicy(SNSConfig(), None)
     candidates = [make_state(f"w{i}") for i in range(4)]
     key = "http://x/hot.jpg"
     home = policy.select(candidates, 0.0, key=key).advert.worker_name

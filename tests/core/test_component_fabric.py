@@ -228,20 +228,21 @@ def test_config_validation_rejects_bad_values(overrides):
     ({"balancing": "anarchic"}, "balancing"),
     ({"dispatch_attempts": 0}, "dispatch_attempts"),
     ({"routing_policy": "nonsense"}, "routing_policy"),
-    ({"policy_hash_bound": math.nan}, "policy_hash_bound"),
-    ({"policy_hash_bound": 0.5}, "policy_hash_bound"),
-    ({"outlier_min_samples": 2.5}, "outlier_min_samples"),
-    ({"outlier_min_samples": 0}, "outlier_min_samples"),
-    ({"outlier_min_samples": math.nan}, "outlier_min_samples"),
-    ({"outlier_timeout_threshold": 0}, "outlier_timeout_threshold"),
-    ({"outlier_timeout_threshold": math.inf}, "outlier_timeout_threshold"),
-    ({"outlier_timeout_threshold": -1}, "outlier_timeout_threshold"),
-    ({"outlier_timeout_threshold": 3.0}, "outlier_timeout_threshold"),
+    # a spec that is not a string used to escape as AttributeError
+    ({"routing_policy": None}, "routing_policy"),
+    ({"routing_policy": 3}, "routing_policy"),
+    ({"routing_policy": "ewma+eject+eject"}, "routing_policy"),
+    ({"estimate_queue_deltas": "yes"}, "estimate_queue_deltas"),
+    ({"shed_expired_requests": 1}, "shed_expired_requests"),
+    ({"use_overflow_pool": None}, "use_overflow_pool"),
+    ({"load_metric": None}, "load_metric"),
+    ({"balancing": None}, "balancing"),
+    ({"service_backend": ""}, "service_backend"),
     ({"dispatch_deadline_s": 0.0}, "dispatch_deadline_s"),
-    ({"dispatch_backoff_base_s": -1.0}, "dispatch_backoff_base_s"),
-    ({"dispatch_backoff_cap_s": -1.0}, "dispatch_backoff_cap_s"),
+    ({"dispatch_timeout_s": 0.0}, "dispatch_timeout_s"),
+    ({"dispatch_attempts": -1}, "dispatch_attempts"),
     ({"dispatch_timeout_s": math.nan}, "dispatch_timeout_s"),
-    ({"dispatch_backoff_jitter": 1.5}, "dispatch_backoff_jitter"),
+    ({"dispatch_deadline_s": -1.0}, "dispatch_deadline_s"),
     ({"admission_max_backlog_s": -1.0}, "admission_max_backlog_s"),
     ({"admission_exit_backlog_s": 1.0}, "admission_exit_backlog_s"),
     ({"admission_max_backlog_s": 1.0, "admission_exit_backlog_s": 2.0},
@@ -251,11 +252,11 @@ def test_config_validation_rejects_bad_values(overrides):
     ({"origin_breaker_failures": 0}, "origin_breaker_failures"),
     ({"degrade_util_target": math.inf}, "degrade_util_target"),
     ({"degrade_util_target": math.nan}, "degrade_util_target"),
-    ({"degrade_hold_ticks": 1.5}, "degrade_hold_ticks"),
-    ({"degrade_hold_ticks": -1}, "degrade_hold_ticks"),
+    ({"degrade_util_target": -1.0}, "degrade_util_target"),
+    ({"degrade_util_target": "high"}, "degrade_util_target"),
     ({"degrade_util_target": 0.0}, "degrade_util_target"),
-    ({"degrade_max_level": 6}, "degrade_max_level"),
-    ({"degrade_max_level": math.nan}, "degrade_max_level"),
+    ({"degrade_util_target": None}, "degrade_util_target"),
+    ({"degrade_util_target": True}, "degrade_util_target"),
     ({"frontend_threads": 0}, "frontend_threads"),
     # NaN, infinity and negative values: each used to pass validate()
     ({"dispatch_timeout_s": -1.0}, "dispatch_timeout_s"),
@@ -281,13 +282,13 @@ def test_config_validation_rejects_bad_values(overrides):
     ({"spawn_threshold": math.inf}, "spawn_threshold"),
     ({"spawn_damping_s": math.nan}, "spawn_damping_s"),
     ({"manager_self_deposition": "yes"}, "manager_self_deposition"),
-    ({"policy_hash_bound": math.inf}, "policy_hash_bound"),
+    ({"retry_budget_cap": math.nan}, "retry_budget_cap"),
     ({"dispatch_attempts": 2.5}, "dispatch_attempts"),
     ({"dispatch_deadline_s": math.nan}, "dispatch_deadline_s"),
     ({"dispatch_deadline_s": math.inf}, "dispatch_deadline_s"),
-    ({"dispatch_backoff_base_s": math.nan}, "dispatch_backoff_base_s"),
-    ({"dispatch_backoff_cap_s": math.inf}, "dispatch_backoff_cap_s"),
-    ({"dispatch_backoff_jitter": math.nan}, "dispatch_backoff_jitter"),
+    ({"dispatch_attempts": None}, "dispatch_attempts"),
+    ({"dispatch_timeout_s": None}, "dispatch_timeout_s"),
+    ({"dispatch_deadline_s": True}, "dispatch_deadline_s"),
     ({"frontend_threads": math.inf}, "frontend_threads"),
     ({"admission_max_backlog_s": math.nan}, "admission_max_backlog_s"),
     ({"admission_max_backlog_s": math.inf}, "admission_max_backlog_s"),
@@ -297,7 +298,7 @@ def test_config_validation_rejects_bad_values(overrides):
     ({"retry_budget_ratio": math.inf}, "retry_budget_ratio"),
     ({"retry_budget_cap": math.inf}, "retry_budget_cap"),
     ({"origin_breaker_failures": 1.5}, "origin_breaker_failures"),
-    ({"degrade_hold_ticks": -1.0}, "degrade_hold_ticks"),
+    ({"degrade_util_target": -math.inf}, "degrade_util_target"),
 ])
 def test_config_errors_name_the_field_and_the_value(overrides, field):
     with pytest.raises(ConfigError) as raised:

@@ -5,7 +5,7 @@
    a *worker* timeout — popping a healthy worker's advert and telling
    the supervisor to kill it.  It must surface as a deadline expiry.
 2. ``_backoff_delay`` used to apply the cap before the jitter multiply,
-   so an up-jittered delay could exceed ``dispatch_backoff_cap_s``.
+   so an up-jittered delay could exceed ``DISPATCH_BACKOFF_CAP_S``.
 3. ``_wait_for_worker`` used to sleep in whole ``beacon_interval_s``
    steps, overshooting its deadline by up to one interval.
 """
@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.config import DISPATCH_BACKOFF_CAP_S
 from repro.core.manager_stub import DispatchError
 from repro.core.messages import Request
 from repro.sim.cluster import Cluster
@@ -85,27 +86,22 @@ def make_stub(config, owner="fe0", seed=7):
 
 
 def test_backoff_cap_applies_after_jitter():
-    """base=0.4, jitter=0.5 => raw jittered delays span 0.3..0.5; a cap
-    of 0.45 must bound every draw (pre-fix, up-jittered draws escaped)."""
-    config = fast_config(dispatch_backoff_base_s=0.4,
-                         dispatch_backoff_cap_s=0.45,
-                         dispatch_backoff_jitter=0.5)
-    stub = make_stub(config)
-    delays = [stub._backoff_delay(1) for _ in range(200)]
-    assert max(delays) <= 0.45
-    # the clamp actually engaged: some draws landed exactly on the cap
-    assert delays.count(0.45) >= 1
-    # and the jitter is still live below the cap
-    assert len({delay for delay in delays if delay < 0.45}) > 1
+    """From retry 7 the unjittered delay (3.2 s) is past the 2 s cap:
+    capping before the ±25 % jitter let draws span 1.5..2.5 s, and
+    every draw must sit on the cap.  At retry 6 (1.6 s) the jitter is
+    still live below it."""
+    stub = make_stub(fast_config())
+    delays = [stub._backoff_delay(7) for _ in range(200)]
+    assert set(delays) == {DISPATCH_BACKOFF_CAP_S}
+    below = [stub._backoff_delay(6) for _ in range(200)]
+    assert max(below) <= DISPATCH_BACKOFF_CAP_S
+    assert len(set(below)) > 1
 
 
 def test_backoff_deep_retries_pin_to_cap_exactly():
-    config = fast_config(dispatch_backoff_base_s=0.1,
-                         dispatch_backoff_cap_s=0.5,
-                         dispatch_backoff_jitter=0.5)
-    stub = make_stub(config)
-    for retry_number in (6, 8, 12):
-        assert stub._backoff_delay(retry_number) == 0.5
+    stub = make_stub(fast_config())
+    for retry_number in (7, 8, 12):
+        assert stub._backoff_delay(retry_number) == DISPATCH_BACKOFF_CAP_S
 
 
 # -- 3: _wait_for_worker never overshoots its deadline ------------------------

@@ -5,6 +5,8 @@ spawn-failure log."""
 
 import pytest
 
+from repro.core.config import (DISPATCH_BACKOFF_BASE_S, DISPATCH_BACKOFF_CAP_S,
+                               DISPATCH_BACKOFF_FACTOR)
 from repro.core.manager_stub import DispatchError, ManagerStub
 from repro.core.messages import Request, WorkEnvelope
 from repro.core.worker_stub import WorkerStub
@@ -22,29 +24,32 @@ def make_stub(config=None, owner="fe0", seed=7):
 # -- backoff ------------------------------------------------------------------
 
 def test_backoff_grows_exponentially_and_caps():
-    config = fast_config(dispatch_backoff_base_s=0.1,
-                         dispatch_backoff_cap_s=0.5,
-                         dispatch_backoff_jitter=0.0)
-    stub = make_stub(config)
-    delays = [stub._backoff_delay(n) for n in range(1, 6)]
-    assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
+    stub = make_stub()
+    delays = [stub._backoff_delay(n) for n in range(1, 10)]
+    for n, delay in enumerate(delays, start=1):
+        nominal = DISPATCH_BACKOFF_BASE_S * DISPATCH_BACKOFF_FACTOR ** (n - 1)
+        # ±25 % jitter around the doubling delay, then the cap
+        assert min(0.75 * nominal, DISPATCH_BACKOFF_CAP_S) <= delay \
+            <= min(1.25 * nominal, DISPATCH_BACKOFF_CAP_S)
+    # consecutive jitter bands do not overlap: the delay grows until
+    # the cap, and stays there
+    assert delays[:6] == sorted(set(delays[:6]))
+    assert delays[6:] == [DISPATCH_BACKOFF_CAP_S] * 3
 
 
 def test_backoff_jitter_bounded_and_deterministic():
-    config = fast_config(dispatch_backoff_base_s=0.1,
-                         dispatch_backoff_jitter=0.5)
-    one = make_stub(config, seed=3)
-    two = make_stub(config, seed=3)
+    one = make_stub(seed=3)
+    two = make_stub(seed=3)
     delays_one = [one._backoff_delay(1) for _ in range(20)]
     delays_two = [two._backoff_delay(1) for _ in range(20)]
     assert delays_one == delays_two  # same seed, same owner => identical
     for delay in delays_one:
-        assert 0.075 <= delay <= 0.125  # base * (1 ± jitter/2)
+        assert 0.0375 <= delay <= 0.0625  # base * (1 ± jitter/2)
     assert len(set(delays_one)) > 1  # it actually jitters
 
 
 def test_backoff_streams_differ_across_frontends():
-    config = fast_config(dispatch_backoff_jitter=0.5)
+    config = fast_config()
     fe0 = make_stub(config, owner="fe0", seed=3)
     fe1 = make_stub(config, owner="fe1", seed=3)
     assert [fe0._backoff_delay(1) for _ in range(5)] != \
@@ -119,8 +124,7 @@ def test_deadline_exhaustion_fails_fast():
 
 def test_retries_wait_backoff_between_attempts():
     fabric = make_fabric(config=fast_config(
-        dispatch_deadline_s=5.0, dispatch_timeout_s=1.0,
-        dispatch_backoff_base_s=0.2, dispatch_backoff_jitter=0.0))
+        dispatch_deadline_s=5.0, dispatch_timeout_s=1.0))
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 1})
     fabric.cluster.run(until=2.0)
     for stub in fabric.alive_workers():

@@ -10,19 +10,21 @@ maintenance suppression directly, without a full fabric.
 import pytest
 
 from repro.core.config import SNSConfig
-from repro.core.monitor import Alert, Monitor
+from repro.core.monitor import SILENCE_THRESHOLD_S, Monitor
 from repro.sim.cluster import Cluster
 
 from tests.core.conftest import fast_config
 
 
-def make_monitor(silence_threshold_s=5.0, on_alert=None):
+def make_monitor():
+    """A monitor checking for silence every 1 s, paging past
+    SILENCE_THRESHOLD_S (5 s): a component last seen at t=0 is paged at
+    t=6."""
+    assert SILENCE_THRESHOLD_S == 5.0
     cluster = Cluster(seed=11)
     cluster.add_nodes(1)
     monitor = Monitor(cluster, cluster.nodes["node0"], "monitor",
-                      fast_config(),
-                      on_alert=on_alert,
-                      silence_threshold_s=silence_threshold_s)
+                      fast_config())
     monitor.start()
     return cluster, monitor
 
@@ -31,7 +33,7 @@ def make_monitor(silence_threshold_s=5.0, on_alert=None):
 
 
 def test_watchdog_pages_once_per_silent_component():
-    cluster, monitor = make_monitor(silence_threshold_s=3.0)
+    cluster, monitor = make_monitor()
     monitor._mark_seen("fe0")
     monitor._mark_seen("worker.1")
     cluster.run(until=10.0)
@@ -43,38 +45,25 @@ def test_watchdog_pages_once_per_silent_component():
     assert all("no reports" in alert.message for alert in pages)
 
 
-def test_on_alert_callback_receives_page():
-    seen = []
-    cluster, monitor = make_monitor(silence_threshold_s=2.0,
-                                    on_alert=seen.append)
-    monitor._mark_seen("manager.1")
-    cluster.run(until=5.0)
-    assert len(seen) == 1
-    alert = seen[0]
-    assert isinstance(alert, Alert)
-    assert alert.severity == "page"
-    assert alert.component == "manager.1"
-
-
 def test_component_reporting_again_raises_notice():
-    cluster, monitor = make_monitor(silence_threshold_s=2.0)
+    cluster, monitor = make_monitor()
     monitor._mark_seen("fe0")
-    cluster.run(until=5.0)
+    cluster.run(until=7.0)
     assert len(monitor.pages()) == 1
     monitor._mark_seen("fe0")  # it came back
     notices = [alert for alert in monitor.alerts
                if alert.severity == "notice"]
     assert len(notices) == 1
     assert "reporting again" in notices[0].message
-    # and a fresh silence pages again
-    cluster.run(until=10.0)
+    # and a fresh silence pages again, at t=13
+    cluster.run(until=14.0)
     assert len(monitor.pages()) == 2
 
 
 def test_quiet_component_not_paged_before_threshold():
-    cluster, monitor = make_monitor(silence_threshold_s=8.0)
+    cluster, monitor = make_monitor()
     monitor._mark_seen("fe0")
-    cluster.run(until=7.0)
+    cluster.run(until=5.5)          # 5 s of silence is not past 5 s
     assert monitor.pages() == []
 
 
@@ -82,7 +71,7 @@ def test_quiet_component_not_paged_before_threshold():
 
 
 def test_maintenance_suppresses_silence_page():
-    cluster, monitor = make_monitor(silence_threshold_s=2.0)
+    cluster, monitor = make_monitor()
     monitor._mark_seen("worker.1")
     monitor.set_maintenance("worker.1", True)
     cluster.run(until=10.0)
@@ -90,7 +79,7 @@ def test_maintenance_suppresses_silence_page():
 
 
 def test_maintenance_end_restarts_silence_clock():
-    cluster, monitor = make_monitor(silence_threshold_s=4.0)
+    cluster, monitor = make_monitor()
     monitor._mark_seen("worker.1")
     monitor.set_maintenance("worker.1", True)
     cluster.run(until=10.0)
@@ -108,11 +97,11 @@ def test_maintenance_end_restarts_silence_clock():
 
 
 def test_panel_markers_for_ok_silenced_and_maintenance():
-    cluster, monitor = make_monitor(silence_threshold_s=2.0)
+    cluster, monitor = make_monitor()
     monitor._mark_seen("silent.1")
     monitor._mark_seen("upgrading.1")
     monitor.set_maintenance("upgrading.1", True)
-    cluster.run(until=6.0)
+    cluster.run(until=7.0)
     monitor._mark_seen("fresh.1")
     panel = monitor.render()
     lines = {line.strip() for line in panel.splitlines()}
@@ -122,14 +111,14 @@ def test_panel_markers_for_ok_silenced_and_maintenance():
 
 
 def test_panel_reports_ages_and_alert_totals():
-    cluster, monitor = make_monitor(silence_threshold_s=2.0)
+    cluster, monitor = make_monitor()
     monitor._mark_seen("silent.1")
-    cluster.run(until=6.0)
+    cluster.run(until=7.0)
     monitor._mark_seen("fresh.1")
     panel = monitor.render()
-    assert "=== SNS monitor @ t=6.0s ===" in panel
+    assert "=== SNS monitor @ t=7.0s ===" in panel
     assert "last seen   0.0s ago" in panel    # fresh.1
-    assert "last seen   6.0s ago" in panel    # silent.1
+    assert "last seen   7.0s ago" in panel    # silent.1
     # one page (silent.1) and the alert total counts it
     assert "alerts: 1 pages, 1 total" in panel
 

@@ -5,24 +5,26 @@ page the operator about components it took down on purpose; clearing it
 must grant a full silence grace period, not page instantly off the
 stale ``last_seen``."""
 
-from repro.core.monitor import Monitor
+from repro.core.monitor import SILENCE_THRESHOLD_S, Monitor
 from repro.sim.cluster import Cluster
 
 from tests.core.conftest import fast_config
 
 
-def make_monitor(silence_threshold_s=5.0):
+def make_monitor():
+    """A monitor checking for silence every 1 s, paging past
+    SILENCE_THRESHOLD_S (5 s)."""
+    assert SILENCE_THRESHOLD_S == 5.0
     cluster = Cluster(seed=11)
     cluster.add_nodes(1)
     monitor = Monitor(cluster, cluster.nodes["node0"], "monitor",
-                      fast_config(),
-                      silence_threshold_s=silence_threshold_s)
+                      fast_config())
     monitor.start()
     return cluster, monitor
 
 
 def test_no_page_while_component_in_maintenance():
-    cluster, monitor = make_monitor(silence_threshold_s=3.0)
+    cluster, monitor = make_monitor()
     monitor._mark_seen("fe0")
     monitor.set_maintenance("fe0", True)
     cluster.run(until=20.0)
@@ -31,7 +33,7 @@ def test_no_page_while_component_in_maintenance():
 
 
 def test_clearing_maintenance_grants_a_full_grace_period():
-    cluster, monitor = make_monitor(silence_threshold_s=5.0)
+    cluster, monitor = make_monitor()
     monitor._mark_seen("fe0")
     monitor.set_maintenance("fe0", True)
     cluster.run(until=8.0)          # silent well past the threshold
@@ -48,9 +50,9 @@ def test_clearing_maintenance_grants_a_full_grace_period():
 
 
 def test_reporting_again_clears_the_silence_and_raises_a_notice():
-    cluster, monitor = make_monitor(silence_threshold_s=2.0)
+    cluster, monitor = make_monitor()
     monitor._mark_seen("fe0")
-    cluster.run(until=6.0)
+    cluster.run(until=7.5)          # paged at t=6: 6 s of silence
     assert len(monitor.pages()) == 1
     assert "!!" in monitor.render()
 
@@ -60,15 +62,15 @@ def test_reporting_again_clears_the_silence_and_raises_a_notice():
     assert any("reporting again" in alert.message for alert in notices)
     assert "!!" not in monitor.render()
 
-    # a fresh silence pages again (once)
-    cluster.run(until=12.0)
+    # a fresh silence pages again (once), at t=13
+    cluster.run(until=14.0)
     assert len(monitor.pages()) == 2
 
 
 def test_maintenance_flipped_on_mid_silence_stops_the_clock():
-    cluster, monitor = make_monitor(silence_threshold_s=2.0)
+    cluster, monitor = make_monitor()
     monitor._mark_seen("fe0")
-    cluster.run(until=1.5)          # silent, but inside the threshold
+    cluster.run(until=4.5)          # silent, but inside the threshold
     monitor.set_maintenance("fe0", True)
     cluster.run(until=30.0)
     assert monitor.pages() == []

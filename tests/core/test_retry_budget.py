@@ -34,7 +34,6 @@ class StuckWorker(TestWorker):
 def budget_config(**overrides):
     defaults = dict(
         dispatch_deadline_s=8.0, dispatch_timeout_s=1.0,
-        dispatch_backoff_base_s=0.05, dispatch_backoff_jitter=0.0,
     )
     defaults.update(overrides)
     return fast_config(**defaults)

@@ -133,7 +133,7 @@ def test_monitor_maintenance_suppresses_pages():
     fabric = make_fabric(n_nodes=8)
     fabric.boot(n_frontends=0, initial_workers={"test-worker": 1},
                 with_monitor=False)
-    monitor = fabric.start_monitor(silence_threshold_s=3.0)
+    monitor = fabric.start_monitor()
     fabric.cluster.run(until=3.0)
     worker = fabric.alive_workers()[0]
     monitor.set_maintenance(worker.name, True)

@@ -11,11 +11,10 @@ from repro.degrade.ladder import LEVELS, MAX_LEVEL, level_name
 from repro.sim.cluster import Cluster
 
 
-def make_controller(state=None, **overrides):
-    """Controller ticking at 0.5 s with injectable signals."""
-    defaults = dict(degrade_hold_ticks=0)
-    defaults.update(overrides)
-    config = SNSConfig(**defaults).validate()
+def make_controller(state=None):
+    """Controller ticking at 0.5 s with injectable signals; escalations
+    are held DEGRADE_HOLD_TICKS (2) ticks, 1 s, apart."""
+    config = SNSConfig().validate()
     cluster = Cluster(seed=1)
     state = state if state is not None else {"pressure": 0.0}
     # queue target is 1.0 s, so queue_delay doubles as raw pressure
@@ -47,14 +46,15 @@ def test_pressure_is_the_max_of_normalized_signals():
 
 
 def test_escalation_walks_the_ladder_one_level_per_tick():
+    """One level per tick that the 2-tick hold lets through."""
     cluster, controller, state = make_controller()
     state["pressure"] = 5.0
     expected = [
         (0.6, 1, "fidelity_reduced"),
-        (1.1, 2, "serve_stale_active"),
-        (1.6, 3, "relaxed_reads_active"),
-        (2.1, 4, "priority_admission_active"),
-        (2.6, 5, "deadline_shed_active"),
+        (1.6, 2, "serve_stale_active"),
+        (2.6, 3, "relaxed_reads_active"),
+        (3.6, 4, "priority_admission_active"),
+        (4.6, 5, "deadline_shed_active"),
     ]
     reached = []
     for t, level, prop in expected:
@@ -66,7 +66,7 @@ def test_escalation_walks_the_ladder_one_level_per_tick():
         for _, other_level, other in expected:
             assert getattr(controller, other) == (other in reached), \
                 f"at level {level}, {other} wrong"
-    run_to(cluster, 4.0)
+    run_to(cluster, 6.0)
     assert controller.level == MAX_LEVEL  # clamped at the top rung
     assert controller.peak_level == MAX_LEVEL
 
@@ -74,7 +74,7 @@ def test_escalation_walks_the_ladder_one_level_per_tick():
 def test_hold_ticks_space_out_successive_escalations():
     """One congested sample must not slam the ladder to its top rung:
     with a 2-tick hold, escalations land 1 s apart, not 0.5 s."""
-    cluster, controller, state = make_controller(degrade_hold_ticks=2)
+    cluster, controller, state = make_controller()
     state["pressure"] = 5.0
     run_to(cluster, 0.6)
     assert controller.level == 1
@@ -87,14 +87,14 @@ def test_hold_ticks_space_out_successive_escalations():
 def test_deescalation_requires_a_dwell_of_calm_ticks():
     cluster, controller, state = make_controller()
     state["pressure"] = 5.0
-    run_to(cluster, 1.1)
+    run_to(cluster, 1.6)
     assert controller.level == 2
     state["pressure"] = 0.0
-    run_to(cluster, 1.6)
-    assert controller.level == 2  # one calm tick: not yet
     run_to(cluster, 2.1)
+    assert controller.level == 2  # one calm tick: not yet
+    run_to(cluster, 2.6)
     assert controller.level == 1  # dwell (2 ticks) satisfied
-    run_to(cluster, 3.1)
+    run_to(cluster, 3.6)
     assert controller.level == 0  # two more calm ticks
     run_to(cluster, 5.0)
     assert controller.level == 0  # never goes below full
@@ -122,25 +122,17 @@ def test_pressure_between_thresholds_holds_the_level():
     assert controller.level == 0
 
 
-def test_max_level_caps_the_climb():
-    cluster, controller, state = make_controller(degrade_max_level=2)
-    state["pressure"] = 5.0
-    run_to(cluster, 5.0)
-    assert controller.level == 2
-    assert not controller.relaxed_reads_active
-
-
 def test_summary_reports_transitions_and_level_time():
     cluster, controller, state = make_controller()
     state["pressure"] = 5.0
-    run_to(cluster, 1.1)
+    run_to(cluster, 1.6)
     state["pressure"] = 0.0
-    run_to(cluster, 3.1)
+    run_to(cluster, 3.6)
     summary = controller.summary()
     assert summary["level"] == 0
     assert summary["peak_level"] == 2
     assert summary["peak_pressure"] == 5.0
-    assert summary["ticks"] == 6
+    assert summary["ticks"] == 7
     moves = [(move["from"], move["to"])
              for move in summary["transitions"]]
     assert moves == [

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.chaos.campaign import CrashSearchNode, Faults
 from repro.hotbot import index as index_module
 from repro.hotbot.query_cache import QueryCache, normalize_query
-from repro.hotbot.service import HotBot, HotBotConfig
+from repro.hotbot.service import TOP_K, HotBot, HotBotConfig
 
 
 def hits(n):
@@ -237,27 +237,29 @@ def test_query_case_is_folded_for_the_scatter_as_for_the_cache():
 
 def test_cached_pages_are_the_slices_of_one_deep_scatter():
     """Pages 1, 2 and 10 served from the cache are the slices of the
-    hundred-deep answer a fresh deployment scatters for, hit for hit
-    (urls and scores included) — and cost the partitions nothing."""
+    hundred-deep answer a fresh deployment scatters for at the same
+    offset, hit for hit (urls and scores included) — and cost the
+    partitions nothing."""
     hotbot = make_hotbot(n_docs=1200)
     terms = ["w0", "w1"]
     first = hotbot.run_until(hotbot.submit(terms))
+    assert not first.from_cache
     legs = sum(worker.queries_served for worker in hotbot.workers)
-    deep = make_hotbot(n_docs=1200, top_k=100)
-    everything = deep.run_until(deep.submit(terms)).hits
-    assert len(everything) == 100
-    assert first.hits == everything[:10] and not first.from_cache
+    assert hotbot.query_cache.depth == 100
     for offset in (0, 10, 90):
         page = hotbot.run_until(hotbot.submit(terms, offset=offset))
         assert page.from_cache
-        assert page.hits == everything[offset: offset + 10]
+        fresh = make_hotbot(n_docs=1200)
+        scattered = fresh.run_until(fresh.submit(terms, offset=offset))
+        assert not scattered.from_cache
+        assert page.hits == scattered.hits and len(page.hits) == TOP_K
     assert hotbot.query_cache.incremental_hits == 2
     assert sum(worker.queries_served for worker in hotbot.workers) == legs
 
 
 def test_a_query_constructs_only_the_hits_of_its_page(monkeypatch):
     """The deep list stays columns: a scattered query that collates a
-    hundred candidates makes `top_k` result objects, and so does a
+    hundred candidates makes `TOP_K` result objects, and so does a
     page read back from the cache."""
     made = []
     real = index_module.SearchHit
@@ -270,8 +272,8 @@ def test_a_query_constructs_only_the_hits_of_its_page(monkeypatch):
     hotbot = make_hotbot(n_docs=1200)
     scattered = hotbot.run_until(hotbot.submit(["w0", "w1"]))
     assert not scattered.from_cache
-    assert len(made) == len(scattered.hits) == hotbot.config.top_k
+    assert len(made) == len(scattered.hits) == TOP_K
     made.clear()
     cached = hotbot.run_until(hotbot.submit(["w0", "w1"], offset=10))
     assert cached.from_cache
-    assert len(made) == len(cached.hits) == hotbot.config.top_k
+    assert len(made) == len(cached.hits) == TOP_K

@@ -9,7 +9,8 @@ import pytest
 from repro.chaos.campaign import CrashSearchNode, Faults
 from repro.hotbot.documents import Corpus
 from repro.hotbot.partition import PartitionMap
-from repro.hotbot.service import HotBot, HotBotConfig
+from repro.hotbot.service import (DB_CAPACITY_RPS, DB_FAILOVER_S, TOP_K,
+                                  HotBot, HotBotConfig)
 from repro.sim.rng import RandomStreams
 
 
@@ -48,7 +49,7 @@ def test_query_matches_single_index_answer():
     result = ask(hotbot, terms=("w2", "w9"))
     global_index = InvertedIndex(
         total_corpus_size=len(hotbot.corpus)).add_all(hotbot.corpus)
-    expected = global_index.rank(["w2", "w9"], k=hotbot.config.top_k)
+    expected = global_index.rank(["w2", "w9"], k=TOP_K)
     assert [h.doc_id for h in result.hits] == \
         [doc_id for _, doc_id in expected]
 
@@ -140,31 +141,32 @@ def test_a_crash_of_a_partition_out_of_range_is_refused_when_it_fires():
 def test_informix_serializes_at_capacity():
     """The ACID database serves ~400 requests/second; a burst above
     that queues rather than degrading."""
-    hotbot = make_hotbot(db_capacity_rps=100.0)
+    hotbot = make_hotbot()
     env = hotbot.cluster.env
 
     def burst(env):
         start = env.now
-        events = [hotbot.submit(["w1"], f"user{i}") for i in range(50)]
+        events = [env.process(hotbot.database.request())
+                  for _ in range(200)]
         yield env.all_of(events)
         return env.now - start
 
     elapsed = hotbot.run_until(env.process(burst(env)))
-    # 50 DB requests at 100/s => at least ~0.5 s serialized at the DB
-    assert elapsed >= 0.45
-    assert hotbot.database.requests == 50
+    # 200 DB requests at 400/s => 0.5 s serialized at the DB
+    assert elapsed == pytest.approx(200 / DB_CAPACITY_RPS)
+    assert hotbot.database.requests == 200
 
 
 def test_informix_failover_blocks_then_recovers():
     """ACID never gives approximate answers: during failover queries
     wait, then complete."""
-    hotbot = make_hotbot(db_failover_s=3.0)
+    hotbot = make_hotbot()
     env = hotbot.cluster.env
     hotbot.database.fail_primary()
     reply = hotbot.submit(["w1"])
     result = hotbot.run_until(reply)
     assert result.hits is not None
-    assert env.now >= 3.0  # had to wait out the failover
+    assert env.now >= DB_FAILOVER_S  # had to wait out the failover
     assert hotbot.database.failovers == 1
 
 
@@ -257,16 +259,14 @@ def test_bare_string_query_is_refused():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("top_k", 0), ("n_workers", 0), ("n_docs", 0),
+    ("n_workers", 0), ("n_docs", 0),
     ("frontend_threads", 0), ("query_fixed_s", -0.001),
     ("gather_timeout_s", -1.0),
-    ("db_failover_s", -5.0), ("db_capacity_rps", -400.0),
     ("failure_mode", "fast_restart"),
     # a count must be an int and every value finite
-    ("n_workers", 2.5), ("top_k", math.inf), ("n_docs", math.nan),
+    ("n_workers", 2.5), ("n_docs", math.nan),
     ("frontend_threads", 64.0), ("query_fixed_s", math.inf),
-    ("gather_timeout_s", math.inf), ("db_capacity_rps", math.inf),
-    ("db_failover_s", math.inf),
+    ("gather_timeout_s", math.inf),
 ])
 def test_config_rejects_bad_values_naming_the_field(field, value):
     with pytest.raises(ValueError, match=field):

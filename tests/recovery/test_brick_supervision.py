@@ -8,17 +8,17 @@ from repro.chaos.campaign import chaos_config
 from repro.dstore.cluster import BRICK_SPAWN_S
 from repro.experiments._harness import build_bench_fabric
 from repro.recovery.ledger import RecoveryLedger
-from repro.recovery.policy import RecoveryPolicy
+from repro.recovery.policy import (FLAP_THRESHOLD, RESTART_BUDGET,
+                                   RecoveryPolicy)
 
 
-def boot_supervised_dstore(seed=7, policy=None):
+def boot_supervised_dstore(seed=7):
     fabric = build_bench_fabric(n_nodes=8, seed=seed,
                                 config=chaos_config(
                                     profile_backend="dstore"))
     ledger = RecoveryLedger(fabric.cluster.env)
     fabric.boot(n_frontends=1, initial_workers={"jpeg-distiller": 2})
-    supervisor = fabric.start_supervisor(policy or RecoveryPolicy(),
-                                         ledger=ledger)
+    supervisor = fabric.start_supervisor(RecoveryPolicy(), ledger=ledger)
     fabric.cluster.run(until=2.0)
     return fabric, supervisor, ledger
 
@@ -133,9 +133,9 @@ def test_repeated_brick_restarts_back_off_but_never_quarantine():
     fabric, supervisor, ledger = boot_supervised_dstore()
     seed_profiles(fabric)
     node = fabric.profile_bricks.brick_at(0).node
-    for _ in range(RecoveryPolicy().flap_threshold):
+    for _ in range(FLAP_THRESHOLD):
         fabric.profile_bricks.brick_at(0).kill()
-        run_for(fabric, 8.0)   # well inside flap_window_s
+        run_for(fabric, 8.0)   # well inside FLAP_WINDOW_S
     assert supervisor.restarts == 3
     # the 2nd and 3rd restarts on the node waited out the backoff
     assert supervisor.backoff_waits == 2
@@ -148,9 +148,10 @@ def test_repeated_brick_restarts_back_off_but_never_quarantine():
 
 
 def test_brick_restart_refused_and_paged_when_budget_is_spent():
-    fabric, supervisor, ledger = boot_supervised_dstore(
-        policy=RecoveryPolicy(restart_budget=1,
-                              restart_budget_window_s=600.0))
+    fabric, supervisor, ledger = boot_supervised_dstore()
+    # earlier restarts, inside RESTART_BUDGET_WINDOW_S, leave room for one
+    supervisor._restart_times = \
+        [fabric.cluster.env.now] * (RESTART_BUDGET - 1)
     seed_profiles(fabric)
     fabric.profile_bricks.brick_at(0).kill()
     run_for(fabric, 8.0)

@@ -1,10 +1,9 @@
 """The determinism contract: supervision enabled but no faults injected
 must be byte-identical to no supervision at all — same request outcomes,
-same counters, zero draws from the backoff RNG stream."""
+same counters, the same draws from every RNG stream."""
 
 from repro.chaos import Campaign, CampaignRunner
 from repro.recovery import RecoveryPolicy
-from repro.sim.rng import Stream, _derive_seed
 
 
 def run_no_fault_campaign(recovery, seed=11):
@@ -52,13 +51,17 @@ def test_supervised_fault_free_run_matches_unsupervised():
     assert shared == plain_report.counters
 
 
-def test_backoff_stream_never_drawn_without_faults():
-    runner, _, _ = run_no_fault_campaign(RecoveryPolicy())
-    streams = runner.cluster.streams
-    drawn = streams.stream("recovery:backoff")._random.getstate()
-    pristine = Stream(_derive_seed(streams.master_seed,
-                                   "recovery:backoff"))._random.getstate()
-    assert drawn == pristine
+def test_supervision_draws_from_no_stream_without_faults():
+    """The supervisor owns no random stream, and a fault-free supervised
+    run leaves every stream where the unsupervised run leaves it."""
+    plain, _, _ = run_no_fault_campaign(None)
+    supervised, _, _ = run_no_fault_campaign(RecoveryPolicy())
+
+    def states(runner):
+        return {name: stream._random.getstate() for name, stream
+                in runner.cluster.streams._streams.items()}
+
+    assert states(supervised) == states(plain)
 
 
 def test_supervised_runs_are_seed_reproducible():

@@ -10,6 +10,7 @@ from repro.core.fabric import FabricError
 from repro.obs import capture_traces
 from repro.obs.export import chrome_trace_events
 from repro.recovery import RecoveryPolicy
+from repro.recovery.policy import RESTART_BUDGET
 from repro.recovery.supervisor import Supervisor
 from repro.sim.rng import RandomStreams
 from repro.workload.playback import PlaybackEngine
@@ -187,10 +188,10 @@ def test_quarantined_node_excluded_from_placement():
 
 
 def test_restart_budget_exhaustion_pages_instead_of_healing():
-    policy = RecoveryPolicy(restart_budget=2,
-                            restart_budget_window_s=600.0,
-                            flap_threshold=10, flap_window_s=0.5)
-    fabric, supervisor = boot_supervised(policy, workers=4)
+    fabric, supervisor = boot_supervised(workers=4)
+    # earlier restarts, inside RESTART_BUDGET_WINDOW_S, leave room for two
+    supervisor._restart_times = \
+        [fabric.cluster.env.now] * (RESTART_BUDGET - 2)
 
     for index in (1, 2, 3):
         stub = fabric.workers[f"test-worker.{index}"]
@@ -275,19 +276,20 @@ def test_new_frontends_get_the_rpc_timeout_hook():
 @pytest.mark.parametrize("overrides", [
     dict(probe_interval_s=0.0),
     dict(probe_confirmations=0),
-    dict(probe_slow_ratio=0.5),
-    dict(outlier_min_peers=1),
-    dict(restart_backoff_factor=0.5),
-    dict(restart_backoff_jitter=2.0),
-    dict(restart_budget=0),
-    dict(flap_threshold=1),
+    dict(rpc_timeout_confirmations=0),
+    dict(outlier_ratio=0.5),
+    dict(outlier_floor=-1.0),
+    dict(probe_interval_s=-1.0),
+    dict(probe_confirmations=2.5),
+    dict(rpc_timeout_confirmations=1.5),
     dict(rejuvenation_interval_s=-1.0),
-    dict(heal_wait_periods=0),
+    dict(rejuvenation_interval_s=0.0),
 ] + [
     # NaN compares false with any floor: `probe_interval_s=nan` used to
-    # pass, and `outlier_ratio=nan` silently turned outlier detection off
+    # pass, and `outlier_ratio=nan` silently turned outlier detection off;
+    # a bool or a string is not a number
     {field.name: value} for field in dataclasses.fields(RecoveryPolicy)
-    for value in (math.nan, math.inf)
+    for value in (math.nan, math.inf, -math.inf, True, "1")
 ])
 def test_policy_validation_rejects_bad_knobs(overrides):
     (name,) = overrides

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.balance.policies import HASH_RING_REPLICAS, BoundedLoadHashPolicy
+from repro.balance.policies import (HASH_BOUND, HASH_RING_REPLICAS,
+                                   BoundedLoadHashPolicy)
 from repro.core.config import SNSConfig
 from repro.core.manager_stub import AdvertState
 from repro.core.messages import WorkerAdvert
@@ -164,14 +165,11 @@ def select_reference(names, outstanding, bound_factor, key):
 
 @settings(max_examples=60, deadline=None)
 @given(loads=st.lists(st.integers(0, 6), min_size=1, max_size=8),
-       bound_factor=st.sampled_from([1.0, 1.25, 2.0]),
        keys=st.lists(st.text(max_size=24) | st.none(), min_size=1,
                      max_size=12))
-def test_hash_bounded_overflows_where_the_old_ring_did(loads, bound_factor,
-                                                       keys):
+def test_hash_bounded_overflows_where_the_old_ring_did(loads, keys):
     names = [f"w.{index}" for index in range(len(loads))]
-    policy = BoundedLoadHashPolicy(
-        SNSConfig(policy_hash_bound=bound_factor), None)
+    policy = BoundedLoadHashPolicy(SNSConfig(), None)
     candidates = [
         AdvertState(WorkerAdvert(
             worker_name=name, worker_type="t", node_name="node0",
@@ -182,7 +180,7 @@ def test_hash_bounded_overflows_where_the_old_ring_did(loads, bound_factor,
     policy.outstanding.update(outstanding)
     for key in keys:
         expected, hopped = select_reference(
-            names, outstanding, bound_factor, key if key is not None else "")
+            names, outstanding, HASH_BOUND, key if key is not None else "")
         hops_before = policy.overflow_hops
         chosen = policy.select(candidates, 0.0, key=key)
         assert chosen.advert.worker_name == expected

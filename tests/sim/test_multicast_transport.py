@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.cluster import Cluster
 from repro.sim.kernel import Environment
-from repro.sim.multicast import MulticastBus, MulticastGroup
+from repro.sim.multicast import MAILBOX_CAPACITY, MulticastBus, MulticastGroup
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 from repro.sim.transport import Channel, ChannelClosed
@@ -90,12 +90,12 @@ def test_mailbox_overflow_counts_as_drop():
     env = Environment()
     network = Network(env, bandwidth_bps=1e9)
     rng = RandomStreams(1).stream("m")
-    group = MulticastGroup(env, network, "g", rng, mailbox_capacity=2)
+    group = MulticastGroup(env, network, "g", rng)
     group.subscribe("slow")  # never drains
-    for _ in range(5):
+    for _ in range(MAILBOX_CAPACITY + 3):
         group.publish("x")
     env.run()
-    assert group.delivered == 2
+    assert group.delivered == MAILBOX_CAPACITY == 1024
     assert group.dropped == 3
 
 

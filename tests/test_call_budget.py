@@ -24,6 +24,7 @@ import pstats
 import re
 import sys
 from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -65,10 +66,15 @@ SCALE = 0.05
 #: per query, not a `sorted` per leg), `Process._resume` stopped
 #: calling `isinstance` per resume and a link's meter kept its open
 #: bucket as two scalars: 285.5 / 275.0 / 477.1 / 1510.3 before.
+#: The recorded figures were then made exact (`calls_by_callee`): the
+#: `pstats` snapshot had kept one of the eight or nine dataclass
+#: `<string>:__init__` entries and dropped the rest, so 274.2 / 264.7
+#: / 459.4 / 1470.9 undercounted the same trajectory.  The parent
+#: column stays as it was measured.
 RECORDED = {
-    "jpeg_dispatch": (285.5, 274.2),
-    "overload_ramp": (275.0, 264.7),
-    "transend_mix": (477.1, 459.4),
+    "jpeg_dispatch": (285.5, 277.5),
+    "overload_ramp": (275.0, 267.9),
+    "transend_mix": (477.1, 464.3),
     "hotbot_scatter": (1510.3, 1470.9),
 }
 #: what a Python version may add to the recorded figure
@@ -89,7 +95,8 @@ RECORDED_HEAP_DEPTH = {
 HEAP_HEAD_ROOM = 1.1
 
 #: `jpeg_dispatch` at (SEED, SCALE): calls per request by callee, every
-#: callee called at least once per five requests.  Not asserted on —
+#: callee called at least once per five requests (`<string>:__init__`
+#: sums every dataclass-generated `__init__`).  Not asserted on —
 #: it is what a failure is explained against.
 JPEG_DISPATCH_CALLEES = {
     "~:<method 'append' of 'list' objects>": 22.86,
@@ -105,6 +112,7 @@ JPEG_DISPATCH_CALLEES = {
     "repro/sim/kernel.py:timeout": 8.00,
     "repro/sim/kernel.py:succeed": 5.29,
     "repro/sim/network.py:reserve": 5.28,
+    "<string>:__init__": 4.33,
     "repro/experiments/_harness.py:_distill": 4.00,
     "~:<method 'random' of '_random.Random' objects>": 3.71,
     "repro/sim/kernel.py:get": 3.16,
@@ -132,7 +140,6 @@ JPEG_DISPATCH_CALLEES = {
     "~:<built-in method math.log>": 1.36,
     "~:<built-in method builtins.sum>": 1.28,
     "repro/sim/kernel.py:process": 1.00,
-    "<string>:__init__": 1.00,
     "benchmarks/stack/harness.py:on_answer": 1.00,
     "benchmarks/stack/workloads.py:_grade_response": 1.00,
     "random.py:lognormvariate": 1.00,
@@ -195,6 +202,7 @@ TRANSEND_MIX_CALLEES = {
     "repro/sim/kernel.py:now": 7.42,
     "repro/sim/kernel.py:get": 6.44,
     "repro/sim/kernel.py:put_nowait": 6.44,
+    "<string>:__init__": 5.87,
     "repro/transend/service.py:handle": 5.65,
     "repro/transend/cachesys.py:_service_loop": 5.53,
     "repro/sim/kernel.py:timeout": 5.46,
@@ -254,7 +262,6 @@ TRANSEND_MIX_CALLEES = {
     "~:<built-in method builtins.isinstance>": 1.17,
     "~:<built-in method builtins.min>": 1.08,
     "repro/sim/kernel.py:process": 1.00,
-    "<string>:__init__": 1.00,
     "benchmarks/stack/harness.py:on_answer": 1.00,
     "benchmarks/stack/workloads.py:_grade_response": 1.00,
     "repro/core/fabric.py:<listcomp>": 1.00,
@@ -434,6 +441,23 @@ def callee_label(filename, name):
     return f"{filename.rsplit('/', 1)[-1]}:{name}"
 
 
+def calls_by_callee(profile):
+    """Calls by callee label, counted from the profiler's own entries,
+    one per code object.  `pstats` keys an entry by (file, line, name),
+    and every dataclass-generated `__init__` is ('<string>', 2,
+    '__init__'): its snapshot keeps one of them and drops the others.
+    Entries that share a label are summed here."""
+    counts = defaultdict(int)
+    for entry in profile.getstats():
+        code = entry.code
+        if isinstance(code, str):   # a built-in, as `pstats` names it
+            filename, name = "~", code
+        else:
+            filename, name = code.co_filename, code.co_name
+        counts[callee_label(filename, name)] += entry.callcount
+    return dict(counts)
+
+
 def measure(workload, scale):
     """(calls per request, calls per request by callee, the profile,
     peak heap depth) of one profiled unit — `run_unit` exactly as
@@ -453,12 +477,11 @@ def measure(workload, scale):
     unit = run_unit(WORKLOADS[workload], SEED, scale,
                     around_replay=around_replay, probe=False)
     assert unit.failed == 0
-    stats = pstats.Stats(profile)
-    by_callee = defaultdict(float)
-    for (filename, _line, name), entry in stats.stats.items():
-        by_callee[callee_label(filename, name)] += entry[1] / unit.submitted
-    return (stats.total_calls / unit.submitted, dict(by_callee), stats,
-            unit.peak_heap_depth)
+    counts = calls_by_callee(profile)
+    by_callee = {label: count / unit.submitted
+                 for label, count in counts.items()}
+    return (sum(counts.values()) / unit.submitted, by_callee,
+            pstats.Stats(profile), unit.peak_heap_depth)
 
 
 def growth_report(by_callee, recorded, limit=10):
@@ -496,6 +519,27 @@ def test_calls_per_request_stay_in_budget(workload):
                     "table:\n"
                     + growth_report(by_callee, CALLEES[workload]))
     pytest.fail(message)
+
+
+def test_dataclass_inits_are_counted_apart():
+    """Two dataclasses built 3 and 5 times are 8 `__init__` calls, not
+    the 5 of whichever entry the `pstats` snapshot kept."""
+    @dataclass
+    class First:
+        x: int = 0
+
+    @dataclass
+    class Second:
+        y: int = 0
+
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(3):
+        First()
+    for _ in range(5):
+        Second()
+    profile.disable()
+    assert calls_by_callee(profile)["<string>:__init__"] == 8
 
 
 def test_the_recorded_table_is_the_recorded_figure():
