@@ -64,7 +64,7 @@ def main() -> None:
         b"world of network services.</p></body></html>")
     pipeline = Pipeline(["html-munger", "keyword-filter",
                          "thinclient-simplify"])
-    pipeline.validate(registry, MIME_HTML)
+    pipeline.validate(registry)
     result = pipeline.execute(registry, TACCRequest(
         inputs=[page],
         profile={"filter_pattern": "cluster", "screen_width": 160},

@@ -177,18 +177,22 @@ def harvest_yield_series(outcomes, bucket_s: float
     return series
 
 
+#: the yield a run has recovered to once it is back over it
+RECOVERY_TARGET = 0.95
+
+
 def yield_recovery_time(series: Sequence[Dict[str, float]],
-                        heal_time: float,
-                        target: float = 0.95) -> Optional[float]:
-    """Seconds after ``heal_time`` until yield first reaches ``target``
-    and stays there for the rest of the series; ``None`` if it never
-    recovers.  Empty buckets (nothing submitted) count as recovered.
+                        heal_time: float) -> Optional[float]:
+    """Seconds after ``heal_time`` until yield first reaches
+    :data:`RECOVERY_TARGET` and stays there for the rest of the series;
+    ``None`` if it never recovers.  Empty buckets (nothing submitted)
+    count as recovered.
     """
     candidate: Optional[float] = None
     for row in series:
         if row["start"] + 1e-9 < heal_time:
             continue
-        if row["submitted"] and row["yield"] < target:
+        if row["submitted"] and row["yield"] < RECOVERY_TARGET:
             candidate = None
         elif candidate is None:
             candidate = max(0.0, row["start"] - heal_time)

@@ -56,10 +56,14 @@ def render_histogram(pairs: Sequence[Tuple[object, float]],
     return "\n".join(lines)
 
 
+#: columns of a render_series plot
+SERIES_WIDTH = 60
+
+
 def render_series(points: Sequence[Tuple[float, float]],
-                  width: int = 60, height: int = 12,
-                  title: str = "") -> str:
+                  height: int = 12, title: str = "") -> str:
     """Crude scatter-over-time plot (Figure 8 style)."""
+    width = SERIES_WIDTH
     lines = [title] if title else []
     if not points:
         return "\n".join(lines + ["(empty)"])

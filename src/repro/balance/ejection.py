@@ -174,7 +174,7 @@ class OutlierEjector(RoutingPolicy):
     # -- selection ---------------------------------------------------------
 
     def select(self, candidates: Sequence[Any], now: float,
-               key: Optional[str] = None) -> Any:
+               key: Optional[str]) -> Any:
         self._evaluate(candidates, now)
         admissible = [
             state for state in candidates

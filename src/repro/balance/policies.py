@@ -66,7 +66,7 @@ class RoutingPolicy:
     needs_key = False
 
     def select(self, candidates: Sequence[Any], now: float,
-               key: Optional[str] = None) -> Any:
+               key: Optional[str]) -> Any:
         raise NotImplementedError
 
     # -- per-dispatch feedback (all optional) ------------------------------
@@ -105,7 +105,7 @@ class LotteryPolicy(RoutingPolicy):
         self.rng = rng
 
     def select(self, candidates: Sequence[Any], now: float,
-               key: Optional[str] = None) -> Any:
+               key: Optional[str]) -> Any:
         # AdvertState.effective_queue inlined (same operands, same
         # order): no call and no max() per candidate
         if self.config.estimate_queue_deltas:
@@ -133,7 +133,7 @@ class RoundRobinPolicy(RoutingPolicy):
         self._turn = 0
 
     def select(self, candidates: Sequence[Any], now: float,
-               key: Optional[str] = None) -> Any:
+               key: Optional[str]) -> Any:
         ordered = sorted(candidates,
                          key=lambda state: state.advert.worker_name)
         choice = ordered[self._turn % len(ordered)]
@@ -188,7 +188,7 @@ class LeastOutstandingPolicy(_OutstandingTracker):
         self.config = config
 
     def select(self, candidates: Sequence[Any], now: float,
-               key: Optional[str] = None) -> Any:
+               key: Optional[str]) -> Any:
         estimate = self.config.estimate_queue_deltas
         return min(candidates, key=lambda state: (
             self.outstanding.get(state.advert.worker_name, 0),
@@ -214,7 +214,7 @@ class PowerOfTwoPolicy(RoutingPolicy):
         self.rng = rng
 
     def select(self, candidates: Sequence[Any], now: float,
-               key: Optional[str] = None) -> Any:
+               key: Optional[str]) -> Any:
         n = len(candidates)
         if n == 1:
             return candidates[0]
@@ -284,7 +284,7 @@ class EwmaLatencyPolicy(_OutstandingTracker):
         return (latency * (1.0 + pending) + 1e-9 * pending, name)
 
     def select(self, candidates: Sequence[Any], now: float,
-               key: Optional[str] = None) -> Any:
+               key: Optional[str]) -> Any:
         return min(candidates, key=lambda state: self._score(state, now))
 
     def stats(self) -> Dict[str, Any]:
@@ -309,7 +309,7 @@ class WeightedCanaryPolicy(RoutingPolicy):
         self.rng = rng
 
     def select(self, candidates: Sequence[Any], now: float,
-               key: Optional[str] = None) -> Any:
+               key: Optional[str]) -> Any:
         if len(candidates) == 1:
             return candidates[0]
         canary = max(candidates,
@@ -354,7 +354,7 @@ class BoundedLoadHashPolicy(_OutstandingTracker):
         self.overflow_hops = 0
 
     def select(self, candidates: Sequence[Any], now: float,
-               key: Optional[str] = None) -> Any:
+               key: Optional[str]) -> Any:
         by_name = {state.advert.worker_name: state
                    for state in candidates}
         names = frozenset(by_name)

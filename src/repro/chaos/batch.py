@@ -178,8 +178,6 @@ class CampaignBatchReport:
 def run_campaign_batch(name: str, master_seed: int = 1997,
                        runs: int = 1, jobs: int = 1, *,
                        overrides: Optional[Mapping[str, Any]] = None,
-                       timeout_s: Optional[float] = None,
-                       retries: int = 0,
                        progress=None) -> CampaignBatchReport:
     """Run ``runs`` seeded repetitions of campaign ``name`` across
     ``jobs`` worker processes and fold the reports.  Every run lays
@@ -197,8 +195,7 @@ def run_campaign_batch(name: str, master_seed: int = 1997,
                   args=(name, seed, overrides))
         for index, seed in enumerate(seeds)
     ]
-    sweep = run_sharded(specs, jobs=jobs, timeout_s=timeout_s,
-                        retries=retries, progress=progress)
+    sweep = run_sharded(specs, jobs=jobs, progress=progress)
     return CampaignBatchReport(
         campaign=campaign.name,
         description=campaign.description,

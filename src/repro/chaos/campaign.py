@@ -915,7 +915,7 @@ class CampaignRunner:
                          if self.controller is not None else None))
 
 
-def run_campaign(campaign: Campaign, seed: int = 1997) -> ChaosReport:
+def run_campaign(campaign: Campaign, seed: int) -> ChaosReport:
     """Build, run, and report one campaign."""
     return CampaignRunner(campaign, seed=seed).run()
 

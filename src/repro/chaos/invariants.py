@@ -46,17 +46,20 @@ class InvariantViolation:
                 f"{self.detail}>")
 
 
+#: beacon periods a worker live at a heal has to re-register in
+REREGISTER_PERIODS = 2 * BEACON_LOSS_TOLERANCE
+#: beacon periods the manager's view has to reach ground truth in,
+#: after the final heal
+CONVERGENCE_PERIODS = 10
+
+
 class InvariantChecker:
     """Watches a fabric (and its playback engine) during a campaign."""
 
-    def __init__(self, fabric: Any,
-                 reregister_periods: Optional[int] = None) -> None:
+    def __init__(self, fabric: Any) -> None:
         self.fabric = fabric
         self.config = fabric.config
         self.env = fabric.cluster.env
-        self.reregister_periods = (
-            reregister_periods if reregister_periods is not None
-            else 2 * BEACON_LOSS_TOLERANCE)
         #: the environment's span tracer (None when tracing is off);
         #: lets violations carry the offending request's span tree.
         self.tracer = self.env.tracer
@@ -120,16 +123,14 @@ class InvariantChecker:
 
     # -- reregistration after a heal -----------------------------------------
 
-    def expect_reregistration(self, heal_time: float,
-                              periods: Optional[int] = None) -> None:
+    def expect_reregistration(self, heal_time: float) -> None:
         """Assert that every worker live at ``heal_time`` re-registers
-        within ``periods`` beacon periods of it (default
-        ``2 * BEACON_LOSS_TOLERANCE``).  Periods with no live manager
-        (it may itself be mid-restart) do not count against the budget;
-        workers killed after the heal drop out of the requirement."""
-        self.env.process(self._reregistration_check(
-            heal_time,
-            periods if periods is not None else self.reregister_periods))
+        within :data:`REREGISTER_PERIODS` beacon periods of it.  Periods
+        with no live manager (it may itself be mid-restart) do not count
+        against the budget; workers killed after the heal drop out of
+        the requirement."""
+        self.env.process(self._reregistration_check(heal_time,
+                                                    REREGISTER_PERIODS))
 
     def _ground_truth(self) -> List[Any]:
         """Workers a correct manager must know: alive, reachable, and on
@@ -170,13 +171,11 @@ class InvariantChecker:
 
     # -- convergence to ground truth -----------------------------------------
 
-    def expect_convergence(self, after_time: float,
-                           within_s: Optional[float] = None) -> None:
+    def expect_convergence(self, after_time: float) -> None:
         """Assert the manager's worker view equals ground truth within
-        ``within_s`` seconds of ``after_time`` (default 10 beacon
-        periods) and record how long convergence took."""
-        budget = (within_s if within_s is not None
-                  else 10 * self.config.beacon_interval_s)
+        :data:`CONVERGENCE_PERIODS` beacon periods of ``after_time`` and
+        record how long convergence took."""
+        budget = CONVERGENCE_PERIODS * self.config.beacon_interval_s
         self.env.process(self._convergence_check(after_time, budget))
 
     def _convergence_check(self, after_time: float, within_s: float):

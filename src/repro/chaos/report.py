@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.metrics import (
+    RECOVERY_TARGET,
     LatencyStats,
     harvest_yield_series,
     yield_recovery_time,
 )
 from repro.chaos.invariants import InvariantViolation
 from repro.degrade.ladder import level_name as _ladder_name
-
-#: yield must return to this level after the final heal.
-RECOVERY_TARGET = 0.95
 
 
 @dataclass
@@ -325,8 +323,7 @@ def build_report(campaign: Any, seed: int, faults: Any, engine: Any,
     network = faults.network_faults()
     beacon_s = fabric.config.beacon_interval_s
     series = harvest_yield_series(engine.outcomes, bucket_s=beacon_s)
-    recovery = yield_recovery_time(series, campaign.final_heal_s,
-                                   target=RECOVERY_TARGET)
+    recovery = yield_recovery_time(series, campaign.final_heal_s)
     # the control plane under audit (counters are summed across the
     # consensus replicas)
     managers = fabric.managers

@@ -28,6 +28,14 @@ retry backoff's ``DISPATCH_BACKOFF_*`` and the brownout loop's
 ``OUTLIER_*`` ratio, peer count, sample count, timeout threshold,
 window and durations.  Distilled results are always cached (Section
 3.1.5's injection path).
+
+The rule holds for every defaulted function and constructor parameter
+in ``src/repro`` as well, and ``tools/reachability.py`` checks it: the
+parameter section of ``tools/reachability.txt`` lists each one no
+shipped entry point sets to a second value, and each either becomes a
+constant beside its reader or keeps a reason from a closed set (paper
+content behind a test-only switch, deployment setting, test seam,
+checked domain).
 """
 
 from __future__ import annotations

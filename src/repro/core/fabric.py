@@ -106,7 +106,7 @@ class SNSFabric:
             return node
         free = self.cluster.free_node()
         return free if free is not None else \
-            self.cluster.least_loaded_node()
+            self.cluster.least_loaded_node(None)
 
     # -- process-peer restarts ------------------------------------------------
 
@@ -254,8 +254,7 @@ class SNSFabric:
             node = self.cluster.free_node(
                 reachable_from=requester_node)
             if node is None:
-                node = self.cluster.least_loaded_node(
-                    reachable_from=requester_node)
+                node = self.cluster.least_loaded_node(requester_node)
         self.start_manager(node)
 
     @property
@@ -351,11 +350,11 @@ class SNSFabric:
 
     # -- supervision (repro.recovery) ---------------------------------------
 
-    def start_supervisor(self, policy: Any = None, ledger: Any = None,
-                         node: Optional[Node] = None) -> Any:
+    def start_supervisor(self, policy: Any = None,
+                         ledger: Any = None) -> Any:
         """Start the gray-failure supervision layer (opt-in).
 
-        Placed on the manager's node by default — like the monitor, the
+        Placed on the manager's node — like the monitor, the
         supervisor must not consume a free node or worker placement in
         fault-free runs would differ from unsupervised ones.  Wires the
         RPC-timeout detector into every live front end's manager stub
@@ -364,11 +363,10 @@ class SNSFabric:
         from repro.recovery.supervisor import Supervisor
         if self.supervisor is not None and self.supervisor.alive:
             raise FabricError("a supervisor is already running")
-        if node is None:
-            if self.manager is not None and self.manager.node.up:
-                node = self.manager.node
-            else:
-                node = self._place(None)
+        if self.manager is not None and self.manager.node.up:
+            node = self.manager.node
+        else:
+            node = self._place(None)
         supervisor = Supervisor(self.cluster, node, "supervisor",
                                 self.config, self, policy=policy,
                                 ledger=ledger)
@@ -380,7 +378,7 @@ class SNSFabric:
 
     # -- graceful degradation (repro.degrade) --------------------------------
 
-    def start_degradation(self, signals: Any = None) -> Any:
+    def start_degradation(self) -> Any:
         """Start the brownout controller (opt-in) and wire it into
         every component that reads the ladder: live front ends (and,
         via :meth:`start_frontend`, every future one), the service
@@ -389,8 +387,7 @@ class SNSFabric:
         if self.degradation is not None:
             raise FabricError("a degradation controller is already "
                               "running")
-        controller = DegradationController(self.cluster, self.config,
-                                           self, signals=signals)
+        controller = DegradationController(self.cluster, self.config, self)
         self.degradation = controller
         for frontend in self.frontends.values():
             frontend.degradation = controller
@@ -427,8 +424,8 @@ class SNSFabric:
     # -- convenience assembly ------------------------------------------------------------------
 
     def boot(self, n_frontends: int = 1,
-             initial_workers: Optional[Dict[str, int]] = None,
-             with_monitor: bool = True) -> "SNSFabric":
+             initial_workers: Optional[Dict[str, int]] = None
+             ) -> "SNSFabric":
         """Start a minimal instance: manager + front ends (+ workers).
 
         Mirrors the Section 4.6 bootstrap: "Begin with a minimal
@@ -437,7 +434,7 @@ class SNSFabric:
         """
         if not self.managers:
             self.start_manager()
-        if with_monitor and self.monitor is None:
+        if self.monitor is None:
             # consensus boot: no election has run yet (time has not
             # advanced); co-locate with replica 0, the bootstrap
             # candidate

@@ -335,7 +335,7 @@ class ManagerStub:
                 state = self.pick(worker_type, key)
                 if state is None:
                     state = yield from self._wait_for_worker(
-                        worker_type, deadline_at, key)
+                        worker_type, key, deadline_at)
                     if state is None:
                         raise DispatchError(
                             f"no {worker_type!r} worker available")
@@ -429,9 +429,8 @@ class ManagerStub:
         return partitions.node_reachable(self.node.name,
                                          manager.node.name)
 
-    def _wait_for_worker(self, worker_type: str,
-                         deadline_at: Optional[float] = None,
-                         key: Optional[str] = None):
+    def _wait_for_worker(self, worker_type: str, key: Optional[str],
+                         deadline_at: Optional[float] = None):
         """No cached hint: ask the manager (triggering an on-demand
         spawn) and poll until an advert appears or the budget runs out.
 

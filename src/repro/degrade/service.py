@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.cache.latency import MEAN_HIT_S
 from repro.core.config import (
     DEGRADE_FRESH_TTL_S,
     DEGRADE_STALE_TTL_S,
@@ -39,7 +40,7 @@ from repro.core.manager_stub import DispatchError
 from repro.degrade.guards import CircuitBreaker
 from repro.degrade.staleness import FRESH, FreshnessCache
 from repro.distillers.jpeg import DEFAULT_QUALITY, JpegDistiller
-from repro.experiments._harness import CACHE_HIT_S, BenchService
+from repro.experiments._harness import BenchService
 from repro.sim.cluster import Cluster
 from repro.sim.network import Link
 from repro.tacc.content import Content, zero_payload
@@ -135,14 +136,14 @@ class DegradableBenchService(BenchService):
         if hit is not None:
             kind, result = hit
             if kind == FRESH:
-                yield env.timeout(CACHE_HIT_S)
+                yield env.timeout(MEAN_HIT_S)
                 if trace is not None:
                     trace.record("cache-hit", "cache", mark, hit=True)
                 return Response(status="ok", path="cache-hit",
                                 content=result, size_bytes=result.size)
             if controller is not None and controller.serve_stale_active:
                 self.stale_served += 1
-                yield env.timeout(CACHE_HIT_S)
+                yield env.timeout(MEAN_HIT_S)
                 if trace is not None:
                     trace.record("stale-hit", "cache", mark,
                                  hit=True, stale=True)
@@ -174,7 +175,7 @@ class DegradableBenchService(BenchService):
                                zero_payload(record.size_bytes))
             self.originals[record.url] = original
         else:
-            yield env.timeout(CACHE_HIT_S)
+            yield env.timeout(MEAN_HIT_S)
             if trace is not None:
                 trace.record("cache-hit", "cache", mark, hit=True)
         reduced = controller is not None and controller.fidelity_reduced

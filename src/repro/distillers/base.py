@@ -23,23 +23,25 @@ from repro.tacc.content import Content, ZeroPayload
 from repro.tacc.worker import TACCRequest, Transformer
 
 
+#: sigma of the lognormal noise on a distillation's latency (mean 1)
+NOISE_SIGMA = 0.45
+
+
 class DistillerLatencyModel:
     """latency = (fixed + slope * input_kb) * lognormal-noise."""
 
-    def __init__(self, slope_s_per_kb: float, fixed_s: float = 0.005,
-                 noise_sigma: float = 0.45) -> None:
+    def __init__(self, slope_s_per_kb: float, fixed_s: float = 0.005
+                 ) -> None:
         if slope_s_per_kb < 0 or fixed_s < 0:
             raise ValueError("latency parameters must be non-negative")
         self.slope_s_per_kb = slope_s_per_kb
         self.fixed_s = fixed_s
-        self.noise_sigma = noise_sigma
 
     def mean(self, size_bytes: int) -> float:
         return self.fixed_s + self.slope_s_per_kb * (size_bytes / 1024.0)
 
     def sample(self, rng: Stream, size_bytes: int) -> float:
-        noise = rng.lognormal(-self.noise_sigma ** 2 / 2.0,
-                              self.noise_sigma)
+        noise = rng.lognormal(-NOISE_SIGMA ** 2 / 2.0, NOISE_SIGMA)
         return self.mean(size_bytes) * noise
 
 

@@ -212,8 +212,11 @@ def generate_photo(rng: Stream, width: int = 160,
     return SyntheticImage(pixels)
 
 
-def photo_sized_for(rng: Stream, target_gif_bytes: int,
-                    max_iterations: int = 8) -> SyntheticImage:
+#: refinements photo_sized_for makes before settling for its last try
+PHOTO_SIZING_ITERATIONS = 8
+
+
+def photo_sized_for(rng: Stream, target_gif_bytes: int) -> SyntheticImage:
     """A photo whose GIF encoding is roughly ``target_gif_bytes``.
 
     Used by the service layer to materialize trace records (which carry
@@ -225,7 +228,7 @@ def photo_sized_for(rng: Stream, target_gif_bytes: int,
     # refine geometrically.
     pixels_needed = target_gif_bytes * 2
     aspect = 4.0 / 3.0
-    for _ in range(max_iterations):
+    for _ in range(PHOTO_SIZING_ITERATIONS):
         height = max(8, int((pixels_needed / aspect) ** 0.5))
         width = max(8, int(height * aspect))
         image = generate_photo(rng, width, height)

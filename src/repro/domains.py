@@ -105,9 +105,9 @@ class Choice(Domain):
                    for allowed in self.values)
 
 
-def finite(optional: bool = False) -> Number:
+def finite() -> Number:
     """Any finite number: a timestamp."""
-    return Number(-math.inf, optional=optional)
+    return Number(-math.inf)
 
 
 def above(lo: float, optional: bool = False) -> Number:

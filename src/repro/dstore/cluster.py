@@ -45,22 +45,27 @@ ANTI_ENTROPY_INTERVAL_S = 0.5
 SYNC_BASE_S = 0.01
 SYNC_CELL_S = 0.0002
 
+#: the store's geometry: three bricks, each partition on two of them,
+#: sixteen partitions
+N_BRICKS = 3
+REPLICAS = 2
+N_PARTITIONS = 16
+
 
 class BrickCluster:
     """Slot placement, version clock, and repair for the brick store."""
 
-    def __init__(self, cluster: Cluster, n_bricks: int = 3,
-                 replicas: int = 2, n_partitions: int = 16) -> None:
+    def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
         self.env = cluster.env
-        self.partitioner = Partitioner(n_bricks, replicas, n_partitions)
-        self.n_bricks = n_bricks
-        self.replicas = replicas
+        self.partitioner = Partitioner(N_BRICKS, REPLICAS, N_PARTITIONS)
+        self.n_bricks = N_BRICKS
+        self.replicas = REPLICAS
         self.nodes: List[Any] = []
         #: slot -> current brick incarnation (may be dead, awaiting
         #: supervision; never None after boot()).
-        self.bricks: List[Optional[Brick]] = [None] * n_bricks
-        self._incarnations = [itertools.count(1) for _ in range(n_bricks)]
+        self.bricks: List[Optional[Brick]] = [None] * N_BRICKS
+        self._incarnations = [itertools.count(1) for _ in range(N_BRICKS)]
         self._version_clock = 0
         #: rejoin measurements: brick, slot, rejoin_s, cells_at_kill,
         #: sync_s (None until the sweep finishes).

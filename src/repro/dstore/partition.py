@@ -22,8 +22,8 @@ from repro.sim.hashing import stable_hash
 class Partitioner:
     """Stable key -> partition -> replica-slot placement."""
 
-    def __init__(self, n_bricks: int, replicas: int = 2,
-                 n_partitions: int = 16) -> None:
+    def __init__(self, n_bricks: int, replicas: int,
+                 n_partitions: int) -> None:
         if n_bricks < 1:
             raise ValueError("need at least one brick")
         if not 1 <= replicas <= n_bricks:

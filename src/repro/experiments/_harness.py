@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro.cache.latency import MEAN_HIT_S
 from repro.core.config import SNSConfig
 from repro.core.fabric import SNSFabric
 from repro.core.frontend import Response
@@ -22,6 +23,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.network import MBPS
 from repro.tacc.content import Content, ZeroPayload
 from repro.tacc.customization import (
+    PROFILE_READ_MISS_S,
     WriteThroughCache,
     open_profile_store,
 )
@@ -29,15 +31,10 @@ from repro.tacc.registry import WorkerRegistry
 from repro.tacc.worker import TACCRequest, WorkerError
 from repro.workload.trace import TraceRecord
 
-#: flat per-request cache-hit cost (the resident-original lookup).
-CACHE_HIT_S = 0.027
-
 
 def run_grid(point_fn: Callable[..., Any],
              points: Sequence[Mapping[str, Any]],
-             jobs: int = 1, *, label: str = "grid",
-             timeout_s: Optional[float] = None, retries: int = 0,
-             progress=None):
+             jobs: int = 1, *, label: str = "grid"):
     """Fan the independent grid points of an experiment sweep across
     worker processes (:mod:`repro.fanout`).
 
@@ -57,8 +54,7 @@ def run_grid(point_fn: Callable[..., Any],
         specs.append(ShardSpec(
             shard_id=f"{label}[{index}]({detail})",
             fn=point_fn, kwargs=dict(point)))
-    return run_sharded(specs, jobs=jobs, timeout_s=timeout_s,
-                       retries=retries, progress=progress)
+    return run_sharded(specs, jobs=jobs)
 
 
 def jpeg_pool(n: int, size_bytes: int = 10240,
@@ -70,10 +66,6 @@ def jpeg_pool(n: int, size_bytes: int = 10240,
                         size_bytes)
             for index in range(n)]
 
-
-#: single-backend profile-read cost on a front-end cache miss (the gdbm
-#: lookup; mirrors repro.transend.service.PROFILE_READ_MISS_S).
-PROFILE_READ_MISS_S = 0.005
 
 #: single-backend recovery model when chaos kills the store: restart
 #: fork plus WAL replay proportional to committed transactions — the
@@ -156,7 +148,8 @@ class BenchService:
         env = self.cluster.env
         record = request.record
         mark = env._now
-        yield env.timeout(CACHE_HIT_S)
+        # a flat cache-hit cost: the original is resident (Section 4.6)
+        yield env.timeout(MEAN_HIT_S)
         if request.trace is not None:
             request.trace.record("cache-hit", "cache", mark, hit=True)
         content = Content(record.url, record.mime,

@@ -47,8 +47,11 @@ class CacheStudyResult:
         return self.sweep[-1][1] if self.sweep else 0.0
 
 
-def _population_trace(n_users: int, n_requests: int, seed: int,
-                      n_shared_docs: int = 30_000):
+#: the population sweep's fixed cache size
+POPULATION_CACHE_BYTES = 24_000_000
+
+
+def _population_trace(n_users: int, n_requests: int, seed: int):
     """References (key, size) from a population of the given size.
 
     Locality parameters (50 % shared references over a 30 k-document
@@ -63,7 +66,7 @@ def _population_trace(n_users: int, n_requests: int, seed: int,
         with_bursts=False,
         universe=DocumentUniverse(
             RandomStreams(seed).stream("universe"),
-            n_shared_docs=n_shared_docs,
+            n_shared_docs=30_000,
             n_private_per_user=500,
             shared_fraction=0.5,
             zipf_alpha=0.7,
@@ -84,13 +87,12 @@ def _size_sweep_point(capacity_bytes: int, n_users: int,
             simulator.byte_hit_rate)
 
 
-def _population_sweep_point(population: int, capacity_bytes: int,
-                            requests_per_user: int, seed: int
-                            ) -> Tuple[float, float, float]:
+def _population_sweep_point(population: int, requests_per_user: int,
+                            seed: int) -> Tuple[float, float, float]:
     """One population grid point, self-contained for fan-out."""
     references = _population_trace(
         population, population * requests_per_user, seed)
-    simulator = CacheSimulator(capacity_bytes).run(references)
+    simulator = CacheSimulator(POPULATION_CACHE_BYTES).run(references)
     return (float(population), simulator.hit_rate,
             simulator.byte_hit_rate)
 
@@ -139,7 +141,6 @@ def run_cache_size_sweep(
 
 def run_population_sweep(
     populations: Sequence[int] = (25, 100, 400, 1600, 6400),
-    capacity_bytes: int = 24_000_000,
     requests_per_user: int = 60,
     seed: int = 1997,
     jobs: int = 1,
@@ -153,7 +154,7 @@ def run_population_sweep(
     them out with byte-identical results.
     """
     points_kwargs = [
-        dict(population=population, capacity_bytes=capacity_bytes,
+        dict(population=population,
              requests_per_user=requests_per_user, seed=seed)
         for population in populations
     ]

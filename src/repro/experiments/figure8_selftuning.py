@@ -36,8 +36,8 @@ class Figure8Result:
     def render(self) -> str:
         parts = ["Figure 8 — distiller queue lengths over time"]
         for name in sorted(self.series):
-            parts.append(render_series(self.series[name], width=60,
-                                       height=8, title=f"\n{name}:"))
+            parts.append(render_series(self.series[name], height=8,
+                                       title=f"\n{name}:"))
         parts.append("\nevents:")
         for time, label in self.events:
             parts.append(f"  t={time:6.1f}s  {label}")
@@ -51,12 +51,10 @@ def run_figure8(
     duration_s: float = 400.0,
     kill_at_s: float = 270.0,
     seed: int = 1997,
-    config: Optional[SNSConfig] = None,
     peak_rate_rps: float = 40.0,
 ) -> Figure8Result:
-    config = config or SNSConfig(spawn_threshold=10.0,
-                                 spawn_damping_s=15.0,
-                                 dispatch_timeout_s=8.0)
+    config = SNSConfig(spawn_threshold=10.0, spawn_damping_s=15.0,
+                       dispatch_timeout_s=8.0)
     fabric = build_bench_fabric(n_nodes=16, seed=seed, config=config)
     fabric.boot(n_frontends=1, initial_workers={})
     env = fabric.cluster.env

@@ -97,20 +97,24 @@ class _ReportSource:
                 return
 
 
+#: 900 distillers reporting every 0.5 s: the paper's 1800 announcements
+#: per second
+N_DISTILLERS = 900
+REPORT_INTERVAL_S = 0.5
+
+
 def run_manager_capacity(
-    n_distillers: int = 900,
     duration_s: float = 20.0,
-    report_interval_s: float = 0.5,
     seed: int = 1997,
 ) -> ManagerCapacityResult:
-    config = SNSConfig(report_interval_s=report_interval_s,
+    config = SNSConfig(report_interval_s=REPORT_INTERVAL_S,
                        worker_timeout_s=duration_s * 10,
                        spawn_threshold=1e9)
     fabric = build_bench_fabric(n_nodes=6, seed=seed, config=config)
     fabric.start_manager()
     fabric.cluster.run(until=1.0)
-    sources = [_ReportSource(fabric, index, report_interval_s)
-               for index in range(n_distillers)]
+    sources = [_ReportSource(fabric, index, REPORT_INTERVAL_S)
+               for index in range(N_DISTILLERS)]
     start_reports = fabric.manager.reports_received
     start_beacons = fabric.manager.beacons_sent
     start_time = fabric.cluster.env.now
@@ -119,14 +123,14 @@ def run_manager_capacity(
     beacons = fabric.manager.beacons_sent - start_beacons
     sent = sum(source.sent for source in sources)
     # sources do not count sends; estimate from schedule
-    expected_sent = int(n_distillers * duration_s / report_interval_s)
+    expected_sent = int(N_DISTILLERS * duration_s / REPORT_INTERVAL_S)
     observed_interval = duration_s / beacons if beacons else float("inf")
     return ManagerCapacityResult(
-        n_distillers=n_distillers,
+        n_distillers=N_DISTILLERS,
         duration_s=duration_s,
         reports_sent=expected_sent,
         reports_received=received,
         announcements_per_s=received / duration_s,
         beacon_interval_observed_s=observed_interval,
-        equivalent_request_rps=n_distillers * 20.0,
+        equivalent_request_rps=N_DISTILLERS * 20.0,
     )

@@ -46,6 +46,11 @@ DEFAULT_POLICIES = (
 )
 #: service-time multiplier of the one fail-slow worker every arm gets.
 SLOW_FACTOR = 8.0
+#: the offered load and the fixed pool it is spread over
+RATE_RPS = 160.0
+N_WORKERS = 8
+#: the fail-slow worker is injected this far into the replay
+INJECT_FRACTION = 0.25
 #: supervision detuned to a slow backstop, identically in every arm:
 #: probes sweep rarely and need many confirmations, and the
 #: stub-report/load-outlier detectors are effectively off, so the
@@ -157,9 +162,8 @@ class PolicySweepResult:
         return "\n".join(lines)
 
 
-def run_policy_arm(policy: str, n_requests: int, rate_rps: float,
-                   n_workers: int, seed: int, image_bytes: int = 10240,
-                   inject_fraction: float = 0.25) -> PolicyArmStats:
+def run_policy_arm(policy: str, n_requests: int,
+                   seed: int) -> PolicyArmStats:
     """One arm: replay the seed-derived trace under ``policy``.
 
     Module-level and self-contained (the trace is regenerated from the
@@ -176,17 +180,17 @@ def run_policy_arm(policy: str, n_requests: int, rate_rps: float,
         frontend_threads=2000,
         frontend_connection_overhead_s=0.001,
     )
-    fabric = build_bench_fabric(n_nodes=n_workers + 4, seed=seed,
+    fabric = build_bench_fabric(n_nodes=N_WORKERS + 4, seed=seed,
                                 config=config)
     faults = Faults(fabric)
     fabric.boot(n_frontends=2,
-                initial_workers={"jpeg-distiller": n_workers})
+                initial_workers={"jpeg-distiller": N_WORKERS})
     fabric.start_supervisor(policy=BACKSTOP_POLICY, ledger=faults.ledger)
     env = fabric.cluster.env
     fabric.cluster.run(until=2.0)
 
-    expected_duration = n_requests / rate_rps
-    inject_at = env.now + inject_fraction * expected_duration
+    expected_duration = n_requests / RATE_RPS
+    inject_at = env.now + INJECT_FRACTION * expected_duration
     faults.arm((GrayWorker(at=inject_at, mode="fail-slow",
                            factor=SLOW_FACTOR),))
     served_at_inject: Dict[str, int] = {}
@@ -206,7 +210,7 @@ def run_policy_arm(policy: str, n_requests: int, rate_rps: float,
         rng=RandomStreams(seed).stream("policy-playback"),
         timeout_s=30.0, record_outcomes=False, on_success=on_success)
     records = iter_fixed_jpeg_trace(
-        rate_rps, n_requests, image_size_bytes=image_bytes, seed=seed)
+        RATE_RPS, n_requests, seed=seed)
     started_at = env.now
     playback = env.process(engine.play(records, time_offset=env.now))
     fabric.cluster.run(until=playback)
@@ -277,16 +281,13 @@ def run_policy_arm(policy: str, n_requests: int, rate_rps: float,
 
 def run_policy_sweep(policies: Optional[Sequence[str]] = None,
                      n_requests: int = 1_000_000,
-                     rate_rps: float = 160.0,
-                     n_workers: int = 8,
                      seed: int = 1997,
                      jobs: int = 1) -> PolicySweepResult:
     """Replay the shared trace once per policy; ``jobs > 1`` fans the
     arms across worker processes, byte-identical to serial."""
     policies = list(policies or DEFAULT_POLICIES)
     arms = [
-        dict(policy=policy, n_requests=n_requests, rate_rps=rate_rps,
-             n_workers=n_workers, seed=seed)
+        dict(policy=policy, n_requests=n_requests, seed=seed)
         for policy in policies
     ]
     if jobs > 1:
@@ -295,5 +296,5 @@ def run_policy_sweep(policies: Optional[Sequence[str]] = None,
     else:
         stats = [run_policy_arm(**arm) for arm in arms]
     return PolicySweepResult(
-        arms=list(stats), n_requests=n_requests, rate_rps=rate_rps,
-        n_workers=n_workers, seed=seed)
+        arms=list(stats), n_requests=n_requests, rate_rps=RATE_RPS,
+        n_workers=N_WORKERS, seed=seed)

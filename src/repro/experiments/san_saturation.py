@@ -43,7 +43,7 @@ class SanSaturationResult:
     slow: SanRunStats
     #: the Section 4.6 remedy: same slow SAN, control traffic isolated
     #: on a low-speed utility network.
-    slow_with_utility: "SanRunStats | None" = None
+    slow_with_utility: SanRunStats
 
     def render(self) -> str:
         def block(stats: SanRunStats, suffix: str = "") -> str:
@@ -56,16 +56,17 @@ class SanSaturationResult:
                 f"p95 latency {stats.p95_latency_s:.2f}s"
             )
 
-        lines = ["SAN saturation (Section 4.6)",
-                 block(self.fast), block(self.slow)]
-        if self.slow_with_utility is not None:
-            lines.append(block(self.slow_with_utility,
-                               " + utility net"))
-        return "\n".join(lines)
+        return "\n".join(["SAN saturation (Section 4.6)",
+                          block(self.fast), block(self.slow),
+                          block(self.slow_with_utility, " + utility net")])
 
 
-def _run_once(bandwidth_bps: float, rate_rps: float, duration_s: float,
-              seed: int, image_bytes: int,
+#: the offered load: ~1.7 MB/s of 20 KB images
+RATE_RPS = 80.0
+IMAGE_BYTES = 20480
+
+
+def _run_once(bandwidth_bps: float, duration_s: float, seed: int,
               with_utility_network: bool = False) -> SanRunStats:
     config = SNSConfig(spawn_threshold=1e9,  # fixed worker pool
                        dispatch_timeout_s=5.0)
@@ -81,8 +82,8 @@ def _run_once(bandwidth_bps: float, rate_rps: float, duration_s: float,
         env, fabric.submit,
         rng=RandomStreams(seed).stream("san-playback"),
         timeout_s=30.0)
-    pool = jpeg_pool(50, image_bytes)
-    env.process(engine.constant_rate(rate_rps, duration_s, pool))
+    pool = jpeg_pool(50, IMAGE_BYTES)
+    env.process(engine.constant_rate(RATE_RPS, duration_s, pool))
     fabric.cluster.run(until=env.now + duration_s + 30.0)
     beacon_group = fabric.cluster.multicast.group(BEACON_GROUP)
     summary = summarize_outcomes(engine.outcomes)
@@ -100,13 +101,11 @@ def _run_once(bandwidth_bps: float, rate_rps: float, duration_s: float,
     )
 
 
-def run_san_saturation(rate_rps: float = 80.0, duration_s: float = 60.0,
-                       seed: int = 1997, image_bytes: int = 20480,
-                       include_utility: bool = True, jobs: int = 1
-                       ) -> SanSaturationResult:
+def run_san_saturation(duration_s: float = 60.0, seed: int = 1997,
+                       jobs: int = 1) -> SanSaturationResult:
     """Drive the same data load over a fast and a slow SAN.
 
-    The defaults put ~1.7 MB/s of content traffic on the interior
+    The load puts ~1.7 MB/s of content traffic on the interior
     network: 13 % of a 100 Mb/s SAN, but >130 % of a 10 Mb/s one —
     exactly the regime where the unreliable beacons start dropping.
     The third run applies the paper's own proposed remedy: the same
@@ -116,13 +115,11 @@ def run_san_saturation(rate_rps: float = 80.0, duration_s: float = 60.0,
     across worker processes with byte-identical results.
     """
     arms = [
-        dict(bandwidth_bps=100 * MBPS, rate_rps=rate_rps,
-             duration_s=duration_s, seed=seed, image_bytes=image_bytes),
-        dict(bandwidth_bps=10 * MBPS, rate_rps=rate_rps,
-             duration_s=duration_s, seed=seed, image_bytes=image_bytes),
+        dict(bandwidth_bps=100 * MBPS, duration_s=duration_s, seed=seed),
+        dict(bandwidth_bps=10 * MBPS, duration_s=duration_s, seed=seed),
+        dict(bandwidth_bps=10 * MBPS, duration_s=duration_s, seed=seed,
+             with_utility_network=True),
     ]
-    if include_utility:
-        arms.append(dict(arms[1], with_utility_network=True))
     if jobs > 1:
         from repro.experiments._harness import run_grid
         stats = run_grid(_run_once, arms, jobs=jobs,
@@ -132,5 +129,5 @@ def run_san_saturation(rate_rps: float = 80.0, duration_s: float = 60.0,
     return SanSaturationResult(
         fast=stats[0],
         slow=stats[1],
-        slow_with_utility=stats[2] if include_utility else None,
+        slow_with_utility=stats[2],
     )

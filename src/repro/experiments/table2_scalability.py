@@ -18,7 +18,7 @@ saturated.  The paper's findings to match in shape:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.reporting import render_table
 from repro.core.config import SNSConfig
@@ -71,11 +71,9 @@ def run_table2(
     rates: Sequence[float] = tuple(range(10, 161, 15)),
     step_duration_s: float = 25.0,
     seed: int = 1997,
-    config: Optional[SNSConfig] = None,
 ) -> Table2Result:
-    config = config or SNSConfig(spawn_threshold=10.0,
-                                 spawn_damping_s=10.0,
-                                 dispatch_timeout_s=8.0)
+    config = SNSConfig(spawn_threshold=10.0, spawn_damping_s=10.0,
+                       dispatch_timeout_s=8.0)
     fabric = build_bench_fabric(n_nodes=30, seed=seed, config=config)
     fabric.boot(n_frontends=1, initial_workers={"jpeg-distiller": 1})
     env = fabric.cluster.env

@@ -12,8 +12,8 @@ processes while keeping three guarantees:
   shard id alone, and results merge in spec order
   regardless of completion order, so ``--jobs N`` output is
   byte-identical to ``--jobs 1`` — including merged span-trace files.
-* **Graceful degradation.**  A crashing, raising, or timed-out shard is
-  retried, then reported; the sweep completes with an explicit harvest
+* **Graceful degradation.**  A crashing or raising shard is reported;
+  the sweep completes with an explicit harvest
   fraction instead of sinking (the runner practices the harvest/yield
   stance the paper prescribes for giant-scale services).
 * **Opt-in.**  ``jobs=1`` (the default everywhere) runs in-process with

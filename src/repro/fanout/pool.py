@@ -10,11 +10,12 @@ output is byte-identical to serial output.
 
 Failure policy is graceful degradation, the same harvest/yield stance
 the paper takes for the services themselves (Section 2.3.1): a shard
-that raises, crashes its process, or exceeds its timeout is retried up
-to its retry budget and then *reported* — the sweep keeps going, the
-result carries an explicit harvest fraction, and the caller decides
-whether partial data is acceptable.  One sick simulation cannot sink a
-campaign sweep.
+that raises or crashes its process is *reported* — the sweep keeps
+going, the result carries an explicit harvest fraction, and the caller
+decides whether partial data is acceptable.  One sick simulation
+cannot sink a campaign sweep.  A shard is run once, with no deadline:
+every shard is a deterministic simulation, so a second attempt would
+fail the same way.
 
 Span tracing composes: while a :func:`repro.obs.capture_traces` context
 is active in the parent, worker processes open their own capture, ship
@@ -35,9 +36,6 @@ from repro.fanout.shard import ShardResult, ShardSpec, SweepResult
 from repro.obs import runtime as obs_runtime
 
 __all__ = ["run_sharded"]
-
-#: how long the parent blocks waiting for worker events each loop.
-_WAIT_S = 0.05
 
 ProgressFn = Callable[[ShardResult, int, int], None]
 
@@ -83,9 +81,7 @@ def _shard_worker(spec: ShardSpec,
 
 # -- the parent side --------------------------------------------------------
 
-def _context(mp_context: Optional[str]):
-    if mp_context is not None:
-        return multiprocessing.get_context(mp_context)
+def _context():
     methods = multiprocessing.get_all_start_methods()
     # fork is the cheap path (no re-import per shard) and keeps
     # monkeypatched state visible to shards; fall back where missing.
@@ -94,25 +90,20 @@ def _context(mp_context: Optional[str]):
 
 
 def run_sharded(specs: Sequence[ShardSpec], jobs: int = 1, *,
-                timeout_s: Optional[float] = None, retries: int = 0,
-                progress: Optional[ProgressFn] = None,
-                mp_context: Optional[str] = None) -> SweepResult:
+                progress: Optional[ProgressFn] = None) -> SweepResult:
     """Execute independent shards, serially or across worker processes.
 
-    ``jobs <= 1`` runs in-process (exceptions isolated per shard;
-    timeouts are not enforceable without a process boundary).
+    ``jobs <= 1`` runs in-process (exceptions isolated per shard).
     ``jobs > 1`` keeps at most ``jobs`` worker processes in flight.
-    ``timeout_s``/``retries`` are pool-wide defaults each spec may
-    override; ``progress`` is called once per finished shard (in
-    completion order) with ``(result, n_done, n_total)``.
+    ``progress`` is called once per finished shard (in completion
+    order) with ``(result, n_done, n_total)``.
     """
     specs = list(specs)
     # jobs > 1 always takes the pool, even for a single shard: the
-    # process boundary is what provides timeout and crash isolation.
+    # process boundary is what provides crash isolation.
     if jobs <= 1 or not specs:
         return _run_serial(specs, progress)
-    return _run_pool(specs, jobs, timeout_s, retries, progress,
-                     mp_context)
+    return _run_pool(specs, jobs, progress)
 
 
 def _run_serial(specs: List[ShardSpec],
@@ -136,120 +127,61 @@ def _run_serial(specs: List[ShardSpec],
                        max_inflight=1 if specs else 0)
 
 
-class _Inflight:
-    """One live worker process and its bookkeeping."""
-
-    __slots__ = ("index", "spec", "attempt", "process", "conn",
-                 "deadline", "started")
-
-    def __init__(self, index, spec, attempt, process, conn, deadline,
-                 started):
-        self.index = index
-        self.spec = spec
-        self.attempt = attempt
-        self.process = process
-        self.conn = conn
-        self.deadline = deadline
-        self.started = started
-
-
 def _run_pool(specs: List[ShardSpec], jobs: int,
-              timeout_s: Optional[float], retries: int,
-              progress: Optional[ProgressFn],
-              mp_context: Optional[str]) -> SweepResult:
-    context = _context(mp_context)
+              progress: Optional[ProgressFn]) -> SweepResult:
+    context = _context()
     trace_settings = obs_runtime.tracing_settings()
-    pending: List[tuple] = [(index, spec, 1)
-                            for index, spec in enumerate(specs)]
+    pending = list(enumerate(specs))
     pending.reverse()   # pop() keeps spec order
-    inflight: Dict[Any, _Inflight] = {}
+    # parent end of a shard's pipe -> (index, spec, process, started)
+    inflight: Dict[Any, tuple] = {}
     results: Dict[int, ShardResult] = {}
     max_inflight = 0
-    done = 0
-
-    def launch(index: int, spec: ShardSpec, attempt: int) -> None:
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_shard_worker, args=(spec, trace_settings, child_conn),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        shard_timeout = (spec.timeout_s if spec.timeout_s is not None
-                         else timeout_s)
-        deadline = (time.monotonic() + shard_timeout
-                    if shard_timeout is not None else None)
-        inflight[parent_conn] = _Inflight(
-            index, spec, attempt, process, parent_conn, deadline,
-            time.perf_counter())
-
-    def finish(entry: _Inflight, ok: bool, value: Any, error: Optional[str],
-               tracer_states: List[Dict[str, Any]]) -> None:
-        nonlocal done
-        shard_retries = (entry.spec.retries
-                         if entry.spec.retries is not None else retries)
-        if not ok and entry.attempt <= shard_retries:
-            pending.append((entry.index, entry.spec, entry.attempt + 1))
-            return
-        result = ShardResult(
-            entry.spec.shard_id, entry.index, ok, value=value,
-            error=error, attempts=entry.attempt,
-            elapsed_s=time.perf_counter() - entry.started,
-            tracer_states=tracer_states)
-        results[entry.index] = result
-        done += 1
-        if progress is not None:
-            progress(result, done, len(specs))
 
     try:
         while pending or inflight:
             while pending and len(inflight) < jobs:
-                index, spec, attempt = pending.pop()
-                launch(index, spec, attempt)
+                index, spec = pending.pop()
+                parent_conn, child_conn = context.Pipe(duplex=False)
+                process = context.Process(
+                    target=_shard_worker,
+                    args=(spec, trace_settings, child_conn), daemon=True)
+                process.start()
+                child_conn.close()
+                inflight[parent_conn] = (index, spec, process,
+                                         time.perf_counter())
                 max_inflight = max(max_inflight, len(inflight))
-            ready = multiprocessing.connection.wait(
-                list(inflight), timeout=_WAIT_S)
-            for conn in ready:
-                entry = inflight.pop(conn)
+            # a shard's pipe turns ready when it sends its outcome or
+            # when its process dies and the pipe closes
+            for conn in multiprocessing.connection.wait(list(inflight)):
+                index, spec, process, started = inflight.pop(conn)
                 try:
                     kind, payload, tracer_states = conn.recv()
                 except EOFError:
-                    entry.process.join()
-                    finish(entry, False, None,
-                           f"worker crashed (exit code "
-                           f"{entry.process.exitcode})", [])
-                    continue
+                    kind, payload, tracer_states = "crashed", None, []
                 finally:
                     conn.close()
-                entry.process.join()
-                if kind == "ok":
-                    finish(entry, True, payload, None, tracer_states)
-                else:
-                    finish(entry, False, None, payload, [])
-            now = time.monotonic()
-            for conn, entry in list(inflight.items()):
-                expired = (entry.deadline is not None
-                           and now > entry.deadline)
-                died = not entry.process.is_alive() and not conn.poll()
-                if not expired and not died:
-                    continue
-                del inflight[conn]
-                if expired:
-                    entry.process.terminate()
-                entry.process.join()
-                conn.close()
-                shard_timeout = (entry.spec.timeout_s
-                                 if entry.spec.timeout_s is not None
-                                 else timeout_s)
-                finish(entry, False, None,
-                       (f"timed out after {shard_timeout:g}s"
-                        if expired else
-                        f"worker crashed (exit code "
-                        f"{entry.process.exitcode})"), [])
+                process.join()
+                if kind == "crashed":
+                    payload = (f"worker crashed (exit code "
+                               f"{process.exitcode})")
+                ok = kind == "ok"
+                result = ShardResult(
+                    spec.shard_id, index, ok,
+                    value=payload if ok else None,
+                    error=None if ok else payload,
+                    elapsed_s=time.perf_counter() - started,
+                    tracer_states=tracer_states)
+                results[index] = result
+                if progress is not None:
+                    progress(result, len(results), len(specs))
     finally:
-        for entry in inflight.values():
-            entry.process.terminate()
-            entry.process.join()
-            entry.conn.close()
+        # an interrupted parent takes its live shards down with it
+        for _index, _spec, process, _started in inflight.values():
+            process.terminate()
+            process.join()
+        for conn in inflight:
+            conn.close()
 
     ordered = [results[index] for index in sorted(results)]
     # fold shipped spans into the parent's capture, in shard order —

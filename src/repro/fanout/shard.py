@@ -34,16 +34,13 @@ class ShardSpec:
     """One independent unit of work.
 
     ``fn`` must be importable (module-level); closures and lambdas do
-    not survive pickling into a worker process.  ``timeout_s`` and
-    ``retries`` override the pool-wide defaults for this shard only.
+    not survive pickling into a worker process.
     """
 
     shard_id: str
     fn: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    timeout_s: Optional[float] = None
-    retries: Optional[int] = None
 
 
 @dataclass
@@ -60,7 +57,6 @@ class ShardResult:
     ok: bool
     value: Any = None
     error: Optional[str] = None
-    attempts: int = 1
     elapsed_s: float = 0.0
     #: serialized tracer states shipped from the worker process
     #: (:meth:`repro.obs.Tracer.state`); empty when tracing is off or
@@ -72,8 +68,8 @@ class ShardResult:
 class SweepResult:
     """All shards of one sweep, in spec order, plus the harvest.
 
-    The runner practices the paper's graceful degradation: a crashed or
-    timed-out shard is reported, not fatal, and :attr:`harvest` says
+    The runner practices the paper's graceful degradation: a shard that
+    crashed or raised is reported, not fatal, and :attr:`harvest` says
     exactly what fraction of the sweep's data survived (harvest/yield
     framing of Section 2.3.1 applied to the runner itself).
     """

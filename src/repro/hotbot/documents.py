@@ -62,6 +62,10 @@ class Document:
         return hash((self.doc_id, self.url, self.term_names))
 
 
+#: the Zipf skew of the terms users query with
+QUERY_ZIPF_ALPHA = 1.05
+
+
 class Corpus:
     """A deterministic collection of synthetic documents, held as one
     compressed sparse row.
@@ -145,8 +149,8 @@ class Corpus:
     def __iter__(self) -> Iterator[Document]:
         return map(self.document, range(self.n_docs))
 
-    def vocabulary_sample(self, rng: Stream, n: int,
-                          alpha: float = 1.05) -> List[str]:
+    def vocabulary_sample(self, rng: Stream, n: int) -> List[str]:
         """Query terms drawn with the same skew users exhibit."""
         return [self.term_names[rank] for rank in
-                rng.zipf_rank_batch(self.vocabulary_size, alpha, n)]
+                rng.zipf_rank_batch(self.vocabulary_size, QUERY_ZIPF_ALPHA,
+                                    n)]

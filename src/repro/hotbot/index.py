@@ -92,17 +92,16 @@ class InvertedIndex:
     #: argument domains (a NaN corpus size would make every idf NaN)
     DOMAINS = {"total_corpus_size": count(1)}
 
-    def __init__(self, total_corpus_size: int,
-                 global_df: "Dict[str, int] | None" = None) -> None:
+    def __init__(self, total_corpus_size: int) -> None:
         check_args(self.DOMAINS, total_corpus_size=total_corpus_size)
         #: N used in idf — the *whole* corpus, not this partition, so
         #: scores merge correctly across partitions.
         self.total_corpus_size = total_corpus_size
-        #: term -> idf under the corpus-wide document frequencies every
-        #: partition is given at build time.  Without them (None) each
-        #: computes its own and scores are not comparable at collation.
-        self.global_idf = (None if global_df is None else
-                           idf_table(total_corpus_size, global_df))
+        #: term -> idf under the corpus-wide document frequencies
+        #: ``PartitionMap`` gives every partition at build time.  Without
+        #: them (None) each computes its own and scores are not
+        #: comparable at collation.
+        self.global_idf: "Dict[str, float] | None" = None
         #: the shared term ids and idfs ``PartitionMap`` hands in before
         #: the build; without one (None) the build derives its own from
         #: the documents
@@ -259,7 +258,7 @@ class InvertedIndex:
             scores = dict(zip(best, map(scores.__getitem__, best)))
         return scanned, scores
 
-    def rank(self, terms: Sequence[str], k: int = 10) -> List[Ranked]:
+    def rank(self, terms: Sequence[str], k: int) -> List[Ranked]:
         """The k best ``(-score, doc_id)`` pairs by tf-idf, ascending:
         best score first, ties broken by doc id."""
         return collate([self.search(terms, k)[1]], k)

@@ -230,7 +230,6 @@ class HotBot:
                 replica_partition=replica_partition)
             worker.start()
             self.workers.append(worker)
-        db_node = self.cluster.add_node("informix")
         self.database = InformixModel(self.cluster)
         self.query_cache = QueryCache()
         #: doc id -> url (the corpus's list), for turning collated

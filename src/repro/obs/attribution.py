@@ -157,8 +157,7 @@ def critical_path(spans: Sequence[Span]) -> List[Tuple[Span, float,
     return segments
 
 
-def render_span_tree(spans: Sequence[Span],
-                     clock_origin: Optional[float] = None) -> str:
+def render_span_tree(spans: Sequence[Span]) -> str:
     """ASCII rendering of one trace's span tree (for reports)."""
     root = find_root(spans)
     if root is None:
@@ -166,7 +165,7 @@ def render_span_tree(spans: Sequence[Span],
         if not unfinished:
             return "(empty trace)"
         root = unfinished[0]
-    origin = root.start if clock_origin is None else clock_origin
+    origin = root.start
     children = {}
     for span in spans:
         children.setdefault(span.parent_id, []).append(span)

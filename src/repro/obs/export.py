@@ -30,10 +30,10 @@ def _as_tracer_list(tracers: Union[Tracer, Iterable[Tracer]]
     return list(tracers)
 
 
-def chrome_trace_events(tracers: Union[Tracer, Iterable[Tracer]],
-                        include_unfinished: bool = False
+def chrome_trace_events(tracers: Union[Tracer, Iterable[Tracer]]
                         ) -> List[Dict[str, Any]]:
-    """The ``traceEvents`` list for one or many tracers."""
+    """The ``traceEvents`` list for one or many tracers (finished spans
+    only)."""
     events: List[Dict[str, Any]] = []
     for pid, tracer in enumerate(_as_tracer_list(tracers), start=1):
         process_name = tracer.label or f"tracer-{pid}"
@@ -44,7 +44,7 @@ def chrome_trace_events(tracers: Union[Tracer, Iterable[Tracer]],
         tids: Dict[str, int] = {}
         for trace_id in sorted(tracer.spans):
             for span in tracer.spans[trace_id]:
-                if span.end is None and not include_unfinished:
+                if span.end is None:
                     continue
                 tid = tids.get(span.component)
                 if tid is None:
@@ -55,7 +55,6 @@ def chrome_trace_events(tracers: Union[Tracer, Iterable[Tracer]],
                         "pid": pid, "tid": tid,
                         "args": {"name": span.component},
                     })
-                end = span.end if span.end is not None else span.start
                 args: Dict[str, Any] = {
                     "trace_id": span.trace_id,
                     "span_id": span.span_id,
@@ -73,19 +72,17 @@ def chrome_trace_events(tracers: Union[Tracer, Iterable[Tracer]],
                     "pid": pid,
                     "tid": tid,
                     "ts": span.start * _US_PER_S,
-                    "dur": (end - span.start) * _US_PER_S,
+                    "dur": (span.end - span.start) * _US_PER_S,
                     "args": args,
                 })
     return events
 
 
 def export_chrome_trace(tracers: Union[Tracer, Iterable[Tracer]],
-                        out: Union[str, IO[str]],
-                        include_unfinished: bool = False) -> int:
+                        out: Union[str, IO[str]]) -> int:
     """Write a Chrome trace_event JSON file; returns the event count
     (metadata events excluded)."""
-    events = chrome_trace_events(tracers,
-                                 include_unfinished=include_unfinished)
+    events = chrome_trace_events(tracers)
     document = {
         "traceEvents": events,
         "displayTimeUnit": "ms",

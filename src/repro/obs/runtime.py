@@ -28,8 +28,8 @@ from repro.obs.trace import Tracer, install_tracer
 #: position in the parent's capture list.
 _AUTO_LABEL = re.compile(r"cluster-\d+\Z")
 
-#: while non-None: ``{"sample_every": int, "max_traces": Optional[int],
-#: "tracers": list}`` — consulted by Cluster.__init__ via
+#: while non-None: ``{"sample_every": int, "tracers": list}`` —
+#: consulted by Cluster.__init__ via
 #: :func:`attach_to_new_cluster`.
 _ACTIVE: Optional[Dict[str, Any]] = None
 
@@ -38,12 +38,10 @@ def tracing_settings() -> Optional[Dict[str, Any]]:
     """The active capture settings, or None when tracing is off."""
     if _ACTIVE is None:
         return None
-    return {"sample_every": _ACTIVE["sample_every"],
-            "max_traces": _ACTIVE["max_traces"]}
+    return {"sample_every": _ACTIVE["sample_every"]}
 
 
-def attach_to_new_cluster(cluster: Any, label: str = "") -> \
-        Optional[Tracer]:
+def attach_to_new_cluster(cluster: Any) -> Optional[Tracer]:
     """Called by ``Cluster.__init__``; installs and records a tracer
     iff a :func:`capture_traces` context is active."""
     if _ACTIVE is None:
@@ -52,8 +50,7 @@ def attach_to_new_cluster(cluster: Any, label: str = "") -> \
     tracer = install_tracer(
         cluster,
         sample_every=_ACTIVE["sample_every"],
-        max_traces=_ACTIVE["max_traces"],
-        label=label or f"cluster-{index}")
+        label=f"cluster-{index}")
     _ACTIVE["tracers"].append(tracer)
     return tracer
 
@@ -93,9 +90,7 @@ def absorb_tracer_states(states: List[Dict[str, Any]]) -> List[Tracer]:
 
 
 @contextmanager
-def capture_traces(sample_every: int = 1,
-                   max_traces: Optional[int] = None
-                   ) -> Iterator[List[Tracer]]:
+def capture_traces(sample_every: int = 1) -> Iterator[List[Tracer]]:
     """Trace every cluster built inside the ``with`` block.
 
     Yields the (initially empty) list that accumulates one tracer per
@@ -115,7 +110,6 @@ def capture_traces(sample_every: int = 1,
         raise ValueError("sample_every must be >= 1")
     state: Dict[str, Any] = {
         "sample_every": sample_every,
-        "max_traces": max_traces,
         "tracers": [],
     }
     _ACTIVE = state

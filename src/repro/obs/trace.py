@@ -83,20 +83,19 @@ class Span:
             self.tracer.env.now if start is None else start)
 
     def record(self, name: str, category: str, start: float,
-               end: Optional[float] = None,
                component: Optional[str] = None,
                **annotations: Any) -> "Span":
-        """Record an already-elapsed child span in one call."""
+        """Record a child span from ``start`` to now in one call."""
         span = self.child(name, category, component, start=start)
         if annotations:
             span.annotations.update(annotations)
-        span.finish(end)
+        span.finish()
         return span
 
-    def finish(self, end: Optional[float] = None) -> "Span":
-        """Close the span at ``end`` (default: the current sim time)."""
+    def finish(self) -> "Span":
+        """Close the span at the current sim time."""
         if self.end is None:
-            self.end = self.tracer.env.now if end is None else end
+            self.end = self.tracer.env.now
         return self
 
     def annotate(self, **kv: Any) -> "Span":
@@ -133,19 +132,15 @@ class Tracer:
     ``sample_every=N`` keeps one request in N (the first of each block):
     the sampling decision happens once, at root creation, and the
     context simply does not exist for unsampled requests — no
-    downstream site pays anything for them.  ``max_traces`` bounds
-    memory at trace-replay scale; once reached, new roots stop being
-    sampled (existing traces still complete).
+    downstream site pays anything for them.
     """
 
     def __init__(self, env: Environment, sample_every: int = 1,
-                 max_traces: Optional[int] = None,
                  label: str = "") -> None:
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.env = env
         self.sample_every = sample_every
-        self.max_traces = max_traces
         #: free-form label ("arm=distilled") used by exporters.
         self.label = label
         self.spans: Dict[str, List[Span]] = {}
@@ -164,9 +159,6 @@ class Tracer:
         self.requests_seen += 1
         if index % self.sample_every != 0:
             return None
-        if self.max_traces is not None \
-                and len(self.spans) >= self.max_traces:
-            return None
         self.requests_sampled += 1
         trace_id = f"t{index:07d}"
         span = self._open_span(trace_id, None, name, category,
@@ -175,23 +167,21 @@ class Tracer:
             span.annotations.update(annotations)
         return span
 
-    def open_aux_trace(self, key: str, name: str, category: str = OTHER,
+    def open_aux_trace(self, key: str, name: str,
                        component: str = "system",
                        **annotations: Any) -> Optional[Span]:
-        """Start an auxiliary (non-request) trace, e.g. one recovery
-        case.  Unlike :meth:`open_trace` this neither consumes a head
-        -sampling slot nor bumps ``requests_seen`` — attaching system
-        activity to the store must not shift which *requests* get
-        sampled.  ``key`` must be unique per trace; it is namespaced
-        with an ``aux-`` prefix so ids never collide with request roots.
+        """Start an auxiliary (non-request) trace in category
+        ``other``, e.g. one recovery case.  Unlike :meth:`open_trace`
+        this neither consumes a head-sampling slot nor bumps
+        ``requests_seen`` — attaching system activity to the store must
+        not shift which *requests* get sampled.  ``key`` must be unique
+        per trace; it is namespaced with an ``aux-`` prefix so ids never
+        collide with request roots.
         """
         trace_id = f"aux-{key}"
         if trace_id in self.spans:
             raise ValueError(f"aux trace {trace_id!r} already open")
-        if self.max_traces is not None \
-                and len(self.spans) >= self.max_traces:
-            return None
-        span = self._open_span(trace_id, None, name, category,
+        span = self._open_span(trace_id, None, name, OTHER,
                                component, self.env.now)
         if annotations:
             span.annotations.update(annotations)
@@ -269,7 +259,6 @@ class Tracer:
         return {
             "label": self.label,
             "sample_every": self.sample_every,
-            "max_traces": self.max_traces,
             "requests_seen": self.requests_seen,
             "requests_sampled": self.requests_sampled,
             "traces": [
@@ -290,7 +279,6 @@ class Tracer:
         tracer = cls.__new__(cls)
         tracer.env = None
         tracer.sample_every = state["sample_every"]
-        tracer.max_traces = state["max_traces"]
         tracer.label = state["label"]
         tracer.requests_seen = state["requests_seen"]
         tracer.requests_sampled = state["requests_sampled"]
@@ -312,7 +300,6 @@ class Tracer:
 
 
 def install_tracer(cluster_or_env: Any, sample_every: int = 1,
-                   max_traces: Optional[int] = None,
                    label: str = "") -> Tracer:
     """Attach a tracer to a cluster (or bare environment) and return it.
 
@@ -320,7 +307,6 @@ def install_tracer(cluster_or_env: Any, sample_every: int = 1,
     ``env.tracer`` and instrument only the requests it samples.
     """
     env = getattr(cluster_or_env, "env", cluster_or_env)
-    tracer = Tracer(env, sample_every=sample_every,
-                    max_traces=max_traces, label=label)
+    tracer = Tracer(env, sample_every=sample_every, label=label)
     env.tracer = tracer
     return tracer

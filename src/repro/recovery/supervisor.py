@@ -265,7 +265,7 @@ class Supervisor(Component):
             self._case_seq += 1
             span = tracer.open_aux_trace(
                 f"recovery-{self._case_seq:03d}", "recovery",
-                category="other", component=self.name,
+                component=self.name,
                 target=name, detector=detector, detail=detail)
             if span is not None and case is not None:
                 case.trace_id = span.trace_id

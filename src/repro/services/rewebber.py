@@ -28,8 +28,11 @@ from repro.tacc.worker import TACCRequest, Transformer, WorkerError
 CRYPTO_SLOPE_S_PER_KB = 0.004
 
 
-def rewebber_keypair(server_name: str, secret: str = "s3cret"
-                     ) -> Tuple[str, str]:
+#: the simulated servers' shared key-derivation secret
+REWEBBER_SECRET = "s3cret"
+
+
+def rewebber_keypair(server_name: str) -> Tuple[str, str]:
     """A (key_id, key_material) pair for one rewebber server.
 
     Profile databases store the key_id -> material mapping ("its user
@@ -37,7 +40,7 @@ def rewebber_keypair(server_name: str, secret: str = "s3cret"
     """
     key_id = f"rewebber:{server_name}"
     material = hashlib.sha256(
-        f"{server_name}:{secret}".encode()).hexdigest()
+        f"{server_name}:{REWEBBER_SECRET}".encode()).hexdigest()
     return key_id, material
 
 

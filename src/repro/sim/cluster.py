@@ -25,16 +25,11 @@ class ClusterError(Exception):
 class Cluster:
     """Hardware plus shared services for one simulated installation."""
 
-    def __init__(
-        self,
-        env: Optional[Environment] = None,
-        seed: int = 1997,
-        san_bandwidth_bps: float = 100 * MBPS,
-        san_latency_s: float = 0.0005,
-    ) -> None:
-        self.env = env if env is not None else Environment()
+    def __init__(self, seed: int = 1997,
+                 san_bandwidth_bps: float = 100 * MBPS) -> None:
+        self.env = Environment()
         self.streams = RandomStreams(seed)
-        self.network = Network(self.env, san_bandwidth_bps, san_latency_s)
+        self.network = Network(self.env, san_bandwidth_bps)
         self.multicast = MulticastBus(
             self.env, self.network, self.streams.stream("multicast"))
         self.nodes: Dict[str, Node] = {}
@@ -46,21 +41,19 @@ class Cluster:
 
     # -- topology -----------------------------------------------------------
 
-    def add_node(self, name: str, cpus: int = 1, speed: float = 1.0,
-                 overflow: bool = False, **kwargs) -> Node:
+    def add_node(self, name: str, speed: float = 1.0,
+                 overflow: bool = False) -> Node:
         if name in self.nodes:
             raise ClusterError(f"duplicate node {name!r}")
-        node = Node(self.env, name, cpus=cpus, speed=speed,
-                    overflow=overflow, **kwargs)
+        node = Node(self.env, name, speed=speed, overflow=overflow)
         self.nodes[name] = node
         return node
 
     def add_nodes(self, count: int, prefix: str = "node",
-                  overflow: bool = False, **kwargs) -> List[Node]:
+                  overflow: bool = False) -> List[Node]:
         start = len([n for n in self.nodes if n.startswith(prefix)])
         return [
-            self.add_node(f"{prefix}{start + index}", overflow=overflow,
-                          **kwargs)
+            self.add_node(f"{prefix}{start + index}", overflow=overflow)
             for index in range(count)
         ]
 
@@ -131,17 +124,13 @@ class Cluster:
                     return node
         return None
 
-    def least_loaded_node(self, include_overflow: bool = False,
-                          reachable_from: Optional[str] = None) -> Node:
-        """The up, unquarantined, reachable node hosting the fewest
-        components (fallback placement)."""
+    def least_loaded_node(self, reachable_from: Optional[str]) -> Node:
+        """The up, unquarantined dedicated node hosting the fewest
+        components (fallback placement), reachable from the node named
+        ``reachable_from`` unless that is None."""
         candidates = [n for n in self.dedicated_nodes
                       if n.up and not n.quarantined
                       and self._placeable(n, reachable_from)]
-        if include_overflow:
-            candidates += [n for n in self.overflow_nodes
-                           if n.up and not n.quarantined
-                           and self._placeable(n, reachable_from)]
         if not candidates:
             raise ClusterError("no nodes available")
         return min(candidates, key=lambda n: len(n.components))

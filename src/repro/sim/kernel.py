@@ -158,9 +158,9 @@ class Timeout(Event):
     at fire time).  It cannot be triggered by hand — the clock owns it.
     """
 
-    __slots__ = ("delay", "_pending_value")
+    __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float):
         if not delay >= 0:  # negative, or NaN
             raise ValueError(f"delay must be >= 0, got {delay}")
         self.env = env
@@ -168,7 +168,6 @@ class Timeout(Event):
         self._value = PENDING
         self._ok = True
         self._defused = False
-        self._pending_value = value
         self.delay = delay
         env._seq = seq = env._seq + 1
         at = env._now + delay
@@ -689,8 +688,8 @@ class Environment:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
@@ -846,8 +845,8 @@ class Environment:
         if event is None:
             raise SimulationError("no more events")
         if event._value is PENDING:
-            # a Timeout firing: its value becomes readable now
-            event._value = event._pending_value
+            # a Timeout firing: its value (None) becomes readable now
+            event._value = None
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -914,7 +913,7 @@ class Environment:
                 else:
                     break
                 if event._value is PENDING:
-                    event._value = event._pending_value
+                    event._value = None
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:

@@ -149,13 +149,13 @@ class NetworkFaults:
             self.messages_jittered += 1
         return copies, extra
 
-    def channel_penalty(self, scope: str = CHANNEL_SCOPE) -> float:
+    def channel_penalty(self) -> float:
         """Extra delay for one reliable-channel message.
 
         Losses become retransmissions (the connection hides them but
         pays RTO, doubling per consecutive loss); jitter adds directly.
         """
-        active = self._active(scope)
+        active = self._active(CHANNEL_SCOPE)
         if not active:
             return 0.0
         penalty = 0.0
@@ -256,28 +256,23 @@ class PartitionState:
     # -- declaring partitions ------------------------------------------------
 
     def split(self, groups: Dict[str, str],
-              start: Optional[float] = None,
               duration_s: Optional[float] = None) -> SplitWindow:
         """Split the SAN: nodes reach each other only within a group.
 
         Nodes absent from ``groups`` form the implicit default group.
-        Defaults to starting now and lasting until :meth:`heal`.
+        Starts now and lasts ``duration_s``, or until :meth:`heal`.
         """
-        begin = self.env.now if start is None else start
-        if begin < self.env.now:
-            raise ValueError(f"partition start {begin} is in the past")
+        begin = self.env.now
         end = None if duration_s is None else begin + duration_s
         window = SplitWindow(groups, begin, end)
         self._splits.append(window)
         return window
 
     def one_way(self, src_node: str, dst_node: str,
-                start: Optional[float] = None,
                 duration_s: Optional[float] = None) -> CutWindow:
-        """Cut reachability from ``src_node`` to ``dst_node`` only."""
-        begin = self.env.now if start is None else start
-        if begin < self.env.now:
-            raise ValueError(f"cut start {begin} is in the past")
+        """Cut reachability from ``src_node`` to ``dst_node`` only,
+        from now."""
+        begin = self.env.now
         end = None if duration_s is None else begin + duration_s
         window = CutWindow(src_node, dst_node, begin, end)
         self._cuts.append(window)
@@ -313,6 +308,12 @@ class PartitionState:
         return self.node_reachable(src_node, dst_node)
 
 
+#: a link's utilization is the byte rate over the last 5 s, kept in
+#: ten 0.5 s buckets.
+METER_WINDOW_S = 5.0
+METER_BUCKETS = 10
+
+
 class UtilizationMeter:
     """Windowed byte-rate meter over fixed-size time buckets.
 
@@ -325,12 +326,11 @@ class UtilizationMeter:
     :meth:`_roll`.
     """
 
-    def __init__(self, env: Environment, window: float = 5.0,
-                 buckets: int = 10) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.window = window
-        self.bucket_width = window / buckets
-        self._span = buckets
+        self.window = METER_WINDOW_S
+        self.bucket_width = METER_WINDOW_S / METER_BUCKETS
+        self._span = METER_BUCKETS
         self._closed: Deque[Tuple[int, float]] = deque()
         #: the open bucket's id (None before the first message and once
         #: the window has passed it) and the bytes it holds
@@ -433,6 +433,15 @@ class AccessLink(Link):
     front end, or the shared 10 Mb/s segment to the modem bank."""
 
 
+#: one-way latency of the interior SAN (switched 100 Mb/s Ethernet)
+SAN_LATENCY_S = 0.0005
+#: the low-speed utility network for control traffic (Section 4.6)
+UTILITY_BANDWIDTH_BPS = 10 * MBPS
+UTILITY_LATENCY_S = 0.001
+#: one-way latency of an access link into or out of the system
+ACCESS_LATENCY_S = 0.001
+
+
 class Network:
     """The SAN: one interior pipe plus per-endpoint access links.
 
@@ -452,14 +461,10 @@ class Network:
     DROP_FULL = 1.25
     MAX_DROP = 0.95
 
-    def __init__(
-        self,
-        env: Environment,
-        bandwidth_bps: float = 100 * MBPS,
-        latency_s: float = 0.0005,
-    ) -> None:
+    def __init__(self, env: Environment,
+                 bandwidth_bps: float = 100 * MBPS) -> None:
         self.env = env
-        self.san = Link(env, "SAN", bandwidth_bps, latency_s)
+        self.san = Link(env, "SAN", bandwidth_bps, SAN_LATENCY_S)
         self.access_links: Dict[str, AccessLink] = {}
         #: optional lossy-SAN fault model; ``None`` keeps the baseline
         #: perfectly reliable SAN (and draws no randomness).
@@ -491,39 +496,34 @@ class Network:
             self.partitions._resolver = resolver
         return self.partitions
 
-    def add_utility_network(self, bandwidth_bps: float = 10 * MBPS,
-                            latency_s: float = 0.001) -> Link:
+    def add_utility_network(self) -> Link:
         """Attach the low-speed utility network for control traffic."""
         if self.utility is not None:
             raise ValueError("utility network already attached")
-        self.utility = Link(self.env, "utility", bandwidth_bps,
-                            latency_s)
+        self.utility = Link(self.env, "utility", UTILITY_BANDWIDTH_BPS,
+                            UTILITY_LATENCY_S)
         return self.utility
 
-    def add_access_link(self, name: str, bandwidth_bps: float,
-                        latency_s: float = 0.001) -> AccessLink:
+    def add_access_link(self, name: str, bandwidth_bps: float) -> AccessLink:
         if name in self.access_links:
             raise ValueError(f"duplicate access link {name!r}")
-        link = AccessLink(self.env, name, bandwidth_bps, latency_s)
+        link = AccessLink(self.env, name, bandwidth_bps,
+                          ACCESS_LATENCY_S)
         self.access_links[name] = link
         return link
 
     def transfer_delay(self, size_bytes: float,
-                       access_link: Optional[str] = None,
                        control: bool = False) -> float:
         """Reserve capacity for a message and return its delivery delay.
 
-        Interior traffic crosses only the SAN; traffic entering or leaving
-        the system additionally crosses the named access link.  Control
-        traffic (``control=True``) uses the utility network when one is
+        Interior traffic crosses the SAN (traffic entering or leaving
+        the system reserves its access link itself).  Control traffic
+        (``control=True``) uses the utility network when one is
         attached.
         """
         if control and self.utility is not None:
             return self.utility.reserve(size_bytes)
-        delay = self.san.reserve(size_bytes)
-        if access_link is not None:
-            delay += self.access_links[access_link].reserve(size_bytes)
-        return delay
+        return self.san.reserve(size_bytes)
 
     def _control_link(self) -> Link:
         return self.utility if self.utility is not None else self.san

@@ -1,12 +1,12 @@
 """Simulated workstation nodes.
 
 A :class:`Node` models one commodity machine in the cluster (the paper's
-SPARC 10/20 and Ultra-1 boxes): a name, a CPU with a speed factor and a
-fixed number of processors, optional local disk, and a flag marking it as
-part of the dedicated pool or the overflow pool (Section 2.2.3).
+SPARC 10/20 and Ultra-1 boxes): a name, one CPU with a speed factor, and a flag
+marking it as part of the dedicated pool or the overflow pool (Section
+2.2.3).
 
-CPU contention is modelled with processor slots: a node with ``cpus=2``
-runs two compute bursts concurrently; further bursts queue FIFO.  Work is
+CPU contention is modelled with a processor slot: a node runs one
+compute burst at a time; further bursts queue FIFO.  Work is
 expressed in *reference seconds* (seconds on a speed-1.0 node) so
 heterogeneous clusters can be assembled, mirroring the paper's mixed
 SPARCstation generations.
@@ -30,24 +30,16 @@ class Node:
         self,
         env: Environment,
         name: str,
-        cpus: int = 1,
         speed: float = 1.0,
-        memory_mb: int = 256,
-        has_disk: bool = True,
         overflow: bool = False,
     ) -> None:
-        if cpus < 1:
-            raise ValueError("cpus must be >= 1")
         if speed <= 0:
             raise ValueError("speed must be positive")
         self.env = env
         self.name = name
-        self.cpus = cpus
         self.speed = speed
         #: nominal speed; ``speed`` drops below it while straggling.
         self.base_speed = speed
-        self.memory_mb = memory_mb
-        self.has_disk = has_disk
         self.overflow = overflow
         self.up = True
         #: flap-detected by the supervision layer: excluded from worker
@@ -57,8 +49,7 @@ class Node:
         #: looking for an "unused node" to spawn a new worker on.
         self.components: Set[str] = set()
         self._slots: Queue = env.queue()
-        for index in range(cpus):
-            self._slots.put_nowait(index)
+        self._slots.put_nowait(0)
         #: cumulative busy reference-seconds, for utilization reporting.
         self.busy_time = 0.0
 
@@ -139,4 +130,4 @@ class Node:
     def __repr__(self) -> str:
         pool = "overflow" if self.overflow else "dedicated"
         state = "up" if self.up else "DOWN"
-        return f"<Node {self.name} {self.cpus}cpu x{self.speed} {pool} {state}>"
+        return f"<Node {self.name} x{self.speed} {pool} {state}>"

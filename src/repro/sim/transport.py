@@ -141,12 +141,12 @@ class Channel:
 
     @staticmethod
     def connect(env: Environment, network: Network, a_name: str,
-                b_name: str, setup_s: float = TCP_SETUP_S):
+                b_name: str):
         """Process generator: pay connection setup, return a Channel.
 
         Usage::
 
             channel = yield from Channel.connect(env, net, "fe0", "mgr")
         """
-        yield env.timeout(setup_s)
+        yield env.timeout(TCP_SETUP_S)
         return Channel(env, network, a_name, b_name)

@@ -40,6 +40,10 @@ from typing import Any, Callable, Dict, IO, List, Optional, Tuple
 #: the deletion marker (a reserved value: a transaction refuses it)
 TOMBSTONE = "__tombstone__"
 
+#: latency of a profile-store read that misses the front end's
+#: write-through cache (gdbm lookup).
+PROFILE_READ_MISS_S = 0.005
+
 #: ``(user_id, key, value)``; value TOMBSTONE is a delete
 Write = Tuple[str, str, Any]
 Validator = Callable[[str, str, Any], None]

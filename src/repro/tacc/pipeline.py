@@ -38,10 +38,10 @@ class Pipeline:
     def __repr__(self) -> str:
         return "<Pipeline " + " | ".join(self.stages) + ">"
 
-    def validate(self, registry: WorkerRegistry,
-                 input_mime: Optional[str] = None) -> None:
-        """Check every stage exists and MIME types chain correctly."""
-        mime = input_mime
+    def validate(self, registry: WorkerRegistry) -> None:
+        """Check every stage exists and each stage accepts what the one
+        before it produces."""
+        mime = None
         for worker_type in self.stages:
             if worker_type not in registry:
                 raise PipelineError(f"unknown stage {worker_type!r}")
@@ -53,19 +53,16 @@ class Pipeline:
                 mime = worker.produces
 
     def execute(self, registry: WorkerRegistry,
-                request: TACCRequest, trace=None) -> Content:
+                request: TACCRequest) -> Content:
         """Run all stages locally, threading content through the chain.
 
         This is the library-mode executor; under the SNS layer the front
         end performs the same walk but dispatches each stage to a remote
-        worker instance chosen by lottery scheduling.  With a ``trace``
-        span, each stage records an (instantaneous, sim-clock-wise)
-        child span carrying its input/output sizes — the per-stage
-        timing under the SNS layer lives in the dispatch/worker spans.
+        worker instance chosen by lottery scheduling.
         """
         inputs = list(request.inputs)
         result: Optional[Content] = None
-        for index, worker_type in enumerate(self.stages):
+        for worker_type in self.stages:
             worker = registry.create(worker_type)
             stage_request = TACCRequest(
                 inputs=inputs,
@@ -74,13 +71,6 @@ class Pipeline:
                 user_id=request.user_id,
             )
             result = worker.run(stage_request)
-            if trace is not None:
-                trace.record(
-                    f"stage:{worker_type}", "service",
-                    trace.tracer.env.now, component="pipeline",
-                    stage=index,
-                    in_bytes=sum(item.size for item in inputs),
-                    out_bytes=result.size)
             inputs = [result]
         assert result is not None
         return result

@@ -123,10 +123,9 @@ class CacheSubsystem:
 
     # -- membership -----------------------------------------------------------
 
-    def add_node(self, node: Node, capacity_bytes: int,
-                 name: Optional[str] = None) -> CacheNode:
+    def add_node(self, node: Node, capacity_bytes: int) -> CacheNode:
         serial = self._added + 1
-        name = name or f"cache.{serial}"
+        name = f"cache.{serial}"
         if name in self.nodes:
             raise PartitionError(f"cache node {name!r} already present")
         self._added = serial

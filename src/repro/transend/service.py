@@ -40,6 +40,7 @@ from repro.sim.kernel import Interrupt, Timeout
 from repro.sim.network import MBPS
 from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG, Content
 from repro.tacc.customization import (
+    PROFILE_READ_MISS_S,
     ProfileStore,
     WriteThroughCache,
     open_profile_store,
@@ -56,9 +57,9 @@ from repro.transend.profiles import (
 )
 from repro.workload.trace import TraceRecord
 
-#: latency of a profile-store read that misses the front end's
-#: write-through cache (gdbm lookup).
-PROFILE_READ_MISS_S = 0.005
+#: how long a started deployment runs before it takes traffic, so the
+#: first registrations have landed
+WARMUP_S = 2.0
 #: bandwidth of the cluster's link to the origin servers.
 INTERNET_BANDWIDTH_BPS = 10 * MBPS
 
@@ -272,13 +273,12 @@ class TranSendLogic:
                         detail="origin circuit breaker open")
 
     def _respond(self, path: str, status: str, content: Content,
-                 detail: str = "",
-                 annotations: Optional[Dict[str, Any]] = None
-                 ) -> Response:
+                 **fields: Any) -> Response:
+        """Count the path and build its response (``fields``: the
+        response's ``detail`` and ``annotations``)."""
         self.paths[path] = self.paths.get(path, 0) + 1
         return Response(status=status, path=path, content=content,
-                        size_bytes=content.size, detail=detail,
-                        annotations=annotations or {})
+                        size_bytes=content.size, **fields)
 
 
 class TranSend:
@@ -328,14 +328,14 @@ class TranSend:
     # -- life cycle -----------------------------------------------------------------
 
     def start(self, n_frontends: int = 1,
-              initial_workers: Optional[Dict[str, int]] = None,
-              warmup_s: float = 2.0) -> "TranSend":
+              initial_workers: Optional[Dict[str, int]] = None
+              ) -> "TranSend":
         """Boot manager, monitor, front ends (workers spawn on demand
-        unless seeded here) and let registrations settle."""
+        unless seeded here) and let registrations settle for
+        :data:`WARMUP_S`."""
         self.fabric.boot(n_frontends=n_frontends,
                          initial_workers=initial_workers or {})
-        if warmup_s > 0:
-            self.cluster.run(until=self.cluster.env.now + warmup_s)
+        self.cluster.run(until=self.cluster.env.now + WARMUP_S)
         return self
 
     def submit(self, record: TraceRecord):

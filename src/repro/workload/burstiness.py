@@ -111,13 +111,17 @@ def index_of_dispersion(counts: Sequence[int]) -> float:
     return variance / mean
 
 
-def burstiness_report(records: Sequence[TraceRecord],
-                      scales_s: Sequence[float] = (120.0, 30.0, 1.0)
+#: the bucketing scales the Figure 6 caption quotes rates at
+REPORT_SCALES_S = (120.0, 30.0, 1.0)
+
+
+def burstiness_report(records: Sequence[TraceRecord]
                       ) -> Dict[float, Dict[str, float]]:
-    """Average and peak request rates at each bucketing scale — the
-    numbers quoted in the Figure 6 caption."""
+    """Average and peak request rates at each of
+    :data:`REPORT_SCALES_S` — the numbers quoted in the Figure 6
+    caption."""
     report = {}
-    for scale in scales_s:
+    for scale in REPORT_SCALES_S:
         counts = bucket_counts(records, scale)
         rates = rates_from_counts(counts, scale)
         report[scale] = {

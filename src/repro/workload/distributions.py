@@ -130,8 +130,12 @@ def default_mime_mix() -> MimeMix:
     })
 
 
-def size_histogram(sizes: List[int], bins_per_decade: int = 8,
-                   max_exponent: int = 7) -> List[Tuple[float, float]]:
+#: the Figure 5 histogram's buckets: eight per decade, 10 B to 10 MB
+BINS_PER_DECADE = 8
+MAX_EXPONENT = 7
+
+
+def size_histogram(sizes: List[int]) -> List[Tuple[float, float]]:
     """Log-bucketed probability histogram — the Figure 5 rendering.
 
     Returns (bucket center in bytes, probability mass) pairs.
@@ -139,9 +143,9 @@ def size_histogram(sizes: List[int], bins_per_decade: int = 8,
     if not sizes:
         return []
     edges = [
-        10 ** (exponent / bins_per_decade)
-        for exponent in range(1 * bins_per_decade,
-                              max_exponent * bins_per_decade + 1)
+        10 ** (exponent / BINS_PER_DECADE)
+        for exponent in range(1 * BINS_PER_DECADE,
+                              MAX_EXPONENT * BINS_PER_DECADE + 1)
     ]
     counts = [0] * (len(edges) + 1)
     for size in sizes:

@@ -40,8 +40,6 @@ from repro.domains import at_least, between, check_args, choice, count, \
 from repro.sim.rng import RandomStreams, Stream, derive_seed
 from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG
 from repro.workload.distributions import (
-    MimeMix,
-    SizeModel,
     default_mime_mix,
     default_size_models,
 )
@@ -109,8 +107,6 @@ class DocumentUniverse:
         n_shared_docs: int = 20000,
         n_private_per_user: int = 200,
         shared_fraction: float = 0.7,
-        mime_mix: Optional[MimeMix] = None,
-        size_models: Optional[Dict[str, SizeModel]] = None,
         zipf_alpha: float = 0.9,
     ) -> None:
         check_args(self.DOMAINS, n_shared_docs=n_shared_docs,
@@ -122,10 +118,10 @@ class DocumentUniverse:
         self.zipf_alpha = zipf_alpha
         #: what one document's draws read: the MIME lottery, then the
         #: type's URL extension and its lottery over size modes
-        self._mimes = (mime_mix or default_mime_mix()).lottery
+        self._mimes = default_mime_mix().lottery
         self._sizes = {
             mime: (EXTENSIONS.get(mime, ".bin"), model.lottery)
-            for mime, model in (size_models or default_size_models()).items()}
+            for mime, model in default_size_models().items()}
         self.shared_docs: List[Document] = self._draw(
             rng.generator(),
             [f"http://shared.example/doc{index}"
@@ -245,6 +241,10 @@ class DocumentUniverse:
         return documents
 
 
+#: the cascade's timescales: half an hour down to two seconds
+BURST_PERIODS_S = (1800.0, 300.0, 30.0, 2.0)
+
+
 class BurstCascade:
     """Multiplicative cascade: piecewise-constant log-normal modulators
     at several timescales, multiplied together.
@@ -261,11 +261,9 @@ class BurstCascade:
     of its time alone.
     """
 
-    def __init__(self, rng: Stream,
-                 periods_s: Sequence[float] = (1800.0, 300.0, 30.0, 2.0),
-                 sigma: float = 0.15) -> None:
+    def __init__(self, rng: Stream, sigma: float = 0.15) -> None:
         self.rng = rng
-        self.periods = list(periods_s)
+        self.periods = list(BURST_PERIODS_S)
         self.sigma = sigma
         # one draw fixes the cascade; every multiplier derives from it
         self._seed = rng.randint(0, 2 ** 62)
@@ -290,17 +288,19 @@ class BurstCascade:
         return product
 
 
-def daily_cycle_factor(t: float, trough_hour: float = 7.5,
-                       amplitude: float = 0.65) -> float:
-    """Unit-mean 24-hour modulation with its minimum at ``trough_hour``.
+#: Figure 6(a) shows the Berkeley dialup cycle bottoming out around
+#: 07:30 and peaking in the evening; amplitude 0.65 gives the observed
+#: ~2.2x peak-to-average ratio once bursts are layered on.
+DAILY_TROUGH_HOUR = 7.5
+DAILY_AMPLITUDE = 0.65
 
-    Figure 6(a) shows the Berkeley dialup cycle bottoming out around
-    07:30 and peaking in the evening; amplitude 0.65 gives the observed
-    ~2.2x peak-to-average ratio once bursts are layered on.
-    """
+
+def daily_cycle_factor(t: float) -> float:
+    """Unit-mean 24-hour modulation with its minimum at
+    :data:`DAILY_TROUGH_HOUR`."""
     hours = (t / 3600.0) % 24.0
-    phase = 2.0 * math.pi * (hours - trough_hour) / 24.0
-    return 1.0 - amplitude * math.cos(phase)
+    phase = 2.0 * math.pi * (hours - DAILY_TROUGH_HOUR) / 24.0
+    return 1.0 - DAILY_AMPLITUDE * math.cos(phase)
 
 
 class TraceGenerator:

@@ -149,7 +149,7 @@ def test_render_histogram_scales_bars():
 
 def test_render_series_plots_points():
     points = [(0.0, 0.0), (50.0, 10.0), (100.0, 5.0)]
-    out = render_series(points, width=20, height=5, title="queues")
+    out = render_series(points, height=5, title="queues")
     assert "queues" in out
     assert out.count("*") == 3
     assert "t=0s" in out

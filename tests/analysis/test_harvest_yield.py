@@ -105,7 +105,7 @@ def test_recovery_time_finds_sustained_return():
         + [outcome(t + 0.5, "ok") for t in range(10, 15)]     # recovered
     )
     series = harvest_yield_series(outcomes, bucket_s=1.0)
-    recovery = yield_recovery_time(series, heal_time=9.0, target=0.95)
+    recovery = yield_recovery_time(series, heal_time=9.0)
     assert recovery == pytest.approx(1.5)  # bucket starting at 10.5s
 
 
@@ -124,5 +124,5 @@ def test_recovery_resets_on_relapse():
         + [outcome(4.5, "ok"), outcome(5.5, "ok")]
     )
     series = harvest_yield_series(outcomes, bucket_s=1.0)
-    recovery = yield_recovery_time(series, heal_time=1.0, target=0.95)
+    recovery = yield_recovery_time(series, heal_time=1.0)
     assert recovery == pytest.approx(3.5)  # the 4.5s bucket sticks

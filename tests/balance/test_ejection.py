@@ -40,7 +40,7 @@ def test_latency_outlier_is_ejected():
     candidates = [make_state(f"w{i}") for i in range(4)]
     feed_latencies(policy, {"w0": 0.05, "w1": 0.05, "w2": 0.06,
                             "w3": 0.80})
-    picks = {policy.select(candidates, 1.0).advert.worker_name
+    picks = {policy.select(candidates, 1.0, None).advert.worker_name
              for _ in range(8)}
     assert "w3" not in picks
     assert policy.ejections == 1
@@ -56,12 +56,12 @@ def test_ejection_expires_and_readmits_on_probation():
     candidates = [make_state(f"w{i}") for i in range(4)]
     feed_latencies(policy, {"w0": 0.05, "w1": 0.05, "w2": 0.06,
                             "w3": 0.80})
-    policy.select(candidates, 1.0)
+    policy.select(candidates, 1.0, None)
     assert policy.health["w3"].ejected_until == pytest.approx(6.0)
     # history cleared: after the window the worker re-enters clean and
     # needs fresh offending samples before it can be ejected again
     assert policy.health["w3"].samples == 0
-    picks = {policy.select(candidates, 7.0).advert.worker_name
+    picks = {policy.select(candidates, 7.0, None).advert.worker_name
              for _ in range(8)}
     assert "w3" in picks
     assert policy.ejections == 1
@@ -72,11 +72,11 @@ def test_repeat_offender_ejection_doubles():
     candidates = [make_state(f"w{i}") for i in range(4)]
     feed_latencies(policy, {"w0": 0.05, "w1": 0.05, "w2": 0.06,
                             "w3": 0.80})
-    policy.select(candidates, 1.0)     # first ejection: 5 s
+    policy.select(candidates, 1.0, None)     # first ejection: 5 s
     # re-offends right after re-admission (inside the window)
     feed_latencies(policy, {"w0": 0.05, "w1": 0.05, "w2": 0.06,
                             "w3": 0.80}, now=7.0)
-    policy.select(candidates, 7.0)
+    policy.select(candidates, 7.0, None)
     record = policy.health["w3"]
     assert record.ejected_until == pytest.approx(7.0 + 10.0)  # doubled
     assert policy.ejections == 2
@@ -87,11 +87,11 @@ def test_long_clean_stretch_forgives_offence_count():
     candidates = [make_state(f"w{i}") for i in range(4)]
     feed_latencies(policy, {"w0": 0.05, "w1": 0.05, "w2": 0.06,
                             "w3": 0.80})
-    policy.select(candidates, 1.0)
+    policy.select(candidates, 1.0, None)
     # clean for far longer than the window, then offends again
     feed_latencies(policy, {"w0": 0.05, "w1": 0.05, "w2": 0.06,
                             "w3": 0.80}, now=100.0)
-    policy.select(candidates, 100.0)
+    policy.select(candidates, 100.0, None)
     assert policy.health["w3"].ejected_until == pytest.approx(105.0)
 
 
@@ -99,7 +99,7 @@ def test_no_ejection_below_min_peers():
     policy = make_ejector()
     candidates = [make_state("w0"), make_state("w1")]
     feed_latencies(policy, {"w0": 0.05, "w1": 5.0})
-    picks = {policy.select(candidates, 1.0).advert.worker_name
+    picks = {policy.select(candidates, 1.0, None).advert.worker_name
              for _ in range(4)}
     assert picks == {"w0", "w1"}
     assert policy.ejections == 0
@@ -110,7 +110,7 @@ def test_cluster_wide_slowness_ejects_nobody():
     policy = make_ejector()
     candidates = [make_state(f"w{i}") for i in range(4)]
     feed_latencies(policy, {f"w{i}": 2.0 for i in range(4)})
-    policy.select(candidates, 1.0)
+    policy.select(candidates, 1.0, None)
     assert policy.ejections == 0
 
 
@@ -121,7 +121,7 @@ def test_timeout_offender_is_ejected():
     candidates = [make_state(f"w{i}") for i in range(4)]
     for _ in range(3):
         policy.on_timeout("w3", 0.5)
-    picks = {policy.select(candidates, 1.0).advert.worker_name
+    picks = {policy.select(candidates, 1.0, None).advert.worker_name
              for _ in range(8)}
     assert "w3" not in picks
     assert policy.ejections == 1
@@ -133,7 +133,7 @@ def test_timeout_window_expires_old_evidence():
     policy.on_timeout("w3", 0.0)
     policy.on_timeout("w3", 1.0)
     policy.on_timeout("w3", 50.0)  # the first two are long stale
-    policy.select(candidates, 51.0)
+    policy.select(candidates, 51.0, None)
     assert policy.ejections == 0
 
 
@@ -146,7 +146,7 @@ def test_majority_timeouts_guard_blocks_mass_ejection():
         policy.on_timeout(name, 0.5)
         policy.on_timeout(name, 0.6)
         policy.on_timeout(name, 0.7)
-    policy.select(candidates, 1.0)
+    policy.select(candidates, 1.0, None)
     assert policy.ejections == 0
 
 
@@ -159,12 +159,12 @@ def test_fail_open_when_every_candidate_is_ejected():
     policy.on_timeout("w3", 0.5)
     policy.on_timeout("w3", 0.6)
     policy.on_timeout("w3", 0.7)
-    policy.select(candidates, 1.0)
+    policy.select(candidates, 1.0, None)
     assert policy.ejections == 1
     # ... then ask for a pick among ejected workers only
     only_ejected = [state for state in candidates
                     if state.advert.worker_name == "w3"]
-    choice = policy.select(only_ejected, 1.5)
+    choice = policy.select(only_ejected, 1.5, None)
     assert choice.advert.worker_name == "w3"
     assert policy.fail_opens == 1
 

@@ -102,7 +102,7 @@ def test_lottery_matches_inline_formula_draw_for_draw():
         ]
         expected = reference.weighted_choice(candidates,
                                              expected_weights)
-        assert policy.select(candidates, now) is expected
+        assert policy.select(candidates, now, None) is expected
 
 
 # -- round-robin --------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_lottery_matches_inline_formula_draw_for_draw():
 def test_round_robin_cycles_sorted_by_name():
     policy = RoundRobinPolicy(SNSConfig(), None)
     candidates = [make_state("w2"), make_state("w0"), make_state("w1")]
-    picks = [policy.select(candidates, 0.0).advert.worker_name
+    picks = [policy.select(candidates, 0.0, None).advert.worker_name
              for _ in range(6)]
     assert picks == ["w0", "w1", "w2", "w0", "w1", "w2"]
 
@@ -118,8 +118,8 @@ def test_round_robin_cycles_sorted_by_name():
 def test_round_robin_stable_under_cache_reordering():
     policy = RoundRobinPolicy(SNSConfig(), None)
     a, b = make_state("a"), make_state("b")
-    first = policy.select([b, a], 0.0)
-    second = policy.select([a, b], 0.0)
+    first = policy.select([b, a], 0.0, None)
+    second = policy.select([a, b], 0.0, None)
     assert first.advert.worker_name == "a"
     assert second.advert.worker_name == "b"
 
@@ -132,10 +132,10 @@ def test_least_outstanding_tracks_in_flight():
     policy.on_submit("w0", 0.0)
     policy.on_submit("w0", 0.0)
     policy.on_submit("w1", 0.0)
-    assert policy.select(candidates, 1.0).advert.worker_name == "w1"
+    assert policy.select(candidates, 1.0, None).advert.worker_name == "w1"
     policy.on_reply("w0", 1.0, 0.5)
     policy.on_reply("w0", 1.0, 0.5)
-    assert policy.select(candidates, 1.0).advert.worker_name == "w0"
+    assert policy.select(candidates, 1.0, None).advert.worker_name == "w0"
     assert policy.stats()["outstanding"] == {"w1": 1}
 
 
@@ -143,9 +143,9 @@ def test_least_outstanding_breaks_ties_by_queue_then_name():
     policy = LeastOutstandingPolicy(SNSConfig(), None)
     candidates = [make_state("w1", queue=4.0), make_state("w0", queue=4.0),
                   make_state("w2", queue=1.0)]
-    assert policy.select(candidates, 0.0).advert.worker_name == "w2"
+    assert policy.select(candidates, 0.0, None).advert.worker_name == "w2"
     candidates = [make_state("w1"), make_state("w0")]
-    assert policy.select(candidates, 0.0).advert.worker_name == "w0"
+    assert policy.select(candidates, 0.0, None).advert.worker_name == "w0"
 
 
 def test_outstanding_settles_on_timeout_and_removal():
@@ -165,7 +165,7 @@ def test_p2c_single_candidate_draws_nothing():
     reference = lottery_stream(seed=5)
     policy = PowerOfTwoPolicy(SNSConfig(), rng)
     only = make_state("w0")
-    assert policy.select([only], 0.0) is only
+    assert policy.select([only], 0.0, None) is only
     # the stream was untouched: the next draw matches a fresh twin
     assert rng.random() == reference.random()
 
@@ -186,16 +186,16 @@ def test_p2c_picks_lighter_of_two_distinct_probes():
                       key=lambda state: state.effective_queue(
                           0.0, config.estimate_queue_deltas))
         # ties go to the first probe; queues here are all distinct
-        assert policy.select(candidates, 0.0) is lighter
+        assert policy.select(candidates, 0.0, None) is lighter
 
 
 def test_p2c_deterministic_across_same_seed_streams():
     candidates = [make_state(f"w{i}", queue=float(i)) for i in range(4)]
     one = PowerOfTwoPolicy(SNSConfig(), lottery_stream(seed=9))
     two = PowerOfTwoPolicy(SNSConfig(), lottery_stream(seed=9))
-    picks_one = [one.select(candidates, 0.0).advert.worker_name
+    picks_one = [one.select(candidates, 0.0, None).advert.worker_name
                  for _ in range(50)]
-    picks_two = [two.select(candidates, 0.0).advert.worker_name
+    picks_two = [two.select(candidates, 0.0, None).advert.worker_name
                  for _ in range(50)]
     assert picks_one == picks_two
 
@@ -208,14 +208,14 @@ def test_ewma_prefers_observed_faster_worker():
     for _ in range(5):
         policy.on_reply("w0", 0.0, 0.050)
         policy.on_reply("w1", 0.0, 0.500)
-    assert policy.select(candidates, 1.0).advert.worker_name == "w0"
+    assert policy.select(candidates, 1.0, None).advert.worker_name == "w0"
 
 
 def test_ewma_cold_start_uses_advertised_service_time():
     policy = EwmaLatencyPolicy(SNSConfig(), None)
     fast = make_state("w-fast", service_ewma=0.040)
     slow = make_state("w-slow", service_ewma=0.400)
-    assert policy.select([slow, fast], 0.0) is fast
+    assert policy.select([slow, fast], 0.0, None) is fast
 
 
 def test_ewma_timeout_counts_as_worst_case_sample():
@@ -225,7 +225,7 @@ def test_ewma_timeout_counts_as_worst_case_sample():
     policy.on_reply("w1", 0.0, 0.050)
     policy.on_timeout("w1", 1.0)
     candidates = [make_state("w0"), make_state("w1")]
-    assert policy.select(candidates, 1.0).advert.worker_name == "w0"
+    assert policy.select(candidates, 1.0, None).advert.worker_name == "w0"
     assert policy.ewma["w1"] > policy.ewma["w0"]
     assert policy.ewma["w1"] == pytest.approx(
         EWMA_ALPHA * 2.0 * config.dispatch_timeout_s
@@ -239,7 +239,7 @@ def test_ewma_outstanding_penalizes_pileups():
     for _ in range(3):
         policy.on_submit("w0", 0.0)
     candidates = [make_state("w0"), make_state("w1")]
-    assert policy.select(candidates, 1.0).advert.worker_name == "w1"
+    assert policy.select(candidates, 1.0, None).advert.worker_name == "w1"
 
 
 # -- weighted canary ----------------------------------------------------------
@@ -250,7 +250,7 @@ def test_weighted_canary_is_newest_spawn_and_gets_its_fraction():
     candidates = [make_state("jpeg-distiller.3"),
                   make_state("jpeg-distiller.12"),
                   make_state("jpeg-distiller.5")]
-    picks = [policy.select(candidates, 0.0).advert.worker_name
+    picks = [policy.select(candidates, 0.0, None).advert.worker_name
              for _ in range(2000)]
     canary_share = picks.count("jpeg-distiller.12") / len(picks)
     assert canary_share == pytest.approx(0.1, abs=0.03)
@@ -263,7 +263,7 @@ def test_weighted_canary_is_newest_spawn_and_gets_its_fraction():
 def test_weighted_single_candidate_short_circuits():
     policy = WeightedCanaryPolicy(SNSConfig(), lottery_stream())
     only = make_state("w0")
-    assert policy.select([only], 0.0) is only
+    assert policy.select([only], 0.0, None) is only
 
 
 # -- bounded-load consistent hashing ------------------------------------------

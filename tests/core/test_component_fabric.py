@@ -166,8 +166,7 @@ def test_fabric_restart_manager_noop_when_alive(fabric):
 
 
 def test_fabric_worker_names_are_unique(fabric):
-    fabric.boot(n_frontends=0, initial_workers={"test-worker": 3},
-                with_monitor=False)
+    fabric.boot(n_frontends=0, initial_workers={"test-worker": 3})
     names = list(fabric.workers)
     assert len(names) == len(set(names))
     assert all(name.startswith("test-worker.") for name in names)

@@ -116,7 +116,7 @@ def test_wait_for_worker_clamps_polls_to_the_deadline():
 
     def wait():
         state = yield from stub._wait_for_worker(
-            "test-worker", deadline_at=env.now + 1.0)
+            "test-worker", None, deadline_at=env.now + 1.0)
         results.append(state)
 
     env.run(until=env.process(wait()))
@@ -134,7 +134,7 @@ def test_wait_for_worker_respects_dispatch_timeout_budget():
     results = []
 
     def wait():
-        state = yield from stub._wait_for_worker("test-worker")
+        state = yield from stub._wait_for_worker("test-worker", None)
         results.append(state)
 
     env.run(until=env.process(wait()))

@@ -202,9 +202,7 @@ def test_monitor_records_queue_series(fabric):
 def test_monitor_pages_on_silent_component(fabric):
     """'The monitor can page or email the system operator ... if it
     stops receiving reports from some component.'"""
-    fabric.boot(n_frontends=0, initial_workers={"test-worker": 1},
-                with_monitor=False)
-    fabric.start_monitor()
+    fabric.boot(n_frontends=0, initial_workers={"test-worker": 1})
     fabric.cluster.run(until=3.0)
     # kill the manager; with no front ends, nobody restarts it
     fabric.manager.kill()

@@ -18,7 +18,7 @@ from tests.core.conftest import fast_config, make_fabric, make_record
 def test_utility_network_carries_control_traffic():
     env = Environment()
     network = Network(env, bandwidth_bps=1000.0)
-    utility = network.add_utility_network(bandwidth_bps=500.0)
+    utility = network.add_utility_network()
     network.transfer_delay(100, control=True)
     assert utility.bytes_sent == 100
     assert network.san.bytes_sent == 0
@@ -38,7 +38,7 @@ def test_saturated_san_does_not_drop_beacons_with_utility_net():
     """Data-plane saturation no longer kills control datagrams."""
     env = Environment()
     network = Network(env, bandwidth_bps=1000.0)
-    network.add_utility_network(bandwidth_bps=1e6)
+    network.add_utility_network()
 
     def hammer(env):
         for _ in range(100):
@@ -54,11 +54,11 @@ def test_saturated_san_does_not_drop_beacons_with_utility_net():
 def test_saturating_the_utility_network_itself_still_drops():
     env = Environment()
     network = Network(env, bandwidth_bps=1e9)
-    network.add_utility_network(bandwidth_bps=100.0)
+    network.add_utility_network()   # 10 Mb/s: 1.25 MB/s
 
     def hammer(env):
         for _ in range(100):
-            network.transfer_delay(50, control=True)
+            network.transfer_delay(100_000, control=True)   # 2 MB/s
             yield env.timeout(0.05)
 
     env.process(hammer(env))
@@ -131,9 +131,8 @@ def test_upgrade_requires_a_node(nodes):
 
 def test_monitor_maintenance_suppresses_pages():
     fabric = make_fabric(n_nodes=8)
-    fabric.boot(n_frontends=0, initial_workers={"test-worker": 1},
-                with_monitor=False)
-    monitor = fabric.start_monitor()
+    fabric.boot(n_frontends=0, initial_workers={"test-worker": 1})
+    monitor = fabric.monitor
     fabric.cluster.run(until=3.0)
     worker = fabric.alive_workers()[0]
     monitor.set_maintenance(worker.name, True)

@@ -48,13 +48,13 @@ def test_partitions_of_slot_inverts_slots_of():
 
 def test_invalid_configurations_rejected():
     with pytest.raises(ValueError):
-        Partitioner(n_bricks=0)
+        Partitioner(n_bricks=0, replicas=2, n_partitions=16)
     with pytest.raises(ValueError):
-        Partitioner(n_bricks=2, replicas=3)
+        Partitioner(n_bricks=2, replicas=3, n_partitions=16)
     with pytest.raises(ValueError):
-        Partitioner(n_bricks=2, replicas=0)
+        Partitioner(n_bricks=2, replicas=0, n_partitions=16)
     with pytest.raises(ValueError):
-        Partitioner(n_bricks=2, n_partitions=0)
-    partitioner = Partitioner(n_bricks=2)
+        Partitioner(n_bricks=2, replicas=2, n_partitions=0)
+    partitioner = Partitioner(n_bricks=2, replicas=2, n_partitions=16)
     with pytest.raises(ValueError):
         partitioner.slots_of(99)

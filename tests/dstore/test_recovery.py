@@ -13,10 +13,9 @@ from repro.sim.cluster import Cluster
 from repro.tacc.customization import ProfileStore
 
 
-def make_store(n_bricks=3, replicas=2, seed=11):
+def make_store(seed=11):
     cluster = Cluster(seed=seed)
-    bricks = BrickCluster(cluster, n_bricks=n_bricks,
-                          replicas=replicas).boot()
+    bricks = BrickCluster(cluster).boot()
     store = ProfileStore(backend=QuorumCoordinator(bricks))
     return cluster, bricks, store
 
@@ -122,17 +121,17 @@ def test_total_amnesia_promotes_and_oracle_reports_loss():
     """Kill every replica of the keyspace at once: the lowest live
     slot promotes empty partitions so reads come back, and the
     committed-write oracle reports exactly what that cost."""
-    cluster, bricks, store = make_store(n_bricks=2, replicas=2)
+    cluster, bricks, store = make_store()
     load_users(store, 10)
     committed = len(store.backend.committed)
     assert committed == 20
-    bricks.brick_at(0).kill()
-    bricks.brick_at(1).kill()
-    for slot in (0, 1):
+    for slot in range(bricks.n_bricks):
+        bricks.brick_at(slot).kill()
+    for slot in range(bricks.n_bricks):
         cluster.env.process(bricks.respawn(slot))
     cluster.run(until=cluster.env.now + 15.0)
     assert bricks.data_loss_promotions > 0
-    for slot in (0, 1):
+    for slot in range(bricks.n_bricks):
         assert bricks.brick_at(slot).fully_authoritative
     lost = store.backend.verify_committed()
     assert len(lost) == committed

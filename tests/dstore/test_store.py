@@ -16,10 +16,9 @@ from repro.sim.cluster import Cluster
 from repro.tacc.customization import ProfileStore, TransactionError
 
 
-def make_store(n_bricks=3, replicas=2, seed=11, validator=None):
+def make_store(seed=11, validator=None):
     cluster = Cluster(seed=seed)
-    bricks = BrickCluster(cluster, n_bricks=n_bricks,
-                          replicas=replicas).boot()
+    bricks = BrickCluster(cluster).boot()
     store = ProfileStore(validator=validator,
                          backend=QuorumCoordinator(bricks))
     return cluster, bricks, store

@@ -4,7 +4,6 @@ HotBot degradation)."""
 
 import pytest
 
-from repro.core.config import SNSConfig
 from repro.experiments.fault_timeline import run_fault_timeline
 from repro.experiments.figure8_selftuning import run_figure8
 from repro.experiments.hotbot_degradation import run_hotbot_degradation
@@ -58,11 +57,8 @@ def test_table2_linear_scaling_shape():
 
 
 def test_table2_frontend_becomes_bottleneck():
-    config = SNSConfig(spawn_threshold=10.0, spawn_damping_s=10.0,
-                       dispatch_timeout_s=8.0,
-                       frontend_connection_overhead_s=0.014)
     result = run_table2(rates=(40, 80, 120), step_duration_s=20.0,
-                        seed=5, config=config)
+                        seed=5)
     saturated = " ".join(row.saturated for row in result.rows)
     assert "FE Ethernet" in saturated
     assert result.rows[-1].n_frontends > 1
@@ -70,7 +66,7 @@ def test_table2_frontend_becomes_bottleneck():
 
 
 def test_manager_capacity_handles_1800_announcements():
-    result = run_manager_capacity(n_distillers=900, duration_s=10.0)
+    result = run_manager_capacity(duration_s=10.0)
     assert result.announcements_per_s == pytest.approx(1800.0, rel=0.1)
     # ~0.95: the staggered source start-up shaves half an interval of
     # reports off the fixed-window count; nothing is actually dropped
@@ -83,7 +79,7 @@ def test_manager_capacity_handles_1800_announcements():
 
 
 def test_san_saturation_drops_beacons_on_slow_network():
-    result = run_san_saturation(rate_rps=80.0, duration_s=30.0, seed=5)
+    result = run_san_saturation(duration_s=30.0, seed=5)
     assert result.fast.beacon_loss_rate < 0.02
     assert result.slow.beacon_loss_rate > 0.3
     assert result.slow.san_utilization > result.fast.san_utilization

@@ -75,5 +75,5 @@ def test_single_arm_is_independent_of_sweep_composition(quick_sweep):
     """Arms rebuild everything from the seed, so one arm rerun alone
     must equal the same arm inside the sweep (shard safety)."""
     alone = run_policy_arm(policy="lottery", n_requests=N_REQUESTS,
-                           rate_rps=160.0, n_workers=8, seed=SEED)
+                           seed=SEED)
     assert alone == quick_sweep.arm("lottery")

@@ -68,7 +68,6 @@ def test_cache_size_sweep_monotone_with_plateau():
 def test_population_sweep_rises_then_falls():
     result = run_population_sweep(
         populations=(10, 50, 200, 800, 3200),
-        capacity_bytes=12_000_000,
         requests_per_user=50, seed=7)
     rates = [rate for _, rate in result.sweep]
     peak_index = rates.index(max(rates))

@@ -1,5 +1,5 @@
-"""Pool mechanics: ordering, bounded in-flight, crash isolation,
-timeout, retry, and the harvest accounting (ISSUE 5 tentpole).
+"""Pool mechanics: ordering, bounded in-flight, crash isolation and
+the harvest accounting.
 
 Shard entry points live at module level so they pickle by reference;
 the pool's fork start method also lets them see test-module state.
@@ -32,19 +32,6 @@ def _crash():
 
 def _raise(message):
     raise ValueError(message)
-
-
-def _sleep_forever():
-    time.sleep(60.0)
-
-
-def _flaky(marker_path, value):
-    """Fails on the first attempt, succeeds once the marker exists."""
-    if not os.path.exists(marker_path):
-        with open(marker_path, "w", encoding="utf-8") as handle:
-            handle.write("attempted")
-        os._exit(7)
-    return value
 
 
 def _specs(values, fn=_double):
@@ -109,24 +96,6 @@ def test_exception_in_serial_shard_reports_error():
     assert not sweep.results[0].ok
     assert "kaput" in sweep.results[0].error
     assert sweep.harvest == 0.0
-
-
-def test_timeout_kills_the_shard():
-    specs = [ShardSpec(shard_id="hang", fn=_sleep_forever,
-                       timeout_s=0.5)]
-    sweep = run_sharded(specs, jobs=2)
-    assert not sweep.results[0].ok
-    assert "timed out" in sweep.results[0].error
-
-
-def test_retry_recovers_a_flaky_shard(tmp_path):
-    marker = str(tmp_path / "attempted")
-    specs = [ShardSpec(shard_id="flaky", fn=_flaky,
-                       args=(marker, 42), retries=1)]
-    sweep = run_sharded(specs, jobs=2)
-    assert sweep.complete
-    assert sweep.values() == [42]
-    assert sweep.results[0].attempts == 2
 
 
 def test_progress_callback_sees_every_shard():

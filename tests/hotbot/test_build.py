@@ -18,12 +18,13 @@ import tracemalloc
 import pytest
 
 from repro.chaos.campaign import CrashSearchNode, Faults
-from repro.hotbot.documents import Corpus, Document
-from repro.hotbot.index import InvertedIndex, Vocabulary
+from repro.hotbot.documents import QUERY_ZIPF_ALPHA, Corpus, Document
+from repro.hotbot.index import InvertedIndex, Vocabulary, idf_table
 from repro.hotbot.partition import PartitionMap
 from repro.hotbot.service import HotBot, HotBotConfig
 from repro.sim.rng import RandomStreams
 from tests.hotbot.reference import ReferenceIndex, contents
+from tests.hotbot.test_index import sharing
 
 SEEDS = (1997, 2026, 7)
 
@@ -87,10 +88,18 @@ def test_the_columns_are_one_sparse_row_per_document():
 
 @pytest.mark.parametrize("alpha", [1.05, 1.0, 0.5])
 def test_vocabulary_sample_equals_per_draw_reference(alpha):
+    """The batch Zipf draw under `vocabulary_sample` matches the
+    per-draw one at several skews; the sample itself is drawn at
+    QUERY_ZIPF_ALPHA."""
     corpus = Corpus(n_docs=1, vocabulary_size=700, seed=3)
     batch_rng = RandomStreams(11).stream("queries")
     reference_rng = RandomStreams(11).stream("queries")
-    assert corpus.vocabulary_sample(batch_rng, 200, alpha) \
+    if alpha == QUERY_ZIPF_ALPHA:
+        batch = corpus.vocabulary_sample(batch_rng, 200)
+    else:
+        batch = [corpus.term_names[rank] for rank
+                 in batch_rng.zipf_rank_batch(700, alpha, 200)]
+    assert batch \
         == [f"w{reference_rng.zipf_rank(700, alpha)}" for _ in range(200)]
     assert batch_rng.random() == reference_rng.random()
 
@@ -251,7 +260,7 @@ def test_remove_and_add_after_a_bulk_build_stay_consistent(
     are rebuilds; each equals the reference after `remove` / `add`."""
     # corpus-wide statistics, so removing a document moves no idf
     global_df = partition_map.global_df
-    index = InvertedIndex(len(corpus), global_df).add_all(corpus)
+    index = sharing(len(corpus), global_df).add_all(corpus)
     query = ["w3", "w17", "w40"]
     before = index.rank(query, k=len(corpus))
     victim = corpus.document(before[0][1])
@@ -259,12 +268,12 @@ def test_remove_and_add_after_a_bulk_build_stay_consistent(
 
     assert reference.remove(victim.doc_id)
     others = [document for document in corpus if document != victim]
-    index = InvertedIndex(len(corpus), global_df).add_all(others)
+    index = sharing(len(corpus), global_df).add_all(others)
     assert held(index) == held(reference)
     assert index.rank(query, k=len(corpus)) == before[1:]
 
     reference.add(victim)
-    index = InvertedIndex(len(corpus), global_df).add_all(others + [victim])
+    index = sharing(len(corpus), global_df).add_all(others + [victim])
     assert held(index) == held(reference)
     assert index.rank(query, k=len(corpus)) == before
     assert index.search(query)[0] == sum(
@@ -328,18 +337,18 @@ def test_idf_table_is_written_once_and_equals_a_stand_alone_derivation(
         corpus, partition_map):
     """One table beside `global_df`, shared by every index the map
     builds; an index handed the frequencies derives the same floats."""
-    alone = InvertedIndex(len(corpus), global_df=partition_map.global_df)
-    assert alone.global_idf is not partition_map.global_idf
-    assert {term: idf.hex() for term, idf in alone.global_idf.items()} \
+    alone = idf_table(len(corpus), partition_map.global_df)
+    assert alone is not partition_map.global_idf
+    assert {term: idf.hex() for term, idf in alone.items()} \
         == {term: idf.hex()
             for term, idf in partition_map.global_idf.items()}
-    assert set(alone.global_idf) == set(partition_map.global_df)
+    assert set(alone) == set(partition_map.global_df)
     ids, idf = partition_map.vocabulary
     assert {term: idf[term_id].hex() for term, term_id in ids.items()} \
         == {term: value.hex()
             for term, value in partition_map.global_idf.items()}
     assert InvertedIndex(len(corpus)).global_idf is None
-    assert InvertedIndex(9, {"w1": 0, "w2": 3}).global_idf \
+    assert idf_table(9, {"w1": 0, "w2": 3}) \
         == {"w2": ReferenceIndex(9, {"w2": 3}).idf("w2")}
 
 

@@ -17,6 +17,7 @@ from repro.hotbot.index import (
     SearchHit,
     collate,
     hits_from_ranked,
+    idf_table,
 )
 from repro.hotbot.partition import PartitionMap
 from repro.sim.rng import RandomStreams
@@ -164,6 +165,16 @@ def test_scores_do_not_depend_on_the_hash_seed():
     assert outputs[2] == outputs[0]
 
 
+def sharing(total_corpus_size, global_df):
+    """An empty index scoring with the idfs of ``global_df`` (None: its
+    own), as `PartitionMap` hands every partition the corpus-wide
+    ones."""
+    index = InvertedIndex(total_corpus_size)
+    if global_df is not None:
+        index.global_idf = idf_table(total_corpus_size, global_df)
+    return index
+
+
 def corpus_of(documents):
     """A `Corpus` whose columns hold ``documents`` (doc ids 0, 1, ...
     in order), numbering their terms in first-occurrence order: for
@@ -238,7 +249,7 @@ def test_query_equals_naive_full_sort(seed):
     corpus = tie_prone_corpus(seed)
     rng = RandomStreams(seed).stream("queries")
     for global_df in (None, df_of(corpus)):
-        index = InvertedIndex(len(corpus), global_df).add_all(corpus)
+        index = sharing(len(corpus), global_df).add_all(corpus)
         reference = ReferenceIndex(len(corpus), global_df).add_all(corpus)
         assert (index.n_documents, index.n_terms) \
             == (reference.n_documents, reference.n_terms)
@@ -273,14 +284,14 @@ def test_remove_then_add_equals_the_reference(seed):
     gone = {victim.doc_id for victim in victims}
     survivors = [document for document in corpus
                  if document.doc_id not in gone]
-    index = InvertedIndex(len(corpus), global_df).add_all(survivors)
+    index = sharing(len(corpus), global_df).add_all(survivors)
     assert index.n_terms < len(global_df)
     assert index.search([rarest]) == (0, {})
     assert contents(index, vocabulary) == contents(reference, vocabulary)
     returned = list(dict.fromkeys(victims[:-10]))
     for victim in returned:
         reference.add(victim)
-    index = InvertedIndex(len(corpus), global_df).add_all(
+    index = sharing(len(corpus), global_df).add_all(
         survivors + returned)
     assert contents(index, vocabulary) == contents(reference, vocabulary)
     for terms in query_mix(corpus, rng, 12):
@@ -356,7 +367,7 @@ def test_search_equals_the_reference(typed, terms, forgotten, global_mode):
     if global_mode:
         global_df = df_of(documents)
         global_df.pop(forgotten, None)
-    index = InvertedIndex(len(documents), global_df).add_all(documents)
+    index = sharing(len(documents), global_df).add_all(documents)
     reference = ReferenceIndex(len(documents), global_df).add_all(
         documents)
     # storage, read only to show which typecodes this example built
@@ -441,7 +452,7 @@ def test_flat_indexes_equal_the_reference(vectors, weights, seed, queries,
     global_df.pop(forgotten, None)
     for df in (None, global_df):
         assert_flat_equals_reference(
-            InvertedIndex(len(corpus), df).add_all(corpus),
+            sharing(len(corpus), df).add_all(corpus),
             ReferenceIndex(len(corpus), df).add_all(corpus), queries)
 
 
@@ -514,7 +525,7 @@ def test_collated_partition_ranks_equal_the_global_rank(seed):
         ReferenceIndex(len(corpus), global_df).add_all(
             partition_map.documents_in(partition))
         for partition in range(3)]
-    global_index = InvertedIndex(len(corpus), global_df).add_all(corpus)
+    global_index = sharing(len(corpus), global_df).add_all(corpus)
     rng = RandomStreams(seed).stream("queries")
     for terms in query_mix(corpus, rng, 12):
         for k in (1, 7, len(corpus)):

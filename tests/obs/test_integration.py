@@ -26,8 +26,7 @@ def test_clusters_are_untraced_by_default():
 
 def test_capture_traces_arms_every_new_cluster():
     with capture_traces(sample_every=3) as tracers:
-        assert tracing_settings() == {"sample_every": 3,
-                                      "max_traces": None}
+        assert tracing_settings() == {"sample_every": 3}
         first = Cluster(seed=1)
         second = Cluster(seed=2)
     assert len(tracers) == 2

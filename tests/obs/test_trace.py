@@ -66,10 +66,8 @@ def test_record_captures_an_elapsed_child_in_one_call():
     env._now = 3.0
     span = root.record("wait", QUEUEING, start=1.0, bytes=42)
     assert span.start == 1.0
-    assert span.end == 3.0  # default end: now
+    assert span.end == 3.0  # ends now
     assert span.annotations == {"bytes": 42}
-    explicit = root.record("xfer", QUEUEING, start=1.0, end=2.0)
-    assert explicit.end == 2.0
 
 
 def test_annotate_chains_and_merges():
@@ -109,13 +107,6 @@ def test_trace_ids_encode_the_request_index():
     third = tracer.open_trace("request")
     assert first.trace_id == "t0000000"
     assert third.trace_id == "t0000002"
-
-
-def test_max_traces_bounds_memory():
-    env, tracer = make_tracer(max_traces=2)
-    roots = [tracer.open_trace("request") for _ in range(5)]
-    assert sum(1 for root in roots if root is not None) == 2
-    assert len(tracer.spans) == 2
 
 
 def test_sample_every_must_be_positive():

@@ -247,7 +247,7 @@ def test_thinclient_via_pipeline_with_keyword_filter():
     registry.register_class(KeywordFilter)
     registry.register_class(ThinClientSimplifier)
     pipeline = Pipeline(["keyword-filter", "thinclient-simplify"])
-    pipeline.validate(registry, MIME_HTML)
+    pipeline.validate(registry)
     result = pipeline.execute(registry, TACCRequest(
         inputs=[html(PDA_PAGE)],
         profile={"filter_pattern": "news"}))

@@ -59,7 +59,7 @@ class ReferenceEnvironment(Environment):
             return  # not an instant: the clock stays
         self._now = at
         if event._value is PENDING:
-            event._value = event._pending_value
+            event._value = None
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)

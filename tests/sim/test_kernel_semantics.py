@@ -128,7 +128,7 @@ def test_getters_bounded_under_interrupt_heavy_campaign():
 
 def test_timeout_is_pending_until_delay_elapses():
     env = Environment()
-    timeout = env.timeout(5.0, value="payload")
+    timeout = env.timeout(5.0)
     assert not timeout.triggered
     assert not timeout.processed
     with pytest.raises(SimulationError):
@@ -137,7 +137,7 @@ def test_timeout_is_pending_until_delay_elapses():
     assert env.now == 5.0
     assert timeout.triggered
     assert timeout.processed
-    assert timeout.value == "payload"
+    assert timeout.value is None
 
 
 def test_timeout_cannot_be_triggered_manually():
@@ -216,13 +216,13 @@ def test_all_of_with_duplicate_events_fires_once():
     env = Environment()
 
     def proc(env):
-        timeout = env.timeout(1.0, value="x")
+        timeout = env.timeout(1.0)
         result = yield env.all_of([timeout, timeout])
         return timeout, result
 
     timeout, result = env.run(until=env.process(proc(env)))
     assert env.now == 1.0
-    assert result == {timeout: "x"}
+    assert result == {timeout: None}
 
 
 # -- interrupt racing a queue hand-off -------------------------------------

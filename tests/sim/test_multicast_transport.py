@@ -210,7 +210,7 @@ def test_delivered_messages_drain_before_close_error():
 
 def test_in_flight_message_lost_on_close():
     env = Environment()
-    network = Network(env, bandwidth_bps=100.0, latency_s=1.0)
+    network = Network(env, bandwidth_bps=100.0)
     channel = Channel(env, network, "a", "b")
     a, b = channel.a, channel.b
     got = []
@@ -269,7 +269,7 @@ def test_cluster_least_loaded_node():
     a.attach("x")
     a.attach("y")
     b.attach("z")
-    assert cluster.least_loaded_node() is b
+    assert cluster.least_loaded_node(None) is b
 
 
 def test_cluster_deterministic_given_seed():

@@ -347,10 +347,10 @@ def test_a_cancelled_timer_due_at_a_live_instant_is_a_no_op():
 
 def test_a_callers_own_timeout_is_never_cancelled():
     env = Environment()
-    timer = env.timeout(7.0, value="rang")
+    timer = env.timeout(7.0)
     wait = TimedWait(env, timer, 9.0)
     env.run()
-    assert wait.value == "rang" and timer.processed
+    assert wait.value is not TIMED_OUT and timer.processed
     assert env.now == 7.0  # the wait's private 9.0 is cancelled, not this
 
 

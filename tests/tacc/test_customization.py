@@ -30,7 +30,7 @@ from repro.tacc.customization import (
 
 def brick_store(**kwargs):
     """A front over the ``dstore`` backend: three bricks, two replicas."""
-    bricks = BrickCluster(Cluster(seed=11), n_bricks=3, replicas=2).boot()
+    bricks = BrickCluster(Cluster(seed=11)).boot()
     return ProfileStore(backend=QuorumCoordinator(bricks), **kwargs)
 
 

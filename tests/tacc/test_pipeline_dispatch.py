@@ -93,8 +93,8 @@ def test_pipeline_executes_in_order(registry):
 
 
 def test_pipeline_validate_checks_mime_chain(registry):
-    Pipeline(["gif2jpeg", "jpeg-shrink"]).validate(registry, MIME_GIF)
+    Pipeline(["gif2jpeg", "jpeg-shrink"]).validate(registry)
     with pytest.raises(PipelineError):
-        Pipeline(["jpeg-shrink"]).validate(registry, MIME_GIF)
+        Pipeline(["gif2jpeg", "gif2jpeg"]).validate(registry)
     with pytest.raises(PipelineError):
         Pipeline(["missing-stage"]).validate(registry)

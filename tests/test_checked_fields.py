@@ -82,10 +82,10 @@ UNCHECKED = {
     "PartitionMap.__init__": {"corpus", "rng"},
     "TraceGenerator.__init__": {"seed", "universe"},
     "TraceGenerator.generate": set(),
-    "DocumentUniverse.__init__": {"rng", "mime_mix", "size_models"},
+    "DocumentUniverse.__init__": {"rng"},
     "iter_fixed_jpeg_trace": {"seed"},
     "Corpus.__init__": {"seed"},
-    "InvertedIndex.__init__": {"global_df"},
+    "InvertedIndex.__init__": set(),
     "QueryCache.__init__": set(),
     "LRUCache.__init__": set(),
 }

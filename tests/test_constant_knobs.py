@@ -3,10 +3,14 @@ constants (tests and examples do not count as callers).
 
 Each row passes one such name as a keyword where it used to be
 accepted; it is a ``TypeError`` now, so the value it used to carry can
-only be changed where its one reader defines it.
+only be changed where its one reader defines it.  No shipped file reads
+one back through a config or policy object either.
 """
 
 import dataclasses
+import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +83,132 @@ RECOVERY_POLICY_CONSTANTS = (
 def test_single_value_knobs_are_constants(name, build):
     with pytest.raises(TypeError, match=name):
         build()
+
+
+def test_no_shipped_file_reads_a_constant_back_through_its_owner():
+    root = Path(__file__).resolve().parents[1]
+    pattern = re.compile(
+        r"\bconfig\.(%s)\b|\bpolicy\.(%s)\b" % (
+            "|".join(SNS_CONFIG_CONSTANTS + HOTBOT_CONFIG_CONSTANTS),
+            "|".join(RECOVERY_POLICY_CONSTANTS)))
+    hits = [f"{path.relative_to(root)}:{number}: {line.strip()}"
+            for directory in ("src", "benchmarks", "examples")
+            for path in sorted((root / directory).rglob("*.py"))
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)]
+    assert not hits, "\n".join(hits)
+
+
+#: defaulted parameters no shipped entry point set to a second value
+#: (the reachability ledger's parameter section): each is a constant
+#: beside its reader now, or is inlined.  ``(module, callable path,
+#: parameter)``; the callable is called with only that keyword.
+REMOVED_PARAMETERS = (
+    ("repro.fanout.pool", "run_sharded", "timeout_s"),
+    ("repro.fanout.pool", "run_sharded", "retries"),
+    ("repro.fanout.pool", "run_sharded", "mp_context"),
+    ("repro.fanout.shard", "ShardSpec", "timeout_s"),
+    ("repro.fanout.shard", "ShardSpec", "retries"),
+    ("repro.fanout.shard", "ShardResult", "attempts"),
+    ("repro.experiments._harness", "run_grid", "timeout_s"),
+    ("repro.experiments._harness", "run_grid", "retries"),
+    ("repro.experiments._harness", "run_grid", "progress"),
+    ("repro.chaos.batch", "run_campaign_batch", "timeout_s"),
+    ("repro.chaos.batch", "run_campaign_batch", "retries"),
+    ("repro.sim.network", "Network.transfer_delay", "access_link"),
+    ("repro.sim.network", "PartitionState.split", "start"),
+    ("repro.sim.network", "PartitionState.one_way", "start"),
+    ("repro.sim.network", "NetworkFaults.channel_penalty", "scope"),
+    ("repro.sim.network", "Network", "latency_s"),
+    ("repro.sim.network", "Network.add_utility_network", "bandwidth_bps"),
+    ("repro.sim.network", "Network.add_utility_network", "latency_s"),
+    ("repro.sim.network", "Network.add_access_link", "latency_s"),
+    ("repro.sim.network", "UtilizationMeter", "window"),
+    ("repro.sim.network", "UtilizationMeter", "buckets"),
+    ("repro.sim.transport", "Channel.connect", "setup_s"),
+    ("repro.sim.cluster", "Cluster", "env"),
+    ("repro.sim.cluster", "Cluster", "san_latency_s"),
+    ("repro.sim.cluster", "Cluster.add_node", "cpus"),
+    ("repro.sim.cluster", "Cluster.least_loaded_node", "include_overflow"),
+    ("repro.sim.node", "Node", "cpus"),
+    ("repro.sim.node", "Node", "memory_mb"),
+    ("repro.sim.node", "Node", "has_disk"),
+    ("repro.sim.kernel", "Timeout", "value"),
+    ("repro.sim.kernel", "Environment.timeout", "value"),
+    ("repro.chaos.invariants", "InvariantChecker", "reregister_periods"),
+    ("repro.chaos.invariants", "InvariantChecker.expect_reregistration",
+     "periods"),
+    ("repro.chaos.invariants", "InvariantChecker.expect_convergence",
+     "within_s"),
+    ("repro.core.fabric", "SNSFabric.start_supervisor", "node"),
+    ("repro.core.fabric", "SNSFabric.start_degradation", "signals"),
+    ("repro.core.fabric", "SNSFabric.boot", "with_monitor"),
+    ("repro.distillers.base", "DistillerLatencyModel", "noise_sigma"),
+    ("repro.distillers.images", "photo_sized_for", "max_iterations"),
+    ("repro.domains", "finite", "optional"),
+    ("repro.dstore.cluster", "BrickCluster", "n_bricks"),
+    ("repro.dstore.cluster", "BrickCluster", "replicas"),
+    ("repro.dstore.cluster", "BrickCluster", "n_partitions"),
+    ("repro.experiments.figure6_burstiness", "run_figure6",
+     "mean_rate_rps"),
+    ("repro.experiments.figure8_selftuning", "run_figure8", "config"),
+    ("repro.experiments.table2_scalability", "run_table2", "config"),
+    ("repro.experiments.cache_hitrate", "run_population_sweep",
+     "capacity_bytes"),
+    ("repro.experiments.cache_hitrate", "_population_trace",
+     "n_shared_docs"),
+    ("repro.experiments.manager_capacity", "run_manager_capacity",
+     "n_distillers"),
+    ("repro.experiments.manager_capacity", "run_manager_capacity",
+     "report_interval_s"),
+    ("repro.experiments.san_saturation", "run_san_saturation", "rate_rps"),
+    ("repro.experiments.san_saturation", "run_san_saturation",
+     "image_bytes"),
+    ("repro.experiments.san_saturation", "run_san_saturation",
+     "include_utility"),
+    ("repro.experiments.policy_sweep", "run_policy_sweep", "rate_rps"),
+    ("repro.experiments.policy_sweep", "run_policy_sweep", "n_workers"),
+    ("repro.experiments.policy_sweep", "run_policy_arm", "image_bytes"),
+    ("repro.experiments.policy_sweep", "run_policy_arm", "inject_fraction"),
+    ("repro.hotbot.documents", "Corpus.vocabulary_sample", "alpha"),
+    ("repro.hotbot.index", "InvertedIndex", "global_df"),
+    ("repro.obs.attribution", "render_span_tree", "clock_origin"),
+    ("repro.obs.export", "chrome_trace_events", "include_unfinished"),
+    ("repro.obs.export", "export_chrome_trace", "include_unfinished"),
+    ("repro.obs.runtime", "attach_to_new_cluster", "label"),
+    ("repro.obs.runtime", "capture_traces", "max_traces"),
+    ("repro.obs.trace", "Tracer", "max_traces"),
+    ("repro.obs.trace", "install_tracer", "max_traces"),
+    ("repro.obs.trace", "Span.finish", "end"),
+    ("repro.analysis.metrics", "yield_recovery_time", "target"),
+    ("repro.analysis.reporting", "render_series", "width"),
+    ("repro.services.rewebber", "rewebber_keypair", "secret"),
+    ("repro.tacc.pipeline", "Pipeline.validate", "input_mime"),
+    ("repro.tacc.pipeline", "Pipeline.execute", "trace"),
+    ("repro.transend.cachesys", "CacheSubsystem.add_node", "name"),
+    ("repro.transend.service", "TranSend.start", "warmup_s"),
+    ("repro.workload.tracegen", "DocumentUniverse", "mime_mix"),
+    ("repro.workload.tracegen", "DocumentUniverse", "size_models"),
+    ("repro.workload.tracegen", "BurstCascade", "periods_s"),
+    ("repro.workload.tracegen", "daily_cycle_factor", "trough_hour"),
+    ("repro.workload.tracegen", "daily_cycle_factor", "amplitude"),
+    ("repro.workload.burstiness", "burstiness_report", "scales_s"),
+    ("repro.workload.distributions", "size_histogram", "bins_per_decade"),
+    ("repro.workload.distributions", "size_histogram", "max_exponent"),
+)
+
+
+@pytest.mark.parametrize(
+    "module, path, parameter", REMOVED_PARAMETERS,
+    ids=[f"{path}.{parameter}" for _, path, parameter
+         in REMOVED_PARAMETERS])
+def test_never_set_parameters_are_constants(module, path, parameter):
+    target = importlib.import_module(module)
+    for part in path.split("."):
+        target = getattr(target, part)
+    with pytest.raises(TypeError, match=parameter):
+        target(**{parameter: 1})
 
 
 def test_config_field_counts():

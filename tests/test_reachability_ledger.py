@@ -6,7 +6,10 @@ that were deleted for having none.  Regenerating it takes minutes
 (`python tools/reachability.py --check`, a CI job); what can rot
 between regenerations is checked here in well under a second: a listed
 function that was renamed or removed, a reason outside the closed set,
-a deleted name that crept back or is still exported.
+a deleted name that crept back or is still exported.  Its parameter
+section lists every defaulted parameter no shipped caller sets; what
+can rot there is a row whose function is gone, whose parameter lost its
+default, or whose reason is outside that section's closed set.
 """
 
 import ast
@@ -27,8 +30,14 @@ def load_tool():
 
 tool = load_tool()
 LEDGER = tool.LEDGER.read_text()
-FUNCTIONS = {function.name for function in tool.catalogue()}
-REASONS = tool.read_reasons(LEDGER)
+CATALOGUE = tool.catalogue()
+FUNCTIONS = {function.name for function in CATALOGUE}
+PARAMETERS = tool.parameters(CATALOGUE)
+ALL_REASONS = tool.read_reasons(LEDGER)
+REASONS = {name: reason for name, reason in ALL_REASONS.items()
+           if not tool.is_parameter(name)}
+PARAMETER_REASONS = {name: reason for name, reason in ALL_REASONS.items()
+                     if tool.is_parameter(name)}
 DELETED = tool.read_deleted(LEDGER)
 
 
@@ -77,17 +86,79 @@ def test_every_listed_function_still_exists():
         f"the ledger): {gone}")
 
 
-def test_every_reason_is_from_the_closed_set_and_says_why():
+def reasons_outside(reasons, keep_classes):
     bad = []
-    for name, reason in sorted(REASONS.items()):
-        keep_class = next((keep_class for keep_class in tool.KEEP_CLASSES
+    for name, reason in sorted(reasons.items()):
+        keep_class = next((keep_class for keep_class in keep_classes
                            if reason.startswith(keep_class)), None)
         if keep_class is None:
             bad.append(f"{name}: {reason!r} names no class of "
-                       f"{tool.KEEP_CLASSES}")
+                       f"{keep_classes}")
         elif len(reason) < len(keep_class) + 10:
             bad.append(f"{name}: names its class but not why")
+    return bad
+
+
+def test_every_reason_is_from_the_closed_set_and_says_why():
+    bad = reasons_outside(REASONS, tool.KEEP_CLASSES)
     assert not bad, "\n".join(bad)
+
+
+def test_the_ledger_has_a_parameter_section():
+    assert tool.PARAMETER_HEADER.splitlines()[0] in LEDGER
+    assert PARAMETER_REASONS
+
+
+def stale_parameter_rows(names):
+    """A row whose function is gone, or whose parameter was removed or
+    lost its default, is stale: the parameter is a constant now, or the
+    row has to move with a rename."""
+    stale = []
+    for name in sorted(names):
+        if name in PARAMETERS:
+            continue
+        function_name, _, parameter = name[:-1].partition("(")
+        if function_name not in FUNCTIONS:
+            stale.append(f"{name}: no function {function_name}")
+        else:
+            stale.append(f"{name}: {function_name} has no defaulted "
+                         f"parameter {parameter!r}")
+    return stale
+
+
+def test_every_parameter_row_names_a_defaulted_parameter():
+    stale = stale_parameter_rows(PARAMETER_REASONS)
+    assert not stale, "\n".join(stale)
+
+
+def test_every_parameter_reason_is_from_its_closed_set_and_says_why():
+    bad = reasons_outside(PARAMETER_REASONS, tool.PARAMETER_KEEP_CLASSES)
+    assert not bad, "\n".join(bad)
+
+
+def test_the_parameter_checks_refuse_planted_rows():
+    # ``Environment.step`` takes no argument; ``Environment.__init__``
+    # has ``initial_time`` with a default
+    assert stale_parameter_rows([
+        "repro.sim.kernel:Environment.gone(until)",
+        "repro.sim.kernel:Environment.step(until)",
+        "repro.sim.kernel:Environment.__init__(no_such_parameter)",
+        "repro.sim.kernel:Environment.__init__(initial_time)",
+    ]) == [
+        "repro.sim.kernel:Environment.__init__(no_such_parameter): "
+        "repro.sim.kernel:Environment.__init__ has no defaulted "
+        "parameter 'no_such_parameter'",
+        "repro.sim.kernel:Environment.gone(until): no function "
+        "repro.sim.kernel:Environment.gone",
+        "repro.sim.kernel:Environment.step(until): "
+        "repro.sim.kernel:Environment.step has no defaulted parameter "
+        "'until'",
+    ]
+    assert len(reasons_outside({
+        "a(b)": "safety/recovery -- a function-level class",
+        "c(d)": "test seam",
+        "e(f)": "test seam -- tests pass a fake clock",
+    }, tool.PARAMETER_KEEP_CLASSES)) == 2
 
 
 def test_no_deleted_name_is_back_or_still_exported():

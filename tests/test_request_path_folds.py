@@ -146,7 +146,7 @@ def test_lottery_weights_are_the_effective_queues(histories, later,
     now = max(state.received_at for state in candidates) + later
     rng = CapturingRng()
     config = SNSConfig(estimate_queue_deltas=estimate, lottery_gamma=gamma)
-    LotteryPolicy(config, rng).select(candidates, now)
+    LotteryPolicy(config, rng).select(candidates, now, None)
     expected = [1.0 / (1.0 + state.effective_queue(now, estimate)) ** gamma
                 for state in candidates]
     assert [w.hex() for w in rng.weights] == [w.hex() for w in expected]

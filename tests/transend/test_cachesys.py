@@ -170,8 +170,9 @@ def test_a_taken_name_is_refused_before_anything_changes():
     before = (dict(cachesys.nodes), list(cachesys.live),
               len(cachesys.partitioner))
     node = cluster.add_node("spare")
+    cachesys._added = 0   # the next serial name, cache.1, is taken
     with pytest.raises(PartitionError):
-        cachesys.add_node(node, 1_000_000, name="cache.1")
+        cachesys.add_node(node, 1_000_000)
     assert (cachesys.nodes, cachesys.live, len(cachesys.partitioner)) \
         == before
     assert node.components == set()  # nothing was started on it

@@ -54,9 +54,13 @@ def test_iter_trace_streams_file(tmp_path):
 # -- playback equivalence --------------------------------------------------
 
 
+def _ignore(event):
+    pass
+
+
 def _echo_adapter(env, service_s=0.01):
     def submit(record):
-        return env.timeout(service_s, value=f"ok:{record.url}")
+        return env.schedule_call(service_s, _ignore, f"ok:{record.url}")
     return submit
 
 
@@ -128,7 +132,7 @@ def test_playback_stats_failure_accounting():
     def flaky(record):
         if record.url.endswith("img0.jpg"):
             raise RuntimeError("boom")
-        return env.timeout(0.01, value="ok")
+        return env.schedule_call(0.01, _ignore, "ok")
 
     records = fixed_jpeg_records(30.0, 150, seed=9)
     engine = PlaybackEngine(env, flaky, record_outcomes=False)

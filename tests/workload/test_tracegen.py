@@ -318,7 +318,7 @@ def test_analysis_input_validation():
 
 def test_burstiness_report_scales():
     records = TraceGenerator(seed=11, mean_rate_rps=6.0).generate(600.0)
-    report = burstiness_report(records, scales_s=(120.0, 30.0, 1.0))
+    report = burstiness_report(records)
     assert set(report) == {120.0, 30.0, 1.0}
     for scale, stats in report.items():
         assert stats["peak_rps"] >= stats["avg_rps"]

@@ -21,6 +21,14 @@ reason lives.  ``--check`` fails when an unreached function has no
 reason, when a reason is attached to something that is reached or
 gone, or when the regenerated text differs from the committed file.
 
+Parameters get the same treatment.  A parameter exists only while a
+shipped caller sets it to a second value, so the hook also compares
+the arguments of each ``src/repro`` call with the function's defaults
+(``examples/`` do not count as callers here).  A defaulted parameter of
+a reached function that is never seen at another value is *never set*:
+it becomes a constant beside its reader, or stays with a ``keep:``
+reason whose class is one of :data:`PARAMETER_KEEP_CLASSES`.
+
 How the blind spots are closed:
 
 * Each group of entry points runs in its own interpreter (``--group``)
@@ -47,13 +55,17 @@ import ast
 import contextlib
 import io
 import os
+import dis
+import gc
 import pickle
 import subprocess
+import types
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, NamedTuple, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -68,6 +80,18 @@ KEEP_CLASSES = (
     "dunder/repr",
 )
 
+#: the closed set of reasons a never-set parameter may stay for.  A
+#: "checked domain" is a constructor argument whose declared domain
+#: (repro.domains) tests/test_checked_fields.py draws inside and
+#: outside; as a constant its domain rows go with it, so it waits for a
+#: change that retires them (ROADMAP 15).
+PARAMETER_KEEP_CLASSES = (
+    "paper content behind a test-only switch",
+    "deployment setting",
+    "test seam",
+    "checked domain",
+)
+
 Key = Tuple[str, int]   # (path relative to src/, first line incl. decorators)
 
 
@@ -76,6 +100,18 @@ class Function(NamedTuple):
     key: Key
     n_lines: int
     parent: str     # enclosing function's name, "" at class/module level
+    defaulted: Tuple[str, ...] = ()   # parameters that have a default
+
+
+def _defaulted(node: ast.FunctionDef) -> Tuple[str, ...]:
+    arguments = node.args
+    positional = arguments.posonlyargs + arguments.args
+    names = [argument.arg for argument
+             in positional[len(positional) - len(arguments.defaults):]]
+    names += [argument.arg for argument, default
+              in zip(arguments.kwonlyargs, arguments.kw_defaults)
+              if default is not None]
+    return tuple(names)
 
 
 # -- the static side ----------------------------------------------------------
@@ -94,7 +130,8 @@ def _walk(node: ast.AST, module: str, rel: str, scope: Tuple[str, ...],
                                           in child.decorator_list])
             name = f"{module}:{'.'.join(scope + (label,))}"
             yield Function(name, (rel, first),
-                           child.end_lineno - first + 1, parent)
+                           child.end_lineno - first + 1, parent,
+                           _defaulted(child))
             yield from _walk(child, module, rel, scope + (label,), name)
         elif isinstance(child, ast.ClassDef):
             yield from _walk(child, module, rel, scope + (child.name,),
@@ -121,15 +158,94 @@ def catalogue() -> List[Function]:
     return functions
 
 
+def parameter_name(function: Function, parameter: str) -> str:
+    return f"{function.name}({parameter})"
+
+
+def parameters(functions: List[Function]) -> Dict[str, Function]:
+    """``"module:function(parameter)" -> function`` for every defaulted
+    parameter the hook watches.  A nested function's defaults are left
+    out: there a default binds a value of the enclosing call
+    (``def done(event, name=name)``), it is not a setting."""
+    return {parameter_name(function, parameter): function
+            for function in functions if not function.parent
+            for parameter in function.defaulted}
+
+
 # -- the dynamic side ---------------------------------------------------------
 
 _seen: Set[Tuple[str, int]] = set()
+#: (filename, first line, parameter) seen at a value other than its default
+_set: Set[Tuple[str, int, str]] = set()
+#: code object -> what is still watched on it: (the offset of its first
+#: ``yield``, [(parameter, default)]), or None once nothing is
+_watch: Dict[types.CodeType, Optional[Tuple[int, list]]] = {}
+_watched: Dict[Key, Tuple[str, ...]] = {}   # filled by run_group
+_UNKNOWN = object()
 
 
-def _hook(frame, event, arg, _add=_seen.add):
+def _hook(frame, event, arg, _add=_seen.add, _get=_watch.get):
     if event == "call":
         code = frame.f_code
         _add((code.co_filename, code.co_firstlineno))
+        watch = _get(code, _UNKNOWN)
+        if watch is _UNKNOWN:
+            watch = _watch[code] = _resolve(code)
+        # a generator's later resumptions show its locals, not its
+        # arguments: only the first one (before any yield) is a call
+        if watch is not None and frame.f_lasti < watch[0]:
+            _compare(frame, code, watch[1])
+
+
+def _function_of(code: types.CodeType):
+    for referrer in gc.get_referrers(code):
+        if isinstance(referrer, types.FunctionType) \
+                and referrer.__code__ is code:
+            return referrer
+    return None
+
+
+def _resolve(code: types.CodeType):
+    prefix = str(SRC) + os.sep
+    if not code.co_filename.startswith(prefix):
+        return None
+    rel = code.co_filename[len(prefix):].replace(os.sep, "/")
+    names = _watched.get((rel, code.co_firstlineno))
+    function = _function_of(code) if names else None
+    if function is None:
+        return None
+    defaults = dict(zip(code.co_varnames[:code.co_argcount]
+                        [-len(function.__defaults__ or ()):],
+                        function.__defaults__ or ()))
+    defaults.update(function.__kwdefaults__ or {})
+    first_yield = min((instruction.offset for instruction
+                       in dis.get_instructions(code)
+                       if instruction.opname == "YIELD_VALUE"),
+                      default=len(code.co_code))
+    return first_yield, [(name, defaults[name]) for name in names
+                         if name in defaults]
+
+
+def _same(value, default) -> bool:
+    if value is default:
+        return True
+    if value is None or default is None:
+        return False
+    try:
+        return bool(value == default)
+    except Exception:
+        return False
+
+
+def _compare(frame, code: types.CodeType, watched: list) -> None:
+    arguments = frame.f_locals
+    for entry in list(watched):
+        name, default = entry
+        if not _same(arguments[name], default):
+            watched.remove(entry)
+            _set.add((code.co_filename, code.co_firstlineno, name))
+    if not watched:
+        _watch[code] = None
 
 
 def _install() -> None:
@@ -154,9 +270,12 @@ def _spool(spool: Path) -> None:
     prefix = str(SRC) + os.sep
     keys = {(filename[len(prefix):].replace(os.sep, "/"), line)
             for filename, line in _seen if filename.startswith(prefix)}
+    set_parameters = {(filename[len(prefix):].replace(os.sep, "/"), line,
+                       name)
+                      for filename, line, name in _set}
     with tempfile.NamedTemporaryFile(dir=spool, suffix=".reached",
                                      delete=False) as handle:
-        pickle.dump(keys, handle)
+        pickle.dump((keys, set_parameters), handle)
 
 
 def _report_from_shards(spool: Path) -> None:
@@ -166,6 +285,7 @@ def _report_from_shards(spool: Path) -> None:
 
     def shard_worker_then_spool(spec, trace_settings, conn):
         _seen.clear()   # the parent reports its own
+        _set.clear()
         try:
             shard_worker(spec, trace_settings, conn)
         finally:
@@ -224,16 +344,21 @@ def _group_cli(scratch: Path) -> None:
     _cli("chaos", "smoke", "--policy", "ewma+eject")
     _cli("chaos", "smoke", "--policy", "hash-bounded")
     _cli("chaos", "brick-smoke", "--profile-backend", "single")
+    # a flag at a second value sets its parameter: --seed and --jobs
+    # reach every driver through `run all` and the single-driver runs
     _cli("chaos", "--campaign", "smoke", "--runs", "2", "--jobs", "2",
-         "--quiet", "--trace-out", spans, "--sample", "5")
+         "--quiet", "--trace-out", spans, "--sample", "5", "--seed", "3")
     _cli("chaos", "smoke", "--runs", "2")
     _cli("chaos", "gray-smoke", "--trace-out", spans)
     _cli("run", "endtoend", "--quick", "--trace-out", spans)
+    _cli("run", "hotbot-throughput", "--quick", "--trace-out", spans)
     _cli("spans", spans, "--tree", "2")
     _cli("run", "policies", "--quick", "--policy", "p2c", "--jobs", "2")
     _cli("run", "cache", "--quick", "--jobs", "2",
          "--export", str(scratch / "export"))
-    _cli("run", "all", "--quick", "--jobs", "2")
+    _cli("run", "all", "--quick", "--jobs", "2", "--seed", "3")
+    for name in ("population", "san", "flash-crowd"):
+        _cli("run", name, "--quick", "--jobs", "2")
     _cli("trace", "--duration", "600", "--out", trace)
     _cli("trace", "--analyze", trace)
     # what a mistyped command line gets back
@@ -297,8 +422,15 @@ GROUPS: Dict[str, Callable[[Path], None]] = {
 }
 
 
+#: groups whose calls do not count as setting a parameter
+NOT_CALLERS = ("examples",)
+
+
 def run_group(name: str, spool: Path) -> None:
     """The body of one ``--group`` interpreter."""
+    if name not in NOT_CALLERS:
+        _watched.update((function.key, function.defaulted)
+                        for function in parameters(catalogue()).values())
     _install()
     sys.path.insert(0, str(SRC))
     _report_from_shards(spool)
@@ -307,10 +439,11 @@ def run_group(name: str, spool: Path) -> None:
     _spool(spool)
 
 
-def reached() -> Set[Key]:
+def reached() -> Tuple[Set[Key], Set[Tuple[str, int, str]]]:
     """Run every group, each in a fresh interpreter, and pool what they
-    and their forked shards reached."""
+    and their forked shards reached, and the parameters they set."""
     keys: Set[Key] = set()
+    set_parameters: Set[Tuple[str, int, str]] = set()
     env = {name: value for name, value in os.environ.items()
            if name != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
@@ -322,8 +455,10 @@ def reached() -> Set[Key]:
                  "--group", name, "--spool", spool],
                 check=True, cwd=str(ROOT), env=env, stdout=sys.stderr)
         for path in sorted(Path(spool).glob("*.reached")):
-            keys |= pickle.loads(path.read_bytes())
-    return keys
+            group_keys, group_set = pickle.loads(path.read_bytes())
+            keys |= group_keys
+            set_parameters |= group_set
+    return keys, set_parameters
 
 
 # -- the ledger ---------------------------------------------------------------
@@ -338,6 +473,19 @@ HEADER = """\
 # reason; the reason is hand-written here after `keep:` and survives a
 # regeneration.  Its class is one of:
 """
+
+PARAMETER_HEADER = """\
+# Parameters: every defaulted parameter of a reached src/repro function
+# that no shipped entry point sets to a value other than its default
+# (examples/ do not count as callers; a nested function's defaults are
+# not settings).  A parameter exists only while a shipped caller sets
+# it to a second value: each row goes, as a constant beside its reader,
+# or stays for a reason after `keep:` whose class is one of:
+"""
+
+
+def is_parameter(name: str) -> bool:
+    return name.endswith(")")
 
 
 def read_reasons(text: str) -> Dict[str, str]:
@@ -361,7 +509,8 @@ def read_deleted(text: str) -> List[str]:
 
 
 def render(functions: List[Function], keys: Set[Key],
-           reasons: Dict[str, str], deleted: List[str]) -> str:
+           reasons: Dict[str, str], deleted: List[str],
+           set_parameters: Set[Tuple[str, int, str]]) -> str:
     unreached = [function for function in functions
                  if function.key not in keys]
     names = {function.name for function in unreached}
@@ -386,11 +535,38 @@ def render(functions: List[Function], keys: Set[Key],
         reason = reasons.get(function.name, "")
         lines.append(f"{function.name.ljust(width)}  "
                      f"{function.n_lines:>3}  keep: {reason}".rstrip())
+    watched = parameters(functions)
+    reached_parameters = [name for name, function in watched.items()
+                          if function.key in keys]
+    never_set = never_set_parameters(functions, keys, set_parameters)
+    lines += ["", PARAMETER_HEADER.rstrip("\n")]
+    lines += [f"#   {keep_class}" for keep_class in PARAMETER_KEEP_CLASSES]
+    lines += ["#",
+              f"# {len(watched)} defaulted parameters, "
+              f"{len(reached_parameters)} of reached functions, "
+              f"{len(never_set)} never set.",
+              ""]
+    width = max(map(len, never_set), default=0)
+    for name in never_set:
+        lines.append(f"{name.ljust(width)}  "
+                     f"keep: {reasons.get(name, '')}".rstrip())
     return "\n".join(lines) + "\n"
 
 
+def never_set_parameters(functions: List[Function], keys: Set[Key],
+                         set_parameters: Set[Tuple[str, int, str]]
+                         ) -> List[str]:
+    """Defaulted parameters of reached functions that no entry point
+    set to another value, in catalogue order."""
+    return [name for name, function in parameters(functions).items()
+            if function.key in keys
+            and (*function.key, name[len(function.name) + 1:-1])
+            not in set_parameters]
+
+
 def problems(functions: List[Function], keys: Set[Key],
-             reasons: Dict[str, str], deleted: List[str]) -> List[str]:
+             reasons: Dict[str, str], deleted: List[str],
+             set_parameters: Set[Tuple[str, int, str]]) -> List[str]:
     found: List[str] = []
     known = {function.name: function for function in functions}
     for function in functions:
@@ -400,8 +576,21 @@ def problems(functions: List[Function], keys: Set[Key],
         if not reason.startswith(KEEP_CLASSES):
             found.append(f"unreached without a keep: reason from the closed "
                          f"set: {function.name}")
+    never_set = never_set_parameters(functions, keys, set_parameters)
+    for name in never_set:
+        if not reasons.get(name, "").startswith(PARAMETER_KEEP_CLASSES):
+            found.append(f"never set without a keep: reason from the closed "
+                         f"set: {name}")
+    watched = parameters(functions)
     for name in reasons:
-        if name not in known:
+        if is_parameter(name):
+            if name not in watched:
+                found.append(f"keep: reason for a parameter that is gone: "
+                             f"{name}")
+            elif name not in never_set:
+                found.append(f"keep: reason for a parameter that is set or "
+                             f"whose function is unreached: {name}")
+        elif name not in known:
             found.append(f"keep: reason for a function that is gone: {name}")
         elif known[name].key in keys:
             found.append(f"keep: reason for a function that is reached: "
@@ -429,9 +618,9 @@ def main(argv: List[str] = None) -> int:
     reasons = read_reasons(committed)
     deleted = read_deleted(committed)
     functions = catalogue()
-    keys = reached()
-    text = render(functions, keys, reasons, deleted)
-    found = problems(functions, keys, reasons, deleted)
+    keys, set_parameters = reached()
+    text = render(functions, keys, reasons, deleted, set_parameters)
+    found = problems(functions, keys, reasons, deleted, set_parameters)
     if args.check:
         sys.stdout.write(text)
         if text != committed:
@@ -442,8 +631,10 @@ def main(argv: List[str] = None) -> int:
     for problem in found:
         print(problem, file=sys.stderr)
     n_unreached = sum(function.key not in keys for function in functions)
+    n_never_set = len(never_set_parameters(functions, keys, set_parameters))
     print(f"{LEDGER.relative_to(ROOT)}: {n_unreached} unreached of "
-          f"{len(functions)}", file=sys.stderr)
+          f"{len(functions)}, {n_never_set} parameters never set",
+          file=sys.stderr)
     return 1 if found else 0
 
 
