@@ -232,9 +232,10 @@ class SNSConfig:
     retry_budget_ratio: Optional[float] = checked(
         None, at_least(0, optional=True))
     retry_budget_cap: float = checked(20.0, at_least(1))
-    #: origin circuit breaker: consecutive failures (errors or fetches
-    #: slower than ``ORIGIN_BREAKER_SLOW_S``) before the breaker opens;
-    #: ``None`` disables the breaker.  While open, origin fetches fail
+    #: origin circuit breaker of the degradable bench service (TranSend
+    #: refuses it): consecutive failures (errors or fetches slower than
+    #: ``ORIGIN_BREAKER_SLOW_S``) before the breaker opens; ``None``
+    #: disables the breaker.  While open, origin fetches fail
     #: fast; after ``ORIGIN_BREAKER_COOLDOWN_S`` one half-open probe
     #: tests the origin again.
     origin_breaker_failures: Optional[int] = checked(

@@ -381,18 +381,25 @@ class SNSFabric:
     def start_degradation(self) -> Any:
         """Start the brownout controller (opt-in) and wire it into
         every component that reads the ladder: live front ends (and,
-        via :meth:`start_frontend`, every future one), the service
-        logic, and the profile store (for the relaxed-reads level)."""
+        via :meth:`start_frontend`, every future one), the service, and
+        the profile store (for the relaxed-reads level).  The service
+        must be the degradable bench service, the one that reads the
+        reduced-fidelity and serve-stale rungs; any other is refused."""
         from repro.degrade.controller import DegradationController
+        from repro.degrade.service import DegradableBenchService
         if self.degradation is not None:
             raise FabricError("a degradation controller is already "
                               "running")
+        if not isinstance(self.service, DegradableBenchService):
+            raise FabricError(
+                f"{type(self.service).__name__} reads no ladder rung; "
+                "only the degradable bench service "
+                "(service_backend='degradable') serves under brownout")
         controller = DegradationController(self.cluster, self.config, self)
         self.degradation = controller
         for frontend in self.frontends.values():
             frontend.degradation = controller
-        if hasattr(self.service, "degradation"):
-            self.service.degradation = controller
+        self.service.degradation = controller
         if self.profile_store is not None \
                 and hasattr(self.profile_store.backend, "degradation"):
             self.profile_store.backend.degradation = controller

@@ -273,7 +273,7 @@ class FrontEnd(Component):
         if span is not None:
             if access_link is not None:
                 span.record("access-link-out", "network", mark,
-                            bytes=response.size_bytes)
+                            annotations={"bytes": response.size_bytes})
             if response.annotations:
                 span.annotate(**response.annotations)
             span.annotate(status=status, path=response.path).finish()

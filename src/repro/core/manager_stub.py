@@ -327,7 +327,7 @@ class ManagerStub:
                         yield env.timeout(backoff)
                         if span is not None:
                             span.record("backoff", "queueing", mark,
-                                        attempt=attempt)
+                                        annotations={"attempt": attempt})
                 if deadline_at - env._now <= 0:
                     self.deadline_expiries += 1
                     raise DispatchError(
@@ -346,7 +346,7 @@ class ManagerStub:
                 now = env._now
                 if span is not None:
                     span.record("san-transfer", "network", submitted_at,
-                                bytes=input_bytes)
+                                annotations={"bytes": input_bytes})
                 if deadline_at - now <= 0.0:
                     # the SAN transfer ate the last of the deadline: a
                     # zero-budget reply timer would fire instantly and

@@ -149,7 +149,8 @@ class WorkerStub(Component):
             if envelope.trace is not None:
                 envelope.trace.record(
                     "worker-queue", "queueing", envelope.enqueued_at,
-                    component=self.name, depth=self.queue.length)
+                    component=self.name,
+                    annotations={"depth": self.queue.length})
             if gray.hung:
                 # hang: the request is accepted and then held forever,
                 # the queue backing up behind it; only the dispatcher's
@@ -263,7 +264,7 @@ class WorkerStub(Component):
         if envelope.trace is not None:
             envelope.trace.record("san-reply", "network", mark,
                                   component=self.name,
-                                  bytes=result.size)
+                                  annotations={"bytes": result.size})
         if self.alive and envelope._value is PENDING:
             envelope.succeed(result)
 

@@ -25,7 +25,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "controller": ("DegradationController",),
-    "guards": ("CircuitBreaker", "OriginUnavailable", "RetryBudget"),
+    "guards": ("CircuitBreaker", "RetryBudget"),
     "ladder": ("LEVELS", "level_name"),
     "staleness": ("FreshnessCache",),
 })
@@ -35,7 +35,6 @@ __all__ = [
     "DegradationController",
     "FreshnessCache",
     "LEVELS",
-    "OriginUnavailable",
     "RetryBudget",
     "level_name",
 ]

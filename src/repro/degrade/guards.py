@@ -62,10 +62,6 @@ class RetryBudget:
         return False
 
 
-class OriginUnavailable(Exception):
-    """Raised when the origin circuit breaker is open."""
-
-
 class CircuitBreaker:
     """Closed/open/half-open breaker on a slow or failing dependency.
 

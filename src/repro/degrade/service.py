@@ -138,7 +138,8 @@ class DegradableBenchService(BenchService):
             if kind == FRESH:
                 yield env.timeout(MEAN_HIT_S)
                 if trace is not None:
-                    trace.record("cache-hit", "cache", mark, hit=True)
+                    trace.record("cache-hit", "cache", mark,
+                                 annotations={"hit": True})
                 return Response(status="ok", path="cache-hit",
                                 content=result, size_bytes=result.size)
             if controller is not None and controller.serve_stale_active:
@@ -146,7 +147,7 @@ class DegradableBenchService(BenchService):
                 yield env.timeout(MEAN_HIT_S)
                 if trace is not None:
                     trace.record("stale-hit", "cache", mark,
-                                 hit=True, stale=True)
+                                 annotations={"hit": True, "stale": True})
                 return Response(
                     status="degraded", path="serve-stale",
                     content=result, size_bytes=result.size,
@@ -160,7 +161,7 @@ class DegradableBenchService(BenchService):
                 self.breaker_fallbacks += 1
                 if trace is not None:
                     trace.record("origin-breaker", "service", mark,
-                                 short_circuit=True)
+                                 annotations={"short_circuit": True})
                 return Response(
                     status="fallback", path="origin-breaker",
                     detail="origin circuit breaker open",
@@ -177,7 +178,8 @@ class DegradableBenchService(BenchService):
         else:
             yield env.timeout(MEAN_HIT_S)
             if trace is not None:
-                trace.record("cache-hit", "cache", mark, hit=True)
+                trace.record("cache-hit", "cache", mark,
+                             annotations={"hit": True})
         reduced = controller is not None and controller.fidelity_reduced
         params: dict = {}
         if reduced:

@@ -141,7 +141,8 @@ class BenchService:
                 trace.record(
                     "profile-read", "service", mark,
                     component=backend.component,
-                    hops=backend.last_op_hops, ok=profile is not None)
+                    annotations={"hops": backend.last_op_hops,
+                                 "ok": profile is not None})
         return (yield from self._distill(frontend, request, profile or {}))
 
     def _distill(self, frontend, request, profile):
@@ -151,7 +152,8 @@ class BenchService:
         # a flat cache-hit cost: the original is resident (Section 4.6)
         yield env.timeout(MEAN_HIT_S)
         if request.trace is not None:
-            request.trace.record("cache-hit", "cache", mark, hit=True)
+            request.trace.record("cache-hit", "cache", mark,
+                                 annotations={"hit": True})
         content = Content(record.url, record.mime,
                           ZeroPayload(record.size_bytes))
         work = TACCRequest(inputs=[content], params={},

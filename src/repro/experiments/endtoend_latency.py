@@ -101,8 +101,8 @@ class ModemDelivery:
         yield env.timeout((start - env.now) + transfer)
         if root is not None:
             root.record("modem", "client", mark,
-                        bytes=response.size_bytes,
-                        bps=int(bandwidth))
+                        annotations={"bytes": response.size_bytes,
+                                     "bps": int(bandwidth)})
         if not final.triggered:
             final.succeed(response)
 

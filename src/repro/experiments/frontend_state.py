@@ -25,12 +25,20 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.metrics import LatencyStats
+from repro.cache.latency import HarvestLatencyModel
 from repro.core.config import SNSConfig
 from repro.sim.rng import RandomStreams
 from repro.transend.adaptation import MODEM_28_8_BPS
 from repro.transend.service import TranSend
 from repro.workload.playback import PlaybackEngine
 from repro.workload.trace import TraceRecord
+
+
+#: the cold arm's miss model, the paper's 1997 wide area: their "150-350
+#: outstanding at 15 req/s" implies a 10-23 s mean residence, i.e. a
+#: much heavier miss tail than a modern link
+WIDE_AREA_1997_MISS_MIN_S = 3.0
+WIDE_AREA_1997_MISS_ALPHA = 1.02
 
 
 @dataclass
@@ -70,19 +78,22 @@ class FrontEndStateResult:
 
 def _run_arm(label: str, unique_urls: bool, rate_rps: float,
              duration_s: float, seed: int,
-             wan_alpha: float = 1.1,
-             wan_min_s: float = 0.1) -> FrontEndStateArm:
+             wide_area_1997: bool) -> FrontEndStateArm:
     transend = TranSend(
         n_nodes=10, seed=seed,
         config=SNSConfig(dispatch_timeout_s=120.0,
                          frontend_connection_overhead_s=0.002,
                          frontend_threads=2000))
     transend.start(initial_workers={"jpeg-distiller": 3})
-    # the cold arm models the paper's 1997 wide area: their "150-350
-    # outstanding at 15 req/s" implies a 10-23 s mean residence, i.e. a
-    # much heavier miss tail than a modern link
-    transend.origin.latency.miss_alpha = wan_alpha
-    transend.origin.latency.miss_min_s = wan_min_s
+    if wide_area_1997:
+        # a checked model on the origin's own stream, which no draw has
+        # touched yet; the origin binds its draw once, so rebind it
+        origin = transend.origin
+        origin.latency = HarvestLatencyModel(
+            transend.cluster.streams.stream("miss-penalty"),
+            miss_min_s=WIDE_AREA_1997_MISS_MIN_S,
+            miss_alpha=WIDE_AREA_1997_MISS_ALPHA)
+        origin._miss_penalty = origin.latency.miss_penalty
     env = transend.cluster.env
     frontend = transend.fabric.alive_frontends()[0]
 
@@ -151,7 +162,8 @@ def run_frontend_state(rate_rps: float = 15.0,
     return FrontEndStateResult(
         cold=_run_arm("cold cache (every request a 1997 wide-area miss)",
                       True, rate_rps, duration_s, seed,
-                      wan_alpha=1.02, wan_min_s=3.0),
+                      wide_area_1997=True),
         hot=_run_arm("hot cache (working set resident)",
-                     False, rate_rps, duration_s, seed),
+                     False, rate_rps, duration_s, seed,
+                     wide_area_1997=False),
     )

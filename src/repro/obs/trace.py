@@ -84,7 +84,7 @@ class Span:
 
     def record(self, name: str, category: str, start: float,
                component: Optional[str] = None,
-               **annotations: Any) -> "Span":
+               annotations: Optional[Dict[str, Any]] = None) -> "Span":
         """Record a child span from ``start`` to now in one call."""
         span = self.child(name, category, component, start=start)
         if annotations:
@@ -152,8 +152,7 @@ class Tracer:
     # -- root creation and sampling -----------------------------------------
 
     def open_trace(self, name: str, category: str = OTHER,
-                   component: str = "client",
-                   **annotations: Any) -> Optional[Span]:
+                   component: str = "client") -> Optional[Span]:
         """Start a new trace; returns None when head sampling skips it."""
         index = self.requests_seen
         self.requests_seen += 1
@@ -161,15 +160,13 @@ class Tracer:
             return None
         self.requests_sampled += 1
         trace_id = f"t{index:07d}"
-        span = self._open_span(trace_id, None, name, category,
+        return self._open_span(trace_id, None, name, category,
                                component, self.env.now)
-        if annotations:
-            span.annotations.update(annotations)
-        return span
 
     def open_aux_trace(self, key: str, name: str,
                        component: str = "system",
-                       **annotations: Any) -> Optional[Span]:
+                       annotations: Optional[Dict[str, Any]] = None
+                       ) -> Optional[Span]:
         """Start an auxiliary (non-request) trace in category
         ``other``, e.g. one recovery case.  Unlike :meth:`open_trace`
         this neither consumes a head-sampling slot nor bumps

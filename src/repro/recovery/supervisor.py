@@ -266,11 +266,12 @@ class Supervisor(Component):
             span = tracer.open_aux_trace(
                 f"recovery-{self._case_seq:03d}", "recovery",
                 component=self.name,
-                target=name, detector=detector, detail=detail)
+                annotations={"target": name, "detector": detector,
+                             "detail": detail})
             if span is not None and case is not None:
                 case.trace_id = span.trace_id
                 span.record("undetected", "queueing", case.injected_at,
-                            kind=case.kind)
+                            annotations={"kind": case.kind})
         self.spawn(self._restart(stub, case, span))
 
     def _restart(self, stub, case: Optional[FaultCase], span,
@@ -350,7 +351,7 @@ class Supervisor(Component):
                     return
             if span is not None:
                 span.record("restart", "service", mark,
-                            replacement=replacement.name)
+                            annotations={"replacement": replacement.name})
             if case is not None:
                 yield from self._await_heal(case, replacement, span)
         finally:
@@ -387,7 +388,8 @@ class Supervisor(Component):
                 self.ledger.note_healed(case, action, replacement.name)
                 if span is not None:
                     span.record(step, "queueing", mark,
-                                replacement=replacement.name)
+                                annotations={"replacement":
+                                             replacement.name})
                 return
         self._alert("page", case.target,
                     f"replacement {replacement.name} never {never}")

@@ -442,11 +442,13 @@ class TimedWait(Event):
             env._compact()
 
     def _on_timer(self, _timer: Event) -> None:
-        _detach(self._event, self._on_event)
         self._value = TIMED_OUT
         env = self.env
         env._seq += 1
         env._normal.append(self)
+        # after the wait is scheduled, as a fired Condition releases: a
+        # get granted in this instant hands its item on behind the wait
+        _detach(self._event, self._on_event)
 
 
 class QueueFull(SimulationError):
@@ -454,19 +456,41 @@ class QueueFull(SimulationError):
 
 
 class QueueGet(Event):
-    """A blocked ``get``: knows its queue so an interrupt can prune it."""
+    """A ``get``: knows its queue so a waiter that lets go can undo it.
+
+    Blocked, it is pruned from the queue's getters.  Granted but not yet
+    taken (the item is its value, and the waiter was interrupted, or a
+    :class:`TimedWait`'s timer won, before it was processed), the item
+    goes to the next live getter, or back to the head of the queue.
+    """
 
     __slots__ = ("_queue",)
 
     def __init__(self, env: "Environment", queue: "Queue") -> None:
-        super().__init__(env)
+        # Event's fields set inline: one call per get, not two
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self._queue = queue
 
     def _abandon(self) -> None:
-        try:
-            self._queue._getters.remove(self)
-        except ValueError:
-            pass
+        queue = self._queue
+        if self._value is PENDING:
+            try:
+                queue._getters.remove(self)
+            except ValueError:
+                pass
+            return
+        item = self._value
+        getters = queue._getters
+        while getters:
+            getter = getters.popleft()
+            if getter._value is PENDING and getter.callbacks:
+                getter.succeed(item)
+                return
+        queue._items.appendleft(item)
 
 
 class Queue:
@@ -483,7 +507,9 @@ class Queue:
     the same per hand-off as an empty one.  Getters whose process was
     interrupted are pruned eagerly by the kernel (via
     :meth:`QueueGet._abandon`) and skipped lazily on delivery as a
-    backstop, so ``_getters`` stays bounded under chaos kill loops.
+    backstop, so ``_getters`` stays bounded under chaos kill loops.  An
+    item granted to a getter that lets go before taking it is handed on
+    by the same hook, so no item leaves with its waiter.
     """
 
     __slots__ = ("env", "capacity", "_items", "_getters")
@@ -531,13 +557,12 @@ class Queue:
 
     def get(self) -> Event:
         """Return an event that fires with the next item (FIFO)."""
+        event = QueueGet(self.env, self)
         items = self._items
         if items:
-            event = Event(self.env)
             event.succeed(items.popleft())
-            return event
-        event = QueueGet(self.env, self)
-        self._getters.append(event)
+        else:
+            self._getters.append(event)
         return event
 
     def get_nowait(self) -> Any:

@@ -158,7 +158,7 @@ class CacheSubsystem:
             self.misses += 1
             if trace is not None:
                 trace.record("cache-lookup", "cache", env._now,
-                             hit=False, no_node=True)
+                             annotations={"hit": False, "no_node": True})
             return None
         cache_node = live[placement % len(live)]
         span = None

@@ -20,23 +20,17 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.core.config import (
-    DISTILLATION_THRESHOLD_BYTES,
-    ORIGIN_BREAKER_COOLDOWN_S,
-    ORIGIN_BREAKER_SLOW_S,
-    SNSConfig,
-)
+from repro.core.config import DISTILLATION_THRESHOLD_BYTES, SNSConfig
 from repro.core.fabric import SNSFabric
 from repro.core.frontend import FrontEnd, Response
 from repro.core.manager_stub import DispatchError
 from repro.core.messages import Request
-from repro.degrade.guards import OriginUnavailable
 from repro.distillers.gif import GifDistiller
 from repro.distillers.html import HtmlMunger
 from repro.distillers.jpeg import JpegDistiller
 from repro.sim.cluster import Cluster
 from repro.sim.hashing import stable_hash
-from repro.sim.kernel import Interrupt, Timeout
+from repro.sim.kernel import Timeout
 from repro.sim.network import MBPS
 from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG, Content
 from repro.tacc.customization import (
@@ -82,29 +76,16 @@ def transend_registry() -> WorkerRegistry:
 class TranSendLogic:
     """The Service-layer request handler running inside each front end."""
 
-    def __init__(self, cluster: Cluster, config: SNSConfig,
-                 cachesys: CacheSubsystem, origin: OriginServer,
-                 profile_store: ProfileStore,
+    def __init__(self, cluster: Cluster, cachesys: CacheSubsystem,
+                 origin: OriginServer, profile_store: ProfileStore,
                  adaptation: Optional[Any] = None) -> None:
         self.cluster = cluster
-        self.config = config
         self.cachesys = cachesys
         self.origin = origin
         self.profile_store = profile_store
         #: optional AdaptationPolicy (Section 5.4): tunes distillation
         #: parameters to each client's estimated bandwidth.
         self.adaptation = adaptation
-        #: brownout controller (repro.degrade), wired by the fabric;
-        #: None = no degradation ladder on this service.
-        self.degradation: Optional[Any] = None
-        #: origin circuit breaker (repro.degrade.guards), config-gated.
-        self.origin_breaker: Optional[Any] = None
-        if config.origin_breaker_failures is not None:
-            from repro.degrade.guards import CircuitBreaker
-            self.origin_breaker = CircuitBreaker(
-                lambda: cluster.env.now,
-                config.origin_breaker_failures,
-                ORIGIN_BREAKER_COOLDOWN_S, ORIGIN_BREAKER_SLOW_S)
         self._profile_caches: Dict[str, WriteThroughCache] = {}
         #: response-path counters (the Section 3.1.8 BASE taxonomy).
         self.paths: Dict[str, int] = {}
@@ -149,18 +130,6 @@ class TranSendLogic:
         if self.adaptation is not None:
             preferences = self.adaptation.adapt(record.client_id,
                                                 preferences)
-        degraded_fidelity = (self.degradation is not None
-                             and self.degradation.fidelity_reduced)
-        if degraded_fidelity:
-            # reduced-fidelity brownout: the lowest adaptation tier,
-            # forced cluster-wide — unlike per-client adaptation this
-            # overrides even explicit user choices, because the knob
-            # exists to shed distiller load, not to please one client
-            tier = self.degradation.forced_tier
-            preferences = dict(preferences)
-            preferences["quality"] = tier.quality
-            preferences["scale"] = tier.scale
-            preferences["_degrade_forced_tier"] = tier.label
 
         # "data for which no distiller exists is passed unmodified to
         # the user"; "data under 1KB is transferred unmodified"
@@ -170,10 +139,7 @@ class TranSendLogic:
                 or not preferences.get(
                     "munge_html" if record.mime == MIME_HTML
                     else "distill_images", True)):
-            try:
-                original = yield from self._get_original(record, trace)
-            except OriginUnavailable:
-                return (yield from self._breaker_fallback(record, trace))
+            original = yield from self._get_original(record, trace)
             return self._respond("passthrough", "ok", original)
 
         # 1. is the exact distilled representation already cached?
@@ -183,25 +149,8 @@ class TranSendLogic:
         if cached is not None:
             return self._respond("cache-hit-distilled", "ok", cached)
 
-        # 1b. serve-stale brownout: any cached variant of this URL —
-        # whatever its parameters or age — beats spending a distiller
-        # slot while the ladder says the cluster is saturated
-        if self.degradation is not None \
-                and self.degradation.serve_stale_active:
-            variant = yield from self.cachesys.any_variant(
-                record.url, trace=trace)
-            if variant is not None:
-                return self._respond(
-                    "serve-stale", "degraded", variant,
-                    detail="stale variant under brownout",
-                    annotations={"degrade_level": 2,
-                                 "degrade_mode": "serve-stale"})
-
         # 2. fetch the original (cache, else Internet)
-        try:
-            original = yield from self._get_original(record, trace)
-        except OriginUnavailable:
-            return (yield from self._breaker_fallback(record, trace))
+        original = yield from self._get_original(record, trace)
 
         # 3. distill
         work = TACCRequest(
@@ -228,11 +177,6 @@ class TranSendLogic:
                                  original, detail="no distiller")
 
         self.cachesys.store(key, placement, result, variant_of=record.url)
-        if degraded_fidelity:
-            return self._respond(
-                "distilled-low-fidelity", "degraded", result,
-                annotations={"degrade_level": 1,
-                             "degrade_mode": "reduced-fidelity"})
         return self._respond("distilled", "ok", result)
 
     def _get_original(self, record: TraceRecord, trace=None):
@@ -241,41 +185,14 @@ class TranSendLogic:
         cached = yield from self.cachesys.lookup(key, placement, trace)
         if cached is not None:
             return cached
-        breaker = self.origin_breaker
-        if breaker is not None and not breaker.allow():
-            raise OriginUnavailable(record.url)
-        env = self.cluster.env
-        mark = env._now
-        try:
-            content = yield from self.origin.fetch(record, trace=trace)
-        except Interrupt:
-            raise  # the front end was killed: not an origin failure
-        except Exception:
-            if breaker is not None:
-                breaker.record(env._now - mark, ok=False)
-            raise
-        if breaker is not None:
-            breaker.record(env._now - mark, ok=True)
+        content = yield from self.origin.fetch(record, trace=trace)
         self.cachesys.store(key, placement, content)
         return content
-
-    def _breaker_fallback(self, record: TraceRecord, trace=None):
-        """Origin breaker open: a cached variant if one exists, else an
-        error — fast either way, which is the breaker's whole point."""
-        variant = yield from self.cachesys.any_variant(record.url,
-                                                       trace=trace)
-        if variant is not None:
-            return self._respond("fallback-variant", "fallback", variant,
-                                 detail="origin breaker open")
-        self.paths["origin-breaker"] = \
-            self.paths.get("origin-breaker", 0) + 1
-        return Response(status="error", path="origin-breaker",
-                        detail="origin circuit breaker open")
 
     def _respond(self, path: str, status: str, content: Content,
                  **fields: Any) -> Response:
         """Count the path and build its response (``fields``: the
-        response's ``detail`` and ``annotations``)."""
+        response's ``detail``)."""
         self.paths[path] = self.paths.get(path, 0) + 1
         return Response(status=status, path=path, content=content,
                         size_bytes=content.size, **fields)
@@ -296,6 +213,10 @@ class TranSend:
         adaptive: bool = False,
     ) -> None:
         self.config = (config or SNSConfig()).validate()
+        if self.config.origin_breaker_failures is not None:
+            raise ValueError(
+                "origin_breaker_failures is set, but only the degradable "
+                "bench service has an origin circuit breaker, not TranSend")
         self.cluster = Cluster(seed=seed)
         self.cluster.add_nodes(n_nodes)
         internet = self.cluster.add_access_link(
@@ -316,9 +237,8 @@ class TranSend:
         if adaptive:
             from repro.transend.adaptation import AdaptationPolicy
             self.adaptation = AdaptationPolicy()
-        self.logic = TranSendLogic(self.cluster, self.config,
-                                   self.cachesys, self.origin,
-                                   self.profile_store,
+        self.logic = TranSendLogic(self.cluster, self.cachesys,
+                                   self.origin, self.profile_store,
                                    adaptation=self.adaptation)
         self.fabric = SNSFabric(self.cluster, self.registry, self.config,
                                 self.logic, execute_real=real_content)

@@ -3,12 +3,12 @@
 `Interrupt` subclasses `Exception`, so an ``except Exception`` arm on
 the request path swallows the one a ``kill()`` throws into the
 component's processes unless ``except Interrupt: raise`` comes first.
-One test per arm that used to swallow it.
+One test per arm that used to swallow it, and one for the origin
+circuit breaker, which a kill in flight must leave untouched.
 """
 
 from repro.core.config import SNSConfig
 from repro.experiments._harness import build_bench_fabric
-from repro.transend.service import TranSend
 
 from tests.core.conftest import make_record
 
@@ -59,23 +59,26 @@ def test_killed_worker_stub_counts_no_failed_request():
 
 
 def test_killed_front_end_is_not_an_origin_failure():
-    """`TranSendLogic._get_original` used to record the kill of the
-    fetching front end on the origin circuit breaker — one kill opened
-    a breaker set to trip on the first failure."""
-    service = TranSend(n_nodes=8, n_cache_nodes=1, seed=3,
-                       config=SNSConfig(origin_breaker_failures=1))
-    service.start(n_frontends=1)
-    cluster = service.cluster
-    breaker = service.logic.origin_breaker
-    service.submit(make_record())
-    # the cache misses twice (distilled variant, original), then the
-    # wide-area fetch takes >= 100 ms
-    while service.cachesys.misses < 2:
+    """A front end killed while its request waits on the origin must not
+    count against the origin circuit breaker: one kill would open a
+    breaker set to trip on the first failure.  The degradable bench
+    service is the one service with a breaker."""
+    fabric = build_bench_fabric(
+        n_nodes=6, seed=3,
+        config=SNSConfig(service_backend="degradable",
+                         origin_breaker_failures=1))
+    fabric.boot(n_frontends=1, initial_workers={JPEG: 1})
+    fabric.cluster.run(until=2.0)
+    cluster = fabric.cluster
+    service = fabric.service
+    breaker = service.origin_breaker
+    fabric.submit(make_record())
+    # a cold URL: the fetch queues on the origin link for >= 250 ms
+    while service.origin_fetches == 0:
         cluster.env.step()
     cluster.run(until=cluster.env.now + 0.001)
-    assert service.origin.fetches == 0
-    service.fabric.frontends["fe0"].kill()
+    fabric.frontends["fe0"].kill()
     cluster.run(until=cluster.env.now + 1.0)
-    assert service.origin.fetches == 0          # the fetch died with it
+    assert service.originals == {}              # the fetch died with it
     assert breaker.consecutive_failures == 0
     assert breaker.state == breaker.CLOSED

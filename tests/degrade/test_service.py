@@ -3,7 +3,10 @@ cost model, level by level."""
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.core.config import SNSConfig
+from repro.core.fabric import FabricError
 from repro.degrade.guards import CircuitBreaker
 from repro.degrade.service import (
     BrownoutJpegDistiller,
@@ -15,6 +18,7 @@ from repro.sim.rng import RandomStreams
 from repro.tacc.content import Content, zero_payload
 from repro.tacc.worker import TACCRequest
 from repro.transend.adaptation import DEFAULT_TIERS
+from repro.transend.service import TranSend
 from repro.workload.trace import TraceRecord
 
 
@@ -86,6 +90,7 @@ def test_serve_stale_level_answers_from_the_stale_entry():
     assert response.path == "serve-stale"
     assert response.annotations["degrade_mode"] == "serve-stale"
     assert fabric.service.stale_served == 1
+    assert fabric.service.origin_fetches == 1  # no second fetch either
 
 
 def test_fresh_hits_stay_full_quality_under_degradation():
@@ -108,6 +113,21 @@ def test_reduced_fidelity_forces_the_brownout_tier():
     assert fabric.service.low_fidelity_served == 1
 
 
+def test_forced_tier_overrides_even_user_preferences():
+    """The reduced-fidelity rung sheds distiller load cluster-wide, so
+    its tier beats a user's explicit quality-90 profile too."""
+    responses = []
+    for level in (0, 1):
+        fabric = make_fabric(profile_backend="single")
+        fabric.profile_store.set("client0", "quality", 90)
+        fabric.service.degradation = ladder_stub(level)
+        responses.append(submit(fabric, record()))
+    full, low = responses
+    assert full.path == "distilled"
+    assert low.path == "distilled-low-fidelity"
+    assert low.size_bytes < full.size_bytes
+
+
 def test_open_breaker_converts_cold_misses_into_fast_fallbacks():
     fabric = make_fabric(origin_breaker_failures=3)
     service = fabric.service
@@ -126,6 +146,19 @@ def test_open_breaker_converts_cold_misses_into_fast_fallbacks():
 def test_breaker_absent_unless_configured():
     fabric = make_fabric()
     assert fabric.service.origin_breaker is None
+
+
+def test_degradation_refused_on_a_service_that_reads_no_rung():
+    """Only the degradable bench service reads the service rungs; a
+    controller started over any other service is refused rather than
+    left to drive front ends alone."""
+    plain = build_bench_fabric(n_nodes=4, seed=5)
+    with pytest.raises(FabricError, match="BenchService reads no ladder"):
+        plain.start_degradation()
+    transend = TranSend(n_nodes=4, n_cache_nodes=1, seed=5)
+    with pytest.raises(FabricError, match="TranSendLogic reads no ladder"):
+        transend.fabric.start_degradation()
+    assert plain.degradation is None and transend.fabric.degradation is None
 
 
 def test_works_without_a_profile_store():

@@ -18,7 +18,7 @@ from repro.sim.kernel import Environment
 def build_tracer(label="arm", offset=0.0):
     env = Environment(initial_time=offset)
     tracer = Tracer(env, label=label)
-    root = tracer.open_trace("request", url="http://x/")
+    root = tracer.open_trace("request").annotate(url="http://x/")
     env._now = offset + 0.010
     child = root.child("net", NETWORK, component="fe0")
     env._now = offset + 0.030

@@ -64,7 +64,8 @@ def test_record_captures_an_elapsed_child_in_one_call():
     env, tracer = make_tracer()
     root = tracer.open_trace("request")
     env._now = 3.0
-    span = root.record("wait", QUEUEING, start=1.0, bytes=42)
+    span = root.record("wait", QUEUEING, start=1.0,
+                       annotations={"bytes": 42})
     assert span.start == 1.0
     assert span.end == 3.0  # ends now
     assert span.annotations == {"bytes": 42}
@@ -72,7 +73,7 @@ def test_record_captures_an_elapsed_child_in_one_call():
 
 def test_annotate_chains_and_merges():
     env, tracer = make_tracer()
-    root = tracer.open_trace("request", url="http://x/")
+    root = tracer.open_trace("request").annotate(url="http://x/")
     assert root.annotate(status="ok") is root
     assert root.annotations == {"url": "http://x/", "status": "ok"}
 

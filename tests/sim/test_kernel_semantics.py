@@ -9,9 +9,11 @@ processed event, stale queue getters surviving interrupts, and
 import pytest
 
 from repro.sim.kernel import (
+    TIMED_OUT,
     Environment,
     Interrupt,
     SimulationError,
+    TimedWait,
 )
 
 
@@ -225,15 +227,48 @@ def test_all_of_with_duplicate_events_fires_once():
     assert result == {timeout: None}
 
 
-# -- interrupt racing a queue hand-off -------------------------------------
+# -- a getter let go in its grant instant hands the item on ---------------
 
 
-def test_interrupt_racing_queue_handoff_loses_item_but_not_the_sim():
+def test_interrupt_in_the_immediate_grant_instant_returns_the_item():
+    """``get()`` on a non-empty queue grants the head item at once; an
+    interrupt that lands before the grant is processed must put the item
+    back, or a one-slot pool (a node's CPU) never hands it out again."""
+    env = Environment()
+    queue = env.queue()
+    queue.put_nowait("slot")
+    log = []
+
+    def victim(env):
+        try:
+            item = yield queue.get()
+            log.append(("victim got", item))
+        except Interrupt:
+            log.append("interrupted")
+
+    def later(env):
+        item = yield queue.get()
+        log.append(("later got", item, env.now))
+
+    def scenario(env):
+        yield env.timeout(1.0)
+        proc = env.process(victim(env))
+        yield env.timeout(0)   # the victim runs and is granted the slot
+        proc.interrupt()       # URGENT: before the grant is processed
+        yield env.timeout(1.0)
+        env.process(later(env))
+
+    env.process(scenario(env))
+    env.run()
+    assert log == ["interrupted", ("later got", "slot", 2.0)]
+    assert queue.length == 0 and len(queue._getters) == 0
+
+
+def test_interrupt_racing_queue_handoff_hands_the_item_on():
     """A put hands the item to a blocked getter; before the getter's
     process resumes, it is interrupted (URGENT beats the NORMAL
-    hand-off).  The item is lost with the victim — SIGKILL semantics,
-    the sender's timeout is the detector — and the simulation must
-    neither crash nor resume the victim with the item."""
+    hand-off).  The victim is not resumed with the item, and the item
+    goes to the next live getter, else back to the head of the queue."""
     env = Environment()
     queue = env.queue()
     log = []
@@ -245,15 +280,49 @@ def test_interrupt_racing_queue_handoff_loses_item_but_not_the_sim():
         except Interrupt:
             log.append("interrupted")
 
+    def survivor(env):
+        item = yield queue.get()
+        log.append(("survivor got", item))
+
     proc = env.process(victim(env))
+    env.process(survivor(env))
 
     def scenario(env):
         yield env.timeout(1.0)
-        queue.put_nowait("the-item")  # hand-off scheduled (NORMAL)
-        proc.interrupt()              # interrupt scheduled (URGENT)
+        queue.put_nowait("first")   # to the victim (NORMAL)
+        queue.put_nowait("second")  # to the survivor
+        proc.interrupt()            # URGENT: the victim lets go of "first"
+        yield env.timeout(1.0)
+        queue.put_nowait("third")
 
     env.process(scenario(env))
     env.run()
-    assert log == ["interrupted"]
-    assert queue.length == 0  # the in-flight hand-off died with the victim
+    # the survivor was granted "second" before "first" came back, so
+    # "first" waits at the head of the queue, ahead of "third"
+    assert log == ["interrupted", ("survivor got", "second")]
+    assert list(queue._items) == ["first", "third"]
+    assert len(queue._getters) == 0
+
+
+def test_timed_get_whose_timer_wins_the_grant_instant_keeps_the_item():
+    """A put at the deadline's instant grants the item to a timed get;
+    the timer, a heap entry due now, is processed before the grant in
+    the normal lane and abandons the get.  The item goes back."""
+    env = Environment()
+    queue = env.queue()
+    log = []
+
+    def putter(env):
+        yield env.timeout(5.0)      # scheduled before the deadline timer
+        queue.put_nowait("the-item")
+
+    def waiter(env):
+        outcome = yield TimedWait(env, queue.get(), 5.0)
+        log.append("timed out" if outcome is TIMED_OUT else outcome)
+
+    env.process(putter(env))
+    env.process(waiter(env))
+    env.run()
+    assert log == ["timed out"]
+    assert list(queue._items) == ["the-item"]
     assert len(queue._getters) == 0

@@ -181,6 +181,9 @@ REMOVED_PARAMETERS = (
     ("repro.obs.trace", "Tracer", "max_traces"),
     ("repro.obs.trace", "install_tracer", "max_traces"),
     ("repro.obs.trace", "Span.finish", "end"),
+    ("repro.obs.trace", "Span.record", "end"),
+    ("repro.obs.trace", "Tracer.open_trace", "annotations"),
+    ("repro.obs.trace", "Tracer.open_aux_trace", "category"),
     ("repro.analysis.metrics", "yield_recovery_time", "target"),
     ("repro.analysis.reporting", "render_series", "width"),
     ("repro.services.rewebber", "rewebber_keypair", "secret"),

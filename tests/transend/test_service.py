@@ -98,6 +98,13 @@ def test_user_can_disable_distillation():
     assert response.path == "passthrough"
 
 
+def test_origin_breaker_setting_is_refused():
+    """TranSend has no origin circuit breaker; a config that asks for
+    one is refused, naming the field, instead of being ignored."""
+    with pytest.raises(ValueError, match="origin_breaker_failures"):
+        make_transend(config=fast_config(origin_breaker_failures=2))
+
+
 def test_preference_validation_enforced():
     transend = make_transend().start()
     with pytest.raises(TransactionError):
