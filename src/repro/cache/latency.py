@@ -18,7 +18,7 @@ are.
 
 from __future__ import annotations
 
-from repro.domains import at_least, check_args, positive
+from repro.domains import between, check_args, positive
 from repro.sim.rng import Stream
 
 #: Measured constants from Section 4.4.
@@ -26,56 +26,41 @@ TCP_OVERHEAD_S = 0.015
 MEAN_HIT_S = 0.027
 MISS_MIN_S = 0.100
 MISS_MAX_S = 100.0
+#: the exponential remainder's rate: the `1.0 / mean` that
+#: `Stream.exponential(mean)` would divide out on every draw
+HIT_RATE = 1.0 / (MEAN_HIT_S - TCP_OVERHEAD_S)
 
 
 class HarvestLatencyModel:
     """Draws hit service times and miss penalties.
 
-    The parameters are checked and the rates fixed here, once: a draw is
-    one bound call into the stream (callers on the request path bind
-    :meth:`hit_time` / :meth:`miss_penalty` themselves), and the
-    parameters are not to be reassigned afterwards.
+    A hit is the measured TCP overhead plus an exponential remainder; a
+    miss is a Pareto draw from ``miss_min_s`` clamped at ``MISS_MAX_S``.
+    The parameters are checked here, once: a draw is one bound call
+    into the stream (callers on the request path bind :meth:`hit_time`
+    / :meth:`miss_penalty` themselves), and the parameters are not to
+    be reassigned afterwards.
     """
 
-    #: the domain of each parameter; the hit time must also exceed the
-    #: TCP overhead, and the miss range must not be empty.
-    DOMAINS = {"mean_hit_s": positive(), "tcp_overhead_s": at_least(0),
-               "miss_min_s": positive(), "miss_max_s": positive(),
+    #: the domain of each parameter; the miss range must not be empty
+    DOMAINS = {"miss_min_s": between(0, MISS_MAX_S, lo_open=True),
                "miss_alpha": positive()}
 
-    def __init__(self, rng: Stream,
-                 mean_hit_s: float = MEAN_HIT_S,
-                 tcp_overhead_s: float = TCP_OVERHEAD_S,
-                 miss_min_s: float = MISS_MIN_S,
-                 miss_max_s: float = MISS_MAX_S,
+    def __init__(self, rng: Stream, miss_min_s: float = MISS_MIN_S,
                  miss_alpha: float = 1.1) -> None:
-        check_args(self.DOMAINS, mean_hit_s=mean_hit_s,
-                   tcp_overhead_s=tcp_overhead_s, miss_min_s=miss_min_s,
-                   miss_max_s=miss_max_s, miss_alpha=miss_alpha)
-        if mean_hit_s <= tcp_overhead_s:
-            raise ValueError(f"mean_hit_s={mean_hit_s!r} must exceed "
-                             f"tcp_overhead_s={tcp_overhead_s!r}")
-        if miss_max_s < miss_min_s:
-            raise ValueError(f"miss_max_s={miss_max_s!r} must be >= "
-                             f"miss_min_s={miss_min_s!r}")
-        self.mean_hit_s = mean_hit_s
-        self.tcp_overhead_s = tcp_overhead_s
+        check_args(self.DOMAINS, miss_min_s=miss_min_s,
+                   miss_alpha=miss_alpha)
         self.miss_min_s = miss_min_s
-        self.miss_max_s = miss_max_s
         self.miss_alpha = miss_alpha
-        #: the exponential remainder's rate: the `1.0 / mean` that
-        #: `Stream.exponential(mean)` would divide out on every draw
-        self._hit_rate = 1.0 / (mean_hit_s - tcp_overhead_s)
         self._expovariate = rng.expovariate_draw()
         self._paretovariate = rng.paretovariate_draw()
 
     def hit_time(self) -> float:
         """Service time for a cache hit (seconds)."""
-        return self.tcp_overhead_s + self._expovariate(self._hit_rate)
+        return TCP_OVERHEAD_S + self._expovariate(HIT_RATE)
 
     def miss_penalty(self) -> float:
         """Time to fetch the object from the Internet (seconds)."""
         penalty = self.miss_min_s * self._paretovariate(self.miss_alpha)
-        miss_max_s = self.miss_max_s
-        # min(penalty, miss_max_s), as a comparison
-        return miss_max_s if miss_max_s < penalty else penalty
+        # min(penalty, MISS_MAX_S), as a comparison
+        return MISS_MAX_S if MISS_MAX_S < penalty else penalty

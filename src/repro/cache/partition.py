@@ -26,9 +26,6 @@ class ModHashPartitioner:
     def __init__(self, nodes: Sequence[str] = ()) -> None:
         self._nodes: List[str] = list(nodes)
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def add_node(self, node: str) -> None:
         if node in self._nodes:
             raise PartitionError(f"node {node!r} already present")

@@ -33,9 +33,9 @@ The rule holds for every defaulted function and constructor parameter
 in ``src/repro`` as well, and ``tools/reachability.py`` checks it: the
 parameter section of ``tools/reachability.txt`` lists each one no
 shipped entry point sets to a second value, and each either becomes a
-constant beside its reader or keeps a reason from a closed set (paper
-content behind a test-only switch, deployment setting, test seam,
-checked domain).
+constant beside its reader or keeps a reason from a closed set of
+three: paper content behind a test-only switch, deployment setting,
+test seam.
 """
 
 from __future__ import annotations

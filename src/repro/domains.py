@@ -125,10 +125,9 @@ def at_least(lo: float, optional: bool = False) -> Number:
     return Number(lo, optional=optional)
 
 
-def count(least: int, most: Optional[int] = None,
-          optional: bool = False) -> Number:
-    """An ``int`` (not a ``bool``) in ``[least, most]``."""
-    return Number(least, most, integer=True, optional=optional)
+def count(least: int, optional: bool = False) -> Number:
+    """An ``int`` (not a ``bool``) ``>= least``."""
+    return Number(least, integer=True, optional=optional)
 
 
 def between(lo: float, hi: float, *, lo_open: bool = False,

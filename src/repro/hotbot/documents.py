@@ -13,7 +13,7 @@ from array import array
 from collections import Counter
 from typing import Iterable, Iterator, List, Tuple
 
-from repro.domains import at_least, between, check_args, count
+from repro.domains import check_args, count
 from repro.sim.rng import RandomStreams, Stream
 
 
@@ -64,6 +64,14 @@ class Document:
 
 #: the Zipf skew of the terms users query with
 QUERY_ZIPF_ALPHA = 1.05
+#: terms in the vocabulary: a rank column is an ``array('H')``, so at
+#: most 65536
+VOCABULARY_SIZE = 2000
+#: a document's mean length in terms (lognormal; a frequency column
+#: counts to 65535)
+MEAN_LENGTH = 80
+#: the Zipf skew of the terms documents are written with
+TERM_ZIPF_ALPHA = 1.05
 
 
 class Corpus:
@@ -78,25 +86,18 @@ class Corpus:
     (:meth:`document`, iteration) for the callers that want one.
     """
 
-    #: argument domains: a rank column holds at most 65536 terms and a
-    #: frequency column counts to 65535, so a document's mean length
-    #: stays within 16 bits too
-    DOMAINS = {"n_docs": count(1), "vocabulary_size": count(1, 1 << 16),
-               "mean_length": between(0, 1 << 16, lo_open=True),
-               "zipf_alpha": at_least(0)}
+    #: argument domains
+    DOMAINS = {"n_docs": count(1)}
+    #: read by the query drivers, which draw terms by rank
+    vocabulary_size = VOCABULARY_SIZE
 
-    def __init__(self, n_docs: int = 2000, vocabulary_size: int = 2000,
-                 seed: int = 1997, mean_length: int = 80,
-                 zipf_alpha: float = 1.05) -> None:
-        check_args(self.DOMAINS, n_docs=n_docs,
-                   vocabulary_size=vocabulary_size,
-                   mean_length=mean_length, zipf_alpha=zipf_alpha)
+    def __init__(self, n_docs: int = 2000, seed: int = 1997) -> None:
+        check_args(self.DOMAINS, n_docs=n_docs)
         self.n_docs = n_docs
-        self.vocabulary_size = vocabulary_size
         self.seed = seed
         #: rank -> term; a corpus names ~80 terms per document, so the
         #: strings are made once and not once per occurrence
-        self.term_names = [f"w{rank}" for rank in range(vocabulary_size)]
+        self.term_names = [f"w{rank}" for rank in range(VOCABULARY_SIZE)]
         #: doc id -> url, made once and shared with every index and the
         #: front end's result pages
         self.urls = [f"http://crawl.example/page{doc_id}"
@@ -106,17 +107,17 @@ class Corpus:
         self.offsets = array("i", [0])
         # a document's terms go in name order; sorting each document's
         # ranks by their place in that order sorts ints, not strings
-        by_name = sorted(range(vocabulary_size),
+        by_name = sorted(range(VOCABULARY_SIZE),
                          key=self.term_names.__getitem__)
-        place = [0] * vocabulary_size
+        place = [0] * VOCABULARY_SIZE
         for position, rank in enumerate(by_name):
             place[rank] = position
         rng = RandomStreams(seed).stream("corpus")
         for _ in range(n_docs):
-            length = max(5, int(rng.lognormal_mean(mean_length, 0.6)))
+            length = max(5, int(rng.lognormal_mean(MEAN_LENGTH, 0.6)))
             # the same stream positions as `length` zipf_rank() calls
             counts = Counter(map(place.__getitem__, rng.zipf_rank_batch(
-                vocabulary_size, zipf_alpha, length)))
+                VOCABULARY_SIZE, TERM_ZIPF_ALPHA, length)))
             places = sorted(counts)
             self.ranks.extend(map(by_name.__getitem__, places))
             self.frequencies.extend(map(counts.__getitem__, places))

@@ -22,12 +22,13 @@ from array import array
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.lru import LRUCache
-from repro.domains import check_args, count
 from repro.hotbot.index import Ranked
 
 #: how deep a result list the cache stores per query: one scatter-gather
 #: can serve this many pages of incremental delivery.
-DEFAULT_CACHE_DEPTH = 100
+CACHE_DEPTH = 100
+#: the LRU's byte budget
+CAPACITY_BYTES = 4_000_000
 #: nominal bytes per cached hit, for the LRU byte budget.
 HIT_BYTES = 96
 
@@ -40,16 +41,11 @@ def normalize_query(terms: Sequence[str]) -> Tuple[str, ...]:
 class QueryCache:
     """LRU of deep result lists keyed by normalized query."""
 
-    #: argument domains (a fractional or NaN depth never serves a
-    #: page); the capacity is the LRU's, which checks it
-    DOMAINS = {"capacity_bytes": LRUCache.DOMAINS["capacity_bytes"],
-               "depth": count(1)}
+    #: read by the front end, which fetches a list this deep on a miss
+    depth = CACHE_DEPTH
 
-    def __init__(self, capacity_bytes: int = 4_000_000,
-                 depth: int = DEFAULT_CACHE_DEPTH) -> None:
-        check_args(self.DOMAINS, depth=depth)
-        self._store = LRUCache(capacity_bytes)
-        self.depth = depth
+    def __init__(self) -> None:
+        self._store = LRUCache(CAPACITY_BYTES)
         self.incremental_hits = 0
 
     def get_page_by_key(self, key: Tuple[str, ...], offset: int,

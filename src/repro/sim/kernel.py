@@ -396,6 +396,16 @@ class Condition(Event):
                 _detach(ev, check)
         self._events = ()
 
+    def _abandon(self) -> None:
+        # nobody waits any more: let go of each get still held, so its
+        # item is handed on (QueueGet._abandon); other events keep their
+        # schedule
+        if self._value is PENDING:
+            check = self._check
+            for ev in self._events:
+                if isinstance(ev, QueueGet) and ev.callbacks is not None:
+                    _detach(ev, check)
+
 
 class TimedWait(Event):
     """``event``'s outcome, or :data:`TIMED_OUT` if ``delay`` elapses first.
@@ -409,7 +419,8 @@ class TimedWait(Event):
     ``event`` wins, the wait takes its value or exception and *cancels*
     the timer, which nobody else can hold: it never becomes an instant
     and is compacted out of the heap (:meth:`Environment._compact`).
-    An interrupted waiter tears nothing down.
+    An interrupted waiter tears nothing down, except that a wait over a
+    :meth:`Queue.get` lets go of the get, so the item is not lost.
     """
 
     __slots__ = ("_event", "_timer")
@@ -448,7 +459,18 @@ class TimedWait(Event):
         env._normal.append(self)
         # after the wait is scheduled, as a fired Condition releases: a
         # get granted in this instant hands its item on behind the wait
-        _detach(self._event, self._on_event)
+        # (one the wait let go of may have been processed since)
+        event = self._event
+        if event.callbacks is not None:
+            _detach(event, self._on_event)
+
+    def _abandon(self) -> None:
+        # nobody waits any more: let go of a get, so its item is handed
+        # on (QueueGet._abandon); the timer stays armed, and a wait over
+        # any other event keeps its schedule
+        event = self._event
+        if self._value is PENDING and isinstance(event, QueueGet):
+            _detach(event, self._on_event)
 
 
 class QueueFull(SimulationError):

@@ -13,8 +13,7 @@ Section 3.1.3); the other is timeouts, which callers implement with
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Optional
 
 from repro.sim.kernel import PENDING, Environment, Event, Queue
 from repro.sim.network import Network
@@ -36,7 +35,6 @@ class Endpoint:
         self.channel = channel
         self.name = name
         self._inbox: Queue = channel.env.queue()
-        self._waiters: Deque[Event] = deque()
         self.peer: Optional["Endpoint"] = None  # set by Channel
         # earliest time the next message may arrive: keeps the stream
         # FIFO even when the fault model jitters individual deliveries
@@ -79,39 +77,29 @@ class Endpoint:
     def _deliver(self, event: Event) -> None:
         if not self.channel.open:
             return  # lost in flight when the connection broke
-        message = event._value
-        peer = self.peer
-        assert peer is not None
-        waiters = peer._waiters
-        while waiters:
-            waiter = waiters.popleft()
-            if waiter._value is not PENDING or not waiter.callbacks:
-                continue
-            waiter.succeed(message)
-            return
-        peer._inbox.put_nowait(message)
+        # to the first live receive, else into the inbox
+        self.peer._inbox.put_nowait(event._value)
 
     def recv(self) -> Event:
         """Event for the next message; fails with :class:`ChannelClosed`
         when the connection breaks (after any already-delivered messages
-        are drained)."""
-        event = Event(self.channel.env)
-        if self._inbox.length:
-            event.succeed(self._inbox.get_nowait())
-        elif not self.channel.open:
-            event.fail(ChannelClosed(self.channel.describe()))
-        else:
-            self._waiters.append(event)
-        return event
+        are drained).  A receive is the inbox's ``get()``, so a receiver
+        let go of before it takes its message hands the message on."""
+        inbox = self._inbox
+        if not inbox._items and not self.channel.open:
+            return Event(self.channel.env).fail(
+                ChannelClosed(self.channel.describe()))
+        return inbox.get()
 
     def _break(self) -> None:
-        for waiter in self._waiters:
-            # Skip waiters whose process was interrupted (no callbacks
-            # remain): failing an unobserved event would surface the
-            # ChannelClosed as an unhandled simulation error.
-            if not waiter.triggered and waiter.callbacks:
-                waiter.fail(ChannelClosed(self.channel.describe()))
-        self._waiters.clear()
+        getters = self._inbox._getters
+        while getters:
+            getter = getters.popleft()
+            # a receive whose process was interrupted has let go
+            # already; failing it would surface the ChannelClosed as an
+            # unhandled simulation error
+            if getter._value is PENDING and getter.callbacks:
+                getter.fail(ChannelClosed(self.channel.describe()))
 
 
 class Channel:

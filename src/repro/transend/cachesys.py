@@ -30,7 +30,6 @@ from typing import Dict, List, Optional
 
 from repro.cache.latency import HarvestLatencyModel
 from repro.cache.lru import LRUCache
-from repro.cache.partition import ModHashPartitioner
 from repro.core.component import Component
 from repro.sim.cluster import Cluster
 from repro.sim.hashing import PartitionError, stable_hash
@@ -92,7 +91,6 @@ class CacheNode(Component):
         # paper), at the moment the membership changes
         cachesys = self.cachesys
         del cachesys.nodes[self.name]
-        cachesys.partitioner.remove_node(self.name)
         cachesys.live = list(cachesys.nodes.values())
 
 
@@ -103,13 +101,11 @@ class CacheSubsystem:
         self.cluster = cluster
         self.latency = HarvestLatencyModel(
             cluster.streams.stream("cache-latency"))
-        self.partitioner = ModHashPartitioner()
         self.nodes: Dict[str, CacheNode] = {}
-        #: the live nodes in the partitioner's order, so
-        #: ``live[placement % len(live)]`` is the node
-        #: ``partitioner.locate(key)`` names; written only by
-        #: :meth:`add_node` and a node's crash hook, with ``nodes`` and
-        #: the partitioner
+        #: the live nodes in the order they were added, so
+        #: ``live[placement % len(live)]`` is hash(key) mod N; written
+        #: only by :meth:`add_node` and a node's crash hook, with
+        #: ``nodes``
         self.live: List[CacheNode] = []
         #: url -> {cache key: its placement} for the distilled variants
         #: of it (supports the "somewhat different version" approximate
@@ -133,7 +129,6 @@ class CacheSubsystem:
                                self)
         cache_node.start()
         self.nodes[name] = cache_node
-        self.partitioner.add_node(name)
         self.live = list(self.nodes.values())
         return cache_node
 

@@ -422,21 +422,18 @@ class TraceGenerator:
         return Trace.of_chunks(self._buckets(duration_s))
 
 
+#: the Section 4.6 fixed-JPEG workload: how many distinct images it
+#: cycles over, each image's size (~10 KB) and how many clients ask
+FIXED_JPEG_IMAGES = 50
+FIXED_JPEG_SIZE_BYTES = 10240
+FIXED_JPEG_CLIENTS = 100
 #: the domain of each argument of :func:`iter_fixed_jpeg_trace` (a NaN
 #: rate used to give NaN timestamps)
-FIXED_JPEG_DOMAINS = {"rate_rps": positive(), "n_requests": count(0),
-                      "n_images": count(1), "image_size_bytes": count(0),
-                      "n_clients": count(1)}
+FIXED_JPEG_DOMAINS = {"rate_rps": positive(), "n_requests": count(0)}
 
 
-def iter_fixed_jpeg_trace(
-    rate_rps: float,
-    n_requests: int,
-    n_images: int = 50,
-    image_size_bytes: int = 10240,
-    seed: int = 1997,
-    n_clients: int = 100,
-) -> Iterator[TraceRecord]:
+def iter_fixed_jpeg_trace(rate_rps: float, n_requests: int,
+                          seed: int = 1997) -> Iterator[TraceRecord]:
     """Stream exactly ``n_requests`` of the Section 4.6 fixed-JPEG
     workload (Poisson arrivals at ``rate_rps``), one record at a time.
 
@@ -449,14 +446,12 @@ def iter_fixed_jpeg_trace(
     precomputed and the inter-arrival gaps are batch-sampled, but the
     underlying RNG sequence is unchanged.
     """
-    check_args(FIXED_JPEG_DOMAINS, rate_rps=rate_rps, n_requests=n_requests,
-               n_images=n_images, image_size_bytes=image_size_bytes,
-               n_clients=n_clients)
+    check_args(FIXED_JPEG_DOMAINS, rate_rps=rate_rps, n_requests=n_requests)
     rng = RandomStreams(seed).stream("fixed-jpeg")
     mean_gap = 1.0 / rate_rps
     urls = [f"http://bench.example/img{index}.jpg"
-            for index in range(n_images)]
-    clients = [f"client{index}" for index in range(n_clients)]
+            for index in range(FIXED_JPEG_IMAGES)]
+    clients = [f"client{index}" for index in range(FIXED_JPEG_CLIENTS)]
     make = TraceRecord
     batch = rng.exponential_batch
     chunk_size = 8192
@@ -468,9 +463,9 @@ def iter_fixed_jpeg_trace(
             t += gap
             yield make(
                 t,
-                clients[index % n_clients],
-                urls[index % n_images],
+                clients[index % FIXED_JPEG_CLIENTS],
+                urls[index % FIXED_JPEG_IMAGES],
                 MIME_JPEG,
-                image_size_bytes,
+                FIXED_JPEG_SIZE_BYTES,
             )
             index += 1

@@ -18,7 +18,9 @@ import tracemalloc
 import pytest
 
 from repro.chaos.campaign import CrashSearchNode, Faults
-from repro.hotbot.documents import QUERY_ZIPF_ALPHA, Corpus, Document
+from repro.hotbot.documents import (MEAN_LENGTH, QUERY_ZIPF_ALPHA,
+                                    TERM_ZIPF_ALPHA, VOCABULARY_SIZE,
+                                    Corpus, Document)
 from repro.hotbot.index import InvertedIndex, Vocabulary, idf_table
 from repro.hotbot.partition import PartitionMap
 from repro.hotbot.service import HotBot, HotBotConfig
@@ -31,14 +33,13 @@ SEEDS = (1997, 2026, 7)
 
 # -- corpus ----------------------------------------------------------------------
 
-def reference_document(rng, doc_id, vocabulary_size=2000, mean_length=80,
-                       zipf_alpha=1.05):
+def reference_document(rng, doc_id):
     """One document, one `zipf_rank` call and one f-string per term
     occurrence: the generator `Corpus` had before it drew in batches."""
-    length = max(5, int(rng.lognormal_mean(mean_length, 0.6)))
+    length = max(5, int(rng.lognormal_mean(MEAN_LENGTH, 0.6)))
     counts = {}
     for _ in range(length):
-        term = f"w{rng.zipf_rank(vocabulary_size, zipf_alpha)}"
+        term = f"w{rng.zipf_rank(VOCABULARY_SIZE, TERM_ZIPF_ALPHA)}"
         counts[term] = counts.get(term, 0) + 1
     return Document(doc_id=doc_id,
                     url=f"http://crawl.example/page{doc_id}",
@@ -54,19 +55,18 @@ def test_batch_corpus_equals_per_draw_reference(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batch_corpus_leaves_the_stream_where_the_reference_does(seed):
-    """Each document starts where the reference's does, at another
-    vocabulary and length too: a corpus one document longer holds the
-    same first fifty and then the reference's fifty-first."""
+    """Each document starts where the reference's does: a corpus one
+    document longer holds the same first fifty and then the reference's
+    fifty-first."""
     reference_rng = RandomStreams(seed).stream("corpus")
-    expected = [reference_document(reference_rng, doc_id, 300, 40)
+    expected = [reference_document(reference_rng, doc_id)
                 for doc_id in range(51)]
     for n_docs in (50, 51):
-        assert list(Corpus(n_docs=n_docs, vocabulary_size=300, seed=seed,
-                           mean_length=40)) == expected[:n_docs]
+        assert list(Corpus(n_docs=n_docs, seed=seed)) == expected[:n_docs]
 
 
 def test_the_columns_are_one_sparse_row_per_document():
-    corpus = Corpus(n_docs=300, vocabulary_size=700, seed=5)
+    corpus = Corpus(n_docs=300, seed=5)
     offsets = list(corpus.offsets)
     assert offsets[0] == 0 and offsets == sorted(offsets)
     assert len(offsets) == len(corpus) + 1
@@ -82,8 +82,7 @@ def test_the_columns_are_one_sparse_row_per_document():
     for doc_id in (-1, len(corpus)):
         with pytest.raises(IndexError):
             corpus.document(doc_id)
-    with pytest.raises(ValueError, match="65536"):
-        Corpus(n_docs=1, vocabulary_size=65537)
+    assert VOCABULARY_SIZE <= 1 << 16   # a rank fits its 'H' column
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.0, 0.5])
@@ -91,16 +90,16 @@ def test_vocabulary_sample_equals_per_draw_reference(alpha):
     """The batch Zipf draw under `vocabulary_sample` matches the
     per-draw one at several skews; the sample itself is drawn at
     QUERY_ZIPF_ALPHA."""
-    corpus = Corpus(n_docs=1, vocabulary_size=700, seed=3)
+    corpus = Corpus(n_docs=1, seed=3)
     batch_rng = RandomStreams(11).stream("queries")
     reference_rng = RandomStreams(11).stream("queries")
     if alpha == QUERY_ZIPF_ALPHA:
         batch = corpus.vocabulary_sample(batch_rng, 200)
     else:
         batch = [corpus.term_names[rank] for rank
-                 in batch_rng.zipf_rank_batch(700, alpha, 200)]
-    assert batch \
-        == [f"w{reference_rng.zipf_rank(700, alpha)}" for _ in range(200)]
+                 in batch_rng.zipf_rank_batch(VOCABULARY_SIZE, alpha, 200)]
+    assert batch == [f"w{reference_rng.zipf_rank(VOCABULARY_SIZE, alpha)}"
+                     for _ in range(200)]
     assert batch_rng.random() == reference_rng.random()
 
 
@@ -204,7 +203,7 @@ def test_index_footprint_stays_in_budget():
 
 @pytest.fixture(scope="module")
 def corpus():
-    return Corpus(n_docs=240, vocabulary_size=400, seed=2026)
+    return Corpus(n_docs=240, seed=2026)
 
 
 @pytest.fixture(scope="module")

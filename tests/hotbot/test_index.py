@@ -32,7 +32,7 @@ from tests.hotbot.reference import (
 
 @pytest.fixture(scope="module")
 def corpus():
-    return Corpus(n_docs=300, vocabulary_size=500, seed=5)
+    return Corpus(n_docs=300, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -201,10 +201,10 @@ def corpus_of(documents):
 
 
 def tie_prone_corpus(seed):
-    """A small vocabulary and short documents make equal scores
-    common, so the doc-id tie-break is exercised."""
-    return Corpus(n_docs=120, vocabulary_size=40, seed=seed,
-                  mean_length=12)
+    """Documents that hold a term equally often score it alike (tf-idf,
+    no length norm), so equal scores are common and the doc-id
+    tie-break is exercised."""
+    return Corpus(n_docs=120, seed=seed)
 
 
 def df_of(corpus):
@@ -595,7 +595,7 @@ def test_partition_map_validates(corpus):
 def test_merge_invariant_any_partitioning(n_partitions, seed):
     """Property: for any random partitioning, merged scatter-gather
     equals the global answer."""
-    corpus = Corpus(n_docs=60, vocabulary_size=100, seed=7)
+    corpus = Corpus(n_docs=60, seed=7)
     rng = RandomStreams(seed).stream("pm")
     partition_map = PartitionMap(corpus, [1.0] * n_partitions, rng)
     terms = ["w3", "w8"]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.chaos.campaign import CrashSearchNode, Faults
 from repro.hotbot import index as index_module
-from repro.hotbot.query_cache import QueryCache, normalize_query
+from repro.hotbot.query_cache import (CAPACITY_BYTES, HIT_BYTES, QueryCache,
+                                      normalize_query)
 from repro.hotbot.service import TOP_K, HotBot, HotBotConfig
 
 
@@ -34,7 +35,7 @@ def test_miss_then_hit():
 
 
 def test_incremental_delivery_pages_from_one_fetch():
-    cache = QueryCache(depth=50)
+    cache = QueryCache()
     cache.store_by_key(("a",), hits(50))
     page2 = cache.get_page_by_key(("a",), 10, 10)
     assert [doc_id for _, doc_id in page2] == list(range(10, 20))
@@ -42,7 +43,7 @@ def test_incremental_delivery_pages_from_one_fetch():
 
 
 def test_shallow_cached_list_misses_deep_pages():
-    cache = QueryCache(depth=100)
+    cache = QueryCache()
     cache.store_by_key(("a",), hits(100))
     # asking past the cached depth cannot be served
     assert cache.get_page_by_key(("a",), 95, 10) is None
@@ -50,7 +51,7 @@ def test_shallow_cached_list_misses_deep_pages():
 
 def test_exhausted_result_list_serves_any_page():
     """A query with only 7 total results: page 2 is validly empty."""
-    cache = QueryCache(depth=100)
+    cache = QueryCache()
     cache.store_by_key(("rare",), hits(7))
     assert cache.get_page_by_key(("rare",), 0, 10) == hits(7)[:10]
     assert cache.get_page_by_key(("rare",), 10, 10) == []
@@ -59,18 +60,21 @@ def test_exhausted_result_list_serves_any_page():
 def test_validation():
     cache = QueryCache()
     with pytest.raises(ValueError):
-        QueryCache(depth=0)
-    with pytest.raises(ValueError):
         cache.get_page_by_key(("a",), -1, 10)
     with pytest.raises(ValueError):
         cache.get_page_by_key(("a",), 0, 0)
 
 
 def test_lru_eviction_by_bytes():
-    cache = QueryCache(capacity_bytes=96 * 60)  # room for ~60 hits
-    cache.store_by_key(("a",), hits(50))
-    cache.store_by_key(("b",), hits(50))  # evicts a
-    assert cache.get_page_by_key(("a",), 0, 10) is None
+    cache = QueryCache()
+    room = CAPACITY_BYTES // (HIT_BYTES * 100)  # hundred-deep lists
+    for query in range(room):
+        cache.store_by_key((f"w{query}",), hits(100))
+    assert cache.get_page_by_key(("w0",), 0, 10) is not None
+    # w0 was read last: the next store evicts w1, the least recent
+    cache.store_by_key(("b",), hits(100))
+    assert cache.get_page_by_key(("w1",), 0, 10) is None
+    assert cache.get_page_by_key(("w0",), 0, 10) is not None
     assert cache.get_page_by_key(("b",), 0, 10) is not None
 
 
@@ -113,16 +117,15 @@ def collated(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ranked=collated(), depth=st.integers(1, 160),
+@given(ranked=collated(),
        pages=st.lists(st.tuples(st.integers(0, 170), st.integers(1, 40)),
                       min_size=1, max_size=6))
-def test_the_columns_page_exactly_as_slicing_the_list(ranked, depth,
-                                                      pages):
+def test_the_columns_page_exactly_as_slicing_the_list(ranked, pages):
     """A cached list is two typed columns, not the list: every page
     (or miss) equals the list slice, each score to the bit, and the
     incremental hits are counted alike."""
-    cache = QueryCache(depth=depth)
-    reference = ListSlicingCache(depth)
+    cache = QueryCache()
+    reference = ListSlicingCache(cache.depth)
     cache.store_by_key(("q",), list(ranked))
     reference.store_by_key(("q",), ranked)
     for offset, k in pages:
@@ -152,7 +155,7 @@ def test_query_cache_footprint_stays_in_budget():
     inside the measurement, as `collate` makes them, and given up to
     the cache."""
     keys = [(f"w{query}",) for query in range(300)]
-    cache = QueryCache(capacity_bytes=10 ** 9)
+    cache = QueryCache()   # room for every list
     gc.collect()
     tracemalloc.start()
     try:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.cluster import Cluster
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, Interrupt
 from repro.sim.multicast import MAILBOX_CAPACITY, MulticastBus, MulticastGroup
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
@@ -226,6 +226,39 @@ def test_in_flight_message_lost_on_close():
     env.process(scenario(env))
     env.run()
     assert got == ["closed"]
+
+
+def test_a_receive_let_go_in_its_grant_instant_hands_the_message_on():
+    """A message already in the inbox is granted at once; a receiver
+    interrupted before that grant is processed leaves it for the next
+    receive."""
+    env = Environment()
+    network = Network(env, bandwidth_bps=1e9)
+    channel = Channel(env, network, "a", "b")
+    a, b = channel.a, channel.b
+    got = []
+
+    def victim(env):
+        try:
+            got.append((yield b.recv()))
+        except Interrupt:
+            got.append("interrupted")
+
+    def later(env):
+        got.append(((yield b.recv()), env.now))
+
+    def scenario(env):
+        a.send("msg")
+        yield env.timeout(1.0)  # it has arrived
+        receiver = env.process(victim(env))
+        yield env.timeout(0)    # the victim runs and is granted "msg"
+        receiver.interrupt()    # URGENT: before the grant is processed
+        yield env.timeout(1.0)
+        env.process(later(env))
+
+    env.process(scenario(env))
+    env.run()
+    assert got == ["interrupted", ("msg", 2.0)]
 
 
 def test_connect_pays_setup_cost():

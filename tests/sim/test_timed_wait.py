@@ -287,6 +287,38 @@ def test_an_interrupted_waiter_tears_nothing_down():
     assert env._seq == before + 2  # the reply's tick and the wait's
 
 
+@pytest.mark.parametrize("wait", [timed_wait, composed_wait])
+def test_an_interrupted_wait_over_a_get_hands_the_item_on(wait):
+    """Nobody waits on the wait any more, so it lets go of its get: the
+    next put goes to a live getter, or stays queued for one."""
+    env = Environment()
+    queue = env.queue()
+    log = []
+
+    def waiter():
+        try:
+            yield from wait(env, queue.get(), 10.0)
+        except Interrupt:
+            log.append("interrupted")
+
+    def later():
+        log.append(((yield queue.get()), env.now))
+
+    def scenario():
+        process = env.process(waiter())
+        yield env.timeout(1.0)
+        process.interrupt()
+        yield env.timeout(1.0)
+        queue.put_nowait("item")
+        yield env.timeout(1.0)
+        env.process(later())
+
+    env.process(scenario())
+    env.run()
+    assert log == ["interrupted", ("item", 3.0)]
+    assert not queue._getters and len(queue) == 0
+
+
 # -- unobservable --------------------------------------------------------------------
 
 def cancelled_and_live():

@@ -147,6 +147,7 @@ REMOVED_PARAMETERS = (
     ("repro.distillers.base", "DistillerLatencyModel", "noise_sigma"),
     ("repro.distillers.images", "photo_sized_for", "max_iterations"),
     ("repro.domains", "finite", "optional"),
+    ("repro.domains", "count", "most"),
     ("repro.dstore.cluster", "BrickCluster", "n_bricks"),
     ("repro.dstore.cluster", "BrickCluster", "replicas"),
     ("repro.dstore.cluster", "BrickCluster", "n_partitions"),
@@ -172,6 +173,14 @@ REMOVED_PARAMETERS = (
     ("repro.experiments.policy_sweep", "run_policy_arm", "image_bytes"),
     ("repro.experiments.policy_sweep", "run_policy_arm", "inject_fraction"),
     ("repro.hotbot.documents", "Corpus.vocabulary_sample", "alpha"),
+    ("repro.hotbot.documents", "Corpus", "vocabulary_size"),
+    ("repro.hotbot.documents", "Corpus", "mean_length"),
+    ("repro.hotbot.documents", "Corpus", "zipf_alpha"),
+    ("repro.hotbot.query_cache", "QueryCache", "capacity_bytes"),
+    ("repro.hotbot.query_cache", "QueryCache", "depth"),
+    ("repro.cache.latency", "HarvestLatencyModel", "mean_hit_s"),
+    ("repro.cache.latency", "HarvestLatencyModel", "tcp_overhead_s"),
+    ("repro.cache.latency", "HarvestLatencyModel", "miss_max_s"),
     ("repro.hotbot.index", "InvertedIndex", "global_df"),
     ("repro.obs.attribution", "render_span_tree", "clock_origin"),
     ("repro.obs.export", "chrome_trace_events", "include_unfinished"),
@@ -196,6 +205,9 @@ REMOVED_PARAMETERS = (
     ("repro.workload.tracegen", "BurstCascade", "periods_s"),
     ("repro.workload.tracegen", "daily_cycle_factor", "trough_hour"),
     ("repro.workload.tracegen", "daily_cycle_factor", "amplitude"),
+    ("repro.workload.tracegen", "iter_fixed_jpeg_trace", "n_images"),
+    ("repro.workload.tracegen", "iter_fixed_jpeg_trace", "image_size_bytes"),
+    ("repro.workload.tracegen", "iter_fixed_jpeg_trace", "n_clients"),
     ("repro.workload.burstiness", "burstiness_report", "scales_s"),
     ("repro.workload.distributions", "size_histogram", "bins_per_decade"),
     ("repro.workload.distributions", "size_histogram", "max_exponent"),

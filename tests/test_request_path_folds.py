@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.balance.policies import LotteryPolicy
-from repro.cache.latency import HarvestLatencyModel
+from repro.cache.latency import (MEAN_HIT_S, MISS_MAX_S, TCP_OVERHEAD_S,
+                                 HarvestLatencyModel)
 from repro.cache.partition import ModHashPartitioner
 from repro.core.config import SNSConfig
 from repro.core.manager_stub import AdvertState
@@ -327,32 +328,24 @@ class ParentLatency:
     """`HarvestLatencyModel`'s draws as they were: through
     `Stream.exponential` / `Stream.pareto`, the rate divided per draw."""
 
-    def __init__(self, rng, mean_hit_s, tcp_overhead_s, miss_min_s,
-                 miss_max_s, miss_alpha):
+    def __init__(self, rng, miss_min_s, miss_alpha):
         self.rng = rng
-        self.mean_hit_s = mean_hit_s
-        self.tcp_overhead_s = tcp_overhead_s
         self.miss_min_s = miss_min_s
-        self.miss_max_s = miss_max_s
         self.miss_alpha = miss_alpha
 
     def hit_time(self):
-        remainder = self.rng.exponential(self.mean_hit_s -
-                                         self.tcp_overhead_s)
-        return self.tcp_overhead_s + remainder
+        remainder = self.rng.exponential(MEAN_HIT_S - TCP_OVERHEAD_S)
+        return TCP_OVERHEAD_S + remainder
 
     def miss_penalty(self):
         penalty = self.rng.pareto(self.miss_alpha, self.miss_min_s)
-        return min(penalty, self.miss_max_s)
+        return min(penalty, MISS_MAX_S)
 
 
 LATENCY_PARAMETERS = [
-    dict(mean_hit_s=0.027, tcp_overhead_s=0.015, miss_min_s=0.1,
-         miss_max_s=100.0, miss_alpha=1.1),          # the paper's
-    dict(mean_hit_s=0.03, tcp_overhead_s=0.0, miss_min_s=0.05,
-         miss_max_s=0.2, miss_alpha=0.7),            # the clamp bites
-    dict(mean_hit_s=1e-3, tcp_overhead_s=9e-4, miss_min_s=3.0,
-         miss_max_s=3.0, miss_alpha=4.0),            # max == min
+    dict(miss_min_s=0.1, miss_alpha=1.1),            # the paper's
+    dict(miss_min_s=50.0, miss_alpha=0.7),           # the clamp bites
+    dict(miss_min_s=MISS_MAX_S, miss_alpha=4.0),     # max == min
 ]
 
 
@@ -456,7 +449,6 @@ def test_event_driven_ring_is_the_polled_ring(n_nodes, ops):
         key = f"key{argument}"
         parent._note_crashes()   # what the parent's operation did first
         assert list(cachesys.nodes) == list(parent.nodes)
-        assert len(cachesys.partitioner) == len(parent.partitioner)
         assert cachesys.live == list(parent.nodes.values())
         for probe in PROBES + [key]:
             assert cachesys.node_for(probe) is parent.node_for(probe)

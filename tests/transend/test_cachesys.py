@@ -112,8 +112,8 @@ def test_crashed_node_is_dropped_and_its_keys_rehash():
         victim.kill()
         # the re-hash happened at kill(), before any operation
         assert victim.name not in cachesys.nodes
-        assert len(cachesys.partitioner) == 1
         assert victim not in cachesys.live
+        assert len(cachesys.live) == 1
         yield from lookup(cachesys, "key0")
         return victim.name
 
@@ -159,7 +159,6 @@ def test_added_node_after_a_crash_takes_a_fresh_name():
     names = [cache_node.name for cache_node in made]
     assert len(set(names)) == 4
     assert sorted(cachesys.nodes) == ["cache.1", "cache.3", "cache.4"]
-    assert len(cachesys.partitioner) == 3
     assert cachesys.live == [cachesys.nodes[name]
                              for name in ("cache.1", "cache.3", "cache.4")]
     assert all(cache_node.alive for cache_node in cachesys.live)
@@ -167,14 +166,12 @@ def test_added_node_after_a_crash_takes_a_fresh_name():
 
 def test_a_taken_name_is_refused_before_anything_changes():
     cluster, cachesys = build(n_nodes=2)
-    before = (dict(cachesys.nodes), list(cachesys.live),
-              len(cachesys.partitioner))
+    before = (dict(cachesys.nodes), list(cachesys.live))
     node = cluster.add_node("spare")
     cachesys._added = 0   # the next serial name, cache.1, is taken
     with pytest.raises(PartitionError):
         cachesys.add_node(node, 1_000_000)
-    assert (cachesys.nodes, cachesys.live, len(cachesys.partitioner)) \
-        == before
+    assert (cachesys.nodes, cachesys.live) == before
     assert node.components == set()  # nothing was started on it
 
 

@@ -14,6 +14,8 @@ from repro.workload.burstiness import (
 )
 from repro.workload.trace import TraceRecord, load_trace, save_trace
 from repro.workload.tracegen import (
+    FIXED_JPEG_CLIENTS,
+    FIXED_JPEG_IMAGES,
     BurstCascade,
     DocumentUniverse,
     TraceGenerator,
@@ -188,14 +190,14 @@ def test_universe_validates_shared_fraction():
 
 
 def test_fixed_jpeg_trace_shape():
-    records = list(iter_fixed_jpeg_trace(rate_rps=20.0, n_requests=600,
-                                         n_images=5,
-                                         image_size_bytes=10240))
+    records = list(iter_fixed_jpeg_trace(rate_rps=20.0, n_requests=600))
     assert len(records) / records[-1].timestamp \
         == pytest.approx(20.0, rel=0.25)
     assert all(record.mime == MIME_JPEG for record in records)
     assert all(record.size_bytes == 10240 for record in records)
-    assert len({record.url for record in records}) == 5
+    assert len({record.url for record in records}) == FIXED_JPEG_IMAGES
+    assert len({record.client_id for record in records}) \
+        == FIXED_JPEG_CLIENTS
 
 
 def test_burst_cascade_unit_mean():

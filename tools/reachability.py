@@ -63,6 +63,7 @@ import types
 import sys
 import tempfile
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Set, Tuple)
@@ -80,16 +81,11 @@ KEEP_CLASSES = (
     "dunder/repr",
 )
 
-#: the closed set of reasons a never-set parameter may stay for.  A
-#: "checked domain" is a constructor argument whose declared domain
-#: (repro.domains) tests/test_checked_fields.py draws inside and
-#: outside; as a constant its domain rows go with it, so it waits for a
-#: change that retires them (ROADMAP 15).
+#: the closed set of reasons a never-set parameter may stay for.
 PARAMETER_KEEP_CLASSES = (
     "paper content behind a test-only switch",
     "deployment setting",
     "test seam",
-    "checked domain",
 )
 
 Key = Tuple[str, int]   # (path relative to src/, first line incl. decorators)
@@ -440,20 +436,25 @@ def run_group(name: str, spool: Path) -> None:
 
 
 def reached() -> Tuple[Set[Key], Set[Tuple[str, int, str]]]:
-    """Run every group, each in a fresh interpreter, and pool what they
-    and their forked shards reached, and the parameters they set."""
+    """Run every group, each in a fresh interpreter, at most one per
+    CPU at a time, and pool what they and their forked shards reached,
+    and the parameters they set."""
     keys: Set[Key] = set()
     set_parameters: Set[Tuple[str, int, str]] = set()
     env = {name: value for name, value in os.environ.items()
            if name != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory() as spool:
-        for name in GROUPS:
+        def run(name: str) -> None:
             print(f"[reachability] {name} ...", file=sys.stderr, flush=True)
             subprocess.run(
                 [sys.executable, str(Path(__file__).resolve()),
                  "--group", name, "--spool", spool],
                 check=True, cwd=str(ROOT), env=env, stdout=sys.stderr)
+
+        with ThreadPoolExecutor(os.cpu_count()) as pool:
+            # list() re-raises the first group that failed
+            list(pool.map(run, GROUPS))
         for path in sorted(Path(spool).glob("*.reached")):
             group_keys, group_set = pickle.loads(path.read_bytes())
             keys |= group_keys
