@@ -51,13 +51,11 @@ class SNSFabric:
         registry: WorkerRegistry,
         config: SNSConfig,
         service: Any,
-        execute_real: bool = False,
     ) -> None:
         self.cluster = cluster
         self.registry = registry
         self.config = config.validate()
         self.service = service
-        self.execute_real = execute_real
 
         self.manager: Optional[Manager] = None
         #: consensus backend: the Paxos replicas' group (``manager`` then
@@ -317,7 +315,6 @@ class SNSFabric:
         stub = WorkerStub(
             self.cluster, node, name,
             self.registry.create(worker_type), self.config,
-            execute_real=self.execute_real,
             on_overflow_node=node.overflow,
         )
         stub.start()

@@ -132,7 +132,9 @@ class FrontEnd(Component):
         self.requests_received += 1
         # skip the ingress-span machinery entirely when tracing is off:
         # submit() runs once per request, so the guard lives here
-        span = self._ingress_span() if self.env.tracer is not None else None
+        tracer = self.env.tracer
+        span = (None if tracer is None
+                else tracer.ingress_span("frontend", self.name))
         if self._should_shed():
             # load-shedding admission control: a fast "busy" answer
             # costs nothing, while queueing toward certain timeout
@@ -158,27 +160,6 @@ class FrontEnd(Component):
             return request
         self.spawn(self._handle(request, span))
         return request
-
-    def _ingress_span(self):
-        """The front end's span for a newly accepted request.
-
-        Consumes a synchronous hand-off from an instrumented client
-        (the playback engine) when one is pending; otherwise — tracer
-        installed but nobody upstream opened a root — this front end is
-        the ingress and opens the root itself.  Returns None when
-        tracing is off or this request is unsampled.
-        """
-        tracer = self.env.tracer
-        if tracer is None:
-            return None
-        pending = tracer.take_pending()
-        if tracer.was_handed_off(pending):
-            if pending is None:
-                return None  # sampled out upstream
-            return pending.child("frontend", "service",
-                                 component=self.name)
-        return tracer.open_trace("frontend", category="service",
-                                 component=self.name)
 
     def _should_shed(self) -> bool:
         max_backlog = self.config.admission_max_backlog_s

@@ -54,13 +54,11 @@ class WorkerStub(Component):
         name: str,
         worker: Worker,
         config: SNSConfig,
-        execute_real: bool = False,
         on_overflow_node: bool = False,
     ) -> None:
         super().__init__(cluster, node, name)
         self.worker = worker
         self.config = config
-        self.execute_real = execute_real
         self.on_overflow_node = on_overflow_node
         self.rng = cluster.streams.stream(f"worker:{name}")
         self.queue = cluster.env.queue(config.worker_queue_capacity)
@@ -180,10 +178,7 @@ class WorkerStub(Component):
                 if inflation != 1.0:
                     cpu_s *= inflation  # fail-slow / leak inflation
                 yield from self.node.compute(cpu_s)
-                if self.execute_real:
-                    result = worker.run(envelope.work)
-                else:
-                    result = worker.simulate(envelope.work)
+                result = worker.simulate(envelope.work)
                 if gray.corrupt:
                     result = worker.corrupt_result(result)
             except Interrupt:

@@ -37,7 +37,6 @@ from repro.core.config import (DEGRADE_DWELL_TICKS, DEGRADE_ENTER_PRESSURE,
                                DEGRADE_QUEUE_TARGET_S, DEGRADE_SHED_TARGET,
                                DEGRADE_TICK_S)
 from repro.degrade.ladder import LEVELS, MAX_LEVEL, level_name
-from repro.transend.adaptation import DEFAULT_TIERS
 
 
 class DegradationController:
@@ -54,9 +53,6 @@ class DegradationController:
         #: for tests; None = read the fabric.
         self._signals = signals
         self.level = 0
-        #: the fidelity tier forced cluster-wide at level >= 1: the
-        #: lowest-bandwidth tier of the adaptation ladder.
-        self.forced_tier = DEFAULT_TIERS[0]
         self._calm_ticks = 0
         self._last_escalation_at: Optional[float] = None
         self._last_shed = 0

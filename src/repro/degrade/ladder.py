@@ -8,8 +8,8 @@ chosen so the cheapest harvest is spent first:
 lvl  name                 what degrades
 ===  ===================  ==============================================
 0    full                 nothing — normal service
-1    reduced-fidelity     distillation quality forced to the lowest
-                          tier cluster-wide (cheaper per request)
+1    reduced-fidelity     distillation forced to the 14.4k-modem
+                          setting cluster-wide (cheaper per request)
 2    serve-stale          cached results past their fresh TTL are
                           served instead of recomputed
 3    relaxed-reads        profile reads at R=1 instead of quorum
@@ -36,6 +36,10 @@ LEVELS: Tuple[str, ...] = (
 
 #: the highest ladder level.
 MAX_LEVEL = len(LEVELS) - 1
+
+#: the distillation settings forced cluster-wide from level 1 up: the
+#: 14.4 kbit/s modem setting, JPEG quality 5 at a 4x downscale
+REDUCED_FIDELITY_PARAMS = {"quality": 5, "scale": 4}
 
 
 def level_name(level: int) -> str:

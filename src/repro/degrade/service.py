@@ -38,6 +38,7 @@ from repro.core.config import (
 from repro.core.frontend import Response
 from repro.core.manager_stub import DispatchError
 from repro.degrade.guards import CircuitBreaker
+from repro.degrade.ladder import REDUCED_FIDELITY_PARAMS
 from repro.degrade.staleness import FRESH, FreshnessCache
 from repro.distillers.jpeg import DEFAULT_QUALITY, JpegDistiller
 from repro.experiments._harness import BenchService
@@ -56,7 +57,7 @@ class BrownoutJpegDistiller(JpegDistiller):
     """JPEG distiller whose cost drops at brownout quality settings.
 
     At or below :attr:`BROWNOUT_QUALITY` the encoder quantizes almost
-    everything away (and the forced tier also scales 4x), so both the
+    everything away (and the forced setting also scales 4x), so both the
     capacity estimate and the sampled service time shrink by
     :attr:`BROWNOUT_COST_FACTOR`.  Same ``worker_type`` as the stock
     distiller — managers, stubs, and spawn plumbing see no difference.
@@ -181,10 +182,7 @@ class DegradableBenchService(BenchService):
                 trace.record("cache-hit", "cache", mark,
                              annotations={"hit": True})
         reduced = controller is not None and controller.fidelity_reduced
-        params: dict = {}
-        if reduced:
-            tier = controller.forced_tier
-            params = {"quality": tier.quality, "scale": tier.scale}
+        params = dict(REDUCED_FIDELITY_PARAMS) if reduced else {}
         work = TACCRequest(inputs=[original], params=params,
                            profile=profile, user_id=record.client_id)
         try:

@@ -21,10 +21,14 @@ from typing import Dict, List, Optional
 from repro.analysis.metrics import LatencyStats
 from repro.core.config import SNSConfig
 from repro.sim.rng import RandomStreams
-from repro.transend.adaptation import MODEM_14_4_BPS, MODEM_28_8_BPS
 from repro.transend.service import TranSend
 from repro.workload.playback import PlaybackEngine
 from repro.workload.tracegen import DocumentUniverse, TraceGenerator
+
+#: the Berkeley modem bank's two speeds, 14.4 and 28.8 kbit/s, in bytes
+#: per second
+MODEM_14_4_BPS = 14_400 / 8
+MODEM_28_8_BPS = 28_800 / 8
 
 PAPER_REDUCTION_LOW = 3.0
 PAPER_REDUCTION_HIGH = 5.0

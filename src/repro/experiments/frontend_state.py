@@ -28,11 +28,13 @@ from repro.analysis.metrics import LatencyStats
 from repro.cache.latency import HarvestLatencyModel
 from repro.core.config import SNSConfig
 from repro.sim.rng import RandomStreams
-from repro.transend.adaptation import MODEM_28_8_BPS
 from repro.transend.service import TranSend
 from repro.workload.playback import PlaybackEngine
 from repro.workload.trace import TraceRecord
 
+#: the client's 28.8 kbit/s modem, in bytes per second: the response
+#: drains over it while the front-end connection stays open
+MODEM_28_8_BPS = 28_800 / 8
 
 #: the cold arm's miss model, the paper's 1997 wide area: their "150-350
 #: outstanding at 15 req/s" implies a 10-23 s mean residence, i.e. a

@@ -201,7 +201,8 @@ class HotBot:
                  seed: int = 1997,
                  node_speeds: Optional[List[float]] = None) -> None:
         self.config = config or HotBotConfig()
-        speeds = node_speeds or [1.0] * self.config.n_workers
+        speeds = ([1.0] * self.config.n_workers if node_speeds is None
+                  else node_speeds)
         if len(speeds) != self.config.n_workers:
             raise ValueError("node_speeds length must match n_workers")
         for speed in speeds:
@@ -282,22 +283,12 @@ class HotBot:
             self.DOMAINS["submit"]["offset"].check("offset", offset)
         env = self.cluster.env
         reply = Event(env)
-        span = None if env.tracer is None else self._ingress_span()
+        # HotBot has no FrontEnd component: the query path itself is
+        # the ingress
+        span = (None if env.tracer is None
+                else env.tracer.ingress_span("query", "hotbot-fe"))
         env.process(self._handle(terms, user_id, offset, reply, span))
         return reply
-
-    def _ingress_span(self):
-        """Front-end span for one query (HotBot has no FrontEnd
-        component; the query path itself is the ingress)."""
-        tracer = self.cluster.env.tracer
-        pending = tracer.take_pending()
-        if tracer.was_handed_off(pending):
-            if pending is None:
-                return None
-            return pending.child("query", "service",
-                                 component="hotbot-fe")
-        return tracer.open_trace("query", category="service",
-                                 component="hotbot-fe")
 
     def _handle(self, terms, user_id, offset, reply, span=None):
         try:

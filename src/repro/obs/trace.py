@@ -223,6 +223,23 @@ class Tracer:
     def was_handed_off(value: Any) -> bool:
         return value is not _NO_PENDING
 
+    def ingress_span(self, name: str, component: str) -> Optional[Span]:
+        """The ``service`` span of a request entering at an ingress
+        point (a front end, HotBot's query path).
+
+        Takes the pending hand-off: None when the request was sampled
+        out upstream, a child of the root an instrumented client (the
+        playback engine) handed off, and otherwise a root the ingress
+        opens itself, nobody upstream having opened one.
+        """
+        pending = self.take_pending()
+        if pending is _NO_PENDING:
+            return self.open_trace(name, category=SERVICE,
+                                   component=component)
+        if pending is None:
+            return None
+        return pending.child(name, SERVICE, component=component)
+
     # -- queries ------------------------------------------------------------
 
     def trace(self, trace_id: str) -> List[Span]:

@@ -21,15 +21,12 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "origin": ("OriginServer",),
-    "adaptation": ("AdaptationPolicy", "BandwidthEstimator"),
     "cachesys": ("CacheNode", "CacheSubsystem"),
     "profiles": ("DEFAULT_PREFERENCES", "preference_validator"),
     "service": ("TranSend", "TranSendLogic"),
 })
 
 __all__ = [
-    "AdaptationPolicy",
-    "BandwidthEstimator",
     "CacheNode",
     "CacheSubsystem",
     "DEFAULT_PREFERENCES",

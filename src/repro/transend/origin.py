@@ -9,57 +9,41 @@ A miss costs two things, both modelled from Section 4.4:
   segment in the paper's testbed), which is how external bandwidth can
   become the bottleneck.
 
-Content is materialized deterministically per URL: the same URL always
-yields the same bytes, in either *sim* mode (placeholder bytes of the
-traced size — cheap, used by the big experiments) or *real* mode (actual
-synthetic images and HTML that the distillers genuinely transform).
+Content is simulated: a fetched original is placeholder bytes of the
+traced size and MIME type, the same for the same record, so the
+distillers downstream charge their calibrated cost and size models
+rather than transform real pixels (the distillers' real transforms are
+exercised on their own, outside the cluster simulation).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.cache.latency import HarvestLatencyModel
-from repro.distillers.images import photo_sized_for
 from repro.sim.cluster import Cluster
 from repro.sim.kernel import Timeout
 from repro.sim.network import AccessLink
-from repro.tacc.content import (
-    MIME_GIF,
-    MIME_HTML,
-    MIME_JPEG,
-    Content,
-    FrozenMetadata,
-    ZeroPayload,
-)
+from repro.tacc.content import Content, FrozenMetadata, ZeroPayload
 from repro.workload.trace import TraceRecord
 
 #: the metadata of every simulated original: one read-only mapping,
 #: not a new dict per fetch
 SIM_METADATA = FrozenMetadata(origin="sim")
 
-_HTML_BODY_CHUNK = (
-    '<p>Lorem ipsum dolor sit amet.</p>\n'
-    '<img src="http://img.example/inline.gif" alt="x">\n'
-)
-
 
 class OriginServer:
     """Materializes Web content and charges wide-area fetch costs."""
 
     def __init__(self, cluster: Cluster,
-                 internet_link: Optional[AccessLink] = None,
-                 real_content: bool = False) -> None:
+                 internet_link: Optional[AccessLink] = None) -> None:
         self.cluster = cluster
         self.internet_link = internet_link
-        self.real_content = real_content
-        self.rng = cluster.streams.stream("origin")
         self.latency = HarvestLatencyModel(
             cluster.streams.stream("miss-penalty"))
         self._miss_penalty = self.latency.miss_penalty
         self.fetches = 0
         self.bytes_fetched = 0
-        self._real_cache: Dict[str, Content] = {}
 
     def fetch(self, record: TraceRecord, trace=None):
         """Process generator: fetch ``record``'s content from the wide
@@ -84,36 +68,9 @@ class OriginServer:
     # -- content materialization -----------------------------------------------
 
     def materialize(self, record: TraceRecord) -> Content:
-        if self.real_content:
-            return self._real(record)
         return Content(
             url=record.url,
             mime=record.mime,
             data=ZeroPayload(record.size_bytes),
             metadata=SIM_METADATA,
         )
-
-    def _real(self, record: TraceRecord) -> Content:
-        """Actual distillable bytes, memoized per URL."""
-        cached = self._real_cache.get(record.url)
-        if cached is not None:
-            return cached
-        if record.mime == MIME_GIF:
-            image = photo_sized_for(self.rng,
-                                    max(256, record.size_bytes))
-            content = Content(record.url, MIME_GIF, image.encode_gif())
-        elif record.mime == MIME_JPEG:
-            image = photo_sized_for(self.rng,
-                                    max(256, record.size_bytes))
-            content = Content(record.url, MIME_JPEG,
-                              image.encode_jpeg(quality=90))
-        elif record.mime == MIME_HTML:
-            repeats = max(1, record.size_bytes // len(_HTML_BODY_CHUNK))
-            body = _HTML_BODY_CHUNK * repeats
-            page = f"<html><body>{body}</body></html>"
-            content = Content(record.url, MIME_HTML, page.encode())
-        else:
-            content = Content(record.url, record.mime,
-                              b"\xde\xad" * (record.size_bytes // 2 + 1))
-        self._real_cache[record.url] = content
-        return content

@@ -77,15 +77,11 @@ class TranSendLogic:
     """The Service-layer request handler running inside each front end."""
 
     def __init__(self, cluster: Cluster, cachesys: CacheSubsystem,
-                 origin: OriginServer, profile_store: ProfileStore,
-                 adaptation: Optional[Any] = None) -> None:
+                 origin: OriginServer, profile_store: ProfileStore) -> None:
         self.cluster = cluster
         self.cachesys = cachesys
         self.origin = origin
         self.profile_store = profile_store
-        #: optional AdaptationPolicy (Section 5.4): tunes distillation
-        #: parameters to each client's estimated bandwidth.
-        self.adaptation = adaptation
         self._profile_caches: Dict[str, WriteThroughCache] = {}
         #: response-path counters (the Section 3.1.8 BASE taxonomy).
         self.paths: Dict[str, int] = {}
@@ -100,15 +96,8 @@ class TranSendLogic:
 
     def set_preference(self, frontend_name: str, user_id: str, key: str,
                        value: Any) -> None:
-        """The preference UI path: write-through at the front end.
-
-        Explicitly-set distillation knobs are flagged so bandwidth
-        adaptation never overrides a deliberate user choice.
-        """
-        cache = self.profile_cache_for(frontend_name)
-        cache.set(user_id, key, value)
-        if key in ("quality", "scale"):
-            cache.set(user_id, f"_user_set_{key}", True)
+        """The preference UI path: write-through at the front end."""
+        self.profile_cache_for(frontend_name).set(user_id, key, value)
 
     # -- the request path ---------------------------------------------------------
 
@@ -127,9 +116,6 @@ class TranSendLogic:
             if trace is not None:
                 trace.record("profile-read", "service", mark,
                              component="profile-db")
-        if self.adaptation is not None:
-            preferences = self.adaptation.adapt(record.client_id,
-                                                preferences)
 
         # "data for which no distiller exists is passed unmodified to
         # the user"; "data under 1KB is transferred unmodified"
@@ -208,9 +194,7 @@ class TranSend:
         cache_capacity_bytes: int = 256 * 1024 * 1024,
         seed: int = 1997,
         config: Optional[SNSConfig] = None,
-        real_content: bool = False,
         profile_log_path: Optional[str] = None,
-        adaptive: bool = False,
     ) -> None:
         self.config = (config or SNSConfig()).validate()
         if self.config.origin_breaker_failures is not None:
@@ -221,8 +205,7 @@ class TranSend:
         self.cluster.add_nodes(n_nodes)
         internet = self.cluster.add_access_link(
             "internet", INTERNET_BANDWIDTH_BPS)
-        self.origin = OriginServer(self.cluster, internet,
-                                   real_content=real_content)
+        self.origin = OriginServer(self.cluster, internet)
         self.cachesys = CacheSubsystem(self.cluster)
         for index in range(n_cache_nodes):
             node = self.cluster.add_node(f"cachenode{index}")
@@ -233,15 +216,10 @@ class TranSend:
             log_path=profile_log_path,
             validator=preference_validator)
         self.registry = transend_registry()
-        self.adaptation = None
-        if adaptive:
-            from repro.transend.adaptation import AdaptationPolicy
-            self.adaptation = AdaptationPolicy()
         self.logic = TranSendLogic(self.cluster, self.cachesys,
-                                   self.origin, self.profile_store,
-                                   adaptation=self.adaptation)
+                                   self.origin, self.profile_store)
         self.fabric = SNSFabric(self.cluster, self.registry, self.config,
-                                self.logic, execute_real=real_content)
+                                self.logic)
         self.fabric.profile_store = self.profile_store
         self.fabric.profile_bricks = self.profile_bricks
 

@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import SNSConfig
 from repro.core.fabric import FabricError
 from repro.degrade.guards import CircuitBreaker
+from repro.degrade.ladder import REDUCED_FIDELITY_PARAMS
 from repro.degrade.service import (
     BrownoutJpegDistiller,
     DegradableBenchService,
@@ -17,7 +18,6 @@ from repro.experiments._harness import build_bench_fabric
 from repro.sim.rng import RandomStreams
 from repro.tacc.content import Content, zero_payload
 from repro.tacc.worker import TACCRequest
-from repro.transend.adaptation import DEFAULT_TIERS
 from repro.transend.service import TranSend
 from repro.workload.trace import TraceRecord
 
@@ -31,7 +31,6 @@ def ladder_stub(level):
         relaxed_reads_active=level >= 3,
         priority_admission_active=level >= 4,
         deadline_shed_active=level >= 5,
-        forced_tier=DEFAULT_TIERS[0],
     )
 
 
@@ -115,7 +114,7 @@ def test_reduced_fidelity_forces_the_brownout_tier():
 
 def test_forced_tier_overrides_even_user_preferences():
     """The reduced-fidelity rung sheds distiller load cluster-wide, so
-    its tier beats a user's explicit quality-90 profile too."""
+    its setting beats a user's explicit quality-90 profile too."""
     responses = []
     for level in (0, 1):
         fabric = make_fabric(profile_backend="single")
@@ -126,6 +125,9 @@ def test_forced_tier_overrides_even_user_preferences():
     assert full.path == "distilled"
     assert low.path == "distilled-low-fidelity"
     assert low.size_bytes < full.size_bytes
+    assert full.content.metadata["quality"] == 90
+    assert {key: low.content.metadata[key]
+            for key in REDUCED_FIDELITY_PARAMS} == REDUCED_FIDELITY_PARAMS
 
 
 def test_open_breaker_converts_cold_misses_into_fast_fallbacks():

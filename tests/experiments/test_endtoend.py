@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.experiments.endtoend_latency import ModemDelivery, run_endtoend
-from repro.transend.adaptation import MODEM_14_4_BPS, MODEM_28_8_BPS
+from repro.experiments.endtoend_latency import (
+    MODEM_14_4_BPS,
+    MODEM_28_8_BPS,
+    ModemDelivery,
+    run_endtoend,
+)
 
 
 def test_endtoend_reduction_in_paper_neighbourhood():

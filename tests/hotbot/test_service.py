@@ -182,8 +182,9 @@ def test_weighted_partitions_match_node_speeds():
 
 
 def test_node_speed_mismatch_validated():
-    with pytest.raises(ValueError):
-        HotBot(config=HotBotConfig(n_workers=3), node_speeds=[1.0])
+    for speeds in ([1.0], []):   # an empty list is no default
+        with pytest.raises(ValueError, match="node_speeds length"):
+            HotBot(config=HotBotConfig(n_workers=3), node_speeds=speeds)
 
 
 # -- bad input fails at the call, not inside the simulation -------------------

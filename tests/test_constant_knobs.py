@@ -200,6 +200,12 @@ REMOVED_PARAMETERS = (
     ("repro.tacc.pipeline", "Pipeline.execute", "trace"),
     ("repro.transend.cachesys", "CacheSubsystem.add_node", "name"),
     ("repro.transend.service", "TranSend.start", "warmup_s"),
+    ("repro.transend.service", "TranSend", "real_content"),
+    ("repro.transend.service", "TranSend", "adaptive"),
+    ("repro.transend.service", "TranSendLogic", "adaptation"),
+    ("repro.transend.origin", "OriginServer", "real_content"),
+    ("repro.core.fabric", "SNSFabric", "execute_real"),
+    ("repro.core.worker_stub", "WorkerStub", "execute_real"),
     ("repro.workload.tracegen", "DocumentUniverse", "mime_mix"),
     ("repro.workload.tracegen", "DocumentUniverse", "size_models"),
     ("repro.workload.tracegen", "BurstCascade", "periods_s"),

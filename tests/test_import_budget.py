@@ -37,11 +37,12 @@ LAZY_PACKAGES = tuple(
     for path in sorted((SRC / "repro").glob("*/__init__.py")))
 #: modules a deployment of the `stack` benchmark, built and given its
 #: inputs, never calls: the tracing reports and exporters, the analysis
-#: renderers, the worker SDK and pipelines, TranSend's adaptation
-#: policy and the burstiness analysis
+#: renderers, the worker SDK and pipelines, the brownout ladder and its
+#: forced distillation setting (no `stack` workload starts the
+#: controller) and the burstiness analysis
 NOT_FOR_SETUP = ("repro.obs.attribution", "repro.obs.export",
                  "repro.analysis", "repro.tacc.sdk", "repro.tacc.pipeline",
-                 "repro.transend.adaptation", "repro.workload.burstiness")
+                 "repro.degrade.ladder", "repro.workload.burstiness")
 
 _REPORT = ("\nimport json, sys\n"
            "print(json.dumps(sorted(sys.modules)))\n")

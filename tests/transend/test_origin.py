@@ -5,9 +5,8 @@ import tracemalloc
 
 import pytest
 
-from repro.distillers.images import SyntheticImage
 from repro.sim.cluster import Cluster
-from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG
+from repro.tacc.content import MIME_GIF
 from repro.transend.origin import OriginServer
 from repro.workload.trace import TraceRecord
 
@@ -16,12 +15,12 @@ def record(url="http://x/a.gif", mime=MIME_GIF, size=8192):
     return TraceRecord(0.0, "c1", url, mime, size)
 
 
-def make_origin(real=False, internet_bps=None):
+def make_origin(internet_bps=None):
     cluster = Cluster(seed=6)
     link = None
     if internet_bps is not None:
         link = cluster.add_access_link("internet", internet_bps)
-    return cluster, OriginServer(cluster, link, real_content=real)
+    return cluster, OriginServer(cluster, link)
 
 
 def test_sim_mode_materializes_exact_size():
@@ -102,47 +101,3 @@ def test_fetch_charges_internet_link():
     cluster.env.run(until=cluster.env.process(scenario()))
     link = cluster.network.access_links["internet"]
     assert link.bytes_sent == 5000
-
-
-def test_real_mode_gif_is_decodable():
-    cluster, origin = make_origin(real=True)
-    content = origin.materialize(record(size=8192))
-    image, codec, _ = SyntheticImage.decode(content.data)
-    assert codec == 1  # GIF-coded
-    assert 0.5 * 8192 <= content.size <= 2.0 * 8192
-
-
-def test_real_mode_jpeg_is_decodable():
-    cluster, origin = make_origin(real=True)
-    content = origin.materialize(
-        record(url="http://x/a.jpg", mime=MIME_JPEG, size=8192))
-    image, codec, quality = SyntheticImage.decode(content.data)
-    assert codec == 2  # JPEG-coded
-    assert quality == 90
-
-
-def test_real_mode_html_looks_like_html():
-    cluster, origin = make_origin(real=True)
-    content = origin.materialize(
-        record(url="http://x/p.html", mime=MIME_HTML, size=3000))
-    text = content.data.decode()
-    assert text.startswith("<html>")
-    assert "<img" in text
-    assert abs(content.size - 3000) < 1500
-
-
-def test_real_mode_memoizes_per_url():
-    cluster, origin = make_origin(real=True)
-    first = origin.materialize(record())
-    second = origin.materialize(record())
-    assert first is second
-    different = origin.materialize(record(url="http://x/other.gif"))
-    assert different is not first
-
-
-def test_real_mode_unknown_mime_gets_bytes():
-    cluster, origin = make_origin(real=True)
-    content = origin.materialize(
-        record(url="http://x/blob.bin", mime="application/pdf",
-               size=1000))
-    assert content.size >= 1000

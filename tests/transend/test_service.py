@@ -111,29 +111,6 @@ def test_preference_validation_enforced():
         transend.set_preference("client1", "quality", 5000)
 
 
-def test_html_gets_munged():
-    transend = make_transend(real_content=True).start(
-        initial_workers={"html-munger": 1})
-    reply = transend.submit(record(url="http://site/page.html",
-                                   mime=MIME_HTML, size=5000))
-    response = transend.run(reply)
-    assert response.path == "distilled"
-    assert b"transend-toolbar" in response.content.data
-
-
-def test_real_content_mode_runs_actual_distillers():
-    transend = make_transend(real_content=True).start(
-        initial_workers={"gif-distiller": 1})
-    reply = transend.submit(record(url="http://pics/photo.gif",
-                                   mime=MIME_GIF, size=10240))
-    response = transend.run(reply)
-    assert response.status == "ok"
-    assert response.path == "distilled"
-    # real bytes, really smaller (the Figure 3 effect, end to end)
-    assert response.content.mime == MIME_JPEG
-    assert response.content.reduction_factor() > 3.0
-
-
 def test_total_distiller_loss_falls_back_to_original():
     """BASE approximate answers: 'if the required distiller has
     temporarily or permanently failed, the system can return the
