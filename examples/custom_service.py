@@ -13,8 +13,9 @@ from repro.chaos.campaign import Faults, KillWorker
 from repro.core import Response, SNSConfig, SNSFabric
 from repro.sim import Cluster
 from repro.tacc import Content, TACCRequest, Transformer, WorkerRegistry
-from repro.tacc.sdk import check_worker
 from repro.workload.trace import TraceRecord
+
+from tacc_services.sdk import check_worker
 
 
 class Shouter(Transformer):

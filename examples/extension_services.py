@@ -10,18 +10,19 @@ Run:  python examples/extension_services.py
 """
 
 from repro.hotbot.service import HotBot, HotBotConfig
-from repro.services.culture_page import CulturePageAggregator
-from repro.services.metasearch import (
+from repro.tacc.content import MIME_HTML, Content
+from repro.tacc.worker import TACCRequest
+
+from tacc_services.culture_page import CulturePageAggregator
+from tacc_services.metasearch import (
     MetasearchAggregator,
     render_engine_results,
 )
-from repro.services.rewebber import (
+from tacc_services.rewebber import (
     DecryptWorker,
     EncryptWorker,
     rewebber_keypair,
 )
-from repro.tacc.content import MIME_HTML, Content
-from repro.tacc.worker import TACCRequest
 
 
 def metasearch_demo() -> None:

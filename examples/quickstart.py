@@ -11,14 +11,15 @@ Run:  python examples/quickstart.py
 from repro.distillers.gif import GifDistiller
 from repro.distillers.html import HtmlMunger
 from repro.distillers.images import photo_sized_for
-from repro.services.keyword_filter import KeywordFilter
-from repro.services.thinclient import ThinClientSimplifier
 from repro.sim.rng import RandomStreams
 from repro.tacc.content import MIME_GIF, MIME_HTML, Content
 from repro.tacc.customization import ProfileStore
-from repro.tacc.pipeline import Pipeline
 from repro.tacc.registry import WorkerRegistry
 from repro.tacc.worker import TACCRequest
+
+from tacc_services.keyword_filter import KeywordFilter
+from tacc_services.pipeline import Pipeline
+from tacc_services.thinclient import ThinClientSimplifier
 
 
 def main() -> None:

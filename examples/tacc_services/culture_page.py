@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.distillers.base import DistillerLatencyModel, HTML_SLOPE_S_PER_KB
 from repro.tacc.content import MIME_HTML, Content
 from repro.tacc.worker import Aggregator, TACCRequest, WorkerError
 
@@ -98,8 +97,6 @@ class CulturePageAggregator(Aggregator):
     worker_type = "culture-page"
     accepts = (MIME_HTML,)
     produces = MIME_HTML
-    latency_model = DistillerLatencyModel(HTML_SLOPE_S_PER_KB,
-                                          fixed_s=0.002)
 
     def aggregate(self, inputs: List[Content],
                   request: TACCRequest) -> Content:

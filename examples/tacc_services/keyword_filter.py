@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import re
 
-from repro.distillers.base import DistillerLatencyModel, HTML_SLOPE_S_PER_KB
-from repro.tacc.content import MIME_HTML, Content, zero_payload
+from repro.tacc.content import MIME_HTML, Content
 from repro.tacc.worker import TACCRequest, Transformer, WorkerError
 
 MARKUP = '<b style="color:red;font-size:larger">{match}</b>'
@@ -31,8 +30,6 @@ class KeywordFilter(Transformer):
     worker_type = "keyword-filter"
     accepts = (MIME_HTML,)
     produces = MIME_HTML
-    latency_model = DistillerLatencyModel(HTML_SLOPE_S_PER_KB,
-                                          fixed_s=0.001)
 
     def transform(self, content: Content, request: TACCRequest) -> Content:
         pattern_text = request.param("filter_pattern")
@@ -63,13 +60,4 @@ class KeywordFilter(Transformer):
             mime=MIME_HTML,
             worker=self.worker_type,
             keywords_marked=matched,
-        )
-
-    def simulate(self, request: TACCRequest) -> Content:
-        content = request.content
-        return content.derive(
-            zero_payload(int(content.size * 1.02)),
-            mime=MIME_HTML,
-            worker=self.worker_type,
-            simulated=True,
         )

@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Sequence, Tuple
 
-from repro.distillers.base import DistillerLatencyModel, HTML_SLOPE_S_PER_KB
 from repro.tacc.content import MIME_HTML, Content
 from repro.tacc.worker import Aggregator, TACCRequest, WorkerError
 
@@ -53,8 +52,6 @@ class MetasearchAggregator(Aggregator):
     worker_type = "metasearch"
     accepts = (MIME_HTML,)
     produces = MIME_HTML
-    latency_model = DistillerLatencyModel(HTML_SLOPE_S_PER_KB,
-                                          fixed_s=0.002)
 
     def aggregate(self, inputs: List[Content],
                   request: TACCRequest) -> Content:

@@ -10,7 +10,7 @@ handed stage-by-stage to the SNS layer for remote execution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.tacc.content import Content
 from repro.tacc.registry import WorkerRegistry

@@ -20,13 +20,8 @@ from __future__ import annotations
 import hashlib
 from typing import Tuple
 
-from repro.distillers.base import DistillerLatencyModel
 from repro.tacc.content import MIME_OCTET, Content
 from repro.tacc.worker import TACCRequest, Transformer, WorkerError
-
-#: crypto is CPU-bound: a bit cheaper than image distillation per byte.
-CRYPTO_SLOPE_S_PER_KB = 0.004
-
 
 #: the simulated servers' shared key-derivation secret
 REWEBBER_SECRET = "s3cret"
@@ -59,8 +54,6 @@ def _keystream_xor(data: bytes, key_material: str) -> bytes:
 
 
 class _CryptoWorker(Transformer):
-    latency_model = DistillerLatencyModel(CRYPTO_SLOPE_S_PER_KB,
-                                          fixed_s=0.002)
     direction = "?"
 
     def _key(self, request: TACCRequest) -> str:
@@ -69,14 +62,6 @@ class _CryptoWorker(Transformer):
             raise WorkerError(
                 f"no rewebber key in profile for {self.direction}")
         return key_material
-
-    def simulate(self, request: TACCRequest) -> Content:
-        content = request.content
-        return content.derive(
-            b"\x00" * content.size,  # crypto is size-preserving
-            worker=self.worker_type,
-            simulated=True,
-        )
 
 
 class EncryptWorker(_CryptoWorker):

@@ -3,8 +3,9 @@
 Section 5.4: "The programming model for TACC services is still
 embryonic.  We plan to develop it into a well-defined programming
 environment with an SDK, and we will encourage our colleagues to author
-services of their own using our system."  This module is that SDK's
-core: it checks, mechanically, the contracts the SNS layer depends on —
+services of their own using our system."  This module sketches that
+SDK's core, as user code on the TACC API rather than part of it: it
+checks, mechanically, the contracts the SNS layer depends on —
 contracts that are otherwise only enforced by production incidents.
 
 A worker passes the bench when it is:
@@ -26,9 +27,8 @@ A worker passes the bench when it is:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.tacc.content import Content
 from repro.tacc.worker import TACCRequest, Worker, WorkerError
 
 

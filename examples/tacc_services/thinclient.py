@@ -18,13 +18,7 @@ from __future__ import annotations
 import re
 from typing import List
 
-from repro.distillers.base import DistillerLatencyModel, HTML_SLOPE_S_PER_KB
-from repro.tacc.content import (
-    Content,
-    MIME_HTML,
-    MIME_PLAIN,
-    zero_payload,
-)
+from repro.tacc.content import MIME_HTML, MIME_PLAIN, Content
 from repro.tacc.worker import TACCRequest, Transformer, WorkerError
 
 _TAG = re.compile(r"<[^>]+>")
@@ -46,8 +40,6 @@ class ThinClientSimplifier(Transformer):
     worker_type = "thinclient-simplify"
     accepts = (MIME_HTML,)
     produces = MIME_PLAIN
-    latency_model = DistillerLatencyModel(HTML_SLOPE_S_PER_KB,
-                                          fixed_s=0.002)
 
     def transform(self, content: Content, request: TACCRequest) -> Content:
         try:
@@ -81,16 +73,6 @@ class ThinClientSimplifier(Transformer):
             mime=MIME_PLAIN,
             worker=self.worker_type,
             columns=columns,
-        )
-
-    def simulate(self, request: TACCRequest) -> Content:
-        content = request.content
-        # simplification strips markup: pages shrink substantially
-        return content.derive(
-            zero_payload(max(32, int(content.size * 0.4))),
-            mime=MIME_PLAIN,
-            worker=self.worker_type,
-            simulated=True,
         )
 
 

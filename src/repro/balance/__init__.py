@@ -1,4 +1,4 @@
-"""Pluggable routing policies for worker selection (ROADMAP item 1).
+"""Pluggable routing policies for worker selection.
 
 ``build_policy(config.routing_policy, config, rng)`` is the single
 entry point the manager stub uses; everything else is the registry and

@@ -1,6 +1,6 @@
 """Routing-policy sweep: tail latency and harvest per policy, at scale.
 
-ROADMAP item 1's measurement: replay the *same* million-request
+The routing policies' measurement: replay the *same* million-request
 streaming JPEG trace once per routing policy (:mod:`repro.balance`)
 against a fixed worker pool, inject one gray-slow worker a quarter of
 the way in, and compare p99/p99.9 tails, harvest, and how each policy

@@ -9,7 +9,10 @@ alongside each request.
 
 This package is usable standalone (workers run as plain Python callables —
 see ``examples/quickstart.py``) and is also the worker code that the SNS
-layer schedules across the simulated cluster.
+layer schedules across the simulated cluster.  What the paper builds *on*
+this layer lives with the examples, as user code on the names below:
+the Section 5.1 services, the Section 5.4 worker SDK and the
+Unix-pipeline chaining of worker types (``examples/tacc_services/``).
 """
 
 from repro._lazy import lazy_exports
@@ -18,9 +21,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "content": ("Content", "ZeroPayload", "zero_payload"),
     "worker": (
         "Aggregator", "TACCRequest", "Transformer", "Worker", "WorkerError"),
-    "pipeline": ("Pipeline", "PipelineError"),
     "registry": ("WorkerRegistry",),
-    "sdk": ("BenchReport", "WorkerBench", "check_worker"),
     "customization": (
         "ProfileStore", "StoreCorrupt", "Transaction", "TransactionError",
         "WriteAheadLog", "WriteThroughCache"),
@@ -28,10 +29,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 
 __all__ = [
     "Aggregator",
-    "BenchReport",
     "Content",
-    "Pipeline",
-    "PipelineError",
     "ProfileStore",
     "StoreCorrupt",
     "TACCRequest",
@@ -39,12 +37,10 @@ __all__ = [
     "TransactionError",
     "Transformer",
     "Worker",
-    "WorkerBench",
     "WorkerError",
     "WorkerRegistry",
     "WriteAheadLog",
     "WriteThroughCache",
     "ZeroPayload",
-    "check_worker",
     "zero_payload",
 ]

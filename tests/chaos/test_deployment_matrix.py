@@ -1,7 +1,7 @@
 """The deployment matrix: the ``smoke`` campaign must hold its
 invariants under every manager backend x routing policy x profile store
 — each cell is one ``config_overrides`` mapping, so the matrix is
-enumerated, not hand-written.  (First instalment of ROADMAP 2(c).)
+enumerated, not hand-written.
 
 A cell that stops holding is a finding to fix, not a cell to skip.
 """

@@ -1,4 +1,4 @@
-"""The fault table, row by row (ROADMAP 2(c)'s conformance matrix,
+"""The fault table, row by row (the fault kinds' conformance matrix,
 generated from the table rather than written beside it).
 
 Every concrete :class:`~repro.chaos.campaign.Fault` subclass is found by

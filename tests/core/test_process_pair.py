@@ -2,6 +2,8 @@
 design) and its comparison against soft-state recovery."""
 
 import hashlib
+import sys
+from functools import lru_cache
 
 import pytest
 
@@ -132,41 +134,77 @@ def test_mirroring_costs_continuous_messages(fabric):
 
 
 def outage_digest(process_pair, seed):
-    """sha256 over what a manager crash and its recovery leave behind:
-    the final event sequence number, every beacon the monitor heard
-    (times as ``float.hex``), the mirror's traffic, the restarts and
-    the completed requests of a 5 req/s stream."""
+    """What a manager crash and its recovery leave behind: the sha256
+    of every beacon the monitor heard (times as ``float.hex``), the
+    mirror's traffic, the restarts and the completed requests of a
+    5 req/s stream (the observables), and apart from it the final event
+    sequence number (the event counter)."""
     fabric, engine = outage_run(process_pair, seed, rate_rps=5.0)
     replication, secondary = fabric.manager.replication, fabric.secondary
     mirror = (replication.mirror_messages, replication.mirror_bytes,
               secondary.snapshots_received) if process_pair else None
     fields = (
-        fabric.cluster.env._seq,
         [(time.hex(), count) for time, count
          in fabric.monitor.worker_counts],
         mirror,
         fabric.manager_restarts,
         len(engine.completed()),
     )
-    return hashlib.sha256(repr(fields).encode()).hexdigest()
+    return (hashlib.sha256(repr(fields).encode()).hexdigest(),
+            fabric.cluster.env._seq)
 
 
-#: recorded before the three manager designs became one class with
-#: three replication strategies; a change that moves one of these moved
-#: the process pair's or soft state's recovery trajectory.
+#: (observables' sha256, event counter); a change that moves a digest
+#: moved the process pair's or soft state's recovery trajectory.  The
+#: trajectories are the ones pinned before the three manager designs
+#: became one class with three replication strategies: the same runs
+#: reproduce those digests when the counter is hashed back in.
 OUTAGE_DIGESTS = {
-    (False, 31):
-        "b069d37e3670c643f210c9e93c3a4420083487aafe985c0fd13a345cf2575dea",
-    (False, 1997):
-        "de7df486569ecb9a49996452e32bd7e3ba406f3d79b08587fef477ad29b4d80f",
-    (True, 31):
-        "013cf9f4dd0fcd1733a24c442aaa253f69b298ab720aae74cc47f49e4ff71556",
-    (True, 1997):
-        "77ba5a1e9f9e93e0e6995839bc6b92ab066ec212631e700046621619244d3645",
+    (False, 31): (
+        "437be4ab83b5f9b4bab610419303bb267717cd8d9d91b2372dbd2a1293e0652b",
+        2883),
+    (False, 1997): (
+        "eec2382a56e03e70b8e9478c21bfe7cb8f57040a2e8e3c46fbfa1c7d84dc4754",
+        3381),
+    (True, 31): (
+        "02f09626467f48a33d6cb959019bb0bb104e196f7f7c4be46f830d0afc450219",
+        3129),
+    (True, 1997): (
+        "bf171104154e880a8ff0b114eb507fc0a694b382d4d94da151007058aae766dc",
+        3416),
 }
+
+#: one run per case, shared by the observable and the counter test
+measured_outage = lru_cache(maxsize=None)(outage_digest)
 
 
 @pytest.mark.parametrize("process_pair, seed", sorted(OUTAGE_DIGESTS))
 def test_outage_trajectory_is_pinned(process_pair, seed):
-    assert outage_digest(process_pair, seed) == \
-        OUTAGE_DIGESTS[process_pair, seed]
+    assert measured_outage(process_pair, seed)[0] == \
+        OUTAGE_DIGESTS[process_pair, seed][0]
+
+
+@pytest.mark.parametrize("process_pair, seed", sorted(OUTAGE_DIGESTS))
+def test_outage_event_counter_is_pinned(process_pair, seed):
+    recorded = OUTAGE_DIGESTS[process_pair, seed][1]
+    got = measured_outage(process_pair, seed)[1]
+    assert got == recorded, (
+        f"the outage run scheduled another number of events: recorded "
+        f"{recorded}, got {got}.  A change that removes events and "
+        f"keeps the observables' digest re-records this column "
+        f"downward, as `python -m tests.chaos.test_report_digests "
+        f"--record --events-only` does for the chaos digests")
+
+
+def test_a_planted_extra_event_moves_the_outage_counter_alone(monkeypatch):
+    build = make_fabric
+
+    def build_and_plant(*args, **kwargs):
+        fabric = build(*args, **kwargs)
+        fabric.cluster.env.schedule_call(0.0, lambda event: None)
+        return fabric
+
+    monkeypatch.setattr(sys.modules[__name__], "make_fabric",
+                        build_and_plant)
+    digest, events = outage_digest(True, 31)
+    assert (digest, events - 1) == OUTAGE_DIGESTS[True, 31]

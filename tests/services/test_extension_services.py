@@ -1,26 +1,28 @@
-"""Tests for the five Section 5.1 extension services."""
+"""Tests for the five Section 5.1 extension services
+(``tacc_services``, user code on the TACC layer)."""
 
 import pytest
 
-from repro.services.culture_page import (
+from repro.tacc.content import MIME_HTML, MIME_OCTET, MIME_PLAIN, Content
+from repro.tacc.registry import WorkerRegistry
+from repro.tacc.worker import TACCRequest, WorkerError
+
+from tacc_services.culture_page import (
     CulturePageAggregator,
     extract_events,
 )
-from repro.services.keyword_filter import KeywordFilter
-from repro.services.metasearch import (
+from tacc_services.keyword_filter import KeywordFilter
+from tacc_services.metasearch import (
     MetasearchAggregator,
     render_engine_results,
 )
-from repro.services.rewebber import (
+from tacc_services.pipeline import Pipeline
+from tacc_services.rewebber import (
     DecryptWorker,
     EncryptWorker,
     rewebber_keypair,
 )
-from repro.services.thinclient import ThinClientSimplifier
-from repro.tacc.content import MIME_HTML, MIME_OCTET, MIME_PLAIN, Content
-from repro.tacc.pipeline import Pipeline
-from repro.tacc.registry import WorkerRegistry
-from repro.tacc.worker import TACCRequest, WorkerError
+from tacc_services.thinclient import ThinClientSimplifier
 
 
 def html(body, url="http://site/page.html"):

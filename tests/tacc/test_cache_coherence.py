@@ -114,9 +114,10 @@ def test_hit_rate_accounting_unaffected_by_flushes(tmp_path):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "known defect, ROADMAP item 6 (iv): a write-through set on an "
-    "uncached user caches only the written key; fixing it moves which "
-    "profile reads hit the cache in campaigns that write profiles"))
+    "known defect in ROADMAP's model-defect queue: a write-through "
+    "set on an uncached user caches only the written key; fixing it "
+    "moves which profile reads hit the cache in campaigns that write "
+    "profiles"))
 def test_set_on_an_uncached_user_caches_the_whole_profile():
     store, cache = make_pair()
     store.set("alice", "quality", 60)  # written before the cache saw her

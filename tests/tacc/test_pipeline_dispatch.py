@@ -1,11 +1,13 @@
-"""Tests for pipelines and the worker registry."""
+"""Tests for the worker registry, and for the pipelines that chain
+workers through it (``tacc_services.pipeline``, user code on TACC)."""
 
 import pytest
 
 from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG, Content
-from repro.tacc.pipeline import Pipeline, PipelineError
 from repro.tacc.registry import RegistryError, WorkerRegistry
 from repro.tacc.worker import TACCRequest, Transformer
+
+from tacc_services.pipeline import Pipeline, PipelineError
 
 
 class GifToJpeg(Transformer):

@@ -1,4 +1,4 @@
-"""Tests for the TACC SDK conformance bench."""
+"""Tests for the TACC SDK conformance bench (``tacc_services.sdk``)."""
 
 import pytest
 
@@ -6,12 +6,13 @@ from repro.distillers.gif import GifDistiller
 from repro.distillers.html import HtmlMunger
 from repro.distillers.images import generate_photo
 from repro.distillers.jpeg import JpegDistiller
-from repro.services.keyword_filter import KeywordFilter
-from repro.services.thinclient import ThinClientSimplifier
 from repro.sim.rng import RandomStreams
 from repro.tacc.content import MIME_GIF, MIME_HTML, MIME_JPEG, Content
-from repro.tacc.sdk import BenchReport, WorkerBench, check_worker
 from repro.tacc.worker import TACCRequest, Transformer, WorkerError
+
+from tacc_services.keyword_filter import KeywordFilter
+from tacc_services.sdk import BenchReport, WorkerBench, check_worker
+from tacc_services.thinclient import ThinClientSimplifier
 
 
 @pytest.fixture(scope="module")

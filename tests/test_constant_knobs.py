@@ -195,9 +195,9 @@ REMOVED_PARAMETERS = (
     ("repro.obs.trace", "Tracer.open_aux_trace", "category"),
     ("repro.analysis.metrics", "yield_recovery_time", "target"),
     ("repro.analysis.reporting", "render_series", "width"),
-    ("repro.services.rewebber", "rewebber_keypair", "secret"),
-    ("repro.tacc.pipeline", "Pipeline.validate", "input_mime"),
-    ("repro.tacc.pipeline", "Pipeline.execute", "trace"),
+    ("tacc_services.rewebber", "rewebber_keypair", "secret"),
+    ("tacc_services.pipeline", "Pipeline.validate", "input_mime"),
+    ("tacc_services.pipeline", "Pipeline.execute", "trace"),
     ("repro.transend.cachesys", "CacheSubsystem.add_node", "name"),
     ("repro.transend.service", "TranSend.start", "warmup_s"),
     ("repro.transend.service", "TranSend", "real_content"),

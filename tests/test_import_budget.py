@@ -37,12 +37,12 @@ LAZY_PACKAGES = tuple(
     for path in sorted((SRC / "repro").glob("*/__init__.py")))
 #: modules a deployment of the `stack` benchmark, built and given its
 #: inputs, never calls: the tracing reports and exporters, the analysis
-#: renderers, the worker SDK and pipelines, the brownout ladder and its
-#: forced distillation setting (no `stack` workload starts the
-#: controller) and the burstiness analysis
+#: renderers, the brownout ladder and its forced distillation setting
+#: (no `stack` workload starts the controller) and the burstiness
+#: analysis
 NOT_FOR_SETUP = ("repro.obs.attribution", "repro.obs.export",
-                 "repro.analysis", "repro.tacc.sdk", "repro.tacc.pipeline",
-                 "repro.degrade.ladder", "repro.workload.burstiness")
+                 "repro.analysis", "repro.degrade.ladder",
+                 "repro.workload.burstiness")
 
 _REPORT = ("\nimport json, sys\n"
            "print(json.dumps(sorted(sys.modules)))\n")
@@ -148,7 +148,7 @@ def test_lazy_package_keeps_its_public_names(package):
 
 
 def test_every_package_is_listed_as_lazy():
-    assert len(LAZY_PACKAGES) == 19
+    assert len(LAZY_PACKAGES) == 18
     assert {"repro.core", "repro.sim", "repro.obs", "repro.workload",
             "repro.experiments"} <= set(LAZY_PACKAGES)
 
@@ -166,7 +166,7 @@ def test_a_package_import_loads_none_of_its_submodules():
 def test_setup_loads_only_what_the_deployments_use():
     """Building each of the four `stack` deployments and generating its
     inputs (what the benchmark's setup_s probe times) loads none of the
-    modules only reports, SDKs and analyses use."""
+    modules only reports and analyses use."""
     status, printed, modules = fresh_interpreter(
         "from benchmarks.stack.loadgen import scaled\n"
         "from benchmarks.stack.workloads import WORKLOADS\n"

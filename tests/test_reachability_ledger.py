@@ -180,3 +180,39 @@ def test_no_deleted_name_is_back_or_still_exported():
                 bad.append(f"{top} is gone from {module} but still "
                            f"exported by {package.relative_to(REPO_ROOT)}")
     assert not bad, "\n".join(bad)
+
+
+def test_regeneration_drops_the_reasons_of_what_went(tmp_path, monkeypatch,
+                                                     capsys):
+    """A regeneration after a deletion writes the ledger without the
+    gone rows and exits 0; ``--check`` on a committed ledger that still
+    carries them fails, naming each."""
+    functions = [
+        tool.Function("repro.m:kept", ("repro/m.py", 1), 2, ""),
+        tool.Function("repro.m:used", ("repro/m.py", 4), 2, "", ("flag",)),
+    ]
+    keys = {("repro/m.py", 4)}
+    reasons = {"repro.m:kept": "test reference -- a test calls it",
+               "repro.m:used(flag)": "test seam -- tests pass a second value"}
+    written = tool.render(functions, keys, reasons, [], set())
+    gone = ("repro.m:gone  3  keep: test reference -- its module moved\n"
+            "repro.m:gone(x)  keep: test seam -- went with its function\n")
+    committed = written + gone
+    ledger = tmp_path / "reachability.txt"
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "LEDGER", ledger)
+    monkeypatch.setattr(tool, "catalogue", lambda: functions)
+    monkeypatch.setattr(tool, "reached", lambda: (keys, set()))
+
+    ledger.write_text(committed)
+    assert tool.main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert "keep: reason for a function that is gone: repro.m:gone\n" in err
+    assert "keep: reason for a parameter that is gone: repro.m:gone(x)" in err
+    assert "reachability.txt is stale" in err
+
+    assert tool.main([]) == 0
+    err = capsys.readouterr().err
+    assert "gone" not in err
+    assert ledger.read_text() == written
+    assert tool.main(["--check"]) == 0

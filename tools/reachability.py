@@ -377,6 +377,9 @@ def _group_stack(scratch: Path) -> None:
 
 
 def _group_examples(scratch: Path) -> None:
+    # `python examples/x.py` puts the script's directory on the path,
+    # where the scripts find the package they share; run_path does not
+    sys.path.insert(0, str(ROOT / "examples"))
     for path in sorted((ROOT / "examples").glob("*.py")):
         _script(path)
 
@@ -621,14 +624,18 @@ def main(argv: List[str] = None) -> int:
     functions = catalogue()
     keys, set_parameters = reached()
     text = render(functions, keys, reasons, deleted, set_parameters)
-    found = problems(functions, keys, reasons, deleted, set_parameters)
     if args.check:
+        found = problems(functions, keys, reasons, deleted, set_parameters)
         sys.stdout.write(text)
         if text != committed:
             found.append(f"{LEDGER.relative_to(ROOT)} is stale: run "
                          f"`python tools/reachability.py` and commit it")
     else:
         LEDGER.write_text(text)
+        # judged as written: the rows of what went or is reached now
+        # are not carried over, so their reasons are no problem
+        found = problems(functions, keys, read_reasons(text), deleted,
+                         set_parameters)
     for problem in found:
         print(problem, file=sys.stderr)
     n_unreached = sum(function.key not in keys for function in functions)
