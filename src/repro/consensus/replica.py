@@ -121,7 +121,6 @@ class Paxos:
         self._subscription = None
         # counters
         self.campaigns_started = 0
-        self.entries_proposed = 0
 
     # -- role predicates -----------------------------------------------------
 
@@ -320,7 +319,6 @@ class Paxos:
     def _propose(self, value: Any) -> None:
         slot = self._next_slot
         self._next_slot += 1
-        self.entries_proposed += 1
         self._drive(slot, value)
 
     def _loads_snapshot(self) -> Tuple:

@@ -38,7 +38,6 @@ class Component:
         self.name = name
         self.alive = False
         self.started_at: Optional[float] = None
-        self.killed_at: Optional[float] = None
         self._procs: List[Process] = []
         #: length of ``_procs`` at which spawn() next drops the dead
         self._sweep_at = _SWEEP_FLOOR
@@ -103,7 +102,6 @@ class Component:
         if not self.alive:
             return
         self.alive = False
-        self.killed_at = self.env.now
         self.node.detach(self.name)
         for process in self._procs:
             # A component may kill itself from inside one of its own

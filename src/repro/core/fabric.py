@@ -312,11 +312,8 @@ class SNSFabric:
         sequence = self._worker_seq.setdefault(worker_type,
                                                itertools.count(1))
         name = f"{worker_type}.{next(sequence)}"
-        stub = WorkerStub(
-            self.cluster, node, name,
-            self.registry.create(worker_type), self.config,
-            on_overflow_node=node.overflow,
-        )
+        stub = WorkerStub(self.cluster, node, name,
+                          self.registry.create(worker_type), self.config)
         stub.start()
         self.workers[name] = stub
         return stub

@@ -105,12 +105,9 @@ class FrontEnd(Component):
         # counters
         self.requests_received = 0
         self.responses_sent = 0
-        self.fallbacks = 0
-        self.errors = 0
         self.shed = 0
         #: degraded (reduced-harvest) replies: answered, but below full
-        #: fidelity/freshness — the BASE trade, counted apart from
-        #: fallbacks and errors.
+        #: fidelity/freshness — the BASE trade.
         self.degraded = 0
         #: sheds by reason, under the degradation ladder's top rungs.
         self.shed_priority = 0
@@ -141,7 +138,6 @@ class FrontEnd(Component):
             # burns a thread and netstack time better spent on
             # requests that can still meet their deadline
             self.shed += 1
-            self.errors += 1
             if span is not None:
                 span.annotate(shed=True).finish()
             request.succeed(Response(
@@ -151,7 +147,6 @@ class FrontEnd(Component):
         shed_path = self._ladder_shed(record)
         if shed_path is not None:
             self.shed += 1
-            self.errors += 1
             if span is not None:
                 span.annotate(shed=True, shed_path=shed_path).finish()
             request.succeed(Response(
@@ -241,12 +236,8 @@ class FrontEnd(Component):
             service_span.finish()
             mark = env._now
         status = response.status
-        if status == "fallback":
-            self.fallbacks += 1
-        elif status == "degraded":
+        if status == "degraded":
             self.degraded += 1
-        elif status == "error":
-            self.errors += 1
         # ship the response back out the access link
         if access_link is not None:
             yield env.timeout(access_link.reserve(

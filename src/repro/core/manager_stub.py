@@ -127,7 +127,6 @@ class ManagerStub:
         self.dispatches = 0
         self.retries = 0
         self.timeouts = 0
-        self.worker_errors = 0
         self.deadline_expiries = 0
         self.backoff_waits = 0
         #: beacons refused for carrying an incarnation lower than one
@@ -389,7 +388,6 @@ class ManagerStub:
                     outcome = yield TimedWait(
                         env, envelope, wait if wait > 0.0 else 0.0)
                 except WorkerError:
-                    self.worker_errors += 1
                     now = env._now
                     policy.on_reply(worker_name, now, now - submitted_at)
                     raise

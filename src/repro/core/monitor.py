@@ -5,11 +5,11 @@ a multicast group ... The monitor can page or email the system operator
 if a serious error occurs, for example, if it stops receiving reports
 from some component."
 
-This monitor records everything it hears — which makes it the data
-source for Figure 8's queue-length-over-time series — raises
-:class:`Alert` records on component silence, and renders an ASCII status
-panel in place of the original Tcl/Tk visualization (the information
-content is the same; see DESIGN.md "Out of scope").
+This monitor notes when it last heard each component and how many
+workers each manager beacon advertised, raises :class:`Alert` records
+on component silence, and renders an ASCII status panel in place of
+the original Tcl/Tk visualization (the information content is the
+same; see DESIGN.md "Out of scope").
 """
 
 from __future__ import annotations
@@ -37,18 +37,8 @@ class Alert:
     message: str
 
 
-@dataclass
-class QueueSample:
-    """One worker's queue average at one beacon time (Figure 8 data)."""
-
-    time: float
-    worker_name: str
-    worker_type: str
-    queue_avg: float
-
-
 class Monitor(Component):
-    """Listens to everything; alerts on silence; keeps time series."""
+    """Listens to everything; alerts on silence; counts advertised workers."""
 
     kind = "monitor"
 
@@ -62,9 +52,7 @@ class Monitor(Component):
         #: silence is expected and must not page the operator.
         self._maintenance: set = set()
         self.alerts: List[Alert] = []
-        self.queue_series: List[QueueSample] = []
         self.worker_counts: List[Tuple[float, int]] = []
-        self.beacons_heard = 0
 
     def _start_processes(self) -> None:
         self.spawn(self._beacon_listener())
@@ -77,18 +65,11 @@ class Monitor(Component):
         try:
             while True:
                 beacon: ManagerBeacon = yield subscription.get()
-                self.beacons_heard += 1
                 self._mark_seen(beacon.manager_id)
                 self.worker_counts.append(
                     (self.env.now, len(beacon.adverts)))
                 for advert in beacon.adverts.values():
                     self._mark_seen(advert.worker_name)
-                    self.queue_series.append(QueueSample(
-                        time=self.env.now,
-                        worker_name=advert.worker_name,
-                        worker_type=advert.worker_type,
-                        queue_avg=advert.queue_avg,
-                    ))
         finally:
             subscription.cancel()
 

@@ -54,12 +54,10 @@ class WorkerStub(Component):
         name: str,
         worker: Worker,
         config: SNSConfig,
-        on_overflow_node: bool = False,
     ) -> None:
         super().__init__(cluster, node, name)
         self.worker = worker
         self.config = config
-        self.on_overflow_node = on_overflow_node
         self.rng = cluster.streams.stream(f"worker:{name}")
         self.queue = cluster.env.queue(config.worker_queue_capacity)
         #: injectable gray-failure switches (repro.recovery); all-default
@@ -77,13 +75,11 @@ class WorkerStub(Component):
         #: from a deposed manager (partitioned away, then healed back)
         #: and must not win the worker's registration.
         self._highest_incarnation: int = -1
-        self.stale_beacons_ignored = 0
         #: cut off the SAN until this time; written only by partition()
         self._partitioned_until = 0.0
         # counters
         self.served = 0
         self.failed = 0
-        self.refused = 0
         self.expired = 0
 
     @property
@@ -117,7 +113,6 @@ class WorkerStub(Component):
         try:
             self.queue.put_nowait(envelope)
         except QueueFull:
-            self.refused += 1
             return False
         envelope.cost_s = self.worker.work_estimate(envelope.work)
         envelope.enqueued_at = self.env._now
@@ -338,7 +333,6 @@ class WorkerStub(Component):
                     # a lower incarnation means a deposed manager is
                     # still (or again) beaconing: never re-register
                     # backwards
-                    self.stale_beacons_ignored += 1
                     continue
                 self._highest_incarnation = beacon.incarnation
                 if beacon.incarnation == self._registered_incarnation:

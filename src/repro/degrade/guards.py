@@ -43,20 +43,16 @@ class RetryBudget:
         self.ratio = ratio
         self.cap = cap
         self.tokens = cap
-        self.earned = 0
-        self.spent = 0
         self.denials = 0
 
     def earn(self) -> None:
         """A fresh (first-attempt) request arrived: accrue budget."""
-        self.earned += 1
         self.tokens = min(self.cap, self.tokens + self.ratio)
 
     def try_spend(self) -> bool:
         """Spend one token for a retry; False = budget exhausted."""
         if self.tokens >= 1.0:
             self.tokens -= 1.0
-            self.spent += 1
             return True
         self.denials += 1
         return False
@@ -101,7 +97,6 @@ class CircuitBreaker:
         # counters
         self.opens = 0
         self.short_circuits = 0
-        self.probes = 0
 
     def allow(self) -> bool:
         """May a fetch proceed right now?
@@ -123,7 +118,6 @@ class CircuitBreaker:
             self.short_circuits += 1
             return False
         self._probe_in_flight = True
-        self.probes += 1
         return True
 
     def record(self, elapsed_s: float, ok: bool) -> None:

@@ -27,8 +27,6 @@ class FreshnessCache:
         self.fresh_ttl_s = fresh_ttl_s
         self.stale_ttl_s = stale_ttl_s
         self._entries: Dict[Any, Tuple[Any, float]] = {}
-        self.fresh_hits = 0
-        self.stale_hits = 0
         self.misses = 0
 
     def put(self, key: Any, value: Any, now: float) -> None:
@@ -43,10 +41,8 @@ class FreshnessCache:
         value, stored_at = entry
         age = now - stored_at
         if age <= self.fresh_ttl_s:
-            self.fresh_hits += 1
             return (FRESH, value)
         if age <= self.stale_ttl_s:
-            self.stale_hits += 1
             return (STALE, value)
         # expired: drop it so the dict cannot grow without bound
         del self._entries[key]

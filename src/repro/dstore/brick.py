@@ -67,11 +67,6 @@ class Brick(Component):
         #: read-repair ("repairs lazily on access").
         self.repaired_users: Dict[int, Set[str]] = {}
         self.gray = GrayState()
-        # counters
-        self.puts = 0          # cell writes applied over this life
-        self.gets = 0
-        self.repairs_received = 0
-        self.syncs_received = 0
 
     def _start_processes(self) -> None:
         # the data plane is synchronous (like supervisor probes, it
@@ -136,7 +131,6 @@ class Brick(Component):
             current = profile.get(key)
             if current is None or current[0] < version:
                 profile[key] = (version, value)
-                self.puts += 1
         return True
 
     def read_user(self, partition: int,
@@ -149,7 +143,6 @@ class Brick(Component):
                 and user_id not in self.repaired_users.get(partition,
                                                            ()):
             return None  # amnesia: "unknown", never a false "absent"
-        self.gets += 1
         return dict(self.cells[partition].get(user_id, {}))
 
     # -- repair intake -------------------------------------------------------
@@ -172,7 +165,6 @@ class Brick(Component):
             current = profile.get(key)
             if current is None or current[0] < version:
                 profile[key] = (version, value)
-                self.repairs_received += 1
         if not profile:
             users.pop(user_id, None)
         if partition not in self.authoritative:
@@ -200,7 +192,6 @@ class Brick(Component):
                     merged += 1
         self.authoritative.add(partition)
         self.repaired_users.pop(partition, None)
-        self.syncs_received += 1
         return merged
 
     # -- supervision surface -------------------------------------------------

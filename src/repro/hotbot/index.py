@@ -106,9 +106,8 @@ class InvertedIndex:
         #: the build; without one (None) the build derives its own from
         #: the documents
         self.vocabulary: "Vocabulary | None" = None
-        #: documents and terms with at least one posting
+        #: documents with at least one posting
         self.n_documents = 0
-        self.n_terms = 0
         # the vocabulary the build used, and the postings: doc ids and
         # term frequencies, each in one array grouped by term id, of
         # the narrowest typecode the data fits
@@ -188,7 +187,6 @@ class InvertedIndex:
             weight_of[frequency] = 1.0 + math.log(frequency)
         self._ids, self._idf = vocabulary
         self.n_documents = len(seen)
-        self.n_terms = packed
         self._offsets = narrowest(offsets, "Hi")
         self._doc_ids = doc_ids
         self._frequencies = frequencies

@@ -101,13 +101,11 @@ class InformixModel:
         self.available = True
         self.unavailable_until = 0.0
         self.requests = 0
-        self.failovers = 0
 
     def fail_primary(self) -> None:
         """Crash the primary; the backup takes over after DB_FAILOVER_S."""
         self.available = False
         self.unavailable_until = self.cluster.env.now + DB_FAILOVER_S
-        self.failovers += 1
 
     def request(self):
         """Process generator: one profile read + ad-revenue write."""

@@ -77,12 +77,10 @@ class Supervisor(Component):
         self._case_seq = 0
         # counters + operator surface
         self.probes_sent = 0
-        self.probe_failures = 0
         self.suspicions = 0
         self.restarts = 0
         self.rejuvenations = 0
         self.backoff_waits = 0
-        self.budget_denials = 0
         self.quarantined_nodes: List[str] = []
         self.alerts: List[Alert] = []
 
@@ -171,7 +169,6 @@ class Supervisor(Component):
         self._probe_failures.pop(stub.name, None)
 
     def _probe_failed(self, stub, detail: str) -> None:
-        self.probe_failures += 1
         count = self._probe_failures.get(stub.name, 0) + 1
         self._probe_failures[stub.name] = count
         if count >= self.policy.probe_confirmations:
@@ -253,7 +250,6 @@ class Supervisor(Component):
         if len(self._restart_times) >= RESTART_BUDGET:
             # out of budget: stop healing, page a human (automated
             # recovery that keeps thrashing is worse than none)
-            self.budget_denials += 1
             self._alert("page", name,
                         f"restart budget exhausted; {detector}: {detail}")
             return

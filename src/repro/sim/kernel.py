@@ -158,7 +158,7 @@ class Timeout(Event):
     at fire time).  It cannot be triggered by hand — the clock owns it.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float):
         if not delay >= 0:  # negative, or NaN
@@ -168,7 +168,6 @@ class Timeout(Event):
         self._value = PENDING
         self._ok = True
         self._defused = False
-        self.delay = delay
         env._seq = seq = env._seq + 1
         at = env._now + delay
         if at > env._now:

@@ -61,16 +61,10 @@ class MulticastGroup:
         self.name = name
         self.rng = rng
         self._subscriptions: List[Subscription] = []
-        self.published = 0
         self.delivered = 0
+        #: copies lost to SAN saturation, a partition, the lossy-SAN
+        #: fault model or a full mailbox.
         self.dropped = 0
-        #: copies lost/duplicated by the lossy-SAN fault model (distinct
-        #: from saturation drops, which the paper's baseline produces).
-        self.fault_dropped = 0
-        self.fault_duplicated = 0
-        #: copies blocked by an active SAN partition (the sender and the
-        #: subscriber sat on opposite sides of the split).
-        self.partition_dropped = 0
 
     def subscribe(self, subscriber_name: str) -> Subscription:
         queue = self.env.queue(MAILBOX_CAPACITY)
@@ -90,7 +84,6 @@ class MulticastGroup:
         SAN is saturated.  Delivery is asynchronous; the publisher never
         blocks (datagram semantics).
         """
-        self.published += 1
         faults = self.network.faults
         partitions = self.network.partitions
         for subscription in list(self._subscriptions):
@@ -99,7 +92,6 @@ class MulticastGroup:
                 # datagram blackholed at the partitioned switch; no
                 # bandwidth charged, no randomness drawn
                 self.dropped += 1
-                self.partition_dropped += 1
                 partitions.multicast_blocked += 1
                 continue
             drop_probability = self.network.multicast_drop_probability()
@@ -113,10 +105,7 @@ class MulticastGroup:
                 copies, extra_delay = faults.datagram_fate(self.name)
                 if copies == 0:
                     self.dropped += 1
-                    self.fault_dropped += 1
                     continue
-                if copies > 1:
-                    self.fault_duplicated += 1
             for _ in range(copies):
                 delay = self.network.transfer_delay(
                     size_bytes, control=True) + extra_delay

@@ -34,10 +34,6 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-#: backward-compatible alias (the original private spelling).
-_derive_seed = derive_seed
-
-
 class Stream:
     """One independent random stream with distribution helpers."""
 
@@ -269,7 +265,7 @@ class RandomStreams:
     def stream(self, name: str) -> Stream:
         """Return the stream for ``name``, creating it deterministically."""
         if name not in self._streams:
-            self._streams[name] = Stream(_derive_seed(self.master_seed, name))
+            self._streams[name] = Stream(derive_seed(self.master_seed, name))
         return self._streams[name]
 
     def __getitem__(self, name: str) -> Stream:

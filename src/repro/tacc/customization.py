@@ -408,14 +408,12 @@ class WriteThroughCache:
         self._generation = store.generation
         self.hits = 0
         self.misses = 0
-        self.generation_flushes = 0
 
     def _check_generation(self) -> None:
         generation = self.store.generation
         if generation != self._generation:
             self._cache.clear()
             self._generation = generation
-            self.generation_flushes += 1
 
     def get(self, user_id: str) -> Dict[str, Any]:
         """A copy of the user's profile."""

@@ -61,7 +61,6 @@ class CacheNode(Component):
         self.cachesys = cachesys
         self.store = LRUCache(capacity_bytes)
         self.queue = cluster.env.queue()
-        self.lookups = 0
         self.stores = 0
 
     def _start_processes(self) -> None:
@@ -75,7 +74,6 @@ class CacheNode(Component):
             kind, key, value = yield get()
             if kind == "lookup":
                 yield Timeout(env, hit_time())
-                self.lookups += 1
                 result = self.store.get(key)
                 if self.alive and value._value is PENDING:
                     value.succeed(result)

@@ -43,7 +43,6 @@ class OriginServer:
             cluster.streams.stream("miss-penalty"))
         self._miss_penalty = self.latency.miss_penalty
         self.fetches = 0
-        self.bytes_fetched = 0
 
     def fetch(self, record: TraceRecord, trace=None):
         """Process generator: fetch ``record``'s content from the wide
@@ -60,7 +59,6 @@ class OriginServer:
             delay = self.internet_link.reserve(record.size_bytes)
             yield Timeout(env, delay)
         self.fetches += 1
-        self.bytes_fetched += record.size_bytes
         if span is not None:
             span.annotate(miss_penalty_s=round(penalty, 6)).finish()
         return self.materialize(record)

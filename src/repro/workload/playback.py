@@ -53,11 +53,9 @@ class PlaybackStats:
     submitted: int = 0
     completed: int = 0
     failed: int = 0
-    latency_sum: float = 0.0
 
-    def observe_success(self, latency: float) -> None:
+    def observe_success(self) -> None:
         self.completed += 1
-        self.latency_sum += latency
 
     def observe_failure(self) -> None:
         self.failed += 1
@@ -248,7 +246,7 @@ class PlaybackEngine:
                 root.annotate(
                     outcome=getattr(response, "status", "ok"))
             now = env._now
-            stats.observe_success(now - started)
+            stats.observe_success()
             if self.on_success is not None:
                 self.on_success(response, now - started)
             if self.record_outcomes:

@@ -29,8 +29,11 @@ def test_a_kill_fires_at_its_time_and_is_logged():
     fabric, faults = booted()
     victim = sorted(fabric.alive_workers(), key=lambda w: w.name)[0]
     faults.arm((KillWorker(at=10.0),))
+    fabric.cluster.run(until=9.99)
+    assert victim.alive and faults.timeline == []
+    fabric.cluster.run(until=10.0)
+    assert not victim.alive
     fabric.cluster.run(until=20.0)
-    assert victim.killed_at == 10.0
     assert faults.timeline == [FaultRecord(10.0, "kill", victim.name)]
 
 
@@ -52,9 +55,11 @@ def test_past_rows_are_refused_before_any_is_armed():
         faults.arm((KillWorker(at=12.0),
                     PartitionWorker(at=9.9, duration_s=5.0)))
     assert "PartitionWorker" in str(raised.value)
+    fabric.cluster.run(until=11.99)
+    survivors = fabric.alive_workers()
     fabric.cluster.run(until=20.0)
     assert faults.timeline == []
-    assert all(stub.killed_at != 12.0 for stub in fabric.workers.values())
+    assert survivors and all(stub.alive for stub in survivors)
 
 
 def test_rolling_kills_round_robin_without_an_rng():

@@ -136,7 +136,7 @@ def test_multicast_full_loss_drops_everything():
         group.publish("beacon", sender="mgr")
     cluster.run(until=1.0)
     assert subscription.queue.length == 0
-    assert group.fault_dropped == 10
+    assert group.dropped == 10
     assert faults.datagrams_lost == 10
 
 
@@ -150,7 +150,7 @@ def test_multicast_duplication_delivers_twice():
     group.publish("beacon", sender="mgr")
     cluster.run(until=1.0)
     assert subscription.queue.length == 2
-    assert group.fault_duplicated == 1
+    assert (group.delivered, group.dropped) == (2, 0)
 
 
 def test_multicast_unscoped_group_untouched():

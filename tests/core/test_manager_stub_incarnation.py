@@ -77,10 +77,17 @@ def test_worker_stub_ignores_stale_beacons_on_the_wire():
     fabric.cluster.multicast.group(BEACON_GROUP).publish(
         zombie, sender=manager.name)
     fabric.cluster.run(until=fabric.cluster.env.now + 1.0)
-    assert worker.stale_beacons_ignored >= 1
     assert worker._highest_incarnation == manager.incarnation
     # the real manager still owns the registration
     assert worker.name in manager.workers
+    # the same wire carries a higher incarnation through: the zombie's
+    # beacon arrived and was ignored, not lost
+    successor = _beacon(manager, manager.incarnation + 1,
+                        fabric.cluster.env.now)
+    fabric.cluster.multicast.group(BEACON_GROUP).publish(
+        successor, sender=manager.name)
+    fabric.cluster.run(until=fabric.cluster.env.now + 1.0)
+    assert worker._highest_incarnation == manager.incarnation + 1
 
 
 def test_lease_bound_rides_the_beacon():

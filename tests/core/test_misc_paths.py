@@ -23,13 +23,23 @@ def test_full_worker_queue_refuses_and_fe_retries():
                            dispatch_timeout_s=6.0))
     fabric.boot(n_frontends=1, initial_workers={"test-worker": 2})
     fabric.cluster.run(until=2.0)
+    refusals = []
+
+    def noting_refusals(submit):
+        def noted(envelope):
+            accepted = submit(envelope)
+            if not accepted:
+                refusals.append(envelope)
+            return accepted
+        return noted
+
+    for stub in fabric.alive_workers():
+        stub.submit = noting_refusals(stub.submit)
     # slam one burst in faster than two tiny queues can hold
     replies = [fabric.submit(make_record(i)) for i in range(12)]
     fabric.cluster.run(until=30.0)
-    stubs = fabric.alive_workers()
-    refused_total = sum(stub.refused for stub in stubs)
     # the burst overflowed at least one queue...
-    assert refused_total >= 1
+    assert refusals
     # ...yet every request got an answer (retry or fallback)
     done = [reply for reply in replies if reply.triggered]
     assert len(done) == 12

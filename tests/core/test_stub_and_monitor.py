@@ -187,18 +187,6 @@ def test_delta_estimation_damps_queue_oscillation():
 
 # -- monitor -----------------------------------------------------------------------------------
 
-def test_monitor_records_queue_series(fabric):
-    fabric.boot(n_frontends=1, initial_workers={"test-worker": 1})
-    fabric.cluster.run(until=5.0)
-    monitor = fabric.monitor
-    assert monitor.beacons_heard >= 8
-    series = monitor.queue_series
-    assert len({sample.worker_name for sample in series}) == 1
-    assert len(series) >= 5
-    times = [sample.time for sample in series]
-    assert times == sorted(times)
-
-
 def test_monitor_pages_on_silent_component(fabric):
     """'The monitor can page or email the system operator ... if it
     stops receiving reports from some component.'"""

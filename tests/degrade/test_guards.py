@@ -20,7 +20,7 @@ def test_budget_starts_full_so_cold_stub_can_retry():
     assert budget.try_spend()
     assert budget.try_spend()
     assert not budget.try_spend()
-    assert budget.spent == 2
+    assert budget.tokens == 0.0
     assert budget.denials == 1
 
 
@@ -35,8 +35,8 @@ def test_retries_capped_to_a_fraction_of_fresh_traffic():
         if budget.try_spend():
             granted += 1
     assert granted == 25
-    assert budget.earned == 100
     assert budget.denials == 75
+    assert budget.tokens == 0.0
 
 
 def test_earning_never_exceeds_the_cap():
@@ -111,7 +111,6 @@ def test_cooldown_admits_exactly_one_half_open_probe():
     clock["now"] = 10.0
     assert breaker.allow()  # the probe
     assert breaker.state == CircuitBreaker.HALF_OPEN
-    assert breaker.probes == 1
     assert not breaker.allow()  # probe in flight: everyone else waits
     assert breaker.short_circuits == 2
 
@@ -144,5 +143,5 @@ def test_summary_reports_state_and_counters():
     clock, breaker = make_breaker(threshold=1, cooldown=5.0)
     breaker.record(0.1, ok=False)
     breaker.allow()
-    assert (breaker.state, breaker.opens, breaker.short_circuits,
-            breaker.probes) == ("open", 1, 1, 0)
+    assert (breaker.state, breaker.opens, breaker.short_circuits) \
+        == ("open", 1, 1)

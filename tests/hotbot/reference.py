@@ -115,12 +115,18 @@ def ranked(index, terms, k):
     return index.rank(terms, k)
 
 
+def n_terms(index, vocabulary):
+    """The terms of ``vocabulary`` with at least one posting, as either
+    kind of index reports them."""
+    return sum(1 for term in vocabulary if scanned(index, [term]))
+
+
 def contents(index, vocabulary):
     """All an index (either kind) says it holds, through the public
-    surface: the counts, and per term how many postings it has and
-    every document that matches it, with its score to the bit."""
+    surface: the document count, and per term how many postings it has
+    and every document that matches it, with its score to the bit."""
     everything = max(1, index.n_documents)
-    return (index.n_documents, index.n_terms,
+    return (index.n_documents,
             {term: (scanned(index, [term]),
                     [(doc_id, negated.hex()) for negated, doc_id
                      in ranked(index, [term], everything)])

@@ -26,6 +26,7 @@ from tests.hotbot.reference import (
     as_ranked,
     bits,
     contents,
+    n_terms,
     reference_merge,
 )
 
@@ -251,7 +252,8 @@ def test_query_equals_naive_full_sort(seed):
     for global_df in (None, df_of(corpus)):
         index = sharing(len(corpus), global_df).add_all(corpus)
         reference = ReferenceIndex(len(corpus), global_df).add_all(corpus)
-        assert (index.n_documents, index.n_terms) \
+        vocabulary = [f"w{rank}" for rank in range(corpus.vocabulary_size)]
+        assert (index.n_documents, n_terms(index, vocabulary)) \
             == (reference.n_documents, reference.n_terms)
         ties = 0
         for terms in query_mix(corpus, rng, 12):
@@ -285,7 +287,8 @@ def test_remove_then_add_equals_the_reference(seed):
     survivors = [document for document in corpus
                  if document.doc_id not in gone]
     index = sharing(len(corpus), global_df).add_all(survivors)
-    assert index.n_terms < len(global_df)
+    assert n_terms(index, vocabulary) == reference.n_terms \
+        < len(global_df)
     assert index.search([rarest]) == (0, {})
     assert contents(index, vocabulary) == contents(reference, vocabulary)
     returned = list(dict.fromkeys(victims[:-10]))

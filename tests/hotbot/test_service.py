@@ -167,7 +167,7 @@ def test_informix_failover_blocks_then_recovers():
     result = hotbot.run_until(reply)
     assert result.hits is not None
     assert env.now >= DB_FAILOVER_S  # had to wait out the failover
-    assert hotbot.database.failovers == 1
+    assert hotbot.database.available  # the backup took over
 
 
 def test_weighted_partitions_match_node_speeds():

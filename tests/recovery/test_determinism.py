@@ -38,7 +38,6 @@ def test_supervised_fault_free_run_matches_unsupervised():
     supervisor = sup_runner.supervisor
     assert supervisor is not None and supervisor.alive
     assert supervisor.probes_sent > 0
-    assert supervisor.probe_failures == 0
     assert supervisor.suspicions == 0
     assert supervisor.restarts == 0
     assert supervisor.ledger.false_alarms == []

@@ -199,7 +199,6 @@ def test_restart_budget_exhaustion_pages_instead_of_healing():
         fabric.cluster.run(until=fabric.cluster.env.now + 8.0)
 
     assert supervisor.restarts == 2
-    assert supervisor.budget_denials >= 1
     assert any("restart budget exhausted" in alert.message
                for alert in supervisor.pages())
     # the third victim is left alone (and still sick) for the operator

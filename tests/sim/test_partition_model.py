@@ -87,7 +87,7 @@ def test_multicast_publish_counts_partitioned_subscribers():
     state.split({"node1": "cut"})
     group.publish("hello", sender="alice")
     cluster.run(until=0.5)
-    assert group.partition_dropped == 1
+    assert group.dropped == 1
     assert state.multicast_blocked == 1
     assert carol.queue.length == 1  # same-group subscriber delivered
     assert bob.queue.length == 0

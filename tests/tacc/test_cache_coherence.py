@@ -75,7 +75,7 @@ def test_recovery_generation_flushes_cache(tmp_path):
     assert store.get("alice") == {}  # rolled back on the store side
     # the cache notices the generation bump and drops its stale copy
     assert cache.get("alice") == {}
-    assert cache.generation_flushes == 1
+    assert (cache.hits, cache.misses) == (0, 1)  # read from the store
 
 
 def test_tombstone_not_resurrected_by_recovery(tmp_path):
@@ -98,7 +98,9 @@ def test_writes_after_recovery_repopulate_cache(tmp_path):
     assert cache.get("alice")["quality"] == 42
     store.recover()
     assert cache.get("alice")["quality"] == 42
-    assert cache.generation_flushes == 2
+    # the write after the first recovery repopulated the cache (a hit);
+    # the second recovery flushed it (a miss, read from the store)
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_hit_rate_accounting_unaffected_by_flushes(tmp_path):

@@ -71,11 +71,14 @@ SCALE = 0.05
 #: `<string>:__init__` entries and dropped the rest, so 274.2 / 264.7
 #: / 459.4 / 1470.9 undercounted the same trajectory.  The parent
 #: column stays as it was measured.
+#: The monitor's per-beacon queue series (a `QueueSample` per worker
+#: advert, never read) went: 277.2 / 267.7 / 460.4 / 1463.3 just
+#: before, re-recorded from 277.5 / 267.9 / 464.3 / 1470.9.
 RECORDED = {
-    "jpeg_dispatch": (285.5, 277.5),
-    "overload_ramp": (275.0, 267.9),
-    "transend_mix": (477.1, 464.3),
-    "hotbot_scatter": (1510.3, 1470.9),
+    "jpeg_dispatch": (285.5, 276.8),
+    "overload_ramp": (275.0, 267.5),
+    "transend_mix": (477.1, 457.7),
+    "hotbot_scatter": (1510.3, 1463.3),
 }
 #: what a Python version may add to the recorded figure
 HEAD_ROOM = 1.03
@@ -99,24 +102,24 @@ HEAP_HEAD_ROOM = 1.1
 #: sums every dataclass-generated `__init__`).  Not asserted on —
 #: it is what a failure is explained against.
 JPEG_DISPATCH_CALLEES = {
-    "~:<method 'append' of 'list' objects>": 22.86,
-    "repro/sim/kernel.py:__init__": 21.92,
+    "~:<method 'append' of 'list' objects>": 22.75,
+    "repro/sim/kernel.py:__init__": 21.59,
     "~:<method 'append' of 'collections.deque' objects>": 16.65,
     "~:<method 'popleft' of 'collections.deque' objects>": 16.62,
     "repro/sim/kernel.py:_resume": 16.29,
     "~:<method 'send' of 'generator' objects>": 16.29,
-    "~:<built-in method builtins.len>": 12.14,
+    "~:<built-in method builtins.len>": 12.01,
     "~:<built-in method _heapq.heappush>": 10.30,
     "~:<built-in method _heapq.heappop>": 8.31,
     "repro/core/frontend.py:_handle": 8.00,
     "repro/sim/kernel.py:timeout": 8.00,
     "repro/sim/kernel.py:succeed": 5.29,
     "repro/sim/network.py:reserve": 5.28,
-    "<string>:__init__": 4.33,
+    "<string>:__init__": 4.23,
     "repro/experiments/_harness.py:_distill": 4.00,
     "~:<method 'random' of '_random.Random' objects>": 3.71,
-    "repro/sim/kernel.py:get": 3.16,
-    "repro/sim/kernel.py:put_nowait": 3.16,
+    "repro/sim/kernel.py:get": 3.29,
+    "repro/sim/kernel.py:put_nowait": 3.29,
     "~:<built-in method builtins.max>": 3.06,
     "~:<method 'get' of 'dict' objects>": 3.02,
     "~:<built-in method builtins.hasattr>": 3.00,
@@ -175,10 +178,9 @@ JPEG_DISPATCH_CALLEES = {
     "~:<built-in method math.exp>": 1.00,
     "~:<method 'sort' of 'list' objects>": 1.00,
     "~:<method 'update' of 'dict' objects>": 1.00,
-    "repro/sim/kernel.py:now": 0.65,
+    "repro/sim/kernel.py:now": 0.54,
     "repro/core/worker_stub.py:<genexpr>": 0.30,
     "repro/sim/kernel.py:schedule_call": 0.28,
-    "repro/sim/kernel.py:length": 0.26,
     "repro/core/manager.py:<genexpr>": 0.23,
     "repro/core/manager_stub.py:refresh": 0.21,
 }
@@ -186,26 +188,26 @@ JPEG_DISPATCH_CALLEES = {
 #: `transend_mix` at (SEED, SCALE), likewise: 1.49 cache lookups and
 #: 1.28 stores per request, one placement hash per key.
 TRANSEND_MIX_CALLEES = {
-    "repro/sim/kernel.py:__init__": 37.73,
-    "~:<method 'append' of 'list' objects>": 37.68,
+    "~:<method 'append' of 'list' objects>": 36.77,
+    "repro/sim/kernel.py:__init__": 33.87,
     "~:<method 'append' of 'collections.deque' objects>": 26.95,
     "~:<method 'popleft' of 'collections.deque' objects>": 26.93,
     "repro/sim/kernel.py:_resume": 23.62,
     "~:<method 'send' of 'generator' objects>": 23.62,
-    "~:<built-in method builtins.len>": 17.48,
     "~:<built-in method _heapq.heappush>": 16.68,
+    "~:<built-in method builtins.len>": 16.17,
     "~:<built-in method _heapq.heappop>": 13.74,
     "repro/sim/kernel.py:succeed": 10.72,
     "repro/core/frontend.py:_handle": 9.65,
     "repro/sim/network.py:reserve": 7.76,
+    "repro/sim/kernel.py:get": 7.75,
+    "repro/sim/kernel.py:put_nowait": 7.75,
     "~:<method 'get' of 'dict' objects>": 7.61,
-    "repro/sim/kernel.py:now": 7.42,
-    "repro/sim/kernel.py:get": 6.44,
-    "repro/sim/kernel.py:put_nowait": 6.44,
-    "<string>:__init__": 5.87,
+    "repro/sim/kernel.py:now": 6.51,
     "repro/transend/service.py:handle": 5.65,
     "repro/transend/cachesys.py:_service_loop": 5.53,
     "repro/sim/kernel.py:timeout": 5.46,
+    "<string>:__init__": 4.97,
     "~:<method 'random' of '_random.Random' objects>": 4.11,
     "~:<built-in method builtins.sum>": 3.99,
     "~:<method 'values' of 'dict' objects>": 3.99,
@@ -214,7 +216,6 @@ TRANSEND_MIX_CALLEES = {
     "repro/sim/kernel.py:schedule_call": 3.00,
     "repro/sim/kernel.py:_on_event": 2.97,
     "repro/transend/cachesys.py:lookup": 2.97,
-    "repro/sim/kernel.py:length": 2.61,
     "~:<built-in method builtins.hasattr>": 2.49,
     "repro/core/manager.py:<genexpr>": 2.41,
     "repro/transend/origin.py:fetch": 2.37,
@@ -249,6 +250,7 @@ TRANSEND_MIX_CALLEES = {
     "repro/sim/node.py:compute": 1.46,
     "~:<method 'pop' of 'dict' objects>": 1.31,
     "repro/core/monitor.py:_mark_seen": 1.31,
+    "repro/sim/kernel.py:length": 1.31,
     "repro/sim/transport.py:_deliver": 1.31,
     "repro/sim/transport.py:recv": 1.31,
     "repro/sim/transport.py:send": 1.30,
@@ -355,7 +357,7 @@ TRANSEND_MIX_CALLEES = {
 HOTBOT_SCATTER_CALLEES = {
     "~:<method 'get' of 'dict' objects>": 213.22,
     "~:<method 'append' of 'list' objects>": 132.71,
-    "repro/sim/kernel.py:__init__": 127.24,
+    "repro/sim/kernel.py:__init__": 119.57,
     "~:<method 'append' of 'collections.deque' objects>": 115.64,
     "~:<method 'popleft' of 'collections.deque' objects>": 115.63,
     "repro/sim/kernel.py:_resume": 82.55,

@@ -206,6 +206,7 @@ REMOVED_PARAMETERS = (
     ("repro.transend.origin", "OriginServer", "real_content"),
     ("repro.core.fabric", "SNSFabric", "execute_real"),
     ("repro.core.worker_stub", "WorkerStub", "execute_real"),
+    ("repro.core.worker_stub", "WorkerStub", "on_overflow_node"),
     ("repro.workload.tracegen", "DocumentUniverse", "mime_mix"),
     ("repro.workload.tracegen", "DocumentUniverse", "size_models"),
     ("repro.workload.tracegen", "BurstCascade", "periods_s"),

@@ -97,7 +97,7 @@ def test_a_lookup_and_a_store_reach_the_node_for_their_key():
     for cache_node in cachesys.nodes.values():
         mine = [key for key in keys if cachesys.node_for(key) is cache_node]
         assert sorted(cache_node.store.keys()) == sorted(mine)
-        assert cache_node.lookups == cache_node.stores == len(mine)
+        assert cache_node.store.hits == cache_node.stores == len(mine)
     assert cachesys.hits == len(keys)
 
 

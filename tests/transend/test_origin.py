@@ -88,8 +88,7 @@ def test_fetch_pays_miss_penalty():
         until=cluster.env.process(scenario()))
     assert elapsed >= 0.1  # the minimum miss penalty
     assert origin.fetches == 1
-    assert origin.bytes_fetched == content.size or \
-        origin.bytes_fetched == 8192
+    assert content.size == record().size_bytes
 
 
 def test_fetch_charges_internet_link():

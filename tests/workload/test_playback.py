@@ -182,12 +182,16 @@ def test_bounded_mode_stats_match_recorded_mode(timeout_s):
     ``timeout_s`` change what is recorded, never the aggregate."""
     times = [0.0, 0.5, 1.0]
     stats = {}
+    latencies = {True: [], False: []}
     for record_outcomes in (True, False):
         env = Environment()
         service = MockService(env, service_time=0.1,
                               fail_urls={"http://x/1.gif"})
-        engine = PlaybackEngine(env, service.submit, timeout_s=timeout_s,
-                                record_outcomes=record_outcomes)
+        engine = PlaybackEngine(
+            env, service.submit, timeout_s=timeout_s,
+            record_outcomes=record_outcomes,
+            on_success=lambda _, latency, seen=latencies[record_outcomes]:
+                seen.append(latency))
         env.process(engine.play(records_at(times)))
         env.run()
         stats[record_outcomes] = engine.stats
@@ -196,7 +200,7 @@ def test_bounded_mode_stats_match_recorded_mode(timeout_s):
         assert stats[mode].submitted == 3
         assert stats[mode].completed == 2
         assert stats[mode].failed == 1
-        assert stats[mode].latency_sum == pytest.approx(0.2)
+        assert sum(latencies[mode]) == pytest.approx(0.2)
     # only the recorded mode keeps per-request outcomes
     env = Environment()
     engine = PlaybackEngine(env, MockService(env).submit,
